@@ -22,6 +22,7 @@ from repro.accel import Accelerator, CrashingAccel, EchoAccel, PreemptibleVideoE
 from repro.chaos import ChecksumService, FaultKind, FaultPlan, Injector, checksum
 from repro.errors import DeadlineExceeded
 from repro.kernel import ApiarySystem, FaultPolicy
+from repro.policy import RetryPolicy
 
 
 class Caller(Accelerator):
@@ -137,9 +138,10 @@ class RetryingCaller(Accelerator):
         for i in range(self.count):
             body = f"{self.name}/req{i}"
             try:
-                msg = yield from shell.call_with_retry(
+                msg = yield shell.call(
                     self.target, "sum", payload=body,
-                    deadline=300_000, attempt_timeout=25_000)
+                    retry=RetryPolicy(deadline=300_000,
+                                      attempt_timeout=25_000))
             except DeadlineExceeded:
                 self.failed += 1
             else:

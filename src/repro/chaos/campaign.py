@@ -27,6 +27,7 @@ from repro.eval import report
 from repro.eval.tables import format_table
 from repro.hw.resources import ResourceVector
 from repro.kernel.system import ApiarySystem
+from repro.policy import RetryPolicy
 from repro.sim import Engine, RngPool
 
 __all__ = ["checksum", "ChecksumService", "SurvivalClient", "CampaignPoint",
@@ -83,7 +84,7 @@ class ChecksumService(Accelerator):
 class SurvivalClient(Accelerator):
     """Closed-loop caller that keeps score.
 
-    Issues requests through :meth:`Shell.call_with_retry` until ``until``
+    Issues retried requests (``Shell.call(..., retry=...)``) until ``until``
     (sim cycles), verifying every response against a locally computed
     checksum.  ``ok`` / ``failed`` / ``checksum_errors`` feed the campaign's
     availability numbers.
@@ -113,11 +114,11 @@ class SurvivalClient(Accelerator):
             expected = checksum(body)
             i += 1
             try:
-                resp = yield from shell.call_with_retry(
+                resp = yield shell.call(
                     self.service, "sum", payload=body,
                     payload_bytes=len(body),
-                    deadline=self.deadline,
-                    attempt_timeout=self.attempt_timeout,
+                    retry=RetryPolicy(deadline=self.deadline,
+                                      attempt_timeout=self.attempt_timeout),
                 )
             except DeadlineExceeded:
                 self.failed += 1

@@ -1,55 +1,44 @@
-"""Cluster execution backends: shared-engine, windowed, and parallel PDES.
+"""Cluster execution backends: one shared engine, or windowed PDES.
 
-``Cluster`` historically composed every board onto one shared
-single-threaded :class:`~repro.sim.Engine`, so simulated throughput per
-wall-second *fell* as boards were added.  This module factors that
-assumption behind a :class:`ClusterBackend` and adds two windowed
-backends built on conservative-lookahead parallel discrete-event
-simulation (PDES):
+How a ``Cluster`` executes its boards is a :class:`ClusterBackend`:
 
 * :class:`SharedEngineBackend` (``backend="shared"``, the default) — one
-  engine, one fabric, one span recorder.  Byte-identical to the
-  pre-backend code; every existing test and benchmark pins it.
-* :class:`SequentialBackend` (``backend="sequential"``) — each board and
-  the host side (front-end + clients) is a *partition* with a private
-  engine, fabric view, and span recorder.  Partitions advance in lockstep
-  windows of ``fabric_latency`` cycles, executed one after another in
-  this process.  This is the determinism oracle: it performs exactly the
-  window/barrier/exchange protocol of the parallel backend (including
-  pickling every cross-partition envelope) with zero concurrency.
-* :class:`ParallelBackend` (``backend="parallel"``) — the same protocol,
-  with board windows executed by forked worker processes.  Byte-identical
-  to ``sequential`` on the same seed, by construction: both run the same
-  orchestration code, differing only in *where* a board window executes.
+  engine, one fabric, one span recorder for every board.
+* :class:`WindowedBackend` — each board and the host side (front-end +
+  clients) is a *partition* with a private engine, fabric view, and span
+  recorder; partitions advance in lockstep windows of ``fabric_latency``
+  cycles (conservative-lookahead parallel discrete-event simulation).
+  One backend, two execution modes: ``backend="sequential"`` runs every
+  board's ops in this process (the determinism oracle, zero concurrency);
+  ``backend="parallel"`` forks one worker per board at ``seal()`` and
+  sends the *same* ops down a pipe.  The orchestration code is shared
+  line for line, and message, span, and envelope ids are all per-board,
+  so the two are byte-identical on the same seed by construction.
 
-Soundness of the window (the classic null-message-free lookahead
-argument): the Ethernet fabric is the only cross-partition channel and
-delivers no earlier than ``fabric_latency`` cycles after send.  With
-window length ``w <= fabric_latency``, a frame sent at any cycle ``c``
-inside the window ``[t, t+w)`` arrives at ``c + latency >= t + w`` — at
-or after the next barrier — so no partition can receive anything from the
-current window while running it, and each window is embarrassingly
-parallel.  Envelopes collected at the barrier are merge-sorted by
-``(send_cycle, src_partition, seq)`` and injected at their exact arrival
-cycle, making the global schedule a pure function of simulated behaviour.
+After ``seal()`` a board is reachable only through six ops (:class:`Board`):
+``window``, ``kill``, ``mark_detached``, ``partition``, ``heal``,
+``collect``.  A worker dispatches them by name; the oracle calls the same
+methods directly.  Dynamic placement (autoscaler, chain replication) walks
+board management planes and so stays on the shared backend until
+load/teardown/migrate join that op set.
 
-Lifecycle of the windowed backends::
+Why a window is sound is argued in :mod:`repro.net.envelope`: the fabric
+is the only cross-partition channel and a frame sent inside a window
+cannot arrive before the next barrier.  Envelopes collected at a barrier
+are merge-sorted by ``(send_cycle, src_partition, seq)`` and injected at
+their exact arrival cycle, making the global schedule a pure function of
+simulated behaviour.
+
+Lifecycle::
 
     cluster = Cluster(n_fpgas=4, backend="parallel")
     cluster.boot()
-    cluster.deploy_stateless(...)     # pre-seal: runs in-process, serially
+    cluster.deploy_stateless(...)     # pre-seal: boards are in-process
     cluster.run_until(started)
     cluster.start_frontend(...)
     cluster.seal()                    # parallel: fork one worker per board
-    cluster.run(until=...)            # windows now execute in parallel
+    cluster.run(until=...)            # board windows now overlap
     cluster.shutdown()                # reap workers
-
-Everything before ``seal()`` executes identically (serially, in-process)
-in both windowed backends — deploys walk board management planes
-directly, which is only legal while the boards live in this process.
-After ``seal()`` boards are reachable only through the window protocol
-and explicit control messages (kill/partition/heal/collect), so dynamic
-placement (autoscaler, chain replication) stays on the shared backend.
 """
 
 from __future__ import annotations
@@ -60,14 +49,13 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, SimulationError, TileFault
-from repro.kernel import message as _message
 from repro.kernel.system import ApiarySystem
 from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
 from repro.net.frame import EthernetFabric
 from repro.obs.span import SpanRecorder
 from repro.sim import Engine, StatsRegistry
 
-__all__ = ["ClusterBackend", "SharedEngineBackend", "SequentialBackend",
+__all__ = ["ClusterBackend", "SharedEngineBackend", "WindowedBackend",
            "ParallelBackend", "BACKENDS"]
 
 #: span/trace id stride between partitions (board i allocates from
@@ -104,58 +92,178 @@ def _board_kill(system: ApiarySystem, fabric: EthernetFabric) -> None:
             system.fault_manager.report(tile, "main", err)
 
 
-def _worker_main(conn, system: ApiarySystem, fabric: PartitionFabric,
-                 fault_log: List[Tuple[int, int, str, str]]) -> None:
+#: the complete post-seal surface of a board; everything the orchestrator
+#: may ask of a worker is one of these names (DESIGN.md, "Board ops")
+BOARD_OPS = ("window", "kill", "mark_detached", "partition", "heal",
+             "collect")
+
+#: wall-clock seconds the orchestrator waits for one op reply before it
+#: declares the worker hung (a board window takes milliseconds)
+REPLY_TIMEOUT_S = 300.0
+
+
+class Board:
+    """One board as the window protocol sees it: six ops, nothing else.
+
+    The object lives wherever the board executes — in the orchestrating
+    process, or (after a forking ``seal()``) in the board's worker — and
+    is the only thing either place calls, so what an op *does* is written
+    once.
+    """
+
+    def __init__(self, index: int, system: ApiarySystem,
+                 fabric: PartitionFabric):
+        self.index = index
+        self.system = system
+        self.fabric = fabric
+        #: (node, action, endpoint) per fault since the last drain; the
+        #: orchestrator forwards them to fault listeners at the barrier
+        self._faults: List[Tuple[int, str, str]] = []
+        system.fault_manager.on_fault.append(self._record_fault)
+
+    def _record_fault(self, tile, record) -> None:
+        self._faults.append((tile.node, record.action, tile.endpoint))
+
+    def _drain_faults(self) -> List[Tuple[int, str, str]]:
+        out, self._faults = self._faults, []
+        return out
+
+    def dispatch(self, op: str, args: tuple):
+        if op not in BOARD_OPS:
+            raise SimulationError(
+                f"board {self.index}: unknown board op {op!r}")
+        return getattr(self, op)(*args)
+
+    # -- the ops -----------------------------------------------------------
+
+    def window(self, end: int):
+        """Run to ``end``; returns (outbox, fault entries, pending event
+        count)."""
+        engine = self.system.engine
+        engine.run_window(end)
+        return (self.fabric.drain_outbox(), self._drain_faults(),
+                engine.pending_events())
+
+    def kill(self) -> List[Tuple[int, str, str]]:
+        _board_kill(self.system, self.fabric)
+        return self._drain_faults()
+
+    def mark_detached(self, mac: str) -> None:
+        self.fabric.mark_remote_detached(mac)
+
+    def partition(self, mac: str) -> None:
+        self.fabric.partition(mac)
+
+    def heal(self, mac: str) -> None:
+        self.fabric.heal(mac)
+
+    def collect(self) -> Tuple[SpanRecorder, StatsRegistry, Optional[Any]]:
+        return self.system.spans, self.system.stats, self.system.flight
+
+
+def _worker_main(conn, board: Board) -> None:
     """Board worker loop (child side of a fork; one per board).
 
     Commands arrive strictly ordered on the pipe; the worker is a pure
     server — it never initiates traffic — so the parent's send/recv
     pairing fully determines execution.
     """
-    engine = system.engine
     while True:
-        msg = conn.recv()
-        tag = msg[0]
-        if tag == "win":
-            _end, inbound = msg[1], msg[2]
-            try:
-                for env in inbound:
-                    fabric.inject(env)
-                engine.run_window(_end)
-            except BaseException:
-                conn.send(("err", traceback.format_exc()))
-                continue
-            faults = list(fault_log)
-            del fault_log[:]
-            conn.send(("ok", fabric.drain_outbox(), faults,
-                       engine.pending_events()))
-        elif tag == "op":
-            name, args = msg[1], msg[2]
-            try:
-                if name == "kill":
-                    _board_kill(system, fabric)
-                    faults = list(fault_log)
-                    del fault_log[:]
-                    conn.send(("ok", faults))
-                elif name == "mark_detached":
-                    fabric.mark_remote_detached(args[0])
-                    conn.send(("ok", None))
-                elif name == "partition":
-                    fabric.partition(args[0])
-                    conn.send(("ok", None))
-                elif name == "heal":
-                    fabric.heal(args[0])
-                    conn.send(("ok", None))
-                elif name == "collect":
-                    conn.send(("ok", (system.spans, system.stats,
-                                      system.flight)))
-                else:
-                    conn.send(("err", f"unknown board op {name!r}"))
-            except BaseException:
-                conn.send(("err", traceback.format_exc()))
-        elif tag == "stop":
-            conn.send(("ok", None))
+        op, args, inbound = conn.recv()
+        if op == "stop":
             return
+        try:
+            for env in inbound:  # see _BoardHandle.deliver
+                board.fabric.inject(env)
+            reply = ("ok", board.dispatch(op, args))
+        except Exception:
+            reply = ("err", traceback.format_exc())
+        conn.send(reply)
+
+
+class _BoardHandle:
+    """Where a board's ops execute: in this process until :meth:`fork`,
+    over a pipe to the board's worker afterwards.  ``send``/``recv`` are
+    split so the orchestrator can overlap its own window with the
+    workers'; in-process, ``send`` simply runs the op."""
+
+    def __init__(self, board: Board):
+        self.board = board
+        self._conn = None
+        self._worker: Optional[multiprocessing.Process] = None
+        self._op = ""
+        self._reply: Any = None
+        #: envelopes delivered to a forked board since its last message
+        self._inbound: List[FrameEnvelope] = []
+
+    def fork(self, ctx) -> None:
+        self._conn, child_conn = ctx.Pipe()
+        self._worker = ctx.Process(
+            target=_worker_main, args=(child_conn, self.board),
+            name=f"pdes-board{self.board.index}", daemon=True)
+        self._worker.start()
+        child_conn.close()
+
+    def _lost(self, why: str) -> SimulationError:
+        return SimulationError(
+            f"board {self.board.index}: worker {why} during op {self._op!r}")
+
+    def deliver(self, env: FrameEnvelope) -> None:
+        """Inject ``env`` at the barrier it was collected at.
+
+        In-process that is now; a forked board gets it with the next
+        message on its pipe, ahead of that message's op — either way
+        before anything else happens on the board.
+        """
+        if self._conn is None:
+            self.board.fabric.inject(env)
+        else:
+            self._inbound.append(env)
+
+    def send(self, op: str, *args) -> None:
+        self._op = op
+        if self._conn is None:
+            self._reply = self.board.dispatch(op, args)
+            return
+        inbound, self._inbound = self._inbound, []
+        try:
+            self._conn.send((op, args, inbound))
+        except OSError as err:
+            raise self._lost(f"is gone ({err})") from err
+
+    def recv(self):
+        if self._conn is None:
+            reply, self._reply = self._reply, None
+            return reply
+        try:
+            if not self._conn.poll(REPLY_TIMEOUT_S):
+                raise self._lost(f"sent no reply in {REPLY_TIMEOUT_S:g} s")
+            status, value = self._conn.recv()
+        except (EOFError, OSError) as err:
+            raise self._lost(f"died ({err!r})") from err
+        if status != "ok":
+            raise SimulationError(
+                f"board {self.board.index} op {self._op!r} failed:\n{value}")
+        return value
+
+    def call(self, op: str, *args):
+        self.send(op, *args)
+        return self.recv()
+
+    def stop(self) -> None:
+        """Reap the worker, if any (idempotent; tolerates a dead one)."""
+        if self._worker is None:
+            return
+        try:
+            self._conn.send(("stop", (), []))
+        except OSError:
+            pass
+        self._conn.close()
+        self._worker.join(timeout=10)
+        if self._worker.is_alive():  # pragma: no cover - hung worker
+            self._worker.kill()
+            self._worker.join(timeout=10)
+        self._worker = None
 
 
 class ClusterBackend:
@@ -187,6 +295,9 @@ class ClusterBackend:
                     net=replace(base.net, mac_addr=f"fpga{i}"))
             for i in range(n_fpgas)
         ]
+
+    def _mac(self, index: int) -> str:
+        return self.cluster.systems[index].config.net.mac_addr
 
     # -- execution ---------------------------------------------------------
 
@@ -242,27 +353,49 @@ class ClusterBackend:
         """Attach one always-on flight recorder per board.
 
         On windowed backends this must happen before ``seal()`` so forked
-        workers inherit the recorders and their fault hooks.
+        workers inherit the recorders and their fault hooks, and each
+        ring sees board-local spans; on the shared backend all boards
+        share one span recorder, so each ring sees cluster-wide spans
+        (events stay board-local).
         """
-        raise NotImplementedError
+        for i, system in enumerate(self.cluster.systems):
+            system.enable_flight_recorder(board=f"fpga{i}",
+                                          capacity=capacity,
+                                          dump_dir=dump_dir)
 
     def merged_spans(self) -> SpanRecorder:
         raise NotImplementedError
 
-    def merged_stats(self) -> StatsRegistry:
+    def _collect(self, index: int) -> Tuple[SpanRecorder, StatsRegistry,
+                                            Optional[Any]]:
+        """Board ``index``'s (spans, stats, flight recorder), fetched from
+        wherever the board executes."""
         raise NotImplementedError
 
+    def _collect_all(self):
+        return [self._collect(i) for i in range(len(self.cluster.systems))]
+
+    def merged_stats(self) -> StatsRegistry:
+        merged = StatsRegistry()
+        for _spans, stats, _flight in self._collect_all():
+            merged.merge(stats)
+        return merged
+
     def stats_snapshots(self) -> Dict[str, Dict]:
-        raise NotImplementedError
+        return {f"fpga{i}": stats.snapshot()
+                for i, (_spans, stats, _flight)
+                in enumerate(self._collect_all())}
 
     def flight_reports(self) -> Dict[str, Optional[Dict]]:
         """Per-board flight snapshot + retained dumps (None if disabled).
 
-        On the parallel backend this collects each board's recorder from
-        its worker, so the returned state is byte-identical to what the
-        sequential oracle accumulates in-process.
+        A forked board's recorder is collected from its worker, so the
+        returned state is byte-identical to what the in-process oracle
+        accumulates.
         """
-        raise NotImplementedError
+        return {f"fpga{i}": flight.report() if flight is not None else None
+                for i, (_spans, _stats, flight)
+                in enumerate(self._collect_all())}
 
 
 class SharedEngineBackend(ClusterBackend):
@@ -301,12 +434,10 @@ class SharedEngineBackend(ClusterBackend):
         _board_kill(self.cluster.systems[index], self.cluster.fabric)
 
     def partition_board(self, index):
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.partition(mac)
+        self.cluster.fabric.partition(self._mac(index))
 
     def heal_board(self, index):
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.heal(mac)
+        self.cluster.fabric.heal(self._mac(index))
 
     def register_fault_listener(self, listener):
         super().register_fault_listener(listener)
@@ -319,61 +450,33 @@ class SharedEngineBackend(ClusterBackend):
     def enable_tracing(self):
         self.cluster.spans.enable()
 
-    def enable_flight_recorders(self, capacity=256, dump_dir=None):
-        # all boards share one span recorder here, so each board's ring
-        # sees cluster-wide spans (events stay board-local); the windowed
-        # backends give each ring a board-local span view
-        for i, system in enumerate(self.cluster.systems):
-            system.enable_flight_recorder(board=f"fpga{i}",
-                                          capacity=capacity,
-                                          dump_dir=dump_dir)
-
     def merged_spans(self):
         return self.cluster.spans
 
-    def merged_stats(self):
-        merged = StatsRegistry()
-        for system in self.cluster.systems:
-            merged.merge(system.stats)
-        return merged
-
-    def stats_snapshots(self):
-        return {f"fpga{i}": system.stats.snapshot()
-                for i, system in enumerate(self.cluster.systems)}
-
-    def flight_reports(self):
-        return {f"fpga{i}": (system.flight.report()
-                             if system.flight is not None else None)
-                for i, system in enumerate(self.cluster.systems)}
+    def _collect(self, index):
+        system = self.cluster.systems[index]
+        return system.spans, system.stats, system.flight
 
 
-class SequentialBackend(ClusterBackend):
-    """Windowed execution, one partition after another, in this process.
+class WindowedBackend(ClusterBackend):
+    """Conservative-lookahead windows over per-board partitions.
 
-    The determinism oracle for :class:`ParallelBackend`: identical
-    partitioning, identical window/barrier/exchange schedule, identical
-    envelope pickling — no concurrency.  Partition 0 is the host side
-    (front-end, clients, anything attaching an unmapped MAC); partition
-    ``i + 1`` is board ``i``.
+    Partition 0 is the host side (front-end, clients, anything attaching
+    an unmapped MAC); partition ``i + 1`` is board ``i``, reached only
+    through its :class:`_BoardHandle`.  This class is ``"sequential"``,
+    the determinism oracle; ``"parallel"`` differs in ``forks`` alone —
+    one window/barrier/exchange schedule, one copy of every envelope.
     """
 
     name = "sequential"
+    #: whether seal() hands each board to a forked worker process
+    forks = False
 
     def __init__(self):
         super().__init__()
         self.window = 0
         self.partition_of: Dict[str, int] = {}
-        self.board_engines: List[Engine] = []
-        self.board_fabrics: List[PartitionFabric] = []
-        self.board_spans: List[SpanRecorder] = []
-        #: per-board fault entries (node, action, endpoint) captured by the
-        #: recorder hook, forwarded to fault listeners at the barrier
-        self.fault_logs: List[List[Tuple[int, str, str]]] = []
-        #: per-board copies of the process-global message-id allocator,
-        #: captured at seal() — the oracle's emulation of fork inheriting
-        #: the counter into each worker (see :meth:`_enter_board`)
-        self._mid_states: List[int] = []
-        self._host_mid = 0
+        self.boards: List[_BoardHandle] = []
 
     # -- construction ------------------------------------------------------
 
@@ -387,11 +490,6 @@ class SequentialBackend(ClusterBackend):
             )
         self.cluster = cluster
         self.window = fabric_latency
-        # a windowed cluster is a self-contained simulation: restart the
-        # process-global mid stream so a run's ids depend only on its own
-        # behaviour, not on whatever ran earlier in this process — the
-        # identity contract compares mids across two runs
-        _message._mid_counter.next_value = 1
         configs = self._board_configs(cluster.base_config, n_fpgas)
         self.partition_of = {cfg.net.mac_addr: i + 1
                              for i, cfg in enumerate(configs)}
@@ -407,20 +505,11 @@ class SequentialBackend(ClusterBackend):
                 board_engine, partition_id=i + 1,
                 partition_of=self.partition_of,
                 latency_cycles=fabric_latency)
-            spans = SpanRecorder(id_base=(i + 1) * SPAN_ID_STRIDE)
-            system = ApiarySystem(engine=board_engine, fabric=board_fabric,
-                                  config=cfg, spans=spans)
-            self.board_engines.append(board_engine)
-            self.board_fabrics.append(board_fabric)
-            self.board_spans.append(spans)
+            system = ApiarySystem(
+                engine=board_engine, fabric=board_fabric, config=cfg,
+                spans=SpanRecorder(id_base=(i + 1) * SPAN_ID_STRIDE))
             cluster.systems.append(system)
-            log: List[Tuple[int, str, str]] = []
-            self.fault_logs.append(log)
-
-            def recorder(tile, record, log=log):
-                log.append((tile.node, record.action, tile.endpoint))
-
-            system.fault_manager.on_fault.append(recorder)
+            self.boards.append(_BoardHandle(Board(i, system, board_fabric)))
 
     # -- the window protocol ----------------------------------------------
 
@@ -433,50 +522,14 @@ class SequentialBackend(ClusterBackend):
         if self.sealed:
             return
         super().seal()
-        # each forked worker inherits a copy of the process-global
-        # message-id allocator; the oracle captures the same copies here
-        # and swaps them in around each board's post-seal execution, so
-        # both backends allocate identical mids everywhere
-        self._mid_states = [_message._mid_counter.next_value
-                            for _ in self.cluster.systems]
+        if self.forks:
+            ctx = multiprocessing.get_context("fork")
+            for board in self.boards:
+                board.fork(ctx)
 
-    def _enter_board(self, index: int) -> None:
-        """Install board ``index``'s private mid-allocator copy (sealed)."""
-        self._host_mid = _message._mid_counter.next_value
-        _message._mid_counter.next_value = self._mid_states[index]
-
-    def _exit_board(self, index: int) -> None:
-        self._mid_states[index] = _message._mid_counter.next_value
-        _message._mid_counter.next_value = self._host_mid
-
-    def _run_board_windows(self, end: int) -> Tuple[
-            List[List[FrameEnvelope]], List[List[Tuple[int, str, str]]],
-            List[int]]:
-        """Run every board's window to ``end``; return per-board
-        (outbox, fault entries, pending event count)."""
-        outboxes, faults, pending = [], [], []
-        for i, engine in enumerate(self.board_engines):
-            if self.sealed:
-                self._enter_board(i)
-            try:
-                engine.run_window(end)
-            finally:
-                if self.sealed:
-                    self._exit_board(i)
-            outboxes.append(self.board_fabrics[i].drain_outbox())
-            entries = list(self.fault_logs[i])
-            del self.fault_logs[i][:]
-            faults.append(entries)
-            pending.append(engine.pending_events())
-        return outboxes, faults, pending
-
-    def _deliver(self, env: FrameEnvelope) -> None:
-        """Route one envelope to its destination partition (in-process)."""
-        pid = self.partition_of.get(env.dst_mac, 0)
-        if pid == 0:
-            self.cluster.fabric.inject(env)
-        else:
-            self.board_fabrics[pid - 1].inject(env)
+    def shutdown(self):
+        for board in self.boards:
+            board.stop()
 
     def _step(self, end: int) -> int:
         """One window for every partition + the barrier exchange.
@@ -485,26 +538,40 @@ class SequentialBackend(ClusterBackend):
         quiescence signal for :meth:`run_until`).
         """
         host = self.cluster.engine
-        outboxes, faults, board_pending = self._run_board_windows(end)
+        # in-process boards hand envelopes over by reference; the oracle
+        # copies them exactly as a worker pipe would, so sender/receiver
+        # aliasing can never diverge between modes
+        copy = not (self.forks and self.sealed)
+        for board in self.boards:
+            board.send("window", end)
+        # forked boards run their windows while the host runs its own
         host.run_window(end)
         envelopes = self.cluster.fabric.drain_outbox()
-        for box in outboxes:
-            envelopes.extend(box)
+        pending = host.pending_events()
+        faults = []
+        for board in self.boards:
+            outbox, entries, board_pending = board.recv()
+            envelopes.extend(outbox)
+            faults.append(entries)
+            pending += board_pending
         envelopes.sort(key=FrameEnvelope.sort_key)
-        injected = 0
         for env in envelopes:
-            # the oracle copies payloads exactly as the worker pipe would,
-            # so sender/receiver aliasing can never diverge between modes
-            self._deliver(pickle_roundtrip(env))
-            injected += 1
-        self._apply_faults(faults)
-        return host.pending_events() + sum(board_pending) + injected
+            if copy:
+                env = pickle_roundtrip(env)
+            pid = self.partition_of.get(env.dst_mac, 0)
+            if pid == 0:
+                self.cluster.fabric.inject(env)
+            else:
+                self.boards[pid - 1].deliver(env)
+        for index, entries in enumerate(faults):
+            self._notify_faults(index, entries)
+        return pending + len(envelopes)
 
-    def _apply_faults(self, faults: List[List[Tuple[int, str, str]]]) -> None:
-        for fpga, entries in enumerate(faults):
-            for node, action, endpoint in entries:
-                for listener in self._fault_listeners:
-                    listener.on_board_fault(fpga, node, action, endpoint)
+    def _notify_faults(self, index: int,
+                       entries: List[Tuple[int, str, str]]) -> None:
+        for node, action, endpoint in entries:
+            for listener in self._fault_listeners:
+                listener.on_board_fault(index, node, action, endpoint)
 
     # -- execution ---------------------------------------------------------
 
@@ -515,9 +582,8 @@ class SequentialBackend(ClusterBackend):
         # exchange drains whatever a boot did emit
         for system in self.cluster.systems:
             system.boot(extra_cycles=extra_cycles)
-        target = max([self.cluster.engine.now]
-                     + [e.now for e in self.board_engines])
-        self._step(target)
+        self._step(max([self.clock] + [system.engine.now
+                                       for system in self.cluster.systems]))
 
     def run(self, until):
         if until is None:
@@ -525,11 +591,8 @@ class SequentialBackend(ClusterBackend):
                 f"the {self.name!r} backend needs a bounded run(until=...): "
                 "partitions advance in windows, not to queue exhaustion"
             )
-        now = self.clock
-        while now < until:
-            end = min(now + self.window, until)
-            self._step(end)
-            now = end
+        while self.clock < until:
+            self._step(min(self.clock + self.window, until))
 
     def run_until(self, events, limit=10_000_000):
         events = list(events)
@@ -558,252 +621,58 @@ class SequentialBackend(ClusterBackend):
     # -- fault injection ---------------------------------------------------
 
     def kill_board(self, index):
-        mac = self.cluster.systems[index].config.net.mac_addr
+        mac = self._mac(index)
         self.cluster.fabric.mark_remote_detached(mac)
-        for i, fabric in enumerate(self.board_fabrics):
+        for i, board in enumerate(self.boards):
             if i != index:
-                fabric.mark_remote_detached(mac)
-        if self.sealed:
-            self._enter_board(index)
-        try:
-            _board_kill(self.cluster.systems[index],
-                        self.board_fabrics[index])
-        finally:
-            if self.sealed:
-                self._exit_board(index)
-        entries = list(self.fault_logs[index])
-        del self.fault_logs[index][:]
-        for node, action, endpoint in entries:
-            for listener in self._fault_listeners:
-                listener.on_board_fault(index, node, action, endpoint)
+                board.call("mark_detached", mac)
+        self._notify_faults(index, self.boards[index].call("kill"))
 
     def partition_board(self, index):
-        mac = self.cluster.systems[index].config.net.mac_addr
+        mac = self._mac(index)
         self.cluster.fabric.partition(mac)
-        for fabric in self.board_fabrics:
-            fabric.partition(mac)
+        for board in self.boards:
+            board.call("partition", mac)
 
     def heal_board(self, index):
-        mac = self.cluster.systems[index].config.net.mac_addr
+        mac = self._mac(index)
         self.cluster.fabric.heal(mac)
-        for fabric in self.board_fabrics:
-            fabric.heal(mac)
+        for board in self.boards:
+            board.call("heal", mac)
 
     # -- observability -----------------------------------------------------
 
     def enable_tracing(self):
         self.cluster.spans.enable()
-        for spans in self.board_spans:
-            spans.enable()
+        for system in self.cluster.systems:
+            system.spans.enable()
 
     def enable_flight_recorders(self, capacity=256, dump_dir=None):
-        # must run pre-seal: the parallel backend's workers fork with the
-        # recorders (and their fault hooks) already attached, which is how
-        # worker-side rings stay byte-identical to the oracle's
         self.check_placement_open("enable_flight_recorders()")
-        for i, system in enumerate(self.cluster.systems):
-            system.enable_flight_recorder(board=f"fpga{i}",
-                                          capacity=capacity,
-                                          dump_dir=dump_dir)
+        super().enable_flight_recorders(capacity, dump_dir)
 
-    def _collect_board(self, index) -> Tuple[SpanRecorder, StatsRegistry,
-                                             Optional[Any]]:
-        system = self.cluster.systems[index]
-        return system.spans, system.stats, system.flight
+    def _collect(self, index):
+        return self.boards[index].call("collect")
 
     def merged_spans(self):
         merged = SpanRecorder(id_base=0)
         merged.absorb(self.cluster.spans)
-        for i in range(len(self.cluster.systems)):
-            merged.absorb(self._collect_board(i)[0])
+        for spans, _stats, _flight in self._collect_all():
+            merged.absorb(spans)
         return merged
 
-    def merged_stats(self):
-        merged = StatsRegistry()
-        for i in range(len(self.cluster.systems)):
-            merged.merge(self._collect_board(i)[1])
-        return merged
 
-    def stats_snapshots(self):
-        return {f"fpga{i}": self._collect_board(i)[1].snapshot()
-                for i in range(len(self.cluster.systems))}
-
-    def flight_reports(self):
-        out = {}
-        for i in range(len(self.cluster.systems)):
-            flight = self._collect_board(i)[2]
-            out[f"fpga{i}"] = flight.report() if flight is not None else None
-        return out
-
-
-class ParallelBackend(SequentialBackend):
-    """Windowed execution with board windows on forked worker processes.
-
-    Until :meth:`seal` this *is* the sequential backend — construction,
-    boot, and deploys run serially in-process, so the forked children
-    inherit exactly the state the oracle would have at the same point.
-    After ``seal()`` each board lives in its worker: the parent sends
-    ``("win", end, inbound)`` to every child, runs its own host window
-    while the children run theirs, then collects outboxes and fault logs
-    and performs the same barrier exchange as the oracle.  Every value
-    crossing the pipe is pickled, which is why the oracle pickles too.
-    """
+class ParallelBackend(WindowedBackend):
+    """The windowed backend with each board on a forked worker after
+    ``seal()``.  Construction, boot, and deploys run in-process first, so
+    the children inherit exactly the state the oracle has at that point."""
 
     name = "parallel"
-
-    def __init__(self):
-        super().__init__()
-        self._workers: List[multiprocessing.Process] = []
-        self._pipes: List[Any] = []
-        #: envelopes routed to each board at the last barrier, shipped
-        #: with that board's next window command
-        self._inbound: List[List[FrameEnvelope]] = []
-        self._board_pending: List[int] = []
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def seal(self):
-        if self.sealed:
-            return
-        super().seal()
-        ctx = multiprocessing.get_context("fork")
-        for i, system in enumerate(self.cluster.systems):
-            parent_conn, child_conn = ctx.Pipe()
-            worker = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, system, self.board_fabrics[i],
-                      self.fault_logs[i]),
-                name=f"pdes-board{i}", daemon=True)
-            worker.start()
-            child_conn.close()
-            self._workers.append(worker)
-            self._pipes.append(parent_conn)
-            self._inbound.append([])
-            self._board_pending.append(1)
-
-    def shutdown(self):
-        for conn in self._pipes:
-            try:
-                conn.send(("stop",))
-                conn.recv()
-            except (OSError, EOFError):
-                pass
-            conn.close()
-        for worker in self._workers:
-            worker.join(timeout=10)
-            if worker.is_alive():  # pragma: no cover - hung worker
-                worker.terminate()
-                worker.join(timeout=10)
-        self._workers = []
-        self._pipes = []
-
-    def _board_op(self, index: int, name: str, *args):
-        conn = self._pipes[index]
-        conn.send(("op", name, args))
-        reply = conn.recv()
-        if reply[0] != "ok":
-            raise SimulationError(
-                f"board {index} op {name!r} failed:\n{reply[1]}")
-        return reply[1]
-
-    # -- the window protocol (worker edition) ------------------------------
-
-    def _run_board_windows(self, end):
-        if not self.sealed:
-            return super()._run_board_windows(end)
-        for i, conn in enumerate(self._pipes):
-            conn.send(("win", end, self._inbound[i]))
-            self._inbound[i] = []
-        # note: the host window in _step() runs between these sends and
-        # the receives below, overlapping with every board worker
-        return None  # outboxes arrive in _finish_board_windows
-
-    def _finish_board_windows(self):
-        outboxes, faults = [], []
-        for i, conn in enumerate(self._pipes):
-            reply = conn.recv()
-            if reply[0] != "ok":
-                raise SimulationError(
-                    f"board {i} window failed:\n{reply[1]}")
-            outboxes.append(reply[1])
-            faults.append(reply[2])
-            self._board_pending[i] = reply[3]
-        return outboxes, faults, list(self._board_pending)
-
-    def _deliver(self, env):
-        if not self.sealed:
-            super()._deliver(env)
-            return
-        pid = self.partition_of.get(env.dst_mac, 0)
-        if pid == 0:
-            self.cluster.fabric.inject(env)
-        else:
-            self._inbound[pid - 1].append(env)
-
-    def _step(self, end):
-        if not self.sealed:
-            return super()._step(end)
-        host = self.cluster.engine
-        self._run_board_windows(end)
-        host.run_window(end)
-        outboxes, faults, board_pending = self._finish_board_windows()
-        envelopes = self.cluster.fabric.drain_outbox()
-        for box in outboxes:
-            envelopes.extend(box)
-        envelopes.sort(key=FrameEnvelope.sort_key)
-        injected = 0
-        for env in envelopes:
-            # envelopes to boards cross the worker pipe (pickled there);
-            # host-bound ones came through it already — no copy needed here
-            self._deliver(env)
-            injected += 1
-        self._apply_faults(faults)
-        return host.pending_events() + sum(board_pending) + injected
-
-    # -- fault injection ---------------------------------------------------
-
-    def kill_board(self, index):
-        if not self.sealed:
-            super().kill_board(index)
-            return
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.mark_remote_detached(mac)
-        for i in range(len(self.cluster.systems)):
-            if i != index:
-                self._board_op(i, "mark_detached", mac)
-        entries = self._board_op(index, "kill")
-        for node, action, endpoint in entries:
-            for listener in self._fault_listeners:
-                listener.on_board_fault(index, node, action, endpoint)
-
-    def partition_board(self, index):
-        if not self.sealed:
-            super().partition_board(index)
-            return
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.partition(mac)
-        for i in range(len(self.cluster.systems)):
-            self._board_op(i, "partition", mac)
-
-    def heal_board(self, index):
-        if not self.sealed:
-            super().heal_board(index)
-            return
-        mac = self.cluster.systems[index].config.net.mac_addr
-        self.cluster.fabric.heal(mac)
-        for i in range(len(self.cluster.systems)):
-            self._board_op(i, "heal", mac)
-
-    # -- observability -----------------------------------------------------
-
-    def _collect_board(self, index):
-        if not self.sealed:
-            return super()._collect_board(index)
-        return self._board_op(index, "collect")
+    forks = True
 
 
 BACKENDS = {
     "shared": SharedEngineBackend,
-    "sequential": SequentialBackend,
+    "sequential": WindowedBackend,
     "parallel": ParallelBackend,
 }

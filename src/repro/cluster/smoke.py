@@ -20,7 +20,8 @@ from repro.policy import RetryPolicy
 from repro.sim import Histogram
 from repro.workloads.client import ClusterClient
 
-__all__ = ["scaling_smoke", "availability_smoke", "span_dump"]
+__all__ = ["scaling_smoke", "availability_smoke", "span_dump",
+           "echo_handler_factory", "kv_handler_factory"]
 
 
 def span_dump(spans: SpanRecorder) -> List[tuple]:
@@ -36,7 +37,7 @@ def span_dump(spans: SpanRecorder) -> List[tuple]:
     ]
 
 
-def _echo_handler_factory(work_cycles: int):
+def echo_handler_factory(work_cycles: int):
     """A CPU-bound echo service: every request costs ``work_cycles``."""
 
     def make():
@@ -47,7 +48,7 @@ def _echo_handler_factory(work_cycles: int):
     return make
 
 
-def _kv_handler_factory(work_cycles: int):
+def kv_handler_factory(work_cycles: int):
     """A tiny per-shard key-value store (get/put)."""
 
     def make(shard: int):
@@ -122,7 +123,7 @@ def scaling_smoke(
     if trace:
         cluster.enable_tracing()
     started = cluster.deploy_stateless(
-        "echo", _echo_handler_factory(work_cycles),
+        "echo", echo_handler_factory(work_cycles),
         instances=instances_per_fpga * n_fpgas)
     # partial reconfiguration is hundreds of kilocycles per bitstream;
     # measure serving, not deployment
@@ -214,7 +215,7 @@ def availability_smoke(
                      backend=backend, cache=cache)
     if trace:
         cluster.enable_tracing()
-    started = cluster.deploy_sharded("kv", _kv_handler_factory(work_cycles),
+    started = cluster.deploy_sharded("kv", kv_handler_factory(work_cycles),
                                      n_shards=n_shards,
                                      replication=replication)
     cluster.run_until(started, limit=50_000_000)

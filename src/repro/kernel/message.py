@@ -11,7 +11,7 @@ capabilities before anything reaches the fabric.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.cap.capability import CapabilityRef
@@ -21,32 +21,6 @@ __all__ = ["MessageKind", "Message", "MemAccess", "MESSAGE_HEADER_BYTES"]
 
 #: Wire overhead of the Apiary header (ids, op, cap ref) on top of payload.
 MESSAGE_HEADER_BYTES = 32
-
-
-class _MidAllocator:
-    """``itertools.count`` with its state exposed.
-
-    The windowed cluster backends need to read and restore the allocator
-    position: a forked board worker inherits a *copy* of this process-
-    global counter, so the sequential determinism oracle swaps a private
-    copy in around each board window to allocate the exact same mids.
-    """
-
-    __slots__ = ("next_value",)
-
-    def __init__(self, start: int = 1):
-        self.next_value = start
-
-    def __next__(self) -> int:
-        value = self.next_value
-        self.next_value = value + 1
-        return value
-
-    def __iter__(self) -> "_MidAllocator":
-        return self
-
-
-_mid_counter = _MidAllocator()
 
 
 class MessageKind(enum.Enum):
@@ -67,7 +41,9 @@ class Message:
     dst: destination endpoint name.
     op: operation selector within the destination service's API.
     kind: request/response/error/event.
-    mid: correlation id; responses carry the request's mid.
+    mid: correlation id; responses carry the request's mid.  Stamped by
+        the sending shell from its *board's* allocator (each direct-attached
+        FPGA numbers its own messages); 0 = not stamped (hand-built).
     payload / payload_bytes: opaque body and its wire size.
     cap: optional capability reference accompanying the operation (e.g. the
         memory capability for a read/write).
@@ -83,7 +59,7 @@ class Message:
     dst: str
     op: str
     kind: MessageKind = MessageKind.REQUEST
-    mid: int = field(default_factory=lambda: next(_mid_counter))
+    mid: int = 0
     payload: Any = None
     payload_bytes: int = 0
     cap: Optional[CapabilityRef] = None

@@ -21,7 +21,7 @@ build on top of containment — detection, restart, re-placement:
 Peers never re-learn addresses: they hold SEND capabilities to the
 *logical* endpoint name, and monitors resolve names per message — so a
 failover is invisible to callers beyond the errors they retry through
-(:meth:`repro.kernel.shell.Shell.call_with_retry`).
+(``Shell.call(..., retry=RetryPolicy(...))``).
 """
 
 from __future__ import annotations

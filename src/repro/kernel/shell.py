@@ -21,7 +21,8 @@ process generators):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import itertools
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.cap.capability import CapabilityRef
 from repro.errors import (
@@ -59,9 +60,13 @@ class Shell:
     """One tile's shell.  Created by the Tile; handed to the accelerator."""
 
     def __init__(self, engine: Engine, monitor: Monitor,
-                 mem_service: str = "svc.mem", net_service: str = "svc.net"):
+                 mem_service: str = "svc.mem", net_service: str = "svc.net",
+                 mids: Optional[Iterator[int]] = None):
         self.engine = engine
         self.monitor = monitor
+        #: message-id allocator, shared by every shell of one board (a
+        #: free-standing shell numbers its own messages)
+        self._mids = mids if mids is not None else itertools.count(1)
         # cache the monitor's span recorder (duck-typed monitor stand-ins
         # without one get a private disabled recorder)
         spans = getattr(monitor, "spans", None)
@@ -148,7 +153,7 @@ class Shell:
                 describe=f"call {op!r} to {dst!r}", on_retry=count_retry,
                 name=f"{self.name}.retry.{op}",
             )
-        msg = Message(src=self.name, dst=dst, op=op,
+        msg = Message(src=self.name, dst=dst, op=op, mid=next(self._mids),
                       kind=MessageKind.REQUEST, payload=payload,
                       payload_bytes=payload_bytes, cap=cap, priority=priority)
         result = self.engine.event(f"{self.name}.call#{msg.mid}")
@@ -189,46 +194,13 @@ class Shell:
             self.engine.timeout(timeout).add_callback(on_timeout)
         return result
 
-    def call_with_retry(
-        self,
-        dst: str,
-        op: str,
-        payload: Any = None,
-        payload_bytes: int = 0,
-        cap: Optional[CapabilityRef] = None,
-        priority: int = 0,
-        deadline: int = 200_000,
-        attempt_timeout: int = 20_000,
-        max_attempts: Optional[int] = None,
-        backoff_base: int = 500,
-        backoff_cap: int = 16_000,
-    ):
-        """Process generator: ``call`` with deadline + exponential backoff.
-
-        .. deprecated:: use ``yield shell.call(dst, op,
-           retry=RetryPolicy(...))`` — this shim builds the equivalent
-           :class:`~repro.policy.RetryPolicy` and delegates.
-
-        Use via ``msg = yield from shell.call_with_retry(...)``; raises
-        :class:`DeadlineExceeded` once the overall ``deadline`` is spent.
-        """
-        policy = RetryPolicy(deadline=deadline,
-                             attempt_timeout=attempt_timeout,
-                             max_attempts=max_attempts,
-                             backoff_base=backoff_base,
-                             backoff_cap=backoff_cap)
-        msg = yield self.call(dst, op, payload=payload,
-                              payload_bytes=payload_bytes, cap=cap,
-                              priority=priority, retry=policy)
-        return msg
-
     def notify(self, dst: str, op: str, payload: Any = None,
                payload_bytes: int = 0, cap: Optional[CapabilityRef] = None,
                priority: int = 0) -> Event:
         """One-way event; the returned event tracks NoC admission only."""
-        msg = Message(src=self.name, dst=dst, op=op, kind=MessageKind.EVENT,
-                      payload=payload, payload_bytes=payload_bytes, cap=cap,
-                      priority=priority)
+        msg = Message(src=self.name, dst=dst, op=op, mid=next(self._mids),
+                      kind=MessageKind.EVENT, payload=payload,
+                      payload_bytes=payload_bytes, cap=cap, priority=priority)
         return self.monitor.submit(msg)
 
     def recv(self) -> Event:

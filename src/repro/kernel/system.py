@@ -19,6 +19,7 @@ Construction has two faces:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.cap.captable import CapabilityStore
@@ -128,6 +129,11 @@ class ApiarySystem:
         #: request's spans land in a single causal trace.  A cluster passes
         #: one recorder to all its systems, making traces cross-FPGA.
         self.spans = spans if spans is not None else SpanRecorder()
+        #: this board's message-id allocator, handed to every tile's shell:
+        #: ids are per-board, so what a board allocates depends only on
+        #: its own behaviour — not on other boards, on which process it
+        #: executes in, or on what ran earlier in this one
+        self.mids = itertools.count(1)
         self.part: FpgaPart = lookup_part(config.part_name)
         self.topo = Mesh2D(noc.width, noc.height)
         self.enforce = config.fault.enforce
@@ -191,7 +197,8 @@ class ApiarySystem:
                                     drc=drc, name=f"slot{node}",
                                     stats=self.stats)
             self.tiles.append(Tile(self.engine, node, monitor, region,
-                                   fault_manager=self.fault_manager))
+                                   fault_manager=self.fault_manager,
+                                   mids=self.mids))
 
         self.mgmt = MgmtPlane(self.engine, self.caps, self.namespace,
                               self.tiles, stats=self.stats,

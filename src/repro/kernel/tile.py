@@ -10,7 +10,7 @@ owns the tile-level fault domain: every process the accelerator runs
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import ReconfigError, TileFault
 from repro.hw.region import ReconfigRegion
@@ -31,13 +31,14 @@ class Tile:
         monitor: Monitor,
         region: ReconfigRegion,
         fault_manager=None,
+        mids: Optional[Iterator[int]] = None,
     ):
         self.engine = engine
         self.node = node
         self.monitor = monitor
         self.region = region
         self.fault_manager = fault_manager
-        self.shell = Shell(engine, monitor)
+        self.shell = Shell(engine, monitor, mids=mids)
         self.accelerator = None
         self.main_process: Optional[Process] = None
         self.saved_contexts: Dict[str, Dict[str, Any]] = {}

@@ -29,7 +29,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.smoke import _echo_handler_factory, _kv_handler_factory
+from repro.cluster.smoke import echo_handler_factory, kv_handler_factory
 from repro.errors import ConfigError
 from repro.kernel.config import SystemConfig
 from repro.loadgen.arrivals import arrival_times
@@ -75,11 +75,11 @@ class ScenarioRunner:
         for svc in scn.services:
             if svc.kind == "echo":
                 started += cluster.deploy_stateless(
-                    svc.name, _echo_handler_factory(svc.work_cycles),
+                    svc.name, echo_handler_factory(svc.work_cycles),
                     instances=svc.instances)
             else:
                 started += cluster.deploy_sharded(
-                    svc.name, _kv_handler_factory(svc.work_cycles),
+                    svc.name, kv_handler_factory(svc.work_cycles),
                     n_shards=svc.shards, replication=svc.replicas,
                     replicate_writes=True)
         cluster.run_until(started, limit=_DEPLOY_LIMIT)

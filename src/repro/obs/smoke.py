@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.smoke import span_dump
+from repro.cluster.smoke import echo_handler_factory, span_dump
 from repro.kernel.config import SystemConfig
 from repro.obs.flight import validate_flight_dump
 from repro.obs.profile import CycleProfiler
@@ -47,16 +47,6 @@ def default_targets(service: str = "echo",
         SLOTarget("latency-p", service, objective=0.95,
                   latency_cycles=latency_cycles, tenant="tenant0"),
     ]
-
-
-def _echo_handler_factory(work_cycles: int):
-    def make():
-        def handler(body):
-            x = body.get("x") if isinstance(body, dict) else None
-            return work_cycles, {"echo": x}, 64
-        return handler
-
-    return make
 
 
 def obs_plane_smoke(
@@ -108,7 +98,7 @@ def obs_plane_smoke(
                            else default_targets("echo", latency_slo))
 
     started = cluster.deploy_stateless(
-        "echo", _echo_handler_factory(work_cycles),
+        "echo", echo_handler_factory(work_cycles),
         instances=instances_per_fpga * n_fpgas)
     cluster.run_until(started, limit=50_000_000)
     patient = RetryPolicy(

@@ -1,10 +1,9 @@
 """Shared retry/timeout policy — one vocabulary for every client.
 
-Before this module, the shell's ``call_with_retry`` and the remote
-client's ``request_with_retry`` each carried their own five knobs
-(deadline, per-attempt timeout, attempt cap, backoff base/cap) and their
-own copy of the deadline/backoff loop.  :class:`RetryPolicy` folds both
-into one frozen dataclass that plugs into the primary request APIs::
+:class:`RetryPolicy` is the one home of the five retry knobs (deadline,
+per-attempt timeout, attempt cap, backoff base/cap) and of the
+deadline/backoff loop: a frozen dataclass that plugs into the primary
+request APIs of the shell and the remote client alike::
 
     msg  = yield shell.call("svc.kv", "kv.get", retry=RetryPolicy())
     resp = yield client.request(mac, port, body, retry=RetryPolicy(
@@ -12,8 +11,7 @@ into one frozen dataclass that plugs into the primary request APIs::
 
 Backoff is deterministic (exponential, no jitter) so seeded experiments
 replay exactly — the property every byte-identity test in this repo
-leans on.  The old ``*_with_retry`` helpers remain as deprecated shims
-that build a policy and delegate.
+leans on.
 """
 
 from __future__ import annotations

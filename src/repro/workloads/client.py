@@ -119,28 +119,6 @@ class RemoteClientHost:
             self.engine.timeout(timeout).add_callback(expire)
         return done
 
-    def request_with_retry(self, peer_mac: str, port: int, body: Any,
-                           nbytes: int = 64, deadline: int = 400_000,
-                           attempt_timeout: int = 50_000,
-                           backoff_base: int = 2_000,
-                           backoff_cap: int = 32_000):
-        """Process generator: one request, retried until ``deadline``.
-
-        .. deprecated:: use ``yield client.request(...,
-           retry=RetryPolicy(...))`` — this shim builds the equivalent
-           policy and delegates.
-
-        ``yield from`` it; returns the response body or raises
-        :class:`DeadlineExceeded` once the deadline is spent.
-        """
-        policy = RetryPolicy(deadline=deadline,
-                             attempt_timeout=attempt_timeout,
-                             backoff_base=backoff_base,
-                             backoff_cap=backoff_cap)
-        response = yield self.request(peer_mac, port, body, nbytes=nbytes,
-                                      retry=policy)
-        return response
-
     def closed_loop(self, peer_mac: str, port: int, bodies: List[Any],
                     nbytes: int = 64, gaps: Optional[List[int]] = None,
                     timeout: Optional[int] = None):

@@ -15,6 +15,7 @@ from repro.chaos import (
 from repro.errors import ConfigError, DramFault
 from repro.kernel import ApiarySystem
 from repro.net.frame import EthernetFabric
+from repro.policy import RetryPolicy
 from repro.sim import Engine
 
 
@@ -210,8 +211,9 @@ class TestChecksumWorkload:
                 self.result = None
 
             def main(self, shell):
-                msg = yield from shell.call_with_retry(
-                    "svc.checksum", "sum", payload="hello")
+                msg = yield shell.call(
+                    "svc.checksum", "sum", payload="hello",
+                    retry=RetryPolicy())
                 self.result = msg.payload
 
         caller = Caller()

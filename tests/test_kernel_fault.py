@@ -14,6 +14,7 @@ from repro.errors import BitstreamRejected, ServiceError, TileFault
 from repro.hw import DesignRuleChecker, ResourceVector
 from repro.hw.bitstream import Bitstream
 from repro.kernel import ApiarySystem, FaultPolicy
+from repro.policy import RetryPolicy
 
 
 def booted(**kwargs):
@@ -354,11 +355,12 @@ class TestPreemptRoundTrip:
                 # bytes/frames chosen so complexity == the initial
                 # rate_state: output bytes don't depend on how many times
                 # the retried chunk was (re)processed
-                msg = yield from shell.call_with_retry(
+                msg = yield shell.call(
                     "app.enc", "encode",
                     payload={"stream": "s0", "seq": i, "frames": 1,
                              "bytes": 50_000},
-                    deadline=4_000_000, attempt_timeout=200_000)
+                    retry=RetryPolicy(deadline=4_000_000,
+                                      attempt_timeout=200_000))
                 self.replies.append(msg.payload)
                 yield 2_000
 

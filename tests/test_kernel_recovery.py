@@ -7,6 +7,7 @@ import pytest
 from repro.accel import Accelerator, EchoAccel
 from repro.errors import ConfigError, DeadlineExceeded, ServiceUnavailable
 from repro.kernel import ApiarySystem, FaultPolicy
+from repro.policy import RetryPolicy
 
 
 def booted(**kwargs):
@@ -42,10 +43,10 @@ class RetryClient(Accelerator):
     def main(self, shell):
         for i in range(self.count):
             try:
-                yield from shell.call_with_retry(
+                yield shell.call(
                     self.victim, "ping", payload=i,
-                    deadline=self.deadline,
-                    attempt_timeout=self.attempt_timeout)
+                    retry=RetryPolicy(deadline=self.deadline,
+                                      attempt_timeout=self.attempt_timeout))
                 self.ok += 1
             except Exception as err:
                 self.failures.append(type(err).__name__)
@@ -305,9 +306,10 @@ class TestClientVisibleFailures:
         class Caller(Accelerator):
             def main(self, shell):
                 try:
-                    yield from shell.call_with_retry(
-                        "app.ghost", "ping", deadline=50_000,
-                        attempt_timeout=10_000)
+                    yield shell.call(
+                        "app.ghost", "ping",
+                        retry=RetryPolicy(deadline=50_000,
+                                          attempt_timeout=10_000))
                 except DeadlineExceeded as err:
                     errors.append(str(err))
 
@@ -322,9 +324,10 @@ class TestClientVisibleFailures:
         class Caller(Accelerator):
             def main(self, shell):
                 try:
-                    yield from shell.call_with_retry(
-                        "app.ghost", "ping", deadline=50_000,
-                        attempt_timeout=10_000)
+                    yield shell.call(
+                        "app.ghost", "ping",
+                        retry=RetryPolicy(deadline=50_000,
+                                          attempt_timeout=10_000))
                 except DeadlineExceeded:
                     pass
 

@@ -65,6 +65,25 @@ def collect(engine, event):
     return out
 
 
+def test_shells_sharing_an_allocator_stamp_distinct_mids():
+    import itertools
+
+    engine = Engine()
+    mids = itertools.count(1)
+    monitors = [FakeMonitor(engine, f"tile{i}") for i in range(2)]
+    left, right = (Shell(engine, m, mids=mids) for m in monitors)
+    left.call("svc", "op")
+    right.notify("svc", "tick")
+    left.call("svc", "op")
+    stamped = [monitors[i].submitted[j][0].mid
+               for i, j in ((0, 0), (1, 0), (0, 1))]
+    assert stamped == [1, 2, 3]
+    # a free-standing shell numbers its own messages from 1
+    lone = FakeMonitor(engine, "lone")
+    Shell(engine, lone).call("svc", "op")
+    assert lone.submitted[0][0].mid == 1
+
+
 def test_call_resolves_with_matching_response(rig):
     engine, monitor, shell = rig
     out = collect(engine, shell.call("svc", "op", payload="q"))

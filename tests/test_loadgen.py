@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.smoke import _echo_handler_factory
+from repro.cluster.smoke import echo_handler_factory
 from repro.errors import ConfigError
 from repro.kernel.config import SystemConfig
 from repro.loadgen import (
@@ -207,7 +207,7 @@ def _echo_cluster(work_cycles=1_000, instances=1, **fe_kwargs):
     cluster = Cluster(n_fpgas=1, config=SystemConfig.figure1())
     cluster.boot()
     started = cluster.deploy_stateless(
-        "echo", _echo_handler_factory(work_cycles), instances=instances)
+        "echo", echo_handler_factory(work_cycles), instances=instances)
     cluster.run_until(started, limit=50_000_000)
     frontend = cluster.start_frontend(**fe_kwargs)
     return cluster, frontend
