@@ -34,7 +34,7 @@ def compress_cycles(nbytes):
 
 
 def run_apiary():
-    system = ApiarySystem(width=4, height=4)
+    system = ApiarySystem()
     system.boot()
     stages, started = deploy_pipeline(system, nodes=[4, 5],
                                       third_party_compressor=True)

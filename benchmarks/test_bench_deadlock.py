@@ -17,7 +17,7 @@ import pytest
 from repro.accel import Accelerator
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, MemConfig, NocConfig, SystemConfig
 from repro.noc import Mesh2D, Network, ProgressWatchdog
 from repro.sim import Engine
 
@@ -99,8 +99,9 @@ class MutualTalker(Accelerator):
 
 
 def run_apiary():
-    system = ApiarySystem(width=2, height=1, with_memory=False,
-                          buffer_depth=2)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=2, height=1, buffer_depth=2),
+        mem=MemConfig(enabled=False)))
     system.boot()
     a = MutualTalker("a", "app.b")
     b = MutualTalker("b", "app.a")

@@ -18,7 +18,13 @@ from repro.baselines import BareFpgaSystem
 from repro.errors import ConfigError, TileFault
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NocConfig,
+    SystemConfig,
+)
 from repro.net import EthernetFabric
 from repro.sim import Engine
 from repro.workloads import RemoteClientHost
@@ -85,7 +91,8 @@ def run_bare():
 
 def run_apiary(policy):
     """Apiary: victim + unrelated echo; crash contained per policy."""
-    system = ApiarySystem(width=3, height=2, policy=policy)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=3, height=2), fault=FaultConfig(policy=policy)))
     system.boot()
     if policy == FaultPolicy.PREEMPT:
         victim = PreemptibleVideoEncoder("victim")

@@ -14,7 +14,7 @@ import pytest
 from repro.accel import Accelerator, FloodingAccel, SinkAccel
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 
 
 class ProbeClient(Accelerator):
@@ -47,7 +47,7 @@ class ProbeClient(Accelerator):
 
 def run_scenario(flood_rate_limit):
     """Returns (client median latency, flood messages admitted)."""
-    system = ApiarySystem(width=3, height=2, with_memory=True)
+    system = ApiarySystem(SystemConfig.figure1())
     system.boot()
     victim = SinkAccel("victim", service_cycles=30)
     flooder = FloodingAccel("flooder", victim="app.victim",

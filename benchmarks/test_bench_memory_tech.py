@@ -13,7 +13,7 @@ from repro.accel import Accelerator
 from repro.eval import format_table
 from repro.eval.report import record
 from repro.hw.resources import ResourceVector
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, MemConfig, NocConfig, SystemConfig
 from repro.mem import DDR4_TIMING, HBM2_TIMING
 
 N_READERS = 6
@@ -47,9 +47,9 @@ def run_memory_real(kind):
         timing, channels = DDR4_TIMING, 1
     else:
         timing, channels = HBM2_TIMING, 8
-    system = ApiarySystem(width=4, height=2, dram_timing=timing,
-                          dram_channels=channels,
-                          noc_flit_bytes=FLIT_BYTES)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=4, height=2, flit_bytes=FLIT_BYTES),
+        mem=MemConfig(dram_timing=timing, dram_channels=channels)))
     system.boot()
     readers = [StreamReader(f"reader{i}") for i in range(N_READERS)]
     started = [system.start_app(i + 1, readers[i]) for i in range(N_READERS)]

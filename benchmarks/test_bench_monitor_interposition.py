@@ -11,7 +11,13 @@ import pytest
 from repro.accel import Accelerator, EchoAccel
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.kernel import ApiarySystem
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    MemConfig,
+    NocConfig,
+    SystemConfig,
+)
 
 N_PINGS = 60
 
@@ -31,8 +37,9 @@ class PingClient(Accelerator):
 
 
 def run_config(enforce, rate_limit):
-    system = ApiarySystem(width=3, height=2, enforce=enforce,
-                          rate_limit_flits=rate_limit, with_memory=False)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=3, height=2, rate_limit_flits=rate_limit),
+        mem=MemConfig(enabled=False), fault=FaultConfig(enforce=enforce)))
     system.boot()
     echo = EchoAccel("echo", cost=0)
     system.run_until(system.start_app(2, echo, endpoint="app.echo"))

@@ -21,8 +21,11 @@ from repro.eval.report import record
 from repro.hw.resources import ResourceVector
 from repro.kernel import (
     ApiarySystem,
+    NetConfig,
+    NocConfig,
     RemoteCpuServiceHost,
     RemoteServiceProxy,
+    SystemConfig,
 )
 from repro.net import EthernetFabric
 from repro.sim import Engine
@@ -79,7 +82,7 @@ class LookupClient(Accelerator):
 
 
 def run_hardware():
-    system = ApiarySystem(width=3, height=2)
+    system = ApiarySystem(SystemConfig.figure1())
     system.boot()
     system.run_until(system.mgmt.load_service(
         3, HardwareDictService("dict-hw"), "svc.dict"))
@@ -102,8 +105,10 @@ def run_remote():
     handler.table = {}
     engine = Engine()
     fabric = EthernetFabric(engine, latency_cycles=400)
-    system = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                          mac_kind="100g", mac_addr="board0")
+    system = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=3, height=2),
+                     net=NetConfig(mac_addr="board0")),
+        engine=engine, fabric=fabric)
     system.boot()
     host = RemoteCpuServiceHost(engine, fabric, "cpu0", handler)
     proxy = RemoteServiceProxy("dict-proxy", remote_mac="cpu0", port=88)

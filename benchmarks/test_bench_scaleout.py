@@ -41,7 +41,7 @@ class BurstClient(Accelerator):
 
 
 def run_replicas(n_replicas):
-    system = ApiarySystem(width=4, height=4)
+    system = ApiarySystem()
     system.boot()
     balancer, replicas, started = deploy_replicated_encoder(
         system, lb_node=5, replica_nodes=REPLICA_SETS[n_replicas]

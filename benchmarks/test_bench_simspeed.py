@@ -34,7 +34,7 @@ import pytest
 from repro.accel import Accelerator, SinkAccel
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, NocConfig, SystemConfig
 from repro.noc import LegacyRouter, Mesh2D, Network, Router
 from repro.sim import Engine, LegacyEngine
 
@@ -120,8 +120,9 @@ class RpcCaller(Accelerator):
 def run_rpc(engine_cls, router_cls, window, trace=False):
     """Four accelerators RPC a shared service on a booted 4x4 system."""
     eng = engine_cls()
-    system = ApiarySystem(width=4, height=4, engine=eng,
-                          router_cls=router_cls)
+    system = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=4, height=4, router_cls=router_cls)),
+        engine=eng)
     if trace:
         system.enable_tracing()
     system.boot()

@@ -22,7 +22,13 @@ Run:  python examples/autoscale_demo.py
 
 from repro.accel import Accelerator, EchoAccel
 from repro.hw.resources import ResourceVector
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NocConfig,
+    SystemConfig,
+)
 from repro.sched import JobSpec, JobState, TenantQuota
 from repro.sched.smoke import autoscale_smoke, cache_step_smoke
 
@@ -83,7 +89,9 @@ class Trainer(Accelerator):
 
 def scenario_scheduler():
     print("=== Scenario 2: tenant quotas + priority preemption ===")
-    system = ApiarySystem(width=3, height=2, policy=FaultPolicy.PREEMPT)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=3, height=2),
+        fault=FaultConfig(policy=FaultPolicy.PREEMPT)))
     system.boot()
     sched = system.enable_scheduler(
         quotas={"batch": TenantQuota(max_running=4, max_priority=0)})

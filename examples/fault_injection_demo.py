@@ -21,7 +21,13 @@ Run:  python examples/fault_injection_demo.py
 from repro.accel import Accelerator, CrashingAccel, EchoAccel, PreemptibleVideoEncoder
 from repro.chaos import ChecksumService, FaultKind, FaultPlan, Injector, checksum
 from repro.errors import DeadlineExceeded
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NocConfig,
+    SystemConfig,
+)
 from repro.policy import RetryPolicy
 
 
@@ -52,7 +58,9 @@ class Caller(Accelerator):
 
 def scenario_fail_stop():
     print("=== Scenario 1: fail-stop + operator restart ===")
-    system = ApiarySystem(width=3, height=2, policy=FaultPolicy.FAIL_STOP)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=3, height=2),
+        fault=FaultConfig(policy=FaultPolicy.FAIL_STOP)))
     system.boot()
     victim = CrashingAccel("flaky-svc", crash_after=4)
     system.run_until(system.start_app(2, victim, endpoint="app.svc"))
@@ -85,7 +93,9 @@ def scenario_fail_stop():
 
 def scenario_preempt():
     print("=== Scenario 2: preemptible contexts ===")
-    system = ApiarySystem(width=3, height=2, policy=FaultPolicy.PREEMPT)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=3, height=2),
+        fault=FaultConfig(policy=FaultPolicy.PREEMPT)))
     system.boot()
     encoder = PreemptibleVideoEncoder("enc")
     system.run_until(system.start_app(2, encoder, endpoint="app.enc"))
@@ -154,7 +164,7 @@ class RetryingCaller(Accelerator):
 
 def scenario_chaos_recovery():
     print("=== Scenario 3: chaos campaign vs. the recovery subsystem ===")
-    system = ApiarySystem(width=4, height=4)
+    system = ApiarySystem()
     recovery = system.enable_recovery(spares=[15], prefer_spare=True,
                                       heartbeat_interval=5_000)
     started = recovery.deploy(1, ChecksumService, "svc.checksum")

@@ -23,7 +23,7 @@ Run:  python examples/slo_demo.py [--out slo_demo.folded]
 import argparse
 
 from repro.chaos import FaultKind, FaultPlan, Injector
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ClusterConfig, ObsConfig
 from repro.obs import CycleProfiler, SLOTarget, validate_flight_dump
 from repro.policy import RetryPolicy
 from repro.workloads.client import ClusterClient
@@ -44,17 +44,17 @@ def main(argv=None):
                         help="serving phase length in cycles")
     args = parser.parse_args(argv)
 
-    cluster = Cluster(n_fpgas=4, swallow_orphan_errors=True)
-    cluster.boot()
-    cluster.enable_tracing()
-    cluster.enable_flight_recorders()
-    slo = cluster.enable_slo([
-        SLOTarget("availability", "echo", objective=0.99),
-        # tight bound on purpose: failover detours during the chaos
-        # phase land past it, so the demo shows real budget burn
-        SLOTarget("latency-p95", "echo", objective=0.95,
-                  latency_cycles=15_000),
-    ])
+    cluster = Cluster(ClusterConfig(
+        n_fpgas=4, swallow_orphan_errors=True,
+        obs=ObsConfig(tracing=True, flight_recorders=True, slo_targets=(
+            SLOTarget("availability", "echo", objective=0.99),
+            # tight bound on purpose: failover detours during the chaos
+            # phase land past it, so the demo shows real budget burn
+            SLOTarget("latency-p95", "echo", objective=0.95,
+                      latency_cycles=15_000),
+        ))))
+    cluster.boot()  # boards up; tracing, black boxes and SLO engine armed
+    slo = cluster.slo
 
     started = cluster.deploy_stateless("echo", echo_factory, instances=4)
     cluster.run_until(started, limit=50_000_000)

@@ -36,7 +36,7 @@ class ChunkFeeder(Accelerator):
 
 def run_pipeline():
     print("=== Part 1: encode -> compress -> encrypt pipeline ===")
-    system = ApiarySystem(width=4, height=4)
+    system = ApiarySystem()
     system.boot()
     stages, started = deploy_pipeline(system, nodes=[4, 5, 6],
                                       with_crypto=True,
@@ -76,7 +76,7 @@ def run_pipeline():
 def run_scaleout():
     print("=== Part 2: replicated encoder behind a load balancer ===")
     for replicas, nodes in ((1, [4]), (4, [4, 6, 8, 9])):
-        system = ApiarySystem(width=4, height=4)
+        system = ApiarySystem()
         system.boot()
         balancer, _encs, started = deploy_replicated_encoder(
             system, lb_node=5, replica_nodes=nodes

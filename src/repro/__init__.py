@@ -9,10 +9,10 @@ slots, and the host-mediated baselines the paper positions against.
 
 Quickstart::
 
-    from repro.kernel import ApiarySystem
+    from repro.kernel import ApiarySystem, SystemConfig
     from repro.accel import EchoAccel
 
-    system = ApiarySystem(width=3, height=2)
+    system = ApiarySystem(SystemConfig.figure1())
     system.boot()
     system.run_until(system.start_app(3, EchoAccel("hello"),
                                       endpoint="app.hello"))

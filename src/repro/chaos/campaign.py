@@ -26,6 +26,7 @@ from repro.errors import ConfigError, DeadlineExceeded
 from repro.eval import report
 from repro.eval.tables import format_table
 from repro.hw.resources import ResourceVector
+from repro.kernel.config import NocConfig, SystemConfig
 from repro.kernel.system import ApiarySystem
 from repro.policy import RetryPolicy
 from repro.sim import Engine, RngPool
@@ -252,8 +253,10 @@ class Campaign:
         point_seed = RngPool(self.seed).fork(
             f"point/{rate}/{int(recovery)}").seed
         engine = Engine()
-        system = ApiarySystem(width=self.width, height=self.height,
-                              engine=engine, seed=point_seed)
+        system = ApiarySystem(
+            SystemConfig(seed=point_seed,
+                         noc=NocConfig(width=self.width, height=self.height)),
+            engine=engine)
         if recovery:
             manager = system.enable_recovery(
                 spares=list(self.spares),

@@ -20,7 +20,6 @@ from repro.cluster.config import (
     ObsConfig,
     RecoveryConfig,
     ReplicationConfig,
-    SchedConfig,
 )
 from repro.cluster.directory import (
     HashRing,
@@ -37,7 +36,6 @@ __all__ = [
     "ClusterConfig",
     "RecoveryConfig",
     "ObsConfig",
-    "SchedConfig",
     "ReplicationConfig",
     "CacheConfig",
     "BitstreamPlane",

@@ -31,8 +31,8 @@ simulated behaviour.
 
 Lifecycle::
 
-    cluster = Cluster(n_fpgas=4, backend="parallel")
-    cluster.boot()
+    cluster = Cluster(ClusterConfig(n_fpgas=4, backend="parallel"))
+    cluster.boot()                    # boards up, config's features armed
     cluster.deploy_stateless(...)     # pre-seal: boards are in-process
     cluster.run_until(started)
     cluster.start_frontend(...)
@@ -282,18 +282,20 @@ class ClusterBackend:
 
     # -- construction ------------------------------------------------------
 
-    def build(self, cluster, n_fpgas: int, engine: Optional[Engine],
-              fabric: Optional[EthernetFabric], fabric_latency: int,
-              swallow_orphan_errors: bool) -> None:
-        """Create engines/fabrics/systems and attach them to ``cluster``."""
+    def build(self, cluster, config, engine: Optional[Engine],
+              fabric: Optional[EthernetFabric]) -> None:
+        """Create the engines/fabrics/systems ``config`` (a
+        :class:`~repro.cluster.config.ClusterConfig`) describes and
+        attach them to ``cluster``."""
         raise NotImplementedError
 
     @staticmethod
-    def _board_configs(base, n_fpgas: int):
+    def _board_configs(config):
+        base = config.system
         return [
             replace(base, seed=base.seed + i,
                     net=replace(base.net, mac_addr=f"fpga{i}"))
-            for i in range(n_fpgas)
+            for i in range(config.n_fpgas)
         ]
 
     def _mac(self, index: int) -> str:
@@ -345,24 +347,6 @@ class ClusterBackend:
 
     # -- observability -----------------------------------------------------
 
-    def enable_tracing(self) -> None:
-        raise NotImplementedError
-
-    def enable_flight_recorders(self, capacity: int = 256,
-                                dump_dir: Optional[str] = None) -> None:
-        """Attach one always-on flight recorder per board.
-
-        On windowed backends this must happen before ``seal()`` so forked
-        workers inherit the recorders and their fault hooks, and each
-        ring sees board-local spans; on the shared backend all boards
-        share one span recorder, so each ring sees cluster-wide spans
-        (events stay board-local).
-        """
-        for i, system in enumerate(self.cluster.systems):
-            system.enable_flight_recorder(board=f"fpga{i}",
-                                          capacity=capacity,
-                                          dump_dir=dump_dir)
-
     def merged_spans(self) -> SpanRecorder:
         raise NotImplementedError
 
@@ -405,18 +389,17 @@ class SharedEngineBackend(ClusterBackend):
     name = "shared"
     supports_dynamic_placement = True
 
-    def build(self, cluster, n_fpgas, engine, fabric, fabric_latency,
-              swallow_orphan_errors):
+    def build(self, cluster, config, engine, fabric):
         self.cluster = cluster
         cluster.engine = engine if engine is not None else Engine(
-            swallow_orphan_errors=swallow_orphan_errors)
+            swallow_orphan_errors=config.swallow_orphan_errors)
         cluster.fabric = fabric if fabric is not None else EthernetFabric(
-            cluster.engine, latency_cycles=fabric_latency)
+            cluster.engine, latency_cycles=config.fabric_latency)
         cluster.spans = SpanRecorder()
         cluster.systems = [
-            ApiarySystem(engine=cluster.engine, fabric=cluster.fabric,
-                         config=cfg, spans=cluster.spans)
-            for cfg in self._board_configs(cluster.base_config, n_fpgas)
+            ApiarySystem(cfg, engine=cluster.engine, fabric=cluster.fabric,
+                         spans=cluster.spans)
+            for cfg in self._board_configs(config)
         ]
 
     def boot(self, extra_cycles):
@@ -447,9 +430,6 @@ class SharedEngineBackend(ClusterBackend):
                                         tile.endpoint)
             system.fault_manager.on_fault.append(hook)
 
-    def enable_tracing(self):
-        self.cluster.spans.enable()
-
     def merged_spans(self):
         return self.cluster.spans
 
@@ -477,11 +457,13 @@ class WindowedBackend(ClusterBackend):
         self.window = 0
         self.partition_of: Dict[str, int] = {}
         self.boards: List[_BoardHandle] = []
+        #: the first board failure inside a window exchange; later boards'
+        #: replies were never read, so every later op re-raises it
+        self._failure: Optional[SimulationError] = None
 
     # -- construction ------------------------------------------------------
 
-    def build(self, cluster, n_fpgas, engine, fabric, fabric_latency,
-              swallow_orphan_errors):
+    def build(self, cluster, config, engine, fabric):
         if engine is not None or fabric is not None:
             raise ConfigError(
                 f"the {self.name!r} backend builds one engine and fabric "
@@ -489,8 +471,10 @@ class WindowedBackend(ClusterBackend):
                 "backend idiom"
             )
         self.cluster = cluster
+        fabric_latency = config.fabric_latency
+        swallow_orphan_errors = config.swallow_orphan_errors
         self.window = fabric_latency
-        configs = self._board_configs(cluster.base_config, n_fpgas)
+        configs = self._board_configs(config)
         self.partition_of = {cfg.net.mac_addr: i + 1
                              for i, cfg in enumerate(configs)}
         cluster.engine = Engine(swallow_orphan_errors=swallow_orphan_errors)
@@ -506,7 +490,7 @@ class WindowedBackend(ClusterBackend):
                 partition_of=self.partition_of,
                 latency_cycles=fabric_latency)
             system = ApiarySystem(
-                engine=board_engine, fabric=board_fabric, config=cfg,
+                cfg, engine=board_engine, fabric=board_fabric,
                 spans=SpanRecorder(id_base=(i + 1) * SPAN_ID_STRIDE))
             cluster.systems.append(system)
             self.boards.append(_BoardHandle(Board(i, system, board_fabric)))
@@ -537,6 +521,7 @@ class WindowedBackend(ClusterBackend):
         Returns the number of pending events across all partitions (the
         quiescence signal for :meth:`run_until`).
         """
+        self._check_failure()
         host = self.cluster.engine
         # in-process boards hand envelopes over by reference; the oracle
         # copies them exactly as a worker pipe would, so sender/receiver
@@ -550,7 +535,11 @@ class WindowedBackend(ClusterBackend):
         pending = host.pending_events()
         faults = []
         for board in self.boards:
-            outbox, entries, board_pending = board.recv()
+            try:
+                outbox, entries, board_pending = board.recv()
+            except SimulationError as err:
+                self._failure = err
+                raise
             envelopes.extend(outbox)
             faults.append(entries)
             pending += board_pending
@@ -566,6 +555,10 @@ class WindowedBackend(ClusterBackend):
         for index, entries in enumerate(faults):
             self._notify_faults(index, entries)
         return pending + len(envelopes)
+
+    def _check_failure(self) -> None:
+        if self._failure is not None:
+            raise self._failure
 
     def _notify_faults(self, index: int,
                        entries: List[Tuple[int, str, str]]) -> None:
@@ -621,6 +614,7 @@ class WindowedBackend(ClusterBackend):
     # -- fault injection ---------------------------------------------------
 
     def kill_board(self, index):
+        self._check_failure()
         mac = self._mac(index)
         self.cluster.fabric.mark_remote_detached(mac)
         for i, board in enumerate(self.boards):
@@ -629,12 +623,14 @@ class WindowedBackend(ClusterBackend):
         self._notify_faults(index, self.boards[index].call("kill"))
 
     def partition_board(self, index):
+        self._check_failure()
         mac = self._mac(index)
         self.cluster.fabric.partition(mac)
         for board in self.boards:
             board.call("partition", mac)
 
     def heal_board(self, index):
+        self._check_failure()
         mac = self._mac(index)
         self.cluster.fabric.heal(mac)
         for board in self.boards:
@@ -642,16 +638,8 @@ class WindowedBackend(ClusterBackend):
 
     # -- observability -----------------------------------------------------
 
-    def enable_tracing(self):
-        self.cluster.spans.enable()
-        for system in self.cluster.systems:
-            system.spans.enable()
-
-    def enable_flight_recorders(self, capacity=256, dump_dir=None):
-        self.check_placement_open("enable_flight_recorders()")
-        super().enable_flight_recorders(capacity, dump_dir)
-
     def _collect(self, index):
+        self._check_failure()
         return self.boards[index].call("collect")
 
     def merged_spans(self):

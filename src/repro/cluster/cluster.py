@@ -5,12 +5,21 @@ a first-class network citizen, a rack of them composes the same way a
 rack of servers does — shared Ethernet fabric, a service directory, a
 load-balancing front-end.  Construction::
 
-    cluster = Cluster(n_fpgas=2, config=SystemConfig.figure1())
+    cluster = Cluster(ClusterConfig(n_fpgas=2))
     cluster.boot()
     cluster.directory.deploy_sharded("kv", make_kv_handler, n_shards=4)
     fe = cluster.start_frontend()
 
-Each FPGA derives its per-board config from the base via
+Everything a cluster is *built* with is declared in the one
+:class:`~repro.cluster.config.ClusterConfig`; the declared features are
+armed at two fixed points — the bitstream cache in the constructor (every
+load issued after it returns routes through the cache), and recovery
+watchdogs, tracing, flight recorders, the SLO engine and the replication
+manager when :meth:`Cluster.boot` returns.  What attaches to a *running*
+cluster (front-end, autoscaler, deploys) takes its parameters where it is
+started.
+
+Each FPGA derives its per-board config from ``config.system`` via
 ``dataclasses.replace`` (unique MAC, shifted seed).  *How* the boards
 execute is a :class:`~repro.cluster.backend.ClusterBackend`:
 
@@ -37,17 +46,16 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from typing import Union
-
 from repro.cluster.backend import BACKENDS, ClusterBackend
+from repro.cluster.bitcache import BitstreamPlane
 from repro.cluster.config import ClusterConfig
 from repro.cluster.directory import ServiceDirectory
 from repro.cluster.frontend import FrontEnd
 from repro.errors import ConfigError
-from repro.kernel.config import SystemConfig
 from repro.kernel.system import ApiarySystem
 from repro.net.frame import EthernetFabric
 from repro.obs.index import SpanIndex
+from repro.obs.slo import SLOEngine
 from repro.obs.span import SpanRecorder
 from repro.sim import Engine, StatsRegistry
 
@@ -59,86 +67,38 @@ class Cluster:
 
     def __init__(
         self,
-        n_fpgas: int = 2,
-        config: Optional[Union[SystemConfig, ClusterConfig]] = None,
+        config: ClusterConfig = ClusterConfig(),
+        *,
         engine: Optional[Engine] = None,
         fabric: Optional[EthernetFabric] = None,
-        fabric_latency: int = 500,
-        backend: str = "shared",
-        swallow_orphan_errors: bool = False,
     ):
-        # the config-object path: one ClusterConfig carries everything the
-        # flat kwargs + post-construction enable_* calls used to; its
-        # fields win over the flat kwargs (which stay at their defaults
-        # when a ClusterConfig is given)
-        if isinstance(config, ClusterConfig):
-            self.cluster_config: Optional[ClusterConfig] = config
-            n_fpgas = config.n_fpgas
-            fabric_latency = config.fabric_latency
-            backend = config.backend
-            swallow_orphan_errors = config.swallow_orphan_errors
-            base = config.system
-        else:
-            self.cluster_config = None
-            base = config if config is not None else SystemConfig.figure1()
-        if n_fpgas < 1:
-            raise ConfigError(f"need >= 1 FPGA, got {n_fpgas}")
-        if backend not in BACKENDS:
+        if config.backend not in BACKENDS:
             raise ConfigError(
-                f"unknown backend {backend!r}; pick one of "
+                f"unknown backend {config.backend!r}; pick one of "
                 f"{sorted(BACKENDS)}"
             )
-        self.base_config = base
-        self.backend_name = backend
-        self._backend: ClusterBackend = BACKENDS[backend]()
+        self.config = config
+        self._backend: ClusterBackend = BACKENDS[config.backend]()
+        if config.replication.enabled:
+            self._require_dynamic_placement("chain replication")
         # build() populates engine/fabric/spans/systems on self
         self.engine: Engine
         self.fabric: EthernetFabric
         self.spans: SpanRecorder
         self.systems: List[ApiarySystem]
-        self._backend.build(self, n_fpgas, engine, fabric, fabric_latency,
-                            swallow_orphan_errors)
+        self._backend.build(self, config, engine, fabric)
         self.directory = ServiceDirectory(self)
         self.frontend: Optional[FrontEnd] = None
+        #: ReplicationManager / SLOEngine once boot() armed them
         self.replication = None
         self.slo = None
-        #: BitstreamPlane once enable_bitstream_cache() ran (or the
-        #: config asked for it); None = legacy direct-load clusters
+        #: BitstreamPlane when the config runs a bitstream cache; None =
+        #: direct-load clusters
         self.bitplane = None
-        self.warm_placement = True
-        self._cache_prefetch = True
         self.killed: List[int] = []
         self.partitioned: List[int] = []
-        if self.cluster_config is not None:
-            self._apply_config(self.cluster_config)
-
-    def _apply_config(self, cfg: ClusterConfig) -> None:
-        """Run the enable_* toggles the config asks for (build-time).
-
-        Order matters only in that the cache comes first (so every
-        subsequent deploy routes through it); ``boot()`` stays the
-        caller's move, as in the flat spelling.
-        """
-        if cfg.cache.enabled:
-            self.enable_bitstream_cache(
-                capacity_cells=cfg.cache.capacity_cells,
-                cycles_per_cell=cfg.cache.synth_cycles_per_cell,
-                prefetch=cfg.cache.prefetch,
-                warm_placement=cfg.cache.warm_placement,
-            )
-        if cfg.recovery.enabled:
-            self.enable_recovery(**cfg.recovery.kwargs())
-        if cfg.obs.tracing:
-            self.enable_tracing()
-        if cfg.obs.flight_recorders:
-            self.enable_flight_recorders(
-                capacity=cfg.obs.flight_capacity,
-                dump_dir=cfg.obs.flight_dump_dir)
-        if cfg.obs.slo_enabled:
-            self.enable_slo(targets=cfg.obs.slo_targets,
-                            bucket_cycles=cfg.obs.slo_bucket_cycles)
-        if cfg.replication.enabled:
-            self.start_replication(**cfg.replication.kwargs())
+        if config.cache.enabled:
+            self._attach_bitstream_cache()
 
     @property
     def n_fpgas(self) -> int:
@@ -158,58 +118,73 @@ class Cluster:
             raise ConfigError(
                 f"{what} moves instances at simulated runtime, which only "
                 f"the 'shared' backend supports (got "
-                f"{self.backend_name!r})"
+                f"{self.config.backend!r})"
             )
 
     # -- lifecycle ---------------------------------------------------------
 
     def boot(self, extra_cycles: int = 5000) -> None:
-        """Bring every board's OS services up."""
+        """Bring every board's OS services up, then arm what the config
+        declares (everything but the cache, which the constructor armed)."""
         self._backend.boot(extra_cycles)
+        self._arm()
 
-    def enable_recovery(self, **kwargs) -> None:
-        """Attach an intra-FPGA recovery watchdog to every board.
-
-        Cross-FPGA failover stays the front-end's job; recovery handles
-        restart-in-place / spare tiles *within* a surviving board.
-        """
-        self._backend.check_placement_open("enable_recovery()")
-        for system in self.systems:
-            system.enable_recovery(**kwargs)
-
-    def enable_bitstream_cache(
-        self,
-        capacity_cells: Optional[int] = None,
-        cycles_per_cell: Optional[int] = None,
-        prefetch: bool = True,
-        warm_placement: bool = True,
-    ):
-        """Attach the compile-and-cache pipeline to every board (once).
-
-        From this call on, every deploy routes through each board's
-        :class:`~repro.cluster.bitcache.BoardBitstreamStore` — cold
-        designs pay one realistic synthesis run, warm ones reconfigure
-        straight from the content-addressed artifact cache.  Also
-        installs the cluster-level :attr:`bitplane` (prefetch + warm
-        queries), makes the directory prefer warm boards
-        (``warm_placement``), and makes autoscalers started later default
-        to compile-ahead prefetch (``prefetch``).  Returns the plane.
-        """
-        from repro.cluster.bitcache import BitstreamPlane
-
-        self._backend.check_placement_open("enable_bitstream_cache()")
-        if self.bitplane is not None:
-            raise ConfigError("the bitstream cache is already enabled")
+    def _attach_bitstream_cache(self) -> None:
+        """Route every load on every board through a compile-and-cache
+        pipeline (:class:`~repro.cluster.bitcache.BoardBitstreamStore`):
+        cold designs pay one realistic synthesis run, warm ones
+        reconfigure straight from the content-addressed artifact cache.
+        :attr:`bitplane` is the cluster-level view (prefetch + warm
+        queries)."""
+        cache = self.config.cache
         for i, system in enumerate(self.systems):
             system.enable_bitstream_cache(
-                capacity_cells=capacity_cells,
-                cycles_per_cell=cycles_per_cell,
+                capacity_cells=cache.capacity_cells,
+                cycles_per_cell=cache.synth_cycles_per_cell,
                 board=f"fpga{i}",
             )
         self.bitplane = BitstreamPlane(self)
-        self.warm_placement = warm_placement
-        self._cache_prefetch = prefetch
-        return self.bitplane
+
+    def _arm(self) -> None:
+        """Attach the build-time features the config declares.
+
+        Runs once, when :meth:`boot` returns: boards are up, nothing is
+        deployed or sealed yet, so forked workers inherit all of it.
+        Cross-FPGA failover stays the front-end's job; the recovery
+        watchdogs handle restart-in-place / spare tiles *within* a
+        surviving board.
+        """
+        cfg = self.config
+        rec, obs = cfg.recovery, cfg.obs
+        if rec.enabled:
+            for system in self.systems:
+                system.enable_recovery(
+                    spares=list(rec.spares) or None,
+                    heartbeat_interval=rec.heartbeat_interval,
+                    prefer_spare=rec.prefer_spare,
+                    max_restarts=rec.max_restarts)
+        if obs.tracing:
+            # every partition's recorder (on the shared backend they are
+            # all the one cluster recorder)
+            self.spans.enable()
+            for system in self.systems:
+                system.spans.enable()
+        if obs.flight_recorders:
+            # one always-on ring per board; on the shared backend each
+            # sees cluster-wide spans (events stay board-local)
+            for i, system in enumerate(self.systems):
+                system.enable_flight_recorder(
+                    board=f"fpga{i}", capacity=obs.flight_capacity,
+                    dump_dir=obs.flight_dump_dir)
+        if obs.slo_enabled:
+            # fed by the front-end's admission rejections and completions
+            self.slo = SLOEngine(bucket_cycles=obs.slo_bucket_cycles)
+            for target in obs.slo_targets:
+                self.slo.add_target(target)
+        if cfg.replication.enabled:
+            from repro.replic import ReplicationManager  # cyclic import
+
+            self.replication = ReplicationManager(self, cfg.replication)
 
     def start_frontend(self, **kwargs) -> FrontEnd:
         """Attach the load-balancing front-end (once)."""
@@ -229,17 +204,10 @@ class Cluster:
         self._require_dynamic_placement("the autoscaler")
         if self.frontend is None:
             raise ConfigError("start the front-end before the autoscaler")
-        if self.cluster_config is not None:
-            # config-object defaults; explicit kwargs win
-            sched = self.cluster_config.sched
-            kwargs = {**sched.autoscaler_kwargs(), **kwargs}
-            if sched.prefetch is not None:
-                kwargs.setdefault("prefetch", sched.prefetch)
-            if self.slo is not None:
-                kwargs.setdefault("slo", self.slo)
-        # cache-aware default: scale-up prefetch follows the cache toggle
+        # cache-aware default: scale-up prefetch follows the cache config
         kwargs.setdefault(
-            "prefetch", self.bitplane is not None and self._cache_prefetch)
+            "prefetch",
+            self.bitplane is not None and self.config.cache.prefetch)
         scaler = Autoscaler(self, service, **kwargs)
         scaler.start()
         return scaler
@@ -260,26 +228,18 @@ class Cluster:
             self.frontend.track_all()
         return started
 
-    def start_replication(self, **kwargs):
-        """Attach the chain-replication control plane (once)."""
-        from repro.replic import ReplicationManager  # avoid a cyclic import
-
-        self._require_dynamic_placement("chain replication")
-        if self.replication is not None:
-            raise ConfigError("the replication manager is already running")
-        self.replication = ReplicationManager(self, **kwargs)
-        return self.replication
-
     def deploy_chain(self, service, machine_factory, **kwargs):
         """Deploy a chain-replicated stateful service.
 
-        Requires :meth:`start_replication` first — chains are inert
-        (epoch 0, rejecting everything) until the manager configures
-        them.  Returns ``(load_started_events, configured_event)``.
+        Needs ``ReplicationConfig(enabled=True)`` and a booted cluster —
+        chains are inert (epoch 0, rejecting everything) until the
+        manager configures them.  Returns ``(load_started_events,
+        configured_event)``.
         """
         if self.replication is None:
             raise ConfigError(
-                "start_replication() before deploying a chained service"
+                "deploying a chained service needs ReplicationConfig("
+                "enabled=True) and boot()"
             )
         started = self.directory.deploy_chain(service, machine_factory,
                                               **kwargs)
@@ -322,39 +282,6 @@ class Cluster:
         self._backend.register_fault_listener(listener)
 
     # -- observability -----------------------------------------------------
-
-    def enable_tracing(self) -> SpanRecorder:
-        """One switch for the whole cluster (every partition's recorder)."""
-        self._backend.enable_tracing()
-        return self.spans
-
-    def enable_flight_recorders(self, capacity: int = 256,
-                                dump_dir: Optional[str] = None) -> None:
-        """Attach one always-on flight recorder per board.
-
-        Each board rings its most recent spans and operational events and
-        dumps a validated JSON document on fault or kill (to ``dump_dir``
-        when given).  On windowed backends call before :meth:`seal` —
-        forked workers must inherit the recorders.
-        """
-        self._backend.enable_flight_recorders(capacity=capacity,
-                                              dump_dir=dump_dir)
-
-    def enable_slo(self, targets=(), bucket_cycles: int = 10_000):
-        """Attach an :class:`~repro.obs.slo.SLOEngine` to the cluster.
-
-        The front-end feeds it every admission rejection and completion;
-        the autoscaler can scale on its burn signal (pass ``slo=`` to
-        :meth:`start_autoscaler`).  Returns the engine; add further
-        targets later via ``cluster.slo.add_target``.
-        """
-        from repro.obs.slo import SLOEngine
-
-        if self.slo is None:
-            self.slo = SLOEngine(bucket_cycles=bucket_cycles)
-        for target in targets:
-            self.slo.add_target(target)
-        return self.slo
 
     def merged_spans(self) -> SpanRecorder:
         """Every partition's spans in one recorder (deterministic order)."""
@@ -424,7 +351,7 @@ class Cluster:
     def describe(self) -> str:
         lines = [f"Apiary cluster: {self.n_fpgas} FPGA(s), "
                  f"{len(self.directory.services)} service(s), "
-                 f"backend={self.backend_name}"]
+                 f"backend={self.config.backend}"]
         for i, system in enumerate(self.systems):
             status = "KILLED" if i in self.killed else "up"
             insts = self.directory.instances_on(i)

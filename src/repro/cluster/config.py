@@ -1,35 +1,31 @@
 """Typed configuration for a whole cluster (the scale-out analogue of
 :class:`~repro.kernel.config.SystemConfig`).
 
-PR after PR the :class:`~repro.cluster.cluster.Cluster` surface grew one
-toggle method at a time — ``enable_recovery``, ``enable_tracing``,
-``enable_flight_recorders``, ``enable_slo``, ``start_replication``,
-``enable_bitstream_cache`` — each with its own kwargs, each needing to be
-called in the right order relative to ``seal()``.  This module folds all
-of them into one frozen, validated object::
+One frozen, validated object declares everything a cluster is *built*
+with — board count and per-board base config, execution backend, and the
+build-time features (bitstream cache, recovery watchdogs, observability
+plane, replication control plane)::
 
-    cluster = Cluster(config=ClusterConfig(
+    cluster = Cluster(ClusterConfig(
         n_fpgas=4,
         recovery=RecoveryConfig(enabled=True),
         cache=CacheConfig(enabled=True),
         obs=ObsConfig(tracing=True),
     ))
 
-The flat spelling (``Cluster(n_fpgas=4, config=SystemConfig(...))``
-followed by toggle calls) keeps working unchanged and builds
-byte-identical clusters — pinned by test — exactly like the
-``SystemConfig.from_flat`` bridge one layer down.  :meth:`from_flat`
-is that bridge for this layer.
-
-Sub-config defaults mirror the toggle methods' keyword defaults, so
-``XConfig(enabled=True)`` with nothing else behaves like calling
-``enable_x()`` bare.
+The rule for where a parameter lives: what must exist before ``seal()``
+is declared here and nowhere else; what attaches to a *running* cluster
+(front-end, autoscaler, deploys) takes its parameters where it is
+started.  :class:`~repro.cluster.cluster.Cluster` arms the declared
+features at two fixed points — the bitstream cache at construction (every
+load issued after ``Cluster(...)`` returns routes through it), everything
+else when ``boot()`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.kernel.config import SystemConfig
@@ -37,7 +33,6 @@ from repro.kernel.config import SystemConfig
 __all__ = [
     "RecoveryConfig",
     "ObsConfig",
-    "SchedConfig",
     "ReplicationConfig",
     "CacheConfig",
     "ClusterConfig",
@@ -46,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Per-board intra-FPGA recovery watchdogs (``enable_recovery``)."""
+    """Per-board intra-FPGA recovery watchdogs."""
 
     enabled: bool = False
     #: tile indices reserved as spares on every board
@@ -60,14 +55,6 @@ class RecoveryConfig:
             raise ConfigError("heartbeat_interval must be >= 1")
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
-
-    def kwargs(self) -> Dict[str, Any]:
-        return {
-            "spares": list(self.spares) or None,
-            "heartbeat_interval": self.heartbeat_interval,
-            "prefer_spare": self.prefer_spare,
-            "max_restarts": self.max_restarts,
-        }
 
 
 @dataclass(frozen=True)
@@ -95,57 +82,8 @@ class ObsConfig:
 
 
 @dataclass(frozen=True)
-class SchedConfig:
-    """Autoscaler defaults for :meth:`Cluster.start_autoscaler`.
-
-    The autoscaler still starts explicitly (it needs a service name and a
-    running front-end); this object supplies the controller parameters,
-    with explicit ``start_autoscaler`` kwargs winning over it.
-    ``prefetch=None`` means "follow the cache config" — prefetch turns on
-    automatically when the cluster runs a bitstream cache with
-    ``prefetch=True``.
-    """
-
-    min_replicas: int = 1
-    max_replicas: int = 4
-    interval: int = 20_000
-    high_queue: float = 8.0
-    low_queue: float = 1.0
-    target_queue: float = 3.0
-    down_after: int = 3
-    drain_window: int = 5_000
-    util_low: Optional[float] = None
-    prefetch: Optional[bool] = None
-
-    def __post_init__(self):
-        if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
-            raise ConfigError(
-                f"need 1 <= min <= max, got "
-                f"{self.min_replicas}..{self.max_replicas}")
-        if self.low_queue >= self.high_queue:
-            raise ConfigError("low_queue must sit below high_queue")
-        if self.interval < 1:
-            raise ConfigError("interval must be >= 1")
-
-    def autoscaler_kwargs(self) -> Dict[str, Any]:
-        """The Autoscaler ctor kwargs this config supplies (prefetch is
-        resolved by the cluster against its cache config)."""
-        return {
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "interval": self.interval,
-            "high_queue": self.high_queue,
-            "low_queue": self.low_queue,
-            "target_queue": self.target_queue,
-            "down_after": self.down_after,
-            "drain_window": self.drain_window,
-            "util_low": self.util_low,
-        }
-
-
-@dataclass(frozen=True)
 class ReplicationConfig:
-    """Chain-replication control plane (``start_replication``)."""
+    """Chain-replication control plane (shared backend only)."""
 
     enabled: bool = False
     mac: str = "replic"
@@ -166,24 +104,10 @@ class ReplicationConfig:
         if self.window < 1:
             raise ConfigError("window must be >= 1")
 
-    def kwargs(self) -> Dict[str, Any]:
-        return {
-            "mac": self.mac,
-            "rpc_timeout": self.rpc_timeout,
-            "snapshot_timeout": self.snapshot_timeout,
-            "probe_interval": self.probe_interval,
-            "miss_limit": self.miss_limit,
-            "repair_settle": self.repair_settle,
-            "reconfig_timeout": self.reconfig_timeout,
-            "window": self.window,
-            "transport_timeout": self.transport_timeout,
-        }
-
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Per-board bitstream compile-and-cache pipeline
-    (``enable_bitstream_cache``)."""
+    """Per-board bitstream compile-and-cache pipeline."""
 
     enabled: bool = False
     #: LRU budget per board, in logic cells of cached artifacts
@@ -208,14 +132,13 @@ class ClusterConfig:
 
     n_fpgas: int = 2
     #: per-board base config; each board derives its variant (unique MAC,
-    #: shifted seed) exactly as the flat path does
+    #: shifted seed) from it
     system: SystemConfig = field(default_factory=SystemConfig.figure1)
     fabric_latency: int = 500
     backend: str = "shared"
     swallow_orphan_errors: bool = False
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-    sched: SchedConfig = field(default_factory=SchedConfig)
     replication: ReplicationConfig = field(
         default_factory=ReplicationConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
@@ -225,24 +148,3 @@ class ClusterConfig:
             raise ConfigError(f"need >= 1 FPGA, got {self.n_fpgas}")
         if self.fabric_latency < 0:
             raise ConfigError("fabric_latency must be >= 0")
-
-    @staticmethod
-    def from_flat(**kwargs) -> "ClusterConfig":
-        """Fold the legacy flat Cluster kwargs into a ClusterConfig.
-
-        Accepts exactly the old ``Cluster(...)`` construction keywords
-        (``n_fpgas``, ``config`` — the per-board SystemConfig —,
-        ``fabric_latency``, ``backend``, ``swallow_orphan_errors``); all
-        toggles stay at their off defaults, matching a flat-built cluster
-        before any ``enable_*`` call.
-        """
-        system = kwargs.get("config")
-        return ClusterConfig(
-            n_fpgas=kwargs.get("n_fpgas", 2),
-            system=system if system is not None
-            else SystemConfig.figure1(),
-            fabric_latency=kwargs.get("fabric_latency", 500),
-            backend=kwargs.get("backend", "shared"),
-            swallow_orphan_errors=kwargs.get("swallow_orphan_errors",
-                                             False),
-        )

@@ -544,7 +544,8 @@ class ServiceDirectory(Namespace):
                   and self.cluster.systems[i].mgmt.free_tiles()]
         if not usable:
             return fpga
-        if bitstream is not None and self.cluster.warm_placement:
+        if bitstream is not None \
+                and self.cluster.config.cache.warm_placement:
             from repro.sched.placement import warm_first
             usable = warm_first(usable, self.cluster, bitstream)
         return usable[0]

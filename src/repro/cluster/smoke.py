@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from dataclasses import replace
+
 from repro.cluster.cluster import Cluster
+from repro.cluster.config import CacheConfig, ClusterConfig, ObsConfig
 from repro.kernel.config import SystemConfig
 from repro.obs.span import SpanRecorder
 from repro.policy import RetryPolicy
@@ -71,19 +74,18 @@ def kv_handler_factory(work_cycles: int):
 
 
 def _build(n_fpgas: int, seed: int, swallow_orphan_errors: bool = False,
-           backend: str = "shared", cache: bool = False) -> Cluster:
-    config = SystemConfig.figure1()
-    if seed:
-        from dataclasses import replace
-        config = replace(config, seed=seed)
+           backend: str = "shared", cache: CacheConfig = CacheConfig(),
+           obs: ObsConfig = ObsConfig()) -> Cluster:
     # fault-injection runs swallow orphan errors and observe faults
     # through the Apiary fault path (the Engine's documented contract)
-    cluster = Cluster(n_fpgas=n_fpgas, config=config, backend=backend,
-                      swallow_orphan_errors=swallow_orphan_errors)
-    if cache:
-        # before boot(), so even the OS-service loads route through the
-        # per-board compile pipeline (a realistic cold boot)
-        cluster.enable_bitstream_cache()
+    cluster = Cluster(ClusterConfig(
+        n_fpgas=n_fpgas,
+        system=replace(SystemConfig.figure1(), seed=seed),
+        backend=backend,
+        swallow_orphan_errors=swallow_orphan_errors,
+        cache=cache,
+        obs=obs,
+    ))
     cluster.boot()
     return cluster
 
@@ -119,9 +121,8 @@ def scaling_smoke(
     attaches the span/stats payload the PDES determinism checks compare
     between the sequential oracle and the parallel worker pool.
     """
-    cluster = _build(n_fpgas, seed, backend=backend)
-    if trace:
-        cluster.enable_tracing()
+    cluster = _build(n_fpgas, seed, backend=backend,
+                     obs=ObsConfig(tracing=trace))
     started = cluster.deploy_stateless(
         "echo", echo_handler_factory(work_cycles),
         instances=instances_per_fpga * n_fpgas)
@@ -212,9 +213,8 @@ def availability_smoke(
     identity payload — the cache arm of that contract.
     """
     cluster = _build(n_fpgas, seed, swallow_orphan_errors=True,
-                     backend=backend, cache=cache)
-    if trace:
-        cluster.enable_tracing()
+                     backend=backend, cache=CacheConfig(enabled=cache),
+                     obs=ObsConfig(tracing=trace))
     started = cluster.deploy_sharded("kv", kv_handler_factory(work_cycles),
                                      n_shards=n_shards,
                                      replication=replication)

@@ -17,6 +17,7 @@ from repro.baselines.bare import BareFpgaSystem
 from repro.baselines.hosted import HostedFpgaSystem
 from repro.errors import ConfigError
 from repro.eval.energy import EnergyModel
+from repro.kernel.config import SystemConfig
 from repro.kernel.system import ApiarySystem
 from repro.net.frame import EthernetFabric
 from repro.sim import Engine, RngPool
@@ -41,7 +42,6 @@ def run_kv_workload(
     closed_loop: bool = True,
     warmup_keys: int = 50,
     request_timeout: int = 2_000_000,
-    apiary_kwargs: Optional[Dict[str, Any]] = None,
     hosted_kwargs: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Run one KV GET workload against the chosen system.
@@ -60,10 +60,8 @@ def run_kv_workload(
 
     system_obj: Any = None
     if kind == "apiary":
-        kwargs = dict(width=3, height=2, engine=engine, fabric=fabric,
-                      mac_kind="100g", mac_addr=SERVER_MAC)
-        kwargs.update(apiary_kwargs or {})
-        system_obj = ApiarySystem(**kwargs)
+        system_obj = ApiarySystem(SystemConfig.figure1().with_mac(SERVER_MAC),
+                                  engine=engine, fabric=fabric)
         system_obj.boot()
         service, started = deploy_kv_on_apiary(system_obj, node=3)
         engine.run_until_done(started, limit=10_000_000)

@@ -29,6 +29,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.cluster.smoke import echo_handler_factory, kv_handler_factory
 from repro.errors import ConfigError
 from repro.kernel.config import SystemConfig
@@ -61,16 +62,18 @@ class ScenarioRunner:
 
     def _build(self) -> Cluster:
         scn = self.scenario
-        config = SystemConfig.figure1()
-        if scn.seed:
-            config = replace(config, seed=scn.seed)
-        # chaos plans kill boards mid-flight; orphaned in-flight errors
-        # are the fault path's job, not the engine's
-        cluster = Cluster(n_fpgas=scn.n_fpgas, config=config,
-                          backend=self.backend,
-                          swallow_orphan_errors=True)
+        cluster = Cluster(ClusterConfig(
+            n_fpgas=scn.n_fpgas,
+            system=replace(SystemConfig.figure1(), seed=scn.seed),
+            backend=self.backend,
+            # chaos plans kill boards mid-flight; orphaned in-flight
+            # errors are the fault path's job, not the engine's
+            swallow_orphan_errors=True,
+            # slo=True: a scenario declaring no SLOs still gets an
+            # engine, so it reports (and fails) instead of crashing
+            obs=ObsConfig(slo=True, slo_targets=scn.slos),
+        ))
         cluster.boot()
-        cluster.enable_slo(targets=scn.slos)
         started = []
         for svc in scn.services:
             if svc.kind == "echo":

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.smoke import echo_handler_factory, span_dump
-from repro.kernel.config import SystemConfig
+from repro.cluster.config import ObsConfig
+from repro.cluster.smoke import _build, echo_handler_factory, span_dump
 from repro.obs.flight import validate_flight_dump
 from repro.obs.profile import CycleProfiler
 from repro.obs.slo import SLOTarget
@@ -83,19 +82,15 @@ def obs_plane_smoke(
     now carry the sketch summaries), the SLO report, and per-board
     flight reports including retained dump documents.
     """
-    from dataclasses import replace
-
-    config = SystemConfig.figure1()
-    if seed:
-        config = replace(config, seed=seed)
-    cluster = Cluster(n_fpgas=n_fpgas, config=config, backend=backend,
-                      swallow_orphan_errors=True)
-    cluster.boot()
+    obs = ObsConfig()
     if observability:
-        cluster.enable_tracing()
-        cluster.enable_flight_recorders(dump_dir=dump_dir)
-        cluster.enable_slo(targets if targets is not None
-                           else default_targets("echo", latency_slo))
+        if targets is None:
+            targets = default_targets("echo", latency_slo)
+        obs = ObsConfig(tracing=True, flight_recorders=True,
+                        flight_dump_dir=dump_dir, slo=True,
+                        slo_targets=tuple(targets))
+    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True,
+                     backend=backend, obs=obs)
 
     started = cluster.deploy_stateless(
         "echo", echo_handler_factory(work_cycles),

@@ -65,32 +65,22 @@ class RepairEvent:
 class ReplicationManager:
     """Configures, watches, and repairs replication chains."""
 
-    def __init__(
-        self,
-        cluster,
-        mac: str = "replic",
-        rpc_timeout: int = 25_000,
-        snapshot_timeout: int = 120_000,
-        probe_interval: int = 20_000,
-        miss_limit: int = 3,
-        repair_settle: int = 2_000,
-        reconfig_timeout: int = 1_200_000,
-        window: int = 16,
-        transport_timeout: int = 50_000,
-    ):
+    def __init__(self, cluster, config):
+        """``config`` is the cluster's
+        :class:`~repro.cluster.config.ReplicationConfig`."""
         self.cluster = cluster
         self.engine = cluster.engine
         self.fabric = cluster.fabric
         self.directory = cluster.directory
-        self.mac = mac
-        self.rpc_timeout = rpc_timeout
-        self.snapshot_timeout = snapshot_timeout
-        self.probe_interval = probe_interval
-        self.miss_limit = miss_limit
-        self.repair_settle = repair_settle
-        self.reconfig_timeout = reconfig_timeout
-        self.window = window
-        self.transport_timeout = transport_timeout
+        self.mac = config.mac
+        self.rpc_timeout = config.rpc_timeout
+        self.snapshot_timeout = config.snapshot_timeout
+        self.probe_interval = config.probe_interval
+        self.miss_limit = config.miss_limit
+        self.repair_settle = config.repair_settle
+        self.reconfig_timeout = config.reconfig_timeout
+        self.window = config.window
+        self.transport_timeout = config.transport_timeout
 
         self._peers: Dict[str, ReliableEndpoint] = {}
         self._rid = itertools.count(1)
@@ -115,7 +105,7 @@ class ReplicationManager:
         self.rpc_timeouts = 0
         self.replacements_deferred = 0
 
-        self.fabric.attach(mac, self._rx_frame)
+        self.fabric.attach(self.mac, self._rx_frame)
         for fpga, system in enumerate(cluster.systems):
             system.fault_manager.on_fault.append(self._fault_hook(fpga))
         self.engine.process(self._repair_loop(), name="replic.repair")

@@ -37,22 +37,32 @@ import random
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
-from repro.kernel.config import SystemConfig
+from repro.cluster.config import (
+    ClusterConfig,
+    ObsConfig,
+    RecoveryConfig,
+    ReplicationConfig,
+)
+from repro.kernel.config import NocConfig, SystemConfig
 from repro.policy import RetryPolicy
 from repro.replic.history import HistoryChecker
 from repro.replic.machine import KvMachine
-from repro.sim import Engine
 from repro.workloads.client import ClusterClient
 
 __all__ = ["consistency_smoke"]
 
 
-def _build(n_fpgas: int, seed: int) -> Cluster:
+def _build(n_fpgas: int, seed: int, trace: bool) -> Cluster:
     # a 3x3 grid (7 app tiles after mem+net) leaves headroom for repair
     # splices to place replacement replicas even mid-chaos
-    config = SystemConfig.from_flat(width=3, height=3, seed=seed)
-    engine = Engine(swallow_orphan_errors=True)
-    cluster = Cluster(n_fpgas=n_fpgas, config=config, engine=engine)
+    cluster = Cluster(ClusterConfig(
+        n_fpgas=n_fpgas,
+        system=SystemConfig(seed=seed, noc=NocConfig(width=3, height=3)),
+        swallow_orphan_errors=True,
+        recovery=RecoveryConfig(enabled=True),
+        replication=ReplicationConfig(enabled=True),
+        obs=ObsConfig(tracing=trace),
+    ))
     cluster.boot()
     return cluster
 
@@ -83,12 +93,8 @@ def consistency_smoke(
     trace: bool = False,
 ) -> Dict[str, Any]:
     """Run the R2 chaos campaign; returns the deterministic report dict."""
-    cluster = _build(n_fpgas, seed)
-    if trace:
-        cluster.enable_tracing()
+    cluster = _build(n_fpgas, seed, trace)
     engine = cluster.engine
-    cluster.enable_recovery()
-    cluster.start_replication()
     started, configured = cluster.deploy_chain(
         "kv", lambda shard: KvMachine(shard),
         n_shards=n_shards, replication=replication)

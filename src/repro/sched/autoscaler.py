@@ -74,6 +74,8 @@ class Autoscaler:
                 f"need 1 <= min <= max, got {min_replicas}..{max_replicas}")
         if low_queue >= high_queue:
             raise ConfigError("low_queue must sit below high_queue")
+        if interval < 1:
+            raise ConfigError("interval must be >= 1")
         self.cluster = cluster
         self.engine = cluster.engine
         self.directory = cluster.directory

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.config import CacheConfig
 from repro.cluster.smoke import _build
 from repro.errors import TileFault
 from repro.policy import RetryPolicy
@@ -245,33 +246,12 @@ def cache_step_smoke(
       never seen the design and pays a full synthesis run first
       (~4.9M cycles).
 
-    Built through :class:`~repro.cluster.config.ClusterConfig` (the
-    config-object path), so C1 also exercises the redesigned cluster
-    API end to end.  Deterministic: identical arguments give an
-    identical result dict (the benchmark byte-compares it).
+    Deterministic: identical arguments give an identical result dict
+    (the benchmark byte-compares it).
     """
-    from dataclasses import replace
-
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.config import CacheConfig, ClusterConfig, SchedConfig
-    from repro.kernel.config import SystemConfig
-
-    system = SystemConfig.figure1()
-    if seed:
-        system = replace(system, seed=seed)
-    cluster = Cluster(config=ClusterConfig(
-        n_fpgas=n_fpgas,
-        system=system,
-        swallow_orphan_errors=True,
-        cache=CacheConfig(enabled=True, prefetch=warm,
-                          warm_placement=warm),
-        sched=SchedConfig(
-            min_replicas=min_replicas, max_replicas=max_replicas,
-            interval=interval, high_queue=high_queue,
-            low_queue=low_queue, target_queue=target_queue,
-            drain_window=10_000),
-    ))
-    cluster.boot()
+    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True,
+                     cache=CacheConfig(enabled=True, prefetch=warm,
+                                       warm_placement=warm))
     started = cluster.deploy_stateless(
         "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
     cluster.engine.run_until_done(cluster.engine.all_of(started),
@@ -290,7 +270,10 @@ def cache_step_smoke(
                           attempt_timeout=request_timeout,
                           backoff_base=200, backoff_cap=2_000)
     cluster.start_frontend(max_pending=max_pending, retry=patient)
-    scaler = cluster.start_autoscaler("kv")
+    scaler = cluster.start_autoscaler(
+        "kv", min_replicas=min_replicas, max_replicas=max_replicas,
+        interval=interval, high_queue=high_queue, low_queue=low_queue,
+        target_queue=target_queue, drain_window=10_000)
     cluster.run(until=cluster.engine.now + 5_000)
 
     results: List[Tuple] = []

@@ -10,15 +10,15 @@ from repro.apps import (
     deploy_pipeline,
     deploy_replicated_encoder,
 )
-from repro.kernel import ApiarySystem, build_figure1
+from repro.kernel import ApiarySystem, NetConfig, SystemConfig, build_figure1
 from repro.net import EthernetFabric
 from repro.sim import Engine
 from repro.workloads import RemoteClientHost, video_chunks
 from repro.sim import RngPool
 
 
-def booted(width=4, height=4, **kwargs):
-    system = ApiarySystem(width=width, height=height, **kwargs)
+def booted():
+    system = ApiarySystem()
     system.boot()
     return system
 
@@ -212,8 +212,8 @@ class TestMultiTenant:
         """Section 2's scenario: encoder pipeline + KV store, distrusting."""
         engine = Engine()
         fabric = EthernetFabric(engine, latency_cycles=200)
-        system = ApiarySystem(width=4, height=4, engine=engine,
-                              fabric=fabric, mac_addr="board0")
+        system = ApiarySystem(SystemConfig(net=NetConfig(mac_addr="board0")),
+                              engine=engine, fabric=fabric)
         system.boot()
         stages, started = deploy_pipeline(system, nodes=[4, 5])
         kv, kv_started = deploy_kv_on_apiary(system, node=6)

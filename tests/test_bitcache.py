@@ -35,7 +35,7 @@ from repro.hw.compile import (
 )
 from repro.hw.region import reconfig_duration
 from repro.hw.resources import ResourceVector
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, MemConfig, NocConfig, SystemConfig
 from repro.sim import Engine
 
 
@@ -280,8 +280,10 @@ class TestBoardBitstreamStore:
 
 class TestMgmtArtifactPath:
     def system(self, cache=True):
-        system = ApiarySystem(width=3, height=2, with_memory=False,
-                              drc=DesignRuleChecker())
+        system = ApiarySystem(
+            SystemConfig(noc=NocConfig(width=3, height=2),
+                         mem=MemConfig(enabled=False)),
+            drc=DesignRuleChecker())
         if cache:
             system.enable_bitstream_cache()
         return system
@@ -420,10 +422,10 @@ def _ported_family():
 
 
 def _cluster(cache=True, **cache_kwargs):
-    from repro.cluster.cluster import Cluster
-    cluster = Cluster(n_fpgas=2, swallow_orphan_errors=True)
-    if cache:
-        cluster.enable_bitstream_cache(**cache_kwargs)
+    from repro.cluster import CacheConfig, Cluster, ClusterConfig
+    cluster = Cluster(ClusterConfig(
+        swallow_orphan_errors=True,
+        cache=CacheConfig(enabled=cache, **cache_kwargs)))
     cluster.boot()
     return cluster
 

@@ -5,20 +5,19 @@ import pytest
 
 from repro.cluster import (
     Cluster,
+    ClusterConfig,
     FrontEnd,
     HashRing,
+    ObsConfig,
     availability_smoke,
     scaling_smoke,
 )
 from repro.errors import ConfigError
-from repro.kernel import SystemConfig
-from repro.sim import Engine
 from repro.workloads import ClusterClient
 
 
-def small_cluster(n_fpgas=2, **kwargs):
-    kwargs.setdefault("config", SystemConfig.figure1())
-    cluster = Cluster(n_fpgas=n_fpgas, **kwargs)
+def small_cluster(n_fpgas=2, **config):
+    cluster = Cluster(ClusterConfig(n_fpgas=n_fpgas, **config))
     cluster.boot()
     return cluster
 
@@ -236,8 +235,7 @@ class TestScaling:
 
 class TestTracing:
     def test_span_crosses_the_fabric_hop(self):
-        cluster = small_cluster(n_fpgas=1)
-        cluster.enable_tracing()
+        cluster = small_cluster(n_fpgas=1, obs=ObsConfig(tracing=True))
         started = cluster.deploy_stateless("echo", echo_factory(),
                                            instances=1)
         deploy_and_settle(cluster, started)
@@ -273,7 +271,7 @@ class TestClusterConstruction:
         assert seeds == [0, 1, 2]
         # same grid everywhere, derived via dataclasses.replace
         for system in cluster.systems:
-            assert system.config.noc == cluster.base_config.noc
+            assert system.config.noc == cluster.config.system.noc
 
     def test_one_shared_span_recorder(self):
         cluster = small_cluster(n_fpgas=2)

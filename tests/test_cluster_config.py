@@ -1,19 +1,24 @@
-"""ClusterConfig tests: the config-object redesign of the cluster API.
+"""ClusterConfig tests: the one way to build a cluster.
 
-One frozen, validated object replaces the flat kwargs + post-construction
-``enable_*`` toggle chain.  The contracts under test: sub-config
-validation raises typed :class:`~repro.errors.ConfigError`, ``from_flat``
-bridges the legacy spelling, toggles fire exactly as their imperative
-counterparts do, the autoscaler inherits :class:`SchedConfig` defaults
-(explicit kwargs winning), and — the big one — a flat-built cluster and
-a config-built cluster produce byte-identical runs.
+``Cluster(ClusterConfig(...), *, engine, fabric)`` is the only
+constructor; everything that must exist before ``seal()`` is declared in
+the config and armed at one of two fixed points — the bitstream cache in
+the constructor, everything else when ``boot()`` returns.  The contracts
+under test: sub-config validation raises typed
+:class:`~repro.errors.ConfigError`, the constructor signature is pinned
+and a stray flat keyword is a ``TypeError``, each declared feature is
+armed exactly where documented, ``Cluster`` has no post-construction
+toggles, and ``start_autoscaler`` takes its parameters where it is
+called.
 """
 
 import dataclasses
-import json
+import inspect
+import re
 
 import pytest
 
+from repro.accel import EchoAccel
 from repro.cluster import (
     CacheConfig,
     Cluster,
@@ -21,19 +26,20 @@ from repro.cluster import (
     ObsConfig,
     RecoveryConfig,
     ReplicationConfig,
-    SchedConfig,
 )
-from repro.cluster.smoke import span_dump
+from repro.cluster.backend import SPAN_ID_STRIDE
+from repro.cluster.smoke import scaling_smoke
 from repro.errors import ConfigError
-from repro.kernel.config import SystemConfig
+from repro.obs.slo import SLOTarget
+from repro.replic import ReplicationManager
 
 
 def _factory():
     return lambda body: (1_000, {"ok": True}, 32)
 
 
-def _booted(config=None, **kwargs):
-    cluster = Cluster(config=config, **kwargs)
+def _booted(config):
+    cluster = Cluster(config)
     cluster.boot()
     return cluster
 
@@ -53,16 +59,6 @@ class TestValidation:
             ObsConfig(flight_capacity=0)
         with pytest.raises(ConfigError):
             ObsConfig(slo_bucket_cycles=0)
-
-    def test_sched_bounds(self):
-        with pytest.raises(ConfigError):
-            SchedConfig(min_replicas=0)
-        with pytest.raises(ConfigError):
-            SchedConfig(min_replicas=3, max_replicas=2)
-        with pytest.raises(ConfigError):
-            SchedConfig(high_queue=1.0, low_queue=2.0)
-        with pytest.raises(ConfigError):
-            SchedConfig(interval=0)
 
     def test_replication_bounds(self):
         with pytest.raises(ConfigError):
@@ -92,153 +88,211 @@ class TestValidation:
             cfg.cache.enabled = True
 
 
-# -- the flat bridge -------------------------------------------------------
+# -- the one constructor ---------------------------------------------------
 
 
-class TestFromFlat:
+class TestOneConstructor:
+    def test_signature_is_config_plus_runtime_objects(self):
+        params = inspect.signature(Cluster.__init__).parameters
+        assert list(params) == ["self", "config", "engine", "fabric"]
+        assert params["config"].default == ClusterConfig()
+        for name in ("engine", "fabric"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+
     def test_defaults_match_a_bare_config(self):
-        assert ClusterConfig.from_flat() == ClusterConfig()
-
-    def test_flat_kwargs_carry_over(self):
-        system = SystemConfig.figure1()
-        cfg = ClusterConfig.from_flat(
-            n_fpgas=3, config=system, fabric_latency=250,
-            backend="sequential", swallow_orphan_errors=True)
-        assert cfg.n_fpgas == 3
-        assert cfg.system is system
-        assert cfg.fabric_latency == 250
-        assert cfg.backend == "sequential"
-        assert cfg.swallow_orphan_errors
-        # toggles stay off, exactly like a flat-built cluster pre-enable
-        assert not cfg.recovery.enabled
-        assert not cfg.cache.enabled
-        assert not cfg.obs.tracing
-        assert not cfg.replication.enabled
-
-
-# -- construction ----------------------------------------------------------
-
-
-class TestClusterFromConfig:
-    def test_config_fields_shape_the_cluster(self):
-        cluster = Cluster(config=ClusterConfig(n_fpgas=3,
-                                               backend="sequential"))
-        assert cluster.n_fpgas == 3
-        assert cluster.backend_name == "sequential"
-        assert cluster.cluster_config is not None
+        cluster = Cluster()
+        assert cluster.config == ClusterConfig()
+        assert cluster.n_fpgas == 2
         assert cluster.bitplane is None  # cache off by default
+
+    @pytest.mark.parametrize("flat", [
+        {"n_fpgas": 2}, {"backend": "sequential"}, {"fabric_latency": 250},
+        {"swallow_orphan_errors": True},
+    ])
+    def test_stray_flat_kwarg_is_a_type_error(self, flat):
+        with pytest.raises(TypeError):
+            Cluster(**flat)
+
+    def test_config_fields_shape_the_cluster(self):
+        cluster = Cluster(ClusterConfig(n_fpgas=3, backend="sequential"))
+        assert cluster.n_fpgas == 3
+        assert cluster.config.backend == "sequential"
         cluster.shutdown()
 
-    def test_flat_construction_has_no_cluster_config(self):
-        cluster = Cluster(n_fpgas=2)
-        assert cluster.cluster_config is None
+    def test_no_post_construction_toggles(self):
+        toggles = [name for name in dir(Cluster)
+                   if re.fullmatch(r"enable_.*|start_replication", name)]
+        assert toggles == []
 
-    def test_cache_toggle_builds_the_plane(self):
-        cluster = Cluster(config=ClusterConfig(
+
+# -- lifecycle: each feature is armed at its documented point --------------
+
+
+def _cache_armed(cluster):
+    return (cluster.bitplane is not None
+            and all(s.bitstore is not None for s in cluster.systems))
+
+
+def _recovery_armed(cluster):
+    return all(s.recovery is not None
+               and s.recovery.heartbeat_interval == 7_000
+               for s in cluster.systems)
+
+
+def _flight_armed(cluster):
+    return all(s.flight is not None and s.flight.capacity == 32
+               for s in cluster.systems)
+
+
+def _slo_armed(cluster):
+    return (cluster.slo is not None and cluster.slo.bucket_cycles == 5_000
+            and [t.name for t in cluster.slo.targets_for("kv")] == ["avail"])
+
+
+def _replication_armed(cluster):
+    return (isinstance(cluster.replication, ReplicationManager)
+            and cluster.replication.probe_interval == 30_000)
+
+
+#: (sub-config, "is it armed?" probe, armed already by the constructor?)
+LIFECYCLE = [
+    (dict(cache=CacheConfig(enabled=True)), _cache_armed, True),
+    (dict(recovery=RecoveryConfig(enabled=True, heartbeat_interval=7_000)),
+     _recovery_armed, False),
+    (dict(obs=ObsConfig(tracing=True)),
+     lambda c: c.spans.enabled and all(s.spans.enabled for s in c.systems),
+     False),
+    (dict(obs=ObsConfig(flight_recorders=True, flight_capacity=32)),
+     _flight_armed, False),
+    (dict(obs=ObsConfig(slo_bucket_cycles=5_000, slo_targets=(
+        SLOTarget("avail", "kv", objective=0.99),))), _slo_armed, False),
+    (dict(obs=ObsConfig(slo=True)), lambda c: c.slo is not None, False),
+    (dict(replication=ReplicationConfig(enabled=True,
+                                        probe_interval=30_000)),
+     _replication_armed, False),
+]
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("section,armed,at_construction", LIFECYCLE)
+    def test_feature_is_armed_at_its_documented_point(
+            self, section, armed, at_construction):
+        cluster = Cluster(ClusterConfig(**section))
+        assert armed(cluster) == at_construction
+        cluster.boot()
+        assert armed(cluster)
+
+    @pytest.mark.parametrize("section,armed,at_construction", LIFECYCLE)
+    def test_default_config_arms_nothing(self, section, armed,
+                                         at_construction):
+        assert not armed(_booted(ClusterConfig()))
+
+    def test_cache_is_in_place_at_cycle_zero(self):
+        cluster = Cluster(ClusterConfig(cache=CacheConfig(enabled=True)))
+        assert cluster.now == 0 and _cache_armed(cluster)
+        cluster.boot()
+        # the OS services are loaded by the board constructors, directly;
+        # every load issued after Cluster() returns goes through the store
+        assert cluster.bitplane.store(0).misses == 0
+        started = cluster.deploy_stateless("kv", _factory, instances=1)
+        cluster.run_until(started, limit=50_000_000)
+        assert cluster.bitplane.store(0).misses == 1
+
+    def test_first_heartbeat_is_one_interval_after_boot(self):
+        interval = 100_000
+        cluster = _booted(ClusterConfig(n_fpgas=1, recovery=RecoveryConfig(
+            enabled=True, heartbeat_interval=interval)))
+        boot_end = cluster.now
+        assert boot_end % interval  # a cycle-0 watchdog would be off-grid
+        system = cluster.systems[0]
+        monitor = system.tiles[2].monitor
+        beats, real = [], monitor.heartbeat
+        monitor.heartbeat = lambda: beats.append(cluster.now) or real()
+        cluster.run_until([system.recovery.deploy(
+            2, lambda: EchoAccel("svc", cost=20), endpoint="app.svc")])
+        assert cluster.now < boot_end + interval
+        cluster.run(until=boot_end + 2 * interval)
+        assert beats == [boot_end + interval, boot_end + 2 * interval]
+
+    def test_tracing_starts_when_boot_returns(self):
+        cluster = _booted(ClusterConfig(obs=ObsConfig(tracing=True)))
+        assert len(list(cluster.merged_spans())) == 0  # boot is untraced
+
+    def test_forked_workers_inherit_flight_recorders(self):
+        cluster = _booted(ClusterConfig(
+            backend="parallel", swallow_orphan_errors=True,
+            obs=ObsConfig(flight_recorders=True)))
+        cluster.seal()
+        try:
+            cluster.run(until=cluster.now + 2_000)
+            cluster.kill_fpga(1)
+            reports = cluster.flight_reports()
+        finally:
+            cluster.shutdown()
+        assert reports["fpga0"] is not None and not reports["fpga0"]["dumps"]
+        assert any(d["reason"].startswith("board-kill:")
+                   for d in reports["fpga1"]["dumps"])
+
+    def test_traced_parallel_run_matches_sequential(self):
+        # tracing is declared, so it is on in every partition before the
+        # fork — a traced parallel run cannot come back host-only
+        dumps = {
+            backend: scaling_smoke(
+                backend=backend, trace=True, identity=True, duration=40_000,
+                clients=4, requests_per_client=10)["identity"]["spans"]
+            for backend in ("sequential", "parallel")}
+        assert dumps["parallel"] == dumps["sequential"]
+        assert any(span[1] >= SPAN_ID_STRIDE for span in dumps["parallel"])
+
+    def test_cache_flags_reach_directory_and_autoscaler(self):
+        cluster = Cluster(ClusterConfig(
             cache=CacheConfig(enabled=True, capacity_cells=100_000,
                               prefetch=False, warm_placement=False)))
-        assert cluster.bitplane is not None
-        assert not cluster.warm_placement
-        assert not cluster._cache_prefetch
+        assert not cluster.config.cache.warm_placement
         for system in cluster.systems:
-            assert system.bitstore is not None
             assert system.bitstore.capacity_cells == 100_000
 
-    def test_recovery_toggle_arms_every_board(self):
-        cluster = Cluster(config=ClusterConfig(
-            recovery=RecoveryConfig(enabled=True, heartbeat_interval=7_000)))
-        for system in cluster.systems:
-            assert system.recovery is not None
-            assert system.recovery.heartbeat_interval == 7_000
-
-    def test_obs_toggles(self):
-        cluster = Cluster(config=ClusterConfig(
-            obs=ObsConfig(tracing=True, slo=True)))
-        assert cluster.spans.enabled
-        assert cluster.slo is not None
-
-    def test_replication_toggle(self):
-        cluster = Cluster(config=ClusterConfig(
-            replication=ReplicationConfig(enabled=True)))
-        assert cluster.replication is not None
+    def test_replication_needs_the_shared_backend(self):
+        with pytest.raises(ConfigError, match="shared"):
+            Cluster(ClusterConfig(
+                backend="sequential",
+                replication=ReplicationConfig(enabled=True)))
 
 
-class TestSchedDefaultsFlow:
-    def scaler(self, sched=None, **kwargs):
-        cfg = ClusterConfig(swallow_orphan_errors=True,
-                            sched=sched if sched is not None
-                            else SchedConfig())
-        cluster = _booted(config=cfg)
+class TestAutoscalerTakesItsParametersWhereStarted:
+    def scaler(self, cache=CacheConfig(), **kwargs):
+        cluster = _booted(ClusterConfig(swallow_orphan_errors=True,
+                                        cache=cache))
         started = cluster.deploy_stateless("kv", _factory, instances=1)
         cluster.run_until(started, limit=50_000_000)
         cluster.start_frontend()
         return cluster.start_autoscaler("kv", **kwargs)
 
+    def test_sched_bounds(self):
+        for bad in (dict(min_replicas=0),
+                    dict(min_replicas=3, max_replicas=2),
+                    dict(high_queue=1.0, low_queue=2.0),
+                    dict(interval=0)):
+            with pytest.raises(ConfigError):
+                self.scaler(**bad)
+
     def test_sched_config_supplies_the_defaults(self):
-        scaler = self.scaler(sched=SchedConfig(max_replicas=3,
-                                               interval=10_000,
-                                               high_queue=6.0))
+        scaler = self.scaler(max_replicas=3, interval=10_000,
+                             high_queue=6.0)
         assert scaler.max_replicas == 3
         assert scaler.interval == 10_000
         assert scaler.high_queue == 6.0
-
-    def test_explicit_kwargs_beat_the_config(self):
-        scaler = self.scaler(sched=SchedConfig(max_replicas=3),
-                             max_replicas=2)
-        assert scaler.max_replicas == 2
 
     def test_prefetch_off_without_a_cache(self):
         assert not self.scaler().prefetch
 
     def test_cache_config_turns_prefetch_on(self):
-        cfg = ClusterConfig(swallow_orphan_errors=True,
-                            cache=CacheConfig(enabled=True))
-        cluster = _booted(config=cfg)
-        started = cluster.deploy_stateless("kv", _factory, instances=1)
-        cluster.run_until(started, limit=50_000_000)
-        cluster.start_frontend()
-        assert cluster.start_autoscaler("kv").prefetch
+        assert self.scaler(cache=CacheConfig(enabled=True)).prefetch
+
+    def test_cache_config_can_turn_prefetch_off(self):
+        assert not self.scaler(
+            cache=CacheConfig(enabled=True, prefetch=False)).prefetch
 
     def test_sched_prefetch_override_wins(self):
-        cfg = ClusterConfig(swallow_orphan_errors=True,
-                            cache=CacheConfig(enabled=True),
-                            sched=SchedConfig(prefetch=False))
-        cluster = _booted(config=cfg)
-        started = cluster.deploy_stateless("kv", _factory, instances=1)
-        cluster.run_until(started, limit=50_000_000)
-        cluster.start_frontend()
-        assert not cluster.start_autoscaler("kv").prefetch
-
-
-# -- byte-identity: flat spelling vs config object -------------------------
-
-
-def _mini_run(cluster):
-    cluster.boot()
-    started = cluster.deploy_stateless("echo", _factory, instances=2)
-    cluster.run_until(started, limit=50_000_000)
-    cluster.run(until=cluster.engine.now + 50_000)
-    payload = {
-        "now": cluster.engine.now,
-        "spans": span_dump(cluster.merged_spans()),
-        "stats": cluster.stats_snapshots(),
-    }
-    cluster.shutdown()
-    return payload
-
-
-class TestByteIdentity:
-    def test_config_path_matches_flat_path(self):
-        flat = _mini_run(Cluster(n_fpgas=2))
-        cfg = _mini_run(Cluster(config=ClusterConfig.from_flat(n_fpgas=2)))
-        assert json.dumps(flat, sort_keys=True) == \
-            json.dumps(cfg, sort_keys=True)
-
-    def test_config_cache_matches_imperative_cache(self):
-        imperative = Cluster(n_fpgas=2)
-        imperative.enable_bitstream_cache()
-        flat = _mini_run(imperative)
-        cfg = _mini_run(Cluster(config=ClusterConfig(
-            cache=CacheConfig(enabled=True))))
-        assert json.dumps(flat, sort_keys=True) == \
-            json.dumps(cfg, sort_keys=True)
+        assert not self.scaler(cache=CacheConfig(enabled=True),
+                               prefetch=False).prefetch

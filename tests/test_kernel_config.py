@@ -1,17 +1,15 @@
-"""The SystemConfig API: validation, presets, flat-kwargs equivalence.
+"""The SystemConfig API: validation, presets, and the one constructor.
 
-The redesign's core promise: ``ApiarySystem(config=SystemConfig(...))``
-and the deprecated flat kwargs build **identical** systems — same
-structure, same runtime behaviour, byte-identical stats on the same
-seeded workload.
+``ApiarySystem(SystemConfig(...), *, engine, fabric, spans, drc)`` is the
+only way to build a board: the signature is pinned here, and a stray flat
+keyword is a ``TypeError`` rather than a silently different machine.
 """
 
 import dataclasses
-import json
+import inspect
 
 import pytest
 
-from repro.apps.service import PortedService
 from repro.errors import ConfigError
 from repro.kernel import (
     ApiarySystem,
@@ -23,7 +21,6 @@ from repro.kernel import (
 )
 from repro.net.frame import EthernetFabric
 from repro.sim import Engine
-from repro.workloads import RemoteClientHost
 
 
 class TestValidation:
@@ -43,11 +40,11 @@ class TestValidation:
     def test_mem_net_tile_collision_only_when_attached(self):
         cfg = SystemConfig(mem=MemConfig(tile=1), net=NetConfig(tile=1))
         # fabric-less systems never instantiate the net service: fine
-        ApiarySystem(config=cfg)
+        ApiarySystem(cfg)
         engine = Engine()
         fabric = EthernetFabric(engine, latency_cycles=500)
         with pytest.raises(ConfigError):
-            ApiarySystem(config=cfg, engine=engine, fabric=fabric)
+            ApiarySystem(cfg, engine=engine, fabric=fabric)
 
     def test_net_tile_out_of_range_when_attached(self):
         cfg = SystemConfig(noc=NocConfig(width=2, height=2),
@@ -55,7 +52,7 @@ class TestValidation:
         engine = Engine()
         fabric = EthernetFabric(engine, latency_cycles=500)
         with pytest.raises(ConfigError):
-            ApiarySystem(config=cfg, engine=engine, fabric=fabric)
+            ApiarySystem(cfg, engine=engine, fabric=fabric)
 
     def test_configs_are_frozen(self):
         cfg = SystemConfig()
@@ -79,66 +76,34 @@ class TestFigure1Preset:
     def test_figure1_boots(self):
         engine = Engine()
         fabric = EthernetFabric(engine, latency_cycles=500)
-        system = ApiarySystem(engine=engine, fabric=fabric,
-                              config=SystemConfig.figure1())
+        system = ApiarySystem(SystemConfig.figure1(), engine=engine,
+                              fabric=fabric)
         system.boot()
         assert system.namespace.lookup("svc.mem") == 0
         assert system.namespace.lookup("svc.net") == 1
 
 
-class TestFlatKwargsEquivalence:
-    FLAT = dict(width=3, height=2, mem_tile=0, net_tile=1,
-                mac_addr="fpga0", seed=3, num_vcs=2, buffer_depth=4)
+class TestOneConstructor:
+    def test_signature_is_config_plus_runtime_objects(self):
+        params = inspect.signature(ApiarySystem.__init__).parameters
+        assert list(params) == ["self", "config", "engine", "fabric",
+                                "spans", "drc"]
+        assert params["config"].default == SystemConfig()
+        for name in ("engine", "fabric", "spans", "drc"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
 
-    def test_from_flat_round_trip(self):
-        cfg = SystemConfig.from_flat(**self.FLAT)
-        assert cfg.noc.width == 3 and cfg.noc.height == 2
-        assert cfg.seed == 3
-        assert cfg.net.mac_addr == "fpga0"
+    @pytest.mark.parametrize("flat", [
+        {"width": 3}, {"mem_tile": 2}, {"mac_addr": "fpga0"},
+        {"policy": None}, {"seed": 1},
+    ])
+    def test_stray_flat_kwarg_is_a_type_error(self, flat):
+        with pytest.raises(TypeError):
+            ApiarySystem(**flat)
 
-    @staticmethod
-    def _smoke_run(system, engine, fabric):
-        """A seeded workload exercising NoC, mem, net, and the client path."""
-        system.boot()
-
-        def handler(body):
-            return 800, {"echo": body["x"]}, 64
-
-        started = system.start_app(
-            2, PortedService("echo", port=9100, handler=handler),
-            endpoint="app.echo")
-        engine.run_until_done(started, limit=50_000_000)
-        host = RemoteClientHost(engine, fabric, "host")
-        bodies = [{"x": i} for i in range(20)]
-        done = engine.process(
-            host.closed_loop("fpga0", 9100, bodies, timeout=200_000),
-            name="host.loop")
-        engine.run_until_done(done.done, limit=50_000_000)
-        return {
-            "now": engine.now,
-            "latency": host.latency.samples,
-            "stats": system.stats.snapshot(engine.now),
-        }
-
-    def _build_and_run(self, flat: bool):
-        engine = Engine()
-        fabric = EthernetFabric(engine, latency_cycles=500)
-        if flat:
-            system = ApiarySystem(engine=engine, fabric=fabric, **self.FLAT)
-        else:
-            system = ApiarySystem(engine=engine, fabric=fabric,
-                                  config=SystemConfig.from_flat(**self.FLAT))
-        return self._smoke_run(system, engine, fabric)
-
-    def test_flat_and_config_builds_are_byte_identical(self):
-        via_flat = json.dumps(self._build_and_run(flat=True), sort_keys=True)
-        via_config = json.dumps(self._build_and_run(flat=False),
-                                sort_keys=True)
-        assert via_flat == via_config
-
-    def test_flat_kwargs_still_fully_work(self):
-        system = ApiarySystem(width=3, height=2)
-        assert system.config.noc.tiles == 6
+    def test_default_config_builds_and_boots(self):
+        system = ApiarySystem()
+        assert system.config == SystemConfig()
+        assert system.config.noc.tiles == 16
         system.boot()
         assert system.namespace.lookup("svc.mem") == 0
 
@@ -147,5 +112,5 @@ class TestFaultConfig:
     def test_policy_flows_through(self):
         from repro.kernel.fault import FaultPolicy
         cfg = SystemConfig(fault=FaultConfig(policy=FaultPolicy.PREEMPT))
-        system = ApiarySystem(config=cfg)
+        system = ApiarySystem(cfg)
         assert system.fault_manager.policy == FaultPolicy.PREEMPT

@@ -13,14 +13,21 @@ from repro.accel import (
 from repro.errors import BitstreamRejected, ServiceError, TileFault
 from repro.hw import DesignRuleChecker, ResourceVector
 from repro.hw.bitstream import Bitstream
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NocConfig,
+    SystemConfig,
+)
 from repro.policy import RetryPolicy
 
 
-def booted(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def booted(policy=FaultPolicy.FAIL_STOP, width=3, **runtime):
+    system = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=width, height=2),
+                     fault=FaultConfig(policy=policy)),
+        **runtime)
     system.boot()
     return system
 
@@ -313,7 +320,7 @@ class TestFaultIndex:
         system.run_until(started)
 
     def test_faults_on_indexes_per_tile(self):
-        system = booted(width=4, height=2)
+        system = booted(width=4)
         self.crash(system, 2, "app.a")
         self.crash(system, 4, "app.b")
         system.run(until=system.engine.now + 2_000_000)

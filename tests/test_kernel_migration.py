@@ -4,11 +4,19 @@ import pytest
 
 from repro.accel import Accelerator, EchoAccel, PreemptibleVideoEncoder
 from repro.errors import ConfigError
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NocConfig,
+    SystemConfig,
+)
 
 
 def booted():
-    system = ApiarySystem(width=3, height=2, policy=FaultPolicy.PREEMPT)
+    system = ApiarySystem(SystemConfig(
+        noc=NocConfig(width=3, height=2),
+        fault=FaultConfig(policy=FaultPolicy.PREEMPT)))
     system.boot()
     return system
 

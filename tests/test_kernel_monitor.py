@@ -13,9 +13,12 @@ from repro.errors import (
 )
 from repro.kernel import (
     ApiarySystem,
+    FaultConfig,
     MemAccess,
     Message,
     MessageKind,
+    NocConfig,
+    SystemConfig,
 )
 
 
@@ -59,10 +62,8 @@ class TestMessageFormat:
         assert Message(src="a", dst="b", op="x").mid == 0
 
 
-def small_system(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def small_system(config=SystemConfig.figure1()):
+    system = ApiarySystem(config)
     system.boot()
     return system
 
@@ -166,7 +167,9 @@ class TestMonitorEnforcement:
         assert seen["src"] == "tile3"
 
     def test_enforcement_off_allows_everything(self):
-        system = small_system(enforce=False)
+        system = small_system(SystemConfig(
+            noc=NocConfig(width=3, height=2),
+            fault=FaultConfig(enforce=False)))
         echo = EchoAccel("echo")
         run_app(system, 2, echo, endpoint="app.echo", cycles=1000)
 
@@ -196,8 +199,9 @@ class TestMonitorEnforcement:
         assert system.tracer.count("monitor.deny") == 1
 
     def test_rate_limited_monitor_throttles(self):
-        fast = small_system(rate_limit_flits=None)
-        slow = small_system(rate_limit_flits=0.05, rate_limit_burst=4)
+        fast = small_system()
+        slow = small_system(SystemConfig(noc=NocConfig(
+            width=3, height=2, rate_limit_flits=0.05, rate_limit_burst=4)))
         durations = {}
         for label, system in (("fast", fast), ("slow", slow)):
             echo = EchoAccel("echo", cost=1)

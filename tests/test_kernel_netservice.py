@@ -4,7 +4,7 @@ fabric, MAC portability (D10's mechanism), and port binding."""
 import pytest
 
 from repro.accel import Accelerator
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, NetConfig, NocConfig, SystemConfig
 from repro.net import EthernetFabric
 from repro.sim import Engine
 
@@ -12,10 +12,14 @@ from repro.sim import Engine
 def two_boards(mac_a="100g", mac_b="100g", engine=None):
     engine = engine or Engine()
     fabric = EthernetFabric(engine, latency_cycles=500)
-    a = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                     mac_kind=mac_a, mac_addr="boardA")
-    b = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                     mac_kind=mac_b, mac_addr="boardB")
+    a = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=3, height=2),
+                     net=NetConfig(mac_kind=mac_a, mac_addr="boardA")),
+        engine=engine, fabric=fabric)
+    b = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=3, height=2),
+                     net=NetConfig(mac_kind=mac_b, mac_addr="boardB")),
+        engine=engine, fabric=fabric)
     a.boot()
     b.boot()
     return engine, a, b
@@ -151,10 +155,14 @@ def test_transport_recovers_from_fabric_loss():
 
     fabric = EthernetFabric(engine, latency_cycles=500, loss_rate=0.15,
                             rng=RngPool(seed=11).stream("loss"))
-    a = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                     mac_kind="100g", mac_addr="boardA")
-    b = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                     mac_kind="100g", mac_addr="boardB")
+    a = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=3, height=2),
+                     net=NetConfig(mac_addr="boardA")),
+        engine=engine, fabric=fabric)
+    b = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=3, height=2),
+                     net=NetConfig(mac_addr="boardB")),
+        engine=engine, fabric=fabric)
     a.boot()
     b.boot()
     server = NetEcho("server", port=7)

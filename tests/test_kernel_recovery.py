@@ -6,14 +6,12 @@ import pytest
 
 from repro.accel import Accelerator, EchoAccel
 from repro.errors import ConfigError, DeadlineExceeded, ServiceUnavailable
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import ApiarySystem, FaultPolicy, SystemConfig
 from repro.policy import RetryPolicy
 
 
-def booted(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def booted():
+    system = ApiarySystem(SystemConfig.figure1())
     system.boot()
     return system
 

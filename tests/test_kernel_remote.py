@@ -3,7 +3,14 @@
 import pytest
 
 from repro.accel import Accelerator
-from repro.kernel import ApiarySystem, RemoteCpuServiceHost, RemoteServiceProxy
+from repro.kernel import (
+    ApiarySystem,
+    NetConfig,
+    NocConfig,
+    RemoteCpuServiceHost,
+    RemoteServiceProxy,
+    SystemConfig,
+)
 from repro.net import EthernetFabric
 from repro.sim import Engine
 
@@ -27,8 +34,10 @@ def build(engine=None):
     dictionary_handler.table = {}
     engine = engine or Engine()
     fabric = EthernetFabric(engine, latency_cycles=400)
-    system = ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                          mac_kind="100g", mac_addr="board0")
+    system = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=3, height=2),
+                     net=NetConfig(mac_addr="board0")),
+        engine=engine, fabric=fabric)
     system.boot()
     host = RemoteCpuServiceHost(engine, fabric, "cpu-host0",
                                 dictionary_handler)

@@ -5,34 +5,43 @@ import pytest
 from repro.accel import Accelerator, EchoAccel
 from repro.errors import ConfigError, ResourceExhausted
 from repro.hw.resources import ResourceVector
-from repro.kernel import ApiarySystem
+from repro.kernel import (
+    ApiarySystem,
+    MemConfig,
+    NetConfig,
+    NocConfig,
+    SystemConfig,
+)
 from repro.net import EthernetFabric
 from repro.sim import Engine
 
 
 class TestAssembly:
     def test_tile_count_matches_grid(self):
-        system = ApiarySystem(width=3, height=4, with_memory=False)
+        system = ApiarySystem(SystemConfig(
+            noc=NocConfig(width=3, height=4), mem=MemConfig(enabled=False)))
         assert len(system.tiles) == 12
         assert system.network.topo.node_count == 12
 
     def test_every_tile_registered_by_name(self):
-        system = ApiarySystem(width=2, height=2, with_memory=False)
+        system = ApiarySystem(SystemConfig(
+            noc=NocConfig(width=2, height=2), mem=MemConfig(enabled=False)))
         for node in range(4):
             assert system.namespace.lookup(f"tile{node}") == node
 
     def test_memory_service_on_requested_tile(self):
-        system = ApiarySystem(width=3, height=2, mem_tile=5)
+        system = ApiarySystem(SystemConfig(
+            noc=NocConfig(width=3, height=2), mem=MemConfig(tile=5)))
         system.boot()
         assert system.namespace.lookup("svc.mem") == 5
         assert system.tiles[5].accelerator is system.mem_service
 
     def test_net_service_requires_fabric(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(SystemConfig.figure1())
         assert system.net_service is None
         engine = Engine()
         fabric = EthernetFabric(engine)
-        with_net = ApiarySystem(width=3, height=2, engine=engine,
+        with_net = ApiarySystem(SystemConfig.figure1(), engine=engine,
                                 fabric=fabric)
         assert with_net.net_service is not None
 
@@ -40,11 +49,13 @@ class TestAssembly:
         engine = Engine()
         fabric = EthernetFabric(engine)
         with pytest.raises(ConfigError):
-            ApiarySystem(width=3, height=2, engine=engine, fabric=fabric,
-                         mac_kind="400g")
+            ApiarySystem(
+                SystemConfig(noc=NocConfig(width=3, height=2),
+                             net=NetConfig(mac_kind="400g")),
+                engine=engine, fabric=fabric)
 
     def test_apiary_overhead_accounted_in_budget(self):
-        system = ApiarySystem(width=4, height=4, with_memory=False)
+        system = ApiarySystem(SystemConfig(mem=MemConfig(enabled=False)))
         fraction = system.apiary_overhead_fraction()
         assert 0 < fraction < 0.2
         owners = system.budget.owners()
@@ -52,22 +63,22 @@ class TestAssembly:
         assert sum(1 for o in owners if o.startswith("apiary.monitor")) == 16
 
     def test_slot_capacity_divides_free_resources(self):
-        system = ApiarySystem(width=4, height=4, with_memory=False,
-                              part_name="VU29P")
+        system = ApiarySystem(SystemConfig(mem=MemConfig(enabled=False)))
         total_slots = system.slot_capacity.logic_cells * 16
         assert total_slots <= system.part.logic_cells
         assert system.slot_capacity.logic_cells > 100_000
 
     def test_small_part_fits_fewer_accelerators(self):
-        big = ApiarySystem(width=3, height=2, part_name="VU29P",
-                           with_memory=False)
-        small = ApiarySystem(width=3, height=2, part_name="XC7V585T",
-                             with_memory=False)
+        big = ApiarySystem(SystemConfig(
+            noc=NocConfig(width=3, height=2), mem=MemConfig(enabled=False)))
+        small = ApiarySystem(SystemConfig(
+            part_name="XC7V585T", noc=NocConfig(width=3, height=2),
+            mem=MemConfig(enabled=False)))
         assert small.slot_capacity.logic_cells < big.slot_capacity.logic_cells
 
     def test_accelerator_too_big_for_small_part_slots(self):
-        small = ApiarySystem(width=4, height=4, part_name="XC7V585T",
-                             with_memory=False)
+        small = ApiarySystem(SystemConfig(
+            part_name="XC7V585T", mem=MemConfig(enabled=False)))
 
         class Big(Accelerator):
             COST = ResourceVector(logic_cells=200_000, bram_kb=16,
@@ -78,15 +89,17 @@ class TestAssembly:
             small.run_until(started)
 
     def test_noc_flit_width_configurable(self):
-        narrow = ApiarySystem(width=2, height=2, with_memory=False,
-                              noc_flit_bytes=16)
-        wide = ApiarySystem(width=2, height=2, with_memory=False,
-                            noc_flit_bytes=64)
+        narrow = ApiarySystem(SystemConfig(
+            noc=NocConfig(width=2, height=2, flit_bytes=16),
+            mem=MemConfig(enabled=False)))
+        wide = ApiarySystem(SystemConfig(
+            noc=NocConfig(width=2, height=2, flit_bytes=64),
+            mem=MemConfig(enabled=False)))
         assert narrow.network.flit_bytes == 16
         assert wide.network.flit_bytes == 64
 
     def test_describe_marks_failed_tiles(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(SystemConfig.figure1())
         system.boot()
         echo = EchoAccel("echo")
         system.run_until(system.start_app(3, echo, endpoint="app.echo"))
@@ -95,7 +108,7 @@ class TestAssembly:
         assert "FAILED" in art
 
     def test_boot_is_safe_to_call_before_apps(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(SystemConfig.figure1())
         system.boot()
         assert system.tiles[0].occupied  # svc.mem loaded
         assert not system.tiles[3].occupied
@@ -105,8 +118,9 @@ class TestWiderFlitsHelpLargePayloads:
     def test_wide_flits_cut_large_message_latency(self):
         latencies = {}
         for width in (16, 64):
-            system = ApiarySystem(width=3, height=2, with_memory=False,
-                                  noc_flit_bytes=width)
+            system = ApiarySystem(SystemConfig(
+                noc=NocConfig(width=3, height=2, flit_bytes=width),
+                mem=MemConfig(enabled=False)))
             system.boot()
             echo = EchoAccel("echo", cost=0)
             system.run_until(system.start_app(2, echo, endpoint="app.echo"))

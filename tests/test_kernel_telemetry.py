@@ -3,13 +3,11 @@
 import pytest
 
 from repro.accel import Accelerator, EchoAccel, FloodingAccel, SinkAccel
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 
 
-def booted(**kwargs):
-    kwargs.setdefault("width", 3)
-    kwargs.setdefault("height", 2)
-    system = ApiarySystem(**kwargs)
+def booted():
+    system = ApiarySystem(SystemConfig.figure1())
     system.boot()
     return system
 
@@ -147,7 +145,7 @@ def test_police_rates_no_trigger_below_threshold():
 
 
 def test_telemetry_merges_sampler_series_when_enabled():
-    system = ApiarySystem(width=3, height=2)
+    system = ApiarySystem(SystemConfig.figure1())
     sampler = system.enable_telemetry(interval=500)
     system.boot()
     snaps = system.mgmt.telemetry()

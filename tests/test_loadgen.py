@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig
 from repro.cluster.smoke import echo_handler_factory
 from repro.errors import ConfigError
-from repro.kernel.config import SystemConfig
 from repro.loadgen import (
     ArrivalSpec,
     ChaosAction,
@@ -204,7 +204,7 @@ class TestScenarioSpec:
 
 
 def _echo_cluster(work_cycles=1_000, instances=1, **fe_kwargs):
-    cluster = Cluster(n_fpgas=1, config=SystemConfig.figure1())
+    cluster = Cluster(ClusterConfig(n_fpgas=1))
     cluster.boot()
     started = cluster.deploy_stateless(
         "echo", echo_handler_factory(work_cycles), instances=instances)
@@ -389,6 +389,19 @@ class TestScenarioRunner:
         assert row["rejected"] > 0
         assert not rep.passed
         # every submission resolved one way or another
+        assert rep.data["totals"]["unresolved"] == 0
+
+    def test_scenario_without_slos_still_reports(self):
+        # Scenario validation demands an SLO, so strip them behind its
+        # back: the runner must still own an engine (ObsConfig.slo_enabled
+        # is false for bare empty targets) and report an unscored FAIL
+        scn = _tiny_scenario(duration=20_000)
+        object.__setattr__(scn, "slos", ())
+        runner = ScenarioRunner(scn)
+        rep = runner.run()
+        assert runner.cluster.slo is not None
+        assert rep.data["slo"] == {"rows": [], "alerts": []}
+        assert not rep.passed
         assert rep.data["totals"]["unresolved"] == 0
 
     def test_run_scenario_accepts_dict(self):

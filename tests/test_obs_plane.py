@@ -16,7 +16,7 @@ import math
 
 import pytest
 
-from repro.kernel import ApiarySystem
+from repro.kernel import ApiarySystem, SystemConfig
 from repro.obs import (
     QUEUE_STAGE,
     CycleProfiler,
@@ -355,7 +355,7 @@ class TestFlightRecorder:
 
 class TestSatelliteAccessors:
     def booted(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(SystemConfig.figure1())
         system.boot()
         return system
 
@@ -371,7 +371,7 @@ class TestSatelliteAccessors:
         assert monitor.heartbeat()["egress_backlog"] == 0.0
 
     def test_sampler_last_sample_at_advances(self):
-        system = ApiarySystem(width=3, height=2)
+        system = ApiarySystem(SystemConfig.figure1())
         system.enable_telemetry(interval=500)
         system.boot()
         assert system.sampler.last_sample_at is not None

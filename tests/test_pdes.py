@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster.backend import SPAN_ID_STRIDE
 from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig, ReplicationConfig
 from repro.cluster.smoke import availability_smoke, scaling_smoke, span_dump
 from repro.errors import ConfigError
 from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
@@ -131,7 +132,7 @@ class TestPartitionFabric:
 
 class TestWindowedCluster:
     def test_boot_aligns_all_partitions(self):
-        cluster = Cluster(n_fpgas=2, backend="sequential")
+        cluster = Cluster(ClusterConfig(n_fpgas=2, backend="sequential"))
         cluster.boot()
         now = cluster.engine.now
         assert now > 0
@@ -140,16 +141,14 @@ class TestWindowedCluster:
         cluster.shutdown()
 
     def test_span_id_spaces_are_disjoint(self):
-        cluster = Cluster(n_fpgas=2, backend="sequential")
-        cluster.boot()
-        cluster.enable_tracing()
+        cluster = Cluster(ClusterConfig(n_fpgas=2, backend="sequential"))
         bases = [rec.id_base for rec in
                  [cluster.spans] + [s.spans for s in cluster.systems]]
         assert bases == [0, SPAN_ID_STRIDE, 2 * SPAN_ID_STRIDE]
         cluster.shutdown()
 
     def test_deploy_after_seal_rejected(self):
-        cluster = Cluster(n_fpgas=1, backend="sequential")
+        cluster = Cluster(ClusterConfig(n_fpgas=1, backend="sequential"))
         cluster.boot()
         cluster.seal()
         with pytest.raises(ConfigError, match="seal"):
@@ -157,36 +156,39 @@ class TestWindowedCluster:
         cluster.shutdown()
 
     def test_dynamic_placement_features_need_shared_backend(self):
-        cluster = Cluster(n_fpgas=1, backend="sequential")
         with pytest.raises(ConfigError, match="shared"):
-            cluster.start_replication()
+            Cluster(ClusterConfig(
+                n_fpgas=1, backend="sequential",
+                replication=ReplicationConfig(enabled=True)))
+        cluster = Cluster(ClusterConfig(n_fpgas=1, backend="sequential"))
         with pytest.raises(ConfigError, match="shared"):
             cluster.start_autoscaler("svc")
         cluster.shutdown()
 
     def test_windowed_backend_rejects_external_engine(self):
         with pytest.raises(ConfigError, match="per partition"):
-            Cluster(n_fpgas=1, backend="parallel", engine=Engine())
+            Cluster(ClusterConfig(n_fpgas=1, backend="parallel"),
+                    engine=Engine())
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown backend"):
-            Cluster(n_fpgas=1, backend="warp-drive")
+            Cluster(ClusterConfig(n_fpgas=1, backend="warp-drive"))
 
     def test_windowed_run_needs_a_bound(self):
-        cluster = Cluster(n_fpgas=1, backend="sequential")
+        cluster = Cluster(ClusterConfig(n_fpgas=1, backend="sequential"))
         cluster.boot()
         with pytest.raises(ConfigError, match="bounded"):
             cluster.run()
         cluster.shutdown()
 
     def test_shared_backend_remains_default(self):
-        cluster = Cluster(n_fpgas=1)
-        assert cluster.backend_name == "shared"
+        cluster = Cluster(ClusterConfig(n_fpgas=1))
+        assert cluster.config.backend == "shared"
         # every board really is on the one shared engine
         assert all(s.engine is cluster.engine for s in cluster.systems)
 
     def test_shutdown_idempotent(self):
-        cluster = Cluster(n_fpgas=1, backend="parallel")
+        cluster = Cluster(ClusterConfig(n_fpgas=1, backend="parallel"))
         cluster.boot()
         cluster.seal()
         cluster.shutdown()

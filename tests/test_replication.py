@@ -4,16 +4,20 @@ chain repair (promote + splice + fencing) under injected chaos."""
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import (
+    Cluster,
+    ClusterConfig,
+    RecoveryConfig,
+    ReplicationConfig,
+)
 from repro.errors import ConfigError
-from repro.kernel import SystemConfig
+from repro.kernel import NocConfig, SystemConfig
 from repro.replic import (
     HistoryChecker,
     KvMachine,
     WriteAheadLog,
     consistency_smoke,
 )
-from repro.sim import Engine
 from repro.workloads import ClusterClient
 
 
@@ -151,15 +155,17 @@ class TestHistoryChecker:
 # -- end-to-end: chained serving -------------------------------------------
 
 def chain_cluster(n_fpgas=3, n_shards=2, replication=2, seed=1):
-    config = SystemConfig.from_flat(width=3, height=3, seed=seed)
-    engine = Engine(swallow_orphan_errors=True)
-    cluster = Cluster(n_fpgas=n_fpgas, config=config, engine=engine)
+    cluster = Cluster(ClusterConfig(
+        n_fpgas=n_fpgas,
+        system=SystemConfig(seed=seed, noc=NocConfig(width=3, height=3)),
+        swallow_orphan_errors=True,
+        recovery=RecoveryConfig(enabled=True),
+        replication=ReplicationConfig(enabled=True)))
     cluster.boot()
-    cluster.enable_recovery()
-    cluster.start_replication()
     started, configured = cluster.deploy_chain(
         "kv", lambda shard: KvMachine(shard),
         n_shards=n_shards, replication=replication)
+    engine = cluster.engine
     engine.run_until_done(engine.all_of(started), limit=50_000_000)
     cluster.start_frontend()
     engine.run_until_done(configured, limit=50_000_000)
@@ -230,8 +236,7 @@ class TestChainServing:
             assert roles == ["head", "tail"]
 
     def test_chain_requires_replication_manager(self):
-        cluster = Cluster(n_fpgas=2, config=SystemConfig.figure1(),
-                          engine=Engine(swallow_orphan_errors=True))
+        cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
         cluster.boot()
         with pytest.raises(ConfigError):
             cluster.deploy_chain("kv", lambda s: KvMachine(s), n_shards=1)
@@ -347,9 +352,7 @@ class TestFrontendDivergenceCounter:
         every best-effort replica write that was never acknowledged."""
         from repro.policy import RetryPolicy
 
-        config = SystemConfig.figure1()
-        engine = Engine(swallow_orphan_errors=True)
-        cluster = Cluster(n_fpgas=2, config=config, engine=engine)
+        cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
         cluster.boot()
 
         def kv_factory(shard):
@@ -365,6 +368,7 @@ class TestFrontendDivergenceCounter:
 
         started = cluster.deploy_sharded("kv", kv_factory, n_shards=2,
                                          replication=2)
+        engine = cluster.engine
         engine.run_until_done(engine.all_of(started), limit=50_000_000)
         cluster.start_frontend(retry=RetryPolicy(
             deadline=120_000, attempt_timeout=20_000))

@@ -22,7 +22,13 @@ from repro.errors import (
 )
 from repro.hw.bitstream import Bitstream
 from repro.hw.resources import ResourceVector
-from repro.kernel import ApiarySystem, FaultPolicy
+from repro.kernel import (
+    ApiarySystem,
+    FaultConfig,
+    FaultPolicy,
+    NocConfig,
+    SystemConfig,
+)
 from repro.sched import (
     AdmissionController,
     JobSpec,
@@ -33,8 +39,11 @@ from repro.sched import (
 )
 
 
-def booted(policy=FaultPolicy.PREEMPT, **kwargs):
-    system = ApiarySystem(width=3, height=2, policy=policy, **kwargs)
+def booted(policy=FaultPolicy.PREEMPT, **runtime):
+    system = ApiarySystem(
+        SystemConfig(noc=NocConfig(width=3, height=2),
+                     fault=FaultConfig(policy=policy)),
+        **runtime)
     system.boot()
     return system
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster import backend as backend_module
 from repro.cluster.cluster import Cluster
+from repro.cluster.config import ClusterConfig
 from repro.cluster.smoke import scaling_smoke
 from repro.errors import SimulationError
 
@@ -20,7 +21,7 @@ WINDOWED = ("sequential", "parallel")
 
 
 def _sealed(backend, n_fpgas=2):
-    cluster = Cluster(n_fpgas=n_fpgas, backend=backend)
+    cluster = Cluster(ClusterConfig(n_fpgas=n_fpgas, backend=backend))
     cluster.boot()
     cluster.seal()
     return cluster
@@ -37,7 +38,7 @@ class TestPerBoardMessageIds:
     def test_boards_allocate_independently(self):
         names = []
         for _ in range(2):  # the second cluster is not the process's first
-            cluster = Cluster(n_fpgas=2)
+            cluster = Cluster()
             for system in cluster.systems:
                 shell = system.tiles[2].shell
                 names.append([shell.call("svc.mem", "mem.free",
@@ -91,3 +92,37 @@ class TestLostWorker:
             os.kill(hung.pid, signal.SIGCONT)
             cluster.shutdown()
         assert not hung.is_alive()
+
+
+class TestFailedExchange:
+    def test_first_board_failure_is_sticky(self):
+        cluster = Cluster(ClusterConfig(backend="parallel"))
+        cluster.boot()
+
+        def boom():
+            yield 100
+            raise RuntimeError("boom")
+
+        cluster.systems[0].engine.process(boom(), name="boom")
+        cluster.seal()
+        backend = cluster._backend
+        workers = [b._worker for b in backend.boards]
+        try:
+            with pytest.raises(SimulationError,
+                               match=r"board 0 op 'window' failed") as first:
+                cluster.run(until=cluster.now + 1_000)
+            # board 1's window reply was never read: without the memory a
+            # collect would silently return that stale reply instead
+            for later in (lambda: cluster.run(until=cluster.now + 1_000),
+                          lambda: cluster.run_until(
+                              [cluster.engine.event("never")]),
+                          cluster.stats_snapshots,
+                          lambda: backend._collect(1),
+                          lambda: cluster.partition_fpga(1),
+                          lambda: cluster.kill_fpga(1)):
+                with pytest.raises(SimulationError) as again:
+                    later()
+                assert again.value is first.value
+        finally:
+            cluster.shutdown()
+        assert not any(w.is_alive() for w in workers)
