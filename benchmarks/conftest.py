@@ -1,25 +1,24 @@
-"""Benchmark-suite plumbing: dump reproduced tables at session end."""
+"""Benchmark-suite plumbing: the one profile knob, and the table dump.
+
+``BENCH_PROFILE=reduced`` is the only benchmark environment variable and
+this is the only place it is read: every benchmark with a CI-sized
+configuration imports :data:`REDUCED` from here.  A reduced run writes
+its tables and ``BENCH_<ID>.json`` files to the git-ignored
+``bench_scratch/`` instead of ``bench_results/``, so it can never
+overwrite a committed full-config baseline; nothing is ever wiped — a
+benchmark overwrites only the files it writes.
+"""
 
 import os
-import shutil
 
 from repro.eval import report
 
-
-def pytest_sessionstart(session):
-    results_dir = os.path.abspath(report.RESULTS_DIR)
-    if os.path.isdir(results_dir):
-        for entry in os.listdir(results_dir):
-            if entry.endswith("_floor.json"):
-                # perf floors are committed *inputs* to the perf-smoke
-                # benchmarks, not outputs of this session
-                continue
-            path = os.path.join(results_dir, entry)
-            if os.path.isdir(path):
-                shutil.rmtree(path)
-            else:
-                os.remove(path)
-    report.clear()
+#: committed full-config baselines, and the perf floors benchmarks read
+BASELINE_DIR = os.path.abspath(report.RESULTS_DIR)
+REDUCED = os.environ.get("BENCH_PROFILE") == "reduced"
+if REDUCED:
+    report.RESULTS_DIR = os.path.join(os.path.dirname(BASELINE_DIR),
+                                      "bench_scratch")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

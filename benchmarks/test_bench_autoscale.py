@@ -15,17 +15,17 @@ The scheduler/autoscaler acceptance run.  Three questions:
 3. **Determinism** — the same seeded run twice must produce a
    byte-identical event log and result JSON.
 
-``S2_REDUCED=1`` shrinks phase durations for the CI smoke job.
+``BENCH_PROFILE=reduced`` shrinks phase durations for the CI smoke job.
 """
 
 import json
 import os
 
+from conftest import REDUCED
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.sched.smoke import autoscale_chaos_smoke, autoscale_smoke
 
-REDUCED = os.environ.get("S2_REDUCED") == "1"
 #: documented acceptance bar: post-convergence tail vs pre-step tail
 TAIL_RATIO = 2.0
 JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_S2.json")

@@ -11,17 +11,17 @@ The cluster layer's acceptance run.  Three questions:
 3. **Determinism** — the same seeded run twice must produce identical
    stats (the property every other benchmark in this repo leans on).
 
-``S1_REDUCED=1`` shrinks durations for the CI smoke job.
+``BENCH_PROFILE=reduced`` shrinks durations for the CI smoke job.
 """
 
 import json
 import os
 
+from conftest import REDUCED
 from repro.cluster import availability_smoke, scaling_smoke
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 
-REDUCED = os.environ.get("S1_REDUCED") == "1"
 FPGA_COUNTS = [1, 2] if REDUCED else [1, 2, 4]
 DURATION = 150_000 if REDUCED else 300_000
 CLIENTS = 8 if REDUCED else 16

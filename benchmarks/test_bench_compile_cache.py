@@ -16,18 +16,18 @@ warm scale-up-ready time at least ``SPEEDUP_FLOOR``x faster than cold,
 prefetch accuracy 1.0 on the prefetched board, the three cache gauges
 present in management-plane telemetry, and a byte-identical rerun.
 
-``C1_REDUCED=1`` shrinks the pre-step phase for the CI job; the
+``BENCH_PROFILE=reduced`` shrinks the pre-step phase for the CI job; the
 synthesis/reconfiguration physics (and so the ratio) are unchanged.
 """
 
 import json
 import os
 
+from conftest import REDUCED
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.sched.smoke import cache_step_smoke
 
-REDUCED = os.environ.get("C1_REDUCED") == "1"
 #: documented acceptance bar: warm scale-up must beat cold by this factor
 SPEEDUP_FLOOR = 5.0
 JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_C1.json")

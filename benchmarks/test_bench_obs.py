@@ -20,7 +20,7 @@ Three claims, one run harness (``repro.obs.smoke.obs_plane_smoke``):
   the P2 identity contract across the entire new plane.
 
 The CI ``obs-smoke`` job runs the reduced configuration
-(``O1_REDUCED=1``) and uploads the Chrome trace and the kill dump as
+(``BENCH_PROFILE=reduced``) and uploads the Chrome trace and the kill dump as
 artifacts after validating both.
 """
 
@@ -29,13 +29,13 @@ import math
 import os
 import time
 
+from conftest import REDUCED
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.obs.sketch import QuantileSketch
 from repro.obs.smoke import obs_plane_smoke
 from repro.sim import Histogram
 
-REDUCED = os.environ.get("O1_REDUCED") == "1"
 DURATION = 200_000 if REDUCED else 400_000
 CLIENTS = 4 if REDUCED else 8
 REQUESTS_PER_CLIENT = 60 if REDUCED else 150

@@ -21,7 +21,7 @@ Workload: the S1 closed-loop serving harness (``scaling_smoke``) at
 1/2/4/8 boards, offered load scaled with the board count so every board
 has real work inside each 500-cycle lookahead window.  Documented
 target: >= 2.5x at 4 boards on a machine with >= 5 cores.  The CI
-``pdes-smoke`` job runs the reduced configuration (``PDES_REDUCED=1``,
+``pdes-smoke`` job runs the reduced configuration (``BENCH_PROFILE=reduced``,
 1/2 boards) on 4-vCPU runners, where the modest 2-board floor is active.
 """
 
@@ -31,11 +31,11 @@ import time
 
 import pytest
 
+from conftest import REDUCED
 from repro.cluster.smoke import scaling_smoke
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 
-REDUCED = os.environ.get("PDES_REDUCED") == "1"
 BOARD_COUNTS = [1, 2] if REDUCED else [1, 2, 4, 8]
 DURATION = 60_000 if REDUCED else 300_000
 REQUESTS_PER_CLIENT = 40 if REDUCED else 150

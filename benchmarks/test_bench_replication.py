@@ -19,17 +19,17 @@ One campaign, three claims:
 Determinism is part of the contract: the same seeded campaign twice must
 produce byte-identical reports (the CI consistency-smoke job pins this).
 
-``R2_REDUCED=1`` shrinks the workload for the CI smoke job.
+``BENCH_PROFILE=reduced`` shrinks the workload for the CI smoke job.
 """
 
 import json
 import os
 
+from conftest import REDUCED
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.replic import consistency_smoke
 
-REDUCED = os.environ.get("R2_REDUCED") == "1"
 SEED = 42
 JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_R2.json")
 

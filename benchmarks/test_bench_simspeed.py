@@ -21,7 +21,7 @@ two stacks must also agree flit-for-flit — the overhaul's contract is
 
 Documented target: >= 2x simulated cycles/sec on the flood.  The committed
 floor (``bench_results/P1_floor.json``) is deliberately conservative so the
-CI perf-smoke job (reduced configuration, ``SIMSPEED_REDUCED=1``) fails on
+CI perf-smoke job (reduced configuration, ``BENCH_PROFILE=reduced``) fails on
 real regressions, not on runner noise.
 """
 
@@ -31,6 +31,7 @@ import time
 
 import pytest
 
+from conftest import BASELINE_DIR, REDUCED
 from repro.accel import Accelerator, SinkAccel
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
@@ -38,12 +39,11 @@ from repro.kernel import ApiarySystem, NocConfig, SystemConfig
 from repro.noc import LegacyRouter, Mesh2D, Network, Router
 from repro.sim import Engine, LegacyEngine
 
-REDUCED = os.environ.get("SIMSPEED_REDUCED") == "1"
 FLOOD_CYCLES = 3_000 if REDUCED else 20_000
 RPC_CYCLES = 30_000 if REDUCED else 150_000
 #: documented target for the full configuration (ISSUE acceptance bar)
 TARGET_SPEEDUP = 2.0
-FLOOR_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "P1_floor.json")
+FLOOR_PATH = os.path.join(BASELINE_DIR, "P1_floor.json")
 JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_P1.json")
 
 STACKS = [

@@ -16,7 +16,7 @@ Two canned scenarios against a 4-board cluster, three claims:
   goodput, and the bounded backlog drops (distinct from rejects).
 
 The CI ``scenario-smoke`` job runs the reduced configuration
-(``T2_REDUCED=1``), asserts the same verdicts + identity, and uploads
+(``BENCH_PROFILE=reduced``), asserts the same verdicts + identity, and uploads
 the flash_crowd report JSON as an artifact.
 """
 
@@ -25,11 +25,11 @@ import json
 import os
 from dataclasses import replace
 
+from conftest import REDUCED
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.loadgen import ScenarioRunner, get_scenario
 
-REDUCED = os.environ.get("T2_REDUCED") == "1"
 #: time-compression factor for the reduced (CI smoke) configuration
 SCALE = 0.5 if REDUCED else 1.0
 BACKENDS = ("shared", "sequential", "parallel")

@@ -38,7 +38,7 @@ def main():
     system = ApiarySystem(SystemConfig(net=NetConfig(mac_addr="board0")),
                           engine=engine, fabric=fabric)
     system.boot()
-    system.tracer.enable(prefixes=["monitor."])
+    system.enable_tracing()
 
     # tenant A: KV store serving the datacenter via svc.net
     kv = KvStore("kv")
@@ -79,11 +79,11 @@ def main():
     print(f"  kv store served {kv.gets + kv.puts} requests "
           f"(none from the attacker: {kv.gets == 0 and kv.puts == 0})")
 
-    denials = system.tracer.count("monitor.deny")
+    denials = len(list(system.spans.events("monitor.deny")))
     print(f"\nMonitors denied {denials} message(s); "
           f"trace excerpt:")
-    for line in system.tracer.format(category="monitor.deny",
-                                     limit=5).split("\n"):
+    for line in system.spans.format_events("monitor.deny",
+                                           limit=5).split("\n"):
         print(f"  {line}")
     print()
     print(system.describe())

@@ -61,8 +61,10 @@ def main(argv=None):
 
     index = system.span_index()
     complete = index.complete_traces()
-    print(f"Recorded {len(system.spans)} spans across "
-          f"{len(index.trace_ids())} traces ({len(complete)} complete).\n")
+    events = len(list(system.spans.events()))
+    print(f"Recorded {len(system.spans) - events} spans across "
+          f"{len(index.trace_ids())} traces ({len(complete)} complete) "
+          f"and {events} events.\n")
 
     # the tentpole invariant: per-stage cycles partition end-to-end latency
     for tid in complete:

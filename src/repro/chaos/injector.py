@@ -203,10 +203,9 @@ class Injector:
                 yield delay
             outcome = self._apply(ev)
             self.log.append((self.engine.now, ev, outcome))
-            flight = getattr(self.system, "flight", None)
-            if flight is not None:
-                flight.record_event(self.engine.now, "chaos",
-                                    ev.kind.value, outcome)
+            self.system.spans.event(
+                self.engine.now, f"chaos.{ev.kind.value}", "chaos",
+                target=ev.target, outcome=outcome)
             if outcome == "applied":
                 self.applied += 1
                 self.system.stats.counter("chaos.faults_applied").inc()

@@ -81,9 +81,9 @@ def _board_kill(system: ApiarySystem, fabric: EthernetFabric) -> None:
     # history before the per-tile fault storm overwrites it.  The explicit
     # dump carries the "board-kill" reason; the per-fault hook dumps that
     # follow in the same cycle coalesce into it (see FlightRecorder.dump).
+    system.spans.event(system.engine.now, "board.kill", mac,
+                       cause="lost power")
     if system.flight is not None:
-        system.flight.record_event(system.engine.now, "kill", mac,
-                                   "board lost power")
         system.flight.dump(system.engine.now, f"board-kill:{mac}")
     err = TileFault(f"board {mac} lost power")
     err.occurred_at = system.engine.now

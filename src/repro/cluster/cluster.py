@@ -170,8 +170,10 @@ class Cluster:
             for system in self.systems:
                 system.spans.enable()
         if obs.flight_recorders:
-            # one always-on ring per board; on the shared backend each
-            # sees cluster-wide spans (events stay board-local)
+            # one always-on ring per board, a sink on the board's
+            # recorder; on the shared backend that recorder is the one
+            # cluster recorder, so each ring sees cluster-wide spans
+            # and events
             for i, system in enumerate(self.systems):
                 system.enable_flight_recorder(
                     board=f"fpga{i}", capacity=obs.flight_capacity,

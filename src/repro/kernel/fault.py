@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import TileFault
-from repro.sim import Engine, StatsRegistry, Tracer
+from repro.sim import Engine, StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.tile import Tile
@@ -57,12 +57,10 @@ class FaultManager:
         engine: Engine,
         policy: FaultPolicy = FaultPolicy.FAIL_STOP,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.engine = engine
         self.policy = policy
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.records: List[FaultRecord] = []
         self._by_tile: Dict[str, List[FaultRecord]] = {}
         #: subscribers notified after each containment action — the recovery
@@ -109,8 +107,11 @@ class FaultManager:
         self.stats.gauge("fault.mean_time_to_containment").set(
             self._containment_sum / len(self.records)
         )
-        self.tracer.emit(self.engine.now, "fault.contained", tile.endpoint,
-                         context=context, action=action)
+        # the tile's monitor holds the board's recorder (one observation
+        # point); this one event is also what the flight ring keeps
+        tile.monitor.spans.event(self.engine.now, "fault.contained",
+                                 tile.endpoint, context=context,
+                                 action=action, error=record.error)
         for callback in list(self.on_fault):
             callback(tile, record)
 

@@ -20,7 +20,7 @@ from repro.errors import ConfigError, TileFault
 from repro.kernel.naming import Namespace
 from repro.kernel.tile import Tile
 from repro.obs.span import SpanRecorder
-from repro.sim import Engine, Event, StatsRegistry, Tracer
+from repro.sim import Engine, Event, StatsRegistry
 
 __all__ = ["MgmtPlane"]
 
@@ -35,7 +35,6 @@ class MgmtPlane:
         name_table: Union[Namespace, Dict[str, int]],
         tiles: List[Tile],
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         spans: Optional[SpanRecorder] = None,
     ):
         self.engine = engine
@@ -46,7 +45,6 @@ class MgmtPlane:
             else Namespace(name_table)
         self.tiles = tiles
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         #: shared span recorder (disabled by default, so emits are free);
         #: load/teardown/migrate open spans here, parented under whatever
         #: ``trace=(trace_id, span_id)`` the caller (e.g. the scheduler)
@@ -77,7 +75,7 @@ class MgmtPlane:
         if not 0 <= node < len(self.tiles):
             raise ConfigError(f"no tile {node}")
         self.namespace.bind(name, node)
-        self.tracer.emit(self.engine.now, "mgmt.register", "mgmt",
+        self.spans.event(self.engine.now, "mgmt.register", "mgmt",
                          name=name, node=node)
 
     def unregister_endpoint(self, name: str) -> None:
@@ -97,7 +95,7 @@ class MgmtPlane:
         """
         ref = self.caps.mint(holder, Rights.SEND, endpoint=endpoint)
         self.send_grants.add((holder, endpoint))
-        self.tracer.emit(self.engine.now, "mgmt.grant_send", "mgmt",
+        self.spans.event(self.engine.now, "mgmt.grant_send", "mgmt",
                          holder=holder, endpoint=endpoint)
         return ref
 
@@ -334,7 +332,7 @@ class MgmtPlane:
                        burst: int = 32) -> None:
         """Throttle (or unthrottle) one tile's NoC injection rate."""
         self.tiles[node].monitor.set_rate_limit(flits_per_cycle, burst=burst)
-        self.tracer.emit(self.engine.now, "mgmt.rate_limit", "mgmt",
+        self.spans.event(self.engine.now, "mgmt.rate_limit", "mgmt",
                          node=node, rate=flits_per_cycle)
 
     def fail_stop(self, node: int) -> None:
@@ -443,6 +441,6 @@ class MgmtPlane:
             if span:
                 self.spans.close(span, self.engine.now, failed=failed)
         self.stats.counter("mgmt.migrations").inc()
-        self.tracer.emit(self.engine.now, "mgmt.migrate", "mgmt",
+        self.spans.event(self.engine.now, "mgmt.migrate", "mgmt",
                          src=node_from, dst=node_to, endpoint=endpoint)
         return replacement

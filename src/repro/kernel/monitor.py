@@ -42,7 +42,7 @@ from repro.noc.flit import flits_for_bytes
 from repro.noc.network import NetworkInterface
 from repro.noc.qos import RateMeter, TokenBucket
 from repro.obs.span import SpanRecorder
-from repro.sim import Channel, Engine, Event, StatsRegistry, Tracer
+from repro.sim import Channel, Engine, Event, StatsRegistry
 
 __all__ = ["Monitor", "MONITOR_EGRESS_CYCLES", "MONITOR_INGRESS_CYCLES"]
 
@@ -68,7 +68,6 @@ class Monitor:
         rate_limit_burst: int = 32,
         cap_table_size: int = 64,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         spans: Optional[SpanRecorder] = None,
     ):
         self.engine = engine
@@ -79,7 +78,6 @@ class Monitor:
         self.enforce = enforce
         self.spu = SegmentProtectionUnit(caps, segments, holder=tile_name)
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.spans = spans if spans is not None else ni.network.spans
         self.drained = False
         self.cap_table_size = cap_table_size
@@ -211,9 +209,9 @@ class Monitor:
                     ProtocolError, SegmentFault) as err:
                 self.denials += 1
                 self._ctr_denials.inc()
-                self.tracer.emit(self.engine.now, "monitor.deny",
-                                 self.tile_name, dst=msg.dst, op=msg.op,
-                                 reason=type(err).__name__)
+                spans.event(self.engine.now, "monitor.deny",
+                            self.tile_name, dst=msg.dst, op=msg.op,
+                            reason=type(err).__name__)
                 if span:
                     spans.close(span, self.engine.now,
                                 denied=type(err).__name__)
@@ -316,7 +314,7 @@ class Monitor:
         dst_tile = self.name_table.get(error.dst)
         if dst_tile is None:
             return
-        self.tracer.emit(self.engine.now, "monitor.nack", self.tile_name,
+        self.spans.event(self.engine.now, "monitor.nack", self.tile_name,
                          to=error.dst, mid=error.mid)
         # trusted path: NACKs bypass the egress queue and rate limiter so a
         # drained tile cannot be wedged by its own policy state
@@ -331,7 +329,7 @@ class Monitor:
         if self.drained:
             return
         self.drained = True
-        self.tracer.emit(self.engine.now, "monitor.drain", self.tile_name)
+        self.spans.event(self.engine.now, "monitor.drain", self.tile_name)
         self.stats.counter("monitor.drains").inc()
         while True:
             ok, entry = self._egress_queue.try_get()
@@ -344,4 +342,4 @@ class Monitor:
     def undrain(self) -> None:
         """Leave fail-stop after the slot is reloaded with a fresh bitstream."""
         self.drained = False
-        self.tracer.emit(self.engine.now, "monitor.undrain", self.tile_name)
+        self.spans.event(self.engine.now, "monitor.undrain", self.tile_name)

@@ -33,7 +33,7 @@ from repro.errors import ConfigError, ReproError
 from repro.kernel.fault import FaultManager, FaultRecord
 from repro.kernel.mgmt import MgmtPlane
 from repro.kernel.tile import Tile
-from repro.sim import Engine, Event, StatsRegistry, Tracer
+from repro.sim import Engine, Event, StatsRegistry
 
 __all__ = ["RecoveryManager", "Deployment", "RecoveryEvent"]
 
@@ -93,7 +93,6 @@ class RecoveryManager:
         prefer_spare: bool = False,
         max_restarts: int = 8,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ):
         if heartbeat_interval < 1:
             raise ConfigError(
@@ -107,19 +106,12 @@ class RecoveryManager:
         self.prefer_spare = prefer_spare
         self.max_restarts = max_restarts
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.deployments: Dict[str, Deployment] = {}
         self.recoveries: List[RecoveryEvent] = []
         self._recovering: set = set()
         self._stopped = False
-        #: optional flight recorder fed every completed recovery
-        self.flight: Optional[Any] = None
         fault_manager.on_fault.append(self._on_fault)
         engine.process(self._watchdog(), name="recovery.watchdog")
-
-    def attach_flight(self, flight: Any) -> None:
-        """Ring completed recoveries into a board flight recorder."""
-        self.flight = flight
 
     # -- deployment registry ------------------------------------------------
 
@@ -198,8 +190,8 @@ class RecoveryManager:
         if dep.delegate is None:
             return False
         self.stats.counter("recovery.delegated").inc()
-        self.tracer.emit(self.engine.now, "recovery.delegate",
-                         dep.endpoint, node=node, to=dep.delegate)
+        self.mgmt.spans.event(self.engine.now, "recovery.delegate",
+                              dep.endpoint, node=node, to=dep.delegate)
         self.forget(dep.endpoint)
         self.engine.process(self._teardown_quietly(node),
                             name=f"recovery.clear.{dep.endpoint}")
@@ -244,8 +236,8 @@ class RecoveryManager:
         dep.restarts += 1
         if dep.restarts > self.max_restarts:
             self.stats.counter("recovery.abandoned").inc()
-            self.tracer.emit(self.engine.now, "recovery.abandon",
-                             dep.endpoint, node=old_node)
+            self.mgmt.spans.event(self.engine.now, "recovery.abandon",
+                                  dep.endpoint, node=old_node)
             self.forget(dep.endpoint)
             return
         # capture what must survive: parked contexts and the policy-level
@@ -303,8 +295,8 @@ class RecoveryManager:
                          failed_at)
             return
         self.stats.counter("recovery.abandoned").inc()
-        self.tracer.emit(self.engine.now, "recovery.abandon", dep.endpoint,
-                         node=old_node)
+        self.mgmt.spans.event(self.engine.now, "recovery.abandon",
+                              dep.endpoint, node=old_node)
 
     def _finish(self, dep: Deployment, old_node: int, new_node: int,
                 old_holder: str, prior_grants: List[str],
@@ -331,9 +323,6 @@ class RecoveryManager:
                               from_node=old_node, to_node=new_node,
                               mttr=mttr, kind=kind)
         self.recoveries.append(event)
-        if self.flight is not None:
-            self.flight.record_event(
-                self.engine.now, f"recovery.{kind}", dep.endpoint,
-                f"node{old_node}->node{new_node} mttr={mttr}")
-        self.tracer.emit(self.engine.now, f"recovery.{kind}", dep.endpoint,
-                         src=old_node, dst=new_node, mttr=mttr)
+        self.mgmt.spans.event(self.engine.now, f"recovery.{kind}",
+                              dep.endpoint, src=old_node, dst=new_node,
+                              mttr=mttr)

@@ -50,7 +50,7 @@ from repro.noc.topology import Mesh2D
 from repro.obs.index import SpanIndex
 from repro.obs.span import SpanRecorder
 from repro.obs.telemetry import TelemetrySampler
-from repro.sim import Engine, Event, RngPool, StatsRegistry, Tracer
+from repro.sim import Engine, Event, RngPool, StatsRegistry
 
 __all__ = ["ApiarySystem", "build_figure1"]
 
@@ -82,11 +82,11 @@ class ApiarySystem:
         self.engine = engine or Engine()
         self.rng = RngPool(seed=config.seed)
         self.stats = StatsRegistry()
-        self.tracer = Tracer()
-        #: one system-wide span recorder; the network, every monitor (which
-        #: inherits via its NI), and the DRAM device all share it so a
-        #: request's spans land in a single causal trace.  A cluster passes
-        #: one recorder to all its systems, making traces cross-FPGA.
+        #: one system-wide recorder of spans and events; the network, every
+        #: monitor (which inherits via its NI), the management plane and
+        #: the DRAM device all share it so a request's spans land in a
+        #: single causal trace and every occurrence in one log.  A cluster
+        #: passes one recorder to all its systems, making traces cross-FPGA.
         self.spans = spans if spans is not None else SpanRecorder()
         #: this board's message-id allocator, handed to every tile's shell:
         #: ids are per-board, so what a board allocates depends only on
@@ -103,8 +103,7 @@ class ApiarySystem:
             num_vcs=noc.num_vcs, vc_classes=noc.vc_classes,
             buffer_depth=noc.buffer_depth, hop_latency=noc.hop_latency,
             flit_bytes=noc.flit_bytes,
-            stats=self.stats, tracer=self.tracer,
-            spans=self.spans,
+            stats=self.stats, spans=self.spans,
             **network_kwargs,
         )
         self.caps = CapabilityStore(slots_per_holder=config.monitor_cap_slots)
@@ -115,7 +114,7 @@ class ApiarySystem:
         self.name_table: Dict[str, int] = self.namespace.table
         self.fault_manager = FaultManager(self.engine,
                                           policy=config.fault.policy,
-                                          stats=self.stats, tracer=self.tracer)
+                                          stats=self.stats)
         self.drc = drc
 
         # resource budgeting: routers + monitors are the static framework
@@ -150,7 +149,6 @@ class ApiarySystem:
                 rate_limit_burst=noc.rate_limit_burst,
                 cap_table_size=config.monitor_cap_slots,
                 stats=self.stats,
-                tracer=self.tracer,
             )
             region = ReconfigRegion(self.engine, self.slot_capacity,
                                     drc=drc, name=f"slot{node}",
@@ -161,7 +159,7 @@ class ApiarySystem:
 
         self.mgmt = MgmtPlane(self.engine, self.caps, self.namespace,
                               self.tiles, stats=self.stats,
-                              tracer=self.tracer, spans=self.spans)
+                              spans=self.spans)
         for node in range(tiles):
             self.mgmt.register_endpoint(f"tile{node}", node)
 
@@ -205,11 +203,11 @@ class ApiarySystem:
     # -- observability -----------------------------------------------------------
 
     def enable_tracing(self) -> SpanRecorder:
-        """Turn on causal span recording system-wide.
+        """Turn on span and event recording system-wide.
 
         Until this is called every span emit site short-circuits on
-        ``spans.enabled`` (the same zero-cost contract as ``Tracer.emit``),
-        so untraced runs pay nothing.
+        ``spans.enabled`` and ``spans.event`` keeps nothing, so untraced
+        runs pay nothing.
         """
         self.spans.enable()
         return self.spans
@@ -238,11 +236,12 @@ class ApiarySystem:
                                ) -> "FlightRecorder":
         """Attach an always-on flight recorder to this system.
 
-        Rings the most recent closed spans (when tracing is enabled) and
-        operational events — fault reports, chaos injections, recovery
-        actions — and dumps a validated JSON document automatically when
-        a fault fires (see :mod:`repro.obs.flight`).  Idempotent per
-        system; a cluster enables one per board.
+        The recorder is a sink on this board's span recorder: it rings
+        the most recent closed spans (when tracing is enabled) and every
+        event — fault containments, chaos injections, recovery actions —
+        and dumps a validated JSON document automatically when a fault
+        fires (see :mod:`repro.obs.flight`).  Idempotent per system; a
+        cluster enables one per board.
         """
         if self.flight is not None:
             return self.flight
@@ -251,17 +250,11 @@ class ApiarySystem:
             board=board if board is not None else "board0",
             capacity=capacity, dump_dir=dump_dir)
         self.spans.attach_flight(self.flight)
-        flight = self.flight
-
-        def _on_fault(tile, record) -> None:
-            flight.record_event(self.engine.now, "fault", record.tile,
-                                f"{record.action}:{record.error}")
-            flight.dump(self.engine.now,
-                        f"fault:{record.tile}:{record.action}")
-
-        self.fault_manager.on_fault.append(_on_fault)
-        if self.recovery is not None:
-            self.recovery.attach_flight(flight)
+        # the fault itself arrives as the manager's ``fault.contained``
+        # event; this hook only freezes the ring that now holds it
+        self.fault_manager.on_fault.append(
+            lambda tile, record: self.flight.dump(
+                self.engine.now, f"fault:{record.tile}:{record.action}"))
         return self.flight
 
     def span_index(self) -> SpanIndex:
@@ -290,10 +283,8 @@ class ApiarySystem:
             self.engine, self.mgmt, self.fault_manager,
             spares=spares, heartbeat_interval=heartbeat_interval,
             prefer_spare=prefer_spare, max_restarts=max_restarts,
-            stats=self.stats, tracer=self.tracer,
+            stats=self.stats,
         )
-        if self.flight is not None:
-            self.recovery.attach_flight(self.flight)
         return self.recovery
 
     def enable_bitstream_cache(

@@ -21,7 +21,7 @@ from repro.noc.router import Router
 from repro.noc.routing import RoutingFunction, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 from repro.obs.span import SpanRecorder
-from repro.sim import Channel, Engine, Event, Histogram, StatsRegistry, Tracer
+from repro.sim import Channel, Engine, Event, Histogram, StatsRegistry
 
 __all__ = ["Network", "NetworkInterface"]
 
@@ -275,7 +275,6 @@ class Network:
         inject_queue_depth: int = 16,
         delivery_queue_depth: int = 16,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         spans: Optional[SpanRecorder] = None,
         router_cls: type = Router,
     ):
@@ -306,7 +305,6 @@ class Network:
         self.inject_queue_depth = inject_queue_depth
         self.delivery_queue_depth = delivery_queue_depth
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.spans = spans if spans is not None else SpanRecorder()
         # hot-path stat handles, resolved once: the per-packet loops must
         # not pay a string-keyed registry lookup per event
@@ -447,11 +445,6 @@ class Network:
             # eject side of the causal trace: the tail flit reassembled
             self.spans.close(pkt.span_id, self.engine.now,
                              hops=pkt.hops, latency=pkt.latency)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.engine.now, "noc.deliver", f"ni{pkt.dst}",
-                pid=pkt.pid, src=pkt.src, latency=pkt.latency,
-            )
 
     def total_flits_forwarded(self) -> int:
         return sum(r.flits_forwarded for r in self._routers)

@@ -2,14 +2,16 @@
 
 The Apiary pitch (Design Goals, Programmability) is that because *every*
 inter-accelerator interaction crosses the monitor/NoC boundary, the OS can
-observe all of it.  This package is that observation layer, built on top of
-the flat :class:`~repro.sim.trace.Tracer` and end-of-run
-:class:`~repro.sim.stats.StatsRegistry`:
+observe all of it.  This package is that observation layer, beside the
+end-of-run :class:`~repro.sim.stats.StatsRegistry`:
 
-* :class:`SpanRecorder` / :class:`SpanIndex` — follow one request through
-  injection, NoC hops, monitor interposition, service dispatch and DRAM
-  access; rebuild per-request span trees, critical paths and stage
-  breakdowns whose cycle sums equal the measured end-to-end latency.
+* :class:`SpanRecorder` / :class:`SpanIndex` — the one event log per
+  board.  Spans follow one request through injection, NoC hops, monitor
+  interposition, service dispatch and DRAM access (rebuilt into
+  per-request trees, critical paths and stage breakdowns whose cycle sums
+  equal the measured end-to-end latency); ``SpanRecorder.event`` is how
+  every layer reports an occurrence outside a request (denials, faults,
+  recoveries, preemptions, chaos injections, board kills).
 * :class:`TelemetrySampler` — ring-buffered per-tile time-series (inject
   backlog, buffered flits, denials, DRAM queue depth) and a NoC utilization
   heatmap, exposed mid-run via ``MgmtPlane.telemetry()``.
@@ -22,14 +24,15 @@ the flat :class:`~repro.sim.trace.Tracer` and end-of-run
 * :class:`CycleProfiler` — cycle-accounting attribution over the span
   trees, emitting folded-stack flamegraph files and a top-N table.
 * :class:`FlightRecorder` — always-on bounded ring of recent spans +
-  events per board, dumped to a validated JSON artifact on fault/kill
+  events per board (a sink on the board's recorder, nothing more),
+  dumped to a validated JSON artifact on fault/kill
   (:func:`validate_flight_dump` is the CI-side structural check).
 * :func:`chrome_trace` / :func:`export_chrome_trace` — Chrome trace-event
   JSON loadable in Perfetto / ``chrome://tracing``; :func:`run_report` — a
   plain-text summary, :func:`run_report_json` its machine-readable twin.
 
 Everything is zero-cost when disabled: every instrumented hot path guards
-on ``spans.enabled`` exactly like ``Tracer.emit``, an invariant the P1
+on ``spans.enabled`` and ``spans.event`` keeps nothing, an invariant the P1
 benchmark enforces with a recorded overhead floor and O1 pins for the
 full plane end to end.
 """

@@ -3,8 +3,9 @@
 The Chrome trace-event format is the lingua franca of timeline viewers:
 the exported file loads directly in Perfetto (https://ui.perfetto.dev) or
 ``chrome://tracing``.  Spans become complete ("X") events on one track per
-emitting source (tile monitor, NI, service, DRAM device), and telemetry
-series become counter ("C") tracks, so a whole Apiary run — every request's
+emitting source (tile monitor, NI, service, DRAM device), recorder events
+become instants ("I") on their source's track, and telemetry series
+become counter ("C") tracks, so a whole Apiary run — every request's
 causal path over the per-tile utilization curves — is scrubbable in a
 browser.  One simulated cycle is exported as one microsecond.
 
@@ -39,9 +40,9 @@ def chrome_trace(spans: SpanRecorder,
                  sampler: Optional[TelemetrySampler] = None) -> Dict[str, Any]:
     """Build a Chrome trace-event document from spans (+ optional counters).
 
-    Spans land on one thread track per ``source``; open (never-closed)
-    spans are exported as instant events so nothing is silently dropped.
-    Counter tracks come from the sampler's ring buffers.
+    Spans land on one thread track per ``source``; events are exported
+    as instants, and so are open (never-closed) spans so nothing is
+    silently dropped.  Counter tracks come from the sampler's ring buffers.
     """
     events: List[Dict[str, Any]] = []
     tids: Dict[str, int] = {}
@@ -58,7 +59,7 @@ def chrome_trace(spans: SpanRecorder,
             args[key] = _json_safe(value)
         base = {"name": rec.name, "cat": rec.category, "pid": 1,
                 "tid": tid_for(rec.source), "args": args}
-        if rec.closed:
+        if rec.closed and rec.span_id:
             events.append({**base, "ph": "X", "ts": rec.start,
                            "dur": rec.end - rec.start})
         else:

@@ -3,9 +3,10 @@
 A killed board takes its recent history with it — exactly the history an
 operator needs to explain the kill.  The :class:`FlightRecorder` is the
 aviation black box for a board: a fixed-size ring of the most recent
-closed spans and operational events (chaos injections, fault reports,
-recovery actions), cheap enough to leave on for the lifetime of a run,
-dumped automatically to a JSON artifact the moment something dies.
+closed spans and events (chaos injections, fault containments, recovery
+actions), fed as a sink on the board's ``SpanRecorder``, cheap enough to
+leave on for the lifetime of a run, dumped automatically to a JSON
+artifact the moment something dies.
 
 Design constraints, in order:
 
@@ -81,7 +82,7 @@ class FlightRecorder:
 
     def record_event(self, now: int, kind: str, subject: str,
                      detail: str = "") -> None:
-        """Ring an operational event (fault, injection, recovery action)."""
+        """Ring an event (wired as a ``SpanRecorder`` sink)."""
         self._seen += 1
         self._ring.append((_EVENT, now, kind, subject, detail))
 

@@ -58,7 +58,8 @@ class SpanIndex:
     def __init__(self, spans: Union[SpanRecorder, Iterable[SpanRecord]]):
         self._by_trace: Dict[int, List[SpanRecord]] = {}
         for rec in spans:
-            self._by_trace.setdefault(rec.trace_id, []).append(rec)
+            if rec.trace_id:  # events belong to no trace
+                self._by_trace.setdefault(rec.trace_id, []).append(rec)
 
     def trace_ids(self) -> List[int]:
         return list(self._by_trace)

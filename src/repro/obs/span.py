@@ -1,7 +1,6 @@
-"""Causal span records — one request followed across every boundary.
+"""The board's one event log: causal spans plus instant events.
 
-The flat :class:`~repro.sim.trace.Tracer` answers "what happened"; spans
-answer "what happened *to this request*".  Every :class:`~repro.kernel.
+Spans answer "what happened *to this request*".  Every :class:`~repro.kernel.
 message.Message` optionally carries a ``trace_id`` (one per root request)
 and a ``span_id`` (the parent for whatever stage handles it next).  Each
 instrumented stage — monitor egress/ingress, NoC transit, service dispatch,
@@ -9,18 +8,29 @@ DRAM access — opens a span parented under the id it received and closes it
 when its work completes, so the recorder accumulates the raw material for a
 per-request tree (:class:`~repro.obs.index.SpanIndex` rebuilds it).
 
-The emit path is zero-cost when disabled, exactly like ``Tracer.emit``:
-every instrumented site guards on :attr:`SpanRecorder.enabled` before
-building any arguments, and :meth:`SpanRecorder.open` itself returns 0
-immediately when disabled, so a recorder that was never enabled costs one
-attribute load and branch per site.
+Events answer "what happened" outside any request: a monitor denial, a
+contained fault, a recovery, a chaos injection, a board kill.  An event is
+a :class:`SpanRecord` with no trace, no ids and no duration (``span_id``
+0, ``start == end``), reported through :meth:`SpanRecorder.event` — the
+only way any layer announces an occurrence.
+
+The emit path is zero-cost when disabled: every instrumented span site
+guards on :attr:`SpanRecorder.enabled` before building any arguments,
+:meth:`SpanRecorder.open` itself returns 0 immediately when disabled, and
+:meth:`SpanRecorder.event` builds nothing when the recorder is disabled and
+no flight sink is attached.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["SpanRecord", "SpanRecorder"]
+
+
+def _detail_text(detail: Dict[str, Any]) -> str:
+    return " ".join(f"{k}={v}" for k, v in detail.items())
 
 
 class SpanRecord:
@@ -29,6 +39,10 @@ class SpanRecord:
     ``end`` is -1 while the span is open; an end of -1 in a finished run
     means the stage never completed (the request timed out, the sim stopped
     mid-flight) — :class:`SpanIndex` reports such traces as incomplete.
+
+    An instant event is the id-less case: ``trace_id``, ``span_id`` and
+    ``parent_id`` all 0, category ``"event"``, ``name`` the dotted event
+    name, ``start == end`` the cycle it happened.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "category",
@@ -68,9 +82,8 @@ class SpanRecorder:
     """Collects :class:`SpanRecord` objects for causal request tracing.
 
     Disabled by default and free when disabled: instrumented hot paths
-    guard on :attr:`enabled` before touching any span machinery (the same
-    contract ``Tracer.emit`` honours, verified by the P1 benchmark's
-    obs-overhead floor).
+    guard on :attr:`enabled` before touching any span machinery (verified
+    by the P1 benchmark's obs-overhead floor).
     """
 
     def __init__(self, id_base: int = 0):
@@ -85,13 +98,14 @@ class SpanRecorder:
         self.id_base = id_base
         self._next_trace = id_base
         self._next_span = id_base
-        # flight-recorder rings fed every closed span (kept out of the
-        # enabled-guard contract: when tracing is off no spans open, so
-        # close() never runs and sinks cost nothing)
+        # flight-recorder rings fed every closed span and every event.
+        # Sinks are always-on: events reach them with tracing off (spans
+        # do not — no span opens while disabled, so close() never runs)
         self._flight_sinks: List[Any] = []
 
     def attach_flight(self, sink: Any) -> None:
-        """Feed every subsequently closed span to ``sink.record_span``."""
+        """Feed every subsequently closed span to ``sink.record_span``
+        and every subsequent event to ``sink.record_event``."""
         self._flight_sinks.append(sink)
 
     @property
@@ -155,6 +169,24 @@ class SpanRecorder:
             for sink in self._flight_sinks:
                 sink.record_span(record)
 
+    def event(self, now: int, name: str, source: str, /,
+              **detail: Any) -> None:
+        """Record an instant occurrence: a cycle, a dotted name, a source.
+
+        Consumes no trace or span id, so turning events on or off never
+        shifts the ids spans get.  Kept as a record when enabled; rung
+        into every attached flight sink regardless.
+        """
+        if self._enabled:
+            record = SpanRecord(0, 0, 0, name, "event", source, now,
+                                detail or None)
+            record.end = now
+            self._records.append(record)
+        if self._flight_sinks:
+            text = _detail_text(detail)
+            for sink in self._flight_sinks:
+                sink.record_event(now, name, source, text)
+
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -179,8 +211,28 @@ class SpanRecorder:
         return out
 
     def trace_ids(self) -> List[int]:
-        """Distinct trace ids in first-seen order."""
+        """Distinct trace ids in first-seen order (events have none)."""
         seen: Dict[int, None] = {}
         for rec in self._records:
-            seen.setdefault(rec.trace_id, None)
+            if rec.trace_id:
+                seen.setdefault(rec.trace_id, None)
         return list(seen)
+
+    def events(self, name: Optional[str] = None) -> Iterator[SpanRecord]:
+        """Event records whose name starts with ``name``, lazily."""
+        for rec in self._records:
+            if not rec.span_id and (name is None
+                                    or rec.name.startswith(name)):
+                yield rec
+
+    def format_events(self, name: Optional[str] = None,
+                      limit: int = 50) -> str:
+        """Human-readable event dump for debugging failed tests.
+
+        Filters lazily and stops at ``limit`` — a million-record log with
+        a narrow name prefix must not be materialized to print 50 lines.
+        """
+        return "\n".join(
+            f"[{rec.start:>8}] {rec.name:<24} {rec.source:<20} "
+            + _detail_text(rec.detail)
+            for rec in islice(self.events(name), limit))

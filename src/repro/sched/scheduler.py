@@ -74,7 +74,6 @@ class TileScheduler:
         self.engine = system.engine
         self.mgmt = system.mgmt
         self.stats = system.stats
-        self.tracer = system.tracer
         self.spans = system.spans
         self.admission = AdmissionController(quotas, default=default_quota)
         self.placer = Placer(system.tiles, system.topo, drc=system.drc,
@@ -305,9 +304,6 @@ class TileScheduler:
         done.add_callback(lambda _ev: self._wake())
         self._log("preempt", victim.spec.name, victim.spec.tenant, node,
                   f"mode={mode} for={for_job.spec.name}")
-        self.tracer.emit(self.engine.now, "sched.preempt", "sched",
-                         victim=victim.spec.name, mode=mode,
-                         beneficiary=for_job.spec.name)
 
     def _migrate(self, victim: Job, dest: int, for_job: Job) -> None:
         victim.preemptions += 1
@@ -393,5 +389,5 @@ class TileScheduler:
              node: Optional[int], info: str) -> None:
         self.events.append(SchedEvent(self.engine.now, kind, job, tenant,
                                       node, info))
-        self.tracer.emit(self.engine.now, f"sched.{kind}", "sched",
-                         job=job, node=node)
+        self.spans.event(self.engine.now, f"sched.{kind}", "sched",
+                         job=job, node=node, info=info)

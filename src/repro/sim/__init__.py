@@ -3,8 +3,9 @@
 Everything in the reproduction runs on this substrate: an integer-cycle
 :class:`Engine`, generator-coroutine :class:`Process` objects, bounded
 :class:`Channel` FIFOs with backpressure, counted :class:`Resource`
-semaphores, deterministic :class:`RngPool` streams, :class:`Tracer`
-observation, and the measurement primitives in :mod:`repro.sim.stats`.
+semaphores, deterministic :class:`RngPool` streams, and the measurement
+primitives in :mod:`repro.sim.stats`.  (Observation — spans and events —
+lives in :mod:`repro.obs`.)
 """
 
 from repro.sim.channel import Channel, ChannelClosed
@@ -13,7 +14,6 @@ from repro.sim.legacy import LegacyEngine
 from repro.sim.resource import Grant, Resource
 from repro.sim.rng import RngPool
 from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry, TimeWeighted
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Engine",
@@ -31,6 +31,4 @@ __all__ = [
     "Histogram",
     "TimeWeighted",
     "StatsRegistry",
-    "Tracer",
-    "TraceRecord",
 ]

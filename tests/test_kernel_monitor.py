@@ -183,7 +183,7 @@ class TestMonitorEnforcement:
 
     def test_denial_counted_and_traced(self):
         system = small_system()
-        system.tracer.enable(prefixes=["monitor."])
+        system.enable_tracing()
         echo = EchoAccel("echo")
         run_app(system, 2, echo, endpoint="app.echo", cycles=1000)
 
@@ -196,7 +196,7 @@ class TestMonitorEnforcement:
         client = ClientApp(script)
         run_app(system, 3, client.accel, cycles=50_000)
         assert system.tiles[3].monitor.denials == 1
-        assert system.tracer.count("monitor.deny") == 1
+        assert len(list(system.spans.events("monitor.deny"))) == 1
 
     def test_rate_limited_monitor_throttles(self):
         fast = small_system()

@@ -99,6 +99,96 @@ class TestSpanRecorder:
         assert [r.name for r in spans.records(category="dram")] == ["b"]
 
 
+class TestEvents:
+    """The recorder's instant-record call (the flat tracer, folded in)."""
+
+    def test_disabled_and_sinkless_event_records_nothing(self):
+        spans = SpanRecorder()
+        spans.event(0, "noc.inject", "r0", pkt=1)
+        assert len(spans) == 0
+
+    def test_enabled_event_is_an_idless_instant(self):
+        spans = SpanRecorder()
+        spans.enable()
+        spans.event(5, "monitor.deny", "tile3", reason="no-cap", name="x")
+        (rec,) = spans.events()
+        assert (rec.trace_id, rec.span_id, rec.parent_id) == (0, 0, 0)
+        assert (rec.start, rec.end, rec.duration) == (5, 5, 0)
+        assert (rec.name, rec.category, rec.source) == \
+            ("monitor.deny", "event", "tile3")
+        assert rec.detail == {"reason": "no-cap", "name": "x"}
+        assert spans.records(category="event") == [rec]
+
+    def test_events_consume_no_ids(self):
+        spans = SpanRecorder()
+        spans.enable()
+        spans.event(0, "a", "src")
+        tid = spans.new_trace()
+        spans.event(1, "b", "src")
+        sid = spans.open(tid, "work", "svc", "tile0", 2)
+        spans.event(3, "c", "src")
+        assert (tid, sid) == (1, 1)
+        assert spans.new_trace() == 2
+        assert spans.open(2, "more", "svc", "tile0", 4) == 2
+        assert spans.open_spans == 2  # events are never "open"
+
+    def test_events_filter_by_name_prefix(self):
+        spans = SpanRecorder()
+        spans.enable()
+        spans.event(1, "monitor.deny", "a")
+        spans.event(2, "monitor.allow", "a")
+        spans.event(3, "monitor.deny", "b")
+        assert len(list(spans.events("monitor.deny"))) == 2
+        assert len(list(spans.events("monitor."))) == 3
+        assert [r.source for r in spans.events("monitor.deny")] == ["a", "b"]
+
+    def test_trace_queries_skip_events(self):
+        spans = SpanRecorder()
+        spans.enable()
+        spans.event(1, "fault.contained", "tile1")
+        tid = spans.new_trace()
+        spans.close(spans.open(tid, "request:op", "request", "tile1", 2), 9)
+        assert spans.trace_ids() == [tid]
+        index = SpanIndex(spans)
+        assert index.trace_ids() == [tid]
+        assert index.complete_traces() == [tid]
+
+    def test_clear_and_format(self):
+        spans = SpanRecorder()
+        spans.enable()
+        spans.event(1, "cat", "src", k=1)
+        assert "cat" in spans.format_events()
+        assert "k=1" in spans.format_events()
+        spans.clear()
+        assert len(spans) == 0
+
+    def test_format_respects_limit(self):
+        spans = SpanRecorder()
+        spans.enable()
+        for i in range(100):
+            spans.event(i, "cat.a" if i % 2 else "cat.b", "src", i=i)
+        assert len(spans.format_events(limit=7).splitlines()) == 7
+        assert len(spans.format_events("cat.a", limit=3).splitlines()) == 3
+
+    def test_events_are_filtered_lazily(self):
+        """``events()`` materializes nothing: a record appended after the
+        call is still seen (``format_events`` islices this iterator)."""
+        spans = SpanRecorder()
+        spans.enable()
+        spans.event(0, "monitor.deny", "t1")
+        found = spans.events("monitor.")
+        spans.event(1, "monitor.deny", "t2")
+        assert [rec.source for rec in found] == ["t1", "t2"]
+
+    def test_format_filters_by_name_prefix(self):
+        spans = SpanRecorder()
+        spans.enable()
+        spans.event(1, "noc.inject", "r0")
+        spans.event(2, "monitor.deny", "t1")
+        out = spans.format_events("monitor.")
+        assert "monitor.deny" in out and "noc.inject" not in out
+
+
 class TestSpanIndex:
     def build(self):
         """root [0,100] with two children and an uncovered gap."""
@@ -222,6 +312,11 @@ class TestExport:
         assert "X" in phases  # spans
         assert "C" in phases  # telemetry counters
         assert "M" in phases  # track names
+        # boot-time mgmt.register/grant_send events export as instants
+        instants = [ev for ev in doc["traceEvents"] if ev["ph"] == "I"]
+        assert {ev["name"] for ev in instants} >= {"mgmt.register"}
+        assert all(ev["cat"] == "event" and "dur" not in ev
+                   for ev in instants)
 
     def test_validator_rejects_malformed_documents(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,8 @@ import math
 
 import pytest
 
+from repro.accel import EchoAccel
+from repro.chaos import FaultEvent, FaultKind, FaultPlan, Injector
 from repro.kernel import ApiarySystem, SystemConfig
 from repro.obs import (
     QUEUE_STAGE,
@@ -351,6 +353,74 @@ class TestFlightRecorder:
         local.absorb(worker)
         assert json.dumps(local.report(), sort_keys=True) == \
             json.dumps(worker.report(), sort_keys=True)
+
+
+class TestOneEventLog:
+    """One occurrence, one record: every layer reports through
+    ``SpanRecorder.event`` and the flight ring is a sink on it."""
+
+    def crashed_and_recovered(self, tracing=True):
+        system = ApiarySystem(SystemConfig.figure1())
+        system.boot()
+        if tracing:
+            system.enable_tracing()
+        # flight recorder first, recovery second: no wiring order matters
+        flight = system.enable_flight_recorder(board="fpga0", capacity=512)
+        manager = system.enable_recovery()
+        system.run_until(manager.deploy(
+            2, lambda: EchoAccel("svc", cost=20), endpoint="app.svc"))
+        crash = FaultEvent(1_000, FaultKind.TILE_CRASH, "app.svc")
+        Injector(system, FaultPlan(seed=0, duration=1_000_000,
+                                   events=[crash])).arm()
+        system.run(until=system.engine.now + 2_000_000)
+        assert [e.kind for e in manager.recoveries] == ["restart"]
+        return system, flight
+
+    @staticmethod
+    def ring_kinds(flight):
+        return [e["kind"] for e in flight.entries() if e["type"] == "event"]
+
+    def test_one_record_in_the_span_set_and_one_in_the_ring(self):
+        system, flight = self.crashed_and_recovered()
+        ring = self.ring_kinds(flight)
+        for name in ("recovery.restart", "fault.contained",
+                     "chaos.tile-crash"):
+            assert len(list(system.spans.events(name))) == 1, name
+            assert ring.count(name) == 1, name
+        (restart,) = system.spans.events("recovery.restart")
+        assert restart.source == "app.svc"
+        assert restart.detail["src"] == restart.detail["dst"] == 2
+        # the ring entry is the same occurrence, same cycle
+        (entry,) = [e for e in flight.entries()
+                    if e.get("kind") == "recovery.restart"]
+        assert (entry["cycle"], entry["subject"]) == \
+            (restart.start, "app.svc")
+        assert f"mttr={restart.detail['mttr']}" in entry["detail"]
+
+    def test_fault_dump_holds_the_fault_event(self):
+        _system, flight = self.crashed_and_recovered()
+        (doc,) = [d for d in flight.dumps
+                  if d["reason"].startswith("fault:")]
+        assert validate_flight_dump(doc) >= 1
+        last = doc["entries"][-1]
+        assert (last["type"], last["kind"]) == ("event", "fault.contained")
+        assert set(last) == {"type", "cycle", "kind", "subject", "detail"}
+
+    def test_ring_is_always_on_but_span_set_needs_tracing(self):
+        system, flight = self.crashed_and_recovered(tracing=False)
+        assert len(system.spans) == 0
+        assert self.ring_kinds(flight).count("recovery.restart") == 1
+
+    def test_events_leave_span_ids_dense(self):
+        """Events consume no ids: the traced run's span and trace ids are
+        exactly 1..N, as they were before any layer reported events."""
+        system, _flight = self.crashed_and_recovered()
+        spans = [r for r in system.spans if r.span_id]
+        assert len(spans) < len(system.spans)  # events are in the set
+        assert sorted(r.span_id for r in spans) == \
+            list(range(1, len(spans) + 1))
+        assert sorted(system.spans.trace_ids()) == \
+            list(range(1, len(system.spans.trace_ids()) + 1))
 
 
 class TestSatelliteAccessors:

@@ -19,6 +19,7 @@ from repro.cluster.smoke import availability_smoke, scaling_smoke, span_dump
 from repro.errors import ConfigError
 from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
 from repro.net.frame import EthernetFrame
+from repro.obs.smoke import obs_plane_smoke
 from repro.sim import Engine
 
 
@@ -226,6 +227,29 @@ class TestDeterminism:
         unhealthy = [iid for iid, h in seq_stats["health"].items()
                      if not h["healthy"]]
         assert unhealthy, "killing a board must mark its replicas down"
+
+    def test_obs_kill_run_events_identical_across_backends(self):
+        """The identity payload of the observed kill run carries events
+        (in the merged span set and in every board's black box) and
+        still matches byte for byte."""
+        args = dict(n_fpgas=2, duration=120_000, clients=4,
+                    requests_per_client=30, kill_after=60_000,
+                    identity=True)
+        seq = obs_plane_smoke(backend="sequential", **args)["identity"]
+        par = obs_plane_smoke(backend="parallel", **args)["identity"]
+        for section in ("spans", "stats", "slo", "flight"):
+            assert json.dumps(seq[section], sort_keys=True) == \
+                json.dumps(par[section], sort_keys=True), section
+        events = [rec[3] for rec in seq["spans"] if rec[1] == 0]
+        assert events.count("board.kill") == 1
+        assert events.count("fault.contained") >= 1
+        ring = [e["kind"] for e in seq["flight"]["fpga1"]["entries"]
+                if e["type"] == "event"]
+        assert ring.count("board.kill") == 1
+        assert ring.count("fault.contained") == events.count(
+            "fault.contained")
+        assert seq["flight"]["fpga1"]["dumps"][0]["reason"].startswith(
+            "board-kill:")
 
     def test_sequential_rerun_is_deterministic(self):
         a = scaling_smoke(backend="sequential", **S1_ARGS)

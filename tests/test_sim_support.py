@@ -1,4 +1,4 @@
-"""Unit tests for resources, RNG pools, stats and the tracer."""
+"""Unit tests for resources, RNG pools and stats."""
 
 import math
 
@@ -15,7 +15,6 @@ from repro.sim import (
     RngPool,
     StatsRegistry,
     TimeWeighted,
-    Tracer,
 )
 
 
@@ -218,55 +217,6 @@ class TestStats:
         assert snap["histograms"]["lat"]["count"] == 1
 
 
-class TestTracer:
-    def test_disabled_by_default(self):
-        t = Tracer()
-        t.emit(0, "noc.inject", "r0", pkt=1)
-        assert len(t) == 0
-
-    def test_enable_records(self):
-        t = Tracer()
-        t.enable()
-        t.emit(5, "monitor.deny", "tile3", reason="no-cap")
-        assert len(t) == 1
-        rec = t.records()[0]
-        assert rec.time == 5
-        assert rec.detail["reason"] == "no-cap"
-
-    def test_prefix_filtering_at_emit(self):
-        t = Tracer()
-        t.enable(prefixes=["monitor."])
-        t.emit(1, "monitor.deny", "a")
-        t.emit(2, "noc.inject", "b")
-        assert len(t) == 1
-
-    def test_query_filters(self):
-        t = Tracer()
-        t.enable()
-        t.emit(1, "monitor.deny", "a")
-        t.emit(2, "monitor.allow", "a")
-        t.emit(3, "monitor.deny", "b")
-        assert t.count("monitor.deny") == 2
-        assert len(t.records(source="a")) == 2
-        assert len(t.records(since=2)) == 2
-
-    def test_sink_receives_live_records(self):
-        t = Tracer()
-        t.enable()
-        seen = []
-        t.add_sink(seen.append)
-        t.emit(1, "x", "y")
-        assert len(seen) == 1
-
-    def test_clear_and_format(self):
-        t = Tracer()
-        t.enable()
-        t.emit(1, "cat", "src", k=1)
-        assert "cat" in t.format()
-        t.clear()
-        assert len(t) == 0
-
-
 class TestSnapshotJsonSafety:
     def test_empty_histogram_snapshots_to_none_not_nan(self):
         reg = StatsRegistry()
@@ -313,24 +263,6 @@ class TestSnapshotJsonSafety:
         # without an end time, averages run to the last update
         snap = reg.snapshot()
         assert snap["time_weighted"]["queue.depth"] == pytest.approx(2.0)
-
-
-class TestTracerFormatLimit:
-    def test_format_respects_limit(self):
-        t = Tracer()
-        t.enable()
-        for i in range(100):
-            t.emit(i, "cat.a" if i % 2 else "cat.b", "src", i=i)
-        assert len(t.format(limit=7).splitlines()) == 7
-        assert len(t.format(category="cat.a", limit=3).splitlines()) == 3
-
-    def test_format_filters_by_category_prefix(self):
-        t = Tracer()
-        t.enable()
-        t.emit(1, "noc.inject", "r0")
-        t.emit(2, "monitor.deny", "t1")
-        out = t.format(category="monitor.")
-        assert "monitor.deny" in out and "noc.inject" not in out
 
 
 class TestRegistryMerge:
