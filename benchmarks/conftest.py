@@ -13,12 +13,10 @@ import os
 
 from repro.eval import report
 
-#: committed full-config baselines, and the perf floors benchmarks read
-BASELINE_DIR = os.path.abspath(report.RESULTS_DIR)
 REDUCED = os.environ.get("BENCH_PROFILE") == "reduced"
 if REDUCED:
-    report.RESULTS_DIR = os.path.join(os.path.dirname(BASELINE_DIR),
-                                      "bench_scratch")
+    report.RESULTS_DIR = os.path.join(
+        os.path.dirname(os.path.abspath(report.RESULTS_DIR)), "bench_scratch")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -4,8 +4,7 @@
 :class:`SystemConfig`; its settings are grouped by *what part of the
 machine* they tune:
 
-* :class:`NocConfig` — tile grid and router parameters (plus the
-  ``router_cls`` escape hatch the P1 baseline comparison uses);
+* :class:`NocConfig` — tile grid and router parameters;
 * :class:`MemConfig` — whether/where the memory service runs and the DRAM
   device behind it;
 * :class:`NetConfig` — the datacenter attachment: MAC kind/address and the
@@ -54,8 +53,6 @@ class NocConfig:
     #: per-tile injection rate limit in flits/cycle (None = unlimited)
     rate_limit_flits: Optional[float] = None
     rate_limit_burst: int = 32
-    #: alternative Router implementation (the pinned LegacyRouter baseline)
-    router_cls: Optional[type] = None
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:

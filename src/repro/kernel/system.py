@@ -96,15 +96,12 @@ class ApiarySystem:
         self.part: FpgaPart = lookup_part(config.part_name)
         self.topo = Mesh2D(noc.width, noc.height)
         self.enforce = config.fault.enforce
-        network_kwargs = {} if noc.router_cls is None \
-            else {"router_cls": noc.router_cls}
         self.network = Network(
             self.engine, self.topo,
             num_vcs=noc.num_vcs, vc_classes=noc.vc_classes,
             buffer_depth=noc.buffer_depth, hop_latency=noc.hop_latency,
             flit_bytes=noc.flit_bytes,
             stats=self.stats, spans=self.spans,
-            **network_kwargs,
         )
         self.caps = CapabilityStore(slots_per_holder=config.monitor_cap_slots)
         self.segments = SegmentTable()

@@ -10,7 +10,6 @@ flow control, routing policies, arbiters, QoS token buckets, the assembled
 from repro.noc.arbiter import PriorityArbiter, RoundRobinArbiter, WeightedArbiter
 from repro.noc.deadlock import ProgressWatchdog
 from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, FlitKind, Packet, flits_for_bytes
-from repro.noc.legacy import LegacyRouter
 from repro.noc.network import Network, NetworkInterface
 from repro.noc.qos import RateMeter, TokenBucket
 from repro.noc.router import Router
@@ -41,7 +40,6 @@ __all__ = [
     "TokenBucket",
     "RateMeter",
     "Router",
-    "LegacyRouter",
     "Network",
     "NetworkInterface",
     "ProgressWatchdog",

@@ -17,7 +17,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import ConfigError, RouteError
 from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, Packet, flits_for_bytes
-from repro.noc.router import Router
+from repro.noc.router import TICK, Router
 from repro.noc.routing import RoutingFunction, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 from repro.obs.span import SpanRecorder
@@ -44,6 +44,7 @@ class NetworkInterface:
         self.node = node
         self.engine = network.engine
         self._spans = network.spans
+        self._router = network.router(node)
         num_vcs = network.num_vcs
         depth = network.buffer_depth
         self.name = f"ni{node}"
@@ -54,14 +55,25 @@ class NetworkInterface:
             self.engine, capacity=network.inject_queue_depth,
             name=f"{self.name}.inject",
         )
-        self._credit_event: Optional[Event] = None
+        #: the packet being injected: its completion event, the flits not
+        #: yet in the router, and the VCs its class may use
+        self._inject_pkt: Optional[Packet] = None
+        self._inject_done: Optional[Event] = None
+        self._inject_flits: Deque[Flit] = deque()
+        self._inject_vcs: List[int] = []
+        #: the injector is parked until a credit for the router's LOCAL
+        #: input returns (any other credit leaves it alone)
+        self._awaiting_credit = False
         #: VC chosen by the current packet's head flit; body/tail flits of
         #: the same packet must follow it (wormhole continuity)
         self._current_vc: Optional[int] = None
 
         # ejection side: reassembly and delivery
         self._eject_buffer: Deque[Flit] = deque()
-        self._eject_event: Optional[Event] = None
+        #: the ejector is parked on an empty ejection buffer
+        self._awaiting_flit = True
+        #: the tail flit whose packet the delivery channel has yet to accept
+        self._eject_tail: Optional[Flit] = None
         self._partial: Dict[int, int] = {}  # pid -> flits seen
         self.delivered: Channel = Channel(
             self.engine, capacity=network.delivery_queue_depth,
@@ -74,8 +86,7 @@ class NetworkInterface:
         #: packet never traverses the fabric — a lossy physical link).
         self.drop_until = 0
         self.packets_dropped = 0
-        self.engine.process(self._injector(), name=f"{self.name}.inj")
-        self.engine.process(self._ejector(), name=f"{self.name}.ej")
+        self._inject_queue.get().add_callback(self._injector)
 
     # -- public API --------------------------------------------------------
 
@@ -105,6 +116,8 @@ class NetworkInterface:
 
     def try_send_packet(self, pkt: Packet) -> Optional[Event]:
         """Non-blocking variant: ``None`` when the injection queue is full."""
+        if self._inject_queue.full:
+            return None
         done = self.engine.event(f"{self.name}.send#{pkt.pid}")
         if not self._inject_queue.try_put((pkt, done)):
             return None
@@ -132,60 +145,79 @@ class NetworkInterface:
 
     def _local_credit(self, vc: int) -> None:
         self._inject_credits[vc] += 1
-        if self._credit_event is not None and not self._credit_event.triggered:
-            self._credit_event.succeed(None)
+        if self._awaiting_credit:
+            self._awaiting_credit = False
+            self.engine.schedule(0, self._injector)
 
     def _accept_flit(self, flit: Flit) -> None:
         self._eject_buffer.append(flit)
-        if self._eject_event is not None and not self._eject_event.triggered:
-            self._eject_event.succeed(None)
+        if self._awaiting_flit:
+            self._awaiting_flit = False
+            self.engine.schedule(0, self._ejector)
 
-    # -- processes -----------------------------------------------------------
+    # -- state machines ------------------------------------------------------
 
-    def _injector(self):
+    def _injector(self, arg=None) -> None:
         """Drain the injection queue, one packet at a time, flit by flit.
 
         One flit enters the router per cycle at most (link width), and only
-        when a credit for the chosen LOCAL-input VC is available.
+        when a credit for the chosen LOCAL-input VC is available.  ``arg``
+        says why the step runs: the injection queue's ``get`` event carries
+        the next packet, :data:`TICK` is the cycle after a flit went in
+        (deferred through the ring), ``None`` that deferred step or a
+        returned credit.
         """
-        router = self.network.router(self.node)
-        while True:
-            pkt, done = yield self._inject_queue.get()
-            if self.engine.now < self.drop_until:
-                self.packets_dropped += 1
-                self.network._ctr_dropped.inc()
-                done.succeed(pkt)  # sender saw a clean injection; data is gone
-                continue
-            pkt.injected_at = self.engine.now
-            if self._spans.enabled:
-                # causal tracing: a traced message opens a noc.transit span
-                # covering injection start -> tail delivery at the far NI
-                tid = getattr(pkt.payload, "trace_id", 0)
-                if tid:
-                    pkt.trace_id = tid
-                    pkt.span_id = self._spans.open(
-                        tid, "noc.transit", "noc", self.name,
-                        self.engine.now,
-                        parent_id=getattr(pkt.payload, "span_id", 0),
-                        pid=pkt.pid, src=pkt.src, dst=pkt.dst,
-                        flits=pkt.size_flits,
-                    )
-            vcs = router.allowed_vcs(pkt.vc_class)
-            for flit in pkt.make_flits():
-                while True:
-                    vc = self._pick_credit_vc(vcs, flit)
-                    if vc is not None:
-                        break
-                    self._credit_event = self.engine.event(f"{self.name}.cred")
-                    yield self._credit_event
-                    self._credit_event = None
-                flit.vc = vc
-                self._inject_credits[vc] -= 1
-                router.accept_flit(Port.LOCAL, flit)
-                yield 1
-            self.packets_sent += 1
-            self.network._ctr_injected.inc()
-            done.succeed(pkt)
+        engine = self.engine
+        if arg is TICK:
+            engine.schedule(0, self._injector)
+            return
+        if arg is not None and not self._start_packet(*arg.value):
+            self._inject_queue.get().add_callback(self._injector)
+            return
+        flits = self._inject_flits
+        if flits:
+            flit = flits[0]
+            vc = self._pick_credit_vc(self._inject_vcs, flit)
+            if vc is None:
+                self._awaiting_credit = True
+                return
+            flits.popleft()
+            flit.vc = vc
+            self._inject_credits[vc] -= 1
+            self._router.accept_flit(Port.LOCAL, flit)
+            engine.schedule(1, self._injector, TICK)
+            return
+        self.packets_sent += 1
+        self.network._ctr_injected.inc()
+        self._inject_done.succeed(self._inject_pkt)
+        self._inject_queue.get().add_callback(self._injector)
+
+    def _start_packet(self, pkt: Packet, done: Event) -> bool:
+        """Stage ``pkt`` for injection; ``False`` if a loss window ate it."""
+        now = self.engine.now
+        if now < self.drop_until:
+            self.packets_dropped += 1
+            self.network._ctr_dropped.inc()
+            done.succeed(pkt)  # sender saw a clean injection; data is gone
+            return False
+        pkt.injected_at = now
+        if self._spans.enabled:
+            # causal tracing: a traced message opens a noc.transit span
+            # covering injection start -> tail delivery at the far NI
+            tid = getattr(pkt.payload, "trace_id", 0)
+            if tid:
+                pkt.trace_id = tid
+                pkt.span_id = self._spans.open(
+                    tid, "noc.transit", "noc", self.name, now,
+                    parent_id=getattr(pkt.payload, "span_id", 0),
+                    pid=pkt.pid, src=pkt.src, dst=pkt.dst,
+                    flits=pkt.size_flits,
+                )
+        self._inject_pkt = pkt
+        self._inject_done = done
+        self._inject_flits.extend(pkt.make_flits())
+        self._inject_vcs = self._router.allowed_vcs(pkt.vc_class)
+        return True
 
     def _pick_credit_vc(self, vcs: List[int], flit: Flit) -> Optional[int]:
         """Choose the injection VC.
@@ -208,19 +240,24 @@ class NetworkInterface:
             return vc
         return None
 
-    def _ejector(self):
+    def _ejector(self, arg=None) -> None:
         """Move flits from the ejection buffer into delivered packets.
 
         The credit for each consumed flit returns to the router only after
         the delivery channel accepted the packet — a slow receiver therefore
-        backpressures the NoC instead of dropping traffic.
+        backpressures the NoC instead of dropping traffic.  ``arg``: the
+        delivery channel's ``put`` event (the packet was accepted),
+        :data:`TICK` the cycle after a flit was consumed, ``None`` that
+        deferred step or the arrival that ended a wait on an empty buffer.
         """
-        router = self.network.router(self.node)
-        while True:
-            while not self._eject_buffer:
-                self._eject_event = self.engine.event(f"{self.name}.ej")
-                yield self._eject_event
-                self._eject_event = None
+        engine = self.engine
+        if arg is TICK:
+            engine.schedule(0, self._ejector)
+            return
+        if arg is None:
+            if not self._eject_buffer:
+                self._awaiting_flit = True
+                return
             flit = self._eject_buffer.popleft()
             pkt = flit.packet
             self._partial[pkt.pid] = self._partial.get(pkt.pid, 0) + 1
@@ -228,15 +265,21 @@ class NetworkInterface:
                 if self._partial.pop(pkt.pid) != pkt.size_flits:
                     raise ConfigError(
                         f"{self.name}: reassembled wrong flit count for "
-                        f"packet {pkt.pid}"
+                        f"packet {pkt.pid} at cycle {engine.now}"
                     )
-                pkt.delivered_at = self.engine.now
+                pkt.delivered_at = engine.now
                 self.packets_received += 1
                 self.network.record_delivery(pkt)
-                yield self.delivered.put(pkt)
-            # flit consumed: return its LOCAL-output credit to the router
-            router.credit_arrived(Port.LOCAL, flit.vc)
-            yield 1
+                self._eject_tail = flit
+                self.delivered.put(pkt).add_callback(self._ejector)
+                return
+        else:
+            if arg.failed:
+                raise arg.value
+            flit = self._eject_tail
+        # flit consumed: return its LOCAL-output credit to the router
+        self._router.credit_arrived(Port.LOCAL, flit.vc)
+        engine.schedule(1, self._ejector, TICK)
 
 
 class Network:
@@ -256,9 +299,6 @@ class Network:
     hop_latency: cycles from leaving a router to arriving at the next
         (router pipeline + wire).
     credit_latency: cycles for a credit to return upstream.
-    router_cls: router implementation to instantiate per node; the P1
-        benchmark passes :class:`repro.noc.legacy.LegacyRouter` to measure
-        against the frozen pre-optimization datapath.
     """
 
     def __init__(
@@ -276,7 +316,6 @@ class Network:
         delivery_queue_depth: int = 16,
         stats: Optional[StatsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
-        router_cls: type = Router,
     ):
         from repro.noc.routing import MinimalAdaptiveRouting, TorusXYRouting
 
@@ -325,7 +364,7 @@ class Network:
         self._link_last_arrival: Dict[Any, int] = {}
 
         self._routers: List[Router] = [
-            router_cls(
+            Router(
                 engine, node, topo, routing,
                 num_vcs=num_vcs, vc_classes=vc_classes,
                 buffer_depth=buffer_depth, credit_latency=credit_latency,

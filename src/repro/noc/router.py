@@ -1,8 +1,9 @@
 """Input-queued wormhole router with virtual channels and credit flow control.
 
-The router is event-driven: it sleeps until a flit arrives or a credit
-returns, then performs switch-allocation passes once per cycle while work
-remains.  Each pass grants at most one flit per output port and one flit
+The router is a callback state machine on the engine (no process, no
+generator): it is parked until a flit arrives or a credit returns for a
+buffered flit, then performs switch-allocation passes once per cycle while
+work remains.  Each pass grants at most one flit per output port and one flit
 per input port (the crossbar constraint).  Head flits perform route
 computation and virtual-channel allocation; tail flits release the output
 VC (wormhole semantics: a packet owns its path until the tail passes).
@@ -38,6 +39,14 @@ __all__ = ["Router", "InputVC", "OutputPort"]
 DeliverFn = Callable[[Flit], None]
 #: Credit-return callback type: (vc) -> None, invoked at the upstream side.
 CreditFn = Callable[[int], None]
+
+#: Callback argument of a timed re-arm (shared with the network interfaces).
+#: A callback the heap fires runs *before* the cycle's same-cycle ring, i.e.
+#: before every flit and credit landing this cycle is in, so it does not
+#: act: it bounces itself once through the ring with ``None``.  That hop is
+#: also what keeps the global callback order — hence every seeded report —
+#: what it was when these machines were generator coroutines.
+TICK = object()
 
 
 class InputVC:
@@ -102,6 +111,10 @@ class Router:
             )
         if buffer_depth < 1:
             raise ConfigError(f"buffer depth must be >= 1, got {buffer_depth}")
+        if credit_latency < 0:
+            raise ConfigError(
+                f"credit latency must be >= 0, got {credit_latency}"
+            )
         self.engine = engine
         self.node = node
         self.topo = topo
@@ -157,8 +170,9 @@ class Router:
             for vc, ivc in enumerate(self._in[p])
         ]
 
-        self._wake = engine.event(f"{self.name}.wake")
-        self._awake = False
+        #: a ``_run`` is queued (this cycle, next cycle, or at the end of a
+        #: stall); wake-ups are no-ops until it parks the router again
+        self._scheduled = False
         self.flits_forwarded = 0
         #: incrementally maintained count of flits across all input VCs —
         #: the allocation loop polls "any work?" once per pass, and scanning
@@ -169,7 +183,6 @@ class Router:
         #: backpressure spreads exactly as a stuck pipeline stage would.
         self.stalled_until = 0
         self.stalls_injected = 0
-        engine.process(self._run(), name=self.name)
 
     # -- wiring (called by Network) ---------------------------------------
 
@@ -191,24 +204,29 @@ class Router:
         ivc = self._in[port][flit.vc]
         if len(ivc.buffer) >= self.buffer_depth:
             raise ConfigError(
-                f"{self.name}: input buffer overflow on {port.name} vc{flit.vc} "
-                "(credit protocol violated)"
+                f"{self.name}: input buffer overflow on {port.name} "
+                f"vc{flit.vc} at cycle {self.engine.now} (credit protocol "
+                "violated)"
             )
         ivc.buffer.append(flit)
         self._buffered += 1
-        self._wake_up()
+        if not self._scheduled:
+            self._scheduled = True
+            self.engine.schedule(0, self._run)
 
     def credit_arrived(self, port: Port, vc: int) -> None:
         """Downstream freed a buffer slot on our output ``port`` / ``vc``."""
         out = self._out[port]
         out.credits[vc] += 1
         if out.credits[vc] > self.buffer_depth:
-            raise ConfigError(f"{self.name}: credit overflow on {port.name} vc{vc}")
-        self._wake_up()
-
-    def output_vc_released(self, port: Port) -> None:
-        """Downstream NI released an ejection-side VC (wake for retry)."""
-        self._wake_up()
+            raise ConfigError(
+                f"{self.name}: credit overflow on {port.name} vc{vc} at "
+                f"cycle {self.engine.now}"
+            )
+        # a credit can only unblock a buffered flit: an empty router sleeps on
+        if self._buffered and not self._scheduled:
+            self._scheduled = True
+            self.engine.schedule(0, self._run)
 
     # -- inspection --------------------------------------------------------
 
@@ -233,42 +251,36 @@ class Router:
         """
         return self._allowed[min(vc_class, self.vc_classes - 1)]
 
-    # -- the router process -------------------------------------------------
+    # -- the router state machine --------------------------------------------
 
     def stall(self, cycles: int) -> None:
         """Freeze switch allocation for ``cycles`` (fault injection)."""
         self.stalled_until = max(self.stalled_until, self.engine.now + cycles)
         self.stalls_injected += 1
-        self._wake_up()
+        if not self._scheduled:
+            self._scheduled = True
+            self.engine.schedule(0, self._run)
 
-    def _run(self):
-        while True:
-            if self.engine.now < self.stalled_until:
-                yield self.stalled_until - self.engine.now
-                continue
-            if not self._has_buffered_flits():
-                self._awake = False
-                yield self._wake
-                self._wake = self.engine.event(f"{self.name}.wake")
-                continue
-            moved = self._allocation_pass()
-            if moved:
-                yield 1
-            else:
-                # Everything buffered is blocked on credits/VCs; sleep until
-                # an external event (credit, arrival, release) wakes us.
-                self._awake = False
-                yield self._wake
-                self._wake = self.engine.event(f"{self.name}.wake")
+    def _run(self, arg=None) -> None:
+        """One step: an allocation pass, a re-arm, or parking the router.
 
-    def _wake_up(self) -> None:
-        if not self._awake:
-            self._awake = True
-            if not self._wake.triggered:
-                self._wake.succeed(None)
-
-    def _has_buffered_flits(self) -> bool:
-        return self._buffered > 0
+        A pass that moved flits re-arms one cycle ahead and ``_scheduled``
+        stays set across that cycle, so a router never runs two moving
+        passes in one cycle (one flit per output port per cycle).  A pass
+        that moved nothing parks: everything buffered is blocked on credits
+        or VCs until an arrival, a credit or a stall arms the next step.
+        """
+        engine = self.engine
+        if arg is TICK:
+            engine.schedule(0, self._run)
+            return
+        now = engine.now
+        if now < self.stalled_until:
+            engine.schedule(self.stalled_until - now, self._run, TICK)
+        elif self._buffered and self._allocation_pass():
+            engine.schedule(1, self._run, TICK)
+        else:
+            self._scheduled = False
 
     def _allocation_pass(self) -> int:
         """One switch-allocation cycle; returns the number of flits moved.
@@ -285,6 +297,10 @@ class Router:
         """
         if self._adaptive:
             return self._allocation_pass_rescan()
+        # one buffered flit (every pass of an idle cluster) contends with
+        # nobody: it is granted straight from the scan — no buckets, no
+        # crossbar bookkeeping — and the arbiter pointer still moves past it
+        single = self._buffered == 1
         buckets: Dict[Port, List[Tuple[int, Port, int, int]]] = {}
         outs = self._out
         for in_port, vc, slot, ivc in self._scan:
@@ -308,6 +324,13 @@ class Router:
                     continue
                 if outs[port_choice].credits[out_vc] <= 0:
                     continue
+            if single:
+                out = outs[port_choice]
+                if out.deliver is None:
+                    return 0
+                out.arbiter.pick_first(((slot,),))
+                self._forward(in_port, vc, port_choice, out_vc)
+                return 1
             bucket = buckets.get(port_choice)
             if bucket is None:
                 bucket = buckets[port_choice] = []
@@ -496,9 +519,6 @@ class Router:
         credit_fn = self._credit_return[in_port]
         if credit_fn is not None:
             self.engine.schedule(self.credit_latency, credit_fn, vc)
-
-        # More flits may now be movable next cycle.
-        self._wake_up()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Router {self.node} occ={self.occupancy()}>"

@@ -32,9 +32,8 @@ end-of-run :class:`~repro.sim.stats.StatsRegistry`:
   plain-text summary, :func:`run_report_json` its machine-readable twin.
 
 Everything is zero-cost when disabled: every instrumented hot path guards
-on ``spans.enabled`` and ``spans.event`` keeps nothing, an invariant the P1
-benchmark enforces with a recorded overhead floor and O1 pins for the
-full plane end to end.
+on ``spans.enabled`` and ``spans.event`` keeps nothing; O1 pins the
+overhead of the full plane end to end.
 """
 
 from repro.obs.export import (

@@ -82,8 +82,8 @@ class SpanRecorder:
     """Collects :class:`SpanRecord` objects for causal request tracing.
 
     Disabled by default and free when disabled: instrumented hot paths
-    guard on :attr:`enabled` before touching any span machinery (verified
-    by the P1 benchmark's obs-overhead floor).
+    guard on :attr:`enabled` before touching any span machinery (the O1
+    benchmark bounds the armed plane's overhead).
     """
 
     def __init__(self, id_base: int = 0):

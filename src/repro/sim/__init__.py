@@ -10,14 +10,12 @@ lives in :mod:`repro.obs`.)
 
 from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.engine import Engine, Event, Interrupt, Process
-from repro.sim.legacy import LegacyEngine
 from repro.sim.resource import Grant, Resource
 from repro.sim.rng import RngPool
 from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry, TimeWeighted
 
 __all__ = [
     "Engine",
-    "LegacyEngine",
     "Event",
     "Process",
     "Interrupt",

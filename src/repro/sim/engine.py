@@ -243,16 +243,11 @@ class Process:
                     None, SimulationError(f"{self.name}: negative delay {command}")
                 )
                 return
-            if self.engine.fast_timers:
-                self._wait_epoch += 1
-                self._waiting_on = _TIMER
-                self.engine.schedule(command, self._timer_fired, self._wait_epoch)
-                return
-            # pinned slow path (LegacyEngine): a throwaway Event per yield
-            done = Event(self.engine, name=f"{self.name}.delay")
-            self.engine.schedule(command, done.succeed, None)
-            command = done
-        elif isinstance(command, Process):
+            self._wait_epoch += 1
+            self._waiting_on = _TIMER
+            self.engine.schedule(command, self._timer_fired, self._wait_epoch)
+            return
+        if isinstance(command, Process):
             command = command.done
         if not isinstance(command, Event):
             self._finish(
@@ -286,10 +281,16 @@ class Process:
         self.generator.close()
         if error is None:
             self.done.succeed(value)
-        else:
-            if not self.done._callbacks and not self.engine.swallow_orphan_errors:
-                self.engine._crash(error, self.name)
-            self.done.fail(error)
+            return
+        orphan = not self.done._callbacks and not self.engine.swallow_orphan_errors
+        self.done.fail(error)
+        if orphan:
+            # nobody is joined on this process: abort Engine.run from inside
+            # the callback, so the run loop pays no per-callback crash check
+            raise SimulationError(
+                f"unhandled error in process {self.name!r} "
+                f"at cycle {self.engine.now}"
+            ) from error
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "done"
@@ -324,12 +325,7 @@ class Engine:
     """
 
     __slots__ = ("now", "swallow_orphan_errors", "_queue", "_ring", "_seq",
-                 "_crashed", "_crash_source", "_running", "process_count")
-
-    #: Class flag consumed by :meth:`Process._dispatch`: ``True`` enables the
-    #: zero-allocation integer-delay path.  The pinned pre-overhaul shim
-    #: (:class:`repro.sim.legacy.LegacyEngine`) overrides this to ``False``.
-    fast_timers = True
+                 "_running", "process_count")
 
     def __init__(self, swallow_orphan_errors: bool = False):
         self.now = 0
@@ -337,8 +333,6 @@ class Engine:
         self._queue: List[Tuple[int, int, Callable, Any]] = []
         self._ring: Deque[Tuple[Callable, Any]] = deque()
         self._seq = 0
-        self._crashed: Optional[BaseException] = None
-        self._crash_source = ""
         self._running = False
         self.process_count = 0
 
@@ -455,37 +449,33 @@ class Engine:
         heappop = heapq.heappop
         ring_popleft = ring.popleft
         bounded = until is not None
+        now = self.now
         try:
-            while queue or ring:
-                if ring:
-                    # heap entries stamped for the current cycle were
-                    # scheduled in earlier cycles (lower seq): drain them
-                    # before this cycle's same-cycle ring entries
-                    if queue and queue[0][0] <= self.now:
-                        time, _seq, callback, arg = heappop(queue)
-                        self.now = time
-                        callback(arg)
-                    else:
-                        if bounded and self.now > until:
-                            break
-                        callback, arg = ring_popleft()
-                        callback(arg)
-                else:
+            while True:
+                if queue and (not ring or queue[0][0] <= now):
+                    # the earliest heap entry: either it is stamped for the
+                    # current cycle — scheduled in an earlier cycle, lower
+                    # seq, so it runs before this cycle's ring entries — or
+                    # the ring is empty and the clock advances to it
                     entry = queue[0]
                     time = entry[0]
                     if bounded and time > until:
                         break
                     heappop(queue)
-                    self.now = time
+                    self.now = now = time
                     entry[2](entry[3])
-                if self._crashed is not None:
-                    exc = self._crashed
-                    self._crashed = None
-                    raise SimulationError(
-                        f"unhandled error in process {self._crash_source!r} "
-                        f"at cycle {self.now}"
-                    ) from exc
-            if bounded and self.now < until:
+                elif ring:
+                    if bounded and now > until:
+                        break
+                    # ring callbacks can only append to the ring or push
+                    # heap entries for later cycles (delay >= 1), so the
+                    # ring drains without looking at the heap or the clock
+                    while ring:
+                        callback, arg = ring_popleft()
+                        callback(arg)
+                else:
+                    break
+            if bounded and now < until:
                 self.now = until
         finally:
             self._running = False
@@ -548,10 +538,6 @@ class Engine:
         if event.failed:
             raise event.value
         return event.value
-
-    def _crash(self, error: BaseException, source: str) -> None:
-        self._crashed = error
-        self._crash_source = source
 
     def pending_events(self) -> int:
         return len(self._queue) + len(self._ring)

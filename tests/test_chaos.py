@@ -232,29 +232,6 @@ class TestCampaign:
 
         assert once() == once()
 
-    def test_report_identical_on_legacy_fast_paths(self, monkeypatch):
-        """The pinned pre-overhaul engine + router must reproduce the
-        optimized stack's campaign report byte-for-byte — the determinism
-        oracle for the simulator hot-path overhaul."""
-        from functools import partial
-
-        import repro.chaos.campaign as cm
-        import repro.kernel.system as ksys
-        from repro.noc import LegacyRouter, Network
-        from repro.sim import LegacyEngine
-
-        def once():
-            campaign = Campaign(seed=21, rates=(3.0,), clients=2,
-                                duration=500_000)
-            campaign.run()
-            return campaign.report_text()
-
-        fast = once()
-        monkeypatch.setattr(cm, "Engine", LegacyEngine)
-        monkeypatch.setattr(ksys, "Network",
-                            partial(Network, router_cls=LegacyRouter))
-        assert once() == fast
-
     def test_recovery_beats_no_recovery_at_nonzero_rate(self):
         campaign = Campaign(seed=13, rates=(4.0,), clients=2,
                             duration=700_000)

@@ -1,0 +1,291 @@
+"""The NoC datapath as callback state machines: event budget, conservation
+and pacing invariants, stall corner cases, typed datapath errors."""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigError
+from repro.noc import Mesh2D, Network, Router, XYRouting
+from repro.noc.flit import Flit, FlitKind
+from repro.noc.topology import Port
+from repro.sim import Engine
+
+
+class CountingEngine(Engine):
+    """Counts every ``schedule()`` (the event budget of a run) and every
+    ``event()`` minted through the engine."""
+
+    __slots__ = ("schedules", "minted")
+
+    def __init__(self):
+        super().__init__()
+        self.schedules = 0
+        self.minted = 0
+
+    def schedule(self, delay, callback, arg=None):
+        self.schedules += 1
+        super().schedule(delay, callback, arg)
+
+    def event(self, name=""):
+        self.minted += 1
+        return super().event(name)
+
+
+def sink(net, node, log):
+    ni = net.interface(node)
+    while True:
+        pkt = yield ni.recv()
+        log.append((node, pkt.src, pkt.pid, pkt.delivered_at))
+
+
+# -- (a) event budget ------------------------------------------------------
+
+
+@pytest.mark.identity
+def test_event_budget_single_packet():
+    """One 96-byte packet corner to corner on a 2x2 mesh costs exactly this
+    many engine events; a datapath change that drifts the count (or the
+    delivery cycle) must say so here."""
+    eng = CountingEngine()
+    net = Network(eng, Mesh2D(2, 2))
+    sent = net.interface(0).send(3, payload_bytes=96)
+    eng.run()
+    pkt = sent.value
+    assert eng.pending_events() == 0
+    assert (pkt.size_flits, pkt.injected_at, pkt.delivered_at) == (7, 0, 12)
+    assert net.total_flits_forwarded() == 21
+    assert eng.schedules == SINGLE_PACKET_SCHEDULES
+
+
+@pytest.mark.identity
+def test_event_budget_seeded_flood():
+    """A seeded 4x4 flood for 300 cycles: schedules, flits and deliveries
+    are exact, so an accidental extra wake-up or a second pass per cycle
+    fails tier-1 instead of only moving a benchmark."""
+    eng = CountingEngine()
+    net = Network(eng, Mesh2D(4, 4))
+    log = []
+
+    def sender(node):
+        ni = net.interface(node)
+        rng = random.Random(1000 + node)
+        while True:
+            dst = rng.randrange(15)
+            yield ni.send(dst + (dst >= node), payload_bytes=96)
+
+    for node in range(16):
+        eng.process(sender(node))
+        eng.process(sink(net, node, log))
+    eng.run(until=300)
+    assert len(log) == FLOOD_DELIVERED
+    assert sum(at for *_rest, at in log) == FLOOD_DELIVERY_CYCLE_SUM
+    assert net.total_flits_forwarded() == FLOOD_FLITS_FORWARDED
+    assert net.in_flight_packets() == FLOOD_IN_FLIGHT
+    assert eng.schedules == FLOOD_SCHEDULES
+
+
+#: the budgets (135 and 48,116 schedules when the routers and interfaces
+#: were engine processes; delivery cycles and flit counts are unchanged)
+SINGLE_PACKET_SCHEDULES = 118
+FLOOD_DELIVERED = 416
+FLOOD_DELIVERY_CYCLE_SUM = 65_402
+FLOOD_FLITS_FORWARDED = 11_497
+FLOOD_IN_FLIGHT = 40
+FLOOD_SCHEDULES = 48_068
+
+
+# -- (b) conservation, credits, order and pacing ---------------------------
+
+
+@st.composite
+def traffic(draw):
+    width, height = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    nodes = width * height
+    node = st.integers(0, nodes - 1)
+    cycle = st.integers(0, 120)
+    sends = draw(st.lists(
+        st.tuples(cycle, node, node, st.sampled_from([0, 16, 48, 96, 200])),
+        min_size=1, max_size=40))
+    stalls = draw(st.lists(
+        st.tuples(cycle, node, st.integers(1, 25)), max_size=6))
+    drops = draw(st.lists(
+        st.tuples(cycle, node, st.integers(1, 25)), max_size=4))
+    return (width, height, draw(st.integers(1, 2)), draw(st.integers(1, 4)),
+            sends, stalls, drops)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(traffic())
+def test_datapath_invariants_under_stalls_and_drops(case):
+    width, height, num_vcs, depth, sends, stalls, drops = case
+    eng = Engine()
+    net = Network(eng, Mesh2D(width, height), num_vcs=num_vcs,
+                  buffer_depth=depth)
+    nodes = width * height
+    routers = [net.router(n) for n in range(nodes)]
+    nis = [net.interface(n) for n in range(nodes)]
+    log = []
+    for n in range(nodes):
+        eng.process(sink(net, n, log))
+    for at, src, dst, size in sends:
+        eng.schedule(at, lambda _a, src=src, dst=dst, size=size:
+                     nis[src].send(dst, payload_bytes=size))
+    for at, n, cycles in stalls:
+        eng.schedule(at, lambda _a, n=n, cycles=cycles:
+                     routers[n].stall(cycles))
+    for at, n, cycles in drops:
+        eng.schedule(at, lambda _a, n=n, cycles=cycles:
+                     nis[n].drop_for(cycles))
+
+    ports = [out for r in routers for out in r._out.values()]
+    sent_before = [0] * len(ports)
+    cycle = 0
+    while eng.pending_events():
+        assert cycle < 5_000, "the fabric never drained"
+        eng.run(until=cycle)  # exactly one cycle's events
+        cycle += 1
+        # link width: no output port forwards two flits in one cycle
+        sent_now = [out.flits_sent for out in ports]
+        assert all(b - a <= 1 for a, b in zip(sent_before, sent_now))
+        sent_before = sent_now
+        # conservation, counted at the interfaces
+        injected = sum(ni.packets_sent for ni in nis)
+        delivered = sum(ni.packets_received for ni in nis)
+        assert injected - delivered == net.in_flight_packets()
+
+    # quiescent: every packet that was not dropped arrived, every credit
+    # is home, every machine is parked
+    assert net.in_flight_packets() == 0
+    dropped = sum(ni.packets_dropped for ni in nis)
+    assert len(log) + dropped == len(sends)
+    assert all(out.credits == [depth] * num_vcs for out in ports)
+    assert all(ni._inject_credits == [depth] * num_vcs for ni in nis)
+    assert all(r.buffered_flits == 0 for r in routers)
+    if num_vcs == 1:
+        # one VC, deterministic routing: a channel is FIFO end to end
+        # (pids are minted in send order)
+        for dst in range(nodes):
+            for src in range(nodes):
+                pids = [pid for d, s, pid, _at in log if (d, s) == (dst, src)]
+                assert pids == sorted(pids)
+
+
+# -- (c) stalls and errors -------------------------------------------------
+
+
+def one_packet(stall_at=None, stall=0, again=0):
+    """Delivery cycle of a 7-flit packet 0 -> 1 with router 0 stalled."""
+    eng = CountingEngine()
+    net = Network(eng, Mesh2D(2, 1))
+    router = net.router(0)
+    if stall_at is not None:
+        def freeze(_arg):
+            router.stall(stall)
+            if again:
+                router.stall(again)
+        eng.schedule(stall_at, freeze)
+    sent = net.interface(0).send(1, payload_bytes=96)
+    eng.run()
+    assert eng.pending_events() == 0 and net.in_flight_packets() == 0
+    return sent.value.delivered_at, router, eng
+
+
+def test_stall_while_a_tick_is_pending_delays_by_the_stall():
+    base, _router, _eng = one_packet()
+    # cycle 3: the router moved a flit at 2 and its next pass is queued
+    late, router, _eng = one_packet(stall_at=3, stall=20)
+    assert late == base + 20
+    assert router.stalls_injected == 1
+
+
+def test_stall_while_parked_wakes_once_and_parks_again():
+    eng = CountingEngine()
+    net = Network(eng, Mesh2D(2, 1))
+    router = net.router(0)
+    router.stall(10)
+    eng.run()
+    # arm, sleep to the end of the stall, bounce, find nothing, park
+    assert (eng.now, eng.schedules, eng.pending_events()) == (10, 3, 0)
+    sent = net.interface(0).send(1, payload_bytes=0)
+    eng.run()
+    assert sent.value.latency == net.zero_load_latency(0, 1, 1)
+
+
+def test_stall_twice_in_a_row_keeps_the_longer_one():
+    base, _router, _eng = one_packet()
+    for first, second in ((20, 5), (5, 20)):
+        late, router, _eng = one_packet(stall_at=3, stall=first, again=second)
+        assert late == base + 20
+        assert router.stalls_injected == 2
+    # the second stall costs no extra wake-up when it does not extend
+    _at, _router, once = one_packet(stall_at=3, stall=20)
+    _at, _router, twice = one_packet(stall_at=3, stall=20, again=5)
+    assert once.schedules == twice.schedules
+
+
+def test_credit_to_an_empty_router_wakes_nobody():
+    eng = CountingEngine()
+    net = Network(eng, Mesh2D(2, 1))
+    router = net.router(0)
+    router._out[Port.EAST].credits[0] -= 1  # as if a flit were downstream
+    router.credit_arrived(Port.EAST, 0)
+    assert eng.schedules == 0 and eng.pending_events() == 0
+
+
+def test_datapath_errors_abort_the_run_naming_component_and_cycle():
+    def fresh():
+        eng = Engine()
+        net = Network(eng, Mesh2D(2, 1), buffer_depth=2)
+        return eng, net, net.make_packet(0, 1, payload_bytes=96)
+
+    eng, net, _pkt = fresh()
+    eng.schedule(5, lambda _a: net.router(1).credit_arrived(Port.WEST, 0))
+    with pytest.raises(ConfigError,
+                       match=r"router1: credit overflow on WEST vc0 at "
+                             r"cycle 5"):
+        eng.run()
+
+    eng, net, pkt = fresh()
+
+    def overflow(_arg):
+        for flit in pkt.make_flits()[:3]:
+            net.router(0).accept_flit(Port.EAST, flit)
+    eng.schedule(7, overflow)
+    with pytest.raises(ConfigError,
+                       match=r"router0: input buffer overflow on EAST vc0 "
+                             r"at cycle 7"):
+        eng.run()
+
+    # a tail whose head never came: the ejector's own check, raised from
+    # its callback straight out of Engine.run
+    eng, net, pkt = fresh()
+    stray = Flit(kind=FlitKind.TAIL, packet=pkt, seq=6)
+    eng.schedule(8, net.interface(1)._accept_flit, stray)
+    with pytest.raises(ConfigError,
+                       match=r"ni1: reassembled wrong flit count for "
+                             r"packet 1 at cycle 8"):
+        eng.run()
+
+
+def test_negative_credit_latency_is_a_config_error():
+    with pytest.raises(ConfigError, match="credit latency"):
+        Network(Engine(), Mesh2D(2, 2), credit_latency=-1)
+    with pytest.raises(ConfigError, match="credit latency"):
+        Router(Engine(), 0, Mesh2D(2, 2), XYRouting(), credit_latency=-1)
+
+
+def test_try_send_packet_mints_no_event_when_the_queue_is_full():
+    eng = CountingEngine()
+    net = Network(eng, Mesh2D(2, 1), inject_queue_depth=2)
+    ni = net.interface(0)
+    accepted = [ni.try_send_packet(net.make_packet(0, 1, payload_bytes=16))
+                for _ in range(5)]
+    # one handed straight to the waiting injector, two queued, two refused
+    assert [ev is not None for ev in accepted] == [True] * 3 + [False] * 2
+    assert eng.minted == 3
+    eng.run()
+    assert ni.packets_sent == 3 and all(ev.triggered for ev in accepted[:3])

@@ -385,56 +385,53 @@ def test_many_processes_interleave_deterministically():
     ]
 
 
-# -- fast-path equivalence (zero-allocation engine overhaul) ---------------
+def test_global_callback_order_is_pinned():
+    """Timer waits, raw 0-delay callbacks and event wake-ups in one run:
+    within a cycle heap entries (scheduled in earlier cycles) run before
+    the same-cycle ring, and the ring is FIFO.  The log is the order the
+    heap-only, event-per-yield engine produced — byte-identical simulation
+    results hinge on it."""
+    eng = Engine()
+    log = []
 
+    def worker(tag, delays):
+        for d in delays:
+            yield d
+            log.append(("worker", tag, eng.now))
 
-def test_fast_and_legacy_engines_order_identically():
-    """The zero-allocation fast paths (timer resume via the same-cycle ring,
-    heap bypass for 0-delay callbacks) must preserve the exact global
-    callback order of the event-per-yield heap engine — byte-identical
-    simulation results hinge on it."""
-    from repro.sim import LegacyEngine
+    def poker(tag):
+        # mixes raw 0-delay callbacks with timer waits in one process
+        for i in range(5):
+            eng.schedule(0, lambda _, i=i: log.append(("cb", tag, i, eng.now)))
+            yield 2
 
-    def trace(engine_cls):
-        eng = engine_cls()
-        log = []
+    shared = eng.event("shared")
 
-        def worker(tag, delays):
-            for d in delays:
-                yield d
-                log.append(("worker", tag, eng.now))
+    def waiter():
+        value = yield shared
+        log.append(("woke", value, eng.now))
+        yield 0
+        log.append(("woke+ring", eng.now))
 
-        def poker(tag):
-            # mixes raw 0-delay callbacks with timer waits in one process
-            for i in range(5):
-                eng.schedule(0, lambda _, i=i: log.append(("cb", tag, i, eng.now)))
-                yield 2
+    def firer():
+        yield 7
+        shared.succeed("fired")
+        log.append(("firer", eng.now))
 
-        shared = eng.event("shared")
-
-        def waiter():
-            value = yield shared
-            log.append(("woke", value, eng.now))
-            yield 0
-            log.append(("woke+ring", eng.now))
-
-        def firer():
-            yield 7
-            shared.succeed("fired")
-            log.append(("firer", eng.now))
-
-        eng.process(worker("a", [3, 0, 0, 2, 1]))
-        eng.process(worker("b", [1, 1, 1, 0, 4]))
-        eng.process(poker("p"))
-        eng.process(waiter())
-        eng.process(firer())
-        eng.run(until=40)
-        return log
-
-    fast = trace(Engine)
-    legacy = trace(LegacyEngine)
-    assert fast == legacy
-    assert len(fast) > 15  # the workload actually exercised both paths
+    eng.process(worker("a", [3, 0, 0, 2, 1]))
+    eng.process(worker("b", [1, 1, 1, 0, 4]))
+    eng.process(poker("p"))
+    eng.process(waiter())
+    eng.process(firer())
+    eng.run(until=40)
+    assert log == [
+        ("cb", "p", 0, 0), ("worker", "b", 1), ("worker", "b", 2),
+        ("cb", "p", 1, 2), ("worker", "a", 3), ("worker", "b", 3),
+        ("worker", "a", 3), ("worker", "b", 3), ("worker", "a", 3),
+        ("cb", "p", 2, 4), ("worker", "a", 5), ("worker", "a", 6),
+        ("cb", "p", 3, 6), ("firer", 7), ("worker", "b", 7),
+        ("woke", "fired", 7), ("woke+ring", 7), ("cb", "p", 4, 8),
+    ]
 
 
 def test_any_of_detaches_losers_when_winner_triggers():
