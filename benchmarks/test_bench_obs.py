@@ -1,23 +1,28 @@
 """O1 — the observability plane: overhead, accuracy, and determinism.
 
-Three claims, one run harness (``repro.obs.smoke.obs_plane_smoke``):
+Three claims, one run: the ``board_kill`` library scenario (two tenants,
+~1,080 requests, board 1 of 2 dies a third of the way in) executed by
+:class:`~repro.loadgen.runner.ScenarioRunner`, with the plane arriving
+through its ``config=`` template and the evidence read from
+``runner.diagnostics``:
 
-* **overhead** — arming the whole plane (tracing, per-board flight
-  recorders, the SLO engine, sketch-backed stats) on the serving
-  workload costs a bounded wall-clock factor versus the same workload
-  with the plane off.  Ceiling asserted in CI: ``OVERHEAD_CEILING``.
-  The *simulated* timeline is identical either way — observability
-  never perturbs virtual time (pinned by the identity payload below).
+* **overhead** — arming the whole plane (tracing and per-board flight
+  recorders on top of the SLO engine and sketch-backed stats every
+  scenario run carries) costs a bounded wall-clock factor versus the
+  same scenario with the plane off.  Ceiling asserted in CI:
+  ``OVERHEAD_CEILING``.  The *simulated* outcome is identical either
+  way — observability never perturbs virtual time, so the two runs'
+  report bytes are equal.
 * **accuracy** — the :class:`~repro.obs.sketch.QuantileSketch` that
   replaced exact-sample histograms on hot paths answers every quantile
   within its documented ``alpha`` relative error of the exact order
   statistic, measured against a real :class:`~repro.sim.Histogram` over
   the same deterministic long-tailed stream.
-* **determinism** — with a board killed mid-run, the sequential oracle
-  and the parallel worker pool produce byte-identical spans, per-board
+* **determinism** — through the board kill, the sequential oracle and
+  the parallel worker pool produce byte-identical spans, per-board
   stats snapshots (sketch summaries included), SLO verdicts + alerts,
   and flight-recorder reports *including the kill dumps*.  This extends
-  the P2 identity contract across the entire new plane.
+  the P2 identity contract across the entire plane.
 
 The CI ``obs-smoke`` job runs the reduced configuration
 (``BENCH_PROFILE=reduced``) and uploads the Chrome trace and the kill dump as
@@ -29,40 +34,50 @@ import math
 import os
 import time
 
-from conftest import REDUCED
+from conftest import REDUCED, scale_timeline
+from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
+from repro.loadgen import ScenarioRunner, get_scenario
+from repro.obs import CycleProfiler, validate_flight_dump
 from repro.obs.sketch import QuantileSketch
-from repro.obs.smoke import obs_plane_smoke
 from repro.sim import Histogram
 
-DURATION = 200_000 if REDUCED else 400_000
-CLIENTS = 4 if REDUCED else 8
-REQUESTS_PER_CLIENT = 60 if REDUCED else 150
+SCENARIO = scale_timeline(get_scenario("board_kill"))
+PLANE_OFF = ClusterConfig()
+PLANE_ON = ClusterConfig(obs=ObsConfig(tracing=True, flight_recorders=True))
 TIMING_ROUNDS = 2 if REDUCED else 3
 #: CI-enforced bound on enabled/disabled wall-clock ratio (measured
-#: ~1.25x; headroom for noisy shared runners)
+#: ~1.2x; headroom for noisy shared runners)
 OVERHEAD_CEILING = 1.8
+#: the full profile must offer enough work that the ratio is not noise
+MIN_OFFERED = 1_000
 #: percentiles the accuracy claim is checked at
 PERCENTILES = (50.0, 90.0, 99.0, 99.9)
+SECTIONS = ("spans", "stats", "slo", "flight")
 JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_O1.json")
 
 
-def _workload(**extra):
-    base = dict(n_fpgas=2, duration=DURATION, clients=CLIENTS,
-                requests_per_client=REQUESTS_PER_CLIENT)
-    base.update(extra)
-    return base
-
-
-def _timed(observability):
-    """Best-of-N wall clock for the serving run, plane on or off."""
-    best, stats = math.inf, None
+def _timed(config):
+    """Best-of-N wall clock for the scenario, plane on or off."""
+    best, report = math.inf, None
     for _ in range(TIMING_ROUNDS):
+        runner = ScenarioRunner(SCENARIO, config=config)
         t0 = time.perf_counter()
-        stats = obs_plane_smoke(observability=observability, **_workload())
+        report = runner.run()
         best = min(best, time.perf_counter() - t0)
-    return best, stats
+    return best, report
+
+
+def _observed(backend):
+    """(report, diagnostics as comparable bytes, raw diagnostics)."""
+    runner = ScenarioRunner(SCENARIO, backend=backend, config=PLANE_ON)
+    report = runner.run()
+    diag = runner.diagnostics
+    flat = dict(diag, spans=diag["spans"].dump())
+    return report, {name: json.dumps(flat[name], sort_keys=True,
+                                     default=repr)
+                    for name in SECTIONS}, diag
 
 
 def _accuracy():
@@ -84,18 +99,15 @@ def _accuracy():
 
 
 def run_all():
-    wall_off, stats_off = _timed(False)
-    wall_on, stats_on = _timed(True)
-    identity = {}
-    for backend in ("sequential", "parallel"):
-        identity[backend] = obs_plane_smoke(
-            backend=backend, identity=True, **_workload())
+    wall_off, report_off = _timed(PLANE_OFF)
+    wall_on, report_on = _timed(PLANE_ON)
     return {
         "overhead": {"wall_off_s": wall_off, "wall_on_s": wall_on,
                      "ratio": wall_on / wall_off,
-                     "stats_off": stats_off, "stats_on": stats_on},
+                     "report_off": report_off, "report_on": report_on},
         "accuracy": _accuracy(),
-        "identity": identity,
+        "identity": {backend: _observed(backend)
+                     for backend in ("sequential", "parallel")},
     }
 
 
@@ -107,8 +119,9 @@ def test_bench_obs(benchmark):
     assert over["ratio"] <= OVERHEAD_CEILING, (
         f"observability overhead {over['ratio']:.2f}x exceeds the "
         f"{OVERHEAD_CEILING}x ceiling")
-    assert over["stats_on"]["completed"] == over["stats_off"]["completed"]
-    assert over["stats_on"]["completed"] > 0
+    assert over["report_on"].to_json() == over["report_off"].to_json()
+    offered = over["report_on"].data["totals"]["offered"]
+    assert REDUCED or offered >= MIN_OFFERED
 
     # accuracy: every checked quantile inside the documented alpha bound
     acc = results["accuracy"]
@@ -118,30 +131,37 @@ def test_bench_obs(benchmark):
             f"(> alpha={acc['alpha']})")
 
     # determinism: sequential == parallel byte-for-byte across the plane,
-    # through the mid-run board kill
-    seq = results["identity"]["sequential"].pop("identity")
-    par = results["identity"]["parallel"].pop("identity")
-    for section in ("spans", "stats", "slo", "flight"):
-        assert json.dumps(seq[section], sort_keys=True, default=repr) == \
-            json.dumps(par[section], sort_keys=True, default=repr), (
+    # through the mid-run board kill — and the report is the same blob
+    # the unobserved shared run produced
+    seq_report, seq, diag = results["identity"]["sequential"]
+    par_report, par, _ = results["identity"]["parallel"]
+    for section in SECTIONS:
+        assert seq[section] == par[section], (
             f"sequential/parallel divergence in {section!r}")
-    seq_run = results["identity"]["sequential"]
-    verdicts = {r["name"]: r["verdict"] for r in seq_run["slo"]["targets"]}
-    assert verdicts  # the SLO engine judged something
-    killed = seq_run["flight"]["fpga1"]
-    assert any(r.startswith("board-kill:") for r in killed["dump_reasons"])
-    assert all(n >= 1 for n in killed["dump_entries"])  # dumps validate
+    assert seq_report.to_json() == par_report.to_json() \
+        == over["report_off"].to_json()
+    verdicts = {r["name"]: r["verdict"] for r in diag["slo"]["targets"]}
+    assert verdicts and seq_report.passed  # the SLO engine judged, and passed
+    killed = diag["flight"]["fpga1"]["dumps"]
+    assert any(d["reason"].startswith("board-kill:") for d in killed)
+    assert all(validate_flight_dump(d) >= 1 for d in killed)
+    profiler = CycleProfiler(diag["spans"])
+    assert profiler.traces > 0
 
     rows = [
         ["overhead ratio", f"{over['ratio']:.2f}x",
          f"<= {OVERHEAD_CEILING}x"],
+        ["offered requests", str(offered),
+         "report bytes equal, plane on vs off"],
         ["worst quantile rel. error",
          f"{max(r['rel_error'] for r in acc['quantiles']):.4f}",
          f"<= alpha={acc['alpha']}"],
         ["sketch buckets for 50k samples", str(acc["sketch_bins"]),
          "bounded"],
         ["seq == par (spans/stats/slo/flight)", "yes", "byte-identical"],
-        ["kill dumps on fpga1", str(killed["dumps"]), ">= 1, validated"],
+        ["kill dumps on fpga1", str(len(killed)), ">= 1, validated"],
+        ["traces profiled", str(profiler.traces),
+         f"{profiler.total_cycles:,} cycles attributed"],
     ]
     text = format_table(
         ["measure", "value", "bound"], rows,
@@ -158,13 +178,14 @@ def test_bench_obs(benchmark):
             "wall_off_s": over["wall_off_s"],
             "wall_on_s": over["wall_on_s"],
             "ratio": over["ratio"],
-            "completed": over["stats_on"]["completed"],
+            "offered": offered,
+            "served": over["report_on"].data["totals"]["served"],
         },
         "accuracy": acc,
         "identity": {
             "byte_identical": True,
-            "sections": ["spans", "stats", "slo", "flight"],
-            "kill_dumps": killed["dumps"],
+            "sections": list(SECTIONS),
+            "kill_dumps": len(killed),
             "slo_verdicts": verdicts,
         },
     }

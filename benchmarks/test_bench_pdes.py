@@ -3,7 +3,7 @@
 The parallel backend's contract has two halves (DESIGN.md, "Parallel
 simulation"):
 
-* **identity** — a windowed cluster run produces byte-identical results,
+* **identity** — a windowed cluster run produces byte-identical reports,
   span trees, and stats snapshots whether board windows execute serially
   in-process (``backend="sequential"``) or on forked worker processes
   (``backend="parallel"``).  This half is asserted unconditionally, on
@@ -17,29 +17,28 @@ simulation"):
   count are always recorded in ``bench_results/BENCH_P2.json`` so the
   numbers stay honest either way.
 
-Workload: the S1 closed-loop serving harness (``scaling_smoke``) at
-1/2/4/8 boards, offered load scaled with the board count so every board
-has real work inside each 500-cycle lookahead window.  Documented
+Workload: S1's ``scale_out`` library scenario, traced, at 1/2/4/8
+boards — offered load and instances scale with the board count, so every
+board is saturated inside each 500-cycle lookahead window.  Documented
 target: >= 2.5x at 4 boards on a machine with >= 5 cores.  The CI
 ``pdes-smoke`` job runs the reduced configuration (``BENCH_PROFILE=reduced``,
-1/2 boards) on 4-vCPU runners, where the modest 2-board floor is active.
+1/2 boards, half the window) on 4-vCPU runners, where the modest 2-board
+floor is active.
 """
 
 import json
 import os
 import time
 
-import pytest
-
-from conftest import REDUCED
-from repro.cluster.smoke import scaling_smoke
+from conftest import REDUCED, scale_timeline
+from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
+from repro.loadgen import ScenarioRunner
+from repro.loadgen.library import scale_out
 
 BOARD_COUNTS = [1, 2] if REDUCED else [1, 2, 4, 8]
-DURATION = 60_000 if REDUCED else 300_000
-REQUESTS_PER_CLIENT = 40 if REDUCED else 150
-CLIENTS_PER_BOARD = 4 if REDUCED else 8
+TRACED = ClusterConfig(obs=ObsConfig(tracing=True))
 #: documented target for the full configuration (ISSUE acceptance bar)
 TARGET_SPEEDUP = 2.5
 TARGET_BOARDS = 4
@@ -51,20 +50,17 @@ JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_P2.json")
 CORES = len(os.sched_getaffinity(0))
 
 
-def _workload(n_fpgas):
-    """S1 serving args with offered load proportional to the board count."""
-    return dict(n_fpgas=n_fpgas, duration=DURATION,
-                clients=CLIENTS_PER_BOARD * n_fpgas,
-                requests_per_client=REQUESTS_PER_CLIENT,
-                trace=True, identity=True)
-
-
 def _timed_run(backend, n_fpgas):
+    runner = ScenarioRunner(scale_timeline(scale_out(n_fpgas=n_fpgas)),
+                            backend=backend, config=TRACED)
     t0 = time.perf_counter()
-    stats = scaling_smoke(backend=backend, **_workload(n_fpgas))
+    report = runner.run()
     wall = time.perf_counter() - t0
-    identity = stats.pop("identity")
-    return stats, identity, wall
+    diag = runner.diagnostics
+    identity = {"report": report.to_json(),
+                "spans": diag["spans"].dump(),
+                "stats": json.dumps(diag["stats"], sort_keys=True)}
+    return report.tenants["load"], identity, wall
 
 
 def run_all():
@@ -88,14 +84,11 @@ def test_bench_pdes(benchmark):
     # identity: byte-for-byte, on every board count, unconditionally.
     for boards, data in results.items():
         seq, par = data["sequential"], data["parallel"]
-        assert seq["stats"] == par["stats"], f"{boards} boards: stats diverge"
-        assert seq["identity"]["spans"] == par["identity"]["spans"], (
-            f"{boards} boards: span trees diverge")
-        assert json.dumps(seq["identity"]["stats"], sort_keys=True) == \
-            json.dumps(par["identity"]["stats"], sort_keys=True), (
-            f"{boards} boards: stats snapshots diverge")
+        for section in ("report", "spans", "stats"):
+            assert seq["identity"][section] == par["identity"][section], (
+                f"{boards} boards: {section} diverges")
         assert len(seq["identity"]["spans"]) > 0
-        assert seq["stats"]["completed"] > 0, (
+        assert seq["stats"]["served"] > 0, (
             f"{boards} boards: the run served no traffic")
 
     # speed: floors only where the hardware can physically show them —
@@ -150,9 +143,9 @@ def test_bench_pdes(benchmark):
                 "speedup": data["speedup"],
                 "byte_identical": True,
                 "floor_asserted": floors[boards],
-                "completed": data["sequential"]["stats"]["completed"],
-                "throughput_per_kcycle":
-                    data["sequential"]["stats"]["throughput_per_kcycle"],
+                "served": data["sequential"]["stats"]["served"],
+                "goodput_per_kcycle":
+                    data["sequential"]["stats"]["goodput_per_kcycle"],
                 "spans": len(data["sequential"]["identity"]["spans"]),
             }
             for boards, data in results.items()

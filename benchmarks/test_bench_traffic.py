@@ -23,46 +23,19 @@ the flash_crowd report JSON as an artifact.
 import hashlib
 import json
 import os
-from dataclasses import replace
 
-from conftest import REDUCED
+from conftest import REDUCED, scale_timeline
 from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.loadgen import ScenarioRunner, get_scenario
 
-#: time-compression factor for the reduced (CI smoke) configuration
-SCALE = 0.5 if REDUCED else 1.0
 BACKENDS = ("shared", "sequential", "parallel")
 JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_T2.json")
 
 
-def _scale(scn, factor):
-    """Compress a scenario's timeline: duration, envelopes, chaos plan.
-
-    Rates are untouched, so utilization — and therefore the verdict —
-    is preserved; only the soak length shrinks.
-    """
-    if factor == 1.0:
-        return scn
-
-    def s(x):
-        return max(1, int(x * factor))
-
-    tenants = tuple(
-        replace(t, arrival=replace(t.arrival, envelopes=tuple(
-            replace(e, period=int(e.period * factor),
-                    start=int(e.start * factor),
-                    end=int(e.end * factor))
-            for e in t.arrival.envelopes)))
-        for t in scn.tenants)
-    chaos = tuple(replace(c, at=s(c.at)) for c in scn.chaos)
-    return replace(scn, duration=s(scn.duration), tenants=tenants,
-                   chaos=chaos)
-
-
 def _run_everywhere(name):
     """One scenario on every backend -> (report, per-backend sha256)."""
-    scn = _scale(get_scenario(name), SCALE)
+    scn = scale_timeline(get_scenario(name))
     digests = {}
     report = None
     for backend in BACKENDS:
@@ -78,7 +51,7 @@ def run_all():
         scn, report, digests = _run_everywhere(name)
         out[name] = {"scenario": scn, "report": report,
                      "digests": digests}
-    probe = _scale(get_scenario("overload_probe"), SCALE)
+    probe = scale_timeline(get_scenario("overload_probe"))
     out["overload_probe"] = {
         "scenario": probe,
         "report": ScenarioRunner(probe, backend="shared").run(),

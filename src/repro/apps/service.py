@@ -11,15 +11,48 @@ Handler convention (shared with :mod:`repro.baselines`):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.accel.base import Accelerator
 from repro.errors import TileFault
 from repro.hw.resources import ResourceVector
 
-__all__ = ["PortedService"]
+__all__ = ["PortedService", "echo_handler_factory", "kv_handler_factory"]
 
 Handler = Callable[[Any], Tuple[int, Any, int]]
+
+
+def echo_handler_factory(work_cycles: int):
+    """A CPU-bound echo service: every request costs ``work_cycles``."""
+
+    def make():
+        def handler(body):
+            return work_cycles, {"echo": body.get("x") if isinstance(body, dict) else None}, 64
+        return handler
+
+    return make
+
+
+def kv_handler_factory(work_cycles: int):
+    """A tiny per-shard key-value store (get/put)."""
+
+    def make(shard: int):
+        store: Dict[Any, Any] = {}
+
+        def handler(body):
+            op = body.get("op")
+            if op == "put":
+                store[body["key"]] = body["value"]
+                return work_cycles, {"ok": True, "shard": shard}, 32
+            if op == "get":
+                return work_cycles, {"ok": body["key"] in store,
+                                     "value": store.get(body["key"]),
+                                     "shard": shard}, 64
+            return work_cycles, {"ok": False, "error": f"bad op {op!r}"}, 32
+
+        return handler
+
+    return make
 
 
 class PortedService(Accelerator):

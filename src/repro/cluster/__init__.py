@@ -29,7 +29,6 @@ from repro.cluster.directory import (
 )
 from repro.cluster.frontend import FRONTEND_PORT, BackendHealth, FrontEnd
 from repro.cluster.service import ClusterPortedService
-from repro.cluster.smoke import availability_smoke, scaling_smoke
 
 __all__ = [
     "Cluster",
@@ -49,6 +48,4 @@ __all__ = [
     "BackendHealth",
     "FRONTEND_PORT",
     "ClusterPortedService",
-    "scaling_smoke",
-    "availability_smoke",
 ]

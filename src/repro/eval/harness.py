@@ -10,7 +10,7 @@ the workload, and returns one uniform result dict.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.apps.kv_service import KV_PORT, deploy_kv_on_apiary, make_kv_handler
 from repro.baselines.bare import BareFpgaSystem
@@ -22,7 +22,7 @@ from repro.kernel.system import ApiarySystem
 from repro.net.frame import EthernetFabric
 from repro.sim import Engine, RngPool
 from repro.workloads.client import RemoteClientHost
-from repro.workloads.generators import poisson_gaps, zipf_keys
+from repro.workloads.generators import zipf_keys
 
 __all__ = ["run_kv_workload", "SYSTEM_KINDS"]
 
@@ -31,20 +31,17 @@ SYSTEM_KINDS = ("apiary", "hosted", "hosted_bypass", "bare")
 FABRIC_LATENCY = 500  # one-way datacenter hop in fabric cycles (~2 us)
 SERVER_MAC = "server0"
 CLIENT_MAC = "client0"
+REQUEST_TIMEOUT = 2_000_000
 
 
 def run_kv_workload(
     kind: str,
     n_requests: int = 300,
     value_bytes: int = 256,
-    rate_per_kcycle: Optional[float] = None,
     seed: int = 7,
-    closed_loop: bool = True,
     warmup_keys: int = 50,
-    request_timeout: int = 2_000_000,
-    hosted_kwargs: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Run one KV GET workload against the chosen system.
+    """Run one closed-loop KV GET workload against the chosen system.
 
     Returns a dict with latency percentiles (cycles), throughput, CPU
     cycles per request, and an energy breakdown.
@@ -67,10 +64,10 @@ def run_kv_workload(
         engine.run_until_done(started, limit=10_000_000)
         engine.run(until=engine.now + 5000)
     elif kind in ("hosted", "hosted_bypass"):
-        kwargs = dict(cores=4, kernel_bypass=(kind == "hosted_bypass"),
-                      rng=rng.stream("host-jitter"))
-        kwargs.update(hosted_kwargs or {})
-        system_obj = HostedFpgaSystem(engine, fabric, SERVER_MAC, **kwargs)
+        system_obj = HostedFpgaSystem(
+            engine, fabric, SERVER_MAC, cores=4,
+            kernel_bypass=(kind == "hosted_bypass"),
+            rng=rng.stream("host-jitter"))
         handler, _table = make_kv_handler()
         system_obj.register(KV_PORT, handler)
     else:  # bare
@@ -86,27 +83,18 @@ def run_kv_workload(
 
     warm = engine.process(
         client.closed_loop(SERVER_MAC, KV_PORT, puts, nbytes=value_bytes,
-                           timeout=request_timeout),
+                           timeout=REQUEST_TIMEOUT),
         name="warmup",
     )
     engine.run_until_done(warm.done, limit=200_000_000)
     client.latency.reset()
 
     measure_start = engine.now
-    if closed_loop or rate_per_kcycle is None:
-        proc = engine.process(
-            client.closed_loop(SERVER_MAC, KV_PORT, gets, nbytes=64,
-                               timeout=request_timeout),
-            name="measure",
-        )
-    else:
-        gaps = poisson_gaps(rng.stream("arrivals"), rate_per_kcycle,
-                            n_requests)
-        proc = engine.process(
-            client.open_loop(SERVER_MAC, KV_PORT, gets, gaps, nbytes=64,
-                             timeout=request_timeout),
-            name="measure",
-        )
+    proc = engine.process(
+        client.closed_loop(SERVER_MAC, KV_PORT, gets, nbytes=64,
+                           timeout=REQUEST_TIMEOUT),
+        name="measure",
+    )
     engine.run_until_done(proc.done, limit=2_000_000_000)
     elapsed = max(1, engine.now - measure_start)
 

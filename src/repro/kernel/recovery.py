@@ -318,7 +318,7 @@ class RecoveryManager:
                 self.spares.append(old_node)  # the old slot becomes the spare
         dep.node = new_node
         mttr = self.engine.now - failed_at
-        self.stats.histogram("recovery.mttr").record(mttr)
+        self.stats.sketch("recovery.mttr").record(mttr)
         event = RecoveryEvent(time=self.engine.now, endpoint=dep.endpoint,
                               from_node=old_node, to_node=new_node,
                               mttr=mttr, kind=kind)

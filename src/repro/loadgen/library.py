@@ -1,4 +1,4 @@
-"""The canned scenario library: six named, seeded, SLO-scored runs.
+"""The canned scenario library: eight named, seeded, SLO-scored runs.
 
 Each factory returns a frozen :class:`~repro.loadgen.scenario.Scenario`
 tuned so its declared ``expect_pass`` holds with margin — these are the
@@ -9,7 +9,17 @@ Rough capacity math behind the tuning: a kv service serves from its
 shard primaries, so capacity ≈ ``shards × 1000 / work_cycles`` requests
 per kilocycle; an echo service ≈ ``instances × 1000 / work_cycles``.
 Passing scenarios sit well under that; ``overload_probe`` sits ~7× over
-it on purpose.
+it on purpose; ``scale_out`` sits 4× over it at every cluster size.
+
+The front-end rule a saturating scenario respects if it wants no failed
+requests and counts that agree across backends: a request admitted
+behind a full in-flight budget waits up to ``max_pending / instances``
+service times before its backend even starts on it, so
+``attempt_timeout`` must clear ``2 × work_cycles × max_pending /
+instances`` — or health tracking mistakes overload for death, every
+attempt times out, and failovers feed the very queue that caused them
+(``overload_probe`` breaks the rule on purpose and is scored on one
+backend; ``scale_out`` keeps it).
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from repro.obs.slo import SLOTarget
 
 __all__ = ["SCENARIOS", "get_scenario", "scenario_names",
            "steady_state", "diurnal_day", "flash_crowd", "tenant_storm",
-           "chaos_soak", "overload_probe"]
+           "chaos_soak", "overload_probe", "scale_out", "board_kill"]
 
 
 def steady_state(seed: int = 0) -> Scenario:
@@ -207,6 +217,79 @@ def overload_probe(seed: int = 0) -> Scenario:
     )
 
 
+def scale_out(seed: int = 0, n_fpgas: int = 2) -> Scenario:
+    """S1's scaling run: saturate ``n_fpgas`` boards of echo instances.
+
+    Two instances per board, one open-loop tenant offering 2 requests per
+    kilocycle *per board* against 0.5 of capacity — every size is 4×
+    saturated, so ``goodput_per_kcycle`` measures what the boards can
+    serve and should grow linearly with ``n_fpgas``.
+
+    The front-end budget scales with the cluster (four in flight per
+    instance — one batch): a 16-kilocycle worst-case wait, inside the
+    default ``attempt_timeout`` by the module's rule.  The backlog holds
+    64 kilocycles of work, so overload is shed at arrival as drops,
+    never by queue deadline: served == completions, and the count
+    agrees between ``shared`` and ``sequential``.  With the ``Scenario``
+    defaults instead (``max_pending=64``) one board logs ~9,000
+    failovers and ~100 failed requests (``tests/test_loadgen.py``).  No
+    verdict is declared: the SLO row fails by design, the output is the
+    goodput.
+    """
+    echo = ServiceDecl("echo", kind="echo", instances=2 * n_fpgas,
+                       work_cycles=4_000)
+    return Scenario(
+        name="scale_out", seed=seed, duration=300_000, n_fpgas=n_fpgas,
+        services=(echo,),
+        tenants=(
+            TenantSpec("load", "echo",
+                       ArrivalSpec("poisson",
+                                   rate_per_kcycle=2.0 * n_fpgas)),
+        ),
+        slos=(
+            SLOTarget("echo-availability", "echo", objective=0.99,
+                      latency_cycles=50_000),
+        ),
+        max_pending=8 * n_fpgas, max_backlog=32 * n_fpgas,
+    )
+
+
+def board_kill(seed: int = 0) -> Scenario:
+    """S1's availability run (and O1's observed run): board 1 of 2 dies
+    a third of the way in.
+
+    Sharded kv, 4 shards × 2 replicas, so every shard keeps a live
+    replica on board 0; two tenants so per-tenant SLO accounting is
+    exercised.  ~1,080 requests at 1.8/kcycle against 4/kcycle of
+    post-kill capacity: far from attempt-timeout saturation, so the
+    report is one blob on every backend, every request is served
+    (``offered == served`` across the kill) and the run must pass.
+    """
+    kv = ServiceDecl("kv", kind="kv", shards=4, replicas=2,
+                     work_cycles=1_000)
+    return Scenario(
+        name="board_kill", seed=seed, duration=600_000, n_fpgas=2,
+        services=(kv,),
+        tenants=(
+            TenantSpec("alpha", "kv",
+                       ArrivalSpec("poisson", rate_per_kcycle=0.9)),
+            TenantSpec("beta", "kv",
+                       ArrivalSpec("poisson", rate_per_kcycle=0.9),
+                       read_fraction=0.5),
+        ),
+        chaos=(ChaosAction(at=200_000, action="kill", board=1),),
+        slos=(
+            SLOTarget("kv-availability", "kv", objective=0.99,
+                      latency_cycles=50_000),
+            SLOTarget("alpha-latency", "kv", objective=0.95,
+                      latency_cycles=30_000, tenant="alpha"),
+            SLOTarget("beta-latency", "kv", objective=0.95,
+                      latency_cycles=30_000, tenant="beta"),
+        ),
+        expect_pass=True,
+    )
+
+
 SCENARIOS: Dict[str, Callable[..., Scenario]] = {
     "steady_state": steady_state,
     "diurnal_day": diurnal_day,
@@ -214,6 +297,8 @@ SCENARIOS: Dict[str, Callable[..., Scenario]] = {
     "tenant_storm": tenant_storm,
     "chaos_soak": chaos_soak,
     "overload_probe": overload_probe,
+    "scale_out": scale_out,
+    "board_kill": board_kill,
 }
 
 

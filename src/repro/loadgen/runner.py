@@ -21,6 +21,9 @@ Two properties are load-bearing:
   at a *computed* end cycle — so the same seeded scenario produces a
   byte-identical :class:`~repro.loadgen.report.ScenarioReport` on the
   shared, sequential, and parallel backends, board kills included.
+
+S1, P2, O1 and T2 are all library scenarios executed here: this is the
+one serving harness.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
+from repro.apps import echo_handler_factory, kv_handler_factory
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig, ObsConfig
-from repro.cluster.smoke import echo_handler_factory, kv_handler_factory
+from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigError
-from repro.kernel.config import SystemConfig
 from repro.loadgen.arrivals import arrival_times
 from repro.loadgen.report import ScenarioReport, _safe
 from repro.loadgen.scenario import Scenario, TenantSpec
@@ -48,12 +50,28 @@ _DEPLOY_LIMIT = 50_000_000
 
 
 class ScenarioRunner:
-    """One scenario, one cluster, one deterministic report."""
+    """One scenario, one cluster, one deterministic report.
 
-    def __init__(self, scenario: Scenario, backend: str = "shared"):
+    ``config`` is the template the cluster is built from — the one door
+    through which tracing, flight recorders (+ dump dir) and the
+    bitstream cache reach a serving run.  The runner overrides only what
+    the scenario owns: ``n_fpgas``, ``system.seed``, ``backend``,
+    ``swallow_orphan_errors`` and the SLO targets.  When the template
+    arms tracing or flight recorders, :attr:`diagnostics` is filled
+    before the workers are reaped — *beside* the report, never inside
+    it, so the report's bytes do not depend on what was observed.
+    """
+
+    def __init__(self, scenario: Scenario, backend: str = "shared",
+                 config: ClusterConfig = ClusterConfig()):
         self.scenario = scenario
         self.backend = backend
+        self.config = config
         self.cluster: Optional[Cluster] = None
+        #: ``{"spans": merged SpanRecorder, "stats": per-board snapshots,
+        #: "slo": SLO report at the end cycle, "flight": per-board flight
+        #: reports}`` after a traced / flight-recorded run, else None
+        self.diagnostics: Optional[Dict[str, Any]] = None
         # per-tenant outcome ledgers, filled by submit callbacks
         self._counts: Dict[str, Dict[str, int]] = {}
         self._sketches: Dict[str, QuantileSketch] = {}
@@ -62,16 +80,17 @@ class ScenarioRunner:
 
     def _build(self) -> Cluster:
         scn = self.scenario
-        cluster = Cluster(ClusterConfig(
+        cluster = self.cluster = Cluster(replace(
+            self.config,
             n_fpgas=scn.n_fpgas,
-            system=replace(SystemConfig.figure1(), seed=scn.seed),
+            system=replace(self.config.system, seed=scn.seed),
             backend=self.backend,
             # chaos plans kill boards mid-flight; orphaned in-flight
             # errors are the fault path's job, not the engine's
             swallow_orphan_errors=True,
             # slo=True: a scenario declaring no SLOs still gets an
             # engine, so it reports (and fails) instead of crashing
-            obs=ObsConfig(slo=True, slo_targets=scn.slos),
+            obs=replace(self.config.obs, slo=True, slo_targets=scn.slos),
         ))
         cluster.boot()
         started = []
@@ -170,8 +189,20 @@ class ScenarioRunner:
     # -- the run -----------------------------------------------------------
 
     def run(self) -> ScenarioReport:
+        try:
+            outcome = self._drive()
+        finally:
+            # reap the board workers on every exit path: a dead worker,
+            # a failing chaos action, a start_at that boot overran
+            if self.cluster is not None:
+                self.cluster.shutdown()
+        return self._report(*outcome)
+
+    def _drive(self):
+        """Build, run to the end cycle, collect; returns what
+        :meth:`_report` takes."""
         scn = self.scenario
-        cluster = self.cluster = self._build()
+        cluster = self._build()
         frontend = cluster.frontend
         t0 = scn.start_at
 
@@ -203,9 +234,16 @@ class ScenarioRunner:
         drain = scn.drain_cycles()
         end = t0 + scn.duration + drain
         cluster.run(until=end)
-        cluster.shutdown()
-
-        return self._report(end, drain, offered, timeline)
+        obs = self.config.obs
+        if obs.tracing or obs.flight_recorders:
+            # a forked board answers `collect` only while its worker lives
+            self.diagnostics = {
+                "spans": cluster.merged_spans(),
+                "stats": cluster.stats_snapshots(),
+                "slo": cluster.slo.report(end),
+                "flight": cluster.flight_reports(),
+            }
+        return end, drain, offered, timeline
 
     def _report(self, end: int, drain: int, offered: Dict[str, int],
                 timeline: List[Dict[str, Any]]) -> ScenarioReport:

@@ -218,6 +218,18 @@ class SpanRecorder:
                 seen.setdefault(rec.trace_id, None)
         return list(seen)
 
+    def dump(self) -> List[tuple]:
+        """Flatten to comparable tuples (the identity-check shape).
+
+        Detail dicts are rendered through ``repr`` of their sorted items so
+        any picklable payload compares deterministically.
+        """
+        return [
+            (rec.trace_id, rec.span_id, rec.parent_id, rec.name, rec.category,
+             rec.source, rec.start, rec.end, repr(sorted(rec.detail.items())))
+            for rec in self._records
+        ]
+
     def events(self, name: Optional[str] = None) -> Iterator[SpanRecord]:
         """Event records whose name starts with ``name``, lazily."""
         for rec in self._records:

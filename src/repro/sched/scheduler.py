@@ -226,7 +226,7 @@ class TileScheduler:
             job.state = JobState.RUNNING
             if job.started_at is None:
                 job.started_at = self.engine.now
-            self.stats.histogram("sched.queue_wait").record(
+            self.stats.sketch("sched.queue_wait").record(
                 self.engine.now - job.submitted_at)
             self._log("start", job.spec.name, job.spec.tenant, node, "")
         self._wake()

@@ -1,10 +1,12 @@
 """Reusable autoscaling experiments: the S2 load-step and chaos runs.
 
 One parameterized harness shared by the unit tests, the S2 benchmark,
-and the CI ``sched-smoke`` job — the same pattern as
-:mod:`repro.cluster.smoke`: every quantity derives from the simulated
+and the CI ``sched-smoke`` job: every quantity derives from the simulated
 clock and seeded streams, so two calls with identical arguments return
 identical results (the benchmark byte-compares the full event log).
+These runs move instances at simulated runtime, which only the
+``shared`` backend can do — so they stay hand-driven until placement
+changes are board ops and a :mod:`repro.loadgen` scenario can carry them.
 
 The main run (:func:`autoscale_smoke`) drives a stateless KV service
 through a three-phase open-loop load: steady base traffic, a
@@ -26,15 +28,31 @@ pipeline enabled, measuring scale-up-ready time with a warm
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.config import CacheConfig
-from repro.cluster.smoke import _build
+from repro.cluster.cluster import Cluster
+from repro.cluster.config import CacheConfig, ClusterConfig
 from repro.errors import TileFault
+from repro.kernel.config import SystemConfig
 from repro.policy import RetryPolicy
 from repro.workloads.client import ClusterClient
 
 __all__ = ["autoscale_smoke", "autoscale_chaos_smoke", "cache_step_smoke"]
+
+
+def _build(n_fpgas: int, seed: int,
+           cache: CacheConfig = CacheConfig()) -> Cluster:
+    # scale-down and fault injection tear live tiles down mid-traffic; a
+    # straggler interrupted inside the dying tile is an orphan by design
+    cluster = Cluster(ClusterConfig(
+        n_fpgas=n_fpgas,
+        system=replace(SystemConfig.figure1(), seed=seed),
+        swallow_orphan_errors=True,
+        cache=cache,
+    ))
+    cluster.boot()
+    return cluster
 
 
 def _shared_kv_factory(work_cycles: int):
@@ -133,10 +151,7 @@ def autoscale_smoke(
     replica time-series, and the autoscaler's full decision log (for the
     determinism byte-compare).
     """
-    # scale-down tears live tiles down mid-traffic; a straggler reply
-    # interrupted inside the dying tile is an orphan by design (same
-    # engine contract the fault-injection runs use)
-    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True)
+    cluster = _build(n_fpgas, seed)
     started = cluster.deploy_stateless(
         "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
     cluster.engine.run_until_done(cluster.engine.all_of(started),
@@ -249,7 +264,7 @@ def cache_step_smoke(
     Deterministic: identical arguments give an identical result dict
     (the benchmark byte-compares it).
     """
-    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True,
+    cluster = _build(n_fpgas, seed,
                      cache=CacheConfig(enabled=True, prefetch=warm,
                                        warm_placement=warm))
     started = cluster.deploy_stateless(
@@ -353,7 +368,7 @@ def autoscale_chaos_smoke(
     replica serving afterwards, and requests issued after the
     replacement settles completing at (near-)unity success rate.
     """
-    cluster = _build(n_fpgas, seed, swallow_orphan_errors=True)
+    cluster = _build(n_fpgas, seed)
     started = cluster.deploy_stateless(
         "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
     cluster.engine.run_until_done(cluster.engine.all_of(started),

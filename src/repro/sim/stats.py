@@ -1,12 +1,11 @@
 """Measurement primitives: counters, gauges, latency histograms, sketches.
 
 The evaluation harness reads every number it reports from these objects.
-Exact-sample :class:`Histogram` remains the default for bench-scale
-distributions (thousands to low millions of samples, where exactness beats
-streaming complexity); hot paths that record for the lifetime of a run
-register a :class:`~repro.obs.sketch.QuantileSketch` via
-:meth:`StatsRegistry.sketch` instead — bounded memory, documented relative
-error, commutative merge.
+Exact-sample :class:`Histogram` is for distributions a caller owns outright
+(a client's latencies, the reference the sketch accuracy check compares
+against); a :class:`StatsRegistry` keeps one distribution kind, the
+:class:`~repro.obs.sketch.QuantileSketch` of :meth:`StatsRegistry.sketch` —
+bounded memory, documented relative error, commutative merge.
 """
 
 from __future__ import annotations
@@ -188,7 +187,6 @@ class StatsRegistry:
     def __init__(self):
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
         self.sketches: Dict[str, "QuantileSketch"] = {}
         self.time_weighted_stats: Dict[str, TimeWeighted] = {}
 
@@ -202,20 +200,14 @@ class StatsRegistry:
             self.gauges[name] = Gauge(name, initial)
         return self.gauges[name]
 
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        return self.histograms[name]
-
     def sketch(self, name: str, alpha: Optional[float] = None
                ) -> "QuantileSketch":
         """A bounded-memory quantile sketch (see :mod:`repro.obs.sketch`).
 
-        Use instead of :meth:`histogram` on paths that record for the
-        lifetime of a long run (``noc.packet_latency`` and friends);
-        quantiles carry the sketch's ``alpha`` relative error while
-        count/mean/min/max stay exact.  Imported lazily — ``repro.obs``
-        imports this module, so a top-level import would be a cycle.
+        The registry's one distribution kind: quantiles carry the
+        sketch's ``alpha`` relative error while count/mean/min/max stay
+        exact.  Imported lazily — ``repro.obs`` imports this module, so a
+        top-level import would be a cycle.
         """
         if name not in self.sketches:
             from repro.obs.sketch import QuantileSketch
@@ -235,7 +227,7 @@ class StatsRegistry:
     def snapshot(self, now: Optional[int] = None) -> Dict[str, Dict]:
         """Flatten every stat into JSON-safe values for reporting.
 
-        Empty histograms and never-set gauges would otherwise surface as
+        Empty sketches and never-set gauges would otherwise surface as
         NaN — which ``json.dumps`` happily emits as the *invalid* token
         ``NaN``, breaking every strict parser downstream — so undefined
         values become ``None`` (JSON ``null``) instead.  ``now`` is the end
@@ -249,17 +241,11 @@ class StatsRegistry:
         merged registry is byte-stable however its inputs interleaved.
         """
         out: Dict[str, Dict] = {"counters": {}, "gauges": {},
-                                "histograms": {}, "sketches": {},
-                                "time_weighted": {}}
+                                "sketches": {}, "time_weighted": {}}
         for name in sorted(self.counters):
             out["counters"][name] = float(self.counters[name].value)
         for name in sorted(self.gauges):
             out["gauges"][name] = _json_safe(self.gauges[name].value)
-        for name in sorted(self.histograms):
-            out["histograms"][name] = {
-                k: _json_safe(v)
-                for k, v in self.histograms[name].summary().items()
-            }
         for name in sorted(self.sketches):
             out["sketches"][name] = {
                 k: _json_safe(v)
@@ -280,9 +266,6 @@ class StatsRegistry:
         per type:
 
         * **counters** add — event counts across boards are a sum;
-        * **histograms** concatenate raw samples — exact, since samples
-          are stored unaggregated (percentiles of the merged histogram are
-          the true cluster-wide percentiles);
         * **sketches** add bucket counts — commutative and associative,
           so per-board sketches folded in any order equal one sketch that
           saw every sample (quantiles keep their ``alpha`` bound);
@@ -313,8 +296,6 @@ class StatsRegistry:
                 mine.value += gauge.value
                 mine.min_seen = min(mine.min_seen, gauge.min_seen)
                 mine.max_seen = max(mine.max_seen, gauge.max_seen)
-        for name, histogram in other.histograms.items():
-            self.histogram(name).merge(histogram)
         for name, sk in other.sketches.items():
             self.sketch(name, alpha=sk.alpha).merge(sk)
         for name, tw in other.time_weighted_stats.items():

@@ -134,31 +134,6 @@ class RemoteClientHost:
                 continue  # timeout recorded; latency not
             self.latency.record(self.engine.now - start)
 
-    def open_loop(self, peer_mac: str, port: int, bodies: List[Any],
-                  gaps: List[int], nbytes: int = 64,
-                  timeout: Optional[int] = None):
-        """Process generator: fire per schedule regardless of completions."""
-        outstanding: List[Event] = []
-        for i, body in enumerate(bodies):
-            yield gaps[i % len(gaps)]
-            start = self.engine.now
-            done = self.request(peer_mac, port, body, nbytes=nbytes,
-                                timeout=timeout)
-
-            def record(ev: Event, t0=start) -> None:
-                if not ev.failed:
-                    self.latency.record(self.engine.now - t0)
-
-            done.add_callback(record)
-            outstanding.append(done)
-        # wait for stragglers (failures resolve via timeout)
-        for done in outstanding:
-            if not done.triggered:
-                try:
-                    yield done
-                except ConfigError:
-                    pass
-
 
 class ClusterClient(RemoteClientHost):
     """A client that addresses *services*, not boards.
@@ -210,8 +185,7 @@ class ClusterClient(RemoteClientHost):
         Each entry is ``{"body": ..., "key"?: ..., "write"?: ...,
         "tenant"?: ...}``.
         Records latency for completed requests and tallies
-        ``ok/rejected/failed`` — the raw material of the S1 scaling and
-        availability numbers.
+        ``ok/rejected/failed``.
         """
         for req in requests:
             if gap:

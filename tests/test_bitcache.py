@@ -12,6 +12,7 @@ the cache arm of the PDES sequential ≡ parallel identity contract.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.cluster.bitcache import (
     BitstreamPlane,
     BoardBitstreamStore,
 )
-from repro.cluster.smoke import availability_smoke
+from repro.cluster.config import CacheConfig, ClusterConfig, ObsConfig
 from repro.errors import BitstreamRejected, ConfigError
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
 from repro.hw.compile import (
@@ -36,6 +37,7 @@ from repro.hw.compile import (
 from repro.hw.region import reconfig_duration
 from repro.hw.resources import ResourceVector
 from repro.kernel import ApiarySystem, MemConfig, NocConfig, SystemConfig
+from repro.loadgen import ScenarioRunner
 from repro.sim import Engine
 
 
@@ -508,34 +510,43 @@ class TestMidSynthesisChaos:
 # -- the PDES identity contract, cache arm ---------------------------------
 
 
-CACHE_CHAOS_ARGS = dict(n_fpgas=2, kill_after=80_000, post_kill=150_000,
-                        trace=True, identity=True, cache=True)
+CACHED = ClusterConfig(cache=CacheConfig(enabled=True),
+                       obs=ObsConfig(tracing=True))
 
 
 class TestPdesCacheIdentity:
     """Sequential ≡ parallel, byte for byte, with every load routed
     through the per-board compile pipeline and a mid-run board kill."""
 
-    def _split(self, stats):
-        identity = stats.pop("identity")
-        return stats, identity
+    @pytest.fixture(scope="class")
+    def run(self, kill_small):
+        # traffic opens past the ~5.53M-cycle cold synthesis every first
+        # load of a design family pays
+        scenario = replace(kill_small, start_at=5_600_000)
 
-    def test_cache_chaos_identical_across_backends(self):
-        seq_stats, seq_id = self._split(
-            availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS))
-        par_stats, par_id = self._split(
-            availability_smoke(backend="parallel", **CACHE_CHAOS_ARGS))
-        assert seq_stats == par_stats
-        assert seq_id["spans"] == par_id["spans"]
-        assert json.dumps(seq_id["stats"], sort_keys=True) == \
-            json.dumps(par_id["stats"], sort_keys=True)
+        def run(backend):
+            runner = ScenarioRunner(scenario, backend=backend, config=CACHED)
+            report = runner.run()
+            diag = runner.diagnostics
+            return {"report": report.to_json(),
+                    "spans": diag["spans"].dump(),
+                    "stats": json.dumps(diag["stats"], sort_keys=True)}
+
+        return run
+
+    @pytest.fixture(scope="class")
+    def sequential(self, run):
+        return run("sequential")
+
+    def test_cache_chaos_identical_across_backends(self, run, sequential):
+        assert run("parallel") == sequential
         # the kill landed and the cache really was in the path
-        assert seq_stats["killed_fpga"] == 1
-        assert seq_stats["post_kill_reads"] > 0
-        fpga0 = seq_id["stats"]["fpga0"]
+        report = json.loads(sequential["report"])
+        assert report["chaos"] == [
+            {"at": 50_000, "action": "kill", "board": 1}]
+        assert report["totals"]["offered"] == report["totals"]["served"] > 0
+        fpga0 = json.loads(sequential["stats"])["fpga0"]
         assert fpga0["counters"].get("bitcache.misses", 0) >= 1
 
-    def test_cache_run_rerun_is_deterministic(self):
-        a = availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS)
-        b = availability_smoke(backend="sequential", **CACHE_CHAOS_ARGS)
-        assert a == b
+    def test_cache_run_rerun_is_deterministic(self, run, sequential):
+        assert run("sequential") == sequential

@@ -9,10 +9,10 @@ from repro.cluster import (
     FrontEnd,
     HashRing,
     ObsConfig,
-    availability_smoke,
-    scaling_smoke,
 )
 from repro.errors import ConfigError
+from repro.loadgen import ScenarioRunner, get_scenario
+from repro.loadgen.library import scale_out
 from repro.workloads import ClusterClient
 
 
@@ -199,38 +199,69 @@ class TestFailover:
             assert cluster.frontend.health[inst.iid].healthy
 
     def test_reads_fail_over_to_replica(self):
-        stats = availability_smoke(
-            keys=8, kill_after=80_000, post_kill=200_000,
-            work_cycles=1_000)
-        assert stats["writes_ok"] == 8
-        assert stats["post_kill_reads"] > 0
-        assert stats["post_kill_hit_rate"] == 1.0
+        # the one thing a ScenarioReport cannot say: a read after the
+        # kill returns the *value written before it*
+        cluster = small_cluster(n_fpgas=2, swallow_orphan_errors=True)
+        started = cluster.deploy_sharded("kv", kv_factory(1_000),
+                                         n_shards=4, replication=2)
+        deploy_and_settle(cluster, started)
+        cluster.start_frontend()
+        host = ClusterClient(cluster.engine, cluster.fabric, "h0")
+        keys = [f"key{i}" for i in range(8)]
+        writes = [{"body": {"op": "put", "key": k, "value": f"v-{k}"},
+                   "key": k, "write": True} for k in keys]
+        drive(cluster, host.closed_loop_service("kv", writes))
+        assert host.ok == 8
+        cluster.kill_fpga(1)
+        seen = {}
 
-    def test_availability_run_is_deterministic(self):
-        a = availability_smoke(keys=8, kill_after=80_000,
-                               post_kill=150_000, work_cycles=1_000)
-        b = availability_smoke(keys=8, kill_after=80_000,
-                               post_kill=150_000, work_cycles=1_000)
-        assert a == b
+        def read_back():
+            for k in keys:
+                reply = yield host.call_service(
+                    "kv", {"op": "get", "key": k}, key=k, timeout=100_000)
+                seen[k] = reply["ok"] and reply["body"]["value"]
+
+        drive(cluster, read_back())
+        assert seen == {k: f"v-{k}" for k in keys}
+
+    def test_availability_run_is_deterministic(self, kill_small):
+        runners = [ScenarioRunner(kill_small) for _ in range(2)]
+        a, b = (runner.run() for runner in runners)
+        assert a.to_json() == b.to_json()
+        # the kill bit, and service rode through it
+        assert a.chaos_timeline == [
+            {"at": 50_000, "action": "kill", "board": 1}]
+        assert a.passed and a.matches_expectation()
+        totals = a.data["totals"]
+        assert totals["offered"] == totals["served"] > 0
+        assert totals["unresolved"] == 0
+        cluster = runners[0].cluster
+        on_board1 = {inst.iid for inst in cluster.directory.instances_on(1)}
+        health = cluster.frontend.health_table()
+        assert on_board1
+        assert all(not health[iid]["healthy"] for iid in on_board1)
+        assert all(h["healthy"] for iid, h in health.items()
+                   if iid not in on_board1)
 
 
 class TestScaling:
-    def test_two_fpgas_beat_one(self):
-        one = scaling_smoke(n_fpgas=1, duration=150_000, clients=8,
-                            requests_per_client=100)
-        two = scaling_smoke(n_fpgas=2, duration=150_000, clients=8,
-                            requests_per_client=100)
-        assert one["completed"] > 0
-        speedup = (two["throughput_per_kcycle"]
-                   / one["throughput_per_kcycle"])
-        assert speedup >= 1.5
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {n: ScenarioRunner(scale_out(n_fpgas=n)).run()
+                for n in (1, 2)}
 
-    def test_scaling_run_is_deterministic(self):
-        a = scaling_smoke(n_fpgas=2, duration=100_000, clients=4,
-                          requests_per_client=50)
-        b = scaling_smoke(n_fpgas=2, duration=100_000, clients=4,
-                          requests_per_client=50)
-        assert a == b
+    def test_two_fpgas_beat_one(self, reports):
+        goodput = {}
+        for n, report in reports.items():
+            totals = report.data["totals"]
+            assert totals["failed"] == 0 and totals["unresolved"] == 0
+            goodput[n] = report.tenants["load"]["goodput_per_kcycle"]
+        assert goodput[1] > 0
+        assert goodput[2] / goodput[1] >= 1.5
+
+    def test_scaling_run_is_deterministic(self, reports):
+        again = ScenarioRunner(get_scenario("scale_out")).run()
+        assert again.to_json() == reports[2].to_json()
 
 
 class TestTracing:

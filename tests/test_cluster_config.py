@@ -28,8 +28,8 @@ from repro.cluster import (
     ReplicationConfig,
 )
 from repro.cluster.backend import SPAN_ID_STRIDE
-from repro.cluster.smoke import scaling_smoke
 from repro.errors import ConfigError
+from repro.loadgen import ScenarioRunner
 from repro.obs.slo import SLOTarget
 from repro.replic import ReplicationManager
 
@@ -233,14 +233,16 @@ class TestLifecycle:
         assert any(d["reason"].startswith("board-kill:")
                    for d in reports["fpga1"]["dumps"])
 
-    def test_traced_parallel_run_matches_sequential(self):
+    def test_traced_parallel_run_matches_sequential(self, scale_small):
         # tracing is declared, so it is on in every partition before the
         # fork — a traced parallel run cannot come back host-only
-        dumps = {
-            backend: scaling_smoke(
-                backend=backend, trace=True, identity=True, duration=40_000,
-                clients=4, requests_per_client=10)["identity"]["spans"]
-            for backend in ("sequential", "parallel")}
+        dumps = {}
+        for backend in ("sequential", "parallel"):
+            runner = ScenarioRunner(
+                scale_small, backend=backend,
+                config=ClusterConfig(obs=ObsConfig(tracing=True)))
+            runner.run()
+            dumps[backend] = runner.diagnostics["spans"].dump()
         assert dumps["parallel"] == dumps["sequential"]
         assert any(span[1] >= SPAN_ID_STRIDE for span in dumps["parallel"])
 

@@ -93,8 +93,8 @@ class TestDetectionAndRestart:
         deploy_echo(system)
         system.tiles[2].inject_crash()
         system.run(until=system.engine.now + 2_000_000)
-        hist = system.stats.histograms["recovery.mttr"]
-        assert hist.count == 1 and hist.mean() > 0
+        sketch = system.stats.sketches["recovery.mttr"]
+        assert sketch.count == 1 and sketch.mean() > 0
 
 
 class TestFailover:

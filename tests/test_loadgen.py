@@ -9,14 +9,15 @@ acceptance probe (offered load exceeding served goodput).
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.apps import echo_handler_factory
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
-from repro.cluster.smoke import echo_handler_factory
-from repro.errors import ConfigError
+from repro.cluster.config import ClusterConfig, ObsConfig
+from repro.errors import ConfigError, SimulationError
 from repro.loadgen import (
     ArrivalSpec,
     ChaosAction,
@@ -31,6 +32,7 @@ from repro.loadgen import (
     run_scenario,
     scenario_names,
 )
+from repro.loadgen.library import scale_out
 from repro.obs.slo import SLOEngine, SLOTarget
 from repro.sim import RngPool
 
@@ -194,7 +196,7 @@ class TestScenarioSpec:
     def test_library_names(self):
         assert scenario_names() == sorted(
             ["steady_state", "diurnal_day", "flash_crowd", "tenant_storm",
-             "chaos_soak", "overload_probe"])
+             "chaos_soak", "overload_probe", "scale_out", "board_kill"])
         with pytest.raises(ConfigError):
             get_scenario("nope")
 
@@ -417,6 +419,58 @@ class TestScenarioRunner:
         assert "mini_chaos" in text
         assert ("PASS" in text) or ("FAIL" in text)
         assert rep.matches_expectation()  # no expectation declared
+
+    def test_config_template_and_diagnostics(self):
+        # the scenario owns shape, seed and backend whatever the
+        # template says; the template contributes the features
+        template = ClusterConfig(n_fpgas=5, backend="parallel",
+                                 obs=ObsConfig(flight_recorders=True))
+        runner = ScenarioRunner(_mini_chaos(), config=template)
+        report = runner.run()
+        built = runner.cluster.config
+        assert (built.n_fpgas, built.backend) == (2, "shared")
+        assert built.system.seed == 3 and built.swallow_orphan_errors
+        assert built.obs.slo_targets == _mini_chaos().slos
+        diag = runner.diagnostics
+        assert sorted(diag) == ["flight", "slo", "spans", "stats"]
+        assert len(diag["spans"]) == 0  # tracing was not asked for
+        assert any(d["reason"].startswith("board-kill:")
+                   for d in diag["flight"]["fpga1"]["dumps"])
+        assert diag["slo"]["targets"] == report.slo_rows
+        # beside the report, never inside it
+        plain = ScenarioRunner(_mini_chaos())
+        assert plain.run().to_json() == report.to_json()
+        assert plain.diagnostics is None
+
+    def test_failed_run_reaps_its_workers(self, monkeypatch):
+        workers = []
+
+        def boom(self, index):
+            workers.extend(b._worker for b in self._backend.boards)
+            raise SimulationError(f"board {index} would not die")
+
+        monkeypatch.setattr(Cluster, "kill_fpga", boom)
+        with pytest.raises(SimulationError, match="would not die"):
+            ScenarioRunner(_mini_chaos(), backend="parallel").run()
+        assert [w.name for w in workers] == ["pdes-board0", "pdes-board1"]
+        assert not any(w.is_alive() for w in workers)
+
+    def test_attempt_timeout_rule_is_executable(self):
+        """Saturation with an attempt timeout below the worst-case wait
+        in front of a backend reads as death: with the ``Scenario``
+        default front-end fields one saturated board storms; with the
+        library's (``max_pending`` sized to the instances) it does not."""
+        library = scale_out(n_fpgas=1)
+        defaults = replace(library, max_pending=64, max_backlog=256)
+        assert 2 * 4_000 * defaults.max_pending / 2 > defaults.attempt_timeout
+        assert 2 * 4_000 * library.max_pending / 2 <= library.attempt_timeout
+        stormy = ScenarioRunner(defaults).run().data
+        assert stormy["totals"]["failed"] > 0
+        assert stormy["frontend"]["failovers"] > 1_000
+        calm = ScenarioRunner(library).run().data
+        assert calm["totals"]["failed"] == 0
+        assert calm["frontend"]["failovers"] == 0
+        assert calm["totals"]["unresolved"] == 0
 
     def test_start_at_must_clear_deploy(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 """Parallel discrete-event simulation: backends, envelopes, determinism.
 
 The contract under test (DESIGN.md, "Parallel simulation"): a windowed
-cluster run produces byte-identical results, span trees, and stats
+cluster run produces byte-identical reports, span trees, and stats
 snapshots whether board windows execute serially in-process
 (``backend="sequential"``, the oracle) or on forked worker processes
 (``backend="parallel"``).  The chaos variant pins the same identity
@@ -14,26 +14,42 @@ import pytest
 
 from repro.cluster.backend import SPAN_ID_STRIDE
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig, ReplicationConfig
-from repro.cluster.smoke import availability_smoke, scaling_smoke, span_dump
+from repro.cluster.config import ClusterConfig, ObsConfig, ReplicationConfig
 from repro.errors import ConfigError
+from repro.loadgen import ScenarioRunner
 from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
 from repro.net.frame import EthernetFrame
-from repro.obs.smoke import obs_plane_smoke
 from repro.sim import Engine
 
 
-# small enough to keep the suite fast, big enough to cross hundreds of
-# window barriers and exercise retries, batching, and health probing
-S1_ARGS = dict(n_fpgas=2, duration=100_000, clients=8,
-               requests_per_client=60, trace=True, identity=True)
-CHAOS_ARGS = dict(n_fpgas=2, kill_after=80_000, post_kill=150_000,
-                  trace=True, identity=True)
+TRACED = ClusterConfig(obs=ObsConfig(tracing=True))
+OBSERVED = ClusterConfig(obs=ObsConfig(tracing=True, flight_recorders=True))
 
 
-def _split(stats):
-    identity = stats.pop("identity")
-    return stats, identity
+def _ran(scenario, backend, config=ClusterConfig()):
+    runner = ScenarioRunner(scenario, backend=backend, config=config)
+    runner.report = runner.run()
+    return runner
+
+
+def _section(runner, name):
+    """One diagnostics section as comparable bytes."""
+    part = runner.diagnostics[name]
+    if name == "spans":
+        part = part.dump()
+    return json.dumps(part, sort_keys=True, default=repr)
+
+
+@pytest.fixture(scope="module")
+def s1_runs(scale_small):
+    return {b: _ran(scale_small, b, TRACED)
+            for b in ("sequential", "parallel")}
+
+
+@pytest.fixture(scope="module")
+def kill_runs(kill_small):
+    return {b: _ran(kill_small, b, OBSERVED)
+            for b in ("sequential", "parallel")}
 
 
 class TestEnvelope:
@@ -199,70 +215,68 @@ class TestWindowedCluster:
 class TestDeterminism:
     """The headline contract: sequential ≡ parallel, byte for byte."""
 
-    def test_s1_serving_identical_across_backends(self):
-        seq_stats, seq_id = _split(scaling_smoke(backend="sequential",
-                                                 **S1_ARGS))
-        par_stats, par_id = _split(scaling_smoke(backend="parallel",
-                                                 **S1_ARGS))
-        assert seq_stats == par_stats
-        assert seq_id["spans"] == par_id["spans"]
-        assert len(seq_id["spans"]) > 0
-        assert json.dumps(seq_id["stats"], sort_keys=True) == \
-            json.dumps(par_id["stats"], sort_keys=True)
+    def test_s1_serving_identical_across_backends(self, s1_runs):
+        seq, par = s1_runs["sequential"], s1_runs["parallel"]
+        assert seq.report.to_json() == par.report.to_json()
+        assert _section(seq, "spans") == _section(par, "spans")
+        assert len(seq.diagnostics["spans"]) > 0
+        assert _section(seq, "stats") == _section(par, "stats")
         # sanity: the run actually served traffic
-        assert seq_stats["completed"] > 0
+        assert seq.report.data["totals"]["served"] > 0
 
-    def test_chaos_kill_identical_across_backends(self):
-        seq_stats, seq_id = _split(availability_smoke(backend="sequential",
-                                                      **CHAOS_ARGS))
-        par_stats, par_id = _split(availability_smoke(backend="parallel",
-                                                      **CHAOS_ARGS))
-        assert seq_stats == par_stats
-        assert seq_id["spans"] == par_id["spans"]
-        assert json.dumps(seq_id["stats"], sort_keys=True) == \
-            json.dumps(par_id["stats"], sort_keys=True)
+    def test_chaos_kill_identical_across_backends(self, kill_runs,
+                                                  kill_small):
+        seq, par = kill_runs["sequential"], kill_runs["parallel"]
+        assert seq.report.to_json() == par.report.to_json()
+        assert _section(seq, "spans") == _section(par, "spans")
+        assert _section(seq, "stats") == _section(par, "stats")
+        # one blob: the shared engine with the plane off reports the
+        # same bytes as the observed windowed runs
+        plain = _ran(kill_small, "shared")
+        assert plain.diagnostics is None
+        assert plain.report.to_json() == seq.report.to_json()
         # the kill really happened and service survived it
-        assert seq_stats["killed_fpga"] == 1
-        assert seq_stats["post_kill_reads"] > 0
-        unhealthy = [iid for iid, h in seq_stats["health"].items()
+        assert seq.report.chaos_timeline == [
+            {"at": 50_000, "action": "kill", "board": 1}]
+        totals = seq.report.data["totals"]
+        assert totals["offered"] == totals["served"] > 0
+        assert totals["unresolved"] == 0
+        unhealthy = [iid for iid, h in
+                     seq.cluster.frontend.health_table().items()
                      if not h["healthy"]]
         assert unhealthy, "killing a board must mark its replicas down"
 
-    def test_obs_kill_run_events_identical_across_backends(self):
-        """The identity payload of the observed kill run carries events
-        (in the merged span set and in every board's black box) and
-        still matches byte for byte."""
-        args = dict(n_fpgas=2, duration=120_000, clients=4,
-                    requests_per_client=30, kill_after=60_000,
-                    identity=True)
-        seq = obs_plane_smoke(backend="sequential", **args)["identity"]
-        par = obs_plane_smoke(backend="parallel", **args)["identity"]
+    def test_obs_kill_run_events_identical_across_backends(self, kill_runs):
+        """The diagnostics of the observed kill run carry events (in the
+        merged span set and in every board's black box) and still match
+        byte for byte."""
+        seq, par = kill_runs["sequential"], kill_runs["parallel"]
         for section in ("spans", "stats", "slo", "flight"):
-            assert json.dumps(seq[section], sort_keys=True) == \
-                json.dumps(par[section], sort_keys=True), section
-        events = [rec[3] for rec in seq["spans"] if rec[1] == 0]
+            assert _section(seq, section) == _section(par, section), section
+        events = [rec.name for rec in seq.diagnostics["spans"].events()]
         assert events.count("board.kill") == 1
         assert events.count("fault.contained") >= 1
-        ring = [e["kind"] for e in seq["flight"]["fpga1"]["entries"]
+        flight = seq.diagnostics["flight"]
+        ring = [e["kind"] for e in flight["fpga1"]["entries"]
                 if e["type"] == "event"]
         assert ring.count("board.kill") == 1
         assert ring.count("fault.contained") == events.count(
             "fault.contained")
-        assert seq["flight"]["fpga1"]["dumps"][0]["reason"].startswith(
+        assert flight["fpga1"]["dumps"][0]["reason"].startswith(
             "board-kill:")
 
-    def test_sequential_rerun_is_deterministic(self):
-        a = scaling_smoke(backend="sequential", **S1_ARGS)
-        b = scaling_smoke(backend="sequential", **S1_ARGS)
-        assert a == b
+    def test_sequential_rerun_is_deterministic(self, s1_runs, scale_small):
+        a = s1_runs["sequential"]
+        b = _ran(scale_small, "sequential", TRACED)
+        assert a.report.to_json() == b.report.to_json()
+        for section in ("spans", "stats", "slo"):
+            assert _section(a, section) == _section(b, section), section
 
-    def test_windowed_matches_shared_aggregates(self):
+    def test_windowed_matches_shared_aggregates(self, s1_runs, scale_small):
         """Not byte-identity (window quantization reorders same-cycle
         ties), but the serving outcome must agree with the shared oracle
         on this workload."""
-        shared = scaling_smoke(n_fpgas=2, duration=100_000, clients=8,
-                               requests_per_client=60, backend="shared")
-        seq = scaling_smoke(n_fpgas=2, duration=100_000, clients=8,
-                            requests_per_client=60, backend="sequential")
-        assert shared["completed"] == seq["completed"]
-        assert shared["throughput_per_kcycle"] == seq["throughput_per_kcycle"]
+        shared = _ran(scale_small, "shared").report.tenants["load"]
+        seq = s1_runs["sequential"].report.tenants["load"]
+        assert shared["served"] == seq["served"]
+        assert shared["goodput_per_kcycle"] == seq["goodput_per_kcycle"]

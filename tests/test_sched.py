@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.accel import Accelerator, EchoAccel
+from repro.cluster import Cluster, ClusterConfig
 from repro.errors import (
     AdmissionRejected,
     ConfigError,
@@ -432,8 +433,8 @@ class TestSchedulerObservability:
         jobs = [sched.submit(spec(f"j{i}")) for i in range(6)]
         system.run(until=system.engine.now + 400_000)
         assert system.stats.gauge("sched.queue_depth").value == 1
-        hist = system.stats.histogram("sched.queue_wait")
-        assert hist.count == 5  # one sample per started job
+        waits = system.stats.sketch("sched.queue_wait")
+        assert waits.count == 5  # one sample per started job
         system.run_until(sched.finish(jobs[0]))
         system.run(until=system.engine.now + 200_000)
         assert system.stats.gauge("sched.queue_depth").value == 0
@@ -467,8 +468,8 @@ class TestRegionGauges:
 
 
 def small_cluster():
-    from repro.cluster.smoke import _build
-    cluster = _build(2, 0, swallow_orphan_errors=True)
+    cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
+    cluster.boot()
     started = cluster.deploy_stateless(
         "kv", lambda: (lambda body: (1_000, {"ok": True}, 32)), instances=1)
     cluster.engine.run_until_done(cluster.engine.all_of(started),

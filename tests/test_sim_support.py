@@ -203,26 +203,29 @@ class TestStats:
     def test_registry_reuses_instances(self):
         reg = StatsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("h") is reg.histogram("h")
+        assert reg.sketch("h") is reg.sketch("h")
         assert reg.gauge("g") is reg.gauge("g")
 
     def test_registry_snapshot_shape(self):
         reg = StatsRegistry()
         reg.counter("sent").inc(3)
         reg.gauge("depth").set(2)
-        reg.histogram("lat").record(10)
+        reg.sketch("lat").record(10)
         snap = reg.snapshot()
         assert snap["counters"]["sent"] == 3.0
         assert snap["gauges"]["depth"] == 2.0
-        assert snap["histograms"]["lat"]["count"] == 1
+        assert snap["sketches"]["lat"]["count"] == 1
+        # one distribution kind: there is no second section to look in
+        assert sorted(snap) == ["counters", "gauges", "sketches",
+                                "time_weighted"]
 
 
 class TestSnapshotJsonSafety:
-    def test_empty_histogram_snapshots_to_none_not_nan(self):
+    def test_empty_sketch_snapshots_to_none_not_nan(self):
         reg = StatsRegistry()
-        reg.histogram("never-recorded")
+        reg.sketch("never-recorded")
         snap = reg.snapshot()
-        row = snap["histograms"]["never-recorded"]
+        row = snap["sketches"]["never-recorded"]
         assert row["count"] == 0.0
         for key in ("mean", "p50", "p90", "p99", "p999", "max"):
             assert row[key] is None, f"{key} should be None, got {row[key]}"
@@ -238,8 +241,8 @@ class TestSnapshotJsonSafety:
         reg = StatsRegistry()
         reg.counter("sent").inc(3)
         reg.gauge("depth").set(2)
-        reg.histogram("lat").record(10)
-        reg.histogram("empty")
+        reg.sketch("lat").record(10)
+        reg.sketch("empty")
         reg.time_weighted("q").update(100, 4.0)
         # parse_constant raises on NaN/Infinity tokens — the strictness
         # every non-Python JSON consumer applies by default
@@ -248,8 +251,8 @@ class TestSnapshotJsonSafety:
 
         text = json.dumps(reg.snapshot())
         back = json.loads(text, parse_constant=reject)
-        assert back["histograms"]["lat"]["count"] == 1
-        assert back["histograms"]["empty"]["mean"] is None
+        assert back["sketches"]["lat"]["count"] == 1
+        assert back["sketches"]["empty"]["mean"] is None
 
     def test_registry_time_weighted_reuses_and_snapshots(self):
         reg = StatsRegistry()
@@ -275,7 +278,7 @@ class TestRegistryMerge:
         reg.counter(f"board{seed}.only").inc(7)
         g = reg.gauge("mgmt.free_tiles", initial=float(10 + seed))
         g.add(-seed)
-        reg.histogram("noc.packet_latency").record_many(
+        reg.sketch("noc.packet_latency").record_many(
             [seed, seed + 10, seed + 20])
         tw = reg.time_weighted("noc.queue_depth")
         tw.update(50, 2.0 + seed)
@@ -290,12 +293,16 @@ class TestRegistryMerge:
         assert merged.counters["board1.only"].value == 7
         assert merged.counters["board2.only"].value == 7
 
-    def test_histograms_concatenate_exactly(self):
+    def test_sketches_add_bucket_counts(self):
         merged = StatsRegistry()
         merged.merge(self._board(1))
         merged.merge(self._board(2))
-        assert sorted(merged.histograms["noc.packet_latency"].samples) == \
-            [1, 2, 11, 12, 21, 22]
+        whole = StatsRegistry().sketch("noc.packet_latency")
+        whole.record_many([1, 2, 11, 12, 21, 22])
+        sketch = merged.sketches["noc.packet_latency"]
+        # folding per-board sketches equals one sketch that saw it all
+        assert sketch.bucket_counts() == whole.bucket_counts()
+        assert sketch.summary() == whole.summary()
 
     def test_gauges_sum_with_minmax_union(self):
         merged = StatsRegistry()
@@ -326,9 +333,8 @@ class TestRegistryMerge:
         ba.merge(self._board(1))
         snap_ab, snap_ba = ab.snapshot(), ba.snapshot()
         assert snap_ab == snap_ba
-        # histogram percentile summaries hide sample order; pin raw samples
-        assert sorted(ab.histograms["noc.packet_latency"].samples) == \
-            sorted(ba.histograms["noc.packet_latency"].samples)
+        assert ab.sketches["noc.packet_latency"].bucket_counts() == \
+            ba.sketches["noc.packet_latency"].bucket_counts()
 
     def test_merge_into_empty_equals_source_snapshot(self):
         merged = StatsRegistry()

@@ -13,9 +13,9 @@ import pytest
 
 from repro.cluster import backend as backend_module
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig
-from repro.cluster.smoke import scaling_smoke
+from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.errors import SimulationError
+from repro.loadgen import ScenarioRunner
 
 WINDOWED = ("sequential", "parallel")
 
@@ -28,11 +28,13 @@ def _sealed(backend, n_fpgas=2):
 
 
 class TestPerBoardMessageIds:
-    def test_traced_shared_rerun_is_span_identical(self):
-        runs = [scaling_smoke(backend="shared", trace=True, identity=True,
-                              duration=40_000, clients=4,
-                              requests_per_client=10)["identity"]["spans"]
-                for _ in range(2)]
+    def test_traced_shared_rerun_is_span_identical(self, scale_small):
+        runs = []
+        for _ in range(2):
+            runner = ScenarioRunner(
+                scale_small, config=ClusterConfig(obs=ObsConfig(tracing=True)))
+            runner.run()
+            runs.append(runner.diagnostics["spans"].dump())
         assert runs[0] and runs[0] == runs[1]
 
     def test_boards_allocate_independently(self):
