@@ -33,8 +33,9 @@ class KvStore(Accelerator):
     DRAM segment allocated from ``svc.mem``; every access pays DRAM time.
 
     Writes are **at-most-once** when the client cooperates: a put/delete
-    body carrying ``client``/``seq`` (the RPC layer's logical-request
-    identity) is remembered in a bounded per-client dedup window, and a
+    body carrying ``client``/``seq`` (the caller's logical-request
+    identity — a ``rid`` names one transmission, these name the write)
+    is remembered in a bounded per-client dedup window, and a
     retransmission of the same logical write — the classic
     retried-after-timeout duplicate — replays the original reply instead
     of applying the write a second time.

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError, TileFault
 from repro.net.frame import EthernetFabric, EthernetFrame
-from repro.net.transport import ReliableEndpoint
+from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Engine, Resource
 
 __all__ = ["BareFpgaSystem", "Handler"]
@@ -31,16 +31,16 @@ class BareFpgaSystem:
     (its own :class:`Resource`), matching spatially shared fabric.
     """
 
-    def __init__(self, engine: Engine, fabric: EthernetFabric, mac_addr: str,
-                 transport_window: int = 16, transport_timeout: int = 50_000):
+    def __init__(self, engine: Engine, fabric: EthernetFabric, mac_addr: str):
         self.engine = engine
         self.fabric = fabric
         self.mac_addr = mac_addr
-        self.transport_window = transport_window
-        self.transport_timeout = transport_timeout
         self._handlers: Dict[int, Handler] = {}
         self._units: Dict[int, Resource] = {}
-        self._peers: Dict[str, ReliableEndpoint] = {}
+        self.mux = ReliableMux(
+            engine, fabric.transmit, mac_addr, self._on_payload,
+            window=HOST_WINDOW, timeout=HOST_TIMEOUT,
+            name=f"bare.{mac_addr}")
         self.dead = False  # a fault anywhere kills the whole board
         self.requests_served = 0
         self.requests_lost_to_fault = 0
@@ -56,38 +56,24 @@ class BareFpgaSystem:
 
     # -- datapath ---------------------------------------------------------------
 
-    def _peer(self, peer_mac: str) -> ReliableEndpoint:
-        if peer_mac not in self._peers:
-            endpoint = ReliableEndpoint(
-                self.engine, self.fabric.transmit, self.mac_addr, peer_mac,
-                window=self.transport_window, timeout=self.transport_timeout,
-                name=f"bare.{self.mac_addr}->{peer_mac}",
-            )
-            self._peers[peer_mac] = endpoint
-            self.engine.process(self._serve_loop(endpoint),
-                                name=f"{self.mac_addr}.serve.{peer_mac}")
-        return self._peers[peer_mac]
-
     def _rx_frame(self, frame: EthernetFrame) -> None:
         if self.dead:
             return  # a hung board drops everything silently
-        self._peer(frame.src_mac).deliver_frame(frame)
+        self.mux.deliver_frame(frame)
 
-    def _serve_loop(self, endpoint: ReliableEndpoint):
-        while True:
-            payload = yield endpoint.recv()
-            if self.dead:
-                self.requests_lost_to_fault += 1
-                continue
-            data = payload.get("data")
-            if not (isinstance(data, tuple) and data[0] == "req"):
-                continue
-            self.engine.process(
-                self._serve_one(endpoint, payload),
-                name=f"{self.mac_addr}.req",
-            )
+    def _on_payload(self, peer_mac: str, payload: Dict[str, Any]) -> None:
+        if self.dead:
+            self.requests_lost_to_fault += 1
+            return
+        data = payload.get("data")
+        if not (isinstance(data, tuple) and data[0] == "req"):
+            return
+        self.engine.process(
+            self._serve_one(peer_mac, payload),
+            name=f"{self.mac_addr}.req",
+        )
 
-    def _serve_one(self, endpoint: ReliableEndpoint, payload: Dict[str, Any]):
+    def _serve_one(self, peer_mac: str, payload: Dict[str, Any]):
         _tag, rid, body = payload["data"]
         port = payload.get("port")
         handler = self._handlers.get(port)
@@ -107,7 +93,7 @@ class BareFpgaSystem:
         finally:
             unit.release(grant)
         self.requests_served += 1
-        yield endpoint.send(
+        yield self.mux.peer(peer_mac).send(
             {"port": port, "data": ("resp", rid, out_body),
              "src_mac": self.mac_addr},
             payload_bytes=out_bytes,

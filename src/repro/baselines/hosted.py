@@ -21,9 +21,9 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.net.frame import EthernetFabric, EthernetFrame
+from repro.net.frame import EthernetFabric
 from repro.net.hoststack import HostCpu, HostNetStack, PcieLink
-from repro.net.transport import ReliableEndpoint
+from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Engine, Resource
 
 __all__ = ["HostedFpgaSystem"]
@@ -45,8 +45,6 @@ class HostedFpgaSystem:
         vfpga_slots: int = 4,
         rng: Optional[np.random.Generator] = None,
         jitter_prob: float = 0.15,
-        transport_window: int = 16,
-        transport_timeout: int = 50_000,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -56,16 +54,17 @@ class HostedFpgaSystem:
         self.netstack = HostNetStack(kernel_bypass=kernel_bypass)
         self.pcie = PcieLink(engine, gen=pcie_gen)
         self.vfpga = Resource(engine, slots=vfpga_slots, name="vfpga")
-        self.transport_window = transport_window
-        self.transport_timeout = transport_timeout
         self._handlers: Dict[int, Handler] = {}
         #: host-OS permission table: port -> allowed client MACs (None = any)
         self._acl: Dict[int, Optional[Set[str]]] = {}
-        self._peers: Dict[str, ReliableEndpoint] = {}
+        self.mux = ReliableMux(
+            engine, fabric.transmit, mac_addr, self._on_payload,
+            window=HOST_WINDOW, timeout=HOST_TIMEOUT,
+            name=f"hosted.{mac_addr}")
         self.requests_served = 0
         self.requests_denied = 0
         self.fpga_busy_cycles = 0  # energy accounting
-        fabric.attach(mac_addr, self._rx_frame)
+        fabric.attach(mac_addr, self.mux.deliver_frame)
 
     def register(self, port: int, handler: Handler,
                  allowed_clients: Optional[Set[str]] = None) -> None:
@@ -76,34 +75,16 @@ class HostedFpgaSystem:
 
     # -- datapath -----------------------------------------------------------------
 
-    def _peer(self, peer_mac: str) -> ReliableEndpoint:
-        if peer_mac not in self._peers:
-            endpoint = ReliableEndpoint(
-                self.engine, self.fabric.transmit, self.mac_addr, peer_mac,
-                window=self.transport_window, timeout=self.transport_timeout,
-                name=f"hosted.{self.mac_addr}->{peer_mac}",
-            )
-            self._peers[peer_mac] = endpoint
-            self.engine.process(self._serve_loop(endpoint, peer_mac),
-                                name=f"{self.mac_addr}.serve.{peer_mac}")
-        return self._peers[peer_mac]
+    def _on_payload(self, peer_mac: str, payload: Dict[str, Any]) -> None:
+        data = payload.get("data")
+        if not (isinstance(data, tuple) and data[0] == "req"):
+            return
+        self.engine.process(
+            self._serve_one(peer_mac, payload),
+            name=f"{self.mac_addr}.req",
+        )
 
-    def _rx_frame(self, frame: EthernetFrame) -> None:
-        self._peer(frame.src_mac).deliver_frame(frame)
-
-    def _serve_loop(self, endpoint: ReliableEndpoint, peer_mac: str):
-        while True:
-            payload = yield endpoint.recv()
-            data = payload.get("data")
-            if not (isinstance(data, tuple) and data[0] == "req"):
-                continue
-            self.engine.process(
-                self._serve_one(endpoint, peer_mac, payload),
-                name=f"{self.mac_addr}.req",
-            )
-
-    def _serve_one(self, endpoint: ReliableEndpoint, peer_mac: str,
-                   payload: Dict[str, Any]):
+    def _serve_one(self, peer_mac: str, payload: Dict[str, Any]):
         _tag, rid, body = payload["data"]
         port = payload.get("port")
         nbytes_in = 64 if not isinstance(body, dict) else int(
@@ -136,7 +117,7 @@ class HostedFpgaSystem:
         yield from self.cpu.run(self.netstack.send_cost(out_bytes),
                                 wakeup=False)
         self.requests_served += 1
-        yield endpoint.send(
+        yield self.mux.peer(peer_mac).send(
             {"port": port, "data": ("resp", rid, out_body),
              "src_mac": self.mac_addr},
             payload_bytes=out_bytes,

@@ -93,16 +93,12 @@ class ReplicationConfig:
     miss_limit: int = 3
     repair_settle: int = 2_000
     reconfig_timeout: int = 1_200_000
-    window: int = 16
-    transport_timeout: int = 50_000
 
     def __post_init__(self):
         if self.probe_interval < 1:
             raise ConfigError("probe_interval must be >= 1")
         if self.miss_limit < 1:
             raise ConfigError("miss_limit must be >= 1")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
 
 
 @dataclass(frozen=True)

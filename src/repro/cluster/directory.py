@@ -439,26 +439,6 @@ class ServiceDirectory(Namespace):
         if iid in self:
             self.unbind(iid)
 
-    def chain_head(self, service: str,
-                   shard: int) -> Optional[ServiceInstance]:
-        spec = self.spec(service)
-        chain = spec.chains.get(shard, [])
-        return self._chain_inst(spec, chain[0]) if chain else None
-
-    def chain_tail(self, service: str,
-                   shard: int) -> Optional[ServiceInstance]:
-        spec = self.spec(service)
-        chain = spec.chains.get(shard, [])
-        return self._chain_inst(spec, chain[-1]) if chain else None
-
-    @staticmethod
-    def _chain_inst(spec: ServiceSpec,
-                    iid: str) -> Optional[ServiceInstance]:
-        for inst in spec.instances:
-            if inst.iid == iid:
-                return inst
-        return None
-
     def _load_chain(self, inst: ServiceInstance, node_service,
                     artifact=None) -> Event:
         """Place one chain member on the lowest free tile of its FPGA.

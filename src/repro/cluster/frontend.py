@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.directory import ServiceInstance, ServiceSpec
 from repro.errors import ConfigError, ServiceUnavailable
-from repro.net.transport import ReliableEndpoint
+from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.policy import RetryPolicy
 from repro.sim import Event, StatsRegistry
 
@@ -92,8 +92,6 @@ class FrontEnd:
         batch_window: int = 200,
         retry: Optional[RetryPolicy] = None,
         heartbeat_interval: int = 10_000,
-        window: int = 16,
-        transport_timeout: int = 50_000,
         max_backlog: int = 256,
         queue_deadline: int = 120_000,
     ):
@@ -120,12 +118,12 @@ class FrontEnd:
             backoff_base=200, backoff_cap=2_000,
         )
         self.heartbeat_interval = heartbeat_interval
-        self.window = window
-        self.transport_timeout = transport_timeout
         self.max_backlog = max_backlog
         self.queue_deadline = queue_deadline
 
-        self._peers: Dict[str, ReliableEndpoint] = {}
+        self.mux = ReliableMux(
+            self.engine, self.fabric.transmit, mac, self._on_payload,
+            window=HOST_WINDOW, timeout=HOST_TIMEOUT, name=f"fe.{mac}")
         self._irid = itertools.count(1)
         #: internal request id -> (waiter event, instance iid, kind);
         #: kind is "req" (a client waits), "repl" (fire-and-forget write
@@ -160,7 +158,7 @@ class FrontEnd:
         #: the satellite-1 divergence signal for the legacy fan-out path)
         self.stats = StatsRegistry()
 
-        self.fabric.attach(mac, self._rx_frame)
+        self.fabric.attach(mac, self.mux.deliver_frame)
         cluster.register_fault_listener(self)
         self.track_all()
 
@@ -242,38 +240,19 @@ class FrontEnd:
 
     # -- fabric plumbing ---------------------------------------------------
 
-    def _peer(self, peer_mac: str) -> ReliableEndpoint:
-        if peer_mac not in self._peers:
-            endpoint = ReliableEndpoint(
-                self.engine, self.fabric.transmit, self.mac, peer_mac,
-                window=self.window, timeout=self.transport_timeout,
-                name=f"fe.{self.mac}->{peer_mac}",
-            )
-            self._peers[peer_mac] = endpoint
-            self.engine.process(self._pump(endpoint, peer_mac),
-                                name=f"fe.pump.{peer_mac}")
-        return self._peers[peer_mac]
-
-    def _rx_frame(self, frame) -> None:
-        if getattr(frame, "corrupted", False):
+    def _on_payload(self, peer_mac: str, payload: Dict[str, Any]) -> None:
+        """Client requests in, backend responses in."""
+        data = payload.get("data")
+        if not (isinstance(data, tuple) and len(data) == 3):
             return
-        self._peer(frame.src_mac).deliver_frame(frame)
-
-    def _pump(self, endpoint: ReliableEndpoint, peer_mac: str):
-        """One pump per peer: client requests in, backend responses in."""
-        while True:
-            payload = yield endpoint.recv()
-            data = payload.get("data")
-            if not (isinstance(data, tuple) and len(data) == 3):
-                continue
-            tag, rid, body = data
-            if tag == "req":
-                self._admit(peer_mac, rid, body)
-            elif tag == "resp":
-                self._complete(rid, body)
-            elif tag == "batchresp":
-                for irid, out_body, _nbytes in body:
-                    self._complete(irid, out_body)
+        tag, rid, body = data
+        if tag == "req":
+            self._admit(peer_mac, rid, body)
+        elif tag == "resp":
+            self._complete(rid, body)
+        elif tag == "batchresp":
+            for irid, out_body, _nbytes in body:
+                self._complete(irid, out_body)
 
     def _complete(self, irid: int, body: Any) -> None:
         entry = self._awaiting.pop(irid, None)
@@ -673,7 +652,7 @@ class FrontEnd:
             bid = next(self._bid)
             entries = [(irid, body) for irid, body, _nb in take]
             nbytes = sum(nb for _irid, _body, nb in take) + 16 * len(take)
-            sent = self._peer(mac).send(
+            sent = self.mux.peer(mac).send(
                 {"port": inst.port, "data": ("batch", bid, entries),
                  "src_mac": self.mac},
                 payload_bytes=max(64, nbytes),
@@ -681,7 +660,7 @@ class FrontEnd:
             self.batches_sent += 1
             # pace on the transport ack, but never wedge on a dead peer
             yield self.engine.any_of(
-                [sent, self.engine.timeout(self.transport_timeout)])
+                [sent, self.engine.timeout(self.mux.timeout)])
 
     def _prober(self, inst: ServiceInstance):
         """Periodic liveness pings (answered without handler cost)."""
@@ -702,7 +681,7 @@ class FrontEnd:
             health.outstanding += 1
             health.probes_sent += 1
             self._probe_stuck[iid] += 1
-            sent = self._peer(mac).send(
+            sent = self.mux.peer(mac).send(
                 {"port": inst.port, "data": ("req", irid, {"op": "ping"}),
                  "src_mac": self.mac},
                 payload_bytes=16,
@@ -732,7 +711,7 @@ class FrontEnd:
         )
 
     def _send_reply(self, client_mac: str, rid: int, body: Any):
-        yield self._peer(client_mac).send(
+        yield self.mux.peer(client_mac).send(
             {"port": FRONTEND_PORT, "data": ("resp", rid, body),
              "src_mac": self.mac},
             payload_bytes=64,

@@ -73,12 +73,6 @@ class Bitstream:
     signed_by: Optional[str] = None
     family: Optional[str] = None
 
-    def primitive_count(self, kind: str) -> int:
-        for name, count in self.primitives:
-            if name == kind:
-                return count
-        return 0
-
     @property
     def design_family(self) -> str:
         """The content-addressing identity (``family``, else ``name``)."""

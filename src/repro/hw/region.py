@@ -88,22 +88,11 @@ class ReconfigRegion:
         #: cycles the config port spent streaming frames (loads + unloads) —
         #: the reconfiguration overhead the scheduler's decisions cost
         self.busy_cycles_total = 0
-        #: cycles the slot has held a live bitstream (occupancy accounting)
-        self.occupied_cycles_total = 0
-        self.occupied_since: Optional[int] = None
 
     @property
     def reconfig_count(self) -> int:
         """Completed reconfiguration operations (loads + unloads)."""
         return self.loads_completed + self.unloads_completed
-
-    def occupied_cycles(self, now: Optional[int] = None) -> int:
-        """Total cycles the slot has been occupied, up to ``now``."""
-        total = self.occupied_cycles_total
-        if self.occupied_since is not None:
-            total += (now if now is not None else self.engine.now) \
-                - self.occupied_since
-        return total
 
     def _account(self, duration: int) -> None:
         """Record one completed reconfiguration of ``duration`` cycles."""
@@ -168,7 +157,6 @@ class ReconfigRegion:
             self._busy = False
             self.loaded = bitstream
             self.loads_completed += 1
-            self.occupied_since = self.engine.now
             self._account(duration)
             done.succeed(bitstream)
 
@@ -187,9 +175,6 @@ class ReconfigRegion:
         previous = self.loaded
         self._busy = True
         duration = max(1, self.load_duration(previous) // 10)
-        if self.occupied_since is not None:
-            self.occupied_cycles_total += self.engine.now - self.occupied_since
-            self.occupied_since = None
 
         def finish(_arg) -> None:
             self._busy = False

@@ -111,22 +111,6 @@ class MgmtPlane:
         """Endpoints ``holder`` was granted SEND to, in stable order."""
         return sorted(ep for h, ep in self.send_grants if h == holder)
 
-    def regrant(self, old_holder: str, new_holder: str) -> int:
-        """Re-mint ``old_holder``'s SEND grants for ``new_holder``.
-
-        The failover half of recovery: the replacement tile gets exactly
-        the authority the dead one held, and the dead holder's policy
-        record is cleared (its actual capabilities were revoked at
-        teardown).  Grants to endpoints that no longer resolve are dropped.
-        """
-        moved = 0
-        for endpoint in self.grants_of(old_holder):
-            self.send_grants.discard((old_holder, endpoint))
-            if endpoint in self.namespace:
-                self.grant_send(new_holder, endpoint)
-                moved += 1
-        return moved
-
     # -- tile lifecycle ----------------------------------------------------------------
 
     def _open_span(self, name: str,
@@ -169,8 +153,7 @@ class MgmtPlane:
         a raw accelerator (its bitstream is packaged on the fly) or a
         pre-compiled :class:`~repro.hw.compile.BitstreamArtifact` passed
         via ``artifact``.  An artifact carries its own provenance and DRC
-        screen, so ``signed_by`` is ignored for the region load when one
-        is given — passing both is the deprecated duplicate-keyword path.
+        screen, so passing ``signed_by`` with one is a :class:`ConfigError`.
 
         With a bitstream store attached (:meth:`attach_bitstore`) and no
         artifact, the load first acquires the artifact from the board's
@@ -179,6 +162,10 @@ class MgmtPlane:
         compile is in flight.  Without a store, the legacy direct path is
         taken unchanged.
         """
+        if artifact is not None and signed_by is not None:
+            raise ConfigError(
+                "pass signed_by= or artifact=, not both: an artifact "
+                "carries its own signer")
         tile = self.tiles[node]
         _tid, span = self._open_span(
             f"mgmt.load:{endpoint or tile.endpoint}", trace,

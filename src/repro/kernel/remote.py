@@ -31,9 +31,9 @@ from repro.accel.base import Accelerator
 from repro.errors import ConfigError
 from repro.hw.resources import ResourceVector
 from repro.kernel.message import Message
-from repro.net.frame import EthernetFabric, EthernetFrame
+from repro.net.frame import EthernetFabric
 from repro.net.hoststack import HostCpu, HostNetStack
-from repro.net.transport import ReliableEndpoint
+from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Engine
 
 __all__ = ["RemoteServiceProxy", "RemoteCpuServiceHost"]
@@ -112,7 +112,6 @@ class RemoteCpuServiceHost:
         cores: int = 2,
         kernel_bypass: bool = True,
         rng: Optional[np.random.Generator] = None,
-        transport_timeout: int = 50_000,
     ):
         self.engine = engine
         self.fabric = fabric
@@ -120,38 +119,23 @@ class RemoteCpuServiceHost:
         self.handler = handler
         self.cpu = HostCpu(engine, cores=cores, rng=rng)
         self.netstack = HostNetStack(kernel_bypass=kernel_bypass)
-        self.transport_timeout = transport_timeout
-        self._peers: Dict[str, ReliableEndpoint] = {}
+        self.mux = ReliableMux(
+            engine, fabric.transmit, mac_addr, self._on_payload,
+            window=HOST_WINDOW, timeout=HOST_TIMEOUT,
+            name=f"remote.{mac_addr}")
         self.requests_served = 0
-        fabric.attach(mac_addr, self._rx_frame)
+        fabric.attach(mac_addr, self.mux.deliver_frame)
 
-    def _peer(self, peer_mac: str) -> ReliableEndpoint:
-        if peer_mac not in self._peers:
-            endpoint = ReliableEndpoint(
-                self.engine, self.fabric.transmit, self.mac_addr, peer_mac,
-                timeout=self.transport_timeout,
-                name=f"remote.{self.mac_addr}->{peer_mac}",
-            )
-            self._peers[peer_mac] = endpoint
-            self.engine.process(self._serve_loop(endpoint),
-                                name=f"{self.mac_addr}.serve.{peer_mac}")
-        return self._peers[peer_mac]
+    def _on_payload(self, peer_mac: str, payload: Dict[str, Any]) -> None:
+        data = payload.get("data")
+        if not (isinstance(data, tuple) and data[0] == "req"):
+            return
+        self.engine.process(
+            self._serve_one(peer_mac, payload),
+            name=f"{self.mac_addr}.req",
+        )
 
-    def _rx_frame(self, frame: EthernetFrame) -> None:
-        self._peer(frame.src_mac).deliver_frame(frame)
-
-    def _serve_loop(self, endpoint: ReliableEndpoint):
-        while True:
-            payload = yield endpoint.recv()
-            data = payload.get("data")
-            if not (isinstance(data, tuple) and data[0] == "req"):
-                continue
-            self.engine.process(
-                self._serve_one(endpoint, payload),
-                name=f"{self.mac_addr}.req",
-            )
-
-    def _serve_one(self, endpoint: ReliableEndpoint, payload: Dict[str, Any]):
+    def _serve_one(self, peer_mac: str, payload: Dict[str, Any]):
         _tag, rid, body = payload["data"]
         port = payload.get("port")
         # host stack receives the request
@@ -168,7 +152,7 @@ class RemoteCpuServiceHost:
         yield from self.cpu.run(self.netstack.send_cost(out_bytes),
                                 wakeup=False)
         self.requests_served += 1
-        yield endpoint.send(
+        yield self.mux.peer(peer_mac).send(
             {"port": port,
              "data": ("resp", rid, {"payload": out_payload,
                                     "bytes": out_bytes, "error": error}),

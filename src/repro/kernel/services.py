@@ -38,7 +38,7 @@ from repro.mem.dram import Dram
 from repro.mem.segment import SegmentTable
 from repro.net.ethernet import HundredGigMac, TenGigMac
 from repro.net.frame import EthernetFrame
-from repro.net.transport import ReliableEndpoint
+from repro.net.transport import BOARD_TIMEOUT, BOARD_WINDOW, ReliableMux
 
 __all__ = [
     "MemoryService",
@@ -277,21 +277,18 @@ class NetworkService(Accelerator):
     ``net.send {dst_mac, port, data, nbytes}``-> ack when ACKed by the peer
         transport.
 
-    One :class:`ReliableEndpoint` is maintained per peer MAC, multiplexing
+    One :class:`ReliableMux` holds a connection per peer MAC, multiplexing
     all ports — mirroring how hardware stacks share one connection table.
     """
 
     COST = ResourceVector(logic_cells=45_000, bram_kb=384, dsp_slices=0)
     PRIMITIVES = {"lut_logic": 36_000, "bram": 96, "fifo": 16}
 
-    def __init__(self, name: str, adapter: MacAdapter,
-                 transport_window: int = 8, transport_timeout: int = 20_000):
+    def __init__(self, name: str, adapter: MacAdapter):
         super().__init__(name)
         self.adapter = adapter
-        self.transport_window = transport_window
-        self.transport_timeout = transport_timeout
         self._ports: Dict[int, str] = {}  # port -> tile endpoint
-        self._peers: Dict[str, ReliableEndpoint] = {}
+        self.mux: Optional[ReliableMux] = None  # built at bring-up
         self._engine = None
         self._shell = None
         self.frames_forwarded = 0
@@ -300,8 +297,12 @@ class NetworkService(Accelerator):
     def main(self, shell):
         self._shell = shell
         self._engine = shell.engine
+        self.mux = ReliableMux(
+            shell.engine, self._tx_frame, self.adapter.mac_addr,
+            self._on_payload, window=BOARD_WINDOW, timeout=BOARD_TIMEOUT,
+            name=self.name)
         yield from self.adapter.bring_up()
-        self.adapter.on_rx(self._mac_rx)
+        self.adapter.on_rx(self.mux.deliver_frame)
         while True:
             msg = yield shell.recv()
             shell.spawn(f"req{msg.mid}", self._serve(shell, msg))
@@ -319,7 +320,7 @@ class NetworkService(Accelerator):
             yield shell.reply(msg, payload="bound")
         elif msg.op == "net.send":
             body = msg.payload
-            endpoint = self._peer(body["dst_mac"])
+            endpoint = self.mux.peer(body["dst_mac"])
             yield endpoint.send(
                 {"port": body["port"], "data": body["data"],
                  "src_mac": self.adapter.mac_addr},
@@ -331,40 +332,18 @@ class NetworkService(Accelerator):
             shell.span_close(span, error="UnknownOp")
             yield shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
 
-    def _peer(self, peer_mac: str) -> ReliableEndpoint:
-        if peer_mac not in self._peers:
-            endpoint = ReliableEndpoint(
-                self._engine,
-                send_frame=self._tx_frame,
-                local_mac=self.adapter.mac_addr,
-                peer_mac=peer_mac,
-                window=self.transport_window,
-                timeout=self.transport_timeout,
-                name=f"{self.name}->{peer_mac}",
-            )
-            self._peers[peer_mac] = endpoint
-            self._engine.process(self._rx_pump(endpoint),
-                                 name=f"{self.name}.rx.{peer_mac}")
-        return self._peers[peer_mac]
-
     def _tx_frame(self, frame: EthernetFrame) -> None:
         """Transport -> MAC: run the adapter's (possibly blocking) tx."""
         self._engine.process(self.adapter.transmit(frame),
                              name=f"{self.name}.tx")
 
-    def _mac_rx(self, frame: EthernetFrame) -> None:
-        """MAC -> transport demux by source MAC."""
-        endpoint = self._peer(frame.src_mac)
-        endpoint.deliver_frame(frame)
-
-    def _rx_pump(self, endpoint: ReliableEndpoint):
-        """Deliver transport payloads to the tile bound to their port."""
-        while True:
-            payload = yield endpoint.recv()
-            port = payload.get("port")
-            dst = self._ports.get(port)
-            if dst is None:
-                self.rx_unbound += 1
-                continue
-            self.frames_forwarded += 1
-            yield self._shell.notify(dst, "net.rx", payload=payload)
+    def _on_payload(self, _peer_mac: str, payload: Dict[str, Any]):
+        """Deliver a transport payload to the tile bound to its port; the
+        mux holds the peer's next payload until the notify is on the NoC."""
+        port = payload.get("port")
+        dst = self._ports.get(port)
+        if dst is None:
+            self.rx_unbound += 1
+            return
+        self.frames_forwarded += 1
+        yield self._shell.notify(dst, "net.rx", payload=payload)

@@ -2,8 +2,12 @@
 
 Ethernet frames and a switched fabric, the two deliberately-divergent MAC
 IP-core models (10G vs. 100G — the Section 2 portability pain), a go-back-N
-reliable transport, transport-agnostic RPC, and the host CPU / kernel stack
-/ PCIe models the hosted baselines are built from.
+reliable transport with its one per-peer demux (``ReliableMux``), and the
+host CPU / kernel stack / PCIe models the hosted baselines are built from.
+
+RPC is a payload convention, not a class: every endpoint sends
+``{"port", "data", "src_mac"}`` where ``data`` is ``("req", rid, body)`` or
+``("resp", rid, body)`` and the caller matches ``rid``.
 """
 
 from repro.net.ethernet import HundredGigMac, TenGigMac
@@ -23,8 +27,12 @@ from repro.net.hoststack import (
     HostNetStack,
     PcieLink,
 )
-from repro.net.rpc import RpcCaller, RpcRequest, RpcResponder, RpcResponse
-from repro.net.transport import TRANSPORT_HEADER_BYTES, Datagram, ReliableEndpoint
+from repro.net.transport import (
+    TRANSPORT_HEADER_BYTES,
+    Datagram,
+    ReliableEndpoint,
+    ReliableMux,
+)
 
 __all__ = [
     "EthernetFrame",
@@ -34,12 +42,9 @@ __all__ = [
     "TenGigMac",
     "HundredGigMac",
     "ReliableEndpoint",
+    "ReliableMux",
     "Datagram",
     "TRANSPORT_HEADER_BYTES",
-    "RpcCaller",
-    "RpcResponder",
-    "RpcRequest",
-    "RpcResponse",
     "HostCpu",
     "HostNetStack",
     "PcieLink",

@@ -8,21 +8,38 @@ message delivery without knowing about sequence numbers or retransmission.
 The implementation is a windowed go-back-N with cumulative ACKs — the
 protocol real FPGA network stacks (and Caribou's TCP subset) implement,
 small enough for hardware yet enough to recover from datacenter loss.
+
+:class:`ReliableEndpoint` is one pairwise connection; :class:`ReliableMux`
+is what a fabric endpoint actually holds — every connection of one MAC,
+demuxed by peer.  It is built once, here, and used by the network tile and
+by every software host alike.  Payloads are ``{"port", "data", "src_mac"}``
+dicts; request/response is the convention ``data = ("req", rid, body)`` /
+``("resp", rid, body)`` with the caller matching ``rid`` — that tuple
+convention is the repo's RPC layer, there is no RPC class.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.frame import EthernetFrame
 from repro.sim import Channel, Engine, Event
 
-__all__ = ["ReliableEndpoint", "Datagram", "TRANSPORT_HEADER_BYTES"]
+__all__ = ["ReliableEndpoint", "ReliableMux", "Datagram",
+           "TRANSPORT_HEADER_BYTES", "BOARD_WINDOW", "BOARD_TIMEOUT",
+           "HOST_WINDOW", "HOST_TIMEOUT"]
 
 TRANSPORT_HEADER_BYTES = 16
+
+#: go-back-N (window in datagrams, retransmission timeout in cycles) of the
+#: two kinds of fabric endpoint: the network tile keeps a hardware-sized
+#: window and retransmits quickly; software hosts (clients, baselines, the
+#: front-end, control planes) buffer more and wait out host-stack jitter
+BOARD_WINDOW, BOARD_TIMEOUT = 8, 20_000
+HOST_WINDOW, HOST_TIMEOUT = 16, 50_000
 
 
 @dataclass
@@ -240,3 +257,68 @@ class ReliableEndpoint:
     def recv(self) -> Event:
         """Event yielding the next in-order payload."""
         return self.inbox.get()
+
+
+class ReliableMux:
+    """Every reliable connection of one fabric endpoint, demuxed by peer MAC.
+
+    The layer every host and the network tile put on top of
+    :class:`ReliableEndpoint`: one connection per peer, created — together
+    with the one process that pumps its inbox — at the first send to or
+    first frame from that peer.  Frames with a bad CRC are dropped here
+    (the peer's go-back-N retransmits); every in-order payload is handed
+    to ``on_payload(peer_mac, payload)``.  When that returns a generator
+    the pump runs it to completion before taking the peer's next payload,
+    so a receiver that must block (the network tile's NoC notify) keeps
+    per-peer order; other peers' pumps are unaffected.
+
+    The mux knows no fabric: the owner passes the transmit function as
+    ``send_frame`` and wires :meth:`deliver_frame` into its MAC's rx path.
+    ``window`` / ``timeout`` are the ``BOARD_*`` or ``HOST_*`` pair above.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        send_frame: Callable[[EthernetFrame], None],
+        mac: str,
+        on_payload: Callable[[str, Any], Optional[Generator]],
+        window: int,
+        timeout: int,
+        name: str = "",
+    ):
+        self.engine = engine
+        self.send_frame = send_frame
+        self.mac = mac
+        self.on_payload = on_payload
+        self.window = window
+        self.timeout = timeout
+        self.name = name or f"mux.{mac}"
+        self._peers: Dict[str, ReliableEndpoint] = {}
+
+    def peer(self, peer_mac: str) -> ReliableEndpoint:
+        """The connection to ``peer_mac`` (opened on first use)."""
+        endpoint = self._peers.get(peer_mac)
+        if endpoint is None:
+            endpoint = ReliableEndpoint(
+                self.engine, self.send_frame, self.mac, peer_mac,
+                window=self.window, timeout=self.timeout,
+                name=f"{self.name}->{peer_mac}",
+            )
+            self._peers[peer_mac] = endpoint
+            self.engine.process(self._pump(endpoint, peer_mac),
+                                name=f"{self.name}.pump.{peer_mac}")
+        return endpoint
+
+    def deliver_frame(self, frame: EthernetFrame) -> None:
+        """Feed frames from the owner's MAC rx path."""
+        if frame.corrupted:
+            return  # bad CRC: dropped like a NIC would; the peer retransmits
+        self.peer(frame.src_mac).deliver_frame(frame)
+
+    def _pump(self, endpoint: ReliableEndpoint, peer_mac: str):
+        while True:
+            payload = yield endpoint.recv()
+            blocking = self.on_payload(peer_mac, payload)
+            if blocking is not None:
+                yield from blocking

@@ -115,9 +115,6 @@ class SpanRecorder:
     def enable(self) -> None:
         self._enabled = True
 
-    def disable(self) -> None:
-        self._enabled = False
-
     def clear(self) -> None:
         self._records.clear()
         self._open.clear()

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.net.transport import ReliableEndpoint
+from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Event
 
 __all__ = ["RepairEvent", "ReplicationManager"]
@@ -79,10 +79,11 @@ class ReplicationManager:
         self.miss_limit = config.miss_limit
         self.repair_settle = config.repair_settle
         self.reconfig_timeout = config.reconfig_timeout
-        self.window = config.window
-        self.transport_timeout = config.transport_timeout
 
-        self._peers: Dict[str, ReliableEndpoint] = {}
+        self.mux = ReliableMux(
+            self.engine, self.fabric.transmit, self.mac, self._on_payload,
+            window=HOST_WINDOW, timeout=HOST_TIMEOUT,
+            name=f"replic.{self.mac}")
         self._rid = itertools.count(1)
         self._pending: Dict[int, Event] = {}
         self._managed: List[str] = []
@@ -105,7 +106,7 @@ class ReplicationManager:
         self.rpc_timeouts = 0
         self.replacements_deferred = 0
 
-        self.fabric.attach(self.mac, self._rx_frame)
+        self.fabric.attach(self.mac, self.mux.deliver_frame)
         for fpga, system in enumerate(cluster.systems):
             system.fault_manager.on_fault.append(self._fault_hook(fpga))
         self.engine.process(self._repair_loop(), name="replic.repair")
@@ -113,34 +114,15 @@ class ReplicationManager:
 
     # -- fabric plumbing ---------------------------------------------------
 
-    def _peer(self, peer_mac: str) -> ReliableEndpoint:
-        if peer_mac not in self._peers:
-            endpoint = ReliableEndpoint(
-                self.engine, self.fabric.transmit, self.mac, peer_mac,
-                window=self.window, timeout=self.transport_timeout,
-                name=f"replic.{self.mac}->{peer_mac}",
-            )
-            self._peers[peer_mac] = endpoint
-            self.engine.process(self._pump(endpoint),
-                                name=f"replic.pump.{peer_mac}")
-        return self._peers[peer_mac]
-
-    def _rx_frame(self, frame) -> None:
-        if getattr(frame, "corrupted", False):
+    def _on_payload(self, _peer_mac: str, payload: Dict[str, Any]) -> None:
+        data = payload.get("data")
+        if not (isinstance(data, tuple) and len(data) == 3
+                and data[0] == "resp"):
             return
-        self._peer(frame.src_mac).deliver_frame(frame)
-
-    def _pump(self, endpoint: ReliableEndpoint):
-        while True:
-            payload = yield endpoint.recv()
-            data = payload.get("data")
-            if not (isinstance(data, tuple) and len(data) == 3
-                    and data[0] == "resp"):
-                continue
-            _tag, rid, body = data
-            waiter = self._pending.pop(rid, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(body)
+        _tag, rid, body = data
+        waiter = self._pending.pop(rid, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed(body)
 
     def _rpc(self, inst, body: Dict[str, Any], nbytes: int = 64,
              timeout: Optional[int] = None):
@@ -151,7 +133,7 @@ class ReplicationManager:
         waiter = self.engine.event(f"replic.rpc#{rid}")
         self._pending[rid] = waiter
         board = self.cluster.systems[inst.fpga].config.net.mac_addr
-        self._peer(board).send(
+        self.mux.peer(board).send(
             {"port": inst.port, "data": ("req", rid, body),
              "src_mac": self.mac},
             payload_bytes=max(64, nbytes),

@@ -97,14 +97,6 @@ class Placer:
                 return "DRC: " + "; ".join(v.rule for v in violations)
         return None
 
-    def feasible_tiles(self, bitstream: Bitstream,
-                       exclude: Iterable[int] = ()) -> List[int]:
-        """All tiles that could host ``bitstream`` right now, ascending."""
-        skip = set(exclude)
-        return [t.node for t in self.tiles
-                if t.node not in skip
-                and self.reject_reason(t.node, bitstream) is None]
-
     # -- selection ---------------------------------------------------------
 
     def place(

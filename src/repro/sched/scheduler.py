@@ -139,9 +139,6 @@ class TileScheduler:
         self._log("finish", job.spec.name, job.spec.tenant, node, "")
         return done
 
-    def job_for_node(self, node: int) -> Optional[Job]:
-        return self._by_node.get(node)
-
     def queue_depth(self) -> int:
         return len(self._queue)
 

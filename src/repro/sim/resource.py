@@ -49,10 +49,6 @@ class Resource:
         self.total_acquires = 0
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def available(self) -> int:
         return self.slots - self._in_use
 

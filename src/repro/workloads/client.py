@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, DeadlineExceeded
 from repro.net.frame import EthernetFabric
-from repro.net.transport import ReliableEndpoint
+from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.policy import RetryPolicy
 from repro.sim import Channel, Engine, Event, Histogram
 
@@ -29,52 +29,31 @@ class RemoteClientHost:
     convention handled here.
     """
 
-    def __init__(self, engine: Engine, fabric: EthernetFabric, mac: str,
-                 window: int = 16, transport_timeout: int = 50_000):
+    def __init__(self, engine: Engine, fabric: EthernetFabric, mac: str):
         self.engine = engine
         self.fabric = fabric
         self.mac = mac
-        self.window = window
-        self.transport_timeout = transport_timeout
-        self._peers: Dict[str, ReliableEndpoint] = {}
+        self.mux = ReliableMux(
+            engine, fabric.transmit, mac, self._on_payload,
+            window=HOST_WINDOW, timeout=HOST_TIMEOUT, name=f"client.{mac}")
         self._rid = itertools.count(1)
         self._pending: Dict[int, Event] = {}
         self.latency = Histogram(f"{mac}.latency")
         self.requests_sent = 0
         self.responses_received = 0
         self.timeouts = 0
-        fabric.attach(mac, self._rx_frame)
+        fabric.attach(mac, self.mux.deliver_frame)
 
-    def _peer(self, peer_mac: str) -> ReliableEndpoint:
-        if peer_mac not in self._peers:
-            endpoint = ReliableEndpoint(
-                self.engine, self.fabric.transmit, self.mac, peer_mac,
-                window=self.window, timeout=self.transport_timeout,
-                name=f"client.{self.mac}->{peer_mac}",
-            )
-            self._peers[peer_mac] = endpoint
-            self.engine.process(self._rx_pump(endpoint),
-                                name=f"{self.mac}.pump.{peer_mac}")
-        return self._peers[peer_mac]
-
-    def _rx_frame(self, frame) -> None:
-        if getattr(frame, "corrupted", False):
-            return  # host NIC drops bad-CRC frames; transport retransmits
-        endpoint = self._peer(frame.src_mac)
-        endpoint.deliver_frame(frame)
-
-    def _rx_pump(self, endpoint: ReliableEndpoint):
-        while True:
-            payload = yield endpoint.recv()
-            data = payload.get("data")
-            if not (isinstance(data, tuple) and len(data) == 3
-                    and data[0] == "resp"):
-                continue
-            _tag, rid, body = data
-            waiter = self._pending.pop(rid, None)
-            if waiter is not None and not waiter.triggered:
-                self.responses_received += 1
-                waiter.succeed(body)
+    def _on_payload(self, _peer_mac: str, payload: Dict[str, Any]) -> None:
+        data = payload.get("data")
+        if not (isinstance(data, tuple) and len(data) == 3
+                and data[0] == "resp"):
+            return
+        _tag, rid, body = data
+        waiter = self._pending.pop(rid, None)
+        if waiter is not None and not waiter.triggered:
+            self.responses_received += 1
+            waiter.succeed(body)
 
     def request(self, peer_mac: str, port: int, body: Any,
                 nbytes: int = 64, timeout: Optional[int] = None,
@@ -106,7 +85,7 @@ class RemoteClientHost:
         done = self.engine.event(f"{self.mac}.req#{rid}")
         self._pending[rid] = done
         self.requests_sent += 1
-        endpoint = self._peer(peer_mac)
+        endpoint = self.mux.peer(peer_mac)
         endpoint.send({"port": port, "data": ("req", rid, body),
                        "src_mac": self.mac}, payload_bytes=nbytes)
         if timeout is not None:
@@ -147,10 +126,8 @@ class ClusterClient(RemoteClientHost):
     """
 
     def __init__(self, engine: Engine, fabric: EthernetFabric, mac: str,
-                 frontend_mac: str = "frontend", frontend_port: int = 7000,
-                 window: int = 16, transport_timeout: int = 50_000):
-        super().__init__(engine, fabric, mac, window=window,
-                         transport_timeout=transport_timeout)
+                 frontend_mac: str = "frontend", frontend_port: int = 7000):
+        super().__init__(engine, fabric, mac)
         self.frontend_mac = frontend_mac
         self.frontend_port = frontend_port
         self.ok = 0

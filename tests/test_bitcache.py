@@ -328,6 +328,15 @@ class TestMgmtArtifactPath:
         assert took == reconfig_duration(EchoAccel.COST)
         assert system.bitstore.hits == hits_before  # handle, not lookup
 
+    def test_artifact_with_signed_by_is_rejected(self):
+        system = self.system()
+        art = system.bitstore.acquire(EchoAccel.family_bitstream())
+        system.engine.run_until_done(art)
+        with pytest.raises(ConfigError, match="carries its own signer"):
+            system.mgmt.load(2, EchoAccel("e2"), signed_by="vendor",
+                             artifact=art.value)
+        assert 2 in system.mgmt.free_tiles()  # refused before any wiring
+
     def test_legacy_path_without_store_is_unchanged(self):
         system = self.system(cache=False)
         assert system.bitstore is None

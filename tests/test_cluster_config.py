@@ -65,8 +65,6 @@ class TestValidation:
             ReplicationConfig(probe_interval=0)
         with pytest.raises(ConfigError):
             ReplicationConfig(miss_limit=0)
-        with pytest.raises(ConfigError):
-            ReplicationConfig(window=0)
 
     def test_cache_bounds(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,14 @@ import pytest
 from repro.accel import Accelerator
 from repro.kernel import ApiarySystem, NetConfig, NocConfig, SystemConfig
 from repro.net import EthernetFabric
+from repro.net.transport import (
+    BOARD_TIMEOUT,
+    BOARD_WINDOW,
+    HOST_TIMEOUT,
+    HOST_WINDOW,
+)
 from repro.sim import Engine
+from repro.workloads import RemoteClientHost
 
 
 def two_boards(mac_a="100g", mac_b="100g", engine=None):
@@ -147,6 +154,21 @@ def test_unbound_port_traffic_counted_not_delivered():
     engine.run_until_done(s)
     engine.run(until=engine.now + 5_000_000)
     assert b.net_service.rx_unbound >= 1
+
+
+def test_board_and_host_use_the_two_transport_constant_pairs():
+    """The only two (window, timeout) settings in the system, by name."""
+    engine, a, _b = two_boards()
+    engine.run(until=engine.now + 100_000)  # the net tile's bring-up
+    board = a.net_service.mux
+    host = RemoteClientHost(engine, a.mac.fabric, "h0").mux
+    assert (board.window, board.timeout) \
+        == (BOARD_WINDOW, BOARD_TIMEOUT) == (8, 20_000)
+    assert (host.window, host.timeout) \
+        == (HOST_WINDOW, HOST_TIMEOUT) == (16, 50_000)
+    to_host, to_board = board.peer("h0"), host.peer("boardA")
+    assert (to_host.window, to_host.timeout) == (8, 20_000)
+    assert (to_board.window, to_board.timeout) == (16, 50_000)
 
 
 def test_transport_recovers_from_fabric_loss():

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.baselines import BareFpgaSystem, HostedFpgaSystem
 from repro.errors import ConfigError, ProtocolError
+from repro.kernel import RemoteCpuServiceHost
 from repro.net import (
     EthernetFabric,
     EthernetFrame,
@@ -13,12 +15,11 @@ from repro.net import (
     BYPASS_RX_CYCLES,
     PcieLink,
     ReliableEndpoint,
-    RpcCaller,
-    RpcResponder,
-    RpcRequest,
+    ReliableMux,
     TenGigMac,
 )
 from repro.sim import Engine, RngPool
+from repro.workloads import RemoteClientHost
 
 
 class TestFabric:
@@ -280,132 +281,172 @@ class TestReliableTransport:
             ReliableEndpoint(eng, lambda f: None, "A", "B", timeout=0)
 
 
-class TestRpc:
-    def make_pair(self, eng, service_cycles=10):
-        """Caller and responder wired back-to-back (no transport)."""
-        responder_box = {}
+class TestReliableMux:
+    """The one per-peer demux every fabric endpoint holds."""
 
-        def send_req(request: RpcRequest):
-            responder_box["r"].dispatch(request)
+    @staticmethod
+    def attach(eng, fabric, mac, on_payload, window=4, timeout=2_000):
+        mux = ReliableMux(eng, fabric.transmit, mac, on_payload,
+                          window=window, timeout=timeout)
+        fabric.attach(mac, mux.deliver_frame)
+        return mux
 
-        caller = RpcCaller(eng, send_req, reply_to="caller")
-
-        def send_resp(_reply_to, response):
-            caller.deliver_response(response)
-
-        responder = RpcResponder(eng, send_resp)
-        responder_box["r"] = responder
-
-        def echo(request):
-            yield service_cycles
-            return (request.body, 8)
-
-        responder.register("echo", echo)
-        return caller, responder
-
-    def test_call_response_roundtrip(self):
+    def test_one_endpoint_and_pump_per_peer(self):
         eng = Engine()
-        caller, responder = self.make_pair(eng)
-        result = {}
+        fabric = EthernetFabric(eng, latency_cycles=50)
+        got = {mac: [] for mac in "ABC"}
+        muxes = {mac: self.attach(
+            eng, fabric, mac,
+            lambda peer, payload, mac=mac: got[mac].append((peer, payload)))
+            for mac in "ABC"}
+        assert eng.process_count == 0  # nothing exists before first use
+        a = muxes["A"]
+        to_b = a.peer("B")
+        assert eng.process_count == 2  # the connection's sender + its pump
+        for i in range(10):
+            a.peer("B").send(i)
+            a.peer("C").send(i)
+        eng.run(until=100_000)
+        assert a.peer("B") is to_b
+        # A opened two peers by sending; B and C one each, by A's first frame
+        assert eng.process_count == 2 * (2 + 1 + 1)
+        assert got["B"] == got["C"] == [("A", i) for i in range(10)]
+        assert got["A"] == []
 
-        def client():
-            resp = yield caller.call("echo", body="ping")
-            result["body"] = resp.body
-            result["t"] = eng.now
-
-        p = eng.process(client())
-        eng.run_until_done(p.done)
-        assert result["body"] == "ping"
-        assert result["t"] == 10
-
-    def test_concurrent_calls_match_by_id(self):
+    def test_in_order_exactly_once_per_peer_under_loss(self):
         eng = Engine()
-        caller, responder = self.make_pair(eng, service_cycles=5)
-        results = []
+        fabric = EthernetFabric(eng, latency_cycles=50, loss_rate=0.2,
+                                rng=RngPool(seed=5).stream("loss"))
+        got = {"A": [], "B": []}
+        self.attach(eng, fabric, "C",
+                    lambda peer, payload: got[peer].append(payload))
+        senders = [self.attach(eng, fabric, mac, lambda peer, payload: None)
+                   for mac in "AB"]
+        for i in range(30):  # the two peers' frames interleave on the wire
+            for mux in senders:
+                mux.peer("C").send((mux.mac, i), payload_bytes=64)
+        eng.run(until=2_000_000)
+        assert got["A"] == [("A", i) for i in range(30)]
+        assert got["B"] == [("B", i) for i in range(30)]
+        assert sum(m.peer("C").retransmissions for m in senders) > 0
 
-        def client(i):
-            resp = yield caller.call("echo", body=i)
-            results.append(resp.body)
-
-        procs = [eng.process(client(i)) for i in range(10)]
-        eng.run_until_done(eng.all_of([p.done for p in procs]))
-        assert sorted(results) == list(range(10))
-
-    def test_unknown_method_returns_error(self):
+    def test_bad_crc_frame_dropped_then_retransmitted(self):
         eng = Engine()
-        caller, responder = self.make_pair(eng)
-        result = {}
+        fabric = EthernetFabric(eng, latency_cycles=50)
+        got = []
+        a = self.attach(eng, fabric, "A", lambda peer, payload: None)
+        b = ReliableMux(eng, fabric.transmit, "B",
+                        lambda peer, payload: got.append((peer, payload)),
+                        window=4, timeout=2_000)
+        flipped = []
 
-        def client():
-            resp = yield caller.call("nope")
-            result["err"] = resp.is_error
+        def flaky_wire(frame):
+            if not flipped:  # the first frame arrives with a bad CRC
+                frame.corrupted = True
+                flipped.append(frame)
+            b.deliver_frame(frame)
 
-        p = eng.process(client())
-        eng.run_until_done(p.done)
-        assert result["err"] is True
+        fabric.attach("B", flaky_wire)
+        acked = a.peer("B").send("x", payload_bytes=64)
+        eng.run(until=1_000)
+        # dropped before the demux: no connection opened, nothing ACKed
+        assert flipped and got == [] and not acked.triggered
+        assert eng.process_count == 2  # A's side only
+        eng.run(until=10_000)
+        assert got == [("A", "x")] and acked.triggered
+        assert a.peer("B").retransmissions == 1
 
-    def test_handler_exception_becomes_error_response(self):
+    def test_generator_on_payload_holds_only_its_peer(self):
         eng = Engine()
-        caller, responder = self.make_pair(eng)
+        fabric = EthernetFabric(eng, latency_cycles=50)
+        log = []
 
-        def broken(request):
-            yield 1
-            raise ValueError("boom")
+        def on_payload(peer, payload):
+            log.append(("start", peer, payload, eng.now))
+            return hold(payload) if peer == "A" else None
 
-        responder.register("broken", broken)
-        result = {}
+        def hold(payload):
+            yield 10_000
+            log.append(("done", "A", payload, eng.now))
 
-        def client():
-            resp = yield caller.call("broken")
-            result["resp"] = resp
+        self.attach(eng, fabric, "C", on_payload)
+        for mac in "AB":
+            mux = self.attach(eng, fabric, mac, lambda peer, payload: None)
+            mux.peer("C").send(0)
+            mux.peer("C").send(1)
+        eng.run(until=100_000)
+        at = {event[:3]: event[3] for event in log}
+        # A's second payload waits for the generator its first one returned
+        assert at["start", "A", 1] >= at["done", "A", 0]
+        assert at["done", "A", 0] == at["start", "A", 0] + 10_000
+        # B's pump is not behind A's: both of its payloads land meanwhile
+        assert at["start", "B", 1] < at["done", "A", 0]
+        assert [e[:3] for e in log if e[1] == "A"] == [
+            ("start", "A", 0), ("done", "A", 0),
+            ("start", "A", 1), ("done", "A", 1)]
 
-        p = eng.process(client())
-        eng.run_until_done(p.done)
-        assert result["resp"].is_error
-        assert "boom" in result["resp"].body
-
-    def test_fail_all_pending(self):
+    def test_window_bounds_each_peer_separately(self):
         eng = Engine()
-        caller = RpcCaller(eng, lambda req: None)  # black-hole transport
-        errors = []
+        fabric = EthernetFabric(eng, latency_cycles=10_000)  # slow ACKs
+        for mac in "BC":
+            self.attach(eng, fabric, mac, lambda peer, payload: None)
+        a = self.attach(eng, fabric, "A", lambda peer, payload: None,
+                        window=4, timeout=50_000)
+        for i in range(10):
+            a.peer("B").send(i)
+        a.peer("C").send("only")
+        eng.run(until=5_000)  # before any ACK returns
+        # B's full window does not hold up the connection to C
+        assert a.peer("B").unacked == 4
+        assert a.peer("C").unacked == 1
 
-        def client():
-            try:
-                yield caller.call("echo")
-            except RuntimeError as err:
-                errors.append(str(err))
-
-        eng.process(client())
-        eng.run()
-        assert caller.in_flight == 1
-        assert caller.fail_all_pending(RuntimeError("peer failed")) == 1
-        eng.run()
-        assert errors == ["peer failed"]
-
-    def test_logical_request_identity_survives_retry(self):
-        """``rid`` is fresh per transmission; ``(client, seq)`` names the
-        logical request, so a retry of the same seq is server-deduplicable
-        while plain calls carry no identity at all."""
+    def test_window_checked_at_first_use(self):
         eng = Engine()
-        sent = []
-        caller = RpcCaller(eng, sent.append, reply_to="hostA")
-        seq = caller.next_seq()
-        caller.call("put", body={"k": 1}, seq=seq)
-        caller.call("put", body={"k": 1}, seq=seq)  # timeout retry
-        caller.call("put", body={"k": 2}, seq=caller.next_seq())
-        caller.call("get", body={"k": 1})  # no identity requested
-        rids = [r.rid for r in sent]
-        assert len(set(rids)) == 4, "every transmission gets a fresh rid"
-        assert (sent[0].client, sent[0].seq) == ("hostA", 1)
-        assert (sent[1].client, sent[1].seq) == ("hostA", 1)
-        assert (sent[2].client, sent[2].seq) == ("hostA", 2)
-        assert (sent[3].client, sent[3].seq) == ("", 0)
+        mux = ReliableMux(eng, lambda frame: None, "A",
+                          lambda peer, payload: None, window=0, timeout=10)
+        with pytest.raises(ConfigError):
+            mux.peer("B")
 
-    def test_duplicate_method_registration_rejected(self):
-        eng = Engine()
-        _caller, responder = self.make_pair(eng)
-        with pytest.raises(ProtocolError):
-            responder.register("echo", lambda r: iter(()))
+
+@pytest.mark.parametrize("kind", ["remote_cpu", "bare", "hosted"])
+def test_server_hosts_drop_bad_crc_frames(kind, monkeypatch):
+    """A frame the fabric corrupted never reaches a host's transport: the
+    sender's go-back-N retransmits and every request is still answered."""
+    eng = Engine()
+    pool = RngPool(seed=11)
+    fabric = EthernetFabric(eng, latency_cycles=100)
+    fabric.set_corruption(0.2, pool.stream("crc"))
+    if kind == "remote_cpu":
+        RemoteCpuServiceHost(eng, fabric, "srv",
+                             lambda op, payload: (50, payload, 64),
+                             rng=pool.stream("cpu"))
+    else:
+        cls = BareFpgaSystem if kind == "bare" else HostedFpgaSystem
+        extra = {} if kind == "bare" else {"rng": pool.stream("cpu")}
+        cls(eng, fabric, "srv", **extra).register(
+            9, lambda body: (50, body, 64))
+    handled = []
+    deliver_frame = ReliableEndpoint.deliver_frame
+
+    def spy(endpoint, frame):
+        if endpoint.local_mac == "srv":
+            handled.append(frame.corrupted)
+        deliver_frame(endpoint, frame)
+
+    monkeypatch.setattr(ReliableEndpoint, "deliver_frame", spy)
+    client = RemoteClientHost(eng, fabric, "cli")
+    replies = []
+
+    def drive():
+        for i in range(20):
+            replies.append((yield client.request(
+                "srv", 9, {"op": "echo", "payload": i})))
+
+    proc = eng.process(drive())
+    eng.run_until_done(proc.done, limit=100_000_000)
+    assert len(replies) == 20
+    assert fabric.frames_corrupted > 0
+    assert handled and not any(handled)
 
 
 class TestHostModels:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.accel import Accelerator
 from repro.kernel import ApiarySystem, SystemConfig
-from repro.net.rpc import RpcCaller, RpcRequest, RpcResponder
 from repro.obs import (
     QUEUE_STAGE,
     SpanIndex,
@@ -370,73 +369,3 @@ class TestTelemetrySampler:
         system.enable_telemetry()
         with pytest.raises(Exception):
             system.enable_telemetry()
-
-
-class TestRpcSpans:
-    def wire(self, spans=None):
-        """Caller and responder glued back-to-back in one engine."""
-        eng = Engine()
-        parts = {}
-
-        def to_responder(request):
-            parts["responder"].dispatch(request)
-
-        def to_caller(_reply_to, response):
-            parts["caller"].deliver_response(response)
-
-        parts["caller"] = RpcCaller(eng, to_responder, spans=spans)
-        parts["responder"] = RpcResponder(eng, to_caller, spans=spans)
-        return eng, parts["caller"], parts["responder"]
-
-    def test_rpc_call_produces_nested_spans(self):
-        spans = SpanRecorder()
-        spans.enable()
-        eng, caller, responder = self.wire(spans)
-
-        def handler(request):
-            yield 25
-            return ("pong", 4)
-
-        responder.register("ping", handler)
-        done = caller.call("ping", body="x")
-        eng.run()
-        assert done.value.body == "pong"
-        index = SpanIndex(spans)
-        (tid,) = index.complete_traces()
-        tree = index.tree(tid)
-        assert tree.record.name == "rpc:ping"
-        (handle,) = tree.children
-        assert handle.record.name == "rpc.handle:ping"
-        assert handle.record.duration == 25
-
-    def test_handler_error_closes_span_with_detail(self):
-        spans = SpanRecorder()
-        spans.enable()
-        eng, caller, responder = self.wire(spans)
-
-        def boom(request):
-            yield 1
-            raise RuntimeError("nope")
-
-        responder.register("boom", boom)
-        done = caller.call("boom")
-        eng.run()
-        assert done.value.is_error
-        (rec,) = spans.records(category="rpc")[1:]
-        assert rec.detail.get("error") == "RuntimeError"
-
-    def test_untraced_rpc_stamps_nothing(self):
-        eng, caller, responder = self.wire()  # private disabled recorders
-        seen = []
-
-        def handler(request):
-            seen.append((request.trace_id, request.span_id))
-            yield 1
-            return ("ok", 2)
-
-        responder.register("m", handler)
-        done = caller.call("m")
-        eng.run()
-        assert seen == [(0, 0)]
-        assert done.value.trace_id == 0
-        assert len(caller.spans) == 0
