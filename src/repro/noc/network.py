@@ -13,17 +13,43 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, RouteError
-from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, Packet, flits_for_bytes
-from repro.noc.router import TICK, Router
+from repro.noc.flit import (
+    DEFAULT_FLIT_BYTES,
+    Flit,
+    FlitKind,
+    Packet,
+    flits_for_bytes,
+)
+from repro.noc.router import NEVER, Router
 from repro.noc.routing import RoutingFunction, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 from repro.obs.span import SpanRecorder
 from repro.sim import Channel, Engine, Event, Histogram, StatsRegistry
 
 __all__ = ["Network", "NetworkInterface"]
+
+#: Tests compare the express lane against the flit path by clearing this;
+#: nothing else does — the lane is how an idle network behaves, not a knob.
+_LANE = True
+
+
+class _Express:
+    """The one packet crossing an otherwise idle network in closed form."""
+
+    __slots__ = ("pkt", "t0", "vc", "path", "injected")
+
+    def __init__(self, pkt: Packet, t0: int, vc: int, path: tuple):
+        self.pkt = pkt
+        self.t0 = t0
+        self.vc = vc
+        #: per router on the route, source first: (router, input port, its
+        #: InputVCs, output port, its OutputPort, arbiter pointer per VC)
+        self.path = path
+        #: the injection-complete checkpoint (``t0 + F``) has fired
+        self.injected = False
 
 
 class NetworkInterface:
@@ -45,12 +71,15 @@ class NetworkInterface:
         self.engine = network.engine
         self._spans = network.spans
         self._router = network.router(node)
+        self._hop_latency = network.hop_latency
         num_vcs = network.num_vcs
         depth = network.buffer_depth
         self.name = f"ni{node}"
 
         # injection side: credits for the router's LOCAL input buffers
         self._inject_credits = [depth] * num_vcs
+        #: credits on the wire back from the router: (landing cycle, vc)
+        self._credits_in: Deque[Tuple[int, int]] = deque()
         self._inject_queue: Channel = Channel(
             self.engine, capacity=network.inject_queue_depth,
             name=f"{self.name}.inject",
@@ -62,16 +91,18 @@ class NetworkInterface:
         self._inject_flits: Deque[Flit] = deque()
         self._inject_vcs: List[int] = []
         #: the injector is parked until a credit for the router's LOCAL
-        #: input returns (any other credit leaves it alone)
+        #: input is put on the wire (whoever writes that row arms it)
         self._awaiting_credit = False
         #: VC chosen by the current packet's head flit; body/tail flits of
         #: the same packet must follow it (wormhole continuity)
         self._current_vc: Optional[int] = None
 
         # ejection side: reassembly and delivery
+        #: flits on the wire from the router: (landing cycle, flit)
+        self._flits_in: Deque[Tuple[int, Flit]] = deque()
         self._eject_buffer: Deque[Flit] = deque()
-        #: the ejector is parked on an empty ejection buffer
-        self._awaiting_flit = True
+        #: the cycle the ejector's live wake is stamped for (as a router's)
+        self._eject_wake = NEVER
         #: the tail flit whose packet the delivery channel has yet to accept
         self._eject_tail: Optional[Flit] = None
         self._partial: Dict[int, int] = {}  # pid -> flits seen
@@ -141,19 +172,27 @@ class NetworkInterface:
         """
         self.drop_until = max(self.drop_until, self.engine.now + cycles)
 
-    # -- router-facing callbacks (wired by Network) --------------------------
+    # -- the wires (rows written by the router) ------------------------------
 
-    def _local_credit(self, vc: int) -> None:
-        self._inject_credits[vc] += 1
+    def _credit_row(self, landing: int, vc: int) -> None:
+        """The router forwarded a flit out of its LOCAL input buffer."""
+        self._credits_in.append((landing, vc))
         if self._awaiting_credit:
             self._awaiting_credit = False
-            self.engine.schedule(0, self._injector)
+            self.engine.schedule(landing - self.engine.now, self._injector)
+
+    def _flit_row(self, flit: Flit) -> None:
+        """The router sent ``flit`` out of its LOCAL port."""
+        landing = self.engine.now + self._hop_latency
+        self._flits_in.append((landing, flit))
+        self._arm_ejector(landing)
 
     def _accept_flit(self, flit: Flit) -> None:
+        """A flit arrives from the router now; a parked ejector wakes for
+        it (one with a wake to come finds it in the buffer then)."""
         self._eject_buffer.append(flit)
-        if self._awaiting_flit:
-            self._awaiting_flit = False
-            self.engine.schedule(0, self._ejector)
+        if self._eject_wake == NEVER:
+            self._arm_ejector(self.engine.now)
 
     # -- state machines ------------------------------------------------------
 
@@ -163,42 +202,55 @@ class NetworkInterface:
         One flit enters the router per cycle at most (link width), and only
         when a credit for the chosen LOCAL-input VC is available.  ``arg``
         says why the step runs: the injection queue's ``get`` event carries
-        the next packet, :data:`TICK` is the cycle after a flit went in
-        (deferred through the ring), ``None`` that deferred step or a
-        returned credit.
+        the next packet; ``None`` is the clocked step — the cycle after a
+        flit went in, or the landing of the credit the injector waited for.
         """
-        engine = self.engine
-        if arg is TICK:
-            engine.schedule(0, self._injector)
-            return
         if arg is not None and not self._start_packet(*arg.value):
-            self._inject_queue.get().add_callback(self._injector)
             return
         flits = self._inject_flits
         if flits:
+            now = self.engine.now
+            self._land_credits(now)
             flit = flits[0]
             vc = self._pick_credit_vc(self._inject_vcs, flit)
             if vc is None:
-                self._awaiting_credit = True
+                if self._credits_in:
+                    self.engine.schedule(self._credits_in[0][0] - now,
+                                         self._injector)
+                else:
+                    self._awaiting_credit = True
                 return
             flits.popleft()
             flit.vc = vc
             self._inject_credits[vc] -= 1
-            self._router.accept_flit(Port.LOCAL, flit)
-            engine.schedule(1, self._injector, TICK)
+            self.engine.schedule(1, self._injector)
+            self._router.inject(flit)
             return
+        self._injection_complete()
+
+    def _land_credits(self, now: int) -> None:
+        credits_in = self._credits_in
+        while credits_in and credits_in[0][0] <= now:
+            self._inject_credits[credits_in.popleft()[1]] += 1
+
+    def _injection_complete(self) -> None:
+        """The whole packet is in the router: tell the sender, take the
+        next packet."""
         self.packets_sent += 1
         self.network._ctr_injected.inc()
         self._inject_done.succeed(self._inject_pkt)
         self._inject_queue.get().add_callback(self._injector)
 
     def _start_packet(self, pkt: Packet, done: Event) -> bool:
-        """Stage ``pkt`` for injection; ``False`` if a loss window ate it."""
+        """Take ``pkt`` from the queue; ``True`` if its flits are staged
+        for the injector (``False``: a loss window ate it, or it crosses
+        on the network's express lane)."""
         now = self.engine.now
         if now < self.drop_until:
             self.packets_dropped += 1
             self.network._ctr_dropped.inc()
             done.succeed(pkt)  # sender saw a clean injection; data is gone
+            self._inject_queue.get().add_callback(self._injector)
             return False
         pkt.injected_at = now
         if self._spans.enabled:
@@ -215,8 +267,10 @@ class NetworkInterface:
                 )
         self._inject_pkt = pkt
         self._inject_done = done
-        self._inject_flits.extend(pkt.make_flits())
         self._inject_vcs = self._router.allowed_vcs(pkt.vc_class)
+        if self.network._enter(self, pkt):
+            return False
+        self._inject_flits.extend(pkt.make_flits())
         return True
 
     def _pick_credit_vc(self, vcs: List[int], flit: Flit) -> Optional[int]:
@@ -240,46 +294,80 @@ class NetworkInterface:
             return vc
         return None
 
+    def _deliver(self, tail: Flit) -> None:
+        """The tail flit completed ``tail.packet``: hand it to the delivery
+        channel and hold the tail (and its credit) until it is accepted."""
+        pkt = tail.packet
+        pkt.delivered_at = self.engine.now
+        self.packets_received += 1
+        self.network.record_delivery(pkt)
+        self._eject_tail = tail
+        self.delivered.put(pkt).add_callback(self._ejector)
+
+    # -- express-lane checkpoints (see Network._enter) ----------------------
+
+    def _lane_injected(self, lane: "_Express") -> None:
+        """``t0 + F``: the cycle the injector would find no flit left."""
+        if self.network._express is lane:
+            lane.injected = True
+            self._injection_complete()
+
+    def _lane_delivered(self, lane: "_Express") -> None:
+        """``t0 + zero_load_latency``: the tail reaches this interface."""
+        network = self.network
+        if network._express is lane:
+            network._materialize(lane, self.engine.now)
+
+    def _arm_ejector(self, cycle: int) -> None:
+        if cycle < self._eject_wake:
+            self._eject_wake = cycle
+            self.engine.schedule(cycle - self.engine.now, self._ejector)
+
     def _ejector(self, arg=None) -> None:
         """Move flits from the ejection buffer into delivered packets.
 
-        The credit for each consumed flit returns to the router only after
-        the delivery channel accepted the packet — a slow receiver therefore
+        One flit is consumed per cycle.  The credit for each consumed flit
+        returns to the router at once, the tail's only after the delivery
+        channel accepted the packet — a slow receiver therefore
         backpressures the NoC instead of dropping traffic.  ``arg``: the
-        delivery channel's ``put`` event (the packet was accepted),
-        :data:`TICK` the cycle after a flit was consumed, ``None`` that
-        deferred step or the arrival that ended a wait on an empty buffer.
+        delivery channel's ``put`` event (the packet was accepted), or
+        ``None`` for a wake stamped ``_eject_wake`` (a flit lands, or the
+        cycle after one was consumed while more wait).
         """
-        engine = self.engine
-        if arg is TICK:
-            engine.schedule(0, self._ejector)
-            return
+        now = self.engine.now
         if arg is None:
-            if not self._eject_buffer:
-                self._awaiting_flit = True
+            if now != self._eject_wake:
                 return
-            flit = self._eject_buffer.popleft()
+            self._eject_wake = NEVER
+            buffer = self._eject_buffer
+            rows = self._flits_in
+            while rows and rows[0][0] <= now:
+                buffer.append(rows.popleft()[1])
+            if self._eject_tail is not None or not buffer:
+                return  # held by the delivery channel: resumes on accept
+            flit = buffer.popleft()
             pkt = flit.packet
             self._partial[pkt.pid] = self._partial.get(pkt.pid, 0) + 1
             if flit.is_tail:
                 if self._partial.pop(pkt.pid) != pkt.size_flits:
                     raise ConfigError(
                         f"{self.name}: reassembled wrong flit count for "
-                        f"packet {pkt.pid} at cycle {engine.now}"
+                        f"packet {pkt.pid} at cycle {now}"
                     )
-                pkt.delivered_at = engine.now
-                self.packets_received += 1
-                self.network.record_delivery(pkt)
-                self._eject_tail = flit
-                self.delivered.put(pkt).add_callback(self._ejector)
+                self._deliver(flit)
                 return
         else:
             if arg.failed:
                 raise arg.value
             flit = self._eject_tail
-        # flit consumed: return its LOCAL-output credit to the router
-        self._router.credit_arrived(Port.LOCAL, flit.vc)
-        engine.schedule(1, self._ejector, TICK)
+            self._eject_tail = None
+        # flit consumed: its LOCAL-output credit is back at the router, and
+        # the next flit is consumed no earlier than the next cycle
+        if self._eject_buffer:
+            self._arm_ejector(now + 1)
+        elif self._flits_in:
+            self._arm_ejector(max(now + 1, self._flits_in[0][0]))
+        self._router.local_credit(flit.vc)
 
 
 class Network:
@@ -362,6 +450,26 @@ class Network:
         # links).
         self._link_slow: Dict[Any, Any] = {}
         self._link_last_arrival: Dict[Any, int] = {}
+        #: packets in the fabric: taken by an injector, tail not yet
+        #: reassembled (zero means no flit exists anywhere)
+        self._live = 0
+        #: the packet on the express lane, if any (it counts as live)
+        self._express: Optional[_Express] = None
+        self._lane_paths: Dict[Tuple[int, int], tuple] = {}
+        #: a lone packet never waits for a credit iff a buffer covers the
+        #: flit + credit round trip (a zero-latency credit lands mid-cycle,
+        #: behind the pass it should feed: no closed form); adaptive and
+        #: dateline routing choose VCs and ports from state it does not model
+        self._lane_capable = (
+            credit_latency >= 1
+            and buffer_depth >= hop_latency + credit_latency
+            and not isinstance(routing, (MinimalAdaptiveRouting,
+                                         TorusXYRouting)))
+        #: packets that started on the express lane / were taken off it
+        #: mid-flight (plain attributes: the stats registry must read the
+        #: same with the lane on or off)
+        self.express_packets = 0
+        self.express_demotions = 0
 
         self._routers: List[Router] = [
             Router(
@@ -379,53 +487,244 @@ class Network:
     # -- construction --------------------------------------------------------
 
     def _wire(self) -> None:
+        hop = self.hop_latency
         for src, port, dst in self.topo.links():
             src_router = self._routers[src]
             dst_router = self._routers[dst]
             in_port = port.opposite
 
-            # the arrival/credit callbacks are built once per link (C-level
-            # partials) and handed the flit/vc as the schedule arg — per-flit
-            # lambdas were measurable allocation churn at flood rates
-            arrive = partial(dst_router.accept_flit, in_port)
-
-            def deliver(flit: Flit, _key=(src, port), _arrive=arrive) -> None:
+            def deliver(flit: Flit, _key=(src, port), _dst=dst_router,
+                        _in=in_port) -> None:
+                now = self.engine.now
                 last = self._link_last_arrival
                 if self._link_slow or last:
                     # a link is (or recently was) degraded: honour per-link
                     # FIFO monotonicity across the latency change
-                    hop = self.hop_latency
                     delay = hop + self._link_extra(_key)
-                    arrival = max(self.engine.now + delay,
-                                  last.get(_key, 0))
-                    if delay == hop and arrival == self.engine.now + hop:
+                    arrival = max(now + delay, last.get(_key, 0))
+                    if delay == hop and arrival == now + hop:
                         # constraint no longer binding (healthy link, queue
                         # drained): retire the entry so the whole fabric
                         # returns to the bookkeeping-free path below
                         last.pop(_key, None)
                     else:
                         last[_key] = arrival
-                    self.engine.schedule(arrival - self.engine.now,
-                                         _arrive, flit)
-                else:
-                    # healthy fabric: constant hop latency keeps per-link
-                    # arrivals monotone by construction — no dict traffic
-                    self.engine.schedule(self.hop_latency, _arrive, flit)
+                    _dst.flit_row(arrival, _in, flit)
+                    return
+                # healthy fabric: constant hop latency keeps every router's
+                # inbox in landing order by construction — no dict traffic
+                arrival = now + hop
+                _dst._flits_in.append((arrival, _in, flit))
+                if arrival < _dst._wake_at:
+                    _dst._arm(arrival)
 
-            credit = partial(src_router.credit_arrived, port)
-
-            src_router.connect_output(port, deliver, credit)
-            dst_router.connect_input_credit(in_port, credit)
+            src_router.connect_output(port, deliver)
+            dst_router.connect_input_credit(
+                in_port, partial(src_router.credit_row, port))
 
         for node in self.topo.nodes():
             router = self._routers[node]
             ni = self._interfaces[node]
+            router.connect_output(Port.LOCAL, ni._flit_row)
+            router.connect_input_credit(Port.LOCAL, ni._credit_row)
+            router._sync = self._demote
 
-            def deliver_local(flit: Flit, _ni=ni) -> None:
-                self.engine.schedule(self.hop_latency, _ni._accept_flit, flit)
+    # -- the express lane -------------------------------------------------------
+    #
+    # A packet that starts while no other flit exists, on a route whose
+    # routers are unstalled with every credit home, meets no contention:
+    # flit k is injected at t0 + k, switched by the j-th router of the route
+    # at t0 + k + j * hop_latency (the cycle it lands), and consumed by the
+    # far interface at t0 + k + (hops + 1) * hop_latency.  Such a packet
+    # makes no flits.  Two engine events stand for it — injection complete
+    # at t0 + F, tail delivered at t0 + zero_load_latency — and
+    # ``_materialize`` writes, from those formulas, the state the flit path
+    # would be in after any cycle T: at delivery (the commit), or earlier,
+    # when something ends the idleness (``_demote``) and the packet carries
+    # on flit by flit.
 
-            router.connect_output(Port.LOCAL, deliver_local, lambda vc: None)
-            router.connect_input_credit(Port.LOCAL, ni._local_credit)
+    def _enter(self, ni: NetworkInterface, pkt: Packet) -> bool:
+        """``ni`` starts ``pkt``; ``True`` if it crosses on the lane."""
+        if self._express is not None:
+            self._demote()
+        self._live += 1
+        if self._live != 1 or not _LANE or not self._lane_capable:
+            return False
+        now = self.engine.now
+        if ((self._link_slow or self._link_last_arrival)
+                and not self._links_healthy(now)):
+            return False
+        depth = self.buffer_depth
+        vc = ni._inject_vcs[0]
+        ni._land_credits(now)
+        if ni._inject_credits[vc] != depth:
+            return False
+        path = self._lane_paths.get((pkt.src, pkt.dst))
+        if path is None:
+            path = self._lane_paths[pkt.src, pkt.dst] = self._lane_path(
+                pkt.src, pkt.dst)
+        for router, _in_port, _ivcs, _out_port, out, _pointers in path:
+            if now < router.stalled_until:
+                return False
+            if router._credits_in:
+                router._land(now)
+            # all credits home and no owner: the head's VC allocation picks
+            # the first VC its class allows, as the injector just did
+            if out.credits[vc] != depth or out.vc_owner[vc] is not None:
+                return False
+        far = self._interfaces[pkt.dst]
+        if far._eject_tail is not None:
+            return False  # the delivery channel still holds up the ejector
+        lane = self._express = _Express(pkt, now, vc, path)
+        ni._current_vc = vc
+        self.express_packets += 1
+        flits = pkt.size_flits
+        self.engine.schedule(flits, ni._lane_injected, lane)
+        self.engine.schedule(len(path) * self.hop_latency + flits - 1,
+                             far._lane_delivered, lane)
+        return True
+
+    def _lane_path(self, src: int, dst: int) -> tuple:
+        path = []
+        node, in_port = src, Port.LOCAL
+        while True:
+            router = self._routers[node]
+            out_port = (Port.LOCAL if node == dst else
+                        self.routing.candidates(self.topo, node, dst)[0])
+            out = router._out[out_port]
+            base = router._port_base[in_port]
+            path.append((router, in_port, router._in[in_port], out_port, out,
+                         # where a grant to each input VC leaves the arbiter
+                         [(base + vc + 1) % out.arbiter.slots
+                          for vc in range(self.num_vcs)]))
+            if node == dst:
+                return tuple(path)
+            node = self.topo.neighbor(node, out_port)
+            in_port = out_port.opposite
+
+    def _links_healthy(self, now: int) -> bool:
+        """Retire link-fault state that can no longer bind (what the next
+        flit over each link would do); ``True`` if none is left."""
+        slow, last = self._link_slow, self._link_last_arrival
+        for key in [k for k, (_extra, until) in slow.items() if now >= until]:
+            del slow[key]
+        horizon = now + self.hop_latency
+        for key in [k for k, arrival in last.items() if arrival <= horizon]:
+            del last[key]
+        return not slow and not last
+
+    def _demote(self) -> None:
+        """Take the express packet (if any) off the lane: from here on it
+        is flits, exactly where the flit path would have them.
+
+        "Now" is this cycle's actions included when every callback stamped
+        for this cycle from an earlier one has fired (``Engine.settled``:
+        the same-cycle ring, or outside ``run``) — on the flit path the
+        machines act from such callbacks, so they have acted.  A caller the
+        heap fires comes before them: the state written is the previous
+        cycle's, and the machines step later in this one.
+        """
+        lane = self._express
+        if lane is not None:
+            self.express_demotions += 1
+            engine = self.engine
+            self._materialize(
+                lane, engine.now if engine.settled else engine.now - 1)
+
+    def _materialize(self, lane: _Express, upto: int) -> None:
+        """Write the flit-path state after the actions of cycle ``upto``.
+
+        The ``j``-th router of the route switches the head at ``start =
+        t0 + j*hop`` and one flit a cycle from then on, so by ``upto`` it
+        has switched ``clamp(upto - start + 1, 0, F)`` flits; the far
+        interface consumes them one hop later still, and the credit for a
+        flit is back upstream ``credit_latency`` after the next stage
+        switched it.  Flits and credits between two stages become inbox
+        rows, a stage the head has passed but not the tail owns its output
+        VC.  At ``upto`` = the delivery cycle nothing is left but the tail
+        in the ejector's hands.
+        """
+        self._express = None
+        pkt, t0, vc, path = lane.pkt, lane.t0, lane.vc, lane.path
+        total, pid = pkt.size_flits, pkt.pid
+        hop, lag = self.hop_latency, self.credit_latency
+        landing = t0 + len(path) * hop  # the head reaches the far interface
+        consumed = upto - landing + 1
+        consumed = (total if consumed >= total else
+                    consumed if consumed > 0 else 0)
+        flits: List[Flit] = []
+        if consumed < total:
+            flits = pkt.make_flits()
+            for flit in flits:
+                flit.vc = vc
+
+        # the injector: flit k goes in at t0 + k and is switched on at once
+        src = self._interfaces[pkt.src]
+        sent = upto - t0 + 1
+        if sent >= total + lag:
+            sent = total  # all in, every credit back
+        else:
+            back = sent - lag if sent > lag else 0
+            if sent > total:
+                sent = total
+            src._inject_credits[vc] -= sent - back
+            for k in range(back, sent):
+                src._credits_in.append((t0 + k + lag, vc))
+        if not lane.injected:
+            src._inject_flits.extend(flits[sent:])
+            self.engine.schedule(t0 + sent - self.engine.now, src._injector)
+
+        start = t0  # the cycle the current router switches the head
+        up_router = up_port = up_out = None
+        for router, in_port, ivcs, out_port, out, pointers in path:
+            arrived = sent  # flits the previous stage put on the wire
+            sent = upto - start + 1
+            if sent >= total + lag:
+                sent = back = total  # tail through, its credit home upstream
+            else:
+                back = sent - lag if sent > lag else 0
+                sent = total if sent > total else sent if sent > 0 else 0
+            if sent:
+                router._flits_forwarded += sent
+                router._moved_at = start + sent - 1
+                out.flits_sent += sent
+                out.arbiter._pointer = pointers[vc]
+                if out_port is not Port.LOCAL:
+                    pkt.hops += 1
+                if sent < total:
+                    out.vc_owner[vc] = pid
+                    ivc = ivcs[vc]
+                    ivc.out_port, ivc.out_vc, ivc.active_pid = out_port, vc, pid
+            if back < arrived and up_router is not None:
+                # the link into this router: flits still on it, and credits
+                # this router's switching has put on the way back
+                up_out.credits[vc] -= arrived - back
+                for k in range(back, sent):
+                    up_router._credits_in.append(
+                        (start + k + lag, up_port, vc))
+                for k in range(sent, arrived):
+                    router._flits_in.append((start + k, in_port, flits[k]))
+                if sent < arrived:
+                    router._arm(start + sent)
+            up_router, up_port, up_out = router, out_port, out
+            start += hop
+
+        # the far interface: every flit it consumed returned its credit to
+        # the last router at once, except the tail (held until accepted)
+        far = self._interfaces[pkt.dst]
+        if consumed == total:
+            out.credits[vc] -= 1
+            far._deliver(Flit(
+                FlitKind.TAIL if total > 1 else FlitKind.HEADTAIL,
+                pkt, total - 1, vc))
+            return
+        out.credits[vc] -= sent - consumed
+        for k in range(consumed, sent):
+            far._flits_in.append((landing + k, flits[k]))
+        if consumed < sent:
+            far._arm_ejector(landing + consumed)
+        if consumed:
+            far._partial[pid] = consumed
 
     def _link_extra(self, key) -> int:
         entry = self._link_slow.get(key)
@@ -445,6 +744,7 @@ class Network:
         injection: a marginal SerDes lane dropping to a lower rate)."""
         if extra_latency < 0 or duration < 1:
             raise ConfigError("slow_link needs extra >= 0 and duration >= 1")
+        self._demote()
         self._link_slow[(src, port)] = (
             extra_latency, self.engine.now + duration
         )
@@ -477,6 +777,7 @@ class Network:
         )
 
     def record_delivery(self, pkt: Packet) -> None:
+        self._live -= 1
         self._ctr_delivered.inc()
         self._hist_latency.record(pkt.latency)
         self._hist_hops.record(pkt.hops)
@@ -486,7 +787,8 @@ class Network:
                              hops=pkt.hops, latency=pkt.latency)
 
     def total_flits_forwarded(self) -> int:
-        return sum(r.flits_forwarded for r in self._routers)
+        self._demote()
+        return sum(r._flits_forwarded for r in self._routers)
 
     def in_flight_packets(self) -> int:
         return self._ctr_injected.value - self._ctr_delivered.value

@@ -1,10 +1,13 @@
 """Input-queued wormhole router with virtual channels and credit flow control.
 
 The router is a callback state machine on the engine (no process, no
-generator): it is parked until a flit arrives or a credit returns for a
-buffered flit, then performs switch-allocation passes once per cycle while
-work remains.  Each pass grants at most one flit per output port and one flit
-per input port (the crossbar constraint).  Head flits perform route
+generator).  What is on its input wires — flits from upstream, credits from
+downstream — sits in two timed inboxes as rows stamped with their landing
+cycle; a step lands the rows that are due, makes at most one moving
+switch-allocation pass per cycle, and re-arms itself on the engine for the
+next cycle it can do anything in (the next landing, or the next cycle while
+movable flits remain).  Each pass grants at most one flit per output port and
+one flit per input port (the crossbar constraint).  Head flits perform route
 computation and virtual-channel allocation; tail flits release the output
 VC (wormhole semantics: a packet owns its path until the tail passes).
 
@@ -20,6 +23,7 @@ configured in :class:`repro.noc.network.Network`.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -35,18 +39,18 @@ from repro.noc.topology import Mesh2D, Port
 
 __all__ = ["Router", "InputVC", "OutputPort"]
 
-#: Delivery callback type: (flit) -> None, invoked at the downstream side.
+#: Link callback type: (flit) -> None, puts the flit on the output wire.
 DeliverFn = Callable[[Flit], None]
-#: Credit-return callback type: (vc) -> None, invoked at the upstream side.
-CreditFn = Callable[[int], None]
+#: Credit-return callback type: (landing cycle, vc) -> None, puts a credit
+#: on the wire back to the upstream sender.
+CreditFn = Callable[[int, int], None]
 
-#: Callback argument of a timed re-arm (shared with the network interfaces).
-#: A callback the heap fires runs *before* the cycle's same-cycle ring, i.e.
-#: before every flit and credit landing this cycle is in, so it does not
-#: act: it bounces itself once through the ring with ``None``.  That hop is
-#: also what keeps the global callback order — hence every seeded report —
-#: what it was when these machines were generator coroutines.
-TICK = object()
+#: "no step armed" (shared with the network interfaces)
+NEVER = sys.maxsize
+
+
+def _nothing() -> None:
+    pass
 
 
 class InputVC:
@@ -69,17 +73,14 @@ class InputVC:
 class OutputPort:
     """Per-output-port state: downstream credits, VC ownership, the link."""
 
-    __slots__ = ("credits", "vc_owner", "deliver", "return_credit", "arbiter",
-                 "flits_sent", "busy_cycles")
+    __slots__ = ("credits", "vc_owner", "deliver", "arbiter", "flits_sent")
 
     def __init__(self, num_vcs: int, buffer_depth: int, slots: int):
         self.credits = [buffer_depth] * num_vcs
         self.vc_owner: List[Optional[int]] = [None] * num_vcs
         self.deliver: Optional[DeliverFn] = None
-        self.return_credit: Optional[CreditFn] = None
         self.arbiter = RoundRobinArbiter(slots)
         self.flits_sent = 0
-        self.busy_cycles = 0
 
 
 class Router:
@@ -170,10 +171,20 @@ class Router:
             for vc, ivc in enumerate(self._in[p])
         ]
 
-        #: a ``_run`` is queued (this cycle, next cycle, or at the end of a
-        #: stall); wake-ups are no-ops until it parks the router again
-        self._scheduled = False
-        self.flits_forwarded = 0
+        #: timed inboxes — what is on the input wires, in landing order:
+        #: ``(landing cycle, input port, flit)`` and, for credits coming
+        #: back to an output port, ``(landing cycle, output port, vc)``.
+        #: Rows are data, not engine events: a step lands the due ones.
+        self._flits_in: Deque[Tuple[int, Port, Flit]] = deque()
+        self._credits_in: Deque[Tuple[int, Port, int]] = deque()
+        #: the cycle the one live ``_run`` on the engine is stamped for
+        #: (:data:`NEVER` while parked); an entry stamped otherwise has
+        #: been superseded by an earlier arm and does nothing
+        self._wake_at = NEVER
+        #: cycle of the last pass that moved a flit: a router never makes
+        #: two moving passes in one cycle (one flit per output per cycle)
+        self._moved_at = -1
+        self._flits_forwarded = 0
         #: incrementally maintained count of flits across all input VCs —
         #: the allocation loop polls "any work?" once per pass, and scanning
         #: every (port, VC) buffer to answer it dominated the hot path
@@ -183,24 +194,61 @@ class Router:
         #: backpressure spreads exactly as a stuck pipeline stage would.
         self.stalled_until = 0
         self.stalls_injected = 0
+        #: called before per-router state is read or a fault is applied
+        #: from outside the datapath (the network's express lane hooks in)
+        self._sync: Callable[[], None] = _nothing
 
     # -- wiring (called by Network) ---------------------------------------
 
-    def connect_output(self, port: Port, deliver: DeliverFn, credit: CreditFn) -> None:
-        """Attach downstream delivery and upstream-credit callbacks."""
-        out = self._out[port]
-        out.deliver = deliver
-        out.return_credit = credit
+    def connect_output(self, port: Port, deliver: DeliverFn) -> None:
+        """Attach the link that carries flits leaving on ``port``."""
+        self._out[port].deliver = deliver
 
     def connect_input_credit(self, port: Port, return_credit: CreditFn) -> None:
-        """Attach the callback that returns a buffer credit to the upstream
+        """Attach the wire that returns a buffer credit to the upstream
         sender when a flit leaves this router's input buffer on ``port``."""
         self._credit_return[port] = return_credit
 
-    # -- datapath entry points (called by links / NI) ----------------------
+    # -- the wires (rows written by links and neighbours) -------------------
+
+    def flit_row(self, landing: int, port: Port, flit: Flit) -> None:
+        """A flit is on the wire into ``port``, due at cycle ``landing``.
+
+        Healthy links write in landing order and append directly; this is
+        the general entry, which keeps the inbox sorted when a degraded
+        link lands later than a healthy one written after it.
+        """
+        rows = self._flits_in
+        index = len(rows)
+        while index and rows[index - 1][0] > landing:
+            index -= 1
+        rows.insert(index, (landing, port, flit))
+        self._arm(landing)
+
+    def credit_row(self, port: Port, landing: int, vc: int) -> None:
+        """A credit for output ``port`` / ``vc`` is on the wire, due at
+        ``landing`` (credit wires share one latency: rows stay sorted)."""
+        self._credits_in.append((landing, port, vc))
+        # a credit can only unblock a flit: an empty router with nothing
+        # inbound sleeps on and lands the row whenever it next steps
+        if (self._buffered or self._flits_in) and landing < self._wake_at:
+            self._arm(landing)
+
+    # -- datapath entry points ----------------------------------------------
 
     def accept_flit(self, port: Port, flit: Flit) -> None:
-        """A flit arrives on input ``port`` (its ``vc`` chosen upstream)."""
+        """A flit arrives on input ``port`` now (its ``vc`` chosen upstream)."""
+        self._buffer(port, flit)
+        self._arm(self.engine.now)
+
+    def credit_arrived(self, port: Port, vc: int) -> None:
+        """Downstream freed a buffer slot on our output ``port`` / ``vc``."""
+        self._credit(port, vc)
+        # a credit can only unblock a buffered flit: an empty router sleeps on
+        if self._buffered:
+            self._arm(self.engine.now)
+
+    def _buffer(self, port: Port, flit: Flit) -> None:
         ivc = self._in[port][flit.vc]
         if len(ivc.buffer) >= self.buffer_depth:
             raise ConfigError(
@@ -210,27 +258,51 @@ class Router:
             )
         ivc.buffer.append(flit)
         self._buffered += 1
-        if not self._scheduled:
-            self._scheduled = True
-            self.engine.schedule(0, self._run)
 
-    def credit_arrived(self, port: Port, vc: int) -> None:
-        """Downstream freed a buffer slot on our output ``port`` / ``vc``."""
-        out = self._out[port]
-        out.credits[vc] += 1
-        if out.credits[vc] > self.buffer_depth:
+    def _credit(self, port: Port, vc: int) -> None:
+        credits = self._out[port].credits
+        credits[vc] += 1
+        if credits[vc] > self.buffer_depth:
             raise ConfigError(
                 f"{self.name}: credit overflow on {port.name} vc{vc} at "
                 f"cycle {self.engine.now}"
             )
-        # a credit can only unblock a buffered flit: an empty router sleeps on
-        if self._buffered and not self._scheduled:
-            self._scheduled = True
-            self.engine.schedule(0, self._run)
+
+    def inject(self, flit: Flit) -> None:
+        """The local interface's clocked step hands over a flit: it is in
+        the LOCAL input buffer this cycle and this cycle's pass sees it."""
+        self._buffer(Port.LOCAL, flit)
+        self._poke()
+
+    def local_credit(self, vc: int) -> None:
+        """The local interface consumed a flit: its LOCAL-output credit is
+        back this cycle (there is no wire between a router and its NI)."""
+        self._credit(Port.LOCAL, vc)
+        if self._buffered:
+            self._poke()
+
+    def _poke(self) -> None:
+        """Step now unless a step is still to come this cycle; a router
+        that already moved flits this cycle steps again in the next."""
+        now = self.engine.now
+        if self._wake_at == now:
+            return
+        if self._moved_at == now or now < self.stalled_until:
+            self._arm(now + 1)
+        else:
+            self._step(now)
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def flits_forwarded(self) -> int:
+        """Flits this router has switched to an output so far."""
+        self._sync()
+        return self._flits_forwarded
+
     def occupancy(self) -> int:
+        self._sync()
+        self._land(self.engine.now)
         return self._buffered
 
     @property
@@ -255,32 +327,65 @@ class Router:
 
     def stall(self, cycles: int) -> None:
         """Freeze switch allocation for ``cycles`` (fault injection)."""
+        self._sync()
         self.stalled_until = max(self.stalled_until, self.engine.now + cycles)
         self.stalls_injected += 1
-        if not self._scheduled:
-            self._scheduled = True
-            self.engine.schedule(0, self._run)
+        self._arm(self.stalled_until)
 
-    def _run(self, arg=None) -> None:
-        """One step: an allocation pass, a re-arm, or parking the router.
+    def _arm(self, cycle: int) -> None:
+        """Have a step run at ``cycle`` (the end of a stall if that is
+        later) unless one is already due no later than that."""
+        if cycle < self.stalled_until:
+            cycle = self.stalled_until
+        if cycle < self._wake_at:
+            self._wake_at = cycle
+            self.engine.schedule(cycle - self.engine.now, self._run)
 
-        A pass that moved flits re-arms one cycle ahead and ``_scheduled``
-        stays set across that cycle, so a router never runs two moving
-        passes in one cycle (one flit per output port per cycle).  A pass
-        that moved nothing parks: everything buffered is blocked on credits
-        or VCs until an arrival, a credit or a stall arms the next step.
+    def _run(self, _arg=None) -> None:
+        """The engine callback: step, unless an earlier arm superseded it."""
+        now = self.engine.now
+        if now == self._wake_at:
+            self._wake_at = NEVER
+            self._step(now)
+
+    def _land(self, now: int) -> None:
+        """Move every row due by ``now`` off the wires."""
+        rows = self._flits_in
+        while rows and rows[0][0] <= now:
+            _at, port, flit = rows.popleft()
+            self._buffer(port, flit)
+        credits = self._credits_in
+        while credits and credits[0][0] <= now:
+            _at, port, vc = credits.popleft()
+            self._credit(port, vc)
+
+    def _step(self, now: int) -> None:
+        """Land what is due, make this cycle's pass, arm the next step.
+
+        A pass that moved flits leaves ``_moved_at`` set for the cycle, so
+        a router never runs two moving passes in one cycle (one flit per
+        output port per cycle).  The next step is the next cycle while
+        flits remain that a pass may move, else the next landing; a pass
+        that moved nothing waits for the next credit or flit row — whoever
+        writes one while the router holds flits arms it.
         """
-        engine = self.engine
-        if arg is TICK:
-            engine.schedule(0, self._run)
-            return
-        now = engine.now
         if now < self.stalled_until:
-            engine.schedule(self.stalled_until - now, self._run, TICK)
-        elif self._buffered and self._allocation_pass():
-            engine.schedule(1, self._run, TICK)
-        else:
-            self._scheduled = False
+            self._arm(self.stalled_until)
+            return
+        self._land(now)
+        wake = NEVER
+        if self._buffered:
+            if self._moved_at == now:
+                wake = now + 1
+            elif self._allocation_pass():
+                self._moved_at = now
+                if self._buffered:
+                    wake = now + 1
+            elif self._credits_in:
+                wake = self._credits_in[0][0]
+        if self._flits_in and self._flits_in[0][0] < wake:
+            wake = self._flits_in[0][0]
+        self._arm(wake)
 
     def _allocation_pass(self) -> int:
         """One switch-allocation cycle; returns the number of flits moved.
@@ -495,7 +600,7 @@ class Router:
         flit.vc = out_vc
         out.credits[out_vc] -= 1
         out.flits_sent += 1
-        self.flits_forwarded += 1
+        self._flits_forwarded += 1
         if flit.is_head and out_port != Port.LOCAL:
             flit.packet.hops += 1
             if self._dateline:
@@ -514,11 +619,10 @@ class Router:
         assert out.deliver is not None
         out.deliver(flit)
 
-        # A buffer slot on our input just freed: return a credit upstream.
-        # CreditFn takes the vc directly, so no closure needs minting here.
+        # A buffer slot on our input just freed: a credit goes upstream.
         credit_fn = self._credit_return[in_port]
         if credit_fn is not None:
-            self.engine.schedule(self.credit_latency, credit_fn, vc)
+            credit_fn(self.engine.now + self.credit_latency, vc)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Router {self.node} occ={self.occupancy()}>"
+        return f"<Router {self.node} occ={self._buffered}>"

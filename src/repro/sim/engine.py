@@ -325,7 +325,7 @@ class Engine:
     """
 
     __slots__ = ("now", "swallow_orphan_errors", "_queue", "_ring", "_seq",
-                 "_running", "process_count")
+                 "_running", "_settled", "process_count")
 
     def __init__(self, swallow_orphan_errors: bool = False):
         self.now = 0
@@ -334,7 +334,19 @@ class Engine:
         self._ring: Deque[Tuple[Callable, Any]] = deque()
         self._seq = 0
         self._running = False
+        #: the latest cycle whose heap entries are known to have all fired
+        self._settled = -1
         self.process_count = 0
+
+    @property
+    def settled(self) -> bool:
+        """Whether every callback stamped for the current cycle *from an
+        earlier cycle* has fired: true inside the same-cycle ring and after
+        :meth:`run` returns, false while the heap is firing this cycle's
+        entries and at a :meth:`run_window` barrier (the barrier cycle has
+        not run).  A model that keeps closed-form state uses it to tell
+        whether "now" includes this cycle's clocked actions."""
+        return self._settled >= self.now
 
     # -- scheduling ------------------------------------------------------
 
@@ -470,13 +482,16 @@ class Engine:
                     # ring callbacks can only append to the ring or push
                     # heap entries for later cycles (delay >= 1), so the
                     # ring drains without looking at the heap or the clock
+                    self._settled = now
                     while ring:
                         callback, arg = ring_popleft()
                         callback(arg)
                 else:
                     break
             if bounded and now < until:
-                self.now = until
+                self.now = now = until
+            if not (queue and queue[0][0] <= now):
+                self._settled = now
         finally:
             self._running = False
 

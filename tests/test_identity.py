@@ -43,6 +43,18 @@ def test_cluster_run_stats_are_byte_identical(scale_small, kill_small):
     assert kill["passed"] and kill["chaos"]
 
 
+def test_express_lane_share_of_a_small_cluster_run_is_pinned(scale_small):
+    """Per board: NoC packets that started on the express lane, and those
+    taken off it mid-flight.  The lane changes no report byte, so only
+    this count shows a lost eligibility (a new mid-flight reader, a
+    credit that no longer comes home) before a benchmark does."""
+    runner = ScenarioRunner(scale_small)
+    runner.run()
+    assert [(system.network.express_packets,
+             system.network.express_demotions)
+            for system in runner.cluster.systems] == [(272, 33), (274, 32)]
+
+
 def test_autoscale_run_event_logs_are_byte_identical():
     def run():
         step = autoscale_smoke(phase_a=200_000, phase_b=1_300_000,
