@@ -155,6 +155,7 @@ class PreemptibleVideoEncoder(VideoEncoder):
         if tile is None:
             return
         saved = tile.saved_contexts.pop(f"stream{stream}", None)
+        tile.saved_context_owners.pop(f"stream{stream}", None)
         if saved and stream in saved:
             self.streams[stream] = dict(saved[stream])
 

@@ -298,9 +298,6 @@ class ClusterBackend:
             for i in range(config.n_fpgas)
         ]
 
-    def _mac(self, index: int) -> str:
-        return self.cluster.systems[index].config.net.mac_addr
-
     # -- execution ---------------------------------------------------------
 
     def boot(self, extra_cycles: int) -> None:
@@ -417,10 +414,10 @@ class SharedEngineBackend(ClusterBackend):
         _board_kill(self.cluster.systems[index], self.cluster.fabric)
 
     def partition_board(self, index):
-        self.cluster.fabric.partition(self._mac(index))
+        self.cluster.fabric.partition(self.cluster.mac(index))
 
     def heal_board(self, index):
-        self.cluster.fabric.heal(self._mac(index))
+        self.cluster.fabric.heal(self.cluster.mac(index))
 
     def register_fault_listener(self, listener):
         super().register_fault_listener(listener)
@@ -615,7 +612,7 @@ class WindowedBackend(ClusterBackend):
 
     def kill_board(self, index):
         self._check_failure()
-        mac = self._mac(index)
+        mac = self.cluster.mac(index)
         self.cluster.fabric.mark_remote_detached(mac)
         for i, board in enumerate(self.boards):
             if i != index:
@@ -624,14 +621,14 @@ class WindowedBackend(ClusterBackend):
 
     def partition_board(self, index):
         self._check_failure()
-        mac = self._mac(index)
+        mac = self.cluster.mac(index)
         self.cluster.fabric.partition(mac)
         for board in self.boards:
             board.call("partition", mac)
 
     def heal_board(self, index):
         self._check_failure()
-        mac = self._mac(index)
+        mac = self.cluster.mac(index)
         self.cluster.fabric.heal(mac)
         for board in self.boards:
             board.call("heal", mac)

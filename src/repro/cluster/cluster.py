@@ -110,8 +110,12 @@ class Cluster:
         which every board partition matches at each barrier)."""
         return self.engine.now
 
+    def mac(self, index: int) -> str:
+        """Board ``index``'s address on the fabric."""
+        return self.systems[index].config.net.mac_addr
+
     def macs(self) -> List[str]:
-        return [s.config.net.mac_addr for s in self.systems]
+        return [self.mac(i) for i in range(self.n_fpgas)]
 
     def _require_dynamic_placement(self, what: str) -> None:
         if not self._backend.supports_dynamic_placement:
@@ -214,21 +218,21 @@ class Cluster:
         scaler.start()
         return scaler
 
-    def deploy_stateless(self, service, handler_factory, **kwargs):
-        self._backend.check_placement_open("deploy_stateless()")
-        started = self.directory.deploy_stateless(service, handler_factory,
-                                                  **kwargs)
+    def _deploy(self, place, service, factory, **kwargs):
+        """Every deploy: placement still open, place, track."""
+        self._backend.check_placement_open(f"{place.__name__}()")
+        started = place(service, factory, **kwargs)
         if self.frontend is not None:
             self.frontend.track_all()
         return started
 
+    def deploy_stateless(self, service, handler_factory, **kwargs):
+        return self._deploy(self.directory.deploy_stateless, service,
+                            handler_factory, **kwargs)
+
     def deploy_sharded(self, service, handler_factory, **kwargs):
-        self._backend.check_placement_open("deploy_sharded()")
-        started = self.directory.deploy_sharded(service, handler_factory,
-                                                **kwargs)
-        if self.frontend is not None:
-            self.frontend.track_all()
-        return started
+        return self._deploy(self.directory.deploy_sharded, service,
+                            handler_factory, **kwargs)
 
     def deploy_chain(self, service, machine_factory, **kwargs):
         """Deploy a chain-replicated stateful service.
@@ -243,12 +247,9 @@ class Cluster:
                 "deploying a chained service needs ReplicationConfig("
                 "enabled=True) and boot()"
             )
-        started = self.directory.deploy_chain(service, machine_factory,
-                                              **kwargs)
-        if self.frontend is not None:
-            self.frontend.track_all()
-        configured = self.replication.manage(service)
-        return started, configured
+        started = self._deploy(self.directory.deploy_chain, service,
+                               machine_factory, **kwargs)
+        return started, self.replication.manage(service)
 
     def seal(self) -> None:
         """Freeze placement and hand boards to the backend's executors.

@@ -16,15 +16,17 @@ each application):
   ``replication`` distinct FPGAs so a dead board's shards fail over to
   surviving replicas.
 
-Placement is deterministic: lowest free tile on the chosen FPGA, FPGAs
-chosen round-robin — two identically-seeded cluster builds place
-identically (the sharding-determinism test pins this).
+Every instance reaches its board through one function, ``_place``; the
+public deploy methods only choose *which* board (rule table: DESIGN.md
+"Cluster layer").  Placement is deterministic — lowest free tile of the
+chosen FPGA — and all-or-nothing: a deploy that cannot fit loads nothing.
 """
 
 from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -44,19 +46,19 @@ def _stable_hash(value: Any) -> int:
 class HashRing:
     """Consistent-hash ring mapping keys to shards.
 
-    ``vnodes`` virtual points per shard smooth the key distribution; the
-    ring is rebuilt only when the shard count changes (never at runtime
+    :attr:`VNODES` virtual points per shard smooth the key distribution;
+    the ring is rebuilt only when the shard count changes (never at runtime
     here — resharding is out of scope, replicas handle failures).
     """
 
-    def __init__(self, n_shards: int, vnodes: int = 64):
+    VNODES = 64
+
+    def __init__(self, n_shards: int):
         if n_shards < 1:
             raise ConfigError(f"need >= 1 shard, got {n_shards}")
-        self.n_shards = n_shards
-        self.vnodes = vnodes
         points = []
         for shard in range(n_shards):
-            for v in range(vnodes):
+            for v in range(self.VNODES):
                 points.append((_stable_hash(f"shard{shard}#v{v}"), shard))
         points.sort()
         self._points = [p for p, _ in points]
@@ -113,15 +115,13 @@ class ServiceSpec:
     instances: List[ServiceInstance] = field(default_factory=list)
     ring: Optional[HashRing] = None
     replication: int = 1
-    #: sharded writes fan out to every replica of the shard, so a
-    #: failover target has the data (set False for cache-like services)
-    replicate_writes: bool = True
     #: next replica index to hand out (monotonic: replica ids are never
     #: reused, so scale-down + scale-up never aliases an old instance)
     next_replica: int = 0
-    #: builds a fresh handler per instance; retained so the autoscaler
-    #: can add replicas after the initial deploy (stateless services)
-    handler_factory: Optional[Callable[[], Any]] = None
+    #: builds what one instance runs — ``factory()`` a stateless handler,
+    #: ``factory(shard)`` a shard's handler or (chained) state machine;
+    #: retained so scale-up and chain repair can place more replicas
+    factory: Optional[Callable[..., Any]] = None
     #: True for chain-replicated services: shard replicas form an ordered
     #: chain (writes at the head, reads at the tail) instead of a
     #: best-effort fan-out set
@@ -131,9 +131,10 @@ class ServiceSpec:
     #: shard -> configuration epoch; bumped on every repair, so members
     #: at an older epoch are fenced by their peers (chained only)
     epochs: Dict[int, int] = field(default_factory=dict)
-    #: builds one shard's state machine (chained only; retained so chain
-    #: repair can splice replacement replicas)
-    machine_factory: Optional[Callable[[int], Any]] = None
+
+    def instance(self, iid: str) -> Optional[ServiceInstance]:
+        """The instance named ``iid`` (None once it was removed)."""
+        return next((i for i in self.instances if i.iid == iid), None)
 
     def candidates(self, key: Any = None) -> List[ServiceInstance]:
         """Routing candidates in preference order.
@@ -145,9 +146,8 @@ class ServiceSpec:
         """
         if self.chained and key is not None:
             shard = self.ring.shard_for(key)
-            by_iid = {i.iid: i for i in self.instances}
-            return [by_iid[iid] for iid in self.chains.get(shard, [])
-                    if iid in by_iid and by_iid[iid].ready]
+            members = map(self.instance, self.chains.get(shard, []))
+            return [m for m in members if m is not None and m.ready]
         if self.sharded and key is not None:
             shard = self.ring.shard_for(key)
             owners = [i for i in self.instances
@@ -187,21 +187,12 @@ class ServiceDirectory(Namespace):
         service shell, skipping the cache/compile path entirely.  Returns
         the load-started events.
         """
-        if service in self.services:
-            raise ConfigError(f"service {service!r} already deployed")
+        self._check_new(service)
         spec = ServiceSpec(name=service, sharded=False,
-                           handler_factory=handler_factory)
-        started = []
-        for idx in range(instances):
-            fpga = self._pick_fpga(
-                ClusterPortedService.family_bitstream())
-            inst = ServiceInstance(service=service, fpga=fpga, node=-1,
-                                   port=self._alloc_port(), replica=idx)
-            started.append(self._load(inst, handler_factory(),
-                                      artifact=artifact))
-            spec.instances.append(inst)
-            self.bind(inst.iid, (inst.fpga, inst.node))
-        spec.next_replica = instances
+                           factory=handler_factory, next_replica=instances)
+        boards = self._pick_fpgas(service, instances)
+        started = [self._place(spec, fpga, None, idx, artifact)[1]
+                   for idx, fpga in enumerate(boards)]
         self.services[service] = spec
         return started
 
@@ -209,12 +200,10 @@ class ServiceDirectory(Namespace):
         """Scale a stateless service out by one replica.
 
         Places the new instance exactly like :meth:`deploy_stateless`
-        (round-robin FPGA, lowest free tile; with a bitstream cache
-        enabled, boards whose cache is already warm for the service shell
-        are preferred) and binds it; the caller (normally the autoscaler)
-        re-tracks the front-end so the replica takes traffic once its
-        reconfiguration completes.  Returns ``(instance,
-        load_started_event)``.
+        (same board pick, lowest free tile) and binds it; the caller
+        (normally the autoscaler) re-tracks the front-end so the replica
+        takes traffic once its reconfiguration completes.  Returns
+        ``(instance, load_started_event)``.
         """
         spec = self.spec(service)
         if spec.sharded:
@@ -222,18 +211,9 @@ class ServiceDirectory(Namespace):
                 f"{service!r} is sharded; resharding is out of scope — "
                 "only stateless services scale by instance"
             )
-        if spec.handler_factory is None:
-            raise ConfigError(f"{service!r} kept no handler factory")
-        fpga = self._pick_fpga(ClusterPortedService.family_bitstream())
-        inst = ServiceInstance(service=service, fpga=fpga, node=-1,
-                               port=self._alloc_port(),
-                               replica=spec.next_replica)
+        (fpga,) = self._pick_fpgas(service, 1)
         spec.next_replica += 1
-        started = self._load(inst, spec.handler_factory(),
-                             artifact=artifact)
-        spec.instances.append(inst)
-        self.bind(inst.iid, (inst.fpga, inst.node))
-        return inst, started
+        return self._place(spec, fpga, None, spec.next_replica - 1, artifact)
 
     def remove_instance(self, service: str,
                         iid: Optional[str] = None) -> ServiceInstance:
@@ -254,15 +234,10 @@ class ServiceDirectory(Namespace):
         if iid is None:
             inst = max(spec.instances, key=lambda i: i.replica)
         else:
-            matches = [i for i in spec.instances if i.iid == iid]
-            if not matches:
+            inst = spec.instance(iid)
+            if inst is None:
                 raise ConfigError(f"no instance {iid!r} of {service!r}")
-            inst = matches[0]
-        spec.instances.remove(inst)
-        self.unbind(inst.iid)
-        system = self.cluster.systems[inst.fpga]
-        if system.recovery is not None:
-            system.recovery.forget(inst.endpoint)
+        self._drop(spec, inst)
         return inst
 
     def deploy_sharded(
@@ -271,8 +246,6 @@ class ServiceDirectory(Namespace):
         handler_factory: Callable[[int], Any],
         n_shards: int = 4,
         replication: int = 2,
-        replicate_writes: bool = True,
-        vnodes: int = 64,
     ) -> List[Event]:
         """Shard ``service`` across the cluster with replica failover.
 
@@ -283,32 +256,9 @@ class ServiceDirectory(Namespace):
         one shard always sit on distinct FPGAs (as long as
         ``replication <= n_fpgas``).
         """
-        if service in self.services:
-            raise ConfigError(f"service {service!r} already deployed")
-        n_fpgas = len(self.cluster.systems)
-        if replication < 1:
-            raise ConfigError("replication must be >= 1")
-        if replication > n_fpgas:
-            raise ConfigError(
-                f"replication {replication} exceeds cluster size {n_fpgas} "
-                "(same-FPGA replicas share the failure domain)"
-            )
-        spec = ServiceSpec(name=service, sharded=True,
-                           ring=HashRing(n_shards, vnodes=vnodes),
-                           replication=replication,
-                           replicate_writes=replicate_writes)
-        started = []
-        for shard in range(n_shards):
-            for replica in range(replication):
-                fpga = (shard + replica) % n_fpgas
-                inst = ServiceInstance(service=service, fpga=fpga, node=-1,
-                                       port=self._alloc_port(),
-                                       shard=shard, replica=replica)
-                started.append(self._load(inst, handler_factory(shard)))
-                spec.instances.append(inst)
-                self.bind(inst.iid, (inst.fpga, inst.node))
-        self.services[service] = spec
-        return started
+        return self._deploy_shards(
+            ServiceSpec(name=service, sharded=True, factory=handler_factory,
+                        replication=replication), n_shards)
 
     def deploy_chain(
         self,
@@ -316,7 +266,6 @@ class ServiceDirectory(Namespace):
         machine_factory: Callable[[int], Any],
         n_shards: int = 4,
         replication: int = 3,
-        vnodes: int = 64,
         artifact=None,
     ) -> List[Event]:
         """Shard ``service`` into replication *chains* (zero-data-loss).
@@ -329,83 +278,51 @@ class ServiceDirectory(Namespace):
         a :class:`~repro.replic.manager.ReplicationManager` adopts the
         service and issues ``chain.cfg`` at epoch 1.
         """
-        from repro.replic.chain import ChainNodeService
+        return self._deploy_shards(
+            ServiceSpec(name=service, sharded=True, chained=True,
+                        factory=machine_factory, replication=replication,
+                        next_replica=replication), n_shards, artifact)
 
-        if service in self.services:
-            raise ConfigError(f"service {service!r} already deployed")
+    def _deploy_shards(self, spec: ServiceSpec, n_shards: int,
+                       artifact=None) -> List[Event]:
+        """The shard loop behind :meth:`deploy_sharded` / :meth:`deploy_chain`
+        — they differ only in ``spec.chained``."""
+        self._check_new(spec.name)
         n_fpgas = len(self.cluster.systems)
-        if replication < 1:
+        if spec.replication < 1:
             raise ConfigError("replication must be >= 1")
-        if replication > n_fpgas:
+        if spec.replication > n_fpgas:
             raise ConfigError(
-                f"replication {replication} exceeds cluster size {n_fpgas} "
-                "(same-FPGA replicas share the failure domain)"
+                f"replication {spec.replication} exceeds cluster size "
+                f"{n_fpgas} (same-FPGA replicas share the failure domain)"
             )
-        spec = ServiceSpec(name=service, sharded=True, chained=True,
-                           ring=HashRing(n_shards, vnodes=vnodes),
-                           replication=replication,
-                           replicate_writes=False,
-                           machine_factory=machine_factory)
+        spec.ring = HashRing(n_shards)
+        slots = [(shard, replica, (shard + replica) % n_fpgas)
+                 for shard in range(n_shards)
+                 for replica in range(spec.replication)]
+        self._require_room(spec.name, [fpga for _s, _r, fpga in slots])
         started = []
-        for shard in range(n_shards):
-            spec.chains[shard] = []
-            spec.epochs[shard] = 0
-            for replica in range(replication):
-                fpga = (shard + replica) % n_fpgas
-                inst = ServiceInstance(service=service, fpga=fpga, node=-1,
-                                       port=self._alloc_port(),
-                                       shard=shard, replica=replica)
-                node = ChainNodeService(inst.iid, inst.port,
-                                        machine_factory(shard))
-                started.append(self._load_chain(inst, node,
-                                                artifact=artifact))
-                spec.instances.append(inst)
-                spec.chains[shard].append(inst.iid)
-                self.bind(inst.iid, (inst.fpga, inst.node))
-        spec.next_replica = replication
-        self.services[service] = spec
+        for shard, replica, fpga in slots:
+            inst, loading = self._place(spec, fpga, shard, replica, artifact)
+            started.append(loading)
+            if spec.chained:
+                spec.epochs[shard] = 0
+                spec.chains.setdefault(shard, []).append(inst.iid)
+        self.services[spec.name] = spec
         return started
 
     def add_chain_replica(self, service: str, shard: int,
-                          exclude_fpgas=()) -> Tuple[ServiceInstance, Event]:
-        """Place one fresh chain member for ``shard`` (repair splice).
-
-        The board is the lowest-indexed FPGA outside ``exclude_fpgas``
-        (callers pass dead, partitioned, and already-member boards) with a
-        free tile.  The member is *loaded but not part of the chain* —
-        the replication manager checkpoints it and flips the chain order
-        once it has caught up.  Raises :class:`ConfigError` when no
-        eligible board exists (the caller defers the replacement).
+                          fpga: int) -> Tuple[ServiceInstance, Event]:
+        """Place one fresh chain member for ``shard`` on board ``fpga``
+        (repair splice; the replication manager picks the board).  The
+        member is *loaded but not part of the chain* — the manager
+        checkpoints it and flips the chain order once it has caught up.
         """
         spec = self.spec(service)
         if not spec.chained:
             raise ConfigError(f"{service!r} is not chain-replicated")
-        if spec.machine_factory is None:
-            raise ConfigError(f"{service!r} kept no machine factory")
-        from repro.replic.chain import ChainNodeService
-
-        exclude = set(exclude_fpgas)
-        fpga = None
-        for i in range(len(self.cluster.systems)):
-            if i in exclude:
-                continue
-            if self.cluster.systems[i].mgmt.free_tiles():
-                fpga = i
-                break
-        if fpga is None:
-            raise ConfigError(
-                f"no eligible board for a new {service!r}/s{shard} replica"
-            )
-        inst = ServiceInstance(service=service, fpga=fpga, node=-1,
-                               port=self._alloc_port(), shard=shard,
-                               replica=spec.next_replica)
         spec.next_replica += 1
-        node = ChainNodeService(inst.iid, inst.port,
-                                spec.machine_factory(shard))
-        started = self._load_chain(inst, node)
-        spec.instances.append(inst)
-        self.bind(inst.iid, (inst.fpga, inst.node))
-        return inst, started
+        return self._place(spec, fpga, shard, spec.next_replica - 1)
 
     def set_chain(self, service: str, shard: int, iids: List[str],
                   epoch: int) -> None:
@@ -428,107 +345,95 @@ class ServiceDirectory(Namespace):
                             iid: str) -> None:
         """Forget a dead/fenced chain member entirely."""
         spec = self.spec(service)
-        if shard in spec.chains and iid in spec.chains[shard]:
+        if iid in spec.chains.get(shard, ()):
             spec.chains[shard].remove(iid)
-        for inst in list(spec.instances):
-            if inst.iid == iid:
-                spec.instances.remove(inst)
-                system = self.cluster.systems[inst.fpga]
-                if system.recovery is not None:
-                    system.recovery.forget(inst.endpoint)
-        if iid in self:
-            self.unbind(iid)
+        inst = spec.instance(iid)
+        if inst is not None:
+            self._drop(spec, inst)
 
-    def _load_chain(self, inst: ServiceInstance, node_service,
-                    artifact=None) -> Event:
-        """Place one chain member on the lowest free tile of its FPGA.
+    def _drop(self, spec: ServiceSpec, inst: ServiceInstance) -> None:
+        """Unroute ``inst``, unbind its name, stop keeping it alive."""
+        spec.instances.remove(inst)
+        self.unbind(inst.iid)
+        self.cluster.systems[inst.fpga].forget(inst.endpoint)
 
-        Unlike :meth:`_load`, faults are *delegated*: restarting a chain
-        member in place would resurrect a stale replica (the split-brain
-        epochs exist to fence), so the recovery manager only frees the
-        slot and the replication manager repairs the chain.
+    def _place(self, spec: ServiceSpec, fpga: int, shard: Optional[int],
+               replica: int, artifact=None) -> Tuple[ServiceInstance, Event]:
+        """The one way an instance gets onto a board: create it, build
+        what it runs (a :class:`ClusterPortedService` around the handler,
+        or a ``ChainNodeService`` around the state machine), load that on
+        the lowest free tile of ``fpga``, mark it ready when the load
+        completes, route and bind it.  A chain member's faults are
+        *delegated*: restarting one in place would resurrect a stale
+        replica (what the epochs exist to fence), so recovery only frees
+        the slot and the replication manager repairs the chain.
         """
-        system = self.cluster.systems[inst.fpga]
-        free = system.mgmt.free_tiles()
-        if not free:
-            raise ConfigError(
-                f"FPGA {inst.fpga} has no free tile for {inst.iid}"
-            )
-        inst.node = free[0]
-        if system.recovery is not None:
-            started = system.recovery.deploy(
-                inst.node, lambda n=node_service: n,
-                endpoint=inst.endpoint, delegate="replication",
-                artifact=artifact)
-        else:
-            started = system.mgmt.load(inst.node, node_service,
-                                       endpoint=inst.endpoint,
-                                       artifact=artifact)
+        inst = ServiceInstance(service=spec.name, fpga=fpga, node=-1,
+                               port=self._alloc_port(), shard=shard,
+                               replica=replica)
+        runs = spec.factory() if shard is None else spec.factory(shard)
+        if spec.chained:
+            from repro.replic.chain import ChainNodeService
 
-        def mark_ready(ev, i=inst):
+            member = ChainNodeService(inst.iid, inst.port, runs)
+            build, delegate = (lambda: member), "replication"
+        else:
+            def build():
+                return ClusterPortedService(inst.iid, port=inst.port,
+                                            handler=runs)
+            delegate = None
+        inst.node, started = self.cluster.systems[fpga].deploy(
+            build, inst.endpoint, delegate=delegate, artifact=artifact)
+
+        def mark_ready(ev):
             if not ev.failed:
-                i.ready = True
+                inst.ready = True
 
         started.add_callback(mark_ready)
-        return started
+        spec.instances.append(inst)
+        self.bind(inst.iid, (fpga, inst.node))
+        return inst, started
 
-    def _load(self, inst: ServiceInstance, handler, artifact=None) -> Event:
-        """Place one instance on the lowest free tile of its FPGA."""
-        system = self.cluster.systems[inst.fpga]
-        free = system.mgmt.free_tiles()
-        if not free:
-            raise ConfigError(
-                f"FPGA {inst.fpga} has no free tile for {inst.iid}"
-            )
-        inst.node = free[0]
+    def _pick_fpgas(self, service: str, count: int) -> List[int]:
+        """Boards for the next ``count`` stateless instances: a round-robin
+        cursor.  With the compile cache enabled the cursor advances
+        identically, but each pick skips killed/full boards and — under
+        ``warm_placement`` — prefers boards whose artifact cache is already
+        warm for the service shell (cursor order breaks ties, so placement
+        stays deterministic)."""
+        left = [len(s.mgmt.free_tiles()) for s in self.cluster.systems]
+        n, boards, cursor = len(left), [], self._next_fpga
+        for _ in range(count):
+            fpga, cursor = cursor, (cursor + 1) % n
+            if self.cluster.bitplane is not None:
+                usable = [i for i in ((fpga + k) % n for k in range(n))
+                          if i not in self.cluster.killed and left[i] > 0]
+                if usable and self.cluster.config.cache.warm_placement:
+                    from repro.sched.placement import warm_first
+                    usable = warm_first(
+                        usable, self.cluster,
+                        ClusterPortedService.family_bitstream())
+                if usable:
+                    fpga = usable[0]
+            left[fpga] -= 1
+            boards.append(fpga)
+        self._require_room(service, boards)
+        self._next_fpga = cursor  # a refused deploy leaves the cursor alone
+        return boards
 
-        def factory(port=inst.port, name=inst.iid, h=handler):
-            return ClusterPortedService(name, port=port, handler=h)
+    def _require_room(self, service: str, boards: List[int]) -> None:
+        """All-or-nothing: raise, before the first load, unless every
+        board has the free tiles ``boards`` asks of it."""
+        for fpga, need in sorted(Counter(boards).items()):
+            free = len(self.cluster.systems[fpga].mgmt.free_tiles())
+            if need > free:
+                raise ConfigError(
+                    f"{service!r} needs {need} free tile(s) on FPGA {fpga}, "
+                    f"which has {free}; nothing was loaded")
 
-        if system.recovery is not None:
-            # keep the instance alive intra-FPGA (restart / spare failover)
-            started = system.recovery.deploy(inst.node, factory,
-                                             endpoint=inst.endpoint,
-                                             artifact=artifact)
-        else:
-            started = system.mgmt.load(inst.node, factory(),
-                                       endpoint=inst.endpoint,
-                                       artifact=artifact)
-
-        def mark_ready(ev, i=inst):
-            if not ev.failed:
-                i.ready = True
-
-        started.add_callback(mark_ready)
-        return started
-
-    def _pick_fpga(self, bitstream=None) -> int:
-        """Next board for a fresh instance.
-
-        Legacy clusters (no bitstream plane): pure round-robin cursor,
-        byte-identical to every earlier release.  With the compile cache
-        enabled the cursor still advances identically, but the pick
-        skips killed/full boards and — given ``bitstream`` and
-        ``warm_placement`` — prefers boards whose artifact cache is
-        already warm for it (cursor order breaks ties, so placement
-        stays deterministic).
-        """
-        fpga = self._next_fpga
-        self._next_fpga = (self._next_fpga + 1) % len(self.cluster.systems)
-        if self.cluster.bitplane is None:
-            return fpga
-        n = len(self.cluster.systems)
-        order = [(fpga + k) % n for k in range(n)]
-        usable = [i for i in order
-                  if i not in self.cluster.killed
-                  and self.cluster.systems[i].mgmt.free_tiles()]
-        if not usable:
-            return fpga
-        if bitstream is not None \
-                and self.cluster.config.cache.warm_placement:
-            from repro.sched.placement import warm_first
-            usable = warm_first(usable, self.cluster, bitstream)
-        return usable[0]
+    def _check_new(self, service: str) -> None:
+        if service in self.services:
+            raise ConfigError(f"service {service!r} already deployed")
 
     def _alloc_port(self) -> int:
         port = self._next_port
@@ -542,10 +447,6 @@ class ServiceDirectory(Namespace):
         if found is None:
             raise ConfigError(f"unknown service {service!r}")
         return found
-
-    def candidates(self, service: str,
-                   key: Any = None) -> List[ServiceInstance]:
-        return self.spec(service).candidates(key)
 
     def instances_on(self, fpga: int,
                      node: Optional[int] = None) -> List[ServiceInstance]:

@@ -521,7 +521,7 @@ class FrontEnd:
                 f"{spec.name!r} shard {shard} has no chain"
             )
         iid = chain[0] if is_write else chain[-1]
-        inst = next((i for i in spec.instances if i.iid == iid), None)
+        inst = spec.instance(iid)
         if inst is None or not inst.ready:
             raise ServiceUnavailable(f"{iid} is not ready")
         health = self.health.get(iid)
@@ -545,8 +545,7 @@ class FrontEnd:
                                     self._wire_body(req, trace_id, fwd,
                                                     wid=wid),
                                     nbytes)
-        if (req.get("write") and spec.sharded and spec.replicate_writes
-                and not spec.chained):
+        if req.get("write") and spec.sharded and not spec.chained:
             # legacy best-effort replication (the client's ack is the
             # addressed replica's alone; chained services replicate
             # through the chain instead and never take this path)
@@ -632,7 +631,7 @@ class FrontEnd:
         """Drain one instance's queue as batch envelopes."""
         iid = inst.iid
         queue = self._queues[iid]
-        mac = self.cluster.systems[inst.fpga].config.net.mac_addr
+        mac = self.cluster.mac(inst.fpga)
         while True:
             if iid in self._retired:
                 return
@@ -665,7 +664,7 @@ class FrontEnd:
     def _prober(self, inst: ServiceInstance):
         """Periodic liveness pings (answered without handler cost)."""
         iid = inst.iid
-        mac = self.cluster.systems[inst.fpga].config.net.mac_addr
+        mac = self.cluster.mac(inst.fpga)
         health = self.health[iid]
         while True:
             yield self.heartbeat_interval

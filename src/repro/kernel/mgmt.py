@@ -329,11 +329,7 @@ class MgmtPlane:
 
     def free_tiles(self) -> List[int]:
         """Nodes whose slot is empty and idle — candidates for placement."""
-        return [
-            node for node, tile in enumerate(self.tiles)
-            if tile.accelerator is None and not tile.region.reconfiguring
-            and not tile.region.occupied and not tile.reserved
-        ]
+        return [node for node, tile in enumerate(self.tiles) if tile.free]
 
     def teardown(self, node: int, revoke: bool = True,
                  trace: Optional[Tuple[int, int]] = None) -> Event:
@@ -390,7 +386,7 @@ class MgmtPlane:
                 "accelerators that externalize state can migrate (§4.4)"
             )
         dest = self.tiles[node_to]
-        if dest.occupied or dest.region.occupied or dest.region.reconfiguring:
+        if not dest.free:
             # checked *before* the source is torn down: a migration must
             # never destroy the only running copy just to discover its
             # destination was taken
@@ -409,15 +405,9 @@ class MgmtPlane:
         failed = True
         try:
             state = source.accelerator.externalize_state()
-            # include contexts the fault manager parked on the tile — but
-            # only the migrating deployment's own (another tenant's parked
-            # context must stay behind for *its* recovery, not ride along)
-            mine = source.deployed_endpoint
-            for ctx in sorted(source.saved_contexts):
-                owner = source.saved_context_owners.get(ctx)
-                if owner is None or mine is None or owner == mine:
-                    state.update(source.saved_contexts.pop(ctx))
-                    source.saved_context_owners.pop(ctx, None)
+            # include the contexts the fault manager parked on the tile
+            # for the migrating deployment (other tenants' stay behind)
+            state.update(source.claim_contexts(source.deployed_endpoint))
             yield self.teardown(node_from, trace=child)
             replacement = make_accelerator()
             replacement.restore_state(state)

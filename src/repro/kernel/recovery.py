@@ -240,18 +240,10 @@ class RecoveryManager:
                                   dep.endpoint, node=old_node)
             self.forget(dep.endpoint)
             return
-        # capture what must survive: parked contexts and the policy-level
-        # grant record (teardown revokes the actual capabilities).  Only
-        # *this deployment's* contexts merge — two co-resident preemptible
-        # accelerators may park overlapping state keys, and a blind merge
-        # restores tenant A's registers into tenant B last-writer-wins.
-        # Unowned contexts (no provenance recorded) keep the old behavior.
-        saved: Dict[str, Any] = {}
-        for ctx in sorted(tile.saved_contexts):
-            owner = tile.saved_context_owners.get(ctx)
-            if owner is None or owner == dep.endpoint:
-                saved.update(tile.saved_contexts.pop(ctx))
-                tile.saved_context_owners.pop(ctx, None)
+        # capture what must survive: this deployment's parked contexts
+        # and the policy-level grant record (teardown revokes the actual
+        # capabilities)
+        saved = tile.claim_contexts(dep.endpoint)
         old_holder = tile.endpoint
         prior_grants = self.mgmt.grants_of(old_holder)
 
@@ -273,9 +265,7 @@ class RecoveryManager:
 
         for node in self._candidates(old_node):
             target = self.mgmt.tiles[node]
-            if node != old_node and (target.occupied
-                                     or target.region.occupied
-                                     or target.region.reconfiguring):
+            if node != old_node and not target.free:
                 continue
             replacement = dep.factory()
             if saved:

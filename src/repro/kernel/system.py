@@ -270,7 +270,8 @@ class ApiarySystem:
         """Attach a :class:`RecoveryManager` watchdog to this system.
 
         Call once, after construction; deploy services that must survive
-        faults through ``system.recovery.deploy(...)``.  Note the watchdog
+        faults through :meth:`deploy` (or ``system.recovery.deploy(...)``
+        to name the tile and signer).  Note the watchdog
         polls forever — drive the engine with ``run(until=...)`` or
         ``run_until(event)`` rather than an open-ended ``run()``.
         """
@@ -350,6 +351,30 @@ class ApiarySystem:
         """Load a user accelerator (with default service wiring)."""
         return self.mgmt.load(node, accelerator, endpoint=endpoint,
                               signed_by=signed_by)
+
+    def deploy(self, factory, endpoint: str, *,
+               delegate: Optional[str] = None, artifact=None):
+        """Put ``factory()`` on the lowest free tile under ``endpoint``:
+        the one way the cluster layer fills a slot.  With recovery armed
+        the deployment is kept alive (``delegate`` names a subsystem that
+        repairs it instead); without, it is a plain ``mgmt.load``.
+        Returns ``(node, load_started)``.
+        """
+        free = self.mgmt.free_tiles()
+        if not free:
+            raise ConfigError(f"no free tile for {endpoint!r}")
+        node = free[0]
+        if self.recovery is not None:
+            return node, self.recovery.deploy(
+                node, factory, endpoint=endpoint, delegate=delegate,
+                artifact=artifact)
+        return node, self.mgmt.load(node, factory(), endpoint=endpoint,
+                                    artifact=artifact)
+
+    def forget(self, endpoint: str) -> None:
+        """Stop keeping ``endpoint`` alive (before an intended teardown)."""
+        if self.recovery is not None:
+            self.recovery.forget(endpoint)
 
     def apiary_overhead_fraction(self) -> float:
         """Share of the device's logic the static framework consumes (D4)."""

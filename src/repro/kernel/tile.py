@@ -43,8 +43,8 @@ class Tile:
         self.main_process: Optional[Process] = None
         self.saved_contexts: Dict[str, Dict[str, Any]] = {}
         #: context name -> deployment endpoint that owned it when saved;
-        #: restore paths match on this so two tenants' contexts parked on
-        #: one tile never merge (None = unowned, matches any — legacy)
+        #: :meth:`claim_contexts` matches on this so two tenants' contexts
+        #: parked on one tile never merge
         self.saved_context_owners: Dict[str, Optional[str]] = {}
         #: the logical endpoint loaded here (set by mgmt.load, cleared by
         #: teardown) — provenance for saved contexts, since
@@ -55,7 +55,7 @@ class Tile:
         self.failed_at: Optional[int] = None
         #: held by mgmt.load while a cache-path load is still acquiring its
         #: artifact (the region isn't busy yet during synthesis, but the
-        #: slot is spoken for); free_tiles() excludes reserved tiles
+        #: slot is spoken for); see :attr:`free`
         self.reserved = False
 
     @property
@@ -65,6 +65,31 @@ class Tile:
     @property
     def occupied(self) -> bool:
         return self.accelerator is not None
+
+    @property
+    def free(self) -> bool:
+        """The one answer to "may something be placed here?": no
+        accelerator, the region empty and idle, and the slot not spoken
+        for by a load whose bitstream is still in synthesis."""
+        return (self.accelerator is None and not self.region.occupied
+                and not self.region.reconfiguring and not self.reserved)
+
+    def claim_contexts(self, owner: Optional[str]) -> Dict[str, Any]:
+        """Take the parked contexts belonging to deployment ``owner``,
+        merged into one state dict (the §4.4 isolation rule's one holder).
+
+        Contexts another deployment owns stay parked for *its* restore —
+        co-resident tenants may park overlapping state keys, and a blind
+        merge would leak one tenant's checkpoint into another's.  Unowned
+        contexts, and an ``owner`` of None, match anything (legacy).
+        """
+        state: Dict[str, Any] = {}
+        for ctx in sorted(self.saved_contexts):
+            parked_by = self.saved_context_owners.get(ctx)
+            if parked_by is None or owner is None or parked_by == owner:
+                state.update(self.saved_contexts.pop(ctx))
+                self.saved_context_owners.pop(ctx, None)
+        return state
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -102,8 +102,7 @@ class ScenarioRunner:
             else:
                 started += cluster.deploy_sharded(
                     svc.name, kv_handler_factory(svc.work_cycles),
-                    n_shards=svc.shards, replication=svc.replicas,
-                    replicate_writes=True)
+                    n_shards=svc.shards, replication=svc.replicas)
         cluster.run_until(started, limit=_DEPLOY_LIMIT)
         cluster.start_frontend(
             max_pending=scn.max_pending,

@@ -33,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.errors import ConfigError
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Event
 
@@ -132,8 +133,7 @@ class ReplicationManager:
         rid = next(self._rid)
         waiter = self.engine.event(f"replic.rpc#{rid}")
         self._pending[rid] = waiter
-        board = self.cluster.systems[inst.fpga].config.net.mac_addr
-        self.mux.peer(board).send(
+        self.mux.peer(self.cluster.mac(inst.fpga)).send(
             {"port": inst.port, "data": ("req", rid, body),
              "src_mac": self.mac},
             payload_bytes=max(64, nbytes),
@@ -177,7 +177,7 @@ class ReplicationManager:
                 yield 5_000
                 waited += 5_000
             for shard in sorted(spec.chains):
-                order = [self._inst(spec, iid) for iid in spec.chains[shard]]
+                order = [spec.instance(iid) for iid in spec.chains[shard]]
                 epoch = spec.epochs.get(shard, 0) + 1
                 ok = yield from self._configure_chain(spec, order, epoch, {})
                 if ok:
@@ -191,22 +191,13 @@ class ReplicationManager:
         self.engine.process(run(), name=f"replic.cfg.{service}")
         return done
 
-    @staticmethod
-    def _inst(spec, iid: str):
-        for inst in spec.instances:
-            if inst.iid == iid:
-                return inst
-        return None
-
     def _addr(self, inst) -> Tuple[str, int]:
-        return (self.cluster.systems[inst.fpga].config.net.mac_addr,
-                inst.port)
+        return (self.cluster.mac(inst.fpga), inst.port)
 
-    def _alive(self, inst) -> bool:
-        if inst.fpga in self.cluster.killed:
-            return False
-        board = self.cluster.systems[inst.fpga].config.net.mac_addr
-        return not self.fabric.is_partitioned(board)
+    def _reachable(self, fpga: int) -> bool:
+        """Neither killed nor cut off the fabric."""
+        return (fpga not in self.cluster.killed and not
+                self.fabric.is_partitioned(self.cluster.mac(fpga)))
 
     # -- failure detection -------------------------------------------------
 
@@ -255,10 +246,10 @@ class ReplicationManager:
                     continue
                 for shard in sorted(spec.chains):
                     for iid in list(spec.chains[shard]):
-                        inst = self._inst(spec, iid)
+                        inst = spec.instance(iid)
                         if inst is None or not inst.ready:
                             continue
-                        if not self._alive(inst):
+                        if not self._reachable(inst.fpga):
                             # killed boards are handled by the fault hook;
                             # a *partitioned* board needs the probe path
                             self._mark_dirty(service, shard)
@@ -277,18 +268,12 @@ class ReplicationManager:
 
     def _eligible_boards(self, spec, shard: int) -> List[int]:
         """Boards a fresh replica of ``shard`` could land on right now."""
-        exclude = set(self.cluster.killed)
-        for i in range(len(self.cluster.systems)):
-            board = self.cluster.systems[i].config.net.mac_addr
-            if self.fabric.is_partitioned(board):
-                exclude.add(i)
-        for iid in spec.chains.get(shard, []):
-            inst = self._inst(spec, iid)
-            if inst is not None:
-                exclude.add(inst.fpga)
-        return [i for i in range(len(self.cluster.systems))
-                if i not in exclude
-                and self.cluster.systems[i].mgmt.free_tiles()]
+        members = {inst.fpga
+                   for inst in map(spec.instance, spec.chains.get(shard, []))
+                   if inst is not None}
+        return [i for i, system in enumerate(self.cluster.systems)
+                if self._reachable(i) and i not in members
+                and system.mgmt.free_tiles()]
 
     def _retry_deferred(self) -> None:
         """Re-attempt deferred replacements once capacity exists.
@@ -315,7 +300,7 @@ class ReplicationManager:
     def _retry_fences(self):
         for iid in sorted(self._to_fence):
             inst, epoch = self._to_fence[iid]
-            if not self._alive(inst):
+            if not self._reachable(inst.fpga):
                 continue  # unreachable; retry after heal
             reply = yield from self._rpc(
                 inst, {"op": "chain.fence", "epoch": epoch}, nbytes=16)
@@ -388,10 +373,10 @@ class ReplicationManager:
         survivors: List[Tuple[Any, Dict[str, Any]]] = []
         cut: List[Any] = []
         for iid in chain:
-            inst = self._inst(spec, iid)
+            inst = spec.instance(iid)
             if inst is None:
                 continue
-            if not self._alive(inst):
+            if not self._reachable(inst.fpga):
                 cut.append(inst)
                 continue
             stat = yield from self._rpc(inst, {"op": "chain.stat"},
@@ -521,19 +506,13 @@ class ReplicationManager:
         tail *first* (at the new epoch), and the directory's chain/epoch
         flip *last* — reads keep landing on the old tail until the new
         tail provably holds at least its committed state."""
-        exclude = set(self.cluster.killed)
-        for i in range(len(self.cluster.systems)):
-            board = self.cluster.systems[i].config.net.mac_addr
-            if self.fabric.is_partitioned(board):
-                exclude.add(i)
-        for iid in spec.chains[shard]:
-            inst = self._inst(spec, iid)
-            if inst is not None:
-                exclude.add(inst.fpga)
+        boards = self._eligible_boards(spec, shard)
+        if not boards:
+            return False
         try:
             new_inst, started = self.directory.add_chain_replica(
-                service, shard, exclude_fpgas=exclude)
-        except Exception:
+                service, shard, boards[0])
+        except ConfigError:
             return False
         # wait out the tile's partial reconfiguration — hundreds of
         # kilocycles per bitstream, far beyond any RPC timeout
@@ -543,7 +522,7 @@ class ReplicationManager:
             self._discard_replica(service, shard, new_inst)
             return False
         chain = list(spec.chains[shard])
-        order = [self._inst(spec, iid) for iid in chain]
+        order = [spec.instance(iid) for iid in chain]
         tail = order[-1]
         base_epoch = spec.epochs[shard]
         moved = yield from self._snapshot_to(tail, new_inst)

@@ -173,8 +173,7 @@ def consistency_smoke(
             chain = spec.chains[shard]
             if not chain:
                 continue
-            inst = next((i for i in spec.instances if i.iid == chain[0]),
-                        None)
+            inst = spec.instance(chain[0])
             if inst is not None and inst.fpga not in excluding \
                     and inst.fpga not in cluster.killed:
                 return inst.fpga
@@ -234,7 +233,7 @@ def consistency_smoke(
     for shard in sorted(spec.chains):
         members = []
         for iid in spec.chains[shard]:
-            inst = next((i for i in spec.instances if i.iid == iid), None)
+            inst = spec.instance(iid)
             stat = None
             if inst is not None and inst.fpga not in cluster.killed:
                 node = cluster.systems[inst.fpga].tiles[inst.node]

@@ -133,15 +133,14 @@ class Autoscaler:
     def replicas(self) -> int:
         return len(self.spec.instances)
 
+    def _tile(self, inst):
+        return self.cluster.systems[inst.fpga].tiles[inst.node]
+
     def ready_instances(self) -> List[Any]:
         """Replicas actually serving (loaded, not failed, not mid-load)."""
-        out = []
-        for inst in self.spec.instances:
-            tile = self.cluster.systems[inst.fpga].tiles[inst.node]
-            if (inst.ready and tile.accelerator is not None
-                    and not tile.failed):
-                out.append(inst)
-        return out
+        return [inst for inst in self.spec.instances
+                if inst.ready and self._tile(inst).occupied
+                and not self._tile(inst).failed]
 
     def signal(self) -> Tuple[int, float, int]:
         """(total queue depth, max tile tx rate, ready count)."""
@@ -156,8 +155,8 @@ class Autoscaler:
         # are demand just as real as dispatched-but-unanswered requests
         total_q += self.frontend.backlog_depth(self.service)
         for inst in ready:
-            tile = self.cluster.systems[inst.fpga].tiles[inst.node]
-            util = max(util, tile.monitor.telemetry()["tx_flits_per_cycle"])
+            util = max(util, self._tile(inst).monitor.telemetry()[
+                "tx_flits_per_cycle"])
         return total_q, util, len(ready)
 
     # -- control loop ------------------------------------------------------
@@ -170,8 +169,7 @@ class Autoscaler:
             # failed flag until the new load completes, and replacing a
             # replacement would loop forever
             for inst in list(self.spec.instances):
-                tile = self.cluster.systems[inst.fpga].tiles[inst.node]
-                if inst.ready and tile.failed:
+                if inst.ready and self._tile(inst).failed:
                     yield from self._replace(inst)
             total_q, util, ready = self.signal()
             per_q = total_q / max(1, ready)

@@ -5,7 +5,7 @@ this bitstream?" — capacity (:class:`~repro.hw.resources.ResourceVector`
 ``fits_in``), design rules (the per-region or system DRC), and policy:
 
 * ``FIRST_FIT`` — lowest feasible tile number.  Deterministic and fast;
-  what the service directory's ``_load`` already does implicitly.
+  what the service directory's ``_place`` already does implicitly.
 * ``BEST_FIT`` — the feasible tile whose capacity leaves the least
   slack, so big slots stay open for big bitstreams (classic bin-packing;
   only differs from first-fit on heterogeneous region capacities).
@@ -84,9 +84,14 @@ class Placer:
         tile = self.tiles[node]
         if tile.occupied:
             return f"occupied by {tile.accelerator.name!r}"
-        region = tile.region
-        if region.occupied or region.reconfiguring:
-            return "region busy (loading or unloading)"
+        if not tile.free:
+            return "slot busy (loading, unloading or reserved by a load)"
+        return self.misfit_reason(node, bitstream)
+
+    def misfit_reason(self, node: int, bitstream: Bitstream) -> Optional[str]:
+        """Why ``bitstream`` could not go in ``node``'s slot even once it
+        is vacated: capacity and design rules (None = it would fit)."""
+        region = self.tiles[node].region
         if not bitstream.cost.fits_in(region.capacity):
             return (f"needs {bitstream.cost.logic_cells} cells, slot has "
                     f"{region.capacity.logic_cells}")

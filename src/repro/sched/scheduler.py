@@ -257,13 +257,8 @@ class TileScheduler:
             return
 
     def _vacated_fits(self, node: int, bitstream) -> bool:
-        region = self.system.tiles[node].region
-        if node in self.placer.reserved:
-            return False
-        if not bitstream.cost.fits_in(region.capacity):
-            return False
-        drc = region.drc if region.drc is not None else self.system.drc
-        return drc is None or not drc.violations(bitstream)
+        return (node not in self.placer.reserved
+                and self.placer.misfit_reason(node, bitstream) is None)
 
     def _preempt(self, victim: Job, for_job: Job) -> None:
         tile = self.system.tiles[victim.node]
@@ -286,9 +281,9 @@ class TileScheduler:
         victim.preemptions += 1
         self.stats.counter("sched.preemptions").inc()
         if preemptible:
-            state = accelerator.externalize_state()
-            self._consume_saved_contexts(tile, victim, state)
-            victim.saved_state.update(state)
+            victim.saved_state.update(accelerator.externalize_state())
+            victim.saved_state.update(
+                tile.claim_contexts(victim.spec.endpoint))
             mode = "checkpoint"
         else:
             mode = "kill"
@@ -336,19 +331,6 @@ class TileScheduler:
             self._migrating.discard(victim.id)
             self._wake()
 
-    @staticmethod
-    def _consume_saved_contexts(tile, job, state: dict) -> None:
-        """Merge the tile's parked contexts belonging to ``job`` into
-        ``state`` and remove them from the tile.  Contexts another
-        deployment owns stay parked for *its* recovery — merging them
-        here would leak one tenant's checkpoint into another's restore."""
-        mine = job.spec.endpoint
-        for ctx in sorted(tile.saved_contexts):
-            owner = tile.saved_context_owners.get(ctx)
-            if owner is None or mine is None or owner == mine:
-                state.update(tile.saved_contexts.pop(ctx))
-                tile.saved_context_owners.pop(ctx, None)
-
     # -- fault handling ----------------------------------------------------
 
     def _on_fault(self, tile, record) -> None:
@@ -362,7 +344,7 @@ class TileScheduler:
         job.node = None
         self.stats.counter("sched.fault_requeues").inc()
         # anything the fault manager checkpointed survives to the re-place
-        self._consume_saved_contexts(tile, job, job.saved_state)
+        job.saved_state.update(tile.claim_contexts(job.spec.endpoint))
         if job.id in self._migrating:
             return  # the migrate process sees the failure and requeues
         if job.faults > self.max_faults:

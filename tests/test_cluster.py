@@ -9,10 +9,12 @@ from repro.cluster import (
     FrontEnd,
     HashRing,
     ObsConfig,
+    ReplicationConfig,
 )
 from repro.errors import ConfigError
 from repro.loadgen import ScenarioRunner, get_scenario
 from repro.loadgen.library import scale_out
+from repro.replic.machine import KvMachine
 from repro.workloads import ClusterClient
 
 
@@ -97,6 +99,45 @@ class TestPlacement:
         with pytest.raises(ConfigError):
             cluster.deploy_sharded("kv", kv_factory(), n_shards=2,
                                    replication=3)
+
+    def test_a_deploy_that_cannot_fit_loads_nothing(self):
+        """6 shards x 2 replicas want 6 tiles on each of 2 boards that
+        have 4: the deploy must refuse before its first load, not bind
+        and reconfigure half a service it then never registers."""
+        cluster = small_cluster(n_fpgas=2)
+        free = [s.mgmt.free_tiles() for s in cluster.systems]
+        names = dict(cluster.directory.items())
+        with pytest.raises(ConfigError, match="needs 6 .* FPGA 0.* has 4"):
+            cluster.deploy_sharded("kv", kv_factory(), n_shards=6,
+                                   replication=2)
+        assert cluster.directory.services == {}
+        assert dict(cluster.directory.items()) == names
+        assert [s.mgmt.free_tiles() for s in cluster.systems] == free
+        assert not any(tile.region.reconfiguring or tile.reserved
+                       for s in cluster.systems for tile in s.tiles)
+        with pytest.raises(ConfigError, match="needs 5 .* FPGA 0.* has 4"):
+            cluster.deploy_stateless("kv", echo_factory(), instances=9)
+        assert cluster.directory.services == {}
+        # the refused picks did not move the round-robin cursor either
+        started = cluster.deploy_stateless("echo", echo_factory(),
+                                           instances=1)
+        assert [i.fpga for i in cluster.directory.spec("echo").instances] \
+            == [0]
+        # the name is not burnt: a retry that fits deploys and settles
+        started += cluster.deploy_sharded("kv", kv_factory(), n_shards=3,
+                                          replication=2)
+        deploy_and_settle(cluster, started)
+        assert all(i.ready for i in cluster.directory.spec("kv").instances)
+
+    def test_deploy_chain_after_seal_is_refused_like_its_siblings(self):
+        cluster = small_cluster(
+            n_fpgas=2, replication=ReplicationConfig(enabled=True))
+        cluster.seal()
+        for deploy, factory in ((cluster.deploy_sharded, kv_factory()),
+                                (cluster.deploy_chain, KvMachine)):
+            with pytest.raises(ConfigError, match="seal"):
+                deploy("kv", factory, n_shards=1, replication=1)
+        assert cluster.directory.services == {}
 
     def test_duplicate_service_rejected(self):
         cluster = small_cluster(n_fpgas=1)

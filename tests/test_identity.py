@@ -10,8 +10,12 @@ import json
 import pytest
 
 from repro.chaos import Campaign
+from repro.cluster import Cluster, ClusterConfig
+from repro.cluster.config import RecoveryConfig
+from repro.kernel.config import NocConfig, SystemConfig
 from repro.loadgen import ScenarioRunner, get_scenario
 from repro.replic import consistency_smoke
+from repro.replic.machine import KvMachine
 from repro.sched.smoke import autoscale_chaos_smoke, autoscale_smoke
 
 pytestmark = pytest.mark.identity
@@ -91,3 +95,62 @@ def test_scenario_report_is_one_blob_on_three_backends(tmp_path):
     assert blobs["shared"] == blobs["sequential"] == blobs["parallel"], \
         "scenario reports diverged across backends"
     (tmp_path / "scenario_report.json").write_text(blobs["shared"] + "\n")
+
+
+# (fpga, node, port) of every instance, captured at the commit before the
+# five deploy paths were folded into ServiceDirectory._place
+_PINNED_PLACEMENT = {
+    "web#0": (0, 2, 7100), "web#1": (1, 2, 7101), "web#2": (2, 2, 7102),
+    "web#4": (1, 8, 7118),
+    "kv/s0r0": (0, 3, 7103), "kv/s0r1": (1, 3, 7104),
+    "kv/s1r0": (1, 4, 7105), "kv/s1r1": (2, 3, 7106),
+    "kv/s2r0": (2, 4, 7107), "kv/s2r1": (0, 4, 7108),
+    "kv/s3r0": (0, 5, 7109), "kv/s3r1": (1, 5, 7110),
+    "ckv/s0r0": (0, 6, 7111), "ckv/s0r1": (1, 6, 7112),
+    "ckv/s0r2": (2, 5, 7113), "ckv/s1r0": (1, 7, 7114),
+    "ckv/s1r1": (2, 6, 7115), "ckv/s1r2": (0, 7, 7116),
+    "ckv/s0r3": (2, 7, 7119),
+}
+
+
+@pytest.mark.parametrize("recovery", [False, True])
+def test_placement_is_pinned_across_deploy_kinds(recovery):
+    """Same order, same ports, same tiles — checked directly, for every
+    way an instance gets onto a board, with and without recovery."""
+    cluster = Cluster(ClusterConfig(
+        n_fpgas=3, system=SystemConfig(noc=NocConfig(width=3, height=3)),
+        recovery=RecoveryConfig(enabled=recovery)))
+    cluster.boot()
+    directory = cluster.directory
+
+    def handler(*_shard):
+        return lambda body: (100, {"ok": True}, 32)
+
+    started = directory.deploy_stateless("web", handler, instances=3)
+    started += directory.deploy_sharded("kv", handler, n_shards=4,
+                                        replication=2)
+    started += directory.deploy_chain("ckv", KvMachine, n_shards=2,
+                                      replication=3)
+    started.append(directory.add_instance("web")[1])
+    assert directory.remove_instance("web").iid == "web#3"
+    started.append(directory.add_instance("web")[1])
+    spliced, loading = directory.add_chain_replica("ckv", 0, 2)
+    started.append(loading)
+    cluster.run_until(started)
+
+    table = directory.placement_table()
+    assert {iid: (row["fpga"], row["node"], row["port"])
+            for iid, row in table.items()} == _PINNED_PLACEMENT
+    assert list(table) == list(_PINNED_PLACEMENT)
+    assert all(inst.ready and directory.lookup(inst.iid)
+               == (inst.fpga, inst.node)
+               for spec in directory.services.values()
+               for inst in spec.instances)
+    # a spliced member is loaded but joins no chain until the manager says
+    assert spliced.iid == "ckv/s0r3"
+    assert directory.services["ckv"].chains == {
+        0: ["ckv/s0r0", "ckv/s0r1", "ckv/s0r2"],
+        1: ["ckv/s1r0", "ckv/s1r1", "ckv/s1r2"]}
+    assert {name: spec.next_replica
+            for name, spec in directory.services.items()} == {
+        "web": 5, "kv": 0, "ckv": 4}

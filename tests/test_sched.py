@@ -259,6 +259,35 @@ class TestScheduler:
         system.run(until=system.engine.now + 200_000)
         assert queued[0].state is JobState.RUNNING
 
+    def test_same_cycle_jobs_never_share_a_tile_under_a_bitstream_cache(self):
+        """A cache-path load holds its tile *reserved* while the bitstream
+        is in synthesis (the region is still idle); the placer must treat
+        that slot as taken, or two jobs land on one tile in one cycle."""
+        system = booted()
+        system.enable_bitstream_cache()
+        sched = system.enable_scheduler()
+        first, second = sched.submit(spec("a")), sched.submit(spec("b"))
+        placed_at = system.engine.now + 1
+        system.run(until=placed_at)
+        assert (first.node, second.node) == (1, 2)
+        assert system.tiles[1].reserved and system.tiles[2].reserved
+        system.run(until=placed_at + 3_000_000)
+        assert first.state is second.state is JobState.RUNNING
+        kinds = [e.kind for e in sched.events]
+        assert "load_failed" not in kinds and kinds.count("place") == 2
+
+    def test_migrate_onto_a_reserved_tile_is_refused_before_teardown(self):
+        system = booted()
+        system.enable_bitstream_cache()
+        counter = CounterAccel()
+        system.run_until(system.start_app(1, counter, endpoint="app.cnt"))
+        system.start_app(2, EchoAccel("cold"))  # in synthesis: reserved
+        assert system.tiles[2].reserved
+        assert not system.tiles[2].region.reconfiguring
+        with pytest.raises(ConfigError, match="not free"):
+            next(system.mgmt.migrate(1, 2, CounterAccel))
+        assert system.tiles[1].accelerator is counter  # source untouched
+
 
 # -- preemption -----------------------------------------------------------
 
