@@ -182,6 +182,16 @@ class CapabilityStore:
                 count += self.revoke(entry[1].cid)
         return count
 
+    def may_send(self, holder: str, endpoint: str) -> bool:
+        """Whether ``holder`` holds a live SEND capability for ``endpoint``
+        — the monitor's per-egress-message check, scanned in place."""
+        partition = self._partitions.get(holder)
+        if partition:
+            for _ref, cap in partition.values():
+                if cap.endpoint == endpoint and cap.allows(Rights.SEND):
+                    return True
+        return False
+
     def holder_caps(self, holder: str) -> List[Capability]:
         return [cap for _ref, cap in self._partition(holder).values()]
 

@@ -22,9 +22,9 @@ added cycles) — the A2 ablation's "no OS" configuration.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.cap.capability import CapabilityRef, Rights
 from repro.cap.captable import CapabilityStore
 from repro.errors import (
     AccessDenied,
@@ -42,7 +42,7 @@ from repro.noc.flit import flits_for_bytes
 from repro.noc.network import NetworkInterface
 from repro.noc.qos import RateMeter, TokenBucket
 from repro.obs.span import SpanRecorder
-from repro.sim import Channel, Engine, Event, StatsRegistry
+from repro.sim import Engine, Event, StatsRegistry
 
 __all__ = ["Monitor", "MONITOR_EGRESS_CYCLES", "MONITOR_INGRESS_CYCLES"]
 
@@ -88,9 +88,11 @@ class Monitor:
                 burst=rate_limit_burst,
                 start_time=engine.now,
             )
-        self._egress_queue: Channel = Channel(
-            engine, capacity=None, name=f"{tile_name}.egress"
-        )
+        #: the egress pipeline: the one message past its policy checks —
+        #: ``(msg, done, span, dst tile, flits)``, in its interposition
+        #: delay, a rate-limit wait or its injection — and those behind it
+        self._egress_msg: Optional[tuple] = None
+        self._egress_queue: Deque[Tuple[Message, Event]] = deque()
         #: delivery callback into the shell; set by the Shell at attach time
         self.deliver: Optional[Callable[[Message], None]] = None
         self.messages_sent = 0
@@ -107,8 +109,7 @@ class Monitor:
         #: support at the message passing layer" the design goals promise
         self.tx_meter = RateMeter(window_cycles=10_000, buckets=10)
         self.rx_meter = RateMeter(window_cycles=10_000, buckets=10)
-        engine.process(self._egress_loop(), name=f"{tile_name}.mon.eg")
-        engine.process(self._ingress_loop(), name=f"{tile_name}.mon.in")
+        ni.recv().add_callback(self._ingress_loop)
 
     def set_rate_limit(self, flits_per_cycle: Optional[float],
                        burst: int = 32) -> None:
@@ -130,7 +131,7 @@ class Monitor:
         """Messages queued for transmission but not yet on the wire.
 
         The public read for telemetry/heartbeats; samplers observe the
-        monitor without touching its internal channel.
+        monitor without touching its internal queue.
         """
         return len(self._egress_queue)
 
@@ -187,58 +188,76 @@ class Monitor:
             done.fail(TileFault(f"{self.tile_name} is fail-stopped"))
             return done
         msg.src = self.tile_name  # monitors stamp identity; no spoofing
-        self._egress_queue.try_put((msg, done))
+        if self._egress_msg is None:
+            self._egress_start(msg, done)
+        else:
+            self._egress_queue.append((msg, done))
         return done
 
-    def _egress_loop(self):
+    def _egress_start(self, msg: Message, done: Event) -> None:
+        """The message at the head of the pipeline meets egress policy: it
+        is denied on the spot, or enters its interposition delay."""
         spans = self.spans
-        while True:
-            msg, done = yield self._egress_queue.get()
-            if self.drained:
-                done.fail(TileFault(f"{self.tile_name} is fail-stopped"))
-                continue
-            span = 0
-            if spans.enabled and msg.trace_id:
-                span = spans.open(msg.trace_id, "monitor.egress", "monitor",
-                                  self.tile_name, self.engine.now,
-                                  parent_id=msg.span_id, mid=msg.mid,
-                                  op=msg.op, dst=msg.dst)
-            try:
-                dst_tile = self._check_egress(msg)
-            except (AccessDenied, CapabilityError, ServiceUnavailable,
-                    ProtocolError, SegmentFault) as err:
-                self.denials += 1
-                self._ctr_denials.inc()
-                spans.event(self.engine.now, "monitor.deny",
-                            self.tile_name, dst=msg.dst, op=msg.op,
-                            reason=type(err).__name__)
-                if span:
-                    spans.close(span, self.engine.now,
-                                denied=type(err).__name__)
-                done.fail(err)
-                continue
-            if self.enforce:
-                yield MONITOR_EGRESS_CYCLES
-            size_flits = flits_for_bytes(msg.wire_bytes, self.ni.network.flit_bytes)
-            if self.bucket is not None:
-                wait = self.bucket.cycles_until(self.engine.now, size_flits)
-                while wait > 0:
-                    yield wait
-                    wait = self.bucket.cycles_until(self.engine.now, size_flits)
-                self.bucket.consume(self.engine.now, size_flits)
-            msg.sent_at = self.engine.now
-            yield self.ni.send(
+        span = 0
+        if spans.enabled and msg.trace_id:
+            span = spans.open(msg.trace_id, "monitor.egress", "monitor",
+                              self.tile_name, self.engine.now,
+                              parent_id=msg.span_id, mid=msg.mid,
+                              op=msg.op, dst=msg.dst)
+        try:
+            dst_tile = self._check_egress(msg)
+        except (AccessDenied, CapabilityError, ServiceUnavailable,
+                ProtocolError, SegmentFault) as err:
+            self.denials += 1
+            self._ctr_denials.inc()
+            spans.event(self.engine.now, "monitor.deny",
+                        self.tile_name, dst=msg.dst, op=msg.op,
+                        reason=type(err).__name__)
+            if span:
+                spans.close(span, self.engine.now,
+                            denied=type(err).__name__)
+            done.fail(err)
+            return
+        size_flits = flits_for_bytes(msg.wire_bytes, self.ni.network.flit_bytes)
+        self._egress_msg = (msg, done, span, dst_tile, size_flits)
+        if self.enforce:
+            self.engine.schedule(MONITOR_EGRESS_CYCLES, self._egress_loop)
+        else:
+            self._egress_loop()
+
+    def _egress_loop(self, injected: Optional[Event] = None) -> None:
+        """The egress machine's one engine entry point.  ``None``: the
+        interposition delay, or a rate-limit wait, is over — inject, or
+        wait for tokens (again).  The ``ni.send`` event: the whole message
+        is in the NoC — account it, tell the sender, start the next."""
+        msg, done, span, dst_tile, size_flits = self._egress_msg
+        now = self.engine.now
+        if injected is None:
+            bucket = self.bucket
+            if bucket is not None:
+                wait = bucket.cycles_until(now, size_flits)
+                if wait > 0:
+                    self.engine.schedule(wait, self._egress_loop)
+                    return
+                bucket.consume(now, size_flits)
+            msg.sent_at = now
+            self.ni.send(
                 dst=dst_tile,
                 payload=msg,
                 payload_bytes=msg.wire_bytes,
                 vc_class=msg.priority,
-            )
-            self.messages_sent += 1
-            self.tx_meter.record(self.engine.now, size_flits)
-            self._ctr_sent.inc()
-            if span:
-                spans.close(span, self.engine.now, flits=size_flits)
-            done.succeed(msg)
+            ).add_callback(self._egress_loop)
+            return
+        self.messages_sent += 1
+        self.tx_meter.record(now, size_flits)
+        self._ctr_sent.inc()
+        if span:
+            self.spans.close(span, now, flits=size_flits)
+        self._egress_msg = None
+        done.succeed(msg)
+        queue = self._egress_queue
+        while queue and self._egress_msg is None:  # a denial leaves it idle
+            self._egress_start(*queue.popleft())
 
     def _check_egress(self, msg: Message) -> int:
         """All egress policy; returns the destination tile id."""
@@ -265,22 +284,26 @@ class Monitor:
 
     def _require_send_cap(self, endpoint: str) -> None:
         """The tile must hold SEND for the destination endpoint."""
-        for cap in self.caps.holder_caps(self.tile_name):
-            if cap.endpoint == endpoint and cap.allows(Rights.SEND):
-                return
-        raise AccessDenied(
-            f"{self.tile_name} holds no SEND capability for {endpoint!r}"
-        )
+        if not self.caps.may_send(self.tile_name, endpoint):
+            raise AccessDenied(
+                f"{self.tile_name} holds no SEND capability for {endpoint!r}"
+            )
 
     # -- ingress ----------------------------------------------------------------
 
-    def _ingress_loop(self):
+    def _ingress_loop(self, arg) -> None:
+        """The ingress machine's one engine entry point.  ``arg`` is the
+        ``ni.recv`` event carrying the next packet, or the ``(message,
+        span)`` whose interposition delay is over: delivered to the shell —
+        NACKed if the tile was drained meanwhile — and the next ``recv``
+        armed."""
         spans = self.spans
-        while True:
-            pkt = yield self.ni.recv()
-            msg = pkt.payload
+        if isinstance(arg, Event):
+            msg = arg.value.payload
             if not isinstance(msg, Message):
-                continue  # stray traffic; monitors only speak Message
+                # stray traffic; monitors only speak Message
+                self.ni.recv().add_callback(self._ingress_loop)
+                return
             span = 0
             if spans.enabled and msg.trace_id:
                 span = spans.open(msg.trace_id, "monitor.ingress", "monitor",
@@ -288,12 +311,16 @@ class Monitor:
                                   parent_id=msg.span_id, mid=msg.mid,
                                   op=msg.op)
             if self.enforce:
-                yield MONITOR_INGRESS_CYCLES
-            if self.drained:
-                if span:
-                    spans.close(span, self.engine.now, nacked=True)
-                self._nack(msg)
-                continue
+                self.engine.schedule(MONITOR_INGRESS_CYCLES,
+                                     self._ingress_loop, (msg, span))
+                return
+        else:
+            msg, span = arg
+        if self.drained:
+            if span:
+                spans.close(span, self.engine.now, nacked=True)
+            self._nack(msg)
+        else:
             self.messages_received += 1
             self.rx_meter.record(self.engine.now)
             self._ctr_received.inc()
@@ -301,6 +328,7 @@ class Monitor:
                 self.deliver(msg)
             if span:
                 spans.close(span, self.engine.now)
+        self.ni.recv().add_callback(self._ingress_loop)
 
     def _nack(self, msg: Message) -> None:
         """Fail-stop semantics: reject communication with a drained tile."""
@@ -331,13 +359,9 @@ class Monitor:
         self.drained = True
         self.spans.event(self.engine.now, "monitor.drain", self.tile_name)
         self.stats.counter("monitor.drains").inc()
-        while True:
-            ok, entry = self._egress_queue.try_get()
-            if not ok:
-                break
-            _msg, done = entry
-            if not done.triggered:
-                done.fail(TileFault(f"{self.tile_name} drained"))
+        while self._egress_queue:
+            _msg, done = self._egress_queue.popleft()
+            done.fail(TileFault(f"{self.tile_name} drained"))
 
     def undrain(self) -> None:
         """Leave fail-stop after the slot is reloaded with a fresh bitstream."""

@@ -214,8 +214,12 @@ class MacAdapter:
         """Process generator: perform the core-specific reset/bring-up."""
         raise NotImplementedError
 
-    def transmit(self, frame: EthernetFrame):
-        """Process generator: send one frame (handles core backpressure)."""
+    #: cycles to wait before offering a refused frame again
+    RETRY_CYCLES = 10
+
+    def transmit(self, frame: EthernetFrame) -> bool:
+        """Hand one frame to the core; ``False`` = it is full, offer the
+        frame again ``RETRY_CYCLES`` later."""
         raise NotImplementedError
 
     def on_rx(self, callback) -> None:
@@ -236,8 +240,9 @@ class TenGigAdapter(MacAdapter):
         yield TenGigMac.RESET_CYCLES
         self.mac.enable_tx_rx()
 
-    def transmit(self, frame: EthernetFrame):
-        yield self.mac.send_frame(frame)
+    def transmit(self, frame: EthernetFrame) -> bool:
+        self.mac.send_frame(frame)  # the core queues without bound
+        return True
 
     def on_rx(self, callback) -> None:
         self.mac.set_rx_callback(callback)
@@ -259,9 +264,8 @@ class HundredGigAdapter(MacAdapter):
         while self.mac.read_reg("stat_aligned") == 0:
             yield self.POLL_CYCLES
 
-    def transmit(self, frame: EthernetFrame):
-        while not self.mac.tx_push(frame):
-            yield self.POLL_CYCLES // 10  # FIFO full: retry
+    def transmit(self, frame: EthernetFrame) -> bool:
+        return self.mac.tx_push(frame)
 
     def on_rx(self, callback) -> None:
         self.mac.on_rx(callback)
@@ -333,9 +337,15 @@ class NetworkService(Accelerator):
             yield shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
 
     def _tx_frame(self, frame: EthernetFrame) -> None:
-        """Transport -> MAC: run the adapter's (possibly blocking) tx."""
-        self._engine.process(self.adapter.transmit(frame),
-                             name=f"{self.name}.tx")
+        """Transport -> MAC: straight into the core when it takes the
+        frame; a process polls only for one a full core refused."""
+        if not self.adapter.transmit(frame):
+            self._engine.process(self._tx_retry(frame),
+                                 name=f"{self.name}.tx")
+
+    def _tx_retry(self, frame: EthernetFrame):
+        while not self.adapter.transmit(frame):
+            yield self.adapter.RETRY_CYCLES
 
     def _on_payload(self, _peer_mac: str, payload: Dict[str, Any]):
         """Deliver a transport payload to the tile bound to its port; the
@@ -344,6 +354,6 @@ class NetworkService(Accelerator):
         dst = self._ports.get(port)
         if dst is None:
             self.rx_unbound += 1
-            return
+            return None
         self.frames_forwarded += 1
-        yield self._shell.notify(dst, "net.rx", payload=payload)
+        return self._shell.notify(dst, "net.rx", payload=payload)

@@ -11,18 +11,20 @@ network service wraps them behind one API (:class:`MacAdapter` implementations
 live with the service in :mod:`repro.kernel.services`).
 
 Common behaviour both share: serialization delay at line rate, one frame on
-the wire at a time, rx delivery callbacks.
+the wire at a time, rx delivery callbacks.  Neither runs a process: a frame
+being serialized is one timed engine entry (``_tx_loop``), scheduled by the
+call that hands an idle core a frame or by the frame before it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import ConfigError, ProtocolError
 from repro.hw.clock import ClockDomain, FABRIC_CLOCK
 from repro.net.frame import EthernetFabric, EthernetFrame
-from repro.sim import Channel, Engine, Event
+from repro.sim import Engine, Event
 
 __all__ = ["TenGigMac", "HundredGigMac"]
 
@@ -51,12 +53,11 @@ class TenGigMac:
         self._state = "powered"  # powered -> reset -> waiting -> ready
         self._reset_done_at = -1
         self._rx_callback: Optional[Callable[[EthernetFrame], None]] = None
-        self._tx_queue: Channel = Channel(engine, capacity=None,
-                                          name=f"{mac_addr}.tx")
+        #: the frame being serialized (the head) and those behind it
+        self._tx_queue: Deque[Tuple[EthernetFrame, Event]] = deque()
         self.frames_sent = 0
         self.frames_received = 0
         self.crc_drops = 0
-        engine.process(self._tx_loop(), name=f"mac10g.{mac_addr}")
         fabric.attach(mac_addr, self._rx)
 
     # -- the 10G-specific bring-up dance ------------------------------------
@@ -92,17 +93,26 @@ class TenGigMac:
     def send_frame(self, frame: EthernetFrame) -> Event:
         if not self.ready:
             raise ProtocolError("10G MAC: send before bring-up complete")
-        done = self.engine.event(f"mac10g.send")
-        self._tx_queue.try_put((frame, done))
+        done = self.engine.event("mac10g.send")
+        self._tx_queue.append((frame, done))
+        if len(self._tx_queue) == 1:
+            self._serialize(frame)
         return done
 
-    def _tx_loop(self):
-        while True:
-            frame, done = yield self._tx_queue.get()
-            yield self.clock.cycles_for_bytes(frame.nbytes, self.GBPS)
-            self.fabric.transmit(frame)
-            self.frames_sent += 1
-            done.succeed(frame)
+    def _serialize(self, frame: EthernetFrame) -> None:
+        self.engine.schedule(
+            self.clock.cycles_for_bytes(frame.nbytes, self.GBPS),
+            self._tx_loop)
+
+    def _tx_loop(self, _arg=None) -> None:
+        """The head frame has left the core: it is on the fabric, the
+        sender is told, the next one starts."""
+        frame, done = self._tx_queue.popleft()
+        self.fabric.transmit(frame)
+        self.frames_sent += 1
+        done.succeed(frame)
+        if self._tx_queue:
+            self._serialize(self._tx_queue[0][0])
 
     def _rx(self, frame: EthernetFrame) -> None:
         if not self.ready or self._rx_callback is None:
@@ -141,11 +151,13 @@ class HundredGigMac:
         self._align_at = -1
         self._rx_handler: Optional[Callable[[EthernetFrame], None]] = None
         self._fifo: Deque[EthernetFrame] = deque()
-        self._tx_kick: Optional[Event] = None
+        #: the frame being serialized; one pushed into an idle core keeps
+        #: its FIFO slot until the end of that cycle
+        self._tx_frame: Optional[EthernetFrame] = None
+        self._slot_held_at = -1
         self.frames_sent = 0
         self.frames_received = 0
         self.crc_drops = 0
-        engine.process(self._tx_loop(), name=f"mac100g.{mac_addr}")
         fabric.attach(mac_addr, self._rx)
 
     # -- the 100G-specific register protocol -------------------------------------
@@ -182,27 +194,35 @@ class HundredGigMac:
         """Non-blocking enqueue; ``False`` = FIFO full, retry later."""
         if not self.ready:
             raise ProtocolError("100G MAC: tx before alignment")
-        if len(self._fifo) >= self.TX_FIFO_FRAMES:
+        if self.tx_fifo_space <= 0:
             return False
-        self._fifo.append(frame)
-        if self._tx_kick is not None and not self._tx_kick.triggered:
-            self._tx_kick.succeed(None)
+        if self._tx_frame is None:
+            self._slot_held_at = self.engine.now
+            self._serialize(frame)
+        else:
+            self._fifo.append(frame)
         return True
 
     @property
     def tx_fifo_space(self) -> int:
-        return self.TX_FIFO_FRAMES - len(self._fifo)
+        return (self.TX_FIFO_FRAMES - len(self._fifo)
+                - (self._slot_held_at == self.engine.now))
 
-    def _tx_loop(self):
-        while True:
-            while not self._fifo:
-                self._tx_kick = self.engine.event("mac100g.kick")
-                yield self._tx_kick
-                self._tx_kick = None
-            frame = self._fifo.popleft()
-            yield self.clock.cycles_for_bytes(frame.nbytes, self.GBPS)
-            self.fabric.transmit(frame)
-            self.frames_sent += 1
+    def _serialize(self, frame: EthernetFrame) -> None:
+        self._tx_frame = frame
+        self.engine.schedule(
+            self.clock.cycles_for_bytes(frame.nbytes, self.GBPS),
+            self._tx_loop)
+
+    def _tx_loop(self, _arg=None) -> None:
+        """The frame has left the core: it is on the fabric, the FIFO's
+        head (if any) starts."""
+        self.fabric.transmit(self._tx_frame)
+        self.frames_sent += 1
+        if self._fifo:
+            self._serialize(self._fifo.popleft())
+        else:
+            self._tx_frame = None
 
     def _rx(self, frame: EthernetFrame) -> None:
         if not self.ready or self._rx_handler is None:

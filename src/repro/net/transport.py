@@ -12,17 +12,20 @@ small enough for hardware yet enough to recover from datacenter loss.
 :class:`ReliableEndpoint` is one pairwise connection; :class:`ReliableMux`
 is what a fabric endpoint actually holds — every connection of one MAC,
 demuxed by peer.  It is built once, here, and used by the network tile and
-by every software host alike.  Payloads are ``{"port", "data", "src_mac"}``
-dicts; request/response is the convention ``data = ("req", rid, body)`` /
-``("resp", rid, body)`` with the caller matching ``rid`` — that tuple
-convention is the repo's RPC layer, there is no RPC class.
+by every software host alike.  Neither runs a process: ``send`` and the
+frames the MAC delivers drive the protocol directly, the retransmission
+timer is one heap entry per connection.  Payloads are ``{"port", "data",
+"src_mac"}`` dicts; request/response is the convention ``data = ("req",
+rid, body)`` / ``("resp", rid, body)`` with the caller matching ``rid`` —
+that tuple convention is the repo's RPC layer, there is no RPC class.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.frame import EthernetFrame
@@ -59,6 +62,11 @@ class Datagram:
     frag_rest: int = 0
 
 
+#: ``ReliableEndpoint._held``: a callback that will hand the backlog's
+#: head to the receiver is already on its way
+_WAKING = object()
+
+
 class ReliableEndpoint:
     """One side of a reliable pairwise connection.
 
@@ -73,9 +81,13 @@ class ReliableEndpoint:
         ``mtu - header`` are segmented into multiple datagrams and
         reassembled in order at the receiver (go-back-N already gives us
         ordered, exactly-once fragments).
+    on_payload: the receiver.  Called with each payload, in order and
+        exactly once, one same-cycle hop after the frame that completed it
+        (its ACK is on the wire by then).  It may return an :class:`Event`:
+        the next payload is held until that triggers.  Without a receiver
+        the payloads appear on :attr:`inbox` instead.
 
-    Wire ``deliver_frame`` into the local MAC's rx callback.  Received
-    payloads appear, in order and exactly once, on :attr:`inbox`.
+    Wire ``deliver_frame`` into the local MAC's rx callback.
     """
 
     def __init__(
@@ -88,6 +100,7 @@ class ReliableEndpoint:
         timeout: int = 5000,
         mtu: int = 1518,
         name: str = "",
+        on_payload: Optional[Callable[[Any], Optional[Event]]] = None,
     ):
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")
@@ -107,56 +120,64 @@ class ReliableEndpoint:
         # sender state
         self._next_seq = 0          # next new sequence number
         self._base = 0              # oldest unacked
-        self._outstanding: Deque[Tuple[Datagram, Event]] = deque()
-        self._send_queue: Channel = Channel(engine, capacity=None,
-                                            name=f"{self.name}.sq")
-        self._timer_generation = 0
+        self._outstanding: Deque[Tuple[Datagram, Optional[Event]]] = deque()
+        #: segments the window has not let out yet: (datagram without its
+        #: sequence number, the caller's ack event if it is a payload's
+        #: last, whether it is one of several)
+        self._unsent: Deque[Tuple[Datagram, Optional[Event], bool]] = deque()
+        #: the cycle the retransmission timer runs out (None: disarmed),
+        #: and whether a heap entry is on its way to look at it
+        self._deadline: Optional[int] = None
+        self._timer_pending = False
 
         # receiver state
         self._expected_seq = 0
-        self._frags_pending = 0  # fragments of the current payload seen
-        self.inbox: Channel = Channel(engine, capacity=None,
-                                      name=f"{self.name}.inbox")
+        self._on_payload = on_payload
+        #: in-order payloads the receiver has not been handed yet, and what
+        #: keeps the head: nothing, the event a blocking receiver returned,
+        #: or ``_WAKING``
+        self._backlog: Deque[Any] = deque()
+        self._held: Any = None
+        if on_payload is None:
+            self.inbox: Channel = Channel(engine, capacity=None,
+                                          name=f"{self.name}.inbox")
 
         self.datagrams_sent = 0
         self.fragments_sent = 0
         self.retransmissions = 0
         self.acks_sent = 0
         self.duplicates_dropped = 0
-        engine.process(self._sender(), name=f"{self.name}.send")
 
     # -- sending ------------------------------------------------------------
 
     def send(self, payload: Any, payload_bytes: int = 0) -> Event:
-        """Queue a payload; the event succeeds when the peer has ACKed it."""
+        """Send a payload — at once while the window has room, else as ACKs
+        make room; the event succeeds when the peer has ACKed it."""
         acked = self.engine.event(f"{self.name}.acked")
-        self._send_queue.try_put((payload, payload_bytes, acked))
+        segments = self._segment(payload, payload_bytes)
+        last = len(segments) - 1
+        for i, (seg_payload, seg_bytes) in enumerate(segments):
+            dgram = Datagram(kind="data", seq=-1, payload=seg_payload,
+                             payload_bytes=seg_bytes, frag_rest=last - i)
+            # the caller's ack event rides on the *last* fragment
+            self._unsent.append((dgram, acked if i == last else None,
+                                 last > 0))
+        self._fill_window()
         return acked
 
-    def _sender(self):
-        while True:
-            payload, payload_bytes, acked = yield self._send_queue.get()
-            segments = self._segment(payload, payload_bytes)
-            for i, (seg_payload, seg_bytes) in enumerate(segments):
-                while self._next_seq - self._base >= self.window:
-                    # window full: wait for ACK progress
-                    self._window_event = self.engine.event(f"{self.name}.win")
-                    yield self._window_event
-                dgram = Datagram(kind="data", seq=self._next_seq,
-                                 payload=seg_payload,
-                                 payload_bytes=seg_bytes,
-                                 frag_rest=len(segments) - 1 - i)
-                self._next_seq += 1
-                # the caller's ack event rides on the *last* fragment
-                fragment_ack = acked if i == len(segments) - 1 \
-                    else self.engine.event(f"{self.name}.frag")
-                self._outstanding.append((dgram, fragment_ack))
-                self._emit(dgram)
-                self.datagrams_sent += 1
-                if len(segments) > 1:
-                    self.fragments_sent += 1
-                if len(self._outstanding) == 1:
-                    self._arm_timer()
+    def _fill_window(self) -> None:
+        unsent = self._unsent
+        while unsent and self._next_seq - self._base < self.window:
+            dgram, acked, fragment = unsent.popleft()
+            dgram.seq = self._next_seq
+            self._next_seq += 1
+            self._outstanding.append((dgram, acked))
+            self._emit(dgram)
+            self.datagrams_sent += 1
+            if fragment:
+                self.fragments_sent += 1
+            if len(self._outstanding) == 1:
+                self._arm_timer()
 
     def _segment(self, payload: Any, payload_bytes: int):
         """Split a payload into MTU-sized (payload, bytes) segments.
@@ -185,21 +206,31 @@ class ReliableEndpoint:
         self.send_frame(frame)
 
     def _arm_timer(self) -> None:
-        self._timer_generation += 1
-        generation = self._timer_generation
+        """(Re)start the retransmission timer: it runs out ``timeout``
+        cycles from now.  One heap entry serves it — an entry that fires
+        early (ACK progress moved the deadline) re-schedules itself for the
+        deadline, so a connection whose frames are ACKed long before the
+        timeout leaves one entry behind, not one per frame."""
+        self._deadline = self.engine.now + self.timeout
+        if not self._timer_pending:
+            self._timer_pending = True
+            self.engine.schedule(self.timeout, self._timer_fired)
 
-        def fire(_arg) -> None:
-            if generation != self._timer_generation:
-                return  # timer superseded by ACK progress
-            if not self._outstanding:
-                return
-            # go-back-N: retransmit the whole window
-            for dgram, _acked in self._outstanding:
-                self._emit(dgram)
-                self.retransmissions += 1
-            self._arm_timer()
-
-        self.engine.schedule(self.timeout, fire)
+    def _timer_fired(self, _arg=None) -> None:
+        self._timer_pending = False
+        deadline = self._deadline
+        if deadline is None:
+            return  # everything was ACKed
+        now = self.engine.now
+        if now < deadline:
+            self._timer_pending = True
+            self.engine.schedule(deadline - now, self._timer_fired)
+            return
+        # go-back-N: retransmit the whole window
+        for dgram, _acked in self._outstanding:
+            self._emit(dgram)
+            self.retransmissions += 1
+        self._arm_timer()
 
     # -- receiving -----------------------------------------------------------
 
@@ -219,7 +250,11 @@ class ReliableEndpoint:
             # leading fragments only occupy the wire; the last one (or any
             # unfragmented datagram) delivers the application payload
             if dgram.frag_rest == 0:
-                self.inbox.try_put(dgram.payload)
+                if self._on_payload is None:
+                    self.inbox.try_put(dgram.payload)
+                else:
+                    self._backlog.append(dgram.payload)
+                    self._wake()
         elif dgram.seq < self._expected_seq:
             self.duplicates_dropped += 1
         # out-of-order future datagrams are dropped (go-back-N receiver)
@@ -232,21 +267,37 @@ class ReliableEndpoint:
         self.acks_sent += 1
         self.send_frame(frame)
 
+    def _wake(self) -> None:
+        """The backlog has a head: get it handed off — one ring hop from
+        now, or one after the event that holds it triggers."""
+        held = self._held
+        if held is _WAKING:
+            return
+        self._held = _WAKING
+        if held is None or held.triggered:
+            self.engine.schedule(0, self._hand_off)
+        else:
+            held.add_callback(self._hand_off)
+
+    def _hand_off(self, _arg=None) -> None:
+        self._held = self._on_payload(self._backlog.popleft())
+        if self._backlog:
+            self._wake()
+
     def _handle_ack(self, cumulative: int) -> None:
         progressed = False
         while self._outstanding and self._outstanding[0][0].seq < cumulative:
             _dgram, acked = self._outstanding.popleft()
             self._base += 1
-            if not acked.triggered:
+            if acked is not None and not acked.triggered:
                 acked.succeed(None)
             progressed = True
         if progressed:
-            self._timer_generation += 1  # cancel the old timer
             if self._outstanding:
                 self._arm_timer()
-            window_event = getattr(self, "_window_event", None)
-            if window_event is not None and not window_event.triggered:
-                window_event.succeed(None)
+            else:
+                self._deadline = None
+            self._fill_window()
 
     # -- inspection -----------------------------------------------------------
 
@@ -255,7 +306,7 @@ class ReliableEndpoint:
         return len(self._outstanding)
 
     def recv(self) -> Event:
-        """Event yielding the next in-order payload."""
+        """Event yielding the next in-order payload (no ``on_payload``)."""
         return self.inbox.get()
 
 
@@ -263,14 +314,14 @@ class ReliableMux:
     """Every reliable connection of one fabric endpoint, demuxed by peer MAC.
 
     The layer every host and the network tile put on top of
-    :class:`ReliableEndpoint`: one connection per peer, created — together
-    with the one process that pumps its inbox — at the first send to or
-    first frame from that peer.  Frames with a bad CRC are dropped here
-    (the peer's go-back-N retransmits); every in-order payload is handed
-    to ``on_payload(peer_mac, payload)``.  When that returns a generator
-    the pump runs it to completion before taking the peer's next payload,
-    so a receiver that must block (the network tile's NoC notify) keeps
-    per-peer order; other peers' pumps are unaffected.
+    :class:`ReliableEndpoint`: one connection per peer, created at the
+    first send to or first frame from that peer.  Frames with a bad CRC
+    are dropped here (the peer's go-back-N retransmits); every in-order
+    payload is handed to ``on_payload(peer_mac, payload)``.  When that
+    returns an :class:`Event` the peer's next payload is held until it
+    triggers, so a receiver that must block (the network tile's NoC
+    notify) keeps per-peer order; other peers are unaffected.  The mux
+    only waits for the event — a failure is the receiver's to handle.
 
     The mux knows no fabric: the owner passes the transmit function as
     ``send_frame`` and wires :meth:`deliver_frame` into its MAC's rx path.
@@ -282,7 +333,7 @@ class ReliableMux:
         engine: Engine,
         send_frame: Callable[[EthernetFrame], None],
         mac: str,
-        on_payload: Callable[[str, Any], Optional[Generator]],
+        on_payload: Callable[[str, Any], Optional[Event]],
         window: int,
         timeout: int,
         name: str = "",
@@ -300,25 +351,21 @@ class ReliableMux:
         """The connection to ``peer_mac`` (opened on first use)."""
         endpoint = self._peers.get(peer_mac)
         if endpoint is None:
-            endpoint = ReliableEndpoint(
+            endpoint = self._peers[peer_mac] = ReliableEndpoint(
                 self.engine, self.send_frame, self.mac, peer_mac,
                 window=self.window, timeout=self.timeout,
                 name=f"{self.name}->{peer_mac}",
+                on_payload=partial(self.on_payload, peer_mac),
             )
-            self._peers[peer_mac] = endpoint
-            self.engine.process(self._pump(endpoint, peer_mac),
-                                name=f"{self.name}.pump.{peer_mac}")
         return endpoint
+
+    @property
+    def peers(self) -> Tuple[str, ...]:
+        """The peer MACs a connection is open to, oldest first."""
+        return tuple(self._peers)
 
     def deliver_frame(self, frame: EthernetFrame) -> None:
         """Feed frames from the owner's MAC rx path."""
         if frame.corrupted:
             return  # bad CRC: dropped like a NIC would; the peer retransmits
         self.peer(frame.src_mac).deliver_frame(frame)
-
-    def _pump(self, endpoint: ReliableEndpoint, peer_mac: str):
-        while True:
-            payload = yield endpoint.recv()
-            blocking = self.on_payload(peer_mac, payload)
-            if blocking is not None:
-                yield from blocking

@@ -92,14 +92,19 @@ class RateMeter:
         self.bucket_cycles = window_cycles // buckets
         self.buckets = buckets
         self._counts = [0] * buckets
-        self._bucket_start = 0
         self._current = 0
 
     def _advance(self, now: int) -> None:
+        """Age out the buckets between the current one and ``now``'s — at
+        most all of them, however long the meter sat idle."""
         bucket_index = now // self.bucket_cycles
-        while self._current < bucket_index:
-            self._current += 1
-            self._counts[self._current % self.buckets] = 0
+        gap = bucket_index - self._current
+        if gap > 0:
+            counts, buckets = self._counts, self.buckets
+            first = self._current + 1
+            for index in range(first, first + min(gap, buckets)):
+                counts[index % buckets] = 0
+            self._current = bucket_index
 
     def record(self, now: int, amount: int = 1) -> None:
         self._advance(now)

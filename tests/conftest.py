@@ -1,4 +1,5 @@
-"""Tier-1 shapes of the two S1 library scenarios.
+"""Tier-1 shapes of the two S1 library scenarios, and the engines the
+event-budget tests count with.
 
 A short run mostly simulates idle probing: the default ``start_at`` parks
 a deployed cluster for ~0.6M cycles and the default drain for another
@@ -8,11 +9,51 @@ services and front-end fields are the library's — so the tests that run
 them a dozen times stay inside the tier-1 budget.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from perf.trace import kind_of, layer_of, owner_code
 from repro.loadgen import ChaosAction, get_scenario
+from repro.sim import Engine
+
+
+class CountingEngine(Engine):
+    """Counts every ``schedule()`` (the event budget of a run) and every
+    ``event()`` minted through the engine."""
+
+    __slots__ = ("schedules", "minted")
+
+    def __init__(self):
+        super().__init__()
+        self.schedules = 0
+        self.minted = 0
+
+    def schedule(self, delay, callback, arg=None):
+        self.schedules += 1
+        super().schedule(delay, callback, arg)
+
+    def event(self, name=""):
+        self.minted += 1
+        return super().event(name)
+
+
+class TaggingEngine(Engine):
+    """Books every scheduled callback the way the benchmark's tagger
+    (``perf.trace``) would: by the layer and the hot kind of its owner."""
+
+    __slots__ = ("layers", "kinds")
+
+    def __init__(self):
+        super().__init__()
+        self.layers, self.kinds = Counter(), Counter()
+
+    def schedule(self, delay, callback, arg=None):
+        code = owner_code(callback)
+        self.layers[layer_of(code)] += 1
+        self.kinds[kind_of(code)] += 1
+        super().schedule(delay, callback, arg)
 
 
 @pytest.fixture(scope="session")

@@ -179,3 +179,47 @@ class TestRevocation:
         s.revoke_holder("victim")
         with pytest.raises(AccessDenied):
             s.lookup("peer", delegated, Rights.READ)
+
+
+class TestEgressSendCheck:
+    """The monitor's per-message SEND check scans the store in place."""
+
+    def test_may_send_sees_only_live_send_caps_of_the_holder(self):
+        s = store()
+        assert not s.may_send("t", "svc")  # no partition yet: none created
+        assert s.holder_count("t") == 0
+        s.mint("t", Rights.READ, endpoint="svc")      # wrong right
+        s.mint("t", Rights.SEND, endpoint="other")    # wrong endpoint
+        s.mint("peer", Rights.SEND, endpoint="svc")   # wrong holder
+        assert not s.may_send("t", "svc")
+        s.mint("t", Rights.SEND | Rights.GRANT, endpoint="svc")
+        assert s.may_send("t", "svc")
+
+    def test_grant_revoke_remint_message_by_message(self):
+        from repro.kernel import Message, Monitor
+        from repro.mem import SegmentTable
+        from repro.noc import Mesh2D, Network
+        from repro.sim import Engine
+
+        engine = Engine()
+        network = Network(engine, Mesh2D(2, 1))
+        caps = CapabilityStore(slots_per_holder=1)
+        names = {"left": 0, "right": 1}
+        left, _right = (Monitor(engine, name, network.interface(node), caps,
+                                SegmentTable(), names)
+                        for name, node in names.items())
+
+        def send():
+            admitted = left.submit(Message(src="left", dst="right", op="x"))
+            engine.run(until=engine.now + 100)
+            return "denied" if admitted.failed else "sent"
+
+        assert send() == "denied"
+        ref = caps.mint("left", Rights.SEND, endpoint="right")
+        assert send() == "sent"  # granted: allowed
+        caps.revoke(caps.lookup("left", ref, Rights.SEND).cid)
+        assert send() == "denied"  # the very next message
+        fresh = caps.mint("left", Rights.SEND, endpoint="right")
+        assert (fresh.slot, fresh.nonce != ref.nonce) == (ref.slot, True)
+        assert send() == "sent"  # the re-minted slot is honoured
+        assert (left.messages_sent, left.denials) == (2, 2)

@@ -54,9 +54,12 @@ def test_express_lane_share_of_a_small_cluster_run_is_pinned(scale_small):
     credit that no longer comes home) before a benchmark does."""
     runner = ScenarioRunner(scale_small)
     runner.run()
+    # ISSUE 22 re-pinned (272, 33), (274, 32) once: a monitor injects from
+    # the heap phase now, and one packet per board is queued ahead of the
+    # ejector hop that would have emptied the network for it
     assert [(system.network.express_packets,
              system.network.express_demotions)
-            for system in runner.cluster.systems] == [(272, 33), (274, 32)]
+            for system in runner.cluster.systems] == [(271, 33), (273, 32)]
 
 
 def test_autoscale_run_event_logs_are_byte_identical():

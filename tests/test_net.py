@@ -291,7 +291,7 @@ class TestReliableMux:
         fabric.attach(mac, mux.deliver_frame)
         return mux
 
-    def test_one_endpoint_and_pump_per_peer(self):
+    def test_one_connection_per_peer(self):
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=50)
         got = {mac: [] for mac in "ABC"}
@@ -299,17 +299,21 @@ class TestReliableMux:
             eng, fabric, mac,
             lambda peer, payload, mac=mac: got[mac].append((peer, payload)))
             for mac in "ABC"}
-        assert eng.process_count == 0  # nothing exists before first use
+        # nothing exists before first use: no connection, no engine event
+        assert all(mux.peers == () for mux in muxes.values())
+        assert eng.pending_events() == 0 and eng.process_count == 0
         a = muxes["A"]
         to_b = a.peer("B")
-        assert eng.process_count == 2  # the connection's sender + its pump
+        assert a.peers == ("B",) and eng.pending_events() == 0
         for i in range(10):
             a.peer("B").send(i)
             a.peer("C").send(i)
         eng.run(until=100_000)
         assert a.peer("B") is to_b
         # A opened two peers by sending; B and C one each, by A's first frame
-        assert eng.process_count == 2 * (2 + 1 + 1)
+        assert a.peers == ("B", "C")
+        assert muxes["B"].peers == muxes["C"].peers == ("A",)
+        assert eng.process_count == 0  # a connection is not a process
         assert got["B"] == got["C"] == [("A", i) for i in range(10)]
         assert got["A"] == []
 
@@ -351,19 +355,20 @@ class TestReliableMux:
         eng.run(until=1_000)
         # dropped before the demux: no connection opened, nothing ACKed
         assert flipped and got == [] and not acked.triggered
-        assert eng.process_count == 2  # A's side only
+        assert a.peers == ("B",) and b.peers == ()  # A's side only
         eng.run(until=10_000)
         assert got == [("A", "x")] and acked.triggered
         assert a.peer("B").retransmissions == 1
 
-    def test_generator_on_payload_holds_only_its_peer(self):
+    def test_blocking_on_payload_holds_only_its_peer(self):
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=50)
         log = []
 
         def on_payload(peer, payload):
             log.append(("start", peer, payload, eng.now))
-            return hold(payload) if peer == "A" else None
+            # the event to wait for: here, a process's completion
+            return eng.process(hold(payload)).done if peer == "A" else None
 
         def hold(payload):
             yield 10_000
@@ -376,10 +381,10 @@ class TestReliableMux:
             mux.peer("C").send(1)
         eng.run(until=100_000)
         at = {event[:3]: event[3] for event in log}
-        # A's second payload waits for the generator its first one returned
+        # A's second payload waits for the event its first one returned
         assert at["start", "A", 1] >= at["done", "A", 0]
         assert at["done", "A", 0] == at["start", "A", 0] + 10_000
-        # B's pump is not behind A's: both of its payloads land meanwhile
+        # B is not behind A: both of its payloads land meanwhile
         assert at["start", "B", 1] < at["done", "A", 0]
         assert [e[:3] for e in log if e[1] == "A"] == [
             ("start", "A", 0), ("done", "A", 0),

@@ -15,25 +15,7 @@ from repro.noc.flit import Flit, FlitKind
 from repro.noc.topology import Port
 from repro.sim import Engine
 
-
-class CountingEngine(Engine):
-    """Counts every ``schedule()`` (the event budget of a run) and every
-    ``event()`` minted through the engine."""
-
-    __slots__ = ("schedules", "minted")
-
-    def __init__(self):
-        super().__init__()
-        self.schedules = 0
-        self.minted = 0
-
-    def schedule(self, delay, callback, arg=None):
-        self.schedules += 1
-        super().schedule(delay, callback, arg)
-
-    def event(self, name=""):
-        self.minted += 1
-        return super().event(name)
+from tests.conftest import CountingEngine, TaggingEngine
 
 
 def sink(net, node, log):
@@ -144,23 +126,6 @@ def test_overlapping_packets_book_all_four_noc_event_kinds():
     two overlapping packets: every NoC event is a router step, an injector
     or ejector step, or a link callback (the express lane's checkpoints),
     none is booked to ``sim`` — and each of the four kinds still occurs."""
-    from collections import Counter
-
-    from perf.trace import kind_of, layer_of, owner_code
-
-    class TaggingEngine(Engine):
-        __slots__ = ("layers", "kinds")
-
-        def __init__(self):
-            super().__init__()
-            self.layers, self.kinds = Counter(), Counter()
-
-        def schedule(self, delay, callback, arg=None):
-            code = owner_code(callback)
-            self.layers[layer_of(code)] += 1
-            self.kinds[kind_of(code)] += 1
-            super().schedule(delay, callback, arg)
-
     eng, _net, _cycles = overlapping_packets(TaggingEngine)
     noc_kinds = ("noc.router_run", "noc.ni_injector", "noc.ni_ejector",
                  "noc.link_callbacks")

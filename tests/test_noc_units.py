@@ -1,6 +1,8 @@
 """Unit tests for NoC building blocks: flits, topology, routing, arbiters, QoS."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, RouteError
 from repro.noc import (
@@ -274,3 +276,44 @@ class TestRateMeter:
     def test_window_validation(self):
         with pytest.raises(ConfigError):
             RateMeter(window_cycles=5, buckets=10)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_advance_matches_the_bucket_by_bucket_loop(self, data):
+        """Aging out is O(buckets), not O(idle gap): ``rate()`` and the
+        bucket contents equal those of the loop that zeroed one bucket per
+        elapsed ``bucket_cycles``, for gaps of 0 to 10**7 cycles."""
+        buckets = data.draw(st.integers(1, 12))
+        bucket_cycles = data.draw(st.sampled_from([1, 3, 1000]))
+        # (the reference loop is what makes long gaps in short buckets slow)
+        longest = 10**7 if bucket_cycles == 1000 else 200 * bucket_cycles
+        ops = data.draw(st.lists(st.tuples(
+            st.booleans(), st.integers(1, 9),
+            st.one_of(st.integers(0, 4 * bucket_cycles),
+                      st.integers(0, longest))), max_size=40))
+        meter = RateMeter(window_cycles=buckets * bucket_cycles,
+                          buckets=buckets)
+        counts, current, now = [0] * buckets, 0, 0
+
+        def advance():
+            nonlocal current
+            while current < now // bucket_cycles:
+                current += 1
+                counts[current % buckets] = 0
+
+        for record, amount, gap in ops:
+            now += gap
+            advance()
+            if record:
+                meter.record(now, amount)
+                counts[current % buckets] += amount
+            else:
+                assert meter.rate(now) == sum(counts) / (buckets * bucket_cycles)
+            assert meter._counts == counts
+
+    def test_a_huge_idle_gap_returns(self):
+        meter = RateMeter(window_cycles=10_000, buckets=10)
+        meter.record(5, 3)
+        assert meter.rate(10**12) == 0.0  # the loop would never finish
+        meter.record(10**12 + 1, 7)
+        assert meter.rate(10**12 + 2) == 7 / 10_000
