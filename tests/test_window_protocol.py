@@ -6,16 +6,23 @@ the board (not of the process), a board answers exactly six ops, and a
 worker that dies or hangs surfaces as a typed error naming the board.
 """
 
+import hashlib
+import json
 import os
 import signal
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.apps import echo_handler_factory
 from repro.cluster import backend as backend_module
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.errors import SimulationError
-from repro.loadgen import ScenarioRunner
+from repro.loadgen import Scenario, ScenarioRunner
+from repro.net.frame import EthernetFrame
+from repro.net.transport import Datagram
 
 WINDOWED = ("sequential", "parallel")
 
@@ -128,3 +135,232 @@ class TestFailedExchange:
         finally:
             cluster.shutdown()
         assert not any(w.is_alive() for w in workers)
+
+
+# -- ISSUE 23: goldens and the self-oracle for the idle rule ---------------
+#
+# Everything below was written (and the literals captured) on the tree
+# where every board runs every window; a board that sits a window out, the
+# park before run() returns and the header-aware envelope copy must leave
+# all of it green, unedited.
+
+#: 3 boards, a kill, a partition and a heal whose cycles sit exactly on
+#: window barriers (start_at and every ``at`` are multiples of the
+#: 500-cycle fabric latency), at a rate low enough that boards idle
+BARRIER_CHAOS = {
+    "name": "barrier_chaos", "seed": 7, "duration": 120_000, "n_fpgas": 3,
+    "start_at": 1_500_000, "drain": 80_000,
+    "services": [{"name": "kv", "kind": "kv", "shards": 3, "replicas": 2,
+                  "work_cycles": 1_500}],
+    "tenants": [
+        {"name": "alpha", "service": "kv", "read_fraction": 0.3,
+         "arrival": {"process": "poisson", "rate_per_kcycle": 0.25}},
+        {"name": "beta", "service": "kv", "read_fraction": 0.8,
+         "arrival": {"process": "poisson", "rate_per_kcycle": 0.15}},
+    ],
+    "chaos": [{"at": 30_000, "action": "kill", "board": 2},
+              {"at": 60_000, "action": "partition", "board": 1},
+              {"at": 90_000, "action": "heal", "board": 1}],
+    "slos": [{"name": "kv-availability", "service": "kv", "objective": 0.9,
+              "latency_cycles": 80_000}],
+}
+
+#: sha256 of each artefact of the run above, captured at commit da0351e
+GOLDEN = {
+    "report":
+        "01af40704a1f0d8c5965584d67ed5adb66c9f19c3f3e1cd69e68073cfc0df47a",
+    "spans":
+        "b9aaeb09f91f546f104f54e9cc595f822503949120a0a7b5e6dc5a5e1d70aa3d",
+    "stats":
+        "7bc1f010e8aeb4aa7c2b934cd9604d829a7c98738188ff1d3e65a43b1e0d2435",
+    "flight":
+        "3f98a6496129f52b27cbdd06628362051d2843668fac0aef2daf67539bc9428f",
+}
+
+OBSERVED = ClusterConfig(obs=ObsConfig(tracing=True, flight_recorders=True))
+
+#: whether this tree has the idle rule (``_BoardHandle.due``); the tests
+#: that count what an idle board is *not* sent only apply once it does
+needs_idle_rule = pytest.mark.skipif(
+    not hasattr(backend_module._BoardHandle, "due"),
+    reason="every board runs every window on this tree")
+
+
+def _artefacts(backend, scenario=BARRIER_CHAOS):
+    """Report, span dump, stats snapshots and flight reports of one
+    observed run, as comparable bytes."""
+    runner = ScenarioRunner(Scenario.from_dict(scenario), backend=backend,
+                            config=OBSERVED)
+    out = {"report": runner.run().to_json()}
+    for name in ("spans", "stats", "flight"):
+        part = runner.diagnostics[name]
+        if name == "spans":
+            part = part.dump()
+        out[name] = json.dumps(part, sort_keys=True, default=repr)
+    return out
+
+
+def _always_due(patch):
+    """The parent's schedule: every board runs every window."""
+    patch.setattr(backend_module._BoardHandle, "due",
+                  lambda self, end: True, raising=False)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Small random scenario dicts with a chaos plan: on- and off-barrier
+    actions, kills, partitions with and without a heal."""
+    n_fpgas = draw(st.integers(2, 3))
+    duration = 500 * draw(st.integers(40, 120))
+    if draw(st.booleans()):
+        service = {"name": "svc", "kind": "kv",
+                   "shards": draw(st.integers(1, 3)),
+                   "replicas": draw(st.integers(1, 2)),
+                   "work_cycles": draw(st.sampled_from([500, 2_000]))}
+    else:
+        service = {"name": "svc", "kind": "echo",
+                   "instances": draw(st.integers(1, 3)),
+                   "work_cycles": draw(st.sampled_from([500, 2_000]))}
+    tenants = [
+        {"name": f"t{i}", "service": "svc",
+         "read_fraction": draw(st.sampled_from([0.0, 0.5, 1.0])),
+         "arrival": {"process": "poisson", "rate_per_kcycle":
+                     draw(st.sampled_from([0.05, 0.3, 1.0]))}}
+        for i in range(draw(st.integers(1, 2)))]
+    chaos = []
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, duration - 1_001))
+        if draw(st.booleans()):
+            at -= at % 500  # exactly on a barrier
+        board = draw(st.integers(0, n_fpgas - 1))
+        action = draw(st.sampled_from(["kill", "partition"]))
+        chaos.append({"at": at, "action": action, "board": board})
+        if action == "partition" and draw(st.booleans()):
+            chaos.append({"at": draw(st.integers(at, duration - 1)),
+                          "action": "heal", "board": board})
+    return {
+        "name": "random", "seed": draw(st.integers(0, 999)),
+        "duration": duration, "n_fpgas": n_fpgas,
+        "start_at": 1_500_000, "drain": 60_000,
+        "services": [service], "tenants": tenants, "chaos": chaos,
+        "slos": [{"name": "availability", "service": "svc",
+                  "objective": 0.5}],
+    }
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("backend", WINDOWED)
+    def test_barrier_chaos_artefacts_are_pinned(self, backend):
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in _artefacts(backend).items()}
+        assert digests == GOLDEN
+
+
+class TestSittingOut:
+    """Sitting a window out ≡ running every window."""
+
+    @pytest.mark.parametrize("backend", WINDOWED)
+    def test_barrier_chaos_is_identical_with_every_board_always_due(
+            self, backend, monkeypatch):
+        lazy = _artefacts(backend)
+        _always_due(monkeypatch)
+        assert _artefacts(backend) == lazy
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_scenarios())
+    def test_random_scenarios_are_identical_with_every_board_always_due(
+            self, scenario):
+        lazy = _artefacts("sequential", scenario)
+        assert _artefacts("parallel", scenario) == lazy
+        with pytest.MonkeyPatch.context() as patch:
+            _always_due(patch)
+            assert _artefacts("sequential", scenario) == lazy
+
+    @needs_idle_rule
+    def test_idle_forked_board_gets_no_pipe_messages(self, monkeypatch):
+        cluster = _sealed("parallel")
+        sent = []
+        real_send = backend_module._BoardHandle.send
+
+        def counting(handle, op, *args):
+            sent.append((handle.board.index, op, args, len(handle._inbound)))
+            real_send(handle, op, *args)
+
+        monkeypatch.setattr(backend_module._BoardHandle, "send", counting)
+        acks = []
+        cluster.fabric.attach(
+            "probe", lambda frame: acks.append((cluster.now, frame.payload)))
+        try:
+            cluster.run(until=cluster.now + 500)  # first window after a fork
+            del sent[:]
+            cluster.run(until=cluster.now + 50 * 500)
+            # nothing for 50 windows, then the park before run() returned
+            assert sent == [(0, "window", (cluster.now,), 0),
+                            (1, "window", (cluster.now,), 0)]
+            del sent[:]
+            sent_at = cluster.now
+            cluster.fabric.transmit(EthernetFrame(
+                "probe", "fpga1", 96,
+                Datagram("data", 0, {"port": 99, "data": "x",
+                                     "src_mac": "probe"}, 32)))
+            cluster.run(until=sent_at + 3_000)
+            # board 1's idleness ends with the envelope riding ahead of
+            # the window that runs its arrival cycle; board 0 sleeps on
+            assert sent[0] == (1, "window", (sent_at + 1_000,), 1)
+            assert [s for s in sent if s[0] == 0] == \
+                [(0, "window", (sent_at + 3_000,), 0)]
+            # the board's transport answered at the cycle it always did
+            assert acks == [(sent_at + 1_500, Datagram("ack", 1))]
+        finally:
+            cluster.shutdown()
+
+
+class TestClockContract:
+    """Whatever sat windows out, nobody outside a run sees a stale board
+    clock."""
+
+    def _aligned(self, cluster):
+        return [s.engine.now for s in cluster.systems] == \
+            [cluster.now] * len(cluster.systems)
+
+    def test_board_clocks_equal_the_cluster_clock_between_runs(self):
+        cluster = Cluster(ClusterConfig(n_fpgas=3, backend="sequential"))
+        cluster.boot()
+        assert self._aligned(cluster)
+        # ends mid-idle-stretch, off the window grid
+        cluster.run(until=cluster.now + 50 * 500 + 123)
+        assert self._aligned(cluster)
+        started = cluster.deploy_stateless(
+            "echo", echo_handler_factory(100), instances=2)
+        cluster.run_until(started)
+        assert self._aligned(cluster)
+        cluster.run(until=cluster.now + 20 * 500)
+        assert self._aligned(cluster)
+
+    @pytest.mark.parametrize("backend", WINDOWED)
+    def test_kill_after_idle_windows_is_stamped_at_the_cluster_clock(
+            self, backend):
+        cluster = Cluster(replace(OBSERVED, n_fpgas=2, backend=backend))
+        cluster.boot()
+        cluster.seal()
+        try:
+            cluster.run(until=cluster.now + 50 * 500)
+            cluster.kill_fpga(1)
+            kills = list(cluster.merged_spans().events("board.kill"))
+            dump = cluster.flight_reports()["fpga1"]["dumps"][0]
+        finally:
+            cluster.shutdown()
+        assert [(rec.start, rec.source) for rec in kills] == \
+            [(cluster.now, "fpga1")]
+        assert (dump["cycle"], dump["reason"]) == \
+            (cluster.now, "board-kill:fpga1")
+
+    @pytest.mark.parametrize("backend", WINDOWED)
+    def test_run_until_still_reports_a_drained_cluster(self, backend):
+        cluster = _sealed(backend)
+        try:
+            with pytest.raises(SimulationError,
+                               match="all partitions drained"):
+                cluster.run_until([cluster.engine.event("never")])
+        finally:
+            cluster.shutdown()
