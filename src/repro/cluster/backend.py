@@ -8,6 +8,8 @@ How a ``Cluster`` executes its boards is a :class:`ClusterBackend`:
   clients) is a *partition* with a private engine, fabric view, and span
   recorder; partitions advance in lockstep windows of ``fabric_latency``
   cycles (conservative-lookahead parallel discrete-event simulation).
+  A board with nothing due sits a window out (``_BoardHandle.due``) and
+  is parked on the clock before a run returns (``_park``).
   One backend, two execution modes: ``backend="sequential"`` runs every
   board's ops in this process (the determinism oracle, zero concurrency);
   ``backend="parallel"`` forks one worker per board at ``seal()`` and
@@ -137,12 +139,12 @@ class Board:
     # -- the ops -----------------------------------------------------------
 
     def window(self, end: int):
-        """Run to ``end``; returns (outbox, fault entries, pending event
-        count)."""
+        """Run to ``end``; returns (outbox, fault entries, next-event
+        cycle — ``None`` when nothing is pending)."""
         engine = self.system.engine
         engine.run_window(end)
         return (self.fabric.drain_outbox(), self._drain_faults(),
-                engine.pending_events())
+                engine.peek_next())
 
     def kill(self) -> List[Tuple[int, str, str]]:
         _board_kill(self.system, self.fabric)
@@ -195,6 +197,12 @@ class _BoardHandle:
         self._reply: Any = None
         #: envelopes delivered to a forked board since its last message
         self._inbound: List[FrameEnvelope] = []
+        #: the end of the last window the board ran
+        self.at = 0
+        #: a forked board's next-event cycle as far as this side knows: its
+        #: last window reply, lowered by every envelope delivered since
+        #: (None: nothing pending; 0: unknown — it ran some other op)
+        self.next_at: Optional[int] = 0
 
     def fork(self, ctx) -> None:
         self._conn, child_conn = ctx.Pipe()
@@ -217,11 +225,29 @@ class _BoardHandle:
         """
         if self._conn is None:
             self.board.fabric.inject(env)
-        else:
-            self._inbound.append(env)
+            return
+        self._inbound.append(env)
+        arrival = env.send_cycle + self.board.fabric.latency_cycles
+        if self.next_at is None or arrival < self.next_at:
+            self.next_at = arrival
+
+    def next_event(self) -> Optional[int]:
+        """The board's earliest pending cycle.  Asked of the engine while
+        the board lives in this process (pre-seal placement schedules on
+        it behind the handle's back)."""
+        if self._conn is None:
+            return self.board.system.engine.peek_next()
+        return self.next_at
+
+    def due(self, end: int) -> bool:
+        """Whether the board has anything to run in a window to ``end``;
+        one that has not sits the window out (no op, no pipe message)."""
+        nxt = self.next_event()
+        return nxt is not None and nxt < end
 
     def send(self, op: str, *args) -> None:
         self._op = op
+        self.next_at = 0
         if self._conn is None:
             self._reply = self.board.dispatch(op, args)
             return
@@ -512,34 +538,33 @@ class WindowedBackend(ClusterBackend):
         for board in self.boards:
             board.stop()
 
-    def _step(self, end: int) -> int:
-        """One window for every partition + the barrier exchange.
-
-        Returns the number of pending events across all partitions (the
-        quiescence signal for :meth:`run_until`).
-        """
+    def _step(self, end: int,
+              boards: Optional[List[_BoardHandle]] = None) -> None:
+        """One window for the host and every board that is due (or the
+        given ``boards``) + the barrier exchange."""
         self._check_failure()
         host = self.cluster.engine
+        if boards is None:
+            boards = [board for board in self.boards if board.due(end)]
         # in-process boards hand envelopes over by reference; the oracle
         # copies them exactly as a worker pipe would, so sender/receiver
         # aliasing can never diverge between modes
         copy = not (self.forks and self.sealed)
-        for board in self.boards:
+        for board in boards:
+            board.at = end
             board.send("window", end)
         # forked boards run their windows while the host runs its own
         host.run_window(end)
         envelopes = self.cluster.fabric.drain_outbox()
-        pending = host.pending_events()
         faults = []
-        for board in self.boards:
+        for board in boards:
             try:
-                outbox, entries, board_pending = board.recv()
+                outbox, entries, board.next_at = board.recv()
             except SimulationError as err:
                 self._failure = err
                 raise
             envelopes.extend(outbox)
             faults.append(entries)
-            pending += board_pending
         envelopes.sort(key=FrameEnvelope.sort_key)
         for env in envelopes:
             if copy:
@@ -549,9 +574,16 @@ class WindowedBackend(ClusterBackend):
                 self.cluster.fabric.inject(env)
             else:
                 self.boards[pid - 1].deliver(env)
-        for index, entries in enumerate(faults):
-            self._notify_faults(index, entries)
-        return pending + len(envelopes)
+        for board, entries in zip(boards, faults):
+            self._notify_faults(board.board.index, entries)
+
+    def _park(self) -> None:
+        """Bring every board that sat windows out up to the clock (it has
+        nothing to run on the way), so whatever happens between runs —
+        kill, partition, heal, collect, a deploy — finds
+        ``engine.now == cluster.now`` on every board."""
+        self._step(self.clock, [board for board in self.boards
+                                if board.at < self.clock])
 
     def _check_failure(self) -> None:
         if self._failure is not None:
@@ -574,6 +606,7 @@ class WindowedBackend(ClusterBackend):
             system.boot(extra_cycles=extra_cycles)
         self._step(max([self.clock] + [system.engine.now
                                        for system in self.cluster.systems]))
+        self._park()
 
     def run(self, until):
         if until is None:
@@ -583,6 +616,7 @@ class WindowedBackend(ClusterBackend):
             )
         while self.clock < until:
             self._step(min(self.clock + self.window, until))
+        self._park()
 
     def run_until(self, events, limit=10_000_000):
         events = list(events)
@@ -596,17 +630,25 @@ class WindowedBackend(ClusterBackend):
                     return False
             return True
 
-        while not settled():
-            if self.clock >= deadline:
-                raise SimulationError(
-                    f"events not triggered within {limit} cycles"
-                )
-            pending = self._step(self.clock + self.window)
-            if pending == 0 and not settled():
-                raise SimulationError(
-                    f"all partitions drained at cycle {self.clock} before "
-                    "the awaited events triggered"
-                )
+        try:
+            while not settled():
+                if self.clock >= deadline:
+                    raise SimulationError(
+                        f"events not triggered within {limit} cycles"
+                    )
+                self._step(self.clock + self.window)
+                # envelopes in flight are pending events (or a forked
+                # board's lowered next-event cycle) by now
+                if not (self.cluster.engine.pending_events() or any(
+                        board.next_event() is not None
+                        for board in self.boards)) and not settled():
+                    raise SimulationError(
+                        f"all partitions drained at cycle {self.clock} "
+                        "before the awaited events triggered"
+                    )
+        finally:
+            if self._failure is None:
+                self._park()
 
     # -- fault injection ---------------------------------------------------
 

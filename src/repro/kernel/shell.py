@@ -77,6 +77,8 @@ class Shell:
                                       name=f"{self.name}.inbox")
         self._pending: Dict[int, Event] = {}
         self._children: List[Process] = []
+        #: ``len(_children)`` at which spawn() next forgets the finished
+        self._prune_at = 16
         self.calls_made = 0
         self.calls_failed = 0
         self.calls_timed_out = 0
@@ -300,7 +302,13 @@ class Shell:
     def spawn(self, name: str, generator) -> Process:
         """Run a child process inside this tile's fault domain."""
         proc = self.engine.process(generator, name=f"{self.name}.{name}")
-        self._children.append(proc)
+        children = self._children
+        if len(children) >= self._prune_at:
+            # amortised (the list must double first), and no engine event
+            # or `done` callback: a finished child is simply forgotten
+            children[:] = [child for child in children if child.alive]
+            self._prune_at = max(16, 2 * len(children))
+        children.append(proc)
         return proc
 
     @property

@@ -23,20 +23,21 @@ running a window independently (the classic conservative-lookahead
 argument; see DESIGN.md, "Parallel simulation").
 
 Envelope payloads must be picklable — they cross process boundaries in
-the parallel backend, and the sequential backend round-trips them through
-``pickle`` too, so both backends hand the receiver a *copy* and any
-accidental sender/receiver aliasing diverges loudly in the oracle rather
-than silently in the worker pool.
+the parallel backend, and the sequential backend copies every delivered
+envelope too (:func:`pickle_roundtrip`: fresh envelope, payload through
+:func:`~repro.net.frame.wire_copy`), so both backends hand the receiver a
+*copy* and any accidental sender/receiver aliasing diverges loudly in the
+oracle rather than silently in the worker pool.
 """
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.net.frame import EthernetFrame, EthernetFabric
+from repro.errors import ConfigError, SimulationError
+from repro.net.frame import EthernetFrame, EthernetFabric, wire_copy
 from repro.sim import Engine
 
 __all__ = ["FrameEnvelope", "PartitionFabric"]
@@ -78,14 +79,18 @@ class FrameEnvelope:
         frame.corrupted = self.corrupted
         return frame
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return (f"<Envelope #{self.seq} p{self.src_partition} "
                 f"{self.src_mac}->{self.dst_mac} @{self.send_cycle}>")
 
 
 def pickle_roundtrip(envelope: FrameEnvelope) -> FrameEnvelope:
-    """Copy an envelope the way a pipe would (the oracle's equalizer)."""
-    return pickle.loads(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
+    """Copy an envelope the way a pipe would (the oracle's equalizer):
+    the scalar fields cannot alias, so only the payload is copied."""
+    return FrameEnvelope(
+        envelope.seq, envelope.src_partition, envelope.send_cycle,
+        envelope.src_mac, envelope.dst_mac, envelope.nbytes,
+        wire_copy(envelope.payload), envelope.ethertype, envelope.corrupted)
 
 
 class PartitionFabric(EthernetFabric):
@@ -133,7 +138,6 @@ class PartitionFabric(EthernetFabric):
         # cross-partition path: same checks, in the same order, as the
         # local path — then capture instead of schedule
         if frame.nbytes > self.max_frame:
-            from repro.errors import ConfigError
             raise ConfigError(
                 f"frame of {frame.nbytes}B exceeds fabric MTU {self.max_frame}"
             )
@@ -171,14 +175,22 @@ class PartitionFabric(EthernetFabric):
         """Schedule an inbound cross-partition frame for local delivery.
 
         Delivery lands at ``send_cycle + latency_cycles`` exactly; the
-        conservative window bound guarantees that cycle has not run yet.
+        conservative window bound guarantees that cycle has not run yet
+        (a window stops short of its barrier cycle, so arriving *at* the
+        clock is legal) — an envelope that breaks it is a protocol bug
+        and raises instead of being delivered late.
         The endpoint is resolved at *delivery* time — a board killed
         between send and arrival drops the frame then, which is when the
         shared fabric's in-flight frames would have hit a detached MAC's
         absence too.
         """
         frame = envelope.to_frame()
-        delay = envelope.send_cycle + self.latency_cycles - self.engine.now
+        arrival = envelope.send_cycle + self.latency_cycles
+        if arrival < self.engine.now:
+            raise SimulationError(
+                f"partition {self.partition_id}: {envelope!r} arrives at "
+                f"cycle {arrival}, but the partition has already run to "
+                f"cycle {self.engine.now} (lookahead violated)")
 
         def arrive(_arg) -> None:
             deliver = self._endpoints.get(frame.dst_mac)
@@ -188,4 +200,4 @@ class PartitionFabric(EthernetFabric):
             self.frames_delivered += 1
             deliver(frame)
 
-        self.engine.schedule(max(0, delay), arrive)
+        self.engine.schedule(arrival - self.engine.now, arrive)

@@ -8,6 +8,7 @@ and an optional loss process exercises the reliable transport.
 from __future__ import annotations
 
 import itertools
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -16,10 +17,28 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.sim import Engine
 
-__all__ = ["EthernetFrame", "EthernetFabric", "MIN_FRAME_BYTES", "MAX_FRAME_BYTES"]
+__all__ = ["EthernetFrame", "EthernetFabric", "wire_copy",
+           "MIN_FRAME_BYTES", "MAX_FRAME_BYTES"]
 
 MIN_FRAME_BYTES = 64
 MAX_FRAME_BYTES = 1518  # classic MTU; jumbo support is a fabric option
+
+
+def wire_copy(obj: Any) -> Any:
+    """Copy a frame payload the way a pipe between processes would.
+
+    A wire header copies itself: a type with a ``wire_copy()`` method
+    promises a fresh instance that shares no mutable object with the
+    original and calls ``wire_copy`` on whatever it carries in turn.
+    Everything else goes through ``pickle``, so an unpicklable application
+    payload fails here exactly as it would on a worker pipe.
+    """
+    if obj is None:
+        return None
+    copier = getattr(obj, "wire_copy", None)
+    if copier is not None:
+        return copier()
+    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 @dataclass

@@ -28,7 +28,7 @@ from functools import partial
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.net.frame import EthernetFrame
+from repro.net.frame import EthernetFrame, wire_copy
 from repro.sim import Channel, Engine, Event
 
 __all__ = ["ReliableEndpoint", "ReliableMux", "Datagram",
@@ -60,6 +60,12 @@ class Datagram:
     payload: Any = None
     payload_bytes: int = 0
     frag_rest: int = 0
+
+    def wire_copy(self) -> "Datagram":
+        """See :func:`repro.net.frame.wire_copy`: the fields are immutable
+        scalars, the payload is the one thing that can alias."""
+        return Datagram(self.kind, self.seq, wire_copy(self.payload),
+                        self.payload_bytes, self.frag_rest)
 
 
 #: ``ReliableEndpoint._held``: a callback that will hand the backlog's

@@ -116,6 +116,50 @@ class TestFailStop:
         assert client.failures
         assert system.tiles[2].monitor.nacks_sent >= 1
 
+    def test_finished_children_are_forgotten_and_live_ones_interrupted(self):
+        """A tile that spawns one child per request does not keep a dead
+        ``Process`` per message served, and still fail-stops every live
+        child."""
+
+        class Spawner(Accelerator):
+            def __init__(self):
+                super().__init__("spawner")
+                self.interrupted = 0
+
+            def main(self, shell):
+                for i in range(3):
+                    shell.spawn(f"bg{i}", self._background(shell))
+                while True:
+                    msg = yield shell.recv()
+                    shell.spawn(f"req{msg.mid}", self._serve(shell, msg))
+
+            def _background(self, shell):
+                try:
+                    yield shell.engine.event("never")
+                except Exception:
+                    self.interrupted += 1
+
+            def _serve(self, shell, msg):
+                yield 10
+                yield shell.reply(msg, payload=msg.payload)
+
+        system = booted()
+        spawner = start(system, 2, Spawner(), endpoint="app.spawner")
+        client = ScriptedClient("client", "app.spawner", count=1_000, gap=50)
+        started = system.start_app(3, client)
+        system.mgmt.grant_send("tile3", "app.spawner")
+        system.run_until(started)
+        system.run(until=system.engine.now + 2_000_000)
+        assert client.ok == 1_000
+        shell = system.tiles[2].shell
+        live = [child for child in shell.children if child.alive]
+        assert len(live) == 3
+        assert len(shell._children) <= len(live) + 16
+        system.tiles[2].fail_stop()
+        system.run(until=system.engine.now + 100)
+        assert spawner.interrupted == 3
+        assert not any(child.alive for child in live)
+
     def test_drained_tile_cannot_send(self):
         system = booted()
 

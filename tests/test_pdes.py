@@ -9,16 +9,19 @@ through a mid-run board kill.
 """
 
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.backend import SPAN_ID_STRIDE
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, ObsConfig, ReplicationConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.loadgen import ScenarioRunner
 from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
-from repro.net.frame import EthernetFrame
+from repro.net.frame import EthernetFrame, wire_copy
+from repro.net.transport import Datagram
 from repro.sim import Engine
 
 
@@ -84,6 +87,69 @@ class TestEnvelope:
             [(4, 2, 1), (4, 2, 9), (5, 0, 7), (5, 1, 2)]
 
 
+#: application payloads: nested containers of immutable leaves
+_payloads = st.recursive(
+    st.none() | st.integers() | st.text(max_size=8) | st.binary(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+_datagrams = st.builds(Datagram, st.sampled_from(["data", "ack"]),
+                       st.integers(0, 99), _payloads, st.integers(0, 9_000),
+                       st.integers(0, 5))
+
+
+def _mutable_ids(obj, seen):
+    """ids of every mutable object reachable from ``obj``."""
+    if isinstance(obj, Datagram):
+        seen.add(id(obj))
+        _mutable_ids(obj.payload, seen)
+    elif isinstance(obj, dict):
+        seen.add(id(obj))
+        for value in obj.values():
+            _mutable_ids(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        if isinstance(obj, list):
+            seen.add(id(obj))
+        for value in obj:
+            _mutable_ids(value, seen)
+    return seen
+
+
+class TestWireCopy:
+    @settings(max_examples=100, deadline=None)
+    @given(_payloads | _datagrams
+           | st.dictionaries(st.text(max_size=4), _datagrams, max_size=2))
+    def test_equals_a_pickle_roundtrip_and_shares_nothing_mutable(self, x):
+        copy = wire_copy(x)
+        assert copy == pickle.loads(pickle.dumps(x))
+        assert type(copy) is type(x)
+        assert not _mutable_ids(x, set()) & _mutable_ids(copy, set())
+
+    def test_header_fields_survive(self):
+        gram = Datagram("data", 7, {"k": [1]}, payload_bytes=640, frag_rest=2)
+        copy = wire_copy(gram)
+        assert copy is not gram and copy.payload is not gram.payload
+        assert (copy.kind, copy.seq, copy.payload, copy.payload_bytes,
+                copy.frag_rest) == ("data", 7, {"k": [1]}, 640, 2)
+        assert wire_copy(Datagram("ack", 3)) == Datagram("ack", 3)
+
+    @pytest.mark.parametrize("wrap", [
+        lambda x: x, lambda x: Datagram("data", 0, x),
+        lambda x: {"port": 1, "data": Datagram("data", 0, x)}])
+    def test_an_unpicklable_payload_raises_as_pickle_does(self, wrap):
+        payload = wrap({"callback": lambda: None})
+        with pytest.raises(Exception) as from_pickle:
+            pickle.dumps(payload)
+        with pytest.raises(type(from_pickle.value)):
+            wire_copy(payload)
+        with pytest.raises(type(from_pickle.value)):
+            pickle_roundtrip(FrameEnvelope(
+                seq=1, src_partition=0, send_cycle=0, src_mac="a",
+                dst_mac="b", nbytes=64, payload=payload, ethertype=0,
+                corrupted=False))
+
+
 class TestPartitionFabric:
     def _fabric(self, pid):
         eng = Engine()
@@ -137,6 +203,26 @@ class TestPartitionFabric:
                                  corrupted=False))
         eng.run()
         assert fab.frames_dropped == 1
+
+    def test_inject_of_a_stale_envelope_is_a_lookahead_violation(self):
+        eng, fab = self._fabric(2)
+        got = []
+        fab.attach("fpga1", got.append)
+        eng.run_window(531)  # cycle 530 has run; the clock parks on 531
+        stale = FrameEnvelope(seq=4, src_partition=0, send_cycle=30,
+                              src_mac="frontend", dst_mac="fpga1",
+                              nbytes=64, payload="p", ethertype=0x88B5,
+                              corrupted=False)
+        with pytest.raises(SimulationError,
+                           match=r"partition 2: <Envelope #4 p0 frontend->"
+                                 r"fpga1 @30> arrives at cycle 530, .* "
+                                 r"cycle 531"):
+            fab.inject(stale)
+        # arriving exactly at the barrier cycle is legal: it has not run
+        stale.send_cycle = 31
+        fab.inject(stale)
+        eng.run()
+        assert [f.sent_at for f in got] == [31]
 
     def test_transmit_to_remote_detached_mac_drops_at_send(self):
         eng, fab = self._fabric(0)

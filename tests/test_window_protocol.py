@@ -310,7 +310,7 @@ class TestSittingOut:
             assert [s for s in sent if s[0] == 0] == \
                 [(0, "window", (sent_at + 3_000,), 0)]
             # the board's transport answered at the cycle it always did
-            assert acks == [(sent_at + 1_500, Datagram("ack", 1))]
+            assert acks == [(sent_at + 1_002, Datagram("ack", 1))]
         finally:
             cluster.shutdown()
 
