@@ -1,0 +1,679 @@
+"""The front-end's request path, pinned request by request.
+
+Sections a-d were captured on the event-and-process implementation that
+preceded ISSUE 24 (an inner waiter wrapped in an outer event, a second
+retry process, a ``timeout`` event per attempt, a reply process per
+answer) and hold unchanged on the one-record-per-backend /
+one-record-per-attempt front-end that replaced it: a request is submitted,
+routed, failed over, answered, rejected or dropped on the same cycles with
+the same counters.  They are the contract of that rewrite; a literal there
+changes only with a deliberate change of simulated behaviour.  Section e
+pins what the rewrite *did* change — the engine-event budget of a request —
+and that ``perf.trace`` still books the path to ``FrontEnd._serve`` and
+``FrontEnd._prober``.
+"""
+
+from repro.apps import echo_handler_factory, kv_handler_factory
+from repro.cluster import Cluster, ClusterConfig, ObsConfig
+from repro.policy import RetryPolicy
+from repro.sim import Engine
+from repro.workloads import ClusterClient
+
+from tests.conftest import CountingEngine, TaggingEngine
+
+#: the cycle the front-end starts on; every offset below counts from here
+T0 = 1_500_000
+
+#: short attempts, so a timeout and its failover fit between two probes
+QUICK = dict(deadline=60_000, attempt_timeout=4_000, backoff_base=200,
+             backoff_cap=2_000)
+
+
+HEALTH_FIELDS = ("healthy", "misses", "outstanding", "served", "probes_sent",
+                 "probe_misses")
+
+
+class ProcessLog(Engine):
+    """An engine that remembers every process it started, by name."""
+
+    __slots__ = ("started",)
+
+    def __init__(self):
+        super().__init__()
+        self.started = {}
+
+    def process(self, generator, name=""):
+        proc = super().process(generator, name=name)
+        self.started[name] = proc
+        return proc
+
+
+class Rig:
+    """Two boards; ``kv`` is sharded 2x2 (key 2 -> shard 0: primary
+    ``kv/s0r0`` on board 0, replica ``kv/s0r1`` on board 1; key 0 -> shard
+    1: primary ``kv/s1r0`` on board 1, replica ``kv/s1r1`` on board 0) and
+    ``echo`` is stateless, one instance per board.  ``extra`` (name ->
+    handler factory) deploys more single-instance stateless services: the
+    first lands on board 0, the second on board 1.  Every request is logged
+    as ``name -> (submit offset, done offset, outcome)``.
+    """
+
+    def __init__(self, engine=None, tracing=False, extra=(), **frontend):
+        self.cluster = cluster = Cluster(
+            ClusterConfig(n_fpgas=2, obs=ObsConfig(tracing=tracing)),
+            engine=engine)
+        cluster.boot()
+        started = cluster.deploy_sharded(
+            "kv", kv_handler_factory(1_000), n_shards=2, replication=2)
+        started += cluster.deploy_stateless(
+            "echo", echo_handler_factory(500), instances=2)
+        for name, factory in dict(extra).items():
+            started += cluster.deploy_stateless(name, factory, instances=1)
+        cluster.run_until(started, limit=50_000_000)
+        cluster.run(until=T0)
+        self.engine = cluster.engine
+        self.fe = cluster.start_frontend(**frontend)
+        self.rows = {}
+
+    def at(self, offset):
+        """Run every event up to and including ``T0 + offset``; the caller
+        then acts from outside the engine, after that cycle's callbacks."""
+        self.cluster.run(until=T0 + offset)
+        assert self.engine.now == T0 + offset
+        return self
+
+    def _done(self, name, reply):
+        if reply.get("rejected"):
+            outcome = "rejected"
+        elif reply.get("ok"):
+            outcome = ("ok", reply["body"])
+        else:
+            outcome = ("failed", reply["error"])
+        self.rows[name][1:] = [self.engine.now - T0, outcome]
+
+    def submit(self, name, service, **request):
+        self.rows[name] = [self.engine.now - T0, None, None]
+        accepted = self.fe.submit(
+            service, on_done=lambda reply: self._done(name, reply), **request)
+        if not accepted:
+            self.rows[name][2] = "dropped"
+        return accepted
+
+    def read(self, name, key):
+        return self.submit(name, "kv", body={"op": "get", "key": key},
+                           key=key)
+
+    def write(self, name, key, value):
+        return self.submit(name, "kv", key=key, write=True,
+                           body={"op": "put", "key": key, "value": value})
+
+    def call(self, name, host, service, **request):
+        """The fabric path: one ``ClusterClient.call_service``."""
+        self.rows[name] = [self.engine.now - T0, None, None]
+        host.call_service(service, request.pop("body", {"x": name}),
+                          **request).add_callback(
+            lambda ev: self._done(name, ev.value))
+
+    def table(self):
+        return {name: tuple(row) for name, row in self.rows.items()}
+
+    def health(self, *iids):
+        """``health_table()`` rows as ``(healthy, misses, outstanding,
+        served, probes_sent, probe_misses)``."""
+        table = self.fe.health_table()
+        return {iid: tuple(table[iid][field] for field in HEALTH_FIELDS)
+                for iid in iids or table}
+
+    def counters(self):
+        """``telemetry()`` without the health table (pinned separately) and
+        with the registry's counters as plain ints."""
+        out = self.fe.telemetry()
+        del out["health"]
+        out["counters"] = {name: int(value)
+                           for name, value in sorted(out["counters"].items())}
+        assert out["counters"] == {
+            name: int(value) for name, value in
+            self.fe.stats.snapshot()["counters"].items()}
+        return out
+
+
+def quiet(**changes):
+    """``telemetry()`` of a front-end nothing has happened to yet."""
+    base = {"requests_admitted": 0, "requests_rejected": 0,
+            "requests_failed": 0, "requests_dropped": 0, "backlog_depth": 0,
+            "responses_sent": 0, "batches_sent": 0, "failovers": 0,
+            "inflight": 0, "chain_nacks": 0, "writes_unreplicated": 0,
+            "counters": {}}
+    assert not set(changes) - set(base)
+    return {**base, **changes}
+
+
+def nacker(times):
+    """A stateless handler whose first ``times`` answers are chain refusals
+    (``{"_chain_nack": why}``: the member is alive, the routing is stale)."""
+    def make():
+        calls = []
+
+        def handler(body):
+            calls.append(body)
+            if len(calls) <= times:
+                return 300, {"_chain_nack":
+                             f"not the tail (call {len(calls)})"}, 32
+            return 300, {"echo": body.get("x")}, 64
+        return handler
+    return make
+
+
+MISS = ("ok", {"ok": False, "value": None, "shard": 0})
+MISS1 = ("ok", {"ok": False, "value": None, "shard": 1})
+STORED = ("ok", {"ok": True, "shard": 0})
+
+# -- (a) served requests --------------------------------------------------------
+
+
+def test_a_read_cycle_by_cycle():
+    rig = Rig()
+    rig.at(1_000).read("r", 2)
+    # one ring hop later the request is admitted and its attempt queued
+    assert rig.counters() == quiet(backlog_depth=1)
+    rig.at(1_000)
+    assert rig.counters() == quiet(requests_admitted=1, inflight=1)
+    assert rig.health("kv/s0r0", "kv/s0r1") == {
+        "kv/s0r0": (True, 0, 1, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+    rig.at(9_000)
+    assert rig.table() == {"r": (1_000, 3_225, MISS)}
+    assert rig.counters() == quiet(requests_admitted=1, batches_sent=1)
+    assert rig.health() == {
+        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0),
+        "kv/s1r0": (True, 0, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0),
+        "echo#0": (True, 0, 0, 0, 0, 0), "echo#1": (True, 0, 0, 0, 0, 0)}
+
+
+def test_a_write_fans_out_and_the_peers_ack_lands():
+    """The client's answer is the primary's alone; the copy to the peer
+    replica is awaited too (``outstanding`` 1 on both) and its ack is
+    counted as served.  The first probe round (offset 10 000) overlaps the
+    write, and the read that follows finds the value."""
+    rig = Rig()
+    rig.at(9_000).write("w", 2, "v")
+    rig.at(9_100)
+    pair = ("kv/s0r0", "kv/s0r1")
+    assert rig.health(*pair) == {
+        "kv/s0r0": (True, 0, 1, 0, 0, 0), "kv/s0r1": (True, 0, 1, 0, 0, 0)}
+    rig.at(11_000)
+    assert rig.health(*pair) == {
+        "kv/s0r0": (True, 0, 2, 0, 1, 0), "kv/s0r1": (True, 0, 2, 0, 1, 0)}
+    rig.at(12_000)
+    assert rig.table() == {"w": (9_000, 11_224, STORED)}
+    assert rig.health(*pair) == {
+        "kv/s0r0": (True, 0, 0, 2, 1, 0), "kv/s0r1": (True, 0, 0, 2, 1, 0)}
+    rig.at(20_000).read("r", 2)
+    rig.at(29_000)
+    assert rig.table() == {
+        "w": (9_000, 11_224, STORED),
+        "r": (20_000, 22_225, ("ok", {"ok": True, "value": "v", "shard": 0}))}
+    assert rig.counters() == quiet(requests_admitted=2, batches_sent=3)
+    assert rig.health() == {
+        "kv/s0r0": (True, 0, 0, 4, 2, 0), "kv/s0r1": (True, 0, 0, 3, 2, 0),
+        "kv/s1r0": (True, 0, 0, 2, 2, 0), "kv/s1r1": (True, 0, 0, 2, 2, 0),
+        "echo#0": (True, 0, 0, 2, 2, 0), "echo#1": (True, 0, 0, 2, 2, 0)}
+
+
+# -- (b) attempts that do not come back -------------------------------------------
+
+
+def test_a_replica_write_nobody_acks_is_counted_after_one_attempt_timeout():
+    """The peer's board is cut off before the write: the primary answers,
+    the copy is never acked.  One ``attempt_timeout`` after it was queued it
+    is written off as unreplicated — and charges the peer no health miss."""
+    rig = Rig(retry=RetryPolicy(**QUICK))
+    rig.at(500).cluster.partition_fpga(1)
+    rig.at(1_000).write("w", 2, "v")
+    rig.at(4_999)
+    assert rig.table() == {"w": (1_000, 3_224, STORED)}
+    assert rig.health("kv/s0r0", "kv/s0r1") == {
+        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (True, 0, 1, 0, 0, 0)}
+    assert rig.counters() == quiet(requests_admitted=1, batches_sent=2)
+    rig.at(5_000)
+    assert rig.health("kv/s0r0", "kv/s0r1") == {
+        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+    rig.at(9_000)
+    assert rig.counters() == quiet(
+        requests_admitted=1, batches_sent=2, writes_unreplicated=1,
+        counters={"frontend.writes_unreplicated": 1})
+
+
+def test_a_replica_write_in_flight_when_its_board_dies_is_counted_at_once():
+    rig = Rig(retry=RetryPolicy(**QUICK))
+    rig.at(1_000).write("w", 2, "v")
+    rig.at(1_400).cluster.kill_fpga(1)
+    assert rig.counters()["counters"] == {"frontend.writes_unreplicated": 1}
+    assert rig.health("kv/s0r0", "kv/s0r1") == {
+        "kv/s0r0": (True, 0, 1, 0, 0, 0), "kv/s0r1": (False, 3, 0, 0, 0, 0)}
+    rig.at(9_000)
+    assert rig.table() == {"w": (1_000, 3_224, STORED)}
+    assert rig.counters() == quiet(
+        requests_admitted=1, batches_sent=2, writes_unreplicated=1,
+        counters={"frontend.writes_unreplicated": 1})
+    assert rig.health() == {
+        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (False, 3, 0, 0, 0, 0),
+        "kv/s1r0": (False, 3, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0),
+        "echo#0": (True, 0, 0, 0, 0, 0), "echo#1": (False, 3, 0, 0, 0, 0)}
+
+
+def test_an_attempt_timeout_fails_over_and_the_next_answer_heals_the_miss():
+    """Key 0's primary sits on a partitioned board: the attempt times out
+    (one miss), the retry lands on the replica 200 cycles later.  After the
+    heal the transport to that board is still wedged behind its unacked
+    frames, so the second read fails over too, two probes pile up behind
+    them (the prober stops at two unacked sends) — and when the retransmit
+    finally lands, the first answer resets the misses."""
+    rig = Rig(retry=RetryPolicy(**QUICK))
+    pair = ("kv/s1r0", "kv/s1r1")
+    rig.at(500).cluster.partition_fpga(1)
+    rig.at(1_000).read("r1", 0)
+    rig.at(4_999)
+    assert rig.health(*pair) == {
+        "kv/s1r0": (True, 0, 1, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0)}
+    rig.at(5_000)
+    assert rig.counters()["failovers"] == 1
+    assert rig.health(*pair) == {
+        "kv/s1r0": (True, 1, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0)}
+    rig.at(5_199)
+    assert rig.health(*pair)["kv/s1r1"] == (True, 0, 0, 0, 0, 0)
+    rig.at(5_200)
+    assert rig.health(*pair)["kv/s1r1"] == (True, 0, 1, 0, 0, 0)
+    rig.at(9_000)
+    assert rig.table() == {"r1": (1_000, 7_429, MISS1)}
+    rig.cluster.heal_fpga(1)
+    rig.read("r2", 0)
+    rig.at(15_000)
+    assert rig.counters()["failovers"] == 2
+    assert rig.health(*pair) == {
+        "kv/s1r0": (True, 2, 1, 0, 1, 0), "kv/s1r1": (True, 0, 1, 2, 1, 0)}
+    rig.at(60_000)
+    assert rig.health(*pair) == {
+        "kv/s1r0": (False, 4, 1, 0, 3, 2), "kv/s1r1": (True, 0, 0, 7, 5, 0)}
+    rig.at(70_000)
+    assert rig.health(*pair) == {
+        "kv/s1r0": (True, 0, 0, 1, 3, 2), "kv/s1r1": (True, 0, 0, 8, 6, 0)}
+    rig.at(100_000).read("r3", 0)
+    rig.at(110_000)
+    assert rig.table() == {"r1": (1_000, 7_429, MISS1),
+                           "r2": (9_000, 15_429, MISS1),
+                           "r3": (100_000, 102_229, MISS1)}
+    assert rig.counters() == quiet(requests_admitted=3, batches_sent=4,
+                                   failovers=2)
+    assert rig.health() == {
+        "kv/s0r0": (True, 0, 1, 9, 10, 0), "kv/s0r1": (True, 0, 0, 5, 7, 2),
+        "kv/s1r0": (True, 0, 0, 6, 7, 2), "kv/s1r1": (True, 0, 1, 11, 10, 0),
+        "echo#0": (True, 0, 1, 9, 10, 0), "echo#1": (True, 0, 0, 5, 7, 2)}
+
+
+def test_three_unanswered_probes_kill_an_instance_and_a_data_answer_revives_it():
+    """One 65 000-cycle request keeps the (sequential) instance from
+    answering pings: a probe every other interval expires, the third miss
+    declares it dead on the cycle it expires, and the data answer — the
+    attempt itself never timed out — brings it back."""
+    rig = Rig(extra={"slow": echo_handler_factory(65_000)},
+              retry=RetryPolicy(deadline=200_000, attempt_timeout=100_000))
+    rig.at(1_000).submit("s", "slow", body={"x": 1})
+    seen = {}
+    for offset in (10_100, 20_000, 30_000, 40_000, 50_000, 59_999, 60_000,
+                   67_000, 68_000, 70_100, 80_100):
+        seen[offset] = rig.at(offset).health("slow#0")["slow#0"]
+    assert seen == {
+        10_100: (True, 0, 2, 0, 1, 0), 20_000: (True, 1, 1, 0, 1, 1),
+        30_000: (True, 1, 2, 0, 2, 1), 40_000: (True, 2, 1, 0, 2, 2),
+        50_000: (True, 2, 2, 0, 3, 2), 59_999: (True, 2, 2, 0, 3, 2),
+        60_000: (False, 3, 1, 0, 3, 3), 67_000: (False, 3, 1, 0, 3, 3),
+        68_000: (True, 0, 0, 1, 3, 3), 70_100: (True, 0, 1, 1, 4, 3),
+        80_100: (True, 0, 0, 2, 4, 3)}
+    assert rig.table() == {"s": (1_000, 67_229, ("ok", {"echo": 1}))}
+    assert rig.counters() == quiet(requests_admitted=1, batches_sent=1)
+
+
+# -- (c) instances that go away ---------------------------------------------------
+
+
+def test_a_drained_tile_fails_its_queued_and_awaited_requests_in_that_cycle():
+    """One request is on the wire, one still in the 200-cycle batch window
+    when the kernel reports the tile drained (a killed context — action
+    ``"killed"`` — leaves the instance serving): both attempts fail in that
+    cycle, both retry on the replica after the same backoff and ride one
+    batch.  The tile was in fact alive, so the next pong revives it."""
+    rig = Rig(retry=RetryPolicy(**QUICK))
+    pair = ("kv/s0r0", "kv/s0r1")
+    inst = rig.cluster.directory.spec("kv").instance("kv/s0r0")
+    rig.at(1_000).read("awaited", 2)
+    rig.at(1_400).read("queued", 2)
+    rig.at(1_450)
+    assert rig.counters()["batches_sent"] == 1
+    rig.fe.on_board_fault(inst.fpga, inst.node, "killed", "kv/s0r0")
+    assert rig.health(*pair) == {
+        "kv/s0r0": (True, 0, 2, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+    rig.fe.on_board_fault(inst.fpga, inst.node, "drained", "kv/s0r0")
+    assert rig.health(*pair) == {
+        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+    assert rig.counters()["failovers"] == 0
+    rig.at(1_450)  # the rest of this cycle: both attempts have failed
+    assert rig.counters()["failovers"] == 2
+    rig.at(1_649)
+    assert rig.health(*pair)["kv/s0r1"] == (True, 0, 0, 0, 0, 0)
+    rig.at(1_650)
+    assert rig.health(*pair)["kv/s0r1"] == (True, 0, 2, 0, 0, 0)
+    rig.at(9_000)
+    assert rig.table() == {"awaited": (1_000, 4_882, MISS),
+                           "queued": (1_400, 4_882, MISS)}
+    assert rig.health(*pair) == {
+        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 2, 0, 0)}
+    rig.at(13_000)
+    assert rig.health(*pair) == {
+        "kv/s0r0": (True, 0, 0, 1, 1, 0), "kv/s0r1": (True, 0, 0, 3, 1, 0)}
+    assert rig.counters() == quiet(requests_admitted=2, batches_sent=2,
+                                   failovers=2)
+
+
+def test_retire_mid_flight_reroutes_and_never_tracks_the_instance_again():
+    rig = Rig(engine=ProcessLog(), retry=RetryPolicy(**QUICK))
+    pair = ("kv/s0r0", "kv/s0r1")
+    flusher = rig.engine.started["fe.flush.kv/s0r0"]
+    prober = rig.engine.started["fe.probe.kv/s0r0"]
+    rig.at(1_000).read("awaited", 2)
+    rig.at(1_400).read("queued", 2)
+    rig.at(1_450).fe.retire("kv/s0r0")
+    assert rig.health(*pair) == {
+        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+    rig.at(1_450)
+    assert rig.counters()["failovers"] == 2
+    rig.fe.track_all()
+    started = len(rig.engine.started)
+    rig.at(5_000)
+    assert not flusher.alive and prober.alive
+    assert rig.table() == {"awaited": (1_000, 4_882, MISS),
+                           "queued": (1_400, 4_882, MISS)}
+    rig.at(9_999)
+    assert prober.alive
+    rig.at(10_000)  # the prober's next wake-up is its last
+    assert not prober.alive
+    assert rig.health(*pair) == {
+        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 1, 2, 1, 0)}
+    rig.at(25_000)
+    rig.fe.retire("kv/s0r0")  # a second retire is a no-op
+    rig.fe.track_all()
+    rig.read("after", 2)
+    rig.at(30_000)
+    assert rig.table()["after"] == (25_000, 27_225, MISS)
+    assert rig.health(*pair) == {
+        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 5, 2, 0)}
+    assert not [name for name in list(rig.engine.started)[started:]
+                if name.startswith(("fe.flush.", "fe.probe."))]
+    assert rig.counters() == quiet(requests_admitted=3, batches_sent=3,
+                                   failovers=2)
+
+
+def test_a_chain_nack_fails_the_attempt_but_not_the_member():
+    rig = Rig(extra={"picky": nacker(2)}, retry=RetryPolicy(**QUICK))
+    rig.at(1_000).submit("p", "picky", body={"x": 7})
+    seen = {}
+    for offset in (2_000, 3_000, 5_000, 9_000):
+        rig.at(offset)
+        seen[offset] = (rig.health("picky#0")["picky#0"],
+                        rig.counters()["failovers"],
+                        rig.counters()["chain_nacks"])
+    assert seen == {2_000: ((True, 0, 1, 0, 0, 0), 0, 0),
+                    3_000: ((True, 0, 1, 1, 0, 0), 1, 1),
+                    5_000: ((True, 0, 1, 2, 0, 0), 2, 2),
+                    9_000: ((True, 0, 0, 3, 0, 0), 2, 2)}
+    assert rig.table() == {"p": (1_000, 6_185, ("ok", {"echo": 7}))}
+    assert rig.counters() == quiet(
+        requests_admitted=1, batches_sent=3, failovers=2, chain_nacks=2,
+        counters={"frontend.chain_nacks": 2})
+
+
+def test_a_request_nacked_until_its_deadline_fails_with_the_loop_s_arithmetic():
+    """Three nacked attempts, the fourth clamped to the 16 cycles the
+    deadline had left and timed out (one miss), then the last backoff
+    clamped to 1 cycle: 6 001 cycles after it was admitted."""
+    rig = Rig(extra={"picky": nacker(99)},
+              retry=RetryPolicy(deadline=6_000, attempt_timeout=4_000,
+                                backoff_base=200, backoff_cap=2_000))
+    rig.at(1_000).submit("p", "picky", body={"x": 7})
+    rig.at(9_000)
+    assert rig.table() == {"p": (1_000, 7_001, (
+        "failed", "route 'picky' gave up after 4 attempt(s) in 6001 cycles "
+                  "(last error: picky#0 did not answer in 16)"))}
+    assert rig.health("picky#0") == {"picky#0": (True, 1, 0, 3, 0, 0)}
+    assert rig.counters() == quiet(
+        requests_admitted=1, requests_failed=1, batches_sent=3, failovers=4,
+        chain_nacks=3, counters={"frontend.chain_nacks": 3})
+
+
+# -- (d) admission ------------------------------------------------------------------
+
+
+def test_a_same_cycle_burst_meets_the_backlog_bound_then_the_queue_deadline():
+    """Seven submissions in one cycle, two slots, a backlog of three: the
+    burst is measured against the *backlog* bound (admission is one ring hop
+    after ``submit``), so four are dropped — ``on_done`` never runs — two are
+    admitted that cycle, and the one left queued gets its slot 1 725 cycles
+    later, past the 1 500-cycle deadline: rejected, not dropped."""
+    rig = Rig(max_pending=2, max_backlog=3, queue_deadline=1_500,
+              retry=RetryPolicy(**QUICK))
+    rig.at(1_000)
+    accepted = [rig.submit(f"e{i}", "echo", body={"x": i}) for i in range(7)]
+    assert accepted == [True] * 3 + [False] * 4
+    assert rig.counters() == quiet(
+        requests_dropped=4, backlog_depth=3,
+        counters={"frontend.requests_dropped": 4})
+    rig.at(1_000)
+    assert rig.counters() == quiet(
+        requests_admitted=2, inflight=2, requests_dropped=4, backlog_depth=1,
+        counters={"frontend.requests_dropped": 4})
+    assert (rig.fe.backlog_depth("echo"), rig.fe.backlog_depth("kv")) == (1, 0)
+    rig.at(9_000)
+    assert rig.table() == {
+        "e0": (1_000, 2_725, ("ok", {"echo": 0})),
+        "e1": (1_000, 2_725, ("ok", {"echo": 1})),
+        "e2": (1_000, 2_725, "rejected"),
+        "e3": (1_000, None, "dropped"), "e4": (1_000, None, "dropped"),
+        "e5": (1_000, None, "dropped"), "e6": (1_000, None, "dropped")}
+    assert rig.counters() == quiet(
+        requests_admitted=2, requests_rejected=1, requests_dropped=4,
+        batches_sent=2,
+        counters={"frontend.queue_deadline_rejects": 1,
+                  "frontend.requests_dropped": 4})
+    assert rig.health("echo#0", "echo#1") == {
+        "echo#0": (True, 0, 0, 1, 0, 0), "echo#1": (True, 0, 0, 1, 0, 0)}
+
+
+def test_the_fabric_path_rejects_at_max_pending_and_answers_everything_else():
+    """``ClusterClient.call_service`` over the fabric (500 cycles each way):
+    at ``max_pending`` the refusal is sent the cycle the request arrives; an
+    unknown service, a write with a tenant, a body that is not a dict and a
+    request that is not a request are all answered."""
+    rig = Rig(max_pending=2, retry=RetryPolicy(**QUICK))
+    h0, h1 = (ClusterClient(rig.engine, rig.cluster.fabric, f"h{i}")
+              for i in range(2))
+    rig.at(1_000)
+    rig.call("a", h0, "echo")
+    rig.call("b", h0, "echo")
+    rig.call("c", h1, "echo")
+    rig.call("d", h1, "nope")
+    rig.at(1_600)
+    assert rig.counters() == quiet(requests_admitted=2, requests_rejected=2,
+                                   inflight=2, responses_sent=2)
+    rig.at(9_000)
+    rig.call("e", h1, "nope")
+    rig.call("f", h0, "kv", body={"op": "put", "key": 2, "value": 1}, key=2,
+             write=True, tenant="t")
+    rig.call("g", h0, "echo", body="not a dict")
+    rig.at(20_000)
+    rig.rows["h"] = [20_000, None, None]
+    h0.request("frontend", 7000, "garbage").add_callback(
+        lambda ev: rig._done("h", ev.value))
+    rig.at(25_000)
+    assert rig.table() == {
+        "a": (1_000, 3_725, ("ok", {"echo": "a"})),
+        "b": (1_000, 2_000, "rejected"),
+        "c": (1_000, 3_725, ("ok", {"echo": "c"})),
+        "d": (1_000, 2_000, "rejected"),
+        "e": (9_000, 10_000, ("failed", "unknown service 'nope'")),
+        "f": (9_000, 12_224, STORED),
+        "g": (9_000, 11_730, ("ok", {"echo": None})),
+        "h": (20_000, 21_000, ("failed", "malformed request"))}
+    assert rig.counters() == quiet(
+        requests_admitted=5, requests_rejected=2, requests_failed=1,
+        responses_sent=8, batches_sent=5)
+    assert (h0.requests_sent, h0.responses_received) == (5, 5)
+    assert (h1.requests_sent, h1.responses_received) == (3, 3)
+
+
+# -- (e) the span tree --------------------------------------------------------------
+
+
+def span_forest(recorder):
+    """The ``cluster`` spans as nested ``(name, source, start, end, detail,
+    children)`` rows, one tree per request in the order the requests were
+    admitted, children in the order they were opened.  Ids are labels — the
+    only thing read from them is who is whose parent and which trace a
+    span belongs to."""
+    rows = {}
+    roots = []
+    for rec in recorder:
+        if rec.category != "cluster":
+            continue
+        row = (rec.name, rec.source, rec.start - T0, rec.end - T0,
+               dict(rec.detail), [])
+        rows[rec.span_id] = (rec.trace_id, row)
+        if rec.parent_id:
+            trace_id, parent = rows[rec.parent_id]
+            assert trace_id == rec.trace_id
+            parent[5].append(row)
+        else:
+            roots.append((rec.trace_id, row))
+    return [row for _trace_id, row in sorted(roots, key=lambda r: r[0])]
+
+
+
+def test_a_traced_run_s_frontend_and_forward_spans():
+    """Board 1 is cut off.  ``r`` times out on its primary and is served by
+    the replica; ``p`` is refused twice, then served; ``w`` is served by its
+    primary (the copy to the cut-off peer is nobody's span); ``f`` lives on
+    the cut-off board and dies at its deadline; ``n`` names no service and
+    opens no span."""
+    rig = Rig(tracing=True, extra={"picky": nacker(2), "fenced": nacker(99)},
+              retry=RetryPolicy(deadline=9_000, attempt_timeout=4_000,
+                                backoff_base=200, backoff_cap=2_000))
+    rig.at(500).cluster.partition_fpga(1)
+    rig.at(1_000).read("r", 0)
+    rig.submit("p", "picky", body={"x": 7})
+    rig.write("w", 2, "v")
+    rig.submit("n", "nope")
+    rig.submit("f", "fenced", body={"x": 8})
+    rig.at(30_000)
+    assert rig.table() == {
+        "r": (1_000, 7_429, MISS1),
+        "p": (1_000, 6_185, ("ok", {"echo": 7})),
+        "w": (1_000, 3_229, STORED),
+        "n": (1_000, 1_000, ("failed", "unknown service 'nope'")),
+        "f": (1_000, 10_001, (
+            "failed", "route 'fenced' gave up after 3 attempt(s) in 9001 "
+                      "cycles (last error: fenced#0 did not answer in 400)"))}
+    ok, failed, timed_out = {"failed": False}, {"failed": True}, \
+        {"timed_out": True}
+
+    def fe(service, key, end, flags, *attempts):
+        return (f"frontend:{service}", "frontend", 1_000, end,
+                {"service": service, "key": key, **flags}, list(attempts))
+
+    def fwd(iid, fpga, node, start, end, flags, *served):
+        return (f"forward:{iid}", "frontend", start, end,
+                {"fpga": fpga, "node": node, **flags}, list(served))
+
+    def backend(iid, node, port, start, end):
+        return (f"backend:{iid}", f"tile{node}", start, end, {"port": port},
+                [])
+
+    assert span_forest(rig.cluster.spans) == [
+        fe("kv", 0, 7_429, ok,
+           fwd("kv/s1r0", 1, 3, 1_000, 5_000, timed_out),
+           fwd("kv/s1r1", 0, 3, 5_200, 7_429, ok,
+               backend("kv/s1r1", 3, 7103, 5_911, 6_911))),
+        fe("picky", None, 6_185, ok,
+           fwd("picky#0", 0, 5, 1_000, 2_528, failed,
+               backend("picky#0", 5, 7106, 1_711, 2_011)),
+           fwd("picky#0", 0, 5, 2_728, 4_256, failed,
+               backend("picky#0", 5, 7106, 3_439, 3_739)),
+           fwd("picky#0", 0, 5, 4_656, 6_185, ok,
+               backend("picky#0", 5, 7106, 5_367, 5_667))),
+        fe("kv", 2, 3_229, ok,
+           fwd("kv/s0r0", 0, 2, 1_000, 3_229, ok,
+               backend("kv/s0r0", 2, 7100, 1_714, 2_714))),
+        fe("fenced", None, 10_001, failed,
+           fwd("fenced#0", 1, 5, 1_000, 5_000, timed_out),
+           fwd("fenced#0", 1, 5, 5_200, 9_200, timed_out),
+           fwd("fenced#0", 1, 5, 9_600, 10_000, timed_out)),
+    ]
+    assert rig.counters() == quiet(
+        requests_admitted=5, requests_failed=2, batches_sent=8, failovers=6,
+        chain_nacks=2, writes_unreplicated=1,
+        counters={"frontend.chain_nacks": 2,
+                  "frontend.writes_unreplicated": 1})
+    assert rig.health() == {
+        "kv/s0r0": (True, 0, 0, 3, 2, 0), "kv/s0r1": (True, 1, 1, 0, 2, 1),
+        "kv/s1r0": (True, 2, 1, 0, 2, 1), "kv/s1r1": (True, 0, 0, 3, 2, 0),
+        "echo#0": (True, 0, 0, 2, 2, 0), "echo#1": (True, 1, 1, 0, 2, 1),
+        "picky#0": (True, 0, 0, 5, 2, 0), "fenced#0": (False, 4, 1, 0, 2, 1)}
+
+
+# -- (f) event budgets and tagger coverage ------------------------------------------
+#
+# ``schedule()`` calls are the engine events a request costs, start to finish:
+# submitted at offset 1 000 on a quiet cluster (no probe before 10 000; an
+# idle 8 000 cycles cost 0), counted until 9 000 — the answer, the transport
+# ACKs and the attempt's own 4 000-cycle time box all fall inside.
+
+
+def request_cost(act):
+    rig = Rig(engine=CountingEngine(), retry=RetryPolicy(**QUICK))
+    rig.at(1_000)
+    before = rig.engine.schedules
+    act(rig)
+    rig.at(9_000)
+    assert all(row[2] is not None and row[2][0] == "ok"
+               for row in rig.table().values())
+    return rig.engine.schedules - before
+
+
+def test_event_budget_of_one_served_echo_read():
+    assert request_cost(lambda rig: None) == 0
+    assert request_cost(lambda rig: rig.submit("e", "echo", body={"x": 1})) \
+        == ECHO_READ_SCHEDULES
+
+
+def test_event_budget_of_one_kv_write_with_one_fan_out_copy():
+    assert request_cost(lambda rig: rig.write("w", 2, "v")) \
+        == KV_WRITE_ONE_COPY_SCHEDULES
+
+
+#: captured on the parent of ISSUE 24 (the event-and-process front-end)
+ECHO_READ_SCHEDULES = 59
+KV_WRITE_ONE_COPY_SCHEDULES = 111
+
+
+def test_requests_and_probes_book_to_serve_and_prober():
+    """``perf.trace``'s tagger over two probe rounds and a few requests: the
+    two hot kinds ``perf/trace.py`` keys on still own engine events."""
+    engine = TaggingEngine()
+    rig = Rig(engine=engine, retry=RetryPolicy(**QUICK))
+    engine.layers.clear()  # boot, deploy and the front-end's start-up
+    engine.kinds.clear()
+    rig.at(1_000).read("r", 2)
+    rig.write("w", 0, "v")
+    rig.submit("e", "echo", body={"x": 1})
+    rig.at(25_000)
+    assert {row[2][0] for row in rig.table().values()} == {"ok"}
+    assert engine.kinds["cluster.frontend_serve"] > 0, engine.kinds
+    assert engine.kinds["cluster.frontend_prober"] > 0, engine.kinds
+    assert engine.layers["cluster"] > 0
