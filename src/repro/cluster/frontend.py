@@ -13,16 +13,21 @@ sits between clients and the FPGAs:
   reports (``fault_manager.on_fault`` fires the cycle a tile drains, so
   a dead FPGA's queued requests fail over immediately instead of waiting
   out a timeout);
-* **failover** — each request runs under a :class:`~repro.policy.RetryPolicy`;
-  a failed attempt rotates to the next replica (sharded) or another
-  instance (stateless).  Writes to sharded services fan out to every
-  healthy replica so the failover target has the data (handlers must be
-  idempotent — retried writes may be re-applied);
+* **failover** — each request runs the :class:`~repro.policy.RetryPolicy`
+  loop in its own ``_serve`` process; a failed attempt rotates to the next
+  replica (sharded) or another instance (stateless).  Writes to sharded
+  services fan out to every healthy replica so the failover target has
+  the data (handlers must be idempotent — retried writes may be
+  re-applied);
 * **admission control** — a bounded in-flight budget; excess requests
   get an immediate ``{"rejected": True}`` reply instead of queueing
   without bound (the difference between a p99 and a death spiral);
 * **batching** — per-instance queues flushed as ``("batch", ...)``
   envelopes, amortizing transport round-trips under load.
+
+Two records carry it: a :class:`BackendHealth` per instance and an
+``_awaiting`` entry per attempt, which only ``_resolve`` takes out again
+(DESIGN.md "Cluster layer" has the two same-cycle orderings that matter).
 
 Tracing: when the cluster's shared recorder is enabled, each request
 opens ``frontend:<service>`` with one ``forward:<instance>`` child per
@@ -34,7 +39,8 @@ the cross-FPGA critical path end to end.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.directory import ServiceInstance, ServiceSpec
 from repro.errors import ConfigError, ServiceUnavailable
@@ -42,24 +48,41 @@ from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.policy import RetryPolicy
 from repro.sim import Event, StatsRegistry
 
-__all__ = ["FRONTEND_PORT", "BackendHealth", "FrontEnd"]
+__all__ = ["FRONTEND_MAC", "FRONTEND_PORT", "BackendHealth", "FrontEnd"]
 
-#: the well-known port clients address their requests to
+#: the front-end's fabric address and the well-known port clients use
+FRONTEND_MAC = "frontend"
 FRONTEND_PORT = 7000
+#: a flush carries up to BATCH_SIZE attempts; a shorter queue is given
+#: BATCH_WINDOW cycles to fill first
+BATCH_SIZE = 4
+BATCH_WINDOW = 200
+#: cycles between liveness pings, and how long a ping may go unanswered
+PROBE_INTERVAL = 10_000
 
 
 class BackendHealth:
-    """Liveness ledger for one service instance."""
+    """Everything the front-end keeps about one service instance: where it
+    lives, its liveness ledger and the batch queue its flusher drains."""
 
     #: consecutive unanswered probes/attempts before an instance is dead
     DEAD_AFTER = 3
 
-    __slots__ = ("misses", "outstanding", "served", "probes_sent",
+    __slots__ = ("inst", "mac", "queue", "kick", "probes_stuck", "retired",
+                 "misses", "outstanding", "served", "probes_sent",
                  "probe_misses")
 
-    def __init__(self) -> None:
+    def __init__(self, inst: ServiceInstance, mac: str) -> None:
+        self.inst = inst
+        self.mac = mac  # its board's address on the fabric
+        #: (irid, body, nbytes) attempts waiting for the next batch
+        self.queue: List[Tuple[int, Any, int]] = []
+        #: what the flusher is parked on while the queue is empty
+        self.kick: Optional[Event] = None
+        self.probes_stuck = 0  # probes the transport has not got acked yet
+        self.retired = False
         self.misses = 0
-        self.outstanding = 0  # requests dispatched, not yet resolved
+        self.outstanding = 0  # attempts dispatched, not yet resolved
         self.served = 0
         self.probes_sent = 0
         self.probe_misses = 0
@@ -68,17 +91,6 @@ class BackendHealth:
     def healthy(self) -> bool:
         return self.misses < self.DEAD_AFTER
 
-    def mark_ok(self) -> None:
-        """Any response — data or pong — proves the instance alive."""
-        self.misses = 0
-
-    def mark_miss(self) -> None:
-        self.misses += 1
-
-    def mark_dead(self) -> None:
-        """Kernel-reported fault: skip the probation period."""
-        self.misses = max(self.misses, self.DEAD_AFTER)
-
 
 class FrontEnd:
     """Health-aware, admission-controlled entry point for the cluster."""
@@ -86,19 +98,13 @@ class FrontEnd:
     def __init__(
         self,
         cluster,
-        mac: str = "frontend",
         max_pending: int = 64,
-        batch_size: int = 4,
-        batch_window: int = 200,
         retry: Optional[RetryPolicy] = None,
-        heartbeat_interval: int = 10_000,
         max_backlog: int = 256,
         queue_deadline: int = 120_000,
     ):
         if max_pending < 1:
             raise ConfigError(f"max_pending must be >= 1, got {max_pending}")
-        if batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
         if max_backlog < 0:
             raise ConfigError(f"max_backlog must be >= 0, got {max_backlog}")
         if queue_deadline < 0:
@@ -106,44 +112,36 @@ class FrontEnd:
                 f"queue_deadline must be >= 0, got {queue_deadline}")
         self.cluster = cluster
         self.engine = cluster.engine
-        self.fabric = cluster.fabric
         self.directory = cluster.directory
         self.spans = cluster.spans
-        self.mac = mac
         self.max_pending = max_pending
-        self.batch_size = batch_size
-        self.batch_window = batch_window
         self.retry = retry if retry is not None else RetryPolicy(
             deadline=300_000, attempt_timeout=30_000,
             backoff_base=200, backoff_cap=2_000,
         )
-        self.heartbeat_interval = heartbeat_interval
         self.max_backlog = max_backlog
         self.queue_deadline = queue_deadline
 
         self.mux = ReliableMux(
-            self.engine, self.fabric.transmit, mac, self._on_payload,
-            window=HOST_WINDOW, timeout=HOST_TIMEOUT, name=f"fe.{mac}")
+            self.engine, cluster.fabric.transmit, FRONTEND_MAC,
+            self._on_payload, window=HOST_WINDOW, timeout=HOST_TIMEOUT,
+            name=f"fe.{FRONTEND_MAC}")
         self._irid = itertools.count(1)
-        #: internal request id -> (waiter event, instance iid, kind);
-        #: kind is "req" (a client waits), "repl" (fire-and-forget write
-        #: replication — nobody waits, but losses must be *counted*), or
-        #: "probe" (health ping)
-        self._awaiting: Dict[int, Tuple[Event, str, str]] = {}
-        self._queues: Dict[str, List[Tuple[int, Any, int]]] = {}
-        self._kicks: Dict[str, Event] = {}
-        self._probe_stuck: Dict[str, int] = {}
+        #: one record per attempt in flight: internal request id ->
+        #: (backend, waiter, kind, forward span); kind is "req" (a client
+        #: waits), "repl" (fire-and-forget write replication — nobody
+        #: waits, no waiter, but losses must be *counted*) or "probe"
+        #: (health ping).  Only :meth:`_resolve` takes entries out.
+        self._awaiting: Dict[int, Tuple] = {}
         self._bid = itertools.count(1)
+        #: one record per backend — the only per-instance table; a retired
+        #: instance keeps its row (and is therefore never tracked again)
         self.health: Dict[str, BackendHealth] = {}
-        self._tracked: Dict[str, ServiceInstance] = {}
-        self._retired: set = set()
 
         #: the open-loop submit queue: (submitted_at, srid, req, on_done)
-        self._backlog: List[
-            Tuple[int, int, Dict[str, Any], Optional[Callable]]] = []
+        self._backlog: Deque[Tuple] = deque()
         self._srid = itertools.count(1)
-        self._dispatch_kick: Optional[Event] = None
-        self._dispatcher_started = False
+        self._draining = False  # a _drain_backlog call is already due
 
         self.inflight = 0
         self.requests_admitted = 0
@@ -158,7 +156,7 @@ class FrontEnd:
         #: the satellite-1 divergence signal for the legacy fan-out path)
         self.stats = StatsRegistry()
 
-        self.fabric.attach(mac, self.mux.deliver_frame)
+        cluster.fabric.attach(FRONTEND_MAC, self.mux.deliver_frame)
         cluster.register_fault_listener(self)
         self.track_all()
 
@@ -172,18 +170,15 @@ class FrontEnd:
         """
         for spec in self.directory.services.values():
             for inst in spec.instances:
-                self._track(inst)
-
-    def _track(self, inst: ServiceInstance) -> None:
-        iid = inst.iid
-        if iid in self._tracked or iid in self._retired:
-            return
-        self._tracked[iid] = inst
-        self.health[iid] = BackendHealth()
-        self._queues[iid] = []
-        self._probe_stuck[iid] = 0
-        self.engine.process(self._flusher(inst), name=f"fe.flush.{iid}")
-        self.engine.process(self._prober(inst), name=f"fe.probe.{iid}")
+                iid = inst.iid
+                if iid in self.health:
+                    continue
+                backend = self.health[iid] = BackendHealth(
+                    inst, self.cluster.mac(inst.fpga))
+                self.engine.process(self._flusher(backend),
+                                    name=f"fe.flush.{iid}")
+                self.engine.process(self._prober(backend),
+                                    name=f"fe.probe.{iid}")
 
     def retire(self, iid: str) -> None:
         """Stop tracking an instance removed by a scale-down.
@@ -193,14 +188,14 @@ class FrontEnd:
         the retry policy re-routes to surviving replicas.  Permanent:
         replica ids are never reused, so a retired iid never comes back.
         """
-        if iid not in self._tracked:
+        backend = self.health.get(iid)
+        if backend is None or backend.retired:
             return
-        self._retired.add(iid)
-        self._tracked.pop(iid, None)
-        self._fail_instance(iid, "retired by scale-down")
+        backend.retired = True
+        self._fail_instance(backend, "retired by scale-down")
         # wake a flusher parked on its kick event so it can exit
-        kick = self._kicks.pop(iid, None)
-        if kick is not None and not kick.triggered:
+        kick, backend.kick = backend.kick, None
+        if kick is not None:
             kick.succeed(None)
 
     def on_board_fault(self, fpga: int, node: int, action: str,
@@ -211,32 +206,21 @@ class FrontEnd:
         if action != "drained":
             return  # a killed context leaves the instance serving
         for inst in self.directory.instances_on(fpga, node=node):
-            self._fail_instance(inst.iid, f"{endpoint} drained")
+            backend = self.health.get(inst.iid)
+            if backend is not None:
+                self._fail_instance(backend, f"{endpoint} drained")
 
-    def _fail_instance(self, iid: str, why: str) -> None:
-        """Kernel said this instance is gone: fail its pending work now."""
-        health = self.health.get(iid)
-        if health is None:
-            return
-        health.mark_dead()
-        queue = self._queues.get(iid, [])
-        dead = [irid for irid, _body, _nb in queue]
-        del queue[:]
-        dead += [irid for irid, (_ev, owner, _kind) in self._awaiting.items()
-                 if owner == iid]
+    def _fail_instance(self, backend: BackendHealth, why: str) -> None:
+        """Kernel said this instance is gone: fail its pending work now —
+        what is still queued first, then what is on the wire."""
+        # a kernel-reported fault skips the probation period
+        backend.misses = max(backend.misses, backend.DEAD_AFTER)
+        dead = [irid for irid, _body, _nb in backend.queue]
+        del backend.queue[:]
+        dead += [irid for irid, entry in self._awaiting.items()
+                 if entry[0] is backend]
         for irid in dead:
-            entry = self._awaiting.pop(irid, None)
-            if entry is not None:
-                waiter, _owner, kind = entry
-                health.outstanding -= 1
-                if kind == "repl":
-                    # nobody waits on a fire-and-forget replica write, but
-                    # a silent drop here is exactly how replicas diverge —
-                    # count it where operators can see it
-                    self.stats.counter("frontend.writes_unreplicated").inc()
-                    continue
-                if not waiter.triggered:
-                    waiter.fail(ServiceUnavailable(f"{iid} down: {why}"))
+            self._resolve(irid, error=f"down: {why}")
 
     # -- fabric plumbing ---------------------------------------------------
 
@@ -249,42 +233,61 @@ class FrontEnd:
         if tag == "req":
             self._admit(peer_mac, rid, body)
         elif tag == "resp":
-            self._complete(rid, body)
+            self._resolve(rid, body)
         elif tag == "batchresp":
             for irid, out_body, _nbytes in body:
-                self._complete(irid, out_body)
+                self._resolve(irid, out_body)
 
-    def _complete(self, irid: int, body: Any) -> None:
+    def _resolve(self, irid: int, body: Any = None,
+                 error: Optional[str] = None, missed: bool = False) -> None:
+        """The one way out of ``_awaiting``, and the only place an
+        instance's ``outstanding`` goes down.
+
+        Called with a ``body`` when the instance answered, with ``error``
+        when it did not: its time box ran out (``missed`` — that charges
+        a health miss) or the kernel / a retire took the instance away.
+        Whichever comes first wins; every later call finds no entry (a
+        late response to an abandoned attempt, a time box that outlived
+        its answer) and does nothing.
+        """
         entry = self._awaiting.pop(irid, None)
         if entry is None:
-            return  # late response to an abandoned attempt
-        waiter, iid, _kind = entry
-        health = self.health[iid]
-        health.mark_ok()
-        health.outstanding -= 1
-        health.served += 1
-        if isinstance(body, dict) and "_chain_nack" in body:
-            # the member answered but refused (not head/tail, fenced,
-            # unconfigured): the node is *healthy*, the routing is stale —
-            # fail the attempt so the retry re-resolves the chain
-            self.chain_nacks += 1
-            self.stats.counter("frontend.chain_nacks").inc()
-            if not waiter.triggered:
-                waiter.fail(ServiceUnavailable(
-                    f"{iid} refused: {body['_chain_nack']}"))
             return
-        if not waiter.triggered:
+        backend, waiter, kind, span = entry
+        backend.outstanding -= 1
+        if error is None:
+            backend.misses = 0  # any response, data or pong, proves it alive
+            backend.served += 1
+            if isinstance(body, dict) and "_chain_nack" in body:
+                # the member answered but refused (not head/tail, fenced,
+                # unconfigured): the node is *healthy*, the routing stale —
+                # fail the attempt so the retry re-resolves the chain
+                self.chain_nacks += 1
+                self.stats.counter("frontend.chain_nacks").inc()
+                error = f"refused: {body['_chain_nack']}"
+        elif kind == "repl":
+            # nobody waits on a fire-and-forget replica write, but a silent
+            # drop — the replica died, or never acked within a full attempt
+            # timeout — is exactly how replicas diverge: count it where
+            # operators see it.  No miss (the primary path owns health).
+            self.stats.counter("frontend.writes_unreplicated").inc()
+        elif missed:
+            backend.misses += 1
+        if span:
+            detail = ({"timed_out": True} if missed
+                      else {"failed": error is not None})
+            self.spans.close(span, self.engine.now, **detail)
+        if waiter is None:
+            return
+        if error is None:
             waiter.succeed(body)
+        else:
+            waiter.fail(ServiceUnavailable(f"{backend.inst.iid} {error}"))
 
-    def _abandon(self, irid: int) -> None:
-        """Per-attempt timeout fired: stop waiting, count the miss."""
-        entry = self._awaiting.pop(irid, None)
-        if entry is None:
-            return
-        _waiter, iid, _kind = entry
-        health = self.health[iid]
-        health.outstanding -= 1
-        health.mark_miss()
+    def _expire(self, attempt: Tuple[int, int]) -> None:
+        """An attempt's time box ran out (a no-op if it was resolved)."""
+        irid, timeout = attempt
+        self._resolve(irid, error=f"did not answer in {timeout}", missed=True)
 
     # -- open-loop submission ---------------------------------------------
 
@@ -296,8 +299,8 @@ class FrontEnd:
         """Fire-and-record entry point for open-loop traffic generators.
 
         Never blocks and never back-pressures the caller: the request
-        lands in a bounded backlog and a dispatcher process admits from
-        it as in-flight slots free up.  Three distinct outcomes:
+        lands in a bounded backlog that is drained as in-flight slots
+        free up.  Three distinct outcomes:
 
         * **served** — dispatched within ``queue_deadline``; ``on_done``
           gets the same reply body a fabric client would (``{"ok": ...}``,
@@ -321,10 +324,7 @@ class FrontEnd:
             return False
         self._backlog.append((self.engine.now, next(self._srid), req,
                               on_done))
-        if not self._dispatcher_started:
-            self._dispatcher_started = True
-            self.engine.process(self._dispatcher(), name="fe.dispatch")
-        self._wake_dispatcher()
+        self._wake_backlog()
         return True
 
     def backlog_depth(self, service: Optional[str] = None) -> int:
@@ -336,70 +336,67 @@ class FrontEnd:
         return sum(1 for _at, _srid, req, _cb in self._backlog
                    if req["service"] == service)
 
-    def _wake_dispatcher(self) -> None:
-        kick = self._dispatch_kick
-        if kick is not None and not kick.triggered:
-            self._dispatch_kick = None
-            kick.succeed(None)
+    def _wake_backlog(self) -> None:
+        """Admission is one deferred call, a ring hop after the submit (or
+        the freed slot) that asked for it — never inside ``submit``: a
+        same-cycle burst must meet the backlog bound, not the in-flight one."""
+        if self._backlog and not self._draining:
+            self._draining = True
+            self.engine.schedule(0, self._drain_backlog)
 
-    def _dispatcher(self):
-        """Admit from the backlog whenever in-flight slots free up."""
-        while True:
-            while self._backlog and self.inflight < self.max_pending:
-                submitted_at, srid, req, on_done = self._backlog.pop(0)
-                reply = self._submit_reply(on_done)
-                waited = self.engine.now - submitted_at
-                if waited > self.queue_deadline:
-                    # sustained overload: the slot freed up too late —
-                    # this is an admission reject, not a silent drop
-                    self.requests_rejected += 1
-                    self.stats.counter(
-                        "frontend.queue_deadline_rejects").inc()
-                    self._observe_slo(req["service"], None, False,
-                                      req.get("tenant"))
-                    reply({"ok": False, "rejected": True})
-                    continue
-                self.inflight += 1
-                self.requests_admitted += 1
-                self.engine.process(
-                    self._serve(reply, "submit", srid, req,
-                                t0=submitted_at),
-                    name=f"fe.submit.{srid}")
-            kick = self.engine.event("fe.dispatch.kick")
-            self._dispatch_kick = kick
-            yield kick
-
-    def _submit_reply(self, on_done: Optional[Callable]) -> Callable:
-        """A reply path that lands in a callback instead of on the wire."""
-        def reply(body: Any) -> None:
-            if on_done is not None:
-                on_done(body)
-        return reply
+    def _drain_backlog(self, _arg: Any = None) -> None:
+        """Admit from the backlog while in-flight slots are free."""
+        while self._backlog and self.inflight < self.max_pending:
+            submitted_at, srid, req, on_done = self._backlog.popleft()
+            origin = (None, srid, on_done)
+            if self.engine.now - submitted_at > self.queue_deadline:
+                # sustained overload: the slot freed up too late —
+                # this is an admission reject, not a silent drop
+                self.stats.counter("frontend.queue_deadline_rejects").inc()
+                self._reject(origin, req)
+                continue
+            self.inflight += 1
+            self.requests_admitted += 1
+            # latency counts from submission, so time spent queued in the
+            # backlog counts against the SLO — open-loop honesty: the
+            # client "sent" the request at its arrival time
+            self.engine.process(self._serve(origin, req, submitted_at),
+                                name=f"fe.submit.{srid}")
+        self._draining = False
 
     # -- admission + serving ----------------------------------------------
 
     def _admit(self, client_mac: str, rid: int, req: Any) -> None:
+        origin = (client_mac, rid, None)
         if not isinstance(req, dict) or "service" not in req:
-            self._reply(client_mac, rid, {"ok": False,
-                                          "error": "malformed request"})
-            return
-        if self.inflight >= self.max_pending:
-            self.requests_rejected += 1
-            self._observe_slo(req["service"], None, False,
-                              req.get("tenant"))
-            self._reply(client_mac, rid,
-                        {"ok": False, "rejected": True})
-            return
-        self.inflight += 1
-        self.requests_admitted += 1
-        reply = self._fabric_reply(client_mac, rid)
-        self.engine.process(self._serve(reply, client_mac, rid, req),
-                            name=f"fe.serve.{rid}")
+            self._answer(origin, {"ok": False, "error": "malformed request"})
+        elif self.inflight >= self.max_pending:
+            self._reject(origin, req)
+        else:
+            self.inflight += 1
+            self.requests_admitted += 1
+            self.engine.process(self._serve(origin, req, self.engine.now),
+                                name=f"fe.serve.{rid}")
 
-    def _fabric_reply(self, client_mac: str, rid: int) -> Callable:
-        def reply(body: Any) -> None:
-            self._reply(client_mac, rid, body)
-        return reply
+    def _reject(self, origin: Tuple, req: Dict[str, Any]) -> None:
+        self.requests_rejected += 1
+        self._observe_slo(req["service"], None, False, req.get("tenant"))
+        self._answer(origin, {"ok": False, "rejected": True})
+
+    def _answer(self, origin: Tuple, body: Dict[str, Any]) -> None:
+        """A request's ``origin`` says where its answer goes: over the
+        fabric, or (no ``client_mac``: the submit path) into ``on_done``."""
+        client_mac, rid, on_done = origin
+        if client_mac is None:
+            if on_done is not None:
+                on_done(body)
+            return
+        self.responses_sent += 1
+        self.mux.peer(client_mac).send(
+            {"port": FRONTEND_PORT, "data": ("resp", rid, body),
+             "src_mac": FRONTEND_MAC},
+            payload_bytes=64,
+        )
 
     def _observe_slo(self, service: str, latency: Optional[int],
                      ok: bool, tenant: Optional[str]) -> None:
@@ -413,45 +410,47 @@ class FrontEnd:
             slo.observe(service, latency, ok, self.engine.now,
                         tenant=tenant)
 
-    def _serve(self, reply: Callable, origin: str, rid: int,
-               req: Dict[str, Any], t0: Optional[int] = None):
+    def _finish(self, origin: Tuple, req: Dict[str, Any],
+                body: Dict[str, Any], latency: Optional[int] = None,
+                root: int = 0) -> None:
+        """The one exit of an admitted request: free its slot, score it,
+        let the backlog at the slot, answer."""
+        ok = body["ok"]
+        self.inflight -= 1
+        if not ok:
+            self.requests_failed += 1
+        self._observe_slo(req["service"], latency, ok, req.get("tenant"))
+        if root:
+            self.spans.close(root, self.engine.now, failed=not ok)
+        self._wake_backlog()
+        self._answer(origin, body)
+
+    def _serve(self, origin: Tuple, req: Dict[str, Any], start: int):
+        """One admitted request, routing to answer; the retry loop runs in
+        this generator, so every attempt is this process's own event."""
         service = req["service"]
-        tenant = req.get("tenant")
-        # submit-path requests measure latency from submission, so time
-        # spent queued in the backlog counts against the SLO — open-loop
-        # honesty: the client "sent" the request at its arrival time
-        start = t0 if t0 is not None else self.engine.now
+        key = req.get("key")
         try:
             spec = self.directory.spec(service)
+            if spec.chained and key is None:
+                raise ConfigError(
+                    f"chained service {service!r} requires a key")
         except ConfigError as err:
-            self.inflight -= 1
-            self.requests_failed += 1
-            self._observe_slo(service, None, False, tenant)
-            self._wake_dispatcher()
-            reply({"ok": False, "error": str(err)})
+            self._finish(origin, req, {"ok": False, "error": str(err)})
             return
-        key = req.get("key")
         is_write = bool(req.get("write"))
-        if spec.chained and key is None:
-            self.inflight -= 1
-            self.requests_failed += 1
-            self._observe_slo(service, None, False, tenant)
-            self._wake_dispatcher()
-            reply({
-                "ok": False,
-                "error": f"chained service {service!r} requires a key"})
-            return
         candidates = spec.candidates(key)
         trace_id = root = 0
         if self.spans.enabled:
             trace_id = self.spans.new_trace()
             root = self.spans.open(trace_id, f"frontend:{service}",
-                                   "cluster", self.mac, self.engine.now,
+                                   "cluster", FRONTEND_MAC, self.engine.now,
                                    service=service, key=key)
         rotation = itertools.count()
         # a stable write id across this request's *frontend* attempts:
         # the chain head dedups retried writes it already logged
-        wid = f"{origin}#{rid}" if (spec.chained and is_write) else None
+        wid = (f"{origin[0] or 'submit'}#{origin[1]}"
+               if (spec.chained and is_write) else None)
 
         def attempt(attempt_timeout: int) -> Event:
             if spec.chained:
@@ -464,27 +463,16 @@ class FrontEnd:
         def count_failover() -> None:
             self.failovers += 1
 
-        done = self.retry.drive(
-            self.engine, attempt, retry_on=(ServiceUnavailable,),
-            describe=f"route {service!r}", on_retry=count_failover,
-            name=f"fe.route.{rid}",
-        )
-        failed = False
         try:
-            out_body = yield done
-        except BaseException as err:
-            failed = True
-            self.requests_failed += 1
-            reply({"ok": False, "error": str(err)})
-        else:
-            reply({"ok": True, "body": out_body})
-        finally:
-            self.inflight -= 1
-            self._observe_slo(service, self.engine.now - start,
-                              not failed, tenant)
-            self._wake_dispatcher()
-            if root:
-                self.spans.close(root, self.engine.now, failed=failed)
+            out_body = yield from self.retry.attempts(
+                self.engine, attempt, (ServiceUnavailable,),
+                f"route {service!r}", count_failover)
+            body = {"ok": True, "body": out_body}
+        except Exception as err:  # not BaseException: a closed generator
+            # (GeneratorExit) is not a failed request and answers nobody
+            body = {"ok": False, "error": str(err)}
+        self._finish(origin, req, body, latency=self.engine.now - start,
+                     root=root)
 
     def _pick(self, spec: ServiceSpec, candidates: List[ServiceInstance],
               rotation: int) -> ServiceInstance:
@@ -533,54 +521,31 @@ class FrontEnd:
                   req: Dict[str, Any], attempt_timeout: int,
                   trace_id: int, root: int,
                   wid: Optional[str] = None) -> Event:
-        """Queue one attempt on ``inst``; event resolves with the body."""
+        """Queue one attempt on ``inst``; the waiter resolves with the
+        body, or fails when the attempt is refused, times out or loses
+        its instance (the ``forward:`` span closes with it)."""
         fwd = 0
         if trace_id:
             fwd = self.spans.open(trace_id, f"forward:{inst.iid}",
-                                  "cluster", self.mac, self.engine.now,
+                                  "cluster", FRONTEND_MAC, self.engine.now,
                                   parent_id=root, fpga=inst.fpga,
                                   node=inst.node)
         nbytes = int(req.get("nbytes", 64))
-        irid, inner = self._enqueue(inst,
-                                    self._wire_body(req, trace_id, fwd,
-                                                    wid=wid),
-                                    nbytes)
+        waiter = self._enqueue(self.health[inst.iid], "req",
+                               self._wire_body(req, trace_id, fwd, wid=wid),
+                               nbytes, attempt_timeout, span=fwd)
         if req.get("write") and spec.sharded and not spec.chained:
             # legacy best-effort replication (the client's ack is the
             # addressed replica's alone; chained services replicate
             # through the chain instead and never take this path)
             for other in spec.candidates(req.get("key")):
-                if other.iid != inst.iid and self.health[other.iid].healthy:
-                    self._enqueue(other,
+                peer = self.health[other.iid]
+                if other.iid != inst.iid and peer.healthy:
+                    # time-boxed too: no bookkeeping lingers if it dies
+                    self._enqueue(peer, "repl",
                                   self._wire_body(req, trace_id, fwd),
-                                  nbytes, fire_and_forget=True)
-        outer = self.engine.event(f"fe.attempt.{inst.iid}")
-
-        def settle(ev: Event) -> None:
-            if fwd:
-                self.spans.close(fwd, self.engine.now, failed=ev.failed)
-            if outer.triggered:
-                return
-            if ev.failed:
-                outer.fail(ev.value)
-            else:
-                outer.succeed(ev.value)
-
-        inner.add_callback(settle)
-
-        def expire(_ev: Event) -> None:
-            if inner.triggered:
-                return
-            self._abandon(irid)
-            if fwd:
-                self.spans.close(fwd, self.engine.now, timed_out=True)
-            if not outer.triggered:
-                outer.fail(ServiceUnavailable(
-                    f"{inst.iid} did not answer in {attempt_timeout}"
-                ))
-
-        self.engine.timeout(attempt_timeout).add_callback(expire)
-        return outer
+                                  nbytes, self.retry.attempt_timeout)
+        return waiter
 
     @staticmethod
     def _wire_body(req: Dict[str, Any], trace_id: int, span: int,
@@ -594,55 +559,38 @@ class FrontEnd:
                 body["_wid"] = wid
         return body
 
-    def _enqueue(self, inst: ServiceInstance, body: Any, nbytes: int,
-                 fire_and_forget: bool = False) -> Tuple[int, Event]:
+    def _enqueue(self, backend: BackendHealth, kind: str, body: Any,
+                 nbytes: int, timeout: int, span: int = 0) -> Optional[Event]:
+        """One attempt: its record, its place in the instance's batch queue
+        and its time box — one heap entry, no event of its own."""
         irid = next(self._irid)
-        waiter = self.engine.event(f"fe.req#{irid}")
-        kind = "repl" if fire_and_forget else "req"
-        self._awaiting[irid] = (waiter, inst.iid, kind)
-        self.health[inst.iid].outstanding += 1
-        self._queues[inst.iid].append((irid, body, nbytes))
-        kick = self._kicks.pop(inst.iid, None)
-        if kick is not None and not kick.triggered:
+        waiter = (None if kind == "repl"
+                  else self.engine.event(f"fe.req#{irid}"))
+        self._awaiting[irid] = (backend, waiter, kind, span)
+        backend.outstanding += 1
+        backend.queue.append((irid, body, nbytes))
+        kick, backend.kick = backend.kick, None
+        if kick is not None:
             kick.succeed(None)
-        if fire_and_forget:
-            # cap how long the bookkeeping lingers if the replica dies
-            self.engine.timeout(self.retry.attempt_timeout).add_callback(
-                lambda _ev, r=irid: self._abandon_quietly(r))
-        return irid, waiter
-
-    def _abandon_quietly(self, irid: int) -> None:
-        """Timebox a fire-and-forget replica write.
-
-        Still pending after a full attempt timeout means the replica
-        never acked it — the write is, as far as anyone can prove,
-        unreplicated.  The old code dropped this on the floor; divergence
-        between replicas was invisible until a failover served stale
-        data.  No health miss is charged (the primary path owns health).
-        """
-        entry = self._awaiting.pop(irid, None)
-        if entry is not None:
-            self.health[entry[1]].outstanding -= 1
-            self.stats.counter("frontend.writes_unreplicated").inc()
+        self.engine.schedule(timeout, self._expire, (irid, timeout))
+        return waiter
 
     # -- per-instance batching + probing ----------------------------------
 
-    def _flusher(self, inst: ServiceInstance):
+    def _flusher(self, backend: BackendHealth):
         """Drain one instance's queue as batch envelopes."""
-        iid = inst.iid
-        queue = self._queues[iid]
-        mac = self.cluster.mac(inst.fpga)
+        inst = backend.inst
+        queue = backend.queue
         while True:
-            if iid in self._retired:
+            if backend.retired:
                 return
             if not queue:
-                kick = self.engine.event(f"fe.kick.{iid}")
-                self._kicks[iid] = kick
-                yield kick
-            if len(queue) < self.batch_size and self.batch_window > 0:
-                yield self.batch_window  # brief accumulation window
-            take = queue[:self.batch_size]
-            del queue[:self.batch_size]
+                backend.kick = self.engine.event(f"fe.kick.{inst.iid}")
+                yield backend.kick
+            if len(queue) < BATCH_SIZE:
+                yield BATCH_WINDOW  # brief accumulation window
+            take = queue[:BATCH_SIZE]
+            del queue[:BATCH_SIZE]
             # entries may have been failed over while we accumulated
             take = [(irid, body, nb) for irid, body, nb in take
                     if irid in self._awaiting]
@@ -651,9 +599,9 @@ class FrontEnd:
             bid = next(self._bid)
             entries = [(irid, body) for irid, body, _nb in take]
             nbytes = sum(nb for _irid, _body, nb in take) + 16 * len(take)
-            sent = self.mux.peer(mac).send(
+            sent = self.mux.peer(backend.mac).send(
                 {"port": inst.port, "data": ("batch", bid, entries),
-                 "src_mac": self.mac},
+                 "src_mac": FRONTEND_MAC},
                 payload_bytes=max(64, nbytes),
             )
             self.batches_sent += 1
@@ -661,32 +609,41 @@ class FrontEnd:
             yield self.engine.any_of(
                 [sent, self.engine.timeout(self.mux.timeout)])
 
-    def _prober(self, inst: ServiceInstance):
-        """Periodic liveness pings (answered without handler cost)."""
-        iid = inst.iid
-        mac = self.cluster.mac(inst.fpga)
-        health = self.health[iid]
+    def _prober(self, backend: BackendHealth):
+        """Periodic liveness pings (answered without handler cost).
+
+        The expiry stays an ``any_of`` on purpose: it acts two ring hops
+        into its cycle, after same-cycle timer resumes — the autoscaler
+        samples ``outstanding`` (which counts in-flight probes) on the
+        grid the probes of replicas it just added expire on, and must
+        keep seeing them (DESIGN.md "Cluster layer", ordering rule b).
+        """
+        inst = backend.inst
+
+        def unstick(_sent: Event) -> None:
+            backend.probes_stuck -= 1
+
         while True:
-            yield self.heartbeat_interval
-            if iid in self._retired:
+            yield PROBE_INTERVAL
+            if backend.retired:
                 return
-            if self._probe_stuck[iid] >= 2:
+            if backend.probes_stuck >= 2:
                 # transport to this board is wedged (detached MAC):
                 # further probes would only pile up in the send window
                 continue
             irid = next(self._irid)
             waiter = self.engine.event(f"fe.probe#{irid}")
-            self._awaiting[irid] = (waiter, iid, "probe")
-            health.outstanding += 1
-            health.probes_sent += 1
-            self._probe_stuck[iid] += 1
-            sent = self.mux.peer(mac).send(
+            self._awaiting[irid] = (backend, waiter, "probe", 0)
+            backend.outstanding += 1
+            backend.probes_sent += 1
+            backend.probes_stuck += 1
+            sent = self.mux.peer(backend.mac).send(
                 {"port": inst.port, "data": ("req", irid, {"op": "ping"}),
-                 "src_mac": self.mac},
+                 "src_mac": FRONTEND_MAC},
                 payload_bytes=16,
             )
-            sent.add_callback(lambda _ev, i=iid: self._probe_unstick(i))
-            expire = self.engine.timeout(self.heartbeat_interval)
+            sent.add_callback(unstick)
+            expire = self.engine.timeout(PROBE_INTERVAL)
             try:
                 yield self.engine.any_of([waiter, expire])
             except ServiceUnavailable:
@@ -694,27 +651,8 @@ class FrontEnd:
                 # waiter); the bookkeeping is already cleaned up
                 continue
             if not waiter.triggered:
-                self._abandon(irid)
-                health.probe_misses += 1
-
-    def _probe_unstick(self, iid: str) -> None:
-        self._probe_stuck[iid] -= 1
-
-    # -- client replies ----------------------------------------------------
-
-    def _reply(self, client_mac: str, rid: int, body: Any) -> None:
-        self.responses_sent += 1
-        self.engine.process(
-            self._send_reply(client_mac, rid, body),
-            name=f"fe.reply.{rid}",
-        )
-
-    def _send_reply(self, client_mac: str, rid: int, body: Any):
-        yield self.mux.peer(client_mac).send(
-            {"port": FRONTEND_PORT, "data": ("resp", rid, body),
-             "src_mac": self.mac},
-            payload_bytes=64,
-        )
+                self._resolve(irid, error="missed a probe", missed=True)
+                backend.probe_misses += 1
 
     # -- introspection -----------------------------------------------------
 
@@ -746,10 +684,7 @@ class FrontEnd:
 
     def health_table(self) -> Dict[str, Dict[str, Any]]:
         """Live health snapshot, keyed by instance id."""
-        return {
-            iid: {"healthy": h.healthy, "misses": h.misses,
-                  "outstanding": h.outstanding, "served": h.served,
-                  "probes_sent": h.probes_sent,
-                  "probe_misses": h.probe_misses}
-            for iid, h in self.health.items()
-        }
+        fields = ("healthy", "misses", "outstanding", "served", "probes_sent",
+                  "probe_misses")
+        return {iid: {field: getattr(backend, field) for field in fields}
+                for iid, backend in self.health.items()}

@@ -63,6 +63,50 @@ class RetryPolicy:
 
     # -- the one retry loop ------------------------------------------------
 
+    def attempts(
+        self,
+        engine: Engine,
+        attempt_fn: Callable[[int], Event],
+        retry_on: Tuple[Type[BaseException], ...],
+        describe: str = "request",
+        on_retry: Optional[Callable[[], None]] = None,
+    ):
+        """Generator: run ``attempt_fn`` under this policy from inside the
+        caller's own process (``value = yield from policy.attempts(...)``).
+
+        ``attempt_fn(timeout)`` must issue one attempt and return an event
+        that succeeds with the result or fails.  Failures in ``retry_on``
+        are retried (after backoff) until the deadline or attempt cap is
+        spent, at which point :class:`DeadlineExceeded` is raised; any
+        other failure propagates immediately (retrying e.g. a capability
+        denial never helps).  ``on_retry`` is invoked once per retried
+        failure — the hook the shell uses to count ``calls_retried``.
+        """
+        start = engine.now
+        attempt = 0
+        last_error: Optional[BaseException] = None
+        while True:
+            remaining = self.deadline - (engine.now - start)
+            out_of_attempts = (self.max_attempts is not None
+                               and attempt >= self.max_attempts)
+            if remaining <= 0 or out_of_attempts:
+                raise DeadlineExceeded(
+                    f"{describe} gave up after {attempt} attempt(s) in "
+                    f"{engine.now - start} cycles "
+                    f"(last error: {last_error})"
+                )
+            attempt += 1
+            try:
+                return (yield attempt_fn(min(self.attempt_timeout, remaining)))
+            except retry_on as err:
+                last_error = err
+                if on_retry is not None:
+                    on_retry()
+            backoff = self.backoff_for(attempt)
+            backoff = max(1, min(backoff,
+                                 self.deadline - (engine.now - start)))
+            yield backoff
+
     def drive(
         self,
         engine: Engine,
@@ -72,56 +116,19 @@ class RetryPolicy:
         on_retry: Optional[Callable[[], None]] = None,
         name: str = "",
     ) -> Event:
-        """Run ``attempt_fn`` under this policy; returns the overall event.
-
-        ``attempt_fn(timeout)`` must issue one attempt and return an event
-        that succeeds with the result or fails.  Failures in ``retry_on``
-        are retried (after backoff) until the deadline or attempt cap is
-        spent, at which point the returned event fails with
-        :class:`DeadlineExceeded`; any other failure propagates to the
-        returned event immediately (retrying e.g. a capability denial
-        never helps).  ``on_retry`` is invoked once per retried failure —
-        the hook the shell uses to count ``calls_retried``.
-        """
+        """:meth:`attempts` in a process of its own: the returned event
+        succeeds with the value or fails with what the loop raised (a
+        closed process answers nobody — ``GeneratorExit`` is no outcome)."""
         result = engine.event(name or f"retry.{describe}")
-        engine.process(self._loop(engine, attempt_fn, retry_on, describe,
-                                  on_retry, result),
-                       name=name or f"retry.{describe}")
-        return result
 
-    def _loop(self, engine, attempt_fn, retry_on, describe, on_retry,
-              result: Event):
-        start = engine.now
-        attempt = 0
-        last_error: Optional[BaseException] = None
-        while True:
-            remaining = self.deadline - (engine.now - start)
-            out_of_attempts = (self.max_attempts is not None
-                               and attempt >= self.max_attempts)
-            if remaining <= 0 or out_of_attempts:
-                if not result.triggered:
-                    result.fail(DeadlineExceeded(
-                        f"{describe} gave up after {attempt} attempt(s) in "
-                        f"{engine.now - start} cycles "
-                        f"(last error: {last_error})"
-                    ))
-                return
-            attempt += 1
+        def run():
             try:
-                value = yield attempt_fn(min(self.attempt_timeout, remaining))
-            except retry_on as err:
-                last_error = err
-                if on_retry is not None:
-                    on_retry()
-            except BaseException as err:  # non-retryable: propagate now
-                if not result.triggered:
-                    result.fail(err)
-                return
+                value = yield from self.attempts(engine, attempt_fn, retry_on,
+                                                 describe, on_retry)
+            except Exception as err:
+                result.fail(err)
             else:
-                if not result.triggered:
-                    result.succeed(value)
-                return
-            backoff = self.backoff_for(attempt)
-            backoff = max(1, min(backoff,
-                                 self.deadline - (engine.now - start)))
-            yield backoff
+                result.succeed(value)
+
+        engine.process(run(), name=name or f"retry.{describe}")
+        return result

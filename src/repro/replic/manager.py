@@ -29,13 +29,12 @@ cadence, fixed RPC timeouts) so same-seed chaos campaigns byte-match.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
-from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Event
+from repro.workloads.client import RemoteClientHost
 
 __all__ = ["RepairEvent", "ReplicationManager"]
 
@@ -81,12 +80,9 @@ class ReplicationManager:
         self.repair_settle = config.repair_settle
         self.reconfig_timeout = config.reconfig_timeout
 
-        self.mux = ReliableMux(
-            self.engine, self.fabric.transmit, self.mac, self._on_payload,
-            window=HOST_WINDOW, timeout=HOST_TIMEOUT,
-            name=f"replic.{self.mac}")
-        self._rid = itertools.count(1)
-        self._pending: Dict[int, Event] = {}
+        #: the manager's face on the fabric: the one host-side request
+        #: client (rid bookkeeping, response demux, per-request timeout)
+        self.client = RemoteClientHost(self.engine, self.fabric, self.mac)
         self._managed: List[str] = []
         #: (service, shard) -> cycle the problem was first seen
         self._dirty: Dict[Tuple[str, int], int] = {}
@@ -107,43 +103,25 @@ class ReplicationManager:
         self.rpc_timeouts = 0
         self.replacements_deferred = 0
 
-        self.fabric.attach(self.mac, self.mux.deliver_frame)
         for fpga, system in enumerate(cluster.systems):
             system.fault_manager.on_fault.append(self._fault_hook(fpga))
         self.engine.process(self._repair_loop(), name="replic.repair")
         self.engine.process(self._prober(), name="replic.probe")
 
-    # -- fabric plumbing ---------------------------------------------------
-
-    def _on_payload(self, _peer_mac: str, payload: Dict[str, Any]) -> None:
-        data = payload.get("data")
-        if not (isinstance(data, tuple) and len(data) == 3
-                and data[0] == "resp"):
-            return
-        _tag, rid, body = data
-        waiter = self._pending.pop(rid, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(body)
+    # -- control RPCs ------------------------------------------------------
 
     def _rpc(self, inst, body: Dict[str, Any], nbytes: int = 64,
              timeout: Optional[int] = None):
         """Process generator: one control RPC to a chain member.
         Returns the reply body, or None on timeout (dead/partitioned)."""
-        timeout = timeout if timeout is not None else self.rpc_timeout
-        rid = next(self._rid)
-        waiter = self.engine.event(f"replic.rpc#{rid}")
-        self._pending[rid] = waiter
-        self.mux.peer(self.cluster.mac(inst.fpga)).send(
-            {"port": inst.port, "data": ("req", rid, body),
-             "src_mac": self.mac},
-            payload_bytes=max(64, nbytes),
-        )
-        yield self.engine.any_of([waiter, self.engine.timeout(timeout)])
-        if waiter.triggered:
-            return waiter.value
-        self._pending.pop(rid, None)
-        self.rpc_timeouts += 1
-        return None
+        try:
+            return (yield self.client.request(
+                self.cluster.mac(inst.fpga), inst.port, body,
+                nbytes=max(64, nbytes),
+                timeout=timeout if timeout is not None else self.rpc_timeout))
+        except ConfigError:  # the client's "request timed out"
+            self.rpc_timeouts += 1
+            return None
 
     def _rpc_retry(self, inst, body: Dict[str, Any], attempts: int = 5,
                    nbytes: int = 64, timeout: Optional[int] = None):

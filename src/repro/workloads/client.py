@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.cluster.frontend import FRONTEND_MAC, FRONTEND_PORT
 from repro.errors import ConfigError, DeadlineExceeded
 from repro.net.frame import EthernetFabric
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
@@ -125,11 +126,8 @@ class ClusterClient(RemoteClientHost):
     "rejected": True}`` when admission control sheds load.
     """
 
-    def __init__(self, engine: Engine, fabric: EthernetFabric, mac: str,
-                 frontend_mac: str = "frontend", frontend_port: int = 7000):
+    def __init__(self, engine: Engine, fabric: EthernetFabric, mac: str):
         super().__init__(engine, fabric, mac)
-        self.frontend_mac = frontend_mac
-        self.frontend_port = frontend_port
         self.ok = 0
         self.rejected = 0
         self.failed = 0
@@ -151,7 +149,7 @@ class ClusterClient(RemoteClientHost):
             req["write"] = True
         if tenant is not None:
             req["tenant"] = tenant
-        return self.request(self.frontend_mac, self.frontend_port, req,
+        return self.request(FRONTEND_MAC, FRONTEND_PORT, req,
                             nbytes=nbytes, timeout=timeout, retry=retry)
 
     def closed_loop_service(self, service: str, requests: List[Dict[str, Any]],

@@ -1,16 +1,23 @@
 """The front-end's request path, pinned request by request.
 
-Sections a-d were captured on the event-and-process implementation that
+Sections a-e were captured on the event-and-process implementation that
 preceded ISSUE 24 (an inner waiter wrapped in an outer event, a second
 retry process, a ``timeout`` event per attempt, a reply process per
 answer) and hold unchanged on the one-record-per-backend /
 one-record-per-attempt front-end that replaced it: a request is submitted,
 routed, failed over, answered, rejected or dropped on the same cycles with
 the same counters.  They are the contract of that rewrite; a literal there
-changes only with a deliberate change of simulated behaviour.  Section e
+changes only with a deliberate change of simulated behaviour.  Section f
 pins what the rewrite *did* change — the engine-event budget of a request —
 and that ``perf.trace`` still books the path to ``FrontEnd._serve`` and
 ``FrontEnd._prober``.
+
+To re-check a-e against another tree, run this file from a checkout of
+*that* tree (``tests/conftest.py`` imports ``perf``, which puts the
+checkout's own ``src/`` first on ``sys.path`` — a ``PYTHONPATH`` pointing
+elsewhere loses): ``cp tests/test_frontend_path.py <tree>/tests/ && cd
+<tree> && PYTHONPATH=src python -m pytest tests/test_frontend_path.py -k
+"not budget and not book"``.
 """
 
 from repro.apps import echo_handler_factory, kv_handler_factory
@@ -657,14 +664,20 @@ def test_event_budget_of_one_kv_write_with_one_fan_out_copy():
         == KV_WRITE_ONE_COPY_SCHEDULES
 
 
-#: captured on the parent of ISSUE 24 (the event-and-process front-end)
-ECHO_READ_SCHEDULES = 59
-KV_WRITE_ONE_COPY_SCHEDULES = 111
+#: ISSUE 24 re-pinned these once, on purpose: a read 59 -> 54 (no second
+#: retry process, no inner/outer settle hop, no loop-to-serve hop, no
+#: dispatcher wake with an empty backlog, no callback when the attempt's
+#: time box outlives its answer), a write with one copy 111 -> 105 (the
+#: same five, and the copy's time box is a bare heap entry too).
+ECHO_READ_SCHEDULES = 54
+KV_WRITE_ONE_COPY_SCHEDULES = 105
 
 
 def test_requests_and_probes_book_to_serve_and_prober():
     """``perf.trace``'s tagger over two probe rounds and a few requests: the
-    two hot kinds ``perf/trace.py`` keys on still own engine events."""
+    two hot kinds ``perf/trace.py`` keys on still own engine events, and the
+    retry loop's events are ``_serve``'s own — nothing of a served request
+    books to ``repro/policy.py`` any more."""
     engine = TaggingEngine()
     rig = Rig(engine=engine, retry=RetryPolicy(**QUICK))
     engine.layers.clear()  # boot, deploy and the front-end's start-up
@@ -677,3 +690,4 @@ def test_requests_and_probes_book_to_serve_and_prober():
     assert engine.kinds["cluster.frontend_serve"] > 0, engine.kinds
     assert engine.kinds["cluster.frontend_prober"] > 0, engine.kinds
     assert engine.layers["cluster"] > 0
+    assert engine.layers["policy"] == 0, engine.layers
