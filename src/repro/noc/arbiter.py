@@ -8,21 +8,21 @@ paper wants from prior NoC work ("quality of service guarantees", Section
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from repro.errors import ConfigError
 
 __all__ = ["RoundRobinArbiter", "WeightedArbiter", "PriorityArbiter"]
 
-T = TypeVar("T")
-
 
 class RoundRobinArbiter:
     """Rotating-priority arbiter over a fixed slot count.
 
-    :meth:`pick` selects the first requesting slot at-or-after the pointer
-    and advances the pointer past the winner — the standard hardware
-    round-robin cell.
+    The winner is the first requesting slot at-or-after the pointer,
+    wrapping to the lowest, and the pointer moves past it — the standard
+    hardware round-robin cell.  :meth:`grant` is that rule on a request
+    bitmask (what the router's switch allocator builds); :meth:`pick`
+    takes dense request lines.
     """
 
     def __init__(self, slots: int):
@@ -31,39 +31,26 @@ class RoundRobinArbiter:
         self.slots = slots
         self._pointer = 0
 
+    def grant(self, mask: int) -> int:
+        """The winning slot of a non-zero request mask (bit ``i`` = slot
+        ``i`` requests)."""
+        pointer = self._pointer
+        ahead = mask >> pointer << pointer or mask
+        slot = (ahead & -ahead).bit_length() - 1
+        self._pointer = (slot + 1) % self.slots
+        return slot
+
     def pick(self, requests: Sequence[bool]) -> Optional[int]:
         """Index of the winning slot, or ``None`` if nobody requests."""
         if len(requests) != self.slots:
             raise ConfigError(
                 f"expected {self.slots} request lines, got {len(requests)}"
             )
-        for offset in range(self.slots):
-            idx = (self._pointer + offset) % self.slots
-            if requests[idx]:
-                self._pointer = (idx + 1) % self.slots
-                return idx
-        return None
-
-    def pick_first(self, requesters: Sequence[T]) -> Optional[T]:
-        """Grant among sparse requesters (slot-sorted tuples, slot at [0]).
-
-        Same rotating-priority policy as :meth:`pick` without materialising
-        a dense request-line list: the winner is the first requester whose
-        slot is at-or-after the pointer, wrapping to the lowest slot.  The
-        router hot path hands us its (slot, ...) tuples directly.
-        """
-        if not requesters:
-            return None
-        chosen = None
-        pointer = self._pointer
-        for item in requesters:
-            if item[0] >= pointer:  # type: ignore[index]
-                chosen = item
-                break
-        if chosen is None:
-            chosen = requesters[0]
-        self._pointer = (chosen[0] + 1) % self.slots  # type: ignore[index]
-        return chosen
+        mask = 0
+        for idx, requested in enumerate(requests):
+            if requested:
+                mask |= 1 << idx
+        return self.grant(mask) if mask else None
 
 
 class PriorityArbiter:

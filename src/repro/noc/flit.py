@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import ConfigError
@@ -89,32 +89,33 @@ class Packet:
 
     def make_flits(self) -> "list[Flit]":
         """Expand the packet into its flit sequence."""
-        if self.size_flits == 1:
-            return [Flit(kind=FlitKind.HEADTAIL, packet=self, seq=0)]
-        flits = [Flit(kind=FlitKind.HEAD, packet=self, seq=0)]
-        for i in range(1, self.size_flits - 1):
-            flits.append(Flit(kind=FlitKind.BODY, packet=self, seq=i))
-        flits.append(Flit(kind=FlitKind.TAIL, packet=self, seq=self.size_flits - 1))
+        last = self.size_flits - 1
+        if not last:
+            return [Flit(FlitKind.HEADTAIL, self, 0)]
+        flits = [Flit(FlitKind.HEAD, self, 0)]
+        for i in range(1, last):
+            flits.append(Flit(FlitKind.BODY, self, i))
+        flits.append(Flit(FlitKind.TAIL, self, last))
         return flits
 
 
-@dataclass
 class Flit:
     """One flow-control unit of a packet."""
 
-    kind: FlitKind
-    packet: Packet
-    seq: int
-    #: virtual channel assigned on the link the flit currently occupies
-    vc: int = 0
-    #: head/tail flags, precomputed once — routers consult these per flit
-    #: per hop, and a property call there is measurable at flood rates
-    is_head: bool = field(init=False)
-    is_tail: bool = field(init=False)
+    __slots__ = ("kind", "packet", "seq", "vc", "is_head", "is_tail")
 
-    def __post_init__(self) -> None:
-        self.is_head = self.kind in (FlitKind.HEAD, FlitKind.HEADTAIL)
-        self.is_tail = self.kind in (FlitKind.TAIL, FlitKind.HEADTAIL)
+    def __init__(self, kind: FlitKind, packet: Packet, seq: int,
+                 vc: int = 0) -> None:
+        self.kind = kind
+        self.packet = packet
+        self.seq = seq
+        #: virtual channel assigned on the link the flit currently occupies
+        self.vc = vc
+        #: head/tail flags, precomputed once — routers consult these per
+        #: flit per hop, and a property call there is measurable at flood
+        #: rates
+        self.is_head = kind is FlitKind.HEAD or kind is FlitKind.HEADTAIL
+        self.is_tail = kind is FlitKind.TAIL or kind is FlitKind.HEADTAIL
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -208,25 +208,41 @@ class NetworkInterface:
         if arg is not None and not self._start_packet(*arg.value):
             return
         flits = self._inject_flits
-        if flits:
-            now = self.engine.now
-            self._land_credits(now)
-            flit = flits[0]
-            vc = self._pick_credit_vc(self._inject_vcs, flit)
-            if vc is None:
-                if self._credits_in:
-                    self.engine.schedule(self._credits_in[0][0] - now,
-                                         self._injector)
-                else:
-                    self._awaiting_credit = True
-                return
-            flits.popleft()
-            flit.vc = vc
-            self._inject_credits[vc] -= 1
-            self.engine.schedule(1, self._injector)
-            self._router.inject(flit)
+        if not flits:
+            self._injection_complete()
             return
-        self._injection_complete()
+        now = self.engine.now
+        credits = self._inject_credits
+        rows = self._credits_in
+        while rows and rows[0][0] <= now:
+            credits[rows.popleft()[1]] += 1
+        flit = flits[0]
+        if flit.is_head:
+            # the head takes the allowed VC with the most credits (first on
+            # a tie); the rest of the packet follows it on the injection
+            # link (wormhole continuity)
+            vc = None
+            best = 0
+            for allowed in self._inject_vcs:
+                if credits[allowed] > best:
+                    vc = allowed
+                    best = credits[allowed]
+            self._current_vc = vc
+        else:
+            vc = self._current_vc
+            if vc is not None and credits[vc] <= 0:
+                vc = None
+        if vc is None:
+            if rows:
+                self.engine.schedule(rows[0][0] - now, self._injector)
+            else:
+                self._awaiting_credit = True
+            return
+        flits.popleft()
+        flit.vc = vc
+        credits[vc] -= 1
+        self.engine.schedule(1, self._injector)
+        self._router.inject(flit)
 
     def _land_credits(self, now: int) -> None:
         credits_in = self._credits_in
@@ -272,27 +288,6 @@ class NetworkInterface:
             return False
         self._inject_flits.extend(pkt.make_flits())
         return True
-
-    def _pick_credit_vc(self, vcs: List[int], flit: Flit) -> Optional[int]:
-        """Choose the injection VC.
-
-        All flits of one packet must use the same VC on the injection link
-        (wormhole); the head picks the allowed VC with the most credits and
-        the rest follow via ``flit.vc`` continuity handled by the caller
-        keeping ``vcs`` fixed — we simply reuse the head's choice stored in
-        the packet id ownership of the router's LOCAL input VC.
-        """
-        if flit.is_head:
-            best, best_credits = None, 0
-            for vc in vcs:
-                if self._inject_credits[vc] > best_credits:
-                    best, best_credits = vc, self._inject_credits[vc]
-            self._current_vc = best
-            return best
-        vc = self._current_vc
-        if vc is not None and self._inject_credits[vc] > 0:
-            return vc
-        return None
 
     def _deliver(self, tail: Flit) -> None:
         """The tail flit completed ``tail.packet``: hand it to the delivery
@@ -347,15 +342,16 @@ class NetworkInterface:
                 return  # held by the delivery channel: resumes on accept
             flit = buffer.popleft()
             pkt = flit.packet
-            self._partial[pkt.pid] = self._partial.get(pkt.pid, 0) + 1
             if flit.is_tail:
-                if self._partial.pop(pkt.pid) != pkt.size_flits:
+                if self._partial.pop(pkt.pid, 0) + 1 != pkt.size_flits:
                     raise ConfigError(
                         f"{self.name}: reassembled wrong flit count for "
                         f"packet {pkt.pid} at cycle {now}"
                     )
                 self._deliver(flit)
                 return
+            partial = self._partial
+            partial[pkt.pid] = partial.get(pkt.pid, 0) + 1
         else:
             if arg.failed:
                 raise arg.value
@@ -487,47 +483,36 @@ class Network:
     # -- construction --------------------------------------------------------
 
     def _wire(self) -> None:
-        hop = self.hop_latency
         for src, port, dst in self.topo.links():
-            src_router = self._routers[src]
-            dst_router = self._routers[dst]
-            in_port = port.opposite
-
-            def deliver(flit: Flit, _key=(src, port), _dst=dst_router,
-                        _in=in_port) -> None:
-                now = self.engine.now
-                last = self._link_last_arrival
-                if self._link_slow or last:
-                    # a link is (or recently was) degraded: honour per-link
-                    # FIFO monotonicity across the latency change
-                    delay = hop + self._link_extra(_key)
-                    arrival = max(now + delay, last.get(_key, 0))
-                    if delay == hop and arrival == now + hop:
-                        # constraint no longer binding (healthy link, queue
-                        # drained): retire the entry so the whole fabric
-                        # returns to the bookkeeping-free path below
-                        last.pop(_key, None)
-                    else:
-                        last[_key] = arrival
-                    _dst.flit_row(arrival, _in, flit)
-                    return
-                # healthy fabric: constant hop latency keeps every router's
-                # inbox in landing order by construction — no dict traffic
-                arrival = now + hop
-                _dst._flits_in.append((arrival, _in, flit))
-                if arrival < _dst._wake_at:
-                    _dst._arm(arrival)
-
-            src_router.connect_output(port, deliver)
-            dst_router.connect_input_credit(
-                in_port, partial(src_router.credit_row, port))
-
+            self._routers[src].connect_output(
+                port, partial(self._degraded_link, (src, port)),
+                self._routers[dst])
         for node in self.topo.nodes():
             router = self._routers[node]
             ni = self._interfaces[node]
             router.connect_output(Port.LOCAL, ni._flit_row)
             router.connect_input_credit(Port.LOCAL, ni._credit_row)
+            router.connect_fabric(self.hop_latency, self._link_slow,
+                                  self._link_last_arrival)
             router._sync = self._demote
+
+    def _degraded_link(self, key: Tuple[int, Port], flit: Flit) -> None:
+        """Link ``key`` = ``(src, port)`` carries ``flit`` while a link of
+        the fabric is (or recently was) degraded — the routers write rows
+        directly only while neither fault table holds an entry.  Retire
+        the entries that can no longer bind, fabric-wide, and keep this
+        link FIFO across its latency change: no flit lands before one sent
+        on it earlier."""
+        now = self.engine.now
+        self._links_healthy(now)
+        hop = self.hop_latency
+        slow = self._link_slow.get(key)
+        arrival = max(now + hop + (slow[0] if slow else 0),
+                      self._link_last_arrival.get(key, 0))
+        if arrival != now + hop:
+            self._link_last_arrival[key] = arrival
+        out = self._routers[key[0]]._out[key[1]]
+        out.down.flit_row(arrival, out.down_port, flit)
 
     # -- the express lane -------------------------------------------------------
     #
@@ -725,16 +710,6 @@ class Network:
             far._arm_ejector(landing + consumed)
         if consumed:
             far._partial[pid] = consumed
-
-    def _link_extra(self, key) -> int:
-        entry = self._link_slow.get(key)
-        if entry is None:
-            return 0
-        extra, until = entry
-        if self.engine.now >= until:
-            del self._link_slow[key]
-            return 0
-        return extra
 
     # -- public API -----------------------------------------------------------
 

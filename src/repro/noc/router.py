@@ -54,26 +54,37 @@ def _nothing() -> None:
 
 
 class InputVC:
-    """State of one (input port, virtual channel) buffer."""
+    """State of one (input port, virtual channel) buffer.
 
-    __slots__ = ("buffer", "out_port", "out_vc", "active_pid")
+    ``bit``: its arbiter slot in a request mask; ``req_vc``: the output VC
+    of its request in the current pass; ``up``: the router feeding its
+    port and that router's output port — where the credit for a slot it
+    frees goes (``None``: the port's ``connect_input_credit`` callback).
+    """
 
-    def __init__(self, depth: int):
+    __slots__ = ("buffer", "out_port", "out_vc", "active_pid", "port", "vc",
+                 "bit", "req_vc", "up")
+
+    def __init__(self, depth: int, port: Port, vc: int, slot: int):
         self.buffer: Deque[Flit] = deque(maxlen=depth)
         self.out_port: Optional[Port] = None
         self.out_vc: Optional[int] = None
         self.active_pid: Optional[int] = None
-
-    def reset_route(self) -> None:
-        self.out_port = None
-        self.out_vc = None
-        self.active_pid = None
+        self.port = port
+        self.vc = vc
+        self.bit = 1 << slot
+        self.up: Optional[Tuple[Router, Port]] = None
 
 
 class OutputPort:
-    """Per-output-port state: downstream credits, VC ownership, the link."""
+    """Per-output-port state: downstream credits, VC ownership, the link.
 
-    __slots__ = ("credits", "vc_owner", "deliver", "arbiter", "flits_sent")
+    ``down`` / ``down_port``: the router the link feeds and its input port
+    (``None``: the link is only ``deliver`` — the LOCAL port's interface).
+    """
+
+    __slots__ = ("credits", "vc_owner", "deliver", "arbiter", "flits_sent",
+                 "down", "down_port")
 
     def __init__(self, num_vcs: int, buffer_depth: int, slots: int):
         self.credits = [buffer_depth] * num_vcs
@@ -81,15 +92,32 @@ class OutputPort:
         self.deliver: Optional[DeliverFn] = None
         self.arbiter = RoundRobinArbiter(slots)
         self.flits_sent = 0
+        self.down: Optional[Router] = None
 
 
 class Router:
     """One NoC router tile.
 
-    Wiring (``connect``) is done by :class:`~repro.noc.network.Network`;
-    the router only knows callbacks for delivering flits downstream and
-    returning credits upstream.
+    Wiring (``connect_*``) is done by :class:`~repro.noc.network.Network`:
+    a link to a neighbouring router is written directly — the grant puts
+    the flit's row in the neighbour's inbox and the freed slot's credit row
+    in the upstream router's — while the fabric is healthy, and through the
+    link's ``deliver`` callback while a link is degraded; the LOCAL port
+    talks to its network interface through callbacks only.
     """
+
+    # slots, not an instance dict: a dict past 30 keys stops sharing keys,
+    # and the step's attribute reads then cost a hash probe each (their
+    # speed varied by a fifth with the interpreter's string-hash seed)
+    __slots__ = (
+        "engine", "node", "topo", "routing", "num_vcs", "vc_classes",
+        "buffer_depth", "credit_latency", "name", "_adaptive", "_dateline",
+        "ports", "_port_base", "_in", "_scan", "_out", "_credit_return",
+        "_hop", "_link_slow", "_link_last", "_allowed", "_route",
+        "_cand_cache", "_escape_cache", "_vc_bits", "_flits_in",
+        "_credits_in", "_wake_at", "_moved_at", "_flits_forwarded",
+        "_buffered", "stalled_until", "stalls_injected", "_sync",
+    )
 
     def __init__(
         self,
@@ -139,37 +167,38 @@ class Router:
                 self.ports.append(port)
 
         slots = len(self.ports) * num_vcs
-        self._in: Dict[Port, List[InputVC]] = {
-            p: [InputVC(buffer_depth) for _ in range(num_vcs)] for p in self.ports
-        }
+        self._port_base: Dict[Port, int] = {}
+        self._in: Dict[Port, List[InputVC]] = {}
+        #: every input VC in arbiter-slot order — the allocation pass walks
+        #: this one prebuilt list, and a granted slot indexes it
+        self._scan: List[InputVC] = []
+        for p in self.ports:
+            base = self._port_base[p] = len(self._scan)
+            ivcs = self._in[p] = [InputVC(buffer_depth, p, vc, base + vc)
+                                  for vc in range(num_vcs)]
+            self._scan += ivcs
         self._out: Dict[Port, OutputPort] = {
             p: OutputPort(num_vcs, buffer_depth, slots) for p in self.ports
         }
-        self._credit_return: Dict[Port, Optional[CreditFn]] = {
-            p: None for p in self.ports
-        }
+        self._credit_return: Dict[Port, CreditFn] = {}
+        #: set by :meth:`connect_fabric`: the link latency, and the
+        #: network's link-fault tables (slow links, last arrival per link)
+        self._hop = 0
+        self._link_slow: Dict = {}
+        self._link_last: Dict = {}
         # hot-path tables, resolved once per router instead of per pass:
-        # arbiter slot base per input port (replaces list.index arithmetic),
         # the VC set for each traffic class, and memoized routing decisions
         # (routing functions are pure in (node, dst), so per-destination
-        # candidate lists never change for a given router)
-        self._port_base: Dict[Port, int] = {
-            p: i * num_vcs for i, p in enumerate(self.ports)
-        }
+        # routes never change for a given router)
         self._allowed: List[List[int]] = [
             [v for v in range(num_vcs) if v % vc_classes == cls]
             for cls in range(vc_classes)
         ]
+        self._route: Dict[int, Port] = {}
         self._cand_cache: Dict[int, List[Port]] = {}
         self._escape_cache: Dict[int, List[Port]] = {}
-        #: flattened (in_port, vc, arbiter_slot, input VC) scan order — the
-        #: allocation pass walks this single prebuilt list instead of
-        #: re-resolving two dicts and an enumerate per port per cycle
-        self._scan: List[Tuple[Port, int, int, InputVC]] = [
-            (p, vc, self._port_base[p] + vc, ivc)
-            for p in self.ports
-            for vc, ivc in enumerate(self._in[p])
-        ]
+        #: one input port's slots in a request mask, at slot 0
+        self._vc_bits = (1 << num_vcs) - 1
 
         #: timed inboxes — what is on the input wires, in landing order:
         #: ``(landing cycle, input port, flit)`` and, for credits coming
@@ -200,14 +229,37 @@ class Router:
 
     # -- wiring (called by Network) ---------------------------------------
 
-    def connect_output(self, port: Port, deliver: DeliverFn) -> None:
-        """Attach the link that carries flits leaving on ``port``."""
-        self._out[port].deliver = deliver
+    def connect_output(self, port: Port, deliver: DeliverFn,
+                       downstream: Optional["Router"] = None) -> None:
+        """Attach the link that carries flits leaving on ``port``.
+
+        With ``downstream`` — the router whose opposite input the link
+        feeds — a grant on a healthy fabric writes that router's flit row
+        itself and the slot it frees there returns its credit to this
+        router's inbox directly; ``deliver`` is then the degraded-link path.
+        """
+        out = self._out[port]
+        out.deliver = deliver
+        if downstream is not None:
+            out.down = downstream
+            out.down_port = port.opposite
+            up = (self, port)
+            for ivc in downstream._in[out.down_port]:
+                ivc.up = up
 
     def connect_input_credit(self, port: Port, return_credit: CreditFn) -> None:
         """Attach the wire that returns a buffer credit to the upstream
-        sender when a flit leaves this router's input buffer on ``port``."""
+        sender when a flit leaves this router's input buffer on ``port``
+        (a port fed by another router returns it directly instead)."""
         self._credit_return[port] = return_credit
+
+    def connect_fabric(self, hop_latency: int, link_slow: Dict,
+                       link_last: Dict) -> None:
+        """Share the network's link latency and link-fault tables: flits
+        leave on the direct path only while both tables are empty."""
+        self._hop = hop_latency
+        self._link_slow = link_slow
+        self._link_last = link_last
 
     # -- the wires (rows written by links and neighbours) -------------------
 
@@ -225,15 +277,6 @@ class Router:
         rows.insert(index, (landing, port, flit))
         self._arm(landing)
 
-    def credit_row(self, port: Port, landing: int, vc: int) -> None:
-        """A credit for output ``port`` / ``vc`` is on the wire, due at
-        ``landing`` (credit wires share one latency: rows stay sorted)."""
-        self._credits_in.append((landing, port, vc))
-        # a credit can only unblock a flit: an empty router with nothing
-        # inbound sleeps on and lands the row whenever it next steps
-        if (self._buffered or self._flits_in) and landing < self._wake_at:
-            self._arm(landing)
-
     # -- datapath entry points ----------------------------------------------
 
     def accept_flit(self, port: Port, flit: Flit) -> None:
@@ -249,24 +292,29 @@ class Router:
             self._arm(self.engine.now)
 
     def _buffer(self, port: Port, flit: Flit) -> None:
-        ivc = self._in[port][flit.vc]
-        if len(ivc.buffer) >= self.buffer_depth:
-            raise ConfigError(
-                f"{self.name}: input buffer overflow on {port.name} "
-                f"vc{flit.vc} at cycle {self.engine.now} (credit protocol "
-                "violated)"
-            )
-        ivc.buffer.append(flit)
+        buffer = self._in[port][flit.vc].buffer
+        if len(buffer) >= self.buffer_depth:
+            self._overflow(port, flit.vc)
+        buffer.append(flit)
         self._buffered += 1
 
     def _credit(self, port: Port, vc: int) -> None:
         credits = self._out[port].credits
         credits[vc] += 1
         if credits[vc] > self.buffer_depth:
-            raise ConfigError(
-                f"{self.name}: credit overflow on {port.name} vc{vc} at "
-                f"cycle {self.engine.now}"
-            )
+            self._credit_overflow(port, vc)
+
+    def _overflow(self, port: Port, vc: int) -> None:
+        raise ConfigError(
+            f"{self.name}: input buffer overflow on {port.name} vc{vc} at "
+            f"cycle {self.engine.now} (credit protocol violated)"
+        )
+
+    def _credit_overflow(self, port: Port, vc: int) -> None:
+        raise ConfigError(
+            f"{self.name}: credit overflow on {port.name} vc{vc} at "
+            f"cycle {self.engine.now}"
+        )
 
     def inject(self, flit: Flit) -> None:
         """The local interface's clocked step hands over a flit: it is in
@@ -372,7 +420,30 @@ class Router:
         if now < self.stalled_until:
             self._arm(self.stalled_until)
             return
-        self._land(now)
+        # land what is due (as _land, inline: this runs every router-cycle)
+        rows = self._flits_in
+        if rows and rows[0][0] <= now:
+            ins = self._in
+            depth = self.buffer_depth
+            landed = 0
+            while rows and rows[0][0] <= now:
+                _at, port, flit = rows.popleft()
+                buffer = ins[port][flit.vc].buffer
+                if len(buffer) >= depth:
+                    self._overflow(port, flit.vc)
+                buffer.append(flit)
+                landed += 1
+            self._buffered += landed
+        credits_in = self._credits_in
+        if credits_in and credits_in[0][0] <= now:
+            outs = self._out
+            depth = self.buffer_depth
+            while credits_in and credits_in[0][0] <= now:
+                _at, port, vc = credits_in.popleft()
+                credits = outs[port].credits
+                credits[vc] += 1
+                if credits[vc] > depth:
+                    self._credit_overflow(port, vc)
         wake = NEVER
         if self._buffered:
             if self._moved_at == now:
@@ -381,153 +452,209 @@ class Router:
                 self._moved_at = now
                 if self._buffered:
                     wake = now + 1
-            elif self._credits_in:
-                wake = self._credits_in[0][0]
-        if self._flits_in and self._flits_in[0][0] < wake:
-            wake = self._flits_in[0][0]
-        self._arm(wake)
+            elif credits_in:
+                wake = credits_in[0][0]
+        if rows and rows[0][0] < wake:
+            wake = rows[0][0]
+        # arm the next step (as _arm: past any stall, as now is, and not
+        # before now, so only a wake already due earlier supersedes it)
+        if wake < self._wake_at:
+            self._wake_at = wake
+            self.engine.schedule(wake - now, self._run)
 
     def _allocation_pass(self) -> int:
         """One switch-allocation cycle; returns the number of flits moved.
 
-        Deterministic routing (XY/YX/dateline) yields a single candidate
-        port, so an input VC's request — its (output port, output VC) pair —
-        cannot be altered by grants on *other* output ports within the pass:
-        a grant only mutates state on its own output port and on an input
-        that is then excluded anyway.  That lets us scan the input buffers
-        once, bucket requests by output port, and arbitrate each port from
-        its bucket — identical grants to the per-port rescan at a fraction
-        of the scanning work.  Adaptive routing credit-balances across
-        candidate ports mid-pass, so it keeps the faithful rescan.
+        Requests are bitmasks, one per output port (bit = arbiter slot; a
+        requester's output VC is its input VC's ``req_vc``), and each
+        output port in turn grants one slot by the arbiter's round-robin
+        rule, minus the slots of inputs already granted this pass (the
+        crossbar constraint: one flit per input port per cycle).
+
+        Deterministic routing (XY/YX/dateline) yields a single output port
+        per destination, so an input VC's request — its (output port,
+        output VC) pair — cannot be altered by grants on *other* output
+        ports within the pass: a grant only mutates state on its own output
+        port and on an input that is then excluded anyway.  So the input
+        buffers are scanned once, up front, into every port's mask — the
+        grants of a per-port rescan.  Adaptive routing credit-balances
+        across candidate ports mid-pass, so it keeps the faithful rescan:
+        each port's mask is built after the grants of the ports before it.
         """
-        if self._adaptive:
-            return self._allocation_pass_rescan()
-        # one buffered flit (every pass of an idle cluster) contends with
-        # nobody: it is granted straight from the scan — no buckets, no
-        # crossbar bookkeeping — and the arbiter pointer still moves past it
-        single = self._buffered == 1
-        buckets: Dict[Port, List[Tuple[int, Port, int, int]]] = {}
         outs = self._out
-        for in_port, vc, slot, ivc in self._scan:
-            buffer = ivc.buffer
-            if not buffer:
-                continue
-            port_choice = ivc.out_port
-            if port_choice is None:
-                # an unrouted VC only requests when a head flit is at the
-                # front (body flits behind a reset route wait for it)
-                flit = buffer[0]
-                if not flit.is_head:
+        scan = self._scan
+        adaptive = self._adaptive
+        if not adaptive:
+            masks = [0, 0, 0, 0, 0]  # per output port, indexed by Port value
+            route = self._route
+            for ivc in scan:
+                buffer = ivc.buffer
+                if not buffer:
                     continue
-                choice = self._route_and_allocate(in_port, vc, flit)
+                out_port = ivc.out_port
+                if out_port is None:
+                    # an unrouted VC only requests when a head flit is at
+                    # the front (body flits behind a reset route wait)
+                    flit = buffer[0]
+                    if not flit.is_head:
+                        continue
+                    pkt = flit.packet
+                    out_port = route.get(pkt.dst)
+                    if out_port is None:
+                        out_port = self._route_to(pkt.dst)
+                        if out_port is None:
+                            continue
+                    if self._dateline:
+                        out_vc = self._dateline_choice(pkt, out_port)
+                        if out_vc is None:
+                            continue
+                    else:
+                        # VC allocation: the free VC of the packet's class
+                        # with the most credits (the first on a tie)
+                        out = outs[out_port]
+                        credits = out.credits
+                        owner = out.vc_owner
+                        cls = pkt.vc_class
+                        out_vc = -1
+                        best = 0
+                        for vc in (self._allowed[cls] if cls < self.vc_classes
+                                   else self._allowed[-1]):
+                            if credits[vc] > best and owner[vc] is None:
+                                out_vc = vc
+                                best = credits[vc]
+                        if out_vc < 0:
+                            continue
+                else:
+                    out_vc = ivc.out_vc
+                    if outs[out_port].credits[out_vc] <= 0:
+                        continue
+                masks[out_port] |= ivc.bit
+                ivc.req_vc = out_vc
+
+        now = self.engine.now
+        # a degraded link anywhere: every flit leaves through its link's
+        # ``deliver`` (it cannot turn degraded during a pass)
+        direct = not (self._link_slow or self._link_last)
+        landing = now + self.credit_latency
+        moved = 0
+        used = 0  # slots of the input ports granted so far this pass
+        for out_port in self.ports:
+            mask = self._requesters(out_port) if adaptive else masks[out_port]
+            if not mask:
+                continue
+            if used:
+                mask &= ~used
+                if not mask:
+                    continue
+            out = outs[out_port]
+            slot = out.arbiter.grant(mask)
+            ivc = scan[slot]
+            vc = ivc.vc
+            used |= self._vc_bits << (slot - vc)
+            out_vc = ivc.req_vc
+            moved += 1
+
+            # the grant: switch the flit, commit a head's route and VC,
+            # release them with the tail
+            flit = ivc.buffer.popleft()
+            self._buffered -= 1
+            if flit.is_head:
+                pkt = flit.packet
+                ivc.out_port = out_port
+                ivc.out_vc = out_vc
+                ivc.active_pid = out.vc_owner[out_vc] = pkt.pid
+                if out_port is not Port.LOCAL:
+                    pkt.hops += 1
+                    if self._dateline:
+                        self._cross(pkt, out_port)
+            if flit.is_tail:
+                out.vc_owner[out_vc] = None
+                ivc.out_port = ivc.out_vc = ivc.active_pid = None
+            flit.vc = out_vc
+            out.credits[out_vc] -= 1
+            out.flits_sent += 1
+
+            # the flit onto its wire: on a healthy fabric one hop latency
+            # keeps every inbox in landing order by construction — append,
+            # and arm the receiver by one compare
+            down = out.down
+            if down is not None and direct:
+                arrival = now + self._hop
+                down._flits_in.append((arrival, out.down_port, flit))
+                if arrival < down._wake_at:
+                    down._arm(arrival)
+            else:
+                out.deliver(flit)
+
+            # the input slot it freed: a credit goes upstream
+            up = ivc.up
+            if up is None:
+                credit_fn = self._credit_return.get(ivc.port)
+                if credit_fn is not None:
+                    credit_fn(landing, vc)
+            else:
+                router, port = up
+                router._credits_in.append((landing, port, vc))
+                # a credit can only unblock a flit: an empty router with
+                # nothing inbound sleeps on and lands the row when it next
+                # steps
+                if landing < router._wake_at and (router._buffered
+                                                  or router._flits_in):
+                    router._arm(landing)
+        self._flits_forwarded += moved
+        return moved
+
+    def _route_to(self, dst: int) -> Optional[Port]:
+        """Deterministic route to ``dst``, memoised (routing functions are
+        pure in ``(node, dst)``); ``None`` if that port has no link."""
+        port = self.routing.candidates(self.topo, self.node, dst)[0]
+        if self._out[port].deliver is None:
+            return None
+        self._route[dst] = port
+        return port
+
+    def _requesters(self, out_port: Port) -> int:
+        """Adaptive routing: the request mask of the input VCs that can
+        send a flit to ``out_port`` now (each one's output VC recorded as
+        its ``req_vc``)."""
+        out = self._out[out_port]
+        if out.deliver is None:
+            return 0
+        credits = out.credits
+        mask = 0
+        for ivc in self._scan:
+            if not ivc.buffer:
+                continue
+            flit = ivc.buffer[0]
+            if flit.is_head and ivc.out_port is None:
+                choice = self._route_and_allocate(ivc.vc, flit)
                 if choice is None:
                     continue
                 port_choice, out_vc = choice
+                if port_choice != out_port:
+                    continue
             else:
                 out_vc = ivc.out_vc
-                if out_vc is None:
+                if ivc.out_port != out_port or out_vc is None:
                     continue
-                if outs[port_choice].credits[out_vc] <= 0:
+                if credits[out_vc] <= 0:
                     continue
-            if single:
-                out = outs[port_choice]
-                if out.deliver is None:
-                    return 0
-                out.arbiter.pick_first(((slot,),))
-                self._forward(in_port, vc, port_choice, out_vc)
-                return 1
-            bucket = buckets.get(port_choice)
-            if bucket is None:
-                bucket = buckets[port_choice] = []
-            bucket.append((slot, in_port, vc, out_vc))
-        if not buckets:
-            return 0
-        moved = 0
-        used_inputs: set = set()
-        for out_port in self.ports:
-            bucket = buckets.get(out_port)
-            if not bucket:
-                continue
-            out = self._out[out_port]
-            if out.deliver is None:
-                continue
-            if used_inputs:
-                # crossbar constraint: one flit per input port per cycle
-                bucket = [r for r in bucket if r[1] not in used_inputs]
-                if not bucket:
-                    continue
-            _slot, in_port, vc, out_vc = out.arbiter.pick_first(bucket)
-            self._forward(in_port, vc, out_port, out_vc)
-            used_inputs.add(in_port)
-            moved += 1
-        return moved
-
-    def _allocation_pass_rescan(self) -> int:
-        """Per-output-port rescan allocation (required for adaptive routing)."""
-        moved = 0
-        used_inputs: set = set()
-        for out_port in self.ports:
-            out = self._out[out_port]
-            if out.deliver is None:
-                continue
-            requesters = self._requesters(out_port, used_inputs)
-            if not requesters:
-                # same as the arbiter seeing all-zero request lines: no
-                # grant, pointer stays put
-                continue
-            _slot, in_port, vc, out_vc = out.arbiter.pick_first(requesters)
-            self._forward(in_port, vc, out_port, out_vc)
-            used_inputs.add(in_port)
-            moved += 1
-        return moved
-
-    def _requesters(
-        self, out_port: Port, used_inputs: set
-    ) -> List[Tuple[int, Port, int, int]]:
-        """Input VCs that can send a flit to ``out_port`` this cycle.
-
-        Returns ``(arbiter_slot, in_port, in_vc, out_vc)`` tuples in
-        ascending slot order (ports and VCs are walked in slot order), ready
-        for :meth:`RoundRobinArbiter.pick_first`.
-        """
-        out = self._out[out_port]
-        credits = out.credits
-        found: List[Tuple[int, Port, int, int]] = []
-        for in_port in self.ports:
-            if in_port in used_inputs:
-                continue
-            base = self._port_base[in_port]
-            for vc, ivc in enumerate(self._in[in_port]):
-                if not ivc.buffer:
-                    continue
-                flit = ivc.buffer[0]
-                if flit.is_head and ivc.out_port is None:
-                    choice = self._route_and_allocate(in_port, vc, flit)
-                    if choice is None:
-                        continue
-                    port_choice, out_vc = choice
-                    if port_choice != out_port:
-                        continue
-                    found.append((base + vc, in_port, vc, out_vc))
-                else:
-                    if ivc.out_port != out_port or ivc.out_vc is None:
-                        continue
-                    if credits[ivc.out_vc] <= 0:
-                        continue
-                    found.append((base + vc, in_port, vc, ivc.out_vc))
-        return found
+            mask |= ivc.bit
+            ivc.req_vc = out_vc
+        return mask
 
     def _route_and_allocate(
-        self, in_port: Port, vc: int, flit: Flit
+        self, vc: int, flit: Flit
     ) -> Optional[Tuple[Port, int]]:
-        """Route computation + VC allocation for a head flit.
+        """Route computation + VC allocation for a head flit under adaptive
+        routing: the candidate port and free VC with the most credits.
 
-        Pure query: no state is mutated until the flit actually wins switch
-        allocation (``_forward`` re-runs this and commits).
+        Pure query: no state is mutated here; the pass records the choice
+        in the request and the grant commits it if the flit wins.
         """
         pkt = flit.packet
         # routing functions are pure in (node, dst): memoize per destination
-        if self._adaptive and vc == 0:
+        if vc == 0:
             candidates = self._escape_cache.get(pkt.dst)
             if candidates is None:
                 candidates = self.routing.escape_candidates(  # type: ignore[attr-defined]
@@ -539,8 +666,6 @@ class Router:
             if candidates is None:
                 candidates = self.routing.candidates(self.topo, self.node, pkt.dst)
                 self._cand_cache[pkt.dst] = candidates
-        if self._dateline:
-            return self._dateline_choice(pkt, candidates[0])
         cls = pkt.vc_class
         allowed = self._allowed[cls] if cls < self.vc_classes else self._allowed[-1]
         best: Optional[Tuple[Port, int]] = None
@@ -550,7 +675,7 @@ class Router:
             if out.deliver is None:
                 continue
             for out_vc in allowed:
-                if self._adaptive and out_vc == 0 and port_choice != candidates[0]:
+                if out_vc == 0 and port_choice != candidates[0]:
                     # escape VC only along the deterministic path
                     continue
                 if out.vc_owner[out_vc] is not None:
@@ -560,21 +685,17 @@ class Router:
                 if out.credits[out_vc] > best_credits:
                     best = (port_choice, out_vc)
                     best_credits = out.credits[out_vc]
-            if best is not None and not self._adaptive:
-                break  # deterministic routing: first candidate only
         return best
 
-    def _dateline_choice(self, pkt, out_port: Port) -> Optional[Tuple[Port, int]]:
+    def _dateline_choice(self, pkt, out_port: Port) -> Optional[int]:
         """VC selection under the dateline discipline (torus routing).
 
         A packet uses VC ``pkt.dateline_vc`` for the current dimension; the
         tier resets to 0 when the packet turns into a new dimension, and
-        :meth:`_forward` bumps it to 1 when a hop crosses the wrap edge.
+        :meth:`_cross` bumps it to 1 when a hop crosses the wrap edge.
         LOCAL ejection may use either tier (whichever has space first).
         """
         out = self._out[out_port]
-        if out.deliver is None:
-            return None
         if out_port == Port.LOCAL:
             tiers = [pkt.dateline_vc, 1 - pkt.dateline_vc]
         else:
@@ -583,46 +704,18 @@ class Router:
             tiers = [tier]
         for out_vc in tiers:
             if out.vc_owner[out_vc] is None and out.credits[out_vc] > 0:
-                return out_port, out_vc
+                return out_vc
         return None
 
-    def _forward(self, in_port: Port, vc: int, out_port: Port, out_vc: int) -> None:
-        ivc = self._in[in_port][vc]
-        flit = ivc.buffer.popleft()
-        self._buffered -= 1
-        out = self._out[out_port]
-
-        if flit.is_head:
-            ivc.out_port = out_port
-            ivc.out_vc = out_vc
-            ivc.active_pid = flit.packet.pid
-            out.vc_owner[out_vc] = flit.packet.pid
-        flit.vc = out_vc
-        out.credits[out_vc] -= 1
-        out.flits_sent += 1
-        self._flits_forwarded += 1
-        if flit.is_head and out_port != Port.LOCAL:
-            flit.packet.hops += 1
-            if self._dateline:
-                pkt = flit.packet
-                dim = TorusXYRouting.dimension(out_port)
-                if dim != pkt.dateline_dim:
-                    pkt.dateline_dim = dim
-                    pkt.dateline_vc = 0
-                if TorusXYRouting.crosses_wrap(self.topo, self.node, out_port):
-                    pkt.dateline_vc = 1
-
-        if flit.is_tail:
-            out.vc_owner[out_vc] = None
-            ivc.reset_route()
-
-        assert out.deliver is not None
-        out.deliver(flit)
-
-        # A buffer slot on our input just freed: a credit goes upstream.
-        credit_fn = self._credit_return[in_port]
-        if credit_fn is not None:
-            credit_fn(self.engine.now + self.credit_latency, vc)
+    def _cross(self, pkt, out_port: Port) -> None:
+        """Dateline bookkeeping of a head leaving on ``out_port``: a new
+        dimension starts on tier 0, a wrap-edge hop moves to tier 1."""
+        dim = TorusXYRouting.dimension(out_port)
+        if dim != pkt.dateline_dim:
+            pkt.dateline_dim = dim
+            pkt.dateline_vc = 0
+        if TorusXYRouting.crosses_wrap(self.topo, self.node, out_port):
+            pkt.dateline_vc = 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Router {self.node} occ={self._buffered}>"

@@ -192,6 +192,14 @@ class TestArbiters:
     def test_round_robin_none_when_idle(self):
         assert RoundRobinArbiter(4).pick([False] * 4) is None
 
+    def test_round_robin_grant_on_a_request_mask(self):
+        """The first requesting slot at-or-after the pointer, wrapping to
+        the lowest; the pointer moves past the winner (mod the slots)."""
+        arb = RoundRobinArbiter(5)
+        assert [arb.grant(0b10110) for _ in range(4)] == [1, 2, 4, 1]
+        assert arb.grant(0b00001) == 0  # pointer 2: wraps
+        assert arb._pointer == 1
+
     def test_round_robin_wrong_width_rejected(self):
         with pytest.raises(ConfigError):
             RoundRobinArbiter(2).pick([True])
