@@ -61,12 +61,10 @@ class PortedService(Accelerator):
     COST = ResourceVector(logic_cells=60_000, bram_kb=512, dsp_slices=8)
     PRIMITIVES = {"lut_logic": 48_000, "bram": 128}
 
-    def __init__(self, name: str, port: int, handler: Handler,
-                 concurrency: int = 4):
+    def __init__(self, name: str, port: int, handler: Handler):
         super().__init__(name)
         self.port = port
         self.handler = handler
-        self.concurrency = concurrency
         self.requests_served = 0
 
     def main(self, shell):

@@ -19,13 +19,13 @@ Unlike the base class (which spawns every request concurrently), requests
 are served **sequentially** through one worker loop: an instance models a
 fixed piece of fabric with a real service rate, which is what makes the
 S1 scaling benchmark measure capacity rather than simulator concurrency.
-Reply transmission is spawned off the worker loop, so waiting for
-transport ACKs never serializes with compute.
+Replies go out with a ``net_send`` nobody waits on, so transport ACKs
+never serialize with compute.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from repro.apps.service import Handler, PortedService
 
@@ -44,20 +44,18 @@ class ClusterPortedService(PortedService):
         yield shell.net_bind(self.port)
         while True:
             msg = yield shell.recv()
-            if msg.op != "net.rx":
-                continue
-            envelope = msg.payload
-            data = envelope.get("data")
-            if not (isinstance(data, tuple) and len(data) == 3):
-                continue
-            tag, rid, body = data
-            if tag == "req":
-                out_body, out_bytes = yield from self._handle(shell, body)
-                shell.spawn(f"re{rid}", self._send(
-                    shell, envelope["src_mac"],
-                    ("resp", rid, out_body), out_bytes))
-            elif tag == "batch":
-                yield from self._serve_batch(shell, envelope, rid, body)
+            data = msg.payload.get("data") if msg.op == "net.rx" else None
+            if isinstance(data, tuple) and len(data) == 3:
+                yield from self._serve_tagged(shell, msg.payload, *data)
+
+    def _serve_tagged(self, shell, envelope, tag, rid, body):
+        """Process generator: one ``(tag, rid, body)`` off the port."""
+        if tag == "req":
+            out_body, out_bytes = yield from self._handle(shell, body)
+            shell.net_send(envelope["src_mac"], self.port,
+                           data=("resp", rid, out_body), nbytes=out_bytes)
+        elif tag == "batch":
+            yield from self._serve_batch(shell, envelope, rid, body)
 
     def _serve_batch(self, shell, envelope, bid, entries):
         self.batches_served += 1
@@ -67,9 +65,9 @@ class ClusterPortedService(PortedService):
             out_body, out_bytes = yield from self._handle(shell, body)
             out.append((rid, out_body, out_bytes))
             total_bytes += out_bytes
-        shell.spawn(f"bre{bid}", self._send(
-            shell, envelope["src_mac"], ("batchresp", bid, out),
-            max(64, total_bytes + 16 * len(out))))
+        shell.net_send(envelope["src_mac"], self.port,
+                       data=("batchresp", bid, out),
+                       nbytes=max(64, total_bytes + 16 * len(out)))
 
     def _handle(self, shell, body: Any) -> Tuple[Any, int]:
         """Process generator: one request body -> (response body, bytes)."""
@@ -90,6 +88,3 @@ class ClusterPortedService(PortedService):
         if span:
             spans.close(span, shell.engine.now)
         return out_body, out_bytes
-
-    def _send(self, shell, dst_mac: str, data: Any, nbytes: int):
-        yield shell.net_send(dst_mac, self.port, data=data, nbytes=nbytes)

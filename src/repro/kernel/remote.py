@@ -67,17 +67,12 @@ class RemoteServiceProxy(Accelerator):
             msg = yield shell.recv()
             if msg.op == "net.rx":
                 self._complete(shell, msg)
-            else:
-                shell.spawn(f"fwd{msg.mid}", self._forward(shell, msg))
-
-    def _forward(self, shell, msg: Message):
-        self._pending[msg.mid] = msg
-        self.forwarded += 1
-        yield shell.net_send(
-            self.remote_mac, self.port,
-            data=("req", msg.mid, {"op": msg.op, "payload": msg.payload}),
-            nbytes=max(64, msg.payload_bytes + 32),
-        )
+                continue
+            self._pending[msg.mid] = msg
+            self.forwarded += 1
+            shell.net_send(self.remote_mac, self.port, data=(
+                "req", msg.mid, {"op": msg.op, "payload": msg.payload}),
+                nbytes=max(64, msg.payload_bytes + 32))
 
     def _complete(self, shell, envelope: Message) -> None:
         body = envelope.payload
@@ -89,15 +84,9 @@ class RemoteServiceProxy(Accelerator):
         if request is None:
             return
         self.completed += 1
-        shell.spawn(f"re{rid}", self._reply(shell, request, response))
-
-    def _reply(self, shell, request: Message, response: Dict[str, Any]):
-        yield shell.reply(
-            request,
-            payload=response.get("payload"),
-            payload_bytes=int(response.get("bytes", 0)),
-            error=bool(response.get("error", False)),
-        )
+        shell.reply(request, payload=response.get("payload"),
+                    payload_bytes=int(response.get("bytes", 0)),
+                    error=bool(response.get("error", False)))
 
 
 class RemoteCpuServiceHost:

@@ -18,7 +18,7 @@ microkernel property the paper wants.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.accel.base import Accelerator
 from repro.cap.capability import Rights
@@ -81,36 +81,45 @@ class MemoryService(Accelerator):
         self.requests_served = 0
 
     def main(self, shell):
-        while True:
-            msg = yield shell.recv()
-            # serve concurrently: DRAM accesses from different banks overlap
-            shell.spawn(f"req{msg.mid}", self._serve(shell, msg))
+        shell.serve(self._on_request)
+        yield from ()  # a process generator; the service lives in callbacks
 
-    def _serve(self, shell, msg: Message):
+    def _on_request(self, msg: Message) -> None:
+        """A read or write runs as one process (DRAM banks overlap); any
+        other op runs now and replies one heap entry, its latency, later."""
+        shell = self.shell
         self.requests_served += 1
-        handler = {
-            "mem.alloc": self._alloc,
-            "mem.free": self._free,
-            "mem.read": self._read,
-            "mem.write": self._write,
-            "mem.grant": self._grant,
-        }.get(msg.op)
+        handler = self._HANDLERS.get(msg.op)
         if handler is None:
-            yield shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
+            shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
             return
         span = shell.span_open(msg, f"service:{msg.op}", op=msg.op)
-        try:
-            payload, payload_bytes = yield from handler(msg)
-        except (AllocationError, AccessDenied, SegmentFault, ProtocolError,
-                ConfigError, DramFault) as err:
-            shell.span_close(span, error=type(err).__name__)
-            yield shell.reply(msg, payload=f"{type(err).__name__}: {err}",
-                              error=True)
-            return
-        shell.span_close(span)
-        yield shell.reply(msg, payload=payload, payload_bytes=payload_bytes)
+        incarnation = shell.incarnation
 
-    # -- handlers (process generators returning (payload, payload_bytes)) -----
+        def answer(out) -> None:
+            if shell.incarnation != incarnation:
+                return
+            if not isinstance(out, BaseException):
+                shell.span_close(span)
+                shell.reply(msg, payload=out[0], payload_bytes=out[1])
+            elif isinstance(out, self._REFUSALS):
+                shell.span_close(span, error=type(out).__name__)
+                shell.reply(msg, payload=f"{type(out).__name__}: {out}",
+                            error=True)
+            else:
+                raise out
+
+        if msg.op in ("mem.read", "mem.write"):
+            access = shell.engine.process(handler(self, msg))
+            access.done.add_callback(lambda done: answer(done.value))
+            return
+        try:
+            latency, *out = handler(self, msg)
+        except self._REFUSALS as err:
+            return answer(err)
+        shell.engine.schedule(latency, lambda _: answer(out))
+
+    # -- handlers: (latency, payload, bytes); read/write: (payload, bytes) --
 
     def _alloc(self, msg: Message):
         size = int(msg.payload["size"])
@@ -121,8 +130,7 @@ class MemoryService(Accelerator):
         cap = self.caps.mint(msg.src, self.default_rights, segment_id=seg.sid)
         self._backing[seg.sid] = bytearray()
         self._extent_of[seg.sid] = base
-        yield 4  # allocator latency
-        return {"cap": cap, "sid": seg.sid, "size": rounded}, 16
+        return 4, {"cap": cap, "sid": seg.sid, "size": rounded}, 16
 
     def _free(self, msg: Message):
         sid = int(msg.payload["sid"])
@@ -135,8 +143,7 @@ class MemoryService(Accelerator):
         self.segments.free(sid)
         self.allocator.free(self._extent_of.pop(sid))
         self._backing.pop(sid, None)
-        yield 4
-        return "freed", 0
+        return 4, "freed", 0
 
     def _locate(self, msg: Message, is_write: bool):
         if msg.cap is None:
@@ -193,8 +200,13 @@ class MemoryService(Accelerator):
         to_tile = msg.payload["to"]
         rights = msg.payload["rights"]
         child = self.caps.derive(msg.src, msg.cap, to_tile, rights)
-        yield 2
-        return {"cap": child}, 8
+        return 2, {"cap": child}, 8
+
+    _HANDLERS = {"mem.alloc": _alloc, "mem.free": _free, "mem.read": _read,
+                 "mem.write": _write, "mem.grant": _grant}
+    #: what a request can be refused with: each becomes an error reply
+    _REFUSALS = (AllocationError, AccessDenied, SegmentFault, ProtocolError,
+                 ConfigError, DramFault)
 
 
 # -- MAC adapters: one OS-side driver per divergent vendor interface -------------
@@ -294,12 +306,10 @@ class NetworkService(Accelerator):
         self._ports: Dict[int, str] = {}  # port -> tile endpoint
         self.mux: Optional[ReliableMux] = None  # built at bring-up
         self._engine = None
-        self._shell = None
         self.frames_forwarded = 0
         self.rx_unbound = 0
 
     def main(self, shell):
-        self._shell = shell
         self._engine = shell.engine
         self.mux = ReliableMux(
             shell.engine, self._tx_frame, self.adapter.mac_addr,
@@ -307,34 +317,38 @@ class NetworkService(Accelerator):
             name=self.name)
         yield from self.adapter.bring_up()
         self.adapter.on_rx(self.mux.deliver_frame)
-        while True:
-            msg = yield shell.recv()
-            shell.spawn(f"req{msg.mid}", self._serve(shell, msg))
+        shell.serve(self._on_request)
 
-    def _serve(self, shell, msg: Message):
+    def _on_request(self, msg: Message) -> None:
+        """A bind is answered at once, a send once the peer ACKs it."""
+        shell = self.shell
         span = shell.span_open(msg, f"service:{msg.op}", op=msg.op)
         if msg.op == "net.bind":
             port = int(msg.payload["port"])
             if port in self._ports and self._ports[port] != msg.src:
                 shell.span_close(span, error="PortTaken")
-                yield shell.reply(msg, payload=f"port {port} taken", error=True)
+                shell.reply(msg, payload=f"port {port} taken", error=True)
                 return
             self._ports[port] = msg.src
             shell.span_close(span)
-            yield shell.reply(msg, payload="bound")
+            shell.reply(msg, payload="bound")
         elif msg.op == "net.send":
             body = msg.payload
-            endpoint = self.mux.peer(body["dst_mac"])
-            yield endpoint.send(
+            incarnation = shell.incarnation
+
+            def sent(_acked) -> None:
+                if shell.incarnation == incarnation:
+                    shell.span_close(span)
+                    shell.reply(msg, payload="sent")
+
+            self.mux.peer(body["dst_mac"]).send(
                 {"port": body["port"], "data": body["data"],
                  "src_mac": self.adapter.mac_addr},
                 payload_bytes=int(body["nbytes"]),
-            )
-            shell.span_close(span)
-            yield shell.reply(msg, payload="sent")
+            ).add_callback(sent)
         else:
             shell.span_close(span, error="UnknownOp")
-            yield shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
+            shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
 
     def _tx_frame(self, frame: EthernetFrame) -> None:
         """Transport -> MAC: straight into the core when it takes the
@@ -356,4 +370,4 @@ class NetworkService(Accelerator):
             self.rx_unbound += 1
             return None
         self.frames_forwarded += 1
-        return self._shell.notify(dst, "net.rx", payload=payload)
+        return self.shell.notify(dst, "net.rx", payload=payload)

@@ -11,7 +11,7 @@ process generators):
 
 * ``call(dst, op, ...)`` — RPC to any endpoint; correlation handled here.
 * ``notify(dst, op, ...)`` — one-way event.
-* ``recv()`` / ``reply(msg, ...)`` — serve incoming requests.
+* ``recv()`` / ``reply(msg, ...)``, or ``serve(handler)`` — serve requests.
 * ``alloc/free/read/write/grant`` — memory through ``svc.mem``.
 * ``net_bind/net_send`` plus ``net_rx`` events — networking through
   ``svc.net``.
@@ -76,6 +76,8 @@ class Shell:
         self.inbox: Channel = Channel(engine, capacity=None,
                                       name=f"{self.name}.inbox")
         self._pending: Dict[int, Event] = {}
+        self._handler: Optional[Callable[[Message], None]] = None  # serve()
+        self.incarnation = 0
         self._children: List[Process] = []
         #: ``len(_children)`` at which spawn() next forgets the finished
         self._prune_at = 16
@@ -106,6 +108,8 @@ class Shell:
                 waiter.fail(ServiceError(str(msg.payload)))
             else:
                 waiter.succeed(msg)
+        elif self._handler is not None:
+            self._handler(msg)
         else:
             self.inbox.try_put(msg)
 
@@ -208,6 +212,19 @@ class Shell:
     def recv(self) -> Event:
         """Next incoming request/event for this tile."""
         return self.inbox.get()
+
+    def serve(self, handler: Callable[[Message], None]) -> None:
+        """Hand each request/event to ``handler(msg)`` on delivery, not to
+        :meth:`recv` (those queued go first): a service needs no process."""
+        self._handler = handler
+        while self.inbox:
+            handler(self.inbox.try_get()[1])
+
+    def stop_serving(self) -> None:
+        """Fail-stop: back to :meth:`recv`, and a new :attr:`incarnation`
+        (a reply an earlier one owes is never sent)."""
+        self._handler = None
+        self.incarnation += 1
 
     # -- service-side causal tracing -----------------------------------------
 

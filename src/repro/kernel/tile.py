@@ -196,12 +196,13 @@ class Tile:
         return True
 
     def fail_stop(self) -> None:
-        """Drain the monitor and kill every process on the tile."""
+        """Drain the monitor, drop the serve handler, kill every process."""
         if self.failed:
             return
         self.failed = True
         self.failed_at = self.engine.now
         self.monitor.drain()
+        self.shell.stop_serving()
         # abort in-flight calls so peers don't wait on a dead tile
         for waiter in list(self.shell._pending.values()):
             if not waiter.triggered:
@@ -210,11 +211,8 @@ class Tile:
         # NACK requests already delivered but not yet served, so their
         # callers get an error instead of a stranded wait (§4.4 drain:
         # "returning an error to any accelerator that tries to communicate")
-        while True:
-            ok, msg = self.shell.inbox.try_get()
-            if not ok:
-                break
-            self.monitor._nack(msg)
+        while self.shell.inbox:
+            self.monitor._nack(self.shell.inbox.try_get()[1])
         if self.main_process is not None and self.main_process.alive:
             self.main_process.interrupt("fail-stop")
         for child in self.shell.children:
@@ -224,6 +222,7 @@ class Tile:
     def stop_and_unload(self) -> Event:
         """Tear the tile down for reuse (management-plane operation)."""
         self.fail_stop()
+        self.shell.stop_serving()  # even if the tile had already failed
         self.accelerator = None
         self.main_process = None
         done = self.region.unload()

@@ -104,25 +104,15 @@ class ChainNodeService(ClusterPortedService):
         self.checkpoints = 0
         self.gap_drops = 0
 
-    # -- main loop ---------------------------------------------------------
+    # -- what the base class's receive loop hands over ---------------------
 
-    def main(self, shell):
-        yield shell.net_bind(self.port)
-        while True:
-            msg = yield shell.recv()
-            if msg.op != "net.rx":
-                continue
-            envelope = msg.payload
-            data = envelope.get("data")
-            if not (isinstance(data, tuple) and len(data) == 3):
-                continue
-            tag, rid, body = data
-            if tag == "req":
-                yield from self._serve_one(shell, envelope, rid, body)
-            elif tag == "batch":
-                yield from self._serve_batch(shell, envelope, rid, body)
-            elif tag == "evt":
-                yield from self._chain_evt(shell, body)
+    def _serve_tagged(self, shell, envelope, tag, rid, body):
+        if tag == "req":
+            yield from self._serve_one(shell, envelope, rid, body)
+        elif tag == "batch":
+            yield from self._serve_batch(shell, envelope, rid, body)
+        elif tag == "evt":
+            yield from self._chain_evt(shell, body)
 
     def _serve_one(self, shell, envelope, rid, body):
         out = yield from self._dispatch(shell, envelope, rid, body)

@@ -298,11 +298,9 @@ class ReplicationManager:
         splices can reuse the slot (fenced boards fill up otherwise)."""
         if inst.fpga in self.cluster.killed:
             return
-        system = self.cluster.systems[inst.fpga]
-        try:
-            system.mgmt.teardown(inst.node)
-        except Exception:
-            pass  # tile already failed/freed; the slot is not coming back
+        # an already-failed or already-empty tile is fine: teardown does
+        # not raise for it (the unload event fails instead)
+        self.cluster.systems[inst.fpga].mgmt.teardown(inst.node)
 
     # -- repair ------------------------------------------------------------
 

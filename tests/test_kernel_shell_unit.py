@@ -222,3 +222,33 @@ def test_spawn_registers_children(rig):
     assert proc in shell.children
     engine.run()
     assert not proc.alive
+
+
+def test_serve_hands_queued_messages_over_first_then_each_on_delivery(rig):
+    engine, monitor, shell = rig
+    seen = []
+    for op in ("early", "later"):
+        monitor.deliver(Message(src="peer", dst="tileX", op=op))
+    shell.serve(lambda msg: seen.append((engine.now, msg.op)))
+    assert seen == [(0, "early"), (0, "later")] and len(shell.inbox) == 0
+    engine.run(until=7)
+    monitor.deliver(Message(src="peer", dst="tileX", op="tick",
+                            kind=MessageKind.EVENT))
+    request = shell.call("svc", "op")  # a response still finds its caller
+    monitor.respond(monitor.admit())
+    engine.run()
+    assert seen[2:] == [(7, "tick")]
+    assert request.value.payload == "ok"
+
+
+def test_stop_serving_returns_the_tile_to_recv_and_starts_an_incarnation(rig):
+    engine, monitor, shell = rig
+    seen = []
+    shell.serve(seen.append)
+    shell.stop_serving()
+    assert shell.incarnation == 1
+    monitor.deliver(Message(src="peer", dst="tileX", op="ping"))
+    assert seen == []
+    out = collect(engine, shell.recv())
+    engine.run()
+    assert out["value"].op == "ping"

@@ -235,6 +235,22 @@ class TestChainServing:
                      for a in member_accels(cluster, shard)]
             assert roles == ["head", "tail"]
 
+    def test_tearing_down_an_already_empty_or_failed_member_does_not_raise(
+            self):
+        """``_teardown_fenced`` calls ``mgmt.teardown`` bare: for a tile
+        already failed, or already unloaded, the unload event fails and
+        nothing raises."""
+        cluster = chain_cluster(n_shards=1)
+        spec = cluster.directory.services["kv"]
+        empty, failed = spec.instances[:2]
+        system = cluster.systems[empty.fpga]
+        cluster.engine.run_until_done(system.mgmt.teardown(empty.node))
+        cluster.systems[failed.fpga].mgmt.fail_stop(failed.node)
+        for inst in (empty, failed, empty):
+            cluster.replication._teardown_fenced(inst)
+        cluster.run(until=cluster.engine.now + 10_000)
+        assert system.tiles[empty.node].free
+
     def test_chain_requires_replication_manager(self):
         cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
         cluster.boot()
