@@ -18,12 +18,11 @@ parameters — checked in CI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.accel import Accelerator
 from repro.chaos.injector import FaultKind, FaultPlan, Injector
 from repro.errors import ConfigError, DeadlineExceeded
-from repro.eval import report
 from repro.eval.tables import format_table
 from repro.hw.resources import ResourceVector
 from repro.kernel.config import NocConfig, SystemConfig
@@ -33,6 +32,20 @@ from repro.sim import Engine, RngPool
 
 __all__ = ["checksum", "ChecksumService", "SurvivalClient", "CampaignPoint",
            "Campaign"]
+
+#: the board every point runs on: a 4x4 grid
+WIDTH = HEIGHT = 4
+#: the tile the checksum service starts on
+SERVICE_NODE = 1
+#: failover targets the recovery arm keeps empty
+SPARES = (14, 15)
+#: each client's pause between requests
+CLIENT_GAP = 25_000
+#: each client's retry deadline per request, and its per-attempt timeout
+CLIENT_DEADLINE = 300_000
+ATTEMPT_TIMEOUT = 25_000
+#: fraction of the duration crash times are drawn from
+WINDOW = (0.05, 0.5)
 
 
 def checksum(data: Any) -> int:
@@ -94,15 +107,10 @@ class SurvivalClient(Accelerator):
     COST = ResourceVector(logic_cells=5_000, bram_kb=32, dsp_slices=2)
     PRIMITIVES = {"lut_logic": 4_000, "bram": 8}
 
-    def __init__(self, name: str, service: str, until: int,
-                 gap: int = 25_000, deadline: int = 300_000,
-                 attempt_timeout: int = 25_000):
+    def __init__(self, name: str, service: str, until: int):
         super().__init__(name)
         self.service = service
         self.until = until
-        self.gap = gap
-        self.deadline = deadline
-        self.attempt_timeout = attempt_timeout
         self.ok = 0
         self.failed = 0
         self.checksum_errors = 0
@@ -118,8 +126,8 @@ class SurvivalClient(Accelerator):
                 resp = yield shell.call(
                     self.service, "sum", payload=body,
                     payload_bytes=len(body),
-                    retry=RetryPolicy(deadline=self.deadline,
-                                      attempt_timeout=self.attempt_timeout),
+                    retry=RetryPolicy(deadline=CLIENT_DEADLINE,
+                                      attempt_timeout=ATTEMPT_TIMEOUT),
                 )
             except DeadlineExceeded:
                 self.failed += 1
@@ -128,7 +136,7 @@ class SurvivalClient(Accelerator):
                     self.ok += 1
                 else:
                     self.checksum_errors += 1
-            yield self.gap
+            yield CLIENT_GAP
         self.finished = True
         while True:  # stay resident; the tile owns this process
             yield 1_000_000
@@ -175,8 +183,6 @@ class Campaign:
     duration: fault-plan horizon; client load runs past its window so every
         injected fault has requests in flight to hurt.
     clients: number of closed-loop caller tiles.
-    extra_rates: additional background fault kinds (NoC/DRAM/Ethernet) at
-        fixed rates, applied identically to every non-zero-rate point.
     """
 
     SERVICE = "svc.checksum"
@@ -187,15 +193,6 @@ class Campaign:
         rates: Sequence[float] = (0.0, 2.0, 5.0),
         duration: int = 1_200_000,
         clients: int = 3,
-        width: int = 4,
-        height: int = 4,
-        service_node: int = 1,
-        spares: Sequence[int] = (14, 15),
-        client_gap: int = 25_000,
-        client_deadline: int = 300_000,
-        heartbeat_interval: int = 5_000,
-        window: Tuple[float, float] = (0.05, 0.5),
-        extra_rates: Optional[Mapping[FaultKind, float]] = None,
     ):
         if clients < 1:
             raise ConfigError("a campaign needs at least one client")
@@ -203,23 +200,13 @@ class Campaign:
         self.rates = list(rates)
         self.duration = duration
         self.clients = clients
-        self.width = width
-        self.height = height
-        self.service_node = service_node
-        self.spares = list(spares)
-        self.client_gap = client_gap
-        self.client_deadline = client_deadline
-        self.heartbeat_interval = heartbeat_interval
-        self.window = window
-        self.extra_rates = dict(extra_rates or {})
         self.points: List[CampaignPoint] = []
 
     # -- one measurement point ----------------------------------------------
 
     def _client_nodes(self) -> List[int]:
-        tiles = self.width * self.height
-        reserved = {0, self.service_node} | set(self.spares)
-        nodes = [n for n in range(tiles) if n not in reserved]
+        reserved = {0, SERVICE_NODE, *SPARES}
+        nodes = [n for n in range(WIDTH * HEIGHT) if n not in reserved]
         if len(nodes) < self.clients:
             raise ConfigError(
                 f"{self.clients} clients do not fit: only {len(nodes)} free "
@@ -228,25 +215,14 @@ class Campaign:
         return nodes[: self.clients]
 
     def _plan(self, rate: float, point_seed: int) -> FaultPlan:
-        tiles = self.width * self.height
-        rates: Dict[FaultKind, float] = {FaultKind.TILE_CRASH: rate}
-        rates.update(self.extra_rates)
-        targets: Dict[FaultKind, Sequence[Any]] = {
-            FaultKind.TILE_CRASH: [self.SERVICE],
-            FaultKind.NOC_ROUTER_STALL: list(range(tiles)),
-            FaultKind.NOC_DROP: list(range(tiles)),
-            FaultKind.NOC_LINK_SLOW: list(range(4 * tiles)),
-            FaultKind.DRAM_BITFLIP: list(range(0, 1 << 20, 4096)),
-            FaultKind.DRAM_BANK_FAIL: list(range(64)),
-            FaultKind.ETH_LOSS_BURST: ["fabric"],
-            FaultKind.ETH_CORRUPT_BURST: ["fabric"],
-        }
         # at least one crash whenever the rate is non-zero, so sparse sweep
         # points still measure recovery rather than an uneventful run
         floor = {FaultKind.TILE_CRASH: 1} if rate > 0 else {}
         return FaultPlan.generate(
-            seed=point_seed, duration=self.duration, rates=rates,
-            targets=targets, window=self.window, min_events=floor,
+            seed=point_seed, duration=self.duration,
+            rates={FaultKind.TILE_CRASH: rate},
+            targets={FaultKind.TILE_CRASH: [self.SERVICE]},
+            window=WINDOW, min_events=floor,
         )
 
     def run_point(self, rate: float, recovery: bool) -> CampaignPoint:
@@ -255,32 +231,27 @@ class Campaign:
         engine = Engine()
         system = ApiarySystem(
             SystemConfig(seed=point_seed,
-                         noc=NocConfig(width=self.width, height=self.height)),
+                         noc=NocConfig(width=WIDTH, height=HEIGHT)),
             engine=engine)
         if recovery:
-            manager = system.enable_recovery(
-                spares=list(self.spares),
-                heartbeat_interval=self.heartbeat_interval,
-            )
-            started = manager.deploy(self.service_node, ChecksumService,
+            manager = system.enable_recovery(spares=list(SPARES))
+            started = manager.deploy(SERVICE_NODE, ChecksumService,
                                      self.SERVICE)
         else:
             manager = None
-            started = system.mgmt.load(self.service_node, ChecksumService(),
+            started = system.mgmt.load(SERVICE_NODE, ChecksumService(),
                                        endpoint=self.SERVICE)
         system.boot()
         engine.run_until_done(started, limit=10_000_000)
 
         # clients call past the fault window so late faults still have
         # victims; the hard stop bounds the recovery-off runs
-        load_until = engine.now + int(self.duration * self.window[1]) \
-            + self.client_deadline
+        load_until = engine.now + int(self.duration * WINDOW[1]) \
+            + CLIENT_DEADLINE
         client_accels: List[SurvivalClient] = []
         for node in self._client_nodes():
-            accel = SurvivalClient(
-                f"client{node}", self.SERVICE, until=load_until,
-                gap=self.client_gap, deadline=self.client_deadline,
-            )
+            accel = SurvivalClient(f"client{node}", self.SERVICE,
+                                   until=load_until)
             started = system.start_app(node, accel)
             system.mgmt.grant_send(f"tile{node}", self.SERVICE)
             engine.run_until_done(started, limit=10_000_000)
@@ -289,7 +260,7 @@ class Campaign:
         injector = Injector(system, self._plan(rate, point_seed))
         injector.arm()
 
-        hard_stop = load_until + self.client_deadline + 400_000
+        hard_stop = load_until + CLIENT_DEADLINE + 400_000
         while (not all(c.finished for c in client_accels)
                and engine.now < hard_stop):
             engine.run(until=engine.now + 50_000)
@@ -347,12 +318,5 @@ class Campaign:
              "mean MTTR (cyc)"],
             rows,
             title=f"chaos campaign (seed={self.seed}, "
-                  f"{self.clients} clients, {self.width}x{self.height})",
+                  f"{self.clients} clients, {WIDTH}x{HEIGHT})",
         )
-
-    def record(self, experiment_id: str = "R1") -> str:
-        """Emit the campaign table through the experiment report registry."""
-        text = self.report_text()
-        report.record(experiment_id, "Fault-injection campaign: availability "
-                                     "with and without recovery", text)
-        return text

@@ -14,13 +14,7 @@ from repro.cluster.bitcache import (
     BoardBitstreamStore,
 )
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import (
-    CacheConfig,
-    ClusterConfig,
-    ObsConfig,
-    RecoveryConfig,
-    ReplicationConfig,
-)
+from repro.cluster.config import CacheConfig, ClusterConfig, ObsConfig
 from repro.cluster.directory import (
     HashRing,
     ServiceDirectory,
@@ -33,9 +27,7 @@ from repro.cluster.service import ClusterPortedService
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "RecoveryConfig",
     "ObsConfig",
-    "ReplicationConfig",
     "CacheConfig",
     "BitstreamPlane",
     "BoardBitstreamStore",

@@ -104,9 +104,6 @@ class BoardBitstreamStore:
 
     # -- cache mechanics ---------------------------------------------------
 
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._entries
-
     def warm(self, bitstream: Bitstream) -> bool:
         """Is this design's artifact resident (a load would be a hit)?"""
         return artifact_digest(bitstream) in self._entries

@@ -79,7 +79,7 @@ class Cluster:
             )
         self.config = config
         self._backend: ClusterBackend = BACKENDS[config.backend]()
-        if config.replication.enabled:
+        if config.replication:
             self._require_dynamic_placement("chain replication")
         # build() populates engine/fabric/spans/systems on self
         self.engine: Engine
@@ -140,13 +140,8 @@ class Cluster:
         reconfigure straight from the content-addressed artifact cache.
         :attr:`bitplane` is the cluster-level view (prefetch + warm
         queries)."""
-        cache = self.config.cache
         for i, system in enumerate(self.systems):
-            system.enable_bitstream_cache(
-                capacity_cells=cache.capacity_cells,
-                cycles_per_cell=cache.synth_cycles_per_cell,
-                board=f"fpga{i}",
-            )
+            system.enable_bitstream_cache(board=f"fpga{i}")
         self.bitplane = BitstreamPlane(self)
 
     def _arm(self) -> None:
@@ -159,14 +154,10 @@ class Cluster:
         surviving board.
         """
         cfg = self.config
-        rec, obs = cfg.recovery, cfg.obs
-        if rec.enabled:
+        obs = cfg.obs
+        if cfg.recovery:
             for system in self.systems:
-                system.enable_recovery(
-                    spares=list(rec.spares) or None,
-                    heartbeat_interval=rec.heartbeat_interval,
-                    prefer_spare=rec.prefer_spare,
-                    max_restarts=rec.max_restarts)
+                system.enable_recovery()
         if obs.tracing:
             # every partition's recorder (on the shared backend they are
             # all the one cluster recorder)
@@ -180,17 +171,16 @@ class Cluster:
             # and events
             for i, system in enumerate(self.systems):
                 system.enable_flight_recorder(
-                    board=f"fpga{i}", capacity=obs.flight_capacity,
-                    dump_dir=obs.flight_dump_dir)
-        if obs.slo_enabled:
+                    board=f"fpga{i}", dump_dir=obs.flight_dump_dir)
+        if obs.slo_targets:
             # fed by the front-end's admission rejections and completions
-            self.slo = SLOEngine(bucket_cycles=obs.slo_bucket_cycles)
+            self.slo = SLOEngine()
             for target in obs.slo_targets:
                 self.slo.add_target(target)
-        if cfg.replication.enabled:
+        if cfg.replication:
             from repro.replic import ReplicationManager  # cyclic import
 
-            self.replication = ReplicationManager(self, cfg.replication)
+            self.replication = ReplicationManager(self)
 
     def start_frontend(self, **kwargs) -> FrontEnd:
         """Attach the load-balancing front-end (once)."""
@@ -210,10 +200,6 @@ class Cluster:
         self._require_dynamic_placement("the autoscaler")
         if self.frontend is None:
             raise ConfigError("start the front-end before the autoscaler")
-        # cache-aware default: scale-up prefetch follows the cache config
-        kwargs.setdefault(
-            "prefetch",
-            self.bitplane is not None and self.config.cache.prefetch)
         scaler = Autoscaler(self, service, **kwargs)
         scaler.start()
         return scaler
@@ -237,15 +223,15 @@ class Cluster:
     def deploy_chain(self, service, machine_factory, **kwargs):
         """Deploy a chain-replicated stateful service.
 
-        Needs ``ReplicationConfig(enabled=True)`` and a booted cluster —
+        Needs ``ClusterConfig(replication=True)`` and a booted cluster —
         chains are inert (epoch 0, rejecting everything) until the
         manager configures them.  Returns ``(load_started_events,
         configured_event)``.
         """
         if self.replication is None:
             raise ConfigError(
-                "deploying a chained service needs ReplicationConfig("
-                "enabled=True) and boot()"
+                "deploying a chained service needs ClusterConfig("
+                "replication=True) and boot()"
             )
         started = self._deploy(self.directory.deploy_chain, service,
                                machine_factory, **kwargs)
@@ -350,17 +336,3 @@ class Cluster:
         self._backend.heal_board(index)
         if self.replication is not None:
             self.replication.notify_heal()
-
-    def describe(self) -> str:
-        lines = [f"Apiary cluster: {self.n_fpgas} FPGA(s), "
-                 f"{len(self.directory.services)} service(s), "
-                 f"backend={self.config.backend}"]
-        for i, system in enumerate(self.systems):
-            status = "KILLED" if i in self.killed else "up"
-            insts = self.directory.instances_on(i)
-            lines.append(
-                f"  fpga{i} [{status}] "
-                f"{system.config.noc.width}x{system.config.noc.height}: "
-                + ", ".join(inst.iid for inst in insts)
-            )
-        return "\n".join(lines)

@@ -8,7 +8,7 @@ plane, replication control plane)::
 
     cluster = Cluster(ClusterConfig(
         n_fpgas=4,
-        recovery=RecoveryConfig(enabled=True),
+        recovery=True,
         cache=CacheConfig(enabled=True),
         obs=ObsConfig(tracing=True),
     ))
@@ -30,31 +30,7 @@ from typing import Any, Optional, Tuple
 from repro.errors import ConfigError
 from repro.kernel.config import SystemConfig
 
-__all__ = [
-    "RecoveryConfig",
-    "ObsConfig",
-    "ReplicationConfig",
-    "CacheConfig",
-    "ClusterConfig",
-]
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Per-board intra-FPGA recovery watchdogs."""
-
-    enabled: bool = False
-    #: tile indices reserved as spares on every board
-    spares: Tuple[int, ...] = ()
-    heartbeat_interval: int = 5_000
-    prefer_spare: bool = False
-    max_restarts: int = 8
-
-    def __post_init__(self):
-        if self.heartbeat_interval < 1:
-            raise ConfigError("heartbeat_interval must be >= 1")
-        if self.max_restarts < 0:
-            raise ConfigError("max_restarts must be >= 0")
+__all__ = ["ObsConfig", "CacheConfig", "ClusterConfig"]
 
 
 @dataclass(frozen=True)
@@ -63,42 +39,10 @@ class ObsConfig:
 
     tracing: bool = False
     flight_recorders: bool = False
-    flight_capacity: int = 256
     flight_dump_dir: Optional[str] = None
-    slo: bool = False
-    slo_bucket_cycles: int = 10_000
-    #: SLOTarget objects registered at build (slo implied when non-empty)
+    #: SLOTarget objects registered at build; the SLO engine runs when
+    #: there is at least one
     slo_targets: Tuple[Any, ...] = ()
-
-    def __post_init__(self):
-        if self.flight_capacity < 1:
-            raise ConfigError("flight_capacity must be >= 1")
-        if self.slo_bucket_cycles < 1:
-            raise ConfigError("slo_bucket_cycles must be >= 1")
-
-    @property
-    def slo_enabled(self) -> bool:
-        return self.slo or bool(self.slo_targets)
-
-
-@dataclass(frozen=True)
-class ReplicationConfig:
-    """Chain-replication control plane (shared backend only)."""
-
-    enabled: bool = False
-    mac: str = "replic"
-    rpc_timeout: int = 25_000
-    snapshot_timeout: int = 120_000
-    probe_interval: int = 20_000
-    miss_limit: int = 3
-    repair_settle: int = 2_000
-    reconfig_timeout: int = 1_200_000
-
-    def __post_init__(self):
-        if self.probe_interval < 1:
-            raise ConfigError("probe_interval must be >= 1")
-        if self.miss_limit < 1:
-            raise ConfigError("miss_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,20 +50,10 @@ class CacheConfig:
     """Per-board bitstream compile-and-cache pipeline."""
 
     enabled: bool = False
-    #: LRU budget per board, in logic cells of cached artifacts
-    capacity_cells: int = 256_000
-    #: synthesis cost knob (scales the whole cost vector proportionally)
-    synth_cycles_per_cell: int = 64
     #: let the autoscaler compile-ahead on scale-up early warning
     prefetch: bool = True
     #: let the directory prefer boards whose cache is already warm
     warm_placement: bool = True
-
-    def __post_init__(self):
-        if self.capacity_cells < 1:
-            raise ConfigError("capacity_cells must be >= 1")
-        if self.synth_cycles_per_cell < 1:
-            raise ConfigError("synth_cycles_per_cell must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,10 +67,11 @@ class ClusterConfig:
     fabric_latency: int = 500
     backend: str = "shared"
     swallow_orphan_errors: bool = False
-    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
+    #: per-board intra-FPGA recovery watchdogs
+    recovery: bool = False
     obs: ObsConfig = field(default_factory=ObsConfig)
-    replication: ReplicationConfig = field(
-        default_factory=ReplicationConfig)
+    #: chain-replication control plane (shared backend only)
+    replication: bool = False
     cache: CacheConfig = field(default_factory=CacheConfig)
 
     def __post_init__(self):

@@ -116,17 +116,9 @@ class BitstreamArtifact:
     drc_clean: bool = True
 
     @property
-    def cost(self):
-        return self.bitstream.cost
-
-    @property
     def size_cells(self) -> int:
         """Cache-accounting size: the logic-cell envelope of the design."""
         return self.bitstream.cost.logic_cells
-
-    def fits_in(self, capacity) -> bool:
-        """Overlay-reuse check: can a region of ``capacity`` host this?"""
-        return self.bitstream.cost.fits_in(capacity)
 
 
 class CompileService:

@@ -17,7 +17,7 @@ tables scale in real RTL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError, ResourceExhausted
 from repro.hw.device import FpgaPart
@@ -108,9 +108,6 @@ class ResourceBudget:
         if owner not in self._allocated:
             raise ConfigError(f"owner {owner!r} holds no allocation")
         return self._allocated.pop(owner)
-
-    def allocation(self, owner: str) -> Optional[ResourceVector]:
-        return self._allocated.get(owner)
 
     def owners(self) -> List[str]:
         return sorted(self._allocated)

@@ -137,7 +137,6 @@ class SystemConfig:
 
     part_name: str = "VU29P"
     seed: int = 0
-    monitor_cap_slots: int = 64
     noc: NocConfig = field(default_factory=NocConfig)
     mem: MemConfig = field(default_factory=MemConfig)
     net: NetConfig = field(default_factory=NetConfig)
@@ -145,8 +144,6 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         tiles = self.noc.tiles
-        if self.monitor_cap_slots < 1:
-            raise ConfigError("monitor_cap_slots must be >= 1")
         if self.mem.enabled and self.mem.tile >= tiles:
             raise ConfigError(
                 f"mem tile {self.mem.tile} outside the {tiles}-tile grid"

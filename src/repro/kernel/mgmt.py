@@ -65,12 +65,6 @@ class MgmtPlane:
 
     # -- naming (the per-tile tables of Section 4.3) ---------------------------
 
-    @property
-    def name_table(self) -> Dict[str, int]:
-        """The raw resolution dict (shared with monitors).  Policy code
-        should use :attr:`namespace` / the methods below instead."""
-        return self.namespace.table
-
     def register_endpoint(self, name: str, node: int) -> None:
         if not 0 <= node < len(self.tiles):
             raise ConfigError(f"no tile {node}")
@@ -80,9 +74,6 @@ class MgmtPlane:
 
     def unregister_endpoint(self, name: str) -> None:
         self.namespace.unbind(name)
-
-    def resolve(self, name: str) -> int:
-        return self.namespace.lookup(name)
 
     # -- capability policy ---------------------------------------------------------
 

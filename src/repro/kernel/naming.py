@@ -57,13 +57,6 @@ class Namespace:
         """Remove a binding (no-op when absent)."""
         self.table.pop(name, None)
 
-    def rebind(self, name: str, node: Any) -> Any:
-        """Move ``name`` to ``node`` unconditionally; returns the previous
-        binding (None when the name was unbound) — the failover verb."""
-        previous = self.table.get(name)
-        self.table[name] = node
-        return previous
-
     # -- queries -----------------------------------------------------------
 
     def get(self, name: str, default: Any = None) -> Any:
@@ -79,12 +72,6 @@ class Namespace:
 
     def __contains__(self, name: str) -> bool:
         return name in self.table
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.table)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Namespace {len(self.table)} names>"

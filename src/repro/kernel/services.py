@@ -26,6 +26,7 @@ from repro.cap.captable import CapabilityStore
 from repro.errors import (
     AccessDenied,
     AllocationError,
+    CapabilityError,
     ConfigError,
     DramFault,
     ProtocolError,
@@ -127,7 +128,13 @@ class MemoryService(Accelerator):
         base, rounded = self.allocator.allocate(size)
         seg = self.segments.create(base=base, size=rounded, owner=msg.src,
                                    label=label)
-        cap = self.caps.mint(msg.src, self.default_rights, segment_id=seg.sid)
+        try:
+            cap = self.caps.mint(msg.src, self.default_rights,
+                                 segment_id=seg.sid)
+        except CapabilityError:  # the caller's table is full: undo
+            self.segments.free(seg.sid)
+            self.allocator.free(base)
+            raise
         self._backing[seg.sid] = bytearray()
         self._extent_of[seg.sid] = base
         return 4, {"cap": cap, "sid": seg.sid, "size": rounded}, 16
@@ -205,8 +212,8 @@ class MemoryService(Accelerator):
     _HANDLERS = {"mem.alloc": _alloc, "mem.free": _free, "mem.read": _read,
                  "mem.write": _write, "mem.grant": _grant}
     #: what a request can be refused with: each becomes an error reply
-    _REFUSALS = (AllocationError, AccessDenied, SegmentFault, ProtocolError,
-                 ConfigError, DramFault)
+    _REFUSALS = (AllocationError, CapabilityError, SegmentFault,
+                 ProtocolError, ConfigError, DramFault)
 
 
 # -- MAC adapters: one OS-side driver per divergent vendor interface -------------

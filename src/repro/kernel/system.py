@@ -54,6 +54,10 @@ from repro.sim import Engine, Event, RngPool, StatsRegistry
 
 __all__ = ["ApiarySystem", "build_figure1"]
 
+#: capability-table slots per holder: what each monitor is priced with
+#: and what the capability store enforces
+MONITOR_CAP_SLOTS = 64
+
 
 class ApiarySystem:
     """One direct-attached FPGA running Apiary.
@@ -103,7 +107,7 @@ class ApiarySystem:
             flit_bytes=noc.flit_bytes,
             stats=self.stats, spans=self.spans,
         )
-        self.caps = CapabilityStore(slots_per_holder=config.monitor_cap_slots)
+        self.caps = CapabilityStore(slots_per_holder=MONITOR_CAP_SLOTS)
         self.segments = SegmentTable()
         self.namespace = Namespace()
         #: the raw name table monitors resolve against; shared in place
@@ -120,7 +124,7 @@ class ApiarySystem:
         r_cost = router_cost(num_vcs=noc.num_vcs,
                              buffer_depth=noc.buffer_depth,
                              hardened=self.part.hardened_noc)
-        m_cost = monitor_cost(cap_table_size=config.monitor_cap_slots,
+        m_cost = monitor_cost(cap_table_size=MONITOR_CAP_SLOTS,
                               rate_limited=noc.rate_limit_flits is not None)
         for node in range(tiles):
             self.budget.allocate(f"apiary.router{node}", r_cost)
@@ -144,7 +148,7 @@ class ApiarySystem:
                 enforce=config.fault.enforce,
                 rate_limit_flits_per_cycle=noc.rate_limit_flits,
                 rate_limit_burst=noc.rate_limit_burst,
-                cap_table_size=config.monitor_cap_slots,
+                cap_table_size=MONITOR_CAP_SLOTS,
                 stats=self.stats,
             )
             region = ReconfigRegion(self.engine, self.slot_capacity,
@@ -285,12 +289,7 @@ class ApiarySystem:
         )
         return self.recovery
 
-    def enable_bitstream_cache(
-        self,
-        capacity_cells: Optional[int] = None,
-        cycles_per_cell: Optional[int] = None,
-        board: Optional[str] = None,
-    ):
+    def enable_bitstream_cache(self, board: Optional[str] = None):
         """Attach a per-board bitstream compile-and-cache pipeline.
 
         All subsequent ``mgmt.load`` calls route through the board's
@@ -301,11 +300,7 @@ class ApiarySystem:
         per artifact) and stats registry (cache counters merge with
         everything else).
         """
-        from repro.cluster.bitcache import (  # avoid a cyclic import
-            DEFAULT_CACHE_CELLS,
-            BoardBitstreamStore,
-        )
-        from repro.hw.compile import SYNTH_CYCLES_PER_CELL
+        from repro.cluster.bitcache import BoardBitstreamStore  # cyclic
 
         if self.bitstore is not None:
             raise ConfigError("bitstream cache is already enabled")
@@ -314,10 +309,6 @@ class ApiarySystem:
             drc=self.drc,
             stats=self.stats,
             board=board if board is not None else "fpga0",
-            capacity_cells=capacity_cells if capacity_cells is not None
-            else DEFAULT_CACHE_CELLS,
-            cycles_per_cell=cycles_per_cell if cycles_per_cell is not None
-            else SYNTH_CYCLES_PER_CELL,
         )
         self.mgmt.attach_bitstore(self.bitstore)
         return self.bitstore
@@ -341,9 +332,6 @@ class ApiarySystem:
         for ev in self._boot_events:
             self.engine.run_until_done(ev, limit=10_000_000)
         self.engine.run(until=self.engine.now + extra_cycles)
-
-    def tile(self, node: int) -> Tile:
-        return self.tiles[node]
 
     def start_app(self, node: int, accelerator,
                   endpoint: Optional[str] = None,

@@ -88,9 +88,7 @@ class ScenarioRunner:
             # chaos plans kill boards mid-flight; orphaned in-flight
             # errors are the fault path's job, not the engine's
             swallow_orphan_errors=True,
-            # slo=True: a scenario declaring no SLOs still gets an
-            # engine, so it reports (and fails) instead of crashing
-            obs=replace(self.config.obs, slo=True, slo_targets=scn.slos),
+            obs=replace(self.config.obs, slo_targets=scn.slos),
         ))
         cluster.boot()
         started = []

@@ -198,12 +198,6 @@ class BuddyAllocator:
                 return self.block_size(order)
         return 0
 
-    def external_fragmentation(self) -> float:
-        free = self.free_bytes
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_free_extent / free
-
     def allocate(self, size: int) -> Extent:
         if size < 1:
             raise AllocationError(f"allocation size must be >= 1, got {size}")

@@ -64,14 +64,6 @@ class PagedMmu:
 
     # -- allocation ----------------------------------------------------------
 
-    @property
-    def free_bytes(self) -> int:
-        return len(self._free_frames) * self.page_bytes
-
-    @property
-    def used_bytes(self) -> int:
-        return self.capacity - self.free_bytes
-
     def allocate(self, asid: str, size: int) -> int:
         """Map ``size`` bytes for ``asid``; returns the virtual base."""
         if size < 1:

@@ -14,7 +14,7 @@ maintains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError, SegmentFault
 
@@ -112,6 +112,3 @@ class SegmentTable:
 
     def __len__(self) -> int:
         return sum(1 for s in self._segments.values() if s.live)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(list(self._segments.values()))

@@ -123,9 +123,6 @@ class PartitionFabric(EthernetFabric):
         self._outbox: List[FrameEnvelope] = []
         self._out_seq = 0
 
-    def partition_of(self, mac: str) -> int:
-        return self._partition_of.get(mac, 0)
-
     def mark_remote_detached(self, mac: str) -> None:
         """A MAC somewhere on the segment is gone (board fail-stop)."""
         self._remote_detached.add(mac)

@@ -107,9 +107,6 @@ class HostCpu:
         finally:
             self.cores.release(grant)
 
-    def utilization(self, since: int = 0) -> float:
-        return self.cores.utilization(since)
-
 
 class HostNetStack:
     """Per-packet host network processing cost.

@@ -219,15 +219,6 @@ class QuantileSketch:
         if len(self._bins) > self.max_bins:
             self._collapse()
 
-    def reset(self) -> None:
-        self._bins.clear()
-        self._zero_count = 0
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self.collapsed = 0
-
     # -- introspection ----------------------------------------------------
 
     def bucket_counts(self) -> List[Tuple[int, int]]:

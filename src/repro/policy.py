@@ -2,11 +2,11 @@
 
 :class:`RetryPolicy` is the one home of the five retry knobs (deadline,
 per-attempt timeout, attempt cap, backoff base/cap) and of the
-deadline/backoff loop: a frozen dataclass that plugs into the primary
-request APIs of the shell and the remote client alike::
+deadline/backoff loop: a frozen dataclass that the shell's calls and the
+cluster front-end's request path both take::
 
-    msg  = yield shell.call("svc.kv", "kv.get", retry=RetryPolicy())
-    resp = yield client.request(mac, port, body, retry=RetryPolicy(
+    msg = yield shell.call("svc.kv", "kv.get", retry=RetryPolicy())
+    fe = cluster.start_frontend(retry=RetryPolicy(
         deadline=400_000, attempt_timeout=50_000))
 
 Backoff is deterministic (exponential, no jitter) so seeded experiments

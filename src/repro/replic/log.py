@@ -68,9 +68,6 @@ class WriteAheadLog:
     def last_index(self) -> int:
         return self.base_index + len(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def append(self, epoch: int, wid: Optional[str],
                body: Dict[str, Any]) -> LogEntry:
         """Append a fresh entry at ``last_index + 1`` (head-side append)."""

@@ -1,6 +1,6 @@
 """ReplicationManager: the chain-replication control plane.
 
-A fabric host (default MAC ``replic``) that owns chain *membership* the
+A fabric host (MAC ``replic``) that owns chain *membership* the
 way the front-end owns *routing*: it configures chains at deploy time,
 watches members (kernel fault reports + its own stat probes, which are
 what catch fabric partitions — a partitioned board reports nothing), and
@@ -38,6 +38,21 @@ from repro.workloads.client import RemoteClientHost
 
 __all__ = ["RepairEvent", "ReplicationManager"]
 
+#: the manager's address on the fabric
+MAC = "replic"
+#: default timeout of one control RPC to a chain member
+RPC_TIMEOUT = 25_000
+#: timeout of a checkpoint transfer (``chain.snap`` / ``chain.restore``)
+SNAPSHOT_TIMEOUT = 120_000
+#: cycles between stat probes of every managed member
+PROBE_INTERVAL = 20_000
+#: consecutive probe misses that mark a member's shard dirty
+MISS_LIMIT = 3
+#: cycles the repair loop lets a burst of problems settle before acting
+REPAIR_SETTLE = 2_000
+#: how long a splice waits for its replacement replica to load
+RECONFIG_TIMEOUT = 1_200_000
+
 
 @dataclass
 class RepairEvent:
@@ -65,24 +80,15 @@ class RepairEvent:
 class ReplicationManager:
     """Configures, watches, and repairs replication chains."""
 
-    def __init__(self, cluster, config):
-        """``config`` is the cluster's
-        :class:`~repro.cluster.config.ReplicationConfig`."""
+    def __init__(self, cluster):
         self.cluster = cluster
         self.engine = cluster.engine
         self.fabric = cluster.fabric
         self.directory = cluster.directory
-        self.mac = config.mac
-        self.rpc_timeout = config.rpc_timeout
-        self.snapshot_timeout = config.snapshot_timeout
-        self.probe_interval = config.probe_interval
-        self.miss_limit = config.miss_limit
-        self.repair_settle = config.repair_settle
-        self.reconfig_timeout = config.reconfig_timeout
 
         #: the manager's face on the fabric: the one host-side request
         #: client (rid bookkeeping, response demux, per-request timeout)
-        self.client = RemoteClientHost(self.engine, self.fabric, self.mac)
+        self.client = RemoteClientHost(self.engine, self.fabric, MAC)
         self._managed: List[str] = []
         #: (service, shard) -> cycle the problem was first seen
         self._dirty: Dict[Tuple[str, int], int] = {}
@@ -118,7 +124,7 @@ class ReplicationManager:
             return (yield self.client.request(
                 self.cluster.mac(inst.fpga), inst.port, body,
                 nbytes=max(64, nbytes),
-                timeout=timeout if timeout is not None else self.rpc_timeout))
+                timeout=timeout if timeout is not None else RPC_TIMEOUT))
         except ConfigError:  # the client's "request timed out"
             self.rpc_timeouts += 1
             return None
@@ -214,10 +220,10 @@ class ReplicationManager:
 
         Kernel fault reports cover crashed tiles and killed boards; a
         *partitioned* board is healthy and silent, so only missed probes
-        reveal it.  ``miss_limit`` consecutive misses mark the shard dirty.
+        reveal it.  ``MISS_LIMIT`` consecutive misses mark the shard dirty.
         """
         while True:
-            yield self.probe_interval
+            yield PROBE_INTERVAL
             for service in list(self._managed):
                 spec = self.directory.services.get(service)
                 if spec is None:
@@ -237,7 +243,7 @@ class ReplicationManager:
                         if stat is None:
                             n = self._probe_misses.get(iid, 0) + 1
                             self._probe_misses[iid] = n
-                            if n >= self.miss_limit:
+                            if n >= MISS_LIMIT:
                                 self._mark_dirty(service, shard)
                         else:
                             self._probe_misses[iid] = 0
@@ -311,7 +317,7 @@ class ReplicationManager:
                 yield self._kick
                 self._kick = None
             # let a board's worth of fault reports coalesce into one pass
-            yield self.repair_settle
+            yield REPAIR_SETTLE
             while self._dirty:
                 # promotes first (cheap reconfiguration — restores every
                 # shard's head/tail in microseconds), splices after
@@ -461,7 +467,7 @@ class ReplicationManager:
         index (what ``dst`` now holds) or None on failure."""
         snap = yield from self._rpc_retry(
             src, {"op": "chain.snap"}, attempts=3,
-            timeout=self.snapshot_timeout)
+            timeout=SNAPSHOT_TIMEOUT)
         if snap is None or not snap.get("ok"):
             return None
         state = snap["state"]
@@ -470,7 +476,7 @@ class ReplicationManager:
         reply = yield from self._rpc_retry(
             dst, {"op": "chain.restore", "state": state,
                   "index": snap["index"]},
-            attempts=3, nbytes=nbytes, timeout=self.snapshot_timeout)
+            attempts=3, nbytes=nbytes, timeout=SNAPSHOT_TIMEOUT)
         if reply is None or not reply.get("ok"):
             return None
         return int(snap["index"])
@@ -493,7 +499,7 @@ class ReplicationManager:
         # wait out the tile's partial reconfiguration — hundreds of
         # kilocycles per bitstream, far beyond any RPC timeout
         yield self.engine.any_of(
-            [started, self.engine.timeout(self.reconfig_timeout)])
+            [started, self.engine.timeout(RECONFIG_TIMEOUT)])
         if not new_inst.ready:
             self._discard_replica(service, shard, new_inst)
             return False

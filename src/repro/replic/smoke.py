@@ -37,12 +37,7 @@ import random
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import (
-    ClusterConfig,
-    ObsConfig,
-    RecoveryConfig,
-    ReplicationConfig,
-)
+from repro.cluster.config import ClusterConfig
 from repro.kernel.config import NocConfig, SystemConfig
 from repro.policy import RetryPolicy
 from repro.replic.history import HistoryChecker
@@ -52,16 +47,15 @@ from repro.workloads.client import ClusterClient
 __all__ = ["consistency_smoke"]
 
 
-def _build(n_fpgas: int, seed: int, trace: bool) -> Cluster:
+def _build(n_fpgas: int, seed: int) -> Cluster:
     # a 3x3 grid (7 app tiles after mem+net) leaves headroom for repair
     # splices to place replacement replicas even mid-chaos
     cluster = Cluster(ClusterConfig(
         n_fpgas=n_fpgas,
         system=SystemConfig(seed=seed, noc=NocConfig(width=3, height=3)),
         swallow_orphan_errors=True,
-        recovery=RecoveryConfig(enabled=True),
-        replication=ReplicationConfig(enabled=True),
-        obs=ObsConfig(tracing=trace),
+        recovery=True,
+        replication=True,
     ))
     cluster.boot()
     return cluster
@@ -90,10 +84,9 @@ def consistency_smoke(
     partition_at: Optional[int] = 1_000_000,
     heal_at: Optional[int] = 1_700_000,
     settle: int = 1_600_000,
-    trace: bool = False,
 ) -> Dict[str, Any]:
     """Run the R2 chaos campaign; returns the deterministic report dict."""
-    cluster = _build(n_fpgas, seed, trace)
+    cluster = _build(n_fpgas, seed)
     engine = cluster.engine
     started, configured = cluster.deploy_chain(
         "kv", lambda shard: KvMachine(shard),

@@ -9,21 +9,22 @@ when the board must *synthesize* the bitstream first, see
 serially and oscillate.  This controller is built around that cost:
 
 * **jump scaling** — when the queue signal trips, it sizes the *whole*
-  deficit (``ceil(total_queue / target_queue)`` replicas) and issues the
+  deficit (``ceil(total_queue / TARGET_QUEUE)`` replicas) and issues the
   extra loads in one decision, so the reconfigurations overlap instead
   of queueing behind each other;
 * **in-flight freeze** — while any replica is still reconfiguring
   (``pending_up > 0``) no further scale-up decisions are taken: the
   signal cannot yet reflect capacity that was already bought;
-* **hysteresis on the way down** — ``down_after`` consecutive
+* **hysteresis on the way down** — ``DOWN_AFTER`` consecutive
   low-signal ticks are required per removal, and removals are graceful:
   the directory stops routing first, in-flight work drains, the
   front-end retires the instance, and only then is the tile torn down;
-* **predictive prefetch** (``prefetch=True``, clusters with a bitstream
-  cache) — when the queue signal is *rising toward* the scale-up
-  threshold, or the SLO fast window is burning, the controller warms
-  cold boards' artifact caches ahead of the decision, so the scale-up
-  that follows pays reconfiguration only, not synthesis.
+* **predictive prefetch** (a bitstream cache with
+  ``CacheConfig.prefetch`` on) — when the queue signal is *rising
+  toward* the scale-up threshold, or the SLO fast window is burning,
+  the controller warms cold boards' artifact caches ahead of the
+  decision, so the scale-up that follows pays reconfiguration only, not
+  synthesis.
 
 Signals come from the layers the OS already exposes: front-end
 per-instance queue depth (``BackendHealth.outstanding``) and per-tile
@@ -49,6 +50,19 @@ from repro.hw.region import reconfig_duration
 
 __all__ = ["Autoscaler"]
 
+#: cycles between two control-loop ticks
+INTERVAL = 20_000
+#: queue per ready replica above which a tick scales up
+HIGH_QUEUE = 8.0
+#: queue per ready replica below which a tick counts toward a removal
+LOW_QUEUE = 1.0
+#: queue per replica a scale-up sizes the fleet for
+TARGET_QUEUE = 3.0
+#: consecutive low ticks per removal
+DOWN_AFTER = 3
+#: cycles a removed replica keeps draining in-flight work before teardown
+DRAIN_WINDOW = 10_000
+
 
 class Autoscaler:
     """Scales one stateless service between ``min_replicas`` and ``max``."""
@@ -59,23 +73,11 @@ class Autoscaler:
         service: str,
         min_replicas: int = 1,
         max_replicas: int = 4,
-        interval: int = 20_000,
-        high_queue: float = 8.0,
-        low_queue: float = 1.0,
-        target_queue: float = 3.0,
-        down_after: int = 3,
-        drain_window: int = 5_000,
-        util_low: Optional[float] = None,
         slo: Optional[Any] = None,
-        prefetch: bool = False,
     ):
         if min_replicas < 1 or max_replicas < min_replicas:
             raise ConfigError(
                 f"need 1 <= min <= max, got {min_replicas}..{max_replicas}")
-        if low_queue >= high_queue:
-            raise ConfigError("low_queue must sit below high_queue")
-        if interval < 1:
-            raise ConfigError("interval must be >= 1")
         self.cluster = cluster
         self.engine = cluster.engine
         self.directory = cluster.directory
@@ -87,13 +89,6 @@ class Autoscaler:
                               "services autoscale by replica")
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
-        self.interval = interval
-        self.high_queue = high_queue
-        self.low_queue = low_queue
-        self.target_queue = target_queue
-        self.down_after = down_after
-        self.drain_window = drain_window
-        self.util_low = util_low
         #: optional :class:`~repro.obs.slo.SLOEngine` — when its fast
         #: window is burning for this service, scale up even if the queue
         #: signal has not tripped yet (the burn is *user-visible* pain;
@@ -104,10 +99,11 @@ class Autoscaler:
         #: every scale-up decision pays before capacity materializes
         #: (assuming a warm bitstream; a cold board also pays synthesis)
         self.reconfig_cycles = reconfig_duration(ClusterPortedService.COST)
-        #: compile-ahead on early warning (needs cluster.bitplane)
-        self.prefetch = prefetch and getattr(cluster, "bitplane",
-                                             None) is not None
-        self.plane = getattr(cluster, "bitplane", None)
+        #: compile-ahead on early warning: the cluster runs a bitstream
+        #: cache whose config asks for prefetch
+        self.plane = cluster.bitplane
+        self.prefetch = (self.plane is not None
+                         and cluster.config.cache.prefetch)
         self.prefetches = 0
 
         #: deterministic decision log: (cycle, action, iid, replicas, info)
@@ -163,7 +159,7 @@ class Autoscaler:
 
     def _run(self):
         while True:
-            yield self.interval
+            yield INTERVAL
             # 1) replace replicas whose tile died (fault-driven repair);
             # skip instances still reconfiguring — their tile keeps the
             # failed flag until the new load completes, and replacing a
@@ -177,7 +173,7 @@ class Autoscaler:
             # excess the next scale-up must absorb
             qdot = 0.0
             if self._prev_q is not None:
-                qdot = max(0.0, (total_q - self._prev_q) / self.interval)
+                qdot = max(0.0, (total_q - self._prev_q) / INTERVAL)
             self._prev_q = total_q
             self.series.append((self.engine.now, ready, self.replicas(),
                                 round(per_q, 3), round(util, 4)))
@@ -189,7 +185,7 @@ class Autoscaler:
             if (self.prefetch
                     and self._pending_up == 0
                     and self.replicas() < self.max_replicas
-                    and ((qdot > 0 and per_q > self.high_queue / 2)
+                    and ((qdot > 0 and per_q > HIGH_QUEUE / 2)
                          or (self.slo is not None
                              and self.slo.firing(self.service,
                                                  self.engine.now)))):
@@ -216,7 +212,7 @@ class Autoscaler:
                 self._scale_up("slo_burn")
                 continue
             # 4) scale decisions
-            if per_q > self.high_queue:
+            if per_q > HIGH_QUEUE:
                 self._low_ticks = 0
                 if self._pending_up == 0 and self.replicas() < self.max_replicas:
                     # new capacity only materializes after reconfig_cycles,
@@ -227,15 +223,14 @@ class Autoscaler:
                     desired = min(
                         self.max_replicas,
                         max(self.replicas() + 1,
-                            math.ceil(predicted / self.target_queue)))
+                            math.ceil(predicted / TARGET_QUEUE)))
                     why = (f"queue={per_q:.1f} "
                            f"predicted@ready={predicted:.0f}")
                     for _ in range(desired - self.replicas()):
                         self._scale_up(why)
-            elif (per_q < self.low_queue
-                  and (self.util_low is None or util < self.util_low)):
+            elif per_q < LOW_QUEUE:
                 self._low_ticks += 1
-                if (self._low_ticks >= self.down_after
+                if (self._low_ticks >= DOWN_AFTER
                         and self._pending_up == 0
                         and self.replicas() > self.min_replicas):
                     self._low_ticks = 0
@@ -275,7 +270,7 @@ class Autoscaler:
         inst = self.directory.remove_instance(self.service)
         self.scale_downs += 1
         self._log("scale_down", inst.iid, "")
-        yield self.drain_window
+        yield DRAIN_WINDOW
         self.frontend.retire(inst.iid)
         system = self.cluster.systems[inst.fpga]
         yield system.mgmt.teardown(inst.node)

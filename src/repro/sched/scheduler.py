@@ -41,6 +41,9 @@ from repro.sched.placement import Placer, PlacementPolicy
 
 __all__ = ["SchedEvent", "TileScheduler"]
 
+#: faults a job may survive before the scheduler abandons it
+MAX_FAULTS = 3
+
 
 @dataclass(frozen=True)
 class SchedEvent:
@@ -66,20 +69,15 @@ class TileScheduler:
         system,
         policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
         quotas: Optional[Dict[str, TenantQuota]] = None,
-        default_quota: Optional[TenantQuota] = None,
-        reserved: Tuple[int, ...] = (),
-        max_faults: int = 3,
     ):
         self.system = system
         self.engine = system.engine
         self.mgmt = system.mgmt
         self.stats = system.stats
         self.spans = system.spans
-        self.admission = AdmissionController(quotas, default=default_quota)
+        self.admission = AdmissionController(quotas)
         self.placer = Placer(system.tiles, system.topo, drc=system.drc,
-                             policy=policy, reserved=reserved)
-        #: faults a job may survive before the scheduler abandons it
-        self.max_faults = max_faults
+                             policy=policy)
         self.jobs: Dict[int, Job] = {}
         self.events: List[SchedEvent] = []
         self._queue: List[Job] = []
@@ -251,14 +249,10 @@ class TileScheduler:
                    and j.spec.priority < job.spec.priority]
         victims.sort(key=lambda j: (j.spec.priority, -j.id))
         for victim in victims:
-            if not self._vacated_fits(victim.node, bitstream):
+            if self.placer.misfit_reason(victim.node, bitstream) is not None:
                 continue
             self._preempt(victim, for_job=job)
             return
-
-    def _vacated_fits(self, node: int, bitstream) -> bool:
-        return (node not in self.placer.reserved
-                and self.placer.misfit_reason(node, bitstream) is None)
 
     def _preempt(self, victim: Job, for_job: Job) -> None:
         tile = self.system.tiles[victim.node]
@@ -347,7 +341,7 @@ class TileScheduler:
         job.saved_state.update(tile.claim_contexts(job.spec.endpoint))
         if job.id in self._migrating:
             return  # the migrate process sees the failure and requeues
-        if job.faults > self.max_faults:
+        if job.faults > MAX_FAULTS:
             job.state = JobState.FAILED
             job.finished_at = self.engine.now
             self._log("abandon", job.spec.name, job.spec.tenant, tile.node,

@@ -10,7 +10,7 @@ changes are board ops and a :mod:`repro.loadgen` scenario can carry them.
 
 The main run (:func:`autoscale_smoke`) drives a stateless KV service
 through a three-phase open-loop load: steady base traffic, a
-``step_factor``× step, then base again.  The interesting physics is the
+:data:`STEP_FACTOR`× step, then base again.  The interesting physics is the
 reconfiguration cost: a new replica takes ~810k cycles of partial
 reconfiguration before it serves, so the autoscaler must size the whole
 deficit in one decision (jump scaling) for tail latency to converge
@@ -40,13 +40,53 @@ from repro.workloads.client import ClusterClient
 
 __all__ = ["autoscale_smoke", "autoscale_chaos_smoke", "cache_step_smoke"]
 
+# -- shared by the three runs ------------------------------------------------
+N_FPGAS = 2
+#: on-tile cycles of one KV request
+WORK_CYCLES = 3_000
+#: per-client gap between requests outside a load step
+BASE_GAP = 24_000
+#: open-loop clients of the S2 step and chaos runs
+CLIENTS = 4
+#: front-end in-flight cap of the S2 step and chaos runs
+MAX_PENDING = 1_024
 
-def _build(n_fpgas: int, seed: int,
-           cache: CacheConfig = CacheConfig()) -> Cluster:
+# -- the S2 load step (autoscale_smoke) ---------------------------------------
+STEP_FACTOR = 4
+#: per-request deadline: outlives worst-case queueing before scale-up lands
+STEP_TIMEOUT = 1_500_000
+
+# -- the C1 warm-vs-cold step (cache_step_smoke) ------------------------------
+CACHE_CLIENTS = 2
+CACHE_STEP_FACTOR = 8
+CACHE_MAX_REPLICAS = 2
+#: a cold scale-up pays megacycles of synthesis before it serves
+CACHE_TIMEOUT = 10_000_000
+CACHE_MAX_PENDING = 4_096
+#: run-until-ready granularity: a chunk-quantized stop keeps reruns
+#: byte-identical
+CHUNK = 50_000
+#: longest the step may run waiting for the scale-up replica
+MAX_STEP = 12_000_000
+#: chunks run after the replica is ready
+DRAIN_CHUNKS = 2
+
+# -- the S2 chaos run (autoscale_chaos_smoke) ---------------------------------
+CHAOS_GAP = 12_000
+CHAOS_DURATION = 1_800_000
+CHAOS_KILL_AFTER = 400_000
+CHAOS_MIN_REPLICAS = 2
+CHAOS_TIMEOUT = 600_000
+#: requests issued this long after the replacement serves must all succeed
+CHAOS_SETTLE = 150_000
+CHAOS_DRAIN = 200_000
+
+
+def _build(seed: int, cache: CacheConfig = CacheConfig()) -> Cluster:
     # scale-down and fault injection tear live tiles down mid-traffic; a
     # straggler interrupted inside the dying tile is an orphan by design
     cluster = Cluster(ClusterConfig(
-        n_fpgas=n_fpgas,
+        n_fpgas=N_FPGAS,
         system=replace(SystemConfig.figure1(), seed=seed),
         swallow_orphan_errors=True,
         cache=cache,
@@ -55,7 +95,7 @@ def _build(n_fpgas: int, seed: int,
     return cluster
 
 
-def _shared_kv_factory(work_cycles: int):
+def _shared_kv_factory():
     """A stateless KV front: compute on-tile, state in shared memory.
 
     All replicas read/write one backing store (modelling state that
@@ -70,8 +110,8 @@ def _shared_kv_factory(work_cycles: int):
             op = body.get("op")
             if op == "put":
                 store[body["key"]] = body["value"]
-                return work_cycles, {"ok": True}, 32
-            return work_cycles, {"ok": body.get("key") in store,
+                return WORK_CYCLES, {"ok": True}, 32
+            return WORK_CYCLES, {"ok": body.get("key") in store,
                                  "value": store.get(body.get("key"))}, 64
         return handler
 
@@ -126,22 +166,9 @@ def _open_loop_kv(host: ClusterClient, idx: int, phases, results: List,
 
 def autoscale_smoke(
     seed: int = 0,
-    n_fpgas: int = 2,
-    clients: int = 4,
-    work_cycles: int = 3_000,
-    base_gap: int = 24_000,
-    step_factor: int = 4,
     phase_a: int = 600_000,
     phase_b: int = 1_400_000,
     phase_c: int = 1_200_000,
-    min_replicas: int = 1,
-    max_replicas: int = 4,
-    interval: int = 20_000,
-    high_queue: float = 8.0,
-    low_queue: float = 1.0,
-    target_queue: float = 3.0,
-    request_timeout: int = 1_500_000,
-    max_pending: int = 1_024,
     settle_margin: int = 300_000,
     drain: int = 500_000,
 ) -> Dict[str, Any]:
@@ -151,33 +178,30 @@ def autoscale_smoke(
     replica time-series, and the autoscaler's full decision log (for the
     determinism byte-compare).
     """
-    cluster = _build(n_fpgas, seed)
+    cluster = _build(seed)
     started = cluster.deploy_stateless(
-        "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
+        "kv", _shared_kv_factory(), instances=1)
     cluster.engine.run_until_done(cluster.engine.all_of(started),
                                   limit=50_000_000)
     # overload queues work instead of failing it: the per-attempt budget
     # must outlive worst-case queueing during the pre-scale-up window
-    patient = RetryPolicy(deadline=request_timeout,
-                          attempt_timeout=request_timeout,
+    patient = RetryPolicy(deadline=STEP_TIMEOUT,
+                          attempt_timeout=STEP_TIMEOUT,
                           backoff_base=200, backoff_cap=2_000)
-    frontend = cluster.start_frontend(max_pending=max_pending, retry=patient)
-    scaler = cluster.start_autoscaler(
-        "kv", min_replicas=min_replicas, max_replicas=max_replicas,
-        interval=interval, high_queue=high_queue, low_queue=low_queue,
-        target_queue=target_queue, drain_window=10_000)
+    frontend = cluster.start_frontend(max_pending=MAX_PENDING, retry=patient)
+    scaler = cluster.start_autoscaler("kv")
     cluster.run(until=cluster.engine.now + 5_000)
 
     total = phase_a + phase_b + phase_c
-    phases = [(phase_a, base_gap, "a"),
-              (phase_a + phase_b, base_gap // step_factor, "b"),
-              (total, base_gap, "c")]
+    phases = [(phase_a, BASE_GAP, "a"),
+              (phase_a + phase_b, BASE_GAP // STEP_FACTOR, "b"),
+              (total, BASE_GAP, "c")]
     results: List[Tuple] = []
     start = cluster.engine.now
-    for c in range(clients):
+    for c in range(CLIENTS):
         host = ClusterClient(cluster.engine, cluster.fabric, f"host{c}")
         cluster.engine.process(
-            _open_loop_kv(host, c, phases, results, request_timeout),
+            _open_loop_kv(host, c, phases, results, STEP_TIMEOUT),
             name=f"{host.mac}.loadgen")
     cluster.run(until=start + total + drain)
 
@@ -195,13 +219,13 @@ def autoscale_smoke(
     ready_at = (max(up_ready) - start) if up_ready else None
     post = (lats("b", after=ready_at + settle_margin)
             if ready_at is not None else [])
-    peak = max((r[2] for r in scaler.series), default=min_replicas)
+    peak = max((r[2] for r in scaler.series), default=1)
     completed = sum(1 for _t, lat, _ph in results if lat is not None)
     failed = sum(1 for _t, lat, _ph in results if lat is None)
     return {
         "seed": seed,
-        "clients": clients,
-        "work_cycles": work_cycles,
+        "clients": CLIENTS,
+        "work_cycles": WORK_CYCLES,
         "phases": [phase_a, phase_b, phase_c],
         "completed": completed,
         "failed": failed,
@@ -227,24 +251,8 @@ def autoscale_smoke(
 
 def cache_step_smoke(
     seed: int = 0,
-    n_fpgas: int = 2,
-    clients: int = 2,
     warm: bool = True,
-    work_cycles: int = 3_000,
-    base_gap: int = 24_000,
-    step_factor: int = 8,
     phase_a: int = 600_000,
-    min_replicas: int = 1,
-    max_replicas: int = 2,
-    interval: int = 20_000,
-    high_queue: float = 8.0,
-    low_queue: float = 1.0,
-    target_queue: float = 3.0,
-    request_timeout: int = 10_000_000,
-    max_pending: int = 4_096,
-    chunk: int = 50_000,
-    max_step: int = 12_000_000,
-    drain_chunks: int = 2,
 ) -> Dict[str, Any]:
     """The C1 experiment: scale-up-ready time, warm vs cold bitstreams.
 
@@ -264,11 +272,10 @@ def cache_step_smoke(
     Deterministic: identical arguments give an identical result dict
     (the benchmark byte-compares it).
     """
-    cluster = _build(n_fpgas, seed,
-                     cache=CacheConfig(enabled=True, prefetch=warm,
-                                       warm_placement=warm))
+    cluster = _build(seed, cache=CacheConfig(enabled=True, prefetch=warm,
+                                             warm_placement=warm))
     started = cluster.deploy_stateless(
-        "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
+        "kv", _shared_kv_factory(), instances=1)
     cluster.engine.run_until_done(cluster.engine.all_of(started),
                                   limit=100_000_000)
     prefetched: List[int] = []
@@ -281,24 +288,21 @@ def cache_step_smoke(
             cluster.engine.run_until_done(
                 cluster.engine.all_of(list(issued.values())),
                 limit=100_000_000)
-    patient = RetryPolicy(deadline=request_timeout,
-                          attempt_timeout=request_timeout,
+    patient = RetryPolicy(deadline=CACHE_TIMEOUT,
+                          attempt_timeout=CACHE_TIMEOUT,
                           backoff_base=200, backoff_cap=2_000)
-    cluster.start_frontend(max_pending=max_pending, retry=patient)
-    scaler = cluster.start_autoscaler(
-        "kv", min_replicas=min_replicas, max_replicas=max_replicas,
-        interval=interval, high_queue=high_queue, low_queue=low_queue,
-        target_queue=target_queue, drain_window=10_000)
+    cluster.start_frontend(max_pending=CACHE_MAX_PENDING, retry=patient)
+    scaler = cluster.start_autoscaler("kv", max_replicas=CACHE_MAX_REPLICAS)
     cluster.run(until=cluster.engine.now + 5_000)
 
     results: List[Tuple] = []
     start = cluster.engine.now
-    phases = [(phase_a, base_gap, "a"),
-              (phase_a + max_step, base_gap // step_factor, "b")]
-    for c in range(clients):
+    phases = [(phase_a, BASE_GAP, "a"),
+              (phase_a + MAX_STEP, BASE_GAP // CACHE_STEP_FACTOR, "b")]
+    for c in range(CACHE_CLIENTS):
         host = ClusterClient(cluster.engine, cluster.fabric, f"host{c}")
         cluster.engine.process(
-            _open_loop_kv(host, c, phases, results, request_timeout),
+            _open_loop_kv(host, c, phases, results, CACHE_TIMEOUT),
             name=f"{host.mac}.loadgen")
     cluster.run(until=start + phase_a)
     step_at = cluster.engine.now
@@ -309,13 +313,12 @@ def cache_step_smoke(
         return min(hits) if hits else None
 
     # run in fixed chunks until the step's scale-up replica is serving
-    # (chunk-quantized stop keeps reruns byte-identical)
-    while cluster.engine.now < start + phase_a + max_step:
-        cluster.run(until=cluster.engine.now + chunk)
+    while cluster.engine.now < start + phase_a + MAX_STEP:
+        cluster.run(until=cluster.engine.now + CHUNK)
         if first("up_ready", step_at) is not None:
             break
-    for _ in range(drain_chunks):
-        cluster.run(until=cluster.engine.now + chunk)
+    for _ in range(DRAIN_CHUNKS):
+        cluster.run(until=cluster.engine.now + CHUNK)
 
     decided_at = first("scale_up", step_at)
     ready_at = first("up_ready", step_at)
@@ -329,7 +332,7 @@ def cache_step_smoke(
     return {
         "seed": seed,
         "warm": warm,
-        "clients": clients,
+        "clients": CACHE_CLIENTS,
         "phase_a": phase_a,
         "prefetched_boards": prefetched,
         "scale_up_at": decided_at,
@@ -347,48 +350,32 @@ def cache_step_smoke(
     }
 
 
-def autoscale_chaos_smoke(
-    seed: int = 0,
-    n_fpgas: int = 2,
-    clients: int = 4,
-    work_cycles: int = 3_000,
-    gap: int = 12_000,
-    duration: int = 1_800_000,
-    kill_after: int = 400_000,
-    min_replicas: int = 2,
-    max_replicas: int = 4,
-    interval: int = 20_000,
-    request_timeout: int = 600_000,
-    settle_margin: int = 150_000,
-    drain: int = 200_000,
-) -> Dict[str, Any]:
+def autoscale_chaos_smoke(seed: int = 0) -> Dict[str, Any]:
     """Kill one replica's tile mid-run; the autoscaler must recover alone.
 
     Success means: a ``replace`` decision in the event log, a fresh
     replica serving afterwards, and requests issued after the
     replacement settles completing at (near-)unity success rate.
     """
-    cluster = _build(n_fpgas, seed)
+    cluster = _build(seed)
     started = cluster.deploy_stateless(
-        "kv", _shared_kv_factory(work_cycles), instances=min_replicas)
+        "kv", _shared_kv_factory(), instances=CHAOS_MIN_REPLICAS)
     cluster.engine.run_until_done(cluster.engine.all_of(started),
                                   limit=50_000_000)
-    patient = RetryPolicy(deadline=request_timeout,
-                          attempt_timeout=request_timeout // 3,
+    patient = RetryPolicy(deadline=CHAOS_TIMEOUT,
+                          attempt_timeout=CHAOS_TIMEOUT // 3,
                           backoff_base=200, backoff_cap=2_000)
-    frontend = cluster.start_frontend(max_pending=1_024, retry=patient)
-    scaler = cluster.start_autoscaler(
-        "kv", min_replicas=min_replicas, max_replicas=max_replicas,
-        interval=interval, drain_window=10_000)
+    frontend = cluster.start_frontend(max_pending=MAX_PENDING, retry=patient)
+    scaler = cluster.start_autoscaler("kv", min_replicas=CHAOS_MIN_REPLICAS)
     cluster.run(until=cluster.engine.now + 5_000)
 
     results: List[Tuple] = []
     start = cluster.engine.now
-    phases = [(duration, gap, "steady")]
-    for c in range(clients):
+    phases = [(CHAOS_DURATION, CHAOS_GAP, "steady")]
+    for c in range(CLIENTS):
         host = ClusterClient(cluster.engine, cluster.fabric, f"host{c}")
         cluster.engine.process(
-            _open_loop_kv(host, c, phases, results, request_timeout),
+            _open_loop_kv(host, c, phases, results, CHAOS_TIMEOUT),
             name=f"{host.mac}.loadgen")
 
     killed: Dict[str, Any] = {}
@@ -405,8 +392,8 @@ def autoscale_chaos_smoke(
         # fails pending work immediately (same path organic faults take)
         system.fault_manager.report(tile, "main", err)
 
-    cluster.engine.schedule(kill_after, kill)
-    cluster.run(until=start + duration + drain)
+    cluster.engine.schedule(CHAOS_KILL_AFTER, kill)
+    cluster.run(until=start + CHAOS_DURATION + CHAOS_DRAIN)
 
     replaced = [(t, iid) for t, action, iid, *_rest in scaler.events
                 if action == "replace"]
@@ -415,7 +402,7 @@ def autoscale_chaos_smoke(
     recovered_at = min(ready_after_kill) if ready_after_kill else None
     window = [(t, lat) for t, lat, _ph in results
               if recovered_at is not None
-              and t >= recovered_at + settle_margin]
+              and t >= recovered_at + CHAOS_SETTLE]
     window_ok = sum(1 for _t, lat in window if lat is not None)
     return {
         "seed": seed,

@@ -78,22 +78,10 @@ class Histogram:
     def count(self) -> int:
         return len(self._samples)
 
-    @property
-    def samples(self) -> List[float]:
-        return list(self._samples)
-
     def mean(self) -> float:
         if not self._samples:
             return math.nan
         return float(np.mean(self._samples))
-
-    def std(self) -> float:
-        if len(self._samples) < 2:
-            return 0.0
-        return float(np.std(self._samples, ddof=1))
-
-    def min(self) -> float:
-        return float(np.min(self._samples)) if self._samples else math.nan
 
     def max(self) -> float:
         return float(np.max(self._samples)) if self._samples else math.nan

@@ -15,7 +15,6 @@ from repro.cluster.frontend import FRONTEND_MAC, FRONTEND_PORT
 from repro.errors import ConfigError, DeadlineExceeded
 from repro.net.frame import EthernetFabric
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
-from repro.policy import RetryPolicy
 from repro.sim import Channel, Engine, Event, Histogram
 
 __all__ = ["RemoteClientHost", "ClusterClient"]
@@ -57,31 +56,8 @@ class RemoteClientHost:
             waiter.succeed(body)
 
     def request(self, peer_mac: str, port: int, body: Any,
-                nbytes: int = 64, timeout: Optional[int] = None,
-                retry: Optional[RetryPolicy] = None) -> Event:
-        """Issue one request; event succeeds with the response body.
-
-        With ``retry=RetryPolicy(...)`` the request is retried under that
-        policy: each attempt re-sends with a fresh id, so a response to a
-        timed-out attempt is simply dropped — the failover-survival
-        behaviour the recovery subsystem assumes of well-behaved clients.
-        ``timeout`` and ``retry`` are mutually exclusive.
-        """
-        if retry is not None:
-            if timeout is not None:
-                raise ConfigError(
-                    "pass either timeout= or retry= to request, not both"
-                )
-
-            def attempt(attempt_timeout: int) -> Event:
-                return self.request(peer_mac, port, body, nbytes=nbytes,
-                                    timeout=attempt_timeout)
-
-            return retry.drive(
-                self.engine, attempt, retry_on=(ConfigError,),
-                describe=f"request to {peer_mac}:{port}",
-                name=f"{self.mac}.retry",
-            )
+                nbytes: int = 64, timeout: Optional[int] = None) -> Event:
+        """Issue one request; event succeeds with the response body."""
         rid = next(self._rid)
         done = self.engine.event(f"{self.mac}.req#{rid}")
         self._pending[rid] = done
@@ -135,7 +111,6 @@ class ClusterClient(RemoteClientHost):
     def call_service(self, service: str, body: Any, key: Any = None,
                      write: bool = False, nbytes: int = 64,
                      timeout: Optional[int] = None,
-                     retry: Optional[RetryPolicy] = None,
                      tenant: Optional[str] = None) -> Event:
         """One request by service name; succeeds with the front-end reply.
 
@@ -150,7 +125,7 @@ class ClusterClient(RemoteClientHost):
         if tenant is not None:
             req["tenant"] = tenant
         return self.request(FRONTEND_MAC, FRONTEND_PORT, req,
-                            nbytes=nbytes, timeout=timeout, retry=retry)
+                            nbytes=nbytes, timeout=timeout)
 
     def closed_loop_service(self, service: str, requests: List[Dict[str, Any]],
                             timeout: int = 400_000,

@@ -38,6 +38,7 @@ from repro.hw.region import reconfig_duration
 from repro.hw.resources import ResourceVector
 from repro.kernel import ApiarySystem, MemConfig, NocConfig, SystemConfig
 from repro.loadgen import ScenarioRunner
+from repro.sched.autoscaler import INTERVAL
 from repro.sim import Engine
 
 
@@ -458,8 +459,8 @@ class TestAutoscalerPrefetch:
         assert scaler.prefetch  # cache present: hook on by default
         now = cluster.engine.now
         for _ in range(20):
-            slo.observe("kv", None, False, now + scaler.interval - 1)
-        cluster.run(until=now + 2 * scaler.interval)
+            slo.observe("kv", None, False, now + INTERVAL - 1)
+        cluster.run(until=now + 2 * INTERVAL)
         actions = [e[1] for e in scaler.events]
         assert "prefetch" in actions
         # the prefetch fires in the same decision pass, before the buy
@@ -472,7 +473,7 @@ class TestAutoscalerPrefetch:
         started = cluster.deploy_stateless("kv", _kv_factory, instances=1)
         cluster.run_until(started, limit=50_000_000)
         cluster.start_frontend()
-        scaler = cluster.start_autoscaler("kv", prefetch=True)
+        scaler = cluster.start_autoscaler("kv")
         assert not scaler.prefetch  # no plane to drive
 
 

@@ -9,7 +9,6 @@ from repro.cluster import (
     FrontEnd,
     HashRing,
     ObsConfig,
-    ReplicationConfig,
 )
 from repro.errors import ConfigError
 from repro.loadgen import ScenarioRunner, get_scenario
@@ -134,7 +133,7 @@ class TestPlacement:
 
     def test_deploy_chain_after_seal_is_refused_like_its_siblings(self):
         cluster = small_cluster(
-            n_fpgas=2, replication=ReplicationConfig(enabled=True))
+            n_fpgas=2, replication=True)
         cluster.seal()
         for deploy, factory in ((cluster.deploy_sharded, kv_factory()),
                                 (cluster.deploy_chain, KvMachine)):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.chaos import Campaign
 from repro.cluster import Cluster, ClusterConfig
-from repro.cluster.config import RecoveryConfig
 from repro.kernel.config import NocConfig, SystemConfig
 from repro.loadgen import ScenarioRunner, get_scenario
 from repro.replic import consistency_smoke
@@ -122,7 +121,7 @@ def test_placement_is_pinned_across_deploy_kinds(recovery):
     way an instance gets onto a board, with and without recovery."""
     cluster = Cluster(ClusterConfig(
         n_fpgas=3, system=SystemConfig(noc=NocConfig(width=3, height=3)),
-        recovery=RecoveryConfig(enabled=recovery)))
+        recovery=recovery))
     cluster.boot()
     directory = cluster.directory
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accel import Accelerator, EchoAccel
-from repro.errors import ConfigError, ResourceExhausted
+from repro.errors import ConfigError, ResourceExhausted, ServiceError
 from repro.hw.resources import ResourceVector
 from repro.kernel import (
     ApiarySystem,
@@ -147,3 +147,41 @@ class TestWiderFlitsHelpLargePayloads:
             system.run(until=system.engine.now + 5_000_000)
             latencies[width] = probe.latency
         assert latencies[64] < latencies[16] / 2
+
+
+class TestCapabilityTableFull:
+    def test_a_full_table_refuses_the_alloc_not_the_run(self):
+        """The alloc that finds the caller's capability table full gets an
+        error reply and takes no extent or segment; the board runs on, and
+        one free makes room for the next alloc."""
+        system = ApiarySystem(SystemConfig.figure1())
+        system.boot()
+        allocator = system.mem_service.allocator
+
+        class Hoarder(Accelerator):
+            COST = ResourceVector(logic_cells=4_000, bram_kb=8, dsp_slices=0)
+            PRIMITIVES = {"lut_logic": 3_000}
+
+            def __init__(self):
+                super().__init__("hoarder")
+                self.segs, self.refusal, self.again = [], None, None
+
+            def main(self, shell):
+                while self.refusal is None:
+                    free = allocator.free_bytes
+                    try:
+                        self.segs.append((yield shell.alloc(64)))
+                    except ServiceError as err:
+                        self.refusal = (str(err), allocator.free_bytes - free)
+                yield shell.free(self.segs.pop())
+                self.again = yield shell.alloc(64)
+
+        hoarder = Hoarder()
+        system.run_until(system.start_app(2, hoarder))
+        system.run(until=system.engine.now + 2_000_000)
+        error, freed = hoarder.refusal
+        assert "CapabilityError" in error and "table full" in error
+        assert freed == 0
+        assert hoarder.again is not None
+        assert len(system.segments.live_segments("tile2")) == \
+            len(hoarder.segs) + 1

@@ -19,6 +19,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.errors import ConfigError, SimulationError
 from repro.loadgen import (
+    SCENARIOS,
     ArrivalSpec,
     ChaosAction,
     EnvelopeSpec,
@@ -148,6 +149,11 @@ class TestScenarioSpec:
         # and through actual JSON, as CI artifacts travel
         assert Scenario.from_dict(
             json.loads(json.dumps(scn.to_dict()))) == scn
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_library_scenario_builds_and_round_trips(self, name):
+        scn = SCENARIOS[name]()
+        assert Scenario.from_dict(scn.to_dict()) == scn
 
     def test_round_trip_preserves_envelopes(self):
         scn = get_scenario("diurnal_day")
@@ -391,19 +397,6 @@ class TestScenarioRunner:
         assert row["rejected"] > 0
         assert not rep.passed
         # every submission resolved one way or another
-        assert rep.data["totals"]["unresolved"] == 0
-
-    def test_scenario_without_slos_still_reports(self):
-        # Scenario validation demands an SLO, so strip them behind its
-        # back: the runner must still own an engine (ObsConfig.slo_enabled
-        # is false for bare empty targets) and report an unscored FAIL
-        scn = _tiny_scenario(duration=20_000)
-        object.__setattr__(scn, "slos", ())
-        runner = ScenarioRunner(scn)
-        rep = runner.run()
-        assert runner.cluster.slo is not None
-        assert rep.data["slo"] == {"rows": [], "alerts": []}
-        assert not rep.passed
         assert rep.data["totals"]["unresolved"] == 0
 
     def test_run_scenario_accepts_dict(self):

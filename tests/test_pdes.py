@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.backend import SPAN_ID_STRIDE
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig, ObsConfig, ReplicationConfig
+from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.errors import ConfigError, SimulationError
 from repro.loadgen import ScenarioRunner
 from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
@@ -262,7 +262,7 @@ class TestWindowedCluster:
         with pytest.raises(ConfigError, match="shared"):
             Cluster(ClusterConfig(
                 n_fpgas=1, backend="sequential",
-                replication=ReplicationConfig(enabled=True)))
+                replication=True))
         cluster = Cluster(ClusterConfig(n_fpgas=1, backend="sequential"))
         with pytest.raises(ConfigError, match="shared"):
             cluster.start_autoscaler("svc")

@@ -4,12 +4,7 @@ chain repair (promote + splice + fencing) under injected chaos."""
 
 import pytest
 
-from repro.cluster import (
-    Cluster,
-    ClusterConfig,
-    RecoveryConfig,
-    ReplicationConfig,
-)
+from repro.cluster import Cluster, ClusterConfig
 from repro.errors import ConfigError
 from repro.kernel import NocConfig, SystemConfig
 from repro.replic import (
@@ -159,8 +154,8 @@ def chain_cluster(n_fpgas=3, n_shards=2, replication=2, seed=1):
         n_fpgas=n_fpgas,
         system=SystemConfig(seed=seed, noc=NocConfig(width=3, height=3)),
         swallow_orphan_errors=True,
-        recovery=RecoveryConfig(enabled=True),
-        replication=ReplicationConfig(enabled=True)))
+        recovery=True,
+        replication=True))
     cluster.boot()
     started, configured = cluster.deploy_chain(
         "kv", lambda shard: KvMachine(shard),
