@@ -7,12 +7,14 @@ sits between clients and the FPGAs:
   the :class:`~repro.cluster.directory.ServiceDirectory`: keyed requests
   go to their shard's primary, stateless requests to the least-loaded
   healthy instance;
-* **health** — three signals per instance: data-path responses (any
-  response marks an instance healthy, so a loaded-but-alive backend is
-  never declared dead), periodic pings, and the kernel's own fault
-  reports (``fault_manager.on_fault`` fires the cycle a tile drains, so
-  a dead FPGA's queued requests fail over immediately instead of waiting
-  out a timeout);
+* **health** — one heartbeat per *board* per ``PROBE_INTERVAL``,
+  answered by that board's network tile without crossing its NoC; per
+  instance, the kernel's own fault reports (``fault_manager.on_fault``
+  fires the cycle a tile drains, so a dead FPGA's queued requests fail
+  over immediately instead of waiting out a timeout) and the data path's
+  attempt time boxes.  Any answer marks an instance healthy, so a
+  loaded-but-alive backend is never declared dead; only an instance
+  marked down is pinged, so that a restarted tile is heard again;
 * **failover** — each request runs the :class:`~repro.policy.RetryPolicy`
   loop in its own ``_serve`` process; a failed attempt rotates to the next
   replica (sharded) or another instance (stateless).  Writes to sharded
@@ -25,9 +27,10 @@ sits between clients and the FPGAs:
 * **batching** — per-instance queues flushed as ``("batch", ...)``
   envelopes, amortizing transport round-trips under load.
 
-Two records carry it: a :class:`BackendHealth` per instance and an
-``_awaiting`` entry per attempt, which only ``_resolve`` takes out again
-(DESIGN.md "Cluster layer" has the two same-cycle orderings that matter).
+Three records carry it: a :class:`BoardBeat` per board, a
+:class:`BackendHealth` per instance and an ``_awaiting`` entry per
+attempt, which only ``_resolve`` takes out again (DESIGN.md "Cluster
+layer" has the same-cycle ordering that matters).
 
 Tracing: when the cluster's shared recorder is enabled, each request
 opens ``frontend:<service>`` with one ``forward:<instance>`` child per
@@ -44,11 +47,13 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.directory import ServiceInstance, ServiceSpec
 from repro.errors import ConfigError, ServiceUnavailable
+from repro.kernel.services import HEARTBEAT_PORT
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.policy import RetryPolicy
 from repro.sim import Event, StatsRegistry
 
-__all__ = ["FRONTEND_MAC", "FRONTEND_PORT", "BackendHealth", "FrontEnd"]
+__all__ = ["FRONTEND_MAC", "FRONTEND_PORT", "BackendHealth", "BoardBeat",
+           "FrontEnd"]
 
 #: the front-end's fabric address and the well-known port clients use
 FRONTEND_MAC = "frontend"
@@ -57,39 +62,53 @@ FRONTEND_PORT = 7000
 #: BATCH_WINDOW cycles to fill first
 BATCH_SIZE = 4
 BATCH_WINDOW = 200
-#: cycles between liveness pings, and how long a ping may go unanswered
+#: cycles between liveness rounds: a heartbeat per board, a ping per
+#: instance marked down; a beat unanswered by the next round is a miss
 PROBE_INTERVAL = 10_000
+#: consecutive misses before a board or an instance is down
+DEAD_AFTER = 3
+
+
+class BoardBeat:
+    """The front-end's liveness record of one board: its heartbeats."""
+
+    __slots__ = ("mac", "backends", "beat", "unacked", "misses")
+
+    def __init__(self, mac: str) -> None:
+        self.mac = mac  # its address on the fabric
+        self.backends: List["BackendHealth"] = []  # the instances on it
+        self.beat = 0  # id of the last round's beat while it is unanswered
+        self.unacked = 0  # beats the transport has not got acked yet
+        self.misses = 0
+
+    def acked(self, _sent: Event) -> None:
+        self.unacked -= 1
 
 
 class BackendHealth:
-    """Everything the front-end keeps about one service instance: where it
-    lives, its liveness ledger and the batch queue its flusher drains."""
+    """Everything the front-end keeps about one service instance: its
+    board, its liveness ledger and the batch queue its flusher drains."""
 
-    #: consecutive unanswered probes/attempts before an instance is dead
-    DEAD_AFTER = 3
+    __slots__ = ("inst", "board", "queue", "kick", "ping", "retired",
+                 "misses", "outstanding", "served", "probes_sent")
 
-    __slots__ = ("inst", "mac", "queue", "kick", "probes_stuck", "retired",
-                 "misses", "outstanding", "served", "probes_sent",
-                 "probe_misses")
-
-    def __init__(self, inst: ServiceInstance, mac: str) -> None:
+    def __init__(self, inst: ServiceInstance, board: BoardBeat) -> None:
         self.inst = inst
-        self.mac = mac  # its board's address on the fabric
+        self.board = board
         #: (irid, body, nbytes) attempts waiting for the next batch
         self.queue: List[Tuple[int, Any, int]] = []
         #: what the flusher is parked on while the queue is empty
         self.kick: Optional[Event] = None
-        self.probes_stuck = 0  # probes the transport has not got acked yet
+        self.ping = 0  # id of the last ping sent while it was down
         self.retired = False
         self.misses = 0
-        self.outstanding = 0  # attempts dispatched, not yet resolved
+        self.outstanding = 0  # client attempts dispatched, not yet resolved
         self.served = 0
         self.probes_sent = 0
-        self.probe_misses = 0
 
     @property
     def healthy(self) -> bool:
-        return self.misses < self.DEAD_AFTER
+        return self.misses < DEAD_AFTER and self.board.misses < DEAD_AFTER
 
 
 class FrontEnd:
@@ -130,13 +149,16 @@ class FrontEnd:
         #: one record per attempt in flight: internal request id ->
         #: (backend, waiter, kind, forward span); kind is "req" (a client
         #: waits), "repl" (fire-and-forget write replication — nobody
-        #: waits, no waiter, but losses must be *counted*) or "probe"
-        #: (health ping).  Only :meth:`_resolve` takes entries out.
+        #: waits, no waiter, but losses must be *counted*) or "ping" (an
+        #: instance marked down; no waiter).  Only :meth:`_resolve` takes
+        #: entries out.
         self._awaiting: Dict[int, Tuple] = {}
         self._bid = itertools.count(1)
         #: one record per backend — the only per-instance table; a retired
         #: instance keeps its row (and is therefore never tracked again)
         self.health: Dict[str, BackendHealth] = {}
+        #: one record per board MAC an instance was ever tracked on
+        self.boards: Dict[str, BoardBeat] = {}
 
         #: the open-loop submit queue: (submitted_at, srid, req, on_done)
         self._backlog: Deque[Tuple] = deque()
@@ -159,6 +181,7 @@ class FrontEnd:
         cluster.fabric.attach(FRONTEND_MAC, self.mux.deliver_frame)
         cluster.register_fault_listener(self)
         self.track_all()
+        self.engine.schedule(PROBE_INTERVAL, self._prober)
 
     # -- instance tracking -------------------------------------------------
 
@@ -173,19 +196,21 @@ class FrontEnd:
                 iid = inst.iid
                 if iid in self.health:
                     continue
-                backend = self.health[iid] = BackendHealth(
-                    inst, self.cluster.mac(inst.fpga))
+                mac = self.cluster.mac(inst.fpga)
+                board = self.boards.get(mac)
+                if board is None:
+                    board = self.boards[mac] = BoardBeat(mac)
+                backend = self.health[iid] = BackendHealth(inst, board)
+                board.backends.append(backend)
                 self.engine.process(self._flusher(backend),
                                     name=f"fe.flush.{iid}")
-                self.engine.process(self._prober(backend),
-                                    name=f"fe.probe.{iid}")
 
     def retire(self, iid: str) -> None:
         """Stop tracking an instance removed by a scale-down.
 
         The directory already stopped routing to it; this ends its
-        flusher/prober processes and fails anything still awaiting it so
-        the retry policy re-routes to surviving replicas.  Permanent:
+        flusher process and its pings, and fails anything still awaiting
+        it so the retry policy re-routes to surviving replicas.  Permanent:
         replica ids are never reused, so a retired iid never comes back.
         """
         backend = self.health.get(iid)
@@ -214,7 +239,7 @@ class FrontEnd:
         """Kernel said this instance is gone: fail its pending work now —
         what is still queued first, then what is on the wire."""
         # a kernel-reported fault skips the probation period
-        backend.misses = max(backend.misses, backend.DEAD_AFTER)
+        backend.misses = max(backend.misses, DEAD_AFTER)
         dead = [irid for irid, _body, _nb in backend.queue]
         del backend.queue[:]
         dead += [irid for irid, entry in self._awaiting.items()
@@ -232,6 +257,11 @@ class FrontEnd:
         tag, rid, body = data
         if tag == "req":
             self._admit(peer_mac, rid, body)
+        elif tag == "resp" and payload.get("port") == HEARTBEAT_PORT:
+            board = self.boards[peer_mac]
+            board.misses = 0  # any beat answered proves the board there
+            if rid == board.beat:
+                board.beat = 0
         elif tag == "resp":
             self._resolve(rid, body)
         elif tag == "batchresp":
@@ -241,7 +271,7 @@ class FrontEnd:
     def _resolve(self, irid: int, body: Any = None,
                  error: Optional[str] = None, missed: bool = False) -> None:
         """The one way out of ``_awaiting``, and the only place an
-        instance's ``outstanding`` goes down.
+        instance's ``outstanding`` (client attempts) goes down.
 
         Called with a ``body`` when the instance answered, with ``error``
         when it did not: its time box ran out (``missed`` — that charges
@@ -254,7 +284,8 @@ class FrontEnd:
         if entry is None:
             return
         backend, waiter, kind, span = entry
-        backend.outstanding -= 1
+        if kind == "req":
+            backend.outstanding -= 1
         if error is None:
             backend.misses = 0  # any response, data or pong, proves it alive
             backend.served += 1
@@ -564,10 +595,11 @@ class FrontEnd:
         """One attempt: its record, its place in the instance's batch queue
         and its time box — one heap entry, no event of its own."""
         irid = next(self._irid)
-        waiter = (None if kind == "repl"
-                  else self.engine.event(f"fe.req#{irid}"))
+        waiter = None
+        if kind == "req":
+            waiter = self.engine.event(f"fe.req#{irid}")
+            backend.outstanding += 1
         self._awaiting[irid] = (backend, waiter, kind, span)
-        backend.outstanding += 1
         backend.queue.append((irid, body, nbytes))
         kick, backend.kick = backend.kick, None
         if kick is not None:
@@ -575,7 +607,7 @@ class FrontEnd:
         self.engine.schedule(timeout, self._expire, (irid, timeout))
         return waiter
 
-    # -- per-instance batching + probing ----------------------------------
+    # -- per-instance batching, liveness -----------------------------------
 
     def _flusher(self, backend: BackendHealth):
         """Drain one instance's queue as batch envelopes."""
@@ -599,7 +631,7 @@ class FrontEnd:
             bid = next(self._bid)
             entries = [(irid, body) for irid, body, _nb in take]
             nbytes = sum(nb for _irid, _body, nb in take) + 16 * len(take)
-            sent = self.mux.peer(backend.mac).send(
+            sent = self.mux.peer(backend.board.mac).send(
                 {"port": inst.port, "data": ("batch", bid, entries),
                  "src_mac": FRONTEND_MAC},
                 payload_bytes=max(64, nbytes),
@@ -609,50 +641,41 @@ class FrontEnd:
             yield self.engine.any_of(
                 [sent, self.engine.timeout(self.mux.timeout)])
 
-    def _prober(self, backend: BackendHealth):
-        """Periodic liveness pings (answered without handler cost).
+    def _prober(self, _arg: Any = None) -> None:
+        """One liveness round, a heap entry every ``PROBE_INTERVAL``.
 
-        The expiry stays an ``any_of`` on purpose: it acts two ring hops
-        into its cycle, after same-cycle timer resumes — the autoscaler
-        samples ``outstanding`` (which counts in-flight probes) on the
-        grid the probes of replicas it just added expire on, and must
-        keep seeing them (DESIGN.md "Cluster layer", ordering rule b).
+        A board's beat from the last round still unanswered is a miss.
+        Each board gets a new beat, and each instance on it marked down a
+        ping (the one before it, if unanswered, is given up).  While two
+        beats to a board are unacked its transport is wedged (a detached
+        MAC): the round sends nothing there, and the beat it could not
+        send is missed all the same.
         """
-        inst = backend.inst
-
-        def unstick(_sent: Event) -> None:
-            backend.probes_stuck -= 1
-
-        while True:
-            yield PROBE_INTERVAL
-            if backend.retired:
-                return
-            if backend.probes_stuck >= 2:
-                # transport to this board is wedged (detached MAC):
-                # further probes would only pile up in the send window
+        for board in self.boards.values():
+            if board.beat:
+                board.misses += 1
+            board.beat = next(self._irid)
+            if board.unacked >= 2:
                 continue
-            irid = next(self._irid)
-            waiter = self.engine.event(f"fe.probe#{irid}")
-            self._awaiting[irid] = (backend, waiter, "probe", 0)
-            backend.outstanding += 1
-            backend.probes_sent += 1
-            backend.probes_stuck += 1
-            sent = self.mux.peer(backend.mac).send(
-                {"port": inst.port, "data": ("req", irid, {"op": "ping"}),
+            board.unacked += 1
+            self.mux.peer(board.mac).send(
+                {"port": HEARTBEAT_PORT, "data": ("req", board.beat, None),
                  "src_mac": FRONTEND_MAC},
                 payload_bytes=16,
-            )
-            sent.add_callback(unstick)
-            expire = self.engine.timeout(PROBE_INTERVAL)
-            try:
-                yield self.engine.any_of([waiter, expire])
-            except ServiceUnavailable:
-                # instance declared dead mid-probe (fault hook failed the
-                # waiter); the bookkeeping is already cleaned up
-                continue
-            if not waiter.triggered:
-                self._resolve(irid, error="missed a probe", missed=True)
-                backend.probe_misses += 1
+            ).add_callback(board.acked)
+            for backend in board.backends:
+                if backend.misses >= DEAD_AFTER and not backend.retired:
+                    self._resolve(backend.ping, error="missed a ping")
+                    irid = backend.ping = next(self._irid)
+                    self._awaiting[irid] = (backend, None, "ping", 0)
+                    backend.probes_sent += 1
+                    self.mux.peer(board.mac).send(
+                        {"port": backend.inst.port,
+                         "data": ("req", irid, {"op": "ping"}),
+                         "src_mac": FRONTEND_MAC},
+                        payload_bytes=16,
+                    )
+        self.engine.schedule(PROBE_INTERVAL, self._prober)
 
     # -- introspection -----------------------------------------------------
 
@@ -683,8 +706,20 @@ class FrontEnd:
         }
 
     def health_table(self) -> Dict[str, Dict[str, Any]]:
-        """Live health snapshot, keyed by instance id."""
-        fields = ("healthy", "misses", "outstanding", "served", "probes_sent",
-                  "probe_misses")
+        """Live health snapshot, keyed by instance id:
+
+        * ``healthy`` — routable: fewer than ``DEAD_AFTER`` misses of its
+          own, and fewer than that of its board's heartbeat;
+        * ``misses`` — its attempts in a row whose time box ran out
+          (``DEAD_AFTER`` at once when the kernel reports its tile
+          drained); any answer resets it;
+        * ``outstanding`` — client attempts dispatched to it and not yet
+          resolved (replica copies and pings are not counted), the queue
+          depth the autoscaler sums;
+        * ``served`` — answers it returned: client attempts, replica copies
+          and pings alike;
+        * ``probes_sent`` — pings sent to it while it was marked down.
+        """
+        fields = ("healthy", "misses", "outstanding", "served", "probes_sent")
         return {iid: {field: getattr(backend, field) for field in fields}
                 for iid, backend in self.health.items()}

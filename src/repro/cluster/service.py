@@ -7,8 +7,8 @@ the front-end speaks beyond the plain ``("req", rid, body)`` convention:
   in order and answered with one ``("batchresp", bid, [...])`` frame, so
   a busy backend pays one transport round-trip per batch instead of one
   per request;
-* **health probes** — ``{"op": "ping"}`` bodies answered without handler
-  cost, the front-end's liveness signal when no data traffic flows;
+* **health pings** — ``{"op": "ping"}`` bodies answered without handler
+  cost: how the front-end hears again from an instance it marked down;
 * **cross-FPGA trace propagation** — a ``"_trace"`` key in the body
   carries ``(trace_id, parent_span)`` across the fabric hop, so the
   backend's service span nests under the front-end's forward span and
@@ -19,8 +19,8 @@ Unlike the base class (which spawns every request concurrently), requests
 are served **sequentially** through one worker loop: an instance models a
 fixed piece of fabric with a real service rate, which is what makes the
 S1 scaling benchmark measure capacity rather than simulator concurrency.
-Replies go out with a ``net_send`` nobody waits on, so transport ACKs
-never serialize with compute.
+Replies go out with a ``net_post``: ``svc.net`` sends no answer back, and
+transport ACKs never serialize with compute.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class ClusterPortedService(PortedService):
         """Process generator: one ``(tag, rid, body)`` off the port."""
         if tag == "req":
             out_body, out_bytes = yield from self._handle(shell, body)
-            shell.net_send(envelope["src_mac"], self.port,
+            shell.net_post(envelope["src_mac"], self.port,
                            data=("resp", rid, out_body), nbytes=out_bytes)
         elif tag == "batch":
             yield from self._serve_batch(shell, envelope, rid, body)
@@ -65,7 +65,7 @@ class ClusterPortedService(PortedService):
             out_body, out_bytes = yield from self._handle(shell, body)
             out.append((rid, out_body, out_bytes))
             total_bytes += out_bytes
-        shell.net_send(envelope["src_mac"], self.port,
+        shell.net_post(envelope["src_mac"], self.port,
                        data=("batchresp", bid, out),
                        nbytes=max(64, total_bytes + 16 * len(out)))
 

@@ -70,7 +70,7 @@ class RemoteServiceProxy(Accelerator):
                 continue
             self._pending[msg.mid] = msg
             self.forwarded += 1
-            shell.net_send(self.remote_mac, self.port, data=(
+            shell.net_post(self.remote_mac, self.port, data=(
                 "req", msg.mid, {"op": msg.op, "payload": msg.payload}),
                 nbytes=max(64, msg.payload_bytes + 32))
 

@@ -42,6 +42,7 @@ from repro.net.frame import EthernetFrame
 from repro.net.transport import BOARD_TIMEOUT, BOARD_WINDOW, ReliableMux
 
 __all__ = [
+    "HEARTBEAT_PORT",
     "MemoryService",
     "NetworkService",
     "MacAdapter",
@@ -290,6 +291,12 @@ class HundredGigAdapter(MacAdapter):
         self.mac.on_rx(callback)
 
 
+#: the port the network tile answers itself: a ``("req", rid, _)`` there
+#: is a board heartbeat, answered ``("resp", rid, None)`` on the connection
+#: it came by, without crossing the NoC.  No tile can bind it.
+HEARTBEAT_PORT = 0
+
+
 class NetworkService(Accelerator):
     """The networking tile: ports, reliable transport, MAC driving.
 
@@ -299,6 +306,8 @@ class NetworkService(Accelerator):
         forwarded to the binder as ``net.rx`` events.
     ``net.send {dst_mac, port, data, nbytes}``-> ack when ACKed by the peer
         transport.
+    ``net.post {dst_mac, port, data, nbytes}``-> nothing: an event, sent
+        like ``net.send`` and never answered.
 
     One :class:`ReliableMux` holds a connection per peer MAC, multiplexing
     all ports — mirroring how hardware stacks share one connection table.
@@ -327,20 +336,30 @@ class NetworkService(Accelerator):
         shell.serve(self._on_request)
 
     def _on_request(self, msg: Message) -> None:
-        """A bind is answered at once, a send once the peer ACKs it."""
+        """A bind is answered at once, a send once the peer ACKs it, a post
+        never."""
         shell = self.shell
         span = shell.span_open(msg, f"service:{msg.op}", op=msg.op)
         if msg.op == "net.bind":
             port = int(msg.payload["port"])
-            if port in self._ports and self._ports[port] != msg.src:
+            if port == HEARTBEAT_PORT or \
+                    self._ports.get(port, msg.src) != msg.src:
                 shell.span_close(span, error="PortTaken")
                 shell.reply(msg, payload=f"port {port} taken", error=True)
                 return
             self._ports[port] = msg.src
             shell.span_close(span)
             shell.reply(msg, payload="bound")
-        elif msg.op == "net.send":
+        elif msg.op in ("net.send", "net.post"):
             body = msg.payload
+            acked = self.mux.peer(body["dst_mac"]).send(
+                {"port": body["port"], "data": body["data"],
+                 "src_mac": self.adapter.mac_addr},
+                payload_bytes=int(body["nbytes"]),
+            )
+            if msg.op == "net.post":
+                shell.span_close(span)
+                return
             incarnation = shell.incarnation
 
             def sent(_acked) -> None:
@@ -348,11 +367,7 @@ class NetworkService(Accelerator):
                     shell.span_close(span)
                     shell.reply(msg, payload="sent")
 
-            self.mux.peer(body["dst_mac"]).send(
-                {"port": body["port"], "data": body["data"],
-                 "src_mac": self.adapter.mac_addr},
-                payload_bytes=int(body["nbytes"]),
-            ).add_callback(sent)
+            acked.add_callback(sent)
         else:
             shell.span_close(span, error="UnknownOp")
             shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
@@ -368,10 +383,20 @@ class NetworkService(Accelerator):
         while not self.adapter.transmit(frame):
             yield self.adapter.RETRY_CYCLES
 
-    def _on_payload(self, _peer_mac: str, payload: Dict[str, Any]):
+    def _on_payload(self, peer_mac: str, payload: Dict[str, Any]):
         """Deliver a transport payload to the tile bound to its port; the
-        mux holds the peer's next payload until the notify is on the NoC."""
+        mux holds the peer's next payload until the notify is on the NoC.
+        A heartbeat is answered here."""
         port = payload.get("port")
+        if port == HEARTBEAT_PORT:
+            data = payload.get("data")
+            if isinstance(data, tuple) and len(data) == 3 and data[0] == "req":
+                self.mux.peer(peer_mac).send(
+                    {"port": HEARTBEAT_PORT, "data": ("resp", data[1], None),
+                     "src_mac": self.adapter.mac_addr},
+                    payload_bytes=16,
+                )
+            return None
         dst = self._ports.get(port)
         if dst is None:
             self.rx_unbound += 1

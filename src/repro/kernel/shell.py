@@ -13,8 +13,8 @@ process generators):
 * ``notify(dst, op, ...)`` — one-way event.
 * ``recv()`` / ``reply(msg, ...)``, or ``serve(handler)`` — serve requests.
 * ``alloc/free/read/write/grant`` — memory through ``svc.mem``.
-* ``net_bind/net_send`` plus ``net_rx`` events — networking through
-  ``svc.net``.
+* ``net_bind/net_send/net_post`` plus ``net_rx`` events — networking
+  through ``svc.net``.
 * ``spawn(name, gen)`` — create a child process inside this tile's fault
   domain (the multi-context execution model of Section 4.2/4.4).
 """
@@ -313,6 +313,14 @@ class Shell:
                          payload={"dst_mac": dst_mac, "port": port,
                                   "data": data, "nbytes": nbytes},
                          payload_bytes=nbytes)
+
+    def net_post(self, dst_mac: str, port: int, data: Any, nbytes: int) -> Event:
+        """:meth:`net_send` with no answer: ``svc.net`` transmits it and
+        replies nothing; the event tracks NoC admission only."""
+        return self.notify(self.net_service, "net.post",
+                           payload={"dst_mac": dst_mac, "port": port,
+                                    "data": data, "nbytes": nbytes},
+                           payload_bytes=nbytes)
 
     # -- multi-context execution ---------------------------------------------------
 

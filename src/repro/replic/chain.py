@@ -39,7 +39,6 @@ transparently lands on the post-repair head/tail.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.service import ClusterPortedService
@@ -86,7 +85,6 @@ class ChainNodeService(ClusterPortedService):
         self._results: Dict[int, Tuple[Any, int]] = {}
         #: log index -> open replicate span id
         self._spans: Dict[int, int] = {}
-        self._ctr = itertools.count(1)
 
         # counters (surfaced via chain.stat and the R2 report)
         self.writes_begun = 0
@@ -118,8 +116,8 @@ class ChainNodeService(ClusterPortedService):
         out = yield from self._dispatch(shell, envelope, rid, body)
         if out is not None:
             out_body, out_bytes = out
-            self._spawn_send(shell, envelope["src_mac"],
-                             ("resp", rid, out_body), out_bytes)
+            shell.net_post(envelope["src_mac"], self.port,
+                           data=("resp", rid, out_body), nbytes=out_bytes)
 
     def _serve_batch(self, shell, envelope, bid, entries):
         """Batch envelopes may mix reads (answered in the batchresp) and
@@ -134,9 +132,9 @@ class ChainNodeService(ClusterPortedService):
                 out.append((rid, out_body, out_bytes))
                 total_bytes += out_bytes
         if out:
-            self._spawn_send(shell, envelope["src_mac"],
-                             ("batchresp", bid, out),
-                             max(64, total_bytes + 16 * len(out)))
+            shell.net_post(envelope["src_mac"], self.port,
+                           data=("batchresp", bid, out),
+                           nbytes=max(64, total_bytes + 16 * len(out)))
 
     def _dispatch(self, shell, envelope, rid, body):
         """Serve one request body.  Returns ``(reply, bytes)`` for an
@@ -176,7 +174,8 @@ class ChainNodeService(ClusterPortedService):
             index = self._wid_index[wid]
             if index <= self.commit_index:
                 out = self._results.get(index, ({"ok": True, "dup": True}, 16))
-                self._spawn_send(shell, src_mac, ("resp", rid, out[0]), out[1])
+                shell.net_post(src_mac, self.port, data=("resp", rid, out[0]),
+                               nbytes=out[1])
             else:
                 self._pending.setdefault(index, []).append((src_mac, rid))
             return
@@ -200,8 +199,8 @@ class ChainNodeService(ClusterPortedService):
             self._forward(shell, [entry])
 
     def _nack(self, shell, src_mac: str, rid: int, reason: str) -> None:
-        self._spawn_send(shell, src_mac,
-                         ("resp", rid, {"_chain_nack": reason}), 16)
+        shell.net_post(src_mac, self.port,
+                       data=("resp", rid, {"_chain_nack": reason}), nbytes=16)
 
     # -- client reads ------------------------------------------------------
 
@@ -322,8 +321,8 @@ class ChainNodeService(ClusterPortedService):
             if len(self._results) > self.result_cache_size:
                 del self._results[min(self._results)]
             for src_mac, rid in self._pending.pop(i, ()):
-                self._spawn_send(shell, src_mac, ("resp", rid, out[0]),
-                                 out[1])
+                shell.net_post(src_mac, self.port, data=("resp", rid, out[0]),
+                               nbytes=out[1])
             span = self._spans.pop(i, None)
             if span:
                 shell.spans.close(span, shell.engine.now,
@@ -451,20 +450,4 @@ class ChainNodeService(ClusterPortedService):
 
     def _send_evt(self, shell, addr: Tuple[str, int], body: Dict,
                   nbytes: int = 64) -> None:
-        self._spawn_send(shell, addr[0], ("evt", 0, body), nbytes,
-                         port=addr[1])
-
-    def _spawn_send(self, shell, dst_mac: str, data: Any, nbytes: int,
-                    port: Optional[int] = None) -> None:
-        """Transmit off the worker loop; never wedge on a dead peer."""
-        shell.spawn(f"cx{next(self._ctr)}",
-                    self._send_bounded(shell, dst_mac,
-                                       port if port is not None else self.port,
-                                       data, nbytes))
-
-    def _send_bounded(self, shell, dst_mac: str, port: int, data: Any,
-                      nbytes: int):
-        sent = shell.net_send(dst_mac, port, data=data, nbytes=nbytes)
-        # bound the wait: a partitioned/dead peer would park this context
-        # forever on the transport ack
-        yield shell.engine.any_of([sent, shell.engine.timeout(60_000)])
+        shell.net_post(addr[0], addr[1], data=("evt", 0, body), nbytes=nbytes)

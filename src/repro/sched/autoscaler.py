@@ -27,7 +27,8 @@ serially and oscillate.  This controller is built around that cost:
   synthesis.
 
 Signals come from the layers the OS already exposes: front-end
-per-instance queue depth (``BackendHealth.outstanding``) and per-tile
+per-instance queue depth (``BackendHealth.outstanding``: client attempts
+only, not replica copies or liveness pings) and per-tile
 monitor traffic rates via ``MgmtPlane.telemetry()`` (which also carries
 the region occupancy gauges and any attached
 :class:`~repro.obs.telemetry.TelemetrySampler` series).
@@ -139,7 +140,8 @@ class Autoscaler:
                 and not self._tile(inst).failed]
 
     def signal(self) -> Tuple[int, float, int]:
-        """(total queue depth, max tile tx rate, ready count)."""
+        """(total queue depth, max tile tx rate, ready count); the depth is
+        client attempts in flight plus submissions in the backlog."""
         ready = self.ready_instances()
         total_q = 0
         util = 0.0

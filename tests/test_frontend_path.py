@@ -7,7 +7,12 @@ answer) and hold unchanged on the one-record-per-backend /
 one-record-per-attempt front-end that replaced it: a request is submitted,
 routed, failed over, answered, rejected or dropped on the same cycles with
 the same counters.  They are the contract of that rewrite; a literal there
-changes only with a deliberate change of simulated behaviour.  Section f
+changes only with a deliberate change of simulated behaviour.  One such
+change re-pinned them: liveness became one heartbeat per board plus pings
+for instances marked down, so ``health_table()`` rows lost
+``probe_misses``, ``outstanding`` counts client attempts only and
+``probes_sent`` counts pings; every request's ``(submit, done, outcome)``
+row, every span and every ``telemetry()`` counter held.  Section f
 pins what the rewrite *did* change — the engine-event budget of a request —
 and that ``perf.trace`` still books the path to ``FrontEnd._serve`` and
 ``FrontEnd._prober``.
@@ -36,8 +41,7 @@ QUICK = dict(deadline=60_000, attempt_timeout=4_000, backoff_base=200,
              backoff_cap=2_000)
 
 
-HEALTH_FIELDS = ("healthy", "misses", "outstanding", "served", "probes_sent",
-                 "probe_misses")
+HEALTH_FIELDS = ("healthy", "misses", "outstanding", "served", "probes_sent")
 
 
 class ProcessLog(Engine):
@@ -186,34 +190,34 @@ def test_a_read_cycle_by_cycle():
     rig.at(1_000)
     assert rig.counters() == quiet(requests_admitted=1, inflight=1)
     assert rig.health("kv/s0r0", "kv/s0r1") == {
-        "kv/s0r0": (True, 0, 1, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+        "kv/s0r0": (True, 0, 1, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     rig.at(9_000)
     assert rig.table() == {"r": (1_000, 3_225, MISS)}
     assert rig.counters() == quiet(requests_admitted=1, batches_sent=1)
     assert rig.health() == {
-        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0),
-        "kv/s1r0": (True, 0, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0),
-        "echo#0": (True, 0, 0, 0, 0, 0), "echo#1": (True, 0, 0, 0, 0, 0)}
+        "kv/s0r0": (True, 0, 0, 1, 0), "kv/s0r1": (True, 0, 0, 0, 0),
+        "kv/s1r0": (True, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0),
+        "echo#0": (True, 0, 0, 0, 0), "echo#1": (True, 0, 0, 0, 0)}
 
 
 def test_a_write_fans_out_and_the_peers_ack_lands():
     """The client's answer is the primary's alone; the copy to the peer
-    replica is awaited too (``outstanding`` 1 on both) and its ack is
-    counted as served.  The first probe round (offset 10 000) overlaps the
-    write, and the read that follows finds the value."""
+    replica is awaited too, but it is no client attempt (``outstanding``
+    counts the primary's only), and its ack is counted as served.  The
+    read that follows finds the value."""
     rig = Rig()
     rig.at(9_000).write("w", 2, "v")
     rig.at(9_100)
     pair = ("kv/s0r0", "kv/s0r1")
     assert rig.health(*pair) == {
-        "kv/s0r0": (True, 0, 1, 0, 0, 0), "kv/s0r1": (True, 0, 1, 0, 0, 0)}
+        "kv/s0r0": (True, 0, 1, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     rig.at(11_000)
     assert rig.health(*pair) == {
-        "kv/s0r0": (True, 0, 2, 0, 1, 0), "kv/s0r1": (True, 0, 2, 0, 1, 0)}
+        "kv/s0r0": (True, 0, 1, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     rig.at(12_000)
     assert rig.table() == {"w": (9_000, 11_224, STORED)}
     assert rig.health(*pair) == {
-        "kv/s0r0": (True, 0, 0, 2, 1, 0), "kv/s0r1": (True, 0, 0, 2, 1, 0)}
+        "kv/s0r0": (True, 0, 0, 1, 0), "kv/s0r1": (True, 0, 0, 1, 0)}
     rig.at(20_000).read("r", 2)
     rig.at(29_000)
     assert rig.table() == {
@@ -221,9 +225,9 @@ def test_a_write_fans_out_and_the_peers_ack_lands():
         "r": (20_000, 22_225, ("ok", {"ok": True, "value": "v", "shard": 0}))}
     assert rig.counters() == quiet(requests_admitted=2, batches_sent=3)
     assert rig.health() == {
-        "kv/s0r0": (True, 0, 0, 4, 2, 0), "kv/s0r1": (True, 0, 0, 3, 2, 0),
-        "kv/s1r0": (True, 0, 0, 2, 2, 0), "kv/s1r1": (True, 0, 0, 2, 2, 0),
-        "echo#0": (True, 0, 0, 2, 2, 0), "echo#1": (True, 0, 0, 2, 2, 0)}
+        "kv/s0r0": (True, 0, 0, 2, 0), "kv/s0r1": (True, 0, 0, 1, 0),
+        "kv/s1r0": (True, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0),
+        "echo#0": (True, 0, 0, 0, 0), "echo#1": (True, 0, 0, 0, 0)}
 
 
 # -- (b) attempts that do not come back -------------------------------------------
@@ -239,12 +243,11 @@ def test_a_replica_write_nobody_acks_is_counted_after_one_attempt_timeout():
     rig.at(4_999)
     assert rig.table() == {"w": (1_000, 3_224, STORED)}
     assert rig.health("kv/s0r0", "kv/s0r1") == {
-        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (True, 0, 1, 0, 0, 0)}
+        "kv/s0r0": (True, 0, 0, 1, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     assert rig.counters() == quiet(requests_admitted=1, batches_sent=2)
     rig.at(5_000)
     assert rig.health("kv/s0r0", "kv/s0r1") == {
-        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
-    rig.at(9_000)
+        "kv/s0r0": (True, 0, 0, 1, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     assert rig.counters() == quiet(
         requests_admitted=1, batches_sent=2, writes_unreplicated=1,
         counters={"frontend.writes_unreplicated": 1})
@@ -256,40 +259,42 @@ def test_a_replica_write_in_flight_when_its_board_dies_is_counted_at_once():
     rig.at(1_400).cluster.kill_fpga(1)
     assert rig.counters()["counters"] == {"frontend.writes_unreplicated": 1}
     assert rig.health("kv/s0r0", "kv/s0r1") == {
-        "kv/s0r0": (True, 0, 1, 0, 0, 0), "kv/s0r1": (False, 3, 0, 0, 0, 0)}
+        "kv/s0r0": (True, 0, 1, 0, 0), "kv/s0r1": (False, 3, 0, 0, 0)}
     rig.at(9_000)
     assert rig.table() == {"w": (1_000, 3_224, STORED)}
     assert rig.counters() == quiet(
         requests_admitted=1, batches_sent=2, writes_unreplicated=1,
         counters={"frontend.writes_unreplicated": 1})
     assert rig.health() == {
-        "kv/s0r0": (True, 0, 0, 1, 0, 0), "kv/s0r1": (False, 3, 0, 0, 0, 0),
-        "kv/s1r0": (False, 3, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0),
-        "echo#0": (True, 0, 0, 0, 0, 0), "echo#1": (False, 3, 0, 0, 0, 0)}
+        "kv/s0r0": (True, 0, 0, 1, 0), "kv/s0r1": (False, 3, 0, 0, 0),
+        "kv/s1r0": (False, 3, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0),
+        "echo#0": (True, 0, 0, 0, 0), "echo#1": (False, 3, 0, 0, 0)}
 
 
 def test_an_attempt_timeout_fails_over_and_the_next_answer_heals_the_miss():
     """Key 0's primary sits on a partitioned board: the attempt times out
     (one miss), the retry lands on the replica 200 cycles later.  After the
     heal the transport to that board is still wedged behind its unacked
-    frames, so the second read fails over too, two probes pile up behind
-    them (the prober stops at two unacked sends) — and when the retransmit
-    finally lands, the first answer resets the misses."""
+    frames, so the second read fails over too (a second miss) and the
+    board misses the beats of offsets 10 000 to 30 000 — down at 40 000,
+    every instance on it with it.  The retransmission at 51 200 unwedges
+    it: the beats' answers bring the board back at 52 208, and the next
+    data answer resets the primary's own misses."""
     rig = Rig(retry=RetryPolicy(**QUICK))
     pair = ("kv/s1r0", "kv/s1r1")
     rig.at(500).cluster.partition_fpga(1)
     rig.at(1_000).read("r1", 0)
     rig.at(4_999)
     assert rig.health(*pair) == {
-        "kv/s1r0": (True, 0, 1, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0)}
+        "kv/s1r0": (True, 0, 1, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0)}
     rig.at(5_000)
     assert rig.counters()["failovers"] == 1
     assert rig.health(*pair) == {
-        "kv/s1r0": (True, 1, 0, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0, 0)}
+        "kv/s1r0": (True, 1, 0, 0, 0), "kv/s1r1": (True, 0, 0, 0, 0)}
     rig.at(5_199)
-    assert rig.health(*pair)["kv/s1r1"] == (True, 0, 0, 0, 0, 0)
+    assert rig.health(*pair)["kv/s1r1"] == (True, 0, 0, 0, 0)
     rig.at(5_200)
-    assert rig.health(*pair)["kv/s1r1"] == (True, 0, 1, 0, 0, 0)
+    assert rig.health(*pair)["kv/s1r1"] == (True, 0, 1, 0, 0)
     rig.at(9_000)
     assert rig.table() == {"r1": (1_000, 7_429, MISS1)}
     rig.cluster.heal_fpga(1)
@@ -297,13 +302,18 @@ def test_an_attempt_timeout_fails_over_and_the_next_answer_heals_the_miss():
     rig.at(15_000)
     assert rig.counters()["failovers"] == 2
     assert rig.health(*pair) == {
-        "kv/s1r0": (True, 2, 1, 0, 1, 0), "kv/s1r1": (True, 0, 1, 2, 1, 0)}
-    rig.at(60_000)
-    assert rig.health(*pair) == {
-        "kv/s1r0": (False, 4, 1, 0, 3, 2), "kv/s1r1": (True, 0, 0, 7, 5, 0)}
-    rig.at(70_000)
-    assert rig.health(*pair) == {
-        "kv/s1r0": (True, 0, 0, 1, 3, 2), "kv/s1r1": (True, 0, 0, 8, 6, 0)}
+        "kv/s1r0": (True, 2, 0, 0, 0), "kv/s1r1": (True, 0, 1, 1, 0)}
+    rig.at(39_999)
+    assert all(row[0] for row in rig.health().values())
+    rig.at(40_000)
+    assert rig.health() == {
+        "kv/s0r0": (True, 0, 0, 0, 0), "kv/s0r1": (False, 0, 0, 0, 0),
+        "kv/s1r0": (False, 2, 0, 0, 0), "kv/s1r1": (True, 0, 0, 2, 0),
+        "echo#0": (True, 0, 0, 0, 0), "echo#1": (False, 0, 0, 0, 0)}
+    rig.at(52_207)
+    assert not rig.health(*pair)["kv/s1r0"][0]
+    rig.at(52_208)
+    assert all(row[0] for row in rig.health().values())
     rig.at(100_000).read("r3", 0)
     rig.at(110_000)
     assert rig.table() == {"r1": (1_000, 7_429, MISS1),
@@ -312,30 +322,27 @@ def test_an_attempt_timeout_fails_over_and_the_next_answer_heals_the_miss():
     assert rig.counters() == quiet(requests_admitted=3, batches_sent=4,
                                    failovers=2)
     assert rig.health() == {
-        "kv/s0r0": (True, 0, 1, 9, 10, 0), "kv/s0r1": (True, 0, 0, 5, 7, 2),
-        "kv/s1r0": (True, 0, 0, 6, 7, 2), "kv/s1r1": (True, 0, 1, 11, 10, 0),
-        "echo#0": (True, 0, 1, 9, 10, 0), "echo#1": (True, 0, 0, 5, 7, 2)}
+        "kv/s0r0": (True, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0),
+        "kv/s1r0": (True, 0, 0, 1, 0), "kv/s1r1": (True, 0, 0, 2, 0),
+        "echo#0": (True, 0, 0, 0, 0), "echo#1": (True, 0, 0, 0, 0)}
 
 
-def test_three_unanswered_probes_kill_an_instance_and_a_data_answer_revives_it():
-    """One 65 000-cycle request keeps the (sequential) instance from
-    answering pings: a probe every other interval expires, the third miss
-    declares it dead on the cycle it expires, and the data answer — the
-    attempt itself never timed out — brings it back."""
+def test_a_busy_sequential_instance_stays_healthy_behind_a_long_request():
+    """One 65 000-cycle request keeps the (sequential) instance busy for
+    six liveness rounds.  Its board answers every heartbeat and a healthy
+    instance is never pinged, so nothing queues behind the request: the
+    instance stays healthy throughout (a loaded-but-alive backend is never
+    declared dead), and the answer counts as served."""
     rig = Rig(extra={"slow": echo_handler_factory(65_000)},
               retry=RetryPolicy(deadline=200_000, attempt_timeout=100_000))
     rig.at(1_000).submit("s", "slow", body={"x": 1})
     seen = {}
-    for offset in (10_100, 20_000, 30_000, 40_000, 50_000, 59_999, 60_000,
-                   67_000, 68_000, 70_100, 80_100):
+    for offset in (10_100, 30_000, 60_000, 67_000, 68_000, 80_100):
         seen[offset] = rig.at(offset).health("slow#0")["slow#0"]
     assert seen == {
-        10_100: (True, 0, 2, 0, 1, 0), 20_000: (True, 1, 1, 0, 1, 1),
-        30_000: (True, 1, 2, 0, 2, 1), 40_000: (True, 2, 1, 0, 2, 2),
-        50_000: (True, 2, 2, 0, 3, 2), 59_999: (True, 2, 2, 0, 3, 2),
-        60_000: (False, 3, 1, 0, 3, 3), 67_000: (False, 3, 1, 0, 3, 3),
-        68_000: (True, 0, 0, 1, 3, 3), 70_100: (True, 0, 1, 1, 4, 3),
-        80_100: (True, 0, 0, 2, 4, 3)}
+        10_100: (True, 0, 1, 0, 0), 30_000: (True, 0, 1, 0, 0),
+        60_000: (True, 0, 1, 0, 0), 67_000: (True, 0, 1, 0, 0),
+        68_000: (True, 0, 0, 1, 0), 80_100: (True, 0, 0, 1, 0)}
     assert rig.table() == {"s": (1_000, 67_229, ("ok", {"echo": 1}))}
     assert rig.counters() == quiet(requests_admitted=1, batches_sent=1)
 
@@ -348,7 +355,8 @@ def test_a_drained_tile_fails_its_queued_and_awaited_requests_in_that_cycle():
     when the kernel reports the tile drained (a killed context — action
     ``"killed"`` — leaves the instance serving): both attempts fail in that
     cycle, both retry on the replica after the same backoff and ride one
-    batch.  The tile was in fact alive, so the next pong revives it."""
+    batch.  The tile was in fact alive: the instance is marked down, so the
+    next liveness round (offset 10 000) pings it, and the pong revives it."""
     rig = Rig(retry=RetryPolicy(**QUICK))
     pair = ("kv/s0r0", "kv/s0r1")
     inst = rig.cluster.directory.spec("kv").instance("kv/s0r0")
@@ -358,53 +366,53 @@ def test_a_drained_tile_fails_its_queued_and_awaited_requests_in_that_cycle():
     assert rig.counters()["batches_sent"] == 1
     rig.fe.on_board_fault(inst.fpga, inst.node, "killed", "kv/s0r0")
     assert rig.health(*pair) == {
-        "kv/s0r0": (True, 0, 2, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+        "kv/s0r0": (True, 0, 2, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     rig.fe.on_board_fault(inst.fpga, inst.node, "drained", "kv/s0r0")
     assert rig.health(*pair) == {
-        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+        "kv/s0r0": (False, 3, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     assert rig.counters()["failovers"] == 0
     rig.at(1_450)  # the rest of this cycle: both attempts have failed
     assert rig.counters()["failovers"] == 2
     rig.at(1_649)
-    assert rig.health(*pair)["kv/s0r1"] == (True, 0, 0, 0, 0, 0)
+    assert rig.health(*pair)["kv/s0r1"] == (True, 0, 0, 0, 0)
     rig.at(1_650)
-    assert rig.health(*pair)["kv/s0r1"] == (True, 0, 2, 0, 0, 0)
+    assert rig.health(*pair)["kv/s0r1"] == (True, 0, 2, 0, 0)
     rig.at(9_000)
     assert rig.table() == {"awaited": (1_000, 4_882, MISS),
                            "queued": (1_400, 4_882, MISS)}
     assert rig.health(*pair) == {
-        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 2, 0, 0)}
+        "kv/s0r0": (False, 3, 0, 0, 0), "kv/s0r1": (True, 0, 0, 2, 0)}
+    rig.at(10_000)
+    assert rig.health(*pair)["kv/s0r0"] == (False, 3, 0, 0, 1)
     rig.at(13_000)
     assert rig.health(*pair) == {
-        "kv/s0r0": (True, 0, 0, 1, 1, 0), "kv/s0r1": (True, 0, 0, 3, 1, 0)}
+        "kv/s0r0": (True, 0, 0, 1, 1), "kv/s0r1": (True, 0, 0, 2, 0)}
     assert rig.counters() == quiet(requests_admitted=2, batches_sent=2,
                                    failovers=2)
 
 
 def test_retire_mid_flight_reroutes_and_never_tracks_the_instance_again():
+    """A retired instance's flusher ends, and it is never pinged although
+    it reads as down."""
     rig = Rig(engine=ProcessLog(), retry=RetryPolicy(**QUICK))
     pair = ("kv/s0r0", "kv/s0r1")
     flusher = rig.engine.started["fe.flush.kv/s0r0"]
-    prober = rig.engine.started["fe.probe.kv/s0r0"]
     rig.at(1_000).read("awaited", 2)
     rig.at(1_400).read("queued", 2)
     rig.at(1_450).fe.retire("kv/s0r0")
     assert rig.health(*pair) == {
-        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0, 0)}
+        "kv/s0r0": (False, 3, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
     rig.at(1_450)
     assert rig.counters()["failovers"] == 2
     rig.fe.track_all()
     started = len(rig.engine.started)
     rig.at(5_000)
-    assert not flusher.alive and prober.alive
+    assert not flusher.alive
     assert rig.table() == {"awaited": (1_000, 4_882, MISS),
                            "queued": (1_400, 4_882, MISS)}
-    rig.at(9_999)
-    assert prober.alive
-    rig.at(10_000)  # the prober's next wake-up is its last
-    assert not prober.alive
+    rig.at(20_000)
     assert rig.health(*pair) == {
-        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 1, 2, 1, 0)}
+        "kv/s0r0": (False, 3, 0, 0, 0), "kv/s0r1": (True, 0, 0, 2, 0)}
     rig.at(25_000)
     rig.fe.retire("kv/s0r0")  # a second retire is a no-op
     rig.fe.track_all()
@@ -412,9 +420,9 @@ def test_retire_mid_flight_reroutes_and_never_tracks_the_instance_again():
     rig.at(30_000)
     assert rig.table()["after"] == (25_000, 27_225, MISS)
     assert rig.health(*pair) == {
-        "kv/s0r0": (False, 3, 0, 0, 0, 0), "kv/s0r1": (True, 0, 0, 5, 2, 0)}
+        "kv/s0r0": (False, 3, 0, 0, 0), "kv/s0r1": (True, 0, 0, 3, 0)}
     assert not [name for name in list(rig.engine.started)[started:]
-                if name.startswith(("fe.flush.", "fe.probe."))]
+                if name.startswith("fe.flush.")]
     assert rig.counters() == quiet(requests_admitted=3, batches_sent=3,
                                    failovers=2)
 
@@ -428,10 +436,10 @@ def test_a_chain_nack_fails_the_attempt_but_not_the_member():
         seen[offset] = (rig.health("picky#0")["picky#0"],
                         rig.counters()["failovers"],
                         rig.counters()["chain_nacks"])
-    assert seen == {2_000: ((True, 0, 1, 0, 0, 0), 0, 0),
-                    3_000: ((True, 0, 1, 1, 0, 0), 1, 1),
-                    5_000: ((True, 0, 1, 2, 0, 0), 2, 2),
-                    9_000: ((True, 0, 0, 3, 0, 0), 2, 2)}
+    assert seen == {2_000: ((True, 0, 1, 0, 0), 0, 0),
+                    3_000: ((True, 0, 1, 1, 0), 1, 1),
+                    5_000: ((True, 0, 1, 2, 0), 2, 2),
+                    9_000: ((True, 0, 0, 3, 0), 2, 2)}
     assert rig.table() == {"p": (1_000, 6_185, ("ok", {"echo": 7}))}
     assert rig.counters() == quiet(
         requests_admitted=1, batches_sent=3, failovers=2, chain_nacks=2,
@@ -450,7 +458,7 @@ def test_a_request_nacked_until_its_deadline_fails_with_the_loop_s_arithmetic():
     assert rig.table() == {"p": (1_000, 7_001, (
         "failed", "route 'picky' gave up after 4 attempt(s) in 6001 cycles "
                   "(last error: picky#0 did not answer in 16)"))}
-    assert rig.health("picky#0") == {"picky#0": (True, 1, 0, 3, 0, 0)}
+    assert rig.health("picky#0") == {"picky#0": (True, 1, 0, 3, 0)}
     assert rig.counters() == quiet(
         requests_admitted=1, requests_failed=1, batches_sent=3, failovers=4,
         chain_nacks=3, counters={"frontend.chain_nacks": 3})
@@ -491,7 +499,7 @@ def test_a_same_cycle_burst_meets_the_backlog_bound_then_the_queue_deadline():
         counters={"frontend.queue_deadline_rejects": 1,
                   "frontend.requests_dropped": 4})
     assert rig.health("echo#0", "echo#1") == {
-        "echo#0": (True, 0, 0, 1, 0, 0), "echo#1": (True, 0, 0, 1, 0, 0)}
+        "echo#0": (True, 0, 0, 1, 0), "echo#1": (True, 0, 0, 1, 0)}
 
 
 def test_the_fabric_path_rejects_at_max_pending_and_answers_everything_else():
@@ -628,18 +636,18 @@ def test_a_traced_run_s_frontend_and_forward_spans():
         counters={"frontend.chain_nacks": 2,
                   "frontend.writes_unreplicated": 1})
     assert rig.health() == {
-        "kv/s0r0": (True, 0, 0, 3, 2, 0), "kv/s0r1": (True, 1, 1, 0, 2, 1),
-        "kv/s1r0": (True, 2, 1, 0, 2, 1), "kv/s1r1": (True, 0, 0, 3, 2, 0),
-        "echo#0": (True, 0, 0, 2, 2, 0), "echo#1": (True, 1, 1, 0, 2, 1),
-        "picky#0": (True, 0, 0, 5, 2, 0), "fenced#0": (False, 4, 1, 0, 2, 1)}
+        "kv/s0r0": (True, 0, 0, 1, 0), "kv/s0r1": (True, 0, 0, 0, 0),
+        "kv/s1r0": (True, 1, 0, 0, 0), "kv/s1r1": (True, 0, 0, 1, 0),
+        "echo#0": (True, 0, 0, 0, 0), "echo#1": (True, 0, 0, 0, 0),
+        "picky#0": (True, 0, 0, 3, 0), "fenced#0": (False, 3, 0, 0, 1)}
 
 
 # -- (f) event budgets and tagger coverage ------------------------------------------
 #
 # ``schedule()`` calls are the engine events a request costs, start to finish:
-# submitted at offset 1 000 on a quiet cluster (no probe before 10 000; an
-# idle 8 000 cycles cost 0), counted until 9 000 — the answer, the transport
-# ACKs and the attempt's own 4 000-cycle time box all fall inside.
+# submitted at offset 1 000 on a quiet cluster (no liveness round before
+# 10 000; an idle 8 000 cycles cost 0), counted until 9 000 — the answer, the
+# transport ACKs and the attempt's own 4 000-cycle time box all fall inside.
 
 
 def request_cost(act):
@@ -672,13 +680,37 @@ def test_event_budget_of_one_kv_write_with_one_fan_out_copy():
 #: when the network service began answering in its delivery callback and
 #: a backend's reply lost its process: a read 54 -> 49 (per ``net.send``
 #: through ``svc.net``, no inbox wake and no per-request process; per
-#: reply, no reply process), a write 105 -> 95 (the same, twice).
-ECHO_READ_SCHEDULES = 49
-KV_WRITE_ONE_COPY_SCHEDULES = 95
+#: reply, no reply process), a write 105 -> 95 (the same, twice).  Again
+#: when a backend's reply became a ``net.post``: a read 49 -> 39 (no
+#: ``"sent"`` answer crosses the board's NoC back to the backend), a write
+#: 95 -> 75 (the same, twice).
+ECHO_READ_SCHEDULES = 39
+KV_WRITE_ONE_COPY_SCHEDULES = 75
+
+
+def test_event_budget_of_two_liveness_rounds_and_no_noc_packet():
+    """A quiet two-board cluster over the rounds of offsets 10 000 and
+    20 000: one beat per board each, answered by the board's network tile
+    — not one NoC packet on either board.  The first round also arms each
+    connection's retransmission timer."""
+    rig = Rig(engine=CountingEngine(), retry=RetryPolicy(**QUICK))
+
+    def packets():
+        return [system.network.stats.counter("noc.packets_delivered").value
+                for system in rig.cluster.systems]
+
+    rig.at(5_000)
+    before, delivered = rig.engine.schedules, packets()
+    rig.at(15_000)
+    assert rig.engine.schedules - before == 23
+    rig.at(25_000)
+    assert rig.engine.schedules - before == 23 + 19
+    assert packets() == delivered
+    assert all(board.misses == 0 for board in rig.fe.boards.values())
 
 
 def test_requests_and_probes_book_to_serve_and_prober():
-    """``perf.trace``'s tagger over two probe rounds and a few requests: the
+    """``perf.trace``'s tagger over two liveness rounds and a few requests: the
     two hot kinds ``perf/trace.py`` keys on still own engine events, and the
     retry loop's events are ``_serve``'s own — nothing of a served request
     books to ``repro/policy.py`` any more."""

@@ -55,10 +55,14 @@ def test_express_lane_share_of_a_small_cluster_run_is_pinned(scale_small):
     runner.run()
     # ISSUE 22 re-pinned (272, 33), (274, 32) once: a monitor injects from
     # the heap phase now, and one packet per board is queued ahead of the
-    # ejector hop that would have emptied the network for it
+    # ejector hop that would have emptied the network for it.  Re-pinned
+    # (271, 33), (273, 32) again when the probes left the NoC (a board's
+    # heartbeat is answered by its network tile) and a backend's reply
+    # stopped drawing a "sent" answer: half the packets, and the ones left
+    # rarely meet another in flight
     assert [(system.network.express_packets,
              system.network.express_demotions)
-            for system in runner.cluster.systems] == [(271, 33), (273, 32)]
+            for system in runner.cluster.systems] == [(132, 2), (132, 2)]
 
 
 def test_autoscale_run_event_logs_are_byte_identical():

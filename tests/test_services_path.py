@@ -31,7 +31,9 @@ from repro.kernel import (
     NocConfig,
     SystemConfig,
 )
+from repro.kernel.services import HEARTBEAT_PORT
 from repro.net import EthernetFabric
+from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Engine
 
 from tests.conftest import CountingEngine
@@ -350,6 +352,10 @@ def send(system, node, dst_mac, port, data, nbytes=64):
     return system.tiles[node].shell.net_send(dst_mac, port, data, nbytes)
 
 
+def post(system, node, dst_mac, port, data, nbytes=64):
+    return system.tiles[node].shell.net_post(dst_mac, port, data, nbytes)
+
+
 def rx(system, node):
     """``(port, data, src_mac)`` of every ``net.rx`` queued at a caller."""
     return [(msg.payload["port"], msg.payload["data"],
@@ -458,12 +464,59 @@ def test_a_network_tile_drained_while_a_send_awaits_its_ack_never_replies():
          {"mid": 1, "op": "net.send"})]
 
 
+def test_a_post_goes_out_unanswered_and_the_tile_answers_heartbeats():
+    """A ``("req", rid, _)`` on ``HEARTBEAT_PORT`` is answered by the network
+    tile itself on the connection it came by — not one NoC packet on the
+    board — and no tile may bind that port.  A ``net.post`` is transmitted
+    like a send and answered by nobody: the caller's event is its NoC
+    admission, and the service opens no span."""
+    engine, (a, b) = two_boards()
+    t0 = engine.now
+    log = Rows(engine, t0)
+    log.issue("B bind", net_call(b, 2, "net.bind", {"port": 9}))
+    log.issue("heartbeat port",
+              net_call(b, 3, "net.bind", {"port": HEARTBEAT_PORT}))
+    heard = []
+    fabric = b.mac.fabric
+    host = ReliableMux(
+        engine, fabric.transmit, "host",
+        lambda peer, payload: heard.append((engine.now - t0, peer, payload)),
+        window=HOST_WINDOW, timeout=HOST_TIMEOUT)
+    fabric.attach("host", host.deliver_frame)
+
+    def packets():
+        return b.network.stats.counter("noc.packets_delivered").value
+
+    log.at(1_000)
+    before = packets()
+    host.peer("boardB").send(
+        {"port": HEARTBEAT_PORT, "data": ("req", 41, None), "src_mac": "host"},
+        payload_bytes=16)
+    log.at(5_000)
+    assert heard == [(2_004, "boardB",
+                      {"port": HEARTBEAT_PORT, "data": ("resp", 41, None),
+                       "src_mac": "boardB"})]
+    assert packets() == before
+    admitted = []
+    post(a, 2, "boardB", 9, "p0").add_callback(
+        lambda _ev: admitted.append(engine.now - t0))
+    log.at(10_000)
+    assert log.table() == {
+        "B bind": (0, 18, "'bound'"),
+        "heartbeat port": (0, 25, ("error", "port 0 taken"))}
+    assert admitted == [5_009]
+    assert rx(b, 2) == [(9, "p0", "boardA")]
+    assert not a.tiles[2].shell._pending and not a.tiles[2].shell.inbox
+    assert service_spans(a.spans, t0, "service:") == []
+
+
 # -- (c) event budgets ---------------------------------------------------------------
 #
 # ``schedule()`` calls one op costs, from the cycle it is issued on a quiet
 # board (an idle 5 000 cycles cost 0) to 5 000 cycles later: the request's
 # egress and transit, the service's work, the reply, and for ``net.send``
-# the frame, its ACK and the "sent" reply.
+# the frame, its ACK and the "sent" reply (``net.post``: the frame and its
+# ACK only).
 
 
 def op_cost(rig, act):
@@ -508,6 +561,7 @@ NETWORK_OPS = {
     "net.bind": lambda system, _: net_call(system, 2, "net.bind",
                                            {"port": 7}),
     "net.send": lambda system, _: send(system, 2, "boardB", 9, "x"),
+    "net.post": lambda system, _: post(system, 2, "boardB", 9, "x"),
 }
 
 
@@ -528,4 +582,7 @@ def test_event_budget_of_each_network_op():
 #: process, its DRAM access
 MEMORY_OP_SCHEDULES = {"idle": 0, "mem.alloc": 19, "mem.write": 25,
                        "mem.read": 25, "mem.grant": 19, "mem.free": 19}
-NETWORK_OP_SCHEDULES = {"idle": 0, "net.bind": 18, "net.send": 33}
+#: ``net.post`` is ``net.send`` less the ``"sent"`` reply's trip back over
+#: the NoC and the caller's response handling
+NETWORK_OP_SCHEDULES = {"idle": 0, "net.bind": 18, "net.send": 33,
+                        "net.post": 22}
