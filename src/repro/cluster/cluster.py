@@ -313,9 +313,9 @@ class Cluster:
 
         The board itself keeps running and *believes it is healthy*: its
         tiles heartbeat, its services keep trying to serve.  Nothing
-        reports a fault, so only probe misses reveal the partition — the
-        asymmetric failure that turns a stale chain head into a
-        split-brain unless epochs fence it.
+        reports a fault, so only what goes unanswered over the fabric
+        reveals the partition — the asymmetric failure that turns a stale
+        chain head into a split-brain unless epochs fence it.
         """
         if index in self.partitioned or index in self.killed:
             return
