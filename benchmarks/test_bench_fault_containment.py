@@ -15,7 +15,7 @@ import pytest
 
 from repro.accel import Accelerator, CrashingAccel, EchoAccel, PreemptibleVideoEncoder
 from repro.baselines import BareFpgaSystem
-from repro.errors import ConfigError, TileFault
+from repro.errors import DeadlineExceeded, TileFault
 from repro.eval import format_table
 from repro.eval.report import record
 from repro.kernel import (
@@ -81,7 +81,7 @@ def run_bare():
                 try:
                     yield client.request("board0", port, i, timeout=200_000)
                     outcomes[f"{prefix}_ok"] += 1
-                except ConfigError:
+                except DeadlineExceeded:
                     outcomes[f"{prefix}_failed"] += 1
 
     proc = engine.process(script())

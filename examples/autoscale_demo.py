@@ -49,7 +49,7 @@ def scenario_autoscale():
               f"replicas={replicas}{note}")
     print("  replica count over time (ready/total):")
     shown = set()
-    for t, ready, total, queue, _util in out["replica_series"]:
+    for t, ready, total, queue in out["replica_series"]:
         if (ready, total) not in shown:
             shown.add((ready, total))
             print(f"    cycle {t:>9,}: {ready}/{total} "

@@ -327,12 +327,11 @@ class Cluster:
 
         The board comes back exactly as it left — including any fenced
         stale chain members, which now finally hear their ``chain.fence``
-        (and whose buffered writes get nacked).  The replication manager
-        is nudged to retry deferred replica placements.
+        (and whose buffered writes get nacked).  Nothing is told: the
+        control planes hear the heal as the board's first answered
+        heartbeat.
         """
         if index not in self.partitioned:
             return
         self.partitioned.remove(index)
         self._backend.heal_board(index)
-        if self.replication is not None:
-            self.replication.notify_heal()

@@ -222,7 +222,7 @@ class ServiceDirectory(Namespace):
         Removes the instance from the spec (so the front-end stops
         picking it) and unbinds its name.  The *tile* stays loaded — the
         caller drains in-flight work, retires front-end tracking, then
-        calls ``mgmt.teardown`` itself; splitting it this way keeps the
+        calls :meth:`teardown`; splitting it this way keeps the
         scale-down sequence graceful.  Defaults to the newest replica.
         """
         spec = self.spec(service)
@@ -394,27 +394,43 @@ class ServiceDirectory(Namespace):
         self.bind(inst.iid, (fpga, inst.node))
         return inst, started
 
+    def teardown(self, inst: ServiceInstance) -> Event:
+        """The inverse of :meth:`_place`: unroute and unbind ``inst``
+        (unless :meth:`remove_instance` / :meth:`remove_chain_member`
+        already did), then free its tile for the next placement.  Returns
+        the unload event; it fails, rather than raising, for a slot that
+        is already empty."""
+        spec = self.services.get(inst.service)
+        if spec is not None and inst in spec.instances:
+            self._drop(spec, inst)
+        return self.cluster.systems[inst.fpga].mgmt.teardown(inst.node)
+
+    def free_tiles(self, fpga: int) -> int:
+        """How many instances board ``fpga`` could take right now."""
+        return len(self.cluster.systems[fpga].mgmt.free_tiles())
+
     def _pick_fpgas(self, service: str, count: int) -> List[int]:
         """Boards for the next ``count`` stateless instances: a round-robin
-        cursor.  With the compile cache enabled the cursor advances
-        identically, but each pick skips killed/full boards and — under
-        ``warm_placement`` — prefers boards whose artifact cache is already
-        warm for the service shell (cursor order breaks ties, so placement
-        stays deterministic)."""
-        left = [len(s.mgmt.free_tiles()) for s in self.cluster.systems]
-        n, boards, cursor = len(left), [], self._next_fpga
+        cursor whose picks skip killed boards.  With the compile cache
+        enabled the cursor advances identically, but each pick also skips
+        full boards and — under ``warm_placement`` — prefers boards whose
+        artifact cache is already warm for the service shell (cursor order
+        breaks ties, so placement stays deterministic)."""
+        n = self.cluster.n_fpgas
+        left = [self.free_tiles(i) for i in range(n)]
+        boards, cursor, cached = [], self._next_fpga, self.cluster.bitplane
         for _ in range(count):
             fpga, cursor = cursor, (cursor + 1) % n
-            if self.cluster.bitplane is not None:
-                usable = [i for i in ((fpga + k) % n for k in range(n))
-                          if i not in self.cluster.killed and left[i] > 0]
-                if usable and self.cluster.config.cache.warm_placement:
-                    from repro.sched.placement import warm_first
-                    usable = warm_first(
-                        usable, self.cluster,
-                        ClusterPortedService.family_bitstream())
-                if usable:
-                    fpga = usable[0]
+            usable = [i for i in ((fpga + k) % n for k in range(n))
+                      if i not in self.cluster.killed
+                      and (cached is None or left[i] > 0)]
+            if usable and cached is not None \
+                    and self.cluster.config.cache.warm_placement:
+                from repro.sched.placement import warm_first
+                usable = warm_first(usable, self.cluster,
+                                    ClusterPortedService.family_bitstream())
+            if usable:
+                fpga = usable[0]
             left[fpga] -= 1
             boards.append(fpga)
         self._require_room(service, boards)
@@ -425,7 +441,7 @@ class ServiceDirectory(Namespace):
         """All-or-nothing: raise, before the first load, unless every
         board has the free tiles ``boards`` asks of it."""
         for fpga, need in sorted(Counter(boards).items()):
-            free = len(self.cluster.systems[fpga].mgmt.free_tiles())
+            free = self.free_tiles(fpga)
             if need > free:
                 raise ConfigError(
                     f"{service!r} needs {need} free tile(s) on FPGA {fpga}, "

@@ -84,6 +84,12 @@ class BoardBeat:
     def acked(self, _sent: Event) -> None:
         self.unacked -= 1
 
+    @property
+    def up(self) -> bool:
+        """The one liveness rule for a board, which every control plane
+        reads: fewer than ``DEAD_AFTER`` of its beats missed in a row."""
+        return self.misses < DEAD_AFTER
+
 
 class BackendHealth:
     """Everything the front-end keeps about one service instance: its
@@ -108,7 +114,7 @@ class BackendHealth:
 
     @property
     def healthy(self) -> bool:
-        return self.misses < DEAD_AFTER and self.board.misses < DEAD_AFTER
+        return self.misses < DEAD_AFTER and self.board.up
 
 
 class FrontEnd:

@@ -139,9 +139,6 @@ class EthernetFabric:
         """Reconnect a partitioned endpoint."""
         self._partitioned.discard(mac)
 
-    def is_partitioned(self, mac: str) -> bool:
-        return mac in self._partitioned
-
     def transmit(self, frame: EthernetFrame) -> None:
         """Inject a frame; delivery happens ``latency_cycles`` later."""
         if frame.nbytes > self.max_frame:

@@ -1,10 +1,13 @@
 """ReplicationManager: the chain-replication control plane.
 
 A fabric host (MAC ``replic``) that owns chain *membership* the
-way the front-end owns *routing*: it configures chains at deploy time,
-watches members (kernel fault reports + its own stat probes, which are
-what catch fabric partitions — a partitioned board reports nothing), and
-repairs broken chains unattended:
+way the front-end owns *routing*: it configures chains at deploy time
+and repairs broken chains unattended.  It hears about boards the way the
+front-end does, from two sources: the backend's fault stream (a drained
+tile, a killed board) and the front-end's heartbeat record — a
+partitioned board reports nothing, so beats that go unanswered are what
+reveal it.  It sends nothing while every board is up.  Repair is three
+moves:
 
 * **promote** — drop the dead/partitioned members, re-issue
   ``chain.cfg`` to the survivors at ``epoch + 1`` (tail-first, so the
@@ -23,8 +26,8 @@ repairs broken chains unattended:
   partition heals).  Fencing is belt-and-braces: the epoch check already
   nacks a stale head's forwards, which self-fences it.
 
-All repair ordering is deterministic (sorted shard order, fixed probe
-cadence, fixed RPC timeouts) so same-seed chaos campaigns byte-match.
+All repair ordering is deterministic (sorted shard order, fixed tick,
+fixed RPC timeouts) so same-seed chaos campaigns byte-match.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeadlineExceeded
 from repro.sim import Event
 from repro.workloads.client import RemoteClientHost
 
@@ -44,10 +47,9 @@ MAC = "replic"
 RPC_TIMEOUT = 25_000
 #: timeout of a checkpoint transfer (``chain.snap`` / ``chain.restore``)
 SNAPSHOT_TIMEOUT = 120_000
-#: cycles between stat probes of every managed member
+#: cycles between two ticks of the loop that reads board liveness and
+#: retries pending fences and deferred splices
 PROBE_INTERVAL = 20_000
-#: consecutive probe misses that mark a member's shard dirty
-MISS_LIMIT = 3
 #: cycles the repair loop lets a burst of problems settle before acting
 REPAIR_SETTLE = 2_000
 #: how long a splice waits for its replacement replica to load
@@ -83,12 +85,11 @@ class ReplicationManager:
     def __init__(self, cluster):
         self.cluster = cluster
         self.engine = cluster.engine
-        self.fabric = cluster.fabric
         self.directory = cluster.directory
 
         #: the manager's face on the fabric: the one host-side request
         #: client (rid bookkeeping, response demux, per-request timeout)
-        self.client = RemoteClientHost(self.engine, self.fabric, MAC)
+        self.client = RemoteClientHost(self.engine, cluster.fabric, MAC)
         self._managed: List[str] = []
         #: (service, shard) -> cycle the problem was first seen
         self._dirty: Dict[Tuple[str, int], int] = {}
@@ -99,7 +100,6 @@ class ReplicationManager:
         self._splicing: Set[Tuple[str, int]] = set()
         #: iid -> (instance, fencing epoch): fence until acknowledged
         self._to_fence: Dict[str, Tuple[Any, int]] = {}
-        self._probe_misses: Dict[str, int] = {}
 
         self.repairs: List[RepairEvent] = []
         self.chains_configured = 0
@@ -109,10 +109,9 @@ class ReplicationManager:
         self.rpc_timeouts = 0
         self.replacements_deferred = 0
 
-        for fpga, system in enumerate(cluster.systems):
-            system.fault_manager.on_fault.append(self._fault_hook(fpga))
+        cluster.register_fault_listener(self)
         self.engine.process(self._repair_loop(), name="replic.repair")
-        self.engine.process(self._prober(), name="replic.probe")
+        self.engine.process(self._tick(), name="replic.tick")
 
     # -- control RPCs ------------------------------------------------------
 
@@ -125,7 +124,7 @@ class ReplicationManager:
                 self.cluster.mac(inst.fpga), inst.port, body,
                 nbytes=max(64, nbytes),
                 timeout=timeout if timeout is not None else RPC_TIMEOUT))
-        except ConfigError:  # the client's "request timed out"
+        except DeadlineExceeded:
             self.rpc_timeouts += 1
             return None
 
@@ -179,22 +178,26 @@ class ReplicationManager:
         return (self.cluster.mac(inst.fpga), inst.port)
 
     def _reachable(self, fpga: int) -> bool:
-        """Neither killed nor cut off the fabric."""
-        return (fpga not in self.cluster.killed and not
-                self.fabric.is_partitioned(self.cluster.mac(fpga)))
+        """Not killed, and no running front-end holds the board down."""
+        if fpga in self.cluster.killed:
+            return False
+        frontend = self.cluster.frontend
+        board = (frontend.boards.get(self.cluster.mac(fpga))
+                 if frontend is not None else None)
+        return board is None or board.up
 
     # -- failure detection -------------------------------------------------
 
-    def _fault_hook(self, fpga: int):
-        def on_fault(tile, record) -> None:
-            if record.action != "drained":
-                return
-            for inst in self.directory.instances_on(fpga, node=tile.node):
-                spec = self.directory.services.get(inst.service)
-                if spec is not None and getattr(spec, "chained", False) \
-                        and inst.shard is not None:
-                    self._mark_dirty(inst.service, inst.shard)
-        return on_fault
+    def on_board_fault(self, fpga: int, node: int, action: str,
+                       endpoint: str) -> None:
+        """The backend's fault stream: a drained chain member dirties its
+        shard."""
+        if action != "drained":
+            return
+        for inst in self.directory.instances_on(fpga, node=node):
+            spec = self.directory.services.get(inst.service)
+            if spec is not None and spec.chained and inst.shard is not None:
+                self._mark_dirty(inst.service, inst.shard)
 
     def _mark_dirty(self, service: str, shard: int) -> None:
         key = (service, shard)
@@ -204,24 +207,12 @@ class ReplicationManager:
         if self._kick is not None and not self._kick.triggered:
             self._kick.succeed(None)
 
-    def notify_heal(self) -> None:
-        """A board healed/joined: retry deferred replacements and pending
-        fences (the cluster calls this from ``heal_fpga``)."""
-        for key in sorted(self._deferred):
-            self._deferred.discard(key)
-            if key not in self._dirty:
-                self._dirty[key] = self.engine.now
-        if self._dirty and self._kick is not None \
-                and not self._kick.triggered:
-            self._kick.succeed(None)
-
-    def _prober(self):
-        """Periodic chain.stat probes: the partition detector.
-
-        Kernel fault reports cover crashed tiles and killed boards; a
-        *partitioned* board is healthy and silent, so only missed probes
-        reveal it.  ``MISS_LIMIT`` consecutive misses mark the shard dirty.
-        """
+    def _tick(self):
+        """One tick per ``PROBE_INTERVAL``, which sends nothing while every
+        board is up.  A shard with a member on a board that is down is
+        marked dirty (a heal is heard the same way: the board's first
+        answered beat makes it reachable again); then pending fences and
+        deferred splices are retried."""
         while True:
             yield PROBE_INTERVAL
             for service in list(self._managed):
@@ -229,24 +220,10 @@ class ReplicationManager:
                 if spec is None:
                     continue
                 for shard in sorted(spec.chains):
-                    for iid in list(spec.chains[shard]):
-                        inst = spec.instance(iid)
-                        if inst is None or not inst.ready:
-                            continue
-                        if not self._reachable(inst.fpga):
-                            # killed boards are handled by the fault hook;
-                            # a *partitioned* board needs the probe path
-                            self._mark_dirty(service, shard)
-                            continue
-                        stat = yield from self._rpc(
-                            inst, {"op": "chain.stat"}, nbytes=16)
-                        if stat is None:
-                            n = self._probe_misses.get(iid, 0) + 1
-                            self._probe_misses[iid] = n
-                            if n >= MISS_LIMIT:
-                                self._mark_dirty(service, shard)
-                        else:
-                            self._probe_misses[iid] = 0
+                    members = map(spec.instance, spec.chains[shard])
+                    if any(not self._reachable(inst.fpga) for inst in members
+                           if inst is not None and inst.ready):
+                        self._mark_dirty(service, shard)
             yield from self._retry_fences()
             self._retry_deferred()
 
@@ -255,16 +232,15 @@ class ReplicationManager:
         members = {inst.fpga
                    for inst in map(spec.instance, spec.chains.get(shard, []))
                    if inst is not None}
-        return [i for i, system in enumerate(self.cluster.systems)
+        return [i for i in range(self.cluster.n_fpgas)
                 if self._reachable(i) and i not in members
-                and system.mgmt.free_tiles()]
+                and self.directory.free_tiles(i)]
 
     def _retry_deferred(self) -> None:
         """Re-attempt deferred replacements once capacity exists.
 
-        Capacity appears when a board heals or a fenced ex-member's tile
-        is torn down; the deferral set would otherwise wait for the next
-        heal event that may never come."""
+        Capacity appears when a board answers its beats again or a fenced
+        ex-member's tile is torn down."""
         for key in sorted(self._deferred):
             service, shard = key
             spec = self.directory.services.get(service)
@@ -285,28 +261,15 @@ class ReplicationManager:
         for iid in sorted(self._to_fence):
             inst, epoch = self._to_fence[iid]
             if not self._reachable(inst.fpga):
-                continue  # unreachable; retry after heal
+                continue  # unreachable; retry once it answers its beats
             reply = yield from self._rpc(
                 inst, {"op": "chain.fence", "epoch": epoch}, nbytes=16)
             if reply is not None and reply.get("ok"):
                 del self._to_fence[iid]
                 self.fences_acked += 1
-                self._teardown_fenced(inst)
-
-    def _discard_replica(self, service: str, shard: int, inst) -> None:
-        """Unwind a replacement replica that never joined its chain:
-        drop the directory entry and free the tile it was loaded on."""
-        self.directory.remove_chain_member(service, shard, inst.iid)
-        self._teardown_fenced(inst)
-
-    def _teardown_fenced(self, inst) -> None:
-        """A fenced ex-member is inert forever; free its tile so repair
-        splices can reuse the slot (fenced boards fill up otherwise)."""
-        if inst.fpga in self.cluster.killed:
-            return
-        # an already-failed or already-empty tile is fine: teardown does
-        # not raise for it (the unload event fails instead)
-        self.cluster.systems[inst.fpga].mgmt.teardown(inst.node)
+                # a fenced ex-member is inert forever; free its tile so
+                # repair splices can reuse the slot
+                self.directory.teardown(inst)
 
     # -- repair ------------------------------------------------------------
 
@@ -368,7 +331,7 @@ class ReplicationManager:
             else:
                 survivors.append((inst, stat))
         if not cut and len(survivors) == len(chain):
-            # false alarm (e.g. probe lost to transient congestion) —
+            # false alarm (the board answered again before this pass) —
             # but a previously-deferred short chain still wants a splice
             return len(chain) < spec.replication
         if not survivors:
@@ -500,8 +463,10 @@ class ReplicationManager:
         # kilocycles per bitstream, far beyond any RPC timeout
         yield self.engine.any_of(
             [started, self.engine.timeout(RECONFIG_TIMEOUT)])
+        # every way out below that is not a splice unwinds the replica's
+        # placement (it never joined the chain)
         if not new_inst.ready:
-            self._discard_replica(service, shard, new_inst)
+            self.directory.teardown(new_inst)
             return False
         chain = list(spec.chains[shard])
         order = [spec.instance(iid) for iid in chain]
@@ -509,7 +474,7 @@ class ReplicationManager:
         base_epoch = spec.epochs[shard]
         moved = yield from self._snapshot_to(tail, new_inst)
         if moved is None:
-            self._discard_replica(service, shard, new_inst)
+            self.directory.teardown(new_inst)
             self._mark_dirty(service, shard)
             return False
         epoch = base_epoch + 1
@@ -517,15 +482,11 @@ class ReplicationManager:
             new_inst.iid: {"last_index": moved}}
         ok = yield from self._configure_chain(
             spec, order + [new_inst], epoch, stats)
-        if spec.epochs[shard] != base_epoch:
-            # a promote reconfigured the chain underneath this splice —
-            # the order just configured is stale; drop the replica and
-            # let the repair loop re-evaluate from the new epoch
-            self._discard_replica(service, shard, new_inst)
-            self._mark_dirty(service, shard)
-            return False
-        if not ok:
-            self._discard_replica(service, shard, new_inst)
+        if not ok or spec.epochs[shard] != base_epoch:
+            # a member failed mid-splice, or a promote reconfigured the
+            # chain underneath it (the order just configured is stale):
+            # drop the replica, let the repair loop re-evaluate
+            self.directory.teardown(new_inst)
             self._mark_dirty(service, shard)
             return False
         self.directory.set_chain(service, shard,

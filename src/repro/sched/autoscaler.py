@@ -26,24 +26,25 @@ serially and oscillate.  This controller is built around that cost:
   decision, so the scale-up that follows pays reconfiguration only, not
   synthesis.
 
-Signals come from the layers the OS already exposes: front-end
-per-instance queue depth (``BackendHealth.outstanding``: client attempts
-only, not replica copies or liveness pings) and per-tile
-monitor traffic rates via ``MgmtPlane.telemetry()`` (which also carries
-the region occupancy gauges and any attached
-:class:`~repro.obs.telemetry.TelemetrySampler` series).
+It reads one queue signal and one fault stream, both from the layers
+the OS already exposes: the front-end's per-instance queue depth
+(``BackendHealth.outstanding``: client attempts only, not replica copies
+or liveness pings) plus its backlog, and the backend's fault stream
+(``on_board_fault``).  Placement and teardown go through the
+:class:`~repro.cluster.directory.ServiceDirectory`; nothing here touches
+a board.
 
 Every decision lands in :attr:`events` — a deterministic log that is
 byte-identical across identically-seeded runs (pinned by the S2
-benchmark).  Dead replicas (failed tiles) are replaced like-for-like on
-the next tick, which is what keeps the kill-a-tile chaos run serving
-with no manual intervention.
+benchmark).  A replica whose tile drained while it served is replaced
+like-for-like on the next tick, which is what keeps the kill-a-tile chaos
+run serving with no manual intervention.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.cluster.service import ClusterPortedService
 from repro.errors import ConfigError
@@ -79,7 +80,6 @@ class Autoscaler:
         if min_replicas < 1 or max_replicas < min_replicas:
             raise ConfigError(
                 f"need 1 <= min <= max, got {min_replicas}..{max_replicas}")
-        self.cluster = cluster
         self.engine = cluster.engine
         self.directory = cluster.directory
         self.frontend = cluster.frontend
@@ -109,7 +109,7 @@ class Autoscaler:
 
         #: deterministic decision log: (cycle, action, iid, replicas, info)
         self.events: List[Tuple] = []
-        #: (cycle, ready_replicas, total_replicas, queue_per_ready, util)
+        #: (cycle, ready_replicas, total_replicas, queue_per_ready)
         self.series: List[Tuple] = []
         self.scale_ups = 0
         self.scale_downs = 0
@@ -118,6 +118,10 @@ class Autoscaler:
         self._low_ticks = 0
         self._prev_q: Optional[int] = None
         self._proc = None
+        #: replicas whose tile drained while they served; the next tick
+        #: replaces them
+        self._dead: Set[str] = set()
+        cluster.register_fault_listener(self)
 
     def start(self) -> None:
         if self._proc is not None:
@@ -130,46 +134,45 @@ class Autoscaler:
     def replicas(self) -> int:
         return len(self.spec.instances)
 
-    def _tile(self, inst):
-        return self.cluster.systems[inst.fpga].tiles[inst.node]
+    def on_board_fault(self, fpga: int, node: int, action: str,
+                       endpoint: str) -> None:
+        """The backend's fault stream: a drained tile kills the replica
+        serving on it.  A replica still loading is left alone — its load's
+        completion brings the tile back, and replacing a replacement would
+        loop forever."""
+        if action != "drained":
+            return
+        for inst in self.directory.instances_on(fpga, node=node):
+            if inst.service == self.service and inst.ready:
+                self._dead.add(inst.iid)
 
     def ready_instances(self) -> List[Any]:
-        """Replicas actually serving (loaded, not failed, not mid-load)."""
+        """Replicas actually serving (loaded, not dead)."""
         return [inst for inst in self.spec.instances
-                if inst.ready and self._tile(inst).occupied
-                and not self._tile(inst).failed]
+                if inst.ready and inst.iid not in self._dead]
 
-    def signal(self) -> Tuple[int, float, int]:
-        """(total queue depth, max tile tx rate, ready count); the depth is
-        client attempts in flight plus submissions in the backlog."""
-        ready = self.ready_instances()
-        total_q = 0
-        util = 0.0
+    def signal(self) -> Tuple[int, int]:
+        """(total queue depth, ready count); the depth is client attempts
+        in flight plus submissions in the backlog."""
+        # open-loop pressure: submissions parked in the front-end backlog
+        # are demand just as real as dispatched-but-unanswered requests
+        total_q = self.frontend.backlog_depth(self.service)
         for inst in self.spec.instances:
             health = self.frontend.health.get(inst.iid)
             if health is not None:
                 total_q += health.outstanding
-        # open-loop pressure: submissions parked in the front-end backlog
-        # are demand just as real as dispatched-but-unanswered requests
-        total_q += self.frontend.backlog_depth(self.service)
-        for inst in ready:
-            util = max(util, self._tile(inst).monitor.telemetry()[
-                "tx_flits_per_cycle"])
-        return total_q, util, len(ready)
+        return total_q, len(self.ready_instances())
 
     # -- control loop ------------------------------------------------------
 
     def _run(self):
         while True:
             yield INTERVAL
-            # 1) replace replicas whose tile died (fault-driven repair);
-            # skip instances still reconfiguring — their tile keeps the
-            # failed flag until the new load completes, and replacing a
-            # replacement would loop forever
+            # 1) replace replicas whose tile died (fault-driven repair)
             for inst in list(self.spec.instances):
-                if inst.ready and self._tile(inst).failed:
+                if inst.iid in self._dead:
                     yield from self._replace(inst)
-            total_q, util, ready = self.signal()
+            total_q, ready = self.signal()
             per_q = total_q / max(1, ready)
             # queue growth per cycle since the last tick — the arrival
             # excess the next scale-up must absorb
@@ -178,7 +181,7 @@ class Autoscaler:
                 qdot = max(0.0, (total_q - self._prev_q) / INTERVAL)
             self._prev_q = total_q
             self.series.append((self.engine.now, ready, self.replicas(),
-                                round(per_q, 3), round(util, 4)))
+                                round(per_q, 3)))
             # 1b) predictive prefetch: the queue is rising toward the
             # threshold (or the SLO budget is already burning) and a
             # scale-up is still possible — start warming cold boards NOW,
@@ -274,18 +277,17 @@ class Autoscaler:
         self._log("scale_down", inst.iid, "")
         yield DRAIN_WINDOW
         self.frontend.retire(inst.iid)
-        system = self.cluster.systems[inst.fpga]
-        yield system.mgmt.teardown(inst.node)
+        yield self.directory.teardown(inst)
         self._log("down_done", inst.iid, "")
 
     def _replace(self, inst):
         """Swap a dead replica for a fresh one (no operator in the loop)."""
+        self._dead.discard(inst.iid)
         self.directory.remove_instance(self.service, iid=inst.iid)
         self.frontend.retire(inst.iid)
         self.replacements += 1
         self._log("replace", inst.iid, f"tile {inst.node} failed")
-        system = self.cluster.systems[inst.fpga]
-        yield system.mgmt.teardown(inst.node)
+        yield self.directory.teardown(inst)
         self._scale_up(f"replacing {inst.iid}")
 
     def _log(self, action: str, iid: str, info: str) -> None:

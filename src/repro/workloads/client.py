@@ -12,7 +12,7 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.frontend import FRONTEND_MAC, FRONTEND_PORT
-from repro.errors import ConfigError, DeadlineExceeded
+from repro.errors import DeadlineExceeded
 from repro.net.frame import EthernetFabric
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Channel, Engine, Event, Histogram
@@ -57,7 +57,9 @@ class RemoteClientHost:
 
     def request(self, peer_mac: str, port: int, body: Any,
                 nbytes: int = 64, timeout: Optional[int] = None) -> Event:
-        """Issue one request; event succeeds with the response body."""
+        """Send one request; the event succeeds with the response body,
+        or fails with :class:`~repro.errors.DeadlineExceeded` once
+        ``timeout`` cycles pass without one."""
         rid = next(self._rid)
         done = self.engine.event(f"{self.mac}.req#{rid}")
         self._pending[rid] = done
@@ -71,7 +73,7 @@ class RemoteClientHost:
                     del self._pending[rid]
                     self.timeouts += 1
                     if not done.triggered:
-                        done.fail(ConfigError(f"request {rid} timed out"))
+                        done.fail(DeadlineExceeded(f"request {rid} timed out"))
             self.engine.timeout(timeout).add_callback(expire)
         return done
 
@@ -86,7 +88,7 @@ class RemoteClientHost:
             try:
                 yield self.request(peer_mac, port, body, nbytes=nbytes,
                                    timeout=timeout)
-            except ConfigError:
+            except DeadlineExceeded:
                 continue  # timeout recorded; latency not
             self.latency.record(self.engine.now - start)
 
@@ -147,7 +149,7 @@ class ClusterClient(RemoteClientHost):
                     write=bool(req.get("write")),
                     nbytes=int(req.get("nbytes", 64)), timeout=timeout,
                     tenant=req.get("tenant"))
-            except (ConfigError, DeadlineExceeded):
+            except DeadlineExceeded:
                 self.failed += 1
                 continue
             if isinstance(reply, dict) and reply.get("ok"):

@@ -10,7 +10,7 @@ from repro.baselines import (
     noc_wiring,
     port_coupled_wiring,
 )
-from repro.errors import ConfigError, TileFault
+from repro.errors import ConfigError, DeadlineExceeded, TileFault
 from repro.net import EthernetFabric
 from repro.sim import Engine, RngPool
 from repro.workloads import RemoteClientHost
@@ -66,11 +66,11 @@ class TestBareSystem:
             yield client.request("fpga0", 1, "x", timeout=100_000)
             try:
                 yield client.request("fpga0", 1, "y", timeout=100_000)
-            except ConfigError:
+            except DeadlineExceeded:
                 pass
             try:
                 yield client.request("fpga0", 2, "z", timeout=100_000)
-            except ConfigError:
+            except DeadlineExceeded:
                 pass
 
         proc = engine.process(script())
@@ -90,7 +90,7 @@ class TestBareSystem:
         def script():
             try:
                 yield client.request("fpga0", 99, "x", timeout=50_000)
-            except ConfigError:
+            except DeadlineExceeded:
                 pass
 
         proc = engine.process(script())
@@ -137,7 +137,7 @@ class TestHostedSystem:
         def script():
             try:
                 yield client.request("host0", 5, "x", timeout=100_000)
-            except ConfigError:
+            except DeadlineExceeded:
                 pass
 
         proc = engine.process(script())

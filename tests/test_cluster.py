@@ -131,6 +131,17 @@ class TestPlacement:
         deploy_and_settle(cluster, started)
         assert all(i.ready for i in cluster.directory.spec("kv").instances)
 
+    def test_stateless_placement_skips_a_killed_board_without_the_cache(
+            self):
+        """The cursor points at board 1 when it is killed: the scale-up
+        takes the next live board, cache or no cache."""
+        cluster = small_cluster(n_fpgas=2)
+        assert cluster.bitplane is None
+        cluster.deploy_stateless("echo", echo_factory(), instances=1)
+        cluster.kill_fpga(1)
+        inst, _started = cluster.directory.add_instance("echo")
+        assert inst.fpga == 0
+
     def test_deploy_chain_after_seal_is_refused_like_its_siblings(self):
         cluster = small_cluster(
             n_fpgas=2, replication=True)

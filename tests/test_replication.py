@@ -2,10 +2,14 @@
 the linearizability checker, chained serving end to end, and unattended
 chain repair (promote + splice + fencing) under injected chaos."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.errors import ConfigError
+from repro.cluster.frontend import DEAD_AFTER
+from repro.cluster.frontend import PROBE_INTERVAL as FE_PROBE_INTERVAL
+from repro.errors import ConfigError, DeadlineExceeded
 from repro.kernel import NocConfig, SystemConfig
 from repro.replic import (
     HistoryChecker,
@@ -13,6 +17,7 @@ from repro.replic import (
     WriteAheadLog,
     consistency_smoke,
 )
+from repro.replic.manager import PROBE_INTERVAL, REPAIR_SETTLE, RPC_TIMEOUT
 from repro.workloads import ClusterClient
 
 
@@ -232,9 +237,9 @@ class TestChainServing:
 
     def test_tearing_down_an_already_empty_or_failed_member_does_not_raise(
             self):
-        """``_teardown_fenced`` calls ``mgmt.teardown`` bare: for a tile
-        already failed, or already unloaded, the unload event fails and
-        nothing raises."""
+        """The manager frees a fenced member's tile with
+        ``ServiceDirectory.teardown``: for a tile already failed, or
+        already unloaded, the unload event fails and nothing raises."""
         cluster = chain_cluster(n_shards=1)
         spec = cluster.directory.services["kv"]
         empty, failed = spec.instances[:2]
@@ -242,9 +247,42 @@ class TestChainServing:
         cluster.engine.run_until_done(system.mgmt.teardown(empty.node))
         cluster.systems[failed.fpga].mgmt.fail_stop(failed.node)
         for inst in (empty, failed, empty):
-            cluster.replication._teardown_fenced(inst)
+            cluster.directory.teardown(inst)
         cluster.run(until=cluster.engine.now + 10_000)
         assert system.tiles[empty.node].free
+        assert spec.instances == []  # both unplaced, neither routable
+
+    def test_a_timeout_is_deadline_exceeded_and_only_a_timeout_is_counted(
+            self):
+        """The host client fails a request that runs out of time with
+        ``DeadlineExceeded``, the manager counts exactly that as an RPC
+        timeout, and any other error reaches the caller."""
+        cluster = chain_cluster(n_shards=1)
+        engine, manager = cluster.engine, cluster.replication
+        inst = cluster.directory.services["kv"].instances[0]
+        unbound = dataclasses.replace(inst, port=9_999)  # nobody listens
+        late = manager.client.request(cluster.mac(inst.fpga), unbound.port,
+                                      {"op": "chain.stat"}, timeout=1_000)
+        cluster.run(until=engine.now + 2_000)
+        assert late.failed and isinstance(late.value, DeadlineExceeded)
+
+        def stat(target):
+            return (yield from manager._rpc(target, {"op": "chain.stat"},
+                                            timeout=5_000))
+
+        timeouts = manager.rpc_timeouts
+        assert drive(cluster, stat(unbound)) is None
+        assert manager.rpc_timeouts == timeouts + 1
+
+        def refused(*_args, **_kwargs):
+            event = engine.event("refused")
+            event.fail(ConfigError("not a timeout"))
+            return event
+
+        manager.client.request = refused
+        with pytest.raises(ConfigError, match="not a timeout"):
+            drive(cluster, stat(inst))
+        assert manager.rpc_timeouts == timeouts + 1
 
     def test_chain_requires_replication_manager(self):
         cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
@@ -323,9 +361,9 @@ class TestPartitionFencing:
         cluster.partition_fpga(stale_head.fpga)
         for _ in range(200):
             cluster.run(until=engine.now + 25_000)
-            if spec.epochs.get(0, 0) >= 1:
+            if spec.epochs[0] >= 2:
                 break
-        assert spec.epochs[0] >= 1, "survivors must promote"
+        assert spec.epochs[0] >= 2, "survivors must promote"
         assert stale_head.iid not in spec.chains[0]
         # the partitioned ex-head never heard any of it
         assert stale_accel.epoch == 0 or not stale_accel.fenced
@@ -355,6 +393,37 @@ class TestPartitionFencing:
         reply = drive(cluster, check())
         assert reply["ok"] and reply["body"]["found"] is False, \
             "the fenced head's write leaked into the chain"
+
+    def test_a_partitioned_head_is_promoted_away_once_its_beats_go_unanswered(
+            self):
+        """Nothing reports a partition: the manager acts on the front-end's
+        heartbeat record.  The board is down within ``DEAD_AFTER + 1``
+        front-end intervals, the manager's next tick marks the shard dirty,
+        the repair settles, and the promote's four RPCs (two stats, two
+        configs, each answered in a few thousand cycles) fit in one more
+        RPC timeout."""
+        cluster = chain_cluster(n_fpgas=3, n_shards=1, replication=3,
+                                seed=3)
+        engine, spec = cluster.engine, cluster.directory.services["kv"]
+        head = spec.instance(spec.chains[0][0])
+        board = cluster.frontend.boards[cluster.mac(head.fpga)]
+        partitioned_at = engine.now
+        cluster.partition_fpga(head.fpga)
+        bound = (partitioned_at + (DEAD_AFTER + 1) * FE_PROBE_INTERVAL
+                 + PROBE_INTERVAL + REPAIR_SETTLE + RPC_TIMEOUT)
+        while head.iid in spec.chains[0]:
+            assert engine.now < bound, spec.chains
+            cluster.run(until=engine.now + 100)
+        # what the manager acted on: the front-end holds the board down
+        assert board.misses >= DEAD_AFTER
+        assert spec.epochs[0] == 2 and cluster.replication.promotes == 1
+
+    def test_a_healthy_cluster_costs_the_manager_no_rpc(self):
+        cluster = chain_cluster()
+        client = cluster.replication.client
+        sent = client.requests_sent
+        cluster.run(until=cluster.engine.now + 5 * PROBE_INTERVAL)
+        assert client.requests_sent == sent
 
 
 class TestFrontendDivergenceCounter:

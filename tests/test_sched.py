@@ -570,6 +570,25 @@ class TestAutoscalerRuns:
         assert out["post_recovery_issued"] > 0
         assert out["post_recovery_ok"] == out["post_recovery_issued"]
 
+    def test_a_fault_on_a_replica_still_loading_is_not_replaced(self):
+        """The floor buys a second replica; its tile drains mid-load.  The
+        load's completion brings the tile back, so the replica serves and
+        nothing is replaced — replacing a replacement would loop."""
+        cluster = small_cluster()
+        scaler = cluster.start_autoscaler("kv", min_replicas=2)
+        cluster.run(until=cluster.engine.now + INTERVAL + 1)
+        loading = scaler.spec.instance("kv#1")
+        assert loading is not None and not loading.ready
+        system = cluster.systems[loading.fpga]
+        system.fault_manager.report(system.tiles[loading.node], "main",
+                                    TileFault("drained mid-load"))
+        while not loading.ready:
+            cluster.run(until=cluster.engine.now + INTERVAL)
+        cluster.run(until=cluster.engine.now + 3 * INTERVAL)
+        assert scaler.ready_instances() == scaler.spec.instances
+        assert scaler.replacements == 0
+        assert [e[1] for e in scaler.events] == ["scale_up", "up_ready"]
+
     def test_slo_burn_forces_scale_up_without_queue_signal(self):
         """Admission rejects burn error budget but never enter a queue —
         only the SLO fast-burn signal can see them.  A firing engine must
