@@ -5,6 +5,7 @@ selects its own with ``pytest -m identity -k <name>``); they live here so
 the same checks run locally under the tier-1 runner.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,13 @@ def test_cache_step_event_logs_are_pinned(warm):
         == _CACHE_LOGS[warm]
 
 
+#: sha256 of the reduced R2 report below (kill, partition, heal at seed 7):
+#: how a chain member reaches its board must not change what the manager
+#: repairs, or when
+_R2_REDUCED_SHA256 = \
+    "0f5cc7200220d179058a6d84503e1df1570a696e6fe0439807e4d12d6d58e85b"
+
+
 def test_replication_chaos_reports_are_byte_identical():
     def run():
         report = consistency_smoke(
@@ -128,7 +136,8 @@ def test_replication_chaos_reports_are_byte_identical():
             heal_at=1_400_000, settle=1_500_000)
         return json.dumps(report, sort_keys=True)
 
-    _twice(run)
+    text = _twice(run)
+    assert hashlib.sha256(text.encode()).hexdigest() == _R2_REDUCED_SHA256
 
 
 def test_scenario_report_is_one_blob_on_three_backends(tmp_path):
@@ -166,10 +175,16 @@ _PINNED_PLACEMENT = {
 @pytest.mark.parametrize("recovery", [False, True])
 def test_placement_is_pinned_across_deploy_kinds(recovery):
     """Same order, same ports, same tiles — checked directly, for every
-    way an instance gets onto a board, with and without recovery."""
+    way an instance gets onto a board, with and without recovery, on the
+    shared engine and on per-board engines."""
+    for backend in ("shared", "sequential"):
+        _check_pinned_placement(recovery, backend)
+
+
+def _check_pinned_placement(recovery, backend):
     cluster = Cluster(ClusterConfig(
         n_fpgas=3, system=SystemConfig(noc=NocConfig(width=3, height=3)),
-        recovery=recovery))
+        recovery=recovery, backend=backend))
     cluster.boot()
     directory = cluster.directory
 
