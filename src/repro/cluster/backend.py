@@ -17,12 +17,15 @@ How a ``Cluster`` executes its boards is a :class:`ClusterBackend`:
   line for line, and message, span, and envelope ids are all per-board,
   so the two are byte-identical on the same seed by construction.
 
-After ``seal()`` a board is reachable only through six ops (:class:`Board`):
-``window``, ``kill``, ``mark_detached``, ``partition``, ``heal``,
-``collect``.  A worker dispatches them by name; the oracle calls the same
-methods directly.  Dynamic placement (autoscaler, chain replication) walks
-board management planes and so stays on the shared backend until
-load/teardown/migrate join that op set.
+A board is reachable only through ten ops (:class:`Board`): ``window``,
+``kill``, ``mark_detached``, ``partition``, ``heal``, ``collect``, and the
+placement ops ``load``, ``teardown``, ``forget``, ``prefetch``.  A worker
+dispatches them by name; the oracle and ``shared`` call the same methods
+directly, so every placement — pre-seal deploys, the autoscaler, chain
+repair — takes one path onto a board on every backend.  Between runs an
+op runs at once; one issued inside a host window (a control-plane tick)
+runs at the barrier that ends it, and its answer and completion ride the
+board's reply there (:meth:`WindowedBackend.op`).
 
 Why a window is sound is argued in :mod:`repro.net.envelope`: the fabric
 is the only cross-partition channel and a frame sent inside a window
@@ -45,17 +48,20 @@ Lifecycle::
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import traceback
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.cluster.service import ClusterPortedService
 from repro.errors import ConfigError, SimulationError, TileFault
+from repro.hw.compile import artifact_digest
 from repro.kernel.system import ApiarySystem
 from repro.net.envelope import FrameEnvelope, PartitionFabric, pickle_roundtrip
 from repro.net.frame import EthernetFabric
 from repro.obs.span import SpanRecorder
-from repro.sim import Engine, StatsRegistry
+from repro.sim import Engine, Event, StatsRegistry
 
 __all__ = ["ClusterBackend", "SharedEngineBackend", "WindowedBackend",
            "ParallelBackend", "BACKENDS"]
@@ -65,39 +71,12 @@ __all__ = ["ClusterBackend", "SharedEngineBackend", "WindowedBackend",
 SPAN_ID_STRIDE = 1_000_000_000
 
 
-def _board_kill(system: ApiarySystem, fabric: EthernetFabric) -> None:
-    """Fail-stop one board in place (runs wherever the board lives).
-
-    Mirrors the original shared-engine ``kill_fpga`` body: stop the
-    recovery watchdog (no board left to restart tiles on), detach the MAC
-    (frames to it drop), report a fault on every live tile.  Fault hooks
-    run synchronously inside ``report`` — on windowed backends that is
-    the per-board recorder hook, whose entries the backend forwards to
-    the front-end at the barrier.
-    """
-    mac = system.config.net.mac_addr
-    if system.recovery is not None:
-        system.recovery.stop()
-    fabric.detach(mac)
-    # the black-box moment: freeze the flight ring with the pre-kill
-    # history before the per-tile fault storm overwrites it.  The explicit
-    # dump carries the "board-kill" reason; the per-fault hook dumps that
-    # follow in the same cycle coalesce into it (see FlightRecorder.dump).
-    system.spans.event(system.engine.now, "board.kill", mac,
-                       cause="lost power")
-    if system.flight is not None:
-        system.flight.dump(system.engine.now, f"board-kill:{mac}")
-    err = TileFault(f"board {mac} lost power")
-    err.occurred_at = system.engine.now
-    for tile in system.tiles:
-        if not tile.failed:
-            system.fault_manager.report(tile, "main", err)
-
-
-#: the complete post-seal surface of a board; everything the orchestrator
-#: may ask of a worker is one of these names (DESIGN.md, "Board ops")
+#: the complete surface of a board once a control plane runs: everything
+#: the orchestrator may ask of it is one of these names (DESIGN.md, "Board
+#: ops"); the last four are placement
 BOARD_OPS = ("window", "kill", "mark_detached", "partition", "heal",
-             "collect")
+             "collect", "load", "teardown", "forget", "prefetch")
+PLACEMENT_OPS = BOARD_OPS[6:]
 
 #: wall-clock seconds the orchestrator waits for one op reply before it
 #: declares the worker hung (a board window takes milliseconds)
@@ -105,50 +84,94 @@ REPLY_TIMEOUT_S = 300.0
 
 
 class Board:
-    """One board as the window protocol sees it: six ops, nothing else.
+    """One board as the orchestrator sees it: ten ops, nothing else.
 
     The object lives wherever the board executes — in the orchestrating
     process, or (after a forking ``seal()``) in the board's worker — and
     is the only thing either place calls, so what an op *does* is written
-    once.
+    once.  A placement op answers ``(answer, completion event)``.
     """
 
     def __init__(self, index: int, system: ApiarySystem,
-                 fabric: PartitionFabric):
+                 fabric: EthernetFabric, services: Dict[str, tuple]):
         self.index = index
         self.system = system
         self.fabric = fabric
-        #: (node, action, endpoint) per fault since the last drain; the
-        #: orchestrator forwards them to fault listeners at the barrier
+        #: service -> (factory, chained), shared by every board until a fork
+        self.services = services
+        #: news since the last reply: (node, action, endpoint) per fault,
+        #: (token, error or None) per completed placement op
         self._faults: List[Tuple[int, str, str]] = []
-        system.fault_manager.on_fault.append(self._record_fault)
+        self._done: List[Tuple[int, Optional[BaseException]]] = []
 
     def _record_fault(self, tile, record) -> None:
         self._faults.append((tile.node, record.action, tile.endpoint))
 
-    def _drain_faults(self) -> List[Tuple[int, str, str]]:
-        out, self._faults = self._faults, []
-        return out
+    def _news(self, always: bool = False):
+        """Faults and completed ops since the last reply, plus (with either,
+        or after an op) :meth:`placement`; ``()`` when nothing happened."""
+        if not (always or self._faults or self._done):
+            return ()
+        news = (self._faults, self._done, self.placement())
+        self._faults, self._done = [], []
+        return news
+
+    def placement(self) -> Tuple[int, FrozenSet[str], FrozenSet[str]]:
+        """(free tiles, warm design digests, digests in synthesis)."""
+        store = self.system.bitstore
+        warm, compiling = store.digests() if store else ((), ())
+        return (len(self.system.mgmt.free_tiles()), frozenset(warm),
+                frozenset(compiling))
 
     def dispatch(self, op: str, args: tuple):
         if op not in BOARD_OPS:
             raise SimulationError(
                 f"board {self.index}: unknown board op {op!r}")
-        return getattr(self, op)(*args)
+        if op not in PLACEMENT_OPS:
+            return getattr(self, op)(*args)
+        token, *args = args
+        answer, done = getattr(self, op)(*args)
+        if done is None:
+            self._done.append((token, None))
+        else:
+            done.add_callback(lambda ev: self._done.append(
+                (token, ev.value if ev.failed else None)))
+        return answer, self._news(always=True)
 
     # -- the ops -----------------------------------------------------------
 
     def window(self, end: int):
-        """Run to ``end``; returns (outbox, fault entries, next-event
-        cycle — ``None`` when nothing is pending)."""
+        """Run to ``end``; returns (outbox, news, next-event cycle —
+        ``None`` when nothing is pending)."""
         engine = self.system.engine
         engine.run_window(end)
-        return (self.fabric.drain_outbox(), self._drain_faults(),
-                engine.peek_next())
+        return self.fabric.drain_outbox(), self._news(), engine.peek_next()
 
-    def kill(self) -> List[Tuple[int, str, str]]:
-        _board_kill(self.system, self.fabric)
-        return self._drain_faults()
+    def kill(self):
+        """Fail-stop the board in place: stop the recovery watchdog (no
+        board left to restart tiles on), detach the MAC (frames to it
+        drop), report a fault on every live tile.  Fault hooks run
+        synchronously inside ``report``."""
+        system = self.system
+        mac = system.config.net.mac_addr
+        if system.recovery is not None:
+            system.recovery.stop()
+        self.fabric.detach(mac)
+        # the black-box moment: freeze the flight ring with the pre-kill
+        # history before the per-tile fault storm overwrites it.  The
+        # explicit dump carries the "board-kill" reason; the per-fault hook
+        # dumps that follow in the same cycle coalesce into it (see
+        # FlightRecorder.dump).
+        system.spans.event(system.engine.now, "board.kill", mac,
+                           cause="lost power")
+        if system.flight is not None:
+            system.flight.dump(system.engine.now, f"board-kill:{mac}")
+        err = TileFault(f"board {mac} lost power")
+        err.occurred_at = system.engine.now
+        for tile in system.tiles:
+            if not tile.failed:
+                system.fault_manager.report(tile, "main", err)
+        return self._news(always=True)
 
     def mark_detached(self, mac: str) -> None:
         self.fabric.mark_remote_detached(mac)
@@ -159,8 +182,49 @@ class Board:
     def heal(self, mac: str) -> None:
         self.fabric.heal(mac)
 
-    def collect(self) -> Tuple[SpanRecorder, StatsRegistry, Optional[Any]]:
-        return self.system.spans, self.system.stats, self.system.flight
+    def collect(self):
+        """(spans, stats, flight recorder, bitstream-cache telemetry)."""
+        system = self.system
+        cache = system.bitstore.telemetry() if system.bitstore else None
+        return system.spans, system.stats, system.flight, cache
+
+    def load(self, service: str, shard: Optional[int], iid: str, port: int,
+             endpoint: str, artifact=None):
+        """Build an instance of registered ``service`` and load it on the
+        lowest free tile; answers the tile (-1: none was free) and the
+        load.  A chain member's faults are *delegated*: restarting one in
+        place would resurrect a stale replica, so recovery only frees the
+        slot and the replication manager repairs the chain."""
+        factory, chained = self.services[service]
+        runs = factory() if shard is None else factory(shard)
+        if chained:
+            from repro.replic.chain import ChainNodeService  # cyclic import
+
+            member = ChainNodeService(iid, port, runs)
+            build, delegate = (lambda: member), "replication"
+        else:
+            def build():
+                return ClusterPortedService(iid, port=port, handler=runs)
+            delegate = None
+        return self.system.deploy(build, endpoint, delegate=delegate,
+                                  artifact=artifact)
+
+    def teardown(self, node: int):
+        """Free tile ``node``; the unload fails, rather than raising, for
+        an empty slot or none (-1)."""
+        if node < 0:
+            return None, self.system.engine.event("teardown").fail(
+                ConfigError(f"board {self.index}: no tile to free"))
+        return None, self.system.mgmt.teardown(node)
+
+    def forget(self, endpoint: str):
+        """Stop keeping ``endpoint`` alive (before an intended teardown)."""
+        self.system.forget(endpoint)
+        return None, None
+
+    def prefetch(self, bitstream):
+        """Warm the board's artifact cache for ``bitstream``."""
+        return None, self.system.bitstore.prefetch(bitstream)
 
 
 def _worker_main(conn, board: Board) -> None:
@@ -296,15 +360,13 @@ class ClusterBackend:
     """How a :class:`~repro.cluster.cluster.Cluster` executes its boards."""
 
     name = "abstract"
-    #: whether board placement may change after construction-time deploys
-    #: (autoscaler scale-up, chain repair); only the shared backend walks
-    #: board management planes at arbitrary simulated times
-    supports_dynamic_placement = False
 
     def __init__(self) -> None:
         self.cluster = None
         self.sealed = False
         self._fault_listeners: List[Any] = []
+        #: service -> (factory, chained): what a ``load`` op builds from
+        self.services: Dict[str, Tuple[Callable[..., Any], bool]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -342,12 +404,25 @@ class ClusterBackend:
     def shutdown(self) -> None:
         """Release any execution resources (idempotent)."""
 
-    def check_placement_open(self, what: str) -> None:
+    # -- placement: board ops ----------------------------------------------
+
+    def register(self, service: str, factory: Callable[..., Any],
+                 chained: bool) -> None:
+        """Make ``service``'s code loadable on every board.  A factory is
+        not picklable and reaches a forked worker only by the fork."""
         if self.sealed:
             raise ConfigError(
-                f"{what} after seal(): the {self.name!r} backend freezes "
-                "placement when workers take over the boards"
-            )
+                f"new service {service!r} after seal(): a service's code "
+                "reaches the boards only when it is deployed before seal()")
+        self.services[service] = (factory, chained)
+
+    def op(self, fpga: int, name: str, *args,
+           placed: Optional[Callable[[Any], None]] = None,
+           loaded: Optional[Callable[[Event], None]] = None) -> Event:
+        """Run placement op ``name`` on board ``fpga`` (DESIGN.md, "Board
+        ops"); ``placed`` hears its answer (a load's tile), ``loaded`` its
+        completion first.  ``placement(fpga)`` is ``Board.placement``."""
+        raise NotImplementedError
 
     # -- fault injection ---------------------------------------------------
 
@@ -373,10 +448,9 @@ class ClusterBackend:
     def merged_spans(self) -> SpanRecorder:
         raise NotImplementedError
 
-    def _collect(self, index: int) -> Tuple[SpanRecorder, StatsRegistry,
-                                            Optional[Any]]:
-        """Board ``index``'s (spans, stats, flight recorder), fetched from
-        wherever the board executes."""
+    def _collect(self, index: int):
+        """Board ``index``'s ``Board.collect``, fetched from wherever the
+        board executes."""
         raise NotImplementedError
 
     def _collect_all(self):
@@ -384,14 +458,17 @@ class ClusterBackend:
 
     def merged_stats(self) -> StatsRegistry:
         merged = StatsRegistry()
-        for _spans, stats, _flight in self._collect_all():
+        for _spans, stats, *_ in self._collect_all():
             merged.merge(stats)
         return merged
 
     def stats_snapshots(self) -> Dict[str, Dict]:
         return {f"fpga{i}": stats.snapshot()
-                for i, (_spans, stats, _flight)
-                in enumerate(self._collect_all())}
+                for i, (_spans, stats, *_) in enumerate(self._collect_all())}
+
+    def cache_telemetry(self) -> Dict[str, Optional[Dict[str, float]]]:
+        return {f"fpga{i}": cache
+                for i, (*_, cache) in enumerate(self._collect_all())}
 
     def flight_reports(self) -> Dict[str, Optional[Dict]]:
         """Per-board flight snapshot + retained dumps (None if disabled).
@@ -401,16 +478,16 @@ class ClusterBackend:
         accumulates.
         """
         return {f"fpga{i}": flight.report() if flight is not None else None
-                for i, (_spans, _stats, flight)
+                for i, (_spans, _stats, flight, _cache)
                 in enumerate(self._collect_all())}
 
 
 class SharedEngineBackend(ClusterBackend):
-    """Today's semantics: every board on one engine, one fabric, one
-    recorder.  The default, pinned byte-for-byte by the existing suite."""
+    """Every board on one engine, one fabric, one recorder, its ops called
+    directly: an op runs at once and its completion is the board's own
+    event.  The default, pinned byte-for-byte by the existing suite."""
 
     name = "shared"
-    supports_dynamic_placement = True
 
     def build(self, cluster, config, engine, fabric):
         self.cluster = cluster
@@ -424,6 +501,8 @@ class SharedEngineBackend(ClusterBackend):
                          spans=cluster.spans)
             for cfg in self._board_configs(config)
         ]
+        self.boards = [Board(i, system, cluster.fabric, self.services)
+                       for i, system in enumerate(cluster.systems)]
 
     def boot(self, extra_cycles):
         for system in self.cluster.systems:
@@ -437,7 +516,7 @@ class SharedEngineBackend(ClusterBackend):
         engine.run_until_done(engine.all_of(list(events)), limit=limit)
 
     def kill_board(self, index):
-        _board_kill(self.cluster.systems[index], self.cluster.fabric)
+        self.boards[index].kill()
 
     def partition_board(self, index):
         self.cluster.fabric.partition(self.cluster.mac(index))
@@ -457,8 +536,18 @@ class SharedEngineBackend(ClusterBackend):
         return self.cluster.spans
 
     def _collect(self, index):
-        system = self.cluster.systems[index]
-        return system.spans, system.stats, system.flight
+        return self.boards[index].collect()
+
+    def op(self, fpga, name, *args, placed=None, loaded=None):
+        answer, done = getattr(self.boards[fpga], name)(*args)
+        if placed is not None:
+            placed(answer)
+        if loaded is not None:
+            done.add_callback(loaded)
+        return done
+
+    def placement(self, fpga):
+        return self.boards[fpga].placement()
 
 
 class WindowedBackend(ClusterBackend):
@@ -483,6 +572,14 @@ class WindowedBackend(ClusterBackend):
         #: the first board failure inside a window exchange; later boards'
         #: replies were never read, so every later op re-raises it
         self._failure: Optional[SimulationError] = None
+        #: True while the host runs a window; ops issued then are queued
+        self._in_window = False
+        self._queued: List[tuple] = []
+        #: op token -> (its host completion event, its ``loaded`` hook)
+        self._waiting: Dict[int, tuple] = {}
+        self._tokens = itertools.count()
+        #: per board, its ``Board.placement`` as of its last news
+        self._views: List[tuple] = []
 
     # -- construction ------------------------------------------------------
 
@@ -516,7 +613,10 @@ class WindowedBackend(ClusterBackend):
                 cfg, engine=board_engine, fabric=board_fabric,
                 spans=SpanRecorder(id_base=(i + 1) * SPAN_ID_STRIDE))
             cluster.systems.append(system)
-            self.boards.append(_BoardHandle(Board(i, system, board_fabric)))
+            board = Board(i, system, board_fabric, self.services)
+            system.fault_manager.on_fault.append(board._record_fault)
+            self.boards.append(_BoardHandle(board))
+            self._views.append(board.placement())
 
     # -- the window protocol ----------------------------------------------
 
@@ -554,9 +654,11 @@ class WindowedBackend(ClusterBackend):
             board.at = end
             board.send("window", end)
         # forked boards run their windows while the host runs its own
+        self._in_window = True
         host.run_window(end)
+        self._in_window = False
         envelopes = self.cluster.fabric.drain_outbox()
-        faults = []
+        news = []
         for board in boards:
             try:
                 outbox, entries, board.next_at = board.recv()
@@ -564,7 +666,7 @@ class WindowedBackend(ClusterBackend):
                 self._failure = err
                 raise
             envelopes.extend(outbox)
-            faults.append(entries)
+            news.append(entries)
         envelopes.sort(key=FrameEnvelope.sort_key)
         for env in envelopes:
             if copy:
@@ -574,8 +676,12 @@ class WindowedBackend(ClusterBackend):
                 self.cluster.fabric.inject(env)
             else:
                 self.boards[pid - 1].deliver(env)
-        for board, entries in zip(boards, faults):
-            self._notify_faults(board.board.index, entries)
+        for board, entries in zip(boards, news):
+            self._hear(board.board.index, entries)
+        if self._queued:
+            queued, self._queued = self._queued, []
+            for op in queued:
+                self._run_op(*op)
 
     def _park(self) -> None:
         """Bring every board that sat windows out up to the clock (it has
@@ -589,11 +695,56 @@ class WindowedBackend(ClusterBackend):
         if self._failure is not None:
             raise self._failure
 
-    def _notify_faults(self, index: int,
-                       entries: List[Tuple[int, str, str]]) -> None:
-        for node, action, endpoint in entries:
+    def _hear(self, index: int, news) -> None:
+        """Take board ``index``'s news (``Board._news``) at a barrier."""
+        if not news:
+            return
+        faults, done, self._views[index] = news
+        for node, action, endpoint in faults:
             for listener in self._fault_listeners:
                 listener.on_board_fault(index, node, action, endpoint)
+        for token, error in done:
+            event, loaded = self._waiting.pop(token)
+            if error is None:
+                event.succeed()
+            else:
+                event.fail(error)
+            if loaded is not None:
+                loaded(event)
+
+    # -- placement ---------------------------------------------------------
+
+    def op(self, fpga, name, *args, placed=None, loaded=None):
+        """At once between runs (every board is parked at the clock);
+        queued for the barrier inside a host window."""
+        self._check_failure()
+        token = next(self._tokens)
+        done = self.cluster.engine.event(f"fpga{fpga}.{name}")
+        self._waiting[token] = (done, loaded)
+        if self._in_window:
+            self._queued.append((fpga, token, name, args, placed))
+        else:
+            self._run_op(fpga, token, name, args, placed)
+        return done
+
+    def _run_op(self, fpga, token, name, args, placed) -> None:
+        board = self.boards[fpga]
+        if board.at < self.clock:  # it sat windows out: park it first
+            self._step(self.clock, [board])
+        answer, news = board.call(name, token, *args)
+        if placed is not None:
+            placed(answer)
+        self._hear(fpga, news)
+
+    def placement(self, fpga):
+        """As of the board's last news, less what is queued for it."""
+        free, warm, compiling = self._views[fpga]
+        for at, _token, name, args, _placed in self._queued:
+            if at == fpga and name == "load":
+                free -= 1
+            elif at == fpga and name == "prefetch":
+                compiling |= {artifact_digest(args[0])}
+        return free, warm, compiling
 
     # -- execution ---------------------------------------------------------
 
@@ -659,7 +810,7 @@ class WindowedBackend(ClusterBackend):
         for i, board in enumerate(self.boards):
             if i != index:
                 board.call("mark_detached", mac)
-        self._notify_faults(index, self.boards[index].call("kill"))
+        self._hear(index, self.boards[index].call("kill"))
 
     def partition_board(self, index):
         self._check_failure()
@@ -684,7 +835,7 @@ class WindowedBackend(ClusterBackend):
     def merged_spans(self):
         merged = SpanRecorder(id_base=0)
         merged.absorb(self.cluster.spans)
-        for spans, _stats, _flight in self._collect_all():
+        for spans, *_ in self._collect_all():
             merged.absorb(spans)
         return merged
 

@@ -20,7 +20,8 @@ deterministic :class:`~repro.hw.compile.CompileService`:
 
 :class:`BitstreamPlane` is the thin cluster-level coordinator: it can
 push a design family warm onto boards ahead of need (*prefetch*), answer
-"which boards are warm?" for placement, and roll board telemetry up.
+"which boards are warm?" for placement, and roll board telemetry up —
+through board ops, so on every backend.
 The autoscaler drives prefetch from its jump-scaling early-warning and
 ``slo_burn`` signals; accuracy (prefetched artifacts later used /
 prefetches completed) is a first-class gauge.
@@ -28,15 +29,15 @@ prefetches completed) is a first-class gauge.
 Determinism/PDES contract: a store's entire state lives on its board —
 its engine events, its LRU order, its counters (registered in the
 board's :class:`~repro.sim.StatsRegistry`, so they ride the existing
-deterministic cross-partition merge).  Nothing here reads another
-partition's state at simulated runtime, which is what keeps sequential
-and parallel windowed runs byte-identical through mid-run board kills.
+deterministic cross-partition merge).  The plane reads only what boards
+report in their news, which keeps sequential and parallel windowed runs
+byte-identical through mid-run prefetches and board kills.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
@@ -104,13 +105,10 @@ class BoardBitstreamStore:
 
     # -- cache mechanics ---------------------------------------------------
 
-    def warm(self, bitstream: Bitstream) -> bool:
-        """Is this design's artifact resident (a load would be a hit)?"""
-        return artifact_digest(bitstream) in self._entries
-
-    def compiling(self, bitstream: Bitstream) -> bool:
-        """Is this design currently queued/being synthesized here?"""
-        return artifact_digest(bitstream) in self.compiler._in_flight
+    def digests(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+        """(resident, in synthesis) design digests: a load of a resident
+        one is a hit."""
+        return frozenset(self._entries), frozenset(self.compiler._in_flight)
 
     def cached_cells(self) -> int:
         return sum(e.artifact.size_cells for e in self._entries.values())
@@ -236,28 +234,22 @@ class BitstreamPlane:
     """Cluster-level coordinator over every board's store.
 
     Prefetch targets and warm queries are *advisory* routing state (like
-    the service directory), never simulated-runtime cross-partition
-    state — on windowed backends everything here happens in the serial
-    pre-seal phase, matching the dynamic-placement restriction that
-    already applies to the autoscaler driving it.
+    the service directory), read and issued through board ops.
     """
 
-    def __init__(self, cluster):
+    def __init__(self, cluster, boards):
         self.cluster = cluster
-
-    def store(self, fpga: int) -> BoardBitstreamStore:
-        store = self.cluster.systems[fpga].bitstore
-        if store is None:
-            raise ConfigError(f"fpga{fpga} has no bitstream store")
-        return store
+        self.boards = boards  # the cluster backend
 
     def _alive(self) -> List[int]:
-        return [i for i in range(len(self.cluster.systems))
+        return [i for i in range(self.cluster.n_fpgas)
                 if i not in self.cluster.killed]
 
     def warm_boards(self, bitstream: Bitstream) -> List[int]:
         """Alive boards whose cache already holds this design."""
-        return [i for i in self._alive() if self.store(i).warm(bitstream)]
+        digest = artifact_digest(bitstream)
+        return [i for i in self._alive()
+                if digest in self.boards.placement(i)[1]]
 
     def prefetch(self, bitstream: Bitstream,
                  fpgas: Optional[Iterable[int]] = None) -> Dict[int, object]:
@@ -267,15 +259,16 @@ class BitstreamPlane:
         skipped.  Returns ``{fpga: completion_event}`` for the prefetches
         actually issued.
         """
+        digest = artifact_digest(bitstream)
         targets = list(fpgas) if fpgas is not None else self._alive()
         issued: Dict[int, object] = {}
         for i in targets:
             if i in self.cluster.killed:
                 continue
-            store = self.store(i)
-            if store.warm(bitstream) or store.compiling(bitstream):
+            _free, warm, compiling = self.boards.placement(i)
+            if digest in warm or digest in compiling:
                 continue
-            issued[i] = store.prefetch(bitstream)
+            issued[i] = self.boards.op(i, "prefetch", bitstream)
         return issued
 
     def prefetch_service(self, service: str,
@@ -299,5 +292,4 @@ class BitstreamPlane:
 
     def telemetry(self) -> Dict[str, Dict[str, float]]:
         """Per-board gauge dicts, keyed ``fpga0`` .. ``fpgaN-1``."""
-        return {f"fpga{i}": self.store(i).telemetry()
-                for i in range(len(self.cluster.systems))}
+        return self.boards.cache_telemetry()

@@ -33,6 +33,7 @@ execute is a :class:`~repro.cluster.backend.ClusterBackend`:
   ``cluster.spans`` then name the *host* partition's objects (front-end
   and clients attach there); per-board state is reachable through
   :meth:`merged_spans` / :meth:`merged_stats` / :meth:`stats_snapshots`.
+Every feature runs on every backend: placement is board ops.
 
 ``kill_fpga`` is the availability experiment's hammer: it detaches the
 board's MAC (frames to it drop on the floor) and reports a fault on
@@ -79,15 +80,13 @@ class Cluster:
             )
         self.config = config
         self._backend: ClusterBackend = BACKENDS[config.backend]()
-        if config.replication:
-            self._require_dynamic_placement("chain replication")
         # build() populates engine/fabric/spans/systems on self
         self.engine: Engine
         self.fabric: EthernetFabric
         self.spans: SpanRecorder
         self.systems: List[ApiarySystem]
         self._backend.build(self, config, engine, fabric)
-        self.directory = ServiceDirectory(self)
+        self.directory = ServiceDirectory(self, self._backend)
         self.frontend: Optional[FrontEnd] = None
         #: ReplicationManager / SLOEngine once boot() armed them
         self.replication = None
@@ -117,14 +116,6 @@ class Cluster:
     def macs(self) -> List[str]:
         return [self.mac(i) for i in range(self.n_fpgas)]
 
-    def _require_dynamic_placement(self, what: str) -> None:
-        if not self._backend.supports_dynamic_placement:
-            raise ConfigError(
-                f"{what} moves instances at simulated runtime, which only "
-                f"the 'shared' backend supports (got "
-                f"{self.config.backend!r})"
-            )
-
     # -- lifecycle ---------------------------------------------------------
 
     def boot(self, extra_cycles: int = 5000) -> None:
@@ -142,7 +133,7 @@ class Cluster:
         queries)."""
         for i, system in enumerate(self.systems):
             system.enable_bitstream_cache(board=f"fpga{i}")
-        self.bitplane = BitstreamPlane(self)
+        self.bitplane = BitstreamPlane(self, self._backend)
 
     def _arm(self) -> None:
         """Attach the build-time features the config declares.
@@ -197,7 +188,6 @@ class Cluster:
         """
         from repro.sched import Autoscaler  # avoid a cyclic import
 
-        self._require_dynamic_placement("the autoscaler")
         if self.frontend is None:
             raise ConfigError("start the front-end before the autoscaler")
         scaler = Autoscaler(self, service, **kwargs)
@@ -205,8 +195,7 @@ class Cluster:
         return scaler
 
     def _deploy(self, place, service, factory, **kwargs):
-        """Every deploy: placement still open, place, track."""
-        self._backend.check_placement_open(f"{place.__name__}()")
+        """Every deploy: place (refused after :meth:`seal`), track."""
         started = place(service, factory, **kwargs)
         if self.frontend is not None:
             self.frontend.track_all()
@@ -238,12 +227,13 @@ class Cluster:
         return started, self.replication.manage(service)
 
     def seal(self) -> None:
-        """Freeze placement and hand boards to the backend's executors.
+        """Freeze the set of services and hand boards to the backend's
+        executors.
 
-        A no-op on the shared backend; on ``parallel`` this is the fork
-        point — deploys and recovery attachment must happen before it.
-        Windowed runs work unsealed too (everything stays in-process),
-        sealing is what unlocks actual parallelism.
+        On ``parallel`` this is the fork point — new services and
+        recovery attachment must happen before it.  Windowed runs work
+        unsealed too (everything stays in-process), sealing is what
+        unlocks actual parallelism.
         """
         self._backend.seal()
 

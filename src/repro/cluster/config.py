@@ -70,7 +70,7 @@ class ClusterConfig:
     #: per-board intra-FPGA recovery watchdogs
     recovery: bool = False
     obs: ObsConfig = field(default_factory=ObsConfig)
-    #: chain-replication control plane (shared backend only)
+    #: chain-replication control plane
     replication: bool = False
     cache: CacheConfig = field(default_factory=CacheConfig)
 

@@ -16,10 +16,11 @@ each application):
   ``replication`` distinct FPGAs so a dead board's shards fail over to
   surviving replicas.
 
-Every instance reaches its board through one function, ``_place``; the
-public deploy methods only choose *which* board (rule table: DESIGN.md
-"Cluster layer").  Placement is deterministic — lowest free tile of the
-chosen FPGA — and all-or-nothing: a deploy that cannot fit loads nothing.
+Every instance reaches its board through one function, ``_place``, a
+``load`` board op; the public deploy methods only choose *which* board
+(rule table: DESIGN.md "Cluster layer").  Placement is deterministic —
+lowest free tile of the chosen FPGA — and all-or-nothing: a deploy that
+cannot fit loads nothing.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class ServiceSpec:
     #: next replica index to hand out (monotonic: replica ids are never
     #: reused, so scale-down + scale-up never aliases an old instance)
     next_replica: int = 0
-    #: builds what one instance runs — ``factory()`` a stateless handler,
-    #: ``factory(shard)`` a shard's handler or (chained) state machine;
-    #: retained so scale-up and chain repair can place more replicas
-    factory: Optional[Callable[..., Any]] = None
     #: True for chain-replicated services: shard replicas form an ordered
     #: chain (writes at the head, reads at the tail) instead of a
     #: best-effort fan-out set
@@ -163,9 +160,10 @@ class ServiceDirectory(Namespace):
     #: unique per FPGA so svc.net demultiplexes cleanly)
     PORT_BASE = 7100
 
-    def __init__(self, cluster):
+    def __init__(self, cluster, boards):
         super().__init__()
         self.cluster = cluster
+        self.boards = boards  # the cluster backend: boards' one way in
         self.services: Dict[str, ServiceSpec] = {}
         self._next_port = self.PORT_BASE
         self._next_fpga = 0  # round-robin placement cursor
@@ -187,9 +185,9 @@ class ServiceDirectory(Namespace):
         service shell, skipping the cache/compile path entirely.  Returns
         the load-started events.
         """
-        self._check_new(service)
+        self._check_new(service, handler_factory, chained=False)
         spec = ServiceSpec(name=service, sharded=False,
-                           factory=handler_factory, next_replica=instances)
+                           next_replica=instances)
         boards = self._pick_fpgas(service, instances)
         started = [self._place(spec, fpga, None, idx, artifact)[1]
                    for idx, fpga in enumerate(boards)]
@@ -257,8 +255,8 @@ class ServiceDirectory(Namespace):
         ``replication <= n_fpgas``).
         """
         return self._deploy_shards(
-            ServiceSpec(name=service, sharded=True, factory=handler_factory,
-                        replication=replication), n_shards)
+            ServiceSpec(name=service, sharded=True, replication=replication),
+            handler_factory, n_shards)
 
     def deploy_chain(
         self,
@@ -280,15 +278,15 @@ class ServiceDirectory(Namespace):
         """
         return self._deploy_shards(
             ServiceSpec(name=service, sharded=True, chained=True,
-                        factory=machine_factory, replication=replication,
-                        next_replica=replication), n_shards, artifact)
+                        replication=replication, next_replica=replication),
+            machine_factory, n_shards, artifact)
 
-    def _deploy_shards(self, spec: ServiceSpec, n_shards: int,
-                       artifact=None) -> List[Event]:
+    def _deploy_shards(self, spec: ServiceSpec, factory: Callable[[int], Any],
+                       n_shards: int, artifact=None) -> List[Event]:
         """The shard loop behind :meth:`deploy_sharded` / :meth:`deploy_chain`
         — they differ only in ``spec.chained``."""
-        self._check_new(spec.name)
-        n_fpgas = len(self.cluster.systems)
+        self._check_new(spec.name, factory, spec.chained)
+        n_fpgas = self.cluster.n_fpgas
         if spec.replication < 1:
             raise ConfigError("replication must be >= 1")
         if spec.replication > n_fpgas:
@@ -355,43 +353,32 @@ class ServiceDirectory(Namespace):
         """Unroute ``inst``, unbind its name, stop keeping it alive."""
         spec.instances.remove(inst)
         self.unbind(inst.iid)
-        self.cluster.systems[inst.fpga].forget(inst.endpoint)
+        self.boards.op(inst.fpga, "forget", inst.endpoint)
 
     def _place(self, spec: ServiceSpec, fpga: int, shard: Optional[int],
                replica: int, artifact=None) -> Tuple[ServiceInstance, Event]:
-        """The one way an instance gets onto a board: create it, build
-        what it runs (a :class:`ClusterPortedService` around the handler,
-        or a ``ChainNodeService`` around the state machine), load that on
-        the lowest free tile of ``fpga``, mark it ready when the load
-        completes, route and bind it.  A chain member's faults are
-        *delegated*: restarting one in place would resurrect a stale
-        replica (what the epochs exist to fence), so recovery only frees
-        the slot and the replication manager repairs the chain.
-        """
+        """The one way an instance gets onto a board: create and route it,
+        ask board ``fpga`` to load it (``Board.load`` builds what it runs
+        from the service's registered factory, on the lowest free tile),
+        bind it once the board names the tile, and mark it ready when the
+        load completes."""
         inst = ServiceInstance(service=spec.name, fpga=fpga, node=-1,
                                port=self._alloc_port(), shard=shard,
                                replica=replica)
-        runs = spec.factory() if shard is None else spec.factory(shard)
-        if spec.chained:
-            from repro.replic.chain import ChainNodeService
+        spec.instances.append(inst)
 
-            member = ChainNodeService(inst.iid, inst.port, runs)
-            build, delegate = (lambda: member), "replication"
-        else:
-            def build():
-                return ClusterPortedService(inst.iid, port=inst.port,
-                                            handler=runs)
-            delegate = None
-        inst.node, started = self.cluster.systems[fpga].deploy(
-            build, inst.endpoint, delegate=delegate, artifact=artifact)
+        def placed(node):
+            inst.node = node
+            if node >= 0:
+                self.bind(inst.iid, (fpga, node))
 
         def mark_ready(ev):
             if not ev.failed:
                 inst.ready = True
 
-        started.add_callback(mark_ready)
-        spec.instances.append(inst)
-        self.bind(inst.iid, (fpga, inst.node))
+        started = self.boards.op(fpga, "load", spec.name, shard, inst.iid,
+                                 inst.port, inst.endpoint, artifact,
+                                 placed=placed, loaded=mark_ready)
         return inst, started
 
     def teardown(self, inst: ServiceInstance) -> Event:
@@ -403,32 +390,29 @@ class ServiceDirectory(Namespace):
         spec = self.services.get(inst.service)
         if spec is not None and inst in spec.instances:
             self._drop(spec, inst)
-        return self.cluster.systems[inst.fpga].mgmt.teardown(inst.node)
+        return self.boards.op(inst.fpga, "teardown", inst.node)
 
     def free_tiles(self, fpga: int) -> int:
         """How many instances board ``fpga`` could take right now."""
-        return len(self.cluster.systems[fpga].mgmt.free_tiles())
+        return self.boards.placement(fpga)[0]
 
     def _pick_fpgas(self, service: str, count: int) -> List[int]:
         """Boards for the next ``count`` stateless instances: a round-robin
-        cursor whose picks skip killed boards.  With the compile cache
-        enabled the cursor advances identically, but each pick also skips
-        full boards and — under ``warm_placement`` — prefers boards whose
-        artifact cache is already warm for the service shell (cursor order
-        breaks ties, so placement stays deterministic)."""
-        n = self.cluster.n_fpgas
+        cursor whose picks skip killed and full boards, and — with the
+        compile cache's ``warm_placement`` — prefer boards whose artifact
+        cache is already warm for the service shell (cursor order breaks
+        ties, so placement stays deterministic)."""
+        n, plane = self.cluster.n_fpgas, self.cluster.bitplane
         left = [self.free_tiles(i) for i in range(n)]
-        boards, cursor, cached = [], self._next_fpga, self.cluster.bitplane
+        warm = []
+        if plane is not None and self.cluster.config.cache.warm_placement:
+            warm = plane.warm_boards(ClusterPortedService.family_bitstream())
+        boards, cursor = [], self._next_fpga
         for _ in range(count):
             fpga, cursor = cursor, (cursor + 1) % n
             usable = [i for i in ((fpga + k) % n for k in range(n))
-                      if i not in self.cluster.killed
-                      and (cached is None or left[i] > 0)]
-            if usable and cached is not None \
-                    and self.cluster.config.cache.warm_placement:
-                from repro.sched.placement import warm_first
-                usable = warm_first(usable, self.cluster,
-                                    ClusterPortedService.family_bitstream())
+                      if i not in self.cluster.killed and left[i] > 0]
+            usable.sort(key=lambda i: i not in warm)  # stable: cursor order
             if usable:
                 fpga = usable[0]
             left[fpga] -= 1
@@ -447,9 +431,12 @@ class ServiceDirectory(Namespace):
                     f"{service!r} needs {need} free tile(s) on FPGA {fpga}, "
                     f"which has {free}; nothing was loaded")
 
-    def _check_new(self, service: str) -> None:
+    def _check_new(self, service: str, factory: Callable[..., Any],
+                   chained: bool) -> None:
+        """Refuse a taken name; register the code (refused after seal)."""
         if service in self.services:
             raise ConfigError(f"service {service!r} already deployed")
+        self.boards.register(service, factory, chained)
 
     def _alloc_port(self) -> int:
         port = self._next_port

@@ -346,11 +346,12 @@ class ApiarySystem:
         the one way the cluster layer fills a slot.  With recovery armed
         the deployment is kept alive (``delegate`` names a subsystem that
         repairs it instead); without, it is a plain ``mgmt.load``.
-        Returns ``(node, load_started)``.
+        Returns ``(node, load_started)``, ``(-1, failed)`` if none is free.
         """
         free = self.mgmt.free_tiles()
         if not free:
-            raise ConfigError(f"no free tile for {endpoint!r}")
+            return -1, self.engine.event(f"{endpoint}.load").fail(
+                ConfigError(f"no free tile for {endpoint!r}"))
         node = free[0]
         if self.recovery is not None:
             return node, self.recovery.deploy(

@@ -26,7 +26,7 @@ byte-identical scheduler/autoscaler event logs (pinned by CI).
 from repro.sched.admission import AdmissionController, TenantQuota
 from repro.sched.autoscaler import Autoscaler
 from repro.sched.job import Job, JobSpec, JobState
-from repro.sched.placement import Placer, PlacementPolicy, warm_first
+from repro.sched.placement import Placer, PlacementPolicy
 from repro.sched.scheduler import SchedEvent, TileScheduler
 from repro.sched.smoke import (
     autoscale_chaos_smoke,
@@ -43,7 +43,6 @@ __all__ = [
     "JobState",
     "Placer",
     "PlacementPolicy",
-    "warm_first",
     "TileScheduler",
     "SchedEvent",
     "autoscale_smoke",

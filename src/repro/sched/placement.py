@@ -26,27 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import ConfigError, PlacementFailed
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
 
-__all__ = ["Placer", "PlacementPolicy", "warm_first"]
-
-
-def warm_first(order: Iterable[int], cluster,
-               bitstream: Bitstream) -> List[int]:
-    """Stable-partition board indices: warm-cache boards ahead of cold.
-
-    The board-level analogue of the tile policies below — with a
-    bitstream cache enabled, a warm board turns a scale-up into a pure
-    partial reconfiguration while a cold one pays a full synthesis run
-    first.  Order *within* each partition is preserved, so placement
-    stays deterministic (the caller passes cursor order as tiebreak).
-    No cache plane: the order comes back unchanged.
-    """
-    plane = getattr(cluster, "bitplane", None)
-    order = list(order)
-    if plane is None:
-        return order
-    warm = [i for i in order if plane.store(i).warm(bitstream)]
-    cold = [i for i in order if i not in warm]
-    return warm + cold
+__all__ = ["Placer", "PlacementPolicy"]
 
 
 class PlacementPolicy(enum.Enum):

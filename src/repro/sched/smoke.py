@@ -4,9 +4,9 @@ One parameterized harness shared by the unit tests, the S2 benchmark,
 and the CI ``sched-smoke`` job: every quantity derives from the simulated
 clock and seeded streams, so two calls with identical arguments return
 identical results (the benchmark byte-compares the full event log).
-These runs move instances at simulated runtime, which only the
-``shared`` backend can do — so they stay hand-driven until placement
-changes are board ops and a :mod:`repro.loadgen` scenario can carry them.
+These runs move instances at simulated runtime — board ops, so on any
+backend; they run on ``shared`` and stay hand-driven until a
+:mod:`repro.loadgen` scenario can declare an autoscaler.
 
 The main run (:func:`autoscale_smoke`) drives a stateless KV service
 through a three-phase open-loop load: steady base traffic, a

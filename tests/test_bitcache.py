@@ -42,6 +42,11 @@ from repro.sched.autoscaler import INTERVAL
 from repro.sim import Engine
 
 
+def _warm(store, bitstream):
+    """Is ``bitstream``'s artifact resident (a load would be a hit)?"""
+    return artifact_digest(bitstream) in store.digests()[0]
+
+
 def design(name="a", family=None, cells=10_000, bram=16, dsp=2,
            signed_by=None):
     return Bitstream.build(
@@ -192,9 +197,9 @@ class TestBoardBitstreamStore:
         assert store.cached_cells() == 20_000
         eng.run_until_done(store.acquire(design("c", family="c")))
         assert store.evictions == 1
-        assert not store.warm(design(family="a"))  # oldest fell out
-        assert store.warm(design(family="b"))
-        assert store.warm(design(family="c"))
+        assert not _warm(store, design(family="a"))  # oldest fell out
+        assert _warm(store, design(family="b"))
+        assert _warm(store, design(family="c"))
         # re-acquiring the victim is a fresh synthesis run
         before = eng.now
         eng.run_until_done(store.acquire(design(family="a")))
@@ -206,8 +211,8 @@ class TestBoardBitstreamStore:
             eng.run_until_done(store.acquire(design(fam, family=fam)))
         eng.run_until_done(store.acquire(design(family="a")))  # touch a
         eng.run_until_done(store.acquire(design("c", family="c")))
-        assert store.warm(design(family="a"))
-        assert not store.warm(design(family="b"))  # b became the LRU
+        assert _warm(store, design(family="a"))
+        assert not _warm(store, design(family="b"))  # b became the LRU
 
     def test_eviction_never_empties_the_cache(self):
         eng, store = self.store(capacity_cells=5_000)
@@ -466,7 +471,7 @@ class TestAutoscalerPrefetch:
         # the prefetch fires in the same decision pass, before the buy
         assert actions.index("prefetch") < actions.index("scale_up")
         assert scaler.prefetches == 1
-        assert cluster.bitplane.store(1).prefetches_issued == 1
+        assert cluster.systems[1].bitstore.prefetches_issued == 1
 
     def test_prefetch_disabled_without_a_cache(self):
         cluster = _cluster(cache=False)
@@ -487,7 +492,8 @@ def _midsynth_chaos():
     # both boards are now compiling the kv design (megacycles); strike
     # long before either build completes
     cluster.run(until=cluster.engine.now + 100_000)
-    assert cluster.bitplane.store(1).compiling(_ported_family())
+    assert artifact_digest(_ported_family()) in \
+        cluster.systems[1].bitstore.digests()[1]
     cluster.kill_fpga(1)
     # run far past every outstanding synthesis completion
     cluster.run(until=cluster.engine.now + 12_000_000)

@@ -4,6 +4,7 @@ failover, admission control, and cross-FPGA trace propagation."""
 import pytest
 
 from repro.cluster import (
+    CacheConfig,
     Cluster,
     ClusterConfig,
     FrontEnd,
@@ -141,6 +142,20 @@ class TestPlacement:
         cluster.kill_fpga(1)
         inst, _started = cluster.directory.add_instance("echo")
         assert inst.fpga == 0
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_stateless_placement_skips_a_full_board_cache_or_not(self, cache):
+        """Seven unreplicated shards fill board 0 and leave board 1 one
+        free tile; the cursor points at board 0, and the stateless deploy
+        takes board 1 with or without the compile cache."""
+        cluster = small_cluster(n_fpgas=2,
+                                cache=CacheConfig(enabled=cache))
+        cluster.deploy_sharded("fill", kv_factory(), n_shards=7,
+                               replication=1)
+        assert [cluster.directory.free_tiles(i) for i in (0, 1)] == [0, 1]
+        cluster.deploy_stateless("kv", echo_factory(), instances=1)
+        assert [i.fpga for i in cluster.directory.spec("kv").instances] \
+            == [1]
 
     def test_deploy_chain_after_seal_is_refused_like_its_siblings(self):
         cluster = small_cluster(

@@ -154,10 +154,10 @@ class TestLifecycle:
         cluster.boot()
         # the OS services are loaded by the board constructors, directly;
         # every load issued after Cluster() returns goes through the store
-        assert cluster.bitplane.store(0).misses == 0
+        assert cluster.systems[0].bitstore.misses == 0
         started = cluster.deploy_stateless("kv", _factory, instances=1)
         cluster.run_until(started, limit=50_000_000)
-        assert cluster.bitplane.store(0).misses == 1
+        assert cluster.systems[0].bitstore.misses == 1
 
     def test_first_heartbeat_is_one_interval_after_boot(self):
         cluster = _booted(ClusterConfig(n_fpgas=1, recovery=True))
@@ -213,11 +213,11 @@ class TestLifecycle:
                               warm_placement=False)))
         assert not cluster.config.cache.warm_placement
 
-    def test_replication_needs_the_shared_backend(self):
-        with pytest.raises(ConfigError, match="shared"):
-            Cluster(ClusterConfig(
-                backend="sequential",
-                replication=True))
+    @pytest.mark.parametrize("backend", ["shared", "sequential", "parallel"])
+    def test_replication_is_armed_on_every_backend(self, backend):
+        cluster = _booted(ClusterConfig(backend=backend, replication=True))
+        assert cluster.replication is not None
+        cluster.shutdown()
 
 
 class TestAutoscalerTakesItsParametersWhereStarted:

@@ -14,6 +14,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import echo_handler_factory
 from repro.cluster.backend import SPAN_ID_STRIDE
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, ObsConfig
@@ -258,15 +259,29 @@ class TestWindowedCluster:
             cluster.deploy_stateless("svc", lambda: None, instances=1)
         cluster.shutdown()
 
-    def test_dynamic_placement_features_need_shared_backend(self):
-        with pytest.raises(ConfigError, match="shared"):
-            Cluster(ClusterConfig(
-                n_fpgas=1, backend="sequential",
-                replication=True))
-        cluster = Cluster(ClusterConfig(n_fpgas=1, backend="sequential"))
-        with pytest.raises(ConfigError, match="shared"):
-            cluster.start_autoscaler("svc")
-        cluster.shutdown()
+    def test_only_a_new_service_is_refused_after_seal(self):
+        """On every backend: ``replication=True`` and the autoscaler are
+        accepted (their placements are board ops), a new service after
+        ``seal()`` is refused (its code would have to cross to a worker)."""
+        for backend in ("shared", "sequential", "parallel"):
+            cluster = Cluster(ClusterConfig(n_fpgas=1, backend=backend,
+                                            replication=True))
+            cluster.boot()
+            started = cluster.deploy_stateless(
+                "svc", echo_handler_factory(100), instances=1)
+            cluster.run_until(started)
+            cluster.start_frontend()
+            cluster.seal()
+            try:
+                assert cluster.replication is not None
+                cluster.start_autoscaler("svc")
+                with pytest.raises(ConfigError,
+                                   match="new service 'kv' after seal"):
+                    cluster.deploy_stateless("kv", echo_handler_factory(100))
+                cluster.run(until=cluster.now + 50_000)
+                assert list(cluster.directory.services) == ["svc"]
+            finally:
+                cluster.shutdown()
 
     def test_windowed_backend_rejects_external_engine(self):
         with pytest.raises(ConfigError, match="per partition"):

@@ -2,7 +2,7 @@
 
 ``tests/test_pdes.py`` pins sequential ≡ parallel end to end; these tests
 pin the pieces that identity now rests on — message ids are a property of
-the board (not of the process), a board answers exactly six ops, and a
+the board (not of the process), a board answers exactly its ten ops, and a
 worker that dies or hangs surfaces as a typed error naming the board.
 """
 
@@ -57,12 +57,18 @@ class TestPerBoardMessageIds:
 
 
 class TestBoardOps:
+    def test_the_ten_ops(self):
+        assert backend_module.BOARD_OPS == (
+            "window", "kill", "mark_detached", "partition", "heal",
+            "collect", "load", "teardown", "forget", "prefetch")
+
     @pytest.mark.parametrize("backend", WINDOWED)
-    def test_only_the_six_ops_are_reachable(self, backend):
+    def test_only_the_board_ops_are_reachable(self, backend):
         cluster = _sealed(backend)
         try:
-            # not an op, a public non-op method, a private helper
-            for name in ("reboot", "dispatch", "_drain_faults"):
+            # not an op, public non-op methods, a private helper
+            for name in ("reboot", "migrate", "dispatch", "placement",
+                         "_news"):
                 with pytest.raises(
                         SimulationError,
                         match=rf"board 1.*unknown board op '{name}'"):
