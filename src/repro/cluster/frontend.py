@@ -8,7 +8,8 @@ sits between clients and the FPGAs:
   go to their shard's primary, stateless requests to the least-loaded
   healthy instance;
 * **health** — one heartbeat per *board* per ``PROBE_INTERVAL``,
-  answered by that board's network tile without crossing its NoC; per
+  answered by the transport ACK of that board's network tile (the board
+  is up while its network tile receives; nothing crosses its NoC); per
   instance, the kernel's own fault reports (``fault_manager.on_fault``
   fires the cycle a tile drains, so a dead FPGA's queued requests fail
   over immediately instead of waiting out a timeout) and the data path's
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.directory import ServiceInstance, ServiceSpec
@@ -77,12 +79,17 @@ class BoardBeat:
     def __init__(self, mac: str) -> None:
         self.mac = mac  # its address on the fabric
         self.backends: List["BackendHealth"] = []  # the instances on it
-        self.beat = 0  # id of the last round's beat while it is unanswered
+        self.beat = 0  # id of the last round's beat while it is unacked
         self.unacked = 0  # beats the transport has not got acked yet
         self.misses = 0
 
-    def acked(self, _sent: Event) -> None:
+    def acked(self, beat: int, _sent: Event) -> None:
+        """The transport ACKed ``beat``: the board's network tile received
+        it, which is the board's answer."""
         self.unacked -= 1
+        self.misses = 0
+        if beat == self.beat:
+            self.beat = 0
 
     @property
     def up(self) -> bool:
@@ -263,11 +270,6 @@ class FrontEnd:
         tag, rid, body = data
         if tag == "req":
             self._admit(peer_mac, rid, body)
-        elif tag == "resp" and payload.get("port") == HEARTBEAT_PORT:
-            board = self.boards[peer_mac]
-            board.misses = 0  # any beat answered proves the board there
-            if rid == board.beat:
-                board.beat = 0
         elif tag == "resp":
             self._resolve(rid, body)
         elif tag == "batchresp":
@@ -668,7 +670,7 @@ class FrontEnd:
                 {"port": HEARTBEAT_PORT, "data": ("req", board.beat, None),
                  "src_mac": FRONTEND_MAC},
                 payload_bytes=16,
-            ).add_callback(board.acked)
+            ).add_callback(partial(board.acked, board.beat))
             for backend in board.backends:
                 if backend.misses >= DEAD_AFTER and not backend.retired:
                     self._resolve(backend.ping, error="missed a ping")

@@ -291,9 +291,9 @@ class HundredGigAdapter(MacAdapter):
         self.mac.on_rx(callback)
 
 
-#: the port the network tile answers itself: a ``("req", rid, _)`` there
-#: is a board heartbeat, answered ``("resp", rid, None)`` on the connection
-#: it came by, without crossing the NoC.  No tile can bind it.
+#: the board heartbeat's port: the network tile drops what arrives there,
+#: and the transport ACK it sends on receipt is the answer — no response,
+#: no NoC message.  No tile can bind it.
 HEARTBEAT_PORT = 0
 
 
@@ -386,16 +386,9 @@ class NetworkService(Accelerator):
     def _on_payload(self, peer_mac: str, payload: Dict[str, Any]):
         """Deliver a transport payload to the tile bound to its port; the
         mux holds the peer's next payload until the notify is on the NoC.
-        A heartbeat is answered here."""
+        A heartbeat is dropped: its transport ACK was the answer."""
         port = payload.get("port")
         if port == HEARTBEAT_PORT:
-            data = payload.get("data")
-            if isinstance(data, tuple) and len(data) == 3 and data[0] == "req":
-                self.mux.peer(peer_mac).send(
-                    {"port": HEARTBEAT_PORT, "data": ("resp", data[1], None),
-                     "src_mac": self.adapter.mac_addr},
-                    payload_bytes=16,
-                )
             return None
         dst = self._ports.get(port)
         if dst is None:

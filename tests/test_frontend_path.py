@@ -278,8 +278,8 @@ def test_an_attempt_timeout_fails_over_and_the_next_answer_heals_the_miss():
     frames, so the second read fails over too (a second miss) and the
     board misses the beats of offsets 10 000 to 30 000 — down at 40 000,
     every instance on it with it.  The retransmission at 51 200 unwedges
-    it: the beats' answers bring the board back at 52 208, and the next
-    data answer resets the primary's own misses."""
+    it: the ACK of the first retransmitted beat brings the board back at
+    52 204, and the next data answer resets the primary's own misses."""
     rig = Rig(retry=RetryPolicy(**QUICK))
     pair = ("kv/s1r0", "kv/s1r1")
     rig.at(500).cluster.partition_fpga(1)
@@ -310,9 +310,12 @@ def test_an_attempt_timeout_fails_over_and_the_next_answer_heals_the_miss():
         "kv/s0r0": (True, 0, 0, 0, 0), "kv/s0r1": (False, 0, 0, 0, 0),
         "kv/s1r0": (False, 2, 0, 0, 0), "kv/s1r1": (True, 0, 0, 2, 0),
         "echo#0": (True, 0, 0, 0, 0), "echo#1": (False, 0, 0, 0, 0)}
-    rig.at(52_207)
+    # re-pinned 52 208 -> 52 204 when a beat's answer became its transport
+    # ACK: the board's response to the beat used to leave behind the ACKs
+    # of the retransmitted window; now the beat's own ACK is the answer
+    rig.at(52_203)
     assert not rig.health(*pair)["kv/s1r0"][0]
-    rig.at(52_208)
+    rig.at(52_204)
     assert all(row[0] for row in rig.health().values())
     rig.at(100_000).read("r3", 0)
     rig.at(110_000)
@@ -690,10 +693,12 @@ KV_WRITE_ONE_COPY_SCHEDULES = 75
 
 def test_event_budget_of_two_liveness_rounds_and_no_noc_packet():
     """A quiet two-board cluster over the rounds of offsets 10 000 and
-    20 000: one beat per board each, answered by the board's network tile
-    — not one NoC packet on either board.  The first round also arms each
-    connection's retransmission timer."""
+    20 000: one beat per board each, answered by the transport ACK of the
+    board's network tile — two fabric frames per board, not one NoC packet
+    on either board.  The first round also arms each connection's
+    retransmission timer."""
     rig = Rig(engine=CountingEngine(), retry=RetryPolicy(**QUICK))
+    fabric = rig.cluster.fabric
 
     def packets():
         return [system.network.stats.counter("noc.packets_delivered").value
@@ -701,10 +706,17 @@ def test_event_budget_of_two_liveness_rounds_and_no_noc_packet():
 
     rig.at(5_000)
     before, delivered = rig.engine.schedules, packets()
+    frames = fabric.frames_delivered
+    # re-pinned 23 -> 13 and 19 -> 11 when the transport ACK became a
+    # beat's answer: the network tile's response datagram (its MAC
+    # transmit, fabric arrival and hand-off) and the front-end's ACK of it
+    # are gone, and so are two of the four frames per board
     rig.at(15_000)
-    assert rig.engine.schedules - before == 23
+    assert rig.engine.schedules - before == 13
+    assert fabric.frames_delivered - frames == 2 * 2
     rig.at(25_000)
-    assert rig.engine.schedules - before == 23 + 19
+    assert rig.engine.schedules - before == 13 + 11
+    assert fabric.frames_delivered - frames == 2 * 2 * 2
     assert packets() == delivered
     assert all(board.misses == 0 for board in rig.fe.boards.values())
 

@@ -464,12 +464,12 @@ def test_a_network_tile_drained_while_a_send_awaits_its_ack_never_replies():
          {"mid": 1, "op": "net.send"})]
 
 
-def test_a_post_goes_out_unanswered_and_the_tile_answers_heartbeats():
-    """A ``("req", rid, _)`` on ``HEARTBEAT_PORT`` is answered by the network
-    tile itself on the connection it came by — not one NoC packet on the
-    board — and no tile may bind that port.  A ``net.post`` is transmitted
-    like a send and answered by nobody: the caller's event is its NoC
-    admission, and the service opens no span."""
+def test_a_post_goes_out_unanswered_and_a_heartbeat_is_answered_by_its_ack():
+    """A beat on ``HEARTBEAT_PORT`` is answered by the network tile's
+    transport ACK alone: the sender's event fires, no payload comes back,
+    not one NoC packet moves on the board, and no tile may bind that port.
+    A ``net.post`` is transmitted like a send and answered by nobody: the
+    caller's event is its NoC admission, and the service opens no span."""
     engine, (a, b) = two_boards()
     t0 = engine.now
     log = Rows(engine, t0)
@@ -489,13 +489,16 @@ def test_a_post_goes_out_unanswered_and_the_tile_answers_heartbeats():
 
     log.at(1_000)
     before = packets()
+    acked = []
     host.peer("boardB").send(
         {"port": HEARTBEAT_PORT, "data": ("req", 41, None), "src_mac": "host"},
-        payload_bytes=16)
+        payload_bytes=16).add_callback(
+            lambda _ev: acked.append(engine.now - t0))
     log.at(5_000)
-    assert heard == [(2_004, "boardB",
-                      {"port": HEARTBEAT_PORT, "data": ("resp", 41, None),
-                       "src_mac": "boardB"})]
+    # the tile answered ("resp", 41, None), heard at 2 004, until the ACK
+    # became the answer: the ACK of the beat lands two cycles ahead of it
+    assert (acked, heard) == ([2_002], [])
+    assert b.net_service.rx_unbound == 0
     assert packets() == before
     admitted = []
     post(a, 2, "boardB", 9, "p0").add_callback(

@@ -176,20 +176,26 @@ BARRIER_CHAOS = {
 #: tile) plus pings for instances marked down, and a backend's reply a
 #: ``net.post``: fewer NoC messages move every artefact; all 50 offered
 #: requests are still served and the report still passes, as it did on the
-#: tree before (captured at da0351e, the id-free digests at 115c7cf)
+#: tree before (captured at da0351e, the id-free digests at 115c7cf).
+#: Re-pinned again when a board heartbeat came to be answered by its
+#: transport ACK instead of a response datagram: fewer frames move the
+#: stats, spans and flight rings, and the partitioned board is heard again
+#: a few cycles sooner after the heal, so one attempt fewer fails over
+#: (73 -> 72) and the tenants' p99 falls; all 50 requests are still
+#: served and the report still passes
 GOLDEN = {
     "report":
-        "cad312b14ec669733762c6f3b0f64bf1f298c2e97f3cf63367733e96fabcd4f0",
+        "61de601004e93896622e9335e7ff5c232916f9e60a74d8db04282133a43af874",
     "spans":
-        "0b297714bdaf41cd5dde34a8e687c206298902042db7c9cd07069a390e341127",
+        "a1802038c40548d6d68286654d6a343b95de6924e474afebddecfad864f5076b",
     "stats":
-        "7200184187c40857b99b787ece280e8ce1038c34044478ea05976236496b8205",
+        "0a7be088dddfca1f0b9c3b44e742131eb0117750a3f978a703b3d45c0fee9fab",
     "flight":
-        "eef6f61519ef7a4c51352fb118a1b15aeda5fee2220fcd55415c33f18f9e3b36",
+        "f41ee1e3bc163295af6dd9a7d8959383ff1c0972475608ab10a0d25841811857",
     "spans_id_free":
-        "5b6f64bb88dc448859f9960877621c416c82743a00637fd6a52b5a6292e76fef",
+        "8459dd0448561622eaf07439b8cf32497a116b1d30d65a1023bbbce72027e7ed",
     "flight_id_free":
-        "aa86664616fce9ed5ec7d7b2e0792d631e62783d8b21167891aff89082fab265",
+        "015b69461dbe843b273527b2bb01aa0145f472151387f94d6dd48a59de935761",
 }
 
 OBSERVED = ClusterConfig(obs=ObsConfig(tracing=True, flight_recorders=True))
