@@ -3,19 +3,20 @@
 The engine is the clock of the whole reproduction: NoC routers, Apiary
 monitors, DRAM channels and accelerators are all coroutine *processes*
 scheduled on one integer cycle counter.  The design is deliberately small —
-a binary heap of ``(time, sequence, callback)`` entries plus a same-cycle
-FIFO ring — because everything else (channels, processes, resources) is
-built from the two primitives defined here: scheduled callbacks and
-one-shot :class:`Event` objects.
+one FIFO bucket of callbacks per future cycle, a heap of the cycles that
+have a bucket, plus a same-cycle FIFO ring — because everything else
+(channels, processes, resources) is built from the two primitives defined
+here: scheduled callbacks and one-shot :class:`Event` objects.
 
 Performance structure (see DESIGN.md, "Simulator performance"): the hot
 path is deliberately allocation-free.  ``delay == 0`` callbacks — the
-dominant case, produced by every event trigger — bypass the heap entirely
-via a FIFO ring, and integer-delay yields from processes schedule the
-process's resume hook directly instead of minting a throwaway
-:class:`Event` per ``yield n``.  Both fast paths preserve the engine's
-ordering contract exactly: callbacks at the same cycle run in the order
-they were scheduled, and the clock is monotone.
+dominant case, produced by every event trigger — go to a FIFO ring; a
+``delay >= 1`` callback is appended to its cycle's bucket, so the heap
+orders plain integers and only once per distinct cycle; and integer-delay
+yields from processes schedule the process's resume hook directly instead
+of minting a throwaway :class:`Event` per ``yield n``.  All of it preserves
+the engine's ordering contract exactly: callbacks at the same cycle run in
+the order they were scheduled, and the clock is monotone.
 
 Example
 -------
@@ -32,9 +33,9 @@ Example
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -268,7 +269,7 @@ class Process:
             return
         if waiting is _TIMER:
             # the scheduled _timer_fired entry goes stale; bumping the epoch
-            # turns it into a no-op without touching the heap
+            # turns it into a no-op without touching its bucket
             self._wait_epoch += 1
         elif not waiting.triggered:
             try:
@@ -302,18 +303,20 @@ class Engine:
 
     Two scheduling structures back :meth:`schedule`:
 
-    * a binary heap of ``(time, sequence, callback, arg)`` for future
-      cycles (``delay > 0``), and
+    * per-cycle FIFO buckets for future cycles (``delay > 0``): a dict
+      from cycle to that cycle's ``(callback, arg)`` entries in scheduling
+      order, plus a binary heap of the plain-int cycles that have a
+      bucket.  A cycle's first entry is stored bare and becomes a list
+      only when a second one arrives, so a push onto the heap is paid
+      once per distinct cycle and ties on the cycle cost nothing; and
     * a plain FIFO ring for same-cycle callbacks (``delay == 0``), which
-      every :class:`Event` trigger produces — appending to a deque is far
-      cheaper than a heap push and keeps insertion order by construction.
+      every :class:`Event` trigger produces.
 
-    Ordering invariant: within one cycle, heap entries (scheduled in
-    *earlier* cycles, hence with lower sequence numbers) drain before ring
-    entries (scheduled *during* the cycle), and the ring preserves FIFO
-    order.  This reproduces exactly the global sequence-number order the
-    heap-only engine had, so simulations are bit-for-bit deterministic
-    across both scheduling paths.
+    Ordering invariant: a cycle's bucket (scheduled in *earlier* cycles)
+    fires as one unit before that cycle's ring entries (scheduled *during*
+    the cycle), and both are FIFO.  This reproduces exactly the global
+    ``(time, sequence)`` order the heap-only engine had, so simulations
+    are bit-for-bit deterministic.
 
     Parameters
     ----------
@@ -324,17 +327,19 @@ class Engine:
         through the Apiary fault-handling path instead.
     """
 
-    __slots__ = ("now", "swallow_orphan_errors", "_queue", "_ring", "_seq",
+    __slots__ = ("now", "swallow_orphan_errors", "_buckets", "_cycles", "_ring",
                  "_running", "_settled", "process_count")
 
     def __init__(self, swallow_orphan_errors: bool = False):
         self.now = 0
         self.swallow_orphan_errors = swallow_orphan_errors
-        self._queue: List[Tuple[int, int, Callable, Any]] = []
+        #: cycle -> its bucket: one bare ``(callback, arg)`` or a list of them
+        self._buckets: Dict[int, Any] = {}
+        #: heap of the cycles that have a bucket, each exactly once
+        self._cycles: List[int] = []
         self._ring: Deque[Tuple[Callable, Any]] = deque()
-        self._seq = 0
         self._running = False
-        #: the latest cycle whose heap entries are known to have all fired
+        #: the latest cycle whose bucket is known to have fired
         self._settled = -1
         self.process_count = 0
 
@@ -342,10 +347,10 @@ class Engine:
     def settled(self) -> bool:
         """Whether every callback stamped for the current cycle *from an
         earlier cycle* has fired: true inside the same-cycle ring and after
-        :meth:`run` returns, false while the heap is firing this cycle's
-        entries and at a :meth:`run_window` barrier (the barrier cycle has
-        not run).  A model that keeps closed-form state uses it to tell
-        whether "now" includes this cycle's clocked actions."""
+        :meth:`run` returns, false while this cycle's bucket is firing and
+        at a :meth:`run_window` barrier (the barrier cycle has not run).  A
+        model that keeps closed-form state uses it to tell whether "now"
+        includes this cycle's clocked actions."""
         return self._settled >= self.now
 
     # -- scheduling ------------------------------------------------------
@@ -357,8 +362,15 @@ class Engine:
             return
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, callback, arg))
+        time = self.now + delay
+        entry = (callback, arg)
+        bucket = self._buckets.setdefault(time, entry)
+        if bucket is entry:
+            heappush(self._cycles, time)
+        elif bucket.__class__ is list:
+            bucket.append(entry)
+        else:
+            self._buckets[time] = [bucket, entry]
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
@@ -455,33 +467,50 @@ class Engine:
             raise SimulationError("Engine.run re-entered")
         self._running = True
         # local bindings: every name in the loop body resolves without a
-        # dict lookup — this loop runs once per simulated callback
-        queue = self._queue
+        # dict lookup — this loop runs once per simulated cycle or callback
+        buckets = self._buckets
+        pop_bucket = buckets.pop
+        cycles = self._cycles
+        pop_cycle = heappop
         ring = self._ring
-        heappop = heapq.heappop
         ring_popleft = ring.popleft
         bounded = until is not None
         now = self.now
         try:
             while True:
-                if queue and (not ring or queue[0][0] <= now):
-                    # the earliest heap entry: either it is stamped for the
-                    # current cycle — scheduled in an earlier cycle, lower
-                    # seq, so it runs before this cycle's ring entries — or
-                    # the ring is empty and the clock advances to it
-                    entry = queue[0]
-                    time = entry[0]
+                if cycles and (not ring or cycles[0] <= now):
+                    # the earliest bucket: either it is stamped for the
+                    # current cycle — scheduled in an earlier cycle, so it
+                    # runs before this cycle's ring entries — or the ring is
+                    # empty and the clock advances to it.  Its callbacks can
+                    # only schedule into the ring or a later cycle, so the
+                    # bucket is closed and fires as one unit.
+                    time = cycles[0]
                     if bounded and time > until:
                         break
-                    heappop(queue)
+                    pop_cycle(cycles)
+                    bucket = pop_bucket(time)
                     self.now = now = time
-                    entry[2](entry[3])
+                    if bucket.__class__ is tuple:
+                        bucket[0](bucket[1])
+                        continue
+                    entries = iter(bucket)
+                    try:
+                        for callback, arg in entries:
+                            callback(arg)
+                    except BaseException:
+                        # the rest of the bucket is still due this cycle
+                        rest = list(entries)
+                        if rest:
+                            buckets[time] = rest
+                            heappush(cycles, time)
+                        raise
                 elif ring:
                     if bounded and now > until:
                         break
-                    # ring callbacks can only append to the ring or push
-                    # heap entries for later cycles (delay >= 1), so the
-                    # ring drains without looking at the heap or the clock
+                    # ring callbacks can only append to the ring or schedule
+                    # into later cycles (delay >= 1), so the ring drains
+                    # without looking at the buckets or the clock
                     self._settled = now
                     while ring:
                         callback, arg = ring_popleft()
@@ -490,7 +519,7 @@ class Engine:
                     break
             if bounded and now < until:
                 self.now = now = until
-            if not (queue and queue[0][0] <= now):
+            if not (cycles and cycles[0] <= now):
                 self._settled = now
         finally:
             self._running = False
@@ -499,14 +528,14 @@ class Engine:
         """The cycle of the earliest pending callback, or ``None`` if idle.
 
         Same-cycle ring entries are "due now", so a non-empty ring reports
-        :attr:`now`; otherwise the heap's earliest timestamp.  Used by the
+        :attr:`now`; otherwise the earliest bucket's cycle.  Used by the
         windowed cluster backends to detect quiescent partitions, and
         useful standalone for bounded stepping loops.
         """
         if self._ring:
             return self.now
-        if self._queue:
-            return self._queue[0][0]
+        if self._cycles:
+            return self._cycles[0]
         return None
 
     def run_window(self, until_cycle: int) -> None:
@@ -543,19 +572,23 @@ class Engine:
         event.add_callback(lambda _e: None)
         deadline = self.now + limit
         while not event.triggered:
-            if not self._queue and not self._ring:
+            if not self._cycles and not self._ring:
                 raise SimulationError(
                     f"queue drained at cycle {self.now} before {event!r} triggered"
                 )
             if self.now > deadline:
                 raise SimulationError(f"event {event!r} not triggered within {limit}")
-            self.run(until=self._queue[0][0] if self._queue else self.now)
+            self.run(until=self._cycles[0] if self._cycles else self.now)
         if event.failed:
             raise event.value
         return event.value
 
     def pending_events(self) -> int:
-        return len(self._queue) + len(self._ring)
+        """How many callbacks are scheduled and have not fired."""
+        return len(self._ring) + sum(
+            len(bucket) if bucket.__class__ is list else 1
+            for bucket in self._buckets.values()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self.now} queued={self.pending_events()}>"

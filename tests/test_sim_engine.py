@@ -1,6 +1,12 @@
 """Unit tests for the discrete-event engine, events and processes."""
 
+import heapq
+from collections import deque
+from itertools import count
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Engine, Event, Interrupt
@@ -221,6 +227,34 @@ def test_unhandled_process_error_aborts_run():
     eng.process(bad())
     with pytest.raises(SimulationError):
         eng.run()
+
+
+def test_raising_callback_mid_cycle_requeues_the_rest_of_its_bucket():
+    """Three entries stamped for one cycle, the second raises: the error
+    propagates, the third stays pending for that cycle and fires on the
+    next run() before the cycle's ring entries."""
+    eng = Engine()
+    log = []
+
+    def first(_):
+        log.append("first")
+        eng.schedule(0, lambda _: log.append("ring"))
+
+    def second(_):
+        log.append("second")
+        raise RuntimeError("model bug")
+
+    eng.schedule(5, first)
+    eng.schedule(5, second)
+    eng.schedule(5, lambda _: log.append("third"))
+    with pytest.raises(RuntimeError):
+        eng.run()
+    assert log == ["first", "second"]
+    assert (eng.now, eng.peek_next(), eng.pending_events()) == (5, 5, 2)
+    assert not eng.settled
+    eng.run()
+    assert log == ["first", "second", "third", "ring"]
+    assert (eng.now, eng.pending_events()) == (5, 0) and eng.settled
 
 
 def test_orphan_errors_swallowed_when_configured():
@@ -575,3 +609,103 @@ def test_run_window_preserves_cross_window_process_state():
     assert log == [(0, 6), (1, 12), (2, 18)]
     eng.run_window(30)
     assert log == [(0, 6), (1, 12), (2, 18), (3, 24)]
+
+
+# -- the ordering contract against a reference engine ------------------------
+
+
+class ReferenceEngine:
+    """The ordering rule as a ``(time, seq)`` heap plus a FIFO ring: a
+    cycle's heap entries fire before its ring entries, a run stops after
+    ``until``'s entries, a window parks on its barrier unrun."""
+
+    def __init__(self):
+        self.now, self.seq, self.heap, self.ring = 0, 0, [], deque()
+        self.settled_at = -1
+
+    @property
+    def settled(self):
+        return self.settled_at >= self.now
+
+    def schedule(self, delay, callback, arg=None):
+        if delay == 0:
+            self.ring.append((callback, arg))
+            return
+        self.seq += 1
+        heapq.heappush(self.heap, (self.now + delay, self.seq, callback, arg))
+
+    def run(self, until):
+        while True:
+            if self.heap and (not self.ring or self.heap[0][0] <= self.now):
+                if self.heap[0][0] > until:
+                    break
+                self.now, _, callback, arg = heapq.heappop(self.heap)
+            elif self.ring and self.now <= until:
+                self.settled_at = self.now
+                callback, arg = self.ring.popleft()
+            else:
+                break
+            callback(arg)
+        self.now = max(self.now, until)
+        if not (self.heap and self.heap[0][0] <= self.now):
+            self.settled_at = self.now
+
+    def run_window(self, end):
+        if end > self.now:
+            self.run(end - 1)
+            self.now = end
+
+    def peek_next(self):
+        if self.ring:
+            return self.now
+        return self.heap[0][0] if self.heap else None
+
+    def pending_events(self):
+        return len(self.heap) + len(self.ring)
+
+
+_DELAYS = st.integers(0, 4)
+_STEPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS),
+    st.tuples(st.sampled_from(["run", "window"]), st.integers(0, 6)),
+)
+
+
+def _play(engine, spawns, steps):
+    """Drive ``engine`` through ``steps``; every callback logs ``(cycle,
+    tag, settled)`` and, for the first three generations, schedules the
+    children ``spawns`` assigns its tag.  Returns the firing log and the
+    engine's ``(now, peek_next, pending_events, settled)`` at every stop."""
+    log, stops, tags = [], [], count()
+
+    def fire(arg):
+        tag, generation = arg
+        log.append((engine.now, tag, engine.settled))
+        if generation < 3:
+            for delay in spawns[tag % len(spawns)]:
+                engine.schedule(delay, fire, (next(tags), generation + 1))
+
+    for op, value in steps:
+        if op == "schedule":
+            engine.schedule(value, fire, (next(tags), 0))
+            continue
+        if op == "run":
+            engine.run(until=engine.now + value)
+        else:
+            engine.run_window(engine.now + value)
+        stops.append((engine.now, engine.peek_next(), engine.pending_events(),
+                       engine.settled))
+    engine.run(until=engine.now + 64)
+    return log, stops
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_DELAYS, max_size=3), min_size=1, max_size=6),
+       st.lists(_STEPS, max_size=40))
+def test_firing_order_matches_the_time_seq_reference(spawns, steps):
+    """Schedules of delay 0-4, callbacks that schedule more, bounded run()
+    and run_window() stops, and schedules at a parked barrier: the engine
+    fires what a ``(time, seq)`` heap plus ring fires, in the same order,
+    and reports the same ``peek_next()`` / ``pending_events()`` /
+    ``settled`` at every stop."""
+    assert _play(Engine(), spawns, steps) == _play(ReferenceEngine(), spawns, steps)
