@@ -36,12 +36,9 @@ def cases(draw):
                           min_size=nodes, max_size=nodes))
     cycle = st.integers(1, 150)
     span = st.integers(1, 40)
-    chaos = draw(st.lists(st.one_of(
+    chaos = draw(st.lists(
         st.tuples(st.just("stall"), cycle, st.booleans(), node, span),
-        st.tuples(st.just("drop"), cycle, st.booleans(), node, span),
-        st.tuples(st.just("slow"), cycle, st.booleans(), node,
-                  st.integers(0, 3), span),
-    ), max_size=5))
+        max_size=5))
     return dict(width=width, height=height, hop=hop, depth=depth,
                 credit=draw(st.sampled_from([0, 1, 1, 2, 3])),
                 num_vcs=num_vcs, vc_classes=draw(st.integers(1, num_vcs)),
@@ -64,17 +61,11 @@ def _run(case):
                   credit_latency=case["credit"],
                   delivery_queue_depth=case["queue"])
     nodes = case["width"] * case["height"]
-    links = list(net.topo.links())
     packets, done_at, series = {}, {}, []
 
     def apply(kind, node, *args):
-        if kind == "stall":
-            net.router(node).stall(*args)
-        elif kind == "drop":
-            net.interface(node).drop_for(*args)
-        else:
-            src, port, _dst = links[node % len(links)]
-            net.slow_link(src, port, *args)
+        assert kind == "stall"
+        net.router(node).stall(*args)
 
     def later(at, kind, node, *args):
         yield at
@@ -148,7 +139,7 @@ def _run(case):
         ni = net.interface(n)
         ni._land_credits(now)
         interfaces.append((
-            ni.packets_sent, ni.packets_received, ni.packets_dropped,
+            ni.packets_sent, ni.packets_received,
             ni._inject_credits, ni._current_vc, len(ni._inject_flits),
             ni._partial, len(ni._eject_buffer), len(ni._flits_in),
             ni._eject_tail is None, ni.inject_backlog, len(ni.delivered),
