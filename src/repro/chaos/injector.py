@@ -20,10 +20,6 @@ kind                    effect
                         normal §4.4 containment (and recovery) machinery runs
 ``NOC_ROUTER_STALL``    one router's switch allocation freezes; backpressure
                         spreads through credit exhaustion
-``NOC_DROP``            one NI silently discards injected packets for a
-                        window (lossy tile-to-NoC interface)
-``NOC_LINK_SLOW``       one directed link gains extra hop latency (marginal
-                        SerDes lane)
 ``DRAM_BITFLIP``        a single-event upset at one physical address;
                         visible to readers until a write scrubs it
 ``DRAM_BANK_FAIL``      one bank rejects accesses with ``DramFault`` for a
@@ -54,8 +50,6 @@ __all__ = ["FaultKind", "FaultEvent", "FaultPlan", "Injector",
 class FaultKind(enum.Enum):
     TILE_CRASH = "tile-crash"
     NOC_ROUTER_STALL = "noc-router-stall"
-    NOC_DROP = "noc-drop"
-    NOC_LINK_SLOW = "noc-link-slow"
     DRAM_BITFLIP = "dram-bitflip"
     DRAM_BANK_FAIL = "dram-bank-fail"
     ETH_LOSS_BURST = "eth-loss-burst"
@@ -66,8 +60,6 @@ class FaultKind(enum.Enum):
 DEFAULT_FAULT_PARAMS: Dict[FaultKind, Dict[str, Any]] = {
     FaultKind.TILE_CRASH: {},
     FaultKind.NOC_ROUTER_STALL: {"cycles": 20_000},
-    FaultKind.NOC_DROP: {"cycles": 10_000},
-    FaultKind.NOC_LINK_SLOW: {"extra_latency": 20, "cycles": 50_000},
     FaultKind.DRAM_BITFLIP: {},
     FaultKind.DRAM_BANK_FAIL: {"cycles": 50_000},
     FaultKind.ETH_LOSS_BURST: {"loss_rate": 0.5, "cycles": 50_000},
@@ -219,8 +211,6 @@ class Injector:
         handler = {
             FaultKind.TILE_CRASH: self._tile_crash,
             FaultKind.NOC_ROUTER_STALL: self._router_stall,
-            FaultKind.NOC_DROP: self._noc_drop,
-            FaultKind.NOC_LINK_SLOW: self._link_slow,
             FaultKind.DRAM_BITFLIP: self._dram_bitflip,
             FaultKind.DRAM_BANK_FAIL: self._dram_bank_fail,
             FaultKind.ETH_LOSS_BURST: self._eth_loss,
@@ -246,22 +236,6 @@ class Injector:
         if node is None:
             return "skipped: endpoint not bound"
         self.system.network.router(node).stall(ev.param("cycles", 20_000))
-        return "applied"
-
-    def _noc_drop(self, ev: FaultEvent) -> str:
-        node = self._resolve_node(ev.target)
-        if node is None:
-            return "skipped: endpoint not bound"
-        self.system.network.interface(node).drop_for(ev.param("cycles", 10_000))
-        return "applied"
-
-    def _link_slow(self, ev: FaultEvent) -> str:
-        links = list(self.system.topo.links())
-        src, port, _dst = links[int(ev.target) % len(links)]
-        self.system.network.slow_link(
-            src, port, ev.param("extra_latency", 20),
-            ev.param("cycles", 50_000),
-        )
         return "applied"
 
     def _dram_bitflip(self, ev: FaultEvent) -> str:

@@ -7,18 +7,13 @@ flow control, routing policies, arbiters, QoS token buckets, the assembled
 :class:`Network` with per-node interfaces, and a progress watchdog.
 """
 
-from repro.noc.arbiter import PriorityArbiter, RoundRobinArbiter, WeightedArbiter
+from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.deadlock import ProgressWatchdog
 from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, FlitKind, Packet, flits_for_bytes
 from repro.noc.network import Network, NetworkInterface
 from repro.noc.qos import RateMeter, TokenBucket
 from repro.noc.router import Router
-from repro.noc.routing import (
-    MinimalAdaptiveRouting,
-    TorusXYRouting,
-    XYRouting,
-    YXRouting,
-)
+from repro.noc.routing import TorusXYRouting, XYRouting, YXRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 
 __all__ = [
@@ -32,11 +27,8 @@ __all__ = [
     "DEFAULT_FLIT_BYTES",
     "XYRouting",
     "YXRouting",
-    "MinimalAdaptiveRouting",
     "TorusXYRouting",
     "RoundRobinArbiter",
-    "WeightedArbiter",
-    "PriorityArbiter",
     "TokenBucket",
     "RateMeter",
     "Router",

@@ -12,7 +12,6 @@ experiments (D5) exercise.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, RouteError
@@ -24,7 +23,7 @@ from repro.noc.flit import (
     flits_for_bytes,
 )
 from repro.noc.router import NEVER, Router
-from repro.noc.routing import RoutingFunction, XYRouting
+from repro.noc.routing import RoutingFunction, TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 from repro.obs.span import SpanRecorder
 from repro.sim import Channel, Engine, Event, Histogram, StatsRegistry
@@ -112,11 +111,6 @@ class NetworkInterface:
         )
         self.packets_sent = 0
         self.packets_received = 0
-        #: fault injection: packets handed to the NI before this cycle are
-        #: silently discarded (the sender sees a successful injection, the
-        #: packet never traverses the fabric — a lossy physical link).
-        self.drop_until = 0
-        self.packets_dropped = 0
         self._inject_queue.get().add_callback(self._injector)
 
     # -- public API --------------------------------------------------------
@@ -161,16 +155,6 @@ class NetworkInterface:
     @property
     def inject_backlog(self) -> int:
         return len(self._inject_queue)
-
-    def drop_for(self, cycles: int) -> None:
-        """Open a loss window: packets injected during it vanish silently.
-
-        Drops happen at injection time, never mid-flight — dropping flits
-        inside the fabric would corrupt the credit protocol and wormhole
-        reassembly, which real NoCs guarantee against; what fails in the
-        field is the tile-to-NoC interface, modelled here.
-        """
-        self.drop_until = max(self.drop_until, self.engine.now + cycles)
 
     # -- the wires (rows written by the router) ------------------------------
 
@@ -259,15 +243,9 @@ class NetworkInterface:
 
     def _start_packet(self, pkt: Packet, done: Event) -> bool:
         """Take ``pkt`` from the queue; ``True`` if its flits are staged
-        for the injector (``False``: a loss window ate it, or it crosses
-        on the network's express lane)."""
+        for the injector (``False``: it crosses on the network's express
+        lane)."""
         now = self.engine.now
-        if now < self.drop_until:
-            self.packets_dropped += 1
-            self.network._ctr_dropped.inc()
-            done.succeed(pkt)  # sender saw a clean injection; data is gone
-            self._inject_queue.get().add_callback(self._injector)
-            return False
         pkt.injected_at = now
         if self._spans.enabled:
             # causal tracing: a traced message opens a noc.transit span
@@ -401,14 +379,7 @@ class Network:
         stats: Optional[StatsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
     ):
-        from repro.noc.routing import MinimalAdaptiveRouting, TorusXYRouting
-
         routing = routing or XYRouting()
-        if isinstance(topo, Torus2D) and isinstance(routing, MinimalAdaptiveRouting):
-            raise ConfigError(
-                "adaptive routing on a torus needs dateline VCs; "
-                "use TorusXYRouting (or plain XY/YX) on torus topologies"
-            )
         if isinstance(routing, TorusXYRouting) and not isinstance(topo, Torus2D):
             raise ConfigError(
                 "TorusXYRouting picks wraparound links; it only makes "
@@ -433,19 +404,12 @@ class Network:
         # not pay a string-keyed registry lookup per event
         self._ctr_injected = self.stats.counter("noc.packets_injected")
         self._ctr_delivered = self.stats.counter("noc.packets_delivered")
-        self._ctr_dropped = self.stats.counter("noc.packets_dropped")
         # quantile sketches, not exact histograms: the NoC records a
         # latency per delivered packet for the lifetime of the run, so
         # exact-sample storage is unbounded on long serving runs
         self._hist_latency = self.stats.sketch("noc.packet_latency")
         self._hist_hops = self.stats.sketch("noc.packet_hops")
         self._next_pid = 0
-        # fault injection: (src, port) -> (extra hop latency, expires at).
-        # _link_last_arrival keeps per-link delivery monotone so a window
-        # expiring mid-packet cannot reorder flits (wormhole requires FIFO
-        # links).
-        self._link_slow: Dict[Any, Any] = {}
-        self._link_last_arrival: Dict[Any, int] = {}
         #: packets in the fabric: taken by an injector, tail not yet
         #: reassembled (zero means no flit exists anywhere)
         self._live = 0
@@ -454,13 +418,12 @@ class Network:
         self._lane_paths: Dict[Tuple[int, int], tuple] = {}
         #: a lone packet never waits for a credit iff a buffer covers the
         #: flit + credit round trip (a zero-latency credit lands mid-cycle,
-        #: behind the pass it should feed: no closed form); adaptive and
-        #: dateline routing choose VCs and ports from state it does not model
+        #: behind the pass it should feed: no closed form); dateline
+        #: routing chooses VCs from state it does not model
         self._lane_capable = (
             credit_latency >= 1
             and buffer_depth >= hop_latency + credit_latency
-            and not isinstance(routing, (MinimalAdaptiveRouting,
-                                         TorusXYRouting)))
+            and not isinstance(routing, TorusXYRouting))
         #: packets that started on the express lane / were taken off it
         #: mid-flight (plain attributes: the stats registry must read the
         #: same with the lane on or off)
@@ -484,35 +447,13 @@ class Network:
 
     def _wire(self) -> None:
         for src, port, dst in self.topo.links():
-            self._routers[src].connect_output(
-                port, partial(self._degraded_link, (src, port)),
-                self._routers[dst])
+            self._routers[src].connect_link(port, self._routers[dst],
+                                            self.hop_latency)
         for node in self.topo.nodes():
             router = self._routers[node]
             ni = self._interfaces[node]
-            router.connect_output(Port.LOCAL, ni._flit_row)
-            router.connect_input_credit(Port.LOCAL, ni._credit_row)
-            router.connect_fabric(self.hop_latency, self._link_slow,
-                                  self._link_last_arrival)
+            router.connect_local(ni._flit_row, ni._credit_row)
             router._sync = self._demote
-
-    def _degraded_link(self, key: Tuple[int, Port], flit: Flit) -> None:
-        """Link ``key`` = ``(src, port)`` carries ``flit`` while a link of
-        the fabric is (or recently was) degraded — the routers write rows
-        directly only while neither fault table holds an entry.  Retire
-        the entries that can no longer bind, fabric-wide, and keep this
-        link FIFO across its latency change: no flit lands before one sent
-        on it earlier."""
-        now = self.engine.now
-        self._links_healthy(now)
-        hop = self.hop_latency
-        slow = self._link_slow.get(key)
-        arrival = max(now + hop + (slow[0] if slow else 0),
-                      self._link_last_arrival.get(key, 0))
-        if arrival != now + hop:
-            self._link_last_arrival[key] = arrival
-        out = self._routers[key[0]]._out[key[1]]
-        out.down.flit_row(arrival, out.down_port, flit)
 
     # -- the express lane -------------------------------------------------------
     #
@@ -536,9 +477,6 @@ class Network:
         if self._live != 1 or not _LANE or not self._lane_capable:
             return False
         now = self.engine.now
-        if ((self._link_slow or self._link_last_arrival)
-                and not self._links_healthy(now)):
-            return False
         depth = self.buffer_depth
         vc = ni._inject_vcs[0]
         ni._land_credits(now)
@@ -586,17 +524,6 @@ class Network:
                 return tuple(path)
             node = self.topo.neighbor(node, out_port)
             in_port = out_port.opposite
-
-    def _links_healthy(self, now: int) -> bool:
-        """Retire link-fault state that can no longer bind (what the next
-        flit over each link would do); ``True`` if none is left."""
-        slow, last = self._link_slow, self._link_last_arrival
-        for key in [k for k, (_extra, until) in slow.items() if now >= until]:
-            del slow[key]
-        horizon = now + self.hop_latency
-        for key in [k for k, arrival in last.items() if arrival <= horizon]:
-            del last[key]
-        return not slow and not last
 
     def _demote(self) -> None:
         """Take the express packet (if any) off the lane: from here on it
@@ -713,18 +640,6 @@ class Network:
 
     # -- public API -----------------------------------------------------------
 
-    def slow_link(self, src: int, port: Port, extra_latency: int,
-                  duration: int) -> None:
-        """Degrade one directed link for ``duration`` cycles (fault
-        injection: a marginal SerDes lane dropping to a lower rate)."""
-        if extra_latency < 0 or duration < 1:
-            raise ConfigError("slow_link needs extra >= 0 and duration >= 1")
-        self._demote()
-        self._link_slow[(src, port)] = (
-            extra_latency, self.engine.now + duration
-        )
-        self.stats.counter("noc.links_degraded").inc()
-
     def router(self, node: int) -> Router:
         return self._routers[node]
 
@@ -771,8 +686,8 @@ class Network:
     def zero_load_latency(self, src: int, dst: int, size_flits: int = 1) -> int:
         """Analytic lower bound: hops * hop_latency + serialization.
 
-        Used by tests to sanity-check measured latencies and by the
-        monitor-overhead experiment as the no-contention baseline.
+        Tests use it to check measured latencies against the
+        no-contention cycle count.
         """
         hops = self.topo.hop_distance(src, dst)
         # (hops + 1) link traversals, counting the LOCAL ejection hop, plus

@@ -13,9 +13,9 @@ VC (wormhole semantics: a packet owns its path until the tail passes).
 
 Deadlock freedom:
 * deterministic XY/YX routing is deadlock-free on a mesh with any VC count;
-* minimal-adaptive routing restricts VC 0 to the XY escape path (Duato);
-* on a torus, a dateline VC flip would be required — the router refuses
-  adaptive routing on a torus rather than silently deadlocking.
+* on a torus, :class:`~repro.noc.routing.TorusXYRouting` moves a packet to
+  VC 1 after it crosses a wrap edge (dateline VCs), which breaks each
+  ring's cyclic channel dependency.
 
 Per-hop latency (pipeline + wire) is modelled by the link's delivery delay,
 configured in :class:`repro.noc.network.Network`.
@@ -30,19 +30,16 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import ConfigError
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Flit
-from repro.noc.routing import (
-    MinimalAdaptiveRouting,
-    RoutingFunction,
-    TorusXYRouting,
-)
+from repro.noc.routing import RoutingFunction, TorusXYRouting
 from repro.noc.topology import Mesh2D, Port
 
 __all__ = ["Router", "InputVC", "OutputPort"]
 
-#: Link callback type: (flit) -> None, puts the flit on the output wire.
+#: LOCAL-link callback type: (flit) -> None, puts the flit on the wire to
+#: the network interface.
 DeliverFn = Callable[[Flit], None]
 #: Credit-return callback type: (landing cycle, vc) -> None, puts a credit
-#: on the wire back to the upstream sender.
+#: on the wire back to the network interface.
 CreditFn = Callable[[int, int], None]
 
 #: "no step armed" (shared with the network interfaces)
@@ -59,7 +56,8 @@ class InputVC:
     ``bit``: its arbiter slot in a request mask; ``req_vc``: the output VC
     of its request in the current pass; ``up``: the router feeding its
     port and that router's output port — where the credit for a slot it
-    frees goes (``None``: the port's ``connect_input_credit`` callback).
+    frees goes (``None``: the LOCAL port, whose credit goes to the network
+    interface).
     """
 
     __slots__ = ("buffer", "out_port", "out_vc", "active_pid", "port", "vc",
@@ -80,7 +78,7 @@ class OutputPort:
     """Per-output-port state: downstream credits, VC ownership, the link.
 
     ``down`` / ``down_port``: the router the link feeds and its input port
-    (``None``: the link is only ``deliver`` — the LOCAL port's interface).
+    (``None``: the LOCAL port, whose link is ``deliver`` — the interface).
     """
 
     __slots__ = ("credits", "vc_owner", "deliver", "arbiter", "flits_sent",
@@ -101,9 +99,8 @@ class Router:
     Wiring (``connect_*``) is done by :class:`~repro.noc.network.Network`:
     a link to a neighbouring router is written directly — the grant puts
     the flit's row in the neighbour's inbox and the freed slot's credit row
-    in the upstream router's — while the fabric is healthy, and through the
-    link's ``deliver`` callback while a link is degraded; the LOCAL port
-    talks to its network interface through callbacks only.
+    in the upstream router's; the LOCAL port talks to its network interface
+    through callbacks only.
     """
 
     # slots, not an instance dict: a dict past 30 keys stops sharing keys,
@@ -111,12 +108,11 @@ class Router:
     # speed varied by a fifth with the interpreter's string-hash seed)
     __slots__ = (
         "engine", "node", "topo", "routing", "num_vcs", "vc_classes",
-        "buffer_depth", "credit_latency", "name", "_adaptive", "_dateline",
-        "ports", "_port_base", "_in", "_scan", "_out", "_credit_return",
-        "_hop", "_link_slow", "_link_last", "_allowed", "_route",
-        "_cand_cache", "_escape_cache", "_vc_bits", "_flits_in",
-        "_credits_in", "_wake_at", "_moved_at", "_flits_forwarded",
-        "_buffered", "stalled_until", "stalls_injected", "_sync",
+        "buffer_depth", "credit_latency", "name", "_dateline", "ports",
+        "_port_base", "_in", "_scan", "_out", "_credit_return", "_hop",
+        "_allowed", "_route", "_vc_bits", "_flits_in", "_credits_in",
+        "_wake_at", "_moved_at", "_flits_forwarded", "_buffered",
+        "stalled_until", "stalls_injected", "_sync",
     )
 
     def __init__(
@@ -153,7 +149,6 @@ class Router:
         self.buffer_depth = buffer_depth
         self.credit_latency = credit_latency
         self.name = name or f"router{node}"
-        self._adaptive = isinstance(routing, MinimalAdaptiveRouting)
         self._dateline = isinstance(routing, TorusXYRouting)
         if self._dateline and (num_vcs < 2 or vc_classes != 1):
             raise ConfigError(
@@ -180,12 +175,10 @@ class Router:
         self._out: Dict[Port, OutputPort] = {
             p: OutputPort(num_vcs, buffer_depth, slots) for p in self.ports
         }
-        self._credit_return: Dict[Port, CreditFn] = {}
-        #: set by :meth:`connect_fabric`: the link latency, and the
-        #: network's link-fault tables (slow links, last arrival per link)
+        #: set by :meth:`connect_local`: the LOCAL input's credit wire
+        self._credit_return: Optional[CreditFn] = None
+        #: set by :meth:`connect_link`: the link latency
         self._hop = 0
-        self._link_slow: Dict = {}
-        self._link_last: Dict = {}
         # hot-path tables, resolved once per router instead of per pass:
         # the VC set for each traffic class, and memoized routing decisions
         # (routing functions are pure in (node, dst), so per-destination
@@ -195,8 +188,6 @@ class Router:
             for cls in range(vc_classes)
         ]
         self._route: Dict[int, Port] = {}
-        self._cand_cache: Dict[int, List[Port]] = {}
-        self._escape_cache: Dict[int, List[Port]] = {}
         #: one input port's slots in a request mask, at slot 0
         self._vc_bits = (1 << num_vcs) - 1
 
@@ -229,53 +220,27 @@ class Router:
 
     # -- wiring (called by Network) ---------------------------------------
 
-    def connect_output(self, port: Port, deliver: DeliverFn,
-                       downstream: Optional["Router"] = None) -> None:
-        """Attach the link that carries flits leaving on ``port``.
-
-        With ``downstream`` — the router whose opposite input the link
-        feeds — a grant on a healthy fabric writes that router's flit row
-        itself and the slot it frees there returns its credit to this
-        router's inbox directly; ``deliver`` is then the degraded-link path.
-        """
+    def connect_link(self, port: Port, downstream: "Router",
+                     hop_latency: int) -> None:
+        """Wire output ``port`` to ``downstream``'s opposite input,
+        ``hop_latency`` cycles away (every link of a network has the same
+        latency): a grant writes that router's flit row itself, and the
+        slot it frees there returns its credit to this router's inbox."""
         out = self._out[port]
-        out.deliver = deliver
-        if downstream is not None:
-            out.down = downstream
-            out.down_port = port.opposite
-            up = (self, port)
-            for ivc in downstream._in[out.down_port]:
-                ivc.up = up
-
-    def connect_input_credit(self, port: Port, return_credit: CreditFn) -> None:
-        """Attach the wire that returns a buffer credit to the upstream
-        sender when a flit leaves this router's input buffer on ``port``
-        (a port fed by another router returns it directly instead)."""
-        self._credit_return[port] = return_credit
-
-    def connect_fabric(self, hop_latency: int, link_slow: Dict,
-                       link_last: Dict) -> None:
-        """Share the network's link latency and link-fault tables: flits
-        leave on the direct path only while both tables are empty."""
+        out.down = downstream
+        out.down_port = port.opposite
         self._hop = hop_latency
-        self._link_slow = link_slow
-        self._link_last = link_last
+        up = (self, port)
+        for ivc in downstream._in[out.down_port]:
+            ivc.up = up
 
-    # -- the wires (rows written by links and neighbours) -------------------
-
-    def flit_row(self, landing: int, port: Port, flit: Flit) -> None:
-        """A flit is on the wire into ``port``, due at cycle ``landing``.
-
-        Healthy links write in landing order and append directly; this is
-        the general entry, which keeps the inbox sorted when a degraded
-        link lands later than a healthy one written after it.
-        """
-        rows = self._flits_in
-        index = len(rows)
-        while index and rows[index - 1][0] > landing:
-            index -= 1
-        rows.insert(index, (landing, port, flit))
-        self._arm(landing)
+    def connect_local(self, deliver: DeliverFn,
+                      return_credit: CreditFn) -> None:
+        """Attach the network interface: ``deliver`` takes each flit that
+        leaves on the LOCAL port, ``return_credit`` the buffer credit of
+        each flit that leaves the LOCAL input buffer."""
+        self._out[Port.LOCAL].deliver = deliver
+        self._credit_return = return_credit
 
     # -- datapath entry points ----------------------------------------------
 
@@ -375,6 +340,9 @@ class Router:
 
     def stall(self, cycles: int) -> None:
         """Freeze switch allocation for ``cycles`` (fault injection)."""
+        if cycles < 1:
+            raise ConfigError(
+                f"{self.name}: a stall lasts >= 1 cycle, got {cycles}")
         self._sync()
         self.stalled_until = max(self.stalled_until, self.engine.now + cycles)
         self.stalls_injected += 1
@@ -471,75 +439,67 @@ class Router:
         rule, minus the slots of inputs already granted this pass (the
         crossbar constraint: one flit per input port per cycle).
 
-        Deterministic routing (XY/YX/dateline) yields a single output port
-        per destination, so an input VC's request — its (output port,
-        output VC) pair — cannot be altered by grants on *other* output
-        ports within the pass: a grant only mutates state on its own output
-        port and on an input that is then excluded anyway.  So the input
-        buffers are scanned once, up front, into every port's mask — the
-        grants of a per-port rescan.  Adaptive routing credit-balances
-        across candidate ports mid-pass, so it keeps the faithful rescan:
-        each port's mask is built after the grants of the ports before it.
+        Routing is deterministic (XY/YX/dateline): one output port per
+        destination, so an input VC's request — its (output port, output
+        VC) pair — cannot be altered by grants on *other* output ports
+        within the pass: a grant only mutates state on its own output port
+        and on an input that is then excluded anyway.  So the input buffers
+        are scanned once, up front, into every port's mask — the grants of
+        a per-port rescan.
         """
         outs = self._out
         scan = self._scan
-        adaptive = self._adaptive
-        if not adaptive:
-            masks = [0, 0, 0, 0, 0]  # per output port, indexed by Port value
-            route = self._route
-            for ivc in scan:
-                buffer = ivc.buffer
-                if not buffer:
+        masks = [0, 0, 0, 0, 0]  # per output port, indexed by Port value
+        route = self._route
+        for ivc in scan:
+            buffer = ivc.buffer
+            if not buffer:
+                continue
+            out_port = ivc.out_port
+            if out_port is None:
+                # an unrouted VC only requests when a head flit is at the
+                # front (body flits behind a reset route wait)
+                flit = buffer[0]
+                if not flit.is_head:
                     continue
-                out_port = ivc.out_port
+                pkt = flit.packet
+                out_port = route.get(pkt.dst)
                 if out_port is None:
-                    # an unrouted VC only requests when a head flit is at
-                    # the front (body flits behind a reset route wait)
-                    flit = buffer[0]
-                    if not flit.is_head:
+                    out_port = self._route_to(pkt.dst)
+                if self._dateline:
+                    out_vc = self._dateline_choice(pkt, out_port)
+                    if out_vc is None:
                         continue
-                    pkt = flit.packet
-                    out_port = route.get(pkt.dst)
-                    if out_port is None:
-                        out_port = self._route_to(pkt.dst)
-                        if out_port is None:
-                            continue
-                    if self._dateline:
-                        out_vc = self._dateline_choice(pkt, out_port)
-                        if out_vc is None:
-                            continue
-                    else:
-                        # VC allocation: the free VC of the packet's class
-                        # with the most credits (the first on a tie)
-                        out = outs[out_port]
-                        credits = out.credits
-                        owner = out.vc_owner
-                        cls = pkt.vc_class
-                        out_vc = -1
-                        best = 0
-                        for vc in (self._allowed[cls] if cls < self.vc_classes
-                                   else self._allowed[-1]):
-                            if credits[vc] > best and owner[vc] is None:
-                                out_vc = vc
-                                best = credits[vc]
-                        if out_vc < 0:
-                            continue
                 else:
-                    out_vc = ivc.out_vc
-                    if outs[out_port].credits[out_vc] <= 0:
+                    # VC allocation: the free VC of the packet's class with
+                    # the most credits (the first on a tie)
+                    out = outs[out_port]
+                    credits = out.credits
+                    owner = out.vc_owner
+                    cls = pkt.vc_class
+                    out_vc = -1
+                    best = 0
+                    for vc in (self._allowed[cls] if cls < self.vc_classes
+                               else self._allowed[-1]):
+                        if credits[vc] > best and owner[vc] is None:
+                            out_vc = vc
+                            best = credits[vc]
+                    if out_vc < 0:
                         continue
-                masks[out_port] |= ivc.bit
-                ivc.req_vc = out_vc
+            else:
+                out_vc = ivc.out_vc
+                if outs[out_port].credits[out_vc] <= 0:
+                    continue
+            masks[out_port] |= ivc.bit
+            ivc.req_vc = out_vc
 
         now = self.engine.now
-        # a degraded link anywhere: every flit leaves through its link's
-        # ``deliver`` (it cannot turn degraded during a pass)
-        direct = not (self._link_slow or self._link_last)
+        arrival = now + self._hop
         landing = now + self.credit_latency
         moved = 0
         used = 0  # slots of the input ports granted so far this pass
         for out_port in self.ports:
-            mask = self._requesters(out_port) if adaptive else masks[out_port]
+            mask = masks[out_port]
             if not mask:
                 continue
             if used:
@@ -574,24 +534,21 @@ class Router:
             out.credits[out_vc] -= 1
             out.flits_sent += 1
 
-            # the flit onto its wire: on a healthy fabric one hop latency
-            # keeps every inbox in landing order by construction — append,
-            # and arm the receiver by one compare
+            # the flit onto its wire: one hop latency on every link keeps
+            # each inbox in landing order by construction — append, and
+            # arm the receiver by one compare
             down = out.down
-            if down is not None and direct:
-                arrival = now + self._hop
+            if down is None:
+                out.deliver(flit)
+            else:
                 down._flits_in.append((arrival, out.down_port, flit))
                 if arrival < down._wake_at:
                     down._arm(arrival)
-            else:
-                out.deliver(flit)
 
             # the input slot it freed: a credit goes upstream
             up = ivc.up
             if up is None:
-                credit_fn = self._credit_return.get(ivc.port)
-                if credit_fn is not None:
-                    credit_fn(landing, vc)
+                self._credit_return(landing, vc)
             else:
                 router, port = up
                 router._credits_in.append((landing, port, vc))
@@ -604,88 +561,12 @@ class Router:
         self._flits_forwarded += moved
         return moved
 
-    def _route_to(self, dst: int) -> Optional[Port]:
+    def _route_to(self, dst: int) -> Port:
         """Deterministic route to ``dst``, memoised (routing functions are
-        pure in ``(node, dst)``); ``None`` if that port has no link."""
+        pure in ``(node, dst)``)."""
         port = self.routing.candidates(self.topo, self.node, dst)[0]
-        if self._out[port].deliver is None:
-            return None
         self._route[dst] = port
         return port
-
-    def _requesters(self, out_port: Port) -> int:
-        """Adaptive routing: the request mask of the input VCs that can
-        send a flit to ``out_port`` now (each one's output VC recorded as
-        its ``req_vc``)."""
-        out = self._out[out_port]
-        if out.deliver is None:
-            return 0
-        credits = out.credits
-        mask = 0
-        for ivc in self._scan:
-            if not ivc.buffer:
-                continue
-            flit = ivc.buffer[0]
-            if flit.is_head and ivc.out_port is None:
-                choice = self._route_and_allocate(ivc.vc, flit)
-                if choice is None:
-                    continue
-                port_choice, out_vc = choice
-                if port_choice != out_port:
-                    continue
-            else:
-                out_vc = ivc.out_vc
-                if ivc.out_port != out_port or out_vc is None:
-                    continue
-                if credits[out_vc] <= 0:
-                    continue
-            mask |= ivc.bit
-            ivc.req_vc = out_vc
-        return mask
-
-    def _route_and_allocate(
-        self, vc: int, flit: Flit
-    ) -> Optional[Tuple[Port, int]]:
-        """Route computation + VC allocation for a head flit under adaptive
-        routing: the candidate port and free VC with the most credits.
-
-        Pure query: no state is mutated here; the pass records the choice
-        in the request and the grant commits it if the flit wins.
-        """
-        pkt = flit.packet
-        # routing functions are pure in (node, dst): memoize per destination
-        if vc == 0:
-            candidates = self._escape_cache.get(pkt.dst)
-            if candidates is None:
-                candidates = self.routing.escape_candidates(  # type: ignore[attr-defined]
-                    self.topo, self.node, pkt.dst
-                )
-                self._escape_cache[pkt.dst] = candidates
-        else:
-            candidates = self._cand_cache.get(pkt.dst)
-            if candidates is None:
-                candidates = self.routing.candidates(self.topo, self.node, pkt.dst)
-                self._cand_cache[pkt.dst] = candidates
-        cls = pkt.vc_class
-        allowed = self._allowed[cls] if cls < self.vc_classes else self._allowed[-1]
-        best: Optional[Tuple[Port, int]] = None
-        best_credits = -1
-        for port_choice in candidates:
-            out = self._out[port_choice]
-            if out.deliver is None:
-                continue
-            for out_vc in allowed:
-                if out_vc == 0 and port_choice != candidates[0]:
-                    # escape VC only along the deterministic path
-                    continue
-                if out.vc_owner[out_vc] is not None:
-                    continue
-                if out.credits[out_vc] <= 0:
-                    continue
-                if out.credits[out_vc] > best_credits:
-                    best = (port_choice, out_vc)
-                    best_credits = out.credits[out_vc]
-        return best
 
     def _dateline_choice(self, pkt, out_port: Port) -> Optional[int]:
         """VC selection under the dateline discipline (torus routing).

@@ -3,22 +3,20 @@
 A routing function answers: given a packet at ``node`` heading for ``dst``,
 which output port(s) may it take?  Dimension-ordered XY routing is the
 Apiary default — it is deterministic and deadlock-free on a mesh, which is
-why hardened FPGA NoCs use it.  YX and a minimal-adaptive router (with XY
-as the escape path) are provided for the routing ablation.
+why hardened FPGA NoCs use it.  YX routes the other dimension first, and
+the torus variant adds wraparound links with dateline virtual channels.
 """
 
 from __future__ import annotations
 
 from typing import List, Protocol
 
-from repro.errors import RouteError
 from repro.noc.topology import Mesh2D, Port
 
 __all__ = [
     "RoutingFunction",
     "XYRouting",
     "YXRouting",
-    "MinimalAdaptiveRouting",
     "TorusXYRouting",
 ]
 
@@ -120,40 +118,3 @@ class TorusXYRouting:
     @staticmethod
     def dimension(port: Port) -> str:
         return "x" if port in (Port.EAST, Port.WEST) else "y"
-
-
-class MinimalAdaptiveRouting:
-    """Minimal adaptive routing: any productive direction is a candidate.
-
-    Candidates are returned with the X move first (so a congested router can
-    fall back to the Y move and vice versa).  Deadlock freedom comes from
-    the router restricting VC 0 to the XY-ordered candidate only (escape
-    VC, per Duato's protocol); adaptive choices use VCs >= 1.
-    """
-
-    name = "adaptive"
-
-    def __init__(self) -> None:
-        self._escape = XYRouting()
-
-    def candidates(self, topo: Mesh2D, node: int, dst: int) -> List[Port]:
-        if node == dst:
-            return [Port.LOCAL]
-        x, y = topo.coords(node)
-        dx, dy = topo.coords(dst)
-        ports: List[Port] = []
-        if x < dx:
-            ports.append(Port.EAST)
-        elif x > dx:
-            ports.append(Port.WEST)
-        if y < dy:
-            ports.append(Port.SOUTH)
-        elif y > dy:
-            ports.append(Port.NORTH)
-        if not ports:
-            raise RouteError(f"no productive port from {node} to {dst}")
-        return ports
-
-    def escape_candidates(self, topo: Mesh2D, node: int, dst: int) -> List[Port]:
-        """The deadlock-free escape path (used for VC 0)."""
-        return self._escape.candidates(topo, node, dst)

@@ -113,23 +113,6 @@ class TestInjector:
         assert inj.applied == 1
         assert system.network.router(2).stalls_injected == 1
 
-    def test_ni_drop_window(self):
-        system = small_system()
-        inj = self.run_plan(system, [
-            FaultEvent(1_000, FaultKind.NOC_DROP, 3, (("cycles", 5_000),)),
-        ])
-        assert inj.applied == 1
-        assert system.network.interface(3).drop_until > 0
-
-    def test_link_slow_applied(self):
-        system = small_system()
-        inj = self.run_plan(system, [
-            FaultEvent(1_000, FaultKind.NOC_LINK_SLOW, 0,
-                       (("cycles", 5_000), ("extra_latency", 30))),
-        ])
-        assert inj.applied == 1
-        assert system.stats.counters["noc.links_degraded"].value == 1
-
     def test_dram_bitflip_until_scrubbed(self):
         system = small_system()
         self.run_plan(system, [

@@ -1,12 +1,8 @@
 """Integration tests for the assembled NoC: delivery, ordering, contention,
-backpressure, QoS classes, adaptive routing and the progress watchdog."""
+backpressure, QoS classes, torus routing and the progress watchdog."""
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.noc import (
     Mesh2D,
-    MinimalAdaptiveRouting,
     Network,
     ProgressWatchdog,
     Torus2D,
@@ -173,35 +169,6 @@ def test_yx_routing_delivers():
     net = Network(eng, Mesh2D(4, 4), routing=YXRouting())
     out = run_transfer(eng, net, 0, 15, 5)
     assert len(out) == 5
-
-
-def test_adaptive_routing_delivers_under_load():
-    eng = Engine()
-    net = Network(eng, Mesh2D(4, 4), routing=MinimalAdaptiveRouting(), num_vcs=2)
-    received = []
-
-    def sender(src, dst):
-        ni = net.interface(src)
-        for _ in range(10):
-            yield ni.send(dst, payload_bytes=64)
-
-    def receiver(node, n):
-        ni = net.interface(node)
-        for _ in range(n):
-            pkt = yield ni.recv()
-            received.append(pkt.pid)
-
-    eng.process(sender(0, 15))
-    eng.process(sender(3, 12))
-    procs = [eng.process(receiver(15, 10)), eng.process(receiver(12, 10))]
-    eng.run_until_done(eng.all_of([p.done for p in procs]), limit=2_000_000)
-    assert len(received) == 20
-
-
-def test_adaptive_on_torus_rejected():
-    eng = Engine()
-    with pytest.raises(ConfigError):
-        Network(eng, Torus2D(4, 4), routing=MinimalAdaptiveRouting())
 
 
 def test_torus_with_xy_delivers():

@@ -1,4 +1,4 @@
-"""Unit tests for NoC building blocks: flits, topology, routing, arbiters, QoS."""
+"""Unit tests for NoC building blocks: flits, topology, routing, the arbiter, QoS."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +9,12 @@ from repro.noc import (
     Flit,
     FlitKind,
     Mesh2D,
-    MinimalAdaptiveRouting,
     Packet,
     Port,
-    PriorityArbiter,
     RateMeter,
     RoundRobinArbiter,
     TokenBucket,
     Torus2D,
-    WeightedArbiter,
     XYRouting,
     YXRouting,
     flits_for_bytes,
@@ -148,7 +145,7 @@ class TestRouting:
 
     def test_local_at_destination(self):
         mesh = Mesh2D(4, 4)
-        for routing in (XYRouting(), YXRouting(), MinimalAdaptiveRouting()):
+        for routing in (XYRouting(), YXRouting()):
             assert routing.candidates(mesh, 5, 5) == [Port.LOCAL]
 
     def test_xy_route_terminates_everywhere(self):
@@ -164,33 +161,17 @@ class TestRouting:
                     assert hops <= mesh.hop_distance(src, dst)
                 assert hops == mesh.hop_distance(src, dst)
 
-    def test_adaptive_offers_both_productive_dims(self):
-        mesh = Mesh2D(4, 4)
-        ad = MinimalAdaptiveRouting()
-        cands = ad.candidates(mesh, mesh.node_at(0, 0), mesh.node_at(2, 2))
-        assert set(cands) == {Port.EAST, Port.SOUTH}
-
-    def test_adaptive_escape_is_xy(self):
-        mesh = Mesh2D(4, 4)
-        ad = MinimalAdaptiveRouting()
-        assert ad.escape_candidates(mesh, mesh.node_at(0, 0), mesh.node_at(2, 2)) == [
-            Port.EAST
-        ]
-
 
 class TestArbiters:
     def test_round_robin_rotates(self):
         arb = RoundRobinArbiter(3)
-        grants = [arb.pick([True, True, True]) for _ in range(6)]
+        grants = [arb.grant(0b111) for _ in range(6)]
         assert grants == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_skips_idle(self):
         arb = RoundRobinArbiter(3)
-        assert arb.pick([False, True, False]) == 1
-        assert arb.pick([True, False, False]) == 0
-
-    def test_round_robin_none_when_idle(self):
-        assert RoundRobinArbiter(4).pick([False] * 4) is None
+        assert arb.grant(0b010) == 1
+        assert arb.grant(0b001) == 0
 
     def test_round_robin_grant_on_a_request_mask(self):
         """The first requesting slot at-or-after the pointer, wrapping to
@@ -202,32 +183,7 @@ class TestArbiters:
 
     def test_round_robin_wrong_width_rejected(self):
         with pytest.raises(ConfigError):
-            RoundRobinArbiter(2).pick([True])
-
-    def test_priority_always_lowest(self):
-        arb = PriorityArbiter(3)
-        assert arb.pick([False, True, True]) == 1
-        assert arb.pick([False, True, True]) == 1
-
-    def test_weighted_shares_converge_to_weights(self):
-        arb = WeightedArbiter([3.0, 1.0])
-        grants = [arb.pick([True, True]) for _ in range(4000)]
-        share0 = grants.count(0) / len(grants)
-        assert share0 == pytest.approx(0.75, abs=0.01)
-
-    def test_weighted_validation(self):
-        with pytest.raises(ConfigError):
-            WeightedArbiter([])
-        with pytest.raises(ConfigError):
-            WeightedArbiter([1.0, 0.0])
-
-    def test_weighted_idle_slot_keeps_no_advantage(self):
-        # A slot that never requests must not starve others when it returns.
-        arb = WeightedArbiter([1.0, 1.0])
-        for _ in range(100):
-            assert arb.pick([True, False]) == 0
-        grants = [arb.pick([True, True]) for _ in range(100)]
-        assert grants.count(1) == pytest.approx(50, abs=5)
+            RoundRobinArbiter(0)
 
 
 class TestTokenBucket:
