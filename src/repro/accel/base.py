@@ -105,6 +105,12 @@ class Accelerator:
         Subclasses call ``yield from self._work(n)`` for their busy loops so
         fault-injection tests work uniformly across accelerator types.
         """
+        yield self._charge(cost)
+
+    def _charge(self, cost: int) -> int:
+        """:meth:`_work` for a callback service: count one work item of
+        ``cost`` cycles and return the cycles to wait, or raise the
+        injected fault."""
         self._work_items += 1
         if (
             self.inject_fault_after is not None
@@ -113,7 +119,7 @@ class Accelerator:
             self.inject_fault_after = None
             raise TileFault(f"{self.name}: injected fault")
         self.busy_cycles += cost
-        yield cost
+        return cost
 
     # -- preemption hooks (Section 4.4) ----------------------------------------------
 

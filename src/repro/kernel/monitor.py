@@ -38,7 +38,7 @@ from repro.hw.resources import ResourceVector, monitor_cost
 from repro.kernel.message import MemAccess, Message, MessageKind
 from repro.mem.protection import SegmentProtectionUnit
 from repro.mem.segment import SegmentTable
-from repro.noc.flit import flits_for_bytes
+from repro.noc.flit import Packet, flits_for_bytes
 from repro.noc.network import NetworkInterface
 from repro.noc.qos import RateMeter, TokenBucket
 from repro.obs.span import SpanRecorder
@@ -93,6 +93,10 @@ class Monitor:
         #: delay, a rate-limit wait or its injection — and those behind it
         self._egress_msg: Optional[tuple] = None
         self._egress_queue: Deque[Tuple[Message, Event]] = deque()
+        #: the ingress pipeline: whether a message is in its interposition
+        #: delay, and the messages the interface handed over behind it
+        self._ingress_busy = False
+        self._ingress_queue: Deque[Message] = deque()
         #: delivery callback into the shell; set by the Shell at attach time
         self.deliver: Optional[Callable[[Message], None]] = None
         self.messages_sent = 0
@@ -109,7 +113,7 @@ class Monitor:
         #: support at the message passing layer" the design goals promise
         self.tx_meter = RateMeter(window_cycles=10_000, buckets=10)
         self.rx_meter = RateMeter(window_cycles=10_000, buckets=10)
-        ni.recv().add_callback(self._ingress_loop)
+        ni.receiver = self._receive
 
     def set_rate_limit(self, flits_per_cycle: Optional[float],
                        burst: int = 32) -> None:
@@ -225,11 +229,12 @@ class Monitor:
         else:
             self._egress_loop()
 
-    def _egress_loop(self, injected: Optional[Event] = None) -> None:
+    def _egress_loop(self, injected: Optional[Packet] = None) -> None:
         """The egress machine's one engine entry point.  ``None``: the
         interposition delay, or a rate-limit wait, is over — inject, or
-        wait for tokens (again).  The ``ni.send`` event: the whole message
-        is in the NoC — account it, tell the sender, start the next."""
+        wait for tokens (again).  The packet (the interface's call when it
+        is in): the whole message is in the NoC — account it, tell the
+        sender, start the next."""
         msg, done, span, dst_tile, size_flits = self._egress_msg
         now = self.engine.now
         if injected is None:
@@ -241,12 +246,8 @@ class Monitor:
                     return
                 bucket.consume(now, size_flits)
             msg.sent_at = now
-            self.ni.send(
-                dst=dst_tile,
-                payload=msg,
-                payload_bytes=msg.wire_bytes,
-                vc_class=msg.priority,
-            ).add_callback(self._egress_loop)
+            self.ni.inject(dst_tile, msg, msg.wire_bytes, msg.priority,
+                           self._egress_loop)
             return
         self.messages_sent += 1
         self.tx_meter.record(now, size_flits)
@@ -291,31 +292,40 @@ class Monitor:
 
     # -- ingress ----------------------------------------------------------------
 
-    def _ingress_loop(self, arg) -> None:
-        """The ingress machine's one engine entry point.  ``arg`` is the
-        ``ni.recv`` event carrying the next packet, or the ``(message,
-        span)`` whose interposition delay is over: delivered to the shell —
-        NACKed if the tile was drained meanwhile — and the next ``recv``
-        armed."""
-        spans = self.spans
-        if isinstance(arg, Event):
-            msg = arg.value.payload
-            if not isinstance(msg, Message):
-                # stray traffic; monitors only speak Message
-                self.ni.recv().add_callback(self._ingress_loop)
-                return
-            span = 0
-            if spans.enabled and msg.trace_id:
-                span = spans.open(msg.trace_id, "monitor.ingress", "monitor",
-                                  self.tile_name, self.engine.now,
-                                  parent_id=msg.span_id, mid=msg.mid,
-                                  op=msg.op)
-            if self.enforce:
-                self.engine.schedule(MONITOR_INGRESS_CYCLES,
-                                     self._ingress_loop, (msg, span))
-                return
+    def _receive(self, pkt: Packet) -> None:
+        """The interface's receiver: a reassembled packet enters the
+        ingress pipeline, or waits behind the message in it."""
+        msg = pkt.payload
+        if not isinstance(msg, Message):
+            return  # stray traffic; monitors only speak Message
+        if self._ingress_busy:
+            self._ingress_queue.append(msg)
         else:
-            msg, span = arg
+            self._ingress_start(msg)
+
+    def _ingress_start(self, msg: Message) -> None:
+        """The message at the head of the pipeline enters its
+        interposition delay (``enforce=False``: is delivered at once)."""
+        span = 0
+        if self.spans.enabled and msg.trace_id:
+            span = self.spans.open(msg.trace_id, "monitor.ingress", "monitor",
+                                   self.tile_name, self.engine.now,
+                                   parent_id=msg.span_id, mid=msg.mid,
+                                   op=msg.op)
+        if self.enforce:
+            self._ingress_busy = True
+            self.engine.schedule(MONITOR_INGRESS_CYCLES, self._ingress_loop,
+                                 (msg, span))
+        else:
+            self._ingress_loop((msg, span))
+
+    def _ingress_loop(self, arg: Tuple[Message, int]) -> None:
+        """The ingress machine's one engine entry point: the ``(message,
+        span)`` whose interposition delay is over is delivered to the
+        shell — NACKed if the tile was drained meanwhile — and the next
+        waiting message enters its delay."""
+        msg, span = arg
+        spans = self.spans
         if self.drained:
             if span:
                 spans.close(span, self.engine.now, nacked=True)
@@ -328,7 +338,9 @@ class Monitor:
                 self.deliver(msg)
             if span:
                 spans.close(span, self.engine.now)
-        self.ni.recv().add_callback(self._ingress_loop)
+        self._ingress_busy = False
+        if self._ingress_queue:
+            self._ingress_start(self._ingress_queue.popleft())
 
     def _nack(self, msg: Message) -> None:
         """Fail-stop semantics: reject communication with a drained tile."""
@@ -346,8 +358,7 @@ class Monitor:
                          to=error.dst, mid=error.mid)
         # trusted path: NACKs bypass the egress queue and rate limiter so a
         # drained tile cannot be wedged by its own policy state
-        self.ni.send(dst=dst_tile, payload=error,
-                     payload_bytes=error.wire_bytes, vc_class=msg.priority)
+        self.ni.inject(dst_tile, error, error.wire_bytes, msg.priority)
 
     # -- fault handling hooks (§4.4) -----------------------------------------------
 

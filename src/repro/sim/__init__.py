@@ -8,7 +8,7 @@ primitives in :mod:`repro.sim.stats`.  (Observation — spans and events —
 lives in :mod:`repro.obs`.)
 """
 
-from repro.sim.channel import Channel, ChannelClosed
+from repro.sim.channel import Channel
 from repro.sim.engine import Engine, Event, Interrupt, Process
 from repro.sim.resource import Grant, Resource
 from repro.sim.rng import RngPool
@@ -20,7 +20,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "Channel",
-    "ChannelClosed",
     "Resource",
     "Grant",
     "RngPool",

@@ -1,9 +1,9 @@
 """Bounded FIFO channels — the simulated hardware queues.
 
-Every wire-level interface in the reproduction (NoC links, the FIFO between
-an accelerator and its Apiary monitor, DRAM command queues) is a
-:class:`Channel`: a bounded FIFO with blocking put/get and credit-style
-backpressure, matching how on-chip FIFOs behave.
+A :class:`Channel` is a bounded FIFO with blocking put/get and credit-style
+backpressure, matching how on-chip FIFOs behave.  It is what a process
+waits on: a shell's inbox, a bare NoC interface's delivery queue, a
+transport endpoint's inbox when no receiver callback is given.
 
 Processes use channels by yielding the events returned from :meth:`Channel.put`
 and :meth:`Channel.get`::
@@ -21,16 +21,12 @@ and :meth:`Channel.get`::
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event
 
-__all__ = ["Channel", "ChannelClosed"]
-
-
-class ChannelClosed(SimulationError):
-    """Raised into getters when a channel closes and drains empty."""
+__all__ = ["Channel"]
 
 
 class Channel:
@@ -45,35 +41,25 @@ class Channel:
         measurement taps, not for modelled hardware).
     name:
         Label used in traces and error messages.
-    latency:
-        Cycles between a successful put and the item becoming visible to
-        getters — models wire/FIFO propagation delay.
     """
 
-    __slots__ = ("engine", "capacity", "name", "latency", "_items",
-                 "_in_flight", "_getters", "_putters", "_closed",
-                 "total_put", "total_got", "high_watermark")
+    __slots__ = ("engine", "capacity", "name", "_items", "_getters",
+                 "_putters", "total_put", "total_got", "high_watermark")
 
     def __init__(
         self,
         engine: Engine,
         capacity: Optional[int] = 1,
         name: str = "",
-        latency: int = 0,
     ):
         if capacity is not None and capacity < 1:
             raise SimulationError(f"channel capacity must be >= 1, got {capacity}")
-        if latency < 0:
-            raise SimulationError(f"channel latency must be >= 0, got {latency}")
         self.engine = engine
         self.capacity = capacity
         self.name = name
-        self.latency = latency
         self._items: Deque[Any] = deque()
-        self._in_flight = 0
         self._getters: Deque[Event] = deque()
         self._putters: Deque[Tuple[Event, Any]] = deque()
-        self._closed = False
         self.total_put = 0
         self.total_got = 0
         self.high_watermark = 0
@@ -84,21 +70,12 @@ class Channel:
         return len(self._items)
 
     @property
-    def occupancy(self) -> int:
-        """Items visible plus items still propagating (credit accounting)."""
-        return len(self._items) + self._in_flight
-
-    @property
     def full(self) -> bool:
-        return self.capacity is not None and self.occupancy >= self.capacity
+        return self.capacity is not None and len(self._items) >= self.capacity
 
     @property
     def empty(self) -> bool:
         return not self._items
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def peek(self) -> Any:
         if not self._items:
@@ -109,8 +86,6 @@ class Channel:
 
     def put(self, item: Any) -> Event:
         """Enqueue ``item``; the returned event succeeds once it is accepted."""
-        if self._closed:
-            raise ChannelClosed(f"put on closed channel {self.name!r}")
         done = Event(self.engine, name=f"{self.name}.put")
         if not self.full and not self._putters:
             self._accept(item)
@@ -121,8 +96,6 @@ class Channel:
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: accept the item now or return ``False``."""
-        if self._closed:
-            raise ChannelClosed(f"put on closed channel {self.name!r}")
         if self.full or self._putters:
             return False
         self._accept(item)
@@ -136,8 +109,6 @@ class Channel:
             self.total_got += 1
             done.succeed(item)
             self._drain_putters()
-        elif self._closed and self._in_flight == 0:
-            done.fail(ChannelClosed(f"channel {self.name!r} closed and empty"))
         else:
             self._getters.append(done)
         return done
@@ -151,60 +122,23 @@ class Channel:
         self._drain_putters()
         return True, item
 
-    def close(self) -> None:
-        """Close the channel: pending/future gets on an empty queue fail.
-
-        The Apiary monitor closes the accelerator-facing channels of a
-        fail-stopped tile; peers blocked on it observe :class:`ChannelClosed`
-        rather than hanging forever (the paper's drain semantics).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        while self._putters:
-            done, _item = self._putters.popleft()
-            done.fail(ChannelClosed(f"channel {self.name!r} closed"))
-        if not self._items and self._in_flight == 0:
-            self._fail_getters()
-
     # -- internals -------------------------------------------------------
 
     def _accept(self, item: Any) -> None:
         self.total_put += 1
-        if self.latency == 0:
-            self._arrive(item)
-        else:
-            self._in_flight += 1
-            self.engine.schedule(self.latency, self._arrive_delayed, item)
-        self.high_watermark = max(self.high_watermark, self.occupancy)
-
-    def _arrive_delayed(self, item: Any) -> None:
-        self._in_flight -= 1
-        self._arrive(item)
-        # The in-flight slot freed up: admit any blocked putter, and if the
-        # channel was closed while this item was propagating, finish closing.
-        self._drain_putters()
-        if self._closed and not self._items and self._in_flight == 0:
-            self._fail_getters()
-
-    def _arrive(self, item: Any) -> None:
         if self._getters:
             getter = self._getters.popleft()
             self.total_got += 1
             getter.succeed(item)
         else:
             self._items.append(item)
+        self.high_watermark = max(self.high_watermark, len(self._items))
 
     def _drain_putters(self) -> None:
         while self._putters and not self.full:
             done, item = self._putters.popleft()
             self._accept(item)
             done.succeed(None)
-
-    def _fail_getters(self) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            getter.fail(ChannelClosed(f"channel {self.name!r} closed"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.capacity is None else str(self.capacity)

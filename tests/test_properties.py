@@ -236,11 +236,10 @@ def test_token_bucket_long_run_rate_bound(rate, burst, gaps):
 
 
 @SETTINGS
-@given(st.lists(st.integers(), min_size=1, max_size=50),
-       st.integers(1, 8), st.integers(0, 3))
-def test_channel_preserves_fifo_under_any_capacity(items, capacity, latency):
+@given(st.lists(st.integers(), min_size=1, max_size=50), st.integers(1, 8))
+def test_channel_preserves_fifo_under_any_capacity(items, capacity):
     eng = Engine()
-    ch = Channel(eng, capacity=capacity, latency=latency)
+    ch = Channel(eng, capacity=capacity)
     got = []
 
     def producer():

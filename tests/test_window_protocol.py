@@ -185,16 +185,23 @@ BARRIER_CHAOS = {
 #: served and the report still passes.
 #: The stats digest was re-pinned once more when the NI loss windows were
 #: deleted: each board's snapshot lost its ``"noc.packets_dropped": 0.0``
-#: entry and nothing else (the other five artefacts are unchanged)
+#: entry and nothing else (the other five artefacts are unchanged).
+#: The as-recorded spans and flight digests were re-pinned when a message
+#: came to cross the monitor and the network interface by plain calls: a
+#: monitor opens its ingress span in the cycle the packet is reassembled,
+#: as before, but no longer one ring hop later, so on each board the
+#: ``monitor.ingress`` span of ``net.bind`` and a ``noc.transit`` opened in
+#: that cycle (1,420,051) trade ids.  The report, the stats and both
+#: id-free digests are unchanged.
 GOLDEN = {
     "report":
         "61de601004e93896622e9335e7ff5c232916f9e60a74d8db04282133a43af874",
     "spans":
-        "a1802038c40548d6d68286654d6a343b95de6924e474afebddecfad864f5076b",
+        "dba052fe4b397b970e4ca0faa403f8747900b45de4da896847a6da90571d1bba",
     "stats":
         "6f48ce88f220286ddee8747e41573e50e38b34bc2521227786e5910cd2117b70",
     "flight":
-        "f41ee1e3bc163295af6dd9a7d8959383ff1c0972475608ab10a0d25841811857",
+        "ab0c7de0349f54a3aaafc0f71072560094b669afb03d24060658c44d28a34712",
     "spans_id_free":
         "8459dd0448561622eaf07439b8cf32497a116b1d30d65a1023bbbce72027e7ed",
     "flight_id_free":
