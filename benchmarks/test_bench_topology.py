@@ -12,18 +12,19 @@ import pytest
 
 from repro.eval import format_table
 from repro.eval.report import record
-from repro.noc import Mesh2D, Network, Torus2D, TorusXYRouting, XYRouting
+from repro.noc import Mesh2D, Network, Torus2D
 from repro.sim import Engine, RngPool
 
 SIZE = 4
 N_PACKETS_PER_NODE = 12
 
 
-def run_topology(topo_cls, routing_cls):
+def run_topology(topo_cls):
+    """Routing follows the topology: XY on the mesh, torus XY with
+    dateline VCs on the torus."""
     engine = Engine()
     topo = topo_cls(SIZE, SIZE)
-    net = Network(engine, topo, routing=routing_cls(), num_vcs=2,
-                  vc_classes=1)
+    net = Network(engine, topo, num_vcs=2, vc_classes=1)
     rng = RngPool(seed=5).stream("traffic")
     total = topo.node_count * N_PACKETS_PER_NODE
     done = {"received": 0}
@@ -65,8 +66,8 @@ def run_topology(topo_cls, routing_cls):
 def test_bench_topology(benchmark):
     def run_all():
         return {
-            "mesh 4x4": run_topology(Mesh2D, XYRouting),
-            "torus 4x4": run_topology(Torus2D, TorusXYRouting),
+            "mesh 4x4": run_topology(Mesh2D),
+            "torus 4x4": run_topology(Torus2D),
         }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -2,8 +2,8 @@
 
 Behavioural accelerator models programmed against the Apiary shell: the
 Section 2 workloads (video encoder, third-party compressor, KV store), a
-crypto stage and a hash join for pipelines, measurement probes (echo,
-sink), and the misbehaving accelerators the isolation experiments need.
+crypto stage for pipelines, measurement probes (echo, sink), and the
+misbehaving accelerators the isolation experiments need.
 """
 
 from repro.accel.base import Accelerator
@@ -16,7 +16,6 @@ from repro.accel.faulty import (
     SnoopingAccel,
     WildWriterAccel,
 )
-from repro.accel.hashjoin import JOIN_CYCLES_PER_ROW, HashJoinAccel
 from repro.accel.kvstore import KV_HASH_CYCLES, KvStore
 from repro.accel.video import (
     ENCODE_CYCLES_PER_FRAME,
@@ -37,8 +36,6 @@ __all__ = [
     "KV_HASH_CYCLES",
     "CryptoAccel",
     "CRYPTO_CYCLES_PER_BLOCK",
-    "HashJoinAccel",
-    "JOIN_CYCLES_PER_ROW",
     "FloodingAccel",
     "SnoopingAccel",
     "CrashingAccel",

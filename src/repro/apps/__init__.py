@@ -2,12 +2,11 @@
 
 The Section 2 workloads assembled from library accelerators: the video
 pipeline (with composition and scale-out variants), the KV service
-deployable across all systems under test, generic microservice chains, and
-the two demo handlers (echo, per-shard kv) every cluster scenario deploys.
+deployable across all systems under test, and the two demo handlers (echo,
+per-shard kv) every cluster scenario deploys.
 """
 
 from repro.apps.kv_service import KV_PORT, deploy_kv_on_apiary, make_kv_handler
-from repro.apps.microservice import ChainStage, deploy_chain
 from repro.apps.service import (
     PortedService,
     echo_handler_factory,
@@ -29,6 +28,4 @@ __all__ = [
     "LoadBalancer",
     "deploy_pipeline",
     "deploy_replicated_encoder",
-    "ChainStage",
-    "deploy_chain",
 ]

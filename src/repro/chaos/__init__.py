@@ -1,9 +1,9 @@
 """Fault-injection campaigns against the simulated FPGA.
 
-``injector`` plans and applies deterministic, seeded faults across every
-hardware layer the repo models (NoC, DRAM, Ethernet, tiles); ``campaign``
-sweeps fault rates against a checksum workload and reports availability
-with and without the kernel's recovery subsystem.
+``injector`` plans and applies deterministic, seeded faults (a fail-stop
+tile crash, a NoC router stall); ``campaign`` sweeps fault rates against a
+checksum workload and reports availability with and without the kernel's
+recovery subsystem.
 """
 
 from repro.chaos.campaign import (

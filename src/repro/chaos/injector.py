@@ -10,7 +10,7 @@ run and every stochastic draw comes from named
 byte-identical fault sequences — the property the CI determinism check
 enforces.
 
-Fault surface (one kind per hardware layer the repo models):
+Fault surface (the paper's fail-stop tile, and the NoC's one fault):
 
 ======================  ======================================================
 kind                    effect
@@ -18,16 +18,14 @@ kind                    effect
 ``TILE_CRASH``          spontaneous accelerator death via
                         :meth:`~repro.kernel.tile.Tile.inject_crash`; the
                         normal §4.4 containment (and recovery) machinery runs
-``NOC_ROUTER_STALL``    one router's switch allocation freezes; backpressure
-                        spreads through credit exhaustion
-``DRAM_BITFLIP``        a single-event upset at one physical address;
-                        visible to readers until a write scrubs it
-``DRAM_BANK_FAIL``      one bank rejects accesses with ``DramFault`` for a
-                        window
-``ETH_LOSS_BURST``      the datacenter fabric drops a fraction of frames for
-                        a window
-``ETH_CORRUPT_BURST``   frames are corrupted in flight; MACs count CRC drops
+``NOC_ROUTER_STALL``    one router's switch allocation freezes for
+                        ``cycles``; backpressure spreads through credit
+                        exhaustion
 ======================  ======================================================
+
+A kind takes exactly the parameters named in :data:`DEFAULT_FAULT_PARAMS`;
+any other key, or a stall shorter than one cycle, is a ``ConfigError``
+when the plan is generated or armed, never when the fault fires.
 
 ``TILE_CRASH`` targets may be logical endpoint names; they are resolved via
 the name table *at apply time*, so a crash campaign keeps chasing a service
@@ -50,21 +48,25 @@ __all__ = ["FaultKind", "FaultEvent", "FaultPlan", "Injector",
 class FaultKind(enum.Enum):
     TILE_CRASH = "tile-crash"
     NOC_ROUTER_STALL = "noc-router-stall"
-    DRAM_BITFLIP = "dram-bitflip"
-    DRAM_BANK_FAIL = "dram-bank-fail"
-    ETH_LOSS_BURST = "eth-loss-burst"
-    ETH_CORRUPT_BURST = "eth-corrupt-burst"
 
 
 #: per-kind knobs merged under any caller overrides at plan time
 DEFAULT_FAULT_PARAMS: Dict[FaultKind, Dict[str, Any]] = {
     FaultKind.TILE_CRASH: {},
     FaultKind.NOC_ROUTER_STALL: {"cycles": 20_000},
-    FaultKind.DRAM_BITFLIP: {},
-    FaultKind.DRAM_BANK_FAIL: {"cycles": 50_000},
-    FaultKind.ETH_LOSS_BURST: {"loss_rate": 0.5, "cycles": 50_000},
-    FaultKind.ETH_CORRUPT_BURST: {"corrupt_rate": 0.5, "cycles": 50_000},
 }
+
+
+def _check_params(kind: FaultKind, params: Mapping[str, Any]) -> None:
+    """Refuse what would only fail once the fault fires: a key the kind
+    does not take, or a stall shorter than one cycle."""
+    defaults = DEFAULT_FAULT_PARAMS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{kind.value} takes no parameter(s) {unknown}; "
+                          f"known: {sorted(defaults)}")
+    if kind is FaultKind.NOC_ROUTER_STALL and params.get("cycles", 1) < 1:
+        raise ConfigError(f"a stall lasts >= 1 cycle, got {params['cycles']}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,10 @@ class FaultPlan:
         lo_f, hi_f = window
         if not 0.0 <= lo_f < hi_f <= 1.0:
             raise ConfigError(f"bad plan window {window}")
+        merged = {kind: {**DEFAULT_FAULT_PARAMS[kind],
+                         **(params or {}).get(kind, {})} for kind in rates}
+        for kind, kind_params in merged.items():
+            _check_params(kind, kind_params)
         pool = RngPool(seed=seed)
         events: List[FaultEvent] = []
         for kind in sorted(rates, key=lambda k: k.value):
@@ -144,9 +150,7 @@ class FaultPlan:
             lo = int(duration * lo_f)
             hi = max(lo + 1, int(duration * hi_f))
             times = sorted(int(t) for t in rng.integers(lo, hi, size=count))
-            merged = dict(DEFAULT_FAULT_PARAMS.get(kind, {}))
-            merged.update((params or {}).get(kind, {}))
-            frozen = tuple(sorted(merged.items()))
+            frozen = tuple(sorted(merged[kind].items()))
             for t in times:
                 pick = candidates[int(rng.integers(0, len(candidates)))]
                 events.append(FaultEvent(time=t, kind=kind, target=pick,
@@ -174,7 +178,6 @@ class Injector:
         self.system = system
         self.plan = plan
         self.engine = system.engine
-        self._rng = RngPool(seed=plan.seed).fork("injector")
         self.log: List[Tuple[int, FaultEvent, str]] = []
         self.applied = 0
         self.skipped = 0
@@ -184,6 +187,8 @@ class Injector:
         """Start applying the plan, with event times relative to now."""
         if self._armed:
             raise ConfigError("injector is already armed")
+        for ev in self.plan.events:
+            _check_params(ev.kind, dict(ev.params))
         self._armed = True
         self._t0 = self.engine.now
         self.engine.process(self._run(), name="chaos.injector")
@@ -211,10 +216,6 @@ class Injector:
         handler = {
             FaultKind.TILE_CRASH: self._tile_crash,
             FaultKind.NOC_ROUTER_STALL: self._router_stall,
-            FaultKind.DRAM_BITFLIP: self._dram_bitflip,
-            FaultKind.DRAM_BANK_FAIL: self._dram_bank_fail,
-            FaultKind.ETH_LOSS_BURST: self._eth_loss,
-            FaultKind.ETH_CORRUPT_BURST: self._eth_corrupt,
         }[ev.kind]
         return handler(ev)
 
@@ -235,48 +236,6 @@ class Injector:
         node = self._resolve_node(ev.target)
         if node is None:
             return "skipped: endpoint not bound"
-        self.system.network.router(node).stall(ev.param("cycles", 20_000))
-        return "applied"
-
-    def _dram_bitflip(self, ev: FaultEvent) -> str:
-        dram = self.system.dram
-        if dram is None:
-            return "skipped: no DRAM"
-        dram.flip_bit(int(ev.target) % dram.capacity_bytes)
-        return "applied"
-
-    def _dram_bank_fail(self, ev: FaultEvent) -> str:
-        dram = self.system.dram
-        if dram is None:
-            return "skipped: no DRAM"
-        flat = int(ev.target)
-        channel = flat % len(dram.channels)
-        bank = (flat // len(dram.channels)) % len(dram.channels[channel].banks)
-        dram.fail_bank(channel, bank, ev.param("cycles", 50_000))
-        return "applied"
-
-    def _fabric(self):
-        mac = getattr(self.system, "mac", None)
-        return mac.fabric if mac is not None else None
-
-    def _eth_loss(self, ev: FaultEvent) -> str:
-        fabric = self._fabric()
-        if fabric is None:
-            return "skipped: no Ethernet attachment"
-        previous = fabric.loss_rate
-        fabric.set_loss(ev.param("loss_rate", 0.5),
-                        rng=self._rng.stream("eth.loss"))
-        self.engine.schedule(ev.param("cycles", 50_000),
-                             lambda _: fabric.set_loss(previous))
-        return "applied"
-
-    def _eth_corrupt(self, ev: FaultEvent) -> str:
-        fabric = self._fabric()
-        if fabric is None:
-            return "skipped: no Ethernet attachment"
-        previous = fabric.corrupt_rate
-        fabric.set_corruption(ev.param("corrupt_rate", 0.5),
-                              rng=self._rng.stream("eth.corrupt"))
-        self.engine.schedule(ev.param("cycles", 50_000),
-                             lambda _: fabric.set_corruption(previous))
+        default = DEFAULT_FAULT_PARAMS[FaultKind.NOC_ROUTER_STALL]["cycles"]
+        self.system.network.router(node).stall(ev.param("cycles", default))
         return "applied"

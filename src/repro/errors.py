@@ -74,10 +74,6 @@ class TileFault(ReproError):
     """An accelerator on a tile raised a modelled hardware fault."""
 
 
-class DramFault(ReproError):
-    """A DRAM bank is (temporarily) failed; the access cannot complete."""
-
-
 class ReconfigError(ReproError):
     """Partial reconfiguration of a tile slot failed."""
 

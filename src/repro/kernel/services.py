@@ -28,7 +28,6 @@ from repro.errors import (
     AllocationError,
     CapabilityError,
     ConfigError,
-    DramFault,
     ProtocolError,
     SegmentFault,
 )
@@ -172,8 +171,6 @@ class MemoryService(Accelerator):
         yield from self.dram.access(physical, access.nbytes, is_write=True,
                                     trace_id=msg.trace_id,
                                     parent_span=msg.span_id)
-        # writing refreshes the cells: any injected upsets in range are gone
-        self.dram.scrub(physical, access.nbytes)
         store = self._backing[seg.sid]
         end = access.offset + access.nbytes
         if len(store) < end:
@@ -194,12 +191,6 @@ class MemoryService(Accelerator):
         store = self._backing[seg.sid]
         end = access.offset + access.nbytes
         data = bytes(store[access.offset:end]).ljust(access.nbytes, b"\x00")
-        upset = self.dram.corrupted_in(physical, access.nbytes)
-        if upset:
-            buf = bytearray(data)
-            for off in upset:
-                buf[off] ^= 0x80  # the flipped bit reaches the reader
-            data = bytes(buf)
         return data, access.nbytes
 
     def _grant(self, msg: Message):
@@ -214,7 +205,7 @@ class MemoryService(Accelerator):
                  "mem.write": _write, "mem.grant": _grant}
     #: what a request can be refused with: each becomes an error reply
     _REFUSALS = (AllocationError, CapabilityError, SegmentFault,
-                 ProtocolError, ConfigError, DramFault)
+                 ProtocolError, ConfigError)
 
 
 # -- MAC adapters: one OS-side driver per divergent vendor interface -------------

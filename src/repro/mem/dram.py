@@ -15,9 +15,9 @@ bandwidth, matching how HBM trades channel width for parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.errors import ConfigError, DramFault
+from repro.errors import ConfigError
 from repro.obs.span import SpanRecorder
 from repro.sim import Engine, Event, Resource
 
@@ -56,15 +56,13 @@ HBM2_TIMING = DramTiming(row_hit=10, row_miss=16, row_conflict=24,
 class DramBank:
     """One bank: tracks the open row for hit/miss/conflict classification."""
 
-    __slots__ = ("open_row", "hits", "misses", "conflicts", "failed_until")
+    __slots__ = ("open_row", "hits", "misses", "conflicts")
 
     def __init__(self) -> None:
         self.open_row: Optional[int] = None
         self.hits = 0
         self.misses = 0
         self.conflicts = 0
-        #: fault injection: accesses to this bank raise DramFault until then
-        self.failed_until = 0
 
     def access_kind(self, row: int) -> str:
         if self.open_row is None:
@@ -137,16 +135,10 @@ class DramChannel:
         cursor = addr
         while remaining > 0:
             bank_idx, row = self.locate(cursor)
-            bank = self.banks[bank_idx]
-            if self.engine.now < bank.failed_until:
-                raise DramFault(
-                    f"{self.name} bank {bank_idx} failed until "
-                    f"{bank.failed_until} (access at {self.engine.now})"
-                )
             # bytes available in this row before crossing into the next
             row_offset = cursor % self.row_bytes
             chunk = min(remaining, self.row_bytes - row_offset)
-            kind = bank.touch(row)
+            kind = self.banks[bank_idx].touch(row)
             yield self._row_latency[kind]
             bursts = (chunk + self.timing.burst_bytes - 1) // self.timing.burst_bytes
             grant = yield self.bus.acquire()
@@ -195,46 +187,6 @@ class Dram:
         #: system-wide recorder.  Disabled by default, so standalone Dram
         #: instances pay nothing.
         self.spans = SpanRecorder()
-        # fault injection: physical addresses whose stored value is wrong
-        # (single-event upsets).  Data integrity lives with whoever holds
-        # the backing bytes (the memory service), so the device only tracks
-        # *which* addresses are upset; readers consult corrupted_in().
-        self._flipped: Dict[int, None] = {}
-        self.bitflips_injected = 0
-        self.bank_fails_injected = 0
-
-    # -- fault injection ---------------------------------------------------
-
-    def flip_bit(self, addr: int) -> None:
-        """Mark the byte at ``addr`` as upset (an SEU in a DRAM cell)."""
-        if not 0 <= addr < self.capacity_bytes:
-            raise ConfigError(f"address {addr:#x} outside DRAM")
-        self._flipped[addr] = None
-        self.bitflips_injected += 1
-
-    def corrupted_in(self, addr: int, nbytes: int) -> List[int]:
-        """Offsets within ``[addr, addr+nbytes)`` holding upset bytes."""
-        return [a - addr for a in self._flipped
-                if addr <= a < addr + nbytes]
-
-    def scrub(self, addr: int, nbytes: int) -> int:
-        """A write refreshes the cells: clear upsets in the range."""
-        stale = [a for a in self._flipped if addr <= a < addr + nbytes]
-        for a in stale:
-            del self._flipped[a]
-        return len(stale)
-
-    def fail_bank(self, channel: int, bank: int, duration: int) -> None:
-        """Take one bank offline for ``duration`` cycles."""
-        if not 0 <= channel < len(self.channels):
-            raise ConfigError(f"no DRAM channel {channel}")
-        banks = self.channels[channel].banks
-        if not 0 <= bank < len(banks):
-            raise ConfigError(f"no bank {bank} in channel {channel}")
-        banks[bank].failed_until = max(
-            banks[bank].failed_until, self.engine.now + duration
-        )
-        self.bank_fails_injected += 1
 
     def channel_of(self, addr: int) -> Tuple[DramChannel, int]:
         """(channel, channel-local address) for a physical address."""

@@ -53,11 +53,11 @@ class FrameEnvelope:
     """
 
     __slots__ = ("seq", "src_partition", "send_cycle", "src_mac", "dst_mac",
-                 "nbytes", "payload", "ethertype", "corrupted")
+                 "nbytes", "payload", "ethertype")
 
     def __init__(self, seq: int, src_partition: int, send_cycle: int,
                  src_mac: str, dst_mac: str, nbytes: int, payload,
-                 ethertype: int, corrupted: bool):
+                 ethertype: int):
         self.seq = seq
         self.src_partition = src_partition
         self.send_cycle = send_cycle
@@ -66,18 +66,15 @@ class FrameEnvelope:
         self.nbytes = nbytes
         self.payload = payload
         self.ethertype = ethertype
-        self.corrupted = corrupted
 
     def sort_key(self):
         return (self.send_cycle, self.src_partition, self.seq)
 
     def to_frame(self) -> EthernetFrame:
-        frame = EthernetFrame(src_mac=self.src_mac, dst_mac=self.dst_mac,
-                              nbytes=self.nbytes, payload=self.payload,
-                              ethertype=self.ethertype,
-                              sent_at=self.send_cycle)
-        frame.corrupted = self.corrupted
-        return frame
+        return EthernetFrame(src_mac=self.src_mac, dst_mac=self.dst_mac,
+                             nbytes=self.nbytes, payload=self.payload,
+                             ethertype=self.ethertype,
+                             sent_at=self.send_cycle)
 
     def __repr__(self) -> str:
         return (f"<Envelope #{self.seq} p{self.src_partition} "
@@ -90,7 +87,7 @@ def pickle_roundtrip(envelope: FrameEnvelope) -> FrameEnvelope:
     return FrameEnvelope(
         envelope.seq, envelope.src_partition, envelope.send_cycle,
         envelope.src_mac, envelope.dst_mac, envelope.nbytes,
-        wire_copy(envelope.payload), envelope.ethertype, envelope.corrupted)
+        wire_copy(envelope.payload), envelope.ethertype)
 
 
 class PartitionFabric(EthernetFabric):
@@ -98,11 +95,10 @@ class PartitionFabric(EthernetFabric):
 
     ``partition_of`` maps MAC addresses to partition ids; unmapped MACs
     (clients, the front-end — attached at runtime) belong to the host
-    partition 0.  Loss and corruption draw from the *sender* partition's
-    rng stream, and a board fail-stop is propagated as a
-    :meth:`mark_remote_detached` broadcast so senders drop frames to the
-    dead MAC at transmit time, mirroring the shared fabric's
-    unknown-destination drop.
+    partition 0.  Loss draws from the *sender* partition's rng stream,
+    and a board fail-stop is propagated as a :meth:`mark_remote_detached`
+    broadcast so senders drop frames to the dead MAC at transmit time,
+    mirroring the shared fabric's unknown-destination drop.
     """
 
     def __init__(
@@ -146,10 +142,6 @@ class PartitionFabric(EthernetFabric):
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.frames_lost += 1
             return
-        corrupted = False
-        if self.corrupt_rate > 0.0 and self._rng.random() < self.corrupt_rate:
-            self.frames_corrupted += 1
-            corrupted = True
         if frame.dst_mac in self._remote_detached:
             self.frames_dropped += 1
             return
@@ -160,7 +152,6 @@ class PartitionFabric(EthernetFabric):
             send_cycle=self.engine.now, src_mac=frame.src_mac,
             dst_mac=frame.dst_mac, nbytes=frame.nbytes,
             payload=frame.payload, ethertype=frame.ethertype,
-            corrupted=corrupted or frame.corrupted,
         ))
 
     def drain_outbox(self) -> List[FrameEnvelope]:

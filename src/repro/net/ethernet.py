@@ -57,7 +57,6 @@ class TenGigMac:
         self._tx_queue: Deque[Tuple[EthernetFrame, Event]] = deque()
         self.frames_sent = 0
         self.frames_received = 0
-        self.crc_drops = 0
         fabric.attach(mac_addr, self._rx)
 
     # -- the 10G-specific bring-up dance ------------------------------------
@@ -117,9 +116,6 @@ class TenGigMac:
     def _rx(self, frame: EthernetFrame) -> None:
         if not self.ready or self._rx_callback is None:
             return  # frames before bring-up are dropped on the floor
-        if frame.corrupted:
-            self.crc_drops += 1  # FCS mismatch: the MAC discards silently
-            return
         self.frames_received += 1
         self._rx_callback(frame)
 
@@ -157,7 +153,6 @@ class HundredGigMac:
         self._slot_held_at = -1
         self.frames_sent = 0
         self.frames_received = 0
-        self.crc_drops = 0
         fabric.attach(mac_addr, self._rx)
 
     # -- the 100G-specific register protocol -------------------------------------
@@ -226,9 +221,6 @@ class HundredGigMac:
 
     def _rx(self, frame: EthernetFrame) -> None:
         if not self.ready or self._rx_handler is None:
-            return
-        if frame.corrupted:
-            self.crc_drops += 1
             return
         self.frames_received += 1
         self._rx_handler(frame)

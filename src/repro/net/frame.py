@@ -52,8 +52,6 @@ class EthernetFrame:
     payload: Any = None
     ethertype: int = 0x0800
     sent_at: int = -1
-    #: set by fault injection; receiving MACs drop the frame as a CRC error
-    corrupted: bool = False
 
     def __post_init__(self) -> None:
         if self.nbytes < MIN_FRAME_BYTES:
@@ -85,7 +83,6 @@ class EthernetFabric:
         self.engine = engine
         self.latency_cycles = latency_cycles
         self.loss_rate = loss_rate
-        self.corrupt_rate = 0.0
         self.max_frame = 9000 if jumbo else MAX_FRAME_BYTES
         self._rng = rng
         self._endpoints: Dict[str, Callable[[EthernetFrame], None]] = {}
@@ -93,31 +90,8 @@ class EthernetFabric:
         self.frames_delivered = 0
         self.frames_dropped = 0
         self.frames_lost = 0
-        self.frames_corrupted = 0
         self.frames_partitioned = 0
         self.bytes_carried = 0
-
-    def set_loss(self, rate: float,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        """Change the loss process at runtime (fault-injection bursts)."""
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"loss rate must be in [0,1), got {rate}")
-        if rng is not None:
-            self._rng = rng
-        if rate > 0.0 and self._rng is None:
-            raise ConfigError("loss injection needs an rng stream")
-        self.loss_rate = rate
-
-    def set_corruption(self, rate: float,
-                       rng: Optional[np.random.Generator] = None) -> None:
-        """Corrupt a fraction of frames in flight; receivers see bad CRCs."""
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"corrupt rate must be in [0,1), got {rate}")
-        if rng is not None:
-            self._rng = rng
-        if rate > 0.0 and self._rng is None:
-            raise ConfigError("corruption injection needs an rng stream")
-        self.corrupt_rate = rate
 
     def attach(self, mac: str, deliver: Callable[[EthernetFrame], None]) -> None:
         if mac in self._endpoints:
@@ -153,9 +127,6 @@ class EthernetFabric:
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.frames_lost += 1
             return
-        if self.corrupt_rate > 0.0 and self._rng.random() < self.corrupt_rate:
-            self.frames_corrupted += 1
-            frame.corrupted = True
         deliver = self._endpoints.get(frame.dst_mac)
         if deliver is None:
             self.frames_dropped += 1

@@ -321,9 +321,8 @@ class ReliableMux:
 
     The layer every host and the network tile put on top of
     :class:`ReliableEndpoint`: one connection per peer, created at the
-    first send to or first frame from that peer.  Frames with a bad CRC
-    are dropped here (the peer's go-back-N retransmits); every in-order
-    payload is handed to ``on_payload(peer_mac, payload)``.  When that
+    first send to or first frame from that peer.  Every in-order payload
+    is handed to ``on_payload(peer_mac, payload)``.  When that
     returns an :class:`Event` the peer's next payload is held until it
     triggers, so a receiver that must block (the network tile's NoC
     notify) keeps per-peer order; other peers are unaffected.  The mux
@@ -372,6 +371,4 @@ class ReliableMux:
 
     def deliver_frame(self, frame: EthernetFrame) -> None:
         """Feed frames from the owner's MAC rx path."""
-        if frame.corrupted:
-            return  # bad CRC: dropped like a NIC would; the peer retransmits
         self.peer(frame.src_mac).deliver_frame(frame)

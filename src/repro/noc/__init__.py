@@ -3,8 +3,9 @@
 Apiary's physical interconnect (Section 4.3): a switched fabric carrying
 message-passing traffic between tiles.  This package provides the mesh/torus
 topologies, flit-level wormhole routers with virtual channels and credit
-flow control, routing policies, arbiters, QoS token buckets, the assembled
-:class:`Network` with per-node interfaces, and a progress watchdog.
+flow control, the XY routing each topology implies, arbiters, QoS token
+buckets, the assembled :class:`Network` with per-node interfaces, and a
+progress watchdog.
 """
 
 from repro.noc.arbiter import RoundRobinArbiter
@@ -13,7 +14,7 @@ from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, FlitKind, Packet, flits_for
 from repro.noc.network import Network, NetworkInterface
 from repro.noc.qos import RateMeter, TokenBucket
 from repro.noc.router import Router
-from repro.noc.routing import TorusXYRouting, XYRouting, YXRouting
+from repro.noc.routing import TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "flits_for_bytes",
     "DEFAULT_FLIT_BYTES",
     "XYRouting",
-    "YXRouting",
     "TorusXYRouting",
     "RoundRobinArbiter",
     "TokenBucket",

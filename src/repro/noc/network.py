@@ -23,7 +23,7 @@ from repro.noc.flit import (
     flits_for_bytes,
 )
 from repro.noc.router import NEVER, Router
-from repro.noc.routing import RoutingFunction, TorusXYRouting, XYRouting
+from repro.noc.routing import TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 from repro.obs.span import SpanRecorder
 from repro.sim import Channel, Engine, Event, Histogram, StatsRegistry
@@ -389,8 +389,8 @@ class Network:
     Parameters
     ----------
     engine: simulation engine.
-    topo: :class:`Mesh2D` or :class:`Torus2D`.
-    routing: routing function (default XY).
+    topo: :class:`Mesh2D` (XY routing) or :class:`Torus2D` (torus XY
+        routing with dateline VCs).
     num_vcs / vc_classes: virtual channels and traffic classes.
     buffer_depth: flit slots per input VC.
     hop_latency: cycles from leaving a router to arriving at the next
@@ -402,7 +402,6 @@ class Network:
         self,
         engine: Engine,
         topo: Mesh2D,
-        routing: Optional[RoutingFunction] = None,
         num_vcs: int = 2,
         vc_classes: int = 1,
         buffer_depth: int = 4,
@@ -414,12 +413,8 @@ class Network:
         stats: Optional[StatsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
     ):
-        routing = routing or XYRouting()
-        if isinstance(routing, TorusXYRouting) and not isinstance(topo, Torus2D):
-            raise ConfigError(
-                "TorusXYRouting picks wraparound links; it only makes "
-                "sense on a Torus2D topology"
-            )
+        torus = isinstance(topo, Torus2D)
+        routing = TorusXYRouting() if torus else XYRouting()
         if hop_latency < 1:
             raise ConfigError(f"hop latency must be >= 1, got {hop_latency}")
         self.engine = engine
@@ -458,7 +453,7 @@ class Network:
         self._lane_capable = (
             credit_latency >= 1
             and buffer_depth >= hop_latency + credit_latency
-            and not isinstance(routing, TorusXYRouting))
+            and not torus)
         #: packets that started on the express lane / were taken off it
         #: mid-flight (plain attributes: the stats registry must read the
         #: same with the lane on or off)
@@ -548,7 +543,7 @@ class Network:
         while True:
             router = self._routers[node]
             out_port = (Port.LOCAL if node == dst else
-                        self.routing.candidates(self.topo, node, dst)[0])
+                        self.routing.route(self.topo, node, dst))
             out = router._out[out_port]
             base = router._port_base[in_port]
             path.append((router, in_port, router._in[in_port], out_port, out,

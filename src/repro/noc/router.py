@@ -12,7 +12,7 @@ computation and virtual-channel allocation; tail flits release the output
 VC (wormhole semantics: a packet owns its path until the tail passes).
 
 Deadlock freedom:
-* deterministic XY/YX routing is deadlock-free on a mesh with any VC count;
+* deterministic XY routing is deadlock-free on a mesh with any VC count;
 * on a torus, :class:`~repro.noc.routing.TorusXYRouting` moves a packet to
   VC 1 after it crosses a wrap edge (dateline VCs), which breaks each
   ring's cyclic channel dependency.
@@ -30,7 +30,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import ConfigError
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Flit
-from repro.noc.routing import RoutingFunction, TorusXYRouting
+from repro.noc.routing import TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port
 
 __all__ = ["Router", "InputVC", "OutputPort"]
@@ -120,7 +120,7 @@ class Router:
         engine,
         node: int,
         topo: Mesh2D,
-        routing: RoutingFunction,
+        routing: XYRouting | TorusXYRouting,
         num_vcs: int = 2,
         vc_classes: int = 1,
         buffer_depth: int = 4,
@@ -564,7 +564,7 @@ class Router:
     def _route_to(self, dst: int) -> Port:
         """Deterministic route to ``dst``, memoised (routing functions are
         pure in ``(node, dst)``)."""
-        port = self.routing.candidates(self.topo, self.node, dst)[0]
+        port = self.routing.route(self.topo, self.node, dst)
         self._route[dst] = port
         return port
 

@@ -1,32 +1,18 @@
 """Routing functions.
 
 A routing function answers: given a packet at ``node`` heading for ``dst``,
-which output port(s) may it take?  Dimension-ordered XY routing is the
-Apiary default — it is deterministic and deadlock-free on a mesh, which is
-why hardened FPGA NoCs use it.  YX routes the other dimension first, and
-the torus variant adds wraparound links with dateline virtual channels.
+which output port does it take?  Dimension-ordered XY routing is the
+Apiary mesh routing — it is deterministic and deadlock-free on a mesh,
+which is why hardened FPGA NoCs use it.  The torus variant adds
+wraparound links with dateline virtual channels.  The topology picks one
+(:class:`~repro.noc.network.Network`), so neither is an option.
 """
 
 from __future__ import annotations
 
-from typing import List, Protocol
-
 from repro.noc.topology import Mesh2D, Port
 
-__all__ = [
-    "RoutingFunction",
-    "XYRouting",
-    "YXRouting",
-    "TorusXYRouting",
-]
-
-
-class RoutingFunction(Protocol):
-    """Interface every routing policy implements."""
-
-    def candidates(self, topo: Mesh2D, node: int, dst: int) -> List[Port]:
-        """Output ports, most-preferred first.  LOCAL means 'eject here'."""
-        ...
+__all__ = ["XYRouting", "TorusXYRouting"]
 
 
 class XYRouting:
@@ -34,37 +20,19 @@ class XYRouting:
 
     name = "xy"
 
-    def candidates(self, topo: Mesh2D, node: int, dst: int) -> List[Port]:
+    def route(self, topo: Mesh2D, node: int, dst: int) -> Port:
+        """The output port; LOCAL means 'eject here'."""
         if node == dst:
-            return [Port.LOCAL]
+            return Port.LOCAL
         x, y = topo.coords(node)
         dx, dy = topo.coords(dst)
         if x < dx:
-            return [Port.EAST]
+            return Port.EAST
         if x > dx:
-            return [Port.WEST]
+            return Port.WEST
         if y < dy:
-            return [Port.SOUTH]
-        return [Port.NORTH]
-
-
-class YXRouting:
-    """Dimension-ordered: correct Y first, then X."""
-
-    name = "yx"
-
-    def candidates(self, topo: Mesh2D, node: int, dst: int) -> List[Port]:
-        if node == dst:
-            return [Port.LOCAL]
-        x, y = topo.coords(node)
-        dx, dy = topo.coords(dst)
-        if y < dy:
-            return [Port.SOUTH]
-        if y > dy:
-            return [Port.NORTH]
-        if x < dx:
-            return [Port.EAST]
-        return [Port.WEST]
+            return Port.SOUTH
+        return Port.NORTH
 
 
 class TorusXYRouting:
@@ -83,16 +51,16 @@ class TorusXYRouting:
     """
 
     name = "torus-xy"
-    needs_dateline_vcs = True
 
-    def candidates(self, topo: Mesh2D, node: int, dst: int) -> List[Port]:
+    def route(self, topo: Mesh2D, node: int, dst: int) -> Port:
+        """The output port; LOCAL means 'eject here'."""
         if node == dst:
-            return [Port.LOCAL]
+            return Port.LOCAL
         x, y = topo.coords(node)
         dx, dy = topo.coords(dst)
         if x != dx:
-            return [self._direction(x, dx, topo.width, Port.EAST, Port.WEST)]
-        return [self._direction(y, dy, topo.height, Port.SOUTH, Port.NORTH)]
+            return self._direction(x, dx, topo.width, Port.EAST, Port.WEST)
+        return self._direction(y, dy, topo.height, Port.SOUTH, Port.NORTH)
 
     @staticmethod
     def _direction(here: int, there: int, extent: int,

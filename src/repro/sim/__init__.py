@@ -12,7 +12,7 @@ from repro.sim.channel import Channel
 from repro.sim.engine import Engine, Event, Interrupt, Process
 from repro.sim.resource import Grant, Resource
 from repro.sim.rng import RngPool
-from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry, TimeWeighted
+from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry
 
 __all__ = [
     "Engine",
@@ -26,6 +26,5 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "TimeWeighted",
     "StatsRegistry",
 ]

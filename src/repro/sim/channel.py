@@ -44,7 +44,7 @@ class Channel:
     """
 
     __slots__ = ("engine", "capacity", "name", "_items", "_getters",
-                 "_putters", "total_put", "total_got", "high_watermark")
+                 "_putters")
 
     def __init__(
         self,
@@ -60,9 +60,6 @@ class Channel:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[Tuple[Event, Any]] = deque()
-        self.total_put = 0
-        self.total_got = 0
-        self.high_watermark = 0
 
     # -- inspection ------------------------------------------------------
 
@@ -72,15 +69,6 @@ class Channel:
     @property
     def full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
-    def peek(self) -> Any:
-        if not self._items:
-            raise SimulationError(f"peek on empty channel {self.name!r}")
-        return self._items[0]
 
     # -- operations ------------------------------------------------------
 
@@ -106,7 +94,6 @@ class Channel:
         done = Event(self.engine, name=f"{self.name}.get")
         if self._items:
             item = self._items.popleft()
-            self.total_got += 1
             done.succeed(item)
             self._drain_putters()
         else:
@@ -118,21 +105,16 @@ class Channel:
         if not self._items:
             return False, None
         item = self._items.popleft()
-        self.total_got += 1
         self._drain_putters()
         return True, item
 
     # -- internals -------------------------------------------------------
 
     def _accept(self, item: Any) -> None:
-        self.total_put += 1
         if self._getters:
-            getter = self._getters.popleft()
-            self.total_got += 1
-            getter.succeed(item)
+            self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
-        self.high_watermark = max(self.high_watermark, len(self._items))
 
     def _drain_putters(self) -> None:
         while self._putters and not self.full:

@@ -14,7 +14,7 @@ takes, then release it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, Event
@@ -34,7 +34,7 @@ class Grant:
 
 
 class Resource:
-    """A FIFO-fair counted semaphore with utilization accounting."""
+    """A FIFO-fair counted semaphore."""
 
     def __init__(self, engine: Engine, slots: int = 1, name: str = ""):
         if slots < 1:
@@ -44,9 +44,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        self._busy_cycles = 0
-        self._last_change = engine.now
-        self.total_acquires = 0
 
     @property
     def available(self) -> int:
@@ -65,42 +62,16 @@ class Resource:
             self._waiters.append(done)
         return done
 
-    def try_acquire(self) -> Optional[Grant]:
-        """Non-blocking acquire; ``None`` when no slot is free."""
-        if self._in_use >= self.slots or self._waiters:
-            return None
-        grant = Grant(self, self.engine.now)
-        self._account()
-        self._in_use += 1
-        self.total_acquires += 1
-        return grant
-
     def release(self, grant: Grant) -> None:
         if grant.resource is not self:
             raise SimulationError(f"grant does not belong to resource {self.name!r}")
         if grant.released:
             raise SimulationError(f"double release on resource {self.name!r}")
         grant.released = True
-        self._account()
         self._in_use -= 1
         if self._waiters and self._in_use < self.slots:
             self._grant(self._waiters.popleft())
 
-    def utilization(self, since: int = 0) -> float:
-        """Fraction of slot-cycles busy since cycle ``since``."""
-        self._account()
-        elapsed = (self.engine.now - since) * self.slots
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self._busy_cycles / elapsed)
-
     def _grant(self, done: Event) -> None:
-        self._account()
         self._in_use += 1
-        self.total_acquires += 1
         done.succeed(Grant(self, self.engine.now))
-
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_cycles += self._in_use * (now - self._last_change)
-        self._last_change = now

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "TimeWeighted", "StatsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "StatsRegistry"]
 
 
 class Counter:
@@ -110,61 +110,6 @@ class Histogram:
         self._samples.clear()
 
 
-class TimeWeighted:
-    """Time-weighted average of a stepwise signal (queue depth, utilization).
-
-    Call :meth:`update` whenever the signal changes; the average weights each
-    value by how long it was held.
-    """
-
-    __slots__ = ("name", "_value", "_last_time", "_weighted_sum", "_start_time")
-
-    def __init__(self, name: str = "", initial: float = 0.0, start_time: int = 0):
-        self.name = name
-        self._value = initial
-        self._last_time = start_time
-        self._weighted_sum = 0.0
-        self._start_time = start_time
-
-    def update(self, now: int, value: float) -> None:
-        if now < self._last_time:
-            raise ValueError(f"time went backwards in {self.name!r}")
-        self._weighted_sum += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = value
-
-    def average(self, now: int) -> float:
-        total = (
-            self._weighted_sum + self._value * (now - self._last_time)
-        )
-        elapsed = now - self._start_time
-        if elapsed <= 0:
-            return self._value
-        return total / elapsed
-
-    @property
-    def last_time(self) -> int:
-        """When the signal last changed (snapshot's default end time)."""
-        return self._last_time
-
-    def merge_from(self, other: "TimeWeighted") -> None:
-        """Fold a sibling signal in, treating the two as parallel series.
-
-        Integrals and current values add, so ``average(now)`` of the merged
-        signal is the *sum* of the constituents' averages — the right
-        semantics for per-board queue depths and utilizations rolled up to
-        a cluster view.  Exact only when both series cover the same time
-        span (true for lockstep window-synchronized boards); with skewed
-        spans the later ``last_time`` wins and the earlier signal's final
-        value is extrapolated, which :class:`StatsRegistry.merge`
-        documents as the approximation it is.
-        """
-        self._weighted_sum += other._weighted_sum
-        self._value += other._value
-        self._start_time = min(self._start_time, other._start_time)
-        self._last_time = max(self._last_time, other._last_time)
-
-
 class StatsRegistry:
     """A named bag of stats objects, one per component instance.
 
@@ -176,7 +121,6 @@ class StatsRegistry:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.sketches: Dict[str, "QuantileSketch"] = {}
-        self.time_weighted_stats: Dict[str, TimeWeighted] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self.counters:
@@ -205,22 +149,13 @@ class StatsRegistry:
                 self.sketches[name] = QuantileSketch(name, alpha=alpha)
         return self.sketches[name]
 
-    def time_weighted(self, name: str, initial: float = 0.0,
-                      start_time: int = 0) -> TimeWeighted:
-        if name not in self.time_weighted_stats:
-            self.time_weighted_stats[name] = TimeWeighted(
-                name, initial=initial, start_time=start_time)
-        return self.time_weighted_stats[name]
-
-    def snapshot(self, now: Optional[int] = None) -> Dict[str, Dict]:
+    def snapshot(self) -> Dict[str, Dict]:
         """Flatten every stat into JSON-safe values for reporting.
 
         Empty sketches and never-set gauges would otherwise surface as
         NaN — which ``json.dumps`` happily emits as the *invalid* token
         ``NaN``, breaking every strict parser downstream — so undefined
-        values become ``None`` (JSON ``null``) instead.  ``now`` is the end
-        time for time-weighted averages; when omitted, each stat averages
-        up to its own last update.
+        values become ``None`` (JSON ``null``) instead.
 
         Keys are emitted in sorted order, *not* registration order:
         registration order depends on which component touched the registry
@@ -228,8 +163,7 @@ class StatsRegistry:
         per-board run (and between boards), while the sorted snapshot of a
         merged registry is byte-stable however its inputs interleaved.
         """
-        out: Dict[str, Dict] = {"counters": {}, "gauges": {},
-                                "sketches": {}, "time_weighted": {}}
+        out: Dict[str, Dict] = {"counters": {}, "gauges": {}, "sketches": {}}
         for name in sorted(self.counters):
             out["counters"][name] = float(self.counters[name].value)
         for name in sorted(self.gauges):
@@ -239,10 +173,6 @@ class StatsRegistry:
                 k: _json_safe(v)
                 for k, v in self.sketches[name].summary().items()
             }
-        for name in sorted(self.time_weighted_stats):
-            tw = self.time_weighted_stats[name]
-            end = now if now is not None else tw.last_time
-            out["time_weighted"][name] = _json_safe(tw.average(end))
         return out
 
     def merge(self, other: "StatsRegistry") -> None:
@@ -261,10 +191,7 @@ class StatsRegistry:
           matching the "sum of parallel signals" reading (aggregate queue
           depth, total free tiles).  For gauges where a sum is
           meaningless (a ratio, a temperature) read the per-board
-          registries instead;
-        * **time-weighted** signals add integrals (see
-          :meth:`TimeWeighted.merge_from`) — exact for lockstep boards
-          that cover the same time span.
+          registries instead.
 
         Merging the same disjoint registries in any order produces the
         same snapshot (addition commutes and :meth:`snapshot` sorts keys),
@@ -286,12 +213,6 @@ class StatsRegistry:
                 mine.max_seen = max(mine.max_seen, gauge.max_seen)
         for name, sk in other.sketches.items():
             self.sketch(name, alpha=sk.alpha).merge(sk)
-        for name, tw in other.time_weighted_stats.items():
-            if name not in self.time_weighted_stats:
-                mine = self.time_weighted(name, initial=0.0,
-                                          start_time=tw._start_time)
-                mine._last_time = tw._start_time
-            self.time_weighted_stats[name].merge_from(tw)
 
 
 def _json_safe(value: float) -> Optional[float]:

@@ -2,14 +2,11 @@
 
 from repro.workloads.client import ClusterClient, RemoteClientHost
 from repro.workloads.generators import (
-    bimodal_sizes,
-    bursty_gaps,
     constant_gaps,
     keyed_stream,
     lognormal_gaps,
     pareto_gaps,
     poisson_gaps,
-    uniform_sizes,
     video_chunks,
     zipf_keys,
 )
@@ -19,12 +16,9 @@ __all__ = [
     "ClusterClient",
     "constant_gaps",
     "poisson_gaps",
-    "bursty_gaps",
     "lognormal_gaps",
     "pareto_gaps",
     "keyed_stream",
     "zipf_keys",
-    "uniform_sizes",
-    "bimodal_sizes",
     "video_chunks",
 ]

@@ -16,13 +16,10 @@ from repro.errors import ConfigError
 __all__ = [
     "poisson_gaps",
     "constant_gaps",
-    "bursty_gaps",
     "lognormal_gaps",
     "pareto_gaps",
     "keyed_stream",
     "zipf_keys",
-    "uniform_sizes",
-    "bimodal_sizes",
     "video_chunks",
 ]
 
@@ -57,21 +54,6 @@ def poisson_gaps(rng: np.random.Generator, rate_per_kcycle: float,
     mean_gap = 1000.0 / rate_per_kcycle
     gaps = rng.exponential(mean_gap, size=count)
     return [max(1, int(g)) for g in gaps]
-
-
-def bursty_gaps(rng: np.random.Generator, rate_per_kcycle: float, count: int,
-                burst_len: int = 8, burst_gap: int = 1) -> List[int]:
-    """On/off bursts: ``burst_len`` back-to-back requests, then a long gap
-    chosen to keep the long-run rate at ``rate_per_kcycle``."""
-    if burst_len < 1:
-        raise ConfigError("burst length must be >= 1")
-    mean_gap = 1000.0 / rate_per_kcycle
-    off_gap = max(1, int(mean_gap * burst_len - burst_gap * (burst_len - 1)))
-    gaps: List[int] = []
-    while len(gaps) < count:
-        gaps.extend([burst_gap] * (burst_len - 1))
-        gaps.append(off_gap)
-    return gaps[:count]
 
 
 def lognormal_gaps(rng: np.random.Generator, rate_per_kcycle: float,
@@ -136,18 +118,6 @@ def zipf_keys(rng: Union[np.random.Generator, int], count: int,
         )
     keys = rng.zipf(skew, size=count)
     return [int(k % universe) for k in keys]
-
-
-def uniform_sizes(rng: np.random.Generator, count: int, low: int = 64,
-                  high: int = 1024) -> List[int]:
-    return [int(s) for s in rng.integers(low, high + 1, size=count)]
-
-
-def bimodal_sizes(rng: np.random.Generator, count: int, small: int = 64,
-                  large: int = 4096, large_fraction: float = 0.1) -> List[int]:
-    """The classic datacenter mix: mostly small, occasionally large."""
-    picks = rng.random(count) < large_fraction
-    return [large if p else small for p in picks]
 
 
 def video_chunks(rng: np.random.Generator, count: int,

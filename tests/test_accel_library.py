@@ -7,7 +7,6 @@ from repro.accel import (
     Compressor,
     CryptoAccel,
     FloodingAccel,
-    HashJoinAccel,
     KvStore,
     SnoopingAccel,
     VideoEncoder,
@@ -253,30 +252,6 @@ class TestCrypto:
         ])
         started = system.start_app(3, driver)
         system.mgmt.grant_send("tile3", "app.aes")
-        system.run_until(started)
-        system.run(until=system.engine.now + 1_000_000)
-        assert driver.errors
-
-
-class TestHashJoin:
-    def test_build_then_probe(self):
-        system = booted()
-        join = HashJoinAccel("join")
-        start(system, 2, join, endpoint="app.join")
-        responses = drive(system, 3, "app.join", [
-            ("join.build", {"rows": 10_000}, 64),
-            ("join.probe", {"rows": 50_000, "selectivity": 0.2}, 64),
-        ])
-        assert responses[0]["built"] == 10_000
-        assert responses[1]["matches"] == 10_000
-        assert join._seg is not None
-
-    def test_probe_before_build_rejected(self):
-        system = booted()
-        start(system, 2, HashJoinAccel("join"), endpoint="app.join")
-        driver = Driver("app.join", [("join.probe", {"rows": 100}, 8)])
-        started = system.start_app(3, driver)
-        system.mgmt.grant_send("tile3", "app.join")
         system.run_until(started)
         system.run(until=system.engine.now + 1_000_000)
         assert driver.errors

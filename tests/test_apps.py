@@ -1,11 +1,10 @@
-"""Application-level integration tests: pipelines, scale-out, chains,
+"""Application-level integration tests: pipelines, scale-out,
 multi-tenant KV, and the Figure-1 configuration."""
 
 import pytest
 
 from repro.accel import Accelerator, VideoEncoder
 from repro.apps import (
-    deploy_chain,
     deploy_kv_on_apiary,
     deploy_pipeline,
     deploy_replicated_encoder,
@@ -166,45 +165,6 @@ class TestScaleOut:
             assert burst.done_at is not None
             durations[n_replicas] = burst.done_at - t0
         assert durations[3] < durations[1] / 2
-
-
-class TestMicroserviceChain:
-    def test_chain_traverses_all_stages(self):
-        system = booted()
-        stages, started, head = deploy_chain(system, nodes=[4, 5, 6, 8])
-        for ev in started:
-            system.run_until(ev)
-        client = feed(system, 9, head, "work", [{"hops": 0}] * 3)
-        assert all(r["hops"] == 4 for r in client.replies)
-        assert all(s.invocations == 3 for s in stages)
-
-    def test_longer_chains_cost_more_latency(self):
-        latencies = {}
-        for length, nodes in ((2, [4, 5]), (4, [4, 5, 6, 8])):
-            system = booted()
-            _stages, started, head = deploy_chain(system, nodes=nodes,
-                                                  name_prefix=f"c{length}")
-            for ev in started:
-                system.run_until(ev)
-
-            class Timed(Accelerator):
-                def __init__(self):
-                    super().__init__("timed")
-                    self.duration = None
-
-                def main(self, shell):
-                    t0 = shell.engine.now
-                    yield shell.call(head, "work", payload={"hops": 0},
-                                     timeout=100_000_000)
-                    self.duration = shell.engine.now - t0
-
-            timed = Timed()
-            s = system.start_app(9, timed)
-            system.mgmt.grant_send("tile9", head)
-            system.run_until(s)
-            system.run(until=system.engine.now + 200_000_000)
-            latencies[length] = timed.duration
-        assert latencies[4] > 1.5 * latencies[2]
 
 
 class TestMultiTenant:

@@ -12,11 +12,9 @@ from repro.chaos import (
     Injector,
     checksum,
 )
-from repro.errors import ConfigError, DramFault
+from repro.errors import ConfigError
 from repro.kernel import ApiarySystem, SystemConfig
-from repro.net.frame import EthernetFabric
 from repro.policy import RetryPolicy
-from repro.sim import Engine
 
 
 def small_system():
@@ -53,9 +51,9 @@ class TestFaultPlan:
             {FaultKind.TILE_CRASH: ["svc.a"]})
         both = FaultPlan.generate(
             5, 2_000_000,
-            {FaultKind.TILE_CRASH: 5.0, FaultKind.DRAM_BITFLIP: 4.0},
+            {FaultKind.TILE_CRASH: 5.0, FaultKind.NOC_ROUTER_STALL: 4.0},
             {FaultKind.TILE_CRASH: ["svc.a"],
-             FaultKind.DRAM_BITFLIP: [0, 4096]})
+             FaultKind.NOC_ROUTER_STALL: [0, 1, 2, 3]})
         crashes = [e for e in both.events if e.kind is FaultKind.TILE_CRASH]
         assert crashes == base.events
 
@@ -96,6 +94,21 @@ class TestFaultPlan:
             min_events={FaultKind.NOC_ROUTER_STALL: 1})
         assert plan.events[0].param("cycles") == 777
 
+    def test_stall_shorter_than_a_cycle_rejected_at_plan_time(self):
+        """Refused by generate, not by the router once the fault fires."""
+        with pytest.raises(ConfigError, match="stall lasts"):
+            FaultPlan.generate(
+                3, 1_000_000, {FaultKind.NOC_ROUTER_STALL: 10.0},
+                {FaultKind.NOC_ROUTER_STALL: [0]},
+                params={FaultKind.NOC_ROUTER_STALL: {"cycles": 0}})
+
+    def test_unknown_param_rejected_at_plan_time(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            FaultPlan.generate(
+                3, 1_000_000, {FaultKind.TILE_CRASH: 5.0},
+                {FaultKind.TILE_CRASH: ["x"]},
+                params={FaultKind.TILE_CRASH: {"bogus": 1}})
+
 
 class TestInjector:
     def run_plan(self, system, events, cycles=300_000):
@@ -113,25 +126,6 @@ class TestInjector:
         assert inj.applied == 1
         assert system.network.router(2).stalls_injected == 1
 
-    def test_dram_bitflip_until_scrubbed(self):
-        system = small_system()
-        self.run_plan(system, [
-            FaultEvent(1_000, FaultKind.DRAM_BITFLIP, 4096),
-        ], cycles=10_000)
-        assert system.dram.corrupted_in(4096, 1) == [0]
-        assert system.dram.scrub(4096, 1) == 1
-        assert system.dram.corrupted_in(4096, 1) == []
-
-    def test_dram_bank_fail_rejects_accesses(self):
-        system = small_system()
-        self.run_plan(system, [
-            FaultEvent(1_000, FaultKind.DRAM_BANK_FAIL, 0,
-                       (("cycles", 1_000_000),)),
-        ], cycles=10_000)
-        failed = [bank for ch in system.dram.channels for bank in ch.banks
-                  if bank.failed_until > system.engine.now]
-        assert len(failed) == 1
-
     def test_tile_crash_by_endpoint_name(self):
         system = small_system()
         inj = self.run_plan(system, [
@@ -148,21 +142,23 @@ class TestInjector:
         assert inj.applied == 0 and inj.skipped == 1
         assert "not bound" in inj.log[0][2]
 
-    def test_eth_burst_applies_and_restores(self):
-        engine = Engine()
-        fabric = EthernetFabric(engine, latency_cycles=100)
-        system = ApiarySystem(SystemConfig.figure1(), engine=engine,
-                              fabric=fabric)
-        system.boot()
-        inj = self.run_plan(system, [
-            FaultEvent(1_000, FaultKind.ETH_LOSS_BURST, "fabric",
-                       (("cycles", 5_000), ("loss_rate", 0.4))),
-            FaultEvent(1_000, FaultKind.ETH_CORRUPT_BURST, "fabric",
-                       (("cycles", 5_000), ("corrupt_rate", 0.3))),
-        ], cycles=50_000)
-        assert inj.applied == 2
-        assert fabric.loss_rate == 0.0, "burst must end after its window"
-        assert fabric.corrupt_rate == 0.0
+    @pytest.mark.parametrize("kind, params", [
+        (FaultKind.NOC_ROUTER_STALL, (("cycles", 0),)),
+        (FaultKind.NOC_ROUTER_STALL, (("cycles", 5), ("bogus", 1))),
+        (FaultKind.TILE_CRASH, (("bogus", 1),)),
+    ], ids=["zero-stall", "stall-extra-key", "crash-extra-key"])
+    def test_bad_params_rejected_at_arm_time(self, kind, params):
+        """A hand-built plan is checked when armed, so no fault is left
+        to raise inside the injector's process mid-run."""
+        system = small_system()
+        injector = Injector(system, plan_with([
+            FaultEvent(1_000, kind, 2, params)]))
+        with pytest.raises(ConfigError):
+            injector.arm()
+        system.run(until=system.engine.now + 10_000)
+        assert injector.log == []
+        assert system.network.router(2).stalls_injected == 0
+        assert not system.tiles[2].failed
 
     def test_arming_twice_rejected(self):
         system = small_system()

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.baselines import BareFpgaSystem, HostedFpgaSystem
 from repro.errors import ConfigError, ProtocolError
-from repro.kernel import RemoteCpuServiceHost
 from repro.net import (
     EthernetFabric,
     EthernetFrame,
@@ -19,7 +17,6 @@ from repro.net import (
     TenGigMac,
 )
 from repro.sim import Engine, RngPool
-from repro.workloads import RemoteClientHost
 
 
 class TestFabric:
@@ -334,32 +331,6 @@ class TestReliableMux:
         assert got["B"] == [("B", i) for i in range(30)]
         assert sum(m.peer("C").retransmissions for m in senders) > 0
 
-    def test_bad_crc_frame_dropped_then_retransmitted(self):
-        eng = Engine()
-        fabric = EthernetFabric(eng, latency_cycles=50)
-        got = []
-        a = self.attach(eng, fabric, "A", lambda peer, payload: None)
-        b = ReliableMux(eng, fabric.transmit, "B",
-                        lambda peer, payload: got.append((peer, payload)),
-                        window=4, timeout=2_000)
-        flipped = []
-
-        def flaky_wire(frame):
-            if not flipped:  # the first frame arrives with a bad CRC
-                frame.corrupted = True
-                flipped.append(frame)
-            b.deliver_frame(frame)
-
-        fabric.attach("B", flaky_wire)
-        acked = a.peer("B").send("x", payload_bytes=64)
-        eng.run(until=1_000)
-        # dropped before the demux: no connection opened, nothing ACKed
-        assert flipped and got == [] and not acked.triggered
-        assert a.peers == ("B",) and b.peers == ()  # A's side only
-        eng.run(until=10_000)
-        assert got == [("A", "x")] and acked.triggered
-        assert a.peer("B").retransmissions == 1
-
     def test_blocking_on_payload_holds_only_its_peer(self):
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=50)
@@ -411,47 +382,6 @@ class TestReliableMux:
                           lambda peer, payload: None, window=0, timeout=10)
         with pytest.raises(ConfigError):
             mux.peer("B")
-
-
-@pytest.mark.parametrize("kind", ["remote_cpu", "bare", "hosted"])
-def test_server_hosts_drop_bad_crc_frames(kind, monkeypatch):
-    """A frame the fabric corrupted never reaches a host's transport: the
-    sender's go-back-N retransmits and every request is still answered."""
-    eng = Engine()
-    pool = RngPool(seed=11)
-    fabric = EthernetFabric(eng, latency_cycles=100)
-    fabric.set_corruption(0.2, pool.stream("crc"))
-    if kind == "remote_cpu":
-        RemoteCpuServiceHost(eng, fabric, "srv",
-                             lambda op, payload: (50, payload, 64),
-                             rng=pool.stream("cpu"))
-    else:
-        cls = BareFpgaSystem if kind == "bare" else HostedFpgaSystem
-        extra = {} if kind == "bare" else {"rng": pool.stream("cpu")}
-        cls(eng, fabric, "srv", **extra).register(
-            9, lambda body: (50, body, 64))
-    handled = []
-    deliver_frame = ReliableEndpoint.deliver_frame
-
-    def spy(endpoint, frame):
-        if endpoint.local_mac == "srv":
-            handled.append(frame.corrupted)
-        deliver_frame(endpoint, frame)
-
-    monkeypatch.setattr(ReliableEndpoint, "deliver_frame", spy)
-    client = RemoteClientHost(eng, fabric, "cli")
-    replies = []
-
-    def drive():
-        for i in range(20):
-            replies.append((yield client.request(
-                "srv", 9, {"op": "echo", "payload": i})))
-
-    proc = eng.process(drive())
-    eng.run_until_done(proc.done, limit=100_000_000)
-    assert len(replies) == 20
-    assert fabric.frames_corrupted > 0
-    assert handled and not any(handled)
 
 
 class TestHostModels:

@@ -15,9 +15,7 @@ from repro.noc import (
     Network,
     Router,
     Torus2D,
-    TorusXYRouting,
     XYRouting,
-    YXRouting,
 )
 from repro.noc import network as network_module
 from repro.noc.flit import Flit, FlitKind
@@ -171,14 +169,12 @@ FLIT_PATH_CYCLES = 350
 
 
 def flit_path_network(eng, case):
-    if case == "yx":
-        return Network(eng, Mesh2D(4, 4), routing=YXRouting())
     if case == "vc_classes":
         return Network(eng, Mesh2D(4, 4), num_vcs=4, vc_classes=2)
     if case == "one_vc":
         return Network(eng, Mesh2D(4, 4), num_vcs=1, buffer_depth=2)
     if case == "torus_dateline":
-        return Network(eng, Torus2D(4, 4), routing=TorusXYRouting())
+        return Network(eng, Torus2D(4, 4))
     if case == "fast_wires":
         return Network(eng, Mesh2D(4, 4), hop_latency=1, credit_latency=0)
     assert case == "stall"
@@ -275,15 +271,6 @@ FLIT_PATH_GOLDENS = {
                     "15,14,18,6,12 11,10,14,4 6,12,2,5 5,13,19,7,3 "
                     "8,9,1,6,11 8,0,0,2 5,10,2 5,9,4,10 8,14,0,4 11,11,4",
         "schedules": 19_341,
-    },
-    "yx": {
-        "delivered": 879, "cycle_sum": 162_112, "records": "ed363acb50042de8",
-        "forwarded": [541, 837, 863, 664, 801, 978, 1023, 781,
-                      826, 1041, 1116, 829, 620, 809, 781, 569],
-        "pointers": "3,5,1 3,5,1,4 7,6,2,5 5,2,4 6,7,1,4 5,7,4,1,8 "
-                    "7,7,9,1,6 0,6,3,1 4,2,0,3 9,1,0,3,5 9,2,0,1,4 0,2,1,4 "
-                    "0,2,3 3,2,7,6 7,1,0,4 0,1,3",
-        "schedules": 17_853,
     },
 }
 

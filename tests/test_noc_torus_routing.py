@@ -19,8 +19,7 @@ def torus_net(width=4, height=4, **kwargs):
     eng = Engine()
     kwargs.setdefault("num_vcs", 2)
     kwargs.setdefault("vc_classes", 1)
-    net = Network(eng, Torus2D(width, height), routing=TorusXYRouting(),
-                  **kwargs)
+    net = Network(eng, Torus2D(width, height), **kwargs)
     return eng, net
 
 
@@ -69,11 +68,11 @@ class TestShortestDirection:
         routing = TorusXYRouting()
         topo = Torus2D(4, 4)
         # node 0 -> node 3 (same row): WEST wrap
-        assert routing.candidates(topo, 0, 3) == [Port.WEST]
+        assert routing.route(topo, 0, 3) == Port.WEST
         # node 0 -> node 1: EAST direct
-        assert routing.candidates(topo, 0, 1) == [Port.EAST]
+        assert routing.route(topo, 0, 1) == Port.EAST
         # y wrap
-        assert routing.candidates(topo, 0, topo.node_at(0, 3)) == [Port.NORTH]
+        assert routing.route(topo, 0, topo.node_at(0, 3)) == Port.NORTH
 
     def test_crosses_wrap_detection(self):
         topo = Torus2D(4, 4)
@@ -88,15 +87,9 @@ class TestDatelineDiscipline:
     def test_requires_two_vcs_single_class(self):
         eng = Engine()
         with pytest.raises(ConfigError):
-            Network(eng, Torus2D(4, 4), routing=TorusXYRouting(), num_vcs=1)
+            Network(eng, Torus2D(4, 4), num_vcs=1)
         with pytest.raises(ConfigError):
-            Network(eng, Torus2D(4, 4), routing=TorusXYRouting(),
-                    num_vcs=2, vc_classes=2)
-
-    def test_rejected_on_plain_mesh(self):
-        eng = Engine()
-        with pytest.raises(ConfigError):
-            Network(eng, Mesh2D(4, 4), routing=TorusXYRouting())
+            Network(eng, Torus2D(4, 4), num_vcs=2, vc_classes=2)
 
     def test_packet_switches_vc_after_wrap(self):
         eng, net = torus_net(4, 1)

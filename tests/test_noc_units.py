@@ -15,8 +15,8 @@ from repro.noc import (
     RoundRobinArbiter,
     TokenBucket,
     Torus2D,
+    TorusXYRouting,
     XYRouting,
-    YXRouting,
     flits_for_bytes,
 )
 
@@ -135,18 +135,13 @@ class TestRouting:
     def test_xy_goes_x_first(self):
         mesh = Mesh2D(4, 4)
         xy = XYRouting()
-        assert xy.candidates(mesh, mesh.node_at(0, 0), mesh.node_at(2, 2)) == [Port.EAST]
-        assert xy.candidates(mesh, mesh.node_at(2, 0), mesh.node_at(2, 2)) == [Port.SOUTH]
-
-    def test_yx_goes_y_first(self):
-        mesh = Mesh2D(4, 4)
-        yx = YXRouting()
-        assert yx.candidates(mesh, mesh.node_at(0, 0), mesh.node_at(2, 2)) == [Port.SOUTH]
+        assert xy.route(mesh, mesh.node_at(0, 0), mesh.node_at(2, 2)) == Port.EAST
+        assert xy.route(mesh, mesh.node_at(2, 0), mesh.node_at(2, 2)) == Port.SOUTH
 
     def test_local_at_destination(self):
         mesh = Mesh2D(4, 4)
-        for routing in (XYRouting(), YXRouting()):
-            assert routing.candidates(mesh, 5, 5) == [Port.LOCAL]
+        for routing in (XYRouting(), TorusXYRouting()):
+            assert routing.route(mesh, 5, 5) == Port.LOCAL
 
     def test_xy_route_terminates_everywhere(self):
         mesh = Mesh2D(5, 4)
@@ -155,7 +150,7 @@ class TestRouting:
             for dst in mesh.nodes():
                 node, hops = src, 0
                 while node != dst:
-                    port = xy.candidates(mesh, node, dst)[0]
+                    port = xy.route(mesh, node, dst)
                     node = mesh.neighbor(node, port)
                     hops += 1
                     assert hops <= mesh.hop_distance(src, dst)

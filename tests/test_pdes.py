@@ -60,8 +60,7 @@ class TestEnvelope:
     def test_roundtrip_is_a_copy(self):
         env = FrameEnvelope(seq=1, src_partition=2, send_cycle=30,
                             src_mac="a", dst_mac="b", nbytes=96,
-                            payload={"k": [1, 2]}, ethertype=0x88B5,
-                            corrupted=False)
+                            payload={"k": [1, 2]}, ethertype=0x88B5)
         copy = pickle_roundtrip(env)
         assert copy is not env
         assert copy.payload == env.payload
@@ -71,17 +70,16 @@ class TestEnvelope:
     def test_to_frame_restores_wire_fields(self):
         env = FrameEnvelope(seq=3, src_partition=1, send_cycle=70,
                             src_mac="fpga0", dst_mac="frontend", nbytes=128,
-                            payload="hi", ethertype=0x0800, corrupted=True)
+                            payload="hi", ethertype=0x0800)
         frame = env.to_frame()
         assert isinstance(frame, EthernetFrame)
         assert (frame.src_mac, frame.dst_mac) == ("fpga0", "frontend")
         assert frame.sent_at == 70
-        assert frame.corrupted
 
     def test_sort_key_orders_by_cycle_then_partition_then_seq(self):
         mk = lambda c, p, s: FrameEnvelope(  # noqa: E731
             seq=s, src_partition=p, send_cycle=c, src_mac="x", dst_mac="y",
-            nbytes=64, payload=None, ethertype=0, corrupted=False)
+            nbytes=64, payload=None, ethertype=0)
         envs = [mk(5, 1, 2), mk(4, 2, 9), mk(5, 0, 7), mk(4, 2, 1)]
         ordered = sorted(envs, key=FrameEnvelope.sort_key)
         assert [(e.send_cycle, e.src_partition, e.seq) for e in ordered] == \
@@ -147,8 +145,7 @@ class TestWireCopy:
         with pytest.raises(type(from_pickle.value)):
             pickle_roundtrip(FrameEnvelope(
                 seq=1, src_partition=0, send_cycle=0, src_mac="a",
-                dst_mac="b", nbytes=64, payload=payload, ethertype=0,
-                corrupted=False))
+                dst_mac="b", nbytes=64, payload=payload, ethertype=0))
 
 
 class TestPartitionFabric:
@@ -191,8 +188,7 @@ class TestPartitionFabric:
         fab.attach("fpga1", lambda f: arrivals.append(eng.now))
         fab.inject(FrameEnvelope(seq=1, src_partition=0, send_cycle=30,
                                  src_mac="frontend", dst_mac="fpga1",
-                                 nbytes=64, payload="p", ethertype=0x88B5,
-                                 corrupted=False))
+                                 nbytes=64, payload="p", ethertype=0x88B5))
         eng.run()
         assert arrivals == [530]
 
@@ -200,8 +196,7 @@ class TestPartitionFabric:
         eng, fab = self._fabric(2)
         fab.inject(FrameEnvelope(seq=1, src_partition=0, send_cycle=0,
                                  src_mac="frontend", dst_mac="fpga1",
-                                 nbytes=64, payload="p", ethertype=0x88B5,
-                                 corrupted=False))
+                                 nbytes=64, payload="p", ethertype=0x88B5))
         eng.run()
         assert fab.frames_dropped == 1
 
@@ -212,8 +207,7 @@ class TestPartitionFabric:
         eng.run_window(531)  # cycle 530 has run; the clock parks on 531
         stale = FrameEnvelope(seq=4, src_partition=0, send_cycle=30,
                               src_mac="frontend", dst_mac="fpga1",
-                              nbytes=64, payload="p", ethertype=0x88B5,
-                              corrupted=False)
+                              nbytes=64, payload="p", ethertype=0x88B5)
         with pytest.raises(SimulationError,
                            match=r"partition 2: <Envelope #4 p0 frontend->"
                                  r"fpga1 @30> arrives at cycle 530, .* "

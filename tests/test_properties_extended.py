@@ -27,7 +27,7 @@ def test_torus_routing_is_minimal_everywhere(width, height, data):
     dst = data.draw(st.integers(0, topo.node_count - 1))
     node, hops = src, 0
     while node != dst:
-        port = routing.candidates(topo, node, dst)[0]
+        port = routing.route(topo, node, dst)
         node = topo.neighbor(node, port)
         hops += 1
         assert hops <= width + height, "route loops"
@@ -47,7 +47,7 @@ def test_torus_route_crosses_wrap_at_most_once_per_dimension(width, height,
     wraps = {"x": 0, "y": 0}
     node = src
     while node != dst:
-        port = routing.candidates(topo, node, dst)[0]
+        port = routing.route(topo, node, dst)
         if TorusXYRouting.crosses_wrap(topo, node, port):
             wraps[TorusXYRouting.dimension(port)] += 1
         node = topo.neighbor(node, port)

@@ -210,32 +210,6 @@ def test_concurrent_reads_overlap_across_banks_and_conflict_within_one():
         ("dram.access", "dram", 2_021, 2_059, {"nbytes": 8, "write": False})]
 
 
-def test_a_read_of_a_failed_bank_is_an_error_reply():
-    system = memory_board()
-    t0, log, cap = allocated(system, SEG)
-    system.dram.fail_bank(0, 0, 2_000)
-    log.issue("failed bank", read(system, 2, cap, 0, 8))
-    log.issue("healthy bank", read(system, 2, cap, OTHER_BANK, 8))
-    log.at(3_100).issue("healed", read(system, 2, cap, 0, 8))
-    log.at(4_000)
-    assert log.table() == {
-        "alloc": (0, 27,
-                  "{'cap': capref(1:b7faa10b), 'sid': 1, 'size': 262144}"),
-        "failed bank": (1_000, 1_023, (
-            "error", "DramFault: dram.ch0 bank 0 failed until 575680 "
-                     "(access at 573691)")),
-        "healthy bank": (1_000, 1_044, ZEROS),
-        "healed": (3_100, 3_139, ZEROS)}
-    assert service_spans(system.spans, t0, "service:") == [
-        ("service:mem.alloc", "tile0", 11, 15, {"mid": 1, "op": "mem.alloc"}),
-        ("service:mem.read", "tile0", 1_011, 1_011,
-         {"error": "DramFault", "mid": 2, "op": "mem.read"}),
-        ("service:mem.read", "tile0", 1_016, 1_032,
-         {"mid": 3, "op": "mem.read"}),
-        ("service:mem.read", "tile0", 3_111, 3_127,
-         {"mid": 4, "op": "mem.read"})]
-
-
 def test_every_refusal_the_service_makes_is_an_error_reply():
     """Monitors off (the A2 ablation): what the caller's monitor would have
     refused reaches the service, whose own checks answer with an error in

@@ -133,40 +133,3 @@ def test_unbounded_channel_never_blocks_put():
     eng.run()
     assert len(ch) == 1000
     assert eng.now == 0
-
-
-def test_counters_and_watermark():
-    eng = Engine()
-    ch = Channel(eng, capacity=8)
-
-    def producer():
-        for i in range(5):
-            yield ch.put(i)
-
-    def consumer():
-        yield 10
-        for _ in range(5):
-            yield ch.get()
-
-    eng.process(producer())
-    eng.process(consumer())
-    eng.run()
-    assert ch.total_put == 5
-    assert ch.total_got == 5
-    assert ch.high_watermark == 5
-    assert ch.empty
-
-
-def test_peek_without_removal():
-    eng = Engine()
-    ch = Channel(eng, capacity=2)
-    ch.try_put("front")
-    assert ch.peek() == "front"
-    assert len(ch) == 1
-
-
-def test_peek_empty_raises():
-    eng = Engine()
-    ch = Channel(eng, capacity=2)
-    with pytest.raises(SimulationError):
-        ch.peek()

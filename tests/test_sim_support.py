@@ -14,7 +14,6 @@ from repro.sim import (
     Resource,
     RngPool,
     StatsRegistry,
-    TimeWeighted,
 )
 
 
@@ -57,19 +56,10 @@ class TestResource:
         eng.run()
         assert done_at == [10, 10, 20, 20]
 
-    def test_try_acquire(self):
-        eng = Engine()
-        res = Resource(eng, slots=1)
-        grant = res.try_acquire()
-        assert grant is not None
-        assert res.try_acquire() is None
-        res.release(grant)
-        assert res.try_acquire() is not None
-
     def test_double_release_rejected(self):
         eng = Engine()
         res = Resource(eng, slots=1)
-        grant = res.try_acquire()
+        grant = res.acquire().value
         res.release(grant)
         with pytest.raises(SimulationError):
             res.release(grant)
@@ -78,24 +68,9 @@ class TestResource:
         eng = Engine()
         a = Resource(eng, slots=1)
         b = Resource(eng, slots=1)
-        grant = a.try_acquire()
+        grant = a.acquire().value
         with pytest.raises(SimulationError):
             b.release(grant)
-
-    def test_utilization_accounting(self):
-        eng = Engine()
-        res = Resource(eng, slots=1)
-
-        def worker():
-            grant = yield res.acquire()
-            yield 50
-            res.release(grant)
-            yield 50
-
-        p = eng.process(worker())
-        eng.run()
-        assert eng.now == 100
-        assert res.utilization() == pytest.approx(0.5)
 
     def test_zero_slots_rejected(self):
         eng = Engine()
@@ -188,18 +163,6 @@ class TestStats:
         a.reset()
         assert a.count == 0
 
-    def test_time_weighted_average(self):
-        tw = TimeWeighted("q")
-        tw.update(10, 4.0)   # value 0 for cycles 0..10
-        tw.update(30, 0.0)   # value 4 for cycles 10..30
-        assert tw.average(40) == pytest.approx((0 * 10 + 4 * 20 + 0 * 10) / 40)
-
-    def test_time_weighted_rejects_time_reversal(self):
-        tw = TimeWeighted()
-        tw.update(5, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(4, 2.0)
-
     def test_registry_reuses_instances(self):
         reg = StatsRegistry()
         assert reg.counter("a") is reg.counter("a")
@@ -216,8 +179,7 @@ class TestStats:
         assert snap["gauges"]["depth"] == 2.0
         assert snap["sketches"]["lat"]["count"] == 1
         # one distribution kind: there is no second section to look in
-        assert sorted(snap) == ["counters", "gauges", "sketches",
-                                "time_weighted"]
+        assert sorted(snap) == ["counters", "gauges", "sketches"]
 
 
 class TestSnapshotJsonSafety:
@@ -243,7 +205,6 @@ class TestSnapshotJsonSafety:
         reg.gauge("depth").set(2)
         reg.sketch("lat").record(10)
         reg.sketch("empty")
-        reg.time_weighted("q").update(100, 4.0)
         # parse_constant raises on NaN/Infinity tokens — the strictness
         # every non-Python JSON consumer applies by default
         def reject(token):
@@ -253,20 +214,6 @@ class TestSnapshotJsonSafety:
         back = json.loads(text, parse_constant=reject)
         assert back["sketches"]["lat"]["count"] == 1
         assert back["sketches"]["empty"]["mean"] is None
-
-    def test_registry_time_weighted_reuses_and_snapshots(self):
-        reg = StatsRegistry()
-        tw = reg.time_weighted("queue.depth")
-        assert reg.time_weighted("queue.depth") is tw
-        tw.update(10, 4.0)   # 0.0 held for [0, 10)
-        tw.update(20, 0.0)   # 4.0 held for [10, 20)
-        # explicit end time: 0.0 held for [20, 40) too
-        snap = reg.snapshot(now=40)
-        assert snap["time_weighted"]["queue.depth"] == pytest.approx(1.0)
-        # without an end time, averages run to the last update
-        snap = reg.snapshot()
-        assert snap["time_weighted"]["queue.depth"] == pytest.approx(2.0)
-
 
 class TestRegistryMerge:
     """Merge-safe snapshots: the cluster roll-up contract for PDES runs."""
@@ -280,9 +227,6 @@ class TestRegistryMerge:
         g.add(-seed)
         reg.sketch("noc.packet_latency").record_many(
             [seed, seed + 10, seed + 20])
-        tw = reg.time_weighted("noc.queue_depth")
-        tw.update(50, 2.0 + seed)
-        tw.update(100, 0.0)
         return reg
 
     def test_counters_add(self):
@@ -313,14 +257,6 @@ class TestRegistryMerge:
         # extremes are the union across boards, not a sum
         assert g.max_seen == 12
         assert g.min_seen == 10
-
-    def test_time_weighted_integrals_add(self):
-        merged = StatsRegistry()
-        merged.merge(self._board(1))
-        merged.merge(self._board(2))
-        tw = merged.time_weighted_stats["noc.queue_depth"]
-        # each board: 50 cycles at (2+seed), then 0 -> integral 150/200
-        assert tw.average(100) == pytest.approx((150 + 200) / 100)
 
     def test_merge_round_trips_commutatively(self):
         """snapshot(merge(a, b)) == snapshot(merge(b, a)) — byte-stable

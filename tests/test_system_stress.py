@@ -1,8 +1,8 @@
 """Whole-system stress test: everything at once, invariants at the end.
 
-One 4x4 board runs the full cast simultaneously — a video pipeline, a
-network-facing KV tenant, a microservice chain, a crashing accelerator, a
-flooding accelerator (later policed), plus an operator migration — while a
+One 4x4 board runs the full cast simultaneously — two video pipelines, a
+network-facing KV tenant, a crashing accelerator, a flooding accelerator
+(later policed), plus an operator migration — while a
 remote client hammers the KV port.  At the end we assert the global
 invariants the paper's design promises: faults stayed inside their tiles,
 honest tenants made full progress, capability accounting balanced, and
@@ -17,32 +17,11 @@ from repro.accel import (
     FloodingAccel,
     SinkAccel,
 )
-from repro.apps import deploy_chain, deploy_kv_on_apiary, deploy_pipeline
+from repro.apps import deploy_kv_on_apiary, deploy_pipeline
 from repro.kernel import ApiarySystem, NetConfig, SystemConfig
 from repro.net import EthernetFabric
 from repro.sim import Engine
 from repro.workloads import RemoteClientHost
-
-
-class ChainDriver(Accelerator):
-    from repro.hw.resources import ResourceVector
-
-    COST = ResourceVector(logic_cells=4_000, bram_kb=8, dsp_slices=0)
-    PRIMITIVES = {"lut_logic": 3_000}
-
-    def __init__(self, head, count):
-        super().__init__("chain-driver")
-        self.head = head
-        self.count = count
-        self.ok = 0
-
-    def main(self, shell):
-        for _ in range(self.count):
-            yield 20_000
-            resp = yield shell.call(self.head, "work", payload={"hops": 0},
-                                    timeout=10_000_000)
-            assert resp.payload["hops"] == 2
-            self.ok += 1
 
 
 class PipelineDriver(Accelerator):
@@ -51,15 +30,18 @@ class PipelineDriver(Accelerator):
     COST = ResourceVector(logic_cells=4_000, bram_kb=8, dsp_slices=0)
     PRIMITIVES = {"lut_logic": 3_000}
 
-    def __init__(self, count):
-        super().__init__("pipe-driver")
+    def __init__(self, head, count):
+        super().__init__(f"{head}-driver")
+        self.head = head
         self.count = count
         self.ok = 0
 
     def main(self, shell):
         for i in range(self.count):
             yield 40_000
-            yield shell.call("app.pipe.enc", "encode",
+            # the encoder calls its compressor before it answers: one
+            # nested call per request
+            yield shell.call(self.head, "encode",
                              payload={"stream": "s", "seq": i, "frames": 1,
                                       "bytes": 20_000},
                              payload_bytes=64, timeout=20_000_000)
@@ -78,27 +60,26 @@ def stressed_system():
     stages, pipe_started = deploy_pipeline(system, nodes=[4, 5])
     # tenant B: KV over the network on tile 6
     kv, kv_started = deploy_kv_on_apiary(system, node=6)
-    # tenant C: microservice chain on tiles 8, 9
-    chain_stages, chain_started, head = deploy_chain(
-        system, nodes=[8, 9], work_cycles=50
-    )
+    # tenant C: a second video pipeline on tiles 8, 9
+    stages2, pipe2_started = deploy_pipeline(system, nodes=[8, 9],
+                                             name_prefix="pipe2")
     # misbehavers: a crasher on tile 10, a flooder on tile 12
     crasher = CrashingAccel("crasher", crash_after=3)
     flood_sink = SinkAccel("floodsink", service_cycles=5)
     flooder = FloodingAccel("flooder", victim="app.floodsink",
                             message_bytes=64)
     # drivers
-    pipe_driver = PipelineDriver(count=8)
-    chain_driver = ChainDriver(head, count=8)
+    pipe_driver = PipelineDriver("app.pipe.enc", count=8)
+    pipe2_driver = PipelineDriver("app.pipe2.enc", count=8)
 
-    started = pipe_started + [kv_started] + chain_started + [
+    started = pipe_started + [kv_started] + pipe2_started + [
         system.start_app(10, crasher, endpoint="app.crasher"),
         system.start_app(11, flood_sink, endpoint="app.floodsink"),
         system.start_app(13, pipe_driver),
-        system.start_app(14, chain_driver),
+        system.start_app(14, pipe2_driver),
     ]
     system.mgmt.grant_send("tile13", "app.pipe.enc")
-    system.mgmt.grant_send("tile14", head)
+    system.mgmt.grant_send("tile14", "app.pipe2.enc")
     system.run_until(system.engine.all_of(started))
     # the flooder goes live only now, so its unthrottled rampage is a
     # bounded, observed window rather than hiding inside slow bitstream
@@ -151,8 +132,8 @@ def stressed_system():
 
     return {
         "system": system, "client": client, "kv": kv,
-        "stages": stages, "chain_stages": chain_stages,
-        "pipe_driver": pipe_driver, "chain_driver": chain_driver,
+        "stages": stages, "stages2": stages2,
+        "pipe_driver": pipe_driver, "pipe2_driver": pipe2_driver,
         "poker": poker, "flooder": flooder, "throttled": throttled,
     }
 
@@ -160,7 +141,7 @@ def stressed_system():
 def test_honest_tenants_made_full_progress(stressed_system):
     s = stressed_system
     assert s["pipe_driver"].ok == 8
-    assert s["chain_driver"].ok == 8
+    assert s["pipe2_driver"].ok == 8
     assert s["client"].responses_received == 30
     assert s["kv"].requests_served == 30
 

@@ -193,13 +193,18 @@ BARRIER_CHAOS = {
 #: ``monitor.ingress`` span of ``net.bind`` and a ``noc.transit`` opened in
 #: that cycle (1,420,051) trade ids.  The report, the stats and both
 #: id-free digests are unchanged.
+#: The stats digest was re-pinned when the time-weighted stat was
+#: deleted: each board's snapshot lost its always-empty
+#: ``"time_weighted": {}`` section and nothing else — the new digest is
+#: the old snapshot's with that key removed (the other five artefacts are
+#: unchanged).
 GOLDEN = {
     "report":
         "61de601004e93896622e9335e7ff5c232916f9e60a74d8db04282133a43af874",
     "spans":
         "dba052fe4b397b970e4ca0faa403f8747900b45de4da896847a6da90571d1bba",
     "stats":
-        "6f48ce88f220286ddee8747e41573e50e38b34bc2521227786e5910cd2117b70",
+        "3cf39dbce5ae84cb5b60618e3c3cde2185c81b405a0674690b865cb71ebfe2be",
     "flight":
         "ab0c7de0349f54a3aaafc0f71072560094b669afb03d24060658c44d28a34712",
     "spans_id_free":

@@ -8,14 +8,11 @@ from repro.errors import ConfigError
 from repro.eval import EnergyModel, format_table, run_kv_workload
 from repro.sim import RngPool
 from repro.workloads import (
-    bimodal_sizes,
-    bursty_gaps,
     constant_gaps,
     keyed_stream,
     lognormal_gaps,
     pareto_gaps,
     poisson_gaps,
-    uniform_sizes,
     video_chunks,
     zipf_keys,
 )
@@ -39,26 +36,11 @@ class TestGenerators:
         b = poisson_gaps(RngPool(seed=5).stream("g"), 1.0, 100)
         assert a == b
 
-    def test_bursty_gaps_long_run_rate(self):
-        gaps = bursty_gaps(self.rng(), rate_per_kcycle=1.0, count=800,
-                           burst_len=8)
-        assert np.mean(gaps) == pytest.approx(1000, rel=0.15)
-        assert min(gaps) == 1  # bursts are back-to-back
-
     def test_zipf_keys_skewed(self):
         keys = zipf_keys(self.rng(), 10_000, universe=1000)
         counts = np.bincount(keys, minlength=1000)
         # the hottest key dominates the median key
         assert counts.max() > 50 * max(1, int(np.median(counts)))
-
-    def test_uniform_sizes_range(self):
-        sizes = uniform_sizes(self.rng(), 1000, low=64, high=128)
-        assert min(sizes) >= 64 and max(sizes) <= 128
-
-    def test_bimodal_sizes_fraction(self):
-        sizes = bimodal_sizes(self.rng(), 10_000, large_fraction=0.1)
-        large = sum(1 for s in sizes if s == 4096)
-        assert large == pytest.approx(1000, rel=0.2)
 
     def test_video_chunks_shape(self):
         chunks = video_chunks(self.rng(), 50)
