@@ -7,7 +7,7 @@ its tables and ``BENCH_<ID>.json`` files to the git-ignored
 ``bench_scratch/`` instead of ``bench_results/``, so it can never
 overwrite a committed full-config baseline; nothing is ever wiped — a
 benchmark overwrites only the files it writes.  The scenario benchmarks
-(S1, P2, O1, T2) get their reduced configuration from one place too:
+(S1, O1, T2) get their reduced configuration from one place too:
 :func:`scale_timeline` at :data:`SCALE`.
 """
 

@@ -9,9 +9,8 @@ Two canned scenarios against a 4-board cluster, three claims:
   mid-run; replication leaves every shard a live replica, failovers
   absorb the faults, and the run still passes;
 * **identity** — both scenarios produce a byte-identical
-  :class:`~repro.loadgen.report.ScenarioReport` on the shared engine,
-  the sequential windowed oracle, and the parallel worker pool — the
-  chaos plan included.  A reduced ``overload_probe`` additionally
+  :class:`~repro.loadgen.report.ScenarioReport` on the shared engine and
+  the sequential windowed backend — the chaos plan included.  A reduced ``overload_probe`` additionally
   witnesses the open-loop contract: offered load far exceeds served
   goodput, and the bounded backlog drops (distinct from rejects).
 
@@ -29,7 +28,7 @@ from repro.eval import format_table
 from repro.eval.report import RESULTS_DIR, record
 from repro.loadgen import ScenarioRunner, get_scenario
 
-BACKENDS = ("shared", "sequential", "parallel")
+BACKENDS = ("shared", "sequential")
 JSON_PATH = os.path.join(os.path.abspath(RESULTS_DIR), "BENCH_T2.json")
 
 
@@ -69,7 +68,7 @@ def test_bench_traffic(benchmark):
         assert report.passed is True, (
             f"{name} failed its SLOs:\n{report.text()}")
         assert report.matches_expectation()
-        # identity: one digest across shared/sequential/parallel
+        # identity: one digest across shared/sequential
         digests = set(results[name]["digests"].values())
         assert len(digests) == 1, (
             f"{name} report diverged across backends: "
@@ -96,8 +95,7 @@ def test_bench_traffic(benchmark):
     rows = [
         ["flash_crowd verdict", "PASS", "declared expect_pass=True"],
         ["chaos_soak verdict", "PASS", "kill+partition+heal absorbed"],
-        ["report identity", "yes",
-         "shared == sequential == parallel (sha256)"],
+        ["report identity", "yes", "shared == sequential (sha256)"],
         ["crowd p99 latency",
          f"{crowd.tenants['crowd']['latency_p99']:.0f} cyc",
          "under the 60k SLO bound"],

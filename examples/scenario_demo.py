@@ -36,7 +36,7 @@ def main(argv=None):
         description="run flash_crowd, then overdrive it until it pages")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", default="shared",
-                        choices=("shared", "sequential", "parallel"))
+                        choices=("shared", "sequential"))
     parser.add_argument("--crank", type=float, default=16.0,
                         help="spike peak multiplier for the overdriven "
                              "run (default 16x)")

@@ -1,31 +1,28 @@
-"""Cluster execution backends: one shared engine, or windowed PDES.
+"""Cluster execution backends: one shared engine, or lockstep windows.
 
 How a ``Cluster`` executes its boards is a :class:`ClusterBackend`:
 
 * :class:`SharedEngineBackend` (``backend="shared"``, the default) — one
   engine, one fabric, one span recorder for every board.
-* :class:`WindowedBackend` — each board and the host side (front-end +
-  clients) is a *partition* with a private engine, fabric view, and span
-  recorder; partitions advance in lockstep windows of ``fabric_latency``
-  cycles (conservative-lookahead parallel discrete-event simulation).
-  A board with nothing due sits a window out (``_BoardHandle.due``) and
-  is parked on the clock before a run returns (``_park``).
-  One backend, two execution modes: ``backend="sequential"`` runs every
-  board's ops in this process (the determinism oracle, zero concurrency);
-  ``backend="parallel"`` forks one worker per board at ``seal()`` and
-  sends the *same* ops down a pipe.  The orchestration code is shared
-  line for line, and message, span, and envelope ids are all per-board,
-  so the two are byte-identical on the same seed by construction.
+* :class:`WindowedBackend` (``backend="sequential"``) — each board and
+  the host side (front-end + clients) is a *partition* with a private
+  engine, fabric view, and span recorder; partitions advance in lockstep
+  windows of ``fabric_latency`` cycles (conservative-lookahead discrete-
+  event simulation), one after another in this process.  A board with
+  nothing due sits a window out (:meth:`Board.due`) and is parked on the
+  clock before a run returns (``_park``).  Message, span, and envelope
+  ids are all per-board, so a run's bytes do not depend on the order the
+  partitions execute in.
 
 A board is reachable only through ten ops (:class:`Board`): ``window``,
 ``kill``, ``mark_detached``, ``partition``, ``heal``, ``collect``, and the
-placement ops ``load``, ``teardown``, ``forget``, ``prefetch``.  A worker
-dispatches them by name; the oracle and ``shared`` call the same methods
-directly, so every placement — pre-seal deploys, the autoscaler, chain
-repair — takes one path onto a board on every backend.  Between runs an
-op runs at once; one issued inside a host window (a control-plane tick)
-runs at the barrier that ends it, and its answer and completion ride the
-board's reply there (:meth:`WindowedBackend.op`).
+placement ops ``load``, ``teardown``, ``forget``, ``prefetch``.  Both
+backends call the same methods, so every placement — pre-seal deploys,
+the autoscaler, chain repair — takes one path onto a board on every
+backend.  Between runs an op runs at once; one issued inside a host
+window (a control-plane tick) runs at the barrier that ends it, and its
+answer and completion ride the board's news there
+(:meth:`WindowedBackend.op`).
 
 Why a window is sound is argued in :mod:`repro.net.envelope`: the fabric
 is the only cross-partition channel and a frame sent inside a window
@@ -36,21 +33,18 @@ simulated behaviour.
 
 Lifecycle::
 
-    cluster = Cluster(ClusterConfig(n_fpgas=4, backend="parallel"))
+    cluster = Cluster(ClusterConfig(n_fpgas=4, backend="sequential"))
     cluster.boot()                    # boards up, config's features armed
-    cluster.deploy_stateless(...)     # pre-seal: boards are in-process
+    cluster.deploy_stateless(...)
     cluster.run_until(started)
     cluster.start_frontend(...)
-    cluster.seal()                    # parallel: fork one worker per board
-    cluster.run(until=...)            # board windows now overlap
-    cluster.shutdown()                # reap workers
+    cluster.seal()                    # no new service from here on
+    cluster.run(until=...)
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import traceback
 from dataclasses import replace
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -64,7 +58,7 @@ from repro.obs.span import SpanRecorder
 from repro.sim import Engine, Event, StatsRegistry
 
 __all__ = ["ClusterBackend", "SharedEngineBackend", "WindowedBackend",
-           "ParallelBackend", "BACKENDS"]
+           "BACKENDS"]
 
 #: span/trace id stride between partitions (board i allocates from
 #: (i + 1) * SPAN_ID_STRIDE); far above any realistic per-run span count
@@ -78,18 +72,12 @@ BOARD_OPS = ("window", "kill", "mark_detached", "partition", "heal",
              "collect", "load", "teardown", "forget", "prefetch")
 PLACEMENT_OPS = BOARD_OPS[6:]
 
-#: wall-clock seconds the orchestrator waits for one op reply before it
-#: declares the worker hung (a board window takes milliseconds)
-REPLY_TIMEOUT_S = 300.0
-
 
 class Board:
     """One board as the orchestrator sees it: ten ops, nothing else.
 
-    The object lives wherever the board executes — in the orchestrating
-    process, or (after a forking ``seal()``) in the board's worker — and
-    is the only thing either place calls, so what an op *does* is written
-    once.  A placement op answers ``(answer, completion event)``.
+    Both backends call only these, so what an op *does* is written once.
+    A placement op answers ``(answer, completion event)``.
     """
 
     def __init__(self, index: int, system: ApiarySystem,
@@ -97,8 +85,10 @@ class Board:
         self.index = index
         self.system = system
         self.fabric = fabric
-        #: service -> (factory, chained), shared by every board until a fork
+        #: service -> (factory, chained), shared by every board
         self.services = services
+        #: the end of the last window the board ran
+        self.at = 0
         #: news since the last reply: (node, action, endpoint) per fault,
         #: (token, error or None) per completed placement op
         self._faults: List[Tuple[int, str, str]] = []
@@ -138,14 +128,19 @@ class Board:
                 (token, ev.value if ev.failed else None)))
         return answer, self._news(always=True)
 
+    def due(self, end: int) -> bool:
+        """Whether the board has anything to run in a window to ``end``;
+        one that has not sits the window out."""
+        nxt = self.system.engine.peek_next()
+        return nxt is not None and nxt < end
+
     # -- the ops -----------------------------------------------------------
 
     def window(self, end: int):
-        """Run to ``end``; returns (outbox, news, next-event cycle —
-        ``None`` when nothing is pending)."""
-        engine = self.system.engine
-        engine.run_window(end)
-        return self.fabric.drain_outbox(), self._news(), engine.peek_next()
+        """Run to ``end``; returns (outbox, news)."""
+        self.at = end
+        self.system.engine.run_window(end)
+        return self.fabric.drain_outbox(), self._news()
 
     def kill(self):
         """Fail-stop the board in place: stop the recovery watchdog (no
@@ -227,135 +222,6 @@ class Board:
         return None, self.system.bitstore.prefetch(bitstream)
 
 
-def _worker_main(conn, board: Board) -> None:
-    """Board worker loop (child side of a fork; one per board).
-
-    Commands arrive strictly ordered on the pipe; the worker is a pure
-    server — it never initiates traffic — so the parent's send/recv
-    pairing fully determines execution.
-    """
-    while True:
-        op, args, inbound = conn.recv()
-        if op == "stop":
-            return
-        try:
-            for env in inbound:  # see _BoardHandle.deliver
-                board.fabric.inject(env)
-            reply = ("ok", board.dispatch(op, args))
-        except Exception:
-            reply = ("err", traceback.format_exc())
-        conn.send(reply)
-
-
-class _BoardHandle:
-    """Where a board's ops execute: in this process until :meth:`fork`,
-    over a pipe to the board's worker afterwards.  ``send``/``recv`` are
-    split so the orchestrator can overlap its own window with the
-    workers'; in-process, ``send`` simply runs the op."""
-
-    def __init__(self, board: Board):
-        self.board = board
-        self._conn = None
-        self._worker: Optional[multiprocessing.Process] = None
-        self._op = ""
-        self._reply: Any = None
-        #: envelopes delivered to a forked board since its last message
-        self._inbound: List[FrameEnvelope] = []
-        #: the end of the last window the board ran
-        self.at = 0
-        #: a forked board's next-event cycle as far as this side knows: its
-        #: last window reply, lowered by every envelope delivered since
-        #: (None: nothing pending; 0: unknown — it ran some other op)
-        self.next_at: Optional[int] = 0
-
-    def fork(self, ctx) -> None:
-        self._conn, child_conn = ctx.Pipe()
-        self._worker = ctx.Process(
-            target=_worker_main, args=(child_conn, self.board),
-            name=f"pdes-board{self.board.index}", daemon=True)
-        self._worker.start()
-        child_conn.close()
-
-    def _lost(self, why: str) -> SimulationError:
-        return SimulationError(
-            f"board {self.board.index}: worker {why} during op {self._op!r}")
-
-    def deliver(self, env: FrameEnvelope) -> None:
-        """Inject ``env`` at the barrier it was collected at.
-
-        In-process that is now; a forked board gets it with the next
-        message on its pipe, ahead of that message's op — either way
-        before anything else happens on the board.
-        """
-        if self._conn is None:
-            self.board.fabric.inject(env)
-            return
-        self._inbound.append(env)
-        arrival = env.send_cycle + self.board.fabric.latency_cycles
-        if self.next_at is None or arrival < self.next_at:
-            self.next_at = arrival
-
-    def next_event(self) -> Optional[int]:
-        """The board's earliest pending cycle.  Asked of the engine while
-        the board lives in this process (pre-seal placement schedules on
-        it behind the handle's back)."""
-        if self._conn is None:
-            return self.board.system.engine.peek_next()
-        return self.next_at
-
-    def due(self, end: int) -> bool:
-        """Whether the board has anything to run in a window to ``end``;
-        one that has not sits the window out (no op, no pipe message)."""
-        nxt = self.next_event()
-        return nxt is not None and nxt < end
-
-    def send(self, op: str, *args) -> None:
-        self._op = op
-        self.next_at = 0
-        if self._conn is None:
-            self._reply = self.board.dispatch(op, args)
-            return
-        inbound, self._inbound = self._inbound, []
-        try:
-            self._conn.send((op, args, inbound))
-        except OSError as err:
-            raise self._lost(f"is gone ({err})") from err
-
-    def recv(self):
-        if self._conn is None:
-            reply, self._reply = self._reply, None
-            return reply
-        try:
-            if not self._conn.poll(REPLY_TIMEOUT_S):
-                raise self._lost(f"sent no reply in {REPLY_TIMEOUT_S:g} s")
-            status, value = self._conn.recv()
-        except (EOFError, OSError) as err:
-            raise self._lost(f"died ({err!r})") from err
-        if status != "ok":
-            raise SimulationError(
-                f"board {self.board.index} op {self._op!r} failed:\n{value}")
-        return value
-
-    def call(self, op: str, *args):
-        self.send(op, *args)
-        return self.recv()
-
-    def stop(self) -> None:
-        """Reap the worker, if any (idempotent; tolerates a dead one)."""
-        if self._worker is None:
-            return
-        try:
-            self._conn.send(("stop", (), []))
-        except OSError:
-            pass
-        self._conn.close()
-        self._worker.join(timeout=10)
-        if self._worker.is_alive():  # pragma: no cover - hung worker
-            self._worker.kill()
-            self._worker.join(timeout=10)
-        self._worker = None
-
-
 class ClusterBackend:
     """How a :class:`~repro.cluster.cluster.Cluster` executes its boards."""
 
@@ -367,6 +233,7 @@ class ClusterBackend:
         self._fault_listeners: List[Any] = []
         #: service -> (factory, chained): what a ``load`` op builds from
         self.services: Dict[str, Tuple[Callable[..., Any], bool]] = {}
+        self.boards: List[Board] = []
 
     # -- construction ------------------------------------------------------
 
@@ -398,18 +265,14 @@ class ClusterBackend:
         raise NotImplementedError
 
     def seal(self) -> None:
-        """Freeze placement; the parallel backend forks its workers here."""
+        """Freeze the set of loadable services."""
         self.sealed = True
-
-    def shutdown(self) -> None:
-        """Release any execution resources (idempotent)."""
 
     # -- placement: board ops ----------------------------------------------
 
     def register(self, service: str, factory: Callable[..., Any],
                  chained: bool) -> None:
-        """Make ``service``'s code loadable on every board.  A factory is
-        not picklable and reaches a forked worker only by the fork."""
+        """Make ``service``'s code loadable on every board."""
         if self.sealed:
             raise ConfigError(
                 f"new service {service!r} after seal(): a service's code "
@@ -448,13 +311,8 @@ class ClusterBackend:
     def merged_spans(self) -> SpanRecorder:
         raise NotImplementedError
 
-    def _collect(self, index: int):
-        """Board ``index``'s ``Board.collect``, fetched from wherever the
-        board executes."""
-        raise NotImplementedError
-
     def _collect_all(self):
-        return [self._collect(i) for i in range(len(self.cluster.systems))]
+        return [board.collect() for board in self.boards]
 
     def merged_stats(self) -> StatsRegistry:
         merged = StatsRegistry()
@@ -471,12 +329,7 @@ class ClusterBackend:
                 for i, (*_, cache) in enumerate(self._collect_all())}
 
     def flight_reports(self) -> Dict[str, Optional[Dict]]:
-        """Per-board flight snapshot + retained dumps (None if disabled).
-
-        A forked board's recorder is collected from its worker, so the
-        returned state is byte-identical to what the in-process oracle
-        accumulates.
-        """
+        """Per-board flight snapshot + retained dumps (None if disabled)."""
         return {f"fpga{i}": flight.report() if flight is not None else None
                 for i, (_spans, _stats, flight, _cache)
                 in enumerate(self._collect_all())}
@@ -535,9 +388,6 @@ class SharedEngineBackend(ClusterBackend):
     def merged_spans(self):
         return self.cluster.spans
 
-    def _collect(self, index):
-        return self.boards[index].collect()
-
     def op(self, fpga, name, *args, placed=None, loaded=None):
         answer, done = getattr(self.boards[fpga], name)(*args)
         if placed is not None:
@@ -555,23 +405,15 @@ class WindowedBackend(ClusterBackend):
 
     Partition 0 is the host side (front-end, clients, anything attaching
     an unmapped MAC); partition ``i + 1`` is board ``i``, reached only
-    through its :class:`_BoardHandle`.  This class is ``"sequential"``,
-    the determinism oracle; ``"parallel"`` differs in ``forks`` alone —
-    one window/barrier/exchange schedule, one copy of every envelope.
+    through its :class:`Board` ops.
     """
 
     name = "sequential"
-    #: whether seal() hands each board to a forked worker process
-    forks = False
 
     def __init__(self):
         super().__init__()
         self.window = 0
         self.partition_of: Dict[str, int] = {}
-        self.boards: List[_BoardHandle] = []
-        #: the first board failure inside a window exchange; later boards'
-        #: replies were never read, so every later op re-raises it
-        self._failure: Optional[SimulationError] = None
         #: True while the host runs a window; ops issued then are queued
         self._in_window = False
         self._queued: List[tuple] = []
@@ -615,7 +457,7 @@ class WindowedBackend(ClusterBackend):
             cluster.systems.append(system)
             board = Board(i, system, board_fabric, self.services)
             system.fault_manager.on_fault.append(board._record_fault)
-            self.boards.append(_BoardHandle(board))
+            self.boards.append(board)
             self._views.append(board.placement())
 
     # -- the window protocol ----------------------------------------------
@@ -625,59 +467,31 @@ class WindowedBackend(ClusterBackend):
         """The barrier cycle every partition is parked on."""
         return self.cluster.engine.now
 
-    def seal(self):
-        if self.sealed:
-            return
-        super().seal()
-        if self.forks:
-            ctx = multiprocessing.get_context("fork")
-            for board in self.boards:
-                board.fork(ctx)
-
-    def shutdown(self):
-        for board in self.boards:
-            board.stop()
-
-    def _step(self, end: int,
-              boards: Optional[List[_BoardHandle]] = None) -> None:
-        """One window for the host and every board that is due (or the
-        given ``boards``) + the barrier exchange."""
-        self._check_failure()
-        host = self.cluster.engine
+    def _step(self, end: int, boards: Optional[List[Board]] = None) -> None:
+        """One window for every board that is due (or the given
+        ``boards``), then the host's + the barrier exchange."""
         if boards is None:
             boards = [board for board in self.boards if board.due(end)]
-        # in-process boards hand envelopes over by reference; the oracle
-        # copies them exactly as a worker pipe would, so sender/receiver
-        # aliasing can never diverge between modes
-        copy = not (self.forks and self.sealed)
+        envelopes, news = [], []
         for board in boards:
-            board.at = end
-            board.send("window", end)
-        # forked boards run their windows while the host runs its own
-        self._in_window = True
-        host.run_window(end)
-        self._in_window = False
-        envelopes = self.cluster.fabric.drain_outbox()
-        news = []
-        for board in boards:
-            try:
-                outbox, entries, board.next_at = board.recv()
-            except SimulationError as err:
-                self._failure = err
-                raise
+            outbox, entries = board.window(end)
             envelopes.extend(outbox)
             news.append(entries)
+        self._in_window = True
+        self.cluster.engine.run_window(end)
+        self._in_window = False
+        envelopes.extend(self.cluster.fabric.drain_outbox())
         envelopes.sort(key=FrameEnvelope.sort_key)
+        # every delivered envelope is a copy, so no two partitions ever
+        # share a mutable payload
         for env in envelopes:
-            if copy:
-                env = pickle_roundtrip(env)
+            env = pickle_roundtrip(env)
             pid = self.partition_of.get(env.dst_mac, 0)
-            if pid == 0:
-                self.cluster.fabric.inject(env)
-            else:
-                self.boards[pid - 1].deliver(env)
+            fabric = (self.cluster.fabric if pid == 0
+                      else self.boards[pid - 1].fabric)
+            fabric.inject(env)
         for board, entries in zip(boards, news):
-            self._hear(board.board.index, entries)
+            self._hear(board.index, entries)
         if self._queued:
             queued, self._queued = self._queued, []
             for op in queued:
@@ -690,10 +504,6 @@ class WindowedBackend(ClusterBackend):
         ``engine.now == cluster.now`` on every board."""
         self._step(self.clock, [board for board in self.boards
                                 if board.at < self.clock])
-
-    def _check_failure(self) -> None:
-        if self._failure is not None:
-            raise self._failure
 
     def _hear(self, index: int, news) -> None:
         """Take board ``index``'s news (``Board._news``) at a barrier."""
@@ -717,7 +527,6 @@ class WindowedBackend(ClusterBackend):
     def op(self, fpga, name, *args, placed=None, loaded=None):
         """At once between runs (every board is parked at the clock);
         queued for the barrier inside a host window."""
-        self._check_failure()
         token = next(self._tokens)
         done = self.cluster.engine.event(f"fpga{fpga}.{name}")
         self._waiting[token] = (done, loaded)
@@ -731,7 +540,7 @@ class WindowedBackend(ClusterBackend):
         board = self.boards[fpga]
         if board.at < self.clock:  # it sat windows out: park it first
             self._step(self.clock, [board])
-        answer, news = board.call(name, token, *args)
+        answer, news = board.dispatch(name, (token, *args))
         if placed is not None:
             placed(answer)
         self._hear(fpga, news)
@@ -788,49 +597,40 @@ class WindowedBackend(ClusterBackend):
                         f"events not triggered within {limit} cycles"
                     )
                 self._step(self.clock + self.window)
-                # envelopes in flight are pending events (or a forked
-                # board's lowered next-event cycle) by now
+                # envelopes in flight are pending events by now
                 if not (self.cluster.engine.pending_events() or any(
-                        board.next_event() is not None
+                        board.system.engine.peek_next() is not None
                         for board in self.boards)) and not settled():
                     raise SimulationError(
                         f"all partitions drained at cycle {self.clock} "
                         "before the awaited events triggered"
                     )
         finally:
-            if self._failure is None:
-                self._park()
+            self._park()
 
     # -- fault injection ---------------------------------------------------
 
     def kill_board(self, index):
-        self._check_failure()
         mac = self.cluster.mac(index)
         self.cluster.fabric.mark_remote_detached(mac)
         for i, board in enumerate(self.boards):
             if i != index:
-                board.call("mark_detached", mac)
-        self._hear(index, self.boards[index].call("kill"))
+                board.mark_detached(mac)
+        self._hear(index, self.boards[index].kill())
 
     def partition_board(self, index):
-        self._check_failure()
         mac = self.cluster.mac(index)
         self.cluster.fabric.partition(mac)
         for board in self.boards:
-            board.call("partition", mac)
+            board.partition(mac)
 
     def heal_board(self, index):
-        self._check_failure()
         mac = self.cluster.mac(index)
         self.cluster.fabric.heal(mac)
         for board in self.boards:
-            board.call("heal", mac)
+            board.heal(mac)
 
     # -- observability -----------------------------------------------------
-
-    def _collect(self, index):
-        self._check_failure()
-        return self.boards[index].call("collect")
 
     def merged_spans(self):
         merged = SpanRecorder(id_base=0)
@@ -840,17 +640,7 @@ class WindowedBackend(ClusterBackend):
         return merged
 
 
-class ParallelBackend(WindowedBackend):
-    """The windowed backend with each board on a forked worker after
-    ``seal()``.  Construction, boot, and deploys run in-process first, so
-    the children inherit exactly the state the oracle has at that point."""
-
-    name = "parallel"
-    forks = True
-
-
 BACKENDS = {
     "shared": SharedEngineBackend,
     "sequential": WindowedBackend,
-    "parallel": ParallelBackend,
 }

@@ -26,12 +26,12 @@ The autoscaler drives prefetch from its jump-scaling early-warning and
 ``slo_burn`` signals; accuracy (prefetched artifacts later used /
 prefetches completed) is a first-class gauge.
 
-Determinism/PDES contract: a store's entire state lives on its board —
-its engine events, its LRU order, its counters (registered in the
-board's :class:`~repro.sim.StatsRegistry`, so they ride the existing
+Determinism contract: a store's entire state lives on its board — its
+engine events, its LRU order, its counters (registered in the board's
+:class:`~repro.sim.StatsRegistry`, so they ride the existing
 deterministic cross-partition merge).  The plane reads only what boards
-report in their news, which keeps sequential and parallel windowed runs
-byte-identical through mid-run prefetches and board kills.
+report in their news, which keeps windowed runs byte-identical on a
+rerun through mid-run prefetches and board kills.
 """
 
 from __future__ import annotations

@@ -26,21 +26,20 @@ execute is a :class:`~repro.cluster.backend.ClusterBackend`:
 * ``backend="shared"`` (default) — all boards share one
   :class:`~repro.sim.Engine`, one fabric, one span recorder; a single
   causal trace spans client, front-end, and server board.
-* ``backend="sequential"`` / ``backend="parallel"`` — each board gets a
-  private engine and advances in conservative lookahead windows (see
-  ``backend.py``); ``parallel`` runs board windows on forked workers
-  after :meth:`seal`.  ``cluster.engine`` / ``cluster.fabric`` /
-  ``cluster.spans`` then name the *host* partition's objects (front-end
-  and clients attach there); per-board state is reachable through
-  :meth:`merged_spans` / :meth:`merged_stats` / :meth:`stats_snapshots`.
+* ``backend="sequential"`` — each board gets a private engine and
+  advances in conservative lookahead windows (see ``backend.py``).
+  ``cluster.engine`` / ``cluster.fabric`` / ``cluster.spans`` then name
+  the *host* partition's objects (front-end and clients attach there);
+  per-board state is reachable through :meth:`merged_spans` /
+  :meth:`merged_stats` / :meth:`stats_snapshots`.
 Every feature runs on every backend: placement is board ops.
 
 ``kill_fpga`` is the availability experiment's hammer: it detaches the
 board's MAC (frames to it drop on the floor) and reports a fault on
 every occupied tile, which reaches the front-end through the same
 ``on_fault`` hook intra-FPGA recovery uses — shards fail over to their
-surviving replicas.  On windowed backends the kill lands at the current
-window barrier, identically in sequential and parallel runs.
+surviving replicas.  On ``sequential`` the kill lands at the current
+window barrier.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ class Cluster:
         """Attach the build-time features the config declares.
 
         Runs once, when :meth:`boot` returns: boards are up, nothing is
-        deployed or sealed yet, so forked workers inherit all of it.
+        deployed or sealed yet.
         Cross-FPGA failover stays the front-end's job; the recovery
         watchdogs handle restart-in-place / spare tiles *within* a
         surviving board.
@@ -227,19 +226,10 @@ class Cluster:
         return started, self.replication.manage(service)
 
     def seal(self) -> None:
-        """Freeze the set of services and hand boards to the backend's
-        executors.
-
-        On ``parallel`` this is the fork point — new services and
-        recovery attachment must happen before it.  Windowed runs work
-        unsealed too (everything stays in-process), sealing is what
-        unlocks actual parallelism.
-        """
+        """Freeze the set of services: one first deployed after this is
+        refused; more instances of one deployed before it are board ops
+        and still run."""
         self._backend.seal()
-
-    def shutdown(self) -> None:
-        """Release backend resources (parallel workers); idempotent."""
-        self._backend.shutdown()
 
     def run(self, until: Optional[int] = None) -> None:
         self._backend.run(until)

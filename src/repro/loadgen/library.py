@@ -4,7 +4,7 @@ Each factory returns a frozen :class:`~repro.loadgen.scenario.Scenario`
 tuned so its declared ``expect_pass`` holds with margin — these are the
 fixtures every later scaling PR reports against, so their verdicts (and
 their report bytes, for the CI-pinned ones) must be boring.  Eight are
-serving runs (S1, O1, P2 and T2 use them); ``autoscale_step`` /
+serving runs (S1, O1 and T2 use them); ``autoscale_step`` /
 ``autoscale_chaos`` (S2), ``cache_step`` (C1) and ``replication_chaos``
 (R2) drive the autoscaler and the replication manager.
 

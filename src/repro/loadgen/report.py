@@ -10,8 +10,7 @@ deploys a chain adds ``autoscale`` (the decision logs), ``replication``
 :class:`~repro.replic.history.HistoryChecker` verdict) — each only when
 declared, so no other report changes.  ``to_json()`` is byte-stable: the same
 seeded :class:`~repro.loadgen.scenario.Scenario` must produce the same
-bytes on the shared, sequential, and parallel backends, and CI pins
-exactly that.
+bytes on the shared and sequential backends, and CI pins exactly that.
 """
 
 from __future__ import annotations

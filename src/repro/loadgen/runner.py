@@ -20,7 +20,7 @@ Two properties are load-bearing:
   artifacts (bucketed SLO counts, mergeable sketches, integer counters)
   at a *computed* end cycle — so the same seeded scenario produces a
   byte-identical :class:`~repro.loadgen.report.ScenarioReport` on the
-  shared, sequential, and parallel backends, board kills included.
+  shared and sequential backends, board kills included.
 
 What a scenario declares beyond traffic is armed here too: an
 autoscaled service (``ServiceDecl.max_instances``) gets its
@@ -29,7 +29,7 @@ autoscaled service (``ServiceDecl.max_instances``) gets its
 per key into the history :class:`~repro.replic.history.HistoryChecker`
 is complete for, and a read-back of every written key after the drain.
 
-S1, P2, O1, T2, S2, C1 and R2 are all library scenarios executed here:
+S1, O1, T2, S2, C1 and R2 are all library scenarios executed here:
 this is the one serving harness.
 """
 
@@ -79,9 +79,9 @@ class ScenarioRunner:
     bitstream cache reach a serving run.  The runner overrides only what
     the scenario owns: ``n_fpgas``, ``system.seed``, ``backend``,
     ``swallow_orphan_errors`` and the SLO targets.  When the template
-    arms tracing or flight recorders, :attr:`diagnostics` is filled
-    before the workers are reaped — *beside* the report, never inside
-    it, so the report's bytes do not depend on what was observed.
+    arms tracing or flight recorders, :attr:`diagnostics` is filled at
+    the end cycle — *beside* the report, never inside it, so the report's
+    bytes do not depend on what was observed.
     """
 
     def __init__(self, scenario: Scenario, backend: str = "shared",
@@ -329,15 +329,6 @@ class ScenarioRunner:
     # -- the run -----------------------------------------------------------
 
     def run(self) -> ScenarioReport:
-        try:
-            return self._drive()
-        finally:
-            # reap the board workers on every exit path: a dead worker,
-            # a failing chaos action, a start_at that boot overran
-            if self.cluster is not None:
-                self.cluster.shutdown()
-
-    def _drive(self) -> ScenarioReport:
         """Build, run to the end cycle, collect."""
         scn = self.scenario
         cluster = self._build()
@@ -374,7 +365,6 @@ class ScenarioRunner:
         cluster.run(until=end)
         obs = self.config.obs
         if obs.tracing or obs.flight_recorders:
-            # a forked board answers `collect` only while its worker lives
             self.diagnostics = {
                 "spans": cluster.merged_spans(),
                 "stats": cluster.stats_snapshots(),

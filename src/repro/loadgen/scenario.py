@@ -142,8 +142,7 @@ class Scenario:
 
     ``start_at`` is the *absolute* cycle traffic begins: the runner parks
     every backend exactly there after boot + deploy, which is what makes
-    the report byte-identical across shared, sequential, and parallel
-    execution.  ``expect_pass`` is the scenario author's declared verdict
+    the report byte-identical across shared and sequential execution.  ``expect_pass`` is the scenario author's declared verdict
     (``None`` = no expectation), carried into the report so a CI job can
     pin "this scenario must fail its SLOs" as easily as the opposite.
     """

@@ -20,14 +20,12 @@ The fabric's fixed latency is what makes this sound: with window length
 ``w <= latency_cycles``, a frame sent anywhere inside a window arrives at
 or after the *next* barrier, so partitions never miss cross-traffic by
 running a window independently (the classic conservative-lookahead
-argument; see DESIGN.md, "Parallel simulation").
+argument; see DESIGN.md, "Windowed simulation").
 
-Envelope payloads must be picklable — they cross process boundaries in
-the parallel backend, and the sequential backend copies every delivered
-envelope too (:func:`pickle_roundtrip`: fresh envelope, payload through
-:func:`~repro.net.frame.wire_copy`), so both backends hand the receiver a
-*copy* and any accidental sender/receiver aliasing diverges loudly in the
-oracle rather than silently in the worker pool.
+Envelope payloads must be picklable: the windowed backend copies every
+delivered envelope (:func:`pickle_roundtrip`: fresh envelope, payload
+through :func:`~repro.net.frame.wire_copy`), so the receiver gets a
+*copy* and no two partitions ever share a mutable object.
 """
 
 from __future__ import annotations

@@ -25,13 +25,13 @@ MAX_FRAME_BYTES = 1518  # classic MTU; jumbo support is a fabric option
 
 
 def wire_copy(obj: Any) -> Any:
-    """Copy a frame payload the way a pipe between processes would.
+    """Copy a frame payload as if it crossed a pipe between processes.
 
     A wire header copies itself: a type with a ``wire_copy()`` method
     promises a fresh instance that shares no mutable object with the
     original and calls ``wire_copy`` on whatever it carries in turn.
     Everything else goes through ``pickle``, so an unpicklable application
-    payload fails here exactly as it would on a worker pipe.
+    payload fails here exactly as it would on a real pipe.
     """
     if obj is None:
         return None

@@ -14,11 +14,9 @@ Design constraints, in order:
   so memory is O(capacity) regardless of run length;
 * **deterministic** — entries are pure functions of the simulation
   stream (span close order, fault order), so two identically-seeded runs
-  produce byte-identical rings and dumps, and the sequential ≡ parallel
-  PDES identity extends to flight state;
-* **picklable** — windowed backends ship each board's recorder over the
-  worker pipe at collection time, so the recorder holds no file handles
-  or engine references;
+  produce byte-identical rings and dumps;
+* **picklable** — the recorder holds no file handles or engine
+  references, so a collected copy is a plain value;
 * **validated** — :func:`validate_flight_dump` structurally checks a dump
   the way ``validate_chrome_trace`` checks a trace export, so CI can
   assert an artifact is readable before uploading it.
@@ -123,15 +121,15 @@ class FlightRecorder:
         out["dumps"] = list(self.dumps)
         return out
 
-    # -- merge (PDES roll-up) -------------------------------------------
+    # -- merge (cluster roll-up) ----------------------------------------
 
     def absorb(self, other: "FlightRecorder") -> None:
         """Adopt a collected sibling's state (cluster-side aggregation).
 
         Flight rings are per-board — unlike counters they are not summed;
         the cluster keeps one recorder per board and ``absorb`` replaces
-        local state with the collected worker copy, so the cluster-side
-        view equals the worker-side view byte for byte.
+        local state with a collected copy, so the two views are equal
+        byte for byte.
         """
         self._ring = deque(other._ring, maxlen=self.capacity)
         self._seen = other._seen

@@ -20,9 +20,8 @@ Why this shape (and not, say, t-digest or sampling):
 * **commutative, associative merge** — merging adds bucket counts, so
   per-board sketches folded in any order give the same cluster-wide
   sketch.  This is what lets :meth:`StatsRegistry.merge
-  <repro.sim.stats.StatsRegistry.merge>` roll windowed/parallel PDES
-  partitions up into one registry whose snapshot is byte-identical to the
-  sequential run's;
+  <repro.sim.stats.StatsRegistry.merge>` roll windowed partitions up into
+  one registry whose snapshot does not depend on the merge order;
 * **bounded memory** — with ``alpha = 0.01`` and ``max_bins = 2048`` the
   sketch spans a value range of ``gamma**2048 ≈ e**41`` (17 orders of
   magnitude) in at most ~2k dict entries, whatever the sample count.  If
@@ -201,8 +200,8 @@ class QuantileSketch:
         Bucket counts add (both sides use the same ``alpha``-determined
         bucket boundaries), exact fields combine exactly — so merging
         per-board sketches in any order yields the same result as one
-        sketch that saw every sample, which is what makes the parallel
-        PDES roll-up byte-identical to the sequential one.
+        sketch that saw every sample, which is what makes the windowed
+        roll-up byte-stable.
         """
         if abs(other.alpha - self.alpha) > 1e-12:
             raise ValueError(

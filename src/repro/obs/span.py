@@ -125,8 +125,7 @@ class SpanRecorder:
         Record identity is untouched — with disjoint ``id_base`` values the
         id spaces cannot collide — and per-recorder emission order is
         preserved, so absorbing per-partition recorders in partition order
-        yields a deterministic merged record list whichever backend
-        (in-process or worker pool) produced them.
+        yields a deterministic merged record list.
         """
         self._records.extend(other._records)
         self._open.update(other._open)

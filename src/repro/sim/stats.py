@@ -178,7 +178,7 @@ class StatsRegistry:
     def merge(self, other: "StatsRegistry") -> None:
         """Fold another registry into this one, name by name.
 
-        The cluster roll-up operation for windowed/parallel runs, where
+        The cluster roll-up operation for windowed runs, where
         each board owns a private registry and the same metric name (say
         ``noc.packets_injected``) exists on every board.  Merge semantics
         per type:
@@ -195,9 +195,9 @@ class StatsRegistry:
 
         Merging the same disjoint registries in any order produces the
         same snapshot (addition commutes and :meth:`snapshot` sorts keys),
-        which is what makes parallel-run telemetry byte-stable: the
+        which is what makes windowed-run telemetry byte-stable: the
         round-trip test pins ``snapshot(merge(a, b)) == snapshot(merge(b,
-        a))`` and the sequential-run equivalent.
+        a))``.
         """
         for name, counter in other.counters.items():
             self.counter(name).inc(counter.value)

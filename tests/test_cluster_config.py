@@ -20,9 +20,7 @@ import pytest
 
 from repro.accel import EchoAccel
 from repro.cluster import CacheConfig, Cluster, ClusterConfig, ObsConfig
-from repro.cluster.backend import SPAN_ID_STRIDE
 from repro.errors import ConfigError
-from repro.loadgen import ScenarioRunner
 from repro.obs.slo import SLOTarget
 from repro.replic import ReplicationManager
 
@@ -84,7 +82,6 @@ class TestOneConstructor:
         cluster = Cluster(ClusterConfig(n_fpgas=3, backend="sequential"))
         assert cluster.n_fpgas == 3
         assert cluster.config.backend == "sequential"
-        cluster.shutdown()
 
     def test_no_post_construction_toggles(self):
         toggles = [name for name in dir(Cluster)
@@ -179,45 +176,16 @@ class TestLifecycle:
         cluster = _booted(ClusterConfig(obs=ObsConfig(tracing=True)))
         assert len(list(cluster.merged_spans())) == 0  # boot is untraced
 
-    def test_forked_workers_inherit_flight_recorders(self):
-        cluster = _booted(ClusterConfig(
-            backend="parallel", swallow_orphan_errors=True,
-            obs=ObsConfig(flight_recorders=True)))
-        cluster.seal()
-        try:
-            cluster.run(until=cluster.now + 2_000)
-            cluster.kill_fpga(1)
-            reports = cluster.flight_reports()
-        finally:
-            cluster.shutdown()
-        assert reports["fpga0"] is not None and not reports["fpga0"]["dumps"]
-        assert any(d["reason"].startswith("board-kill:")
-                   for d in reports["fpga1"]["dumps"])
-
-    def test_traced_parallel_run_matches_sequential(self, scale_small):
-        # tracing is declared, so it is on in every partition before the
-        # fork — a traced parallel run cannot come back host-only
-        dumps = {}
-        for backend in ("sequential", "parallel"):
-            runner = ScenarioRunner(
-                scale_small, backend=backend,
-                config=ClusterConfig(obs=ObsConfig(tracing=True)))
-            runner.run()
-            dumps[backend] = runner.diagnostics["spans"].dump()
-        assert dumps["parallel"] == dumps["sequential"]
-        assert any(span[1] >= SPAN_ID_STRIDE for span in dumps["parallel"])
-
     def test_cache_flags_reach_directory_and_autoscaler(self):
         cluster = Cluster(ClusterConfig(
             cache=CacheConfig(enabled=True, prefetch=False,
                               warm_placement=False)))
         assert not cluster.config.cache.warm_placement
 
-    @pytest.mark.parametrize("backend", ["shared", "sequential", "parallel"])
+    @pytest.mark.parametrize("backend", ["shared", "sequential"])
     def test_replication_is_armed_on_every_backend(self, backend):
         cluster = _booted(ClusterConfig(backend=backend, replication=True))
         assert cluster.replication is not None
-        cluster.shutdown()
 
 
 class TestAutoscalerTakesItsParametersWhereStarted:

@@ -158,7 +158,8 @@ _CONTROL_PLANE_RUNS = {
 @pytest.fixture(scope="module")
 def control_plane_report():
     """Report JSON of a control-plane run on a backend, run once per
-    module (the windowed and the shared comparison share them)."""
+    module (the expectation check and the shared comparison share them).
+    Every run must meet the scenario's declared expectation."""
     reports = {}
 
     def report(name, backend):
@@ -173,12 +174,11 @@ def control_plane_report():
 
 
 @pytest.mark.parametrize("name", sorted(_CONTROL_PLANE_RUNS))
-def test_control_plane_scenario_is_one_blob_on_windowed_backends(
+def test_control_plane_scenario_meets_its_expectation(
         name, control_plane_report):
-    """S2 step, S2 chaos, C1 warm and R2 on the sequential oracle and the
-    forked workers: one report, with the declared verdict."""
-    assert control_plane_report(name, "sequential") \
-        == control_plane_report(name, "parallel")
+    """S2 step, S2 chaos, C1 warm and R2 on ``sequential``: each report
+    carries its scenario's declared verdict."""
+    control_plane_report(name, "sequential")
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -206,18 +206,18 @@ def test_chaos_soak_is_one_report_on_shared_and_sequential(seed):
     assert reports[0] == reports[1]
 
 
-def test_scenario_report_is_one_blob_on_three_backends(tmp_path):
+def test_scenario_report_is_one_blob_on_both_backends(tmp_path):
     """The full flash_crowd from one seeded Scenario: one JSON blob must
     come back from every backend, with the declared verdict.  The blob is
     left in ``tmp_path`` (CI uploads it via ``--basetemp``)."""
     scenario = get_scenario("flash_crowd")
     blobs = {}
-    for backend in ("shared", "sequential", "parallel"):
+    for backend in ("shared", "sequential"):
         report = ScenarioRunner(scenario, backend=backend).run()
         assert report.passed, f"{backend}:\n{report.text()}"
         assert report.matches_expectation()
         blobs[backend] = report.to_json()
-    assert blobs["shared"] == blobs["sequential"] == blobs["parallel"], \
+    assert blobs["shared"] == blobs["sequential"], \
         "scenario reports diverged across backends"
     (tmp_path / "scenario_report.json").write_text(blobs["shared"] + "\n")
 

@@ -17,7 +17,7 @@ import pytest
 from repro.apps import echo_handler_factory
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, ObsConfig
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.loadgen import (
     SCENARIOS,
     ArrivalSpec,
@@ -441,10 +441,10 @@ class TestScenarioRunner:
     def test_report_byte_identity_through_board_kill(self):
         scn = _mini_chaos()
         blobs = {}
-        for backend in ("shared", "sequential", "parallel"):
+        for backend in ("shared", "sequential"):
             blobs[backend] = ScenarioRunner(
                 scn, backend=backend).run().to_json()
-        assert blobs["shared"] == blobs["sequential"] == blobs["parallel"]
+        assert blobs["shared"] == blobs["sequential"]
 
     def test_chaos_timeline_recorded(self):
         rep = ScenarioRunner(_mini_chaos()).run()
@@ -494,7 +494,7 @@ class TestScenarioRunner:
     def test_config_template_and_diagnostics(self):
         # the scenario owns shape, seed and backend whatever the
         # template says; the template contributes the features
-        template = ClusterConfig(n_fpgas=5, backend="parallel",
+        template = ClusterConfig(n_fpgas=5, backend="sequential",
                                  obs=ObsConfig(flight_recorders=True))
         runner = ScenarioRunner(_mini_chaos(), config=template)
         report = runner.run()
@@ -512,19 +512,6 @@ class TestScenarioRunner:
         plain = ScenarioRunner(_mini_chaos())
         assert plain.run().to_json() == report.to_json()
         assert plain.diagnostics is None
-
-    def test_failed_run_reaps_its_workers(self, monkeypatch):
-        workers = []
-
-        def boom(self, index):
-            workers.extend(b._worker for b in self._backend.boards)
-            raise SimulationError(f"board {index} would not die")
-
-        monkeypatch.setattr(Cluster, "kill_fpga", boom)
-        with pytest.raises(SimulationError, match="would not die"):
-            ScenarioRunner(_mini_chaos(), backend="parallel").run()
-        assert [w.name for w in workers] == ["pdes-board0", "pdes-board1"]
-        assert not any(w.is_alive() for w in workers)
 
     def test_attempt_timeout_rule_is_executable(self):
         """Saturation with an attempt timeout below the worst-case wait

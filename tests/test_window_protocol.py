@@ -1,15 +1,12 @@
-"""The window protocol's own contract: per-board ids, board ops, dead workers.
+"""The window protocol's own contract: per-board ids, board ops, idle boards.
 
-``tests/test_pdes.py`` pins sequential ≡ parallel end to end; these tests
-pin the pieces that identity now rests on — message ids are a property of
-the board (not of the process), a board answers exactly its ten ops, and a
-worker that dies or hangs surfaces as a typed error naming the board.
+Message ids are a property of the board (not of the process), a board
+answers exactly its ten ops, and a board that sits windows out runs the
+same schedule as one that runs every window.
 """
 
 import hashlib
 import json
-import os
-import signal
 from dataclasses import replace
 
 import pytest
@@ -21,10 +18,8 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig, ObsConfig
 from repro.errors import SimulationError
 from repro.loadgen import Scenario, ScenarioRunner
-from repro.net.frame import EthernetFrame
-from repro.net.transport import Datagram
 
-WINDOWED = ("sequential", "parallel")
+WINDOWED = ("sequential",)
 
 
 def _sealed(backend, n_fpgas=2):
@@ -65,53 +60,20 @@ class TestBoardOps:
     @pytest.mark.parametrize("backend", WINDOWED)
     def test_only_the_board_ops_are_reachable(self, backend):
         cluster = _sealed(backend)
-        try:
-            # not an op, public non-op methods, a private helper
-            for name in ("reboot", "migrate", "dispatch", "placement",
-                         "_news"):
-                with pytest.raises(
-                        SimulationError,
-                        match=rf"board 1.*unknown board op '{name}'"):
-                    cluster._backend.boards[1].call(name)
-            # the board (and its worker) survives a refused op
-            cluster.run(until=cluster.now + 1_000)
-        finally:
-            cluster.shutdown()
-
-
-class TestLostWorker:
-    def test_killed_worker_is_a_typed_error(self):
-        cluster = _sealed("parallel")
-        survivor, victim = (b._worker for b in cluster._backend.boards)
-        try:
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(timeout=10)
+        # not an op, public non-op methods, a private helper
+        for name in ("reboot", "migrate", "dispatch", "placement", "_news"):
             with pytest.raises(SimulationError,
-                               match=r"board 1: worker .* op 'window'"):
-                cluster.run(until=cluster.now + 1_000)
-        finally:
-            cluster.shutdown()
-        assert not survivor.is_alive()
-        assert not victim.is_alive()
-
-    def test_hung_worker_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "REPLY_TIMEOUT_S", 0.2)
-        cluster = _sealed("parallel")
-        hung = cluster._backend.boards[0]._worker
-        try:
-            os.kill(hung.pid, signal.SIGSTOP)
-            with pytest.raises(SimulationError,
-                               match=r"board 0: worker sent no reply"):
-                cluster.run(until=cluster.now + 1_000)
-        finally:
-            os.kill(hung.pid, signal.SIGCONT)
-            cluster.shutdown()
-        assert not hung.is_alive()
+                               match=rf"board 1.*unknown board op '{name}'"):
+                cluster._backend.boards[1].dispatch(name, ())
+        # the board survives a refused op
+        cluster.run(until=cluster.now + 1_000)
 
 
-class TestFailedExchange:
-    def test_first_board_failure_is_sticky(self):
-        cluster = Cluster(ClusterConfig(backend="parallel"))
+class TestFailedWindow:
+    def test_a_board_failure_propagates_from_the_run(self):
+        """An error inside a board's window leaves the run that ran it,
+        as the board's engine raised it."""
+        cluster = Cluster(ClusterConfig(backend="sequential"))
         cluster.boot()
 
         def boom():
@@ -120,27 +82,8 @@ class TestFailedExchange:
 
         cluster.systems[0].engine.process(boom(), name="boom")
         cluster.seal()
-        backend = cluster._backend
-        workers = [b._worker for b in backend.boards]
-        try:
-            with pytest.raises(SimulationError,
-                               match=r"board 0 op 'window' failed") as first:
-                cluster.run(until=cluster.now + 1_000)
-            # board 1's window reply was never read: without the memory a
-            # collect would silently return that stale reply instead
-            for later in (lambda: cluster.run(until=cluster.now + 1_000),
-                          lambda: cluster.run_until(
-                              [cluster.engine.event("never")]),
-                          cluster.stats_snapshots,
-                          lambda: backend._collect(1),
-                          lambda: cluster.partition_fpga(1),
-                          lambda: cluster.kill_fpga(1)):
-                with pytest.raises(SimulationError) as again:
-                    later()
-                assert again.value is first.value
-        finally:
-            cluster.shutdown()
-        assert not any(w.is_alive() for w in workers)
+        with pytest.raises(SimulationError, match="process 'boom'"):
+            cluster.run(until=cluster.now + 1_000)
 
 
 # -- ISSUE 23: goldens and the self-oracle for the idle rule ---------------
@@ -215,12 +158,6 @@ GOLDEN = {
 
 OBSERVED = ClusterConfig(obs=ObsConfig(tracing=True, flight_recorders=True))
 
-#: whether this tree has the idle rule (``_BoardHandle.due``); the tests
-#: that count what an idle board is *not* sent only apply once it does
-needs_idle_rule = pytest.mark.skipif(
-    not hasattr(backend_module._BoardHandle, "due"),
-    reason="every board runs every window on this tree")
-
 
 def _artefacts(backend, scenario=BARRIER_CHAOS):
     """Report, span dump, stats snapshots and flight reports of one
@@ -284,8 +221,7 @@ def _id_free(dump, flight):
 
 def _always_due(patch):
     """The parent's schedule: every board runs every window."""
-    patch.setattr(backend_module._BoardHandle, "due",
-                  lambda self, end: True, raising=False)
+    patch.setattr(backend_module.Board, "due", lambda self, end: True)
 
 
 @st.composite
@@ -396,48 +332,9 @@ class TestSittingOut:
     def test_random_scenarios_are_identical_with_every_board_always_due(
             self, scenario):
         lazy = _artefacts("sequential", scenario)
-        assert _artefacts("parallel", scenario) == lazy
         with pytest.MonkeyPatch.context() as patch:
             _always_due(patch)
             assert _artefacts("sequential", scenario) == lazy
-
-    @needs_idle_rule
-    def test_idle_forked_board_gets_no_pipe_messages(self, monkeypatch):
-        cluster = _sealed("parallel")
-        sent = []
-        real_send = backend_module._BoardHandle.send
-
-        def counting(handle, op, *args):
-            sent.append((handle.board.index, op, args, len(handle._inbound)))
-            real_send(handle, op, *args)
-
-        monkeypatch.setattr(backend_module._BoardHandle, "send", counting)
-        acks = []
-        cluster.fabric.attach(
-            "probe", lambda frame: acks.append((cluster.now, frame.payload)))
-        try:
-            cluster.run(until=cluster.now + 500)  # first window after a fork
-            del sent[:]
-            cluster.run(until=cluster.now + 50 * 500)
-            # nothing for 50 windows, then the park before run() returned
-            assert sent == [(0, "window", (cluster.now,), 0),
-                            (1, "window", (cluster.now,), 0)]
-            del sent[:]
-            sent_at = cluster.now
-            cluster.fabric.transmit(EthernetFrame(
-                "probe", "fpga1", 96,
-                Datagram("data", 0, {"port": 99, "data": "x",
-                                     "src_mac": "probe"}, 32)))
-            cluster.run(until=sent_at + 3_000)
-            # board 1's idleness ends with the envelope riding ahead of
-            # the window that runs its arrival cycle; board 0 sleeps on
-            assert sent[0] == (1, "window", (sent_at + 1_000,), 1)
-            assert [s for s in sent if s[0] == 0] == \
-                [(0, "window", (sent_at + 3_000,), 0)]
-            # the board's transport answered at the cycle it always did
-            assert acks == [(sent_at + 1_002, Datagram("ack", 1))]
-        finally:
-            cluster.shutdown()
 
 
 class TestClockContract:
@@ -468,13 +365,10 @@ class TestClockContract:
         cluster = Cluster(replace(OBSERVED, n_fpgas=2, backend=backend))
         cluster.boot()
         cluster.seal()
-        try:
-            cluster.run(until=cluster.now + 50 * 500)
-            cluster.kill_fpga(1)
-            kills = list(cluster.merged_spans().events("board.kill"))
-            dump = cluster.flight_reports()["fpga1"]["dumps"][0]
-        finally:
-            cluster.shutdown()
+        cluster.run(until=cluster.now + 50 * 500)
+        cluster.kill_fpga(1)
+        kills = list(cluster.merged_spans().events("board.kill"))
+        dump = cluster.flight_reports()["fpga1"]["dumps"][0]
         assert [(rec.start, rec.source) for rec in kills] == \
             [(cluster.now, "fpga1")]
         assert (dump["cycle"], dump["reason"]) == \
@@ -483,9 +377,5 @@ class TestClockContract:
     @pytest.mark.parametrize("backend", WINDOWED)
     def test_run_until_still_reports_a_drained_cluster(self, backend):
         cluster = _sealed(backend)
-        try:
-            with pytest.raises(SimulationError,
-                               match="all partitions drained"):
-                cluster.run_until([cluster.engine.event("never")])
-        finally:
-            cluster.shutdown()
+        with pytest.raises(SimulationError, match="all partitions drained"):
+            cluster.run_until([cluster.engine.event("never")])
