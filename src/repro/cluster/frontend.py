@@ -16,9 +16,10 @@ sits between clients and the FPGAs:
   attempt time boxes.  Any answer marks an instance healthy, so a
   loaded-but-alive backend is never declared dead; only an instance
   marked down is pinged, so that a restarted tile is heard again;
-* **failover** — each request runs the :class:`~repro.policy.RetryPolicy`
-  loop in its own ``_serve`` process; a failed attempt rotates to the next
-  replica (sharded) or another instance (stateless).  Writes to sharded
+* **failover** — each request is a record that runs the
+  :class:`~repro.policy.RetryLoop` as engine callbacks (no process, no
+  event per attempt); a failed attempt rotates to the next replica
+  (sharded) or another instance (stateless).  Writes to sharded
   services fan out to every healthy replica so the failover target has
   the data (handlers must be idempotent — retried writes may be
   re-applied);
@@ -26,12 +27,14 @@ sits between clients and the FPGAs:
   get an immediate ``{"rejected": True}`` reply instead of queueing
   without bound (the difference between a p99 and a death spiral);
 * **batching** — per-instance queues flushed as ``("batch", ...)``
-  envelopes, amortizing transport round-trips under load.
+  envelopes, amortizing transport round-trips under load; an instance's
+  flusher is a flag and a pacing token on its record, not a process.
 
 Three records carry it: a :class:`BoardBeat` per board, a
 :class:`BackendHealth` per instance and an ``_awaiting`` entry per
-attempt, which only ``_resolve`` takes out again (DESIGN.md "Cluster
-layer" has the same-cycle ordering that matters).
+attempt, which only ``_resolve`` takes out again — a client attempt's
+entry holds its request, whose next step ``_resolve`` schedules (DESIGN.md
+"Cluster layer" has the same-cycle ordering that matters).
 
 Tracing: when the cluster's shared recorder is enabled, each request
 opens ``frontend:<service>`` with one ``forward:<instance>`` child per
@@ -51,7 +54,7 @@ from repro.cluster.directory import ServiceInstance, ServiceSpec
 from repro.errors import ConfigError, ServiceUnavailable
 from repro.kernel.services import HEARTBEAT_PORT
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
-from repro.policy import RetryPolicy
+from repro.policy import RetryLoop, RetryPolicy
 from repro.sim import Event, StatsRegistry
 
 __all__ = ["FRONTEND_MAC", "FRONTEND_PORT", "BackendHealth", "BoardBeat",
@@ -102,7 +105,7 @@ class BackendHealth:
     """Everything the front-end keeps about one service instance: its
     board, its liveness ledger and the batch queue its flusher drains."""
 
-    __slots__ = ("inst", "board", "queue", "kick", "ping", "retired",
+    __slots__ = ("inst", "board", "queue", "kick", "pace", "ping", "retired",
                  "misses", "outstanding", "served", "probes_sent")
 
     def __init__(self, inst: ServiceInstance, board: BoardBeat) -> None:
@@ -110,8 +113,11 @@ class BackendHealth:
         self.board = board
         #: (irid, body, nbytes) attempts waiting for the next batch
         self.queue: List[Tuple[int, Any, int]] = []
-        #: what the flusher is parked on while the queue is empty
-        self.kick: Optional[Event] = None
+        #: the flusher is parked until an attempt is queued (or a retire)
+        self.kick = False
+        #: the transport's ACK event of the batch the flusher paces on,
+        #: until that ACK or the batch's time box wins the race
+        self.pace: Optional[Event] = None
         self.ping = 0  # id of the last ping sent while it was down
         self.retired = False
         self.misses = 0
@@ -160,11 +166,11 @@ class FrontEnd:
             name=f"fe.{FRONTEND_MAC}")
         self._irid = itertools.count(1)
         #: one record per attempt in flight: internal request id ->
-        #: (backend, waiter, kind, forward span); kind is "req" (a client
-        #: waits), "repl" (fire-and-forget write replication — nobody
-        #: waits, no waiter, but losses must be *counted*) or "ping" (an
-        #: instance marked down; no waiter).  Only :meth:`_resolve` takes
-        #: entries out.
+        #: (backend, request, kind, forward span); kind is "req" (a
+        #: client's request waits), "repl" (fire-and-forget write
+        #: replication — nobody waits, no request, but losses must be
+        #: *counted*) or "ping" (an instance marked down; no request).
+        #: Only :meth:`_resolve` takes entries out.
         self._awaiting: Dict[int, Tuple] = {}
         self._bid = itertools.count(1)
         #: one record per backend — the only per-instance table; a retired
@@ -215,26 +221,23 @@ class FrontEnd:
                     board = self.boards[mac] = BoardBeat(mac)
                 backend = self.health[iid] = BackendHealth(inst, board)
                 board.backends.append(backend)
-                self.engine.process(self._flusher(backend),
-                                    name=f"fe.flush.{iid}")
+                self.engine.schedule(0, self._flush, backend)
 
     def retire(self, iid: str) -> None:
         """Stop tracking an instance removed by a scale-down.
 
         The directory already stopped routing to it; this ends its
-        flusher process and its pings, and fails anything still awaiting
-        it so the retry policy re-routes to surviving replicas.  Permanent:
-        replica ids are never reused, so a retired iid never comes back.
+        flusher and its pings, and fails anything still awaiting it so the
+        retry policy re-routes to surviving replicas.  Permanent: replica
+        ids are never reused, so a retired iid never comes back.
         """
         backend = self.health.get(iid)
         if backend is None or backend.retired:
             return
         backend.retired = True
         self._fail_instance(backend, "retired by scale-down")
-        # wake a flusher parked on its kick event so it can exit
-        kick, backend.kick = backend.kick, None
-        if kick is not None:
-            kick.succeed(None)
+        # wake a parked flusher so that it can exit
+        self._kick(backend)
 
     def on_board_fault(self, fpga: int, node: int, action: str,
                        endpoint: str) -> None:
@@ -286,12 +289,13 @@ class FrontEnd:
         a health miss) or the kernel / a retire took the instance away.
         Whichever comes first wins; every later call finds no entry (a
         late response to an abandoned attempt, a time box that outlived
-        its answer) and does nothing.
+        its answer) and does nothing.  A client attempt's request takes
+        its outcome one ring hop later.
         """
         entry = self._awaiting.pop(irid, None)
         if entry is None:
             return
-        backend, waiter, kind, span = entry
+        backend, request, kind, span = entry
         if kind == "req":
             backend.outstanding -= 1
         if error is None:
@@ -316,12 +320,13 @@ class FrontEnd:
             detail = ({"timed_out": True} if missed
                       else {"failed": error is not None})
             self.spans.close(span, self.engine.now, **detail)
-        if waiter is None:
+        if request is None:
             return
         if error is None:
-            waiter.succeed(body)
+            self.engine.schedule(0, request.answered, body)
         else:
-            waiter.fail(ServiceUnavailable(f"{backend.inst.iid} {error}"))
+            self.engine.schedule(0, request.refused, ServiceUnavailable(
+                f"{backend.inst.iid} {error}"))
 
     def _expire(self, attempt: Tuple[int, int]) -> None:
         """An attempt's time box ran out (a no-op if it was resolved)."""
@@ -384,7 +389,8 @@ class FrontEnd:
             self.engine.schedule(0, self._drain_backlog)
 
     def _drain_backlog(self, _arg: Any = None) -> None:
-        """Admit from the backlog while in-flight slots are free."""
+        """Admit from the backlog while in-flight slots are free; each
+        admitted request starts one ring hop later, in :meth:`_serve`."""
         while self._backlog and self.inflight < self.max_pending:
             submitted_at, srid, req, on_done = self._backlog.popleft()
             origin = (None, srid, on_done)
@@ -399,8 +405,7 @@ class FrontEnd:
             # latency counts from submission, so time spent queued in the
             # backlog counts against the SLO — open-loop honesty: the
             # client "sent" the request at its arrival time
-            self.engine.process(self._serve(origin, req, submitted_at),
-                                name=f"fe.submit.{srid}")
+            self.engine.schedule(0, self._serve, (origin, req, submitted_at))
         self._draining = False
 
     # -- admission + serving ----------------------------------------------
@@ -414,8 +419,8 @@ class FrontEnd:
         else:
             self.inflight += 1
             self.requests_admitted += 1
-            self.engine.process(self._serve(origin, req, self.engine.now),
-                                name=f"fe.serve.{rid}")
+            self.engine.schedule(0, self._serve,
+                                 (origin, req, self.engine.now))
 
     def _reject(self, origin: Tuple, req: Dict[str, Any]) -> None:
         self.requests_rejected += 1
@@ -464,9 +469,10 @@ class FrontEnd:
         self._wake_backlog()
         self._answer(origin, body)
 
-    def _serve(self, origin: Tuple, req: Dict[str, Any], start: int):
-        """One admitted request, routing to answer; the retry loop runs in
-        this generator, so every attempt is this process's own event."""
+    def _serve(self, admitted: Tuple) -> None:
+        """One admitted request, a ring hop after its admission: resolve
+        its service, open its span and start its retry loop."""
+        origin, req, start = admitted
         service = req["service"]
         key = req.get("key")
         try:
@@ -477,41 +483,7 @@ class FrontEnd:
         except ConfigError as err:
             self._finish(origin, req, {"ok": False, "error": str(err)})
             return
-        is_write = bool(req.get("write"))
-        candidates = spec.candidates(key)
-        trace_id = root = 0
-        if self.spans.enabled:
-            trace_id = self.spans.new_trace()
-            root = self.spans.open(trace_id, f"frontend:{service}",
-                                   "cluster", FRONTEND_MAC, self.engine.now,
-                                   service=service, key=key)
-        rotation = itertools.count()
-        # a stable write id across this request's *frontend* attempts:
-        # the chain head dedups retried writes it already logged
-        wid = (f"{origin[0] or 'submit'}#{origin[1]}"
-               if (spec.chained and is_write) else None)
-
-        def attempt(attempt_timeout: int) -> Event:
-            if spec.chained:
-                inst = self._pick_chain(spec, key, is_write)
-            else:
-                inst = self._pick(spec, candidates, next(rotation))
-            return self._dispatch(spec, inst, req, attempt_timeout,
-                                  trace_id, root, wid=wid)
-
-        def count_failover() -> None:
-            self.failovers += 1
-
-        try:
-            out_body = yield from self.retry.attempts(
-                self.engine, attempt, (ServiceUnavailable,),
-                f"route {service!r}", count_failover)
-            body = {"ok": True, "body": out_body}
-        except Exception as err:  # not BaseException: a closed generator
-            # (GeneratorExit) is not a failed request and answers nobody
-            body = {"ok": False, "error": str(err)}
-        self._finish(origin, req, body, latency=self.engine.now - start,
-                     root=root)
+        _Request(self, origin, req, start, spec, key).begin()
 
     def _pick(self, spec: ServiceSpec, candidates: List[ServiceInstance],
               rotation: int) -> ServiceInstance:
@@ -556,23 +528,22 @@ class FrontEnd:
             raise ServiceUnavailable(f"{iid} is unhealthy")
         return inst
 
-    def _dispatch(self, spec: ServiceSpec, inst: ServiceInstance,
-                  req: Dict[str, Any], attempt_timeout: int,
-                  trace_id: int, root: int,
-                  wid: Optional[str] = None) -> Event:
-        """Queue one attempt on ``inst``; the waiter resolves with the
-        body, or fails when the attempt is refused, times out or loses
-        its instance (the ``forward:`` span closes with it)."""
+    def _dispatch(self, request: _Request, inst: ServiceInstance,
+                  attempt_timeout: int) -> None:
+        """Queue one attempt of ``request`` on ``inst``; the request hears
+        the body, or the failure when the attempt is refused, times out or
+        loses its instance (the ``forward:`` span closes with it)."""
+        spec, req, trace_id = request.spec, request.req, request.trace_id
         fwd = 0
         if trace_id:
             fwd = self.spans.open(trace_id, f"forward:{inst.iid}",
                                   "cluster", FRONTEND_MAC, self.engine.now,
-                                  parent_id=root, fpga=inst.fpga,
+                                  parent_id=request.root, fpga=inst.fpga,
                                   node=inst.node)
         nbytes = int(req.get("nbytes", 64))
-        waiter = self._enqueue(self.health[inst.iid], "req",
-                               self._wire_body(req, trace_id, fwd, wid=wid),
-                               nbytes, attempt_timeout, span=fwd)
+        self._enqueue(self.health[inst.iid], "req",
+                      self._wire_body(req, trace_id, fwd, wid=request.wid),
+                      nbytes, attempt_timeout, span=fwd, request=request)
         if req.get("write") and spec.sharded and not spec.chained:
             # legacy best-effort replication (the client's ack is the
             # addressed replica's alone; chained services replicate
@@ -584,7 +555,6 @@ class FrontEnd:
                     self._enqueue(peer, "repl",
                                   self._wire_body(req, trace_id, fwd),
                                   nbytes, self.retry.attempt_timeout)
-        return waiter
 
     @staticmethod
     def _wire_body(req: Dict[str, Any], trace_id: int, span: int,
@@ -599,55 +569,101 @@ class FrontEnd:
         return body
 
     def _enqueue(self, backend: BackendHealth, kind: str, body: Any,
-                 nbytes: int, timeout: int, span: int = 0) -> Optional[Event]:
+                 nbytes: int, timeout: int, span: int = 0,
+                 request: Optional[_Request] = None) -> None:
         """One attempt: its record, its place in the instance's batch queue
         and its time box — one heap entry, no event of its own."""
         irid = next(self._irid)
-        waiter = None
-        if kind == "req":
-            waiter = self.engine.event(f"fe.req#{irid}")
+        if request is not None:
             backend.outstanding += 1
-        self._awaiting[irid] = (backend, waiter, kind, span)
+        self._awaiting[irid] = (backend, request, kind, span)
         backend.queue.append((irid, body, nbytes))
-        kick, backend.kick = backend.kick, None
-        if kick is not None:
-            kick.succeed(None)
+        self._kick(backend)
         self.engine.schedule(timeout, self._expire, (irid, timeout))
-        return waiter
 
     # -- per-instance batching, liveness -----------------------------------
+    #
+    # An instance's flusher is callbacks over its record: ``_flush`` is the
+    # top of its loop, ``kick`` says it is parked on an empty queue and
+    # ``pace`` that it waits for a batch's ACK.  Each wait costs fixed
+    # engine hops — a ring hop to wake, a bucket entry and a ring hop for
+    # the accumulation window, two ring hops after the ACK or after the
+    # time box that won the race against it — which same-cycle order, and
+    # so every report, depends on (tests/test_frontend_path.py pins them).
 
-    def _flusher(self, backend: BackendHealth):
-        """Drain one instance's queue as batch envelopes."""
-        inst = backend.inst
+    def _kick(self, backend: BackendHealth) -> None:
+        """Wake a parked flusher, one ring hop from now."""
+        if backend.kick:
+            backend.kick = False
+            self.engine.schedule(0, self._fill, backend)
+
+    def _flush(self, backend: BackendHealth) -> None:
+        """Drain one instance's queue as batch envelopes: exit once it is
+        retired, park while the queue is empty, else fill a batch."""
+        if backend.retired:
+            return
+        if backend.queue:
+            self._fill(backend)
+        else:
+            backend.kick = True
+
+    def _fill(self, backend: BackendHealth) -> None:
+        """There is work: a full batch leaves now, a short one waits."""
+        if len(backend.queue) < BATCH_SIZE:
+            # brief accumulation window
+            self.engine.schedule(BATCH_WINDOW, self._window_closed, backend)
+        else:
+            self._send_batch(backend)
+
+    def _window_closed(self, backend: BackendHealth) -> None:
+        self.engine.schedule(0, self._send_batch, backend)
+
+    def _send_batch(self, backend: BackendHealth) -> None:
         queue = backend.queue
-        while True:
-            if backend.retired:
-                return
-            if not queue:
-                backend.kick = self.engine.event(f"fe.kick.{inst.iid}")
-                yield backend.kick
-            if len(queue) < BATCH_SIZE:
-                yield BATCH_WINDOW  # brief accumulation window
-            take = queue[:BATCH_SIZE]
-            del queue[:BATCH_SIZE]
-            # entries may have been failed over while we accumulated
-            take = [(irid, body, nb) for irid, body, nb in take
-                    if irid in self._awaiting]
-            if not take:
-                continue
-            bid = next(self._bid)
-            entries = [(irid, body) for irid, body, _nb in take]
-            nbytes = sum(nb for _irid, _body, nb in take) + 16 * len(take)
-            sent = self.mux.peer(backend.board.mac).send(
-                {"port": inst.port, "data": ("batch", bid, entries),
-                 "src_mac": FRONTEND_MAC},
-                payload_bytes=max(64, nbytes),
-            )
-            self.batches_sent += 1
-            # pace on the transport ack, but never wedge on a dead peer
-            yield self.engine.any_of(
-                [sent, self.engine.timeout(self.mux.timeout)])
+        take = queue[:BATCH_SIZE]
+        del queue[:BATCH_SIZE]
+        # entries may have been failed over while we accumulated
+        take = [(irid, body, nb) for irid, body, nb in take
+                if irid in self._awaiting]
+        if not take:
+            self._flush(backend)
+            return
+        bid = next(self._bid)
+        entries = [(irid, body) for irid, body, _nb in take]
+        nbytes = sum(nb for _irid, _body, nb in take) + 16 * len(take)
+        inst = backend.inst
+        sent = self.mux.peer(backend.board.mac).send(
+            {"port": inst.port, "data": ("batch", bid, entries),
+             "src_mac": FRONTEND_MAC},
+            payload_bytes=max(64, nbytes),
+        )
+        self.batches_sent += 1
+        # pace on the transport ack, but never wedge on a dead peer
+        backend.pace = sent
+        acked = partial(self._paced, backend)
+        self.engine.schedule(self.mux.timeout, self._pace_expired,
+                             (backend, sent, acked))
+        sent.add_callback(acked)
+
+    def _paced(self, backend: BackendHealth, sent: Event) -> None:
+        """The batch's ACK won the race: the flusher goes on a hop later."""
+        if backend.pace is sent:
+            backend.pace = None
+            self.engine.schedule(0, self._flush, backend)
+
+    def _pace_expired(self, race: Tuple) -> None:
+        """The batch's time box ran out: unless its ACK already won, the
+        flusher gives up on it (a hop to decide, a hop to go on)."""
+        backend, sent, _acked = race
+        if backend.pace is sent:
+            self.engine.schedule(0, self._pace_lost, race)
+
+    def _pace_lost(self, race: Tuple) -> None:
+        backend, sent, acked = race
+        if backend.pace is sent:
+            backend.pace = None
+            sent.remove_callback(acked)
+            self.engine.schedule(0, self._flush, backend)
 
     def _prober(self, _arg: Any = None) -> None:
         """One liveness round, a heap entry every ``PROBE_INTERVAL``.
@@ -731,3 +747,65 @@ class FrontEnd:
         fields = ("healthy", "misses", "outstanding", "served", "probes_sent")
         return {iid: {field: getattr(backend, field) for field in fields}
                 for iid, backend in self.health.items()}
+
+
+class _Request(RetryLoop):
+    """One admitted request: where its answer goes, its routing and its
+    spans, and the retry loop it runs (a failed attempt rotates to the
+    next replica or instance)."""
+
+    __slots__ = ("fe", "origin", "req", "start", "spec", "key", "is_write",
+                 "candidates", "trace_id", "root", "wid", "rotation")
+
+    def __init__(self, fe: FrontEnd, origin: Tuple, req: Dict[str, Any],
+                 start: int, spec: ServiceSpec, key: Any) -> None:
+        service = req["service"]
+        super().__init__(fe.retry, fe.engine, (ServiceUnavailable,),
+                         f"route {service!r}")
+        self.fe = fe
+        self.origin = origin
+        self.req = req
+        self.start = start
+        self.spec = spec
+        self.key = key
+        self.is_write = bool(req.get("write"))
+        self.candidates = spec.candidates(key)
+        self.trace_id = self.root = 0
+        spans = fe.spans
+        if spans.enabled:
+            self.trace_id = spans.new_trace()
+            self.root = spans.open(self.trace_id, f"frontend:{service}",
+                                   "cluster", FRONTEND_MAC, fe.engine.now,
+                                   service=service, key=key)
+        # a stable write id across this request's *frontend* attempts:
+        # the chain head dedups retried writes it already logged
+        self.wid = (f"{origin[0] or 'submit'}#{origin[1]}"
+                    if (spec.chained and self.is_write) else None)
+        self.rotation = 0
+
+    def _issue(self, attempt_timeout: int) -> None:
+        fe, spec = self.fe, self.spec
+        if spec.chained:
+            inst = fe._pick_chain(spec, self.key, self.is_write)
+        else:
+            rotation = self.rotation
+            self.rotation += 1
+            inst = fe._pick(spec, self.candidates, rotation)
+        fe._dispatch(self, inst, attempt_timeout)
+
+    # the hop ``_resolve`` schedules: the attempt's answer or its failure
+    def answered(self, body: Any) -> None:
+        self.settle(body)
+
+    def refused(self, error: ServiceUnavailable) -> None:
+        self.settle(None, error)
+
+    def _retried(self) -> None:
+        self.fe.failovers += 1
+
+    def _finish(self, value: Any, error: Optional[BaseException]) -> None:
+        body = ({"ok": True, "body": value} if error is None
+                else {"ok": False, "error": str(error)})
+        fe = self.fe
+        fe._finish(self.origin, self.req, body,
+                   latency=fe.engine.now - self.start, root=self.root)

@@ -14,11 +14,9 @@ from repro.cluster import (
 from repro.errors import ConfigError
 from repro.loadgen import ScenarioRunner, get_scenario
 from repro.loadgen.library import scale_out
-from repro.policy import RetryPolicy
 from repro.replic.machine import KvMachine
 from repro.workloads import ClusterClient
 
-from tests.test_frontend_path import ProcessLog
 
 
 def small_cluster(n_fpgas=2, **config):
@@ -361,48 +359,6 @@ class TestTracing:
         assert fe.trace_id == fwd.trace_id == backend.trace_id
         # the backend span ran on a tile, not on the front-end host
         assert backend.source.startswith("tile")
-
-
-class TestClosedGenerators:
-    """Closing a generator (``gen.close()``, or the collector reaping an
-    abandoned run) is not an outcome: nothing is counted, nobody is
-    answered.  Both waited under ``except BaseException`` once."""
-
-    def test_a_closed_request_is_not_a_failed_request(self):
-        engine = ProcessLog()
-        cluster = Cluster(ClusterConfig(n_fpgas=1), engine=engine)
-        cluster.boot()
-        deploy_and_settle(cluster, cluster.deploy_stateless(
-            "echo", echo_factory(20_000), instances=1))
-        fe = cluster.start_frontend()
-        observed, answered = [], []
-
-        class Slo:
-            def observe(self, *args, **kwargs):
-                observed.append(args)
-
-        cluster.slo = Slo()
-        assert fe.submit("echo", body={"x": 1}, on_done=answered.append)
-        cluster.run(until=cluster.now + 5_000)  # on the wire, unanswered
-        assert fe.inflight == 1 and fe.health["echo#0"].outstanding == 1
-        before = fe.telemetry()
-        engine.started["fe.submit.1"].generator.close()
-        assert fe.telemetry() == before
-        assert fe.requests_failed == 0
-        assert not answered and not observed
-        # the late answer finds a finished process and moves nothing either
-        cluster.run(until=cluster.now + 100_000)
-        assert fe.requests_failed == 0 and not answered and not observed
-
-    def test_a_closed_retry_loop_answers_nobody(self):
-        engine = ProcessLog()
-        never = engine.event("never")
-        result = RetryPolicy().drive(engine, lambda _timeout: never,
-                                     retry_on=(ConfigError,), name="loop")
-        engine.run(until=10)
-        engine.started["loop"].generator.close()
-        engine.run(until=20)
-        assert not result.triggered
 
 
 class TestClusterConstruction:
