@@ -13,7 +13,7 @@ import pytest
 from repro.chaos import Campaign
 from repro.cluster import CacheConfig, Cluster, ClusterConfig
 from repro.kernel.config import NocConfig, SystemConfig
-from repro.loadgen import ScenarioRunner, get_scenario
+from repro.loadgen import ScenarioRunner, get_scenario, scenario_names
 from repro.replic.machine import KvMachine
 
 pytestmark = pytest.mark.identity
@@ -220,6 +220,73 @@ def test_scenario_report_is_one_blob_on_both_backends(tmp_path):
     assert blobs["shared"] == blobs["sequential"], \
         "scenario reports diverged across backends"
     (tmp_path / "scenario_report.json").write_text(blobs["shared"] + "\n")
+
+
+#: sha256 of every library scenario's seed-1 report, per backend.  The four
+#: control-plane scenarios and tenant_storm part across the backends
+#: (ROADMAP item 2).  A change that claims to be behaviour-neutral leaves
+#: all 24 where they are; one that is not moves each digest once, visibly.
+_LIBRARY_SHA256 = {
+    ("autoscale_chaos", "shared"):
+        "fd52889f146d992f82c0d7db4d13131685bd96d3b91437b5d51d58c637e59a46",
+    ("autoscale_chaos", "sequential"):
+        "fcc42298d2541c521593ae43f84667745798642348976f7da31fef2d63400936",
+    ("autoscale_step", "shared"):
+        "6bc1afa3cd587d67b8238bf132fd8d16696ff3d2edc2015e908920817ca8eb7d",
+    ("autoscale_step", "sequential"):
+        "f8824dd363c6628c43b1b826aae744887815098ba4c2ef3c0eeca9a155a651b0",
+    ("board_kill", "shared"):
+        "804b8778dfc3ac4e1d74d5f7f6249a3bf2d078ca61d49c475629c83fef76f11b",
+    ("board_kill", "sequential"):
+        "804b8778dfc3ac4e1d74d5f7f6249a3bf2d078ca61d49c475629c83fef76f11b",
+    ("cache_step", "shared"):
+        "b6287ff3e76fec47c1b2c2f61301f496183aa989627f9efc4cfb79a87844c214",
+    ("cache_step", "sequential"):
+        "6cbe0e2cd425596cce55f799e88b4080cf607654a0269f91dfb33f940f9a4012",
+    ("chaos_soak", "shared"):
+        "e495117a34e8f1be6eae8e81fcf551ed671463d9c1582c444cc00ee909eaf5e6",
+    ("chaos_soak", "sequential"):
+        "e495117a34e8f1be6eae8e81fcf551ed671463d9c1582c444cc00ee909eaf5e6",
+    ("diurnal_day", "shared"):
+        "7d63462265d1a1f20fb6f9d52a31a025209a64e53045621be88c4a98b8f66b4e",
+    ("diurnal_day", "sequential"):
+        "7d63462265d1a1f20fb6f9d52a31a025209a64e53045621be88c4a98b8f66b4e",
+    ("flash_crowd", "shared"):
+        "d23d74cb6b2ebea7dbaf509c9dacc1a32dc7f2f37ccc9bc50a511f69e784947a",
+    ("flash_crowd", "sequential"):
+        "d23d74cb6b2ebea7dbaf509c9dacc1a32dc7f2f37ccc9bc50a511f69e784947a",
+    ("overload_probe", "shared"):
+        "df469a194ff5010fbe2d2d28782fa4a0f6d57fdf4f758b5ee8072136a40c1528",
+    ("overload_probe", "sequential"):
+        "df469a194ff5010fbe2d2d28782fa4a0f6d57fdf4f758b5ee8072136a40c1528",
+    ("replication_chaos", "shared"):
+        "1e87b0a9c75fa68341d9ef4d3ea23a1de78cfe5332d15c8796e08a6817352b6f",
+    ("replication_chaos", "sequential"):
+        "afe0459e3f0bce7141050426cdeb6295b8976b343677f0cd6a312cf138b6e53a",
+    ("scale_out", "shared"):
+        "07ced5669304007197339d90667ac53c72a123998d39be9336927796953b07f9",
+    ("scale_out", "sequential"):
+        "07ced5669304007197339d90667ac53c72a123998d39be9336927796953b07f9",
+    ("steady_state", "shared"):
+        "0aca1db7a2e22b562ac9b7d267d085b538ba83da2bb5d4cf18caf0bb880efb1f",
+    ("steady_state", "sequential"):
+        "0aca1db7a2e22b562ac9b7d267d085b538ba83da2bb5d4cf18caf0bb880efb1f",
+    ("tenant_storm", "shared"):
+        "c6cfc8cb9fcc5ea85c070ae4094572a1e4528eeadd6686e515a1e1977dabe107",
+    ("tenant_storm", "sequential"):
+        "585e398646a008effa7faf242b8f0665f4082dd56984fd323820073ff0ee6f00",
+}
+
+
+def test_library_scenario_reports_are_pinned_at_seed_1():
+    assert sorted({name for name, _backend in _LIBRARY_SHA256}) \
+        == scenario_names()
+    digests = {
+        (name, backend): hashlib.sha256(
+            ScenarioRunner(get_scenario(name, seed=1), backend=backend)
+            .run().to_json().encode()).hexdigest()
+        for name, backend in _LIBRARY_SHA256}
+    assert digests == _LIBRARY_SHA256
 
 
 # (fpga, node, port) of every instance, captured at the commit before the
