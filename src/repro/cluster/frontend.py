@@ -33,8 +33,9 @@ sits between clients and the FPGAs:
 Three records carry it: a :class:`BoardBeat` per board, a
 :class:`BackendHealth` per instance and an ``_awaiting`` entry per
 attempt, which only ``_resolve`` takes out again — a client attempt's
-entry holds its request, whose next step ``_resolve`` schedules (DESIGN.md
-"Cluster layer" has the same-cycle ordering that matters).
+entry holds its request, whose next step ``_resolve`` runs in the same
+call.  Each step runs where its cause fires; DESIGN.md "Cluster layer"
+lists the three zero-delay hops that remain and why.
 
 Tracing: when the cluster's shared recorder is enabled, each request
 opens ``frontend:<service>`` with one ``forward:<instance>`` child per
@@ -113,8 +114,9 @@ class BackendHealth:
         self.board = board
         #: (irid, body, nbytes) attempts waiting for the next batch
         self.queue: List[Tuple[int, Any, int]] = []
-        #: the flusher is parked until an attempt is queued (or a retire)
-        self.kick = False
+        #: the flusher is parked until an attempt is queued (or a retire);
+        #: a new record starts parked
+        self.kick = True
         #: the transport's ACK event of the batch the flusher paces on,
         #: until that ACK or the batch's time box wins the race
         self.pace: Optional[Event] = None
@@ -221,7 +223,6 @@ class FrontEnd:
                     board = self.boards[mac] = BoardBeat(mac)
                 backend = self.health[iid] = BackendHealth(inst, board)
                 board.backends.append(backend)
-                self.engine.schedule(0, self._flush, backend)
 
     def retire(self, iid: str) -> None:
         """Stop tracking an instance removed by a scale-down.
@@ -290,7 +291,7 @@ class FrontEnd:
         Whichever comes first wins; every later call finds no entry (a
         late response to an abandoned attempt, a time box that outlived
         its answer) and does nothing.  A client attempt's request takes
-        its outcome one ring hop later.
+        its outcome in this call: it is answered, backs off or ends.
         """
         entry = self._awaiting.pop(irid, None)
         if entry is None:
@@ -323,9 +324,9 @@ class FrontEnd:
         if request is None:
             return
         if error is None:
-            self.engine.schedule(0, request.answered, body)
+            request.settle(body)
         else:
-            self.engine.schedule(0, request.refused, ServiceUnavailable(
+            request.settle(None, ServiceUnavailable(
                 f"{backend.inst.iid} {error}"))
 
     def _expire(self, attempt: Tuple[int, int]) -> None:
@@ -383,14 +384,22 @@ class FrontEnd:
     def _wake_backlog(self) -> None:
         """Admission is one deferred call, a ring hop after the submit (or
         the freed slot) that asked for it — never inside ``submit``: a
-        same-cycle burst must meet the backlog bound, not the in-flight one."""
+        same-cycle burst must meet the backlog bound, not the in-flight one
+        (admitted inline, ``tests/test_loadgen.py``'s
+        ``test_backlog_overflow_drops`` drops 4 of 10, not 6)."""
         if self._backlog and not self._draining:
             self._draining = True
             self.engine.schedule(0, self._drain_backlog)
 
     def _drain_backlog(self, _arg: Any = None) -> None:
         """Admit from the backlog while in-flight slots are free; each
-        admitted request starts one ring hop later, in :meth:`_serve`."""
+        admitted request starts one ring hop later, in :meth:`_serve`.
+
+        No report depends on that hop (nor on :meth:`_admit`'s): it keeps
+        ``FrontEnd._serve`` an engine entry, which the benchmark's tracer
+        books as ``cluster.frontend_serve`` (one per request), and
+        ``test_requests_and_probes_book_to_serve_and_prober`` fails
+        without it."""
         while self._backlog and self.inflight < self.max_pending:
             submitted_at, srid, req, on_done = self._backlog.popleft()
             origin = (None, srid, on_done)
@@ -419,6 +428,7 @@ class FrontEnd:
         else:
             self.inflight += 1
             self.requests_admitted += 1
+            # the tracer's hop, as in _drain_backlog
             self.engine.schedule(0, self._serve,
                                  (origin, req, self.engine.now))
 
@@ -585,14 +595,17 @@ class FrontEnd:
     #
     # An instance's flusher is callbacks over its record: ``_flush`` is the
     # top of its loop, ``kick`` says it is parked on an empty queue and
-    # ``pace`` that it waits for a batch's ACK.  Each wait costs fixed
-    # engine hops — a ring hop to wake, a bucket entry and a ring hop for
-    # the accumulation window, two ring hops after the ACK or after the
-    # time box that won the race against it — which same-cycle order, and
-    # so every report, depends on (tests/test_frontend_path.py pins them).
+    # ``pace`` that it waits for a batch's ACK.  The accumulation window's
+    # bucket entry sends the batch, and whichever of the ACK and the time
+    # box wins the race goes on in the same call; only the wake is a hop
+    # (tests/test_frontend_path.py section g pins them all).
 
     def _kick(self, backend: BackendHealth) -> None:
-        """Wake a parked flusher, one ring hop from now."""
+        """Wake a parked flusher, one ring hop from now, so that a burst
+        queued in one cycle fills one batch: woken inline, the flusher
+        would see the burst's first attempt alone and wait out the window
+        (``test_hops_of_a_batch_of_four_attempts``' answers move from
+        6 045 to 6 245)."""
         if backend.kick:
             backend.kick = False
             self.engine.schedule(0, self._fill, backend)
@@ -611,12 +624,9 @@ class FrontEnd:
         """There is work: a full batch leaves now, a short one waits."""
         if len(backend.queue) < BATCH_SIZE:
             # brief accumulation window
-            self.engine.schedule(BATCH_WINDOW, self._window_closed, backend)
+            self.engine.schedule(BATCH_WINDOW, self._send_batch, backend)
         else:
             self._send_batch(backend)
-
-    def _window_closed(self, backend: BackendHealth) -> None:
-        self.engine.schedule(0, self._send_batch, backend)
 
     def _send_batch(self, backend: BackendHealth) -> None:
         queue = backend.queue
@@ -646,24 +656,19 @@ class FrontEnd:
         sent.add_callback(acked)
 
     def _paced(self, backend: BackendHealth, sent: Event) -> None:
-        """The batch's ACK won the race: the flusher goes on a hop later."""
+        """The batch's ACK won the race: the flusher goes on."""
         if backend.pace is sent:
             backend.pace = None
-            self.engine.schedule(0, self._flush, backend)
+            self._flush(backend)
 
     def _pace_expired(self, race: Tuple) -> None:
         """The batch's time box ran out: unless its ACK already won, the
-        flusher gives up on it (a hop to decide, a hop to go on)."""
-        backend, sent, _acked = race
-        if backend.pace is sent:
-            self.engine.schedule(0, self._pace_lost, race)
-
-    def _pace_lost(self, race: Tuple) -> None:
+        flusher gives up on it and goes on."""
         backend, sent, acked = race
         if backend.pace is sent:
             backend.pace = None
             sent.remove_callback(acked)
-            self.engine.schedule(0, self._flush, backend)
+            self._flush(backend)
 
     def _prober(self, _arg: Any = None) -> None:
         """One liveness round, a heap entry every ``PROBE_INTERVAL``.
@@ -792,13 +797,6 @@ class _Request(RetryLoop):
             self.rotation += 1
             inst = fe._pick(spec, self.candidates, rotation)
         fe._dispatch(self, inst, attempt_timeout)
-
-    # the hop ``_resolve`` schedules: the attempt's answer or its failure
-    def answered(self, body: Any) -> None:
-        self.settle(body)
-
-    def refused(self, error: ServiceUnavailable) -> None:
-        self.settle(None, error)
 
     def _retried(self) -> None:
         self.fe.failovers += 1

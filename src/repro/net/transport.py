@@ -29,7 +29,7 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.frame import EthernetFrame, wire_copy
-from repro.sim import Channel, Engine, Event
+from repro.sim import Engine, Event
 
 __all__ = ["ReliableEndpoint", "ReliableMux", "Datagram",
            "TRANSPORT_HEADER_BYTES", "BOARD_WINDOW", "BOARD_TIMEOUT",
@@ -81,17 +81,16 @@ class ReliableEndpoint:
     send_frame: callable delivering an :class:`EthernetFrame` toward the
         peer (typically a MAC adapter's tx path).
     local_mac / peer_mac: addressing for emitted frames.
+    on_payload: the receiver.  Called with each payload, in order and
+        exactly once, one same-cycle hop after the frame that completed it
+        (its ACK is on the wire by then).  It may return an :class:`Event`:
+        the next payload is held until that triggers.
     window: go-back-N sender window in datagrams.
     timeout: retransmission timeout in cycles.
     mtu: largest frame the underlying fabric accepts; payloads above
         ``mtu - header`` are segmented into multiple datagrams and
         reassembled in order at the receiver (go-back-N already gives us
         ordered, exactly-once fragments).
-    on_payload: the receiver.  Called with each payload, in order and
-        exactly once, one same-cycle hop after the frame that completed it
-        (its ACK is on the wire by then).  It may return an :class:`Event`:
-        the next payload is held until that triggers.  Without a receiver
-        the payloads appear on :attr:`inbox` instead.
 
     Wire ``deliver_frame`` into the local MAC's rx callback.
     """
@@ -102,11 +101,11 @@ class ReliableEndpoint:
         send_frame: Callable[[EthernetFrame], None],
         local_mac: str,
         peer_mac: str,
+        on_payload: Callable[[Any], Optional[Event]],
         window: int = 8,
         timeout: int = 5000,
         mtu: int = 1518,
         name: str = "",
-        on_payload: Optional[Callable[[Any], Optional[Event]]] = None,
     ):
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")
@@ -144,9 +143,6 @@ class ReliableEndpoint:
         #: or ``_WAKING``
         self._backlog: Deque[Any] = deque()
         self._held: Any = None
-        if on_payload is None:
-            self.inbox: Channel = Channel(engine, capacity=None,
-                                          name=f"{self.name}.inbox")
 
         self.datagrams_sent = 0
         self.fragments_sent = 0
@@ -256,11 +252,8 @@ class ReliableEndpoint:
             # leading fragments only occupy the wire; the last one (or any
             # unfragmented datagram) delivers the application payload
             if dgram.frag_rest == 0:
-                if self._on_payload is None:
-                    self.inbox.try_put(dgram.payload)
-                else:
-                    self._backlog.append(dgram.payload)
-                    self._wake()
+                self._backlog.append(dgram.payload)
+                self._wake()
         elif dgram.seq < self._expected_seq:
             self.duplicates_dropped += 1
         # out-of-order future datagrams are dropped (go-back-N receiver)
@@ -275,7 +268,12 @@ class ReliableEndpoint:
 
     def _wake(self) -> None:
         """The backlog has a head: get it handed off — one ring hop from
-        now, or one after the event that holds it triggers."""
+        now, or one after the event that holds it triggers.  The hop lets
+        the frame's ACK leave first and orders the receiver's same-cycle
+        payloads: handed off inline, the front-end admits requests that
+        meet at ``max_pending`` in another order
+        (``test_the_fabric_path_rejects_at_max_pending_and_answers_everything_else``
+        rejects request b instead of c)."""
         held = self._held
         if held is _WAKING:
             return
@@ -310,10 +308,6 @@ class ReliableEndpoint:
     @property
     def unacked(self) -> int:
         return len(self._outstanding)
-
-    def recv(self) -> Event:
-        """Event yielding the next in-order payload (no ``on_payload``)."""
-        return self.inbox.get()
 
 
 class ReliableMux:
@@ -358,9 +352,9 @@ class ReliableMux:
         if endpoint is None:
             endpoint = self._peers[peer_mac] = ReliableEndpoint(
                 self.engine, self.send_frame, self.mac, peer_mac,
+                partial(self.on_payload, peer_mac),
                 window=self.window, timeout=self.timeout,
                 name=f"{self.name}->{peer_mac}",
-                on_payload=partial(self.on_payload, peer_mac),
             )
         return endpoint
 

@@ -82,13 +82,12 @@ class RetryPolicy:
         :class:`DeadlineExceeded`; any other failure ends it at once
         (retrying e.g. a capability denial never helps).  ``on_retry`` is
         invoked once per retried failure — the hook the shell uses to
-        count ``calls_retried``.  The loop starts one ring hop from now and
-        takes one more per settled attempt.
+        count ``calls_retried``.  The first attempt is issued before this
+        returns; each later one after its backoff's bucket entry.
         """
         result = engine.event(name or f"retry.{describe}")
-        loop = _EventRetry(self, engine, retry_on, describe, attempt_fn,
-                           on_retry, result)
-        engine.schedule(0, loop.begin)
+        _EventRetry(self, engine, retry_on, describe, attempt_fn, on_retry,
+                    result).begin()
         return result
 
 
@@ -103,9 +102,9 @@ class RetryLoop:
     outcome — a value, or the error that ended it.  The deadline counts
     from :meth:`begin`.  A failure in ``retry_on`` — handed to
     :meth:`settle`, or raised by :meth:`_issue` itself — is retried
-    after the policy's backoff, a bucket entry and then a ring hop; any
-    other ``Exception`` is the loop's outcome (a ``BaseException`` that is
-    not one propagates).
+    when the policy's backoff runs out (one bucket entry, the loop's only
+    engine schedule); any other ``Exception`` is the loop's outcome (a
+    ``BaseException`` that is not one propagates).
     """
 
     __slots__ = ("policy", "engine", "retry_on", "describe", "began",
@@ -131,7 +130,7 @@ class RetryLoop:
     def _finish(self, value: Any, error: Optional[BaseException]) -> None:
         raise NotImplementedError
 
-    def begin(self, _arg: Any = None) -> None:
+    def begin(self) -> None:
         """Start the loop: its deadline counts from now."""
         self.began = self.engine.now
         self._next()
@@ -172,10 +171,7 @@ class RetryLoop:
         backoff = max(1, min(self.policy.backoff_for(self.attempt),
                              self.policy.deadline
                              - (self.engine.now - self.began)))
-        self.engine.schedule(backoff, self._backed_off)
-
-    def _backed_off(self, _arg: Any = None) -> None:
-        self.engine.schedule(0, self._next)
+        self.engine.schedule(backoff, self._next)
 
 
 class _EventRetry(RetryLoop):

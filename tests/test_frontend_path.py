@@ -16,8 +16,9 @@ row, every span and every ``telemetry()`` counter held.  Section f
 pins what the rewrite *did* change — the engine-event budget of a request —
 and that ``perf.trace`` still books the path to ``FrontEnd._serve`` and
 ``FrontEnd._prober``.  Section g pins the engine hops themselves — ring
-and bucket schedules of five paths and of a retried ``Shell.call`` — which
-a rewrite of the request path's mechanics must keep.
+and bucket schedules of five paths and of a retried ``Shell.call`` — beside
+each request's answer cycle, which a rewrite of the request path's
+mechanics must keep.
 
 To re-check a-e against another tree, run this file from a checkout of
 *that* tree (``tests/conftest.py`` imports ``perf``, which puts the
@@ -378,8 +379,11 @@ def test_a_drained_tile_fails_its_queued_and_awaited_requests_in_that_cycle():
     rig.fe.on_board_fault(inst.fpga, inst.node, "drained", "kv/s0r0")
     assert rig.health(*pair) == {
         "kv/s0r0": (False, 3, 0, 0, 0), "kv/s0r1": (True, 0, 0, 0, 0)}
-    assert rig.counters()["failovers"] == 0
-    rig.at(1_450)  # the rest of this cycle: both attempts have failed
+    # re-pinned 0 -> 2 when a request began taking its attempt's failure in
+    # the call that fails it rather than a ring hop later: both retries are
+    # booked inside the fault report itself
+    assert rig.counters()["failovers"] == 2
+    rig.at(1_450)  # the rest of this cycle
     assert rig.counters()["failovers"] == 2
     rig.at(1_649)
     assert rig.health(*pair)["kv/s0r1"] == (True, 0, 0, 0, 0)
@@ -699,9 +703,12 @@ def test_event_budget_of_one_kv_write_with_one_fan_out_copy():
 #: completion event and the delivery channel's get and put — on the
 #: ``net.rx`` in and the ``net.post`` out, and 2 per served request — the
 #: inbox wake and the timer's second hop), a write 75 -> 59 (the same,
-#: twice).
-ECHO_READ_SCHEDULES = 31
-KV_WRITE_ONE_COPY_SCHEDULES = 59
+#: twice).  Again when the front-end's replayed generator hops went: a read
+#: 31 -> 28 (the settle hop, the window-closed hop and the hop after the
+#: batch's ACK), a write 59 -> 54 (the same, and the copy's batch pays a
+#: window-closed and an ACK hop of its own).
+ECHO_READ_SCHEDULES = 28
+KV_WRITE_ONE_COPY_SCHEDULES = 54
 
 
 def test_event_budget_of_two_liveness_rounds_and_no_noc_packet():
@@ -759,9 +766,12 @@ def test_requests_and_probes_book_to_serve_and_prober():
 # Every engine schedule a path makes, split into same-cycle ring entries and
 # bucket entries, with each request's answer cycle.  Captured on the
 # process-per-request front-end (a generator per request and per flusher, a
-# waiter event per attempt, a kick event and an ``any_of`` per batch); the
-# callback front-end keeps every hop at the same delay and in the same place
-# in its cycle, so these literals hold on both.
+# waiter event per attempt, a kick event and an ``any_of`` per batch).  The
+# answer cycles and bucket counts hold literal for literal on the callback
+# front-end; the ring counts were re-pinned once, when the hops that only
+# replayed the generators' resume order went (a request's settle hop, the
+# window-closed hop, the hop after a won or lost pacing race, the hop after
+# a backoff and ``RetryPolicy.drive``'s start hop), each commented below.
 
 
 def hops(act, until, start=1_000, **frontend):
@@ -780,7 +790,9 @@ def hops(act, until, start=1_000, **frontend):
 
 def test_hops_of_a_lone_read():
     assert hops(lambda rig: rig.read("r", 2), 9_000) == (
-        {"r": (1_000, 3_225, MISS)}, (11, 20), 1)
+        {"r": (1_000, 3_225, MISS)}, (8, 20), 1)
+    # ring 11 -> 8: the settle hop, the window-closed hop and the hop after
+    # the batch's ACK
 
 
 def test_hops_of_a_batch_of_four_attempts():
@@ -788,7 +800,8 @@ def test_hops_of_a_batch_of_four_attempts():
     the cycle it wakes, with no accumulation window."""
     assert hops(lambda rig: [rig.read(f"r{i}", 2) for i in range(4)], 9_000,
                 max_pending=64) == (
-        {f"r{i}": (1_000, 6_045, MISS) for i in range(4)}, (16, 25), 1)
+        {f"r{i}": (1_000, 6_045, MISS) for i in range(4)}, (11, 25), 1)
+    # ring 16 -> 11: four settle hops and the hop after the batch's ACK
 
 
 def test_hops_of_an_attempt_whose_time_box_runs_out_and_fails_over():
@@ -796,7 +809,9 @@ def test_hops_of_an_attempt_whose_time_box_runs_out_and_fails_over():
         rig.at(500).cluster.partition_fpga(1)
         rig.at(1_000).read("r", 0)
     assert hops(act, 9_000, start=400) == (
-        {"r": (1_000, 7_429, MISS1)}, (15, 25), 2)
+        {"r": (1_000, 7_429, MISS1)}, (9, 25), 2)
+    # ring 15 -> 9: two settle hops, two window-closed hops, the hop after
+    # the backoff and the hop after the ACK of the batch that got one
 
 
 def test_hops_of_a_retire_with_attempts_queued_and_on_the_wire():
@@ -806,7 +821,9 @@ def test_hops_of_a_retire_with_attempts_queued_and_on_the_wire():
         rig.at(1_450).fe.retire("kv/s0r0")
     assert hops(act, 9_000) == (
         {"awaited": (1_000, 4_882, MISS), "queued": (1_400, 4_882, MISS)},
-        (26, 45), 2)
+        (16, 45), 2)
+    # ring 26 -> 16: four settle hops, two after a backoff, two
+    # window-closed hops and two after a batch's ACK
 
 
 def test_hops_of_a_batch_whose_pacing_times_out_on_a_cut_off_board():
@@ -820,7 +837,9 @@ def test_hops_of_a_batch_whose_pacing_times_out_on_a_cut_off_board():
         rig.at(500).cluster.partition_fpga(1)
         rig.at(1_000).read("r", 0)
     assert hops(act, 60_000, start=400) == (
-        {"r": (1_000, 7_429, MISS1)}, (27, 49), 2)
+        {"r": (1_000, 7_429, MISS1)}, (19, 49), 2)
+    # ring 27 -> 19: the six hops of the time-box test above, and the two
+    # the lost pacing race paid (one to decide, one to go on)
 
 
 class Answering:
@@ -860,6 +879,7 @@ def test_hops_of_a_shell_call_retried_twice():
     engine.run(until=10_000)
     assert settled == [(1_915, "q")]
     assert monitor.submitted == [1_000, 1_305, 1_810]
-    assert (engine.ring, engine.schedules - engine.ring) == (13, 11)
+    # ring 13 -> 10: ``drive``'s start hop and the hop after each backoff
+    assert (engine.ring, engine.schedules - engine.ring) == (10, 11)
     assert (shell.calls_made, shell.calls_failed, shell.calls_retried) == \
         (3, 2, 2)

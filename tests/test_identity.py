@@ -194,7 +194,10 @@ def test_control_plane_scenarios_agree_on_shared_and_sequential(
 
 @pytest.mark.parametrize("seed", [1, 2, pytest.param(
     6, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: shared logs one failover more than sequential")))])
+        "ROADMAP item 2: shared logs one failover more than sequential"))),
+    pytest.param(7, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: shared logs 4 failovers, sequential 3, and "
+        "alpha's latency quantiles follow")))])
 def test_chaos_soak_is_one_report_on_shared_and_sequential(seed):
     """chaos_soak is not saturated, so identity must hold through its kill,
     partition and heal.  Seeds 1 and 2 split while the network tile

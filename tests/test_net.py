@@ -183,16 +183,24 @@ class TestHundredGigMac:
         assert not hasattr(TenGigMac, "tx_push")
 
 
+def ignore(_payload):
+    """The receiver of an endpoint that is sent no payload."""
+
+
 class FrameLoop:
-    """Direct frame pipe between two ReliableEndpoints via the fabric."""
+    """Direct frame pipe between two ReliableEndpoints via the fabric; A
+    sends, and B's receiver collects what it is handed in ``got``."""
 
     def __init__(self, eng, loss=0.0, seed=7):
         self.fabric = EthernetFabric(
             eng, latency_cycles=50, loss_rate=loss,
             rng=RngPool(seed=seed).stream("loss") if loss else None,
         )
-        self.a = ReliableEndpoint(eng, self.fabric.transmit, "A", "B")
-        self.b = ReliableEndpoint(eng, self.fabric.transmit, "B", "A")
+        self.got = []
+        self.a = ReliableEndpoint(eng, self.fabric.transmit, "A", "B",
+                                  ignore)
+        self.b = ReliableEndpoint(eng, self.fabric.transmit, "B", "A",
+                                  self.got.append)
         self.fabric.attach("A", self.a.deliver_frame)
         self.fabric.attach("B", self.b.deliver_frame)
 
@@ -201,36 +209,28 @@ class TestReliableTransport:
     def test_in_order_delivery_no_loss(self):
         eng = Engine()
         loop = FrameLoop(eng)
-        got = []
+        got = loop.got
 
         def sender():
             for i in range(20):
                 yield loop.a.send(i, payload_bytes=64)
 
-        def receiver():
-            for _ in range(20):
-                got.append((yield loop.b.recv()))
-
-        eng.process(sender())
-        p = eng.process(receiver())
+        # the sender ends on its last ACK: B was handed everything
+        p = eng.process(sender())
         eng.run_until_done(p.done, limit=1_000_000)
         assert got == list(range(20))
 
     def test_recovers_from_loss(self):
         eng = Engine()
         loop = FrameLoop(eng, loss=0.2)
-        got = []
+        got = loop.got
 
         def sender():
             for i in range(30):
                 yield loop.a.send(i, payload_bytes=64)
 
-        def receiver():
-            for _ in range(30):
-                got.append((yield loop.b.recv()))
-
-        eng.process(sender())
-        p = eng.process(receiver())
+        # the sender ends on its last ACK: B was handed everything
+        p = eng.process(sender())
         eng.run_until_done(p.done, limit=10_000_000)
         assert got == list(range(30))
         assert loop.a.retransmissions > 0
@@ -238,26 +238,23 @@ class TestReliableTransport:
     def test_no_duplicates_delivered_under_loss(self):
         eng = Engine()
         loop = FrameLoop(eng, loss=0.25, seed=3)
-        got = []
+        got = loop.got
 
         def sender():
             for i in range(25):
                 yield loop.a.send(i, payload_bytes=32)
 
-        def receiver():
-            for _ in range(25):
-                got.append((yield loop.b.recv()))
-
-        eng.process(sender())
-        p = eng.process(receiver())
+        # the sender ends on its last ACK: B was handed everything
+        p = eng.process(sender())
         eng.run_until_done(p.done, limit=10_000_000)
         assert got == list(range(25))  # exactly once, in order
 
     def test_window_limits_outstanding(self):
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=10_000)  # slow ACKs
-        a = ReliableEndpoint(eng, fabric.transmit, "A", "B", window=4)
-        b = ReliableEndpoint(eng, fabric.transmit, "B", "A")
+        a = ReliableEndpoint(eng, fabric.transmit, "A", "B", ignore,
+                             window=4)
+        b = ReliableEndpoint(eng, fabric.transmit, "B", "A", ignore)
         fabric.attach("A", a.deliver_frame)
         fabric.attach("B", b.deliver_frame)
 
@@ -273,9 +270,9 @@ class TestReliableTransport:
     def test_validation(self):
         eng = Engine()
         with pytest.raises(ConfigError):
-            ReliableEndpoint(eng, lambda f: None, "A", "B", window=0)
+            ReliableEndpoint(eng, lambda f: None, "A", "B", ignore, window=0)
         with pytest.raises(ConfigError):
-            ReliableEndpoint(eng, lambda f: None, "A", "B", timeout=0)
+            ReliableEndpoint(eng, lambda f: None, "A", "B", ignore, timeout=0)
 
 
 class TestReliableMux:

@@ -78,7 +78,8 @@ def test_segmentation_fragment_count_and_sizes(payload_bytes, mtu):
     if mtu <= TRANSPORT_HEADER_BYTES + 64:
         return
     eng = Engine()
-    endpoint = ReliableEndpoint(eng, lambda f: None, "A", "B", mtu=mtu)
+    endpoint = ReliableEndpoint(eng, lambda f: None, "A", "B",
+                                lambda payload: None, mtu=mtu)
     segments = endpoint._segment("obj", payload_bytes)
     assert sum(nbytes for _p, nbytes in segments) == payload_bytes
     assert all(nbytes <= endpoint.max_segment for _p, nbytes in segments)
