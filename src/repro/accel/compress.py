@@ -39,12 +39,10 @@ class Compressor(Accelerator):
     PRIMITIVES = {"lut_logic": 48_000, "bram": 128}
 
     def __init__(self, name: str, downstream: Optional[str] = None,
-                 use_dram_dictionary: bool = False,
-                 cycles_per_kb: int = COMPRESS_CYCLES_PER_KB):
+                 use_dram_dictionary: bool = False):
         super().__init__(name)
         self.downstream = downstream
         self.use_dram_dictionary = use_dram_dictionary
-        self.cycles_per_kb = cycles_per_kb
         self.dictionary_seg = None
         self.chunks_compressed = 0
         self.bytes_in = 0
@@ -71,7 +69,7 @@ class Compressor(Accelerator):
             reads = max(1, nbytes // 4096)
             for _ in range(min(reads, 4)):  # cap modelled lookups per chunk
                 yield shell.mem_read(self.dictionary_seg, 0, 256)
-        yield from self._work(max(1, nbytes * self.cycles_per_kb // 1024))
+        yield from self._work(max(1, nbytes * COMPRESS_CYCLES_PER_KB // 1024))
         out_bytes = max(32, int(nbytes * COMPRESS_RATIO))
         self.chunks_compressed += 1
         self.bytes_in += nbytes

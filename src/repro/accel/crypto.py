@@ -7,7 +7,7 @@ charges per-16B-block cost and keeps per-session key schedules as state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.accel.base import Accelerator
 from repro.hw.resources import ResourceVector
@@ -27,16 +27,15 @@ class CryptoAccel(Accelerator):
     * ``crypto.encrypt {session, bytes}`` / ``crypto.decrypt`` — per-block
       cost; unknown sessions are rejected (state is real here).
     * ``compress.out`` — pipeline input: encrypt with the default session
-      and forward to ``downstream`` if configured.
+      (the last stage of a pipeline: nothing is forwarded).
     """
 
     COST = ResourceVector(logic_cells=40_000, bram_kb=64, dsp_slices=0)
     PRIMITIVES = {"lut_logic": 34_000, "bram": 16}
     TOGGLE_RATE = 0.35
 
-    def __init__(self, name: str, downstream: Optional[str] = None):
+    def __init__(self, name: str):
         super().__init__(name)
-        self.downstream = downstream
         self._sessions: Dict[Any, Dict[str, Any]] = {}
         self.blocks_processed = 0
 
@@ -70,7 +69,4 @@ class CryptoAccel(Accelerator):
         self._sessions[session]["ops"] += 1
         result = dict(body)
         result["bytes"] = nbytes  # ciphertext size == plaintext (block mode)
-        if self.downstream is not None:
-            yield shell.call(self.downstream, "crypto.out", payload=result,
-                             payload_bytes=nbytes)
         yield shell.reply(msg, payload=result, payload_bytes=32)

@@ -20,6 +20,8 @@ __all__ = ["KvStore", "KV_HASH_CYCLES", "KV_CYCLES_PER_64B"]
 KV_HASH_CYCLES = 12
 #: Value movement cost per 64B line.
 KV_CYCLES_PER_64B = 2
+#: DRAM segment the store allocates for out-of-line values
+SEGMENT_BYTES = 1 << 20
 
 
 class KvStore(Accelerator):
@@ -45,12 +47,11 @@ class KvStore(Accelerator):
     PRIMITIVES = {"lut_logic": 64_000, "bram": 512, "fifo": 8}
 
     def __init__(self, name: str, value_segments: bool = False,
-                 inline_bytes: int = 256, segment_bytes: int = 1 << 20,
+                 inline_bytes: int = 256,
                  dedup_window: int = 64):
         super().__init__(name)
         self.value_segments = value_segments
         self.inline_bytes = inline_bytes
-        self.segment_bytes = segment_bytes
         self.dedup_window = dedup_window
         self._table: Dict[Any, Dict[str, Any]] = {}
         #: client -> {seq: reply payload} for recent acknowledged writes
@@ -65,7 +66,7 @@ class KvStore(Accelerator):
 
     def main(self, shell):
         if self.value_segments:
-            self._seg = yield shell.alloc(self.segment_bytes,
+            self._seg = yield shell.alloc(SEGMENT_BYTES,
                                           label=f"{self.name}.values")
         while True:
             msg = yield shell.recv()

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.accel.base import Accelerator
-from repro.errors import ProtocolError, TileFault
 from repro.hw.resources import ResourceVector
 
 __all__ = ["VideoEncoder", "PreemptibleVideoEncoder", "ENCODE_CYCLES_PER_FRAME"]
@@ -48,11 +47,9 @@ class VideoEncoder(Accelerator):
     PRIMITIVES = {"lut_logic": 90_000, "bram": 256, "dsp": 400}
     TOGGLE_RATE = 0.4
 
-    def __init__(self, name: str, downstream: Optional[str] = None,
-                 cycles_per_frame: int = ENCODE_CYCLES_PER_FRAME):
+    def __init__(self, name: str, downstream: Optional[str] = None):
         super().__init__(name)
         self.downstream = downstream
-        self.cycles_per_frame = cycles_per_frame
         #: per-stream encoder contexts: last seq + rate-control state
         self.streams: Dict[Any, Dict[str, Any]] = {}
         self.chunks_encoded = 0
@@ -85,7 +82,7 @@ class VideoEncoder(Accelerator):
         complexity = min(1.0, body["bytes"] / max(1, body["frames"]) / 100_000)
         ctx["rate_state"] = 0.9 * ctx["rate_state"] + 0.1 * complexity
 
-        yield from self._work(body["frames"] * self.cycles_per_frame)
+        yield from self._work(body["frames"] * ENCODE_CYCLES_PER_FRAME)
         out_bytes = max(64, int(body["bytes"] * ENCODE_RATIO
                                 * (0.8 + 0.4 * ctx["rate_state"])))
         self.chunks_encoded += 1

@@ -28,6 +28,9 @@ from repro.sim import Engine, Resource
 
 __all__ = ["HostedFpgaSystem"]
 
+#: virtual-FPGA slots the hosted card time-shares between requests
+VFPGA_SLOTS = 4
+
 Handler = Callable[[Any], Tuple[int, Any, int]]
 
 
@@ -41,19 +44,15 @@ class HostedFpgaSystem:
         mac_addr: str,
         cores: int = 4,
         kernel_bypass: bool = False,
-        pcie_gen: int = 3,
-        vfpga_slots: int = 4,
         rng: Optional[np.random.Generator] = None,
-        jitter_prob: float = 0.15,
     ):
         self.engine = engine
         self.fabric = fabric
         self.mac_addr = mac_addr
-        self.cpu = HostCpu(engine, cores=cores, rng=rng,
-                           jitter_prob=jitter_prob)
+        self.cpu = HostCpu(engine, cores=cores, rng=rng)
         self.netstack = HostNetStack(kernel_bypass=kernel_bypass)
-        self.pcie = PcieLink(engine, gen=pcie_gen)
-        self.vfpga = Resource(engine, slots=vfpga_slots, name="vfpga")
+        self.pcie = PcieLink(engine)
+        self.vfpga = Resource(engine, slots=VFPGA_SLOTS, name="vfpga")
         self._handlers: Dict[int, Handler] = {}
         #: host-OS permission table: port -> allowed client MACs (None = any)
         self._acl: Dict[int, Optional[Set[str]]] = {}

@@ -52,18 +52,18 @@ def port_coupled_wiring(num_accels: int, num_services: int) -> Dict[str, int]:
 
 
 def noc_wiring(num_accels: int, num_services: int,
-               mesh_width: int = 0, hardened: bool = False) -> Dict[str, int]:
+               hardened: bool = False) -> Dict[str, int]:
     """Apiary style: one NI per tile, services addressed in the message.
 
     Wires grow with the *mesh links*, not the service count; adding a
     service adds zero physical interfaces ("the same physical interface to
-    communicate with multiple services").
+    communicate with multiple services").  The tiles sit on the squarest
+    mesh that holds them.
     """
     if num_accels < 1 or num_services < 0:
         raise ConfigError("need >= 1 accelerator and >= 0 services")
     tiles = num_accels + num_services
-    if mesh_width <= 0:
-        mesh_width = max(1, int(tiles ** 0.5 + 0.9999))
+    mesh_width = max(1, int(tiles ** 0.5 + 0.9999))
     mesh_height = (tiles + mesh_width - 1) // mesh_width
     # directed mesh links
     links = 2 * (mesh_width * (mesh_height - 1) + mesh_height * (mesh_width - 1))

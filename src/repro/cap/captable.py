@@ -27,18 +27,21 @@ from repro.cap.capability import Capability, CapabilityRef, Rights
 
 __all__ = ["CapabilityStore"]
 
+#: the nonce generator's start state; every store draws the same sequence
+NONCE_SEED = 0x5EED
+
 
 class CapabilityStore:
     """Partitioned capability storage with derivation and revocation."""
 
-    def __init__(self, slots_per_holder: int = 64, nonce_seed: int = 0x5EED):
+    def __init__(self, slots_per_holder: int = 64):
         if slots_per_holder < 1:
             raise ConfigError("need at least one capability slot per holder")
         self.slots_per_holder = slots_per_holder
         self._partitions: Dict[str, Dict[int, Tuple[CapabilityRef, Capability]]] = {}
         self._by_cid: Dict[int, Tuple[str, int]] = {}  # cid -> (holder, slot)
         self._next_cid = 1
-        self._nonce_state = nonce_seed
+        self._nonce_state = NONCE_SEED
         self.lookups = 0
         self.denials = 0
 

@@ -41,12 +41,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
-from repro.hw.compile import (
-    SYNTH_CYCLES_PER_CELL,
-    BitstreamArtifact,
-    CompileService,
-    artifact_digest,
-)
+from repro.hw.compile import BitstreamArtifact, CompileService, artifact_digest
 
 __all__ = ["BoardBitstreamStore", "BitstreamPlane", "DEFAULT_CACHE_CELLS"]
 
@@ -83,7 +78,6 @@ class BoardBitstreamStore:
         stats=None,
         board: str = "fpga0",
         capacity_cells: int = DEFAULT_CACHE_CELLS,
-        cycles_per_cell: int = SYNTH_CYCLES_PER_CELL,
     ):
         if capacity_cells < 1:
             raise ConfigError(
@@ -93,8 +87,7 @@ class BoardBitstreamStore:
         self.board = board
         self.capacity_cells = capacity_cells
         self.compiler = CompileService(
-            engine, drc=drc, stats=stats, name=f"synth.{board}",
-            cycles_per_cell=cycles_per_cell)
+            engine, drc=drc, stats=stats, name=f"synth.{board}")
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -237,8 +237,6 @@ class FrontEnd:
             return
         backend.retired = True
         self._fail_instance(backend, "retired by scale-down")
-        # wake a parked flusher so that it can exit
-        self._kick(backend)
 
     def on_board_fault(self, fpga: int, node: int, action: str,
                        endpoint: str) -> None:

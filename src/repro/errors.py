@@ -17,10 +17,6 @@ class SimulationError(ReproError):
     """The simulation engine was used incorrectly (model bug)."""
 
 
-class DeadlockError(SimulationError):
-    """The event queue drained while processes were still blocked."""
-
-
 class ConfigError(ReproError):
     """Invalid configuration passed to a component constructor."""
 

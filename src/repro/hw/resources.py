@@ -17,7 +17,7 @@ tables scale in real RTL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import ConfigError, ResourceExhausted
 from repro.hw.device import FpgaPart
@@ -132,6 +132,7 @@ class ResourceBudget:
 # with configuration, which is what D4 sweeps.
 
 ROUTER_BASE_CELLS = 1_800
+ROUTER_PORTS = 5                  # four mesh neighbours plus the local tile
 ROUTER_CELLS_PER_VC_BUFFER = 160  # per (port, VC) buffer slot group
 MONITOR_BASE_CELLS = 2_400
 MONITOR_CELLS_PER_CAP = 12       # capability-table entry (CAM-ish)
@@ -140,7 +141,7 @@ MONITOR_RATELIMIT_CELLS = 350    # token-bucket datapath
 MONITOR_BRAM_KB_PER_64_CAPS = 4
 
 
-def router_cost(num_ports: int = 5, num_vcs: int = 2, buffer_depth: int = 4,
+def router_cost(num_vcs: int = 2, buffer_depth: int = 4,
                 hardened: bool = False) -> ResourceVector:
     """Soft-logic cost of one NoC router; ~zero when the NoC is hardened.
 
@@ -150,7 +151,7 @@ def router_cost(num_ports: int = 5, num_vcs: int = 2, buffer_depth: int = 4,
     if hardened:
         return ResourceVector(logic_cells=120)  # just the fabric-side adapters
     cells = ROUTER_BASE_CELLS + (
-        ROUTER_CELLS_PER_VC_BUFFER * num_ports * num_vcs * buffer_depth // 4
+        ROUTER_CELLS_PER_VC_BUFFER * ROUTER_PORTS * num_vcs * buffer_depth // 4
     )
     return ResourceVector(logic_cells=cells)
 
@@ -174,21 +175,14 @@ def monitor_cost(cap_table_size: int = 64, service_table_size: int = 16,
     return ResourceVector(logic_cells=cells, bram_kb=bram)
 
 
-def noc_overhead(
-    part: FpgaPart,
-    tiles: int,
-    num_vcs: int = 2,
-    buffer_depth: int = 4,
-    cap_table_size: int = 64,
-) -> Dict[str, float]:
+def noc_overhead(part: FpgaPart, tiles: int) -> Dict[str, float]:
     """The D4 headline: Apiary's share of a part as tile count grows.
 
     Returns the per-tile costs and the fraction of the device's logic cells
     Apiary's static framework (routers + monitors) consumes.
     """
-    r = router_cost(num_vcs=num_vcs, buffer_depth=buffer_depth,
-                    hardened=part.hardened_noc)
-    m = monitor_cost(cap_table_size=cap_table_size)
+    r = router_cost(hardened=part.hardened_noc)
+    m = monitor_cost()
     total_cells = tiles * (r.logic_cells + m.logic_cells)
     return {
         "router_cells": float(r.logic_cells),

@@ -47,7 +47,6 @@ class Message:
     payload / payload_bytes: opaque body and its wire size.
     cap: optional capability reference accompanying the operation (e.g. the
         memory capability for a read/write).
-    priority: traffic class hint, mapped to NoC VC classes by the monitor.
     trace_id / span_id: causal-tracing context (0 = untraced).  ``trace_id``
         identifies the root request; ``span_id`` is the span the next stage
         handling this message should parent under.  Stamped by the shell
@@ -63,7 +62,6 @@ class Message:
     payload: Any = None
     payload_bytes: int = 0
     cap: Optional[CapabilityRef] = None
-    priority: int = 0
     sent_at: int = -1
     trace_id: int = 0
     span_id: int = 0
@@ -91,7 +89,6 @@ class Message:
             mid=self.mid,
             payload=payload,
             payload_bytes=payload_bytes,
-            priority=self.priority,
             trace_id=self.trace_id,
             span_id=self.span_id,
         )

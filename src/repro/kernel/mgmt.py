@@ -287,8 +287,7 @@ class MgmtPlane:
         return snaps
 
     def police_rates(self, tx_threshold: float,
-                     limit_flits_per_cycle: float,
-                     burst: int = 32) -> List[str]:
+                     limit_flits_per_cycle: float) -> List[str]:
         """Closed-loop policing: throttle tiles exceeding a tx-rate budget.
 
         Returns the endpoints that were throttled.  Tiles hosting OS
@@ -302,7 +301,7 @@ class MgmtPlane:
                 continue
             snap = tile.monitor.telemetry()
             if snap["tx_flits_per_cycle"] > tx_threshold and not snap["rate_limited"]:
-                self.set_rate_limit(node, limit_flits_per_cycle, burst=burst)
+                self.set_rate_limit(node, limit_flits_per_cycle)
                 throttled.append(tile.endpoint)
         return throttled
 
@@ -322,17 +321,16 @@ class MgmtPlane:
         """Nodes whose slot is empty and idle — candidates for placement."""
         return [node for node, tile in enumerate(self.tiles) if tile.free]
 
-    def teardown(self, node: int, revoke: bool = True,
+    def teardown(self, node: int,
                  trace: Optional[Tuple[int, int]] = None) -> Event:
         """Stop a tile, revoke its authority, and free the slot."""
         tile = self.tiles[node]
         _tid, span = self._open_span(f"mgmt.teardown:{tile.endpoint}", trace,
                                      node=node)
-        if revoke:
-            self.revoke_endpoint_caps(tile.endpoint)
-            self.send_grants = {
-                g for g in self.send_grants if g[0] != tile.endpoint
-            }
+        self.revoke_endpoint_caps(tile.endpoint)
+        self.send_grants = {
+            g for g in self.send_grants if g[0] != tile.endpoint
+        }
         # remove any extra endpoint names pointing at this tile
         for name in self.namespace.names_at(node):
             if name != tile.endpoint:

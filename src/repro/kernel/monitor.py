@@ -246,8 +246,8 @@ class Monitor:
                     return
                 bucket.consume(now, size_flits)
             msg.sent_at = now
-            self.ni.inject(dst_tile, msg, msg.wire_bytes, msg.priority,
-                           self._egress_loop)
+            self.ni.inject(dst_tile, msg, msg.wire_bytes,
+                           on_injected=self._egress_loop)
             return
         self.messages_sent += 1
         self.tx_meter.record(now, size_flits)
@@ -358,7 +358,7 @@ class Monitor:
                          to=error.dst, mid=error.mid)
         # trusted path: NACKs bypass the egress queue and rate limiter so a
         # drained tile cannot be wedged by its own policy state
-        self.ni.inject(dst_tile, error, error.wire_bytes, msg.priority)
+        self.ni.inject(dst_tile, error, error.wire_bytes)
 
     # -- fault handling hooks (§4.4) -----------------------------------------------
 

@@ -23,12 +23,9 @@ is exactly the trade the question asks about.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, Tuple
 
 from repro.accel.base import Accelerator
-from repro.errors import ConfigError
 from repro.hw.resources import ResourceVector
 from repro.kernel.message import Message
 from repro.net.frame import EthernetFabric
@@ -41,6 +38,9 @@ __all__ = ["RemoteServiceProxy", "RemoteCpuServiceHost"]
 #: Handler convention on the remote CPU:
 #: handler(op, payload) -> (cpu_cycles, response_payload, response_bytes)
 RemoteHandler = Callable[[str, Any], Tuple[int, Any, int]]
+
+#: cores of the remote CPU server; its stack is kernel-bypass (D11)
+SERVER_CORES = 2
 
 
 class RemoteServiceProxy(Accelerator):
@@ -98,16 +98,13 @@ class RemoteCpuServiceHost:
         fabric: EthernetFabric,
         mac_addr: str,
         handler: RemoteHandler,
-        cores: int = 2,
-        kernel_bypass: bool = True,
-        rng: Optional[np.random.Generator] = None,
     ):
         self.engine = engine
         self.fabric = fabric
         self.mac_addr = mac_addr
         self.handler = handler
-        self.cpu = HostCpu(engine, cores=cores, rng=rng)
-        self.netstack = HostNetStack(kernel_bypass=kernel_bypass)
+        self.cpu = HostCpu(engine, cores=SERVER_CORES)
+        self.netstack = HostNetStack(kernel_bypass=True)
         self.mux = ReliableMux(
             engine, fabric.transmit, mac_addr, self._on_payload,
             window=HOST_WINDOW, timeout=HOST_TIMEOUT,

@@ -49,6 +49,10 @@ __all__ = [
     "HundredGigAdapter",
 ]
 
+#: what a ``mem.alloc`` capability grants its holder: read, write, and the
+#: right to derive a grant for a peer
+ALLOC_RIGHTS = Rights.rw() | Rights.GRANT
+
 
 class MemoryService(Accelerator):
     """The memory tile: allocator + segment table + capability minting.
@@ -69,13 +73,11 @@ class MemoryService(Accelerator):
     PRIMITIVES = {"lut_logic": 24_000, "bram": 128, "fifo": 8}
 
     def __init__(self, name: str, dram: Dram, caps: CapabilityStore,
-                 segments: SegmentTable,
-                 default_rights: Rights = Rights.rw() | Rights.GRANT):
+                 segments: SegmentTable):
         super().__init__(name)
         self.dram = dram
         self.caps = caps
         self.segments = segments
-        self.default_rights = default_rights
         self.allocator = FirstFitAllocator(dram.capacity_bytes)
         self._backing: Dict[int, bytearray] = {}  # sid -> stored bytes
         self._extent_of: Dict[int, int] = {}      # sid -> base
@@ -129,7 +131,7 @@ class MemoryService(Accelerator):
         seg = self.segments.create(base=base, size=rounded, owner=msg.src,
                                    label=label)
         try:
-            cap = self.caps.mint(msg.src, self.default_rights,
+            cap = self.caps.mint(msg.src, ALLOC_RIGHTS,
                                  segment_id=seg.sid)
         except CapabilityError:  # the caller's table is full: undo
             self.segments.free(seg.sid)
@@ -374,16 +376,17 @@ class NetworkService(Accelerator):
         while not self.adapter.transmit(frame):
             yield self.adapter.RETRY_CYCLES
 
-    def _on_payload(self, peer_mac: str, payload: Dict[str, Any]):
-        """Deliver a transport payload to the tile bound to its port; the
-        mux holds the peer's next payload until the notify is on the NoC.
-        A heartbeat is dropped: its transport ACK was the answer."""
+    def _on_payload(self, peer_mac: str, payload: Dict[str, Any]) -> None:
+        """Deliver a transport payload to the tile bound to its port as a
+        ``net.rx`` notify; the monitor's FIFO egress queue keeps each
+        peer's payloads in order on the NoC.  A heartbeat is dropped: its
+        transport ACK was the answer."""
         port = payload.get("port")
         if port == HEARTBEAT_PORT:
-            return None
+            return
         dst = self._ports.get(port)
         if dst is None:
             self.rx_unbound += 1
-            return None
+            return
         self.frames_forwarded += 1
-        return self.shell.notify(dst, "net.rx", payload=payload)
+        self.shell.notify(dst, "net.rx", payload=payload)

@@ -28,9 +28,7 @@ from repro.cap.capability import CapabilityRef
 from repro.errors import (
     ConfigError,
     DeadlineExceeded,
-    ProtocolError,
     ServiceError,
-    ServiceUnavailable,
     TileFault,
 )
 from repro.kernel.message import MemAccess, Message, MessageKind
@@ -120,7 +118,6 @@ class Shell:
         payload: Any = None,
         payload_bytes: int = 0,
         cap: Optional[CapabilityRef] = None,
-        priority: int = 0,
         timeout: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> Event:
@@ -149,7 +146,7 @@ class Shell:
             def attempt(attempt_timeout: int) -> Event:
                 return self.call(dst, op, payload=payload,
                                  payload_bytes=payload_bytes, cap=cap,
-                                 priority=priority, timeout=attempt_timeout)
+                                 timeout=attempt_timeout)
 
             def count_retry() -> None:
                 self.calls_retried += 1
@@ -161,7 +158,7 @@ class Shell:
             )
         msg = Message(src=self.name, dst=dst, op=op, mid=next(self._mids),
                       kind=MessageKind.REQUEST, payload=payload,
-                      payload_bytes=payload_bytes, cap=cap, priority=priority)
+                      payload_bytes=payload_bytes, cap=cap)
         result = self.engine.event(f"{self.name}.call#{msg.mid}")
         spans = self._spans
         if spans.enabled:
@@ -201,12 +198,12 @@ class Shell:
         return result
 
     def notify(self, dst: str, op: str, payload: Any = None,
-               payload_bytes: int = 0, cap: Optional[CapabilityRef] = None,
-               priority: int = 0) -> Event:
+               payload_bytes: int = 0,
+               cap: Optional[CapabilityRef] = None) -> Event:
         """One-way event; the returned event tracks NoC admission only."""
         msg = Message(src=self.name, dst=dst, op=op, mid=next(self._mids),
                       kind=MessageKind.EVENT, payload=payload,
-                      payload_bytes=payload_bytes, cap=cap, priority=priority)
+                      payload_bytes=payload_bytes, cap=cap)
         return self.monitor.submit(msg)
 
     def recv(self) -> Event:
@@ -228,8 +225,7 @@ class Shell:
 
     # -- service-side causal tracing -----------------------------------------
 
-    def span_open(self, msg: Message, name: str, category: str = "service",
-                  **detail: Any) -> int:
+    def span_open(self, msg: Message, name: str, **detail: Any) -> int:
         """Open a child span for handling ``msg`` (0 when untraced).
 
         Reparents the message under the new span, so downstream work this
@@ -240,7 +236,7 @@ class Shell:
         spans = self._spans
         if not spans.enabled or not msg.trace_id:
             return 0
-        span = spans.open(msg.trace_id, name, category, self.name,
+        span = spans.open(msg.trace_id, name, "service", self.name,
                           self.engine.now, parent_id=msg.span_id,
                           mid=msg.mid, **detail)
         msg.span_id = span

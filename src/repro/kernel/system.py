@@ -213,19 +213,18 @@ class ApiarySystem:
         self.spans.enable()
         return self.spans
 
-    def enable_telemetry(self, interval: int = 1000,
-                         capacity: int = 512) -> TelemetrySampler:
+    def enable_telemetry(self, interval: int = 1000) -> TelemetrySampler:
         """Start the periodic telemetry sampler and attach it to mgmt.
 
         Samples per-tile monitor counters, per-router buffered flits / flit
         rates (the NoC heatmap), and DRAM queue depth every ``interval``
-        cycles into ring buffers of ``capacity`` samples.
+        cycles into ring buffers of 512 samples.
         """
         if self.sampler is not None:
             raise ConfigError("telemetry is already enabled")
         self.sampler = TelemetrySampler(
             self.engine, tiles=self.tiles, network=self.network,
-            dram=self.dram, interval=interval, capacity=capacity,
+            dram=self.dram, interval=interval,
         )
         self.sampler.start()
         self.mgmt.attach_sampler(self.sampler)

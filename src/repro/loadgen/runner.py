@@ -495,8 +495,9 @@ class ScenarioRunner:
         return ScenarioReport(data)
 
 
-def run_scenario(scenario, backend: str = "shared") -> ScenarioReport:
-    """One-call convenience: dict or Scenario in, ScenarioReport out."""
+def run_scenario(scenario) -> ScenarioReport:
+    """One-call convenience: dict or Scenario in, ScenarioReport out (on
+    the shared backend)."""
     if isinstance(scenario, dict):
         scenario = Scenario.from_dict(scenario)
-    return ScenarioRunner(scenario, backend=backend).run()
+    return ScenarioRunner(scenario).run()

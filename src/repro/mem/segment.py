@@ -43,11 +43,9 @@ class Segment:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, addr: int, nbytes: int = 1) -> bool:
-        """Whole-range containment: every accessed byte must be inside."""
-        if nbytes < 1:
-            return False
-        return self.base <= addr and addr + nbytes <= self.end
+    def contains(self, addr: int) -> bool:
+        """Whether the byte at ``addr`` lies inside the segment."""
+        return self.base <= addr < self.end
 
     def translate(self, offset: int, nbytes: int = 1) -> int:
         """Segment-relative offset -> physical address, bounds-checked.

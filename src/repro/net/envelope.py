@@ -30,9 +30,7 @@ through :func:`~repro.net.frame.wire_copy`), so the receiver gets a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List
 
 from repro.errors import ConfigError, SimulationError
 from repro.net.frame import EthernetFrame, EthernetFabric, wire_copy
@@ -93,10 +91,10 @@ class PartitionFabric(EthernetFabric):
 
     ``partition_of`` maps MAC addresses to partition ids; unmapped MACs
     (clients, the front-end — attached at runtime) belong to the host
-    partition 0.  Loss draws from the *sender* partition's rng stream,
-    and a board fail-stop is propagated as a :meth:`mark_remote_detached`
-    broadcast so senders drop frames to the dead MAC at transmit time,
-    mirroring the shared fabric's unknown-destination drop.
+    partition 0.  No frame is lost at random, and a board fail-stop is
+    propagated as a :meth:`mark_remote_detached` broadcast so senders drop
+    frames to the dead MAC at transmit time, mirroring the shared fabric's
+    unknown-destination drop.
     """
 
     def __init__(
@@ -105,12 +103,8 @@ class PartitionFabric(EthernetFabric):
         partition_id: int,
         partition_of: Dict[str, int],
         latency_cycles: int = 500,
-        loss_rate: float = 0.0,
-        jumbo: bool = False,
-        rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__(engine, latency_cycles=latency_cycles,
-                         loss_rate=loss_rate, jumbo=jumbo, rng=rng)
+        super().__init__(engine, latency_cycles=latency_cycles)
         self.partition_id = partition_id
         self._partition_of = partition_of
         self._remote_detached: set = set()
@@ -136,9 +130,6 @@ class PartitionFabric(EthernetFabric):
         if self._partitioned and (frame.src_mac in self._partitioned
                                   or frame.dst_mac in self._partitioned):
             self.frames_partitioned += 1
-            return
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.frames_lost += 1
             return
         if frame.dst_mac in self._remote_detached:
             self.frames_dropped += 1

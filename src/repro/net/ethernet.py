@@ -21,8 +21,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
-from repro.errors import ConfigError, ProtocolError
-from repro.hw.clock import ClockDomain, FABRIC_CLOCK
+from repro.errors import ProtocolError
+from repro.hw.clock import FABRIC_CLOCK
 from repro.net.frame import EthernetFabric, EthernetFrame
 from repro.sim import Engine, Event
 
@@ -44,12 +44,10 @@ class TenGigMac:
     GBPS = 10
     RESET_CYCLES = 1000
 
-    def __init__(self, engine: Engine, fabric: EthernetFabric, mac_addr: str,
-                 clock: ClockDomain = FABRIC_CLOCK):
+    def __init__(self, engine: Engine, fabric: EthernetFabric, mac_addr: str):
         self.engine = engine
         self.fabric = fabric
         self.mac_addr = mac_addr
-        self.clock = clock
         self._state = "powered"  # powered -> reset -> waiting -> ready
         self._reset_done_at = -1
         self._rx_callback: Optional[Callable[[EthernetFrame], None]] = None
@@ -100,7 +98,7 @@ class TenGigMac:
 
     def _serialize(self, frame: EthernetFrame) -> None:
         self.engine.schedule(
-            self.clock.cycles_for_bytes(frame.nbytes, self.GBPS),
+            FABRIC_CLOCK.cycles_for_bytes(frame.nbytes, self.GBPS),
             self._tx_loop)
 
     def _tx_loop(self, _arg=None) -> None:
@@ -137,12 +135,10 @@ class HundredGigMac:
     ALIGN_CYCLES = 2500
     TX_FIFO_FRAMES = 4
 
-    def __init__(self, engine: Engine, fabric: EthernetFabric, mac_addr: str,
-                 clock: ClockDomain = FABRIC_CLOCK):
+    def __init__(self, engine: Engine, fabric: EthernetFabric, mac_addr: str):
         self.engine = engine
         self.fabric = fabric
         self.mac_addr = mac_addr
-        self.clock = clock
         self._regs = {"cfg_tx_enable": 0, "cfg_rx_enable": 0, "stat_aligned": 0}
         self._align_at = -1
         self._rx_handler: Optional[Callable[[EthernetFrame], None]] = None
@@ -206,7 +202,7 @@ class HundredGigMac:
     def _serialize(self, frame: EthernetFrame) -> None:
         self._tx_frame = frame
         self.engine.schedule(
-            self.clock.cycles_for_bytes(frame.nbytes, self.GBPS),
+            FABRIC_CLOCK.cycles_for_bytes(frame.nbytes, self.GBPS),
             self._tx_loop)
 
     def _tx_loop(self, _arg=None) -> None:

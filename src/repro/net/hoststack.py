@@ -136,14 +136,12 @@ class HostNetStack:
 class PcieLink:
     """Host <-> FPGA DMA path: initiation latency plus bandwidth sharing."""
 
-    def __init__(self, engine: Engine, gen: int = 3,
-                 latency_cycles: int = PCIE_DMA_LATENCY_CYCLES):
+    def __init__(self, engine: Engine, gen: int = 3):
         if gen < 1:
             raise ConfigError(f"PCIe gen must be >= 1, got {gen}")
         self.engine = engine
         # bandwidth doubles per generation relative to gen3 baseline
         self.bytes_per_cycle = PCIE_BYTES_PER_CYCLE * (2 ** (gen - 3))
-        self.latency_cycles = latency_cycles
         self.bus = Resource(engine, slots=1, name="pcie.bus")
         self.bytes_moved = 0
         self.transfers = 0
@@ -152,7 +150,7 @@ class PcieLink:
         """Process generator: one DMA transfer of ``nbytes``."""
         if nbytes < 1:
             raise ConfigError(f"DMA needs >= 1 byte, got {nbytes}")
-        yield self.latency_cycles
+        yield PCIE_DMA_LATENCY_CYCLES
         grant = yield self.bus.acquire()
         try:
             transfer = max(1, int(nbytes / self.bytes_per_cycle))

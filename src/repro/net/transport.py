@@ -68,11 +68,6 @@ class Datagram:
                         self.payload_bytes, self.frag_rest)
 
 
-#: ``ReliableEndpoint._held``: a callback that will hand the backlog's
-#: head to the receiver is already on its way
-_WAKING = object()
-
-
 class ReliableEndpoint:
     """One side of a reliable pairwise connection.
 
@@ -83,8 +78,7 @@ class ReliableEndpoint:
     local_mac / peer_mac: addressing for emitted frames.
     on_payload: the receiver.  Called with each payload, in order and
         exactly once, one same-cycle hop after the frame that completed it
-        (its ACK is on the wire by then).  It may return an :class:`Event`:
-        the next payload is held until that triggers.
+        (its ACK is on the wire by then).
     window: go-back-N sender window in datagrams.
     timeout: retransmission timeout in cycles.
     mtu: largest frame the underlying fabric accepts; payloads above
@@ -101,7 +95,7 @@ class ReliableEndpoint:
         send_frame: Callable[[EthernetFrame], None],
         local_mac: str,
         peer_mac: str,
-        on_payload: Callable[[Any], Optional[Event]],
+        on_payload: Callable[[Any], None],
         window: int = 8,
         timeout: int = 5000,
         mtu: int = 1518,
@@ -138,11 +132,10 @@ class ReliableEndpoint:
         # receiver state
         self._expected_seq = 0
         self._on_payload = on_payload
-        #: in-order payloads the receiver has not been handed yet, and what
-        #: keeps the head: nothing, the event a blocking receiver returned,
-        #: or ``_WAKING``
+        #: in-order payloads the receiver has not been handed yet, and
+        #: whether the ring hop that hands over the head is on its way
         self._backlog: Deque[Any] = deque()
-        self._held: Any = None
+        self._hop_pending = False
 
         self.datagrams_sent = 0
         self.fragments_sent = 0
@@ -253,7 +246,9 @@ class ReliableEndpoint:
             # unfragmented datagram) delivers the application payload
             if dgram.frag_rest == 0:
                 self._backlog.append(dgram.payload)
-                self._wake()
+                if not self._hop_pending:
+                    self._hop_pending = True
+                    self.engine.schedule(0, self._hand_off)
         elif dgram.seq < self._expected_seq:
             self.duplicates_dropped += 1
         # out-of-order future datagrams are dropped (go-back-N receiver)
@@ -266,27 +261,18 @@ class ReliableEndpoint:
         self.acks_sent += 1
         self.send_frame(frame)
 
-    def _wake(self) -> None:
-        """The backlog has a head: get it handed off — one ring hop from
-        now, or one after the event that holds it triggers.  The hop lets
-        the frame's ACK leave first and orders the receiver's same-cycle
-        payloads: handed off inline, the front-end admits requests that
-        meet at ``max_pending`` in another order
+    def _hand_off(self, _arg=None) -> None:
+        """Hand the backlog's head to the receiver, one ring hop after it
+        arrived.  The hop lets the frame's ACK leave first and orders the
+        receiver's same-cycle payloads: handed off inline, the front-end
+        admits requests that meet at ``max_pending`` in another order
         (``test_the_fabric_path_rejects_at_max_pending_and_answers_everything_else``
         rejects request b instead of c)."""
-        held = self._held
-        if held is _WAKING:
-            return
-        self._held = _WAKING
-        if held is None or held.triggered:
+        self._on_payload(self._backlog.popleft())
+        if self._backlog:
             self.engine.schedule(0, self._hand_off)
         else:
-            held.add_callback(self._hand_off)
-
-    def _hand_off(self, _arg=None) -> None:
-        self._held = self._on_payload(self._backlog.popleft())
-        if self._backlog:
-            self._wake()
+            self._hop_pending = False
 
     def _handle_ack(self, cumulative: int) -> None:
         progressed = False
@@ -316,11 +302,8 @@ class ReliableMux:
     The layer every host and the network tile put on top of
     :class:`ReliableEndpoint`: one connection per peer, created at the
     first send to or first frame from that peer.  Every in-order payload
-    is handed to ``on_payload(peer_mac, payload)``.  When that
-    returns an :class:`Event` the peer's next payload is held until it
-    triggers, so a receiver that must block (the network tile's NoC
-    notify) keeps per-peer order; other peers are unaffected.  The mux
-    only waits for the event — a failure is the receiver's to handle.
+    is handed to ``on_payload(peer_mac, payload)``, one ring hop after
+    the frame that completed it.
 
     The mux knows no fabric: the owner passes the transmit function as
     ``send_frame`` and wires :meth:`deliver_frame` into its MAC's rx path.
@@ -332,7 +315,7 @@ class ReliableMux:
         engine: Engine,
         send_frame: Callable[[EthernetFrame], None],
         mac: str,
-        on_payload: Callable[[str, Any], Optional[Event]],
+        on_payload: Callable[[str, Any], None],
         window: int,
         timeout: int,
         name: str = "",

@@ -11,9 +11,8 @@ without Apiary's monitor-level flow control, and cannot with it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
-from repro.errors import DeadlockError
 from repro.noc.network import Network
 from repro.sim import Engine
 
@@ -28,9 +27,8 @@ class ProgressWatchdog:
     network: the NoC to observe.
     interval: cycles between checks; a stall must persist for one full
         interval to be reported (transient backpressure is not a stall).
-    on_stall: optional callback ``(cycle) -> None``; when ``None``,
-        :attr:`stalled_at` is recorded and, if ``raise_on_stall`` is set,
-        :class:`DeadlockError` aborts the run.
+    on_stall: optional callback ``(cycle) -> None``; a stall is recorded
+        in :attr:`stalled_at` either way and the run goes on.
     """
 
     def __init__(
@@ -38,13 +36,11 @@ class ProgressWatchdog:
         engine: Engine,
         network: Network,
         interval: int = 5000,
-        raise_on_stall: bool = False,
         on_stall: Optional[Callable[[int], None]] = None,
     ):
         self.engine = engine
         self.network = network
         self.interval = interval
-        self.raise_on_stall = raise_on_stall
         self.on_stall = on_stall
         self.stalled_at: Optional[int] = None
         self.checks = 0
@@ -61,11 +57,6 @@ class ProgressWatchdog:
                 self.stalled_at = self.engine.now
                 if self.on_stall is not None:
                     self.on_stall(self.engine.now)
-                if self.raise_on_stall:
-                    raise DeadlockError(
-                        f"no flit moved in {self.interval} cycles with "
-                        f"{in_flight} packets in flight (t={self.engine.now})"
-                    )
             last_count = current
 
     def stop(self) -> None:

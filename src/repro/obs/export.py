@@ -17,7 +17,7 @@ durations, and monotonic timestamps.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.index import SpanIndex
 from repro.obs.span import SpanRecorder
@@ -28,6 +28,8 @@ __all__ = ["chrome_trace", "export_chrome_trace", "validate_chrome_trace",
 
 #: Phases this exporter produces (subset of the Chrome trace-event spec).
 _PHASES = {"X", "M", "C", "I"}
+#: complete traces a run report shows in full (the rest are counted)
+REPORT_TRACES = 5
 
 
 def _json_safe(value: Any) -> Any:
@@ -142,7 +144,6 @@ def validate_chrome_trace(doc: Dict[str, Any]) -> int:
 def run_report(index: SpanIndex,
                sampler: Optional[TelemetrySampler] = None,
                stats: Optional[Any] = None,
-               max_traces: int = 5,
                slo: Optional[Any] = None,
                now: Optional[int] = None) -> str:
     """Plain-text run report: trees + stage totals + heatmap + SLOs."""
@@ -150,7 +151,7 @@ def run_report(index: SpanIndex,
     complete = index.complete_traces()
     lines.append(f"traces: {len(index.trace_ids())} total, "
                  f"{len(complete)} complete")
-    for tid in complete[:max_traces]:
+    for tid in complete[:REPORT_TRACES]:
         tree = index.tree(tid)
         lines.append(f"\n-- trace {tid} "
                      f"(latency {index.latency(tid)} cyc) --")
@@ -161,8 +162,8 @@ def run_report(index: SpanIndex,
                           for stage, cyc in sorted(breakdown.items(),
                                                    key=lambda kv: -kv[1]))
         lines.append(f"  stages: {parts}")
-    if len(complete) > max_traces:
-        lines.append(f"\n({len(complete) - max_traces} more complete "
+    if len(complete) > REPORT_TRACES:
+        lines.append(f"\n({len(complete) - REPORT_TRACES} more complete "
                      f"traces not shown)")
     totals = index.aggregate_stages()
     if totals:
@@ -189,24 +190,20 @@ def run_report(index: SpanIndex,
     return "\n".join(lines)
 
 
-def run_report_json(index: SpanIndex,
-                    sampler: Optional[TelemetrySampler] = None,
-                    stats: Optional[Any] = None,
-                    max_traces: int = 5,
-                    slo: Optional[Any] = None,
+def run_report_json(index: SpanIndex, slo: Optional[Any] = None,
                     now: Optional[int] = None) -> Dict[str, Any]:
     """Machine-readable twin of :func:`run_report` for CI artifacts.
 
-    Same information, JSON-shaped: per-trace latency and stage breakdowns
-    (first ``max_traces`` complete traces), aggregate stage totals, the
-    latest heatmap grid, counters, and — when an SLO engine is supplied —
-    its full verdict/alert report.  ``json.dumps(..., sort_keys=True)``
+    JSON-shaped: per-trace latency and stage breakdowns (the first
+    :data:`REPORT_TRACES` complete traces), aggregate stage totals and —
+    when an SLO engine is supplied — its full verdict/alert report at
+    ``now`` (default 0).  ``json.dumps(..., sort_keys=True)``
     of this document is byte-stable for identical runs, which is how the
     O1 identity harness compares backends.
     """
     complete = index.complete_traces()
     traces = []
-    for tid in complete[:max_traces]:
+    for tid in complete[:REPORT_TRACES]:
         traces.append({
             "trace_id": tid,
             "latency": index.latency(tid),
@@ -218,16 +215,6 @@ def run_report_json(index: SpanIndex,
         "traces": traces,
         "aggregate_stages": dict(sorted(index.aggregate_stages().items())),
     }
-    if sampler is not None:
-        doc["telemetry"] = {
-            "samples_taken": sampler.samples_taken,
-            "last_sample_at": sampler.last_sample_at,
-            "noc_heatmap": sampler.noc_heatmap(),
-        }
-    if stats is not None:
-        doc["stats"] = stats.snapshot()
     if slo is not None:
-        end = now if now is not None else (
-            sampler.last_sample_at if sampler is not None else 0)
-        doc["slo"] = slo.report(end)
+        doc["slo"] = slo.report(now if now is not None else 0)
     return doc

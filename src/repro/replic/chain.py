@@ -51,6 +51,12 @@ __all__ = ["ChainNodeService", "LOG_APPEND_CYCLES", "STREAM_CHUNK"]
 LOG_APPEND_CYCLES = 8
 #: entries per catch-up ``chain.fwd`` message
 STREAM_CHUNK = 16
+#: applied entries a checkpoint leaves in the log, for slow successors
+KEEP_LOG = 256
+#: entries a checkpoint must cut at least (no truncation per write)
+CHECKPOINT_EVERY = 64
+#: committed results kept to answer a front-end's retried write
+RESULT_CACHE = 128
 #: body keys that are transport/trace metadata, not state-machine input
 _WIRE_KEYS = ("_wid", "_trace")
 
@@ -64,14 +70,9 @@ class ChainNodeService(ClusterPortedService):
     whose callback serving path never runs for a chain node.
     """
 
-    def __init__(self, name: str, port: int, machine: StateMachine,
-                 checkpoint_every: int = 64, keep_log: int = 256,
-                 result_cache: int = 128):
+    def __init__(self, name: str, port: int, machine: StateMachine):
         super().__init__(name, port, handler=None)
         self.machine = machine
-        self.checkpoint_every = checkpoint_every
-        self.keep_log = keep_log
-        self.result_cache_size = result_cache
 
         self.log = WriteAheadLog()
         self.epoch = 0
@@ -332,7 +333,7 @@ class ChainNodeService(ClusterPortedService):
             self.applied_index = i
             self.writes_committed += 1
             self._results[i] = out
-            if len(self._results) > self.result_cache_size:
+            if len(self._results) > RESULT_CACHE:
                 del self._results[min(self._results)]
             for src_mac, rid in self._pending.pop(i, ()):
                 shell.net_post(src_mac, self.port, data=("resp", rid, out[0]),
@@ -346,9 +347,9 @@ class ChainNodeService(ClusterPortedService):
     def _maybe_checkpoint(self) -> None:
         """Incremental checkpoint: state is the checkpoint; truncate the
         log below it, keeping a catch-up margin for slow successors."""
-        cut = self.applied_index - self.keep_log
+        cut = self.applied_index - KEEP_LOG
         if cut > self.log.base_index and \
-                cut - self.log.base_index >= self.checkpoint_every:
+                cut - self.log.base_index >= CHECKPOINT_EVERY:
             self.log.truncate_to(cut)
             self.checkpoints += 1
             floor = self.log.base_index

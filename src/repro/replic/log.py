@@ -56,10 +56,8 @@ class LogEntry:
 class WriteAheadLog:
     """Dense, truncatable, 1-indexed entry log."""
 
-    def __init__(self, base_index: int = 0):
-        if base_index < 0:
-            raise ConfigError(f"base_index must be >= 0, got {base_index}")
-        self.base_index = base_index
+    def __init__(self):
+        self.base_index = 0
         self._entries: List[LogEntry] = []
         self.appended_total = 0
         self.truncated_total = 0

@@ -9,13 +9,13 @@ latency into a histogram — the raw material of D1/D2.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.frontend import FRONTEND_MAC, FRONTEND_PORT
 from repro.errors import DeadlineExceeded
 from repro.net.frame import EthernetFabric
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
-from repro.sim import Channel, Engine, Event, Histogram
+from repro.sim import Engine, Event, Histogram
 
 __all__ = ["RemoteClientHost", "ClusterClient"]
 
@@ -78,12 +78,9 @@ class RemoteClientHost:
         return done
 
     def closed_loop(self, peer_mac: str, port: int, bodies: List[Any],
-                    nbytes: int = 64, gaps: Optional[List[int]] = None,
-                    timeout: Optional[int] = None):
+                    nbytes: int = 64, timeout: Optional[int] = None):
         """Process generator: one request at a time, recording latencies."""
-        for i, body in enumerate(bodies):
-            if gaps is not None:
-                yield gaps[i % len(gaps)]
+        for body in bodies:
             start = self.engine.now
             try:
                 yield self.request(peer_mac, port, body, nbytes=nbytes,
@@ -130,8 +127,7 @@ class ClusterClient(RemoteClientHost):
                             nbytes=nbytes, timeout=timeout)
 
     def closed_loop_service(self, service: str, requests: List[Dict[str, Any]],
-                            timeout: int = 400_000,
-                            gap: int = 0):
+                            timeout: int = 400_000):
         """Process generator: issue ``requests`` one at a time.
 
         Each entry is ``{"body": ..., "key"?: ..., "write"?: ...,
@@ -140,8 +136,6 @@ class ClusterClient(RemoteClientHost):
         ``ok/rejected/failed``.
         """
         for req in requests:
-            if gap:
-                yield gap
             start = self.engine.now
             try:
                 reply = yield self.call_service(

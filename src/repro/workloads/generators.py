@@ -7,7 +7,7 @@ same generators so comparisons differ only in the system under test.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -22,6 +22,11 @@ __all__ = [
     "zipf_keys",
     "video_chunks",
 ]
+
+#: frames per video chunk (one second at 30 fps)
+CHUNK_FRAMES = 30
+#: median encoded chunk size; sizes are log-normal around it
+CHUNK_BYTES = 500_000
 
 
 def keyed_stream(seed: int, *labels: str) -> np.random.Generator:
@@ -120,13 +125,11 @@ def zipf_keys(rng: Union[np.random.Generator, int], count: int,
     return [int(k % universe) for k in keys]
 
 
-def video_chunks(rng: np.random.Generator, count: int,
-                 frames_per_chunk: int = 30,
-                 mean_chunk_bytes: int = 500_000) -> List[dict]:
+def video_chunks(rng: np.random.Generator, count: int) -> List[dict]:
     """Video chunks with log-normally distributed sizes (content-dependent)."""
-    sizes = rng.lognormal(mean=np.log(mean_chunk_bytes), sigma=0.4, size=count)
+    sizes = rng.lognormal(mean=np.log(CHUNK_BYTES), sigma=0.4, size=count)
     return [
-        {"seq": i, "frames": frames_per_chunk,
+        {"seq": i, "frames": CHUNK_FRAMES,
          "bytes": max(10_000, int(sizes[i]))}
         for i in range(count)
     ]

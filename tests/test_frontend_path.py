@@ -441,6 +441,23 @@ def test_retire_mid_flight_reroutes_and_never_tracks_the_instance_again():
                                    failovers=2)
 
 
+def test_retiring_an_idle_instance_schedules_nothing_for_it():
+    """A parked flusher is left parked: nothing enqueues on a retired
+    instance (routing and the fan-out skip it as unhealthy, the prober as
+    retired), so no ``_fill`` hop or ``_send_batch`` window is armed for
+    it — then or later."""
+    rig = Rig(engine=ArmLog())
+    backend = rig.fe.health["kv/s0r0"]
+    rig.at(1_000)
+    assert (backend.kick, backend.pace, backend.queue) == (True, None, [])
+    armed = list(rig.engine.armed.get("kv/s0r0", ()))
+    rig.fe.retire("kv/s0r0")
+    rig.read("r", 2)
+    rig.at(20_000)
+    assert rig.table()["r"][2][0] == "ok"  # served by the replica
+    assert rig.engine.armed.get("kv/s0r0", []) == armed
+
+
 def test_a_chain_nack_fails_the_attempt_but_not_the_member():
     rig = Rig(extra={"picky": nacker(2)}, retry=RetryPolicy(**QUICK))
     rig.at(1_000).submit("p", "picky", body={"x": 7})

@@ -328,36 +328,6 @@ class TestReliableMux:
         assert got["B"] == [("B", i) for i in range(30)]
         assert sum(m.peer("C").retransmissions for m in senders) > 0
 
-    def test_blocking_on_payload_holds_only_its_peer(self):
-        eng = Engine()
-        fabric = EthernetFabric(eng, latency_cycles=50)
-        log = []
-
-        def on_payload(peer, payload):
-            log.append(("start", peer, payload, eng.now))
-            # the event to wait for: here, a process's completion
-            return eng.process(hold(payload)).done if peer == "A" else None
-
-        def hold(payload):
-            yield 10_000
-            log.append(("done", "A", payload, eng.now))
-
-        self.attach(eng, fabric, "C", on_payload)
-        for mac in "AB":
-            mux = self.attach(eng, fabric, mac, lambda peer, payload: None)
-            mux.peer("C").send(0)
-            mux.peer("C").send(1)
-        eng.run(until=100_000)
-        at = {event[:3]: event[3] for event in log}
-        # A's second payload waits for the event its first one returned
-        assert at["start", "A", 1] >= at["done", "A", 0]
-        assert at["done", "A", 0] == at["start", "A", 0] + 10_000
-        # B is not behind A: both of its payloads land meanwhile
-        assert at["start", "B", 1] < at["done", "A", 0]
-        assert [e[:3] for e in log if e[1] == "A"] == [
-            ("start", "A", 0), ("done", "A", 0),
-            ("start", "A", 1), ("done", "A", 1)]
-
     def test_window_bounds_each_peer_separately(self):
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=10_000)  # slow ACKs

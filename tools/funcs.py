@@ -2,6 +2,7 @@
 
     python tools/funcs.py run [--src DIR] OUT -- ARGS...   # python ARGS...
     python tools/funcs.py report [--src DIR] OUT           # never entered
+    python tools/funcs.py params [--src DIR] [ROOT...]     # never passed
 
 ``run`` executes ``ARGS`` the way ``python ARGS`` would (a script path, or
 ``-m module ...``) under a profile hook, and appends every code object
@@ -11,6 +12,18 @@ reopens its own file, so forked boards that leave through ``os._exit``
 lose nothing.  ``report`` lists every ``def`` under ``--src`` that no file
 in ``OUT`` names.  Run it once per run set (tier-1, benchmarks, examples,
 ``perf.worker`` per workload and mode) into the same ``OUT``.
+
+``params`` is static: it lists each defaulted parameter of a non-nested
+``def`` under ``--src`` that no call under the ``ROOT``s (default ``src
+tests benchmarks examples perf tools``) passes, by keyword or by position.
+Calls match by name alone (``f(...)``, ``x.f(...)``; a class name, a
+subclass name, ``cls(...)`` or ``super().__init__(...)`` for an
+``__init__``), so a shared method name can hide a candidate but never
+invent one.  An argument that only forwards the caller's own defaulted
+parameter (``f(x=x)``) passes ``x`` exactly when the caller's ``x`` is
+passed.  A call of a matching name through ``*args`` / ``**kwargs``, a
+``partial(f, ...)`` and a bare reference to the function (a callback) are
+listed under the parameter for a check by hand.
 """
 
 import argparse
@@ -45,28 +58,220 @@ def _record(out, src):
     sys.setprofile = lambda _fn: None
 
 
-def _defs(src):
-    for root, _dirs, files in os.walk(src):
+def _parse(root):
+    for dirpath, _dirs, files in os.walk(root):
         for name in sorted(files):
             if name.endswith(".py"):
-                path = os.path.join(root, name)
+                path = os.path.join(dirpath, name)
                 with open(path) as fh:
-                    tree = ast.parse(fh.read())
-                for node in ast.walk(tree):
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        first = min([node.lineno] + [d.lineno for d in
-                                                     node.decorator_list])
-                        yield path, first, node.name
+                    yield path, ast.parse(fh.read())
+
+
+def _defs(src):
+    for path, tree in _parse(src):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in
+                                             node.decorator_list])
+                yield path, first, node.name
+
+
+ROOTS = ("src", "tests", "benchmarks", "examples", "perf", "tools")
+
+
+def _callee(node):
+    """The last name of a called or referenced expression, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _params(src):
+    """The class bases by name, and ``(key, qualname, name, cls, bound,
+    params)`` per defaulted non-nested def: ``key`` is ``(path, line)``,
+    ``params`` holds ``(name, position or None)`` with the position counted
+    after the bound ``self`` / ``cls``."""
+    bases, defs = {}, []
+
+    def visit(node, cls, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases[child.name] = {_callee(b) for b in child.bases}
+                visit(child, child.name, path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                static = any(_callee(d) == "staticmethod"
+                             for d in child.decorator_list)
+                bound = int(cls is not None and not static)
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                params = [(a.arg, i - bound)
+                          for i, a in enumerate(positional) if i >= first]
+                params += [(a.arg, None) for a, d in
+                           zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None]
+                if params:
+                    qual = f"{cls}.{child.name}" if cls else child.name
+                    defs.append(((path, child.lineno), qual, child.name, cls,
+                                 bound, params))
+            else:
+                visit(child, cls, path)
+
+    for path, tree in _parse(src):
+        visit(tree, None, os.path.realpath(path))
+    return bases, defs
+
+
+def _calls(roots, defaulted):
+    """Every call and bare function reference under ``roots``, by name.
+
+    A call is ``(where, owner, how, positional, keywords)``: each argument
+    is ``None``, or ``(key, name)`` when it forwards a defaulted parameter
+    (``defaulted[key]``) of the non-nested def the call sits in."""
+    calls, refs = {}, {}
+
+    def source(arg, here):
+        if here and isinstance(arg, ast.Name) and arg.id in defaulted[here]:
+            return here, arg.id
+        return None
+
+    def visit(node, cls, path, here):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, path, here)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                key = (path, child.lineno)
+                visit(child, cls, path,
+                      here or (key if key in defaulted else None))
+                continue
+            if not isinstance(child, ast.Call):
+                visit(child, cls, path, here)
+                continue
+            func, args, kws = child.func, child.args, child.keywords
+            name, how = _callee(func), None
+            if name == "partial" and args:
+                name, func, args, how = _callee(args[0]), args[0], args[1:], \
+                    "partial"
+            if name == "cls" and cls:
+                name = cls
+            if (name == "__init__" and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Call)
+                    and _callee(func.value.func) == "super"):
+                name = ("super", cls)
+            if how is None and (any(isinstance(a, ast.Starred) for a in args)
+                                or any(k.arg is None for k in kws)):
+                how = "*args/**kwargs"
+            owner = (func.value.id if isinstance(func, ast.Attribute)
+                     and isinstance(func.value, ast.Name) else None)
+            calls.setdefault(name, []).append((
+                f"{path}:{child.lineno}", owner, how,
+                [source(a, here) for a in args
+                 if not isinstance(a, ast.Starred)],
+                {k.arg: source(k.value, here) for k in kws}))
+            for arg in child.args + [k.value for k in kws]:
+                if isinstance(arg, (ast.Name, ast.Attribute)):
+                    refs.setdefault(_callee(arg), []).append(
+                        f"{path}:{arg.lineno}")
+            visit(child, cls, path, here)
+
+    for root in roots:
+        for path, tree in _parse(root):
+            visit(tree, None, os.path.realpath(path), None)
+    return calls, refs
+
+
+def params(src, roots):
+    """Print every defaulted parameter no call passes, then the counts."""
+    bases, defs = _params(src)
+    calls, refs = _calls(roots, {key: {p for p, _ in plist}
+                                 for key, *_, plist in defs})
+    subclasses = {}
+    for name in bases:
+        seen, todo = {name}, [name]
+        while todo:
+            parent = todo.pop()
+            for child, parents in bases.items():
+                if parent in parents and child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+        subclasses[name] = seen
+    sites = {}
+    for key, _qual, name, cls, bound, _plist in defs:
+        if name == "__init__":
+            names = subclasses.get(cls, {cls})
+            found = [(c, 0) for n in names for c in calls.get(n, ())]
+            found += [(c, 0) for n, cs in calls.items() for c in cs
+                      if isinstance(n, tuple) and cls in bases.get(n[1], ())]
+            found += [(c, 1) for c in calls.get("__init__", ()) if c[1] == cls]
+        else:
+            names = {name}
+            found = [(c, bound if c[1] in bases else 0)
+                     for c in calls.get(name, ())]
+        sites[key] = names, found
+
+    def passes(call, shift, pname, pos):
+        _where, _owner, _how, positional, keywords = call
+        if pname in keywords:
+            return True, keywords[pname]
+        if pos is not None and len(positional) - shift > pos:
+            return True, positional[pos + shift]
+        return False, None
+
+    passed, changed = set(), True
+    while changed:
+        changed = False
+        for key, *_, plist in defs:
+            for pname, pos in plist:
+                if (key, pname) in passed:
+                    continue
+                for call, shift in sites[key][1]:
+                    hit, via = passes(call, shift, pname, pos)
+                    if hit and call[2] is None and (via is None
+                                                    or via in passed):
+                        passed.add((key, pname))
+                        changed = True
+                        break
+    total = listed = to_check = 0
+    for key, qual, _name, _cls, _bound, plist in defs:
+        total += len(plist)
+        names, found = sites[key]
+        for pname, pos in plist:
+            if (key, pname) in passed:
+                continue
+            listed += 1
+            check = [f"{call[0]}: {call[2]}" for call, _shift in found
+                     if call[2]]
+            check += [f"{where}: reference" for n in names
+                      for where in refs.get(n, ())]
+            to_check += bool(check)
+            print(f"{os.path.relpath(key[0])}:{key[1]}: {qual}({pname})")
+            for item in check:
+                print(f"    ? {os.path.relpath(item)}")
+    print(f"{total} defaulted parameter(s) on non-nested functions; "
+          f"{listed} passed by no call ({to_check} with a site to check "
+          f"by hand)")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=("run", "report"))
-    parser.add_argument("out")
-    parser.add_argument("--src", default="src")
-    parser.add_argument("args", nargs=argparse.REMAINDER)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in ("run", "report", "params"):
+        command = commands.add_parser(name)
+        command.add_argument("--src", default="src")
+        if name == "params":
+            command.add_argument("roots", nargs="*", default=list(ROOTS))
+        else:
+            command.add_argument("out")
+        if name == "run":
+            command.add_argument("args", nargs=argparse.REMAINDER)
     opts = parser.parse_args(argv)
     src = os.path.realpath(opts.src)
+    if opts.command == "params":
+        params(src, opts.roots)
+        return 0
     if opts.command == "run":
         args = opts.args[1:] if opts.args[:1] == ["--"] else opts.args
         _record(opts.out, src)
