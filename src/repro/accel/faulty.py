@@ -12,9 +12,15 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.accel.base import Accelerator
-from repro.errors import AccessDenied, CapabilityError, SegmentFault, ServiceError, ServiceUnavailable, TileFault
+from repro.errors import (
+    AccessDenied,
+    SegmentFault,
+    ServiceError,
+    ServiceUnavailable,
+    TileFault,
+)
 from repro.hw.resources import ResourceVector
-from repro.kernel.message import MemAccess, Message, MessageKind
+from repro.kernel.message import MemAccess
 
 __all__ = ["FloodingAccel", "SnoopingAccel", "CrashingAccel", "WildWriterAccel"]
 

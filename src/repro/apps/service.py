@@ -11,10 +11,9 @@ Handler convention (shared with :mod:`repro.baselines`):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.accel.base import Accelerator
-from repro.errors import TileFault
 from repro.hw.resources import ResourceVector
 
 __all__ = ["PortedService", "echo_handler_factory", "kv_handler_factory"]

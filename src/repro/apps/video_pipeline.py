@@ -11,7 +11,7 @@ Deployment helpers for:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List
 
 from repro.accel.base import Accelerator
 from repro.accel.compress import Compressor

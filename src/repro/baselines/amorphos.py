@@ -16,7 +16,7 @@ couldn't co-reside).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.hw.region import RECONFIG_CYCLES_PER_CELL

@@ -12,7 +12,7 @@ Handlers follow the shared convention:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import ConfigError, TileFault
 from repro.net.frame import EthernetFabric, EthernetFrame

@@ -7,10 +7,10 @@ How a ``Cluster`` executes its boards is a :class:`ClusterBackend`:
 * :class:`WindowedBackend` (``backend="sequential"``) — each board and
   the host side (front-end + clients) is a *partition* with a private
   engine, fabric view, and span recorder; partitions advance in lockstep
-  windows of ``fabric_latency`` cycles (conservative-lookahead discrete-
-  event simulation), one after another in this process.  A board with
-  nothing due sits a window out (:meth:`Board.due`) and is parked on the
-  clock before a run returns (``_park``).  Message, span, and envelope
+  windows of :data:`FABRIC_LATENCY` cycles (conservative-lookahead
+  discrete-event simulation), one after another in this process.  A
+  board with nothing due sits a window out (:meth:`Board.due`) and is
+  parked on the clock before a run returns (``_park``).  Message, span, and envelope
   ids are all per-board, so a run's bytes do not depend on the order the
   partitions execute in.
 
@@ -58,7 +58,11 @@ from repro.obs.span import SpanRecorder
 from repro.sim import Engine, Event, StatsRegistry
 
 __all__ = ["ClusterBackend", "SharedEngineBackend", "WindowedBackend",
-           "BACKENDS"]
+           "BACKENDS", "FABRIC_LATENCY"]
+
+#: one-way datacenter hop between boards, in fabric cycles (~2 us); the
+#: windowed backend's window is this long
+FABRIC_LATENCY = 500
 
 #: span/trace id stride between partitions (board i allocates from
 #: (i + 1) * SPAN_ID_STRIDE); far above any realistic per-run span count
@@ -347,7 +351,7 @@ class SharedEngineBackend(ClusterBackend):
         cluster.engine = engine if engine is not None else Engine(
             swallow_orphan_errors=config.swallow_orphan_errors)
         cluster.fabric = fabric if fabric is not None else EthernetFabric(
-            cluster.engine, latency_cycles=config.fabric_latency)
+            cluster.engine, latency_cycles=FABRIC_LATENCY)
         cluster.spans = SpanRecorder()
         cluster.systems = [
             ApiarySystem(cfg, engine=cluster.engine, fabric=cluster.fabric,
@@ -433,16 +437,15 @@ class WindowedBackend(ClusterBackend):
                 "backend idiom"
             )
         self.cluster = cluster
-        fabric_latency = config.fabric_latency
         swallow_orphan_errors = config.swallow_orphan_errors
-        self.window = fabric_latency
+        self.window = FABRIC_LATENCY
         configs = self._board_configs(config)
         self.partition_of = {cfg.net.mac_addr: i + 1
                              for i, cfg in enumerate(configs)}
         cluster.engine = Engine(swallow_orphan_errors=swallow_orphan_errors)
         cluster.fabric = PartitionFabric(
             cluster.engine, partition_id=0, partition_of=self.partition_of,
-            latency_cycles=fabric_latency)
+            latency_cycles=FABRIC_LATENCY)
         cluster.spans = SpanRecorder(id_base=0)
         cluster.systems = []
         for i, cfg in enumerate(configs):
@@ -450,7 +453,7 @@ class WindowedBackend(ClusterBackend):
             board_fabric = PartitionFabric(
                 board_engine, partition_id=i + 1,
                 partition_of=self.partition_of,
-                latency_cycles=fabric_latency)
+                latency_cycles=FABRIC_LATENCY)
             system = ApiarySystem(
                 cfg, engine=board_engine, fabric=board_fabric,
                 spans=SpanRecorder(id_base=(i + 1) * SPAN_ID_STRIDE))

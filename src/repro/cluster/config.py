@@ -64,7 +64,6 @@ class ClusterConfig:
     #: per-board base config; each board derives its variant (unique MAC,
     #: shifted seed) from it
     system: SystemConfig = field(default_factory=SystemConfig.figure1)
-    fabric_latency: int = 500
     backend: str = "shared"
     swallow_orphan_errors: bool = False
     #: per-board intra-FPGA recovery watchdogs
@@ -77,5 +76,3 @@ class ClusterConfig:
     def __post_init__(self):
         if self.n_fpgas < 1:
             raise ConfigError(f"need >= 1 FPGA, got {self.n_fpgas}")
-        if self.fabric_latency < 0:
-            raise ConfigError("fabric_latency must be >= 0")

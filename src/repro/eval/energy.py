@@ -17,7 +17,7 @@ pays the CPU term, direct-attached doesn't).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["EnergyModel", "EnergyBreakdown"]
 

@@ -15,6 +15,7 @@ from typing import Any, Dict
 from repro.apps.kv_service import KV_PORT, deploy_kv_on_apiary, make_kv_handler
 from repro.baselines.bare import BareFpgaSystem
 from repro.baselines.hosted import HostedFpgaSystem
+from repro.cluster.backend import FABRIC_LATENCY
 from repro.errors import ConfigError
 from repro.eval.energy import EnergyModel
 from repro.kernel.config import SystemConfig
@@ -28,7 +29,6 @@ __all__ = ["run_kv_workload", "SYSTEM_KINDS"]
 
 SYSTEM_KINDS = ("apiary", "hosted", "hosted_bypass", "bare")
 
-FABRIC_LATENCY = 500  # one-way datacenter hop in fabric cycles (~2 us)
 SERVER_MAC = "server0"
 CLIENT_MAC = "client0"
 REQUEST_TIMEOUT = 2_000_000

@@ -12,7 +12,7 @@ not load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import BitstreamRejected, ConfigError

@@ -13,8 +13,8 @@ experiments a spread of device sizes (they are not part of Table 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigError
 

@@ -45,10 +45,7 @@ class NocConfig:
 
     width: int = 4
     height: int = 4
-    num_vcs: int = 2
-    vc_classes: int = 2
     buffer_depth: int = 4
-    hop_latency: int = 2
     flit_bytes: int = 16
     #: per-tile injection rate limit in flits/cycle (None = unlimited)
     rate_limit_flits: Optional[float] = None
@@ -59,12 +56,8 @@ class NocConfig:
             raise ConfigError(
                 f"grid must be at least 1x1, got {self.width}x{self.height}"
             )
-        if self.num_vcs < 1 or self.vc_classes < 1:
-            raise ConfigError("num_vcs and vc_classes must be >= 1")
         if self.buffer_depth < 1:
             raise ConfigError(f"buffer_depth must be >= 1, got {self.buffer_depth}")
-        if self.hop_latency < 1:
-            raise ConfigError(f"hop_latency must be >= 1, got {self.hop_latency}")
         if self.flit_bytes < 1:
             raise ConfigError(f"flit_bytes must be >= 1, got {self.flit_bytes}")
         if self.rate_limit_flits is not None and self.rate_limit_flits <= 0:
@@ -82,7 +75,6 @@ class MemConfig:
     enabled: bool = True
     tile: int = 0
     dram_channels: int = 2
-    dram_capacity: int = 1 << 30
     dram_timing: DramTiming = DDR4_TIMING
 
     def __post_init__(self) -> None:
@@ -90,8 +82,6 @@ class MemConfig:
             raise ConfigError(f"mem tile must be >= 0, got {self.tile}")
         if self.dram_channels < 1:
             raise ConfigError("dram_channels must be >= 1")
-        if self.dram_capacity < 1:
-            raise ConfigError("dram_capacity must be >= 1 byte")
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,9 @@ a fault silently corrupts the pipeline).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from repro.errors import TileFault
 from repro.sim import Engine, StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover

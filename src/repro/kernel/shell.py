@@ -131,9 +131,8 @@ class Shell:
         policy — on service errors, per-attempt timeouts, and fail-stop
         NACKs, the failure modes a recovering service emits mid-failover —
         and the returned event fails with :class:`DeadlineExceeded` once
-        the policy's deadline or attempt cap is spent.  Capability denials
-        (``AccessDenied``) propagate immediately: retrying an unauthorized
-        call never helps.  ``timeout`` and ``retry`` are mutually
+        the policy's deadline is spent.  Capability denials (``AccessDenied``)
+        propagate immediately: retrying an unauthorized call never helps.  ``timeout`` and ``retry`` are mutually
         exclusive (the policy's ``attempt_timeout`` governs attempts).
         """
         if retry is not None:

@@ -58,6 +58,17 @@ __all__ = ["ApiarySystem", "build_figure1"]
 #: and what the capability store enforces
 MONITOR_CAP_SLOTS = 64
 
+#: virtual channels per router port, and the traffic classes they split
+#: into (one VC each).  Two classes keep a pair's packets in order:
+#: ``tests/test_noc_network.py::test_one_pair_is_delivered_in_injection_order``
+#: (ROADMAP item 10 records what one shared class reorders)
+NOC_VCS = 2
+NOC_VC_CLASSES = 2
+#: cycles a flit takes from one router to the next
+NOC_HOP_LATENCY = 2
+#: bytes of the DRAM device behind the memory service
+DRAM_CAPACITY = 1 << 30
+
 
 class ApiarySystem:
     """One direct-attached FPGA running Apiary.
@@ -102,8 +113,8 @@ class ApiarySystem:
         self.enforce = config.fault.enforce
         self.network = Network(
             self.engine, self.topo,
-            num_vcs=noc.num_vcs, vc_classes=noc.vc_classes,
-            buffer_depth=noc.buffer_depth, hop_latency=noc.hop_latency,
+            num_vcs=NOC_VCS, vc_classes=NOC_VC_CLASSES,
+            buffer_depth=noc.buffer_depth, hop_latency=NOC_HOP_LATENCY,
             flit_bytes=noc.flit_bytes,
             stats=self.stats, spans=self.spans,
         )
@@ -121,7 +132,7 @@ class ApiarySystem:
         # resource budgeting: routers + monitors are the static framework
         self.budget = ResourceBudget(self.part)
         tiles = self.topo.node_count
-        r_cost = router_cost(num_vcs=noc.num_vcs,
+        r_cost = router_cost(num_vcs=NOC_VCS,
                              buffer_depth=noc.buffer_depth,
                              hardened=self.part.hardened_noc)
         m_cost = monitor_cost(cap_table_size=MONITOR_CAP_SLOTS,
@@ -170,7 +181,7 @@ class ApiarySystem:
         self._boot_events: List[Event] = []
         if mem.enabled:
             self.dram = Dram(self.engine, channels=mem.dram_channels,
-                             capacity_bytes=mem.dram_capacity,
+                             capacity_bytes=DRAM_CAPACITY,
                              timing=mem.dram_timing)
             self.dram.spans = self.spans
             self.mem_service = MemoryService("svc.mem", self.dram, self.caps,
@@ -312,7 +323,7 @@ class ApiarySystem:
         self.mgmt.attach_bitstore(self.bitstore)
         return self.bitstore
 
-    def enable_scheduler(self, **kwargs):
+    def enable_scheduler(self, quotas=None):
         """Attach a :class:`~repro.sched.TileScheduler` to this system.
 
         The scheduler owns tile placement from then on: submit
@@ -323,7 +334,7 @@ class ApiarySystem:
 
         if self.scheduler is not None:
             raise ConfigError("scheduler is already enabled")
-        self.scheduler = TileScheduler(self, **kwargs)
+        self.scheduler = TileScheduler(self, quotas=quotas)
         return self.scheduler
 
     def boot(self, extra_cycles: int = 5000) -> None:

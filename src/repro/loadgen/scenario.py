@@ -18,7 +18,7 @@ are the unit of workload description here.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError

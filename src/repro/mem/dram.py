@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.span import SpanRecorder
-from repro.sim import Engine, Event, Resource
+from repro.sim import Engine, Resource
 
 __all__ = ["DramTiming", "DramBank", "DramChannel", "Dram", "DDR4_TIMING", "HBM2_TIMING"]
 

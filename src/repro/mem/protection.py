@@ -14,7 +14,6 @@ bounds comparison plus a table lookup in hardware).  The memory *service*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.errors import AccessDenied, SegmentFault
 from repro.cap.capability import CapabilityRef, Rights

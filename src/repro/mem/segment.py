@@ -13,7 +13,7 @@ maintains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError, SegmentFault

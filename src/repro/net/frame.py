@@ -7,9 +7,8 @@ and an optional loss process exercises the reliable transport.
 
 from __future__ import annotations
 
-import itertools
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import ConfigError
 

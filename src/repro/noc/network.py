@@ -26,7 +26,7 @@ from repro.noc.router import NEVER, Router
 from repro.noc.routing import TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 from repro.obs.span import SpanRecorder
-from repro.sim import Channel, Engine, Event, Histogram, StatsRegistry
+from repro.sim import Channel, Engine, Event, StatsRegistry
 
 __all__ = ["Network", "NetworkInterface"]
 

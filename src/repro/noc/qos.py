@@ -9,8 +9,6 @@ policy-free.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ConfigError
 
 __all__ = ["TokenBucket", "RateMeter"]

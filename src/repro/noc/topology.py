@@ -8,7 +8,7 @@ are topology-agnostic; they work through this interface.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, RouteError
 

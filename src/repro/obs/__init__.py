@@ -29,7 +29,7 @@ end-of-run :class:`~repro.sim.stats.StatsRegistry`:
   (:func:`validate_flight_dump` is the CI-side structural check).
 * :func:`chrome_trace` / :func:`export_chrome_trace` — Chrome trace-event
   JSON loadable in Perfetto / ``chrome://tracing``; :func:`run_report` — a
-  plain-text summary, :func:`run_report_json` its machine-readable twin.
+  plain-text summary.
 
 Everything is zero-cost when disabled: every instrumented hot path guards
 on ``spans.enabled`` and ``spans.event`` keeps nothing; O1 pins the
@@ -40,7 +40,6 @@ from repro.obs.export import (
     chrome_trace,
     export_chrome_trace,
     run_report,
-    run_report_json,
     validate_chrome_trace,
 )
 from repro.obs.flight import FlightRecorder, validate_flight_dump
@@ -68,5 +67,4 @@ __all__ = [
     "export_chrome_trace",
     "validate_chrome_trace",
     "run_report",
-    "run_report_json",
 ]

@@ -24,7 +24,7 @@ from repro.obs.span import SpanRecorder
 from repro.obs.telemetry import TelemetrySampler
 
 __all__ = ["chrome_trace", "export_chrome_trace", "validate_chrome_trace",
-           "run_report", "run_report_json"]
+           "run_report"]
 
 #: Phases this exporter produces (subset of the Chrome trace-event spec).
 _PHASES = {"X", "M", "C", "I"}
@@ -188,33 +188,3 @@ def run_report(index: SpanIndex,
         lines.append("\n-- SLO verdicts --")
         lines.append(slo.report_text(end))
     return "\n".join(lines)
-
-
-def run_report_json(index: SpanIndex, slo: Optional[Any] = None,
-                    now: Optional[int] = None) -> Dict[str, Any]:
-    """Machine-readable twin of :func:`run_report` for CI artifacts.
-
-    JSON-shaped: per-trace latency and stage breakdowns (the first
-    :data:`REPORT_TRACES` complete traces), aggregate stage totals and —
-    when an SLO engine is supplied — its full verdict/alert report at
-    ``now`` (default 0).  ``json.dumps(..., sort_keys=True)``
-    of this document is byte-stable for identical runs, which is how the
-    O1 identity harness compares backends.
-    """
-    complete = index.complete_traces()
-    traces = []
-    for tid in complete[:REPORT_TRACES]:
-        traces.append({
-            "trace_id": tid,
-            "latency": index.latency(tid),
-            "stages": dict(sorted(index.stage_breakdown(tid).items())),
-        })
-    doc: Dict[str, Any] = {
-        "traces_total": len(index.trace_ids()),
-        "traces_complete": len(complete),
-        "traces": traces,
-        "aggregate_stages": dict(sorted(index.aggregate_stages().items())),
-    }
-    if slo is not None:
-        doc["slo"] = slo.report(now if now is not None else 0)
-    return doc

@@ -39,7 +39,7 @@ This module is imported by :mod:`repro.sim.stats` and must stay free of
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["QuantileSketch", "DEFAULT_ALPHA", "DEFAULT_MAX_BINS"]
 

@@ -16,7 +16,7 @@ adds no code to any hot path, so a system without a sampler pays nothing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 __all__ = ["TelemetrySampler"]
 

@@ -1,7 +1,7 @@
 """Shared retry/timeout policy — one vocabulary for every client.
 
-:class:`RetryPolicy` is the one home of the five retry knobs (deadline,
-per-attempt timeout, attempt cap, backoff base/cap): a frozen dataclass
+:class:`RetryPolicy` is the one home of the four retry knobs (deadline,
+per-attempt timeout, backoff base/cap): a frozen dataclass
 that the shell's calls and the cluster front-end's request path both
 take::
 
@@ -36,14 +36,12 @@ class RetryPolicy:
     deadline: total cycles the caller is willing to wait across attempts.
     attempt_timeout: per-attempt timeout (clamped to what remains of the
         deadline, so the last attempt never overshoots).
-    max_attempts: optional attempt cap (None = until the deadline).
     backoff_base / backoff_cap: exponential backoff between attempts,
         ``min(base * 2**(attempt-1), cap)``, deterministic by design.
     """
 
     deadline: int = 200_000
     attempt_timeout: int = 20_000
-    max_attempts: Optional[int] = None
     backoff_base: int = 500
     backoff_cap: int = 16_000
 
@@ -54,8 +52,6 @@ class RetryPolicy:
             raise ConfigError(
                 f"attempt_timeout must be >= 1, got {self.attempt_timeout}"
             )
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1 or None")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ConfigError("backoff parameters must be >= 0")
 
@@ -77,13 +73,13 @@ class RetryPolicy:
 
         ``attempt_fn(timeout)`` must issue one attempt and return an event
         that succeeds with the result or fails.  Failures in ``retry_on``
-        are retried (after backoff) until the deadline or attempt cap is
-        spent, at which point the event fails with
-        :class:`DeadlineExceeded`; any other failure ends it at once
-        (retrying e.g. a capability denial never helps).  ``on_retry`` is
-        invoked once per retried failure — the hook the shell uses to
-        count ``calls_retried``.  The first attempt is issued before this
-        returns; each later one after its backoff's bucket entry.
+        are retried (after backoff) until the deadline is spent, at which
+        point the event fails with :class:`DeadlineExceeded`; any other
+        failure ends it at once (retrying e.g. a capability denial never
+        helps).  ``on_retry`` is invoked once per retried failure — the
+        hook the shell uses to count ``calls_retried``.  The first attempt
+        is issued before this returns; each later one after its backoff's
+        bucket entry.
         """
         result = engine.event(name or f"retry.{describe}")
         _EventRetry(self, engine, retry_on, describe, attempt_fn, on_retry,
@@ -140,8 +136,7 @@ class RetryLoop:
         policy = self.policy
         spent = self.engine.now - self.began
         remaining = policy.deadline - spent
-        if remaining <= 0 or (policy.max_attempts is not None
-                              and self.attempt >= policy.max_attempts):
+        if remaining <= 0:
             self._finish(None, DeadlineExceeded(
                 f"{self.describe} gave up after {self.attempt} attempt(s) "
                 f"in {spent} cycles (last error: {self.last_error})"))

@@ -10,8 +10,7 @@ SYNERGY's transparent scale-out:
 * :class:`AdmissionController` — per-tenant quotas and priorities with
   typed rejections (:class:`~repro.errors.QuotaExceeded`);
 * :class:`Placer` — resource-aware bin-packing of bitstream costs
-  against tile slot capacities, DRC-screened, with first-fit / best-fit /
-  locality-aware policies;
+  against tile slot capacities, DRC-screened, first fit;
 * :class:`TileScheduler` — the deterministic, event-driven control loop:
   job queue, placement, priority preemption (checkpoint-migrate or
   kill-and-requeue), and fault-driven rescheduling;
@@ -28,7 +27,7 @@ C1 drive the autoscaler as :mod:`repro.loadgen` library scenarios
 from repro.sched.admission import AdmissionController, TenantQuota
 from repro.sched.autoscaler import Autoscaler
 from repro.sched.job import Job, JobSpec, JobState
-from repro.sched.placement import Placer, PlacementPolicy
+from repro.sched.placement import Placer
 from repro.sched.scheduler import SchedEvent, TileScheduler
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "Placer",
-    "PlacementPolicy",
     "TileScheduler",
     "SchedEvent",
 ]

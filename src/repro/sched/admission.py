@@ -25,8 +25,6 @@ class TenantQuota:
 
     #: jobs simultaneously placed-or-placing (tiles the tenant holds)
     max_running: Optional[int] = None
-    #: jobs waiting in the scheduler queue
-    max_queued: Optional[int] = None
     #: highest priority the tenant may submit at (prevents a tenant from
     #: outbidding everyone just by picking a large number)
     max_priority: Optional[int] = None
@@ -54,12 +52,12 @@ class AdmissionController:
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, self.default)
 
-    def admit(self, spec: JobSpec, running: int, queued: int) -> None:
+    def admit(self, spec: JobSpec, running: int) -> None:
         """Raise a typed rejection, or return to admit.
 
-        ``running``/``queued`` are the tenant's *current* counts as the
-        scheduler sees them; admission itself is stateless so the
-        scheduler stays the single source of truth about jobs.
+        ``running`` is the tenant's *current* count as the scheduler sees
+        it; admission itself is stateless so the scheduler stays the
+        single source of truth about jobs.
         """
         if not spec.name:
             raise AdmissionRejected("job needs a non-empty name")
@@ -75,9 +73,4 @@ class AdmissionController:
             raise QuotaExceeded(
                 f"tenant {spec.tenant!r} holds {running}/{quota.max_running} "
                 f"running tiles; rejecting {spec.name!r}"
-            )
-        if quota.max_queued is not None and queued >= quota.max_queued:
-            raise QuotaExceeded(
-                f"tenant {spec.tenant!r} has {queued}/{quota.max_queued} "
-                f"queued jobs; rejecting {spec.name!r}"
             )

@@ -8,7 +8,7 @@ placed somewhere: the unit of admission (tenant quotas), placement
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 __all__ = ["Job", "JobSpec", "JobState"]
@@ -40,13 +40,9 @@ class JobSpec:
     name: str
     tenant: str
     factory: Callable[[], Any]
-    endpoint: Optional[str] = None
     #: larger wins: a queued high-priority job may evict a running
     #: lower-priority one when no slot fits it
     priority: int = 0
-    #: endpoint name to place near (NoC-adjacent) under the
-    #: locality-aware policy; ignored when unresolvable
-    colocate_with: Optional[str] = None
     signed_by: Optional[str] = None
 
 

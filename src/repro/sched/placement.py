@@ -2,17 +2,9 @@
 
 A placement decision answers "which free reconfigurable region can host
 this bitstream?" — capacity (:class:`~repro.hw.resources.ResourceVector`
-``fits_in``), design rules (the per-region or system DRC), and policy:
-
-* ``FIRST_FIT`` — lowest feasible tile number.  Deterministic and fast;
-  what the service directory's ``_place`` already does implicitly.
-* ``BEST_FIT`` — the feasible tile whose capacity leaves the least
-  slack, so big slots stay open for big bitstreams (classic bin-packing;
-  only differs from first-fit on heterogeneous region capacities).
-* ``LOCALITY`` — the feasible tile with the fewest NoC hops
-  (``Mesh2D.hop_distance``) to an anchor tile, e.g. a memory-heavy
-  accelerator next to the DRAM service tile.  Falls back to first-fit
-  when no anchor is given.
+``fits_in``) and design rules (the per-region or system DRC) — and picks
+the lowest feasible tile number (first fit): deterministic, and what the
+service directory's ``_place`` does too.
 
 Failures are typed: :class:`~repro.errors.PlacementFailed` carries a
 per-tile reason list so callers (and tests) see *why* nothing fit.
@@ -20,19 +12,12 @@ per-tile reason list so callers (and tests) see *why* nothing fit.
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-from repro.errors import ConfigError, PlacementFailed
+from repro.errors import PlacementFailed
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
 
-__all__ = ["Placer", "PlacementPolicy"]
-
-
-class PlacementPolicy(enum.Enum):
-    FIRST_FIT = "first_fit"
-    BEST_FIT = "best_fit"
-    LOCALITY = "locality"
+__all__ = ["Placer"]
 
 
 class Placer:
@@ -41,17 +26,11 @@ class Placer:
     def __init__(
         self,
         tiles,
-        topo,
         drc: Optional[DesignRuleChecker] = None,
-        policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
         reserved: Iterable[int] = (),
     ):
-        if not isinstance(policy, PlacementPolicy):
-            raise ConfigError(f"unknown placement policy {policy!r}")
         self.tiles = tiles
-        self.topo = topo
         self.drc = drc
-        self.policy = policy
         #: tiles placement must never touch (OS service tiles, spares...)
         self.reserved = frozenset(reserved)
 
@@ -87,17 +66,14 @@ class Placer:
     def place(
         self,
         bitstream: Bitstream,
-        near: Optional[int] = None,
         exclude: Iterable[int] = (),
     ) -> int:
-        """Pick the tile for ``bitstream`` under the configured policy.
+        """The lowest-numbered tile that can host ``bitstream``.
 
         Raises :class:`PlacementFailed` (with per-tile reasons) when no
-        tile is feasible.  Ties always break toward the lowest tile
-        number, so placement is deterministic under every policy.
+        tile is feasible.
         """
         skip = set(exclude)
-        candidates: List[int] = []
         reasons: Dict[int, str] = {}
         for tile in self.tiles:
             if tile.node in skip:
@@ -105,28 +81,12 @@ class Placer:
                 continue
             why = self.reject_reason(tile.node, bitstream)
             if why is None:
-                candidates.append(tile.node)
-            else:
-                reasons[tile.node] = why
-        if not candidates:
-            detail = ", ".join(f"t{n}: {why}" for n, why in sorted(reasons.items()))
-            err = PlacementFailed(
-                f"no tile fits {bitstream.name!r} "
-                f"({bitstream.cost.logic_cells} cells) [{detail}]"
-            )
-            err.reasons = reasons
-            raise err
-        return min(candidates, key=self._key(bitstream, near))
-
-    def _key(self, bitstream: Bitstream, near: Optional[int]):
-        if self.policy is PlacementPolicy.BEST_FIT:
-            def key(node: int) -> Tuple:
-                left = self.tiles[node].region.capacity - bitstream.cost
-                return (left.logic_cells, left.bram_kb, left.dsp_slices, node)
-        elif self.policy is PlacementPolicy.LOCALITY and near is not None:
-            def key(node: int) -> Tuple:
-                return (self.topo.hop_distance(near, node), node)
-        else:  # FIRST_FIT (and LOCALITY without an anchor)
-            def key(node: int) -> Tuple:
-                return (node,)
-        return key
+                return tile.node
+            reasons[tile.node] = why
+        detail = ", ".join(f"t{n}: {why}" for n, why in sorted(reasons.items()))
+        err = PlacementFailed(
+            f"no tile fits {bitstream.name!r} "
+            f"({bitstream.cost.logic_cells} cells) [{detail}]"
+        )
+        err.reasons = reasons
+        raise err

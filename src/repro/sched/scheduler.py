@@ -11,9 +11,9 @@ The loop composes the pieces the kernel already provides as mechanism:
 
 * **admission** (:class:`~repro.sched.admission.AdmissionController`) —
   synchronous, typed rejections at :meth:`submit`;
-* **placement** (:class:`~repro.sched.placement.Placer`) — bin-packing
-  the job's bitstream cost onto free slots under the configured policy,
-  then ``MgmtPlane.load`` (which re-runs the DRC as the trust boundary);
+* **placement** (:class:`~repro.sched.placement.Placer`) — the job's
+  bitstream onto the lowest free slot that fits it (first fit), then
+  ``MgmtPlane.load`` (which re-runs the DRC as the trust boundary);
 * **preemption** — a queued high-priority job that fits nowhere may
   displace the lowest-priority running job: *checkpoint-migrate* when
   the victim is preemptible and another slot fits it
@@ -32,12 +32,12 @@ scheduler owns the jobs submitted to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, PlacementFailed, ReproError
 from repro.sched.admission import AdmissionController, TenantQuota
 from repro.sched.job import Job, JobSpec, JobState
-from repro.sched.placement import Placer, PlacementPolicy
+from repro.sched.placement import Placer
 
 __all__ = ["SchedEvent", "TileScheduler"]
 
@@ -67,7 +67,6 @@ class TileScheduler:
     def __init__(
         self,
         system,
-        policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
         quotas: Optional[Dict[str, TenantQuota]] = None,
     ):
         self.system = system
@@ -76,8 +75,7 @@ class TileScheduler:
         self.stats = system.stats
         self.spans = system.spans
         self.admission = AdmissionController(quotas)
-        self.placer = Placer(system.tiles, system.topo, drc=system.drc,
-                             policy=policy)
+        self.placer = Placer(system.tiles, drc=system.drc)
         self.jobs: Dict[int, Job] = {}
         self.events: List[SchedEvent] = []
         self._queue: List[Job] = []
@@ -94,11 +92,8 @@ class TileScheduler:
         """Admit a job (or raise a typed rejection) and queue it."""
         running = sum(1 for j in self.jobs.values()
                       if j.spec.tenant == spec.tenant and j.active)
-        queued = sum(1 for j in self.jobs.values()
-                     if j.spec.tenant == spec.tenant
-                     and j.state is JobState.QUEUED)
         try:
-            self.admission.admit(spec, running=running, queued=queued)
+            self.admission.admit(spec, running=running)
         except ReproError as err:
             self.stats.counter("sched.rejected").inc()
             self._log("reject", spec.name, spec.tenant, None, str(err))
@@ -175,9 +170,8 @@ class TileScheduler:
         if job.saved_state:
             accelerator.restore_state(dict(job.saved_state))
         bitstream = accelerator.bitstream(signed_by=job.spec.signed_by)
-        near = self._resolve_anchor(job.spec.colocate_with)
         try:
-            node = self.placer.place(bitstream, near=near)
+            node = self.placer.place(bitstream)
         except PlacementFailed:
             if job.spec.priority > 0:
                 self._make_room(job, bitstream)
@@ -194,7 +188,6 @@ class TileScheduler:
                                    "sched", "sched", self.engine.now,
                                    node=node, job=job.id)
         started = self.mgmt.load(node, accelerator,
-                                 endpoint=job.spec.endpoint,
                                  signed_by=job.spec.signed_by,
                                  trace=(tid, span) if span else None)
         started.add_callback(lambda ev, j=job, n=node, s=span:
@@ -225,14 +218,6 @@ class TileScheduler:
                 self.engine.now - job.submitted_at)
             self._log("start", job.spec.name, job.spec.tenant, node, "")
         self._wake()
-
-    def _resolve_anchor(self, name: Optional[str]) -> Optional[int]:
-        if name is None:
-            return None
-        try:
-            return self.system.namespace.lookup(name)
-        except ReproError:
-            return None
 
     # -- preemption --------------------------------------------------------
 
@@ -276,8 +261,7 @@ class TileScheduler:
         self.stats.counter("sched.preemptions").inc()
         if preemptible:
             victim.saved_state.update(accelerator.externalize_state())
-            victim.saved_state.update(
-                tile.claim_contexts(victim.spec.endpoint))
+            victim.saved_state.update(tile.claim_contexts(None))
             mode = "checkpoint"
         else:
             mode = "kill"
@@ -304,9 +288,7 @@ class TileScheduler:
     def _migrate_proc(self, victim: Job, src: int, dest: int):
         try:
             yield from self.mgmt.migrate(
-                src, dest,
-                make_accelerator=victim.spec.factory,
-                endpoint=victim.spec.endpoint)
+                src, dest, make_accelerator=victim.spec.factory)
         except ReproError as err:
             # destination was taken out from under us — requeue instead
             self._by_node.pop(src, None)
@@ -338,7 +320,7 @@ class TileScheduler:
         job.node = None
         self.stats.counter("sched.fault_requeues").inc()
         # anything the fault manager checkpointed survives to the re-place
-        job.saved_state.update(tile.claim_contexts(job.spec.endpoint))
+        job.saved_state.update(tile.claim_contexts(None))
         if job.id in self._migrating:
             return  # the migrate process sees the failure and requeues
         if job.faults > MAX_FAULTS:

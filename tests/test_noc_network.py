@@ -1,6 +1,10 @@
 """Integration tests for the assembled NoC: delivery, ordering, contention,
 backpressure, QoS classes, torus routing and the progress watchdog."""
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.kernel.system import NOC_HOP_LATENCY, NOC_VC_CLASSES, NOC_VCS
 from repro.noc import (
     Mesh2D,
     Network,
@@ -62,6 +66,85 @@ def test_packets_between_same_pair_stay_ordered():
     eng, net = make_net(num_vcs=1)
     out = run_transfer(eng, net, 0, 15, 50, payload_bytes=32)
     assert [p for p, _l in out] == list(range(50))
+
+
+@st.composite
+def pair_traffic(draw):
+    """A mesh up to 4x4, a buffer depth, and a few senders, each a list of
+    ``(gap, destination, flits)`` sends; several senders may share a
+    node, so one interface may interleave two streams."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if width * height == 1:
+        width = 2
+    node = st.integers(0, width * height - 1)
+    gap = st.integers(0, draw(st.sampled_from([0, 2, 8])))
+    senders = draw(st.lists(
+        st.tuples(node, st.lists(st.tuples(gap, node, st.integers(1, 16)),
+                                 min_size=1, max_size=8)),
+        min_size=1, max_size=5))
+    return dict(width=width, height=height, depth=draw(st.integers(1, 4)),
+                senders=senders,
+                think=draw(st.lists(st.sampled_from([0, 0, 5, 30]),
+                                    min_size=width * height,
+                                    max_size=width * height)))
+
+
+def pair_orders(case, vc_classes=NOC_VC_CLASSES):
+    """Run ``case`` on a board NoC; per ``(src, dst)`` pair, the packet
+    ids in injection order and in delivery order."""
+    eng = Engine()
+    net = Network(eng, Mesh2D(case["width"], case["height"]),
+                  num_vcs=NOC_VCS, vc_classes=vc_classes,
+                  buffer_depth=case["depth"], hop_latency=NOC_HOP_LATENCY)
+    injected, delivered = {}, {}
+
+    def sender(src, sends):
+        ni = net.interface(src)
+        for gap, dst, flits in sends:
+            yield gap
+            pkt = net.make_packet(src, dst, payload_bytes=16 * (flits - 1))
+            injected.setdefault((src, dst), []).append(pkt.pid)
+            ni.send_packet(pkt)
+
+    def sink(node, think):
+        ni = net.interface(node)
+        while True:
+            pkt = yield ni.recv()
+            delivered.setdefault((pkt.src, pkt.dst), []).append(pkt.pid)
+            yield think
+
+    for src, sends in case["senders"]:
+        eng.process(sender(src, sends))
+    for node, think in enumerate(case["think"]):
+        eng.process(sink(node, think))
+    eng.run(until=20_000)
+    assert net.in_flight_packets() == 0, "the fabric never drained"
+    return injected, delivered
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pair_traffic())
+def test_one_pair_is_delivered_in_injection_order(case):
+    """The board's NoC (two VCs, two classes, every kernel message on
+    class 0) delivers the packets one interface injects toward one
+    destination in the order it injected them — the order ``net.rx``
+    hands payloads up in.  One shared class (``vc_classes=1``) loses it:
+    ``test_one_shared_vc_class_can_reorder_a_pair``."""
+    injected, delivered = pair_orders(case)
+    assert delivered == injected
+
+
+def test_one_shared_vc_class_can_reorder_a_pair():
+    """The shrunk counterexample ``test_one_pair_is_delivered_in_injection_order``
+    finds with ``vc_classes=1``: both VCs serve class 0, so on a 2x1 mesh
+    with one-flit buffers a one-flit packet 1->0 overtakes the two-flit
+    packet injected just before it on the other VC (ROADMAP item 10)."""
+    case = dict(width=2, height=1, depth=1,
+                senders=[(1, [(0, 0, 2), (0, 0, 1)])], think=[0, 0])
+    injected, delivered = pair_orders(case, vc_classes=1)
+    assert delivered != injected
+    assert pair_orders(case) == (injected, injected)
 
 
 def test_hop_count_matches_manhattan_distance():

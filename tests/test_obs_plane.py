@@ -8,7 +8,7 @@ merges across partitions; the cycle profiler's folded stacks partition
 every request's latency; the flight recorder rings, dumps, coalesces,
 and validates.  Satellite coverage: the new public accessors, telemetry
 ring wraparound at exact capacity, stage_breakdown on incomplete
-traces, and ``run_report_json``.
+traces, and the text report's SLO section.
 """
 
 import json
@@ -29,7 +29,6 @@ from repro.obs import (
     SpanIndex,
     SpanRecorder,
     run_report,
-    run_report_json,
     validate_flight_dump,
 )
 from repro.obs.flight import MAX_KEPT_DUMPS
@@ -477,27 +476,11 @@ class TestSatelliteAccessors:
         assert index.latency(tid) == -1
 
 
-class TestRunReportJson:
-    def traced(self):
-        spans, _tid = profiled_spans()
-        return SpanIndex(spans)
-
-    def test_structure_mirrors_text_report(self):
-        index = self.traced()
-        doc = run_report_json(index)
-        assert doc["traces_complete"] == 1
-        (trace,) = doc["traces"]
-        assert trace["latency"] == 100
-        assert trace["stages"][QUEUE_STAGE] == 70
-        assert doc["aggregate_stages"]["stage.a"] == 20
-        json.dumps(doc)  # must be serializable as-is
-
+class TestRunReport:
     def test_slo_section_rides_along(self):
         eng = SLOEngine()
         eng.add_target(SLOTarget("avail", "kv", objective=0.99))
         feed(eng, "kv", good=10, bad=0, at=1_000)
-        doc = run_report_json(self.traced(), slo=eng, now=50_000)
-        (row,) = doc["slo"]["targets"]
-        assert row["verdict"] == "pass"
-        text = run_report(self.traced(), slo=eng, now=50_000)
+        spans, _tid = profiled_spans()
+        text = run_report(SpanIndex(spans), slo=eng, now=50_000)
         assert "SLO" in text and "pass" in text

@@ -15,6 +15,7 @@ import pytest
 
 from repro.apps import echo_handler_factory
 from repro.cluster import CacheConfig, Cluster, ClusterConfig
+from repro.cluster.backend import FABRIC_LATENCY
 from repro.kernel import NocConfig, SystemConfig
 from repro.policy import RetryPolicy
 from repro.replic import KvMachine
@@ -87,7 +88,7 @@ class TestWhenAnOpRuns:
             seen["new"] = new
 
         cluster.engine.process(tick())
-        window = cluster.config.fabric_latency
+        window = FABRIC_LATENCY
         barrier = cluster.now + window
         cluster.run(until=barrier)
         new = seen["new"]

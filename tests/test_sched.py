@@ -1,7 +1,7 @@
 """Scheduler & autoscaling tests (repro.sched).
 
 Covers the control-plane stack end to end: typed admission rejections,
-placement policies (first-fit / best-fit / locality / DRC feasibility),
+first-fit placement (capacity and DRC feasibility),
 the event-driven dispatch loop, priority preemption (checkpoint-migrate
 and kill-and-requeue), fault-driven rescheduling, determinism of the
 decision log, and the reconfiguration-cost-aware autoscaler.
@@ -37,7 +37,6 @@ from repro.sched import (
     JobSpec,
     JobState,
     Placer,
-    PlacementPolicy,
     TenantQuota,
 )
 from repro.sched.autoscaler import INTERVAL
@@ -99,24 +98,21 @@ class TestAdmission:
     def test_empty_name_and_tenant_rejected(self):
         ctrl = AdmissionController()
         with pytest.raises(AdmissionRejected):
-            ctrl.admit(spec(""), running=0, queued=0)
+            ctrl.admit(spec(""), running=0)
         with pytest.raises(AdmissionRejected):
-            ctrl.admit(spec("j", tenant=""), running=0, queued=0)
+            ctrl.admit(spec("j", tenant=""), running=0)
 
     def test_priority_above_tenant_cap_rejected(self):
         ctrl = AdmissionController({"t": TenantQuota(max_priority=2)})
-        ctrl.admit(spec("ok", priority=2), running=0, queued=0)
+        ctrl.admit(spec("ok", priority=2), running=0)
         with pytest.raises(AdmissionRejected):
-            ctrl.admit(spec("greedy", priority=3), running=0, queued=0)
+            ctrl.admit(spec("greedy", priority=3), running=0)
 
-    def test_running_and_queued_quotas(self):
-        ctrl = AdmissionController(
-            {"t": TenantQuota(max_running=2, max_queued=1)})
-        ctrl.admit(spec("a"), running=1, queued=0)
+    def test_running_quota(self):
+        ctrl = AdmissionController({"t": TenantQuota(max_running=2)})
+        ctrl.admit(spec("a"), running=1)
         with pytest.raises(QuotaExceeded):
-            ctrl.admit(spec("b"), running=2, queued=0)
-        with pytest.raises(QuotaExceeded):
-            ctrl.admit(spec("c"), running=0, queued=1)
+            ctrl.admit(spec("b"), running=2)
 
     def test_rejections_are_typed(self):
         # callers can distinguish quota pressure from malformed submits,
@@ -127,16 +123,15 @@ class TestAdmission:
     def test_unknown_tenant_gets_default_quota(self):
         ctrl = AdmissionController(default=TenantQuota(max_running=1))
         with pytest.raises(QuotaExceeded):
-            ctrl.admit(spec("x", tenant="anyone"), running=1, queued=0)
+            ctrl.admit(spec("x", tenant="anyone"), running=1)
 
 
 # -- placement ------------------------------------------------------------
 
 
 class TestPlacer:
-    def placer(self, system, policy=PlacementPolicy.FIRST_FIT, **kwargs):
-        return Placer(system.tiles, system.topo, drc=system.drc,
-                      policy=policy, **kwargs)
+    def placer(self, system, **kwargs):
+        return Placer(system.tiles, drc=system.drc, **kwargs)
 
     def test_first_fit_picks_lowest_free_tile(self):
         system = booted()
@@ -151,31 +146,6 @@ class TestPlacer:
         placer = self.placer(system, reserved=(2, 3))
         assert placer.place(bs) == 4
         assert placer.reject_reason(2, bs) == "reserved"
-
-    def test_best_fit_prefers_tightest_slot(self):
-        system = booted()
-        # shrink one slot so it barely fits an echo: best-fit should keep
-        # the full-size slots open for bigger tenants
-        small = EchoAccel("e").bitstream().cost
-        system.tiles[4].region.capacity = ResourceVector(
-            logic_cells=small.logic_cells + 1_000,
-            bram_kb=small.bram_kb + 8, dsp_slices=1)
-        bs = EchoAccel("e").bitstream()
-        assert self.placer(system).place(bs) == 1
-        assert self.placer(system, policy=PlacementPolicy.BEST_FIT).place(bs) == 4
-
-    def test_locality_minimizes_hops_to_anchor(self):
-        system = booted()
-        system.run_until(system.start_app(2, EchoAccel("e2")))
-        system.run_until(system.start_app(4, EchoAccel("e4")))
-        bs = EchoAccel("e").bitstream()
-        # free tiles: 1, 3 and 5.  First-fit takes 1; locality next to
-        # the anchor at node 5 takes 5 (0 hops beats 2).
-        assert self.placer(system).place(bs) == 1
-        locality = self.placer(system, policy=PlacementPolicy.LOCALITY)
-        assert locality.place(bs, near=5) == 5
-        # without an anchor, locality degrades to first-fit
-        assert locality.place(bs) == 1
 
     def test_capacity_overflow_reports_reasons(self):
         system = booted()
@@ -196,11 +166,6 @@ class TestPlacer:
             self.placer(system).place(virus)
         assert any(r.startswith("DRC: power-budget")
                    for r in exc.value.reasons.values())
-
-    def test_unknown_policy_rejected(self):
-        system = booted()
-        with pytest.raises(ConfigError):
-            self.placer(system, policy="greedy")
 
 
 # -- scheduler dispatch ---------------------------------------------------
@@ -244,10 +209,10 @@ class TestScheduler:
     def test_rejected_submit_raises_and_logs(self):
         system = booted()
         sched = system.enable_scheduler(
-            quotas={"t": TenantQuota(max_queued=1)})
-        sched.submit(spec("one"))  # placed eventually; queued right now
-        with pytest.raises(QuotaExceeded):
-            sched.submit(spec("two"))
+            quotas={"t": TenantQuota(max_priority=0)})
+        sched.submit(spec("one"))
+        with pytest.raises(AdmissionRejected):
+            sched.submit(spec("two", priority=1))
         assert system.stats.counter("sched.rejected").value == 1
         assert sched.events[-1].kind == "reject"
 

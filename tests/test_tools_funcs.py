@@ -1,7 +1,9 @@
 """``tools/funcs.py``: the function-entry recorder lists exactly the
 functions no run entered — including past a fork and past a caller that
 unhooks the profiler (pytest-benchmark does, around every pedantic body);
-``params`` lists exactly the defaulted parameters no call passes."""
+``params`` lists exactly the defaulted parameters no call passes and the
+defaulted dataclass fields nothing sets; ``imports`` lists exactly the
+module-level imports their module never reads."""
 
 import os
 import subprocess
@@ -101,12 +103,115 @@ def test_params_lists_every_default_no_call_passes(tmp_path):
         [sys.executable, TOOL, "params", "--src", str(src), str(src),
          str(calls)], check=True, capture_output=True, text=True,
     ).stdout.splitlines()
-    listed = [line.rsplit(": ", 1)[1] for line in lines[:-1]
+    listed = [line.rsplit(": ", 1)[1] for line in lines[:-2]
               if not line.startswith(" ")]
     assert listed == ["Base.__init__(seed)", "Child.grow(twice)",
                       "inner(mode)", "outer(mode)"]
     flagged = [line for line in lines if line.startswith("    ? ")]
     assert len(flagged) == 1 and flagged[0].endswith("use.py:6: *args/**kwargs")
-    assert lines[-1] == ("7 defaulted parameter(s) on non-nested functions; "
-                         "4 passed by no call (1 with a site to check by "
-                         "hand)")
+    assert lines[-2:] == [
+        "7 defaulted parameter(s) on non-nested functions; 4 passed by no "
+        "call (1 with a site to check by hand)",
+        "0 defaulted dataclass field(s); 0 set by no call, replace(...) or "
+        "store (0 with a site to check by hand)"]
+
+
+FIELDS_SRC = textwrap.dedent("""\
+    from dataclasses import dataclass, field, replace
+
+
+    @dataclass(frozen=True)
+    class Config:
+        name: str
+        width: int = 4
+        depth: int = 2
+        hops: int = 1
+        tags: tuple = field(default_factory=tuple)
+        cache: dict = field(default_factory=dict, init=False)
+
+
+    @dataclass
+    class Counters:
+        seen: int = 0
+        hops: int = 0
+
+
+    def bump(counters):
+        counters.seen += 1
+        counters.hops = 3
+""")
+
+FIELDS_CALLS = textwrap.dedent("""\
+    from dataclasses import replace
+
+    from mod import Config
+
+
+    def use(cfg):
+        Config("a", 8)
+        return replace(cfg, tags=("x",))
+""")
+
+
+def test_params_lists_every_dataclass_field_nothing_sets(tmp_path):
+    """A positional or keyword constructor argument and a ``replace(...)``
+    keyword set a field; a store sets a mutable dataclass's field but not
+    a frozen one's, and an ``init=False`` field is no setting at all."""
+    src, calls = tmp_path / "src", tmp_path / "calls"
+    src.mkdir()
+    calls.mkdir()
+    (src / "mod.py").write_text(FIELDS_SRC)
+    (calls / "use.py").write_text(FIELDS_CALLS)
+    lines = subprocess.run(
+        [sys.executable, TOOL, "params", "--src", str(src), str(src),
+         str(calls)], check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    fields = lines[lines.index(next(line for line in lines
+                                    if "defaulted parameter" in line)) + 1:]
+    assert [line.split(": ", 1)[1] for line in fields[:-1]] == [
+        "Config.depth", "Config.hops"]
+    assert fields[0].endswith("mod.py:8: Config.depth")
+    assert fields[-1] == ("6 defaulted dataclass field(s); 2 set by no call, "
+                          "replace(...) or store (0 with a site to check by "
+                          "hand)")
+
+
+IMPORTS_SRC = textwrap.dedent("""\
+    from __future__ import annotations
+
+    import os
+    import os.path as osp
+    from typing import Dict, List, Optional
+
+    from pkg import Exported, Hinted, Unused
+
+    __all__ = ["Exported"]
+
+
+    def size(path: "Optional[Hinted]") -> Dict:
+        return {path: os.sep}
+""")
+
+
+def test_imports_lists_every_module_level_import_never_read(tmp_path):
+    """Names read in code, in ``__all__`` and in a string annotation count
+    as used; ``__future__`` imports never count; the tool exits 1 when it
+    lists any import and 0 when none is left."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(IMPORTS_SRC)
+    run = subprocess.run([sys.executable, TOOL, "imports", "--src", str(src)],
+                         capture_output=True, text=True)
+    lines = run.stdout.splitlines()
+    assert run.returncode == 1
+    assert [line.split(": ", 1)[1] for line in lines[:-1]] == [
+        "osp", "List", "Unused"]
+    assert lines[0].endswith("mod.py:4: osp")
+    assert lines[-1] == "3 unused import(s) in 1 module(s)"
+    (src / "mod.py").write_text(IMPORTS_SRC.replace(
+        "import os.path as osp\n", "").replace(", List", "").replace(
+        ", Unused", ""))
+    run = subprocess.run([sys.executable, TOOL, "imports", "--src", str(src)],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "0 unused import(s) in 0 "
+                                               "module(s)\n")

@@ -3,6 +3,7 @@
     python tools/funcs.py run [--src DIR] OUT -- ARGS...   # python ARGS...
     python tools/funcs.py report [--src DIR] OUT           # never entered
     python tools/funcs.py params [--src DIR] [ROOT...]     # never passed
+    python tools/funcs.py imports [--src DIR]              # never read
 
 ``run`` executes ``ARGS`` the way ``python ARGS`` would (a script path, or
 ``-m module ...``) under a profile hook, and appends every code object
@@ -23,7 +24,17 @@ invent one.  An argument that only forwards the caller's own defaulted
 parameter (``f(x=x)``) passes ``x`` exactly when the caller's ``x`` is
 passed.  A call of a matching name through ``*args`` / ``**kwargs``, a
 ``partial(f, ...)`` and a bare reference to the function (a callback) are
-listed under the parameter for a check by hand.
+listed under the parameter for a check by hand.  A ``@dataclass``'s
+defaulted fields are the parameters of its generated ``__init__`` (by
+position among its init fields), and a ``replace(...)`` keyword sets the
+field of that name on every dataclass that has one, as does a store to an
+attribute of that name on a mutable dataclass (``x.field = ...``: state,
+not a setting); ``params`` lists the fields nothing sets in a section of
+their own.
+
+``imports`` lists each module-level import under ``--src`` whose name the
+module never reads (a name in ``__all__`` or in a string annotation is
+read), and exits 1 when it lists any.
 """
 
 import argparse
@@ -88,17 +99,60 @@ def _callee(node):
     return None
 
 
+def _dataclass_fields(node):
+    """``(params, lines, frozen)`` for a ``@dataclass`` class node, else
+    ``None``: its defaulted init fields as ``(name, position)``, their
+    lines, and whether instances are frozen."""
+    decorators = [d for d in node.decorator_list
+                  if _callee(d.func if isinstance(d, ast.Call) else d)
+                  == "dataclass"]
+    if not decorators:
+        return None
+    frozen = any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                 and k.value.value is True
+                 for d in decorators if isinstance(d, ast.Call)
+                 for k in d.keywords)
+    params, lines, position = [], {}, 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and stmt.simple
+                and _callee(getattr(stmt.annotation, "value",
+                                    stmt.annotation)) != "ClassVar"):
+            continue
+        value, kws = stmt.value, {}
+        if isinstance(value, ast.Call) and _callee(value.func) == "field":
+            kws = {k.arg: k.value for k in value.keywords}
+            if (isinstance(kws.get("init"), ast.Constant)
+                    and kws["init"].value is False):
+                continue
+            value = kws.get("default", kws.get("default_factory"))
+        if value is not None:
+            params.append((stmt.target.id, position))
+            lines[stmt.target.id] = stmt.lineno
+        position += 1
+    return params, lines, frozen
+
+
 def _params(src):
-    """The class bases by name, and ``(key, qualname, name, cls, bound,
-    params)`` per defaulted non-nested def: ``key`` is ``(path, line)``,
-    ``params`` holds ``(name, position or None)`` with the position counted
-    after the bound ``self`` / ``cls``."""
-    bases, defs = {}, []
+    """The class bases by name, ``(key, qualname, name, cls, bound,
+    params)`` per defaulted non-nested def, the same per dataclass with a
+    defaulted field (``name`` is ``None``), its fields' lines by ``(key,
+    field)`` and the keys of the mutable dataclasses: ``key`` is ``(path,
+    line)``, ``params`` holds ``(name, position or None)`` with the
+    position counted after the bound ``self`` / ``cls``."""
+    bases, defs, fields, lines, mutable = {}, [], [], {}, set()
 
     def visit(node, cls, path):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 bases[child.name] = {_callee(b) for b in child.bases}
+                found = _dataclass_fields(child)
+                if found and found[0]:
+                    key = (path, child.lineno)
+                    fields.append((key, child.name, None, child.name, 0,
+                                   found[0]))
+                    lines.update(((key, f), n) for f, n in found[1].items())
+                    if not found[2]:
+                        mutable.add(key)
                 visit(child, child.name, path)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
@@ -121,16 +175,17 @@ def _params(src):
 
     for path, tree in _parse(src):
         visit(tree, None, os.path.realpath(path))
-    return bases, defs
+    return bases, defs, fields, lines, mutable
 
 
 def _calls(roots, defaulted):
-    """Every call and bare function reference under ``roots``, by name.
+    """Every call and bare function reference under ``roots``, by name,
+    and every attribute name stored to (``x.name = ...``).
 
     A call is ``(where, owner, how, positional, keywords)``: each argument
     is ``None``, or ``(key, name)`` when it forwards a defaulted parameter
     (``defaulted[key]``) of the non-nested def the call sits in."""
-    calls, refs = {}, {}
+    calls, refs, stores = {}, {}, set()
 
     def source(arg, here):
         if here and isinstance(arg, ast.Name) and arg.id in defaulted[here]:
@@ -148,6 +203,9 @@ def _calls(roots, defaulted):
                       here or (key if key in defaulted else None))
                 continue
             if not isinstance(child, ast.Call):
+                if (isinstance(child, ast.Attribute)
+                        and isinstance(child.ctx, ast.Store)):
+                    stores.add(child.attr)
                 visit(child, cls, path, here)
                 continue
             func, args, kws = child.func, child.args, child.keywords
@@ -180,14 +238,16 @@ def _calls(roots, defaulted):
     for root in roots:
         for path, tree in _parse(root):
             visit(tree, None, os.path.realpath(path), None)
-    return calls, refs
+    return calls, refs, stores
 
 
 def params(src, roots):
-    """Print every defaulted parameter no call passes, then the counts."""
-    bases, defs = _params(src)
-    calls, refs = _calls(roots, {key: {p for p, _ in plist}
-                                 for key, *_, plist in defs})
+    """Print every defaulted parameter no call passes and every defaulted
+    dataclass field that no call, ``replace(...)`` or attribute store sets,
+    then the counts."""
+    bases, defs, fields, lines, mutable = _params(src)
+    calls, refs, stores = _calls(roots, {key: {p for p, _ in plist}
+                                         for key, *_, plist in defs})
     subclasses = {}
     for name in bases:
         seen, todo = {name}, [name]
@@ -199,8 +259,12 @@ def params(src, roots):
                     todo.append(child)
         subclasses[name] = seen
     sites = {}
-    for key, _qual, name, cls, bound, _plist in defs:
-        if name == "__init__":
+    for key, _qual, name, cls, bound, _plist in defs + fields:
+        if name is None:  # a dataclass: its constructor and replace(...)
+            names = subclasses.get(cls, {cls})
+            found = [(c, 0) for n in names for c in calls.get(n, ())]
+            found += [(c, None) for c in calls.get("replace", ())]
+        elif name == "__init__":
             names = subclasses.get(cls, {cls})
             found = [(c, 0) for n in names for c in calls.get(n, ())]
             found += [(c, 0) for n, cs in calls.items() for c in cs
@@ -216,14 +280,19 @@ def params(src, roots):
         _where, _owner, _how, positional, keywords = call
         if pname in keywords:
             return True, keywords[pname]
-        if pos is not None and len(positional) - shift > pos:
+        if (shift is not None and pos is not None
+                and len(positional) - shift > pos):
             return True, positional[pos + shift]
         return False, None
 
-    passed, changed = set(), True
+    # a mutable dataclass's field that code stores to (``x.field = ...``)
+    # is state, not a setting
+    passed = {(key, pname) for key, *_, plist in fields if key in mutable
+              for pname, _pos in plist if pname in stores}
+    changed = True
     while changed:
         changed = False
-        for key, *_, plist in defs:
+        for key, *_, plist in defs + fields:
             for pname, pos in plist:
                 if (key, pname) in passed:
                     continue
@@ -234,36 +303,101 @@ def params(src, roots):
                         passed.add((key, pname))
                         changed = True
                         break
-    total = listed = to_check = 0
-    for key, qual, _name, _cls, _bound, plist in defs:
-        total += len(plist)
-        names, found = sites[key]
-        for pname, pos in plist:
-            if (key, pname) in passed:
+
+    def report(entries):
+        total = listed = to_check = 0
+        for key, qual, name, _cls, _bound, plist in entries:
+            total += len(plist)
+            names, found = sites[key]
+            for pname, pos in plist:
+                if (key, pname) in passed:
+                    continue
+                listed += 1
+                check = [f"{call[0]}: {call[2]}" for call, _shift in found
+                         if call[2]]
+                check += [f"{where}: reference" for n in names
+                          for where in refs.get(n, ())]
+                to_check += bool(check)
+                if name is None:
+                    print(f"{os.path.relpath(key[0])}:{lines[key, pname]}: "
+                          f"{qual}.{pname}")
+                else:
+                    print(f"{os.path.relpath(key[0])}:{key[1]}: "
+                          f"{qual}({pname})")
+                for item in check:
+                    print(f"    ? {os.path.relpath(item)}")
+        return total, listed, to_check
+
+    print("%d defaulted parameter(s) on non-nested functions; %d passed by "
+          "no call (%d with a site to check by hand)" % report(defs))
+    print("%d defaulted dataclass field(s); %d set by no call, replace(...) "
+          "or store (%d with a site to check by hand)" % report(fields))
+
+
+def _read_names(tree):
+    """Every name ``tree`` reads: loads, ``__all__`` entries and the names
+    in string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(_callee(t) == "__all__" for t in node.targets)
+              and isinstance(node.value, (ast.List, ast.Tuple))):
+            names.update(e.value for e in node.value.elts
+                         if isinstance(e, ast.Constant))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value,
+                                                                str):
+                    try:  # a Literal["..."] string need not be an expression
+                        names |= _read_names(ast.parse(sub.value,
+                                                       mode="eval"))
+                    except SyntaxError:
+                        pass
+    return names
+
+
+def imports(src):
+    """Print every module-level import no code of its module reads;
+    return how many."""
+    unused, modules = 0, set()
+    for path, tree in _parse(src):
+        read = _read_names(tree)
+        # an ``if TYPE_CHECKING:`` block's imports are module-level too
+        body = [s for stmt in tree.body
+                for s in (stmt.body + stmt.orelse if isinstance(stmt, ast.If)
+                          else [stmt])]
+        for stmt in body:
+            if (not isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    or getattr(stmt, "module", None) == "__future__"):
                 continue
-            listed += 1
-            check = [f"{call[0]}: {call[2]}" for call, _shift in found
-                     if call[2]]
-            check += [f"{where}: reference" for n in names
-                      for where in refs.get(n, ())]
-            to_check += bool(check)
-            print(f"{os.path.relpath(key[0])}:{key[1]}: {qual}({pname})")
-            for item in check:
-                print(f"    ? {os.path.relpath(item)}")
-    print(f"{total} defaulted parameter(s) on non-nested functions; "
-          f"{listed} passed by no call ({to_check} with a site to check "
-          f"by hand)")
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in read:
+                    unused += 1
+                    modules.add(path)
+                    print(f"{os.path.relpath(path)}:{stmt.lineno}: {bound}")
+    print(f"{unused} unused import(s) in {len(modules)} module(s)")
+    return unused
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "report", "params"):
+    for name in ("run", "report", "params", "imports"):
         command = commands.add_parser(name)
         command.add_argument("--src", default="src")
         if name == "params":
             command.add_argument("roots", nargs="*", default=list(ROOTS))
-        else:
+        elif name != "imports":
             command.add_argument("out")
         if name == "run":
             command.add_argument("args", nargs=argparse.REMAINDER)
@@ -272,6 +406,8 @@ def main(argv=None):
     if opts.command == "params":
         params(src, opts.roots)
         return 0
+    if opts.command == "imports":
+        return int(imports(src) > 0)
     if opts.command == "run":
         args = opts.args[1:] if opts.args[:1] == ["--"] else opts.args
         _record(opts.out, src)
