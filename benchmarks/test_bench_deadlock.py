@@ -28,7 +28,7 @@ def run_raw(concurrent_consumer: bool):
     """Two nodes exchange N requests each over a deliberately tiny NoC."""
     engine = Engine()
     net = Network(engine, Mesh2D(2, 1), num_vcs=1, buffer_depth=2,
-                  inject_queue_depth=2, delivery_queue_depth=2)
+                  delivery_queue_depth=2)
     stalls = []
     dog = ProgressWatchdog(engine, net, interval=2000,
                            on_stall=lambda t: stalls.append(t))

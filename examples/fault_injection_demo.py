@@ -11,7 +11,7 @@ never notices, and the faulted stream resumes from externalized state.
 
 Scenario 3 — chaos + recovery: a seeded fault-injection plan repeatedly
 crashes a checksum service while retrying clients keep calling; the
-recovery watchdog restarts the service (or fails it over to a spare tile)
+recovery manager restarts the service (or fails it over to a spare tile)
 fast enough that every request completes — end to end through
 ``chaos.Injector`` and ``kernel.recovery.RecoveryManager``.
 
@@ -165,8 +165,7 @@ class RetryingCaller(Accelerator):
 def scenario_chaos_recovery():
     print("=== Scenario 3: chaos campaign vs. the recovery subsystem ===")
     system = ApiarySystem()
-    recovery = system.enable_recovery(spares=[15], prefer_spare=True,
-                                      heartbeat_interval=5_000)
+    recovery = system.enable_recovery(spares=[15], prefer_spare=True)
     started = recovery.deploy(1, ChecksumService, "svc.checksum")
     system.boot()
     system.run_until(started)

@@ -45,7 +45,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     cluster = Cluster(ClusterConfig(
-        n_fpgas=4, swallow_orphan_errors=True,
+        n_fpgas=4,
         obs=ObsConfig(tracing=True, flight_recorders=True, slo_targets=(
             SLOTarget("availability", "echo", objective=0.99),
             # tight bound on purpose: failover detours during the chaos

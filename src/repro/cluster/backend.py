@@ -147,7 +147,7 @@ class Board:
         return self.fabric.drain_outbox(), self._news()
 
     def kill(self):
-        """Fail-stop the board in place: stop the recovery watchdog (no
+        """Fail-stop the board in place: stop its recovery manager (no
         board left to restart tiles on), detach the MAC (frames to it
         drop), report a fault on every live tile.  Fault hooks run
         synchronously inside ``report``."""
@@ -188,7 +188,7 @@ class Board:
         return system.spans, system.stats, system.flight, cache
 
     def load(self, service: str, shard: Optional[int], iid: str, port: int,
-             endpoint: str, artifact=None):
+             endpoint: str):
         """Build an instance of registered ``service`` and load it on the
         lowest free tile; answers the tile (-1: none was free) and the
         load.  A chain member's faults are *delegated*: restarting one in
@@ -205,8 +205,7 @@ class Board:
             def build():
                 return ClusterPortedService(iid, port=port, handler=runs)
             delegate = None
-        return self.system.deploy(build, endpoint, delegate=delegate,
-                                  artifact=artifact)
+        return self.system.deploy(build, endpoint, delegate=delegate)
 
     def teardown(self, node: int):
         """Free tile ``node``; the unload fails, rather than raising, for
@@ -348,8 +347,7 @@ class SharedEngineBackend(ClusterBackend):
 
     def build(self, cluster, config, engine, fabric):
         self.cluster = cluster
-        cluster.engine = engine if engine is not None else Engine(
-            swallow_orphan_errors=config.swallow_orphan_errors)
+        cluster.engine = engine if engine is not None else Engine()
         cluster.fabric = fabric if fabric is not None else EthernetFabric(
             cluster.engine, latency_cycles=FABRIC_LATENCY)
         cluster.spans = SpanRecorder()
@@ -437,19 +435,18 @@ class WindowedBackend(ClusterBackend):
                 "backend idiom"
             )
         self.cluster = cluster
-        swallow_orphan_errors = config.swallow_orphan_errors
         self.window = FABRIC_LATENCY
         configs = self._board_configs(config)
         self.partition_of = {cfg.net.mac_addr: i + 1
                              for i, cfg in enumerate(configs)}
-        cluster.engine = Engine(swallow_orphan_errors=swallow_orphan_errors)
+        cluster.engine = Engine()
         cluster.fabric = PartitionFabric(
             cluster.engine, partition_id=0, partition_of=self.partition_of,
             latency_cycles=FABRIC_LATENCY)
         cluster.spans = SpanRecorder(id_base=0)
         cluster.systems = []
         for i, cfg in enumerate(configs):
-            board_engine = Engine(swallow_orphan_errors=swallow_orphan_errors)
+            board_engine = Engine()
             board_fabric = PartitionFabric(
                 board_engine, partition_id=i + 1,
                 partition_of=self.partition_of,

@@ -13,8 +13,8 @@ load-balancing front-end.  Construction::
 Everything a cluster is *built* with is declared in the one
 :class:`~repro.cluster.config.ClusterConfig`; the declared features are
 armed at two fixed points — the bitstream cache in the constructor (every
-load issued after it returns routes through the cache), and recovery
-watchdogs, tracing, flight recorders, the SLO engine and the replication
+load issued after it returns routes through the cache), and tile
+recovery, tracing, flight recorders, the SLO engine and the replication
 manager when :meth:`Cluster.boot` returns.  What attaches to a *running*
 cluster (front-end, autoscaler, deploys) takes its parameters where it is
 started.
@@ -139,9 +139,9 @@ class Cluster:
 
         Runs once, when :meth:`boot` returns: boards are up, nothing is
         deployed or sealed yet.
-        Cross-FPGA failover stays the front-end's job; the recovery
-        watchdogs handle restart-in-place / spare tiles *within* a
-        surviving board.
+        Cross-FPGA failover stays the front-end's job; each board's
+        recovery manager handles restart-in-place / spare tiles *within*
+        a surviving board, reacting to its fault manager's reports.
         """
         cfg = self.config
         obs = cfg.obs
@@ -280,7 +280,7 @@ class Cluster:
 
         Reported through each tile's fault manager so every subscriber —
         the front-end above all — learns the same way it would for an
-        organic fault.  The board's recovery watchdog (if any) is stopped
+        organic fault.  The board's recovery manager (if any) is stopped
         first: there is no board left to restart tiles on.
         """
         if index in self.killed:

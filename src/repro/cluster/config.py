@@ -3,7 +3,7 @@
 
 One frozen, validated object declares everything a cluster is *built*
 with — board count and per-board base config, execution backend, and the
-build-time features (bitstream cache, recovery watchdogs, observability
+build-time features (bitstream cache, tile recovery, observability
 plane, replication control plane)::
 
     cluster = Cluster(ClusterConfig(
@@ -65,8 +65,7 @@ class ClusterConfig:
     #: shifted seed) from it
     system: SystemConfig = field(default_factory=SystemConfig.figure1)
     backend: str = "shared"
-    swallow_orphan_errors: bool = False
-    #: per-board intra-FPGA recovery watchdogs
+    #: per-board intra-FPGA tile recovery (restart in place, spare tiles)
     recovery: bool = False
     obs: ObsConfig = field(default_factory=ObsConfig)
     #: chain-replication control plane

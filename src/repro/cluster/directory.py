@@ -175,26 +175,22 @@ class ServiceDirectory(Namespace):
         service: str,
         handler_factory: Callable[[], Any],
         instances: int = 2,
-        artifact=None,
     ) -> List[Event]:
         """Place ``instances`` interchangeable copies round-robin.
 
         ``handler_factory()`` builds a fresh handler per instance (state,
-        if any, is per-instance).  ``artifact`` optionally supplies a
-        pre-compiled :class:`~repro.hw.compile.BitstreamArtifact` for the
-        service shell, skipping the cache/compile path entirely.  Returns
-        the load-started events.
+        if any, is per-instance).  Returns the load-started events.
         """
         self._check_new(service, handler_factory, chained=False)
         spec = ServiceSpec(name=service, sharded=False,
                            next_replica=instances)
         boards = self._pick_fpgas(service, instances)
-        started = [self._place(spec, fpga, None, idx, artifact)[1]
+        started = [self._place(spec, fpga, None, idx)[1]
                    for idx, fpga in enumerate(boards)]
         self.services[service] = spec
         return started
 
-    def add_instance(self, service: str, artifact=None):
+    def add_instance(self, service: str):
         """Scale a stateless service out by one replica.
 
         Places the new instance exactly like :meth:`deploy_stateless`
@@ -211,7 +207,7 @@ class ServiceDirectory(Namespace):
             )
         (fpga,) = self._pick_fpgas(service, 1)
         spec.next_replica += 1
-        return self._place(spec, fpga, None, spec.next_replica - 1, artifact)
+        return self._place(spec, fpga, None, spec.next_replica - 1)
 
     def remove_instance(self, service: str,
                         iid: Optional[str] = None) -> ServiceInstance:
@@ -264,7 +260,6 @@ class ServiceDirectory(Namespace):
         machine_factory: Callable[[int], Any],
         n_shards: int = 4,
         replication: int = 3,
-        artifact=None,
     ) -> List[Event]:
         """Shard ``service`` into replication *chains* (zero-data-loss).
 
@@ -279,10 +274,10 @@ class ServiceDirectory(Namespace):
         return self._deploy_shards(
             ServiceSpec(name=service, sharded=True, chained=True,
                         replication=replication, next_replica=replication),
-            machine_factory, n_shards, artifact)
+            machine_factory, n_shards)
 
     def _deploy_shards(self, spec: ServiceSpec, factory: Callable[[int], Any],
-                       n_shards: int, artifact=None) -> List[Event]:
+                       n_shards: int) -> List[Event]:
         """The shard loop behind :meth:`deploy_sharded` / :meth:`deploy_chain`
         — they differ only in ``spec.chained``."""
         self._check_new(spec.name, factory, spec.chained)
@@ -301,7 +296,7 @@ class ServiceDirectory(Namespace):
         self._require_room(spec.name, [fpga for _s, _r, fpga in slots])
         started = []
         for shard, replica, fpga in slots:
-            inst, loading = self._place(spec, fpga, shard, replica, artifact)
+            inst, loading = self._place(spec, fpga, shard, replica)
             started.append(loading)
             if spec.chained:
                 spec.epochs[shard] = 0
@@ -356,7 +351,7 @@ class ServiceDirectory(Namespace):
         self.boards.op(inst.fpga, "forget", inst.endpoint)
 
     def _place(self, spec: ServiceSpec, fpga: int, shard: Optional[int],
-               replica: int, artifact=None) -> Tuple[ServiceInstance, Event]:
+               replica: int) -> Tuple[ServiceInstance, Event]:
         """The one way an instance gets onto a board: create and route it,
         ask board ``fpga`` to load it (``Board.load`` builds what it runs
         from the service's registered factory, on the lowest free tile),
@@ -377,7 +372,7 @@ class ServiceDirectory(Namespace):
                 inst.ready = True
 
         started = self.boards.op(fpga, "load", spec.name, shard, inst.iid,
-                                 inst.port, inst.endpoint, artifact,
+                                 inst.port, inst.endpoint,
                                  placed=placed, loaded=mark_ready)
         return inst, started
 

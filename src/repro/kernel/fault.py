@@ -62,9 +62,9 @@ class FaultManager:
         self.stats = stats if stats is not None else StatsRegistry()
         self.records: List[FaultRecord] = []
         self._by_tile: Dict[str, List[FaultRecord]] = {}
-        #: subscribers notified after each containment action — the recovery
-        #: subsystem hooks here so it reacts the cycle a tile drains instead
-        #: of waiting for the next watchdog heartbeat.
+        #: subscribers notified after each containment action — the one
+        #: channel every fail-stop outside a teardown reaches (recovery,
+        #: flight recorders and the cluster layer all hear faults here)
         self.on_fault: List[Callable[["Tile", FaultRecord], None]] = []
         self._containment_sum = 0.0
 

@@ -313,8 +313,15 @@ class MgmtPlane:
                          node=node, rate=flits_per_cycle)
 
     def fail_stop(self, node: int) -> None:
-        """Operator-initiated kill of a tile."""
-        self.tiles[node].fail_stop()
+        """Operator-initiated kill of a tile, reported through the tile's
+        fault manager like an organic fault: contained, recorded and heard
+        by every ``on_fault`` subscriber (recovery, the front-end).  A
+        tile already fail-stopped has nothing left to contain."""
+        tile = self.tiles[node]
+        if tile.failed:
+            return
+        tile.fault_manager.report(tile, "main",
+                                  TileFault("operator fail-stop"))
         self.stats.counter("mgmt.fail_stops").inc()
 
     def free_tiles(self) -> List[int]:

@@ -134,8 +134,8 @@ class Monitor:
     def egress_backlog(self) -> int:
         """Messages queued for transmission but not yet on the wire.
 
-        The public read for telemetry/heartbeats; samplers observe the
-        monitor without touching its internal queue.
+        The public read for telemetry: samplers observe the monitor
+        without touching its internal queue.
         """
         return len(self._egress_queue)
 
@@ -157,20 +157,6 @@ class Monitor:
             "tx_flits_per_cycle": self.tx_meter.rate(now),
             "rx_msgs_per_cycle": self.rx_meter.rate(now),
             "rate_limited": float(self.bucket is not None),
-        }
-
-    def heartbeat(self) -> Dict[str, float]:
-        """Liveness probe for the management plane's watchdog (§4.4).
-
-        Monitors sit in the trusted static region, so they answer even when
-        their tile's accelerator is dead — which is exactly how the watchdog
-        tells "drained tile" apart from "no answer at all".
-        """
-        return {
-            "alive": float(not self.drained),
-            "drained": float(self.drained),
-            "egress_backlog": float(self.egress_backlog),
-            "time": float(self.engine.now),
         }
 
     # -- cost reporting (D4 / A2) ---------------------------------------------

@@ -5,9 +5,10 @@ fail-stops a tile and peers get NACKs.  This module adds what cloud FPGA
 orchestrators (Funky's VM-style failover, FOS's dynamic partial reloads)
 build on top of containment — detection, restart, re-placement:
 
-* a **watchdog** in the management plane polls every deployed tile's
-  monitor heartbeat, backstopping the fast path (a ``FaultManager.on_fault``
-  subscription that reacts the cycle a tile drains);
+* **detection** is one subscription, ``FaultManager.on_fault``, which
+  reacts the cycle a tile drains: every fail-stop outside a teardown — an
+  organic fault, a chaos crash, an operator ``mgmt.fail_stop``, a board
+  kill — is reported there, so nothing needs polling;
 * **restart in place**: the slot is torn down (capabilities revoked) and
   the accelerator's bitstream reloaded into the same region;
 * **failover to a spare**: when the home slot cannot be reloaded — or the
@@ -36,6 +37,10 @@ from repro.kernel.tile import Tile
 from repro.sim import Engine, Event, StatsRegistry
 
 __all__ = ["RecoveryManager", "Deployment", "RecoveryEvent"]
+
+#: cycles a recovery waits before retrying a teardown that found the slot
+#: mid-reconfiguration
+TEARDOWN_RETRY_WAIT = 5_000
 
 
 @dataclass
@@ -68,15 +73,12 @@ class RecoveryEvent:
 
 
 class RecoveryManager:
-    """Watchdog + restart/failover policy for deployed services.
+    """Restart/failover policy for deployed services, driven by the fault
+    manager's ``on_fault`` feed.
 
     Parameters
     ----------
     spares: tiles reserved as failover targets (kept empty until needed).
-    heartbeat_interval: watchdog polling period in cycles.  Detection is
-        usually faster: the manager also subscribes to the fault manager
-        and reacts the cycle a fault is contained; the heartbeat catches
-        anything that drained without a report.
     prefer_spare: fail over to a spare even when the home slot is
         reloadable (models operators who want the suspect silicon cold).
     max_restarts: per-deployment cap before the manager gives up (a
@@ -89,49 +91,35 @@ class RecoveryManager:
         mgmt: MgmtPlane,
         fault_manager: FaultManager,
         spares: Optional[List[int]] = None,
-        heartbeat_interval: int = 5_000,
         prefer_spare: bool = False,
         max_restarts: int = 8,
         stats: Optional[StatsRegistry] = None,
     ):
-        if heartbeat_interval < 1:
-            raise ConfigError(
-                f"heartbeat interval must be >= 1, got {heartbeat_interval}"
-            )
         self.engine = engine
         self.mgmt = mgmt
         self.fault_manager = fault_manager
         self.spares: List[int] = list(spares or [])
-        self.heartbeat_interval = heartbeat_interval
         self.prefer_spare = prefer_spare
         self.max_restarts = max_restarts
         self.stats = stats if stats is not None else StatsRegistry()
         self.deployments: Dict[str, Deployment] = {}
         self.recoveries: List[RecoveryEvent] = []
         self._recovering: set = set()
-        self._stopped = False
         fault_manager.on_fault.append(self._on_fault)
-        engine.process(self._watchdog(), name="recovery.watchdog")
 
     # -- deployment registry ------------------------------------------------
 
     def deploy(self, node: int, factory: Callable[[], Any], endpoint: str,
                signed_by: Optional[str] = None,
-               delegate: Optional[str] = None,
-               artifact=None) -> Event:
-        """Load ``factory()`` on ``node`` and keep it alive at ``endpoint``.
-
-        ``artifact`` (a pre-compiled bitstream artifact) applies to this
-        initial load only; restarts after a fault re-acquire from the
-        board's cache — which is warm, the first load populated it.
-        """
+               delegate: Optional[str] = None) -> Event:
+        """Load ``factory()`` on ``node`` and keep it alive at ``endpoint``."""
         if endpoint in self.deployments:
             raise ConfigError(f"{endpoint!r} is already a managed deployment")
         dep = Deployment(endpoint=endpoint, factory=factory, node=node,
                          signed_by=signed_by, delegate=delegate)
         self.deployments[endpoint] = dep
         return self.mgmt.load(node, factory(), endpoint=endpoint,
-                              signed_by=signed_by, artifact=artifact)
+                              signed_by=signed_by)
 
     def forget(self, endpoint: str) -> None:
         """Stop managing ``endpoint`` (e.g. before an intentional teardown)."""
@@ -146,8 +134,8 @@ class RecoveryManager:
     # -- detection ----------------------------------------------------------
 
     def _on_fault(self, tile: Tile, record: FaultRecord) -> None:
-        """Fast path: the fault manager just contained a fault on a tile."""
-        if self._stopped or record.action != "drained":
+        """The fault manager just contained a fault on a tile."""
+        if record.action != "drained":
             return
         dep = self._deployment_on(tile)
         if dep is not None and dep.endpoint not in self._recovering:
@@ -155,28 +143,6 @@ class RecoveryManager:
             if self._delegated(dep, tile.node):
                 return
             self._start_recovery(dep)
-
-    def _watchdog(self):
-        """Slow path: poll monitor heartbeats for silent drains."""
-        while True:
-            yield self.heartbeat_interval
-            if self._stopped:
-                return
-            for dep in list(self.deployments.values()):
-                if dep.endpoint in self._recovering:
-                    continue
-                tile = self.mgmt.tiles[dep.node]
-                if tile.region.reconfiguring:
-                    # the deployment's bitstream is still loading; any
-                    # failed/drained flags belong to the slot's previous
-                    # tenant (a reused tile keeps them until load completes)
-                    continue
-                beat = tile.monitor.heartbeat()
-                if tile.failed or beat["drained"]:
-                    self.stats.counter("recovery.watchdog_detections").inc()
-                    if self._delegated(dep, dep.node):
-                        continue
-                    self._start_recovery(dep)
 
     def _delegated(self, dep: Deployment, node: int) -> bool:
         """Hand a delegated deployment's fault to its owning subsystem.
@@ -204,8 +170,7 @@ class RecoveryManager:
             pass  # slot already blank or mid-reconfig; nothing to free
 
     def stop(self) -> None:
-        """Disable detection (the watchdog exits on its next tick)."""
-        self._stopped = True
+        """Stop reacting to faults: unsubscribe from the fault manager."""
         if self._on_fault in self.fault_manager.on_fault:
             self.fault_manager.on_fault.remove(self._on_fault)
 
@@ -257,8 +222,8 @@ class RecoveryManager:
                 if not tile.region.occupied and not tile.region.reconfiguring:
                     torn_down = True  # slot already blank; authority revoked
                     break
-                # slot mid-reconfiguration: wait a beat and retry
-                yield self.heartbeat_interval
+                # slot mid-reconfiguration: wait and retry
+                yield TEARDOWN_RETRY_WAIT
         if not torn_down:
             self.stats.counter("recovery.failed_attempts").inc()
             return

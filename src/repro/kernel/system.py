@@ -277,25 +277,22 @@ class ApiarySystem:
     def enable_recovery(
         self,
         spares: Optional[List[int]] = None,
-        heartbeat_interval: int = 5_000,
         prefer_spare: bool = False,
         max_restarts: int = 8,
     ) -> RecoveryManager:
-        """Attach a :class:`RecoveryManager` watchdog to this system.
+        """Attach a :class:`RecoveryManager` to this system's fault feed.
 
         Call once, after construction; deploy services that must survive
         faults through :meth:`deploy` (or ``system.recovery.deploy(...)``
-        to name the tile and signer).  Note the watchdog
-        polls forever — drive the engine with ``run(until=...)`` or
-        ``run_until(event)`` rather than an open-ended ``run()``.
+        to name the tile and signer).  It starts no process: it acts only
+        when the fault manager reports a drained tile.
         """
         if self.recovery is not None:
             raise ConfigError("recovery is already enabled")
         self.recovery = RecoveryManager(
             self.engine, self.mgmt, self.fault_manager,
-            spares=spares, heartbeat_interval=heartbeat_interval,
-            prefer_spare=prefer_spare, max_restarts=max_restarts,
-            stats=self.stats,
+            spares=spares, prefer_spare=prefer_spare,
+            max_restarts=max_restarts, stats=self.stats,
         )
         return self.recovery
 
@@ -351,7 +348,7 @@ class ApiarySystem:
                               signed_by=signed_by)
 
     def deploy(self, factory, endpoint: str, *,
-               delegate: Optional[str] = None, artifact=None):
+               delegate: Optional[str] = None):
         """Put ``factory()`` on the lowest free tile under ``endpoint``:
         the one way the cluster layer fills a slot.  With recovery armed
         the deployment is kept alive (``delegate`` names a subsystem that
@@ -365,10 +362,8 @@ class ApiarySystem:
         node = free[0]
         if self.recovery is not None:
             return node, self.recovery.deploy(
-                node, factory, endpoint=endpoint, delegate=delegate,
-                artifact=artifact)
-        return node, self.mgmt.load(node, factory(), endpoint=endpoint,
-                                    artifact=artifact)
+                node, factory, endpoint=endpoint, delegate=delegate)
+        return node, self.mgmt.load(node, factory(), endpoint=endpoint)
 
     def forget(self, endpoint: str) -> None:
         """Stop keeping ``endpoint`` alive (before an intended teardown)."""

@@ -10,13 +10,16 @@ owns the tile-level fault domain: every process the accelerator runs
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
 
 from repro.errors import ReconfigError, TileFault
 from repro.hw.region import ReconfigRegion
 from repro.kernel.monitor import Monitor
 from repro.kernel.shell import Shell
 from repro.sim import Engine, Event, Process
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.fault import FaultManager
 
 __all__ = ["Tile"]
 
@@ -30,7 +33,7 @@ class Tile:
         node: int,
         monitor: Monitor,
         region: ReconfigRegion,
-        fault_manager=None,
+        fault_manager: FaultManager,
         mids: Optional[Iterator[int]] = None,
     ):
         self.engine = engine
@@ -50,7 +53,6 @@ class Tile:
         #: teardown) — provenance for saved contexts, since
         #: ``tile.endpoint`` is the *tile's* name, not the deployment's
         self.deployed_endpoint: Optional[str] = None
-        self.failed = False
         #: cycle of the most recent fail-stop; recovery computes MTTR from it
         self.failed_at: Optional[int] = None
         #: held by mgmt.load while a cache-path load is still acquiring its
@@ -61,6 +63,12 @@ class Tile:
     @property
     def endpoint(self) -> str:
         return self.monitor.tile_name
+
+    @property
+    def failed(self) -> bool:
+        """Fail-stopped since the last start: the monitor's drain is the
+        one record of it."""
+        return self.monitor.drained
 
     @property
     def occupied(self) -> bool:
@@ -125,7 +133,6 @@ class Tile:
             self.accelerator = accelerator
             accelerator.shell = self.shell
             accelerator.tile = self
-            self.failed = False
             self.failed_at = None
             self.monitor.undrain()
             self.main_process = self.engine.process(
@@ -169,10 +176,8 @@ class Tile:
             result = yield from generator
             return result
         except ReproError as err:
-            if self.fault_manager is not None:
-                self.fault_manager.report(self, context, err)
-                return None
-            raise
+            self.fault_manager.report(self, context, err)
+            return None
         except Interrupt:
             return None
 
@@ -189,17 +194,13 @@ class Tile:
             return False
         err = TileFault(f"{self.endpoint}: {reason}")
         err.occurred_at = self.engine.now
-        if self.fault_manager is not None:
-            self.fault_manager.report(self, "main", err)
-        else:
-            self.fail_stop()
+        self.fault_manager.report(self, "main", err)
         return True
 
     def fail_stop(self) -> None:
         """Drain the monitor, drop the serve handler, kill every process."""
         if self.failed:
             return
-        self.failed = True
         self.failed_at = self.engine.now
         self.monitor.drain()
         self.shell.stop_serving()

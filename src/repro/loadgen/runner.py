@@ -77,11 +77,11 @@ class ScenarioRunner:
     ``config`` is the template the cluster is built from — the one door
     through which tracing, flight recorders (+ dump dir) and the
     bitstream cache reach a serving run.  The runner overrides only what
-    the scenario owns: ``n_fpgas``, ``system.seed``, ``backend``,
-    ``swallow_orphan_errors`` and the SLO targets.  When the template
-    arms tracing or flight recorders, :attr:`diagnostics` is filled at
-    the end cycle — *beside* the report, never inside it, so the report's
-    bytes do not depend on what was observed.
+    the scenario owns: ``n_fpgas``, ``system.seed``, ``backend`` and the
+    SLO targets.  When the template arms tracing or flight recorders,
+    :attr:`diagnostics` is filled at the end cycle — *beside* the report,
+    never inside it, so the report's bytes do not depend on what was
+    observed.
     """
 
     def __init__(self, scenario: Scenario, backend: str = "shared",
@@ -117,12 +117,9 @@ class ScenarioRunner:
             n_fpgas=scn.n_fpgas,
             system=replace(self.config.system, seed=scn.seed),
             backend=self.backend,
-            # chaos plans kill boards mid-flight; orphaned in-flight
-            # errors are the fault path's job, not the engine's
-            swallow_orphan_errors=True,
             obs=replace(self.config.obs, slo_targets=scn.slos),
             # a chain needs its manager; the manager repairs what the
-            # boards' recovery watchdogs cannot
+            # boards' tile recovery cannot (it delegates chain members)
             recovery=self.config.recovery or chained,
             replication=self.config.replication or chained,
         ))

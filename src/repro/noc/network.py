@@ -148,14 +148,6 @@ class NetworkInterface:
         self._offer(pkt, done.succeed)
         return done
 
-    def try_send_packet(self, pkt: Packet) -> Optional[Event]:
-        """Non-blocking variant: ``None`` when the injection queue is full."""
-        if len(self._inject_queue) >= self.network.inject_queue_depth:
-            return None
-        done = self.engine.event(f"{self.name}.send#{pkt.pid}")
-        self._offer(pkt, done.succeed)
-        return done
-
     def recv(self) -> Event:
         """Event that succeeds with the next fully reassembled packet (for
         an interface with no :attr:`receiver`)."""
@@ -408,7 +400,6 @@ class Network:
         hop_latency: int = 2,
         credit_latency: int = 1,
         flit_bytes: int = DEFAULT_FLIT_BYTES,
-        inject_queue_depth: int = 16,
         delivery_queue_depth: int = 16,
         stats: Optional[StatsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
@@ -426,7 +417,6 @@ class Network:
         self.hop_latency = hop_latency
         self.credit_latency = credit_latency
         self.flit_bytes = flit_bytes
-        self.inject_queue_depth = inject_queue_depth
         self.delivery_queue_depth = delivery_queue_depth
         self.stats = stats if stats is not None else StatsRegistry()
         self.spans = spans if spans is not None else SpanRecorder()

@@ -23,23 +23,14 @@ __all__ = ["Placer"]
 class Placer:
     """Stateless placement engine over one system's tiles."""
 
-    def __init__(
-        self,
-        tiles,
-        drc: Optional[DesignRuleChecker] = None,
-        reserved: Iterable[int] = (),
-    ):
+    def __init__(self, tiles, drc: Optional[DesignRuleChecker] = None):
         self.tiles = tiles
         self.drc = drc
-        #: tiles placement must never touch (OS service tiles, spares...)
-        self.reserved = frozenset(reserved)
 
     # -- feasibility -------------------------------------------------------
 
     def reject_reason(self, node: int, bitstream: Bitstream) -> Optional[str]:
         """Why ``bitstream`` cannot go on tile ``node`` (None = feasible)."""
-        if node in self.reserved:
-            return "reserved"
         tile = self.tiles[node]
         if tile.occupied:
             return f"occupied by {tile.accelerator.name!r}"

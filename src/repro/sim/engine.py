@@ -283,7 +283,7 @@ class Process:
         if error is None:
             self.done.succeed(value)
             return
-        orphan = not self.done._callbacks and not self.engine.swallow_orphan_errors
+        orphan = not self.done._callbacks
         self.done.fail(error)
         if orphan:
             # nobody is joined on this process: abort Engine.run from inside
@@ -318,21 +318,17 @@ class Engine:
     ``(time, sequence)`` order the heap-only engine had, so simulations
     are bit-for-bit deterministic.
 
-    Parameters
-    ----------
-    swallow_orphan_errors:
-        When ``False`` (default) an exception escaping a process nobody is
-        joined on aborts :meth:`run` — silent failures hide model bugs.
-        Fault-injection experiments set this to ``True`` and observe faults
-        through the Apiary fault-handling path instead.
+    An exception escaping a process nobody is joined on aborts :meth:`run`
+    with a :class:`SimulationError`: silent failures hide model bugs.
+    Modelled faults never get that far — a tile's processes report them
+    to its fault manager instead (see :class:`repro.kernel.tile.Tile`).
     """
 
-    __slots__ = ("now", "swallow_orphan_errors", "_buckets", "_cycles", "_ring",
-                 "_running", "_settled", "process_count")
+    __slots__ = ("now", "_buckets", "_cycles", "_ring", "_running",
+                 "_settled", "process_count")
 
-    def __init__(self, swallow_orphan_errors: bool = False):
+    def __init__(self):
         self.now = 0
-        self.swallow_orphan_errors = swallow_orphan_errors
         #: cycle -> its bucket: one bare ``(callback, arg)`` or a list of them
         self._buckets: Dict[int, Any] = {}
         #: heap of the cycles that have a bucket, each exactly once
@@ -392,7 +388,7 @@ class Engine:
         constituent fails the combined event.
 
         Losing constituents are detached when the winner triggers: a
-        long-lived pending event (a recovery watchdog, a shutdown signal)
+        long-lived pending event (a shutdown signal, say)
         raced against thousands of short timeouts must not accumulate one
         dead callback per race.
         """

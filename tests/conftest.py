@@ -20,27 +20,22 @@ from repro.sim import Engine
 
 
 class CountingEngine(Engine):
-    """Counts every ``schedule()`` (the event budget of a run), how many of
-    them went to the same-cycle ring (``delay == 0``; the rest are bucket
-    entries) and every ``event()`` minted through the engine."""
+    """Counts every ``schedule()`` (the event budget of a run) and how many
+    of them went to the same-cycle ring (``delay == 0``; the rest are
+    bucket entries)."""
 
-    __slots__ = ("schedules", "ring", "minted")
+    __slots__ = ("schedules", "ring")
 
     def __init__(self):
         super().__init__()
         self.schedules = 0
         self.ring = 0
-        self.minted = 0
 
     def schedule(self, delay, callback, arg=None):
         self.schedules += 1
         if delay == 0:
             self.ring += 1
         super().schedule(delay, callback, arg)
-
-    def event(self, name=""):
-        self.minted += 1
-        return super().event(name)
 
 
 class TaggingEngine(Engine):

@@ -441,7 +441,6 @@ def _ported_family():
 def _cluster(cache=True, **cache_kwargs):
     from repro.cluster import CacheConfig, Cluster, ClusterConfig
     cluster = Cluster(ClusterConfig(
-        swallow_orphan_errors=True,
         cache=CacheConfig(enabled=cache, **cache_kwargs)))
     cluster.boot()
     return cluster

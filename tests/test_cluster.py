@@ -265,10 +265,37 @@ class TestFailover:
         for inst in cluster.directory.instances_on(0):
             assert cluster.frontend.health[inst.iid].healthy
 
+    def test_an_operator_kill_is_heard_at_once_and_spends_no_time_box(self):
+        """``mgmt.fail_stop`` reports through the fault manager, so the
+        front-end marks the instance down in the same cycle and routes
+        every request to the survivor without waiting out an attempt."""
+        cluster = small_cluster(n_fpgas=2)
+        started = cluster.deploy_stateless("echo", echo_factory(1_000),
+                                           instances=2)
+        deploy_and_settle(cluster, started)
+        fe = cluster.start_frontend()
+        cluster.run(until=cluster.engine.now + 20_000)
+        victim = cluster.directory.spec("echo").instances[0]
+        cluster.systems[victim.fpga].mgmt.fail_stop(victim.node)
+        assert {iid: b.healthy for iid, b in fe.health.items()} == {
+            victim.iid: False, "echo#1": True}
+        t0 = cluster.engine.now
+        answers = []
+
+        def answered(reply):
+            answers.append((reply["ok"], cluster.engine.now - t0))
+
+        for i in range(6):
+            fe.submit("echo", body={"x": i}, on_done=answered)
+        cluster.run(until=t0 + 100_000)
+        assert [ok for ok, _ in answers] == [True] * 6
+        assert max(took for _, took in answers) < fe.retry.attempt_timeout
+        assert fe.failovers == 0
+
     def test_reads_fail_over_to_replica(self):
         # the one thing a ScenarioReport cannot say: a read after the
         # kill returns the *value written before it*
-        cluster = small_cluster(n_fpgas=2, swallow_orphan_errors=True)
+        cluster = small_cluster(n_fpgas=2)
         started = cluster.deploy_sharded("kv", kv_factory(1_000),
                                          n_shards=4, replication=2)
         deploy_and_settle(cluster, started)

@@ -70,7 +70,7 @@ class TestOneConstructor:
 
     @pytest.mark.parametrize("flat", [
         {"n_fpgas": 2}, {"backend": "sequential"}, {"fabric_latency": 250},
-        {"swallow_orphan_errors": True},
+        {"recovery": True},
     ])
     def test_stray_flat_kwarg_is_a_type_error(self, flat):
         with pytest.raises(TypeError):
@@ -154,21 +154,27 @@ class TestLifecycle:
         cluster.run_until(started, limit=50_000_000)
         assert cluster.systems[0].bitstore.misses == 1
 
-    def test_first_heartbeat_is_one_interval_after_boot(self):
-        cluster = _booted(ClusterConfig(n_fpgas=1, recovery=True))
+    def test_recovery_is_armed_exactly_when_boot_returns(self):
+        """Arming subscribes each board's manager to its fault feed and
+        adds nothing to the clock or the queue; an operator kill right
+        after is heard there, and the idle board's engine then drains."""
+        plain = _booted(ClusterConfig(n_fpgas=1))
+        cluster = Cluster(ClusterConfig(n_fpgas=1, recovery=True))
         system = cluster.systems[0]
-        interval = system.recovery.heartbeat_interval
-        boot_end = cluster.now
-        assert boot_end % interval  # a cycle-0 watchdog would be off-grid
-        monitor = system.tiles[2].monitor
-        beats, real = [], monitor.heartbeat
-        monitor.heartbeat = lambda: beats.append(cluster.now) or real()
-        cluster.run_until([system.recovery.deploy(
+        assert system.recovery is None
+        cluster.boot()
+        manager = system.recovery
+        assert manager._on_fault in system.fault_manager.on_fault
+        engines = (plain.engine, cluster.engine)
+        assert len({(e.now, e.process_count, e.pending_events())
+                    for e in engines}) == 1
+        cluster.run_until([manager.deploy(
             2, lambda: EchoAccel("svc", cost=20), endpoint="app.svc")])
-        first = boot_end + interval * (
-            (cluster.now - boot_end) // interval + 1)
-        cluster.run(until=first + interval)
-        assert beats == [first, first + interval]
+        system.mgmt.fail_stop(2)
+        cluster.engine.run()
+        assert [(e.kind, e.to_node) for e in manager.recoveries] == [
+            ("restart", 2)]
+        assert cluster.engine.peek_next() is None
 
     def test_tracing_starts_when_boot_returns(self):
         cluster = _booted(ClusterConfig(obs=ObsConfig(tracing=True)))
@@ -188,8 +194,7 @@ class TestLifecycle:
 
 class TestAutoscalerTakesItsParametersWhereStarted:
     def scaler(self, cache=CacheConfig(), **kwargs):
-        cluster = _booted(ClusterConfig(swallow_orphan_errors=True,
-                                        cache=cache))
+        cluster = _booted(ClusterConfig(cache=cache))
         started = cluster.deploy_stateless("kv", _factory, instances=1)
         cluster.run_until(started, limit=50_000_000)
         cluster.start_frontend()

@@ -116,6 +116,20 @@ class TestFailStop:
         assert client.failures
         assert system.tiles[2].monitor.nacks_sent >= 1
 
+    def test_an_operator_kill_is_reported_once_like_any_fault(self):
+        system = booted(policy=FaultPolicy.PREEMPT)
+        start(system, 2, EchoAccel("victim"), endpoint="app.victim")
+        heard = []
+        system.fault_manager.on_fault.append(
+            lambda tile, record: heard.append(
+                (tile.node, record.context, record.error, record.action)))
+        system.mgmt.fail_stop(2)
+        system.mgmt.fail_stop(2)  # already contained: nothing to report
+        assert heard == [(2, "main", "TileFault: operator fail-stop",
+                          "drained")]
+        assert system.tiles[2].failed
+        assert system.stats.counters["mgmt.fail_stops"].value == 1
+
     def test_finished_children_are_forgotten_and_live_ones_interrupted(self):
         """A tile that spawns one child per request does not keep a dead
         ``Process`` per message served, and still fail-stops every live

@@ -500,7 +500,7 @@ class TestScenarioRunner:
         report = runner.run()
         built = runner.cluster.config
         assert (built.n_fpgas, built.backend) == (2, "shared")
-        assert built.system.seed == 3 and built.swallow_orphan_errors
+        assert built.system.seed == 3
         assert built.obs.slo_targets == _mini_chaos().slos
         diag = runner.diagnostics
         assert sorted(diag) == ["flight", "slo", "spans", "stats"]

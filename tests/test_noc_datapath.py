@@ -503,16 +503,3 @@ def test_negative_credit_latency_is_a_config_error():
         Network(Engine(), Mesh2D(2, 2), credit_latency=-1)
     with pytest.raises(ConfigError, match="credit latency"):
         Router(Engine(), 0, Mesh2D(2, 2), XYRouting(), credit_latency=-1)
-
-
-def test_try_send_packet_mints_no_event_when_the_queue_is_full():
-    eng = CountingEngine()
-    net = Network(eng, Mesh2D(2, 1), inject_queue_depth=2)
-    ni = net.interface(0)
-    accepted = [ni.try_send_packet(net.make_packet(0, 1, payload_bytes=16))
-                for _ in range(5)]
-    # one handed straight to the waiting injector, two queued, two refused
-    assert [ev is not None for ev in accepted] == [True] * 3 + [False] * 2
-    assert eng.minted == 3
-    eng.run()
-    assert ni.packets_sent == 3 and all(ev.triggered for ev in accepted[:3])

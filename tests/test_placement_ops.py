@@ -43,7 +43,7 @@ def _load_step(backend, cache=CacheConfig(), n_fpgas=2, warm_on=(),
     log shows ``until``.  ``warm_on``: boards the service's design is
     prefetched onto after ``seal()``, before the burst."""
     cluster = Cluster(ClusterConfig(n_fpgas=n_fpgas, backend=backend,
-                                    swallow_orphan_errors=True, cache=cache))
+                                    cache=cache))
     cluster.boot()
     started = cluster.deploy_stateless("kv", echo_handler_factory(3_000),
                                        instances=1)
@@ -168,7 +168,7 @@ def _chain_repair(backend):
     cluster = Cluster(ClusterConfig(
         n_fpgas=3, backend=backend,
         system=SystemConfig(seed=1, noc=NocConfig(width=3, height=3)),
-        swallow_orphan_errors=True, recovery=True, replication=True))
+        recovery=True, replication=True))
     cluster.boot()
     started, configured = cluster.deploy_chain(
         "kv", KvMachine, n_shards=2, replication=2)

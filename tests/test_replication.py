@@ -154,7 +154,6 @@ def chain_cluster(n_fpgas=3, n_shards=2, replication=2, seed=1):
     cluster = Cluster(ClusterConfig(
         n_fpgas=n_fpgas,
         system=SystemConfig(seed=seed, noc=NocConfig(width=3, height=3)),
-        swallow_orphan_errors=True,
         recovery=True,
         replication=True))
     cluster.boot()
@@ -281,7 +280,7 @@ class TestChainServing:
         assert manager.rpc_timeouts == timeouts + 1
 
     def test_chain_requires_replication_manager(self):
-        cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
+        cluster = Cluster()
         cluster.boot()
         with pytest.raises(ConfigError):
             cluster.deploy_chain("kv", lambda s: KvMachine(s), n_shards=1)
@@ -425,7 +424,7 @@ class TestFrontendDivergenceCounter:
         every best-effort replica write that was never acknowledged."""
         from repro.policy import RetryPolicy
 
-        cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
+        cluster = Cluster()
         cluster.boot()
 
         def kv_factory(shard):

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.accel import Accelerator, EchoAccel
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import Cluster
 from repro.errors import (
     AdmissionRejected,
     ConfigError,
@@ -142,10 +142,14 @@ class TestPlacer:
         system = booted()
         system.run_until(system.start_app(1, EchoAccel("e1")))
         bs = EchoAccel("e").bitstream()
-        assert self.placer(system).place(bs) == 2
-        placer = self.placer(system, reserved=(2, 3))
-        assert placer.place(bs) == 4
-        assert placer.reject_reason(2, bs) == "reserved"
+        placer = self.placer(system)
+        assert placer.place(bs) == 2
+        assert placer.reject_reason(1, bs) == "occupied by 'e1'"
+        # a slot spoken for by a load whose bitstream is in synthesis
+        system.tiles[2].reserved = True
+        assert placer.place(bs) == 3
+        assert placer.reject_reason(2, bs).startswith("slot busy")
+        assert placer.place(bs, exclude=(3, 4)) == 5
 
     def test_capacity_overflow_reports_reasons(self):
         system = booted()
@@ -467,7 +471,7 @@ class TestRegionGauges:
 
 
 def small_cluster():
-    cluster = Cluster(ClusterConfig(swallow_orphan_errors=True))
+    cluster = Cluster()
     cluster.boot()
     started = cluster.deploy_stateless(
         "kv", lambda: (lambda body: (1_000, {"ok": True}, 32)), instances=1)

@@ -28,7 +28,7 @@ def test_a_reply_owed_before_a_fail_stop_is_never_sent_after_a_reload():
     comes straight back (a reload in zero time, the worst case): the
     undrained monitor would carry the old incarnation's reply, but it is
     never sent."""
-    system = memory_board(Engine(swallow_orphan_errors=True))
+    system = memory_board(Engine())
     t0 = system.engine.now
     log = Rows(system.engine, t0)
     log.issue("alloc", mem_call(system, 2, "mem.alloc", {"size": 64}))
@@ -44,7 +44,7 @@ def test_a_sent_reply_owed_before_a_fail_stop_is_never_sent_after_a_reload():
     """The frame is on the fabric when board A's network tile fail-stops
     and comes straight back: the ACK lands, the peer got the payload, and
     nobody is told "sent"."""
-    engine, (a, b) = two_boards(Engine(swallow_orphan_errors=True))
+    engine, (a, b) = two_boards(Engine())
     t0 = engine.now
     log = Rows(engine, t0)
     log.issue("B bind", net_call(b, 2, "net.bind", {"port": 9}))
@@ -61,7 +61,7 @@ def test_a_drained_memory_tile_s_dram_access_runs_to_its_end():
     """The access is the DRAM's, not the tile's: a fail-stop leaves it to
     finish and release the channel's bus (interrupting it mid-burst used
     to leave the bus held for good)."""
-    system = memory_board(Engine(swallow_orphan_errors=True))
+    system = memory_board(Engine())
     t0, log, cap = allocated(system, SEG)
     log.issue("read", read(system, 2, cap, 0, 4096))
     log.at(1_030)

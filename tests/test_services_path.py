@@ -273,7 +273,7 @@ def test_a_memory_tile_drained_mid_read_never_replies():
     """The read's DRAM access is under way when tile 0 fail-stops: the
     caller gets no answer (its span stays open), and the next request is
     NACKed by the drained monitor."""
-    system = memory_board(Engine(swallow_orphan_errors=True))
+    system = memory_board(Engine())
     t0, log, cap = allocated(system, SEG)
     log.issue("read", read(system, 2, cap, 0, 4096))
     log.at(1_030)
@@ -424,7 +424,7 @@ def test_a_network_tile_drained_while_a_send_awaits_its_ack_never_replies():
     """The frame is on the fabric when board A's tile 1 fail-stops: it
     still lands at B, the ACK finds nobody to answer, and the next request
     is NACKed by the drained monitor."""
-    engine, (a, b) = two_boards(Engine(swallow_orphan_errors=True))
+    engine, (a, b) = two_boards(Engine())
     t0 = engine.now
     log = Rows(engine, t0)
     log.issue("B bind", net_call(b, 2, "net.bind", {"port": 9}))

@@ -257,18 +257,6 @@ def test_raising_callback_mid_cycle_requeues_the_rest_of_its_bucket():
     assert (eng.now, eng.pending_events()) == (5, 0) and eng.settled
 
 
-def test_orphan_errors_swallowed_when_configured():
-    eng = Engine(swallow_orphan_errors=True)
-
-    def bad():
-        yield 1
-        raise RuntimeError("contained fault")
-
-    p = eng.process(bad())
-    eng.run()
-    assert p.done.failed
-
-
 def test_joined_process_error_propagates_to_parent_not_engine():
     eng = Engine()
     caught = []
@@ -337,25 +325,26 @@ def test_interrupted_process_can_continue():
 
 
 def test_yielding_garbage_fails_the_process():
-    eng = Engine(swallow_orphan_errors=True)
+    eng = Engine()
 
     def bad():
         yield "not a command"
 
     p = eng.process(bad())
-    eng.run()
+    with pytest.raises(SimulationError, match="yielded str"):
+        eng.run_until_done(p.done)
     assert p.done.failed
-    assert isinstance(p.done.value, SimulationError)
 
 
 def test_negative_delay_fails_the_process():
-    eng = Engine(swallow_orphan_errors=True)
+    eng = Engine()
 
     def bad():
         yield -5
 
     p = eng.process(bad())
-    eng.run()
+    with pytest.raises(SimulationError, match="negative delay -5"):
+        eng.run_until_done(p.done)
     assert p.done.failed
 
 
@@ -377,7 +366,7 @@ def test_run_until_done_returns_value():
 
 
 def test_run_until_done_reraises_failure():
-    eng = Engine(swallow_orphan_errors=True)
+    eng = Engine()
 
     def proc():
         yield 3
