@@ -1,5 +1,5 @@
-"""Tier-1 shapes of the two S1 library scenarios, and the engines the
-event-budget tests count with.
+"""Tier-1 shapes of the two S1 library scenarios, and the engines and the
+call counter the budget tests count with.
 
 A short run mostly simulates idle probing: the default ``start_at`` parks
 a deployed cluster for ~0.6M cycles and the default drain for another
@@ -17,6 +17,7 @@ import pytest
 from perf.trace import kind_of, layer_of, owner_code
 from repro.loadgen import ChaosAction, get_scenario
 from repro.sim import Engine
+from tools.funcs import count_calls as tool_count_calls
 
 
 class CountingEngine(Engine):
@@ -53,6 +54,14 @@ class TaggingEngine(Engine):
         self.layers[layer_of(code)] += 1
         self.kinds[kind_of(code)] += 1
         super().schedule(delay, callback, arg)
+
+
+def count_calls(run):
+    """``(calls, events)`` of ``run()``: how many times it entered a
+    ``def`` under ``repro/`` and how many ``Event`` objects it built (the
+    rule of ``python tools/funcs.py calls``)."""
+    layers, events = tool_count_calls(run)
+    return sum(layers.values()), events
 
 
 @pytest.fixture(scope="session")

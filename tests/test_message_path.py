@@ -40,7 +40,7 @@ from repro.net import (
 from repro.noc import Mesh2D, Network
 from repro.sim import Engine
 
-from tests.conftest import CountingEngine, TaggingEngine
+from tests.conftest import CountingEngine, TaggingEngine, count_calls
 
 # -- (a) one monitor pair on a 2x2 board ---------------------------------------
 
@@ -826,7 +826,8 @@ def test_a_burst_reaches_its_tile_in_send_order_behind_a_rate_limited_net_tile()
 
 # -- (d) event budgets and tagger coverage --------------------------------------------
 #
-# ``schedule()`` calls are the engine events a path costs.
+# ``schedule()`` calls are the engine events a path costs; calls into
+# ``repro/`` and ``Event`` objects are its host work.
 
 
 class Caller(Accelerator):
@@ -856,8 +857,9 @@ def test_event_budget_of_one_shell_call_round_trip():
     started = system.start_app(0, caller)
     system.mgmt.grant_send("tile0", "app.echo")
     system.run_until(started)
-    system.run(until=system.engine.now + 5_000)
+    calls = count_calls(lambda: system.run(until=system.engine.now + 5_000))
     assert caller.cost == SHELL_CALL_ROUND_TRIP_SCHEDULES
+    assert calls == SHELL_CALL_ROUND_TRIP_CALLS
 
 
 @pytest.mark.identity
@@ -875,11 +877,17 @@ def test_event_budget_of_one_reliable_send_and_its_ack():
             lambda peer, payload: got.append((eng.now, peer, payload)),
             window=4, timeout=2_000)
         fabric.attach(mac, muxes[mac].deliver_frame)
-    acked = muxes["A"].peer("B").send("x", payload_bytes=64)
-    eng.run()
-    assert got == [(50, "A", "x")] and acked.triggered
+    sent = []
+
+    def send_and_run():
+        sent.append(muxes["A"].peer("B").send("x", payload_bytes=64))
+        eng.run()
+
+    calls = count_calls(send_and_run)
+    assert got == [(50, "A", "x")] and sent[0].triggered
     assert eng.pending_events() == 0
     assert eng.schedules == RELIABLE_SEND_AND_ACK_SCHEDULES
+    assert calls == RELIABLE_SEND_AND_ACK_CALLS
 
 
 #: ISSUE 22 (callback message path) re-pinned these once, on purpose: one
@@ -892,6 +900,12 @@ def test_event_budget_of_one_reliable_send_and_its_ack():
 #: ring hop that starts a packet remains).
 SHELL_CALL_ROUND_TRIP_SCHEDULES = 16
 RELIABLE_SEND_AND_ACK_SCHEDULES = 4
+
+#: The host work of the same two paths (``conftest.count_calls``): calls
+#: into ``def``s under ``repro/`` and ``Event`` objects built.  The round
+#: trip's run also resumes the caller from its 1 000-cycle sleep.
+SHELL_CALL_ROUND_TRIP_CALLS = (233, 4)
+RELIABLE_SEND_AND_ACK_CALLS = (35, 1)
 
 
 def test_cross_board_request_books_monitor_and_mac_events_to_their_layers():

@@ -215,3 +215,26 @@ def test_imports_lists_every_module_level_import_never_read(tmp_path):
                          capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "0 unused import(s) in 0 "
                                                "module(s)\n")
+
+
+def test_calls_counts_defs_under_repro_by_layer_and_events():
+    """``count_calls`` books every entry into a ``def`` under ``repro/``
+    to its layer — a generator resume is an entry too — and skips the
+    caller's own code; ``Event`` objects are counted as they are built
+    (a process's ``done`` is one)."""
+    from repro.sim import Engine
+    from tools.funcs import count_calls
+
+    def waiter(done):
+        yield done
+
+    def run():
+        engine = Engine()
+        done = engine.event()
+        engine.schedule(5, done.succeed)
+        engine.process(waiter(done))
+        engine.run()
+
+    layers, events = count_calls(run)
+    assert events == 2
+    assert {layer: n for layer, n in layers.items() if n} == {"sim": 21}

@@ -4,6 +4,7 @@
     python tools/funcs.py report [--src DIR] OUT           # never entered
     python tools/funcs.py params [--src DIR] [ROOT...]     # never passed
     python tools/funcs.py imports [--src DIR]              # never read
+    python tools/funcs.py calls [--workload W] [--seed S]  # host calls
 
 ``run`` executes ``ARGS`` the way ``python ARGS`` would (a script path, or
 ``-m module ...``) under a profile hook, and appends every code object
@@ -35,6 +36,15 @@ their own.
 ``imports`` lists each module-level import under ``--src`` whose name the
 module never reads (a name in ``__all__`` or in a string annotation is
 read), and exits 1 when it lists any.
+
+``calls`` runs one repetition of a ``perf.workloads`` workload (default
+``kv_hot``, seed 1; building the cluster included, drawing the inputs
+not) under a profile hook and prints how many times it entered a ``def``
+under ``repro/``, per layer as ``perf.trace`` names them, and how many
+``Event`` objects it built.  Code named ``<...>`` (comprehensions,
+lambdas) is not counted, so interpreters that inline comprehensions
+agree.  It re-executes itself with ``PYTHONHASHSEED=0``, as the benchmark
+runs its workers, so the counts are exact.
 """
 
 import argparse
@@ -389,9 +399,59 @@ def imports(src):
     return unused
 
 
+def count_calls(run):
+    """Run ``run()`` under a profile hook; return how many times it
+    entered a ``def`` under ``repro/``, by layer as ``perf.trace`` names
+    them, and how many ``Event`` objects it built."""
+    from perf.trace import LAYERS, layer_of
+    from repro.sim import Event
+
+    counts = {}
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            counts[code] = counts.get(code, 0) + 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    layers = dict.fromkeys(LAYERS, 0)
+    inside = f"{os.sep}repro{os.sep}"
+    for code, n in counts.items():
+        if inside in code.co_filename and not code.co_name.startswith("<"):
+            layers[layer_of(code)] += n
+    return layers, counts.get(Event.__init__.__code__, 0)
+
+
+def calls(workload, seed):
+    """Print the exact per-layer call counts and the ``Event`` count of
+    one repetition of ``workload`` at ``seed``."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    from perf.harness import run_repetition
+    from perf.workloads import WORKLOADS
+
+    spec = WORKLOADS[workload]
+    inputs = spec.build(seed)
+    digest = []
+    layers, events = count_calls(lambda: digest.append(
+        run_repetition(spec, inputs, sliced=False)["digest"]))
+    print(f"{workload} seed {seed}: report {digest[0][:16]}")
+    for layer, n in layers.items():
+        print(f"  {layer:<8} {n:>9,}")
+    print(f"  {'total':<8} {sum(layers.values()):>9,} calls into repro/")
+    print(f"  {'Event':<8} {events:>9,} objects built")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
+    command = commands.add_parser("calls")
+    command.add_argument("--workload", default="kv_hot")
+    command.add_argument("--seed", type=int, default=1)
     for name in ("run", "report", "params", "imports"):
         command = commands.add_parser(name)
         command.add_argument("--src", default="src")
@@ -402,6 +462,12 @@ def main(argv=None):
         if name == "run":
             command.add_argument("args", nargs=argparse.REMAINDER)
     opts = parser.parse_args(argv)
+    if opts.command == "calls":
+        if os.environ.get("PYTHONHASHSEED") != "0":
+            os.execve(sys.executable, [sys.executable, *sys.argv],
+                      dict(os.environ, PYTHONHASHSEED="0"))
+        calls(opts.workload, opts.seed)
+        return 0
     src = os.path.realpath(opts.src)
     if opts.command == "params":
         params(src, opts.roots)
