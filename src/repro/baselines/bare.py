@@ -93,7 +93,7 @@ class BareFpgaSystem:
         finally:
             unit.release(grant)
         self.requests_served += 1
-        yield self.mux.peer(peer_mac).send(
+        self.mux.peer(peer_mac).send(
             {"port": port, "data": ("resp", rid, out_body),
              "src_mac": self.mac_addr},
             payload_bytes=out_bytes,

@@ -116,7 +116,7 @@ class HostedFpgaSystem:
         yield from self.cpu.run(self.netstack.send_cost(out_bytes),
                                 wakeup=False)
         self.requests_served += 1
-        yield self.mux.peer(peer_mac).send(
+        self.mux.peer(peer_mac).send(
             {"port": port, "data": ("resp", rid, out_body),
              "src_mac": self.mac_addr},
             payload_bytes=out_bytes,

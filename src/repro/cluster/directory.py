@@ -91,13 +91,13 @@ class ServiceInstance:
     #: Routing to a still-reconfiguring replica would strand requests on
     #: an unbound port (the board drops them, the client times out).
     ready: bool = False
+    #: cluster-unique instance name (also its directory binding), named
+    #: once: the fields it is made of never change after placement
+    iid: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def iid(self) -> str:
-        """Cluster-unique instance name (also its directory binding)."""
-        if self.shard is None:
-            return f"{self.service}#{self.replica}"
-        return f"{self.service}/s{self.shard}r{self.replica}"
+    def __post_init__(self) -> None:
+        self.iid = (f"{self.service}#{self.replica}" if self.shard is None
+                    else f"{self.service}/s{self.shard}r{self.replica}")
 
     @property
     def endpoint(self) -> str:

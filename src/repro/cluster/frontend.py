@@ -56,7 +56,7 @@ from repro.errors import ConfigError, ServiceUnavailable
 from repro.kernel.services import HEARTBEAT_PORT
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.policy import RetryLoop, RetryPolicy
-from repro.sim import Event, StatsRegistry
+from repro.sim import StatsRegistry
 
 __all__ = ["FRONTEND_MAC", "FRONTEND_PORT", "BackendHealth", "BoardBeat",
            "FrontEnd"]
@@ -87,7 +87,7 @@ class BoardBeat:
         self.unacked = 0  # beats the transport has not got acked yet
         self.misses = 0
 
-    def acked(self, beat: int, _sent: Event) -> None:
+    def acked(self, beat: int) -> None:
         """The transport ACKed ``beat``: the board's network tile received
         it, which is the board's answer."""
         self.unacked -= 1
@@ -117,9 +117,9 @@ class BackendHealth:
         #: the flusher is parked until an attempt is queued (or a retire);
         #: a new record starts parked
         self.kick = True
-        #: the transport's ACK event of the batch the flusher paces on,
-        #: until that ACK or the batch's time box wins the race
-        self.pace: Optional[Event] = None
+        #: the id of the batch the flusher paces on, until its ACK or its
+        #: time box wins the race
+        self.pace: Optional[int] = None
         self.ping = 0  # id of the last ping sent while it was down
         self.retired = False
         self.misses = 0
@@ -129,7 +129,9 @@ class BackendHealth:
 
     @property
     def healthy(self) -> bool:
-        return self.misses < DEAD_AFTER and self.board.up
+        """Neither the instance nor its board is down (``_pick`` checks
+        the same per candidate, inline)."""
+        return self.misses < DEAD_AFTER and self.board.misses < DEAD_AFTER
 
 
 class FrontEnd:
@@ -502,7 +504,12 @@ class FrontEnd:
         least-loaded healthy instance.  The raise is retryable — an
         instance may come back (recovery restart) before the deadline.
         """
-        healthy = [i for i in candidates if self.health[i.iid].healthy]
+        health, healthy = self.health, []
+        for inst in candidates:
+            backend = health[inst.iid]
+            if backend.misses < DEAD_AFTER \
+                    and backend.board.misses < DEAD_AFTER:
+                healthy.append(inst)
         if not healthy:
             raise ServiceUnavailable(
                 f"no healthy instance of {spec.name!r}"
@@ -595,8 +602,9 @@ class FrontEnd:
     # top of its loop, ``kick`` says it is parked on an empty queue and
     # ``pace`` that it waits for a batch's ACK.  The accumulation window's
     # bucket entry sends the batch, and whichever of the ACK and the time
-    # box wins the race goes on in the same call; only the wake is a hop
-    # (tests/test_frontend_path.py section g pins them all).
+    # box wins the race goes on: the time box in its own call, the ACK one
+    # ring hop after the transport hears it; besides that, only the wake is
+    # a hop (tests/test_frontend_path.py section g pins them all).
 
     def _kick(self, backend: BackendHealth) -> None:
         """Wake a parked flusher, one ring hop from now, so that a burst
@@ -640,32 +648,30 @@ class FrontEnd:
         entries = [(irid, body) for irid, body, _nb in take]
         nbytes = sum(nb for _irid, _body, nb in take) + 16 * len(take)
         inst = backend.inst
-        sent = self.mux.peer(backend.board.mac).send(
+        self.mux.peer(backend.board.mac).send(
             {"port": inst.port, "data": ("batch", bid, entries),
              "src_mac": FRONTEND_MAC},
             payload_bytes=max(64, nbytes),
+            on_acked=partial(self._batch_acked, backend, bid),
         )
         self.batches_sent += 1
         # pace on the transport ack, but never wedge on a dead peer
-        backend.pace = sent
-        acked = partial(self._paced, backend)
-        self.engine.schedule(self.mux.timeout, self._pace_expired,
-                             (backend, sent, acked))
-        sent.add_callback(acked)
+        backend.pace = bid
+        self.engine.schedule(self.mux.timeout, self._pace_over,
+                             (backend, bid))
 
-    def _paced(self, backend: BackendHealth, sent: Event) -> None:
-        """The batch's ACK won the race: the flusher goes on."""
-        if backend.pace is sent:
-            backend.pace = None
-            self._flush(backend)
+    def _batch_acked(self, backend: BackendHealth, bid: int) -> None:
+        """The transport heard the batch's ACK: unless its time box already
+        ran out, the flusher goes on one ring hop from now."""
+        if backend.pace == bid:
+            self.engine.schedule(0, self._pace_over, (backend, bid))
 
-    def _pace_expired(self, race: Tuple) -> None:
-        """The batch's time box ran out: unless its ACK already won, the
-        flusher gives up on it and goes on."""
-        backend, sent, acked = race
-        if backend.pace is sent:
+    def _pace_over(self, race: Tuple[BackendHealth, int]) -> None:
+        """The batch's ACK or its time box, whichever comes first: the
+        flusher goes on (the loser finds the race decided)."""
+        backend, bid = race
+        if backend.pace == bid:
             backend.pace = None
-            sent.remove_callback(acked)
             self._flush(backend)
 
     def _prober(self, _arg: Any = None) -> None:
@@ -689,7 +695,8 @@ class FrontEnd:
                 {"port": HEARTBEAT_PORT, "data": ("req", board.beat, None),
                  "src_mac": FRONTEND_MAC},
                 payload_bytes=16,
-            ).add_callback(partial(board.acked, board.beat))
+                on_acked=partial(self.engine.schedule, 0, board.acked,
+                                 board.beat))
             for backend in board.backends:
                 if backend.misses >= DEAD_AFTER and not backend.retired:
                     self._resolve(backend.ping, error="missed a ping")

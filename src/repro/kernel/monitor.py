@@ -35,14 +35,19 @@ from repro.errors import (
     TileFault,
 )
 from repro.hw.resources import ResourceVector, monitor_cost
-from repro.kernel.message import MemAccess, Message, MessageKind
+from repro.kernel.message import (
+    MESSAGE_HEADER_BYTES,
+    MemAccess,
+    Message,
+    MessageKind,
+)
 from repro.mem.protection import SegmentProtectionUnit
 from repro.mem.segment import SegmentTable
 from repro.noc.flit import Packet, flits_for_bytes
 from repro.noc.network import NetworkInterface
 from repro.noc.qos import RateMeter, TokenBucket
 from repro.obs.span import SpanRecorder
-from repro.sim import Engine, Event, StatsRegistry
+from repro.sim import Engine, StatsRegistry
 
 __all__ = ["Monitor", "MONITOR_EGRESS_CYCLES", "MONITOR_INGRESS_CYCLES"]
 
@@ -50,6 +55,9 @@ __all__ = ["Monitor", "MONITOR_EGRESS_CYCLES", "MONITOR_INGRESS_CYCLES"]
 MONITOR_EGRESS_CYCLES = 2
 #: Cycles one ingress interposition costs.
 MONITOR_INGRESS_CYCLES = 1
+
+#: a submitter's completion callable: ``None`` = admitted, else the refusal
+Done = Callable[[Optional[Exception]], None]
 
 
 class Monitor:
@@ -89,10 +97,10 @@ class Monitor:
                 start_time=engine.now,
             )
         #: the egress pipeline: the one message past its policy checks —
-        #: ``(msg, done, span, dst tile, flits)``, in its interposition
-        #: delay, a rate-limit wait or its injection — and those behind it
+        #: ``(msg, on_done, span, dst tile)``, in its interposition delay,
+        #: a rate-limit wait or its injection — and those behind it
         self._egress_msg: Optional[tuple] = None
-        self._egress_queue: Deque[Tuple[Message, Event]] = deque()
+        self._egress_queue: Deque[Tuple[Message, Optional[Done]]] = deque()
         #: the ingress pipeline: whether a message is in its interposition
         #: delay, and the messages the interface handed over behind it
         self._ingress_busy = False
@@ -170,21 +178,22 @@ class Monitor:
 
     # -- egress -----------------------------------------------------------------
 
-    def submit(self, msg: Message) -> Event:
-        """Accelerator-side entry: returns an event that succeeds when the
-        message has been admitted to the NoC, or fails with the denial."""
-        done = self.engine.event(f"{self.tile_name}.submit#{msg.mid}")
+    def submit(self, msg: Message, on_done: Optional[Done] = None) -> None:
+        """Accelerator-side entry.  ``on_done(error)``, if given, is called
+        once: with ``None`` in the call that admits the whole message to
+        the NoC, or with the denial (or the fail-stop's ``TileFault``) in
+        the call that refuses it — possibly this one."""
         if self.drained:
-            done.fail(TileFault(f"{self.tile_name} is fail-stopped"))
-            return done
+            if on_done is not None:
+                on_done(TileFault(f"{self.tile_name} is fail-stopped"))
+            return
         msg.src = self.tile_name  # monitors stamp identity; no spoofing
         if self._egress_msg is None:
-            self._egress_start(msg, done)
+            self._egress_start(msg, on_done)
         else:
-            self._egress_queue.append((msg, done))
-        return done
+            self._egress_queue.append((msg, on_done))
 
-    def _egress_start(self, msg: Message, done: Event) -> None:
+    def _egress_start(self, msg: Message, on_done: Optional[Done]) -> None:
         """The message at the head of the pipeline meets egress policy: it
         is denied on the spot, or enters its interposition delay."""
         spans = self.spans
@@ -206,10 +215,10 @@ class Monitor:
             if span:
                 spans.close(span, self.engine.now,
                             denied=type(err).__name__)
-            done.fail(err)
+            if on_done is not None:
+                on_done(err)
             return
-        size_flits = flits_for_bytes(msg.wire_bytes, self.ni.network.flit_bytes)
-        self._egress_msg = (msg, done, span, dst_tile, size_flits)
+        self._egress_msg = (msg, on_done, span, dst_tile)
         if self.enforce:
             self.engine.schedule(MONITOR_EGRESS_CYCLES, self._egress_loop)
         else:
@@ -221,27 +230,32 @@ class Monitor:
         wait for tokens (again).  The packet (the interface's call when it
         is in): the whole message is in the NoC — account it, tell the
         sender, start the next."""
-        msg, done, span, dst_tile, size_flits = self._egress_msg
+        msg, on_done, span, dst_tile = self._egress_msg
         now = self.engine.now
         if injected is None:
+            wire_bytes = MESSAGE_HEADER_BYTES + msg.payload_bytes
             bucket = self.bucket
             if bucket is not None:
+                size_flits = flits_for_bytes(wire_bytes,
+                                             self.ni.network.flit_bytes)
                 wait = bucket.cycles_until(now, size_flits)
                 if wait > 0:
                     self.engine.schedule(wait, self._egress_loop)
                     return
                 bucket.consume(now, size_flits)
             msg.sent_at = now
-            self.ni.inject(dst_tile, msg, msg.wire_bytes,
+            self.ni.inject(dst_tile, msg, wire_bytes,
                            on_injected=self._egress_loop)
             return
+        size_flits = injected.size_flits
         self.messages_sent += 1
         self.tx_meter.record(now, size_flits)
-        self._ctr_sent.inc()
+        self._ctr_sent.value += 1
         if span:
             self.spans.close(span, now, flits=size_flits)
         self._egress_msg = None
-        done.succeed(msg)
+        if on_done is not None:
+            on_done(None)
         queue = self._egress_queue
         while queue and self._egress_msg is None:  # a denial leaves it idle
             self._egress_start(*queue.popleft())
@@ -319,7 +333,7 @@ class Monitor:
         else:
             self.messages_received += 1
             self.rx_meter.record(self.engine.now)
-            self._ctr_received.inc()
+            self._ctr_received.value += 1
             if self.deliver is not None:
                 self.deliver(msg)
             if span:
@@ -357,8 +371,9 @@ class Monitor:
         self.spans.event(self.engine.now, "monitor.drain", self.tile_name)
         self.stats.counter("monitor.drains").inc()
         while self._egress_queue:
-            _msg, done = self._egress_queue.popleft()
-            done.fail(TileFault(f"{self.tile_name} drained"))
+            _msg, on_done = self._egress_queue.popleft()
+            if on_done is not None:
+                on_done(TileFault(f"{self.tile_name} drained"))
 
     def undrain(self) -> None:
         """Leave fail-stop after the slot is reloaded with a fresh bitstream."""

@@ -138,7 +138,7 @@ class RemoteCpuServiceHost:
         yield from self.cpu.run(self.netstack.send_cost(out_bytes),
                                 wakeup=False)
         self.requests_served += 1
-        yield self.mux.peer(peer_mac).send(
+        self.mux.peer(peer_mac).send(
             {"port": port,
              "data": ("resp", rid, {"payload": out_payload,
                                     "bytes": out_bytes, "error": error}),

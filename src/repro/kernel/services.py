@@ -18,6 +18,7 @@ microkernel property the paper wants.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Optional
 
 from repro.accel.base import Accelerator
@@ -345,22 +346,24 @@ class NetworkService(Accelerator):
             shell.reply(msg, payload="bound")
         elif msg.op in ("net.send", "net.post"):
             body = msg.payload
-            acked = self.mux.peer(body["dst_mac"]).send(
+            on_acked = None
+            if msg.op == "net.send":
+                incarnation = shell.incarnation
+
+                def sent(_arg) -> None:
+                    if shell.incarnation == incarnation:
+                        shell.span_close(span)
+                        shell.reply(msg, payload="sent")
+
+                # answered one ring hop after the ACK
+                on_acked = partial(self._engine.schedule, 0, sent)
+            self.mux.peer(body["dst_mac"]).send(
                 {"port": body["port"], "data": body["data"],
                  "src_mac": self.adapter.mac_addr},
-                payload_bytes=int(body["nbytes"]),
+                payload_bytes=int(body["nbytes"]), on_acked=on_acked,
             )
-            if msg.op == "net.post":
+            if on_acked is None:
                 shell.span_close(span)
-                return
-            incarnation = shell.incarnation
-
-            def sent(_acked) -> None:
-                if shell.incarnation == incarnation:
-                    shell.span_close(span)
-                    shell.reply(msg, payload="sent")
-
-            acked.add_callback(sent)
         else:
             shell.span_close(span, error="UnknownOp")
             shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
@@ -378,7 +381,7 @@ class NetworkService(Accelerator):
 
     def _on_payload(self, peer_mac: str, payload: Dict[str, Any]) -> None:
         """Deliver a transport payload to the tile bound to its port as a
-        ``net.rx`` notify; the monitor's FIFO egress queue keeps each
+        ``net.rx`` post; the monitor's FIFO egress queue keeps each
         peer's payloads in order on the NoC.  A heartbeat is dropped: its
         transport ACK was the answer."""
         port = payload.get("port")
@@ -389,4 +392,4 @@ class NetworkService(Accelerator):
             self.rx_unbound += 1
             return
         self.frames_forwarded += 1
-        self.shell.notify(dst, "net.rx", payload=payload)
+        self.shell.post(dst, "net.rx", payload=payload)

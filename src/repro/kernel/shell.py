@@ -10,7 +10,8 @@ The API (all methods returning events are yielded from accelerator
 process generators):
 
 * ``call(dst, op, ...)`` — RPC to any endpoint; correlation handled here.
-* ``notify(dst, op, ...)`` — one-way event.
+* ``notify(dst, op, ...)`` — one-way event; ``post`` is the same without
+  the admission event, for a sender that never waits on it.
 * ``recv()`` / ``reply(msg, ...)``, or ``serve(handler)`` — serve requests.
 * ``alloc/free/read/write/grant`` — memory through ``svc.mem``.
 * ``net_bind/net_send/net_post`` plus ``net_rx`` events — networking
@@ -175,15 +176,18 @@ class Shell:
             result.add_callback(close_root)
         self._pending[msg.mid] = result
         self.calls_made += 1
-        admitted = self.monitor.submit(msg)
 
-        def on_admit(ev: Event) -> None:
-            if ev.failed and msg.mid in self._pending:
+        def refused(error: Exception) -> None:
+            if msg.mid in self._pending:
                 del self._pending[msg.mid]
                 if not result.triggered:
-                    result.fail(ev.value)
+                    result.fail(error)
 
-        admitted.add_callback(on_admit)
+        def admitted(error: Optional[Exception]) -> None:
+            if error is not None:  # the caller hears it one ring hop later
+                self.engine.schedule(0, refused, error)
+
+        self.monitor.submit(msg, admitted)
         if timeout is not None:
             def on_timeout(_ev: Event) -> None:
                 if msg.mid in self._pending:
@@ -200,10 +204,32 @@ class Shell:
                payload_bytes: int = 0,
                cap: Optional[CapabilityRef] = None) -> Event:
         """One-way event; the returned event tracks NoC admission only."""
-        msg = Message(src=self.name, dst=dst, op=op, mid=next(self._mids),
-                      kind=MessageKind.EVENT, payload=payload,
-                      payload_bytes=payload_bytes, cap=cap)
-        return self.monitor.submit(msg)
+        return self._admission(Message(
+            src=self.name, dst=dst, op=op, mid=next(self._mids),
+            kind=MessageKind.EVENT, payload=payload,
+            payload_bytes=payload_bytes, cap=cap))
+
+    def post(self, dst: str, op: str, payload: Any = None,
+             payload_bytes: int = 0) -> None:
+        """:meth:`notify` without the admission event."""
+        self.monitor.submit(Message(
+            src=self.monitor.tile_name, dst=dst, op=op, mid=next(self._mids),
+            kind=MessageKind.EVENT, payload=payload,
+            payload_bytes=payload_bytes))
+
+    def _admission(self, msg: Message) -> Event:
+        """Submit ``msg``; the event succeeds with it once the NoC has
+        admitted it, or fails with the refusal."""
+        done = self.engine.event()
+
+        def settle(error: Optional[Exception]) -> None:
+            if error is None:
+                done.succeed(msg)
+            else:
+                done.fail(error)
+
+        self.monitor.submit(msg, settle)
+        return done
 
     def recv(self) -> Event:
         """Next incoming request/event for this tile."""
@@ -248,10 +274,8 @@ class Shell:
 
     def reply(self, request: Message, payload: Any = None,
               payload_bytes: int = 0, error: bool = False) -> Event:
-        response = request.make_response(payload=payload,
-                                         payload_bytes=payload_bytes,
-                                         error=error)
-        return self.monitor.submit(response)
+        return self._admission(request.make_response(
+            payload=payload, payload_bytes=payload_bytes, error=error))
 
     # -- memory convenience API (over svc.mem) -----------------------------------
 
@@ -309,13 +333,13 @@ class Shell:
                                   "data": data, "nbytes": nbytes},
                          payload_bytes=nbytes)
 
-    def net_post(self, dst_mac: str, port: int, data: Any, nbytes: int) -> Event:
+    def net_post(self, dst_mac: str, port: int, data: Any, nbytes: int) -> None:
         """:meth:`net_send` with no answer: ``svc.net`` transmits it and
-        replies nothing; the event tracks NoC admission only."""
-        return self.notify(self.net_service, "net.post",
-                           payload={"dst_mac": dst_mac, "port": port,
-                                    "data": data, "nbytes": nbytes},
-                           payload_bytes=nbytes)
+        replies nothing."""
+        self.post(self.net_service, "net.post",
+                  payload={"dst_mac": dst_mac, "port": port, "data": data,
+                           "nbytes": nbytes},
+                  payload_bytes=nbytes)
 
     # -- multi-context execution ---------------------------------------------------
 

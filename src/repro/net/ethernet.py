@@ -19,6 +19,7 @@ call that hands an idle core a frame or by the frame before it.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import ProtocolError
@@ -27,6 +28,13 @@ from repro.net.frame import EthernetFabric, EthernetFrame
 from repro.sim import Engine, Event
 
 __all__ = ["TenGigMac", "HundredGigMac"]
+
+
+@lru_cache(maxsize=None)
+def _wire_cycles(nbytes: int, gbps: int) -> int:
+    """Cycles to serialize an ``nbytes`` frame at ``gbps``, worked out
+    once per frame size (a few dozen sizes recur all run)."""
+    return FABRIC_CLOCK.cycles_for_bytes(nbytes, gbps)
 
 
 class TenGigMac:
@@ -97,9 +105,8 @@ class TenGigMac:
         return done
 
     def _serialize(self, frame: EthernetFrame) -> None:
-        self.engine.schedule(
-            FABRIC_CLOCK.cycles_for_bytes(frame.nbytes, self.GBPS),
-            self._tx_loop)
+        self.engine.schedule(_wire_cycles(frame.nbytes, self.GBPS),
+                             self._tx_loop)
 
     def _tx_loop(self, _arg=None) -> None:
         """The head frame has left the core: it is on the fabric, the
@@ -174,7 +181,9 @@ class HundredGigMac:
 
     @property
     def ready(self) -> bool:
-        return self.read_reg("stat_aligned") == 1
+        """Aligned: what ``stat_aligned`` reads (the datapath checks the
+        same condition inline, once per frame)."""
+        return 0 <= self._align_at <= self.engine.now
 
     # -- datapath -------------------------------------------------------------------
 
@@ -183,12 +192,14 @@ class HundredGigMac:
 
     def tx_push(self, frame: EthernetFrame) -> bool:
         """Non-blocking enqueue; ``False`` = FIFO full, retry later."""
-        if not self.ready:
+        now = self.engine.now
+        if not 0 <= self._align_at <= now:
             raise ProtocolError("100G MAC: tx before alignment")
-        if self.tx_fifo_space <= 0:
+        if len(self._fifo) + (self._slot_held_at == now) \
+                >= self.TX_FIFO_FRAMES:
             return False
         if self._tx_frame is None:
-            self._slot_held_at = self.engine.now
+            self._slot_held_at = now
             self._serialize(frame)
         else:
             self._fifo.append(frame)
@@ -201,9 +212,8 @@ class HundredGigMac:
 
     def _serialize(self, frame: EthernetFrame) -> None:
         self._tx_frame = frame
-        self.engine.schedule(
-            FABRIC_CLOCK.cycles_for_bytes(frame.nbytes, self.GBPS),
-            self._tx_loop)
+        self.engine.schedule(_wire_cycles(frame.nbytes, self.GBPS),
+                             self._tx_loop)
 
     def _tx_loop(self, _arg=None) -> None:
         """The frame has left the core: it is on the fabric, the FIFO's
@@ -216,7 +226,8 @@ class HundredGigMac:
             self._tx_frame = None
 
     def _rx(self, frame: EthernetFrame) -> None:
-        if not self.ready or self._rx_handler is None:
+        if not 0 <= self._align_at <= self.engine.now \
+                or self._rx_handler is None:
             return
         self.frames_received += 1
         self._rx_handler(frame)

@@ -18,6 +18,13 @@ timer is one heap entry per connection.  Payloads are ``{"port", "data",
 "src_mac"}`` dicts; request/response is the convention ``data = ("req",
 rid, body)`` / ``("resp", rid, body)`` with the caller matching ``rid`` —
 that tuple convention is the repo's RPC layer, there is no RPC class.
+
+A sender that wants to hear its payload's ACK passes ``send(...,
+on_acked=f)``: ``f()`` is called inside the handling of the ACK frame
+that covers the payload, where an ``acked`` event used to be triggered (a
+caller that must run one ring hop later, where that event's callback ran,
+schedules the hop itself).  ``f`` stays beside the datagram in the
+sender's window, never in it, so a frame's wire copy carries nothing new.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.frame import EthernetFrame, wire_copy
-from repro.sim import Engine, Event
+from repro.sim import Engine
 
 __all__ = ["ReliableEndpoint", "ReliableMux", "Datagram",
            "TRANSPORT_HEADER_BYTES", "BOARD_WINDOW", "BOARD_TIMEOUT",
@@ -86,7 +93,8 @@ class ReliableEndpoint:
         reassembled in order at the receiver (go-back-N already gives us
         ordered, exactly-once fragments).
 
-    Wire ``deliver_frame`` into the local MAC's rx callback.
+    Wire ``deliver_frame`` into the local MAC's rx callback (a
+    :class:`ReliableMux` dispatches its frames the same way, inline).
     """
 
     def __init__(
@@ -119,11 +127,14 @@ class ReliableEndpoint:
         # sender state
         self._next_seq = 0          # next new sequence number
         self._base = 0              # oldest unacked
-        self._outstanding: Deque[Tuple[Datagram, Optional[Event]]] = deque()
+        #: datagrams in flight, each with its ``on_acked`` (or None)
+        self._outstanding: Deque[Tuple[Datagram, Optional[Callable]]] = \
+            deque()
         #: segments the window has not let out yet: (datagram without its
-        #: sequence number, the caller's ack event if it is a payload's
+        #: sequence number, the caller's ``on_acked`` if it is a payload's
         #: last, whether it is one of several)
-        self._unsent: Deque[Tuple[Datagram, Optional[Event], bool]] = deque()
+        self._unsent: Deque[Tuple[Datagram, Optional[Callable], bool]] = \
+            deque()
         #: the cycle the retransmission timer runs out (None: disarmed),
         #: and whether a heap entry is on its way to look at it
         self._deadline: Optional[int] = None
@@ -145,20 +156,19 @@ class ReliableEndpoint:
 
     # -- sending ------------------------------------------------------------
 
-    def send(self, payload: Any, payload_bytes: int = 0) -> Event:
+    def send(self, payload: Any, payload_bytes: int = 0,
+             on_acked: Optional[Callable[[], None]] = None) -> None:
         """Send a payload — at once while the window has room, else as ACKs
-        make room; the event succeeds when the peer has ACKed it."""
-        acked = self.engine.event(f"{self.name}.acked")
+        make room; ``on_acked()`` is called when the peer has ACKed it."""
         segments = self._segment(payload, payload_bytes)
         last = len(segments) - 1
         for i, (seg_payload, seg_bytes) in enumerate(segments):
             dgram = Datagram(kind="data", seq=-1, payload=seg_payload,
                              payload_bytes=seg_bytes, frag_rest=last - i)
-            # the caller's ack event rides on the *last* fragment
-            self._unsent.append((dgram, acked if i == last else None,
+            # the caller's on_acked rides on the *last* fragment
+            self._unsent.append((dgram, on_acked if i == last else None,
                                  last > 0))
         self._fill_window()
-        return acked
 
     def _fill_window(self) -> None:
         unsent = self._unsent
@@ -277,10 +287,10 @@ class ReliableEndpoint:
     def _handle_ack(self, cumulative: int) -> None:
         progressed = False
         while self._outstanding and self._outstanding[0][0].seq < cumulative:
-            _dgram, acked = self._outstanding.popleft()
+            _dgram, on_acked = self._outstanding.popleft()
             self._base += 1
-            if acked is not None and not acked.triggered:
-                acked.succeed(None)
+            if on_acked is not None:
+                on_acked()
             progressed = True
         if progressed:
             if self._outstanding:
@@ -347,5 +357,15 @@ class ReliableMux:
         return tuple(self._peers)
 
     def deliver_frame(self, frame: EthernetFrame) -> None:
-        """Feed frames from the owner's MAC rx path."""
-        self.peer(frame.src_mac).deliver_frame(frame)
+        """Feed frames from the owner's MAC rx path: a datagram goes to
+        its connection's ACK or data handling."""
+        endpoint = self._peers.get(frame.src_mac)
+        if endpoint is None:
+            endpoint = self.peer(frame.src_mac)
+        dgram = frame.payload
+        if not isinstance(dgram, Datagram):
+            return  # not ours
+        if dgram.kind == "ack":
+            endpoint._handle_ack(dgram.seq)
+        else:
+            endpoint._handle_data(dgram)

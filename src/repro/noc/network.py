@@ -255,7 +255,7 @@ class NetworkInterface:
         """The whole packet is in the router: tell the sender (a packet it
         hands over now queues behind those waiting), take the next."""
         self.packets_sent += 1
-        self.network._ctr_injected.inc()
+        self.network._ctr_injected.value += 1
         if self._on_injected is not None:
             self._on_injected(self._inject_pkt)
         self._inject_pkt = None
@@ -674,7 +674,7 @@ class Network:
         payload_bytes: int = 0,
         vc_class: int = 0,
     ) -> Packet:
-        if not 0 <= dst < self.topo.node_count:
+        if not 0 <= dst < len(self._interfaces):  # one per node
             raise RouteError(f"destination {dst} outside topology")
         self._next_pid += 1
         return Packet(
@@ -687,14 +687,16 @@ class Network:
         )
 
     def record_delivery(self, pkt: Packet) -> None:
+        """Account ``pkt``, stamped at its injection and its delivery."""
         self._live -= 1
-        self._ctr_delivered.inc()
-        self._hist_latency.record(pkt.latency)
+        self._ctr_delivered.value += 1
+        latency = pkt.delivered_at - pkt.injected_at
+        self._hist_latency.record(latency)
         self._hist_hops.record(pkt.hops)
         if pkt.span_id:
             # eject side of the causal trace: the tail flit reassembled
             self.spans.close(pkt.span_id, self.engine.now,
-                             hops=pkt.hops, latency=pkt.latency)
+                             hops=pkt.hops, latency=latency)
 
     def total_flits_forwarded(self) -> int:
         self._demote()

@@ -105,7 +105,8 @@ class RateMeter:
             self._current = bucket_index
 
     def record(self, now: int, amount: int = 1) -> None:
-        self._advance(now)
+        if now // self.bucket_cycles != self._current:
+            self._advance(now)
         self._counts[self._current % self.buckets] += amount
 
     def rate(self, now: int) -> float:

@@ -89,9 +89,6 @@ class QuantileSketch:
 
     # -- recording -------------------------------------------------------
 
-    def _key(self, value: float) -> int:
-        return math.ceil(math.log(value) / self._log_gamma)
-
     def record(self, value: float) -> None:
         value = float(value)
         if value < 0.0 or math.isnan(value) or math.isinf(value):
@@ -107,7 +104,7 @@ class QuantileSketch:
         if value <= _MIN_TRACKED:
             self._zero_count += 1
             return
-        key = self._key(value)
+        key = math.ceil(math.log(value) / self._log_gamma)  # its bucket
         self._bins[key] = self._bins.get(key, 0) + 1
         if len(self._bins) > self.max_bins:
             self._collapse()

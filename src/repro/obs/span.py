@@ -87,7 +87,9 @@ class SpanRecorder:
     """
 
     def __init__(self, id_base: int = 0):
-        self._enabled = False
+        #: a plain attribute, not a property: every instrumented hot path
+        #: reads it per message
+        self.enabled = False
         self._records: List[SpanRecord] = []
         self._open: Dict[int, SpanRecord] = {}
         #: first id minus one; windowed cluster backends give each board's
@@ -108,12 +110,8 @@ class SpanRecorder:
         and every subsequent event to ``sink.record_event``."""
         self._flight_sinks.append(sink)
 
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
     def enable(self) -> None:
-        self._enabled = True
+        self.enabled = True
 
     def clear(self) -> None:
         self._records.clear()
@@ -134,7 +132,7 @@ class SpanRecorder:
 
     def new_trace(self) -> int:
         """Allocate a trace id for a new root request (0 = untraced)."""
-        if not self._enabled:
+        if not self.enabled:
             return 0
         self._next_trace += 1
         return self._next_trace
@@ -142,7 +140,7 @@ class SpanRecorder:
     def open(self, trace_id: int, name: str, category: str, source: str,
              start: int, parent_id: int = 0, **detail: Any) -> int:
         """Open a span; returns its id (0 when disabled or untraced)."""
-        if not self._enabled or not trace_id:
+        if not self.enabled or not trace_id:
             return 0
         self._next_span += 1
         record = SpanRecord(trace_id, self._next_span, parent_id, name,
@@ -173,7 +171,7 @@ class SpanRecorder:
         shifts the ids spans get.  Kept as a record when enabled; rung
         into every attached flight sink regardless.
         """
-        if self._enabled:
+        if self.enabled:
             record = SpanRecord(0, 0, 0, name, "event", source, now,
                                 detail or None)
             record.end = now

@@ -869,12 +869,10 @@ class Answering:
         self.deliver = None
         self.submitted = []
 
-    def submit(self, msg):
-        admitted = self.engine.event("answering.submit")
+    def submit(self, msg, on_done):
         self.submitted.append(self.engine.now)
-        self.engine.schedule(5, admitted.succeed, msg)
+        self.engine.schedule(5, on_done, None)
         self.engine.schedule(105, self._answer, msg)
-        return admitted
 
     def _answer(self, msg):
         error = len(self.submitted) <= self.errors
@@ -896,7 +894,8 @@ def test_hops_of_a_shell_call_retried_twice():
     engine.run(until=10_000)
     assert settled == [(1_915, "q")]
     assert monitor.submitted == [1_000, 1_305, 1_810]
-    # ring 13 -> 10: ``drive``'s start hop and the hop after each backoff
-    assert (engine.ring, engine.schedules - engine.ring) == (10, 11)
+    # ring 13 -> 10: ``drive``'s start hop and the hop after each backoff;
+    # 10 -> 7: an admitted attempt's no-op admission callback
+    assert (engine.ring, engine.schedules - engine.ring) == (7, 11)
     assert (shell.calls_made, shell.calls_failed, shell.calls_retried) == \
         (3, 2, 2)

@@ -157,7 +157,9 @@ class TestMonitorEnforcement:
 
         def script(shell, out):
             msg = Message(src="tile99-forged", dst="app.recv", op="x")
-            yield shell.monitor.submit(msg)
+            admitted = shell.engine.event()
+            shell.monitor.submit(msg, admitted.succeed)
+            yield admitted
 
         client = ClientApp(script)
         started = system.start_app(3, client.accel)

@@ -31,13 +31,22 @@ def drive(engine, event, limit=1_000_000):
     return engine.run_until_done(event, limit=limit)
 
 
+def submit(engine, monitor, msg):
+    """``monitor.submit(msg)`` as an event: it succeeds once the NoC has
+    admitted ``msg``, or fails with the refusal."""
+    done = engine.event()
+    monitor.submit(msg, lambda error: done.succeed(msg) if error is None
+                   else done.fail(error))
+    return done
+
+
 def test_submit_delivers_to_peer_monitor():
     engine, caps, monitors = make_pair()
     caps.mint("left", Rights.SEND, endpoint="right")
     got = []
     monitors["right"].deliver = got.append
     msg = Message(src="left", dst="right", op="hello")
-    drive(engine, monitors["left"].submit(msg))
+    drive(engine, submit(engine, monitors["left"], msg))
     engine.run(until=engine.now + 1000)
     assert len(got) == 1
     assert got[0].op == "hello"
@@ -47,8 +56,8 @@ def test_submit_delivers_to_peer_monitor():
 
 def test_submit_without_cap_denied_before_noc():
     engine, caps, monitors = make_pair()
-    admitted = monitors["left"].submit(Message(src="left", dst="right",
-                                               op="x"))
+    admitted = submit(engine, monitors["left"],
+                      Message(src="left", dst="right", op="x"))
     with pytest.raises(AccessDenied):
         drive(engine, admitted)
     assert monitors["left"].denials == 1
@@ -57,8 +66,8 @@ def test_submit_without_cap_denied_before_noc():
 
 def test_unknown_destination_unavailable():
     engine, caps, monitors = make_pair()
-    admitted = monitors["left"].submit(Message(src="left", dst="ghost",
-                                               op="x"))
+    admitted = submit(engine, monitors["left"],
+                      Message(src="left", dst="ghost", op="x"))
     with pytest.raises(ServiceUnavailable):
         drive(engine, admitted)
 
@@ -69,7 +78,7 @@ def test_responses_need_no_send_cap():
     engine, caps, monitors = make_pair()
     request = Message(src="right", dst="left", op="q")
     response = request.make_response(payload="a")
-    admitted = monitors["left"].submit(response)
+    admitted = submit(engine, monitors["left"], response)
     drive(engine, admitted)  # no AccessDenied despite zero caps
 
 
@@ -82,7 +91,7 @@ def test_enforce_false_costs_zero_extra_cycles():
         got = []
         monitors["right"].deliver = lambda m: got.append(engine.now)
         t0 = engine.now
-        drive(engine, monitors["left"].submit(
+        drive(engine, submit(engine, monitors["left"],
             Message(src="left", dst="right", op="x")
         ))
         engine.run(until=engine.now + 1000)
@@ -95,13 +104,14 @@ def test_drained_monitor_rejects_submit_and_nacks_requests():
     caps.mint("left", Rights.SEND, endpoint="right")
     monitors["right"].drain()
     # direct submit at the drained tile fails immediately
-    dead = monitors["right"].submit(Message(src="right", dst="left", op="x"))
+    dead = submit(engine, monitors["right"],
+                  Message(src="right", dst="left", op="x"))
     with pytest.raises(TileFault):
         drive(engine, dead)
     # a request arriving at the drained tile is NACKed back to the sender
     nacks = []
     monitors["left"].deliver = nacks.append
-    drive(engine, monitors["left"].submit(
+    drive(engine, submit(engine, monitors["left"],
         Message(src="left", dst="right", op="ping")
     ))
     engine.run(until=engine.now + 2000)
@@ -117,7 +127,7 @@ def test_drained_monitor_never_nacks_events():
     monitors["right"].drain()
     deliveries = []
     monitors["left"].deliver = deliveries.append
-    drive(engine, monitors["left"].submit(
+    drive(engine, submit(engine, monitors["left"],
         Message(src="left", dst="right", op="tick", kind=MessageKind.EVENT)
     ))
     engine.run(until=engine.now + 2000)
@@ -128,8 +138,8 @@ def test_drained_monitor_never_nacks_events():
 def test_drain_flushes_queued_egress():
     engine, caps, monitors = make_pair()
     caps.mint("left", Rights.SEND, endpoint="right")
-    pending = [monitors["left"].submit(Message(src="left", dst="right",
-                                               op=f"m{i}"))
+    pending = [submit(engine, monitors["left"],
+                      Message(src="left", dst="right", op=f"m{i}"))
                for i in range(5)]
     monitors["left"].drain()  # before the engine ran at all
     engine.run(until=engine.now + 1000)
@@ -144,7 +154,7 @@ def test_undrain_restores_service():
     monitors["left"].undrain()
     got = []
     monitors["right"].deliver = got.append
-    drive(engine, monitors["left"].submit(
+    drive(engine, submit(engine, monitors["left"],
         Message(src="left", dst="right", op="back")
     ))
     engine.run(until=engine.now + 1000)
@@ -156,7 +166,7 @@ def test_identity_stamping_at_submit():
     got = []
     monitors["right"].deliver = got.append
     msg = Message(src="imposter", dst="right", op="x")
-    drive(engine, monitors["left"].submit(msg))
+    drive(engine, submit(engine, monitors["left"], msg))
     engine.run(until=engine.now + 1000)
     assert got[0].src == "left"
 

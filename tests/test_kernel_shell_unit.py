@@ -23,21 +23,19 @@ class FakeMonitor:
         self.deliver = None
         self.submitted = []
 
-    def submit(self, msg):
-        done = self.engine.event("fake.submit")
-        self.submitted.append((msg, done))
-        return done
+    def submit(self, msg, on_done=None):
+        self.submitted.append((msg, on_done))
 
     # test helpers ---------------------------------------------------------
 
     def admit(self, index=-1):
-        msg, done = self.submitted[index]
-        done.succeed(msg)
+        msg, on_done = self.submitted[index]
+        on_done(None)
         return msg
 
     def deny(self, exc, index=-1):
-        _msg, done = self.submitted[index]
-        done.fail(exc)
+        _msg, on_done = self.submitted[index]
+        on_done(exc)
 
     def respond(self, request, payload="ok", error=False):
         response = request.make_response(payload=payload, error=error)

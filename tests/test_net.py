@@ -187,6 +187,13 @@ def ignore(_payload):
     """The receiver of an endpoint that is sent no payload."""
 
 
+def acked_send(eng, endpoint, payload, nbytes):
+    """``endpoint.send`` as an event that succeeds on the payload's ACK."""
+    acked = eng.event()
+    endpoint.send(payload, payload_bytes=nbytes, on_acked=acked.succeed)
+    return acked
+
+
 class FrameLoop:
     """Direct frame pipe between two ReliableEndpoints via the fabric; A
     sends, and B's receiver collects what it is handed in ``got``."""
@@ -213,7 +220,7 @@ class TestReliableTransport:
 
         def sender():
             for i in range(20):
-                yield loop.a.send(i, payload_bytes=64)
+                yield acked_send(eng, loop.a, i, 64)
 
         # the sender ends on its last ACK: B was handed everything
         p = eng.process(sender())
@@ -227,7 +234,7 @@ class TestReliableTransport:
 
         def sender():
             for i in range(30):
-                yield loop.a.send(i, payload_bytes=64)
+                yield acked_send(eng, loop.a, i, 64)
 
         # the sender ends on its last ACK: B was handed everything
         p = eng.process(sender())
@@ -242,7 +249,7 @@ class TestReliableTransport:
 
         def sender():
             for i in range(25):
-                yield loop.a.send(i, payload_bytes=32)
+                yield acked_send(eng, loop.a, i, 32)
 
         # the sender ends on its last ACK: B was handed everything
         p = eng.process(sender())

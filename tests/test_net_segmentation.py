@@ -37,7 +37,9 @@ def transfer(eng, a, received, payloads_with_sizes, limit=50_000_000):
 
     def sender():
         for payload, nbytes in payloads_with_sizes:
-            yield a.send(payload, payload_bytes=nbytes)
+            acked = eng.event()
+            a.send(payload, payload_bytes=nbytes, on_acked=acked.succeed)
+            yield acked
 
     # the sender ends on its last ACK: B was handed everything
     p = eng.process(sender())

@@ -470,8 +470,7 @@ def test_a_post_goes_out_unanswered_and_a_heartbeat_is_answered_by_its_ack():
     acked = []
     host.peer("boardB").send(
         {"port": HEARTBEAT_PORT, "data": ("req", 41, None), "src_mac": "host"},
-        payload_bytes=16).add_callback(
-            lambda _ev: acked.append(engine.now - t0))
+        payload_bytes=16, on_acked=lambda: acked.append(engine.now - t0))
     log.at(5_000)
     # the tile answered ("resp", 41, None), heard at 2 004, until the ACK
     # became the answer: the ACK of the beat lands two cycles ahead of it
@@ -479,8 +478,12 @@ def test_a_post_goes_out_unanswered_and_a_heartbeat_is_answered_by_its_ack():
     assert b.net_service.rx_unbound == 0
     assert packets() == before
     admitted = []
-    post(a, 2, "boardB", 9, "p0").add_callback(
-        lambda _ev: admitted.append(engine.now - t0))
+    # net_post's message, with its admission event
+    a.tiles[2].shell.notify(
+        "svc.net", "net.post",
+        payload={"dst_mac": "boardB", "port": 9, "data": "p0", "nbytes": 64},
+        payload_bytes=64).add_callback(
+            lambda _ev: admitted.append(engine.now - t0))
     log.at(10_000)
     assert log.table() == {
         "B bind": (0, 18, "'bound'"),
@@ -687,10 +690,14 @@ def test_event_budget_of_each_network_op():
 #: reach its network interface by plain calls: 3 fewer per NoC message
 #: (the injection's completion event and the delivery channel's get and
 #: put were ring hops), so 6 fewer per op, 9 fewer for ``net.send``
-#: (19 / 25 / 25 / 19 / 19 and 18 / 33 / 22 before)
-MEMORY_OP_SCHEDULES = {"idle": 0, "mem.alloc": 13, "mem.write": 19,
-                       "mem.read": 19, "mem.grant": 13, "mem.free": 13}
+#: (19 / 25 / 25 / 19 / 19 and 18 / 33 / 22 before).  One fewer per
+#: ``Shell.call`` since the monitor calls back on admission instead of
+#: triggering an event, whose callback in the caller was a no-op ring hop
+#: unless the message was refused (13 / 19 / 19 / 13 / 13 and 12 / 24 /
+#: 16 before; ``net.post`` is no call)
+MEMORY_OP_SCHEDULES = {"idle": 0, "mem.alloc": 12, "mem.write": 18,
+                       "mem.read": 18, "mem.grant": 12, "mem.free": 12}
 #: ``net.post`` is ``net.send`` less the ``"sent"`` reply's trip back over
 #: the NoC and the caller's response handling
-NETWORK_OP_SCHEDULES = {"idle": 0, "net.bind": 12, "net.send": 24,
+NETWORK_OP_SCHEDULES = {"idle": 0, "net.bind": 11, "net.send": 23,
                         "net.post": 16}
