@@ -36,11 +36,14 @@ from repro.kernel.mgmt import MgmtPlane
 from repro.kernel.tile import Tile
 from repro.sim import Engine, Event, StatsRegistry
 
-__all__ = ["RecoveryManager", "Deployment", "RecoveryEvent"]
+__all__ = ["RecoveryManager", "Deployment", "RecoveryEvent", "MAX_RESTARTS"]
 
 #: cycles a recovery waits before retrying a teardown that found the slot
 #: mid-reconfiguration
 TEARDOWN_RETRY_WAIT = 5_000
+#: recoveries of one deployment before the manager gives up on it (a
+#: crash-looping bitstream should not monopolize the reconfig port)
+MAX_RESTARTS = 8
 
 
 @dataclass
@@ -81,8 +84,9 @@ class RecoveryManager:
     spares: tiles reserved as failover targets (kept empty until needed).
     prefer_spare: fail over to a spare even when the home slot is
         reloadable (models operators who want the suspect silicon cold).
-    max_restarts: per-deployment cap before the manager gives up (a
-        crash-looping bitstream should not monopolize the reconfig port).
+
+    A deployment recovered ``MAX_RESTARTS`` times is given up on at its
+    next fault.
     """
 
     def __init__(
@@ -92,7 +96,6 @@ class RecoveryManager:
         fault_manager: FaultManager,
         spares: Optional[List[int]] = None,
         prefer_spare: bool = False,
-        max_restarts: int = 8,
         stats: Optional[StatsRegistry] = None,
     ):
         self.engine = engine
@@ -100,7 +103,6 @@ class RecoveryManager:
         self.fault_manager = fault_manager
         self.spares: List[int] = list(spares or [])
         self.prefer_spare = prefer_spare
-        self.max_restarts = max_restarts
         self.stats = stats if stats is not None else StatsRegistry()
         self.deployments: Dict[str, Deployment] = {}
         self.recoveries: List[RecoveryEvent] = []
@@ -199,7 +201,7 @@ class RecoveryManager:
         failed_at = tile.failed_at if tile.failed_at is not None \
             else self.engine.now
         dep.restarts += 1
-        if dep.restarts > self.max_restarts:
+        if dep.restarts > MAX_RESTARTS:
             self.stats.counter("recovery.abandoned").inc()
             self.mgmt.spans.event(self.engine.now, "recovery.abandon",
                                   dep.endpoint, node=old_node)

@@ -278,7 +278,6 @@ class ApiarySystem:
         self,
         spares: Optional[List[int]] = None,
         prefer_spare: bool = False,
-        max_restarts: int = 8,
     ) -> RecoveryManager:
         """Attach a :class:`RecoveryManager` to this system's fault feed.
 
@@ -291,8 +290,7 @@ class ApiarySystem:
             raise ConfigError("recovery is already enabled")
         self.recovery = RecoveryManager(
             self.engine, self.mgmt, self.fault_manager,
-            spares=spares, prefer_spare=prefer_spare,
-            max_restarts=max_restarts, stats=self.stats,
+            spares=spares, prefer_spare=prefer_spare, stats=self.stats,
         )
         return self.recovery
 

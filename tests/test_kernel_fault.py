@@ -169,7 +169,7 @@ class TestFailStop:
         live = [child for child in shell.children if child.alive]
         assert len(live) == 3
         assert len(shell._children) <= len(live) + 16
-        system.tiles[2].fail_stop()
+        system.mgmt.fail_stop(2)
         system.run(until=system.engine.now + 100)
         assert spawner.interrupted == 3
         assert not any(child.alive for child in live)

@@ -7,6 +7,7 @@ import pytest
 from repro.accel import Accelerator, EchoAccel
 from repro.errors import ConfigError, DeadlineExceeded, ServiceUnavailable
 from repro.kernel import ApiarySystem, FaultPolicy, SystemConfig
+from repro.kernel import recovery as recovery_module
 from repro.policy import RetryPolicy
 
 
@@ -222,9 +223,11 @@ class TestStateResumption:
 
 
 class TestGivingUp:
-    def test_abandons_after_max_restarts(self):
+    def test_abandons_after_max_restarts(self, monkeypatch):
+        # one restart allowed, so the second crash is past the cap
+        monkeypatch.setattr(recovery_module, "MAX_RESTARTS", 1)
         system = booted()
-        manager = deploy_echo(system, max_restarts=1)
+        manager = deploy_echo(system)
         system.tiles[2].inject_crash()
         system.run(until=system.engine.now + 2_000_000)
         assert len(manager.recoveries) == 1
@@ -282,7 +285,7 @@ class TestClientVisibleFailures:
         system.run_until(started)
         # let the request reach the victim and start cooking, then drain
         system.run(until=system.engine.now + 30_000)
-        system.tiles[2].fail_stop()
+        system.mgmt.fail_stop(2)
         system.run(until=system.engine.now + 500_000)
         assert outcomes == [("deadline", True)]
 

@@ -33,9 +33,8 @@ def test_a_reply_owed_before_a_fail_stop_is_never_sent_after_a_reload():
     log = Rows(system.engine, t0)
     log.issue("alloc", mem_call(system, 2, "mem.alloc", {"size": 64}))
     log.at(12)
-    tile = system.tiles[0]
-    tile.fail_stop()
-    tile.monitor.undrain()
+    system.mgmt.fail_stop(0)
+    system.tiles[0].monitor.undrain()
     log.at(1_000)
     assert log.table() == {"alloc": (0, None, None)}
 
@@ -50,7 +49,7 @@ def test_a_sent_reply_owed_before_a_fail_stop_is_never_sent_after_a_reload():
     log.issue("B bind", net_call(b, 2, "net.bind", {"port": 9}))
     log.at(1_000).issue("A to B", send(a, 2, "boardB", 9, "x"))
     log.at(1_300)
-    a.tiles[1].fail_stop()
+    a.mgmt.fail_stop(1)
     a.tiles[1].monitor.undrain()
     log.at(10_000)
     assert log.table()["A to B"] == (1_000, None, None)
