@@ -464,7 +464,9 @@ def main(argv=None):
     opts = parser.parse_args(argv)
     if opts.command == "calls":
         if os.environ.get("PYTHONHASHSEED") != "0":
-            os.execve(sys.executable, [sys.executable, *sys.argv],
+            os.execve(sys.executable,
+                      [sys.executable, os.path.abspath(__file__),
+                       *(sys.argv[1:] if argv is None else argv)],
                       dict(os.environ, PYTHONHASHSEED="0"))
         calls(opts.workload, opts.seed)
         return 0
