@@ -89,4 +89,6 @@ class Capability:
         return self.endpoint is not None
 
     def allows(self, needed: Rights) -> bool:
-        return not self.revoked and (self.rights & needed) == needed
+        # on plain ints: ``Rights & Rights`` enters three enum frames
+        needed = int(needed)
+        return not self.revoked and int(self.rights) & needed == needed

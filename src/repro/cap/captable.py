@@ -30,6 +30,9 @@ __all__ = ["CapabilityStore"]
 #: the nonce generator's start state; every store draws the same sequence
 NONCE_SEED = 0x5EED
 
+#: the SEND bit as a plain int (see :meth:`CapabilityStore.may_send`)
+_SEND = int(Rights.SEND)
+
 
 class CapabilityStore:
     """Partitioned capability storage with derivation and revocation."""
@@ -187,11 +190,13 @@ class CapabilityStore:
 
     def may_send(self, holder: str, endpoint: str) -> bool:
         """Whether ``holder`` holds a live SEND capability for ``endpoint``
-        — the monitor's per-egress-message check, scanned in place."""
+        — the monitor's per-egress-message check, scanned in place (SEND
+        is one bit: :meth:`Capability.allows` inline, on plain ints)."""
         partition = self._partitions.get(holder)
         if partition:
             for _ref, cap in partition.values():
-                if cap.endpoint == endpoint and cap.allows(Rights.SEND):
+                if cap.endpoint == endpoint and not cap.revoked \
+                        and int(cap.rights) & _SEND:
                     return True
         return False
 

@@ -29,6 +29,7 @@ import zlib
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.service import ClusterPortedService
@@ -39,9 +40,8 @@ from repro.sim import Event
 __all__ = ["HashRing", "ServiceInstance", "ServiceSpec", "ServiceDirectory"]
 
 
-def _stable_hash(value: Any) -> int:
-    """Deterministic 32-bit hash (process- and run-independent)."""
-    return zlib.crc32(str(value).encode())
+#: an instance's replica index as a sort key (a C call, no Python frame)
+_REPLICA = attrgetter("replica")
 
 
 class HashRing:
@@ -49,7 +49,9 @@ class HashRing:
 
     :attr:`VNODES` virtual points per shard smooth the key distribution;
     the ring is rebuilt only when the shard count changes (never at runtime
-    here — resharding is out of scope, replicas handle failures).
+    here — resharding is out of scope, replicas handle failures).  Points
+    and keys hash as the CRC-32 of their ``str``: the same in every
+    process and run, which the salted built-in ``hash`` is not.
     """
 
     VNODES = 64
@@ -60,15 +62,15 @@ class HashRing:
         points = []
         for shard in range(n_shards):
             for v in range(self.VNODES):
-                points.append((_stable_hash(f"shard{shard}#v{v}"), shard))
+                points.append((zlib.crc32(f"shard{shard}#v{v}".encode()),
+                               shard))
         points.sort()
         self._points = [p for p, _ in points]
         self._shards = [s for _, s in points]
 
     def shard_for(self, key: Any) -> int:
         """The shard owning ``key`` (clockwise successor on the ring)."""
-        h = _stable_hash(key)
-        i = bisect_right(self._points, h)
+        i = bisect_right(self._points, zlib.crc32(str(key).encode()))
         if i == len(self._points):
             i = 0
         return self._shards[i]
@@ -147,9 +149,12 @@ class ServiceSpec:
             return [m for m in members if m is not None and m.ready]
         if self.sharded and key is not None:
             shard = self.ring.shard_for(key)
-            owners = [i for i in self.instances
-                      if i.shard == shard and i.ready]
-            return sorted(owners, key=lambda i: i.replica)
+            owners = []
+            for inst in self.instances:
+                if inst.shard == shard and inst.ready:
+                    owners.append(inst)
+            owners.sort(key=_REPLICA)
+            return owners
         return [i for i in self.instances if i.ready]
 
 
@@ -226,7 +231,7 @@ class ServiceDirectory(Namespace):
         if not spec.instances:
             raise ConfigError(f"{service!r} has no instances left")
         if iid is None:
-            inst = max(spec.instances, key=lambda i: i.replica)
+            inst = max(spec.instances, key=_REPLICA)
         else:
             inst = spec.instance(iid)
             if inst is None:
@@ -407,7 +412,9 @@ class ServiceDirectory(Namespace):
             fpga, cursor = cursor, (cursor + 1) % n
             usable = [i for i in ((fpga + k) % n for k in range(n))
                       if i not in self.cluster.killed and left[i] > 0]
-            usable.sort(key=lambda i: i not in warm)  # stable: cursor order
+            # warm boards first, cursor order within each group
+            usable = ([i for i in usable if i in warm]
+                      + [i for i in usable if i not in warm])
             if usable:
                 fpga = usable[0]
             left[fpga] -= 1

@@ -332,7 +332,9 @@ class FrontEnd:
     def _expire(self, attempt: Tuple[int, int]) -> None:
         """An attempt's time box ran out (a no-op if it was resolved)."""
         irid, timeout = attempt
-        self._resolve(irid, error=f"did not answer in {timeout}", missed=True)
+        if irid in self._awaiting:
+            self._resolve(irid, error=f"did not answer in {timeout}",
+                          missed=True)
 
     # -- open-loop submission ---------------------------------------------
 
@@ -636,17 +638,18 @@ class FrontEnd:
 
     def _send_batch(self, backend: BackendHealth) -> None:
         queue = backend.queue
-        take = queue[:BATCH_SIZE]
+        awaiting = self._awaiting
+        entries, nbytes = [], 0
+        for irid, body, nb in queue[:BATCH_SIZE]:
+            # entries may have been failed over while we accumulated
+            if irid in awaiting:
+                entries.append((irid, body))
+                nbytes += nb + 16
         del queue[:BATCH_SIZE]
-        # entries may have been failed over while we accumulated
-        take = [(irid, body, nb) for irid, body, nb in take
-                if irid in self._awaiting]
-        if not take:
+        if not entries:
             self._flush(backend)
             return
         bid = next(self._bid)
-        entries = [(irid, body) for irid, body, _nb in take]
-        nbytes = sum(nb for _irid, _body, nb in take) + 16 * len(take)
         inst = backend.inst
         self.mux.peer(backend.board.mac).send(
             {"port": inst.port, "data": ("batch", bid, entries),

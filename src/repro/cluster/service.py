@@ -110,10 +110,12 @@ class ClusterPortedService(PortedService):
                                    data=("resp", ident, out_body),
                                    nbytes=out_bytes)
                 else:
+                    nbytes = 0
+                    for _rid, _body, entry_bytes in out:
+                        nbytes += entry_bytes + 16
                     shell.net_post(
                         src_mac, self.port, data=("batchresp", ident, out),
-                        nbytes=max(64, sum(entry[2] for entry in out)
-                                   + 16 * len(out)))
+                        nbytes=max(64, nbytes))
         except ReproError as err:
             self.tile.fault_manager.report(self.tile, "main", err)
 

@@ -30,7 +30,7 @@ class MessageKind(enum.Enum):
     EVENT = "event"        # one-way notification
 
 
-@dataclass
+@dataclass(init=False)
 class Message:
     """One Apiary message.
 
@@ -52,6 +52,9 @@ class Message:
         handling this message should parent under.  Stamped by the shell
         when span tracing is enabled, propagated into responses by
         :meth:`make_response`, and carried across the NoC inside packets.
+
+    The ``__init__`` is written out (the dataclass gives the fields,
+    equality and repr) so that building a message is one Python frame.
     """
 
     src: str
@@ -66,11 +69,26 @@ class Message:
     trace_id: int = 0
     span_id: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.dst:
+    def __init__(self, src: str, dst: str, op: str,
+                 kind: MessageKind = MessageKind.REQUEST, mid: int = 0,
+                 payload: Any = None, payload_bytes: int = 0,
+                 cap: Optional[CapabilityRef] = None, sent_at: int = -1,
+                 trace_id: int = 0, span_id: int = 0) -> None:
+        if not dst:
             raise ProtocolError("message needs a destination endpoint")
-        if self.payload_bytes < 0:
-            raise ProtocolError(f"negative payload size {self.payload_bytes}")
+        if payload_bytes < 0:
+            raise ProtocolError(f"negative payload size {payload_bytes}")
+        self.src = src
+        self.dst = dst
+        self.op = op
+        self.kind = kind
+        self.mid = mid
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.cap = cap
+        self.sent_at = sent_at
+        self.trace_id = trace_id
+        self.span_id = span_id
 
     @property
     def wire_bytes(self) -> int:
@@ -100,20 +118,24 @@ class Message:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MemAccess:
     """Payload of a memory read/write request.
 
     ``offset`` is segment-relative: accelerators never see physical
-    addresses (Section 4.6's isolation property).
+    addresses (Section 4.6's isolation property).  Validated in its one
+    ``__init__``, as :class:`Message` is.
     """
 
     offset: int
     nbytes: int
     data: Any = None  # writes carry data; reads carry None
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ProtocolError(f"negative offset {self.offset}")
-        if self.nbytes < 1:
-            raise ProtocolError(f"access needs >= 1 byte, got {self.nbytes}")
+    def __init__(self, offset: int, nbytes: int, data: Any = None) -> None:
+        if offset < 0:
+            raise ProtocolError(f"negative offset {offset}")
+        if nbytes < 1:
+            raise ProtocolError(f"access needs >= 1 byte, got {nbytes}")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "nbytes", nbytes)
+        object.__setattr__(self, "data", data)

@@ -271,7 +271,11 @@ class Monitor:
         # authorized, and peers must be able to receive their answers.
         if msg.kind in (MessageKind.RESPONSE, MessageKind.ERROR):
             return dst_tile
-        self._require_send_cap(msg.dst)
+        # the tile must hold SEND for the destination endpoint
+        if not self.caps.may_send(self.tile_name, msg.dst):
+            raise AccessDenied(
+                f"{self.tile_name} holds no SEND capability for {msg.dst!r}"
+            )
         if msg.op in ("mem.read", "mem.write") and isinstance(msg.payload, MemAccess):
             if msg.cap is None:
                 raise AccessDenied(f"{msg.op} without a memory capability")
@@ -282,13 +286,6 @@ class Monitor:
                 is_write=(msg.op == "mem.write"),
             )
         return dst_tile
-
-    def _require_send_cap(self, endpoint: str) -> None:
-        """The tile must hold SEND for the destination endpoint."""
-        if not self.caps.may_send(self.tile_name, endpoint):
-            raise AccessDenied(
-                f"{self.tile_name} holds no SEND capability for {endpoint!r}"
-            )
 
     # -- ingress ----------------------------------------------------------------
 

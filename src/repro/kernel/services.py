@@ -271,15 +271,15 @@ class HundredGigAdapter(MacAdapter):
         self.mac = mac
         self.gbps = mac.GBPS
         self.mac_addr = mac.mac_addr
+        #: ``tx_push`` already is the uniform ``transmit`` (``False`` = the
+        #: FIFO is full), so it is bound as is: no adapter frame per frame
+        self.transmit = mac.tx_push
 
     def bring_up(self):
         self.mac.write_reg("cfg_tx_enable", 1)
         self.mac.write_reg("cfg_rx_enable", 1)
         while self.mac.read_reg("stat_aligned") == 0:
             yield self.POLL_CYCLES
-
-    def transmit(self, frame: EthernetFrame) -> bool:
-        return self.mac.tx_push(frame)
 
     def on_rx(self, callback) -> None:
         self.mac.on_rx(callback)

@@ -66,10 +66,11 @@ class Shell:
         #: message-id allocator, shared by every shell of one board (a
         #: free-standing shell numbers its own messages)
         self._mids = mids if mids is not None else itertools.count(1)
-        # cache the monitor's span recorder (duck-typed monitor stand-ins
-        # without one get a private disabled recorder)
+        #: this tile's causal-span recorder: the monitor's, shared
+        #: system-wide (duck-typed monitor stand-ins without one get a
+        #: private disabled recorder)
         spans = getattr(monitor, "spans", None)
-        self._spans: SpanRecorder = spans if spans is not None else SpanRecorder()
+        self.spans: SpanRecorder = spans if spans is not None else SpanRecorder()
         self.mem_service = mem_service
         self.net_service = net_service
         self.inbox: Channel = Channel(engine, capacity=None,
@@ -89,11 +90,6 @@ class Shell:
     @property
     def name(self) -> str:
         return self.monitor.tile_name
-
-    @property
-    def spans(self) -> SpanRecorder:
-        """This tile's causal-span recorder (shared system-wide)."""
-        return self._spans
 
     # -- message plumbing ----------------------------------------------------
 
@@ -160,7 +156,7 @@ class Shell:
                       kind=MessageKind.REQUEST, payload=payload,
                       payload_bytes=payload_bytes, cap=cap)
         result = self.engine.event(f"{self.name}.call#{msg.mid}")
-        spans = self._spans
+        spans = self.spans
         if spans.enabled:
             # root span of the causal trace: covers the whole request,
             # submission to response delivery (= end-to-end latency)
@@ -258,7 +254,7 @@ class Shell:
         beneath it in the reconstructed tree.  Zero-cost when tracing is
         disabled, like every span emit path.
         """
-        spans = self._spans
+        spans = self.spans
         if not spans.enabled or not msg.trace_id:
             return 0
         span = spans.open(msg.trace_id, name, "service", self.name,
@@ -270,7 +266,7 @@ class Shell:
     def span_close(self, span: int, **detail: Any) -> None:
         """Close a span from :meth:`span_open` (no-op for 0)."""
         if span:
-            self._spans.close(span, self.engine.now, **detail)
+            self.spans.close(span, self.engine.now, **detail)
 
     def reply(self, request: Message, payload: Any = None,
               payload_bytes: int = 0, error: bool = False) -> Event:

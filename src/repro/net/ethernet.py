@@ -199,8 +199,11 @@ class HundredGigMac:
                 >= self.TX_FIFO_FRAMES:
             return False
         if self._tx_frame is None:
+            # serialization starts now (inline: one call per frame pushed)
             self._slot_held_at = now
-            self._serialize(frame)
+            self._tx_frame = frame
+            self.engine.schedule(_wire_cycles(frame.nbytes, self.GBPS),
+                                 self._tx_loop)
         else:
             self._fifo.append(frame)
         return True
@@ -210,18 +213,15 @@ class HundredGigMac:
         return (self.TX_FIFO_FRAMES - len(self._fifo)
                 - (self._slot_held_at == self.engine.now))
 
-    def _serialize(self, frame: EthernetFrame) -> None:
-        self._tx_frame = frame
-        self.engine.schedule(_wire_cycles(frame.nbytes, self.GBPS),
-                             self._tx_loop)
-
     def _tx_loop(self, _arg=None) -> None:
         """The frame has left the core: it is on the fabric, the FIFO's
         head (if any) starts."""
         self.fabric.transmit(self._tx_frame)
         self.frames_sent += 1
         if self._fifo:
-            self._serialize(self._fifo.popleft())
+            frame = self._tx_frame = self._fifo.popleft()
+            self.engine.schedule(_wire_cycles(frame.nbytes, self.GBPS),
+                                 self._tx_loop)
         else:
             self._tx_frame = None
 

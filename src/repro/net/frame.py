@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,10 +40,15 @@ def wire_copy(obj: Any) -> Any:
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-@dataclass
+@dataclass(init=False)
 class EthernetFrame:
     """One L2 frame.  ``payload`` rides as an opaque object; ``nbytes`` is
-    what the wire sees (header + payload, clamped to the minimum size)."""
+    what the wire sees (header + payload, clamped to the minimum size).
+
+    The dataclass gives the fields, equality and repr; the ``__init__`` is
+    written out, clamp included, so that building a frame is one Python
+    frame, not a generated one plus a post-init hook.
+    """
 
     src_mac: str
     dst_mac: str
@@ -52,9 +57,15 @@ class EthernetFrame:
     ethertype: int = 0x0800
     sent_at: int = -1
 
-    def __post_init__(self) -> None:
-        if self.nbytes < MIN_FRAME_BYTES:
-            self.nbytes = MIN_FRAME_BYTES
+    def __init__(self, src_mac: str, dst_mac: str, nbytes: int,
+                 payload: Any = None, ethertype: int = 0x0800,
+                 sent_at: int = -1) -> None:
+        self.src_mac = src_mac
+        self.dst_mac = dst_mac
+        self.nbytes = nbytes if nbytes >= MIN_FRAME_BYTES else MIN_FRAME_BYTES
+        self.payload = payload
+        self.ethertype = ethertype
+        self.sent_at = sent_at
 
 
 class EthernetFabric:
@@ -131,9 +142,13 @@ class EthernetFabric:
             self.frames_dropped += 1
             return
         self.bytes_carried += frame.nbytes
+        self.engine.schedule(self.latency_cycles, self.arrive,
+                             (deliver, frame))
 
-        def arrive(_arg) -> None:
-            self.frames_delivered += 1
-            deliver(frame)
-
-        self.engine.schedule(self.latency_cycles, arrive)
+    def arrive(self, arg: Tuple[Callable[[EthernetFrame], None],
+                                EthernetFrame]) -> None:
+        """A frame lands, ``latency_cycles`` after :meth:`transmit`: the
+        endpoint it was sent to is handed it."""
+        deliver, frame = arg
+        self.frames_delivered += 1
+        deliver(frame)

@@ -93,8 +93,8 @@ class ReliableEndpoint:
         reassembled in order at the receiver (go-back-N already gives us
         ordered, exactly-once fragments).
 
-    Wire ``deliver_frame`` into the local MAC's rx callback (a
-    :class:`ReliableMux` dispatches its frames the same way, inline).
+    A :class:`ReliableMux` builds the endpoints and dispatches each frame
+    to ``_handle_data`` / ``_handle_ack``: the one datagram-kind switch.
     """
 
     def __init__(
@@ -160,6 +160,25 @@ class ReliableEndpoint:
              on_acked: Optional[Callable[[], None]] = None) -> None:
         """Send a payload — at once while the window has room, else as ACKs
         make room; ``on_acked()`` is called when the peer has ACKed it."""
+        seq = self._next_seq
+        if payload_bytes <= self.max_segment and not self._unsent \
+                and seq - self._base < self.window:
+            # one segment, straight out: what _segment, _fill_window,
+            # _emit and _arm_timer do, in this one call
+            self._next_seq = seq + 1
+            dgram = Datagram("data", seq, payload, payload_bytes)
+            outstanding = self._outstanding
+            outstanding.append((dgram, on_acked))
+            self.send_frame(EthernetFrame(
+                self.local_mac, self.peer_mac,
+                TRANSPORT_HEADER_BYTES + payload_bytes, dgram))
+            self.datagrams_sent += 1
+            if len(outstanding) == 1:
+                self._deadline = self.engine.now + self.timeout
+                if not self._timer_pending:
+                    self._timer_pending = True
+                    self.engine.schedule(self.timeout, self._timer_fired)
+            return
         segments = self._segment(payload, payload_bytes)
         last = len(segments) - 1
         for i, (seg_payload, seg_bytes) in enumerate(segments):
@@ -237,17 +256,7 @@ class ReliableEndpoint:
             self.retransmissions += 1
         self._arm_timer()
 
-    # -- receiving -----------------------------------------------------------
-
-    def deliver_frame(self, frame: EthernetFrame) -> None:
-        """Feed frames from the local MAC's rx path."""
-        dgram = frame.payload
-        if not isinstance(dgram, Datagram):
-            return  # not ours
-        if dgram.kind == "ack":
-            self._handle_ack(dgram.seq)
-        else:
-            self._handle_data(dgram)
+    # -- receiving (the owning mux's deliver_frame dispatches) -----------------
 
     def _handle_data(self, dgram: Datagram) -> None:
         if dgram.seq == self._expected_seq:
@@ -297,7 +306,8 @@ class ReliableEndpoint:
                 self._arm_timer()
             else:
                 self._deadline = None
-            self._fill_window()
+            if self._unsent:
+                self._fill_window()
 
     # -- inspection -----------------------------------------------------------
 

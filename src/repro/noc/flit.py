@@ -41,7 +41,7 @@ def flits_for_bytes(payload_bytes: int, flit_bytes: int = DEFAULT_FLIT_BYTES) ->
     return 1 + math.ceil(payload_bytes / flit_bytes)
 
 
-@dataclass
+@dataclass(init=False)
 class Packet:
     """One NoC packet.
 
@@ -53,6 +53,9 @@ class Packet:
     vc_class: traffic class; mapped to a virtual-channel set by routers.
       Class 0 is best-effort, higher classes get dedicated VCs (QoS).
     payload: opaque payload object (the Apiary message rides here).
+
+    The ``__init__`` is written out (the dataclass gives the fields,
+    equality and repr) so that building a packet is one Python frame.
     """
 
     pid: int
@@ -74,11 +77,28 @@ class Packet:
     trace_id: int = 0
     span_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.size_flits < 1:
-            raise ConfigError(f"packet needs >= 1 flit, got {self.size_flits}")
-        if self.vc_class < 0:
-            raise ConfigError(f"negative vc_class {self.vc_class}")
+    def __init__(self, pid: int, src: int, dst: int, size_flits: int,
+                 vc_class: int = 0, payload: Any = None,
+                 injected_at: int = -1, delivered_at: int = -1,
+                 hops: int = 0, dateline_vc: int = 0, dateline_dim: str = "",
+                 trace_id: int = 0, span_id: int = 0) -> None:
+        if size_flits < 1:
+            raise ConfigError(f"packet needs >= 1 flit, got {size_flits}")
+        if vc_class < 0:
+            raise ConfigError(f"negative vc_class {vc_class}")
+        self.pid = pid
+        self.src = src
+        self.dst = dst
+        self.size_flits = size_flits
+        self.vc_class = vc_class
+        self.payload = payload
+        self.injected_at = injected_at
+        self.delivered_at = delivered_at
+        self.hops = hops
+        self.dateline_vc = dateline_vc
+        self.dateline_dim = dateline_dim
+        self.trace_id = trace_id
+        self.span_id = span_id
 
     @property
     def latency(self) -> int:

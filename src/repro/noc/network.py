@@ -15,13 +15,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, RouteError
-from repro.noc.flit import (
-    DEFAULT_FLIT_BYTES,
-    Flit,
-    FlitKind,
-    Packet,
-    flits_for_bytes,
-)
+from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, Packet
 from repro.noc.router import NEVER, Router
 from repro.noc.routing import TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
@@ -69,7 +63,11 @@ class NetworkInterface:
         self.node = node
         self.engine = network.engine
         self._spans = network.spans
-        self._router = network.router(node)
+        router = self._router = network.router(node)
+        #: the VCs each traffic class may use, resolved once (a class above
+        #: the last shares the last one's)
+        self._class_vcs = tuple(map(router.allowed_vcs,
+                                    range(network.vc_classes)))
         self._hop_latency = network.hop_latency
         num_vcs = network.num_vcs
         depth = network.buffer_depth
@@ -102,8 +100,9 @@ class NetworkInterface:
         self._eject_buffer: Deque[Flit] = deque()
         #: the cycle the ejector's live wake is stamped for (as a router's)
         self._eject_wake = NEVER
-        #: the tail flit whose packet the delivery channel has yet to accept
-        self._eject_tail: Optional[Flit] = None
+        #: the VC of the tail flit whose packet the delivery channel has
+        #: yet to accept (None: the channel holds nothing up)
+        self._held_vc: Optional[int] = None
         self._partial: Dict[int, int] = {}  # pid -> flits seen
         #: called with each reassembled packet, which it always takes (the
         #: monitor's ingress); without one, :meth:`recv` hands packets out
@@ -123,10 +122,12 @@ class NetworkInterface:
                on_injected: Optional[Callable[[Packet], None]] = None) -> None:
         """Queue a payload for ``dst``; ``on_injected(packet)`` is called
         once the *whole packet* is in the router."""
-        self._offer(self.network.make_packet(
-            src=self.node, dst=dst, payload=payload,
-            payload_bytes=payload_bytes, vc_class=vc_class,
-        ), on_injected)
+        pkt = self.network.make_packet(self.node, dst, payload, payload_bytes,
+                                       vc_class)
+        if self._inject_pkt is None:  # as _offer, without its call
+            self._take(pkt, on_injected)
+        else:
+            self._inject_queue.append((pkt, on_injected))
 
     def send(
         self,
@@ -280,25 +281,25 @@ class NetworkInterface:
                     pid=pkt.pid, src=pkt.src, dst=pkt.dst,
                     flits=pkt.size_flits,
                 )
-        self._inject_vcs = self._router.allowed_vcs(pkt.vc_class)
+        classes = self._class_vcs
+        self._inject_vcs = classes[min(pkt.vc_class, len(classes) - 1)]
         if self.network._enter(self, pkt):
             return False
         self._inject_flits.extend(pkt.make_flits())
         return True
 
-    def _deliver(self, tail: Flit) -> None:
-        """The tail flit completed ``tail.packet``: hand it to the receiver
-        and consume the tail, or to the delivery channel and hold the tail
-        (and its credit) until the channel accepts it."""
-        pkt = tail.packet
+    def _deliver(self, pkt: Packet, vc: int) -> None:
+        """The tail flit, on ``vc``, completed ``pkt``: hand it to the
+        receiver and consume the tail, or to the delivery channel and hold
+        the tail (and its credit) until the channel accepts it."""
         pkt.delivered_at = self.engine.now
         self.packets_received += 1
         self.network.record_delivery(pkt)
         if self.receiver is not None:
             self.receiver(pkt)
-            self._consumed(tail)
+            self._consumed(vc)
             return
-        self._eject_tail = tail
+        self._held_vc = vc
         self.delivered.put(pkt).add_callback(self._ejector)
 
     # -- express-lane checkpoints (see Network._enter) ----------------------
@@ -332,9 +333,9 @@ class NetworkInterface:
         lands, or the cycle after one was consumed while more wait).
         """
         if arg is not None:
-            flit = self._eject_tail
-            self._eject_tail = None
-            self._consumed(flit)
+            vc = self._held_vc
+            self._held_vc = None
+            self._consumed(vc)
             return
         now = self.engine.now
         if now != self._eject_wake:
@@ -344,7 +345,7 @@ class NetworkInterface:
         rows = self._flits_in
         while rows and rows[0][0] <= now:
             buffer.append(rows.popleft()[1])
-        if self._eject_tail is not None or not buffer:
+        if self._held_vc is not None or not buffer:
             return  # held by the delivery channel: resumes on accept
         flit = buffer.popleft()
         pkt = flit.packet
@@ -354,21 +355,21 @@ class NetworkInterface:
                     f"{self.name}: reassembled wrong flit count for "
                     f"packet {pkt.pid} at cycle {now}"
                 )
-            self._deliver(flit)
+            self._deliver(pkt, flit.vc)
             return
         partial = self._partial
         partial[pkt.pid] = partial.get(pkt.pid, 0) + 1
-        self._consumed(flit)
+        self._consumed(flit.vc)
 
-    def _consumed(self, flit: Flit) -> None:
-        """``flit`` is consumed: its LOCAL-output credit is back at the
-        router, and the next flit is consumed no earlier than the next
+    def _consumed(self, vc: int) -> None:
+        """A flit on ``vc`` is consumed: its LOCAL-output credit is back at
+        the router, and the next flit is consumed no earlier than the next
         cycle."""
         if self._eject_buffer:
             self._arm_ejector(self.engine.now + 1)
         elif self._flits_in:
             self._arm_ejector(max(self.engine.now + 1, self._flits_in[0][0]))
-        self._router.local_credit(flit.vc)
+        self._router.local_credit(vc)
 
 
 class Network:
@@ -499,7 +500,8 @@ class Network:
         now = self.engine.now
         depth = self.buffer_depth
         vc = ni._inject_vcs[0]
-        ni._land_credits(now)
+        if ni._credits_in:
+            ni._land_credits(now)
         if ni._inject_credits[vc] != depth:
             return False
         path = self._lane_paths.get((pkt.src, pkt.dst))
@@ -516,7 +518,7 @@ class Network:
             if out.credits[vc] != depth or out.vc_owner[vc] is not None:
                 return False
         far = self._interfaces[pkt.dst]
-        if far._eject_tail is not None:
+        if far._held_vc is not None:
             return False  # the delivery channel still holds up the ejector
         lane = self._express = _Express(pkt, now, vc, path)
         ni._current_vc = vc
@@ -536,10 +538,12 @@ class Network:
                         self.routing.route(self.topo, node, dst))
             out = router._out[out_port]
             base = router._port_base[in_port]
+            # where a grant to each input VC leaves the arbiter
+            pointers = []
+            for vc in range(self.num_vcs):
+                pointers.append((base + vc + 1) % out.arbiter.slots)
             path.append((router, in_port, router._in[in_port], out_port, out,
-                         # where a grant to each input VC leaves the arbiter
-                         [(base + vc + 1) % out.arbiter.slots
-                          for vc in range(self.num_vcs)]))
+                         pointers))
             if node == dst:
                 return tuple(path)
             node = self.topo.neighbor(node, out_port)
@@ -646,9 +650,7 @@ class Network:
         far = self._interfaces[pkt.dst]
         if consumed == total:
             out.credits[vc] -= 1
-            far._deliver(Flit(
-                FlitKind.TAIL if total > 1 else FlitKind.HEADTAIL,
-                pkt, total - 1, vc))
+            far._deliver(pkt, vc)
             return
         out.credits[vc] -= sent - consumed
         for k in range(consumed, sent):
@@ -677,14 +679,12 @@ class Network:
         if not 0 <= dst < len(self._interfaces):  # one per node
             raise RouteError(f"destination {dst} outside topology")
         self._next_pid += 1
-        return Packet(
-            pid=self._next_pid,
-            src=src,
-            dst=dst,
-            size_flits=flits_for_bytes(payload_bytes, self.flit_bytes),
-            vc_class=vc_class,
-            payload=payload,
-        )
+        if payload_bytes < 0:
+            raise ConfigError(f"negative payload size {payload_bytes}")
+        # flits_for_bytes, inline: the header flit plus ceil(bytes / width)
+        return Packet(self._next_pid, src, dst,
+                      1 - (-payload_bytes // self.flit_bytes), vc_class,
+                      payload)
 
     def record_delivery(self, pkt: Packet) -> None:
         """Account ``pkt``, stamped at its injection and its delivery."""

@@ -92,25 +92,22 @@ class RateMeter:
         self._counts = [0] * buckets
         self._current = 0
 
-    def _advance(self, now: int) -> None:
-        """Age out the buckets between the current one and ``now``'s — at
-        most all of them, however long the meter sat idle."""
+    def record(self, now: int, amount: int = 1) -> None:
+        """Count ``amount`` at ``now``, first ageing out the buckets
+        between the current one and ``now``'s — at most all of them,
+        however long the meter sat idle."""
+        counts, buckets = self._counts, self.buckets
         bucket_index = now // self.bucket_cycles
         gap = bucket_index - self._current
         if gap > 0:
-            counts, buckets = self._counts, self.buckets
             first = self._current + 1
             for index in range(first, first + min(gap, buckets)):
                 counts[index % buckets] = 0
             self._current = bucket_index
-
-    def record(self, now: int, amount: int = 1) -> None:
-        if now // self.bucket_cycles != self._current:
-            self._advance(now)
-        self._counts[self._current % self.buckets] += amount
+        counts[self._current % buckets] += amount
 
     def rate(self, now: int) -> float:
         """Events per cycle over the window ending at ``now``."""
-        self._advance(now)
+        self.record(now, 0)  # age the window out to ``now``
         window = self.bucket_cycles * self.buckets
         return sum(self._counts) / window

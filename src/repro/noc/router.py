@@ -290,7 +290,10 @@ class Router:
     def local_credit(self, vc: int) -> None:
         """The local interface consumed a flit: its LOCAL-output credit is
         back this cycle (there is no wire between a router and its NI)."""
-        self._credit(Port.LOCAL, vc)
+        credits = self._out[Port.LOCAL].credits  # as _credit, without its call
+        credits[vc] += 1
+        if credits[vc] > self.buffer_depth:
+            self._credit_overflow(Port.LOCAL, vc)
         if self._buffered:
             self._poke()
 

@@ -56,12 +56,27 @@ class TaggingEngine(Engine):
         super().schedule(delay, callback, arg)
 
 
+def frame_switch(endpoint):
+    """The fabric callback of a bare ``ReliableEndpoint``: the
+    datagram-kind switch ``ReliableMux.deliver_frame`` makes for the
+    endpoints it owns, for rigs that wire one endpoint per MAC (a mux takes
+    no ``mtu``, and the segmentation rigs vary it)."""
+    def deliver(frame):
+        dgram = frame.payload
+        if dgram.kind == "ack":
+            endpoint._handle_ack(dgram.seq)
+        else:
+            endpoint._handle_data(dgram)
+    return deliver
+
+
 def count_calls(run):
-    """``(calls, events)`` of ``run()``: how many times it entered a
-    ``def`` under ``repro/`` and how many ``Event`` objects it built (the
-    rule of ``python tools/funcs.py calls``)."""
-    layers, events = tool_count_calls(run)
-    return sum(layers.values()), events
+    """``((calls, events), frames)`` of ``run()``: how many times it
+    entered a ``def`` under ``repro/``, how many ``Event`` objects it built
+    and its other Python frames by kind (the rule of ``python
+    tools/funcs.py calls``)."""
+    layers, frames, events = tool_count_calls(run)
+    return (sum(layers.values()), events), frames
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,21 @@ class TestMintAndLookup:
         with pytest.raises(AccessDenied):
             s.lookup("tile0", ref, Rights.rw() | Rights.GRANT)
 
+    def test_integer_rights_check_equals_the_flag_expression(self):
+        """``allows`` tests plain ints; for every (held, needed) pair of the
+        five rights and either ``revoked`` it answers what ``Rights``
+        arithmetic does."""
+        every = [Rights(bits) for bits in range(32)]
+        cap = Capability(cid=1, holder="t", rights=Rights.READ, segment_id=1)
+        for revoked in (False, True):
+            cap.revoked = revoked
+            for held in every:
+                cap.rights = held  # NONE too: only construction refuses it
+                for needed in every:
+                    assert cap.allows(needed) == (
+                        not revoked and (held & needed) == needed), \
+                        (held, needed, revoked)
+
 
 class TestPartitioning:
     def test_ref_useless_in_another_partition(self):
@@ -194,6 +209,19 @@ class TestEgressSendCheck:
         assert not s.may_send("t", "svc")
         s.mint("t", Rights.SEND | Rights.GRANT, endpoint="svc")
         assert s.may_send("t", "svc")
+
+    def test_may_send_tests_the_send_bit_as_allows_does(self):
+        """The inline SEND-bit test answers ``allows(Rights.SEND)`` for
+        every rights value and either ``revoked``."""
+        s = store()
+        s.mint("t", Rights.READ, endpoint="svc")
+        cap, = s.holder_caps("t")
+        for revoked in (False, True):
+            cap.revoked = revoked
+            for bits in range(32):
+                cap.rights = Rights(bits)
+                assert s.may_send("t", "svc") == cap.allows(Rights.SEND) \
+                    == (not revoked and Rights.SEND in cap.rights)
 
     def test_grant_revoke_remint_message_by_message(self):
         from repro.kernel import Message, Monitor

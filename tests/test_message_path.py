@@ -857,9 +857,11 @@ def test_event_budget_of_one_shell_call_round_trip():
     started = system.start_app(0, caller)
     system.mgmt.grant_send("tile0", "app.echo")
     system.run_until(started)
-    calls = count_calls(lambda: system.run(until=system.engine.now + 5_000))
+    calls, frames = count_calls(
+        lambda: system.run(until=system.engine.now + 5_000))
     assert caller.cost == SHELL_CALL_ROUND_TRIP_SCHEDULES
     assert calls == SHELL_CALL_ROUND_TRIP_CALLS
+    assert frames["stdlib"] == frames["<...>"] == 0, frames
 
 
 @pytest.mark.identity
@@ -884,11 +886,12 @@ def test_event_budget_of_one_reliable_send_and_its_ack():
                                   on_acked=lambda: acked.append(eng.now))
         eng.run()
 
-    calls = count_calls(send_and_run)
+    calls, frames = count_calls(send_and_run)
     assert got == [(50, "A", "x")] and acked == [100]
     assert eng.pending_events() == 0
     assert eng.schedules == RELIABLE_SEND_AND_ACK_SCHEDULES
     assert calls == RELIABLE_SEND_AND_ACK_CALLS
+    assert frames["stdlib"] == frames["<...>"] == 0, frames
 
 
 #: ISSUE 22 (callback message path) re-pinned these once, on purpose: one
@@ -911,9 +914,14 @@ RELIABLE_SEND_AND_ACK_SCHEDULES = 4
 #: nobody waits on: the round trip keeps the call's result event, the echo
 #: accelerator's receive and its reply's admission event (233 -> 199, 4 ->
 #: 3); a send passes ``on_acked`` instead of returning an ``acked`` event,
-#: and the mux dispatches a frame itself (35 -> 27, 1 -> 0).
-SHELL_CALL_ROUND_TRIP_CALLS = (199, 3)
-RELIABLE_SEND_AND_ACK_CALLS = (27, 0)
+#: and the mux dispatches a frame itself (35 -> 27, 1 -> 0).  Then frames,
+#: messages and packets were built in one ``__init__``, the SEND check
+#: became an integer test and each layer hop one call (199 -> 181, 27 ->
+#: 22).  Neither path enters the standard library or code named ``<...>``
+#: (the round trip entered 3 ``enum`` frames and 6 of a comprehension
+#: before).
+SHELL_CALL_ROUND_TRIP_CALLS = (181, 3)
+RELIABLE_SEND_AND_ACK_CALLS = (22, 0)
 
 
 def test_cross_board_request_books_monitor_and_mac_events_to_their_layers():

@@ -17,6 +17,7 @@ from repro.net import (
     TenGigMac,
 )
 from repro.sim import Engine, RngPool
+from tests.conftest import frame_switch
 
 
 class TestFabric:
@@ -208,8 +209,8 @@ class FrameLoop:
                                   ignore)
         self.b = ReliableEndpoint(eng, self.fabric.transmit, "B", "A",
                                   self.got.append)
-        self.fabric.attach("A", self.a.deliver_frame)
-        self.fabric.attach("B", self.b.deliver_frame)
+        self.fabric.attach("A", frame_switch(self.a))
+        self.fabric.attach("B", frame_switch(self.b))
 
 
 class TestReliableTransport:
@@ -262,8 +263,8 @@ class TestReliableTransport:
         a = ReliableEndpoint(eng, fabric.transmit, "A", "B", ignore,
                              window=4)
         b = ReliableEndpoint(eng, fabric.transmit, "B", "A", ignore)
-        fabric.attach("A", a.deliver_frame)
-        fabric.attach("B", b.deliver_frame)
+        fabric.attach("A", frame_switch(a))
+        fabric.attach("B", frame_switch(b))
 
         def sender():
             for i in range(10):

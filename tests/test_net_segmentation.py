@@ -9,6 +9,7 @@ from repro.net import (
     TRANSPORT_HEADER_BYTES,
 )
 from repro.sim import Engine, RngPool
+from tests.conftest import frame_switch
 
 
 def ignore(_payload):
@@ -26,8 +27,8 @@ def make_loop(eng, loss=0.0, seed=7, mtu=1518, fabric_latency=50):
     a = ReliableEndpoint(eng, fabric.transmit, "A", "B", ignore, mtu=mtu)
     b = ReliableEndpoint(eng, fabric.transmit, "B", "A", received.append,
                          mtu=mtu)
-    fabric.attach("A", a.deliver_frame)
-    fabric.attach("B", b.deliver_frame)
+    fabric.attach("A", frame_switch(a))
+    fabric.attach("B", frame_switch(b))
     return fabric, a, received
 
 

@@ -142,7 +142,7 @@ def _run(case):
             ni.packets_sent, ni.packets_received,
             ni._inject_credits, ni._current_vc, len(ni._inject_flits),
             ni._partial, len(ni._eject_buffer), len(ni._flits_in),
-            ni._eject_tail is None, ni.inject_backlog, len(ni.delivered),
+            ni._held_vc is None, ni.inject_backlog, len(ni.delivered),
         ))
     return dict(
         packets={key: (pkt.injected_at, pkt.delivered_at, pkt.hops)

@@ -219,11 +219,16 @@ def test_imports_lists_every_module_level_import_never_read(tmp_path):
 
 def test_calls_counts_defs_under_repro_by_layer_and_events():
     """``count_calls`` books every entry into a ``def`` under ``repro/``
-    to its layer — a generator resume is an entry too — and skips the
-    caller's own code; ``Event`` objects are counted as they are built
-    (a process's ``done`` is one)."""
+    to its layer — a generator resume is an entry too — and every other
+    frame to its kind: a generator expression under ``repro/``, a
+    dataclass's generated ``__init__``, the standard library, the caller's
+    own code.  ``Event`` objects are counted as they are built (a
+    process's ``done`` is one)."""
+    import textwrap
+
+    from repro.cluster.directory import ServiceSpec
     from repro.sim import Engine
-    from tools.funcs import count_calls
+    from tools.funcs import FRAME_KINDS, count_calls
 
     def waiter(done):
         yield done
@@ -234,7 +239,14 @@ def test_calls_counts_defs_under_repro_by_layer_and_events():
         engine.schedule(5, done.succeed)
         engine.process(waiter(done))
         engine.run()
+        # a generated __init__, then a def whose genexpr is entered once
+        ServiceSpec("svc", sharded=False).instance("svc#0")
+        textwrap.dedent("x")  # one frame of the standard library
 
-    layers, events = count_calls(run)
+    layers, frames, events = count_calls(run)
     assert events == 2
-    assert {layer: n for layer, n in layers.items() if n} == {"sim": 21}
+    assert {layer: n for layer, n in layers.items() if n} == {
+        "sim": 21, "cluster": 1}
+    assert tuple(frames) == FRAME_KINDS
+    # ``run`` once, ``waiter`` started and resumed
+    assert frames == {"<...>": 1, "generated": 1, "stdlib": 1, "other": 3}

@@ -41,10 +41,16 @@ read), and exits 1 when it lists any.
 ``kv_hot``, seed 1; building the cluster included, drawing the inputs
 not) under a profile hook and prints how many times it entered a ``def``
 under ``repro/``, per layer as ``perf.trace`` names them, and how many
-``Event`` objects it built.  Code named ``<...>`` (comprehensions,
-lambdas) is not counted, so interpreters that inline comprehensions
-agree.  It re-executes itself with ``PYTHONHASHSEED=0``, as the benchmark
-runs its workers, so the counts are exact.
+``Event`` objects it built.  Beside those it counts every other Python
+frame the repetition entered, by kind: code named ``<...>`` under
+``repro/`` (lambdas, generator expressions and, before Python 3.12,
+comprehensions), generated code (``<string>``: a dataclass's
+``__init__``), the standard library, and any other file; then the total
+and the interpreter version.  The per-layer ``def`` counts agree across
+interpreters; the frame total does not (3.12 inlines list
+comprehensions), so it is recorded, never pinned.  It re-executes itself
+with ``PYTHONHASHSEED=0``, as the benchmark runs its workers, so the
+counts are exact.
 """
 
 import argparse
@@ -52,6 +58,7 @@ import ast
 import os
 import runpy
 import sys
+import sysconfig
 
 
 def _record(out, src):
@@ -399,10 +406,30 @@ def imports(src):
     return unused
 
 
+#: the kinds of frame ``count_calls`` books outside the ``def``s under
+#: ``repro/``, in the order ``calls`` prints them
+FRAME_KINDS = ("<...>", "generated", "stdlib", "other")
+
+
+def _frame_kind(code, inside, stdlib, site):
+    """The kind of a frame that is not a ``def`` under ``repro/``."""
+    path = code.co_filename
+    if inside in path:
+        return "<...>"
+    if path.startswith("<frozen "):
+        return "stdlib"
+    if path.startswith("<"):
+        return "generated"
+    if path.startswith(stdlib) and not path.startswith(site):
+        return "stdlib"
+    return "other"
+
+
 def count_calls(run):
     """Run ``run()`` under a profile hook; return how many times it
     entered a ``def`` under ``repro/``, by layer as ``perf.trace`` names
-    them, and how many ``Event`` objects it built."""
+    them, how many other Python frames it entered, by kind
+    (:data:`FRAME_KINDS`), and how many ``Event`` objects it built."""
     from perf.trace import LAYERS, layer_of
     from repro.sim import Event
 
@@ -419,16 +446,23 @@ def count_calls(run):
     finally:
         sys.setprofile(None)
     layers = dict.fromkeys(LAYERS, 0)
+    kinds = dict.fromkeys(FRAME_KINDS, 0)
     inside = f"{os.sep}repro{os.sep}"
+    paths = sysconfig.get_paths()
+    stdlib = os.path.join(paths["stdlib"], "")
+    site = os.path.join(paths["purelib"], "")
     for code, n in counts.items():
         if inside in code.co_filename and not code.co_name.startswith("<"):
             layers[layer_of(code)] += n
-    return layers, counts.get(Event.__init__.__code__, 0)
+        else:
+            kinds[_frame_kind(code, inside, stdlib, site)] += n
+    return layers, kinds, counts.get(Event.__init__.__code__, 0)
 
 
 def calls(workload, seed):
-    """Print the exact per-layer call counts and the ``Event`` count of
-    one repetition of ``workload`` at ``seed``."""
+    """Print the exact per-layer call counts, the other frames by kind
+    and the ``Event`` count of one repetition of ``workload`` at
+    ``seed``."""
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     from perf.harness import run_repetition
@@ -437,13 +471,23 @@ def calls(workload, seed):
     spec = WORKLOADS[workload]
     inputs = spec.build(seed)
     digest = []
-    layers, events = count_calls(lambda: digest.append(
+    layers, kinds, events = count_calls(lambda: digest.append(
         run_repetition(spec, inputs, sliced=False)["digest"]))
-    print(f"{workload} seed {seed}: report {digest[0][:16]}")
+    print(f"{workload} seed {seed}: report {digest[0][:16]} "
+          f"(Python {sys.version.split()[0]})")
     for layer, n in layers.items():
-        print(f"  {layer:<8} {n:>9,}")
-    print(f"  {'total':<8} {sum(layers.values()):>9,} calls into repro/")
-    print(f"  {'Event':<8} {events:>9,} objects built")
+        print(f"  {layer:<9} {n:>9,}")
+    defs = sum(layers.values())
+    print(f"  {'total':<9} {defs:>9,} calls into repro/")
+    what = {"<...>": "frames of repro/ code named <...>",
+            "generated": "frames of generated code (<string>)",
+            "stdlib": "frames of the standard library",
+            "other": "frames of any other file"}
+    for kind, n in kinds.items():
+        print(f"  {kind:<9} {n:>9,} {what[kind]}")
+    print(f"  {'frames':<9} {defs + sum(kinds.values()):>9,} Python frames "
+          f"in all")
+    print(f"  {'Event':<9} {events:>9,} objects built")
 
 
 def main(argv=None):
