@@ -450,7 +450,8 @@ def count_calls(run):
     inside = f"{os.sep}repro{os.sep}"
     paths = sysconfig.get_paths()
     stdlib = os.path.join(paths["stdlib"], "")
-    site = os.path.join(paths["purelib"], "")
+    site = tuple(os.path.join(paths[key], "")
+                 for key in ("purelib", "platlib"))
     for code, n in counts.items():
         if inside in code.co_filename and not code.co_name.startswith("<"):
             layers[layer_of(code)] += n
