@@ -84,9 +84,9 @@ class RemoteServiceProxy(Accelerator):
         if request is None:
             return
         self.completed += 1
-        shell.reply(request, payload=response.get("payload"),
-                    payload_bytes=int(response.get("bytes", 0)),
-                    error=bool(response.get("error", False)))
+        shell.answer(request, payload=response.get("payload"),
+                     payload_bytes=int(response.get("bytes", 0)),
+                     error=bool(response.get("error", False)))
 
 
 class RemoteCpuServiceHost:

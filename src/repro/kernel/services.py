@@ -95,7 +95,7 @@ class MemoryService(Accelerator):
         self.requests_served += 1
         handler = self._HANDLERS.get(msg.op)
         if handler is None:
-            shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
+            shell.answer(msg, payload=f"unknown op {msg.op!r}", error=True)
             return
         span = shell.span_open(msg, f"service:{msg.op}", op=msg.op)
         incarnation = shell.incarnation
@@ -105,11 +105,11 @@ class MemoryService(Accelerator):
                 return
             if not isinstance(out, BaseException):
                 shell.span_close(span)
-                shell.reply(msg, payload=out[0], payload_bytes=out[1])
+                shell.answer(msg, payload=out[0], payload_bytes=out[1])
             elif isinstance(out, self._REFUSALS):
                 shell.span_close(span, error=type(out).__name__)
-                shell.reply(msg, payload=f"{type(out).__name__}: {out}",
-                            error=True)
+                shell.answer(msg, payload=f"{type(out).__name__}: {out}",
+                             error=True)
             else:
                 raise out
 
@@ -339,11 +339,11 @@ class NetworkService(Accelerator):
             if port == HEARTBEAT_PORT or \
                     self._ports.get(port, msg.src) != msg.src:
                 shell.span_close(span, error="PortTaken")
-                shell.reply(msg, payload=f"port {port} taken", error=True)
+                shell.answer(msg, payload=f"port {port} taken", error=True)
                 return
             self._ports[port] = msg.src
             shell.span_close(span)
-            shell.reply(msg, payload="bound")
+            shell.answer(msg, payload="bound")
         elif msg.op in ("net.send", "net.post"):
             body = msg.payload
             on_acked = None
@@ -353,7 +353,7 @@ class NetworkService(Accelerator):
                 def sent(_arg) -> None:
                     if shell.incarnation == incarnation:
                         shell.span_close(span)
-                        shell.reply(msg, payload="sent")
+                        shell.answer(msg, payload="sent")
 
                 # answered one ring hop after the ACK
                 on_acked = partial(self._engine.schedule, 0, sent)
@@ -366,7 +366,7 @@ class NetworkService(Accelerator):
                 shell.span_close(span)
         else:
             shell.span_close(span, error="UnknownOp")
-            shell.reply(msg, payload=f"unknown op {msg.op!r}", error=True)
+            shell.answer(msg, payload=f"unknown op {msg.op!r}", error=True)
 
     def _tx_frame(self, frame: EthernetFrame) -> None:
         """Transport -> MAC: straight into the core when it takes the

@@ -12,7 +12,8 @@ process generators):
 * ``call(dst, op, ...)`` — RPC to any endpoint; correlation handled here.
 * ``notify(dst, op, ...)`` — one-way event; ``post`` is the same without
   the admission event, for a sender that never waits on it.
-* ``recv()`` / ``reply(msg, ...)``, or ``serve(handler)`` — serve requests.
+* ``recv()`` / ``reply(msg, ...)``, or ``serve(handler)`` — serve requests;
+  ``answer`` is ``reply`` without the admission event.
 * ``alloc/free/read/write/grant`` — memory through ``svc.mem``.
 * ``net_bind/net_send/net_post`` plus ``net_rx`` events — networking
   through ``svc.net``.
@@ -271,6 +272,12 @@ class Shell:
     def reply(self, request: Message, payload: Any = None,
               payload_bytes: int = 0, error: bool = False) -> Event:
         return self._admission(request.make_response(
+            payload=payload, payload_bytes=payload_bytes, error=error))
+
+    def answer(self, request: Message, payload: Any = None,
+               payload_bytes: int = 0, error: bool = False) -> None:
+        """:meth:`reply` without the admission event."""
+        self.monitor.submit(request.make_response(
             payload=payload, payload_bytes=payload_bytes, error=error))
 
     # -- memory convenience API (over svc.mem) -----------------------------------

@@ -44,7 +44,7 @@ class ProgressWatchdog:
         self.on_stall = on_stall
         self.stalled_at: Optional[int] = None
         self.checks = 0
-        self._process = engine.process(self._run(), name="noc.watchdog")
+        engine.process(self._run(), name="noc.watchdog")
 
     def _run(self):
         last_count = self.network.total_flits_forwarded()
@@ -58,6 +58,3 @@ class ProgressWatchdog:
                 if self.on_stall is not None:
                     self.on_stall(self.engine.now)
             last_count = current
-
-    def stop(self) -> None:
-        self._process.interrupt("watchdog stopped")

@@ -124,7 +124,7 @@ class NetworkInterface:
         once the *whole packet* is in the router."""
         pkt = self.network.make_packet(self.node, dst, payload, payload_bytes,
                                        vc_class)
-        if self._inject_pkt is None:  # as _offer, without its call
+        if self._inject_pkt is None:  # an idle injector takes it at once
             self._take(pkt, on_injected)
         else:
             self._inject_queue.append((pkt, on_injected))
@@ -142,13 +142,6 @@ class NetworkInterface:
         self.inject(dst, payload, payload_bytes, vc_class, done.succeed)
         return done
 
-    def send_packet(self, pkt: Packet) -> Event:
-        if pkt.src != self.node:
-            raise RouteError(f"packet src {pkt.src} != NI node {self.node}")
-        done = self.engine.event(f"{self.name}.send#{pkt.pid}")
-        self._offer(pkt, done.succeed)
-        return done
-
     def recv(self) -> Event:
         """Event that succeeds with the next fully reassembled packet (for
         an interface with no :attr:`receiver`)."""
@@ -157,14 +150,6 @@ class NetworkInterface:
     @property
     def inject_backlog(self) -> int:
         return len(self._inject_queue)
-
-    def _offer(self, pkt: Packet,
-               on_injected: Optional[Callable[[Packet], None]]) -> None:
-        """An idle injector takes ``pkt`` at once, a busy one queues it."""
-        if self._inject_pkt is None:
-            self._take(pkt, on_injected)
-        else:
-            self._inject_queue.append((pkt, on_injected))
 
     def _take(self, pkt: Packet,
               on_injected: Optional[Callable[[Packet], None]]) -> None:

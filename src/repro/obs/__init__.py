@@ -20,7 +20,7 @@ end-of-run :class:`~repro.sim.stats.StatsRegistry`:
   record for the lifetime of a run; registered via ``StatsRegistry.sketch``.
 * :class:`SLOTarget` / :class:`SLOEngine` — declarative per-service and
   per-tenant objectives with multi-window fast/slow burn-rate alerting;
-  verdicts and alerts are deterministic and PDES-mergeable.
+  verdicts and alerts are deterministic.
 * :class:`CycleProfiler` — cycle-accounting attribution over the span
   trees, emitting folded-stack flamegraph files and a top-N table.
 * :class:`FlightRecorder` — always-on bounded ring of recent spans +

@@ -9,9 +9,8 @@ verdicts against those objectives:
   against each matching target — bad means failed, rejected, or slower
   than the target's latency bound;
 * classifications land in fixed-width **sim-time buckets** of integer
-  counts, so the engine's state is a pure function of the request stream —
-  deterministic, and mergeable across PDES partitions by adding bucket
-  counts (commutative, like everything else in the stats plane);
+  counts, so the engine's state is a pure function of the request stream
+  and deterministic;
 * **burn rate** over a window is ``bad_fraction / error_budget`` where
   ``error_budget = 1 - objective``: burn 1.0 spends the budget exactly at
   the sustainable rate, burn 14 exhausts a 30-day budget in ~2 days.  The
@@ -78,7 +77,7 @@ class SLOTarget:
 
     @property
     def key(self) -> Tuple[str, str, str]:
-        """Stable identity for bucket maps and cross-partition merge."""
+        """Stable identity for bucket maps."""
         return (self.service, self.tenant or "", self.name)
 
     @property
@@ -87,7 +86,7 @@ class SLOTarget:
 
 
 class SLOEngine:
-    """Classifies requests against targets; verdicts, burn alerts, merge."""
+    """Classifies requests against targets; verdicts and burn alerts."""
 
     def __init__(self, bucket_cycles: int = DEFAULT_BUCKET_CYCLES):
         if bucket_cycles <= 0:
@@ -95,7 +94,7 @@ class SLOEngine:
         self.bucket_cycles = bucket_cycles
         self.targets: Dict[Tuple[str, str, str], SLOTarget] = {}
         # target key -> bucket index -> [good, bad] (integer counts only:
-        # integers merge exactly, floats would accumulate rounding skew)
+        # integers add exactly, floats would accumulate rounding skew)
         self._buckets: Dict[Tuple[str, str, str], Dict[int, List[int]]] = {}
         self._sketches: Dict[Tuple[str, str, str], QuantileSketch] = {}
 
@@ -140,28 +139,6 @@ class SLOEngine:
             cell[0 if good else 1] += 1
             if latency is not None:
                 self._sketches[key].record(latency)
-
-    # -- merge (PDES roll-up) -------------------------------------------
-
-    def merge(self, other: "SLOEngine") -> None:
-        """Fold a sibling partition's engine in; commutative.
-
-        Targets union (identical definitions required — partitions are
-        built from one config, so a conflict is a bug, not a race);
-        bucket counts and latency sketches add.
-        """
-        if other.bucket_cycles != self.bucket_cycles:
-            raise ValueError("cannot merge engines with different buckets")
-        for target in other.targets.values():
-            self.add_target(target)
-        for key, buckets in other._buckets.items():
-            mine = self._buckets.setdefault(key, {})
-            for bucket, (good, bad) in buckets.items():
-                cell = mine.setdefault(bucket, [0, 0])
-                cell[0] += good
-                cell[1] += bad
-        for key, sketch in other._sketches.items():
-            self._sketches[key].merge(sketch)
 
     # -- burn rates ------------------------------------------------------
 
@@ -245,8 +222,7 @@ class SLOEngine:
         """Machine-readable verdicts: one row per target, plus alerts.
 
         Byte-stable for identical request streams (sorted keys, integer
-        counts, rounded floats) — the PDES identity tests compare the
-        JSON dump of this structure across backends.
+        counts, rounded floats).
         """
         rows = []
         for key in sorted(self.targets):

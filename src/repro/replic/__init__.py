@@ -22,7 +22,7 @@ loss and zero linearizability violations.
 from repro.replic.chain import LOG_APPEND_CYCLES, STREAM_CHUNK, ChainNodeService
 from repro.replic.history import HistoryChecker, ReadRecord, WriteRecord
 from repro.replic.log import LogEntry, WriteAheadLog
-from repro.replic.machine import KvMachine, StateMachine
+from repro.replic.machine import KvMachine
 from repro.replic.manager import RepairEvent, ReplicationManager
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ReadRecord",
     "LogEntry",
     "WriteAheadLog",
-    "StateMachine",
     "KvMachine",
     "RepairEvent",
     "ReplicationManager",

@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.service import ClusterPortedService
 from repro.replic.log import LogEntry, WriteAheadLog
-from repro.replic.machine import StateMachine
+from repro.replic.machine import KvMachine
 
 __all__ = ["ChainNodeService", "LOG_APPEND_CYCLES", "STREAM_CHUNK"]
 
@@ -70,7 +70,7 @@ class ChainNodeService(ClusterPortedService):
     whose callback serving path never runs for a chain node.
     """
 
-    def __init__(self, name: str, port: int, machine: StateMachine):
+    def __init__(self, name: str, port: int, machine: KvMachine):
         super().__init__(name, port, handler=None)
         self.machine = machine
 

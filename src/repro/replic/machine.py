@@ -1,64 +1,35 @@
 """Replicated state machines: what a chain node actually executes.
 
 Chain replication is agnostic to the service it replicates; the contract
-is the classic deterministic-state-machine one:
+a chain node relies on is the classic deterministic-state-machine one:
 
-* :meth:`StateMachine.apply` must be **deterministic** — every replica
+* ``is_write(body)`` says whether a request mutates state (and so goes
+  through the log); ``write_cycles`` / ``read_cycles`` are the compute
+  cycles one replica charges for it;
+* ``apply(body)`` applies one committed write and ``read(body)`` serves
+  one read from committed state, each returning ``(reply_body,
+  reply_bytes)``; ``apply`` must be **deterministic** — every replica
   applies the same log prefix and must land in the same state, which is
   what makes the head's locally-computed reply valid for a write the
   tail committed;
-* :meth:`StateMachine.snapshot` / :meth:`StateMachine.restore` bound
-  catch-up time — a spliced-in replica installs a checkpoint and replays
-  only the log tail above it.
+* ``snapshot()`` / ``restore(snap)`` bound catch-up time — a spliced-in
+  replica installs a checkpoint and replays only the log tail above it;
+  ``snapshot_bytes()`` is the checkpoint's wire size.
 
-:class:`KvMachine` is the reference implementation: the versioned KV
-store the R2 consistency bench drives.  Values carry the writer's
-monotonic version so the linearizability checker can order what reads
-observed without inspecting server internals.
+:class:`KvMachine` is the one implementation: the versioned KV store the
+R2 consistency bench drives.  Values carry the writer's monotonic version
+so the linearizability checker can order what reads observed without
+inspecting server internals.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-__all__ = ["StateMachine", "KvMachine"]
+__all__ = ["KvMachine"]
 
 
-class StateMachine:
-    """Deterministic state machine replicated by a chain."""
-
-    def is_write(self, body: Dict[str, Any]) -> bool:
-        """True when ``body`` mutates state (must go through the log)."""
-        raise NotImplementedError
-
-    def write_cycles(self, body: Dict[str, Any]) -> int:
-        """Compute cycles one replica charges to apply ``body``."""
-        raise NotImplementedError
-
-    def read_cycles(self, body: Dict[str, Any]) -> int:
-        raise NotImplementedError
-
-    def apply(self, body: Dict[str, Any]) -> Tuple[Any, int]:
-        """Apply one committed write; returns ``(reply_body, reply_bytes)``."""
-        raise NotImplementedError
-
-    def read(self, body: Dict[str, Any]) -> Tuple[Any, int]:
-        """Serve one read from current (committed) state."""
-        raise NotImplementedError
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A self-contained checkpoint of the whole state."""
-        raise NotImplementedError
-
-    def snapshot_bytes(self) -> int:
-        """Wire size of :meth:`snapshot` (models checkpoint streaming)."""
-        raise NotImplementedError
-
-    def restore(self, snap: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-
-class KvMachine(StateMachine):
+class KvMachine:
     """A versioned key-value store (put / get / delete / scan).
 
     ``version`` bumps on every applied mutation, so snapshots are

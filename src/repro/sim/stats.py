@@ -103,9 +103,6 @@ class Histogram:
             "max": self.max(),
         }
 
-    def merge(self, other: "Histogram") -> None:
-        self._samples.extend(other._samples)
-
     def reset(self) -> None:
         self._samples.clear()
 

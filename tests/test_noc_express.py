@@ -80,16 +80,18 @@ def _run(case):
             eng.schedule(at, lambda _a, k=kind, n=node, a=args:
                          apply(k, n, *a))
 
+    def injected(index, count):
+        def record(sent):
+            packets[index, count] = sent.value
+            done_at[index, count] = eng.now
+        return record
+
     def sender(index, src, blocking, sends):
         ni = net.interface(src)
         for count, (gap, dst, flits, vc_class) in enumerate(sends):
             yield gap
-            pkt = net.make_packet(src, dst, payload_bytes=16 * flits,
-                                  vc_class=vc_class)
-            packets[index, count] = pkt
-            sent = ni.send_packet(pkt)
-            sent.add_callback(lambda _e, key=(index, count):
-                              done_at.__setitem__(key, eng.now))
+            sent = ni.send(dst, payload_bytes=16 * flits, vc_class=vc_class)
+            sent.add_callback(injected(index, count))
             if blocking:
                 yield sent
 

@@ -90,8 +90,8 @@ def pair_traffic(draw):
 
 
 def pair_orders(case, vc_classes=NOC_VC_CLASSES):
-    """Run ``case`` on a board NoC; per ``(src, dst)`` pair, the packet
-    ids in injection order and in delivery order."""
+    """Run ``case`` on a board NoC; per ``(src, dst)`` pair, the packets'
+    injection ranks in injection order and in delivery order."""
     eng = Engine()
     net = Network(eng, Mesh2D(case["width"], case["height"]),
                   num_vcs=NOC_VCS, vc_classes=vc_classes,
@@ -102,15 +102,15 @@ def pair_orders(case, vc_classes=NOC_VC_CLASSES):
         ni = net.interface(src)
         for gap, dst, flits in sends:
             yield gap
-            pkt = net.make_packet(src, dst, payload_bytes=16 * (flits - 1))
-            injected.setdefault((src, dst), []).append(pkt.pid)
-            ni.send_packet(pkt)
+            order = injected.setdefault((src, dst), [])
+            order.append(len(order))
+            ni.send(dst, payload=order[-1], payload_bytes=16 * (flits - 1))
 
     def sink(node, think):
         ni = net.interface(node)
         while True:
             pkt = yield ni.recv()
-            delivered.setdefault((pkt.src, pkt.dst), []).append(pkt.pid)
+            delivered.setdefault((pkt.src, pkt.dst), []).append(pkt.payload)
             yield think
 
     for src, sends in case["senders"]:

@@ -199,22 +199,6 @@ class TestSLOEngine:
         assert len(pages) == 1
         assert pages[0]["burn_rate"] >= 14.0
 
-    def test_merge_is_commutative(self):
-        def build(flip):
-            a, b = SLOEngine(), SLOEngine()
-            for eng in (a, b):
-                eng.add_target(self.target())
-            feed(a, "kv", good=10, bad=2, at=5_000, latency=20)
-            feed(b, "kv", good=7, bad=1, at=15_000, latency=90)
-            if flip:
-                b.merge(a)
-                return b
-            a.merge(b)
-            return a
-        ab, ba = build(False), build(True)
-        assert json.dumps(ab.report(50_000), sort_keys=True) == \
-            json.dumps(ba.report(50_000), sort_keys=True)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SLOTarget("x", "s", objective=1.0)
@@ -224,8 +208,6 @@ class TestSLOEngine:
         eng.add_target(self.target())
         with pytest.raises(ValueError):
             eng.add_target(self.target(objective=0.95))  # same key, differs
-        with pytest.raises(ValueError):
-            eng.merge(SLOEngine(bucket_cycles=1))
 
 
 def profiled_spans():
@@ -343,15 +325,6 @@ class TestFlightRecorder:
             validate_flight_dump(bad)
         with pytest.raises(ValueError):
             validate_flight_dump(dict(doc, seen=0))
-
-    def test_absorb_adopts_collected_state(self):
-        worker = FlightRecorder("fpga0", capacity=4)
-        worker.record_event(1, "fault", "tile1", "drained:TileFault")
-        worker.dump(2, "fault:tile1:drained")
-        local = FlightRecorder("fpga0", capacity=4)
-        local.absorb(worker)
-        assert json.dumps(local.report(), sort_keys=True) == \
-            json.dumps(worker.report(), sort_keys=True)
 
 
 class TestOneEventLog:

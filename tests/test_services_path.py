@@ -40,7 +40,7 @@ from repro.net import EthernetFabric
 from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
 from repro.sim import Engine
 
-from tests.conftest import CountingEngine
+from tests.conftest import CountingEngine, count_calls
 
 SEG = 256 * 1024  # room for two rows of one bank (bank stride: 16 rows)
 SAME_BANK = 2 * 8 * 4096  # channel 0, bank 0, the next row: a conflict
@@ -682,6 +682,19 @@ def test_event_budget_of_each_network_op():
             for op, act in NETWORK_OPS.items()} == NETWORK_OP_SCHEDULES
 
 
+def test_events_built_by_each_memory_op():
+    """``Event`` objects one op builds: the call's result (a read or write
+    adds its access process's ``done`` and the DRAM bus acquire); the
+    service's reply builds none, since nothing waits on its admission."""
+    def events(act):
+        rig = memory_rig()
+        (_calls, built), _frames = count_calls(lambda: op_cost(rig, act))
+        return built
+
+    assert {op: events(act) for op, act in MEMORY_OPS.items()} \
+        == MEMORY_OP_EVENTS
+
+
 #: captured as 23 / 26 / 26 / 23 / 23 and 21 / 36 on the process-per-
 #: message services; answering in the delivery callback drops the inbox
 #: wake, the per-request process and its timer's second hop (alloc, free
@@ -701,3 +714,8 @@ MEMORY_OP_SCHEDULES = {"idle": 0, "mem.alloc": 12, "mem.write": 18,
 #: the NoC and the caller's response handling
 NETWORK_OP_SCHEDULES = {"idle": 0, "net.bind": 11, "net.send": 23,
                         "net.post": 16}
+
+#: one more per op while the service replied through ``Shell.reply``,
+#: whose admission event nobody waited on
+MEMORY_OP_EVENTS = {"idle": 0, "mem.alloc": 1, "mem.write": 3,
+                    "mem.read": 3, "mem.grant": 1, "mem.free": 1}
