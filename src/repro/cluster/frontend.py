@@ -204,7 +204,9 @@ class FrontEnd:
         cluster.fabric.attach(FRONTEND_MAC, self.mux.deliver_frame)
         cluster.register_fault_listener(self)
         self.track_all()
-        self.engine.schedule(PROBE_INTERVAL, self._prober)
+        # rounds on the interval grid, whatever cycle setup ended on
+        self.engine.schedule(PROBE_INTERVAL - self.engine.now % PROBE_INTERVAL,
+                             self._prober)
 
     # -- instance tracking -------------------------------------------------
 

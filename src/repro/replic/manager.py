@@ -208,13 +208,14 @@ class ReplicationManager:
             self._kick.succeed(None)
 
     def _tick(self):
-        """One tick per ``PROBE_INTERVAL``, which sends nothing while every
+        """One tick per ``PROBE_INTERVAL``, on its multiples whatever
+        cycle the manager started on, which sends nothing while every
         board is up.  A shard with a member on a board that is down is
         marked dirty (a heal is heard the same way: the board's first
         answered beat makes it reachable again); then pending fences and
         deferred splices are retried."""
         while True:
-            yield PROBE_INTERVAL
+            yield PROBE_INTERVAL - self.engine.now % PROBE_INTERVAL
             for service in list(self._managed):
                 spec = self.directory.services.get(service)
                 if spec is None:

@@ -5,6 +5,7 @@ selects its own with ``pytest -m identity -k <name>``); they live here so
 the same checks run locally under the tier-1 runner.
 """
 
+import copy
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from repro.chaos import Campaign
 from repro.cluster import CacheConfig, Cluster, ClusterConfig
 from repro.kernel.config import NocConfig, SystemConfig
 from repro.loadgen import ScenarioRunner, get_scenario, scenario_names
+from repro.net import EthernetFabric
 from repro.replic.machine import KvMachine
 
 pytestmark = pytest.mark.identity
@@ -132,9 +134,11 @@ def test_cache_scenario_logs_are_pinned(arm):
 
 
 #: sha256 of the R2 library scenario's report on the shared backend (kill,
-#: partition, heal): what the manager repairs, and when, must not move
+#: partition, heal): what the manager repairs, and when, must not move.
+#: Re-pinned when the probe rounds and the manager's tick came to fire on
+#: multiples of their interval (a down board is heard at another cycle).
 _R2_SHA256 = \
-    "602e79f5d4fbcaa6e52709d587c9b9361ea9877261a0c310cb9ef71074c7155e"
+    "2814946df2eb23e8e78ac078a1c5e248353690d83ac9f3c9a81d70a11b0d97ce"
 
 
 def test_replication_scenario_report_is_pinned():
@@ -182,7 +186,7 @@ def test_control_plane_scenario_meets_its_expectation(
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP items 2/3: on a windowed backend an op issued inside a host "
+    "ROADMAP item 3: on a windowed backend an op issued inside a host "
     "window (a control-plane tick) runs at the window's barrier, on "
     "shared at once — the two part at the first scale-up or repair"))
 def test_control_plane_scenarios_agree_on_shared_and_sequential(
@@ -192,12 +196,7 @@ def test_control_plane_scenarios_agree_on_shared_and_sequential(
             == control_plane_report(name, "sequential"), name
 
 
-@pytest.mark.parametrize("seed", [1, 2, pytest.param(
-    6, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: shared logs one failover more than sequential"))),
-    pytest.param(7, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: shared logs 4 failovers, sequential 3, and "
-        "alpha's latency quantiles follow")))])
+@pytest.mark.parametrize("seed", [1, 2, 6, 7])
 def test_chaos_soak_is_one_report_on_shared_and_sequential(seed):
     """chaos_soak is not saturated, so identity must hold through its kill,
     partition and heal.  Seeds 1 and 2 split while the network tile
@@ -207,6 +206,42 @@ def test_chaos_soak_is_one_report_on_shared_and_sequential(seed):
                               backend=backend).run().to_json()
                for backend in ("shared", "sequential")]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name",
+                         ["chaos_soak", "tenant_storm", "replication_chaos"])
+def test_report_does_not_depend_on_the_boot_settle_length(name, monkeypatch):
+    """The periodic timers (the front-end's probe rounds, the replication
+    manager's tick) fire on multiples of their interval, so how many
+    cycles boot spent settling moves no report byte."""
+    boot = Cluster.boot
+
+    def run(settle):
+        monkeypatch.setattr(Cluster, "boot",
+                            lambda self, extra_cycles=0: boot(self, settle))
+        return ScenarioRunner(get_scenario(name, seed=1)).run().to_json()
+
+    assert run(5_000) == run(7_000)
+
+
+def test_chaos_soak_needs_no_shared_frame_objects(monkeypatch):
+    """Boards on the shared engine share no state through a frame: when
+    the fabric hands each receiver a deep copy of what was sent, chaos_soak
+    (kill, partition, heal) gives the same report bytes."""
+    def run():
+        return ScenarioRunner(get_scenario("chaos_soak", seed=1),
+                              backend="shared").run().to_json()
+
+    shared_frames = run()
+    transmit, copies = EthernetFabric.transmit, []
+
+    def transmit_a_copy(self, frame):
+        copies.append(frame.nbytes)
+        transmit(self, copy.deepcopy(frame))
+
+    monkeypatch.setattr(EthernetFabric, "transmit", transmit_a_copy)
+    assert run() == shared_frames
+    assert copies
 
 
 def test_scenario_report_is_one_blob_on_both_backends(tmp_path):
@@ -226,9 +261,14 @@ def test_scenario_report_is_one_blob_on_both_backends(tmp_path):
 
 
 #: sha256 of every library scenario's seed-1 report, per backend.  The four
-#: control-plane scenarios and tenant_storm part across the backends
-#: (ROADMAP item 2).  A change that claims to be behaviour-neutral leaves
-#: all 24 where they are; one that is not moves each digest once, visibly.
+#: control-plane scenarios part across the backends (a windowed backend runs
+#: a control-plane op at the window's barrier; ROADMAP item 3).  A change
+#: that claims to be behaviour-neutral leaves all 24 where they are; one
+#: that is not moves each digest once, visibly.  replication_chaos and
+#: tenant_storm were re-pinned when the front-end's probe rounds and the
+#: replication manager's tick came to fire on multiples of their interval
+#: instead of one interval after setup ended; tenant_storm became one
+#: report on both backends then.
 _LIBRARY_SHA256 = {
     ("autoscale_chaos", "shared"):
         "fd52889f146d992f82c0d7db4d13131685bd96d3b91437b5d51d58c637e59a46",
@@ -263,9 +303,9 @@ _LIBRARY_SHA256 = {
     ("overload_probe", "sequential"):
         "df469a194ff5010fbe2d2d28782fa4a0f6d57fdf4f758b5ee8072136a40c1528",
     ("replication_chaos", "shared"):
-        "1e87b0a9c75fa68341d9ef4d3ea23a1de78cfe5332d15c8796e08a6817352b6f",
+        "f186a7f9ff726dd6d62ded4100d46873a4d7e67b8bc0f9c814d4d63c82bc80a1",
     ("replication_chaos", "sequential"):
-        "afe0459e3f0bce7141050426cdeb6295b8976b343677f0cd6a312cf138b6e53a",
+        "91cabb784bda829cd60e5d6286618b7205e6c90593f2964931f61cb73a2c1d1e",
     ("scale_out", "shared"):
         "07ced5669304007197339d90667ac53c72a123998d39be9336927796953b07f9",
     ("scale_out", "sequential"):
@@ -275,9 +315,9 @@ _LIBRARY_SHA256 = {
     ("steady_state", "sequential"):
         "0aca1db7a2e22b562ac9b7d267d085b538ba83da2bb5d4cf18caf0bb880efb1f",
     ("tenant_storm", "shared"):
-        "c6cfc8cb9fcc5ea85c070ae4094572a1e4528eeadd6686e515a1e1977dabe107",
+        "a7fc6fae4be4e7bf401c60050af29af42fbe39b2b5530e140183b23a44a79a04",
     ("tenant_storm", "sequential"):
-        "585e398646a008effa7faf242b8f0665f4082dd56984fd323820073ff0ee6f00",
+        "a7fc6fae4be4e7bf401c60050af29af42fbe39b2b5530e140183b23a44a79a04",
 }
 
 

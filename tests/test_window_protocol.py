@@ -141,19 +141,24 @@ BARRIER_CHAOS = {
 #: ``"time_weighted": {}`` section and nothing else — the new digest is
 #: the old snapshot's with that key removed (the other five artefacts are
 #: unchanged).
+#: All six were re-pinned when the front-end's probe rounds came to fire on
+#: multiples of ``PROBE_INTERVAL`` instead of one interval after the cycle
+#: setup ended on: the beats, and the spans and flight entries around them,
+#: move; in the report only tenant beta's p99/p99.9 move (25,598 -> 25,092
+#: cycles), and all 50 requests are still served.
 GOLDEN = {
     "report":
-        "61de601004e93896622e9335e7ff5c232916f9e60a74d8db04282133a43af874",
+        "39a98616e6c89e7dbe33b3f9651421c5780ac8ed71dcfc1e244879364c68439f",
     "spans":
-        "dba052fe4b397b970e4ca0faa403f8747900b45de4da896847a6da90571d1bba",
+        "6714844623aefcb541517b982c50414aeaadd8c92e20737d9a5d173f70dc12e6",
     "stats":
-        "3cf39dbce5ae84cb5b60618e3c3cde2185c81b405a0674690b865cb71ebfe2be",
+        "d8f9972ab6ee0f57e8082ffe7207730836b9d99314dd5862c7c80ef65840437c",
     "flight":
-        "ab0c7de0349f54a3aaafc0f71072560094b669afb03d24060658c44d28a34712",
+        "0f427133cf589a31a84e607275b8883a6f037163beb885bec71da618859f594c",
     "spans_id_free":
-        "8459dd0448561622eaf07439b8cf32497a116b1d30d65a1023bbbce72027e7ed",
+        "da32c7a016dd614c213b83405041acc024410463ab9621529a1a9942f63f3315",
     "flight_id_free":
-        "015b69461dbe843b273527b2bb01aa0145f472151387f94d6dd48a59de935761",
+        "f8be8efb6f5bb4c161cbacb44ce693b64b55771d9e7a522b7e33552d30fd0eb2",
 }
 
 OBSERVED = ClusterConfig(obs=ObsConfig(tracing=True, flight_recorders=True))
