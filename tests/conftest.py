@@ -9,6 +9,7 @@ services and front-end fields are the library's — so the tests that run
 them a dozen times stay inside the tier-1 budget.
 """
 
+import gc
 from collections import Counter
 from dataclasses import replace
 
@@ -74,8 +75,17 @@ def count_calls(run):
     """``((calls, events), frames)`` of ``run()``: how many times it
     entered a ``def`` under ``repro/``, how many ``Event`` objects it built
     and its other Python frames by kind (the rule of ``python
-    tools/funcs.py calls``)."""
-    layers, frames, events = tool_count_calls(run)
+    tools/funcs.py calls``).
+
+    The cycle collector is off while ``run()`` runs: a collection would
+    close generators that earlier tests left suspended, and each close
+    enters their frames, so the count would depend on the tests before."""
+    gc.collect()
+    gc.disable()
+    try:
+        layers, frames, events = tool_count_calls(run)
+    finally:
+        gc.enable()
     return (sum(layers.values()), events), frames
 
 
