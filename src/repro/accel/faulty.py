@@ -9,7 +9,7 @@ radius.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.accel.base import Accelerator
 from repro.errors import (
@@ -24,6 +24,9 @@ from repro.kernel.message import MemAccess
 
 __all__ = ["FloodingAccel", "SnoopingAccel", "CrashingAccel", "WildWriterAccel"]
 
+#: out-of-bounds writes a :class:`WildWriterAccel` attempts
+WILD_PROBES = 8
+
 
 class FloodingAccel(Accelerator):
     """Floods a victim endpoint with back-to-back events (resource
@@ -34,17 +37,15 @@ class FloodingAccel(Accelerator):
     PRIMITIVES = {"lut_logic": 4_000}
     TOGGLE_RATE = 0.5
 
-    def __init__(self, name: str, victim: str, message_bytes: int = 256,
-                 count: Optional[int] = None):
+    def __init__(self, name: str, victim: str, message_bytes: int = 256):
         super().__init__(name)
         self.victim = victim
         self.message_bytes = message_bytes
-        self.count = count
         self.sent = 0
         self.denied = 0
 
     def main(self, shell):
-        while self.count is None or self.sent < self.count:
+        while True:
             try:
                 yield shell.notify(self.victim, "flood", payload=self.sent,
                                    payload_bytes=self.message_bytes)
@@ -138,15 +139,14 @@ class WildWriterAccel(Accelerator):
     COST = ResourceVector(logic_cells=5_000, bram_kb=8, dsp_slices=0)
     PRIMITIVES = {"lut_logic": 4_000}
 
-    def __init__(self, name: str, probes: int = 8):
+    def __init__(self, name: str):
         super().__init__(name)
-        self.probes = probes
         self.faults = 0
         self.landed = 0
 
     def main(self, shell):
         seg = yield shell.alloc(4096)
-        for i in range(self.probes):
+        for i in range(WILD_PROBES):
             offset = seg.size + i * 4096  # always out of bounds
             try:
                 yield shell.mem_write(seg, offset, b"junk", 64)

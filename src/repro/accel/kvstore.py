@@ -2,9 +2,9 @@
 
 "Another user might want to use the FPGA to host an independent key-value
 store application" (after Caribou [23] and its multi-tenant extension
-[24]).  The model serves GET/PUT/DELETE with hash + value-transfer costs,
-keeps values in OS-allocated DRAM segments, and supports multiple client
-contexts so the multi-tenancy tests have something real to isolate.
+[24]).  The model serves GET/PUT/DELETE with hash + value-transfer costs
+and supports multiple client contexts so the multi-tenancy tests have
+something real to isolate.
 """
 
 from __future__ import annotations
@@ -20,24 +20,21 @@ __all__ = ["KvStore", "KV_HASH_CYCLES", "KV_CYCLES_PER_64B"]
 KV_HASH_CYCLES = 12
 #: Value movement cost per 64B line.
 KV_CYCLES_PER_64B = 2
-#: DRAM segment the store allocates for out-of-line values
-SEGMENT_BYTES = 1 << 20
+#: acknowledged writes remembered per client for duplicate suppression
+DEDUP_WINDOW = 64
 
 
 class KvStore(Accelerator):
-    """A hash-table KV store with optional DRAM-backed values.
+    """A hash-table KV store.
 
     Ops: ``get {key}``, ``put {key, bytes}``, ``delete {key}``,
     ``stats {}``.  Replies carry ``payload_bytes`` equal to the value size
     for GETs, so network/NoC serialization is modelled faithfully.
 
-    With ``value_segments=True``, values above ``inline_bytes`` live in a
-    DRAM segment allocated from ``svc.mem``; every access pays DRAM time.
-
     Writes are **at-most-once** when the client cooperates: a put/delete
     body carrying ``client``/``seq`` (the caller's logical-request
     identity — a ``rid`` names one transmission, these name the write)
-    is remembered in a bounded per-client dedup window, and a
+    is remembered in a per-client window of the last ``DEDUP_WINDOW``, and a
     retransmission of the same logical write — the classic
     retried-after-timeout duplicate — replays the original reply instead
     of applying the write a second time.
@@ -46,18 +43,11 @@ class KvStore(Accelerator):
     COST = ResourceVector(logic_cells=80_000, bram_kb=2048, dsp_slices=0)
     PRIMITIVES = {"lut_logic": 64_000, "bram": 512, "fifo": 8}
 
-    def __init__(self, name: str, value_segments: bool = False,
-                 inline_bytes: int = 256,
-                 dedup_window: int = 64):
+    def __init__(self, name: str):
         super().__init__(name)
-        self.value_segments = value_segments
-        self.inline_bytes = inline_bytes
-        self.dedup_window = dedup_window
         self._table: Dict[Any, Dict[str, Any]] = {}
         #: client -> {seq: reply payload} for recent acknowledged writes
         self._dedup: Dict[str, Dict[int, Dict[str, Any]]] = {}
-        self._seg = None
-        self._seg_cursor = 0
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -65,9 +55,6 @@ class KvStore(Accelerator):
         self.dupes_suppressed = 0
 
     def main(self, shell):
-        if self.value_segments:
-            self._seg = yield shell.alloc(SEGMENT_BYTES,
-                                          label=f"{self.name}.values")
         while True:
             msg = yield shell.recv()
             yield from self._serve(shell, msg)
@@ -100,8 +87,6 @@ class KvStore(Accelerator):
             return
         nbytes = entry["bytes"]
         yield from self._work(KV_CYCLES_PER_64B * (nbytes // 64 + 1))
-        if entry.get("offset") is not None and self._seg is not None:
-            yield shell.mem_read(self._seg, entry["offset"], nbytes)
         yield shell.reply(msg, payload={"found": True, "bytes": nbytes,
                                         "value": entry.get("value")},
                           payload_bytes=nbytes)
@@ -118,8 +103,8 @@ class KvStore(Accelerator):
             return
         window = self._dedup.setdefault(client, {})
         window[seq] = dict(payload)
-        if len(window) > self.dedup_window:
-            for old in sorted(window)[:len(window) - self.dedup_window]:
+        if len(window) > DEDUP_WINDOW:
+            for old in sorted(window)[:len(window) - DEDUP_WINDOW]:
                 del window[old]
 
     def _put(self, shell, msg, body):
@@ -132,16 +117,8 @@ class KvStore(Accelerator):
         yield from self._work(KV_HASH_CYCLES)
         nbytes = int(body.get("bytes", 64))
         yield from self._work(KV_CYCLES_PER_64B * (nbytes // 64 + 1))
-        entry = {"bytes": nbytes, "value": body.get("value"), "offset": None}
-        if (self.value_segments and self._seg is not None
-                and nbytes > self.inline_bytes):
-            if self._seg_cursor + nbytes > self._seg.size:
-                self._seg_cursor = 0  # simple wrap (log-structured style)
-            entry["offset"] = self._seg_cursor
-            yield shell.mem_write(self._seg, self._seg_cursor,
-                                  body.get("value"), nbytes)
-            self._seg_cursor += nbytes
-        self._table[body.get("key")] = entry
+        self._table[body.get("key")] = {"bytes": nbytes,
+                                         "value": body.get("value")}
         payload = {"stored": True}
         self._dedup_store(body, payload)
         yield shell.reply(msg, payload=payload, payload_bytes=8)

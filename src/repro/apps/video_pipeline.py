@@ -21,6 +21,10 @@ from repro.hw.resources import ResourceVector
 
 __all__ = ["LoadBalancer", "deploy_pipeline", "deploy_replicated_encoder"]
 
+#: the pipeline's name: its stages are ``{PIPELINE}.enc`` / ``.zip`` /
+#: ``.aes`` behind endpoints ``app.{PIPELINE}.<stage>``
+PIPELINE = "pipe"
+
 
 class LoadBalancer(Accelerator):
     """Round-robin request distributor over replica endpoints.
@@ -58,8 +62,7 @@ class LoadBalancer(Accelerator):
 
 
 def deploy_pipeline(system, nodes: List[int], with_crypto: bool = False,
-                    third_party_compressor: bool = True,
-                    name_prefix: str = "pipe"):
+                    third_party_compressor: bool = True):
     """Deploy encode -> compress [-> crypto] across ``nodes``.
 
     Returns ``(stages, started_events)``.  Grants exactly the SEND
@@ -68,17 +71,17 @@ def deploy_pipeline(system, nodes: List[int], with_crypto: bool = False,
     needed = 3 if with_crypto else 2
     if len(nodes) < needed:
         raise ValueError(f"pipeline needs {needed} nodes, got {len(nodes)}")
-    enc_ep = f"app.{name_prefix}.enc"
-    zip_ep = f"app.{name_prefix}.zip"
-    aes_ep = f"app.{name_prefix}.aes"
+    enc_ep = f"app.{PIPELINE}.enc"
+    zip_ep = f"app.{PIPELINE}.zip"
+    aes_ep = f"app.{PIPELINE}.aes"
 
-    compressor = Compressor(f"{name_prefix}.zip",
+    compressor = Compressor(f"{PIPELINE}.zip",
                             downstream=aes_ep if with_crypto else None,
                             use_dram_dictionary=third_party_compressor)
-    encoder = VideoEncoder(f"{name_prefix}.enc", downstream=zip_ep)
+    encoder = VideoEncoder(f"{PIPELINE}.enc", downstream=zip_ep)
     stages = [(nodes[0], encoder, enc_ep), (nodes[1], compressor, zip_ep)]
     if with_crypto:
-        stages.append((nodes[2], CryptoAccel(f"{name_prefix}.aes"), aes_ep))
+        stages.append((nodes[2], CryptoAccel(f"{PIPELINE}.aes"), aes_ep))
 
     started = []
     for node, accel, endpoint in stages:

@@ -37,15 +37,14 @@ rerun through mid-run prefetches and board kills.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import ConfigError
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
 from repro.hw.compile import BitstreamArtifact, CompileService, artifact_digest
 
 __all__ = ["BoardBitstreamStore", "BitstreamPlane", "DEFAULT_CACHE_CELLS"]
 
-#: Default LRU budget: four 60k-cell service shells' worth of artifacts.
+#: Each board's LRU budget: four 60k-cell service shells' worth of artifacts.
 DEFAULT_CACHE_CELLS = 256_000
 
 
@@ -77,15 +76,10 @@ class BoardBitstreamStore:
         drc: Optional[DesignRuleChecker] = None,
         stats=None,
         board: str = "fpga0",
-        capacity_cells: int = DEFAULT_CACHE_CELLS,
     ):
-        if capacity_cells < 1:
-            raise ConfigError(
-                f"capacity_cells must be >= 1, got {capacity_cells}")
         self.engine = engine
         self.stats = stats
         self.board = board
-        self.capacity_cells = capacity_cells
         self.compiler = CompileService(
             engine, drc=drc, stats=stats, name=f"synth.{board}")
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
@@ -116,7 +110,7 @@ class BoardBitstreamStore:
             return
         self._entries[artifact.digest] = _Entry(artifact, prefetched)
         self._entries.move_to_end(artifact.digest)
-        while (self.cached_cells() > self.capacity_cells
+        while (self.cached_cells() > DEFAULT_CACHE_CELLS
                and len(self._entries) > 1):
             victim_digest, victim = next(iter(self._entries.items()))
             del self._entries[victim_digest]
@@ -244,30 +238,24 @@ class BitstreamPlane:
         return [i for i in self._alive()
                 if digest in self.boards.placement(i)[1]]
 
-    def prefetch(self, bitstream: Bitstream,
-                 fpgas: Optional[Iterable[int]] = None) -> Dict[int, object]:
-        """Warm ``bitstream`` on boards (default: every alive board).
+    def prefetch(self, bitstream: Bitstream) -> Dict[int, object]:
+        """Warm ``bitstream`` on every alive board.
 
         Boards already warm — or already synthesizing the design — are
         skipped.  Returns ``{fpga: completion_event}`` for the prefetches
         actually issued.
         """
         digest = artifact_digest(bitstream)
-        targets = list(fpgas) if fpgas is not None else self._alive()
         issued: Dict[int, object] = {}
-        for i in targets:
-            if i in self.cluster.killed:
-                continue
+        for i in self._alive():
             _free, warm, compiling = self.boards.placement(i)
             if digest in warm or digest in compiling:
                 continue
             issued[i] = self.boards.op(i, "prefetch", bitstream)
         return issued
 
-    def prefetch_service(self, service: str,
-                         fpgas: Optional[Iterable[int]] = None
-                         ) -> Dict[int, object]:
-        """Warm a deployed service's design family on boards.
+    def prefetch_service(self, service: str) -> Dict[int, object]:
+        """Warm a deployed service's design family on every alive board.
 
         The service's replicas all share one artifact family
         (:class:`~repro.cluster.service.ClusterPortedService` for
@@ -281,7 +269,7 @@ class BitstreamPlane:
         else:
             from repro.cluster.service import ClusterPortedService
             bitstream = ClusterPortedService.family_bitstream()
-        return self.prefetch(bitstream, fpgas=fpgas)
+        return self.prefetch(bitstream)
 
     def telemetry(self) -> Dict[str, Dict[str, float]]:
         """Per-board gauge dicts, keyed ``fpga0`` .. ``fpgaN-1``."""

@@ -54,7 +54,12 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.cluster.directory import ServiceInstance, ServiceSpec
 from repro.errors import ConfigError, ServiceUnavailable
 from repro.kernel.services import HEARTBEAT_PORT
-from repro.net.transport import HOST_TIMEOUT, HOST_WINDOW, ReliableMux
+from repro.net.transport import (
+    HOST_TIMEOUT,
+    HOST_WINDOW,
+    ReliableEndpoint,
+    ReliableMux,
+)
 from repro.policy import RetryLoop, RetryPolicy
 from repro.sim import StatsRegistry
 
@@ -78,10 +83,11 @@ DEAD_AFTER = 3
 class BoardBeat:
     """The front-end's liveness record of one board: its heartbeats."""
 
-    __slots__ = ("mac", "backends", "beat", "unacked", "misses")
+    __slots__ = ("mac", "conn", "backends", "beat", "unacked", "misses")
 
-    def __init__(self, mac: str) -> None:
+    def __init__(self, mac: str, conn: ReliableEndpoint) -> None:
         self.mac = mac  # its address on the fabric
+        self.conn = conn  # the front-end's transport connection to it
         self.backends: List["BackendHealth"] = []  # the instances on it
         self.beat = 0  # id of the last round's beat while it is unacked
         self.unacked = 0  # beats the transport has not got acked yet
@@ -224,7 +230,8 @@ class FrontEnd:
                 mac = self.cluster.mac(inst.fpga)
                 board = self.boards.get(mac)
                 if board is None:
-                    board = self.boards[mac] = BoardBeat(mac)
+                    board = self.boards[mac] = BoardBeat(
+                        mac, self.mux.peer(mac))
                 backend = self.health[iid] = BackendHealth(inst, board)
                 board.backends.append(backend)
 
@@ -653,7 +660,7 @@ class FrontEnd:
             return
         bid = next(self._bid)
         inst = backend.inst
-        self.mux.peer(backend.board.mac).send(
+        backend.board.conn.send(
             {"port": inst.port, "data": ("batch", bid, entries),
              "src_mac": FRONTEND_MAC},
             payload_bytes=max(64, nbytes),
@@ -696,7 +703,7 @@ class FrontEnd:
             if board.unacked >= 2:
                 continue
             board.unacked += 1
-            self.mux.peer(board.mac).send(
+            board.conn.send(
                 {"port": HEARTBEAT_PORT, "data": ("req", board.beat, None),
                  "src_mac": FRONTEND_MAC},
                 payload_bytes=16,
@@ -708,7 +715,7 @@ class FrontEnd:
                     irid = backend.ping = next(self._irid)
                     self._awaiting[irid] = (backend, None, "ping", 0)
                     backend.probes_sent += 1
-                    self.mux.peer(board.mac).send(
+                    board.conn.send(
                         {"port": backend.inst.port,
                          "data": ("req", irid, {"op": "ping"}),
                          "src_mac": FRONTEND_MAC},

@@ -37,7 +37,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
 
 __all__ = [
@@ -64,16 +63,11 @@ SYNTH_CYCLES_PER_BRAM_KB = 512
 SYNTH_CYCLES_PER_DSP = 1_024
 
 
-def synthesis_duration(cost, cycles_per_cell: int = SYNTH_CYCLES_PER_CELL) -> int:
-    """Cycles one synthesis run of a design of ``cost`` takes.
-
-    ``cycles_per_cell`` rescales the whole vector proportionally (the
-    reduced-CI knob), keeping the cell/BRAM/DSP mix ratio fixed.
-    """
-    base = (cost.logic_cells * SYNTH_CYCLES_PER_CELL
-            + cost.bram_kb * SYNTH_CYCLES_PER_BRAM_KB
-            + cost.dsp_slices * SYNTH_CYCLES_PER_DSP)
-    return max(1, base * cycles_per_cell // SYNTH_CYCLES_PER_CELL)
+def synthesis_duration(cost) -> int:
+    """Cycles one synthesis run of a design of ``cost`` takes."""
+    return max(1, cost.logic_cells * SYNTH_CYCLES_PER_CELL
+               + cost.bram_kb * SYNTH_CYCLES_PER_BRAM_KB
+               + cost.dsp_slices * SYNTH_CYCLES_PER_DSP)
 
 
 def artifact_digest(bitstream: Bitstream) -> str:
@@ -139,16 +133,11 @@ class CompileService:
         drc: Optional[DesignRuleChecker] = None,
         stats=None,
         name: str = "synth",
-        cycles_per_cell: int = SYNTH_CYCLES_PER_CELL,
     ):
-        if cycles_per_cell < 1:
-            raise ConfigError(
-                f"cycles_per_cell must be >= 1, got {cycles_per_cell}")
         self.engine = engine
         self.drc = drc
         self.stats = stats
         self.name = name
-        self.cycles_per_cell = cycles_per_cell
         #: FIFO of (digest, bitstream) waiting for the worker
         self._queue: List[Tuple[str, Bitstream]] = []
         #: digest -> completion event for queued + running builds
@@ -164,9 +153,6 @@ class CompileService:
     def backlog(self) -> int:
         """Queued + running builds — the synthesis-backlog gauge."""
         return len(self._queue) + (1 if self._busy else 0)
-
-    def duration(self, bitstream: Bitstream) -> int:
-        return synthesis_duration(bitstream.cost, self.cycles_per_cell)
 
     def compile(self, bitstream: Bitstream):
         """Submit a design; returns the (possibly shared) build event."""
@@ -199,7 +185,7 @@ class CompileService:
             return
         self._busy = True
         digest, bitstream = self._queue.pop(0)
-        duration = self.duration(bitstream)
+        duration = synthesis_duration(bitstream.cost)
 
         def finish(_arg, d=digest, bs=bitstream, took=duration) -> None:
             self._busy = False

@@ -47,9 +47,9 @@ class NocConfig:
     height: int = 4
     buffer_depth: int = 4
     flit_bytes: int = 16
-    #: per-tile injection rate limit in flits/cycle (None = unlimited)
+    #: per-tile injection rate limit in flits/cycle (None = unlimited),
+    #: behind a bucket of ``monitor.RATE_LIMIT_BURST`` flits
     rate_limit_flits: Optional[float] = None
-    rate_limit_burst: int = 32
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro.cap.capability import CapabilityRef, Rights
 from repro.cap.captable import CapabilityStore
 from repro.errors import ConfigError, TileFault
+from repro.kernel.monitor import RATE_LIMIT_BURST
 from repro.kernel.naming import Namespace
 from repro.kernel.tile import Tile
 from repro.obs.span import SpanRecorder
@@ -132,7 +133,6 @@ class MgmtPlane:
         signed_by: Optional[str] = None,
         wire_services: bool = True,
         trace: Optional[Tuple[int, int]] = None,
-        artifact=None,
     ) -> Event:
         """Load an accelerator into tile ``node`` and wire default caps.
 
@@ -140,23 +140,13 @@ class MgmtPlane:
         table, grants the tile SEND to every OS service, and grants each OS
         service SEND back (for notifications like ``net.rx``).
 
-        This is the single deployment entry point for both input shapes:
-        a raw accelerator (its bitstream is packaged on the fly) or a
-        pre-compiled :class:`~repro.hw.compile.BitstreamArtifact` passed
-        via ``artifact``.  An artifact carries its own provenance and DRC
-        screen, so passing ``signed_by`` with one is a :class:`ConfigError`.
-
-        With a bitstream store attached (:meth:`attach_bitstore`) and no
-        artifact, the load first acquires the artifact from the board's
+        With a bitstream store attached (:meth:`attach_bitstore`), the
+        load first acquires the accelerator's artifact from the board's
         cache — free when warm, a full synthesis run when cold — and the
         tile stays *reserved* (invisible to :meth:`free_tiles`) while the
         compile is in flight.  Without a store, the legacy direct path is
         taken unchanged.
         """
-        if artifact is not None and signed_by is not None:
-            raise ConfigError(
-                "pass signed_by= or artifact=, not both: an artifact "
-                "carries its own signer")
         tile = self.tiles[node]
         _tid, span = self._open_span(
             f"mgmt.load:{endpoint or tile.endpoint}", trace,
@@ -170,11 +160,10 @@ class MgmtPlane:
                 self.grant_send(tile.endpoint, svc)
                 svc_tile = self.tiles[self.namespace.lookup(svc)]
                 self.grant_send(svc_tile.endpoint, tile.endpoint)
-        if artifact is None and self.bitstore is None:
+        if self.bitstore is None:
             started = tile.start(accelerator, signed_by=signed_by)
         else:
-            started = self._start_from_artifact(
-                tile, accelerator, signed_by, artifact)
+            started = self._start_from_artifact(tile, accelerator, signed_by)
         self.stats.counter("mgmt.loads").inc()
         if span:
             started.add_callback(
@@ -182,8 +171,7 @@ class MgmtPlane:
                                             failed=ev.failed))
         return started
 
-    def _start_from_artifact(self, tile, accelerator, signed_by,
-                             artifact) -> Event:
+    def _start_from_artifact(self, tile, accelerator, signed_by) -> Event:
         """The compile-pipeline load path: acquire artifact, then start.
 
         The tile is reserved for the whole acquire+start window so
@@ -200,7 +188,11 @@ class MgmtPlane:
             else:
                 started.succeed(ev.value)
 
-        def begin(art) -> None:
+        def on_acquired(ev: Event) -> None:
+            if ev.failed:
+                tile.reserved = False
+                started.fail(ev.value)
+                return
             if tile.failed:
                 # the board (or this tile) died while the bitstream was
                 # in synthesis; the artifact stays cached, the load aborts
@@ -209,22 +201,11 @@ class MgmtPlane:
                     f"{tile.endpoint}: tile failed during synthesis"))
                 return
             tile.start(accelerator, signed_by=signed_by,
-                       artifact=art).add_callback(finish)
+                       artifact=ev.value).add_callback(finish)
 
-        if artifact is not None:
-            begin(artifact)
-        else:
-            acquired = self.bitstore.acquire(
-                accelerator.bitstream(signed_by=signed_by))
-
-            def on_acquired(ev: Event) -> None:
-                if ev.failed:
-                    tile.reserved = False
-                    started.fail(ev.value)
-                    return
-                begin(ev.value)
-
-            acquired.add_callback(on_acquired)
+        self.bitstore.acquire(
+            accelerator.bitstream(signed_by=signed_by)).add_callback(
+                on_acquired)
         return started
 
     def load_service(self, node: int, service, endpoint: str) -> Event:
@@ -306,7 +287,7 @@ class MgmtPlane:
         return throttled
 
     def set_rate_limit(self, node: int, flits_per_cycle: Optional[float],
-                       burst: int = 32) -> None:
+                       burst: int = RATE_LIMIT_BURST) -> None:
         """Throttle (or unthrottle) one tile's NoC injection rate."""
         self.tiles[node].monitor.set_rate_limit(flits_per_cycle, burst=burst)
         self.spans.event(self.engine.now, "mgmt.rate_limit", "mgmt",
@@ -356,7 +337,6 @@ class MgmtPlane:
         yield self.load(node, accelerator, endpoint=endpoint)
 
     def migrate(self, node_from: int, node_to: int, make_accelerator,
-                endpoint: Optional[str] = None,
                 trace: Optional[Tuple[int, int]] = None):
         """Process generator: move a preemptible accelerator to another tile.
 
@@ -364,8 +344,9 @@ class MgmtPlane:
         is preempted (its main process interrupted), its externalized
         architectural state captured, the source tile torn down, and a
         fresh instance (from ``make_accelerator``) restored from that state
-        on the destination tile.  ``endpoint`` names re-register at the new
-        tile, so peers keep calling the same logical name.
+        on the destination tile.  The logical name registered at the
+        source tile (its first beside the tile's own) re-registers at the
+        new tile, so peers keep calling the same name.
 
         Limitations (documented, matching the capability model): memory
         capabilities are *per-holder*, so the old tile's segments are
@@ -390,10 +371,9 @@ class MgmtPlane:
                 f"tile {node_to} is not free; migrate needs an empty, "
                 "idle destination slot"
             )
-        if endpoint is None:
-            extra = [n for n in self.namespace.names_at(node_from)
-                     if n != source.endpoint]
-            endpoint = extra[0] if extra else None
+        extra = [n for n in self.namespace.names_at(node_from)
+                 if n != source.endpoint]
+        endpoint = extra[0] if extra else None
         tid, span = self._open_span(
             f"mgmt.migrate:{endpoint or source.endpoint}", trace,
             src=node_from, dst=node_to)

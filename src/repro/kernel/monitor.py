@@ -55,6 +55,9 @@ __all__ = ["Monitor", "MONITOR_EGRESS_CYCLES", "MONITOR_INGRESS_CYCLES"]
 MONITOR_EGRESS_CYCLES = 2
 #: Cycles one ingress interposition costs.
 MONITOR_INGRESS_CYCLES = 1
+#: token-bucket depth of a rate limit, in flits: the back-to-back burst a
+#: throttled tile may still send at line rate
+RATE_LIMIT_BURST = 32
 
 #: a submitter's completion callable: ``None`` = admitted, else the refusal
 Done = Callable[[Optional[Exception]], None]
@@ -73,7 +76,6 @@ class Monitor:
         name_table: Dict[str, int],
         enforce: bool = True,
         rate_limit_flits_per_cycle: Optional[float] = None,
-        rate_limit_burst: int = 32,
         cap_table_size: int = 64,
         stats: Optional[StatsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
@@ -93,7 +95,7 @@ class Monitor:
         if rate_limit_flits_per_cycle is not None:
             self.bucket = TokenBucket(
                 rate_per_cycle=rate_limit_flits_per_cycle,
-                burst=rate_limit_burst,
+                burst=RATE_LIMIT_BURST,
                 start_time=engine.now,
             )
         #: the egress pipeline: the one message past its policy checks —
@@ -124,7 +126,7 @@ class Monitor:
         ni.receiver = self._receive
 
     def set_rate_limit(self, flits_per_cycle: Optional[float],
-                       burst: int = 32) -> None:
+                       burst: int = RATE_LIMIT_BURST) -> None:
         """Install/replace/remove this tile's injection rate limit.
 
         Management-plane policy knob (Section 4.5): operators can throttle

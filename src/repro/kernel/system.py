@@ -158,7 +158,6 @@ class ApiarySystem:
                 name_table=self.name_table,
                 enforce=config.fault.enforce,
                 rate_limit_flits_per_cycle=noc.rate_limit_flits,
-                rate_limit_burst=noc.rate_limit_burst,
                 cap_table_size=MONITOR_CAP_SLOTS,
                 stats=self.stats,
             )
@@ -242,7 +241,6 @@ class ApiarySystem:
         return self.sampler
 
     def enable_flight_recorder(self, board: Optional[str] = None,
-                               capacity: int = 256,
                                dump_dir: Optional[str] = None
                                ) -> "FlightRecorder":
         """Attach an always-on flight recorder to this system.
@@ -259,7 +257,7 @@ class ApiarySystem:
         from repro.obs.flight import FlightRecorder
         self.flight = FlightRecorder(
             board=board if board is not None else "board0",
-            capacity=capacity, dump_dir=dump_dir)
+            dump_dir=dump_dir)
         self.spans.attach_flight(self.flight)
         # the fault itself arrives as the manager's ``fault.contained``
         # event; this hook only freezes the ring that now holds it

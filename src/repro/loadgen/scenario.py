@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.loadgen.arrivals import ArrivalSpec, EnvelopeSpec
-from repro.obs.slo import SLOTarget
+from repro.obs.slo import FAST_WINDOW, WINDOW, SLOTarget
 
 __all__ = ["ServiceDecl", "TenantSpec", "ChaosAction", "Scenario"]
 
@@ -273,7 +273,7 @@ class Scenario:
             "services": [_service_dict(s) for s in self.services],
             "tenants": [asdict(t) for t in self.tenants],
             "chaos": [asdict(a) for a in self.chaos],
-            "slos": [asdict(t) for t in self.slos],
+            "slos": [_slo_dict(t) for t in self.slos],
             "start_at": self.start_at,
             "drain": self.drain,
             "max_pending": self.max_pending,
@@ -304,9 +304,7 @@ class Scenario:
         kwargs["chaos"] = tuple(
             _build(ChaosAction, a, "chaos action")
             for a in kwargs.get("chaos", ()))
-        kwargs["slos"] = tuple(
-            _build(SLOTarget, t, "SLO target")
-            for t in kwargs.get("slos", ()))
+        kwargs["slos"] = tuple(_build_slo(t) for t in kwargs.get("slos", ()))
         return cls(**kwargs)
 
 
@@ -317,6 +315,25 @@ def _service_dict(svc: ServiceDecl) -> Dict[str, Any]:
     if svc.max_instances is None:
         del data["max_instances"]
     return data
+
+
+#: the burn windows every SLO target uses, which a scenario dict records
+_SLO_WINDOWS = {"window": WINDOW, "fast_window": FAST_WINDOW}
+
+
+def _slo_dict(target: SLOTarget) -> Dict[str, Any]:
+    """``asdict`` plus the burn windows every target uses, which a
+    report records beside each target's own fields."""
+    return {**asdict(target), **_SLO_WINDOWS}
+
+
+def _build_slo(data: Any) -> SLOTarget:
+    if isinstance(data, dict):
+        data = dict(data)
+        for key, value in _SLO_WINDOWS.items():
+            if data.pop(key, value) != value:
+                raise ConfigError(f"an SLO {key} is {value} cycles")
+    return _build(SLOTarget, data, "SLO target")
 
 
 def _build(cls, data: Any, what: str):

@@ -21,17 +21,17 @@ __all__ = ["Extent", "FirstFitAllocator", "BestFitAllocator", "BuddyAllocator"]
 
 Extent = Tuple[int, int]  # (base, size)
 
+#: every free-list extent's size is a multiple of this many bytes
+ALIGNMENT = 64
+
 
 class _FreeListAllocator:
     """Shared machinery: a sorted free list with coalescing on free."""
 
-    def __init__(self, capacity: int, alignment: int = 64):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
-        if alignment < 1 or (alignment & (alignment - 1)) != 0:
-            raise ConfigError(f"alignment must be a power of two, got {alignment}")
         self.capacity = capacity
-        self.alignment = alignment
         self._free: List[Extent] = [(0, capacity)]  # sorted by base
         self._live: Dict[int, int] = {}  # base -> size
         self.allocs = 0
@@ -62,8 +62,7 @@ class _FreeListAllocator:
     # -- operations ----------------------------------------------------------
 
     def _round(self, size: int) -> int:
-        mask = self.alignment - 1
-        return (size + mask) & ~mask
+        return (size + ALIGNMENT - 1) & -ALIGNMENT
 
     def _pick(self, size: int) -> Optional[int]:
         """Index into the free list, or None.  Policy hook."""

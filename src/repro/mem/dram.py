@@ -52,6 +52,11 @@ DDR4_TIMING = DramTiming()
 HBM2_TIMING = DramTiming(row_hit=10, row_miss=16, row_conflict=24,
                          burst_bytes=32, burst_cycles=1)
 
+#: banks per channel, and the bytes of one row (the unit addresses
+#: interleave across banks and channels in)
+BANKS_PER_CHANNEL = 8
+ROW_BYTES = 4096
+
 
 class DramBank:
     """One bank: tracks the open row for hit/miss/conflict classification."""
@@ -91,15 +96,11 @@ class DramChannel:
     on the bus — the first-order DRAM behaviour.
     """
 
-    def __init__(self, engine: Engine, timing: DramTiming, banks: int,
-                 row_bytes: int, name: str):
-        if banks < 1:
-            raise ConfigError(f"channel needs >= 1 bank, got {banks}")
-        if row_bytes < timing.burst_bytes:
+    def __init__(self, engine: Engine, timing: DramTiming, name: str):
+        if ROW_BYTES < timing.burst_bytes:
             raise ConfigError("row must hold at least one burst")
         self.engine = engine
         self.timing = timing
-        self.row_bytes = row_bytes
         self.name = name
         # row-state -> latency, resolved once: the access loop previously
         # paid a getattr(timing, f"row_{kind}") string build per access
@@ -108,7 +109,7 @@ class DramChannel:
             "miss": timing.row_miss,
             "conflict": timing.row_conflict,
         }
-        self.banks = [DramBank() for _ in range(banks)]
+        self.banks = [DramBank() for _ in range(BANKS_PER_CHANNEL)]
         self.bus = Resource(engine, slots=1, name=f"{name}.bus")
         self.bytes_moved = 0
 
@@ -118,10 +119,8 @@ class DramChannel:
         Consecutive rows map to different banks (bank interleaving), so
         streaming access gets bank-level parallelism.
         """
-        row_global = addr // self.row_bytes
-        bank = row_global % len(self.banks)
-        row = row_global // len(self.banks)
-        return bank, row
+        row_global = addr // ROW_BYTES
+        return row_global % BANKS_PER_CHANNEL, row_global // BANKS_PER_CHANNEL
 
     def access(self, addr: int, nbytes: int):
         """Process generator: one read/write of ``nbytes`` at ``addr``.
@@ -136,8 +135,7 @@ class DramChannel:
         while remaining > 0:
             bank_idx, row = self.locate(cursor)
             # bytes available in this row before crossing into the next
-            row_offset = cursor % self.row_bytes
-            chunk = min(remaining, self.row_bytes - row_offset)
+            chunk = min(remaining, ROW_BYTES - cursor % ROW_BYTES)
             kind = self.banks[bank_idx].touch(row)
             yield self._row_latency[kind]
             bursts = (chunk + self.timing.burst_bytes - 1) // self.timing.burst_bytes
@@ -162,25 +160,19 @@ class Dram:
         self,
         engine: Engine,
         channels: int = 2,
-        banks_per_channel: int = 8,
-        row_bytes: int = 4096,
         capacity_bytes: int = 1 << 30,
         timing: DramTiming = DDR4_TIMING,
         name: str = "dram",
     ):
         if channels < 1:
             raise ConfigError(f"need >= 1 channel, got {channels}")
-        if capacity_bytes < channels * row_bytes:
+        if capacity_bytes < channels * ROW_BYTES:
             raise ConfigError("capacity smaller than one row per channel")
         self.engine = engine
         self.capacity_bytes = capacity_bytes
-        self.row_bytes = row_bytes
         self.name = name
-        self.channels = [
-            DramChannel(engine, timing, banks_per_channel, row_bytes,
-                        name=f"{name}.ch{i}")
-            for i in range(channels)
-        ]
+        self.channels = [DramChannel(engine, timing, name=f"{name}.ch{i}")
+                         for i in range(channels)]
         self.reads = 0
         self.writes = 0
         #: causal-span recorder; ApiarySystem replaces this with the shared
@@ -194,10 +186,10 @@ class Dram:
             raise ConfigError(
                 f"address {addr:#x} outside {self.capacity_bytes:#x}-byte DRAM"
             )
-        row_global = addr // self.row_bytes
+        row_global = addr // ROW_BYTES
         ch = row_global % len(self.channels)
         local_row = row_global // len(self.channels)
-        return self.channels[ch], local_row * self.row_bytes + addr % self.row_bytes
+        return self.channels[ch], local_row * ROW_BYTES + addr % ROW_BYTES
 
     def access(self, addr: int, nbytes: int, is_write: bool = False,
                trace_id: int = 0, parent_span: int = 0):
@@ -218,8 +210,7 @@ class Dram:
             while remaining > 0:
                 channel, local = self.channel_of(cursor)
                 # bytes to the end of this channel's current row
-                row_offset = cursor % self.row_bytes
-                chunk = min(remaining, self.row_bytes - row_offset)
+                chunk = min(remaining, ROW_BYTES - cursor % ROW_BYTES)
                 yield from channel.access(local, chunk)
                 remaining -= chunk
                 cursor += chunk

@@ -42,6 +42,9 @@ BYPASS_RX_CYCLES = 75
 SYSCALL_CYCLES = 125
 # ~4 us to switch in a blocked thread
 CONTEXT_SWITCH_CYCLES = 1000
+# a wakeup is delayed by run-queue interference with this probability, by
+# an exponential extra with the mean of one more switch
+JITTER_PROB = 0.15
 # ~900 ns PCIe round-trip initiation latency
 PCIE_DMA_LATENCY_CYCLES = 225
 # PCIe gen3 x16 sustained ~12 GB/s = 48 B per 4 ns fabric cycle
@@ -63,18 +66,12 @@ class HostCpu:
         engine: Engine,
         cores: int = 4,
         rng: Optional[np.random.Generator] = None,
-        jitter_prob: float = 0.15,
-        jitter_scale: float = CONTEXT_SWITCH_CYCLES,
     ):
         if cores < 1:
             raise ConfigError(f"need >= 1 core, got {cores}")
-        if not 0.0 <= jitter_prob <= 1.0:
-            raise ConfigError(f"jitter probability must be in [0,1]")
         self.engine = engine
         self.cores = Resource(engine, slots=cores, name="host.cores")
         self.rng = rng
-        self.jitter_prob = jitter_prob
-        self.jitter_scale = jitter_scale
         self.cycles_used = 0
         self.wakeups = 0
         self.jitter_events = 0
@@ -87,9 +84,9 @@ class HostCpu:
         """
         self.wakeups += 1
         delay = CONTEXT_SWITCH_CYCLES
-        if self.rng is not None and self.rng.random() < self.jitter_prob:
+        if self.rng is not None and self.rng.random() < JITTER_PROB:
             self.jitter_events += 1
-            delay += int(self.rng.exponential(self.jitter_scale))
+            delay += int(self.rng.exponential(CONTEXT_SWITCH_CYCLES))
         return delay
 
     def run(self, cost_cycles: int, wakeup: bool = True):
@@ -136,12 +133,8 @@ class HostNetStack:
 class PcieLink:
     """Host <-> FPGA DMA path: initiation latency plus bandwidth sharing."""
 
-    def __init__(self, engine: Engine, gen: int = 3):
-        if gen < 1:
-            raise ConfigError(f"PCIe gen must be >= 1, got {gen}")
+    def __init__(self, engine: Engine):
         self.engine = engine
-        # bandwidth doubles per generation relative to gen3 baseline
-        self.bytes_per_cycle = PCIE_BYTES_PER_CYCLE * (2 ** (gen - 3))
         self.bus = Resource(engine, slots=1, name="pcie.bus")
         self.bytes_moved = 0
         self.transfers = 0
@@ -153,7 +146,7 @@ class PcieLink:
         yield PCIE_DMA_LATENCY_CYCLES
         grant = yield self.bus.acquire()
         try:
-            transfer = max(1, int(nbytes / self.bytes_per_cycle))
+            transfer = max(1, int(nbytes / PCIE_BYTES_PER_CYCLE))
             yield transfer
         finally:
             self.bus.release(grant)

@@ -35,14 +35,19 @@ from functools import partial
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.net.frame import EthernetFrame, wire_copy
+from repro.net.frame import MAX_FRAME_BYTES, EthernetFrame, wire_copy
 from repro.sim import Engine
 
 __all__ = ["ReliableEndpoint", "ReliableMux", "Datagram",
-           "TRANSPORT_HEADER_BYTES", "BOARD_WINDOW", "BOARD_TIMEOUT",
-           "HOST_WINDOW", "HOST_TIMEOUT"]
+           "TRANSPORT_HEADER_BYTES", "MAX_SEGMENT", "BOARD_WINDOW",
+           "BOARD_TIMEOUT", "HOST_WINDOW", "HOST_TIMEOUT"]
 
 TRANSPORT_HEADER_BYTES = 16
+#: the largest payload one datagram carries in a classic-MTU frame; a
+#: larger payload is segmented into several datagrams and reassembled in
+#: order at the receiver (go-back-N already gives ordered, exactly-once
+#: fragments)
+MAX_SEGMENT = MAX_FRAME_BYTES - TRANSPORT_HEADER_BYTES
 
 #: go-back-N (window in datagrams, retransmission timeout in cycles) of the
 #: two kinds of fabric endpoint: the network tile keeps a hardware-sized
@@ -88,10 +93,6 @@ class ReliableEndpoint:
         (its ACK is on the wire by then).
     window: go-back-N sender window in datagrams.
     timeout: retransmission timeout in cycles.
-    mtu: largest frame the underlying fabric accepts; payloads above
-        ``mtu - header`` are segmented into multiple datagrams and
-        reassembled in order at the receiver (go-back-N already gives us
-        ordered, exactly-once fragments).
 
     A :class:`ReliableMux` builds the endpoints and dispatches each frame
     to ``_handle_data`` / ``_handle_ack``: the one datagram-kind switch.
@@ -106,22 +107,18 @@ class ReliableEndpoint:
         on_payload: Callable[[Any], None],
         window: int = 8,
         timeout: int = 5000,
-        mtu: int = 1518,
         name: str = "",
     ):
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")
         if timeout < 1:
             raise ConfigError(f"timeout must be >= 1, got {timeout}")
-        if mtu <= TRANSPORT_HEADER_BYTES + 64:
-            raise ConfigError(f"mtu {mtu} leaves no room for payload")
         self.engine = engine
         self.send_frame = send_frame
         self.local_mac = local_mac
         self.peer_mac = peer_mac
         self.window = window
         self.timeout = timeout
-        self.max_segment = mtu - TRANSPORT_HEADER_BYTES
         self.name = name or f"rt.{local_mac}->{peer_mac}"
 
         # sender state
@@ -161,7 +158,7 @@ class ReliableEndpoint:
         """Send a payload — at once while the window has room, else as ACKs
         make room; ``on_acked()`` is called when the peer has ACKed it."""
         seq = self._next_seq
-        if payload_bytes <= self.max_segment and not self._unsent \
+        if payload_bytes <= MAX_SEGMENT and not self._unsent \
                 and seq - self._base < self.window:
             # one segment, straight out: what _segment, _fill_window,
             # _emit and _arm_timer do, in this one call
@@ -210,13 +207,13 @@ class ReliableEndpoint:
         ones exist to occupy wire bytes (our payloads are opaque objects,
         so bytes are accounted, not sliced).
         """
-        if payload_bytes <= self.max_segment:
+        if payload_bytes <= MAX_SEGMENT:
             return [(payload, payload_bytes)]
         segments = []
         remaining = payload_bytes
-        while remaining > self.max_segment:
-            segments.append((None, self.max_segment))
-            remaining -= self.max_segment
+        while remaining > MAX_SEGMENT:
+            segments.append((None, MAX_SEGMENT))
+            remaining -= MAX_SEGMENT
         segments.append((payload, remaining))
         return segments
 

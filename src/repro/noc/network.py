@@ -16,7 +16,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, RouteError
 from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, Packet
-from repro.noc.router import NEVER, Router
+from repro.noc.router import CREDIT_LATENCY, NEVER, Router
 from repro.noc.routing import TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port, Torus2D
 from repro.obs.span import SpanRecorder
@@ -373,7 +373,9 @@ class Network:
     buffer_depth: flit slots per input VC.
     hop_latency: cycles from leaving a router to arriving at the next
         (router pipeline + wire).
-    credit_latency: cycles for a credit to return upstream.
+
+    A credit returns upstream ``CREDIT_LATENCY`` cycles after its flit
+    left the buffer.
     """
 
     def __init__(
@@ -384,7 +386,6 @@ class Network:
         vc_classes: int = 1,
         buffer_depth: int = 4,
         hop_latency: int = 2,
-        credit_latency: int = 1,
         flit_bytes: int = DEFAULT_FLIT_BYTES,
         delivery_queue_depth: int = 16,
         stats: Optional[StatsRegistry] = None,
@@ -401,7 +402,6 @@ class Network:
         self.vc_classes = vc_classes
         self.buffer_depth = buffer_depth
         self.hop_latency = hop_latency
-        self.credit_latency = credit_latency
         self.flit_bytes = flit_bytes
         self.delivery_queue_depth = delivery_queue_depth
         self.stats = stats if stats is not None else StatsRegistry()
@@ -423,13 +423,10 @@ class Network:
         self._express: Optional[_Express] = None
         self._lane_paths: Dict[Tuple[int, int], tuple] = {}
         #: a lone packet never waits for a credit iff a buffer covers the
-        #: flit + credit round trip (a zero-latency credit lands mid-cycle,
-        #: behind the pass it should feed: no closed form); dateline
-        #: routing chooses VCs from state it does not model
+        #: flit + credit round trip; dateline routing chooses VCs from
+        #: state it does not model
         self._lane_capable = (
-            credit_latency >= 1
-            and buffer_depth >= hop_latency + credit_latency
-            and not torus)
+            buffer_depth >= hop_latency + CREDIT_LATENCY and not torus)
         #: packets that started on the express lane / were taken off it
         #: mid-flight (plain attributes: the stats registry must read the
         #: same with the lane on or off)
@@ -440,7 +437,7 @@ class Network:
             Router(
                 engine, node, topo, routing,
                 num_vcs=num_vcs, vc_classes=vc_classes,
-                buffer_depth=buffer_depth, credit_latency=credit_latency,
+                buffer_depth=buffer_depth,
             )
             for node in topo.nodes()
         ]
@@ -559,7 +556,7 @@ class Network:
         t0 + j*hop`` and one flit a cycle from then on, so by ``upto`` it
         has switched ``clamp(upto - start + 1, 0, F)`` flits; the far
         interface consumes them one hop later still, and the credit for a
-        flit is back upstream ``credit_latency`` after the next stage
+        flit is back upstream ``CREDIT_LATENCY`` after the next stage
         switched it.  Flits and credits between two stages become inbox
         rows, a stage the head has passed but not the tail owns its output
         VC.  At ``upto`` = the delivery cycle nothing is left but the tail
@@ -568,7 +565,7 @@ class Network:
         self._express = None
         pkt, t0, vc, path = lane.pkt, lane.t0, lane.vc, lane.path
         total, pid = pkt.size_flits, pkt.pid
-        hop, lag = self.hop_latency, self.credit_latency
+        hop, lag = self.hop_latency, CREDIT_LATENCY
         landing = t0 + len(path) * hop  # the head reaches the far interface
         consumed = upto - landing + 1
         consumed = (total if consumed >= total else
@@ -690,13 +687,12 @@ class Network:
     def in_flight_packets(self) -> int:
         return self._ctr_injected.value - self._ctr_delivered.value
 
-    def zero_load_latency(self, src: int, dst: int, size_flits: int = 1) -> int:
-        """Analytic lower bound: hops * hop_latency + serialization.
+    def zero_load_latency(self, src: int, dst: int) -> int:
+        """Analytic lower bound for a one-flit packet: (hops + 1) link
+        traversals, counting the LOCAL ejection hop; each further flit
+        adds one cycle of injection serialization.
 
         Tests use it to check measured latencies against the
         no-contention cycle count.
         """
-        hops = self.topo.hop_distance(src, dst)
-        # (hops + 1) link traversals, counting the LOCAL ejection hop, plus
-        # one cycle per additional flit of injection serialization.
-        return (hops + 1) * self.hop_latency + (size_flits - 1)
+        return (self.topo.hop_distance(src, dst) + 1) * self.hop_latency

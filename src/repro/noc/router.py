@@ -44,6 +44,8 @@ CreditFn = Callable[[int, int], None]
 
 #: "no step armed" (shared with the network interfaces)
 NEVER = sys.maxsize
+#: cycles from a flit leaving a buffer slot to its credit landing upstream
+CREDIT_LATENCY = 1
 
 
 def _nothing() -> None:
@@ -108,7 +110,7 @@ class Router:
     # speed varied by a fifth with the interpreter's string-hash seed)
     __slots__ = (
         "engine", "node", "topo", "routing", "num_vcs", "vc_classes",
-        "buffer_depth", "credit_latency", "name", "_dateline", "ports",
+        "buffer_depth", "name", "_dateline", "ports",
         "_port_base", "_in", "_scan", "_out", "_credit_return", "_hop",
         "_allowed", "_route", "_vc_bits", "_flits_in", "_credits_in",
         "_wake_at", "_moved_at", "_flits_forwarded", "_buffered",
@@ -124,7 +126,6 @@ class Router:
         num_vcs: int = 2,
         vc_classes: int = 1,
         buffer_depth: int = 4,
-        credit_latency: int = 1,
         name: str = "",
     ):
         if num_vcs < 1:
@@ -136,10 +137,6 @@ class Router:
             )
         if buffer_depth < 1:
             raise ConfigError(f"buffer depth must be >= 1, got {buffer_depth}")
-        if credit_latency < 0:
-            raise ConfigError(
-                f"credit latency must be >= 0, got {credit_latency}"
-            )
         self.engine = engine
         self.node = node
         self.topo = topo
@@ -147,7 +144,6 @@ class Router:
         self.num_vcs = num_vcs
         self.vc_classes = vc_classes
         self.buffer_depth = buffer_depth
-        self.credit_latency = credit_latency
         self.name = name or f"router{node}"
         self._dateline = isinstance(routing, TorusXYRouting)
         if self._dateline and (num_vcs < 2 or vc_classes != 1):
@@ -498,7 +494,7 @@ class Router:
 
         now = self.engine.now
         arrival = now + self._hop
-        landing = now + self.credit_latency
+        landing = now + CREDIT_LATENCY
         moved = 0
         used = 0  # slots of the input ports granted so far this pass
         for out_port in self.ports:

@@ -143,10 +143,8 @@ def validate_chrome_trace(doc: Dict[str, Any]) -> int:
 
 def run_report(index: SpanIndex,
                sampler: Optional[TelemetrySampler] = None,
-               stats: Optional[Any] = None,
-               slo: Optional[Any] = None,
-               now: Optional[int] = None) -> str:
-    """Plain-text run report: trees + stage totals + heatmap + SLOs."""
+               stats: Optional[Any] = None) -> str:
+    """Plain-text run report: trees + stage totals + heatmap + counters."""
     lines: List[str] = ["=== Apiary observability report ==="]
     complete = index.complete_traces()
     lines.append(f"traces: {len(index.trace_ids())} total, "
@@ -182,9 +180,4 @@ def run_report(index: SpanIndex,
             lines.append("\n-- counters --")
             for name in sorted(counters):
                 lines.append(f"  {name:<32} {counters[name]:>12.0f}")
-    if slo is not None:
-        end = now if now is not None else (
-            sampler.last_sample_at if sampler is not None else 0)
-        lines.append("\n-- SLO verdicts --")
-        lines.append(slo.report_text(end))
     return "\n".join(lines)

@@ -10,8 +10,8 @@ artifact the moment something dies.
 
 Design constraints, in order:
 
-* **bounded** — one ``deque(maxlen=capacity)``; an entry is a flat tuple,
-  so memory is O(capacity) regardless of run length;
+* **bounded** — one ``deque(maxlen=RING_CAPACITY)``; an entry is a flat
+  tuple, so memory is O(RING_CAPACITY) regardless of run length;
 * **deterministic** — entries are pure functions of the simulation
   stream (span close order, fault order), so two identically-seeded runs
   produce byte-identical rings and dumps;
@@ -40,10 +40,10 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.obs.span import SpanRecord
 
 __all__ = ["FlightRecorder", "validate_flight_dump",
-           "DEFAULT_CAPACITY", "MAX_KEPT_DUMPS"]
+           "RING_CAPACITY", "MAX_KEPT_DUMPS"]
 
 #: ring size — enough for several requests' worth of spans per board
-DEFAULT_CAPACITY = 256
+RING_CAPACITY = 256
 #: most recent dump documents kept in memory per recorder
 MAX_KEPT_DUMPS = 8
 
@@ -56,14 +56,10 @@ class FlightRecorder:
     """Bounded ring of recent spans + events for one board."""
 
     def __init__(self, board: str = "board0",
-                 capacity: int = DEFAULT_CAPACITY,
                  dump_dir: Optional[str] = None):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.board = board
-        self.capacity = capacity
         self.dump_dir = dump_dir
-        self._ring: Deque[Tuple] = deque(maxlen=capacity)
+        self._ring: Deque[Tuple] = deque(maxlen=RING_CAPACITY)
         self._seen = 0
         #: most recent dump documents, newest last (bounded)
         self.dumps: List[Dict] = []
@@ -112,7 +108,7 @@ class FlightRecorder:
         return out
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"board": self.board, "capacity": self.capacity,
+        return {"board": self.board, "capacity": RING_CAPACITY,
                 "seen": self._seen, "entries": self.entries()}
 
     def report(self) -> Dict[str, Any]:
@@ -136,7 +132,7 @@ class FlightRecorder:
             return None
         self._last_dump_cycle = now
         doc = {"flight_recorder": 1, "board": self.board, "cycle": now,
-               "reason": reason, "capacity": self.capacity,
+               "reason": reason, "capacity": RING_CAPACITY,
                "seen": self._seen, "entries": self.entries()}
         self.dumps.append(doc)
         if len(self.dumps) > MAX_KEPT_DUMPS:

@@ -9,7 +9,7 @@ with ``gamma = (1 + alpha) / (1 - alpha)``, so any value reconstructed
 from its bucket's midpoint is within **relative error ``alpha``** of the
 original (the DDSketch guarantee; Masson et al., VLDB 2019).  Defaults:
 ``alpha = 0.01`` — quantile estimates within 1% of the exact order
-statistic — with at most ``max_bins`` live buckets.
+statistic — with at most :data:`MAX_BINS` live buckets.
 
 Why this shape (and not, say, t-digest or sampling):
 
@@ -22,7 +22,7 @@ Why this shape (and not, say, t-digest or sampling):
   sketch.  This is what lets :meth:`StatsRegistry.merge
   <repro.sim.stats.StatsRegistry.merge>` roll windowed partitions up into
   one registry whose snapshot does not depend on the merge order;
-* **bounded memory** — with ``alpha = 0.01`` and ``max_bins = 2048`` the
+* **bounded memory** — with ``alpha = 0.01`` and ``MAX_BINS = 2048`` the
   sketch spans a value range of ``gamma**2048 ≈ e**41`` (17 orders of
   magnitude) in at most ~2k dict entries, whatever the sample count.  If
   the range is ever exceeded the lowest buckets collapse into one —
@@ -41,12 +41,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Tuple
 
-__all__ = ["QuantileSketch", "DEFAULT_ALPHA", "DEFAULT_MAX_BINS"]
+__all__ = ["QuantileSketch", "DEFAULT_ALPHA", "MAX_BINS"]
 
 #: default relative-accuracy guarantee for quantile estimates
 DEFAULT_ALPHA = 0.01
-#: default live-bucket ceiling (memory bound; see module docstring)
-DEFAULT_MAX_BINS = 2048
+#: live-bucket ceiling (memory bound; see module docstring)
+MAX_BINS = 2048
 
 #: values at or below this magnitude land in the exact "zero" bucket —
 #: integer cycle latencies are >= 1, so in practice only true zeros do
@@ -63,19 +63,15 @@ class QuantileSketch:
     shape — minus ``samples``, which a sketch by definition cannot return.
     """
 
-    __slots__ = ("name", "alpha", "max_bins", "_gamma", "_log_gamma",
+    __slots__ = ("name", "alpha", "_gamma", "_log_gamma",
                  "_bins", "_zero_count", "_count", "_sum", "_min", "_max",
                  "collapsed")
 
-    def __init__(self, name: str = "", alpha: float = DEFAULT_ALPHA,
-                 max_bins: int = DEFAULT_MAX_BINS):
+    def __init__(self, name: str = "", alpha: float = DEFAULT_ALPHA):
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if max_bins < 2:
-            raise ValueError(f"max_bins must be >= 2, got {max_bins}")
         self.name = name
         self.alpha = alpha
-        self.max_bins = max_bins
         self._gamma = (1.0 + alpha) / (1.0 - alpha)
         self._log_gamma = math.log(self._gamma)
         self._bins: Dict[int, int] = {}
@@ -106,7 +102,7 @@ class QuantileSketch:
             return
         key = math.ceil(math.log(value) / self._log_gamma)  # its bucket
         self._bins[key] = self._bins.get(key, 0) + 1
-        if len(self._bins) > self.max_bins:
+        if len(self._bins) > MAX_BINS:
             self._collapse()
 
     def record_many(self, values: Iterable[float]) -> None:
@@ -121,7 +117,7 @@ class QuantileSketch:
         accuracy guarantee; the extreme low tail degrades gracefully.
         """
         keys = sorted(self._bins)
-        while len(keys) > self.max_bins:
+        while len(keys) > MAX_BINS:
             lowest = keys.pop(0)
             self._bins[keys[0]] = self._bins.get(keys[0], 0) + \
                 self._bins.pop(lowest)
@@ -212,7 +208,7 @@ class QuantileSketch:
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
         self.collapsed += other.collapsed
-        if len(self._bins) > self.max_bins:
+        if len(self._bins) > MAX_BINS:
             self._collapse()
 
     # -- introspection ----------------------------------------------------

@@ -41,11 +41,14 @@ __all__ = ["SLOTarget", "SLOEngine", "DEFAULT_BUCKET_CYCLES"]
 #: width of a classification bucket in sim cycles.  Small enough that
 #: windows hold many buckets, large enough that bucket dicts stay tiny.
 DEFAULT_BUCKET_CYCLES = 10_000
+#: slow ("ticket") and fast ("page") burn windows, sim cycles
+WINDOW = 400_000
+FAST_WINDOW = 100_000
 
 
 @dataclass(frozen=True)
 class SLOTarget:
-    """One objective: service (optionally one tenant), goodness, windows.
+    """One objective: service (optionally one tenant), goodness, burns.
 
     ``objective`` is the fraction of requests that must be good; a request
     is good when it completed successfully and, if ``latency_cycles`` is
@@ -60,10 +63,6 @@ class SLOTarget:
     objective: float = 0.999
     latency_cycles: Optional[int] = None
     tenant: Optional[str] = None
-    #: slow ("ticket") burn window, sim cycles
-    window: int = 400_000
-    #: fast ("page") burn window, sim cycles
-    fast_window: int = 100_000
     #: burn-rate thresholds for the two windows
     fast_burn: float = 14.0
     slow_burn: float = 6.0
@@ -72,8 +71,6 @@ class SLOTarget:
         if not 0.0 < self.objective < 1.0:
             raise ValueError(
                 f"objective must be in (0, 1), got {self.objective}")
-        if self.fast_window > self.window:
-            raise ValueError("fast_window must not exceed window")
 
     @property
     def key(self) -> Tuple[str, str, str]:
@@ -156,10 +153,8 @@ class SLOEngine:
         return good, bad
 
     def burn_rate(self, target: SLOTarget, now: int,
-                  window_cycles: Optional[int] = None) -> float:
+                  window_cycles: int) -> float:
         """Burn over the window ending now (0.0 when the window is empty)."""
-        window_cycles = window_cycles if window_cycles is not None \
-            else target.window
         good, bad = self._window_counts(
             target.key, now // self.bucket_cycles, window_cycles)
         total = good + bad
@@ -174,7 +169,7 @@ class SLOEngine:
         since it reads the same bucket counts the post-run report sweeps.
         """
         for target in self.targets_for(service):
-            if self.burn_rate(target, now, target.fast_window) >= \
+            if self.burn_rate(target, now, FAST_WINDOW) >= \
                     target.fast_burn:
                 return True
         return False
@@ -200,8 +195,8 @@ class SLOEngine:
             page = ticket = False
             for b in range(first, end_bucket + 1):
                 cycle = (b + 1) * self.bucket_cycles
-                fast = self.burn_rate(target, cycle - 1, target.fast_window)
-                slow = self.burn_rate(target, cycle - 1, target.window)
+                fast = self.burn_rate(target, cycle - 1, FAST_WINDOW)
+                slow = self.burn_rate(target, cycle - 1, WINDOW)
                 if fast >= target.fast_burn and not page:
                     page = True
                     out.append({"cycle": cycle, "target": list(key),

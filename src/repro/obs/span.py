@@ -193,16 +193,10 @@ class SpanRecorder:
     def open_spans(self) -> int:
         return len(self._open)
 
-    def records(self, trace_id: Optional[int] = None,
-                category: Optional[str] = None) -> List[SpanRecord]:
-        out = []
-        for rec in self._records:
-            if trace_id is not None and rec.trace_id != trace_id:
-                continue
-            if category is not None and rec.category != category:
-                continue
-            out.append(rec)
-        return out
+    def records(self, trace_id: Optional[int] = None) -> List[SpanRecord]:
+        if trace_id is None:
+            return list(self._records)
+        return [rec for rec in self._records if rec.trace_id == trace_id]
 
     def trace_ids(self) -> List[int]:
         """Distinct trace ids in first-seen order (events have none)."""

@@ -22,6 +22,8 @@ __all__ = ["TelemetrySampler"]
 
 #: node key for device-global series (DRAM, totals)
 GLOBAL = -1
+#: samples retained per series (ring buffer depth)
+SERIES_CAPACITY = 512
 
 
 class TelemetrySampler:
@@ -34,21 +36,19 @@ class TelemetrySampler:
     network: the NoC (per-NI backlog, per-router buffered flits, heatmap).
     dram: optional DRAM device (bus queue depth, bytes moved).
     interval: cycles between samples.
-    capacity: samples retained per series (ring buffer depth).
+
+    Each series keeps its last :data:`SERIES_CAPACITY` samples.
     """
 
     def __init__(self, engine, tiles=None, network=None, dram=None,
-                 interval: int = 1_000, capacity: int = 512):
+                 interval: int = 1_000):
         if interval < 1:
             raise ValueError(f"sample interval must be >= 1, got {interval}")
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.engine = engine
         self.tiles = tiles or []
         self.network = network
         self.dram = dram
         self.interval = interval
-        self.capacity = capacity
         self.samples_taken = 0
         self._series: Dict[Tuple[str, int], Deque[Tuple[int, float]]] = {}
         self._last_flits: Dict[int, int] = {}
@@ -76,7 +76,7 @@ class TelemetrySampler:
         key = (metric, node)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = deque(maxlen=self.capacity)
+            series = self._series[key] = deque(maxlen=SERIES_CAPACITY)
         series.append((now, value))
 
     def sample(self) -> None:

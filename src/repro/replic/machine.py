@@ -39,7 +39,7 @@ class KvMachine:
 
     WRITE_OPS = ("put", "delete")
 
-    def __init__(self, shard: int = 0, work_cycles: int = 500):
+    def __init__(self, shard: int, work_cycles: int = 500):
         self.shard = shard
         self.work_cycles = work_cycles
         self.store: Dict[Any, Any] = {}

@@ -30,27 +30,26 @@ class TenantQuota:
     max_priority: Optional[int] = None
 
 
+#: the quota of a tenant the controller has none for
+UNLIMITED = TenantQuota()
+
+
 class AdmissionController:
     """Screens submissions against per-tenant quotas.
 
     ``quotas`` maps tenant name to :class:`TenantQuota`; tenants not
-    listed get ``default`` (unlimited unless configured otherwise).
+    listed are :data:`UNLIMITED`.
     """
 
-    def __init__(
-        self,
-        quotas: Optional[Dict[str, TenantQuota]] = None,
-        default: Optional[TenantQuota] = None,
-    ):
+    def __init__(self, quotas: Optional[Dict[str, TenantQuota]] = None):
         self.quotas: Dict[str, TenantQuota] = dict(quotas or {})
-        self.default = default if default is not None else TenantQuota()
         for tenant, quota in self.quotas.items():
             if not isinstance(quota, TenantQuota):
                 raise ConfigError(
                     f"quota for {tenant!r} must be a TenantQuota")
 
     def quota_for(self, tenant: str) -> TenantQuota:
-        return self.quotas.get(tenant, self.default)
+        return self.quotas.get(tenant, UNLIMITED)
 
     def admit(self, spec: JobSpec, running: int) -> None:
         """Raise a typed rejection, or return to admit.

@@ -375,10 +375,10 @@ class Engine:
         self.process_count += 1
         return Process(self, generator, name=name)
 
-    def timeout(self, delay: int, value: Any = None) -> Event:
-        """An event that succeeds ``delay`` cycles from now."""
+    def timeout(self, delay: int) -> Event:
+        """An event that succeeds (with ``None``) ``delay`` cycles from now."""
         done = Event(self, name=f"timeout@{self.now + delay}")
-        self.schedule(delay, done.succeed, value)
+        self.schedule(delay, done.succeed)
         return done
 
     def any_of(self, events: List[Event]) -> Event:

@@ -7,7 +7,7 @@ same generators so comparisons differ only in the system under test.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Union
+from typing import List
 
 import numpy as np
 
@@ -98,29 +98,19 @@ def pareto_gaps(rng: np.random.Generator, rate_per_kcycle: float,
     return [max(1, int(g)) for g in gaps]
 
 
-def zipf_keys(rng: Union[np.random.Generator, int], count: int,
-              universe: int = 10_000, skew: float = 1.1,
-              stream: Optional[str] = None) -> List[int]:
+def zipf_keys(rng: np.random.Generator, count: int,
+              universe: int = 10_000, skew: float = 1.1) -> List[int]:
     """Zipf-distributed keys over an explicit ``universe`` of key ids.
 
-    ``rng`` may be a generator (legacy spelling) or a plain integer seed;
-    with a seed, the draws come from an independent stream keyed by
-    ``(seed, "zipf", stream)``, so two tenants sharing one scenario seed
-    get *uncorrelated* key popularity as long as their ``stream`` labels
-    differ — and neither perturbs (or is perturbed by) the arrival
-    process drawn from the same seed.
+    Give each tenant its own :func:`keyed_stream`, and two
+    tenants sharing one scenario seed get *uncorrelated* key popularity
+    that neither perturbs (nor is perturbed by) the arrival process drawn
+    from the same seed.
     """
     if skew <= 1.0:
         raise ConfigError("numpy zipf needs skew > 1.0")
     if universe < 1:
         raise ConfigError("key universe must hold at least one key")
-    if isinstance(rng, (int, np.integer)):
-        rng = keyed_stream(int(rng), "zipf", stream or "")
-    elif stream is not None:
-        raise ConfigError(
-            "stream= labels an independent draw from a seed; pass an "
-            "integer seed with it, not a live generator"
-        )
     keys = rng.zipf(skew, size=count)
     return [int(k % universe) for k in keys]
 

@@ -60,8 +60,7 @@ class TaggingEngine(Engine):
 def frame_switch(endpoint):
     """The fabric callback of a bare ``ReliableEndpoint``: the
     datagram-kind switch ``ReliableMux.deliver_frame`` makes for the
-    endpoints it owns, for rigs that wire one endpoint per MAC (a mux takes
-    no ``mtu``, and the segmentation rigs vary it)."""
+    endpoints it owns, for rigs that wire one endpoint per MAC."""
     def deliver(frame):
         dgram = frame.payload
         if dgram.kind == "ack":

@@ -12,6 +12,8 @@ from repro.accel import (
     VideoEncoder,
     WildWriterAccel,
 )
+from repro.accel import kvstore
+from repro.accel.faulty import WILD_PROBES
 from repro.kernel import ApiarySystem, SystemConfig
 
 
@@ -154,17 +156,6 @@ class TestKvStore:
         assert responses[3]["found"] is False
         assert kv.misses == 1
 
-    def test_dram_backed_values(self):
-        system = booted()
-        kv = KvStore("kv", value_segments=True, inline_bytes=64)
-        start(system, 2, kv, endpoint="app.kv")
-        responses = drive(system, 3, "app.kv", [
-            ("kv.put", {"key": "big", "bytes": 4096, "value": b"x" * 64}, 4096),
-            ("kv.get", {"key": "big"}, 16),
-        ])
-        assert responses[1]["found"]
-        assert system.dram.totals()["writes"] >= 1
-
     def test_stats_op(self):
         system = booted()
         kv = KvStore("kv")
@@ -210,9 +201,10 @@ class TestKvStore:
         assert responses[2]["deleted"] is True
         assert kv.deletes == 1
 
-    def test_dedup_window_is_bounded_per_client(self):
+    def test_dedup_window_is_bounded_per_client(self, monkeypatch):
+        monkeypatch.setattr(kvstore, "DEDUP_WINDOW", 4)
         system = booted()
-        kv = KvStore("kv", dedup_window=4)
+        kv = KvStore("kv")
         start(system, 2, kv, endpoint="app.kv")
         drive(system, 3, "app.kv", [
             ("kv.put", {"key": i, "bytes": 64, "client": "h0", "seq": i},
@@ -285,17 +277,17 @@ class TestMisbehavers:
 
     def test_wild_writer_never_lands(self):
         system = booted()
-        writer = WildWriterAccel("wild", probes=6)
+        writer = WildWriterAccel("wild")
         start(system, 3, writer)
         system.run(until=system.engine.now + 2_000_000)
-        assert writer.faults == 6
+        assert writer.faults == WILD_PROBES
         assert writer.landed == 0
 
     def test_flooder_without_cap_sends_nothing(self):
         system = booted()
         kv = KvStore("kv")
         start(system, 2, kv, endpoint="app.kv")
-        flood = FloodingAccel("flood", victim="app.kv", count=50)
+        flood = FloodingAccel("flood", victim="app.kv")
         start(system, 3, flood)
         system.run(until=system.engine.now + 500_000)
         assert flood.sent == 0

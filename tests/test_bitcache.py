@@ -5,8 +5,8 @@ Covers the whole artifact lifecycle: content addressing (replicas of one
 design family share a digest), the deterministic synthesis worker
 (FIFO, in-flight coalescing, DRC once per artifact), the per-board LRU
 store (hit/miss/eviction/overlay reuse/prefetch accuracy), the
-artifact-aware management-plane load path (tile reservation, artifact
-handles, legacy byte-path), cluster warm placement, the autoscaler's
+artifact-aware management-plane load path (tile reservation, legacy
+byte-path), cluster warm placement, the autoscaler's
 predictive prefetch hook, the board-kill-mid-synthesis chaos run, and
 the cache arm of the shared ≡ sequential report identity.
 """
@@ -17,11 +17,8 @@ from dataclasses import replace
 import pytest
 
 from repro.accel import Accelerator, EchoAccel
-from repro.cluster.bitcache import (
-    DEFAULT_CACHE_CELLS,
-    BitstreamPlane,
-    BoardBitstreamStore,
-)
+from repro.cluster import bitcache
+from repro.cluster.bitcache import BitstreamPlane, BoardBitstreamStore
 from repro.cluster.config import CacheConfig, ClusterConfig, ObsConfig
 from repro.errors import BitstreamRejected, ConfigError
 from repro.hw.bitstream import Bitstream, DesignRuleChecker
@@ -95,12 +92,6 @@ class TestSynthesisDuration:
             + 512 * SYNTH_CYCLES_PER_BRAM_KB
             + 8 * SYNTH_CYCLES_PER_DSP)
 
-    def test_cycles_per_cell_rescales_proportionally(self):
-        cost = ResourceVector(60_000, 512, 8)
-        base = synthesis_duration(cost)
-        assert synthesis_duration(cost, cycles_per_cell=128) == 2 * base
-        assert synthesis_duration(cost, cycles_per_cell=8) == base // 8
-
     def test_synthesis_dwarfs_reconfiguration(self):
         # the gap the cache exists to close: one compile is several times
         # one partial-reconfiguration write
@@ -112,9 +103,9 @@ class TestSynthesisDuration:
 
 
 class TestCompileService:
-    def service(self, **kwargs):
+    def service(self):
         eng = Engine()
-        return eng, CompileService(eng, drc=DesignRuleChecker(), **kwargs)
+        return eng, CompileService(eng, drc=DesignRuleChecker())
 
     def test_compile_produces_a_clean_artifact_at_cost(self):
         eng, svc = self.service()
@@ -162,19 +153,14 @@ class TestCompileService:
         assert svc.compiles_rejected == 1
         assert svc.compiles_started == 0  # never entered the queue
 
-    def test_bad_cost_knob_rejected(self):
-        with pytest.raises(ConfigError):
-            CompileService(Engine(), cycles_per_cell=0)
-
 
 # -- the per-board store ---------------------------------------------------
 
 
 class TestBoardBitstreamStore:
-    def store(self, capacity_cells=DEFAULT_CACHE_CELLS):
+    def store(self):
         eng = Engine()
-        return eng, BoardBitstreamStore(
-            eng, drc=DesignRuleChecker(), capacity_cells=capacity_cells)
+        return eng, BoardBitstreamStore(eng, drc=DesignRuleChecker())
 
     def test_miss_pays_synthesis_then_hit_is_free(self):
         eng, store = self.store()
@@ -190,8 +176,9 @@ class TestBoardBitstreamStore:
         assert store.compiler.compiles_started == 1
         assert store.hit_rate() == 0.5
 
-    def test_lru_eviction_bounded_in_cells(self):
-        eng, store = self.store(capacity_cells=25_000)
+    def test_lru_eviction_bounded_in_cells(self, monkeypatch):
+        monkeypatch.setattr(bitcache, "DEFAULT_CACHE_CELLS", 25_000)
+        eng, store = self.store()
         for fam in ("a", "b"):
             eng.run_until_done(store.acquire(design(fam, family=fam)))
         assert store.cached_cells() == 20_000
@@ -205,8 +192,9 @@ class TestBoardBitstreamStore:
         eng.run_until_done(store.acquire(design(family="a")))
         assert eng.now - before == synthesis_duration(design().cost)
 
-    def test_hits_refresh_lru_order(self):
-        eng, store = self.store(capacity_cells=25_000)
+    def test_hits_refresh_lru_order(self, monkeypatch):
+        monkeypatch.setattr(bitcache, "DEFAULT_CACHE_CELLS", 25_000)
+        eng, store = self.store()
         for fam in ("a", "b"):
             eng.run_until_done(store.acquire(design(fam, family=fam)))
         eng.run_until_done(store.acquire(design(family="a")))  # touch a
@@ -214,8 +202,9 @@ class TestBoardBitstreamStore:
         assert _warm(store, design(family="a"))
         assert not _warm(store, design(family="b"))  # b became the LRU
 
-    def test_eviction_never_empties_the_cache(self):
-        eng, store = self.store(capacity_cells=5_000)
+    def test_eviction_never_empties_the_cache(self, monkeypatch):
+        monkeypatch.setattr(bitcache, "DEFAULT_CACHE_CELLS", 5_000)
+        eng, store = self.store()
         eng.run_until_done(store.acquire(design(cells=10_000)))
         assert len(store._entries) == 1  # oversize resident stays usable
 
@@ -278,10 +267,6 @@ class TestBoardBitstreamStore:
         assert stats.counter("bitcache.hits").value == 1
         assert stats.counter("synth.fpga3.completed").value == 1
 
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ConfigError):
-            BoardBitstreamStore(Engine(), capacity_cells=0)
-
 
 # -- the management-plane load path ----------------------------------------
 
@@ -323,25 +308,6 @@ class TestMgmtArtifactPath:
         assert 1 not in system.mgmt.free_tiles()
         system.engine.run_until_done(started)
         assert not system.tiles[1].reserved
-
-    def test_artifact_handle_bypasses_the_store(self):
-        system = self.system()
-        system.engine.run_until_done(system.mgmt.load(1, EchoAccel("e1")))
-        art = system.bitstore.acquire(EchoAccel.family_bitstream()).value
-        hits_before = system.bitstore.hits
-        took = self.elapsed(
-            system, system.mgmt.load(2, EchoAccel("e2"), artifact=art))
-        assert took == reconfig_duration(EchoAccel.COST)
-        assert system.bitstore.hits == hits_before  # handle, not lookup
-
-    def test_artifact_with_signed_by_is_rejected(self):
-        system = self.system()
-        art = system.bitstore.acquire(EchoAccel.family_bitstream())
-        system.engine.run_until_done(art)
-        with pytest.raises(ConfigError, match="carries its own signer"):
-            system.mgmt.load(2, EchoAccel("e2"), signed_by="vendor",
-                             artifact=art.value)
-        assert 2 in system.mgmt.free_tiles()  # refused before any wiring
 
     def test_legacy_path_without_store_is_unchanged(self):
         system = self.system(cache=False)

@@ -64,8 +64,7 @@ def test_migrate_preserves_stream_state():
         system.run(until=system.engine.now + 20_000)
     chunks_before = encoder.streams["s0"]["chunks"]
     migration = system.engine.process(system.mgmt.migrate(
-        2, 4, lambda: PreemptibleVideoEncoder("enc-v2"), endpoint="app.enc"
-    ))
+        2, 4, lambda: PreemptibleVideoEncoder("enc-v2")))
     replacement = system.run_until(migration.done)
     assert system.namespace.lookup("app.enc") == 4
     assert not system.tiles[2].occupied
@@ -85,8 +84,7 @@ def test_service_continues_after_migration():
     while encoder.chunks_encoded < 2:
         system.run(until=system.engine.now + 20_000)
     migration = system.engine.process(system.mgmt.migrate(
-        2, 4, lambda: PreemptibleVideoEncoder("enc-v2"), endpoint="app.enc"
-    ))
+        2, 4, lambda: PreemptibleVideoEncoder("enc-v2")))
     replacement = system.run_until(migration.done)
     system.run(until=system.engine.now + 20_000_000)
     # the client kept using the same endpoint name across the migration;
@@ -147,8 +145,7 @@ def test_migrated_tile_is_reusable():
     encoder = PreemptibleVideoEncoder("enc")
     system.run_until(system.start_app(2, encoder, endpoint="app.enc"))
     migration = system.engine.process(system.mgmt.migrate(
-        2, 4, lambda: PreemptibleVideoEncoder("enc-v2"), endpoint="app.enc"
-    ))
+        2, 4, lambda: PreemptibleVideoEncoder("enc-v2")))
     system.run_until(migration.done)
     # the vacated slot takes a new tenant
     newcomer = EchoAccel("newcomer")
@@ -163,8 +160,7 @@ def test_old_tile_capabilities_do_not_follow():
     system.run_until(system.start_app(2, encoder, endpoint="app.enc"))
     assert system.caps.holder_count("tile2") > 0
     migration = system.engine.process(system.mgmt.migrate(
-        2, 4, lambda: PreemptibleVideoEncoder("enc-v2"), endpoint="app.enc"
-    ))
+        2, 4, lambda: PreemptibleVideoEncoder("enc-v2")))
     system.run_until(migration.done)
     assert system.caps.holder_count("tile2") == 0
     assert system.caps.holder_count("tile4") > 0  # fresh default wiring

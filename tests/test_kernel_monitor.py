@@ -203,7 +203,7 @@ class TestMonitorEnforcement:
     def test_rate_limited_monitor_throttles(self):
         fast = small_system()
         slow = small_system(SystemConfig(noc=NocConfig(
-            width=3, height=2, rate_limit_flits=0.05, rate_limit_burst=4)))
+            width=3, height=2, rate_limit_flits=0.05)))
         durations = {}
         for label, system in (("fast", fast), ("slow", slow)):
             echo = EchoAccel("echo", cost=1)

@@ -172,6 +172,12 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError):
             Scenario.from_dict(data)
 
+    def test_slo_windows_are_fixed(self):
+        data = _tiny_scenario().to_dict()
+        data["slos"][0]["fast_window"] = 50_000
+        with pytest.raises(ConfigError, match="fast_window"):
+            Scenario.from_dict(data)
+
     def test_requires_slos(self):
         with pytest.raises(ConfigError):
             _tiny_scenario(slos=())
@@ -225,6 +231,10 @@ class TestScenarioSpec:
         for svc in data["services"]:
             assert set(svc) == {"name", "kind", "instances", "shards",
                                 "replicas", "work_cycles"}
+        for slo in data["slos"]:
+            assert set(slo) == {"name", "service", "objective",
+                                "latency_cycles", "tenant", "window",
+                                "fast_window", "fast_burn", "slow_burn"}
 
     @pytest.mark.parametrize("name", ["autoscale_step", "cache_step",
                                       "replication_chaos"])

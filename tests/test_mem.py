@@ -23,6 +23,8 @@ from repro.mem import (
     TLB_HIT_CYCLES,
     TLB_MISS_CYCLES,
 )
+from repro.mem.allocator import ALIGNMENT
+from repro.mem.dram import BANKS_PER_CHANNEL, ROW_BYTES
 from repro.sim import Engine
 
 
@@ -40,25 +42,27 @@ class TestDram:
 
     def test_row_hit_faster_than_conflict(self):
         eng = Engine()
-        dram = Dram(eng, channels=1, banks_per_channel=1, row_bytes=4096)
+        dram = Dram(eng, channels=1)
         first = self.run_access(dram, eng, 0, 64)          # miss (opens row 0)
         hit = self.run_access(dram, eng, 64, 64)           # same row -> hit
-        conflict = self.run_access(dram, eng, 4096, 64)    # other row -> conflict
+        # the next row of bank 0: a conflict
+        conflict = self.run_access(dram, eng, BANKS_PER_CHANNEL * ROW_BYTES,
+                                   64)
         assert hit < first < conflict
 
     def test_bank_interleaving_classifies_hits(self):
         eng = Engine()
-        dram = Dram(eng, channels=1, banks_per_channel=4, row_bytes=4096)
+        dram = Dram(eng, channels=1)
         # sequential rows land in different banks: no conflicts
-        for row in range(4):
-            self.run_access(dram, eng, row * 4096, 64)
+        for row in range(BANKS_PER_CHANNEL):
+            self.run_access(dram, eng, row * ROW_BYTES, 64)
         totals = dram.totals()
         assert totals["row_conflicts"] == 0
-        assert totals["row_misses"] == 4
+        assert totals["row_misses"] == BANKS_PER_CHANNEL
 
     def test_large_access_spans_channels(self):
         eng = Engine()
-        dram = Dram(eng, channels=2, banks_per_channel=2, row_bytes=4096)
+        dram = Dram(eng, channels=2)
         self.run_access(dram, eng, 0, 16384)
         moved = [ch.bytes_moved for ch in dram.channels]
         assert all(m > 0 for m in moved)
@@ -84,7 +88,7 @@ class TestDram:
 
     def test_concurrent_accesses_share_bus(self):
         eng = Engine()
-        dram = Dram(eng, channels=1, banks_per_channel=2, row_bytes=4096)
+        dram = Dram(eng, channels=1)
         done = []
 
         def proc(addr):
@@ -180,21 +184,21 @@ class TestFreeListAllocators:
             alloc.free(base)
 
     def test_alignment_rounding(self, alloc_cls):
-        alloc = alloc_cls(1 << 16, alignment=64)
+        alloc = alloc_cls(1 << 16)
         _base, size = alloc.allocate(1)
-        assert size == 64
-        assert alloc.internal_waste(1) == 63
+        assert size == ALIGNMENT
+        assert alloc.internal_waste(1) == ALIGNMENT - 1
 
     def test_odd_sizes_supported(self, alloc_cls):
         """Segments' flexibility claim: arbitrary sizes, small waste."""
         alloc = alloc_cls(1 << 20)
         _base, size = alloc.allocate(100_001)
-        assert size - 100_001 < 64  # waste below one alignment unit
+        assert size - 100_001 < ALIGNMENT  # waste below one alignment unit
 
 
 class TestBestFitBehaviour:
     def test_best_fit_picks_tightest_hole(self):
-        alloc = BestFitAllocator(1 << 16, alignment=64)
+        alloc = BestFitAllocator(1 << 16)
         a, _sz = alloc.allocate(4096)
         guard, _sz = alloc.allocate(64)  # keeps the two holes apart
         b, _sz = alloc.allocate(128)
@@ -205,7 +209,7 @@ class TestBestFitBehaviour:
         assert base == b  # reused the tight hole, not the big one
 
     def test_first_fit_picks_lowest_hole(self):
-        alloc = FirstFitAllocator(1 << 16, alignment=64)
+        alloc = FirstFitAllocator(1 << 16)
         a, _sz = alloc.allocate(4096)
         guard, _sz = alloc.allocate(64)
         b, _sz = alloc.allocate(128)
@@ -246,7 +250,7 @@ class TestBuddyAllocator:
     def test_internal_waste_exceeds_segment_allocator(self):
         """The quantitative heart of D7: pages/buddy strand more memory."""
         buddy = BuddyAllocator(1 << 24, min_block=4096)
-        segments = FirstFitAllocator(1 << 24, alignment=64)
+        segments = FirstFitAllocator(1 << 24)
         sizes = [5000, 70_000, 300_000, 1_000_001, 9_999]
         buddy_waste = sum(buddy.internal_waste(s) for s in sizes)
         seg_waste = sum(segments.internal_waste(s) for s in sizes)

@@ -176,7 +176,8 @@ def rate_limited():
     """0.05 flits/cycle behind a 12-flit bucket: three 4-flit messages pass
     on the burst, the fourth waits for the refill, the fifth (66 flits,
     more than the bucket holds) for a full bucket."""
-    rig = MonitorRig(rate_limit_flits_per_cycle=0.05, rate_limit_burst=12)
+    rig = MonitorRig()
+    rig.mon["a"].set_rate_limit(0.05, burst=12)
     rig.at(10)
     for mid in (1, 2, 3, 4):
         rig.send("a", "b", mid, 16)

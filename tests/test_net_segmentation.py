@@ -1,13 +1,7 @@
 """Tests for transport-layer segmentation (payloads above the frame MTU)."""
 
-import pytest
-
-from repro.errors import ConfigError
-from repro.net import (
-    EthernetFabric,
-    ReliableEndpoint,
-    TRANSPORT_HEADER_BYTES,
-)
+from repro.net import EthernetFabric, ReliableEndpoint
+from repro.net.transport import MAX_SEGMENT
 from repro.sim import Engine, RngPool
 from tests.conftest import frame_switch
 
@@ -16,7 +10,7 @@ def ignore(_payload):
     """The receiver of an endpoint that is sent no payload."""
 
 
-def make_loop(eng, loss=0.0, seed=7, mtu=1518, fabric_latency=50):
+def make_loop(eng, loss=0.0, seed=7, fabric_latency=50):
     """A sends to B over the fabric; the third value is the list B's
     receiver appends every payload it is handed to."""
     fabric = EthernetFabric(
@@ -24,9 +18,8 @@ def make_loop(eng, loss=0.0, seed=7, mtu=1518, fabric_latency=50):
         rng=RngPool(seed=seed).stream("loss") if loss else None,
     )
     received = []
-    a = ReliableEndpoint(eng, fabric.transmit, "A", "B", ignore, mtu=mtu)
-    b = ReliableEndpoint(eng, fabric.transmit, "B", "A", received.append,
-                         mtu=mtu)
+    a = ReliableEndpoint(eng, fabric.transmit, "A", "B", ignore)
+    b = ReliableEndpoint(eng, fabric.transmit, "B", "A", received.append)
     fabric.attach("A", frame_switch(a))
     fabric.attach("B", frame_switch(b))
     return fabric, a, received
@@ -99,20 +92,16 @@ def test_segmentation_survives_loss():
     assert a.retransmissions > 0
 
 
-def test_mtu_respected_for_custom_value():
+def test_segment_boundary_is_exact():
+    """A payload of exactly one full segment goes as one datagram; one
+    byte more takes a second."""
     eng = Engine()
-    fabric, a, received = make_loop(eng, mtu=256)
-    got = transfer(eng, a, received, [("obj", 1000)])
-    assert got == ["obj"]
-    # ceil(1000/240) = 5 datagrams
-    assert a.datagrams_sent == 5
-
-
-def test_tiny_mtu_rejected():
-    eng = Engine()
-    with pytest.raises(ConfigError):
-        ReliableEndpoint(eng, lambda f: None, "A", "B", ignore,
-                         mtu=TRANSPORT_HEADER_BYTES + 32)
+    fabric, a, received = make_loop(eng)
+    got = transfer(eng, a, received, [("full", MAX_SEGMENT),
+                                      ("over", MAX_SEGMENT + 1)])
+    assert got == ["full", "over"]
+    assert a.datagrams_sent == 3
+    assert a.fragments_sent == 2
 
 
 def test_transfer_time_scales_with_payload():

@@ -10,13 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.noc import (
-    Mesh2D,
-    Network,
-    Router,
-    Torus2D,
-    XYRouting,
-)
+from repro.noc import Mesh2D, Network, Torus2D
 from repro.noc import network as network_module
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.topology import Port
@@ -162,8 +156,9 @@ FLOOD_SCHEDULES = 13_826
 # One seeded 4x4 flood per flit-path configuration the benchmark's
 # ``noc_flood`` (plain XY, 2 VCs, one class) does not exercise.  Every
 # grant, delivery cycle and engine schedule is pinned against literals
-# captured on the bucketed allocator, so a rewrite of the switch
-# allocation or the wire rows must reproduce them, not re-pin them.
+# captured on the bucketed allocator (``fast_wires`` on the tree before the
+# credit latency became a constant), so a rewrite of the switch allocation
+# or the wire rows must reproduce them, not re-pin them.
 
 FLIT_PATH_CYCLES = 350
 
@@ -176,7 +171,7 @@ def flit_path_network(eng, case):
     if case == "torus_dateline":
         return Network(eng, Torus2D(4, 4))
     if case == "fast_wires":
-        return Network(eng, Mesh2D(4, 4), hop_latency=1, credit_latency=0)
+        return Network(eng, Mesh2D(4, 4), hop_latency=1)
     assert case == "stall"
     net = Network(eng, Mesh2D(4, 4))
     eng.schedule(150, lambda _a: net.router(9).stall(20))
@@ -227,13 +222,13 @@ def flit_path_flood(case):
 
 FLIT_PATH_GOLDENS = {
     "fast_wires": {
-        "delivered": 918, "cycle_sum": 164_588, "records": "44c86190390e2666",
-        "forwarded": [571, 861, 843, 639, 805, 1093, 1127, 863,
-                      838, 1088, 1081, 873, 678, 918, 875, 663],
-        "pointers": "4,2,3 6,2,0,3 5,0,3,4 5,2,2 0,7,2,4 8,7,9,1,5 "
-                    "8,7,0,3,1 7,5,1,2 6,5,2,3 3,5,0,4,1 3,8,0,3,5 7,5,3,2 "
-                    "4,5,2 4,7,0,6 4,0,1,6 4,5,2",
-        "schedules": 24_489,
+        "delivered": 890, "cycle_sum": 158_094, "records": "bb332f0a93ba72f8",
+        "forwarded": [544, 846, 796, 603, 778, 1031, 1038, 824,
+                      837, 1087, 1015, 844, 668, 911, 834, 650],
+        "pointers": "5,1,3 5,1,3,3 5,0,2,1 0,1,1 7,0,1,3 8,5,1,2,5 "
+                    "3,8,0,6,1 6,5,7,2 3,0,1,4 7,7,1,3,5 4,8,0,4,1 5,7,4,2 "
+                    "4,0,1 0,6,1,6 3,5,7,2 3,0,1",
+        "schedules": 17_611,
     },
     "one_vc": {
         "delivered": 437, "cycle_sum": 77_684, "records": "13cb11b201d22b5e",
@@ -420,7 +415,7 @@ def test_stall_while_parked_wakes_once_and_parks_again():
     assert (eng.now, eng.schedules, eng.pending_events()) == (10, 1, 0)
     sent = net.interface(0).send(1, payload_bytes=0)
     eng.run()
-    assert sent.value.latency == net.zero_load_latency(0, 1, 1)
+    assert sent.value.latency == net.zero_load_latency(0, 1)
 
 
 def test_stall_twice_in_a_row_keeps_the_longer_one():
@@ -497,9 +492,3 @@ def test_datapath_errors_abort_the_run_naming_component_and_cycle():
                              r"packet 1 at cycle 8"):
         eng.run()
 
-
-def test_negative_credit_latency_is_a_config_error():
-    with pytest.raises(ConfigError, match="credit latency"):
-        Network(Engine(), Mesh2D(2, 2), credit_latency=-1)
-    with pytest.raises(ConfigError, match="credit latency"):
-        Router(Engine(), 0, Mesh2D(2, 2), XYRouting(), credit_latency=-1)

@@ -40,7 +40,6 @@ def cases(draw):
         st.tuples(st.just("stall"), cycle, st.booleans(), node, span),
         max_size=5))
     return dict(width=width, height=height, hop=hop, depth=depth,
-                credit=draw(st.sampled_from([0, 1, 1, 2, 3])),
                 num_vcs=num_vcs, vc_classes=draw(st.integers(1, num_vcs)),
                 queue=draw(st.integers(1, 3)), senders=senders, sinks=sinks,
                 chaos=chaos, sample=draw(st.sampled_from([0, 0, 1, 9, 31])))
@@ -58,7 +57,6 @@ def _run(case):
     net = Network(eng, Mesh2D(case["width"], case["height"]),
                   num_vcs=case["num_vcs"], vc_classes=case["vc_classes"],
                   buffer_depth=case["depth"], hop_latency=case["hop"],
-                  credit_latency=case["credit"],
                   delivery_queue_depth=case["queue"])
     nodes = case["width"] * case["height"]
     packets, done_at, series = {}, {}, []
@@ -171,7 +169,7 @@ def test_lane_on_and_off_are_the_same_network(case):
 
 def lone_packet(**extra):
     """One 7-flit packet corner to corner on an idle 2x2 mesh."""
-    case = dict(width=2, height=2, hop=2, depth=4, credit=1, num_vcs=2,
+    case = dict(width=2, height=2, hop=2, depth=4, num_vcs=2,
                 vc_classes=1,
                 queue=16, senders=[(0, False, [(0, 3, 6, 0)])],
                 sinks=[0, 0, 0, 0], chaos=[], sample=0)

@@ -24,6 +24,7 @@ from repro.obs import (
     run_report,
     validate_chrome_trace,
 )
+from repro.obs.telemetry import SERIES_CAPACITY
 from repro.sim import Engine
 
 
@@ -87,16 +88,6 @@ class TestSpanRecorder:
         assert spans.open(0, "x", "cat", "src", 0) == 0
         assert len(spans) == 0
 
-    def test_category_filtered_query(self):
-        spans = SpanRecorder()
-        spans.enable()
-        tid = spans.new_trace()
-        a = spans.open(tid, "a", "noc", "ni0", 0)
-        b = spans.open(tid, "b", "dram", "dram", 1)
-        spans.close(a, 2)
-        spans.close(b, 3)
-        assert [r.name for r in spans.records(category="dram")] == ["b"]
-
 
 class TestEvents:
     """The recorder's instant-record call (the flat tracer, folded in)."""
@@ -116,7 +107,7 @@ class TestEvents:
         assert (rec.name, rec.category, rec.source) == \
             ("monitor.deny", "event", "tile3")
         assert rec.detail == {"reason": "no-cap", "name": "x"}
-        assert spans.records(category="event") == [rec]
+        assert spans.records() == [rec]
 
     def test_events_consume_no_ids(self):
         spans = SpanRecorder()
@@ -351,9 +342,9 @@ class TestTelemetrySampler:
 
     def test_ring_buffer_caps_memory(self):
         eng = Engine()
-        sampler = TelemetrySampler(eng, interval=10, capacity=8).start()
-        eng.run(until=1_000)
-        assert len(sampler.series("sampled_at")) == 8
+        sampler = TelemetrySampler(eng, interval=10).start()
+        eng.run(until=10 * SERIES_CAPACITY + 1_000)
+        assert len(sampler.series("sampled_at")) == SERIES_CAPACITY
 
     def test_heatmap_matches_topology(self):
         system = ApiarySystem(SystemConfig.figure1())

@@ -28,10 +28,12 @@ from repro.obs import (
     SLOTarget,
     SpanIndex,
     SpanRecorder,
-    run_report,
     validate_flight_dump,
 )
-from repro.obs.flight import MAX_KEPT_DUMPS
+from repro.obs import sketch as sketch_module
+from repro.obs.flight import MAX_KEPT_DUMPS, RING_CAPACITY
+from repro.obs.slo import FAST_WINDOW
+from repro.obs.telemetry import SERIES_CAPACITY
 from repro.sim import Engine, StatsRegistry
 
 
@@ -106,11 +108,13 @@ class TestQuantileSketch:
             QuantileSketch("a", alpha=0.01).merge(
                 QuantileSketch("b", alpha=0.02))
 
-    def test_memory_stays_bounded_and_collapse_spares_the_upper_tail(self):
-        sk = QuantileSketch("wide", alpha=0.01, max_bins=64)
+    def test_memory_stays_bounded_and_collapse_spares_the_upper_tail(
+            self, monkeypatch):
+        monkeypatch.setattr(sketch_module, "MAX_BINS", 64)
+        sk = QuantileSketch("wide", alpha=0.01)
         samples = [float(2 ** (i % 40)) + i % 7 for i in range(4_000)]
         sk.record_many(samples)
-        assert sk.bins <= 65  # max_bins live buckets + zero bucket
+        assert sk.bins <= 65  # MAX_BINS live buckets + zero bucket
         assert sk.collapsed > 0
         exact99 = exact_percentile(samples, 99)
         assert abs(sk.percentile(99) - exact99) <= sk.alpha * exact99
@@ -180,11 +184,11 @@ class TestSLOEngine:
         target = self.target()  # budget 1%; burn 14 needs 14% bad
         eng.add_target(target)
         feed(eng, "kv", good=80, bad=20, at=95_000)  # 20% bad in window
-        assert eng.burn_rate(target, 99_999, target.fast_window) == \
+        assert eng.burn_rate(target, 99_999, FAST_WINDOW) == \
             pytest.approx(20.0)
         assert eng.firing("kv", 99_999)
         # outside the fast window the page signal clears
-        assert not eng.firing("kv", 95_000 + target.fast_window
+        assert not eng.firing("kv", 95_000 + FAST_WINDOW
                               + 3 * eng.bucket_cycles)
 
     def test_alerts_fire_on_rising_edges_only(self):
@@ -202,8 +206,6 @@ class TestSLOEngine:
     def test_validation(self):
         with pytest.raises(ValueError):
             SLOTarget("x", "s", objective=1.0)
-        with pytest.raises(ValueError):
-            SLOTarget("x", "s", fast_window=500_000, window=400_000)
         eng = SLOEngine()
         eng.add_target(self.target())
         with pytest.raises(ValueError):
@@ -269,18 +271,18 @@ class TestCycleProfiler:
 
 class TestFlightRecorder:
     def test_ring_wraps_at_capacity(self):
-        flight = FlightRecorder("fpga0", capacity=4)
-        for i in range(10):
+        flight = FlightRecorder("fpga0")
+        for i in range(RING_CAPACITY + 6):
             flight.record_event(i, "tick", f"n{i}")
-        assert len(flight) == 4
-        assert flight.seen == 10
+        assert len(flight) == RING_CAPACITY
+        assert flight.seen == RING_CAPACITY + 6
         assert [e["subject"] for e in flight.entries()] == \
-            ["n6", "n7", "n8", "n9"]
+            [f"n{i}" for i in range(6, RING_CAPACITY + 6)]
 
     def test_span_sink_rings_closed_spans(self):
         spans = SpanRecorder()
         spans.enable()
-        flight = FlightRecorder("fpga0", capacity=8)
+        flight = FlightRecorder("fpga0")
         spans.attach_flight(flight)
         tid = spans.new_trace()
         sid = spans.open(tid, "work", "svc", "tile0", 5)
@@ -291,8 +293,7 @@ class TestFlightRecorder:
                 entry["end"]) == ("span", "work", 5, 17)
 
     def test_dump_coalesces_within_one_cycle(self, tmp_path):
-        flight = FlightRecorder("fpga1", capacity=8,
-                                dump_dir=str(tmp_path))
+        flight = FlightRecorder("fpga1", dump_dir=str(tmp_path))
         flight.record_event(90, "kill", "fpga1", "board lost power")
         doc = flight.dump(100, "board-kill:fpga1")
         assert doc is not None
@@ -307,14 +308,14 @@ class TestFlightRecorder:
         assert validate_flight_dump(on_disk) == 1
 
     def test_kept_dumps_are_bounded(self):
-        flight = FlightRecorder(capacity=2)
+        flight = FlightRecorder()
         for i in range(MAX_KEPT_DUMPS + 5):
             flight.dump(i * 10, f"r{i}")
         assert len(flight.dumps) == MAX_KEPT_DUMPS
         assert flight.dumps[-1]["reason"] == f"r{MAX_KEPT_DUMPS + 4}"
 
     def test_validator_rejects_malformed_dumps(self):
-        flight = FlightRecorder("fpga0", capacity=4)
+        flight = FlightRecorder("fpga0")
         flight.record_event(1, "chaos", "noc", "applied")
         doc = flight.dump(5, "test")
         assert validate_flight_dump(doc) == 1
@@ -337,7 +338,7 @@ class TestOneEventLog:
         if tracing:
             system.enable_tracing()
         # flight recorder first, recovery second: no wiring order matters
-        flight = system.enable_flight_recorder(board="fpga0", capacity=512)
+        flight = system.enable_flight_recorder(board="fpga0")
         manager = system.enable_recovery()
         system.run_until(manager.deploy(
             2, lambda: EchoAccel("svc", cost=20), endpoint="app.svc"))
@@ -421,17 +422,18 @@ class TestSatelliteAccessors:
     def test_sampler_ring_wraps_exactly_at_capacity(self):
         eng = Engine()
         from repro.obs import TelemetrySampler
-        sampler = TelemetrySampler(eng, interval=10, capacity=8).start()
-        eng.run(until=65)   # samples at 0..60: below capacity
-        assert len(sampler.series("sampled_at")) == 7
-        eng.run(until=75)   # 8th sample: exactly at capacity
-        assert len(sampler.series("sampled_at")) == 8
+        sampler = TelemetrySampler(eng, interval=10).start()
+        full = 10 * (SERIES_CAPACITY - 1)  # the cycle of the last one kept
+        eng.run(until=full - 5)   # one sample short of capacity
+        assert len(sampler.series("sampled_at")) == SERIES_CAPACITY - 1
+        eng.run(until=full + 5)   # exactly at capacity
+        assert len(sampler.series("sampled_at")) == SERIES_CAPACITY
         first = sampler.series("sampled_at")[0][0]
-        eng.run(until=85)   # 9th: oldest falls off
+        eng.run(until=full + 15)  # one more: the oldest falls off
         series = sampler.series("sampled_at")
-        assert len(series) == 8
+        assert len(series) == SERIES_CAPACITY
         assert series[0][0] == first + 10
-        assert sampler.last_sample_at == 80
+        assert sampler.last_sample_at == full + 10
 
     def test_stage_breakdown_on_incomplete_trace_is_empty(self):
         spans = SpanRecorder()
@@ -446,13 +448,3 @@ class TestSatelliteAccessors:
         assert index.stage_breakdown(tid) == {}
         assert index.segments(tid) == []
         assert index.latency(tid) == -1
-
-
-class TestRunReport:
-    def test_slo_section_rides_along(self):
-        eng = SLOEngine()
-        eng.add_target(SLOTarget("avail", "kv", objective=0.99))
-        feed(eng, "kv", good=10, bad=0, at=1_000)
-        spans, _tid = profiled_spans()
-        text = run_report(SpanIndex(spans), slo=eng, now=50_000)
-        assert "SLO" in text and "pass" in text

@@ -16,6 +16,7 @@ import pytest
 from repro.apps import echo_handler_factory
 from repro.cluster import CacheConfig, Cluster, ClusterConfig
 from repro.cluster.backend import FABRIC_LATENCY
+from repro.cluster.service import ClusterPortedService
 from repro.kernel import NocConfig, SystemConfig
 from repro.policy import RetryPolicy
 from repro.replic import KvMachine
@@ -41,7 +42,8 @@ def _load_step(backend, cache=CacheConfig(), n_fpgas=2, warm_on=(),
     """One stateless replica, a burst of requests after two quiet
     autoscaler ticks, the autoscaler's way up (and back down) until its
     log shows ``until``.  ``warm_on``: boards the service's design is
-    prefetched onto after ``seal()``, before the burst."""
+    prefetched onto after ``seal()``, before the burst (a board op each:
+    the plane's own prefetch warms every board)."""
     cluster = Cluster(ClusterConfig(n_fpgas=n_fpgas, backend=backend,
                                     cache=cache))
     cluster.boot()
@@ -51,8 +53,10 @@ def _load_step(backend, cache=CacheConfig(), n_fpgas=2, warm_on=(),
     cluster.start_frontend(max_pending=1_024, retry=PATIENT)
     cluster.seal()
     if warm_on:
-        issued = cluster.bitplane.prefetch_service("kv", fpgas=warm_on)
-        cluster.run_until(issued.values(), limit=50_000_000)
+        design = ClusterPortedService.family_bitstream()
+        issued = [cluster.bitplane.boards.op(i, "prefetch", design)
+                  for i in warm_on]
+        cluster.run_until(issued, limit=50_000_000)
     scaler = cluster.start_autoscaler("kv", max_replicas=2)
     cluster.run(until=cluster.now + 2 * INTERVAL)
     host = ClusterClient(cluster.engine, cluster.fabric, "load")

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.eval import format_table, format_value
 from repro.kernel import MESSAGE_HEADER_BYTES, Message
-from repro.net import TRANSPORT_HEADER_BYTES, ReliableEndpoint
+from repro.net import ReliableEndpoint
+from repro.net.transport import MAX_SEGMENT
 from repro.noc import Mesh2D, TokenBucket, Torus2D, TorusXYRouting
 from repro.noc.flit import flits_for_bytes
 from repro.sim import Engine
@@ -72,21 +73,19 @@ def test_token_bucket_debt_preserves_long_run_rate(rate, burst, amount,
 
 
 @SETTINGS
-@given(st.integers(0, 200_000), st.integers(100, 9000))
-def test_segmentation_fragment_count_and_sizes(payload_bytes, mtu):
+@given(st.integers(0, 200_000))
+def test_segmentation_fragment_count_and_sizes(payload_bytes):
     """Segments cover the payload exactly; every segment fits the MTU."""
-    if mtu <= TRANSPORT_HEADER_BYTES + 64:
-        return
     eng = Engine()
     endpoint = ReliableEndpoint(eng, lambda f: None, "A", "B",
-                                lambda payload: None, mtu=mtu)
+                                lambda payload: None)
     segments = endpoint._segment("obj", payload_bytes)
     assert sum(nbytes for _p, nbytes in segments) == payload_bytes
-    assert all(nbytes <= endpoint.max_segment for _p, nbytes in segments)
+    assert all(nbytes <= MAX_SEGMENT for _p, nbytes in segments)
     # only the final segment carries the payload object
     assert segments[-1][0] == "obj"
     assert all(p is None for p, _n in segments[:-1])
-    expected = max(1, -(-payload_bytes // endpoint.max_segment)
+    expected = max(1, -(-payload_bytes // MAX_SEGMENT)
                    if payload_bytes else 1)
     assert len(segments) == expected
 

@@ -58,7 +58,7 @@ class TestWriteAheadLog:
 
 class TestKvMachine:
     def test_versions_order_mutations(self):
-        m = KvMachine(shard=0)
+        m = KvMachine(0)
         reply, _ = m.apply({"op": "put", "key": "a", "value": 1})
         assert reply["ok"] and reply["version"] == 1
         reply, _ = m.apply({"op": "delete", "key": "a"})
@@ -67,10 +67,10 @@ class TestKvMachine:
         assert read["found"] is False and read["version"] == 2
 
     def test_snapshot_restore_round_trip(self):
-        m = KvMachine(shard=1)
+        m = KvMachine(1)
         for i in range(4):
             m.apply({"op": "put", "key": f"k{i}", "value": i})
-        clone = KvMachine(shard=1)
+        clone = KvMachine(1)
         clone.restore(m.snapshot())
         assert clone.store == m.store and clone.version == m.version
 
@@ -78,7 +78,7 @@ class TestKvMachine:
         ops = ([{"op": "put", "key": f"k{i % 3}", "value": i}
                 for i in range(9)]
                + [{"op": "delete", "key": "k1"}])
-        a, b = KvMachine(), KvMachine()
+        a, b = KvMachine(0), KvMachine(0)
         for op in ops:
             assert a.apply(dict(op)) == b.apply(dict(op))
         assert a.snapshot() == b.snapshot()

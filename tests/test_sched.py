@@ -121,9 +121,9 @@ class TestAdmission:
         assert issubclass(AdmissionRejected, SchedulerError)
 
     def test_unknown_tenant_gets_default_quota(self):
-        ctrl = AdmissionController(default=TenantQuota(max_running=1))
-        with pytest.raises(QuotaExceeded):
-            ctrl.admit(spec("x", tenant="anyone"), running=1)
+        ctrl = AdmissionController({"t": TenantQuota(max_running=1)})
+        assert ctrl.quota_for("anyone") == TenantQuota()  # unlimited
+        ctrl.admit(spec("x", tenant="anyone", priority=99), running=1_000)
 
 
 # -- placement ------------------------------------------------------------

@@ -183,12 +183,19 @@ def test_timeout_event():
     results = []
 
     def proc():
-        value = yield eng.timeout(12, "done")
+        value = yield eng.timeout(12)
         results.append((eng.now, value))
 
     eng.process(proc())
     eng.run()
-    assert results == [(12, "done")]
+    assert results == [(12, None)]
+
+
+def valued(eng, delay, value):
+    """An event that succeeds with ``value`` ``delay`` cycles from now."""
+    done = eng.event()
+    eng.schedule(delay, done.succeed, value)
+    return done
 
 
 def test_any_of_returns_first_winner():
@@ -196,7 +203,8 @@ def test_any_of_returns_first_winner():
     results = []
 
     def proc():
-        winner = yield eng.any_of([eng.timeout(50, "slow"), eng.timeout(10, "fast")])
+        winner = yield eng.any_of([valued(eng, 50, "slow"),
+                                   valued(eng, 10, "fast")])
         results.append((eng.now, winner))
 
     eng.process(proc())
@@ -209,7 +217,7 @@ def test_all_of_waits_for_everything():
     results = []
 
     def proc():
-        values = yield eng.all_of([eng.timeout(5, "a"), eng.timeout(20, "b")])
+        values = yield eng.all_of([valued(eng, 5, "a"), valued(eng, 20, "b")])
         results.append((eng.now, values))
 
     eng.process(proc())

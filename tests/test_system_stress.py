@@ -17,7 +17,7 @@ from repro.accel import (
     FloodingAccel,
     SinkAccel,
 )
-from repro.apps import deploy_kv_on_apiary, deploy_pipeline
+from repro.apps import deploy_kv_on_apiary, deploy_pipeline, video_pipeline
 from repro.kernel import ApiarySystem, NetConfig, SystemConfig
 from repro.net import EthernetFabric
 from repro.sim import Engine
@@ -60,9 +60,10 @@ def stressed_system():
     stages, pipe_started = deploy_pipeline(system, nodes=[4, 5])
     # tenant B: KV over the network on tile 6
     kv, kv_started = deploy_kv_on_apiary(system, node=6)
-    # tenant C: a second video pipeline on tiles 8, 9
-    stages2, pipe2_started = deploy_pipeline(system, nodes=[8, 9],
-                                             name_prefix="pipe2")
+    # tenant C: a second video pipeline on tiles 8, 9, under its own name
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(video_pipeline, "PIPELINE", "pipe2")
+        stages2, pipe2_started = deploy_pipeline(system, nodes=[8, 9])
     # misbehavers: a crasher on tile 10, a flooder on tile 12
     crasher = CrashingAccel("crasher", crash_after=3)
     flood_sink = SinkAccel("floodsink", service_cycles=5)

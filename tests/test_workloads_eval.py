@@ -91,24 +91,24 @@ class TestGenerators:
     def test_zipf_seeded_independent_of_arrivals(self):
         # drawing arrivals from the same seed must not perturb the key
         # sequence: keys come from their own keyed stream
-        keys_alone = zipf_keys(7, 500, universe=100, stream="tenant-a")
+        keys_alone = zipf_keys(keyed_stream(7, "zipf", "tenant-a"), 500,
+                               universe=100)
         pool = RngPool(seed=7)
         poisson_gaps(pool.stream("gaps"), 1.0, 500)
-        keys_after = zipf_keys(7, 500, universe=100, stream="tenant-a")
+        keys_after = zipf_keys(keyed_stream(7, "zipf", "tenant-a"), 500,
+                               universe=100)
         assert keys_alone == keys_after
 
     def test_zipf_two_tenants_same_seed_uncorrelated(self):
-        a = zipf_keys(7, 2_000, universe=1_000, stream="tenant-a")
-        b = zipf_keys(7, 2_000, universe=1_000, stream="tenant-b")
+        a = zipf_keys(keyed_stream(7, "zipf", "tenant-a"), 2_000,
+                      universe=1_000)
+        b = zipf_keys(keyed_stream(7, "zipf", "tenant-b"), 2_000,
+                      universe=1_000)
         assert a != b
         # positionwise collisions should look like chance for a zipf
         # draw (hot keys collide often; identical streams would be 100%)
         same = sum(1 for x, y in zip(a, b) if x == y)
         assert same < len(a) * 0.5
-
-    def test_zipf_stream_label_requires_seed(self):
-        with pytest.raises(ConfigError):
-            zipf_keys(self.rng(), 10, stream="nope")
 
     def test_keyed_stream_independence(self):
         a = keyed_stream(3, "x").random(100)
