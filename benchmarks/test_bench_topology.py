@@ -24,7 +24,7 @@ def run_topology(topo_cls):
     dateline VCs on the torus."""
     engine = Engine()
     topo = topo_cls(SIZE, SIZE)
-    net = Network(engine, topo, num_vcs=2, vc_classes=1)
+    net = Network(engine, topo, num_vcs=2)
     rng = RngPool(seed=5).stream("traffic")
     total = topo.node_count * N_PACKETS_PER_NODE
     done = {"received": 0}

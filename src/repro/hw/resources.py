@@ -134,6 +134,10 @@ class ResourceBudget:
 ROUTER_BASE_CELLS = 1_800
 ROUTER_PORTS = 5                  # four mesh neighbours plus the local tile
 ROUTER_CELLS_PER_VC_BUFFER = 160  # per (port, VC) buffer slot group
+#: VCs per port of the priced router IP.  A board simulates one
+#: (``kernel.system.NOC_VCS``): the second never carries a kernel flit,
+#: but the router it prices is the 2-VC part
+ROUTER_VCS = 2
 MONITOR_BASE_CELLS = 2_400
 MONITOR_CELLS_PER_CAP = 12       # capability-table entry (CAM-ish)
 MONITOR_CELLS_PER_SERVICE = 40   # service name-table entry
@@ -141,7 +145,7 @@ MONITOR_RATELIMIT_CELLS = 350    # token-bucket datapath
 MONITOR_BRAM_KB_PER_64_CAPS = 4
 
 
-def router_cost(num_vcs: int = 2, buffer_depth: int = 4,
+def router_cost(buffer_depth: int = 4,
                 hardened: bool = False) -> ResourceVector:
     """Soft-logic cost of one NoC router; ~zero when the NoC is hardened.
 
@@ -151,7 +155,8 @@ def router_cost(num_vcs: int = 2, buffer_depth: int = 4,
     if hardened:
         return ResourceVector(logic_cells=120)  # just the fabric-side adapters
     cells = ROUTER_BASE_CELLS + (
-        ROUTER_CELLS_PER_VC_BUFFER * ROUTER_PORTS * num_vcs * buffer_depth // 4
+        ROUTER_CELLS_PER_VC_BUFFER * ROUTER_PORTS * ROUTER_VCS * buffer_depth
+        // 4
     )
     return ResourceVector(logic_cells=cells)
 

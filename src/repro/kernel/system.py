@@ -58,12 +58,12 @@ __all__ = ["ApiarySystem", "build_figure1"]
 #: and what the capability store enforces
 MONITOR_CAP_SLOTS = 64
 
-#: virtual channels per router port, and the traffic classes they split
-#: into (one VC each).  Two classes keep a pair's packets in order:
-#: ``tests/test_noc_network.py::test_one_pair_is_delivered_in_injection_order``
-#: (ROADMAP item 10 records what one shared class reorders)
-NOC_VCS = 2
-NOC_VC_CLASSES = 2
+#: virtual channels per router port.  One keeps a pair's packets in
+#: injection order by construction
+#: (``tests/test_noc_network.py::test_one_pair_is_delivered_in_injection_order``;
+#: a second lets a packet overtake the one before it).  The router is still
+#: priced as the 2-VC IP (``hw.resources.ROUTER_VCS``)
+NOC_VCS = 1
 #: cycles a flit takes from one router to the next
 NOC_HOP_LATENCY = 2
 #: bytes of the DRAM device behind the memory service
@@ -113,7 +113,7 @@ class ApiarySystem:
         self.enforce = config.fault.enforce
         self.network = Network(
             self.engine, self.topo,
-            num_vcs=NOC_VCS, vc_classes=NOC_VC_CLASSES,
+            num_vcs=NOC_VCS,
             buffer_depth=noc.buffer_depth, hop_latency=NOC_HOP_LATENCY,
             flit_bytes=noc.flit_bytes,
             stats=self.stats, spans=self.spans,
@@ -132,8 +132,7 @@ class ApiarySystem:
         # resource budgeting: routers + monitors are the static framework
         self.budget = ResourceBudget(self.part)
         tiles = self.topo.node_count
-        r_cost = router_cost(num_vcs=NOC_VCS,
-                             buffer_depth=noc.buffer_depth,
+        r_cost = router_cost(buffer_depth=noc.buffer_depth,
                              hardened=self.part.hardened_noc)
         m_cost = monitor_cost(cap_table_size=MONITOR_CAP_SLOTS,
                               rate_limited=noc.rate_limit_flits is not None)

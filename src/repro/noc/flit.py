@@ -50,8 +50,6 @@ class Packet:
     pid: globally unique packet id (assigned by the network).
     src, dst: node ids in the topology.
     size_flits: total flits including the head.
-    vc_class: traffic class; mapped to a virtual-channel set by routers.
-      Class 0 is best-effort, higher classes get dedicated VCs (QoS).
     payload: opaque payload object (the Apiary message rides here).
 
     The ``__init__`` is written out (the dataclass gives the fields,
@@ -62,7 +60,6 @@ class Packet:
     src: int
     dst: int
     size_flits: int
-    vc_class: int = 0
     payload: Any = None
     injected_at: int = -1
     delivered_at: int = -1
@@ -78,19 +75,16 @@ class Packet:
     span_id: int = 0
 
     def __init__(self, pid: int, src: int, dst: int, size_flits: int,
-                 vc_class: int = 0, payload: Any = None,
+                 payload: Any = None,
                  injected_at: int = -1, delivered_at: int = -1,
                  hops: int = 0, dateline_vc: int = 0, dateline_dim: str = "",
                  trace_id: int = 0, span_id: int = 0) -> None:
         if size_flits < 1:
             raise ConfigError(f"packet needs >= 1 flit, got {size_flits}")
-        if vc_class < 0:
-            raise ConfigError(f"negative vc_class {vc_class}")
         self.pid = pid
         self.src = src
         self.dst = dst
         self.size_flits = size_flits
-        self.vc_class = vc_class
         self.payload = payload
         self.injected_at = injected_at
         self.delivered_at = delivered_at

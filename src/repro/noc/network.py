@@ -63,11 +63,7 @@ class NetworkInterface:
         self.node = node
         self.engine = network.engine
         self._spans = network.spans
-        router = self._router = network.router(node)
-        #: the VCs each traffic class may use, resolved once (a class above
-        #: the last shares the last one's)
-        self._class_vcs = tuple(map(router.allowed_vcs,
-                                    range(network.vc_classes)))
+        self._router = network.router(node)
         self._hop_latency = network.hop_latency
         num_vcs = network.num_vcs
         depth = network.buffer_depth
@@ -77,16 +73,18 @@ class NetworkInterface:
         self._inject_credits = [depth] * num_vcs
         #: credits on the wire back from the router: (landing cycle, vc)
         self._credits_in: Deque[Tuple[int, int]] = deque()
+        #: the LOCAL-input VCs a head flit may take, every one (a tuple:
+        #: iterating it per head is cheaper than a range)
+        self._inject_vcs = tuple(range(num_vcs))
         #: packets behind the one the injector holds, each with what to
         #: call once it is injected
         self._inject_queue: Deque[Tuple[Packet, Optional[Callable]]] = deque()
         #: the packet the injector holds (from the ring hop that starts it
-        #: to its last flit): what to call once it is in, the flits not yet
-        #: in the router, and the VCs its class may use
+        #: to its last flit): what to call once it is in, and the flits not
+        #: yet in the router
         self._inject_pkt: Optional[Packet] = None
         self._on_injected: Optional[Callable[[Packet], None]] = None
         self._inject_flits: Deque[Flit] = deque()
-        self._inject_vcs: List[int] = []
         #: the injector is parked until a credit for the router's LOCAL
         #: input is put on the wire (whoever writes that row arms it)
         self._awaiting_credit = False
@@ -118,28 +116,21 @@ class NetworkInterface:
     # -- public API --------------------------------------------------------
 
     def inject(self, dst: int, payload: Any = None, payload_bytes: int = 0,
-               vc_class: int = 0,
                on_injected: Optional[Callable[[Packet], None]] = None) -> None:
         """Queue a payload for ``dst``; ``on_injected(packet)`` is called
         once the *whole packet* is in the router."""
-        pkt = self.network.make_packet(self.node, dst, payload, payload_bytes,
-                                       vc_class)
+        pkt = self.network.make_packet(self.node, dst, payload, payload_bytes)
         if self._inject_pkt is None:  # an idle injector takes it at once
             self._take(pkt, on_injected)
         else:
             self._inject_queue.append((pkt, on_injected))
 
-    def send(
-        self,
-        dst: int,
-        payload: Any = None,
-        payload_bytes: int = 0,
-        vc_class: int = 0,
-    ) -> Event:
+    def send(self, dst: int, payload: Any = None,
+             payload_bytes: int = 0) -> Event:
         """:meth:`inject` as an event that succeeds with the Packet once
         the whole packet has been injected."""
         done = self.engine.event(f"{self.name}.send")
-        self.inject(dst, payload, payload_bytes, vc_class, done.succeed)
+        self.inject(dst, payload, payload_bytes, done.succeed)
         return done
 
     def recv(self) -> Event:
@@ -206,15 +197,15 @@ class NetworkInterface:
             credits[rows.popleft()[1]] += 1
         flit = flits[0]
         if flit.is_head:
-            # the head takes the allowed VC with the most credits (first on
-            # a tie); the rest of the packet follows it on the injection
-            # link (wormhole continuity)
+            # the head takes the VC with the most credits (first on a tie);
+            # the rest of the packet follows it on the injection link
+            # (wormhole continuity)
             vc = None
             best = 0
-            for allowed in self._inject_vcs:
-                if credits[allowed] > best:
-                    vc = allowed
-                    best = credits[allowed]
+            for v in self._inject_vcs:
+                if credits[v] > best:
+                    vc = v
+                    best = credits[v]
             self._current_vc = vc
         else:
             vc = self._current_vc
@@ -266,8 +257,6 @@ class NetworkInterface:
                     pid=pkt.pid, src=pkt.src, dst=pkt.dst,
                     flits=pkt.size_flits,
                 )
-        classes = self._class_vcs
-        self._inject_vcs = classes[min(pkt.vc_class, len(classes) - 1)]
         if self.network._enter(self, pkt):
             return False
         self._inject_flits.extend(pkt.make_flits())
@@ -369,7 +358,7 @@ class Network:
     engine: simulation engine.
     topo: :class:`Mesh2D` (XY routing) or :class:`Torus2D` (torus XY
         routing with dateline VCs).
-    num_vcs / vc_classes: virtual channels and traffic classes.
+    num_vcs: virtual channels per port; a head flit takes any free one.
     buffer_depth: flit slots per input VC.
     hop_latency: cycles from leaving a router to arriving at the next
         (router pipeline + wire).
@@ -383,7 +372,6 @@ class Network:
         engine: Engine,
         topo: Mesh2D,
         num_vcs: int = 2,
-        vc_classes: int = 1,
         buffer_depth: int = 4,
         hop_latency: int = 2,
         flit_bytes: int = DEFAULT_FLIT_BYTES,
@@ -399,7 +387,6 @@ class Network:
         self.topo = topo
         self.routing = routing
         self.num_vcs = num_vcs
-        self.vc_classes = vc_classes
         self.buffer_depth = buffer_depth
         self.hop_latency = hop_latency
         self.flit_bytes = flit_bytes
@@ -436,8 +423,7 @@ class Network:
         self._routers: List[Router] = [
             Router(
                 engine, node, topo, routing,
-                num_vcs=num_vcs, vc_classes=vc_classes,
-                buffer_depth=buffer_depth,
+                num_vcs=num_vcs, buffer_depth=buffer_depth,
             )
             for node in topo.nodes()
         ]
@@ -481,7 +467,7 @@ class Network:
             return False
         now = self.engine.now
         depth = self.buffer_depth
-        vc = ni._inject_vcs[0]
+        vc = 0
         if ni._credits_in:
             ni._land_credits(now)
         if ni._inject_credits[vc] != depth:
@@ -496,7 +482,7 @@ class Network:
             if router._credits_in:
                 router._land(now)
             # all credits home and no owner: the head's VC allocation picks
-            # the first VC its class allows, as the injector just did
+            # VC 0, as the injector just did
             if out.credits[vc] != depth or out.vc_owner[vc] is not None:
                 return False
         far = self._interfaces[pkt.dst]
@@ -656,7 +642,6 @@ class Network:
         dst: int,
         payload: Any = None,
         payload_bytes: int = 0,
-        vc_class: int = 0,
     ) -> Packet:
         if not 0 <= dst < len(self._interfaces):  # one per node
             raise RouteError(f"destination {dst} outside topology")
@@ -665,8 +650,7 @@ class Network:
             raise ConfigError(f"negative payload size {payload_bytes}")
         # flits_for_bytes, inline: the header flit plus ceil(bytes / width)
         return Packet(self._next_pid, src, dst,
-                      1 - (-payload_bytes // self.flit_bytes), vc_class,
-                      payload)
+                      1 - (-payload_bytes // self.flit_bytes), payload)
 
     def record_delivery(self, pkt: Packet) -> None:
         """Account ``pkt``, stamped at its injection and its delivery."""

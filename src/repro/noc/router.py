@@ -109,10 +109,10 @@ class Router:
     # and the step's attribute reads then cost a hash probe each (their
     # speed varied by a fifth with the interpreter's string-hash seed)
     __slots__ = (
-        "engine", "node", "topo", "routing", "num_vcs", "vc_classes",
+        "engine", "node", "topo", "routing", "num_vcs",
         "buffer_depth", "name", "_dateline", "ports",
         "_port_base", "_in", "_scan", "_out", "_credit_return", "_hop",
-        "_allowed", "_route", "_vc_bits", "_flits_in", "_credits_in",
+        "_vcs", "_route", "_vc_bits", "_flits_in", "_credits_in",
         "_wake_at", "_moved_at", "_flits_forwarded", "_buffered",
         "stalled_until", "stalls_injected", "_sync",
     )
@@ -124,17 +124,11 @@ class Router:
         topo: Mesh2D,
         routing: XYRouting | TorusXYRouting,
         num_vcs: int = 2,
-        vc_classes: int = 1,
         buffer_depth: int = 4,
         name: str = "",
     ):
         if num_vcs < 1:
             raise ConfigError(f"need >= 1 VC, got {num_vcs}")
-        if vc_classes < 1 or vc_classes > num_vcs:
-            raise ConfigError(
-                f"vc_classes must be in [1, num_vcs]; got {vc_classes} with "
-                f"{num_vcs} VCs"
-            )
         if buffer_depth < 1:
             raise ConfigError(f"buffer depth must be >= 1, got {buffer_depth}")
         self.engine = engine
@@ -142,14 +136,13 @@ class Router:
         self.topo = topo
         self.routing = routing
         self.num_vcs = num_vcs
-        self.vc_classes = vc_classes
         self.buffer_depth = buffer_depth
         self.name = name or f"router{node}"
         self._dateline = isinstance(routing, TorusXYRouting)
-        if self._dateline and (num_vcs < 2 or vc_classes != 1):
+        if self._dateline and num_vcs < 2:
             raise ConfigError(
-                "torus dateline routing needs num_vcs >= 2 and a single "
-                "VC class (both VCs belong to the dateline scheme)"
+                "torus dateline routing needs num_vcs >= 2 (VCs 0 and 1 "
+                "are its two tiers)"
             )
 
         self.ports: List[Port] = [Port.LOCAL]
@@ -176,13 +169,11 @@ class Router:
         #: set by :meth:`connect_link`: the link latency
         self._hop = 0
         # hot-path tables, resolved once per router instead of per pass:
-        # the VC set for each traffic class, and memoized routing decisions
-        # (routing functions are pure in (node, dst), so per-destination
-        # routes never change for a given router)
-        self._allowed: List[List[int]] = [
-            [v for v in range(num_vcs) if v % vc_classes == cls]
-            for cls in range(vc_classes)
-        ]
+        # the VCs a head flit may take (every one, as a tuple: cheaper to
+        # iterate than a range), and memoized routing decisions (routing
+        # functions are pure in (node, dst), so per-destination routes
+        # never change for a given router)
+        self._vcs = tuple(range(num_vcs))
         self._route: Dict[int, Port] = {}
         #: one input port's slots in a request mask, at slot 0
         self._vc_bits = (1 << num_vcs) - 1
@@ -327,14 +318,6 @@ class Router:
         """
         return self.occupancy()
 
-    def allowed_vcs(self, vc_class: int) -> List[int]:
-        """VC indices a traffic class may use (classes partition the VCs).
-
-        Returns a shared per-class list resolved at construction; callers
-        must treat it as read-only.
-        """
-        return self._allowed[min(vc_class, self.vc_classes - 1)]
-
     # -- the router state machine --------------------------------------------
 
     def stall(self, cycles: int) -> None:
@@ -470,16 +453,14 @@ class Router:
                     if out_vc is None:
                         continue
                 else:
-                    # VC allocation: the free VC of the packet's class with
-                    # the most credits (the first on a tie)
+                    # VC allocation: the free VC with the most credits (the
+                    # first on a tie)
                     out = outs[out_port]
                     credits = out.credits
                     owner = out.vc_owner
-                    cls = pkt.vc_class
                     out_vc = -1
                     best = 0
-                    for vc in (self._allowed[cls] if cls < self.vc_classes
-                               else self._allowed[-1]):
+                    for vc in self._vcs:
                         if credits[vc] > best and owner[vc] is None:
                             out_vc = vc
                             best = credits[vc]

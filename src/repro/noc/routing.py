@@ -46,8 +46,7 @@ class TorusXYRouting:
     (Dally & Seitz).  The router enforces the VC discipline; this class
     only picks directions and answers wrap/dimension queries.
 
-    Requires ``num_vcs >= 2`` with a single VC class (both VCs belong to
-    the dateline scheme).
+    Requires ``num_vcs >= 2`` (VCs 0 and 1 are the dateline tiers).
     """
 
     name = "torus-xy"

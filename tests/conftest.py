@@ -1,5 +1,6 @@
-"""Tier-1 shapes of the two S1 library scenarios, and the engines and the
-call counter the budget tests count with.
+"""Tier-1 shapes of the two S1 library scenarios, the engines and the
+call counter the budget tests count with, the NoC's credit reads, and the
+transport rigs' mux wiring.
 
 A short run mostly simulates idle probing: the default ``start_at`` parks
 a deployed cluster for ~0.6M cycles and the default drain for another
@@ -17,6 +18,7 @@ import pytest
 
 from perf.trace import kind_of, layer_of, owner_code
 from repro.loadgen import ChaosAction, get_scenario
+from repro.net import ReliableMux
 from repro.sim import Engine
 from tools.funcs import count_calls as tool_count_calls
 
@@ -57,17 +59,30 @@ class TaggingEngine(Engine):
         super().schedule(delay, callback, arg)
 
 
-def frame_switch(endpoint):
-    """The fabric callback of a bare ``ReliableEndpoint``: the
-    datagram-kind switch ``ReliableMux.deliver_frame`` makes for the
-    endpoints it owns, for rigs that wire one endpoint per MAC."""
-    def deliver(frame):
-        dgram = frame.payload
-        if dgram.kind == "ack":
-            endpoint._handle_ack(dgram.seq)
-        else:
-            endpoint._handle_data(dgram)
-    return deliver
+def credits_with_the_wire(router, port):
+    """An output port's credits, per VC, plus those still in the timed
+    inbox."""
+    counts = list(router._out[port].credits)
+    for _landing, row_port, vc in router._credits_in:
+        if row_port == port:
+            counts[vc] += 1
+    return counts
+
+
+def inject_credits_with_the_wire(ni):
+    """An interface's injection credits, per VC, plus those on the wire."""
+    counts = list(ni._inject_credits)
+    for _landing, vc in ni._credits_in:
+        counts[vc] += 1
+    return counts
+
+
+def attach_mux(eng, fabric, mac, on_payload, window=4, timeout=2_000):
+    """``mac``'s connections: a ``ReliableMux`` wired to the fabric."""
+    mux = ReliableMux(eng, fabric.transmit, mac, on_payload,
+                      window=window, timeout=timeout)
+    fabric.attach(mac, mux.deliver_frame)
+    return mux
 
 
 def count_calls(run):

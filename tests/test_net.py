@@ -17,7 +17,7 @@ from repro.net import (
     TenGigMac,
 )
 from repro.sim import Engine, RngPool
-from tests.conftest import frame_switch
+from tests.conftest import attach_mux
 
 
 class TestFabric:
@@ -184,8 +184,8 @@ class TestHundredGigMac:
         assert not hasattr(TenGigMac, "tx_push")
 
 
-def ignore(_payload):
-    """The receiver of an endpoint that is sent no payload."""
+def ignore(*_args):
+    """The receiver of a side that is sent no payload."""
 
 
 def acked_send(eng, endpoint, payload, nbytes):
@@ -196,8 +196,9 @@ def acked_send(eng, endpoint, payload, nbytes):
 
 
 class FrameLoop:
-    """Direct frame pipe between two ReliableEndpoints via the fabric; A
-    sends, and B's receiver collects what it is handed in ``got``."""
+    """A frame pipe between two muxes via the fabric, at a bare
+    ``ReliableEndpoint``'s window and timeout: ``a`` is A's connection to
+    B, and B collects what it is handed in ``got``."""
 
     def __init__(self, eng, loss=0.0, seed=7):
         self.fabric = EthernetFabric(
@@ -205,12 +206,11 @@ class FrameLoop:
             rng=RngPool(seed=seed).stream("loss") if loss else None,
         )
         self.got = []
-        self.a = ReliableEndpoint(eng, self.fabric.transmit, "A", "B",
-                                  ignore)
-        self.b = ReliableEndpoint(eng, self.fabric.transmit, "B", "A",
-                                  self.got.append)
-        self.fabric.attach("A", frame_switch(self.a))
-        self.fabric.attach("B", frame_switch(self.b))
+        self.a = attach_mux(eng, self.fabric, "A", ignore,
+                            window=8, timeout=5_000).peer("B")
+        attach_mux(eng, self.fabric, "B",
+                   lambda _peer, payload: self.got.append(payload),
+                   window=8, timeout=5_000)
 
 
 class TestReliableTransport:
@@ -260,11 +260,9 @@ class TestReliableTransport:
     def test_window_limits_outstanding(self):
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=10_000)  # slow ACKs
-        a = ReliableEndpoint(eng, fabric.transmit, "A", "B", ignore,
-                             window=4)
-        b = ReliableEndpoint(eng, fabric.transmit, "B", "A", ignore)
-        fabric.attach("A", frame_switch(a))
-        fabric.attach("B", frame_switch(b))
+        a = attach_mux(eng, fabric, "A", ignore, window=4,
+                       timeout=5_000).peer("B")
+        attach_mux(eng, fabric, "B", ignore, window=8, timeout=5_000)
 
         def sender():
             for i in range(10):
@@ -286,18 +284,11 @@ class TestReliableTransport:
 class TestReliableMux:
     """The one per-peer demux every fabric endpoint holds."""
 
-    @staticmethod
-    def attach(eng, fabric, mac, on_payload, window=4, timeout=2_000):
-        mux = ReliableMux(eng, fabric.transmit, mac, on_payload,
-                          window=window, timeout=timeout)
-        fabric.attach(mac, mux.deliver_frame)
-        return mux
-
     def test_one_connection_per_peer(self):
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=50)
         got = {mac: [] for mac in "ABC"}
-        muxes = {mac: self.attach(
+        muxes = {mac: attach_mux(
             eng, fabric, mac,
             lambda peer, payload, mac=mac: got[mac].append((peer, payload)))
             for mac in "ABC"}
@@ -324,9 +315,9 @@ class TestReliableMux:
         fabric = EthernetFabric(eng, latency_cycles=50, loss_rate=0.2,
                                 rng=RngPool(seed=5).stream("loss"))
         got = {"A": [], "B": []}
-        self.attach(eng, fabric, "C",
-                    lambda peer, payload: got[peer].append(payload))
-        senders = [self.attach(eng, fabric, mac, lambda peer, payload: None)
+        attach_mux(eng, fabric, "C",
+                   lambda peer, payload: got[peer].append(payload))
+        senders = [attach_mux(eng, fabric, mac, lambda peer, payload: None)
                    for mac in "AB"]
         for i in range(30):  # the two peers' frames interleave on the wire
             for mux in senders:
@@ -340,9 +331,9 @@ class TestReliableMux:
         eng = Engine()
         fabric = EthernetFabric(eng, latency_cycles=10_000)  # slow ACKs
         for mac in "BC":
-            self.attach(eng, fabric, mac, lambda peer, payload: None)
-        a = self.attach(eng, fabric, "A", lambda peer, payload: None,
-                        window=4, timeout=50_000)
+            attach_mux(eng, fabric, mac, lambda peer, payload: None)
+        a = attach_mux(eng, fabric, "A", lambda peer, payload: None,
+                       window=4, timeout=50_000)
         for i in range(10):
             a.peer("B").send(i)
         a.peer("C").send("only")

@@ -1,28 +1,27 @@
 """Tests for transport-layer segmentation (payloads above the frame MTU)."""
 
-from repro.net import EthernetFabric, ReliableEndpoint
+from repro.net import EthernetFabric
 from repro.net.transport import MAX_SEGMENT
 from repro.sim import Engine, RngPool
-from tests.conftest import frame_switch
-
-
-def ignore(_payload):
-    """The receiver of an endpoint that is sent no payload."""
+from tests.conftest import attach_mux
 
 
 def make_loop(eng, loss=0.0, seed=7, fabric_latency=50):
-    """A sends to B over the fabric; the third value is the list B's
-    receiver appends every payload it is handed to."""
+    """A sends to B over the fabric, each side a ``ReliableMux`` at a bare
+    ``ReliableEndpoint``'s window and timeout; the second value is A's
+    connection to B, the third the list B's receiver appends every
+    payload it is handed to."""
     fabric = EthernetFabric(
         eng, latency_cycles=fabric_latency, loss_rate=loss,
         rng=RngPool(seed=seed).stream("loss") if loss else None,
     )
     received = []
-    a = ReliableEndpoint(eng, fabric.transmit, "A", "B", ignore)
-    b = ReliableEndpoint(eng, fabric.transmit, "B", "A", received.append)
-    fabric.attach("A", frame_switch(a))
-    fabric.attach("B", frame_switch(b))
-    return fabric, a, received
+    a = attach_mux(eng, fabric, "A", lambda _peer, _payload: None,
+                   window=8, timeout=5_000)
+    attach_mux(eng, fabric, "B",
+               lambda _peer, payload: received.append(payload),
+               window=8, timeout=5_000)
+    return fabric, a.peer("B"), received
 
 
 def transfer(eng, a, received, payloads_with_sizes, limit=50_000_000):

@@ -16,7 +16,12 @@ from repro.noc.flit import Flit, FlitKind
 from repro.noc.topology import Port
 from repro.sim import Engine
 
-from tests.conftest import CountingEngine, TaggingEngine
+from tests.conftest import (
+    CountingEngine,
+    TaggingEngine,
+    credits_with_the_wire,
+    inject_credits_with_the_wire,
+)
 
 
 def sink(net, node, log):
@@ -154,7 +159,7 @@ FLOOD_SCHEDULES = 13_826
 # -- (a') flit-path goldens --------------------------------------------------
 #
 # One seeded 4x4 flood per flit-path configuration the benchmark's
-# ``noc_flood`` (plain XY, 2 VCs, one class) does not exercise.  Every
+# ``noc_flood`` (plain XY, 2 VCs) does not exercise.  Every
 # grant, delivery cycle and engine schedule is pinned against literals
 # captured on the bucketed allocator (``fast_wires`` on the tree before the
 # credit latency became a constant), so a rewrite of the switch allocation
@@ -164,8 +169,6 @@ FLIT_PATH_CYCLES = 350
 
 
 def flit_path_network(eng, case):
-    if case == "vc_classes":
-        return Network(eng, Mesh2D(4, 4), num_vcs=4, vc_classes=2)
     if case == "one_vc":
         return Network(eng, Mesh2D(4, 4), num_vcs=1, buffer_depth=2)
     if case == "torus_dateline":
@@ -186,14 +189,10 @@ def flit_path_flood(case):
     def sender(node):
         ni = net.interface(node)
         rng = random.Random(2000 + node)
-        sent = 0
         while True:
             dst = rng.randrange(15)
             size = rng.choice((0, 48, 96))  # 1-, 4- and 7-flit packets
-            cls = sent % 2 if case == "vc_classes" else 0
-            yield ni.send(dst + (dst >= node), payload_bytes=size,
-                          vc_class=cls)
-            sent += 1
+            yield ni.send(dst + (dst >= node), payload_bytes=size)
 
     def collect(node):
         ni = net.interface(node)
@@ -258,15 +257,6 @@ FLIT_PATH_GOLDENS = {
                     "9,5,2,3,1",
         "schedules": 14_675,
     },
-    "vc_classes": {
-        "delivered": 985, "cycle_sum": 181_775, "records": "633a6a227464fca2",
-        "forwarded": [603, 917, 899, 711, 910, 1171, 1174, 950,
-                      949, 1212, 1156, 931, 743, 990, 932, 715],
-        "pointers": "9,2,1 9,2,4,5 6,3,2,5 7,9,2 10,14,2,7 0,13,0,19,12 "
-                    "15,14,18,6,12 11,10,14,4 6,12,2,5 5,13,19,7,3 "
-                    "8,9,1,6,11 8,0,0,2 5,10,2 5,9,4,10 8,14,0,4 11,11,4",
-        "schedules": 19_341,
-    },
 }
 
 
@@ -327,20 +317,6 @@ def check_datapath_invariants(case, lane):
 
     ports = [out for r in routers for out in r._out.values()]
     sent_before = [0] * len(ports)
-
-    def credits_with_the_wire(router, port):
-        """An output port's credits plus those still in the timed inbox."""
-        counts = list(router._out[port].credits)
-        for _landing, row_port, vc in router._credits_in:
-            if row_port == port:
-                counts[vc] += 1
-        return counts
-
-    def inject_credits_with_the_wire(ni):
-        counts = list(ni._inject_credits)
-        for _landing, vc in ni._credits_in:
-            counts[vc] += 1
-        return counts
 
     cycle = 0
     while eng.pending_events():

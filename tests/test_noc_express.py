@@ -29,7 +29,7 @@ def cases(draw):
     gap = st.integers(0, draw(st.sampled_from([0, 3, 15, 60])))
     senders = draw(st.lists(
         st.tuples(node, st.booleans(), st.lists(
-            st.tuples(gap, node, st.integers(0, 19), st.integers(0, 1)),
+            st.tuples(gap, node, st.integers(0, 19)),
             min_size=1, max_size=8)),
         min_size=1, max_size=4))
     sinks = draw(st.lists(st.sampled_from([0, 0, 0, 7, 40]),
@@ -40,8 +40,7 @@ def cases(draw):
         st.tuples(st.just("stall"), cycle, st.booleans(), node, span),
         max_size=5))
     return dict(width=width, height=height, hop=hop, depth=depth,
-                num_vcs=num_vcs, vc_classes=draw(st.integers(1, num_vcs)),
-                queue=draw(st.integers(1, 3)), senders=senders, sinks=sinks,
+                num_vcs=num_vcs, queue=draw(st.integers(1, 3)), senders=senders, sinks=sinks,
                 chaos=chaos, sample=draw(st.sampled_from([0, 0, 1, 9, 31])))
 
 
@@ -55,8 +54,7 @@ def run(case, lane):
 def _run(case):
     eng = Engine()
     net = Network(eng, Mesh2D(case["width"], case["height"]),
-                  num_vcs=case["num_vcs"], vc_classes=case["vc_classes"],
-                  buffer_depth=case["depth"], hop_latency=case["hop"],
+                  num_vcs=case["num_vcs"], buffer_depth=case["depth"], hop_latency=case["hop"],
                   delivery_queue_depth=case["queue"])
     nodes = case["width"] * case["height"]
     packets, done_at, series = {}, {}, []
@@ -86,9 +84,9 @@ def _run(case):
 
     def sender(index, src, blocking, sends):
         ni = net.interface(src)
-        for count, (gap, dst, flits, vc_class) in enumerate(sends):
+        for count, (gap, dst, flits) in enumerate(sends):
             yield gap
-            sent = ni.send(dst, payload_bytes=16 * flits, vc_class=vc_class)
+            sent = ni.send(dst, payload_bytes=16 * flits)
             sent.add_callback(injected(index, count))
             if blocking:
                 yield sent
@@ -170,8 +168,7 @@ def test_lane_on_and_off_are_the_same_network(case):
 def lone_packet(**extra):
     """One 7-flit packet corner to corner on an idle 2x2 mesh."""
     case = dict(width=2, height=2, hop=2, depth=4, num_vcs=2,
-                vc_classes=1,
-                queue=16, senders=[(0, False, [(0, 3, 6, 0)])],
+                queue=16, senders=[(0, False, [(0, 3, 6)])],
                 sinks=[0, 0, 0, 0], chaos=[], sample=0)
     case.update(extra)
     return case
@@ -211,7 +208,7 @@ def test_a_slow_sink_holds_the_next_packet_off_the_lane():
     """The ejector still holds the previous tail (delivery queue full), so
     the far router's LOCAL credits are not home: no closed form."""
     case = lone_packet(queue=1, sinks=[0, 0, 0, 200],
-                       senders=[(0, True, [(0, 3, 6, 0)] * 4)])
+                       senders=[(0, True, [(0, 3, 6)] * 4)])
     on, off = run(case, True), run(case, False)
     assert 0 < on["lane"][0] < 4
     assert_same(on, off)

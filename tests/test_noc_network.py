@@ -1,10 +1,10 @@
 """Integration tests for the assembled NoC: delivery, ordering, contention,
-backpressure, QoS classes, torus routing and the progress watchdog."""
+backpressure, torus routing and the progress watchdog."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.system import NOC_HOP_LATENCY, NOC_VC_CLASSES, NOC_VCS
+from repro.kernel.system import NOC_HOP_LATENCY, NOC_VCS
 from repro.noc import (
     Mesh2D,
     Network,
@@ -20,15 +20,14 @@ def make_net(width=4, height=4, **kwargs):
     return eng, net
 
 
-def run_transfer(eng, net, src, dst, count, payload_bytes=64, vc_class=0):
+def run_transfer(eng, net, src, dst, count, payload_bytes=64):
     """Send ``count`` packets src->dst; return delivered (payload, latency)."""
     ni_src, ni_dst = net.interface(src), net.interface(dst)
     out = []
 
     def sender():
         for i in range(count):
-            yield ni_src.send(dst, payload=i, payload_bytes=payload_bytes,
-                              vc_class=vc_class)
+            yield ni_src.send(dst, payload=i, payload_bytes=payload_bytes)
 
     def receiver():
         for _ in range(count):
@@ -62,7 +61,7 @@ def test_self_send_delivers_locally():
 
 
 def test_packets_between_same_pair_stay_ordered():
-    """Deterministic routing on a single VC class preserves FIFO per pair."""
+    """Deterministic routing on a single VC preserves FIFO per pair."""
     eng, net = make_net(num_vcs=1)
     out = run_transfer(eng, net, 0, 15, 50, payload_bytes=32)
     assert [p for p, _l in out] == list(range(50))
@@ -89,13 +88,13 @@ def pair_traffic(draw):
                                     max_size=width * height)))
 
 
-def pair_orders(case, vc_classes=NOC_VC_CLASSES):
+def pair_orders(case, num_vcs=NOC_VCS):
     """Run ``case`` on a board NoC; per ``(src, dst)`` pair, the packets'
     injection ranks in injection order and in delivery order."""
     eng = Engine()
     net = Network(eng, Mesh2D(case["width"], case["height"]),
-                  num_vcs=NOC_VCS, vc_classes=vc_classes,
-                  buffer_depth=case["depth"], hop_latency=NOC_HOP_LATENCY)
+                  num_vcs=num_vcs, buffer_depth=case["depth"],
+                  hop_latency=NOC_HOP_LATENCY)
     injected, delivered = {}, {}
 
     def sender(src, sends):
@@ -126,23 +125,23 @@ def pair_orders(case, vc_classes=NOC_VC_CLASSES):
           suppress_health_check=[HealthCheck.too_slow])
 @given(pair_traffic())
 def test_one_pair_is_delivered_in_injection_order(case):
-    """The board's NoC (two VCs, two classes, every kernel message on
-    class 0) delivers the packets one interface injects toward one
-    destination in the order it injected them — the order ``net.rx``
-    hands payloads up in.  One shared class (``vc_classes=1``) loses it:
-    ``test_one_shared_vc_class_can_reorder_a_pair``."""
+    """The board's NoC (``NOC_VCS``: one VC per port) delivers the
+    packets one interface injects toward one destination in the order it
+    injected them — the order ``net.rx`` hands payloads up in.  A second
+    VC loses it: ``test_two_vcs_can_reorder_a_pair``."""
     injected, delivered = pair_orders(case)
     assert delivered == injected
 
 
-def test_one_shared_vc_class_can_reorder_a_pair():
+def test_two_vcs_can_reorder_a_pair():
     """The shrunk counterexample ``test_one_pair_is_delivered_in_injection_order``
-    finds with ``vc_classes=1``: both VCs serve class 0, so on a 2x1 mesh
-    with one-flit buffers a one-flit packet 1->0 overtakes the two-flit
-    packet injected just before it on the other VC (ROADMAP item 10)."""
+    finds with ``num_vcs=2``: a head flit takes any free VC, so on a 2x1
+    mesh with one-flit buffers a one-flit packet 1->0 overtakes the
+    two-flit packet injected just before it on the other VC.  That is why
+    a board's NoC runs one."""
     case = dict(width=2, height=1, depth=1,
                 senders=[(1, [(0, 0, 2), (0, 0, 1)])], think=[0, 0])
-    injected, delivered = pair_orders(case, vc_classes=1)
+    injected, delivered = pair_orders(case, num_vcs=2)
     assert delivered != injected
     assert pair_orders(case) == (injected, injected)
 
@@ -271,38 +270,6 @@ def test_torus_uses_shorter_wrap_route():
     # the topology picks torus routing: 0 -> 3 on a 4-ring is one WEST
     # hop across the wrap link, not three EAST hops
     assert got["hops"] == 1
-
-
-def test_vc_classes_separate_traffic():
-    eng = Engine()
-    net = Network(eng, Mesh2D(4, 1), num_vcs=2, vc_classes=2)
-    out0 = []
-    out1 = []
-
-    def sender(cls):
-        ni = net.interface(0)
-        for i in range(5):
-            yield ni.send(3, payload=(cls, i), payload_bytes=32, vc_class=cls)
-
-    def receiver():
-        ni = net.interface(3)
-        for _ in range(10):
-            pkt = yield ni.recv()
-            (out0 if pkt.payload[0] == 0 else out1).append(pkt.payload[1])
-
-    eng.process(sender(0))
-    eng.process(sender(1))
-    p = eng.process(receiver())
-    eng.run_until_done(p.done, limit=1_000_000)
-    assert out0 == list(range(5))
-    assert out1 == list(range(5))
-
-
-def test_vc_class_out_of_range_clamped_to_top_class():
-    eng = Engine()
-    net = Network(eng, Mesh2D(2, 1), num_vcs=2, vc_classes=2)
-    out = run_transfer(eng, net, 0, 1, 2, vc_class=7)
-    assert len(out) == 2
 
 
 def test_large_packet_crosses_network():

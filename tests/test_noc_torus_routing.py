@@ -18,7 +18,6 @@ from repro.sim import Engine, RngPool
 def torus_net(width=4, height=4, **kwargs):
     eng = Engine()
     kwargs.setdefault("num_vcs", 2)
-    kwargs.setdefault("vc_classes", 1)
     net = Network(eng, Torus2D(width, height), **kwargs)
     return eng, net
 
@@ -88,8 +87,6 @@ class TestDatelineDiscipline:
         eng = Engine()
         with pytest.raises(ConfigError):
             Network(eng, Torus2D(4, 4), num_vcs=1)
-        with pytest.raises(ConfigError):
-            Network(eng, Torus2D(4, 4), num_vcs=2, vc_classes=2)
 
     def test_packet_switches_vc_after_wrap(self):
         eng, net = torus_net(4, 1)

@@ -50,8 +50,6 @@ class TestFlits:
     def test_packet_validation(self):
         with pytest.raises(ConfigError):
             Packet(pid=1, src=0, dst=1, size_flits=0)
-        with pytest.raises(ConfigError):
-            Packet(pid=1, src=0, dst=1, size_flits=1, vc_class=-1)
 
     def test_latency_in_flight_is_minus_one(self):
         pkt = Packet(pid=1, src=0, dst=1, size_flits=1)
