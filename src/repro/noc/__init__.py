@@ -3,12 +3,12 @@
 Apiary's physical interconnect (Section 4.3): a switched fabric carrying
 message-passing traffic between tiles.  This package provides the mesh/torus
 topologies, flit-level wormhole routers with virtual channels and credit
-flow control, the XY routing each topology implies, arbiters, QoS token
-buckets, the assembled :class:`Network` with per-node interfaces, and a
-progress watchdog.
+flow control (each output port grants one input a cycle by a round-robin
+pointer), the XY routing each topology implies, QoS token buckets, the
+assembled :class:`Network` with per-node interfaces, and a progress
+watchdog.
 """
 
-from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.deadlock import ProgressWatchdog
 from repro.noc.flit import DEFAULT_FLIT_BYTES, Flit, FlitKind, Packet, flits_for_bytes
 from repro.noc.network import Network, NetworkInterface
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_FLIT_BYTES",
     "XYRouting",
     "TorusXYRouting",
-    "RoundRobinArbiter",
     "TokenBucket",
     "RateMeter",
     "Router",

@@ -39,7 +39,7 @@ class _Express:
         self.t0 = t0
         self.vc = vc
         #: per router on the route, source first: (router, input port, its
-        #: InputVCs, output port, its OutputPort, arbiter pointer per VC)
+        #: InputVCs, output port, its OutputPort)
         self.path = path
         #: the injection-complete checkpoint (``t0 + F``) has fired
         self.injected = False
@@ -64,6 +64,8 @@ class NetworkInterface:
         self.engine = network.engine
         self._spans = network.spans
         self._router = network.router(node)
+        #: the router's LOCAL-output credits, which a consumed flit returns
+        self._local_credits = self._router._out[Port.LOCAL].credits
         self._hop_latency = network.hop_latency
         num_vcs = network.num_vcs
         depth = network.buffer_depth
@@ -164,14 +166,9 @@ class NetworkInterface:
         """The router sent ``flit`` out of its LOCAL port."""
         landing = self.engine.now + self._hop_latency
         self._flits_in.append((landing, flit))
-        self._arm_ejector(landing)
-
-    def _accept_flit(self, flit: Flit) -> None:
-        """A flit arrives from the router now; a parked ejector wakes for
-        it (one with a wake to come finds it in the buffer then)."""
-        self._eject_buffer.append(flit)
-        if self._eject_wake == NEVER:
-            self._arm_ejector(self.engine.now)
+        if landing < self._eject_wake:  # as _arm_ejector
+            self._eject_wake = landing
+            self.engine.schedule(self._hop_latency, self._ejector)
 
     # -- state machines ------------------------------------------------------
 
@@ -336,14 +333,28 @@ class NetworkInterface:
         self._consumed(flit.vc)
 
     def _consumed(self, vc: int) -> None:
-        """A flit on ``vc`` is consumed: its LOCAL-output credit is back at
-        the router, and the next flit is consumed no earlier than the next
-        cycle."""
+        """A flit on ``vc`` is consumed: the next flit is consumed no
+        earlier than the next cycle, and its LOCAL-output credit is back at
+        the router this cycle (there is no wire between them)."""
+        now = self.engine.now
         if self._eject_buffer:
-            self._arm_ejector(self.engine.now + 1)
+            wake = now + 1
         elif self._flits_in:
-            self._arm_ejector(max(self.engine.now + 1, self._flits_in[0][0]))
-        self._router.local_credit(vc)
+            wake = self._flits_in[0][0]
+            if wake <= now:
+                wake = now + 1
+        else:
+            wake = NEVER
+        if wake < self._eject_wake:  # as _arm_ejector
+            self._eject_wake = wake
+            self.engine.schedule(wake - now, self._ejector)
+        router = self._router
+        credits = self._local_credits
+        credits[vc] += 1
+        if credits[vc] > router.buffer_depth:
+            router._credit_overflow(Port.LOCAL, vc)
+        if router._buffered:
+            router._poke()
 
 
 class Network:
@@ -476,7 +487,7 @@ class Network:
         if path is None:
             path = self._lane_paths[pkt.src, pkt.dst] = self._lane_path(
                 pkt.src, pkt.dst)
-        for router, _in_port, _ivcs, _out_port, out, _pointers in path:
+        for router, _in_port, _ivcs, _out_port, out in path:
             if now < router.stalled_until:
                 return False
             if router._credits_in:
@@ -504,14 +515,8 @@ class Network:
             router = self._routers[node]
             out_port = (Port.LOCAL if node == dst else
                         self.routing.route(self.topo, node, dst))
-            out = router._out[out_port]
-            base = router._port_base[in_port]
-            # where a grant to each input VC leaves the arbiter
-            pointers = []
-            for vc in range(self.num_vcs):
-                pointers.append((base + vc + 1) % out.arbiter.slots)
-            path.append((router, in_port, router._in[in_port], out_port, out,
-                         pointers))
+            path.append((router, in_port, router._in[in_port], out_port,
+                         router._out[out_port]))
             if node == dst:
                 return tuple(path)
             node = self.topo.neighbor(node, out_port)
@@ -580,7 +585,7 @@ class Network:
 
         start = t0  # the cycle the current router switches the head
         up_router = up_port = up_out = None
-        for router, in_port, ivcs, out_port, out, pointers in path:
+        for router, in_port, ivcs, out_port, out in path:
             arrived = sent  # flits the previous stage put on the wire
             sent = upto - start + 1
             if sent >= total + lag:
@@ -592,7 +597,7 @@ class Network:
                 router._flits_forwarded += sent
                 router._moved_at = start + sent - 1
                 out.flits_sent += sent
-                out.arbiter._pointer = pointers[vc]
+                out.pointer = ivcs[vc].after
                 if out_port is not Port.LOCAL:
                     pkt.hops += 1
                 if sent < total:

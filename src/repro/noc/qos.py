@@ -94,15 +94,17 @@ class RateMeter:
 
     def record(self, now: int, amount: int = 1) -> None:
         """Count ``amount`` at ``now``, first ageing out the buckets
-        between the current one and ``now``'s — at most all of them,
-        however long the meter sat idle."""
+        between the current one and ``now``'s — the whole window at once
+        after an idle gap of a window or more."""
         counts, buckets = self._counts, self.buckets
         bucket_index = now // self.bucket_cycles
         gap = bucket_index - self._current
         if gap > 0:
-            first = self._current + 1
-            for index in range(first, first + min(gap, buckets)):
-                counts[index % buckets] = 0
+            if gap >= buckets:
+                self._counts = counts = [0] * buckets
+            else:
+                for index in range(self._current + 1, bucket_index + 1):
+                    counts[index % buckets] = 0
             self._current = bucket_index
         counts[self._current % buckets] += amount
 

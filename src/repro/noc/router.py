@@ -28,7 +28,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Flit
 from repro.noc.routing import TorusXYRouting, XYRouting
 from repro.noc.topology import Mesh2D, Port
@@ -55,42 +54,49 @@ def _nothing() -> None:
 class InputVC:
     """State of one (input port, virtual channel) buffer.
 
-    ``bit``: its arbiter slot in a request mask; ``req_vc``: the output VC
-    of its request in the current pass; ``up``: the router feeding its
-    port and that router's output port — where the credit for a slot it
-    frees goes (``None``: the LOCAL port, whose credit goes to the network
-    interface).
+    ``bit``: its input slot in a request mask; ``port_bits``: the slots
+    of its input port, which a grant to it takes out of the pass;
+    ``after``: where a grant to it leaves the output port's round-robin
+    pointer; ``req_vc``: the output VC of its request in the current pass;
+    ``up``: the router feeding its port and that router's output port —
+    where the credit for a slot it frees goes (``None``: the LOCAL port,
+    whose credit goes to the network interface).
     """
 
     __slots__ = ("buffer", "out_port", "out_vc", "active_pid", "port", "vc",
-                 "bit", "req_vc", "up")
+                 "bit", "port_bits", "after", "req_vc", "up")
 
-    def __init__(self, depth: int, port: Port, vc: int, slot: int):
+    def __init__(self, depth: int, port: Port, vc: int, base: int,
+                 num_vcs: int, slots: int):
         self.buffer: Deque[Flit] = deque(maxlen=depth)
         self.out_port: Optional[Port] = None
         self.out_vc: Optional[int] = None
         self.active_pid: Optional[int] = None
         self.port = port
         self.vc = vc
-        self.bit = 1 << slot
+        self.bit = 1 << (base + vc)
+        self.port_bits = ((1 << num_vcs) - 1) << base
+        self.after = (base + vc + 1) % slots
         self.up: Optional[Tuple[Router, Port]] = None
 
 
 class OutputPort:
     """Per-output-port state: downstream credits, VC ownership, the link.
 
-    ``down`` / ``down_port``: the router the link feeds and its input port
-    (``None``: the LOCAL port, whose link is ``deliver`` — the interface).
+    ``pointer``: the port's round-robin pointer — the input slot its next
+    grant looks at first.  ``down`` / ``down_port``: the router the link
+    feeds and its input port (``None``: the LOCAL port, whose link is
+    ``deliver`` — the interface).
     """
 
-    __slots__ = ("credits", "vc_owner", "deliver", "arbiter", "flits_sent",
+    __slots__ = ("credits", "vc_owner", "deliver", "pointer", "flits_sent",
                  "down", "down_port")
 
-    def __init__(self, num_vcs: int, buffer_depth: int, slots: int):
+    def __init__(self, num_vcs: int, buffer_depth: int):
         self.credits = [buffer_depth] * num_vcs
         self.vc_owner: List[Optional[int]] = [None] * num_vcs
         self.deliver: Optional[DeliverFn] = None
-        self.arbiter = RoundRobinArbiter(slots)
+        self.pointer = 0
         self.flits_sent = 0
         self.down: Optional[Router] = None
 
@@ -101,8 +107,10 @@ class Router:
     Wiring (``connect_*``) is done by :class:`~repro.noc.network.Network`:
     a link to a neighbouring router is written directly — the grant puts
     the flit's row in the neighbour's inbox and the freed slot's credit row
-    in the upstream router's; the LOCAL port talks to its network interface
-    through callbacks only.
+    in the upstream router's.  The LOCAL port's flits and input credits go
+    to its network interface through callbacks; the interface hands flits
+    in (:meth:`inject`) and puts each consumed flit's LOCAL-output credit
+    back itself.
     """
 
     # slots, not an instance dict: a dict past 30 keys stops sharing keys,
@@ -111,8 +119,8 @@ class Router:
     __slots__ = (
         "engine", "node", "topo", "routing", "num_vcs",
         "buffer_depth", "name", "_dateline", "ports",
-        "_port_base", "_in", "_scan", "_out", "_credit_return", "_hop",
-        "_vcs", "_route", "_vc_bits", "_flits_in", "_credits_in",
+        "_in", "_scan", "_out", "_credit_return", "_hop",
+        "_vcs", "_route", "_flits_in", "_credits_in",
         "_wake_at", "_moved_at", "_flits_forwarded", "_buffered",
         "stalled_until", "stalls_injected", "_sync",
     )
@@ -151,18 +159,18 @@ class Router:
                 self.ports.append(port)
 
         slots = len(self.ports) * num_vcs
-        self._port_base: Dict[Port, int] = {}
         self._in: Dict[Port, List[InputVC]] = {}
-        #: every input VC in arbiter-slot order — the allocation pass walks
-        #: this one prebuilt list, and a granted slot indexes it
+        #: every input VC in slot order (LOCAL's first) — the allocation
+        #: pass walks this one prebuilt list, and a granted slot indexes it
         self._scan: List[InputVC] = []
         for p in self.ports:
-            base = self._port_base[p] = len(self._scan)
-            ivcs = self._in[p] = [InputVC(buffer_depth, p, vc, base + vc)
-                                  for vc in range(num_vcs)]
+            base = len(self._scan)
+            ivcs = self._in[p] = [
+                InputVC(buffer_depth, p, vc, base, num_vcs, slots)
+                for vc in range(num_vcs)]
             self._scan += ivcs
         self._out: Dict[Port, OutputPort] = {
-            p: OutputPort(num_vcs, buffer_depth, slots) for p in self.ports
+            p: OutputPort(num_vcs, buffer_depth) for p in self.ports
         }
         #: set by :meth:`connect_local`: the LOCAL input's credit wire
         self._credit_return: Optional[CreditFn] = None
@@ -175,8 +183,6 @@ class Router:
         # never change for a given router)
         self._vcs = tuple(range(num_vcs))
         self._route: Dict[int, Port] = {}
-        #: one input port's slots in a request mask, at slot 0
-        self._vc_bits = (1 << num_vcs) - 1
 
         #: timed inboxes — what is on the input wires, in landing order:
         #: ``(landing cycle, input port, flit)`` and, for credits coming
@@ -236,25 +242,12 @@ class Router:
         self._buffer(port, flit)
         self._arm(self.engine.now)
 
-    def credit_arrived(self, port: Port, vc: int) -> None:
-        """Downstream freed a buffer slot on our output ``port`` / ``vc``."""
-        self._credit(port, vc)
-        # a credit can only unblock a buffered flit: an empty router sleeps on
-        if self._buffered:
-            self._arm(self.engine.now)
-
     def _buffer(self, port: Port, flit: Flit) -> None:
         buffer = self._in[port][flit.vc].buffer
         if len(buffer) >= self.buffer_depth:
             self._overflow(port, flit.vc)
         buffer.append(flit)
         self._buffered += 1
-
-    def _credit(self, port: Port, vc: int) -> None:
-        credits = self._out[port].credits
-        credits[vc] += 1
-        if credits[vc] > self.buffer_depth:
-            self._credit_overflow(port, vc)
 
     def _overflow(self, port: Port, vc: int) -> None:
         raise ConfigError(
@@ -271,29 +264,26 @@ class Router:
     def inject(self, flit: Flit) -> None:
         """The local interface's clocked step hands over a flit: it is in
         the LOCAL input buffer this cycle and this cycle's pass sees it."""
-        self._buffer(Port.LOCAL, flit)
+        # the LOCAL port's input VCs are the first of the slot order
+        buffer = self._scan[flit.vc].buffer
+        if len(buffer) >= self.buffer_depth:
+            self._overflow(Port.LOCAL, flit.vc)
+        buffer.append(flit)
+        self._buffered += 1
         self._poke()
-
-    def local_credit(self, vc: int) -> None:
-        """The local interface consumed a flit: its LOCAL-output credit is
-        back this cycle (there is no wire between a router and its NI)."""
-        credits = self._out[Port.LOCAL].credits  # as _credit, without its call
-        credits[vc] += 1
-        if credits[vc] > self.buffer_depth:
-            self._credit_overflow(Port.LOCAL, vc)
-        if self._buffered:
-            self._poke()
 
     def _poke(self) -> None:
         """Step now unless a step is still to come this cycle; a router
-        that already moved flits this cycle steps again in the next."""
+        that already moved flits this cycle steps again in the next.  The
+        local interface calls it for a flit it hands over and for a
+        LOCAL-output credit it returns (there is no wire between them)."""
         now = self.engine.now
         if self._wake_at == now:
             return
         if self._moved_at == now or now < self.stalled_until:
             self._arm(now + 1)
         else:
-            self._step(now)
+            self._run(now)
 
     # -- inspection --------------------------------------------------------
 
@@ -339,26 +329,26 @@ class Router:
             self._wake_at = cycle
             self.engine.schedule(cycle - self.engine.now, self._run)
 
-    def _run(self, _arg=None) -> None:
-        """The engine callback: step, unless an earlier arm superseded it."""
-        now = self.engine.now
-        if now == self._wake_at:
-            self._wake_at = NEVER
-            self._step(now)
-
     def _land(self, now: int) -> None:
         """Move every row due by ``now`` off the wires."""
         rows = self._flits_in
         while rows and rows[0][0] <= now:
             _at, port, flit = rows.popleft()
             self._buffer(port, flit)
-        credits = self._credits_in
-        while credits and credits[0][0] <= now:
-            _at, port, vc = credits.popleft()
-            self._credit(port, vc)
+        credits_in = self._credits_in
+        while credits_in and credits_in[0][0] <= now:
+            _at, port, vc = credits_in.popleft()
+            credits = self._out[port].credits
+            credits[vc] += 1
+            if credits[vc] > self.buffer_depth:
+                self._credit_overflow(port, vc)
 
-    def _step(self, now: int) -> None:
-        """Land what is due, make this cycle's pass, arm the next step.
+    def _run(self, now: Optional[int] = None) -> None:
+        """One step: land what is due, make this cycle's pass, arm the next.
+
+        The engine calls it with no argument, and an entry stamped for a
+        cycle other than ``_wake_at`` has been superseded by an earlier
+        arm and does nothing; :meth:`_poke` passes ``now`` to step at once.
 
         A pass that moved flits leaves ``_moved_at`` set for the cycle, so
         a router never runs two moving passes in one cycle (one flit per
@@ -366,7 +356,28 @@ class Router:
         flits remain that a pass may move, else the next landing; a pass
         that moved nothing waits for the next credit or flit row — whoever
         writes one while the router holds flits arms it.
+
+        The pass: requests are bitmasks, one per output port (bit = input
+        slot; a requester's output VC is its input VC's ``req_vc``), and
+        each output port in turn grants one slot by the round-robin rule —
+        the first requesting slot at-or-after its ``pointer``, wrapping to
+        the lowest, and the pointer moves past the winner — minus the
+        slots of inputs already granted this pass (the crossbar
+        constraint: one flit per input port per cycle).
+
+        Routing is deterministic (XY/YX/dateline): one output port per
+        destination, so an input VC's request — its (output port, output
+        VC) pair — cannot be altered by grants on *other* output ports
+        within the pass: a grant only mutates state on its own output port
+        and on an input that is then excluded anyway.  So the input buffers
+        are scanned once, up front, into every port's mask — the grants of
+        a per-port rescan.
         """
+        if now is None:
+            now = self.engine.now
+            if now != self._wake_at:
+                return
+            self._wake_at = NEVER
         if now < self.stalled_until:
             self._arm(self.stalled_until)
             return
@@ -385,8 +396,8 @@ class Router:
                 landed += 1
             self._buffered += landed
         credits_in = self._credits_in
+        outs = self._out
         if credits_in and credits_in[0][0] <= now:
-            outs = self._out
             depth = self.buffer_depth
             while credits_in and credits_in[0][0] <= now:
                 _at, port, vc = credits_in.popleft()
@@ -394,11 +405,128 @@ class Router:
                 credits[vc] += 1
                 if credits[vc] > depth:
                     self._credit_overflow(port, vc)
-        wake = NEVER
-        if self._buffered:
-            if self._moved_at == now:
-                wake = now + 1
-            elif self._allocation_pass():
+        if not self._buffered:
+            wake = NEVER
+        elif self._moved_at == now:
+            wake = now + 1
+        else:
+            wake = NEVER
+            # the pass: every input VC's request into its port's mask
+            scan = self._scan
+            masks = [0, 0, 0, 0, 0]  # per output port, indexed by Port value
+            route = self._route
+            for ivc in scan:
+                buffer = ivc.buffer
+                if not buffer:
+                    continue
+                out_port = ivc.out_port
+                if out_port is None:
+                    # an unrouted VC only requests when a head flit is at
+                    # the front (body flits behind a reset route wait)
+                    flit = buffer[0]
+                    if not flit.is_head:
+                        continue
+                    pkt = flit.packet
+                    out_port = route.get(pkt.dst)
+                    if out_port is None:
+                        out_port = self._route_to(pkt.dst)
+                    if self._dateline:
+                        out_vc = self._dateline_choice(pkt, out_port)
+                        if out_vc is None:
+                            continue
+                    else:
+                        # VC allocation: the free VC with the most credits
+                        # (the first on a tie)
+                        out = outs[out_port]
+                        credits = out.credits
+                        owner = out.vc_owner
+                        out_vc = -1
+                        best = 0
+                        for vc in self._vcs:
+                            if credits[vc] > best and owner[vc] is None:
+                                out_vc = vc
+                                best = credits[vc]
+                        if out_vc < 0:
+                            continue
+                else:
+                    out_vc = ivc.out_vc
+                    if outs[out_port].credits[out_vc] <= 0:
+                        continue
+                masks[out_port] |= ivc.bit
+                ivc.req_vc = out_vc
+
+            # ... then each output port's grant
+            arrival = now + self._hop
+            landing = now + CREDIT_LATENCY
+            moved = 0
+            used = 0  # slots of the input ports granted so far this pass
+            for out_port in self.ports:
+                mask = masks[out_port]
+                if not mask:
+                    continue
+                if used:
+                    mask &= ~used
+                    if not mask:
+                        continue
+                out = outs[out_port]
+                pointer = out.pointer
+                ahead = mask >> pointer << pointer or mask
+                slot = (ahead & -ahead).bit_length() - 1
+                ivc = scan[slot]
+                out.pointer = ivc.after
+                used |= ivc.port_bits
+                vc = ivc.vc
+                out_vc = ivc.req_vc
+                moved += 1
+
+                # the grant: switch the flit, commit a head's route and VC,
+                # release them with the tail
+                flit = ivc.buffer.popleft()
+                if flit.is_head:
+                    pkt = flit.packet
+                    ivc.out_port = out_port
+                    ivc.out_vc = out_vc
+                    ivc.active_pid = out.vc_owner[out_vc] = pkt.pid
+                    if out_port is not Port.LOCAL:
+                        pkt.hops += 1
+                        if self._dateline:
+                            self._cross(pkt, out_port)
+                if flit.is_tail:
+                    out.vc_owner[out_vc] = None
+                    ivc.out_port = ivc.out_vc = ivc.active_pid = None
+                flit.vc = out_vc
+                out.credits[out_vc] -= 1
+                out.flits_sent += 1
+
+                # the flit onto its wire: one hop latency on every link
+                # keeps each inbox in landing order by construction —
+                # append, and arm the receiver by one compare
+                down = out.down
+                if down is None:
+                    out.deliver(flit)
+                else:
+                    down._flits_in.append((arrival, out.down_port, flit))
+                    if arrival < down._wake_at:
+                        down._arm(arrival)
+
+                # the input slot it freed: a credit goes upstream
+                up = ivc.up
+                if up is None:
+                    self._credit_return(landing, vc)
+                else:
+                    router, port = up
+                    router._credits_in.append((landing, port, vc))
+                    # a credit can only unblock a flit: an empty router
+                    # with nothing inbound sleeps on and lands the row
+                    # when it next steps
+                    if landing < router._wake_at and (router._buffered
+                                                      or router._flits_in):
+                        router._arm(landing)
+            if moved:
+                # counted once per pass: no flit or credit a grant writes
+                # reaches this router itself, so nothing above reads it
+                self._buffered -= moved
+                self._flits_forwarded += moved
                 self._moved_at = now
                 if self._buffered:
                     wake = now + 1
@@ -411,135 +539,6 @@ class Router:
         if wake < self._wake_at:
             self._wake_at = wake
             self.engine.schedule(wake - now, self._run)
-
-    def _allocation_pass(self) -> int:
-        """One switch-allocation cycle; returns the number of flits moved.
-
-        Requests are bitmasks, one per output port (bit = arbiter slot; a
-        requester's output VC is its input VC's ``req_vc``), and each
-        output port in turn grants one slot by the arbiter's round-robin
-        rule, minus the slots of inputs already granted this pass (the
-        crossbar constraint: one flit per input port per cycle).
-
-        Routing is deterministic (XY/YX/dateline): one output port per
-        destination, so an input VC's request — its (output port, output
-        VC) pair — cannot be altered by grants on *other* output ports
-        within the pass: a grant only mutates state on its own output port
-        and on an input that is then excluded anyway.  So the input buffers
-        are scanned once, up front, into every port's mask — the grants of
-        a per-port rescan.
-        """
-        outs = self._out
-        scan = self._scan
-        masks = [0, 0, 0, 0, 0]  # per output port, indexed by Port value
-        route = self._route
-        for ivc in scan:
-            buffer = ivc.buffer
-            if not buffer:
-                continue
-            out_port = ivc.out_port
-            if out_port is None:
-                # an unrouted VC only requests when a head flit is at the
-                # front (body flits behind a reset route wait)
-                flit = buffer[0]
-                if not flit.is_head:
-                    continue
-                pkt = flit.packet
-                out_port = route.get(pkt.dst)
-                if out_port is None:
-                    out_port = self._route_to(pkt.dst)
-                if self._dateline:
-                    out_vc = self._dateline_choice(pkt, out_port)
-                    if out_vc is None:
-                        continue
-                else:
-                    # VC allocation: the free VC with the most credits (the
-                    # first on a tie)
-                    out = outs[out_port]
-                    credits = out.credits
-                    owner = out.vc_owner
-                    out_vc = -1
-                    best = 0
-                    for vc in self._vcs:
-                        if credits[vc] > best and owner[vc] is None:
-                            out_vc = vc
-                            best = credits[vc]
-                    if out_vc < 0:
-                        continue
-            else:
-                out_vc = ivc.out_vc
-                if outs[out_port].credits[out_vc] <= 0:
-                    continue
-            masks[out_port] |= ivc.bit
-            ivc.req_vc = out_vc
-
-        now = self.engine.now
-        arrival = now + self._hop
-        landing = now + CREDIT_LATENCY
-        moved = 0
-        used = 0  # slots of the input ports granted so far this pass
-        for out_port in self.ports:
-            mask = masks[out_port]
-            if not mask:
-                continue
-            if used:
-                mask &= ~used
-                if not mask:
-                    continue
-            out = outs[out_port]
-            slot = out.arbiter.grant(mask)
-            ivc = scan[slot]
-            vc = ivc.vc
-            used |= self._vc_bits << (slot - vc)
-            out_vc = ivc.req_vc
-            moved += 1
-
-            # the grant: switch the flit, commit a head's route and VC,
-            # release them with the tail
-            flit = ivc.buffer.popleft()
-            self._buffered -= 1
-            if flit.is_head:
-                pkt = flit.packet
-                ivc.out_port = out_port
-                ivc.out_vc = out_vc
-                ivc.active_pid = out.vc_owner[out_vc] = pkt.pid
-                if out_port is not Port.LOCAL:
-                    pkt.hops += 1
-                    if self._dateline:
-                        self._cross(pkt, out_port)
-            if flit.is_tail:
-                out.vc_owner[out_vc] = None
-                ivc.out_port = ivc.out_vc = ivc.active_pid = None
-            flit.vc = out_vc
-            out.credits[out_vc] -= 1
-            out.flits_sent += 1
-
-            # the flit onto its wire: one hop latency on every link keeps
-            # each inbox in landing order by construction — append, and
-            # arm the receiver by one compare
-            down = out.down
-            if down is None:
-                out.deliver(flit)
-            else:
-                down._flits_in.append((arrival, out.down_port, flit))
-                if arrival < down._wake_at:
-                    down._arm(arrival)
-
-            # the input slot it freed: a credit goes upstream
-            up = ivc.up
-            if up is None:
-                self._credit_return(landing, vc)
-            else:
-                router, port = up
-                router._credits_in.append((landing, port, vc))
-                # a credit can only unblock a flit: an empty router with
-                # nothing inbound sleeps on and lands the row when it next
-                # steps
-                if landing < router._wake_at and (router._buffered
-                                                  or router._flits_in):
-                    router._arm(landing)
-        self._flits_forwarded += moved
-        return moved
 
     def _route_to(self, dst: int) -> Port:
         """Deterministic route to ``dst``, memoised (routing functions are

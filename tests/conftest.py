@@ -89,18 +89,28 @@ def count_calls(run):
     """``((calls, events), frames)`` of ``run()``: how many times it
     entered a ``def`` under ``repro/``, how many ``Event`` objects it built
     and its other Python frames by kind (the rule of ``python
-    tools/funcs.py calls``).
+    tools/funcs.py calls``)."""
+    layers, frames, events = _counted(run)
+    return (sum(layers.values()), events), frames
 
-    The cycle collector is off while ``run()`` runs: a collection would
-    close generators that earlier tests left suspended, and each close
-    enters their frames, so the count would depend on the tests before."""
+
+def count_calls_by_layer(run):
+    """The ``def`` entries of :func:`count_calls`, per layer as
+    ``perf.trace`` names them."""
+    return _counted(run)[0]
+
+
+def _counted(run):
+    """``tools.funcs.count_calls(run)`` with the cycle collector off: a
+    collection would close generators that earlier tests left suspended,
+    and each close enters their frames, so the count would depend on the
+    tests before."""
     gc.collect()
     gc.disable()
     try:
-        layers, frames, events = tool_count_calls(run)
+        return tool_count_calls(run)
     finally:
         gc.enable()
-    return (sum(layers.values()), events), frames
 
 
 @pytest.fixture(scope="session")

@@ -918,10 +918,12 @@ RELIABLE_SEND_AND_ACK_SCHEDULES = 4
 #: and the mux dispatches a frame itself (35 -> 27, 1 -> 0).  Then frames,
 #: messages and packets were built in one ``__init__``, the SEND check
 #: became an integer test and each layer hop one call (199 -> 181, 27 ->
-#: 22).  Neither path enters the standard library or code named ``<...>``
-#: (the round trip entered 3 ``enum`` frames and 6 of a comprehension
-#: before).
-SHELL_CALL_ROUND_TRIP_CALLS = (181, 3)
+#: 22).  Then a consumed flit's interface put the router's LOCAL credit
+#: back itself instead of calling the router for it, once per packet (181
+#: -> 179).  Neither path enters the standard library or code named
+#: ``<...>`` (the round trip entered 3 ``enum`` frames and 6 of a
+#: comprehension before).
+SHELL_CALL_ROUND_TRIP_CALLS = (179, 3)
 RELIABLE_SEND_AND_ACK_CALLS = (22, 0)
 
 

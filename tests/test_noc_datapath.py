@@ -13,12 +13,14 @@ from repro.errors import ConfigError
 from repro.noc import Mesh2D, Network, Torus2D
 from repro.noc import network as network_module
 from repro.noc.flit import Flit, FlitKind
+from repro.noc.router import NEVER
 from repro.noc.topology import Port
 from repro.sim import Engine
 
 from tests.conftest import (
     CountingEngine,
     TaggingEngine,
+    count_calls_by_layer,
     credits_with_the_wire,
     inject_credits_with_the_wire,
 )
@@ -97,11 +99,9 @@ def test_event_budget_two_overlapping_packets(monkeypatch):
     assert eng.schedules == OVERLAPPING_FLIT_PATH_SCHEDULES
 
 
-@pytest.mark.identity
-def test_event_budget_seeded_flood():
-    """A seeded 4x4 flood for 300 cycles: schedules, flits and deliveries
-    are exact, so an accidental extra wake-up or a second pass per cycle
-    fails tier-1 instead of only moving a benchmark."""
+def seeded_flood():
+    """Every node of a 4x4 mesh sends 96-byte packets to seeded random
+    nodes as fast as it can, for 300 cycles."""
     eng = CountingEngine()
     net = Network(eng, Mesh2D(4, 4))
     log = []
@@ -117,6 +117,15 @@ def test_event_budget_seeded_flood():
         eng.process(sender(node))
         eng.process(sink(net, node, log))
     eng.run(until=300)
+    return eng, net, log
+
+
+@pytest.mark.identity
+def test_event_budget_seeded_flood():
+    """A seeded 4x4 flood for 300 cycles: schedules, flits and deliveries
+    are exact, so an accidental extra wake-up or a second pass per cycle
+    fails tier-1 instead of only moving a benchmark."""
+    eng, net, log = seeded_flood()
     assert len(log) == FLOOD_DELIVERED
     assert sum(at for *_rest, at in log) == FLOOD_DELIVERY_CYCLE_SUM
     assert net.total_flits_forwarded() == FLOOD_FLITS_FORWARDED
@@ -125,6 +134,15 @@ def test_event_budget_seeded_flood():
     # a saturated mesh is never idle: only the very first packet starts on
     # the lane, and the second start takes it off again
     assert (net.express_packets, net.express_demotions) == (1, 1)
+
+
+def test_calls_of_the_seeded_flood():
+    """The host work of the flood: entries into a ``def`` under
+    ``repro/noc/`` (interpreter-independent, so pinned exactly).  A call
+    that comes back on the flit path — a helper per step or per flit, a
+    router step split in two — fails here, not only in a benchmark."""
+    layers = count_calls_by_layer(seeded_flood)
+    assert layers["noc"] == FLOOD_NOC_CALLS
 
 
 def test_overlapping_packets_book_all_four_noc_event_kinds():
@@ -154,6 +172,9 @@ FLOOD_DELIVERY_CYCLE_SUM = 66_016
 FLOOD_FLITS_FORWARDED = 11_579
 FLOOD_IN_FLIGHT = 40
 FLOOD_SCHEDULES = 13_826
+#: the flood's calls into repro/noc/: 79,351 while the round-robin grant
+#: was an arbiter's method and a router step three calls
+FLOOD_NOC_CALLS = 46_345
 
 
 # -- (a') flit-path goldens --------------------------------------------------
@@ -213,7 +234,7 @@ def flit_path_flood(case):
         "records": hashlib.sha256(repr(records).encode()).hexdigest()[:16],
         "forwarded": [r.flits_forwarded for r in routers],
         "pointers": " ".join(
-            ",".join(str(r._out[p].arbiter._pointer) for p in r.ports)
+            ",".join(str(r._out[p].pointer) for p in r.ports)
             for r in routers),
         "schedules": schedules,
     }
@@ -265,7 +286,7 @@ FLIT_PATH_GOLDENS = {
 def test_flit_path_goldens(case):
     """Delivered count, delivery-cycle sum, every delivered packet's
     ``(pid, src, dst, injected_at, delivered_at, hops)``, per-router
-    forwarded flits, every final arbiter pointer and the engine's
+    forwarded flits, every final round-robin pointer and the engine's
     ``schedule()`` count — exact, per configuration."""
     assert flit_path_flood(case) == FLIT_PATH_GOLDENS[case]
 
@@ -425,34 +446,47 @@ def test_a_stall_of_fewer_than_one_cycle_is_a_config_error():
     assert eng.pending_events() == 0
 
 
-def test_credit_to_an_empty_router_wakes_nobody():
+def test_credit_to_an_empty_router_wakes_nobody(monkeypatch):
+    """Router 1 returns the credits of the last flits of a packet router 0
+    has already passed on: they stay rows in router 0's inbox, because a
+    credit can only unblock a buffered flit, and no step is armed to land
+    them."""
+    monkeypatch.setattr(network_module, "_LANE", False)
     eng = CountingEngine()
     net = Network(eng, Mesh2D(2, 1))
+    sent = net.interface(0).send(1, payload_bytes=96)
+    eng.run()
+    assert sent.value.delivered_at == 10 and eng.pending_events() == 0
     router = net.router(0)
-    router._out[Port.EAST].credits[0] -= 1  # as if a flit were downstream
-    router.credit_arrived(Port.EAST, 0)
-    assert eng.schedules == 0 and eng.pending_events() == 0
+    assert router._buffered == 0 and router._wake_at == NEVER
+    assert [at for at, _port, _vc in router._credits_in] == [7, 8, 9]
+    assert credits_with_the_wire(router, Port.EAST) == [4, 4]
 
 
 def test_datapath_errors_abort_the_run_naming_component_and_cycle():
+    """Rows written on a wire, and the receiver armed for them, as a grant
+    does: the step that lands them raises."""
     def fresh():
         eng = Engine()
         net = Network(eng, Mesh2D(2, 1), buffer_depth=2)
         return eng, net, net.make_packet(0, 1, payload_bytes=96)
 
+    # a credit for a slot that was never taken
     eng, net, _pkt = fresh()
-    eng.schedule(5, lambda _a: net.router(1).credit_arrived(Port.WEST, 0))
+    router = net.router(1)
+    router._credits_in.append((5, Port.WEST, 0))
+    router._arm(5)
     with pytest.raises(ConfigError,
                        match=r"router1: credit overflow on WEST vc0 at "
                              r"cycle 5"):
         eng.run()
 
+    # three flits landing in a two-slot buffer
     eng, net, pkt = fresh()
-
-    def overflow(_arg):
-        for flit in pkt.make_flits()[:3]:
-            net.router(0).accept_flit(Port.EAST, flit)
-    eng.schedule(7, overflow)
+    router = net.router(0)
+    for flit in pkt.make_flits()[:3]:
+        router._flits_in.append((7, Port.EAST, flit))
+    router._arm(7)
     with pytest.raises(ConfigError,
                        match=r"router0: input buffer overflow on EAST vc0 "
                              r"at cycle 7"):
@@ -461,10 +495,10 @@ def test_datapath_errors_abort_the_run_naming_component_and_cycle():
     # a tail whose head never came: the ejector's own check, raised from
     # its callback straight out of Engine.run
     eng, net, pkt = fresh()
-    stray = Flit(kind=FlitKind.TAIL, packet=pkt, seq=6)
-    eng.schedule(8, net.interface(1)._accept_flit, stray)
+    ni = net.interface(1)
+    ni._flits_in.append((8, Flit(kind=FlitKind.TAIL, packet=pkt, seq=6)))
+    ni._arm_ejector(8)
     with pytest.raises(ConfigError,
                        match=r"ni1: reassembled wrong flit count for "
                              r"packet 1 at cycle 8"):
         eng.run()
-

@@ -125,7 +125,7 @@ def _run(case):
         routers.append((
             router.flits_forwarded, router.buffered_flits,
             router.stalled_until, router.stalls_injected,
-            {port.name: (out.credits, out.vc_owner, out.arbiter._pointer,
+            {port.name: (out.credits, out.vc_owner, out.pointer,
                          out.flits_sent)
              for port, out in router._out.items()},
             {port.name: [(len(ivc.buffer), ivc.out_port, ivc.out_vc,

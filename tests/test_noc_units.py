@@ -1,4 +1,5 @@
-"""Unit tests for NoC building blocks: flits, topology, routing, the arbiter, QoS."""
+"""Unit tests for NoC building blocks: flits, topology, routing, a router's
+round-robin grant, QoS."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,14 @@ from repro.noc import (
     Packet,
     Port,
     RateMeter,
-    RoundRobinArbiter,
+    Router,
     TokenBucket,
     Torus2D,
     TorusXYRouting,
     XYRouting,
     flits_for_bytes,
 )
+from repro.sim import Engine
 
 
 class TestFlits:
@@ -155,28 +157,55 @@ class TestRouting:
                 assert hops == mesh.hop_distance(src, dst)
 
 
+def local_grants(topo, node, masks):
+    """The input slot ``node``'s router grants its LOCAL output in each of
+    a row of passes, one a cycle: in pass ``i`` exactly the input slots of
+    ``masks[i]`` request it (one VC per port, so a slot is a port)."""
+    eng = Engine()
+    router = Router(eng, node, topo, XYRouting(), num_vcs=1, buffer_depth=8)
+    delivered = []
+    router.connect_local(delivered.append, lambda _landing, _vc: None)
+    granted = []
+    for cycle, mask in enumerate(masks, start=1):
+        for slot, ivc in enumerate(router._scan):
+            if ivc.buffer:  # a request an earlier pass did not grant
+                ivc.buffer.clear()
+                router._buffered -= 1
+            if mask >> slot & 1:
+                pkt = Packet(slot, node, node, 1)
+                router._flits_in.append((cycle, ivc.port,
+                                         Flit(FlitKind.HEADTAIL, pkt, 0)))
+        router._arm(cycle)
+        eng.run(until=cycle)
+        granted.append(delivered.pop().packet.pid)
+    return granted, router._out[Port.LOCAL].pointer
+
+
 class TestArbiters:
+    """The grant rule of a router's output port: the first requesting
+    slot at-or-after the port's pointer, wrapping to the lowest; the
+    pointer moves past the winner, mod the router's slots."""
+
     def test_round_robin_rotates(self):
-        arb = RoundRobinArbiter(3)
-        grants = [arb.grant(0b111) for _ in range(6)]
-        assert grants == [0, 1, 2, 0, 1, 2]
+        # the middle router of a 3x1 mesh: LOCAL, EAST and WEST are slots
+        # 0, 1 and 2
+        granted, _pointer = local_grants(Mesh2D(3, 1), 1, [0b111] * 6)
+        assert granted == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_skips_idle(self):
-        arb = RoundRobinArbiter(3)
-        assert arb.grant(0b010) == 1
-        assert arb.grant(0b001) == 0
+        granted, _pointer = local_grants(Mesh2D(3, 1), 1, [0b010, 0b001])
+        assert granted == [1, 0]
 
     def test_round_robin_grant_on_a_request_mask(self):
-        """The first requesting slot at-or-after the pointer, wrapping to
-        the lowest; the pointer moves past the winner (mod the slots)."""
-        arb = RoundRobinArbiter(5)
-        assert [arb.grant(0b10110) for _ in range(4)] == [1, 2, 4, 1]
-        assert arb.grant(0b00001) == 0  # pointer 2: wraps
-        assert arb._pointer == 1
+        # the centre router of a 3x3 mesh: five slots
+        granted, pointer = local_grants(Mesh2D(3, 3), 4,
+                                        [0b10110] * 4 + [0b00001])
+        assert granted == [1, 2, 4, 1, 0]  # pointer 2: the last wraps
+        assert pointer == 1
 
-    def test_round_robin_wrong_width_rejected(self):
-        with pytest.raises(ConfigError):
-            RoundRobinArbiter(0)
+    def test_a_router_has_at_least_one_slot(self):
+        with pytest.raises(ConfigError, match="need >= 1 VC, got 0"):
+            Router(Engine(), 0, Mesh2D(1, 1), XYRouting(), num_vcs=0)
 
 
 class TestTokenBucket:
@@ -267,6 +296,32 @@ class TestRateMeter:
             else:
                 assert meter.rate(now) == sum(counts) / (buckets * bucket_cycles)
             assert meter._counts == counts
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([1, 7, 1000]),
+           st.lists(st.tuples(st.integers(0, 36), st.integers(0, 999),
+                              st.integers(0, 9)), max_size=40))
+    def test_a_window_long_gap_clears_as_the_per_bucket_rule(
+            self, buckets, bucket_cycles, ops):
+        """Clearing the whole window after a gap of ``buckets`` buckets or
+        more leaves the counts, the current bucket and ``rate()`` exactly
+        as zeroing ``min(gap, buckets)`` buckets one by one did, for gaps
+        on both sides of a window."""
+        meter = RateMeter(window_cycles=buckets * bucket_cycles,
+                          buckets=buckets)
+        counts, current, now = [0] * buckets, 0, 0
+        for gap_buckets, offset, amount in ops:
+            now += gap_buckets * bucket_cycles + offset % bucket_cycles
+            meter.record(now, amount)
+            index = now // bucket_cycles
+            if index > current:  # the per-bucket rule
+                first = current + 1
+                for i in range(first, first + min(index - current, buckets)):
+                    counts[i % buckets] = 0
+                current = index
+            counts[current % buckets] += amount
+            assert (meter._counts, meter._current) == (counts, current)
+            assert meter.rate(now) == sum(counts) / (buckets * bucket_cycles)
 
     def test_a_huge_idle_gap_returns(self):
         meter = RateMeter(window_cycles=10_000, buckets=10)

@@ -2,9 +2,10 @@
 
 At quiescence every offered request has resolved exactly once, and a
 scenario is a pure function of its dict: a rerun gives the same report
-bytes, in this interpreter or in one with another string-hash seed.  At
-the end cycle every board's NoC holds each buffer slot exactly once: as
-a credit, or as a flit buffered or on its way to the slot.
+bytes, in this interpreter or in one with another string-hash seed.  All
+through the traffic phase, express lane on or off, every board's NoC
+holds each buffer slot exactly once: as a credit, or as a flit buffered
+or on its way to the slot.
 """
 
 import hashlib
@@ -14,10 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.loadgen import Scenario, ScenarioRunner
+from repro.noc import network as network_module
 from repro.noc.topology import Port
 from tests.conftest import credits_with_the_wire, inject_credits_with_the_wire
 from tests.strategies import small_scenarios
@@ -110,14 +114,45 @@ def _assert_credits_conserved(net):
         assert local == full, (router.name, "injection")
 
 
+#: cycles between two conservation checks of a run's traffic phase: a
+#: prime, so the checks fall on every phase of the periodic timers
+_CHECK_EVERY = 4_999
+
+
 @settings(max_examples=60, deadline=None)
-@given(small_scenarios())
-def test_flits_and_credits_are_conserved_at_the_end_cycle(scenario):
-    # no drain: the run ends with the load still on, so some boards end
-    # with flits and credits on the wires; a credit lost or minted on the
-    # way shows at any end cycle
+@given(small_scenarios(), st.booleans())
+def test_flits_and_credits_are_conserved_throughout_a_run(scenario, lane):
+    """Checked every ``_CHECK_EVERY`` cycles of the traffic phase and at
+    the end cycle.  No drain: the run ends with the load still on, so
+    some boards end with flits and credits on the wires.  With the express
+    lane off (report-neutral) every packet crosses as flits; with it on,
+    a check takes the lane's packet off it, as any reader does."""
     scenario = dict(scenario, drain=0)
     runner = ScenarioRunner(Scenario.from_dict(scenario), backend="shared")
-    runner.run()
-    for system in runner.cluster.systems:
-        _assert_credits_conserved(system.network)
+    build = runner._build
+    checks = []
+
+    def check(cluster):
+        for system in cluster.systems:
+            _assert_credits_conserved(system.network)
+        checks.append(cluster.now)
+
+    def build_then_step():
+        cluster = build()
+        run = cluster.run
+
+        def stepped(until):
+            while cluster.now + _CHECK_EVERY < until:
+                run(until=cluster.now + _CHECK_EVERY)
+                check(cluster)
+            run(until=until)
+            check(cluster)
+
+        cluster.run = stepped
+        return cluster
+
+    runner._build = build_then_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network_module, "_LANE", lane)
+        runner.run()
+    assert len(checks) >= scenario["duration"] // _CHECK_EVERY
