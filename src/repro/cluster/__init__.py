@@ -21,7 +21,7 @@ from repro.cluster.directory import (
     ServiceInstance,
     ServiceSpec,
 )
-from repro.cluster.frontend import FRONTEND_PORT, BackendHealth, FrontEnd
+from repro.cluster.frontend import BackendHealth, FrontEnd
 from repro.cluster.service import ClusterPortedService
 
 __all__ = [
@@ -38,6 +38,5 @@ __all__ = [
     "HashRing",
     "FrontEnd",
     "BackendHealth",
-    "FRONTEND_PORT",
     "ClusterPortedService",
 ]

@@ -1,7 +1,9 @@
 """FrontEnd: the cluster's health-aware load balancer.
 
-A host on the datacenter fabric (same transport as every client) that
-sits between clients and the FPGAs:
+A host on the datacenter fabric (the transport every host speaks) that
+sits between the cluster's callers and the FPGAs.  A request enters by
+one door, :meth:`FrontEnd.submit`; the fabric carries only what the
+front-end sends the boards and what they answer:
 
 * **routing** — resolves ``{"service", "key", "body"}`` requests through
   the :class:`~repro.cluster.directory.ServiceDirectory`: keyed requests
@@ -23,9 +25,11 @@ sits between clients and the FPGAs:
   services fan out to every healthy replica so the failover target has
   the data (handlers must be idempotent — retried writes may be
   re-applied);
-* **admission control** — a bounded in-flight budget; excess requests
-  get an immediate ``{"rejected": True}`` reply instead of queueing
-  without bound (the difference between a p99 and a death spiral);
+* **admission control** — a bounded in-flight budget fed from a bounded
+  backlog: a submission that finds the backlog full is dropped at once,
+  and one that waited in it past ``queue_deadline`` is answered
+  ``{"rejected": True}`` instead of served late (the difference between a
+  p99 and a death spiral);
 * **batching** — per-instance queues flushed as ``("batch", ...)``
   envelopes, amortizing transport round-trips under load; an instance's
   flusher is a flag and a pacing token on its record, not a process.
@@ -63,12 +67,10 @@ from repro.net.transport import (
 from repro.policy import RetryLoop, RetryPolicy
 from repro.sim import StatsRegistry
 
-__all__ = ["FRONTEND_MAC", "FRONTEND_PORT", "BackendHealth", "BoardBeat",
-           "FrontEnd"]
+__all__ = ["FRONTEND_MAC", "BackendHealth", "BoardBeat", "FrontEnd"]
 
-#: the front-end's fabric address and the well-known port clients use
+#: the front-end's fabric address
 FRONTEND_MAC = "frontend"
-FRONTEND_PORT = 7000
 #: a flush carries up to BATCH_SIZE attempts; a shorter queue is given
 #: BATCH_WINDOW cycles to fill first
 BATCH_SIZE = 4
@@ -199,7 +201,6 @@ class FrontEnd:
         self.requests_rejected = 0
         self.requests_failed = 0
         self.requests_dropped = 0
-        self.responses_sent = 0
         self.batches_sent = 0
         self.failovers = 0
         self.chain_nacks = 0
@@ -276,14 +277,15 @@ class FrontEnd:
     # -- fabric plumbing ---------------------------------------------------
 
     def _on_payload(self, peer_mac: str, payload: Dict[str, Any]) -> None:
-        """Client requests in, backend responses in."""
+        """Backend responses in, from the boards the front-end sends to;
+        whatever another fabric host sends is dropped unread (a request
+        enters only by :meth:`submit`)."""
         data = payload.get("data")
-        if not (isinstance(data, tuple) and len(data) == 3):
+        if peer_mac not in self.boards \
+                or not (isinstance(data, tuple) and len(data) == 3):
             return
         tag, rid, body = data
-        if tag == "req":
-            self._admit(peer_mac, rid, body)
-        elif tag == "resp":
+        if tag == "resp":
             self._resolve(rid, body)
         elif tag == "batchresp":
             for irid, out_body, _nbytes in body:
@@ -359,8 +361,8 @@ class FrontEnd:
         free up.  Three distinct outcomes:
 
         * **served** — dispatched within ``queue_deadline``; ``on_done``
-          gets the same reply body a fabric client would (``{"ok": ...}``,
-          retries and failover included);
+          gets the reply body, ``{"ok": True, "body": ...}`` or
+          ``{"ok": False, "error": ...}`` (retries and failover included);
         * **rejected** — admitted from the backlog only after waiting
           longer than ``queue_deadline`` (sustained overload): counted as
           an admission reject, ``on_done`` gets ``{"rejected": True}``;
@@ -406,14 +408,14 @@ class FrontEnd:
         """Admit from the backlog while in-flight slots are free; each
         admitted request starts one ring hop later, in :meth:`_serve`.
 
-        No report depends on that hop (nor on :meth:`_admit`'s): it keeps
+        No report depends on that hop: it keeps
         ``FrontEnd._serve`` an engine entry, which the benchmark's tracer
         books as ``cluster.frontend_serve`` (one per request), and
         ``test_requests_and_probes_book_to_serve_and_prober`` fails
         without it."""
         while self._backlog and self.inflight < self.max_pending:
             submitted_at, srid, req, on_done = self._backlog.popleft()
-            origin = (None, srid, on_done)
+            origin = (srid, on_done)
             if self.engine.now - submitted_at > self.queue_deadline:
                 # sustained overload: the slot freed up too late —
                 # this is an admission reject, not a silent drop
@@ -428,40 +430,20 @@ class FrontEnd:
             self.engine.schedule(0, self._serve, (origin, req, submitted_at))
         self._draining = False
 
-    # -- admission + serving ----------------------------------------------
-
-    def _admit(self, client_mac: str, rid: int, req: Any) -> None:
-        origin = (client_mac, rid, None)
-        if not isinstance(req, dict) or "service" not in req:
-            self._answer(origin, {"ok": False, "error": "malformed request"})
-        elif self.inflight >= self.max_pending:
-            self._reject(origin, req)
-        else:
-            self.inflight += 1
-            self.requests_admitted += 1
-            # the tracer's hop, as in _drain_backlog
-            self.engine.schedule(0, self._serve,
-                                 (origin, req, self.engine.now))
+    # -- serving -------------------------------------------------------------
 
     def _reject(self, origin: Tuple, req: Dict[str, Any]) -> None:
         self.requests_rejected += 1
         self._observe_slo(req["service"], None, False, req.get("tenant"))
         self._answer(origin, {"ok": False, "rejected": True})
 
-    def _answer(self, origin: Tuple, body: Dict[str, Any]) -> None:
-        """A request's ``origin`` says where its answer goes: over the
-        fabric, or (no ``client_mac``: the submit path) into ``on_done``."""
-        client_mac, rid, on_done = origin
-        if client_mac is None:
-            if on_done is not None:
-                on_done(body)
-            return
-        self.responses_sent += 1
-        self.mux.peer(client_mac).send(
-            {"port": FRONTEND_PORT, "data": ("resp", rid, body),
-             "src_mac": FRONTEND_MAC},
-            payload_bytes=64,
-        )
+    @staticmethod
+    def _answer(origin: Tuple, body: Dict[str, Any]) -> None:
+        """A request's ``origin`` is its submission id and the
+        ``on_done`` its answer goes to, if any."""
+        on_done = origin[1]
+        if on_done is not None:
+            on_done(body)
 
     def _observe_slo(self, service: str, latency: Optional[int],
                      ok: bool, tenant: Optional[str]) -> None:
@@ -740,7 +722,6 @@ class FrontEnd:
             "requests_failed": self.requests_failed,
             "requests_dropped": self.requests_dropped,
             "backlog_depth": len(self._backlog),
-            "responses_sent": self.responses_sent,
             "batches_sent": self.batches_sent,
             "failovers": self.failovers,
             "inflight": self.inflight,
@@ -801,7 +782,7 @@ class _Request(RetryLoop):
                                    service=service, key=key)
         # a stable write id across this request's *frontend* attempts:
         # the chain head dedups retried writes it already logged
-        self.wid = (f"{origin[0] or 'submit'}#{origin[1]}"
+        self.wid = (f"submit#{origin[0]}"
                     if (spec.chained and self.is_write) else None)
         self.rotation = 0
 

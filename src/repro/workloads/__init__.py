@@ -1,6 +1,6 @@
 """Workload generation: arrival processes, distributions, remote clients."""
 
-from repro.workloads.client import ClusterClient, RemoteClientHost
+from repro.workloads.client import RemoteClientHost
 from repro.workloads.generators import (
     constant_gaps,
     keyed_stream,
@@ -13,7 +13,6 @@ from repro.workloads.generators import (
 
 __all__ = [
     "RemoteClientHost",
-    "ClusterClient",
     "constant_gaps",
     "poisson_gaps",
     "lognormal_gaps",

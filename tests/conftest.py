@@ -1,6 +1,6 @@
 """Tier-1 shapes of the two S1 library scenarios, the engines and the
-call counter the budget tests count with, the NoC's credit reads, and the
-transport rigs' mux wiring.
+call counter the budget tests count with, the NoC's credit reads, the
+transport rigs' mux wiring, and a front-end request as an event.
 
 A short run mostly simulates idle probing: the default ``start_at`` parks
 a deployed cluster for ~0.6M cycles and the default drain for another
@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from perf.trace import kind_of, layer_of, owner_code
+from repro.errors import AdmissionRejected
 from repro.loadgen import ChaosAction, get_scenario
 from repro.net import ReliableMux
 from repro.sim import Engine
@@ -83,6 +84,16 @@ def attach_mux(eng, fabric, mac, on_payload, window=4, timeout=2_000):
                       window=window, timeout=timeout)
     fabric.attach(mac, mux.deliver_frame)
     return mux
+
+
+def submitted(frontend, service, **request):
+    """``frontend.submit(service, **request)`` as an engine event: it
+    succeeds with the reply body, and fails with ``AdmissionRejected``
+    when the backlog is full and the request is dropped."""
+    done = frontend.engine.event(f"submit:{service}")
+    if not frontend.submit(service, on_done=done.succeed, **request):
+        done.fail(AdmissionRejected(f"{service!r}: the backlog is full"))
+    return done
 
 
 def count_calls(run):

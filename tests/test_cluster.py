@@ -15,8 +15,8 @@ from repro.errors import ConfigError
 from repro.loadgen import ScenarioRunner, get_scenario
 from repro.loadgen.library import scale_out
 from repro.replic.machine import KvMachine
-from repro.workloads import ClusterClient
 
+from tests.conftest import submitted
 
 
 def small_cluster(n_fpgas=2, **config):
@@ -185,26 +185,20 @@ class TestServing:
         started = cluster.deploy_stateless("echo", echo_factory(),
                                            instances=1)
         deploy_and_settle(cluster, started)
-        cluster.start_frontend()
-        host = ClusterClient(cluster.engine, cluster.fabric, "h0")
+        fe = cluster.start_frontend()
 
         def go():
-            reply = yield host.call_service("echo", {"x": 41},
-                                            timeout=200_000)
-            return reply
+            return (yield submitted(fe, "echo", body={"x": 41}))
 
         reply = drive(cluster, go())
         assert reply == {"ok": True, "body": {"echo": 41}}
 
     def test_unknown_service_errors(self):
         cluster = small_cluster(n_fpgas=1)
-        cluster.start_frontend()
-        host = ClusterClient(cluster.engine, cluster.fabric, "h0")
+        fe = cluster.start_frontend()
 
         def go():
-            reply = yield host.call_service("nope", {"x": 1},
-                                            timeout=200_000)
-            return reply
+            return (yield submitted(fe, "nope", body={"x": 1}))
 
         reply = drive(cluster, go())
         assert reply["ok"] is False
@@ -215,40 +209,45 @@ class TestServing:
         started = cluster.deploy_stateless("echo", echo_factory(4_000),
                                            instances=2)
         deploy_and_settle(cluster, started)
-        cluster.start_frontend()
-        hosts = [ClusterClient(cluster.engine, cluster.fabric, f"h{i}")
-                 for i in range(4)]
-        for host in hosts:
-            reqs = [{"body": {"x": i}} for i in range(10)]
-            cluster.engine.process(
-                host.closed_loop_service("echo", reqs, timeout=300_000),
-                name=f"{host.mac}.loop")
+        fe = cluster.start_frontend()
+        replies = []
+
+        def closed_loop():
+            for i in range(10):
+                replies.append((yield submitted(fe, "echo", body={"x": i})))
+
+        for c in range(4):
+            cluster.engine.process(closed_loop(), name=f"loop{c}")
         cluster.run(until=cluster.engine.now + 400_000)
-        assert sum(h.ok for h in hosts) == 40
+        assert [reply["ok"] for reply in replies] == [True] * 40
         # both instances took real work (least-loaded spreading)
         assert all(h.served > 0 for h in cluster.frontend.health.values())
 
 
 class TestAdmissionControl:
-    def test_overload_is_rejected_not_queued(self):
+    def test_overload_past_the_queue_deadline_is_rejected(self):
+        """Twelve closed loops on one slow instance, four slots: a
+        submission that waits in the backlog past ``queue_deadline`` is
+        answered ``rejected``, and the in-flight budget is never
+        exceeded."""
         cluster = small_cluster(n_fpgas=1)
         started = cluster.deploy_stateless("echo", echo_factory(20_000),
                                            instances=1)
         deploy_and_settle(cluster, started)
-        cluster.start_frontend(max_pending=4)
-        hosts = [ClusterClient(cluster.engine, cluster.fabric, f"h{i}")
-                 for i in range(12)]
-        for host in hosts:
-            cluster.engine.process(
-                host.closed_loop_service(
-                    "echo", [{"body": {"x": 0}}] * 4, timeout=400_000),
-                name=f"{host.mac}.loop")
+        fe = cluster.start_frontend(max_pending=4, queue_deadline=60_000)
+        replies, peak = [], []
+
+        def closed_loop():
+            for _ in range(4):
+                replies.append((yield submitted(fe, "echo", body={"x": 0})))
+                peak.append(fe.inflight)
+
+        for c in range(12):
+            cluster.engine.process(closed_loop(), name=f"loop{c}")
         cluster.run(until=cluster.engine.now + 300_000)
-        rejected = sum(h.rejected for h in hosts)
-        assert cluster.frontend.requests_rejected == rejected
-        assert rejected > 0
-        # the budget was enforced, never exceeded
-        assert cluster.frontend.inflight <= 4
+        rejected = sum(1 for reply in replies if reply.get("rejected"))
+        assert fe.requests_rejected == rejected > 0
+        assert max(peak) <= 4
 
 
 class TestFailover:
@@ -299,20 +298,24 @@ class TestFailover:
         started = cluster.deploy_sharded("kv", kv_factory(1_000),
                                          n_shards=4, replication=2)
         deploy_and_settle(cluster, started)
-        cluster.start_frontend()
-        host = ClusterClient(cluster.engine, cluster.fabric, "h0")
+        fe = cluster.start_frontend()
         keys = [f"key{i}" for i in range(8)]
-        writes = [{"body": {"op": "put", "key": k, "value": f"v-{k}"},
-                   "key": k, "write": True} for k in keys]
-        drive(cluster, host.closed_loop_service("kv", writes))
-        assert host.ok == 8
+
+        def write_all():
+            for k in keys:
+                reply = yield submitted(
+                    fe, "kv", body={"op": "put", "key": k, "value": f"v-{k}"},
+                    key=k, write=True)
+                assert reply["ok"], reply
+
+        drive(cluster, write_all())
         cluster.kill_fpga(1)
         seen = {}
 
         def read_back():
             for k in keys:
-                reply = yield host.call_service(
-                    "kv", {"op": "get", "key": k}, key=k, timeout=100_000)
+                reply = yield submitted(fe, "kv", body={"op": "get", "key": k},
+                                        key=k)
                 seen[k] = reply["ok"] and reply["body"]["value"]
 
         drive(cluster, read_back())
@@ -364,12 +367,10 @@ class TestTracing:
         started = cluster.deploy_stateless("echo", echo_factory(),
                                            instances=1)
         deploy_and_settle(cluster, started)
-        cluster.start_frontend()
-        host = ClusterClient(cluster.engine, cluster.fabric, "h0")
+        fe = cluster.start_frontend()
 
         def go():
-            return (yield host.call_service("echo", {"x": 1},
-                                            timeout=200_000))
+            return (yield submitted(fe, "echo", body={"x": 1}))
 
         reply = drive(cluster, go())
         assert reply["ok"]

@@ -21,7 +21,8 @@ from repro.kernel import NocConfig, SystemConfig
 from repro.policy import RetryPolicy
 from repro.replic import KvMachine
 from repro.sched.autoscaler import INTERVAL
-from repro.workloads import ClusterClient
+
+from tests.conftest import submitted
 
 #: outlives the queueing of a burst on one replica
 PATIENT = RetryPolicy(deadline=3_000_000, attempt_timeout=3_000_000,
@@ -50,7 +51,7 @@ def _load_step(backend, cache=CacheConfig(), n_fpgas=2, warm_on=(),
     started = cluster.deploy_stateless("kv", echo_handler_factory(3_000),
                                        instances=1)
     cluster.run_until(started, limit=50_000_000)
-    cluster.start_frontend(max_pending=1_024, retry=PATIENT)
+    fe = cluster.start_frontend(max_pending=1_024, retry=PATIENT)
     cluster.seal()
     if warm_on:
         design = ClusterPortedService.family_bitstream()
@@ -59,8 +60,7 @@ def _load_step(backend, cache=CacheConfig(), n_fpgas=2, warm_on=(),
         cluster.run_until(issued, limit=50_000_000)
     scaler = cluster.start_autoscaler("kv", max_replicas=2)
     cluster.run(until=cluster.now + 2 * INTERVAL)
-    host = ClusterClient(cluster.engine, cluster.fabric, "load")
-    replies = [host.call_service("kv", {"x": i}) for i in range(40)]
+    replies = [submitted(fe, "kv", body={"x": i}) for i in range(40)]
     _drive(cluster, lambda: any(e[1] == until for e in scaler.events))
     cache_report = cluster.bitplane.telemetry() if cache.enabled else None
     assert all(r.triggered and not r.failed for r in replies)
@@ -124,7 +124,10 @@ class TestWhenAnOpRuns:
 
 #: the autoscaler's log of the load step on ``sequential``, and the sha256
 #: of the chain repair's outcome: captured on the tree where the forked
-#: board workers reproduced both byte for byte
+#: board workers reproduced both byte for byte.  The sha was re-pinned when
+#: the requests began entering by ``FrontEnd.submit`` rather than over the
+#: fabric: the kill and both repair events land 1 000 cycles earlier (the
+#: two 500-cycle client hops), their latencies and the chains unchanged
 _LOAD_STEP_LOG = [
     [1480260, "scale_up", "kv#1", 2, "queue=36.0 predicted@ready=1493"],
     [2290260, "up_ready", "kv#1", 2, ""],
@@ -132,7 +135,7 @@ _LOAD_STEP_LOG = [
     [2391760, "down_done", "kv#1", 1, ""],
 ]
 _CHAIN_REPAIR_SHA256 = \
-    "19ab061fbb4d772f2e0d2e214ab37e11b82db0ec8af8c321bea2618119d9af74"
+    "8be16c26093ce7d8c0a3b90fefbee682e2a6ceb9bc6370add3646d154c3c467b"
 
 
 class TestControlPlanesOnWindowedBackends:
@@ -177,14 +180,13 @@ def _chain_repair(backend):
     started, configured = cluster.deploy_chain(
         "kv", KvMachine, n_shards=2, replication=2)
     cluster.run_until(started, limit=50_000_000)
-    cluster.start_frontend()
+    fe = cluster.start_frontend()
     cluster.run_until([configured], limit=50_000_000)
     cluster.seal()
     spec = cluster.directory.services["kv"]
-    host = ClusterClient(cluster.engine, cluster.fabric, "h0")
     keys = [f"key{i}" for i in range(6)]
-    writes = [host.call_service("kv", {"op": "put", "key": k, "value": i},
-                                key=k, write=True, timeout=300_000)
+    writes = [submitted(fe, "kv", body={"op": "put", "key": k, "value": i},
+                        key=k, write=True)
               for i, k in enumerate(keys)]
     cluster.run_until(writes)
     acked = [k for k, w in zip(keys, writes) if w.value["ok"]]
@@ -195,8 +197,8 @@ def _chain_repair(backend):
            and all(len(chain) == spec.replication
                    for chain in spec.chains.values()),
            step=100_000)
-    reads = [host.call_service("kv", {"op": "get", "key": k}, key=k,
-                               timeout=300_000) for k in acked]
+    reads = [submitted(fe, "kv", body={"op": "get", "key": k}, key=k)
+             for k in acked]
     cluster.run_until(reads)
     values = [r.value["body"].get("value") for r in reads]
     summary = cluster.replication.repair_summary()

@@ -14,7 +14,8 @@ from repro.kernel import NocConfig, SystemConfig
 from repro.loadgen import ChaosAction, ScenarioRunner, get_scenario
 from repro.replic import HistoryChecker, KvMachine, WriteAheadLog
 from repro.replic.manager import PROBE_INTERVAL, REPAIR_SETTLE, RPC_TIMEOUT
-from repro.workloads import ClusterClient
+
+from tests.conftest import submitted
 
 
 # -- unit: the write-ahead log ---------------------------------------------
@@ -186,13 +187,13 @@ class TestChainServing:
     @pytest.fixture(scope="class")
     def cluster(self):
         cluster = chain_cluster()
-        host = ClusterClient(cluster.engine, cluster.fabric, "h0")
 
         def load():
             for i in range(8):
-                reply = yield host.call_service(
-                    "kv", {"op": "put", "key": f"key{i}", "value": i},
-                    key=f"key{i}", write=True, timeout=300_000)
+                reply = yield submitted(
+                    cluster.frontend, "kv",
+                    body={"op": "put", "key": f"key{i}", "value": i},
+                    key=f"key{i}", write=True)
                 assert reply["ok"] and reply["body"]["ok"], reply
 
         drive(cluster, load())
@@ -200,12 +201,10 @@ class TestChainServing:
         return cluster
 
     def test_write_acked_then_read_back(self, cluster):
-        host = ClusterClient(cluster.engine, cluster.fabric, "h1")
-
         def go():
-            return (yield host.call_service(
-                "kv", {"op": "get", "key": "key3"}, key="key3",
-                timeout=300_000))
+            return (yield submitted(
+                cluster.frontend, "kv", body={"op": "get", "key": "key3"},
+                key="key3"))
 
         reply = drive(cluster, go())
         assert reply["ok"] and reply["body"]["found"]
@@ -375,12 +374,10 @@ class TestPartitionFencing:
         cluster.run(until=engine.now + 500_000)
         assert manager.fences_acked >= 1
 
-        host = ClusterClient(engine, cluster.fabric, "check")
-
         def check():
-            return (yield host.call_service(
-                "kv", {"op": "get", "key": "poison"}, key="poison",
-                timeout=300_000))
+            return (yield submitted(
+                cluster.frontend, "kv", body={"op": "get", "key": "poison"},
+                key="poison"))
 
         reply = drive(cluster, check())
         assert reply["ok"] and reply["body"]["found"] is False, \
@@ -454,12 +451,11 @@ class TestFrontendDivergenceCounter:
                     and i.replica == 0).fpga == 0)
         assert cluster.frontend.telemetry()["writes_unreplicated"] == 0
         cluster.partition_fpga(1)
-        host = ClusterClient(engine, cluster.fabric, "h0")
-
         def go():
-            return (yield host.call_service(
-                "kv", {"op": "put", "key": key, "value": 1}, key=key,
-                write=True, timeout=300_000))
+            return (yield submitted(
+                cluster.frontend, "kv",
+                body={"op": "put", "key": key, "value": 1}, key=key,
+                write=True))
 
         reply = drive(cluster, go())
         assert reply["ok"], "the primary on fpga0 still acks the write"
