@@ -47,7 +47,7 @@ NEVER = sys.maxsize
 CREDIT_LATENCY = 1
 
 
-def _nothing() -> None:
+def _nothing(*_args) -> None:
     pass
 
 
@@ -122,7 +122,7 @@ class Router:
         "_in", "_scan", "_out", "_credit_return", "_hop",
         "_vcs", "_route", "_flits_in", "_credits_in",
         "_wake_at", "_moved_at", "_flits_forwarded", "_buffered",
-        "stalled_until", "stalls_injected", "_sync",
+        "stalled_until", "stalls_injected", "_sync", "_stalled",
     )
 
     def __init__(
@@ -208,8 +208,10 @@ class Router:
         self.stalled_until = 0
         self.stalls_injected = 0
         #: called before per-router state is read or a fault is applied
-        #: from outside the datapath (the network's express lane hooks in)
+        #: from outside the datapath (the network's express lane hooks in),
+        #: and with the cycle a stall lasts until (its quiet horizon)
         self._sync: Callable[[], None] = _nothing
+        self._stalled: Callable[[int], None] = _nothing
 
     # -- wiring (called by Network) ---------------------------------------
 
@@ -318,6 +320,7 @@ class Router:
         self._sync()
         self.stalled_until = max(self.stalled_until, self.engine.now + cycles)
         self.stalls_injected += 1
+        self._stalled(self.stalled_until)
         self._arm(self.stalled_until)
 
     def _arm(self, cycle: int) -> None:

@@ -27,8 +27,10 @@ def cases(draw):
     # sparse, bursty or back-to-back: the gap scale decides how often a
     # packet has the fabric to itself
     gap = st.integers(0, draw(st.sampled_from([0, 3, 15, 60])))
+    # a sender is a process (``blocking``: it waits for each injection),
+    # or bare heap callbacks, which hand packets over in the heap phase
     senders = draw(st.lists(
-        st.tuples(node, st.booleans(), st.lists(
+        st.tuples(node, st.sampled_from([False, True, "heap"]), st.lists(
             st.tuples(gap, node, st.integers(0, 19)),
             min_size=1, max_size=8)),
         min_size=1, max_size=4))
@@ -108,8 +110,19 @@ def _run(case):
                             for n in range(nodes)]))
             yield every
 
+    def heap_sender(index, src, sends):
+        ni = net.interface(src)
+        at = 0
+        for count, (gap, dst, flits) in enumerate(sends):
+            at += gap + 1
+            eng.schedule(at, lambda _arg, c=count, d=dst, f=flits: ni.send(
+                d, payload_bytes=16 * f).add_callback(injected(index, c)))
+
     for index, (src, blocking, sends) in enumerate(case["senders"]):
-        eng.process(sender(index, src, blocking, sends))
+        if blocking == "heap":
+            heap_sender(index, src, sends)
+        else:
+            eng.process(sender(index, src, blocking, sends))
     for node, think in enumerate(case["sinks"]):
         eng.process(sink(node, think))
     if case["sample"]:
